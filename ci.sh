@@ -16,6 +16,9 @@ VORX_SIM_WORKERS=4 cargo test --workspace -q
 echo "==> cargo test (VORX_SIM_WORKERS=8: sharded paths at eight workers)"
 VORX_SIM_WORKERS=8 cargo test --workspace -q
 
+echo "==> alloc budgets (per-thread counting allocator: event storage, fabric step, stop-and-wait message, recompute, trace merge)"
+cargo test -q --test event_storage --test datapath_alloc --test topology_alloc --test trace_merge_alloc
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -45,5 +48,8 @@ cargo run --release -p vorx-bench --bin gray_campaign -- --smoke
 
 echo "==> collective smoke (fan-in 512 under watchdog: in-network >= 3x software tree, workers {1,4} trace equality)"
 cargo run --release -p vorx-bench --bin collective_campaign -- --smoke
+
+echo "==> benchmark self-check (read-only: 1/20-size rep of all six workloads against the public surface benchmark/ calls)"
+CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --check
 
 echo "CI OK"

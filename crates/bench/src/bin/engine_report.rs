@@ -178,8 +178,14 @@ fn main() {
         "  \"note\": \"desim engine hot-path benches, ns of host wall time; \
          measured with the vendored criterion stand-in (vendor/README.md), so \
          only before/after ratios are comparable, not absolute numbers from \
-         real criterion\",\n",
+         real criterion; run the bench pinned to one CPU (taskset), unpinned \
+         process switches are bimodal, and expect runs of one binary on a \
+         shared host to differ by 20% or more\",\n",
     );
+    out.push_str(&format!(
+        "  \"host_cpus\": {},\n",
+        desim::affinity::effective_parallelism()
+    ));
     emit_section(&mut out, "before", &before);
     out.push_str(",\n");
     emit_section(&mut out, "after", &after);

@@ -587,31 +587,20 @@ pub fn try_open(ctx: &VCtx, node: NodeAddr, name: &str) -> ChanResult<ChannelHan
     Ok(ChannelHandle { id, node, peer })
 }
 
-/// Split a payload into hardware-sized fragments, flagging the last.
-fn fragment(payload: Payload) -> Vec<(Payload, bool)> {
-    let total = payload.len();
-    if total <= MAX_PAYLOAD {
-        return vec![(payload, true)];
-    }
-    let mut out = Vec::new();
-    match payload {
-        Payload::Data(b) => {
-            let mut off = 0usize;
-            while off < b.len() {
-                let end = (off + MAX_PAYLOAD as usize).min(b.len());
-                out.push((Payload::Data(b.slice(off..end)), end == b.len()));
-                off = end;
-            }
+/// Split a payload into hardware-sized fragments, flagging the last. Lazy
+/// and slice-based: no fragment list is built, so a message that fits one
+/// frame — or many — costs no allocation here.
+pub(crate) fn fragment(payload: Payload) -> impl Iterator<Item = (Payload, bool)> {
+    let mut rest = Some(payload);
+    std::iter::from_fn(move || {
+        let p = rest.take()?;
+        let (cut, len) = (MAX_PAYLOAD as usize, p.len() as usize);
+        if len <= cut {
+            return Some((p, true));
         }
-        Payload::Synthetic(mut n) => {
-            while n > 0 {
-                let chunk = n.min(MAX_PAYLOAD);
-                n -= chunk;
-                out.push((Payload::Synthetic(chunk), n == 0));
-            }
-        }
-    }
-    out
+        rest = Some(p.slice(cut, len));
+        Some((p.slice(0, cut), false))
+    })
 }
 
 impl ChannelHandle {
@@ -1796,13 +1785,13 @@ mod tests {
 
     #[test]
     fn fragment_splits_and_flags_last() {
-        let frags = fragment(Payload::Synthetic(2500));
+        let frags: Vec<_> = fragment(Payload::Synthetic(2500)).collect();
         let lens: Vec<u32> = frags.iter().map(|(p, _)| p.len()).collect();
         assert_eq!(lens, vec![1024, 1024, 452]);
         let lasts: Vec<bool> = frags.iter().map(|(_, l)| *l).collect();
         assert_eq!(lasts, vec![false, false, true]);
 
-        let frags = fragment(Payload::Data(Bytes::from(vec![7u8; 1500])));
+        let frags: Vec<_> = fragment(Payload::Data(Bytes::from(vec![7u8; 1500]))).collect();
         assert_eq!(frags.len(), 2);
         assert_eq!(frags[0].0.len(), 1024);
         assert!(frags[1].1);

@@ -318,8 +318,9 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
             up: false,
         },
     );
-    let out = w.net.set_endpoint_down(kernel::now_ns(s), node, true);
-    kernel::process_output(w, s, out);
+    kernel::fabric_step(w, s, |w, out| {
+        w.net.set_endpoint_down(now.as_ns(), node, true, out)
+    });
 
     // Wipe the node's kernel state cold, keeping the wait sets we must wake.
     // Iteration is over *sorted* keys everywhere: HashMap order is random
@@ -476,8 +477,9 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
         },
     );
     w.node_mut(node).up = true;
-    let out = w.net.set_endpoint_down(kernel::now_ns(s), node, false);
-    kernel::process_output(w, s, out);
+    kernel::fabric_step(w, s, |w, out| {
+        w.net.set_endpoint_down(now.as_ns(), node, false, out)
+    });
     w.node_mut(node).up_waiters.wake_all(s, Wakeup::START);
 
     // Manager failover: requesters whose open was queued at this manager
@@ -535,8 +537,7 @@ pub fn on_link_down(w: &mut World, s: &mut VSched, l: LinkId) {
             up: false,
         },
     );
-    let out = w.net.set_link_down(now, l, true);
-    kernel::process_output(w, s, out);
+    kernel::fabric_step(w, s, |w, out| w.net.set_link_down(now, l, true, out));
     crate::membership::schedule_partition_sweep(w, s);
 }
 
@@ -576,8 +577,8 @@ fn raise_link(w: &mut World, s: &mut VSched, l: LinkId) {
             up: true,
         },
     );
-    let out = w.net.set_link_down(kernel::now_ns(s), l, false);
-    kernel::process_output(w, s, out);
+    let now = kernel::now_ns(s);
+    kernel::fabric_step(w, s, |w, out| w.net.set_link_down(now, l, false, out));
     crate::membership::on_heal(w, s);
 }
 

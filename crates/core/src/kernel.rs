@@ -8,7 +8,7 @@
 //! the hardware buffers never stay full.
 
 use desim::{OutMsg, SimDuration, SimTime, Wakeup};
-use hpcnet::{Dest, Frame, NodeAddr, Notify, Output};
+use hpcnet::{Dest, Frame, NetEvent, NodeAddr, Notify, Output};
 
 use crate::cpu::CpuCat;
 use crate::world::{VSched, World};
@@ -52,11 +52,12 @@ fn inject(w: &mut World, s: &mut VSched, frame: Frame) {
     } else {
         frame
     };
-    let out = w
-        .net
-        .try_send(now_ns(s), frame)
-        .expect("register was checked free");
-    process_output(w, s, out);
+    let now = now_ns(s);
+    fabric_step(w, s, |w, out| {
+        w.net
+            .try_send(now, frame, out)
+            .expect("register was checked free")
+    });
 }
 
 /// Route the cross-shard portion of `frame` over the bridge. Returns the
@@ -72,72 +73,78 @@ fn inject(w: &mut World, s: &mut VSched, frame: Frame) {
 /// control would be zero lookahead (see DESIGN.md §12).
 fn bridge(w: &mut World, s: &mut VSched, frame: Frame) -> Option<Frame> {
     let src = frame.src;
-    let (local, remote): (Vec<NodeAddr>, Vec<NodeAddr>) = match &frame.dst {
+    let ser = w.net.config().serialize_ns(frame.wire_bytes());
+    let now = now_ns(s);
+    match &frame.dst {
+        // The per-message case, kept free of destination lists.
         Dest::Unicast(d) => {
-            if w.shard.is_remote(*d) {
-                (Vec::new(), vec![*d])
-            } else {
+            let d = *d;
+            if !w.shard.is_remote(d) {
                 return Some(frame);
             }
+            bridge_one(w, now, ser, d, frame);
         }
-        Dest::Multicast(ts) => ts.iter().partition(|t| !w.shard.is_remote(**t)),
-    };
-    if remote.is_empty() {
-        return Some(frame);
-    }
-    let wire = frame.wire_bytes();
-    let cfg = *w.net.config();
-    let ser = cfg.serialize_ns(wire);
-    let now = now_ns(s);
-    let src_cluster = w.net.topology().cluster_of(src);
-    for t in remote {
-        // Fault-free baseline link count for the pair, walked from the
-        // implicit routes in O(path) — no O(clusters²) matrix. Static
-        // under churn (faults only lengthen real routes), so the bridge
-        // latency never depends on when a shard observed a reroute, and
-        // it never undercuts the engine's per-pair lookahead bound.
-        let links = w
-            .net
-            .topology()
-            .baseline_cluster_links(src_cluster, w.net.topology().cluster_of(t));
-        let mut at_ns = now + links * (ser + cfg.hop_latency_ns);
-        if w.faults.gray_armed {
-            // Gray degradation applies to bridged frames too: the extra
-            // latency of every link on the baseline path, evaluated at the
-            // injection time. A pure function of `(seed, links, now)`, the
-            // same at every worker count, and strictly additive — the
-            // engine's lookahead bound is never undercut.
-            at_ns += bridge_gray_ns(w, src, t, now, cfg.hop_latency_ns);
+        Dest::Multicast(ts) => {
+            let (local, remote): (Vec<NodeAddr>, Vec<NodeAddr>) =
+                ts.iter().partition(|t| !w.shard.is_remote(**t));
+            if remote.is_empty() {
+                return Some(frame);
+            }
+            for t in remote {
+                let mut copy = frame.clone();
+                copy.dst = Dest::Unicast(t);
+                bridge_one(w, now, ser, t, copy);
+            }
+            if !local.is_empty() {
+                // Mixed multicast: the local copies serialize through the
+                // fabric (which owns the register for the duration); the
+                // remote copies ride the bridge at no extra register cost.
+                let mut f = frame;
+                f.dst = Dest::Multicast(local.into());
+                return Some(f);
+            }
         }
-        let at = SimTime::from_ns(at_ns);
-        // Injection statistics, mirroring what `Fabric::try_send` records.
-        w.net.stats.frames_sent += 1;
-        w.net.stats.per_endpoint_tx[src.0 as usize] += 1;
-        let mut copy = frame.clone();
-        copy.dst = Dest::Unicast(t);
-        w.shard.outbox.push(OutMsg {
-            deliver_at: at,
-            dst_shard: w.shard.owner(t),
-            msg: copy,
-        });
     }
-    if local.is_empty() {
-        // The bridge models the output register itself: busy while the
-        // frame serializes, then the usual transmit-complete interrupt.
-        w.shard.tx_busy[src.0 as usize] = true;
-        s.schedule_in(SimDuration::from_ns(ser), move |w: &mut World, s| {
-            w.shard.tx_busy[src.0 as usize] = false;
-            on_tx_ready(w, s, src);
-        });
-        None
-    } else {
-        // Mixed multicast: the local copies serialize through the fabric
-        // (which owns the register for the duration); the remote copies ride
-        // the bridge at no extra register cost.
-        let mut f = frame;
-        f.dst = Dest::Multicast(local.into());
-        Some(f)
+    // The bridge models the output register itself: busy while the frame
+    // serializes, then the usual transmit-complete interrupt.
+    w.shard.tx_busy[src.0 as usize] = true;
+    s.schedule_in(SimDuration::from_ns(ser), move |w: &mut World, s| {
+        w.shard.tx_busy[src.0 as usize] = false;
+        on_tx_ready(w, s, src);
+    });
+    None
+}
+
+/// Park `frame` — unicast to `t`, which another shard owns — in the outbox,
+/// stamped with its delivery time: `ser` per link of the baseline path plus
+/// the hop latency, from `now`.
+fn bridge_one(w: &mut World, now: u64, ser: u64, t: NodeAddr, frame: Frame) {
+    let src = frame.src;
+    let hop_ns = w.net.config().hop_latency_ns;
+    // Fault-free baseline link count for the pair, walked from the implicit
+    // routes in O(path) — no O(clusters²) matrix. Static under churn (faults
+    // only lengthen real routes), so the bridge latency never depends on
+    // when a shard observed a reroute, and it never undercuts the engine's
+    // per-pair lookahead bound.
+    let topo = w.net.topology();
+    let links = topo.baseline_cluster_links(topo.cluster_of(src), topo.cluster_of(t));
+    let mut at_ns = now + links * (ser + hop_ns);
+    if w.faults.gray_armed {
+        // Gray degradation applies to bridged frames too: the extra latency
+        // of every link on the baseline path, evaluated at the injection
+        // time. A pure function of `(seed, links, now)`, the same at every
+        // worker count, and strictly additive — the engine's lookahead
+        // bound is never undercut.
+        at_ns += bridge_gray_ns(w, src, t, now, hop_ns);
     }
+    // Injection statistics, mirroring what `Fabric::try_send` records.
+    w.net.stats.frames_sent += 1;
+    w.net.stats.per_endpoint_tx[src.0 as usize] += 1;
+    w.shard.outbox.push(OutMsg {
+        deliver_at: SimTime::from_ns(at_ns),
+        dst_shard: w.shard.owner(t),
+        msg: frame,
+    });
 }
 
 /// Sum of the gray-degradation delays on every link of the baseline path
@@ -167,30 +174,46 @@ fn bridge_gray_ns(w: &mut World, src: NodeAddr, dst: NodeAddr, now: u64, hop_ns:
     extra
 }
 
-/// Advance the fabric by one event with the fault plane consulted: every
-/// hop's disposition (deliver / drop / corrupt / delay) is drawn from the
-/// installed schedule's seeded streams.
-fn net_handle(w: &mut World, now: u64, ev: hpcnet::NetEvent) -> Output {
-    // Split borrow: the fabric and the fault hook are disjoint fields.
-    let World { net, faults, .. } = w;
-    net.handle_with(now, ev, faults)
-}
-
-/// Apply a fabric [`Output`]: schedule its future events and act on its
-/// notifications.
-pub fn process_output(w: &mut World, s: &mut VSched, out: Output) {
-    for (delay_ns, ev) in out.schedule {
-        s.schedule_in(SimDuration::from_ns(delay_ns), move |w: &mut World, s| {
-            let o = net_handle(w, now_ns(s), ev);
-            process_output(w, s, o);
-        });
+/// Step the fabric and act on what the step produced. `step` appends to an
+/// emptied [`Output`] drawn from the world's free list; its events are then
+/// scheduled and its notifications answered, in list order, and the
+/// `Output` goes back on the list. Answering a notification can step the
+/// fabric again (a transmit-complete refills the register); the nested step
+/// draws its own `Output`, so the list grows to the deepest nesting seen
+/// and from then on no step allocates.
+pub(crate) fn fabric_step<R>(
+    w: &mut World,
+    s: &mut VSched,
+    step: impl FnOnce(&mut World, &mut Output) -> R,
+) -> R {
+    let mut out = w.net_outputs.pop().unwrap_or_default();
+    let r = step(w, &mut out);
+    for (delay_ns, ev) in out.schedule.drain(..) {
+        schedule_net_event(s, delay_ns, ev);
     }
-    for n in out.notifies {
+    for n in out.notifies.drain(..) {
         match n {
             Notify::TxReady(a) => on_tx_ready(w, s, a),
             Notify::RxArrived(a) => on_rx_arrived(w, s, a),
         }
     }
+    w.net_outputs.push(out);
+    r
+}
+
+/// Hand `ev` back to the fabric after `delay_ns`, with the fault plane
+/// consulted: every hop's disposition (deliver / drop / corrupt / delay) is
+/// drawn from the installed schedule's seeded streams. Not generic, so that
+/// [`fabric_step`] does not instantiate itself through the closure.
+fn schedule_net_event(s: &mut VSched, delay_ns: u64, ev: NetEvent) {
+    s.schedule_in(SimDuration::from_ns(delay_ns), move |w: &mut World, s| {
+        let now = now_ns(s);
+        fabric_step(w, s, |w, out| {
+            // Split borrow: the fabric and the fault hook are disjoint fields.
+            let World { net, faults, .. } = w;
+            net.handle_with(now, ev, faults, out);
+        });
+    });
 }
 
 /// Transmit-complete interrupt: refill the output register from the kernel
@@ -232,9 +255,8 @@ fn rx_service(w: &mut World, s: &mut VSched, a: NodeAddr, first: bool) {
         // Raw UDCO (§4.1, parallel SPICE): the kernel never touches these
         // frames — the application reads the hardware itself. Hand the frame
         // over at zero kernel cost and keep draining.
-        let (frame, out) = w.net.rx_pop(now_ns(s), a);
-        process_output(w, s, out);
-        if let Some(f) = frame {
+        let now = now_ns(s);
+        if let Some(f) = fabric_step(w, s, |w, out| w.net.rx_pop(now, a, out)) {
             dispatch(w, s, a, f);
         }
         rx_service(w, s, a, first);
@@ -248,9 +270,8 @@ fn rx_service(w: &mut World, s: &mut VSched, a: NodeAddr, first: bool) {
     let now = s.now();
     let end = w.charge(now, a, CpuCat::System, SimDuration::from_ns(cost));
     s.schedule_in(end - now, move |w: &mut World, s| {
-        let (frame, out) = w.net.rx_pop(now_ns(s), a);
-        process_output(w, s, out);
-        if let Some(f) = frame {
+        let now = now_ns(s);
+        if let Some(f) = fabric_step(w, s, |w, out| w.net.rx_pop(now, a, out)) {
             dispatch(w, s, a, f);
         }
         if w.net.rx_depth(a) > 0 {

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use desim::{sync::WaitSet, SimDuration, Wakeup};
-use hpcnet::{Dest, Frame, NodeAddr, Payload, MAX_PAYLOAD};
+use hpcnet::{Dest, Frame, NodeAddr, Payload};
 
 use crate::api;
 use crate::channel::ChannelHandle;
@@ -74,33 +74,6 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
     });
 }
 
-/// Split a payload into hardware-sized fragments, flagging the last.
-fn fragment(payload: Payload) -> Vec<(Payload, bool)> {
-    let total = payload.len();
-    if total <= MAX_PAYLOAD {
-        return vec![(payload, true)];
-    }
-    let mut out = Vec::new();
-    match payload {
-        Payload::Data(b) => {
-            let mut off = 0usize;
-            while off < b.len() {
-                let end = (off + MAX_PAYLOAD as usize).min(b.len());
-                out.push((Payload::Data(b.slice(off..end)), end == b.len()));
-                off = end;
-            }
-        }
-        Payload::Synthetic(mut n) => {
-            while n > 0 {
-                let chunk = n.min(MAX_PAYLOAD);
-                n -= chunk;
-                out.push((Payload::Synthetic(chunk), n == 0));
-            }
-        }
-    }
-    out
-}
-
 /// Flow-controlled multicast write: one injection per fragment, hardware
 /// replication, and the writer blocks until every destination's kernel has
 /// acknowledged each fragment (stop-and-wait generalized to the group).
@@ -114,7 +87,7 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
     // One refcounted target list shared by every fragment: a multi-frame
     // mwrite allocates no per-fragment destination copies.
     let dsts: Arc<[NodeAddr]> = dsts.into();
-    for (frag, last) in fragment(payload) {
+    for (frag, last) in crate::channel::fragment(payload) {
         api::compute_ns(ctx, node, CpuCat::System, c.chan_write_syscall_ns);
         let dsts = Arc::clone(&dsts);
         let seq = ctx.with(move |w, s| {

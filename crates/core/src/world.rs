@@ -338,6 +338,9 @@ pub struct World {
     pub coll_groups: HashMap<u32, crate::collective::GroupCfg>,
     /// Sharded-engine bridge state; inert defaults in sequential builds.
     pub shard: ShardCtx,
+    /// Emptied fabric outputs awaiting reuse (see
+    /// [`crate::kernel::fabric_step`]).
+    pub(crate) net_outputs: Vec<hpcnet::Output>,
 }
 
 impl World {
@@ -426,8 +429,8 @@ impl desim::ShardWorld for World {
     fn deliver(&mut self, s: &mut Scheduler<World>, f: Frame) {
         // A bridged frame arrives exactly as hardware would deliver it: into
         // the destination endpoint's receive FIFO, raising the rx interrupt.
-        let out = self.net.inject_arrival(s.now().as_ns(), f);
-        crate::kernel::process_output(self, s, out);
+        let now = s.now().as_ns();
+        crate::kernel::fabric_step(self, s, |w, out| w.net.inject_arrival(now, f, out));
     }
 }
 
@@ -573,6 +576,7 @@ impl VorxBuilder {
             payload_pool: crate::alloc::PayloadPool::default(),
             coll_groups: HashMap::new(),
             shard: ShardCtx::default(),
+            net_outputs: Vec::new(),
         };
         let vs = VorxSim {
             sim: Simulation::new(world),
@@ -716,6 +720,7 @@ impl VorxBuilder {
                     chan_stride: n_shards as u32,
                     token_stride: n_shards as u64,
                 },
+                net_outputs: Vec::new(),
             };
             let sim = Simulation::new(world);
             let mine: Vec<desim::FaultEvent> =

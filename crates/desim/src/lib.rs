@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod event_fn;
 mod sim;
 mod time;
 

@@ -2,7 +2,7 @@
 //!
 //! Two kinds of simulated activity coexist:
 //!
-//! * **Events** — boxed closures over the world state `W`, used for hardware
+//! * **Events** — closures over the world state `W`, used for hardware
 //!   models (links freeing, messages arriving, interrupts firing). They run
 //!   to completion and never block.
 //! * **Processes** — cooperative OS threads, used for software (VORX
@@ -23,9 +23,16 @@
 //! no channel locks. Same-instant wakes (the common case in protocol code:
 //! `wake` + `park` chains at one timestamp) bypass the binary heap through a
 //! FIFO *lane*, making zero-delay scheduling O(1). Simulated time lives in an
-//! atomic mirror ([`SimInner::now_ns`]) so [`Ctx::now`] is lock-free, and
-//! [`Scheduler`] buffers are pooled so steady-state event dispatch allocates
-//! nothing.
+//! atomic mirror ([`SimInner::now_ns`]) so [`Ctx::now`] is lock-free.
+//!
+//! Scheduling and dispatching an event allocates nothing in steady state. An
+//! event closure whose capture is at most 72 bytes and at most 8-aligned is
+//! stored in place (`event_fn`); a larger or over-aligned capture costs
+//! one box. Queued closures sit in a slab of recycled slots and the heap and
+//! lane carry 32-byte entries that name a slot, so a sift never moves a
+//! capture; [`Scheduler`] buffers are pooled. What still allocates: the
+//! `Arc` flag behind each [`TimerHandle`], and every buffer named here while
+//! it grows to the most events ever outstanding at once.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -37,6 +44,7 @@ use std::thread::{JoinHandle, Thread};
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::event_fn::EventFn;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated process for the lifetime of a [`Simulation`].
@@ -64,7 +72,6 @@ impl Wakeup {
     pub const TIMER: Wakeup = Wakeup(u64::MAX);
 }
 
-type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Scheduler<W>) + Send>;
 type ProcFn<W> = Box<dyn FnOnce(Ctx<W>) + Send + 'static>;
 
 /// Handle to a cancellable scheduled event (see
@@ -88,6 +95,7 @@ impl TimerHandle {
     }
 }
 
+/// An action as a [`Scheduler`] collects it, before it is queued.
 enum Pending<W> {
     Run(EventFn<W>),
     Wake(ProcId, Wakeup),
@@ -96,34 +104,75 @@ enum Pending<W> {
     Cancellable(Arc<AtomicBool>, EventFn<W>),
 }
 
-impl<W> Pending<W> {
-    fn cancelled(&self) -> bool {
-        matches!(self, Pending::Cancellable(flag, _) if flag.load(AtomicOrdering::Relaxed))
+/// An action as the queues hold it. A closure stays in [`Core::events`] and
+/// the entry carries its slot, so heap sifts move 32-byte entries whatever
+/// the closures capture.
+enum Queued {
+    Run(u32),
+    Wake(ProcId, Wakeup),
+    Cancellable(Arc<AtomicBool>, u32),
+}
+
+impl Queued {
+    /// The closure slot of a timer that has been disarmed, if this is one.
+    fn cancelled_slot(&self) -> Option<u32> {
+        match self {
+            Queued::Cancellable(flag, slot) if flag.load(AtomicOrdering::Relaxed) => Some(*slot),
+            _ => None,
+        }
     }
 }
 
-struct QEntry<W> {
+struct QEntry {
     t: SimTime,
     seq: u64,
-    act: Pending<W>,
+    act: Queued,
 }
 
-impl<W> PartialEq for QEntry<W> {
+impl PartialEq for QEntry {
     fn eq(&self, other: &Self) -> bool {
         self.t == other.t && self.seq == other.seq
     }
 }
-impl<W> Eq for QEntry<W> {}
-impl<W> PartialOrd for QEntry<W> {
+impl Eq for QEntry {}
+impl PartialOrd for QEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<W> Ord for QEntry<W> {
+impl Ord for QEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest (time, seq)
         // at the top.
         (other.t, other.seq).cmp(&(self.t, self.seq))
+    }
+}
+
+/// The closures of queued events, in recycled slots: a slot is claimed when
+/// its event is queued and freed when the event is dequeued, so the slab
+/// grows to the largest number of events ever outstanding and then stops
+/// allocating.
+struct EventSlab<W> {
+    slots: Vec<Option<EventFn<W>>>,
+    free: Vec<u32>,
+}
+
+impl<W> EventSlab<W> {
+    fn insert(&mut self, f: EventFn<W>) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.slots[i as usize] = Some(f);
+            return i;
+        }
+        let i = u32::try_from(self.slots.len()).expect("over u32::MAX events outstanding");
+        self.slots.push(Some(f));
+        i
+    }
+
+    fn take(&mut self, slot: u32) -> EventFn<W> {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a queued event owns its slot")
     }
 }
 
@@ -220,13 +269,15 @@ struct Core<W> {
     /// load accounting in the sharded engine and campaign reports.
     dispatched: u64,
     /// Future events, ordered by `(time, seq)`.
-    queue: BinaryHeap<QEntry<W>>,
+    queue: BinaryHeap<QEntry>,
     /// Events scheduled *at the current instant*, FIFO. Every entry's time is
     /// `now`, so ordering within the lane is by `seq` alone, and `push` is
     /// O(1) instead of a heap insert. Invariant: any heap entry at `t == now`
     /// was pushed before `now` advanced to `t` and therefore has a smaller
     /// `seq` than every lane entry; the pop logic relies on this.
-    lane: VecDeque<(u64, Pending<W>)>,
+    lane: VecDeque<(u64, Queued)>,
+    /// The closures the `Run`/`Cancellable` entries of both queues refer to.
+    events: EventSlab<W>,
     procs: Vec<Option<ProcSlot>>,
 }
 
@@ -235,10 +286,25 @@ impl<W> Core<W> {
         debug_assert!(t >= self.now, "scheduled event in the past");
         let seq = self.seq;
         self.seq += 1;
+        let act = match act {
+            Pending::Run(f) => Queued::Run(self.events.insert(f)),
+            Pending::Wake(pid, token) => Queued::Wake(pid, token),
+            Pending::Cancellable(flag, f) => Queued::Cancellable(flag, self.events.insert(f)),
+        };
         if t == self.now {
             self.lane.push_back((seq, act));
         } else {
             self.queue.push(QEntry { t, seq, act });
+        }
+    }
+
+    /// Discard disarmed timers at the head of the heap before their
+    /// timestamps are ever consulted: a cancelled event must neither advance
+    /// the clock nor keep the simulation from going idle.
+    fn pop_cancelled_heads(&mut self) {
+        while let Some(slot) = self.queue.peek().and_then(|e| e.act.cancelled_slot()) {
+            self.queue.pop();
+            drop(self.events.take(slot));
         }
     }
 
@@ -315,7 +381,8 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        self.pending.push((self.now + d, Pending::Run(Box::new(f))));
+        self.pending
+            .push((self.now + d, Pending::Run(EventFn::new(f))));
     }
 
     /// Like [`Scheduler::schedule_in`], but returns a [`TimerHandle`] that
@@ -330,7 +397,7 @@ impl<W: Send + 'static> Scheduler<W> {
         let flag = Arc::new(AtomicBool::new(false));
         self.pending.push((
             self.now + d,
-            Pending::Cancellable(Arc::clone(&flag), Box::new(f)),
+            Pending::Cancellable(Arc::clone(&flag), EventFn::new(f)),
         ));
         TimerHandle(flag)
     }
@@ -464,14 +531,33 @@ fn scheduler<W>(now: SimTime, inner: &Arc<SimInner<W>>) -> Scheduler<W> {
 /// register them, and push all pending actions into the queue. Leaves the
 /// scheduler's buffers empty (capacity retained) so the caller can reuse or
 /// pool them. Takes no locks at all when nothing was scheduled.
+///
+/// This runs at the bottom of every `Ctx::with` on a process's own stack, so
+/// its frame is kept small: the thread-spawning half lives in
+/// [`commit_spawns`], out of line.
 fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
     if sch.pending.is_empty() && sch.spawns.is_empty() {
         return;
     }
-    let mut started = Vec::with_capacity(sch.spawns.len());
-    for req in sch.spawns.drain(..) {
-        started.push(start_proc(inner, req));
+    let mut core = if sch.spawns.is_empty() {
+        inner.core.lock()
+    } else {
+        commit_spawns(inner, &mut sch.spawns)
+    };
+    for (t, act) in sch.pending.drain(..) {
+        core.push(t, act);
     }
+}
+
+/// Start the requested process threads, then — under the core lock, which is
+/// returned still held — register them and queue their start wakes, ahead of
+/// whatever else the same scheduler collected.
+#[inline(never)]
+fn commit_spawns<'a, W: Send + 'static>(
+    inner: &'a Arc<SimInner<W>>,
+    spawns: &mut Vec<SpawnReq<W>>,
+) -> MutexGuard<'a, Core<W>> {
+    let started: Vec<_> = spawns.drain(..).map(|req| start_proc(inner, req)).collect();
     let mut core = inner.core.lock();
     for (pid, at, slot) in started {
         let idx = pid.0 as usize;
@@ -482,9 +568,7 @@ fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
         core.procs[idx] = Some(slot);
         core.push(at, Pending::Wake(pid, Wakeup::START));
     }
-    for (t, act) in sch.pending.drain(..) {
-        core.push(t, act);
-    }
+    core
 }
 
 /// [`commit`], then hand the scheduler's buffers back to the pool.
@@ -605,6 +689,10 @@ impl<W: Send + 'static> Simulation<W> {
                     dispatched: 0,
                     queue: BinaryHeap::new(),
                     lane: VecDeque::new(),
+                    events: EventSlab {
+                        slots: Vec::new(),
+                        free: Vec::new(),
+                    },
                     procs: Vec::new(),
                 }),
                 world: Mutex::new(world),
@@ -684,12 +772,7 @@ impl<W: Send + 'static> Simulation<W> {
                 // Inner loop so stale wakeups are skipped without bouncing
                 // the core lock.
                 loop {
-                    // Discard disarmed timers before their timestamps are
-                    // ever consulted: a cancelled event must neither advance
-                    // the clock nor keep the simulation from going idle.
-                    while core.queue.peek().is_some_and(|e| e.act.cancelled()) {
-                        core.queue.pop();
-                    }
+                    core.pop_cancelled_heads();
                     // Does the same-instant lane or the heap fire next? Lane
                     // entries are all at `now`; a heap entry wins only if it
                     // is also at `now` with a smaller seq (pushed before time
@@ -725,11 +808,12 @@ impl<W: Send + 'static> Simulation<W> {
                         e.act
                     };
                     match act {
-                        Pending::Run(f) => {
+                        Queued::Run(slot) => {
                             core.dispatched += 1;
-                            break Next::Run(f, core.now);
+                            break Next::Run(core.events.take(slot), core.now);
                         }
-                        Pending::Cancellable(flag, f) => {
+                        Queued::Cancellable(flag, slot) => {
+                            let f = core.events.take(slot);
                             if flag.load(AtomicOrdering::Relaxed) {
                                 // Cancelled same-instant (lane) entry: time
                                 // is already `now`, just skip it.
@@ -738,7 +822,7 @@ impl<W: Send + 'static> Simulation<W> {
                             core.dispatched += 1;
                             break Next::Run(f, core.now);
                         }
-                        Pending::Wake(pid, token) => {
+                        Queued::Wake(pid, token) => {
                             let slot = core.slot_mut(pid);
                             if slot.state == ProcState::Finished {
                                 continue; // stale wakeup for a completed process
@@ -771,7 +855,7 @@ impl<W: Send + 'static> Simulation<W> {
                     };
                     {
                         let mut w = self.inner.world.lock();
-                        f(&mut w, &mut sch);
+                        f.call(&mut w, &mut sch);
                     }
                     commit(&self.inner, &mut sch);
                     bufs.pending = sch.pending;
@@ -839,9 +923,7 @@ impl<W: Send + 'static> Simulation<W> {
     /// pick the next lookahead window.
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut core = self.inner.core.lock();
-        while core.queue.peek().is_some_and(|e| e.act.cancelled()) {
-            core.queue.pop();
-        }
+        core.pop_cancelled_heads();
         if !core.lane.is_empty() {
             return Some(core.now);
         }
@@ -864,7 +946,7 @@ impl<W: Send + 'static> Simulation<W> {
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
         let mut core = self.inner.core.lock();
-        core.push(t, Pending::Run(Box::new(f)));
+        core.push(t, Pending::Run(EventFn::new(f)));
     }
 }
 

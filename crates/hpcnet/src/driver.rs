@@ -70,6 +70,11 @@ pub struct StandaloneNet {
     /// crashed.
     pub waiting_dropped: u64,
     faults: Option<Box<dyn FaultHook>>,
+    /// `process`'s stack of outputs still to act on. A field so that its
+    /// capacity survives from one event to the next.
+    work: Vec<Output>,
+    /// Emptied outputs awaiting reuse (see the ownership note on [`Output`]).
+    spare: Vec<Output>,
 }
 
 impl StandaloneNet {
@@ -85,6 +90,8 @@ impl StandaloneNet {
             waiting_tx: HashMap::new(),
             waiting_dropped: 0,
             faults: None,
+            work: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
@@ -94,9 +101,11 @@ impl StandaloneNet {
         self
     }
 
-    /// Feed a fabric [`Output`] produced outside the loop (e.g. from
-    /// [`Fabric::set_endpoint_down`]) into the driver.
-    pub fn apply(&mut self, out: Output) {
+    /// Step the fabric from outside the loop (e.g. with
+    /// [`Fabric::set_endpoint_down`]) and act on what the step produced.
+    pub fn apply(&mut self, step: impl FnOnce(&mut Fabric, &mut Output)) {
+        let mut out = self.spare.pop().unwrap_or_default();
+        step(&mut self.fabric, &mut out);
         self.process(out);
     }
 
@@ -163,17 +172,17 @@ impl StandaloneNet {
                 self.now = e.t;
                 e.action
             };
-            let out = match action {
+            let mut out = self.spare.pop().unwrap_or_default();
+            match action {
                 Action::Net(ev) => match &mut self.faults {
-                    Some(h) => self.fabric.handle_with(self.now, ev, h.as_mut()),
-                    None => self.fabric.handle(self.now, ev),
+                    Some(h) => self.fabric.handle_with(self.now, ev, h.as_mut(), &mut out),
+                    None => self.fabric.handle(self.now, ev, &mut out),
                 },
                 Action::Inject(frame) => {
                     let src = frame.src;
                     if self.fabric.can_send(src) {
-                        match self.fabric.try_send(self.now, frame) {
-                            Ok(out) => out,
-                            Err(e) => panic!("injection failed: {e}"),
+                        if let Err(e) = self.fabric.try_send(self.now, frame, &mut out) {
+                            panic!("injection failed: {e}");
                         }
                     } else {
                         // Transmitter busy: queue for retry on TxReady,
@@ -184,7 +193,6 @@ impl StandaloneNet {
                         } else {
                             self.waiting_dropped += 1;
                         }
-                        Output::default()
                     }
                 }
                 Action::Crash(node) => {
@@ -192,41 +200,47 @@ impl StandaloneNet {
                         self.waiting_dropped += q.len() as u64;
                         q.clear();
                     }
-                    self.fabric.set_endpoint_down(self.now, node, true)
+                    self.fabric
+                        .set_endpoint_down(self.now, node, true, &mut out);
                 }
-            };
+            }
             self.process(out);
         }
     }
 
+    /// Act on `out` and on every output that acting on it produces. The
+    /// stack is last-in-first-out: all of one output's notifications are
+    /// answered (each answer stepping the fabric at once) before the newest
+    /// answer's events are scheduled. That order fixes the sequence numbers
+    /// of same-time events, so it must not change.
     fn process(&mut self, out: Output) {
-        let mut work = vec![out];
-        while let Some(out) = work.pop() {
-            for (delay, ev) in out.schedule {
+        self.work.push(out);
+        while let Some(mut out) = self.work.pop() {
+            for (delay, ev) in out.schedule.drain(..) {
                 self.push(self.now + delay, Action::Net(ev));
             }
-            for n in out.notifies {
+            for n in out.notifies.drain(..) {
+                let mut o = self.spare.pop().unwrap_or_default();
                 match n {
                     Notify::TxReady(a) => {
-                        if let Some(q) = self.waiting_tx.get_mut(&a) {
-                            if let Some(frame) = q.pop_front() {
-                                match self.fabric.try_send(self.now, frame) {
-                                    Ok(o) => work.push(o),
-                                    Err(e) => panic!("retry injection failed: {e}"),
-                                }
+                        if let Some(frame) =
+                            self.waiting_tx.get_mut(&a).and_then(VecDeque::pop_front)
+                        {
+                            if let Err(e) = self.fabric.try_send(self.now, frame, &mut o) {
+                                panic!("retry injection failed: {e}");
                             }
                         }
                     }
                     Notify::RxArrived(a) => {
                         // Idealized kernel: drain immediately.
-                        let (frame, o) = self.fabric.rx_pop(self.now, a);
-                        if let Some(f) = frame {
+                        if let Some(f) = self.fabric.rx_pop(self.now, a, &mut o) {
                             self.delivered.push((self.now, a, f));
                         }
-                        work.push(o);
                     }
                 }
+                self.work.push(o);
             }
+            self.spare.push(out);
         }
     }
 }

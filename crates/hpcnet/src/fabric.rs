@@ -21,11 +21,11 @@
 //! hypercube.
 //!
 //! The model is a Mealy machine: [`Fabric::try_send`], [`Fabric::handle`]
-//! and [`Fabric::rx_pop`] mutate state and return an [`Output`] containing
-//! notifications for the embedding software layer plus future [`NetEvent`]s
-//! the embedder must schedule. The fabric itself holds no clock, so it can
-//! be driven by `desim`, by the standalone driver in [`crate::driver`], or
-//! directly by unit tests.
+//! and [`Fabric::rx_pop`] mutate state and append to a caller-supplied
+//! [`Output`] the notifications for the embedding software layer plus the
+//! future [`NetEvent`]s the embedder must schedule. The fabric itself holds
+//! no clock, so it can be driven by `desim`, by the standalone driver in
+//! [`crate::driver`], or directly by unit tests.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -157,11 +157,20 @@ pub enum Notify {
 
 /// What a fabric operation produced: software notifications plus events to
 /// schedule `delay_ns` in the future.
+///
+/// Ownership: the caller owns the `Output` and passes it to every
+/// state-changing [`Fabric`] call, which only ever *appends* to the two
+/// lists. The caller empties them by acting on them — first every
+/// `schedule` entry in list order (that order is the embedder's event order
+/// for equal fire times, so it is part of the deterministic result), then
+/// every notification in list order — and keeps the emptied value for its
+/// next call, so after the lists have grown to their working size no
+/// fabric step allocates.
 #[derive(Debug, Default)]
 pub struct Output {
     /// Notifications for the software layer, in order.
     pub notifies: Vec<Notify>,
-    /// `(delay_ns, event)` pairs the embedder must schedule.
+    /// `(delay_ns, event)` pairs the embedder must schedule, in order.
     pub schedule: Vec<(u64, NetEvent)>,
 }
 
@@ -514,12 +523,11 @@ impl Fabric {
     /// are dropped on arrival. Frames the node put on the wire before the
     /// crash are already the fabric's responsibility and still deliver.
     /// Coming back up restores a cold, empty interface.
-    pub fn set_endpoint_down(&mut self, now_ns: u64, node: NodeAddr, down: bool) -> Output {
+    pub fn set_endpoint_down(&mut self, now_ns: u64, node: NodeAddr, down: bool, out: &mut Output) {
         self.now_ns = now_ns;
-        let mut out = Output::default();
         let i = node.0 as usize;
         if self.down[i] == down {
-            return out;
+            return;
         }
         self.down[i] = down;
         if down {
@@ -540,15 +548,14 @@ impl Fabric {
             if purged > 0 {
                 // Freed FIFO slots may unblock upstream forwarding (the
                 // frames it admits will be dropped on arrival).
-                self.progress(&mut out);
+                self.progress(out);
             }
         } else {
-            self.progress(&mut out);
+            self.progress(out);
             if self.can_send(node) {
                 out.notifies.push(Notify::TxReady(node));
             }
         }
-        out
     }
 
     /// True iff directed link `l` is currently down.
@@ -567,12 +574,11 @@ impl Fabric {
     /// store-and-forward buffers. Coming back up recomputes again (a fully
     /// healed fabric restores the fault-free tables verbatim). A physical
     /// cable cut is two directed links — take both ids down to model it.
-    pub fn set_link_down(&mut self, now_ns: u64, l: LinkId, down: bool) -> Output {
+    pub fn set_link_down(&mut self, now_ns: u64, l: LinkId, down: bool, out: &mut Output) {
         self.now_ns = now_ns;
-        let mut out = Output::default();
         let i = l.0 as usize;
         if self.link_down[i] == down {
-            return out;
+            return;
         }
         self.link_down[i] = down;
         self.links_down = if down {
@@ -586,8 +592,7 @@ impl Fabric {
         }
         // Either direction of change can unblock forwarding: a reroute opens
         // new paths, a heal reopens the link itself.
-        self.progress(&mut out);
-        out
+        self.progress(out);
     }
 
     /// The directed inter-cluster link out of cluster `from` toward cluster
@@ -606,9 +611,14 @@ impl Fabric {
     /// Software writes a frame to the endpoint's output register.
     ///
     /// On success the frame is inside the hardware and will be delivered;
-    /// progress (serialization start, etc.) is reflected in the returned
-    /// [`Output`]. `now_ns` is the current time (statistics only).
-    pub fn try_send(&mut self, now_ns: u64, frame: Frame) -> Result<Output, SendError> {
+    /// progress (serialization start, etc.) is appended to `out`. On error
+    /// `out` is untouched. `now_ns` is the current time (statistics only).
+    pub fn try_send(
+        &mut self,
+        now_ns: u64,
+        frame: Frame,
+        out: &mut Output,
+    ) -> Result<(), SendError> {
         self.now_ns = now_ns;
         frame.validate().map_err(SendError::Invalid)?;
         if !self.can_send(frame.src) {
@@ -620,21 +630,25 @@ impl Fabric {
         self.eps[src.0 as usize].out_reg = Some(frame);
         sorted_insert(&mut self.pending_eps, src.0);
         self.in_flight += 1;
-        let mut out = Output::default();
-        self.progress(&mut out);
-        Ok(out)
+        self.progress(out);
+        Ok(())
     }
 
     /// Process a previously scheduled fabric event on fault-free hardware.
-    pub fn handle(&mut self, now_ns: u64, ev: NetEvent) -> Output {
-        self.handle_with(now_ns, ev, &mut NoFaults)
+    pub fn handle(&mut self, now_ns: u64, ev: NetEvent, out: &mut Output) {
+        self.handle_with(now_ns, ev, &mut NoFaults, out)
     }
 
     /// Process a previously scheduled fabric event, consulting `hook` for
     /// the disposition of every frame completing a hop.
-    pub fn handle_with(&mut self, now_ns: u64, ev: NetEvent, hook: &mut dyn FaultHook) -> Output {
+    pub fn handle_with(
+        &mut self,
+        now_ns: u64,
+        ev: NetEvent,
+        hook: &mut dyn FaultHook,
+        out: &mut Output,
+    ) {
         self.now_ns = now_ns;
-        let mut out = Output::default();
         match ev {
             NetEvent::LinkFree(l) => {
                 let link = &mut self.links[l.0 as usize];
@@ -642,7 +656,7 @@ impl Fabric {
                 link.busy = false;
                 if let Element::Endpoint(a) = link.from {
                     self.eps[a.0 as usize].tx_busy = false;
-                    self.progress(&mut out);
+                    self.progress(out);
                     // Only signal readiness if progress did not immediately
                     // refill the transmitter (it cannot: software has not
                     // run), but keep the check for robustness.
@@ -650,7 +664,7 @@ impl Fabric {
                         out.notifies.push(Notify::TxReady(a));
                     }
                 } else {
-                    self.progress(&mut out);
+                    self.progress(out);
                 }
             }
             NetEvent::Arrive(l, frame) => {
@@ -659,16 +673,16 @@ impl Fabric {
                 // is drawn for it (scripted, not probabilistic).
                 if self.link_down[l.0 as usize] {
                     hook.on_down_drop(l);
-                    self.drop_in_transit(l, &mut out);
+                    self.drop_in_transit(l, out);
                 } else {
                     match hook.on_transit(l, &frame, now_ns, self.cfg.hop_latency_ns) {
-                        Transit::Deliver => self.finish_arrival(l, frame, hook, &mut out),
-                        Transit::Drop => self.drop_in_transit(l, &mut out),
+                        Transit::Deliver => self.finish_arrival(l, frame, hook, out),
+                        Transit::Drop => self.drop_in_transit(l, out),
                         Transit::Corrupt => {
                             let mut f = frame;
                             f.corrupted = true;
                             self.stats.frames_corrupted += 1;
-                            self.finish_arrival(l, f, hook, &mut out);
+                            self.finish_arrival(l, f, hook, out);
                         }
                         Transit::Delay(extra_ns) => {
                             // The buffer reservation stays held: a delayed frame
@@ -682,14 +696,13 @@ impl Fabric {
             NetEvent::ArriveDelayed(l, frame) => {
                 if self.link_down[l.0 as usize] {
                     hook.on_down_drop(l);
-                    self.drop_in_transit(l, &mut out);
+                    self.drop_in_transit(l, out);
                 } else {
-                    self.finish_arrival(l, frame, hook, &mut out);
+                    self.finish_arrival(l, frame, hook, out);
                 }
             }
-            NetEvent::CombFlush(c, seq) => self.comb_flush(c, seq, &mut out),
+            NetEvent::CombFlush(c, seq) => self.comb_flush(c, seq, out),
         }
-        out
     }
 
     /// A frame completes its hop on `l`: convert the reservation into a
@@ -820,20 +833,19 @@ impl Fabric {
 
     /// Software drains one frame from the endpoint's receive FIFO, freeing
     /// the hardware buffer slot (which may unblock upstream transmissions,
-    /// reflected in the returned [`Output`]).
-    pub fn rx_pop(&mut self, now_ns: u64, node: NodeAddr) -> (Option<Frame>, Output) {
+    /// appended to `out`).
+    pub fn rx_pop(&mut self, now_ns: u64, node: NodeAddr, out: &mut Output) -> Option<Frame> {
         self.now_ns = now_ns;
         let down = self.eps[node.0 as usize].down;
         let frame = self.links[down.0 as usize].buf.pop_front();
-        let mut out = Output::default();
         if let Some(f) = &frame {
             self.in_flight -= 1;
             self.stats.frames_delivered += 1;
             self.stats.payload_bytes_delivered += u64::from(f.payload.len());
             self.stats.per_endpoint_rx[node.0 as usize] += 1;
-            self.progress(&mut out);
+            self.progress(out);
         }
-        (frame, out)
+        frame
     }
 
     /// Frames currently inside the fabric (registers, buffers, in flight).
@@ -973,16 +985,15 @@ impl Fabric {
     /// over-cap burst models a momentarily deeper FIFO rather than loss).
     /// A frame arriving at a down endpoint dies at the dead interface,
     /// exactly like [`NetEvent::Arrive`] handling.
-    pub fn inject_arrival(&mut self, now_ns: u64, frame: Frame) -> Output {
+    pub fn inject_arrival(&mut self, now_ns: u64, frame: Frame, out: &mut Output) {
         self.now_ns = now_ns;
-        let mut out = Output::default();
         let dst = match &frame.dst {
             Dest::Unicast(a) => *a,
             Dest::Multicast(_) => panic!("bridged frames are unicast per target"),
         };
         if self.down[dst.0 as usize] {
             self.stats.frames_dropped += 1;
-            return out;
+            return;
         }
         // Bridged combinable frames merge at the destination's own star
         // coupler: the sharded engine delivers cross-shard frames in
@@ -992,8 +1003,8 @@ impl Fabric {
         let frame = if self.comb.is_some() {
             let cluster = self.topo.cluster_of(dst);
             self.in_flight += 1; // the held partial owns one in-flight unit
-            match self.try_comb_absorb(cluster, None, frame, &mut out) {
-                None => return out,
+            match self.try_comb_absorb(cluster, None, frame, out) {
+                None => return,
                 Some(f) => {
                     self.in_flight -= 1; // not combinable after all
                     f
@@ -1007,7 +1018,6 @@ impl Fabric {
         self.note_link_depth(down);
         self.in_flight += 1;
         out.notifies.push(Notify::RxArrived(dst));
-        out
     }
 
     /// Lower bound (ns) on the fabric latency of any frame crossing a
@@ -1336,10 +1346,14 @@ impl Fabric {
     fn purge_unroutable_heads(&mut self) -> bool {
         let mut changed = false;
         // Only clusters holding buffered frames have heads to purge.
-        // Snapshot (the body drains counts); local vec is fine — this path
-        // only runs while links are down.
-        let active: Vec<u32> = self.active_clusters.clone();
-        for ci in active {
+        // Snapshot them (the body drains counts) into the hoisted scratch:
+        // `progress` calls this on every pass while any link is down, and
+        // nearly every pass finds nothing to purge.
+        let mut scan = std::mem::take(&mut self.scan_scratch);
+        scan.clear();
+        scan.extend_from_slice(&self.active_clusters);
+        let mut live = std::mem::take(&mut self.fwd_scratch);
+        for &ci in &scan {
             let c = ci as usize;
             let cluster = ClusterId(ci);
             for k in 0..self.cluster_inputs[c].len() {
@@ -1348,20 +1362,13 @@ impl Fabric {
                     continue;
                 };
                 let targets = head.dst.targets();
-                let live: Vec<NodeAddr> = targets
-                    .iter()
-                    .copied()
-                    .filter(|t| self.topo.route(cluster, *t) != u8::MAX)
-                    .collect();
-                if live.len() == targets.len() {
+                let routable = |t: &NodeAddr| self.topo.route(cluster, *t) != u8::MAX;
+                let n_live = targets.iter().filter(|t| routable(t)).count();
+                if n_live == targets.len() {
                     continue;
                 }
-                let lost = (targets.len() - live.len()) as u64;
-                let head = self.links[input.0 as usize]
-                    .buf
-                    .front_mut()
-                    .expect("checked");
-                if live.is_empty() {
+                let lost = (targets.len() - n_live) as u64;
+                if n_live == 0 {
                     let dead = self.links[input.0 as usize]
                         .buf
                         .pop_front()
@@ -1369,15 +1376,27 @@ impl Fabric {
                     self.note_cluster_drained(cluster);
                     self.release_data_bytes(cluster, &dead);
                     self.in_flight -= 1;
-                } else if live.len() == 1 {
-                    head.dst = Dest::Unicast(live[0]);
                 } else {
-                    head.dst = Dest::Multicast(live.into());
+                    // A multicast head that lost some targets: the one case
+                    // that builds a new destination list.
+                    live.clear();
+                    live.extend(targets.iter().copied().filter(routable));
+                    let head = self.links[input.0 as usize]
+                        .buf
+                        .front_mut()
+                        .expect("checked");
+                    head.dst = if live.len() == 1 {
+                        Dest::Unicast(live[0])
+                    } else {
+                        Dest::Multicast(live.as_slice().into())
+                    };
                 }
                 self.stats.frames_dropped += lost;
                 changed = true;
             }
         }
+        self.scan_scratch = scan;
+        self.fwd_scratch = live;
         changed
     }
 
@@ -1615,11 +1634,12 @@ mod tests {
             NetConfig::paper_1988(),
         );
         let f = Frame::unicast(NodeAddr(0), NodeAddr(1), 7, 1, Payload::Synthetic(8));
-        let out = fab.inject_arrival(100, f);
+        let mut out = Output::default();
+        fab.inject_arrival(100, f, &mut out);
         assert!(matches!(out.notifies[..], [Notify::RxArrived(NodeAddr(1))]));
         assert_eq!(fab.rx_depth(NodeAddr(1)), 1);
         assert_eq!(fab.in_flight(), 1);
-        let (frame, _) = fab.rx_pop(200, NodeAddr(1));
+        let frame = fab.rx_pop(200, NodeAddr(1), &mut out);
         assert_eq!(frame.unwrap().kind, 7);
         assert_eq!(fab.in_flight(), 0);
         assert_eq!(fab.stats.frames_delivered, 1);
@@ -1631,9 +1651,10 @@ mod tests {
             Topology::single_cluster(2).unwrap(),
             NetConfig::paper_1988(),
         );
-        let _ = fab.set_endpoint_down(0, NodeAddr(1), true);
+        let mut out = Output::default();
+        fab.set_endpoint_down(0, NodeAddr(1), true, &mut out);
         let f = Frame::unicast(NodeAddr(0), NodeAddr(1), 7, 1, Payload::Synthetic(8));
-        let out = fab.inject_arrival(100, f);
+        fab.inject_arrival(100, f, &mut out);
         assert!(out.notifies.is_empty());
         assert_eq!(fab.rx_depth(NodeAddr(1)), 0);
         assert_eq!(fab.stats.frames_dropped, 1);
@@ -1664,6 +1685,7 @@ mod tests {
             .try_send(
                 0,
                 Frame::unicast(NodeAddr(0), NodeAddr(1), 0, 0, Payload::Synthetic(2000)),
+                &mut Output::default(),
             )
             .unwrap_err();
         assert!(matches!(
@@ -1680,9 +1702,13 @@ mod tests {
         );
         let mk = |seq| Frame::unicast(NodeAddr(0), NodeAddr(1), 0, seq, Payload::Synthetic(4));
         assert!(f.can_send(NodeAddr(0)));
-        f.try_send(0, mk(0)).unwrap();
+        let mut out = Output::default();
+        f.try_send(0, mk(0), &mut out).unwrap();
         assert!(!f.can_send(NodeAddr(0)));
-        assert_eq!(f.try_send(0, mk(1)).unwrap_err(), SendError::TxBusy);
+        assert_eq!(
+            f.try_send(0, mk(1), &mut out).unwrap_err(),
+            SendError::TxBusy
+        );
     }
 
     #[test]
@@ -2135,8 +2161,7 @@ mod fault_tests {
     fn down_endpoint_loses_traffic_until_restart() {
         let topo = Topology::single_cluster(3).unwrap();
         let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
-        let out = net.fabric.set_endpoint_down(0, NodeAddr(2), true);
-        net.apply(out);
+        net.apply(|f, out| f.set_endpoint_down(0, NodeAddr(2), true, out));
         assert!(net.fabric.is_down(NodeAddr(2)));
         assert!(!net.fabric.can_send(NodeAddr(2)));
         for seq in 0..3 {
@@ -2149,8 +2174,8 @@ mod fault_tests {
         assert!(net.delivered.is_empty());
         assert_eq!(net.fabric.stats.frames_dropped, 3);
         // Restart: the interface is cold but alive again.
-        let out = net.fabric.set_endpoint_down(net.now(), NodeAddr(2), false);
-        net.apply(out);
+        let now = net.now();
+        net.apply(|f, out| f.set_endpoint_down(now, NodeAddr(2), false, out));
         let t = net.now();
         net.send_at(
             t,
@@ -2185,17 +2210,20 @@ mod fault_tests {
             NetConfig::paper_1988(),
         );
         let up = f.endpoint_up_link(NodeAddr(0));
-        let out = f
-            .try_send(
-                0,
-                Frame::unicast(NodeAddr(0), NodeAddr(1), 0, 5, Payload::Synthetic(64)),
-            )
-            .unwrap();
-        let cut = f.set_link_down(1, up, true);
+        let mut out = Output::default();
+        f.try_send(
+            0,
+            Frame::unicast(NodeAddr(0), NodeAddr(1), 0, 5, Payload::Synthetic(64)),
+            &mut out,
+        )
+        .unwrap();
+        let mut cut = Output::default();
+        f.set_link_down(1, up, true, &mut cut);
         assert!(cut.schedule.is_empty());
         let mut hook = DownCounter::default();
         for (delay, ev) in out.schedule {
-            let more = f.handle_with(1 + delay, ev, &mut hook);
+            let mut more = Output::default();
+            f.handle_with(1 + delay, ev, &mut hook, &mut more);
             assert!(
                 !more
                     .notifies
@@ -2218,8 +2246,7 @@ mod fault_tests {
         let topo = Topology::incomplete_hypercube(4, 1).unwrap();
         let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
         let l = net.fabric.cluster_link(ClusterId(0), ClusterId(1)).unwrap();
-        let out = net.fabric.set_link_down(0, l, true);
-        net.apply(out);
+        net.apply(|f, out| f.set_link_down(0, l, true, out));
         net.send_at(
             0,
             Frame::unicast(NodeAddr(0), NodeAddr(3), 0, 0, Payload::Synthetic(16)),
@@ -2240,8 +2267,7 @@ mod fault_tests {
         let a = net.fabric.cluster_link(ClusterId(0), ClusterId(1)).unwrap();
         let b = net.fabric.cluster_link(ClusterId(1), ClusterId(0)).unwrap();
         for l in [a, b] {
-            let out = net.fabric.set_link_down(0, l, true);
-            net.apply(out);
+            net.apply(|f, out| f.set_link_down(0, l, true, out));
         }
         net.send_at(
             0,
@@ -2253,8 +2279,8 @@ mod fault_tests {
         assert!(net.fabric.stats.frames_dropped >= 1);
         // Heal both directions: traffic flows again on baseline routes.
         for l in [a, b] {
-            let out = net.fabric.set_link_down(net.now(), l, false);
-            net.apply(out);
+            let now = net.now();
+            net.apply(|f, out| f.set_link_down(now, l, false, out));
         }
         let t = net.now();
         net.send_at(
@@ -2279,8 +2305,8 @@ mod fault_tests {
         // Crash n1 at t=1 (during serialization of the first hop).
         net.run_inner();
         assert_eq!(net.delivered.len(), 1, "sanity: fault-free delivery");
-        let out = net.fabric.set_endpoint_down(net.now(), NodeAddr(1), true);
-        net.apply(out);
+        let now = net.now();
+        net.apply(|f, out| f.set_endpoint_down(now, NodeAddr(1), true, out));
         let t = net.now();
         net.send_at(
             t,

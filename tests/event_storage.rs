@@ -1,0 +1,201 @@
+//! The executor's in-place event-closure storage, seen through the public
+//! scheduling API: what it allocates (nothing for a capture of up to 72
+//! bytes, one box for a larger or over-aligned one, one cancel flag per
+//! timer) and that a capture is dropped exactly once however its event ends
+//! — run, cancelled, abandoned in a dropped simulation, or unwound.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use desim::{SimDuration, Simulation};
+
+#[path = "common/alloc_meter.rs"]
+mod alloc_meter;
+
+const N: u64 = 100_000;
+
+/// Allocations that queue growth may cost while `N` events are outstanding:
+/// four doubling buffers (scheduler batch, heap, closure slab, slab free
+/// list) of at most `log2(N) + 1` steps each, and the same again for slack.
+const GROWTH: u64 = 8 * (N.ilog2() as u64 + 1);
+
+/// Counts how many times it has been dropped.
+struct DropCount(Arc<AtomicUsize>);
+
+impl DropCount {
+    fn new() -> (Self, Arc<AtomicUsize>) {
+        let n = Arc::new(AtomicUsize::new(0));
+        (DropCount(Arc::clone(&n)), n)
+    }
+}
+
+impl Drop for DropCount {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn events_with_72_byte_captures_allocate_only_for_queue_growth() {
+    let mut sim = Simulation::new(0u64);
+    let (_, calls) = alloc_meter::measure(|| {
+        sim.setup(|_, s| {
+            for i in 0..N {
+                let cap = [i; 9];
+                s.schedule_in(SimDuration::from_ns(1 + i % 977), move |w: &mut u64, _| {
+                    *w += cap[8] - cap[0] + 1
+                });
+            }
+        });
+        sim.run_to_idle();
+    });
+    assert_eq!(*sim.world(), N);
+    assert!(
+        calls <= GROWTH,
+        "{N} events made {calls} allocations; queue growth explains at most {GROWTH}"
+    );
+}
+
+#[test]
+fn a_cancelled_timer_costs_exactly_its_cancel_flag() {
+    let mut sim = Simulation::new(0u64);
+    let (_, calls) = alloc_meter::measure(|| {
+        sim.setup(|_, s| {
+            for i in 0..N {
+                let cap = [i; 9];
+                s.schedule_cancellable_in(SimDuration::from_us(1 + i), move |w: &mut u64, _| {
+                    *w += cap[0]
+                })
+                .cancel();
+            }
+        });
+        sim.run_to_idle();
+    });
+    assert_eq!(*sim.world(), 0, "no cancelled timer may fire");
+    assert!(
+        (N..=N + GROWTH).contains(&calls),
+        "{N} timers made {calls} allocations; expected one each plus at most {GROWTH}"
+    );
+}
+
+/// Allocations made by scheduling one event with capture `cap` and running
+/// it, on a simulation whose queues are already warm; and what the event
+/// read from its capture. `read` must capture nothing, so that `cap` is the
+/// whole capture.
+fn allocs_for_one_event<C, R>(cap: C, read: R) -> (u64, u64)
+where
+    C: Send + 'static,
+    R: Fn(&C) -> u64 + Send + 'static,
+{
+    assert_eq!(std::mem::size_of::<R>(), 0);
+    let mut sim = Simulation::new(0u64);
+    sim.schedule_in(SimDuration::from_ns(1), |w: &mut u64, _| *w += 1);
+    sim.run_to_idle();
+    let (_, calls) = alloc_meter::measure(|| {
+        sim.schedule_in(SimDuration::from_ns(1), move |w: &mut u64, _| {
+            *w += read(&cap)
+        });
+        sim.run_to_idle();
+    });
+    let got = *sim.world() - 1;
+    (calls, got)
+}
+
+#[test]
+fn oversize_and_over_aligned_captures_fall_back_to_one_box_and_still_run() {
+    #[repr(align(16))]
+    struct Aligned16(u64);
+
+    let fits = allocs_for_one_event([7u64; 9], |c| c.iter().sum());
+    assert_eq!(fits, (0, 63), "a 72-byte capture is stored in place");
+
+    let oversize = allocs_for_one_event([3u64; 16], |c| c.iter().sum());
+    assert_eq!(oversize, (1, 48), "a 128-byte capture takes one box");
+
+    let aligned = allocs_for_one_event(Aligned16(41), |c| c.0);
+    assert_eq!(aligned, (1, 41), "a 16-aligned capture takes one box");
+}
+
+#[test]
+fn zero_sized_closures_run() {
+    let mut sim = Simulation::new(0u64);
+    let (_, calls) = alloc_meter::measure(|| {
+        for d in [0, 1, 1, 5] {
+            sim.schedule_in(SimDuration::from_ns(d), |w: &mut u64, _| *w += 1);
+        }
+    });
+    sim.run_to_idle();
+    assert_eq!(*sim.world(), 4);
+    // The first `schedule_in` sizes the scheduler batch and both queues.
+    assert!(
+        calls <= 8,
+        "four captureless events made {calls} allocations"
+    );
+}
+
+#[test]
+fn a_cancelled_timers_capture_is_dropped_once_without_running() {
+    let (guard, drops) = DropCount::new();
+    let mut sim = Simulation::new(false);
+    sim.setup(|_, s| {
+        let timer = s.schedule_cancellable_in(SimDuration::from_us(9), move |ran: &mut bool, _| {
+            let _held = &guard;
+            *ran = true;
+        });
+        s.schedule_in(SimDuration::from_us(1), move |_, _| timer.cancel());
+    });
+    assert_eq!(drops.load(Ordering::Relaxed), 0);
+    sim.run_to_idle();
+    assert!(!*sim.world());
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+    drop(sim);
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+}
+
+#[test]
+fn dropping_a_simulation_drops_each_queued_capture_once() {
+    let sim = Simulation::new(0u64);
+    // One on the same-instant lane, two on the heap (one of them a timer),
+    // one oversize (boxed) capture.
+    let counters: Vec<_> = [0u64, 5, 5, 9]
+        .into_iter()
+        .enumerate()
+        .map(|(i, delay)| {
+            let (guard, drops) = DropCount::new();
+            let pad = [i as u64; 12];
+            sim.setup(|_, s| {
+                let d = SimDuration::from_ns(delay);
+                match i {
+                    2 => drop(s.schedule_cancellable_in(d, move |_: &mut u64, _| drop(guard))),
+                    3 => s.schedule_in(d, move |w: &mut u64, _| {
+                        *w += pad[0];
+                        drop(guard)
+                    }),
+                    _ => s.schedule_in(d, move |_: &mut u64, _| drop(guard)),
+                }
+            });
+            drops
+        })
+        .collect();
+    assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 0));
+    drop(sim);
+    for (i, c) in counters.iter().enumerate() {
+        assert_eq!(c.load(Ordering::Relaxed), 1, "capture {i}");
+    }
+}
+
+#[test]
+fn a_panicking_event_drops_its_capture_once() {
+    let (guard, drops) = DropCount::new();
+    let mut sim = Simulation::new(0u64);
+    sim.schedule_in(SimDuration::from_ns(3), move |_: &mut u64, _| {
+        let _held = &guard;
+        panic!("event failed");
+    });
+    let unwound = catch_unwind(AssertUnwindSafe(|| sim.run_to_idle()));
+    assert!(unwound.is_err());
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+    drop(sim);
+    assert_eq!(drops.load(Ordering::Relaxed), 1);
+}

@@ -4,33 +4,10 @@
 //! zero heap allocations per recompute, on both the reroute and the
 //! heal-to-baseline paths.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use hpc_vorx::hpcnet::{ClusterId, NodeAddr, PortRef, Topology};
 
-/// Global allocator wrapper counting every byte handed out.
-struct CountingAlloc;
-
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The allocator counter is process-global; the tests in this binary
-/// serialize on this lock so their deltas don't mix.
-static METER_LOCK: Mutex<()> = Mutex::new(());
+#[path = "common/alloc_meter.rs"]
+mod alloc_meter;
 
 /// Directed edge out of cluster 0 on port 0 (dimension-0 cable): killing it
 /// forces real rerouting work on the paper's 10-cluster machine.
@@ -52,17 +29,16 @@ fn churn_cycle(t: &mut Topology) {
 /// and work queue are hoisted scratch buffers sized at construction.
 #[test]
 fn recompute_allocates_nothing_in_steady_state() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut t = Topology::incomplete_hypercube(10, 7).unwrap();
     // Warm-up cycle: first recompute may lazily size scratch state.
     churn_cycle(&mut t);
     let gen_before = t.generation();
 
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = alloc_meter::bytes();
     for _ in 0..32 {
         churn_cycle(&mut t);
     }
-    let churn = ALLOCATED.load(Ordering::Relaxed) - before;
+    let churn = alloc_meter::bytes() - before;
 
     assert_eq!(t.generation(), gen_before + 64, "64 recomputes ran");
     assert_eq!(
@@ -77,7 +53,6 @@ fn recompute_allocates_nothing_in_steady_state() {
 /// baseline, and mid-churn the detour route is in force.
 #[test]
 fn scratch_reuse_preserves_routing_answers() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut t = Topology::incomplete_hypercube(10, 7).unwrap();
     let last = NodeAddr((t.n_endpoints() - 1) as u32);
     let baseline = t.cluster_path(NodeAddr(0), last);
@@ -107,7 +82,6 @@ fn scratch_reuse_preserves_routing_answers() {
 /// heal. The detour overlay exists only while edges are dead.
 #[test]
 fn hier_heal_is_overlay_clear_and_allocation_free() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut t = Topology::hierarchical_hypercube(&[8, 8], 4).unwrap();
     // Warm-up cycle: the first detour repair may grow the overlay map.
     churn_cycle(&mut t);
@@ -119,9 +93,9 @@ fn hier_heal_is_overlay_clear_and_allocation_free() {
         assert!(t.overlay_len() > 0, "dead edge must install detours");
 
         t.set_edge_state(EDGE, true);
-        let before = ALLOCATED.load(Ordering::Relaxed);
+        let before = alloc_meter::bytes();
         t.recompute();
-        let heal = ALLOCATED.load(Ordering::Relaxed) - before;
+        let heal = alloc_meter::bytes() - before;
         assert_eq!(heal, 0, "heal #{i} allocated {heal} bytes");
         assert_eq!(t.overlay_len(), 0, "heal must clear the overlay");
     }
@@ -133,7 +107,6 @@ fn hier_heal_is_overlay_clear_and_allocation_free() {
 /// fabric's route probe and the scale campaign drive per churn cycle.
 #[test]
 fn cluster_path_into_reuses_buffer_without_allocating() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut t = Topology::hierarchical_hypercube(&[8, 8], 4).unwrap();
     let n = t.n_endpoints() as u32;
     let pairs: Vec<(NodeAddr, NodeAddr)> = (0..16)
@@ -152,7 +125,7 @@ fn cluster_path_into_reuses_buffer_without_allocating() {
     // Warm the buffer to the longest path this topology can answer.
     let mut path = Vec::with_capacity(t.n_clusters() + 1);
 
-    let before = ALLOCATED.load(Ordering::Relaxed);
+    let before = alloc_meter::bytes();
     for (&(a, b), want) in pairs.iter().zip(&expect_base) {
         assert!(t.cluster_path_into(a, b, &mut path));
         assert_eq!(&path, want);
@@ -165,7 +138,7 @@ fn cluster_path_into_reuses_buffer_without_allocating() {
     }
     t.set_edge_state(EDGE, true);
     t.recompute();
-    let used = ALLOCATED.load(Ordering::Relaxed) - before;
+    let used = alloc_meter::bytes() - before;
     assert_eq!(
         used, 0,
         "cluster_path_into allocated {used} bytes with a reused buffer"

@@ -4,35 +4,10 @@
 //! per-part iterator table; a single non-empty input passes through with
 //! zero allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use desim::{SimTime, Trace};
 
-/// Global allocator wrapper counting every allocation and byte handed out.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// The allocator counters are process-global; the tests in this binary
-/// serialize on this lock so their deltas don't mix.
-static METER_LOCK: Mutex<()> = Mutex::new(());
+#[path = "common/alloc_meter.rs"]
+mod alloc_meter;
 
 /// A shard-shaped trace: long runs of local activity, timestamps striped so
 /// traces interleave at the merge points.
@@ -49,12 +24,11 @@ fn shard_trace(shard: u64, runs: u64, run_len: u64) -> Trace<u64> {
 
 #[test]
 fn merging_one_trace_allocates_nothing() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let traces = vec![shard_trace(0, 4, 64)];
     let len = traces[0].len();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = alloc_meter::calls();
     let merged = Trace::merge(traces);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = alloc_meter::calls();
     assert_eq!(merged.len(), len);
     assert_eq!(
         after - before,
@@ -65,16 +39,15 @@ fn merging_one_trace_allocates_nothing() {
 
 #[test]
 fn merge_allocates_a_constant_number_of_vectors() {
-    let _guard = METER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let traces: Vec<Trace<u64>> = (0..8).map(|s| shard_trace(s, 16, 32)).collect();
     let total: usize = traces.iter().map(Trace::len).sum();
     let event_bytes = (total * std::mem::size_of::<(SimTime, u64)>()) as u64;
 
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
-    let bytes_before = ALLOCATED.load(Ordering::Relaxed);
+    let allocs_before = alloc_meter::calls();
+    let bytes_before = alloc_meter::bytes();
     let merged = Trace::merge(traces);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
-    let bytes = ALLOCATED.load(Ordering::Relaxed) - bytes_before;
+    let allocs = alloc_meter::calls() - allocs_before;
+    let bytes = alloc_meter::bytes() - bytes_before;
 
     assert_eq!(merged.len(), total);
     assert!(
