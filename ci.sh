@@ -16,8 +16,17 @@ VORX_SIM_WORKERS=4 cargo test --workspace -q
 echo "==> cargo test (VORX_SIM_WORKERS=8: sharded paths at eight workers)"
 VORX_SIM_WORKERS=8 cargo test --workspace -q
 
-echo "==> alloc budgets (per-thread counting allocator: event storage, fabric step, stop-and-wait message, recompute, trace merge)"
+echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, fabric step, a whole stop-and-wait run, recompute, trace merge)"
 cargo test -q --test event_storage --test datapath_alloc --test topology_alloc --test trace_merge_alloc
+
+echo "==> process switch (coroutine processes: no OS threads, 30k parked, 1 MiB deep, teardown, panic, cross-thread resume)"
+cargo test -q --test proc_switch
+
+echo "==> one process engine (no thread baton beside the coroutine one in desim/src/sim.rs)"
+if grep -n 'thread::\(Builder\|park\|spawn\)' crates/desim/src/sim.rs; then
+    echo "desim/src/sim.rs uses OS threads for processes again" >&2
+    exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -37,8 +37,8 @@ fn bench_event_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
-/// 1k sleep/wake cycles of one cooperative process (two thread handoffs
-/// per cycle) — the cost floor of simulated blocking software.
+/// 1k sleep/wake cycles of one process (two stack switches per cycle) —
+/// the cost floor of simulated blocking software.
 fn bench_process_switching(c: &mut Criterion) {
     let mut g = c.benchmark_group("desim");
     g.throughput(Throughput::Elements(1_000));
@@ -69,9 +69,10 @@ struct ChainWorld {
 }
 
 /// A 256-process wake chain: each process waits its turn, then wakes its
-/// successor with a zero-delay wake. Every link is one park/unpark handoff
+/// successor with a zero-delay wake. Every link is one park/resume handoff
 /// plus one same-instant event — the dominant pattern of simulated kernels
-/// acknowledging each other (and the worst case for the old channel baton).
+/// acknowledging each other. Each iteration runs 256 fresh processes, so the
+/// first touch and the unmapping of 256 stacks are part of the figure.
 fn bench_wake_chain(c: &mut Criterion) {
     const LINKS: usize = 256;
     let mut g = c.benchmark_group("desim");

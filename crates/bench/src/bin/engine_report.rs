@@ -178,9 +178,9 @@ fn main() {
         "  \"note\": \"desim engine hot-path benches, ns of host wall time; \
          measured with the vendored criterion stand-in (vendor/README.md), so \
          only before/after ratios are comparable, not absolute numbers from \
-         real criterion; run the bench pinned to one CPU (taskset), unpinned \
-         process switches are bimodal, and expect runs of one binary on a \
-         shared host to differ by 20% or more\",\n",
+         real criterion; run both sides pinned to one CPU (taskset): a \
+         thread-per-process engine is bimodal unpinned; and expect runs of \
+         one binary on a shared host to differ by 20% or more\",\n",
     );
     out.push_str(&format!(
         "  \"host_cpus\": {},\n",

@@ -7,8 +7,9 @@
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! * [`Simulation`] — the executor. Hardware models run as **event
 //!   callbacks** over a user-defined world state `W`; software (operating
-//!   system code, application processes) runs as **cooperative-thread
-//!   processes** written in ordinary blocking style via [`Ctx`].
+//!   system code, application processes) runs as **processes** — stackful
+//!   coroutines switched in user space on the executor's own thread —
+//!   written in ordinary blocking style via [`Ctx`].
 //! * [`sync`] — wait sets, semaphores, and mailboxes for simulated
 //!   processes.
 //! * [`Trace`] — timestamped event recording for the measurement tools.
@@ -21,8 +22,11 @@
 //!
 //! Exactly one simulated activity executes at any moment; the event queue is
 //! ordered by `(time, sequence)`. Two runs of the same scenario produce
-//! bit-identical traces. Processes are real OS threads, but they are resumed
-//! one at a time by the executor, so there is no scheduling nondeterminism.
+//! bit-identical traces. A process has a stack of its own but no thread:
+//! the executor switches into it and it switches back, one at a time, so the
+//! host scheduler has no say in the order. Process code must not hold a
+//! thread-local borrow or a lock guard across a park (the sharded engine may
+//! resume it on another OS thread).
 //!
 //! ## Example
 //!
@@ -47,6 +51,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod coro;
 mod event_fn;
 mod sim;
 mod time;

@@ -5,11 +5,12 @@
 //! * **Events** — closures over the world state `W`, used for hardware
 //!   models (links freeing, messages arriving, interrupts firing). They run
 //!   to completion and never block.
-//! * **Processes** — cooperative OS threads, used for software (VORX
-//!   subprocesses, host programs). Process code is written in direct blocking
-//!   style: it parks and is resumed by events or other processes. Exactly one
-//!   simulated activity executes at a time, so the simulation is fully
-//!   deterministic despite using real threads.
+//! * **Processes** — stackful coroutines on the executor's own OS thread,
+//!   used for software (VORX subprocesses, host programs). Process code is
+//!   written in direct blocking style: it parks and is resumed by events or
+//!   other processes. Exactly one simulated activity executes at a time, and
+//!   which one is the event queue's decision alone, so the simulation is
+//!   fully deterministic.
 //!
 //! Determinism contract: the event queue is ordered by `(time, sequence
 //! number)`; ties fire in scheduling order. Any randomness must come from an
@@ -18,12 +19,13 @@
 //! # Hot-path design
 //!
 //! The executor⇄process handoff is a single shared [`Baton`] per process — a
-//! `turn` word flipped with release/acquire ordering plus
-//! `thread::park`/`unpark` — so a context switch moves no heap data and takes
-//! no channel locks. Same-instant wakes (the common case in protocol code:
-//! `wake` + `park` chains at one timestamp) bypass the binary heap through a
-//! FIFO *lane*, making zero-delay scheduling O(1). Simulated time lives in an
-//! atomic mirror ([`SimInner::now_ns`]) so [`Ctx::now`] is lock-free.
+//! payload word each way and the two stack pointers of a user-space register
+//! swap (`coro::switch`) — so a process switch is a function call: no system
+//! call, no heap data, no lock. Same-instant wakes (the common case in
+//! protocol code: `wake` + `park` chains at one timestamp) bypass the binary
+//! heap through a FIFO *lane*, making zero-delay scheduling O(1). Simulated
+//! time lives in an atomic mirror ([`SimInner::now_ns`]) so [`Ctx::now`] is
+//! lock-free.
 //!
 //! Scheduling and dispatching an event allocates nothing in steady state. An
 //! event closure whose capture is at most 72 bytes and at most 8-aligned is
@@ -38,12 +40,14 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
-use std::thread::{JoinHandle, Thread};
+use std::sync::atomic::{
+    AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering as AtomicOrdering,
+};
+use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::coro::{self, Stack};
 use crate::event_fn::EventFn;
 use crate::time::{SimDuration, SimTime};
 
@@ -176,11 +180,6 @@ impl<W> EventSlab<W> {
     }
 }
 
-/// `Baton::turn`: the process may run.
-const TURN_PROC: u32 = 0;
-/// `Baton::turn`: the executor may run.
-const TURN_EXEC: u32 = 1;
-
 /// `Baton::report`: the process parked and can be resumed again.
 const REPORT_PARKED: u32 = 0;
 /// `Baton::report`: the process body returned.
@@ -188,57 +187,102 @@ const REPORT_FINISHED: u32 = 1;
 /// `Baton::report`: the process body panicked; `panic_msg` is set.
 const REPORT_PANICKED: u32 = 2;
 
-/// The executor⇄process handoff cell. Exactly one side is running at any
-/// moment; `turn` says which. A handoff is: write your payload (`token` or
-/// `report`) with relaxed stores, flip `turn` with a release store (which
-/// publishes the payload), and unpark the peer. The waiter loops on an
-/// acquire load of `turn` around `thread::park()`, which makes it immune to
-/// spurious unparks. No allocation, no channel, no lock on the hot path.
+/// The executor⇄process handoff cell. A handoff is: write your payload
+/// (`token` or `report`), then `coro::switch` to the other side's saved
+/// stack pointer, leaving your own behind. No allocation, no lock, no system
+/// call on the hot path.
+///
+/// Why this may be shared and sent between threads (it is `Send + Sync`
+/// through its fields): exactly one side of a baton runs at a time (the
+/// `coro` contract), so every field but `panic_msg` has one accessor at any
+/// moment and the atomics are plain cells — `Relaxed` throughout, the stack
+/// pointers written by `switch` through `as_ptr`. Within one run both sides
+/// are the same OS thread, and a `switch` is a jump on it, so program order
+/// is all the ordering there is to keep. A process resumed by a *different*
+/// thread than last time (sharded workers) is resumed by whoever holds
+/// `&mut Simulation` now, and whatever moved that borrow between the threads
+/// — the scoped spawn and join of a `ShardedSim::run`, a channel, a mutex —
+/// already orders these cells and the parked stack along with it.
 struct Baton {
-    /// Whose turn it is: [`TURN_PROC`] or [`TURN_EXEC`].
-    turn: AtomicU32,
-    /// Wakeup token payload; written by the executor before flipping `turn`.
+    /// Wakeup token payload; written by the executor before switching in.
     token: AtomicU64,
     /// What the process reported when handing back: `REPORT_*`.
     report: AtomicU32,
-    /// Set (before a `turn` flip) to make the process unwind instead of
+    /// Set before switching in to make the process unwind instead of
     /// resuming; used when the simulation is dropped with parked processes.
     kill: AtomicBool,
-    /// The executor thread to unpark when handing the turn back. Updated by
-    /// the executor on each resume (the run loop may move between threads).
-    exec: Mutex<Option<Thread>>,
+    /// Where the executor left off when it switched in; live exactly while
+    /// the process runs.
+    exec_sp: AtomicUsize,
+    /// Where the process left off: the frame `Stack::new` laid out, then
+    /// whatever its last park saved.
+    proc_sp: AtomicUsize,
+    /// The process's stack, unmapped with the baton: when the executor has
+    /// let go of a finished process and no `Ctx` clone is left.
+    stack: Stack,
     /// Panic message, set before reporting `REPORT_PANICKED`.
     panic_msg: Mutex<Option<String>>,
 }
 
 impl Baton {
-    fn new() -> Self {
+    /// A baton whose first [`Baton::enter`] runs `body` on a fresh stack.
+    fn new(body: coro::Body) -> Self {
+        let (stack, sp) = Stack::new(body);
         Baton {
-            turn: AtomicU32::new(TURN_EXEC),
             token: AtomicU64::new(0),
             report: AtomicU32::new(REPORT_PARKED),
             kill: AtomicBool::new(false),
-            exec: Mutex::new(None),
+            exec_sp: AtomicUsize::new(0),
+            proc_sp: AtomicUsize::new(sp),
+            stack,
             panic_msg: Mutex::new(None),
         }
     }
 
-    /// Process side: hand the turn to the executor and wake it.
-    fn yield_to_exec(&self, report: u32) {
-        self.report.store(report, AtomicOrdering::Relaxed);
-        self.turn.store(TURN_EXEC, AtomicOrdering::Release);
-        if let Some(t) = self.exec.lock().as_ref() {
-            t.unpark();
-        }
+    /// Executor side: run the process until it parks or finishes, and return
+    /// its report.
+    ///
+    /// # Safety
+    ///
+    /// The process must be suspended — parked, or not yet started — and not
+    /// finished, and the caller the only one entering it. The caller's own
+    /// `Arc` must keep the baton (and so the stack) alive across the call.
+    unsafe fn enter(&self) -> u32 {
+        // SAFETY: a suspended, unfinished process's `proc_sp` is the frame
+        // `Stack::new` made or the one its last `park` saved, unused since,
+        // on the stack `self` keeps mapped; the caller vouches nobody else
+        // runs there. `exec_sp` lives as long as `self`.
+        unsafe {
+            coro::switch(
+                self.exec_sp.as_ptr(),
+                self.proc_sp.load(AtomicOrdering::Relaxed),
+            )
+        };
+        self.report.load(AtomicOrdering::Relaxed)
     }
 
-    /// Process side: wait until the executor hands the turn over. Returns the
-    /// wakeup token; unwinds with [`Killed`] if the simulation is tearing
+    /// Process side: hand back to the executor until it enters again. Returns
+    /// the wakeup token; unwinds with [`Killed`] if the simulation is tearing
     /// down.
-    fn await_turn(&self) -> Wakeup {
-        while self.turn.load(AtomicOrdering::Acquire) != TURN_PROC {
-            std::thread::park();
-        }
+    fn park(&self) -> Wakeup {
+        // A `Ctx` can be cloned and carried anywhere; only its own process,
+        // while it runs, has an executor waiting behind `exec_sp`.
+        assert!(
+            self.stack.is_current(),
+            "Ctx::park called outside the simulated process the Ctx belongs to"
+        );
+        self.report.store(REPORT_PARKED, AtomicOrdering::Relaxed);
+        // SAFETY: we run on this baton's stack, which is only ever reached
+        // through `enter`; that call stored the executor's stack pointer in
+        // `exec_sp` and stays suspended on a live stack until this switch
+        // returns into it. `proc_sp` lives as long as `self`, which the
+        // suspended `enter` keeps alive.
+        unsafe {
+            coro::switch(
+                self.proc_sp.as_ptr(),
+                self.exec_sp.load(AtomicOrdering::Relaxed),
+            )
+        };
         if self.kill.load(AtomicOrdering::Relaxed) {
             resume_unwind(Box::new(Killed));
         }
@@ -256,10 +300,15 @@ enum ProcState {
 struct ProcSlot {
     name: String,
     state: ProcState,
-    baton: Arc<Baton>,
-    /// The process's OS thread, for `unpark`.
-    thread: Thread,
-    join: Option<JoinHandle<()>>,
+    /// `None` once the process has finished, so its stack can go.
+    baton: Option<Arc<Baton>>,
+}
+
+impl ProcSlot {
+    fn finish(&mut self) {
+        self.state = ProcState::Finished;
+        self.baton = None;
+    }
 }
 
 struct Core<W> {
@@ -347,7 +396,7 @@ struct SimInner<W> {
     pool: Mutex<Vec<SchBufs<W>>>,
 }
 
-/// Marker payload used to unwind process threads when the simulation is
+/// Marker payload used to unwind process stacks when the simulation is
 /// dropped while they are still parked.
 struct Killed;
 
@@ -484,8 +533,7 @@ impl<W: Send + 'static> Ctx<W> {
 
     /// Park until woken. Returns the (advisory) wakeup token.
     pub fn park(&self) -> Wakeup {
-        self.baton.yield_to_exec(REPORT_PARKED);
-        self.baton.await_turn()
+        self.baton.park()
     }
 
     /// Advance this process's local time by `d` (modelling computation or a
@@ -527,13 +575,13 @@ fn scheduler<W>(now: SimTime, inner: &Arc<SimInner<W>>) -> Scheduler<W> {
     }
 }
 
-/// Commit everything a `Scheduler` collected: create spawned process threads,
+/// Commit everything a `Scheduler` collected: map spawned processes' stacks,
 /// register them, and push all pending actions into the queue. Leaves the
 /// scheduler's buffers empty (capacity retained) so the caller can reuse or
 /// pool them. Takes no locks at all when nothing was scheduled.
 ///
 /// This runs at the bottom of every `Ctx::with` on a process's own stack, so
-/// its frame is kept small: the thread-spawning half lives in
+/// its frame is kept small: the process-starting half lives in
 /// [`commit_spawns`], out of line.
 fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
     if sch.pending.is_empty() && sch.spawns.is_empty() {
@@ -549,7 +597,7 @@ fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
     }
 }
 
-/// Start the requested process threads, then — under the core lock, which is
+/// Map the requested processes' stacks, then — under the core lock, which is
 /// returned still held — register them and queue their start wakes, ahead of
 /// whatever else the same scheduler collected.
 #[inline(never)]
@@ -587,55 +635,52 @@ fn start_proc<W: Send + 'static>(
     inner: &Arc<SimInner<W>>,
     req: SpawnReq<W>,
 ) -> (ProcId, SimTime, ProcSlot) {
-    let baton = Arc::new(Baton::new());
-    let ctx = Ctx {
-        inner: Arc::clone(inner),
-        pid: req.pid,
-        baton: Arc::clone(&baton),
-    };
-    let thread_baton = Arc::clone(&baton);
-    let f = req.f;
-    let join = std::thread::Builder::new()
-        .name(format!("sim:{}", req.name))
-        .spawn(move || {
-            let baton = thread_baton;
-            // Wait for the initial resume before running the body.
-            while baton.turn.load(AtomicOrdering::Acquire) != TURN_PROC {
-                std::thread::park();
-            }
-            if baton.kill.load(AtomicOrdering::Relaxed) {
-                return;
-            }
-            let report = match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                Ok(()) => REPORT_FINISHED,
-                Err(payload) => {
-                    if payload.downcast_ref::<Killed>().is_some() {
-                        // Simulation is being torn down; exit quietly without
-                        // handing the turn back (nobody is waiting for it).
-                        return;
+    let SpawnReq { name, at, f, pid } = req;
+    let baton = Arc::new_cyclic(|me: &Weak<Baton>| {
+        let me = Weak::clone(me);
+        let inner = Arc::clone(inner);
+        // Runs on the process's own stack at its first resume, and drops all
+        // it captured or made before it returns (the `coro::Body` contract).
+        Baton::new(Box::new(move || {
+            let baton = me
+                .upgrade()
+                .expect("whoever enters a process holds its baton");
+            let ctx = Ctx {
+                inner,
+                pid,
+                baton: Arc::clone(&baton),
+            };
+            let report = if baton.kill.load(AtomicOrdering::Relaxed) {
+                // Torn down before it ever ran: only drop what it captured.
+                REPORT_FINISHED
+            } else {
+                match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+                    Ok(()) => REPORT_FINISHED,
+                    // Unwound by `Baton::park` because the simulation is
+                    // being dropped.
+                    Err(payload) if payload.is::<Killed>() => REPORT_FINISHED,
+                    Err(payload) => {
+                        let msg = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| s.to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "<non-string panic payload>".into());
+                        *baton.panic_msg.lock() = Some(msg);
+                        REPORT_PANICKED
                     }
-                    let msg = payload
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "<non-string panic payload>".into());
-                    *baton.panic_msg.lock() = Some(msg);
-                    REPORT_PANICKED
                 }
             };
-            baton.yield_to_exec(report);
-        })
-        .expect("failed to spawn simulation process thread");
-    let thread = join.thread().clone();
+            baton.report.store(report, AtomicOrdering::Relaxed);
+            baton.exec_sp.load(AtomicOrdering::Relaxed)
+        }))
+    });
     (
-        req.pid,
-        req.at,
+        pid,
+        at,
         ProcSlot {
-            name: req.name,
+            name,
             state: ProcState::Parked,
-            baton,
-            thread,
-            join: Some(join),
+            baton: Some(baton),
         },
     )
 }
@@ -675,7 +720,7 @@ pub struct Simulation<W: Send + 'static> {
 /// What the locked dequeue step handed the run loop to execute.
 enum Next<W> {
     Run(EventFn<W>, SimTime),
-    Wake(Arc<Baton>, Thread, ProcId, Wakeup),
+    Wake(Arc<Baton>, ProcId, Wakeup),
 }
 
 impl<W: Send + 'static> Simulation<W> {
@@ -760,9 +805,6 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Run until no events remain or the next event is later than `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
-        // The run loop may be called from different threads across calls;
-        // capture the current one once for the baton handoffs below.
-        let me = std::thread::current();
         // One set of scheduler buffers serves every event callback this run
         // dispatches; per-event pool traffic would cost more than it saves.
         let mut bufs = self.inner.pool.lock().pop().unwrap_or_default();
@@ -827,18 +869,12 @@ impl<W: Send + 'static> Simulation<W> {
                             if slot.state == ProcState::Finished {
                                 continue; // stale wakeup for a completed process
                             }
-                            debug_assert_eq!(
-                                slot.state,
-                                ProcState::Parked,
-                                "woke a running process"
-                            );
+                            // `resume`'s soundness rests on this: a process
+                            // is entered only while it is suspended.
+                            assert_eq!(slot.state, ProcState::Parked, "woke a running process");
                             slot.state = ProcState::Running;
-                            let next = Next::Wake(
-                                Arc::clone(&slot.baton),
-                                slot.thread.clone(),
-                                pid,
-                                token,
-                            );
+                            let baton = slot.baton.as_ref().expect("a parked process has a baton");
+                            let next = Next::Wake(Arc::clone(baton), pid, token);
                             core.dispatched += 1;
                             break next;
                         }
@@ -861,9 +897,7 @@ impl<W: Send + 'static> Simulation<W> {
                     bufs.pending = sch.pending;
                     bufs.spawns = sch.spawns;
                 }
-                Next::Wake(baton, thread, pid, token) => {
-                    self.resume(&me, baton, thread, pid, token)
-                }
+                Next::Wake(baton, pid, token) => self.resume(baton, pid, token),
             }
         };
         let mut pool = self.inner.pool.lock();
@@ -873,24 +907,23 @@ impl<W: Send + 'static> Simulation<W> {
         outcome
     }
 
-    /// Hand the turn to `pid`'s thread, wait for it to hand back, and record
-    /// how it yielded. The baton and thread handle were fetched under the
-    /// same core lock that dequeued the wake, so the happy path (process
-    /// parks again) costs one lock to re-mark it parked and nothing else.
-    fn resume(&self, me: &Thread, baton: Arc<Baton>, thread: Thread, pid: ProcId, token: Wakeup) {
-        *baton.exec.lock() = Some(me.clone());
+    /// Switch into `pid` with `token`, and when it hands back record how it
+    /// yielded. The baton was fetched under the same core lock that dequeued
+    /// the wake, so the happy path (process parks again) costs one lock to
+    /// re-mark it parked and nothing else.
+    fn resume(&self, baton: Arc<Baton>, pid: ProcId, token: Wakeup) {
         baton.token.store(token.0, AtomicOrdering::Relaxed);
-        baton.turn.store(TURN_PROC, AtomicOrdering::Release);
-        thread.unpark();
-        while baton.turn.load(AtomicOrdering::Acquire) != TURN_EXEC {
-            std::thread::park();
-        }
-        match baton.report.load(AtomicOrdering::Relaxed) {
+        // SAFETY: the dequeue found the process `Parked` and marked it
+        // `Running` under the core lock, so it is suspended, unfinished, and
+        // entered by no one else until we mark it otherwise below; `baton`
+        // is ours for the whole call.
+        let report = unsafe { baton.enter() };
+        match report {
             REPORT_PARKED => {
                 self.inner.core.lock().slot_mut(pid).state = ProcState::Parked;
             }
             REPORT_FINISHED => {
-                self.inner.core.lock().slot_mut(pid).state = ProcState::Finished;
+                self.inner.core.lock().slot_mut(pid).finish();
             }
             _ => {
                 // Panic path: only now is the process name needed, so the
@@ -898,7 +931,7 @@ impl<W: Send + 'static> Simulation<W> {
                 let name = {
                     let mut core = self.inner.core.lock();
                     let slot = core.slot_mut(pid);
-                    slot.state = ProcState::Finished;
+                    slot.finish();
                     slot.name.clone()
                 };
                 let msg = baton
@@ -969,25 +1002,28 @@ fn idle_report<W>(core: &Core<W>) -> IdleReport {
 
 impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
-        let handles: Vec<JoinHandle<()>> = {
+        // A parked process owns live values; it gets to unwind its own stack
+        // so their destructors run. The batons are collected first and the
+        // core lock released, because a destructor may use its `Ctx`.
+        let parked: Vec<Arc<Baton>> = {
             let mut core = self.inner.core.lock();
-            let mut handles = Vec::new();
-            for slot in core.procs.iter_mut().flatten() {
-                if slot.state != ProcState::Finished {
-                    // The kill flag is published by the release flip of
-                    // `turn`; the woken process unwinds instead of resuming.
-                    slot.baton.kill.store(true, AtomicOrdering::Relaxed);
-                    slot.baton.turn.store(TURN_PROC, AtomicOrdering::Release);
-                    slot.thread.unpark();
-                }
-                if let Some(h) = slot.join.take() {
-                    handles.push(h);
-                }
-            }
-            handles
+            core.procs
+                .iter_mut()
+                .flatten()
+                .filter(|slot| slot.state == ProcState::Parked)
+                .filter_map(|slot| {
+                    slot.state = ProcState::Finished;
+                    slot.baton.take()
+                })
+                .collect()
         };
-        for h in handles {
-            let _ = h.join();
+        for baton in parked {
+            baton.kill.store(true, AtomicOrdering::Relaxed);
+            // SAFETY: the process was `Parked`, so it is suspended and
+            // unfinished; `&mut self` means no run loop is entering anything,
+            // and the slot no longer names it. `baton` is ours for the call.
+            // Its report does not matter any more.
+            unsafe { baton.enter() };
         }
     }
 }

@@ -1254,7 +1254,6 @@ impl Fabric {
         }
     }
 
-    /// Start every transmission that can start, repeating until quiescent.
     /// A frame was buffered at one of `cluster`'s input ports.
     fn note_cluster_buffered(&mut self, cluster: ClusterId) {
         let c = cluster.0 as usize;
@@ -1274,6 +1273,13 @@ impl Fabric {
         }
     }
 
+    /// Start every transmission that can start, repeating until quiescent.
+    ///
+    /// Every call, and every pass of a call, rescans every active cluster ×
+    /// its 12 output ports × that cluster's inputs, and `forward_one` routes
+    /// each input's head frame again for every port it is asked about. With
+    /// process switches out of the way this rescan, and the routing under it,
+    /// is most of the host time of a 70-node run (EXPERIMENTS.md `H-SWITCH`).
     fn progress(&mut self, out: &mut Output) {
         loop {
             let mut changed = false;

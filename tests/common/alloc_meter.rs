@@ -6,8 +6,9 @@
 //! Counts are kept **per thread**: libtest runs a binary's tests on parallel
 //! threads (and its own harness allocates), so a process-wide counter charges
 //! one test with its neighbours' allocations. A test reads the counters of
-//! the thread it runs on; a test that hands work to other threads (simulated
-//! processes) has those threads read their own.
+//! the thread it runs on. That covers a whole sequential `Simulation` run:
+//! events and simulated processes alike execute on the thread that calls
+//! `run`. Work handed to other OS threads (sharded workers) is not counted.
 
 // Each test binary uses its own subset of the readers below.
 #![allow(dead_code)]

@@ -1,0 +1,327 @@
+//! Simulated processes are stackful coroutines on the executor's own thread
+//! (`desim`'s `coro` module): what that buys — no OS thread per process, a
+//! ceiling set by mappings instead of threads — and what it must not lose:
+//! stack depth, destructors at teardown, panic reports, and processes that
+//! change OS threads between runs of the sharded engine.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::ThreadId;
+
+use desim::{Ctx, SimDuration, Simulation, Wakeup};
+use hpc_vorx::vorx::hpcnet::{NodeAddr, Payload, Topology};
+use hpc_vorx::vorx::{channel, VorxBuilder, VorxShardedSim};
+
+/// These tests read process-wide figures (`Threads:`, `VmSize:`) and one of
+/// them fills most of `vm.max_map_count`, so they run one at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A numeric field of `/proc/self/status` (`Threads:`, or `VmSize:` in kB).
+#[cfg(target_os = "linux")]
+fn proc_status(field: &str) -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
+    let line = status
+        .lines()
+        .find(|l| l.starts_with(field))
+        .unwrap_or_else(|| panic!("no {field} in /proc/self/status"));
+    line[field.len()..]
+        .split_whitespace()
+        .next()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("unparsable {line:?}"))
+}
+
+/// World of the plain-`desim` tests: a flag the parked processes wait for.
+#[derive(Default)]
+struct Gate {
+    open: bool,
+    passed: u32,
+}
+
+/// Open the gate a microsecond from now and wake `waiters`.
+fn open_gate(sim: &Simulation<Gate>, waiters: Vec<desim::ProcId>) {
+    sim.schedule_in(SimDuration::from_us(1), move |w: &mut Gate, s| {
+        w.open = true;
+        for pid in waiters {
+            s.wake(pid, Wakeup::START);
+        }
+    });
+}
+
+/// Counts drops per slot; a slot dropped twice fails the test at once.
+struct DropTally(Arc<Vec<AtomicU32>>);
+
+impl DropTally {
+    fn new(n: usize) -> Self {
+        DropTally(Arc::new((0..n).map(|_| AtomicU32::new(0)).collect()))
+    }
+
+    fn guard(&self, slot: usize) -> DropGuard {
+        DropGuard(Arc::clone(&self.0), slot)
+    }
+
+    fn dropped(&self) -> usize {
+        self.0
+            .iter()
+            .filter(|c| c.load(Ordering::Relaxed) == 1)
+            .count()
+    }
+}
+
+struct DropGuard(Arc<Vec<AtomicU32>>, usize);
+
+impl Drop for DropGuard {
+    fn drop(&mut self) {
+        let before = self.0[self.1].fetch_add(1, Ordering::Relaxed);
+        assert_eq!(before, 0, "value {} dropped twice", self.1);
+    }
+}
+
+/// (a) A thousand live processes add no OS thread, and every one of them
+/// runs on the thread that called `run_to_idle`.
+#[cfg(target_os = "linux")]
+#[test]
+fn processes_run_on_the_executors_thread() {
+    let _x = exclusive();
+    let me = std::thread::current().id();
+    let threads_before = proc_status("Threads:");
+    let mut sim = Simulation::new(Gate::default());
+    let seen: Arc<Mutex<Vec<ThreadId>>> = Arc::default();
+    let pids: Vec<_> = (0..1_000)
+        .map(|i| {
+            let seen = Arc::clone(&seen);
+            sim.spawn(format!("w{i}"), move |ctx: Ctx<Gate>| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                ctx.wait_until(|w, _| w.open.then_some(()));
+                seen.lock().unwrap().push(std::thread::current().id());
+            })
+        })
+        .collect();
+    assert_eq!(sim.run_to_idle().parked.len(), 1_000);
+    // All thousand are alive and parked right now. libtest may be starting
+    // or reaping a neighbouring test's thread; a thread per process is 1,000.
+    let threads_parked = proc_status("Threads:");
+    assert!(
+        threads_parked.abs_diff(threads_before) <= 2,
+        "Threads: {threads_before} -> {threads_parked} with 1,000 parked processes"
+    );
+    open_gate(&sim, pids);
+    assert!(sim.run_to_idle().all_finished());
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 2_000);
+    assert!(seen.iter().all(|&t| t == me));
+}
+
+/// (b) 30,000 processes parked at once in one `Simulation` — a thread each
+/// ran out of mappings at 16,365 — and every one resumes and finishes.
+#[test]
+fn thirty_thousand_parked_processes_all_finish() {
+    let _x = exclusive();
+    // Two mappings per process; leave room for the rest of the process on a
+    // host with a lower `vm.max_map_count` than the usual 65,530.
+    let max_maps: u32 = std::fs::read_to_string("/proc/sys/vm/max_map_count")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(65_530);
+    let n = 30_000.min(max_maps / 2 - 2_000);
+    let mut sim = Simulation::new(Gate::default());
+    let pids: Vec<_> = (0..n)
+        .map(|i| {
+            sim.spawn(format!("w{i}"), |ctx: Ctx<Gate>| {
+                ctx.wait_until(|w, _| w.open.then_some(()));
+                ctx.with(|w, _| w.passed += 1);
+            })
+        })
+        .collect();
+    assert_eq!(sim.run_to_idle().parked.len(), n as usize);
+    open_gate(&sim, pids);
+    assert!(sim.run_to_idle().all_finished());
+    assert_eq!(sim.world().passed, n);
+}
+
+/// Recurse until `want` bytes of stack lie between `top` and here, park
+/// there, and return the depth reached.
+#[inline(never)]
+fn dive(ctx: &Ctx<Gate>, top: usize, want: usize) -> u32 {
+    let pad = std::hint::black_box([0u8; 1024]);
+    let here = pad.as_ptr() as usize;
+    let depth = if top - here >= want {
+        ctx.sleep(SimDuration::from_us(5));
+        0
+    } else {
+        dive(ctx, top, want)
+    };
+    // Read `pad` after the call so the frame cannot be reused or dropped.
+    depth + 1 + u32::from(std::hint::black_box(&pad)[1023])
+}
+
+/// (c) The stack budget did not shrink: a process parked more than 1 MiB
+/// deep in recursion resumes there and unwinds the whole way back.
+#[test]
+fn process_parked_a_mebibyte_deep_resumes() {
+    let _x = exclusive();
+    let mut sim = Simulation::new(Gate::default());
+    sim.spawn("deep", |ctx: Ctx<Gate>| {
+        let anchor = 0u8;
+        let depth = dive(&ctx, std::ptr::addr_of!(anchor) as usize, 1 << 20);
+        ctx.with(|w, _| w.passed = depth);
+    });
+    assert!(sim.run_to_idle().all_finished());
+    assert_eq!(sim.now().as_ns(), 5_000);
+    let depth = sim.world().passed;
+    // Each frame holds the 1 KiB pad and little else.
+    assert!((256..=1024).contains(&depth), "depth {depth}");
+}
+
+/// (d) Dropping a `Simulation` with parked and never-started processes drops
+/// what each captured and what each parked one held on its stack, once,
+/// during the drop — and gives the stack mappings back.
+#[cfg(target_os = "linux")]
+#[test]
+fn drop_unwinds_parked_and_unstarted_processes_and_unmaps_their_stacks() {
+    const PARKED: usize = 192;
+    const UNSTARTED: usize = 64;
+    const STACK_KB: u64 = 2 << 10;
+    let _x = exclusive();
+    let tally = DropTally::new(2 * PARKED + UNSTARTED);
+    let vm_before = proc_status("VmSize:");
+    let mut sim = Simulation::new(Gate::default());
+    for i in 0..PARKED {
+        let captured = tally.guard(i);
+        let local = tally.guard(PARKED + UNSTARTED + i);
+        sim.spawn(format!("parked{i}"), move |ctx: Ctx<Gate>| {
+            let _captured = captured;
+            let _on_stack = local;
+            ctx.wait_until(|w, _| w.open.then_some(()));
+        });
+    }
+    assert_eq!(sim.run_to_idle().parked.len(), PARKED);
+    for i in 0..UNSTARTED {
+        let captured = tally.guard(PARKED + i);
+        sim.spawn(format!("unstarted{i}"), move |_ctx: Ctx<Gate>| {
+            let _captured = captured;
+            unreachable!("never resumed");
+        });
+    }
+    let vm_alive = proc_status("VmSize:");
+    let stacks_kb = (PARKED + UNSTARTED) as u64 * STACK_KB;
+    assert!(
+        vm_alive >= vm_before + stacks_kb,
+        "VmSize {vm_before} kB -> {vm_alive} kB does not show {stacks_kb} kB of stacks"
+    );
+    assert_eq!(tally.dropped(), 0);
+    drop(sim);
+    assert_eq!(tally.dropped(), 2 * PARKED + UNSTARTED);
+    // Everything but noise is back: a neighbouring test thread starting up
+    // may reserve one 64 MiB malloc arena in the meantime.
+    let vm_after = proc_status("VmSize:");
+    assert!(
+        vm_after <= vm_before + (72 << 10),
+        "VmSize {vm_before} kB -> {vm_alive} kB -> {vm_after} kB: stacks not unmapped"
+    );
+}
+
+/// (e) A panicking process is reported by name and message on the
+/// executor's thread, and the processes still parked are torn down while
+/// that panic unwinds: destructors run, no second panic, no hang.
+#[test]
+fn panic_in_a_process_is_reported_and_the_rest_torn_down() {
+    let _x = exclusive();
+    let tally = DropTally::new(3);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulation::new(Gate::default());
+        for i in 0..3 {
+            let held = tally.guard(i);
+            sim.spawn(format!("bystander{i}"), move |ctx: Ctx<Gate>| {
+                let _held = held;
+                ctx.wait_until(|w, _| w.open.then_some(()));
+            });
+        }
+        sim.spawn("bad", |ctx: Ctx<Gate>| {
+            ctx.sleep(SimDuration::from_us(3));
+            panic!("boom at {}", ctx.now().as_ns());
+        });
+        sim.run_to_idle();
+    }));
+    let payload = result.expect_err("the process panic must reach the caller");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert_eq!(msg, "simulated process 'bad' panicked: boom at 3000");
+    assert_eq!(tally.dropped(), 3);
+}
+
+/// Readers first, run to quiescence (they park in `open`), then writers and
+/// a second run. Returns the merged trace, the end time, and for every
+/// reader the OS threads it ran on in the first and in the second run.
+fn two_run_world(workers: usize) -> (String, u64, Vec<(ThreadId, ThreadId)>) {
+    const MSGS: usize = 3;
+    let topo = Topology::incomplete_hypercube(8, 4).unwrap();
+    let clusters = topo.n_clusters() as u32;
+    let pairs: Vec<(NodeAddr, NodeAddr)> = (0..clusters)
+        .map(|c| (NodeAddr(c * 4), NodeAddr(((c + 1) % clusters) * 4 + 1)))
+        .collect();
+    let mut v: VorxShardedSim = VorxBuilder::with_topology(topo).build_sharded(workers);
+    assert_eq!(v.n_shards(), 8);
+    let threads: Arc<Mutex<Vec<(ThreadId, ThreadId)>>> = Arc::default();
+    for (i, &(_, reader)) in pairs.iter().enumerate() {
+        let threads = Arc::clone(&threads);
+        v.spawn_at(reader, format!("n{}:r{i}", reader.0), move |ctx| {
+            let first = std::thread::current().id();
+            let ch = channel::open(&ctx, reader, &format!("p{i}"));
+            for _ in 0..MSGS {
+                ch.read(&ctx).unwrap();
+            }
+            let second = std::thread::current().id();
+            threads.lock().unwrap().push((first, second));
+        });
+    }
+    let reports = v.run();
+    let parked: usize = reports.iter().map(|r| r.parked.len()).sum();
+    assert_eq!(parked, pairs.len(), "every reader parks in its open");
+    // Shard clocks rest wherever each shard's last event left them; the
+    // second run's traffic starts after the latest, so that no frame is due
+    // at a shard before that shard's own clock.
+    let latest = reports.iter().map(|r| r.now.as_ns()).max().unwrap();
+    let restart_ns = latest + 1_000_000;
+    for (i, &(writer, _)) in pairs.iter().enumerate() {
+        v.spawn_at(writer, format!("n{}:w{i}", writer.0), move |ctx| {
+            ctx.sleep(SimDuration::from_ns(restart_ns - ctx.now().as_ns()));
+            let ch = channel::open(&ctx, writer, &format!("p{i}"));
+            for m in 0..MSGS {
+                ch.write(&ctx, Payload::Synthetic(64 + 100 * m as u32))
+                    .unwrap();
+            }
+        });
+    }
+    let end = v.run_all();
+    let threads = std::mem::take(&mut *threads.lock().unwrap());
+    (v.merged_trace().to_json(), end.as_ns(), threads)
+}
+
+/// (f) Every `run` of the sharded engine at workers 4 starts fresh scoped
+/// worker threads, so a process parked across two runs is resumed by another
+/// OS thread than the one it last ran on — and the simulated execution is the
+/// one workers 1 produces on a single thread.
+#[test]
+fn processes_parked_across_runs_resume_on_other_threads_with_the_same_trace() {
+    let _x = exclusive();
+    let me = std::thread::current().id();
+    let (trace1, end1, threads1) = two_run_world(1);
+    let (trace4, end4, threads4) = two_run_world(4);
+    assert_eq!(threads1.len(), 8);
+    assert!(threads1.iter().all(|&pair| pair == (me, me)));
+    assert_eq!(threads4.len(), 8);
+    assert!(
+        threads4.iter().all(|&(a, b)| a != b && a != me && b != me),
+        "workers 4 must move every reader to another thread: {threads4:?}"
+    );
+    assert!(end1 > 0);
+    assert_eq!(end1, end4);
+    assert_eq!(trace1, trace4, "workers=4 diverged from workers=1");
+}
