@@ -19,12 +19,19 @@ VORX_SIM_WORKERS=8 cargo test --workspace -q
 echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, fabric step, a whole stop-and-wait run, recompute, trace merge)"
 cargo test -q --test event_storage --test datapath_alloc --test topology_alloc --test trace_merge_alloc
 
-echo "==> process switch (coroutine processes: no OS threads, 30k parked, 1 MiB deep, teardown, panic, cross-thread resume)"
-cargo test -q --test proc_switch
+echo "==> process switch, optimised build (one run stack: no OS threads, 250k parked, <= 2 KiB each, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume)"
+cargo test --release -q --test proc_switch
 
-echo "==> one process engine (no thread baton beside the coroutine one in desim/src/sim.rs)"
+echo "==> one process engine (no thread baton beside the coroutine one in desim/src/sim.rs, and one run stack per simulation)"
 if grep -n 'thread::\(Builder\|park\|spawn\)' crates/desim/src/sim.rs; then
     echo "desim/src/sim.rs uses OS threads for processes again" >&2
+    exit 1
+fi
+# `Simulation::new` maps the run stack; a second `Stack::new` would be a
+# mapping per process creeping back into `start_proc`.
+if [ "$(grep -c 'Stack::new' crates/desim/src/sim.rs)" -ne 1 ]; then
+    echo "desim/src/sim.rs must name Stack::new exactly once (in Simulation::new):" >&2
+    grep -n 'Stack::new' crates/desim/src/sim.rs >&2
     exit 1
 fi
 

@@ -71,8 +71,8 @@ struct ChainWorld {
 /// A 256-process wake chain: each process waits its turn, then wakes its
 /// successor with a zero-delay wake. Every link is one park/resume handoff
 /// plus one same-instant event — the dominant pattern of simulated kernels
-/// acknowledging each other. Each iteration runs 256 fresh processes, so the
-/// first touch and the unmapping of 256 stacks are part of the figure.
+/// acknowledging each other. Each iteration runs 256 fresh processes, so each
+/// one's first park, which allocates its image, is part of the figure.
 fn bench_wake_chain(c: &mut Criterion) {
     const LINKS: usize = 256;
     let mut g = c.benchmark_group("desim");
@@ -107,10 +107,50 @@ fn bench_wake_chain(c: &mut Criterion) {
     g.finish();
 }
 
+#[derive(Default)]
+struct GateWorld {
+    open: bool,
+}
+
+/// Density: spawn `n` processes, park them all on a gate, open it, wake them
+/// all and run them out, then drop the simulation — everything timed. What a
+/// process costs to create, hold parked and retire when there are very many.
+fn spawn_park(n: u32) {
+    let mut sim = Simulation::new(GateWorld::default());
+    let pids: Vec<ProcId> = (0..n)
+        .map(|_| {
+            sim.spawn("p", |ctx: Ctx<GateWorld>| {
+                ctx.wait_until(|w, _| w.open.then_some(()));
+            })
+        })
+        .collect();
+    assert_eq!(sim.run_to_idle().parked.len(), n as usize);
+    sim.setup(move |w, s| {
+        w.open = true;
+        for pid in pids {
+            s.wake(pid, Wakeup::START);
+        }
+    });
+    assert!(sim.run_to_idle().all_finished());
+}
+
+/// 30,000 is the most a stack per process could hold (two mappings each
+/// against `vm.max_map_count`), kept for the ratio; 100,000 is the figure.
+fn bench_spawn_park(c: &mut Criterion) {
+    let mut g = c.benchmark_group("desim");
+    g.sample_size(20);
+    for (id, n) in [("spawn_park_30k", 30_000), ("spawn_park_100k", 100_000)] {
+        g.throughput(Throughput::Elements(u64::from(n)));
+        g.bench_function(id, |b| b.iter(|| spawn_park(n)));
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_dispatch,
     bench_process_switching,
-    bench_wake_chain
+    bench_wake_chain,
+    bench_spawn_park
 );
 criterion_main!(benches);

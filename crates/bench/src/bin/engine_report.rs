@@ -178,9 +178,13 @@ fn main() {
         "  \"note\": \"desim engine hot-path benches, ns of host wall time; \
          measured with the vendored criterion stand-in (vendor/README.md), so \
          only before/after ratios are comparable, not absolute numbers from \
-         real criterion; run both sides pinned to one CPU (taskset): a \
-         thread-per-process engine is bimodal unpinned; and expect runs of \
-         one binary on a shared host to differ by 20% or more\",\n",
+         real criterion; run both sides pinned to one CPU (taskset), and \
+         expect runs of one binary on a shared host to differ by 20% or more. \
+         spawn_park_N spawns N processes, parks them all, wakes them all, \
+         runs them out and drops the simulation, all timed; an engine with a \
+         stack mapping per process (PR 13 and before) holds about 30,000 \
+         (vm.max_map_count / 2) and cannot run spawn_park_100k, so its side \
+         has spawn_park_30k only\",\n",
     );
     out.push_str(&format!(
         "  \"host_cpus\": {},\n",

@@ -6,11 +6,11 @@
 //!   models (links freeing, messages arriving, interrupts firing). They run
 //!   to completion and never block.
 //! * **Processes** — stackful coroutines on the executor's own OS thread,
-//!   used for software (VORX subprocesses, host programs). Process code is
-//!   written in direct blocking style: it parks and is resumed by events or
-//!   other processes. Exactly one simulated activity executes at a time, and
-//!   which one is the event queue's decision alone, so the simulation is
-//!   fully deterministic.
+//!   taking turns on the simulation's one run stack, used for software (VORX
+//!   subprocesses, host programs). Process code is written in direct blocking
+//!   style: it parks and is resumed by events or other processes. Exactly one
+//!   simulated activity executes at a time, and which one is the event
+//!   queue's decision alone, so the simulation is fully deterministic.
 //!
 //! Determinism contract: the event queue is ordered by `(time, sequence
 //! number)`; ties fire in scheduling order. Any randomness must come from an
@@ -19,13 +19,17 @@
 //! # Hot-path design
 //!
 //! The executor⇄process handoff is a single shared [`Baton`] per process — a
-//! payload word each way and the two stack pointers of a user-space register
-//! swap (`coro::switch`) — so a process switch is a function call: no system
-//! call, no heap data, no lock. Same-instant wakes (the common case in
-//! protocol code: `wake` + `park` chains at one timestamp) bypass the binary
-//! heap through a FIFO *lane*, making zero-delay scheduling O(1). Simulated
-//! time lives in an atomic mirror ([`SimInner::now_ns`]) so [`Ctx::now`] is
-//! lock-free.
+//! payload word each way, the two stack pointers of a user-space register
+//! swap (`coro::switch`), and the image of the process's frames while it is
+//! suspended — so a process switch is a function call and two copies of
+//! however deep the process parked (1.2–1.5 KiB in the `vorx` workloads): no
+//! system call, no lock, and no allocation once the image buffer exists,
+//! which is from the process's first park on. Spawning a process maps
+//! nothing: its first frame sits inline in the baton. Same-instant wakes (the
+//! common case in protocol code: `wake` + `park` chains at one timestamp)
+//! bypass the binary heap through a FIFO *lane*, making zero-delay scheduling
+//! O(1). Simulated time lives in an atomic mirror ([`SimInner::now_ns`]) so
+//! [`Ctx::now`] is lock-free.
 //!
 //! Scheduling and dispatching an event allocates nothing in steady state. An
 //! event closure whose capture is at most 72 bytes and at most 8-aligned is
@@ -36,6 +40,7 @@
 //! `Arc` flag behind each [`TimerHandle`], and every buffer named here while
 //! it grows to the most events ever outstanding at once.
 
+use std::cell::UnsafeCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
@@ -47,7 +52,7 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::coro::{self, Stack};
+use crate::coro::{self, Image, Stack};
 use crate::event_fn::EventFn;
 use crate::time::{SimDuration, SimTime};
 
@@ -189,20 +194,23 @@ const REPORT_PANICKED: u32 = 2;
 
 /// The executor⇄process handoff cell. A handoff is: write your payload
 /// (`token` or `report`), then `coro::switch` to the other side's saved
-/// stack pointer, leaving your own behind. No allocation, no lock, no system
-/// call on the hot path.
+/// stack pointer, leaving your own behind; the executor also moves the
+/// process's frames between `image` and the run stack. No lock and no system
+/// call on the hot path, and no allocation after the process's first park.
 ///
-/// Why this may be shared and sent between threads (it is `Send + Sync`
-/// through its fields): exactly one side of a baton runs at a time (the
-/// `coro` contract), so every field but `panic_msg` has one accessor at any
-/// moment and the atomics are plain cells — `Relaxed` throughout, the stack
-/// pointers written by `switch` through `as_ptr`. Within one run both sides
-/// are the same OS thread, and a `switch` is a jump on it, so program order
-/// is all the ordering there is to keep. A process resumed by a *different*
-/// thread than last time (sharded workers) is resumed by whoever holds
-/// `&mut Simulation` now, and whatever moved that borrow between the threads
-/// — the scoped spawn and join of a `ShardedSim::run`, a channel, a mutex —
-/// already orders these cells and the parked stack along with it.
+/// Why this may be shared and sent between threads: exactly one side of a
+/// baton runs at a time (the `coro` contract), so every field but
+/// `panic_msg` has one accessor at any moment and the atomics are plain
+/// cells — `Relaxed` throughout, the stack pointers written by `switch`
+/// through `as_ptr`. `image` is the executor's alone: only [`Baton::enter`]
+/// touches it, outside its `switch`, and entering takes `&mut Simulation`
+/// (a run, or the drop), so it too has one accessor at a time. Within one
+/// run both sides are the same OS thread, and a `switch` is a jump on it, so
+/// program order is all the ordering there is to keep. A process resumed by a
+/// *different* thread than last time (sharded workers) is resumed by whoever
+/// holds `&mut Simulation` now, and whatever moved that borrow between the
+/// threads — the scoped spawn and join of a `ShardedSim::run`, a channel, a
+/// mutex — already orders these cells and the image along with it.
 struct Baton {
     /// Wakeup token payload; written by the executor before switching in.
     token: AtomicU64,
@@ -211,72 +219,100 @@ struct Baton {
     /// Set before switching in to make the process unwind instead of
     /// resuming; used when the simulation is dropped with parked processes.
     kill: AtomicBool,
+    /// True exactly while the process runs: between `enter`'s switch in and
+    /// the process's switch back.
+    entered: AtomicBool,
     /// Where the executor left off when it switched in; live exactly while
     /// the process runs.
     exec_sp: AtomicUsize,
-    /// Where the process left off: the frame `Stack::new` laid out, then
-    /// whatever its last park saved.
+    /// Where the process left off at its last park, for `enter` to save its
+    /// frames from.
     proc_sp: AtomicUsize,
-    /// The process's stack, unmapped with the baton: when the executor has
-    /// let go of a finished process and no `Ctx` clone is left.
-    stack: Stack,
+    /// The process's frames while it is suspended; stale while it runs and
+    /// once it has finished.
+    image: UnsafeCell<Image>,
     /// Panic message, set before reporting `REPORT_PANICKED`.
     panic_msg: Mutex<Option<String>>,
 }
 
+// SAFETY: every field but `image` is `Sync` by itself. `image` is reached
+// only from `Baton::enter`, whose caller vouches it is the only one entering
+// this process, so no two threads touch it at once; see the type's doc for
+// how it moves between threads. Its contents are the process's frames, which
+// change threads under the `coro` contract.
+unsafe impl Sync for Baton {}
+
 impl Baton {
-    /// A baton whose first [`Baton::enter`] runs `body` on a fresh stack.
+    /// A baton whose first [`Baton::enter`] runs `body`.
     fn new(body: coro::Body) -> Self {
-        let (stack, sp) = Stack::new(body);
         Baton {
             token: AtomicU64::new(0),
             report: AtomicU32::new(REPORT_PARKED),
             kill: AtomicBool::new(false),
+            entered: AtomicBool::new(false),
             exec_sp: AtomicUsize::new(0),
-            proc_sp: AtomicUsize::new(sp),
-            stack,
+            proc_sp: AtomicUsize::new(0),
+            image: UnsafeCell::new(coro::first_frame(body)),
             panic_msg: Mutex::new(None),
         }
     }
 
-    /// Executor side: run the process until it parks or finishes, and return
-    /// its report.
+    /// Executor side: put the process's frames back on `stack`, run it until
+    /// it parks or finishes, save the frames of a parked one, and return its
+    /// report.
     ///
     /// # Safety
     ///
     /// The process must be suspended — parked, or not yet started — and not
-    /// finished, and the caller the only one entering it. The caller's own
-    /// `Arc` must keep the baton (and so the stack) alive across the call.
-    unsafe fn enter(&self) -> u32 {
-        // SAFETY: a suspended, unfinished process's `proc_sp` is the frame
-        // `Stack::new` made or the one its last `park` saved, unused since,
-        // on the stack `self` keeps mapped; the caller vouches nobody else
-        // runs there. `exec_sp` lives as long as `self`.
-        unsafe {
-            coro::switch(
-                self.exec_sp.as_ptr(),
-                self.proc_sp.load(AtomicOrdering::Relaxed),
-            )
-        };
-        self.report.load(AtomicOrdering::Relaxed)
+    /// finished, `stack` the run stack of the simulation it belongs to, and
+    /// the caller the executor of that simulation: not on `stack` itself, and
+    /// the only one entering any of its processes. The caller's own `Arc`
+    /// must keep the baton alive across the call.
+    unsafe fn enter(&self, stack: &Stack) -> u32 {
+        // SAFETY: `image` is ours (the caller is the only one entering this
+        // process, and nothing else reads it), and no process is on `stack`:
+        // they run only inside this function's `switch`, the caller is the
+        // only one here, and it is not on `stack`.
+        let sp = unsafe { stack.restore(&*self.image.get()) };
+        self.entered.store(true, AtomicOrdering::Relaxed);
+        // SAFETY: `sp` names the frame `first_frame` made or the one the
+        // process's last `park` saved, just put back where it was and unused
+        // since. `exec_sp` lives as long as `self`.
+        unsafe { coro::switch(self.exec_sp.as_ptr(), sp) };
+        self.entered.store(false, AtomicOrdering::Relaxed);
+        let report = self.report.load(AtomicOrdering::Relaxed);
+        if report == REPORT_PARKED {
+            // SAFETY: the process handed back through `park`, whose `switch`
+            // ran on `stack` (asserted there) and stored `proc_sp`; we are
+            // back on the executor's stack, and `image` is ours as above.
+            unsafe {
+                stack.save(
+                    self.proc_sp.load(AtomicOrdering::Relaxed),
+                    &mut *self.image.get(),
+                )
+            };
+        }
+        report
     }
 
     /// Process side: hand back to the executor until it enters again. Returns
     /// the wakeup token; unwinds with [`Killed`] if the simulation is tearing
     /// down.
-    fn park(&self) -> Wakeup {
+    fn park(&self, stack: &Stack) -> Wakeup {
         // A `Ctx` can be cloned and carried anywhere; only its own process,
-        // while it runs, has an executor waiting behind `exec_sp`.
+        // while it runs, has an executor waiting behind `exec_sp` — and the
+        // run stack is every process's, so being on it is not enough to tell.
         assert!(
-            self.stack.is_current(),
+            stack.is_current() && self.entered.load(AtomicOrdering::Relaxed),
             "Ctx::park called outside the simulated process the Ctx belongs to"
         );
         self.report.store(REPORT_PARKED, AtomicOrdering::Relaxed);
-        // SAFETY: we run on this baton's stack, which is only ever reached
-        // through `enter`; that call stored the executor's stack pointer in
-        // `exec_sp` and stays suspended on a live stack until this switch
-        // returns into it. `proc_sp` lives as long as `self`, which the
-        // suspended `enter` keeps alive.
+        // SAFETY: this process is the one entered and we run on its
+        // simulation's run stack, so the frames below us are its own, and
+        // `enter` stored the executor's stack pointer in `exec_sp` and stays
+        // suspended on a live stack until this switch returns into it.
+        // `proc_sp` lives as long as `self`, which the suspended `enter`
+        // keeps alive.
         unsafe {
             coro::switch(
                 self.proc_sp.as_ptr(),
@@ -300,7 +336,7 @@ enum ProcState {
 struct ProcSlot {
     name: String,
     state: ProcState,
-    /// `None` once the process has finished, so its stack can go.
+    /// `None` once the process has finished, so its image can go.
     baton: Option<Arc<Baton>>,
 }
 
@@ -394,6 +430,9 @@ struct SimInner<W> {
     /// Pool of spent `Scheduler` buffers, so steady-state event dispatch and
     /// `Ctx::with` reuse their allocations instead of growing fresh `Vec`s.
     pool: Mutex<Vec<SchBufs<W>>>,
+    /// The run stack: every process of this simulation runs on it, one at a
+    /// time, whichever OS thread drives the run.
+    stack: Stack,
 }
 
 /// Marker payload used to unwind process stacks when the simulation is
@@ -533,7 +572,7 @@ impl<W: Send + 'static> Ctx<W> {
 
     /// Park until woken. Returns the (advisory) wakeup token.
     pub fn park(&self) -> Wakeup {
-        self.baton.park()
+        self.baton.park(&self.inner.stack)
     }
 
     /// Advance this process's local time by `d` (modelling computation or a
@@ -575,12 +614,12 @@ fn scheduler<W>(now: SimTime, inner: &Arc<SimInner<W>>) -> Scheduler<W> {
     }
 }
 
-/// Commit everything a `Scheduler` collected: map spawned processes' stacks,
+/// Commit everything a `Scheduler` collected: make spawned processes' batons,
 /// register them, and push all pending actions into the queue. Leaves the
 /// scheduler's buffers empty (capacity retained) so the caller can reuse or
 /// pool them. Takes no locks at all when nothing was scheduled.
 ///
-/// This runs at the bottom of every `Ctx::with` on a process's own stack, so
+/// This runs at the bottom of every `Ctx::with` in a process's own frames, so
 /// its frame is kept small: the process-starting half lives in
 /// [`commit_spawns`], out of line.
 fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
@@ -597,7 +636,7 @@ fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
     }
 }
 
-/// Map the requested processes' stacks, then — under the core lock, which is
+/// Make the requested processes' batons, then — under the core lock, which is
 /// returned still held — register them and queue their start wakes, ahead of
 /// whatever else the same scheduler collected.
 #[inline(never)]
@@ -639,7 +678,7 @@ fn start_proc<W: Send + 'static>(
     let baton = Arc::new_cyclic(|me: &Weak<Baton>| {
         let me = Weak::clone(me);
         let inner = Arc::clone(inner);
-        // Runs on the process's own stack at its first resume, and drops all
+        // Runs on the run stack at the process's first resume, and drops all
         // it captured or made before it returns (the `coro::Body` contract).
         Baton::new(Box::new(move || {
             let baton = me
@@ -744,6 +783,7 @@ impl<W: Send + 'static> Simulation<W> {
                 now_ns: AtomicU64::new(0),
                 next_pid: Arc::new(AtomicU32::new(0)),
                 pool: Mutex::new(Vec::new()),
+                stack: Stack::new(),
             }),
         }
     }
@@ -916,8 +956,11 @@ impl<W: Send + 'static> Simulation<W> {
         // SAFETY: the dequeue found the process `Parked` and marked it
         // `Running` under the core lock, so it is suspended, unfinished, and
         // entered by no one else until we mark it otherwise below; `baton`
-        // is ours for the whole call.
-        let report = unsafe { baton.enter() };
+        // is ours for the whole call. We are this simulation's executor, and
+        // not on its run stack: running takes `&mut Simulation`, which
+        // nothing a process can reach holds while the run that resumed it
+        // does.
+        let report = unsafe { baton.enter(&self.inner.stack) };
         match report {
             REPORT_PARKED => {
                 self.inner.core.lock().slot_mut(pid).state = ProcState::Parked;
@@ -1002,7 +1045,7 @@ fn idle_report<W>(core: &Core<W>) -> IdleReport {
 
 impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
-        // A parked process owns live values; it gets to unwind its own stack
+        // A parked process owns live values; it gets to unwind its own frames
         // so their destructors run. The batons are collected first and the
         // core lock released, because a destructor may use its `Ctx`.
         let parked: Vec<Arc<Baton>> = {
@@ -1021,9 +1064,10 @@ impl<W: Send + 'static> Drop for Simulation<W> {
             baton.kill.store(true, AtomicOrdering::Relaxed);
             // SAFETY: the process was `Parked`, so it is suspended and
             // unfinished; `&mut self` means no run loop is entering anything,
-            // and the slot no longer names it. `baton` is ours for the call.
-            // Its report does not matter any more.
-            unsafe { baton.enter() };
+            // and the slot no longer names it — nor, for the same reason, are
+            // we on the run stack. `baton` is ours for the call. Its report
+            // does not matter any more.
+            unsafe { baton.enter(&self.inner.stack) };
         }
     }
 }

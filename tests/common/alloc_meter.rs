@@ -21,6 +21,7 @@ use std::cell::Cell;
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct ThreadCountingAlloc;
@@ -33,11 +34,13 @@ unsafe impl GlobalAlloc for ThreadCountingAlloc {
         // torn down; those allocations are nobody's measurement.
         let _ = CALLS.try_with(|c| c.set(c.get() + 1));
         let _ = BYTES.try_with(|b| b.set(b.get() + layout.size() as u64));
+        let _ = LIVE.try_with(|l| l.set(l.get() + layout.size() as i64));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|l| l.set(l.get() - layout.size() as i64));
         // SAFETY: `ptr` came from `System.alloc` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -55,6 +58,13 @@ pub fn calls() -> u64 {
 /// Bytes the calling thread has requested so far.
 pub fn bytes() -> u64 {
     BYTES.with(Cell::get)
+}
+
+/// Bytes the calling thread has requested and not freed: what it allocated
+/// minus what it released, so memory one thread allocates and another frees
+/// skews both threads' figures. Signed for that reason.
+pub fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// `f`'s result and the allocator calls the calling thread made while it ran.
