@@ -16,8 +16,21 @@ VORX_SIM_WORKERS=4 cargo test --workspace -q
 echo "==> cargo test (VORX_SIM_WORKERS=8: sharded paths at eight workers)"
 VORX_SIM_WORKERS=8 cargo test --workspace -q
 
-echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, fabric step, a whole stop-and-wait run, recompute, trace merge)"
-cargo test -q --test event_storage --test datapath_alloc --test topology_alloc --test trace_merge_alloc
+echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle, stale-handle ABA, 0 per warmed-up fabric frame, 81 + 0.1/msg for a stop-and-wait run, <= 0.1/msg more across two shards, <= 6 per try_open, SPSC nodes <= max depth + 1, recompute, trace merge)"
+cargo test -q --test event_storage --test datapath_alloc --test spsc_reuse --test topology_alloc --test trace_merge_alloc
+
+echo "==> allocation-free leaves stay that way (no per-pop free in desim/src/spsc.rs, no Arc flag per timer in desim/src/sim.rs)"
+# The consumer hands nodes back to the producer; only `Drop for Inner` frees.
+if [ "$(grep -c 'Box::from_raw' crates/desim/src/spsc.rs)" -ne 1 ] ||
+    ! sed -n '/^impl<T> Drop for Inner<T>/,/^}/p' crates/desim/src/spsc.rs | grep -q 'Box::from_raw'; then
+    echo "desim/src/spsc.rs must name Box::from_raw exactly once, inside Drop for Inner:" >&2
+    grep -n 'Box::from_raw' crates/desim/src/spsc.rs >&2
+    exit 1
+fi
+if grep -n 'Arc<AtomicBool>' crates/desim/src/sim.rs; then
+    echo "desim/src/sim.rs allocates a cancel flag per TimerHandle again" >&2
+    exit 1
+fi
 
 echo "==> process switch, optimised build (one run stack: no OS threads, 250k parked, <= 2 KiB each, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume)"
 cargo test --release -q --test proc_switch

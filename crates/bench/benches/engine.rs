@@ -4,7 +4,7 @@
 //! `src/bin/` runs on top of this engine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use desim::{Ctx, ProcId, SimDuration, Simulation, Wakeup};
+use desim::{spsc, Ctx, ProcId, SimDuration, Simulation, Wakeup};
 
 #[derive(Default)]
 struct World {
@@ -146,9 +146,60 @@ fn bench_spawn_park(c: &mut Criterion) {
     g.finish();
 }
 
+/// Arm 10k protocol timeouts, cancel each as its "ack" arrives, and let the
+/// queue discard them: the timer path of every channel message. The
+/// simulation is reused, as a world's is, so its queues and timer cells are
+/// warm from the second iteration on.
+fn bench_timer_arm_cancel(c: &mut Criterion) {
+    let mut g = c.benchmark_group("desim");
+    g.throughput(Throughput::Elements(10_000));
+    let mut sim = Simulation::new(World::default());
+    g.bench_function("timer_arm_cancel_10k", |b| {
+        b.iter(|| {
+            sim.setup(|_, s| {
+                for i in 0..10_000u64 {
+                    s.schedule_cancellable_in(SimDuration::from_us(20), |w: &mut World, _| {
+                        w.counter += 1;
+                    })
+                    .cancel();
+                    s.schedule_in(SimDuration::from_ns(i), |_, _| {});
+                }
+            });
+            sim.run_to_idle();
+            assert_eq!(sim.world().counter, 0);
+        });
+    });
+    g.finish();
+}
+
+/// A shard mailbox carrying bursts of 64 messages, drained between bursts:
+/// 100k pushes and pops on one thread.
+fn bench_spsc_bursts(c: &mut Criterion) {
+    let mut g = c.benchmark_group("desim");
+    g.throughput(Throughput::Elements(100_000));
+    let (tx, rx) = spsc::pair::<[u64; 8]>();
+    g.bench_function("spsc_burst64_100k", |b| {
+        b.iter(|| {
+            let mut sum = 0;
+            for burst in 0..100_000u64 / 64 {
+                for i in 0..64 {
+                    tx.push([burst + i; 8]);
+                }
+                while let Some(m) = rx.pop() {
+                    sum += m[0];
+                }
+            }
+            std::hint::black_box(sum)
+        });
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_event_dispatch,
+    bench_timer_arm_cancel,
+    bench_spsc_bursts,
     bench_process_switching,
     bench_wake_chain,
     bench_spawn_park

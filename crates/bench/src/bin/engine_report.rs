@@ -181,10 +181,12 @@ fn main() {
          real criterion; run both sides pinned to one CPU (taskset), and \
          expect runs of one binary on a shared host to differ by 20% or more. \
          spawn_park_N spawns N processes, parks them all, wakes them all, \
-         runs them out and drops the simulation, all timed; an engine with a \
-         stack mapping per process (PR 13 and before) holds about 30,000 \
-         (vm.max_map_count / 2) and cannot run spawn_park_100k, so its side \
-         has spawn_park_30k only\",\n",
+         runs them out and drops the simulation, all timed (an engine with a \
+         stack mapping per process, PR 13 and before, holds about 30,000); \
+         timer_arm_cancel_10k arms, cancels and purges 10k timeouts between \
+         10k plain events on a warm simulation; spsc_burst64_100k pushes \
+         64-message bursts of 64-byte messages through one mailbox and \
+         drains each\",\n",
     );
     out.push_str(&format!(
         "  \"host_cpus\": {},\n",

@@ -2163,7 +2163,7 @@ impl Listener {
 /// Duplicates (a retransmitted registration re-acked) are idempotent.
 pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let name = proto::parse_open_req(&f.payload);
-    let Some(ls) = w.node_mut(node).listeners.get_mut(&name) else {
+    let Some(ls) = w.node_mut(node).listeners.get_mut(name) else {
         return; // crash wiped the listener; stale ack
     };
     ls.acked = true;
@@ -2182,10 +2182,10 @@ pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     if w.node(node).chans.contains_key(&id) {
         return; // duplicate connect (our first ack was lost)
     }
-    if !w.node(node).listeners.contains_key(&name) {
+    if !w.node(node).listeners.contains_key(name) {
         return; // listener died with a crash; the client will learn via timeout
     }
-    if w.node(node).listeners[&name].pending.len() >= w.calib.listener_backlog_cap {
+    if w.node(node).listeners[name].pending.len() >= w.calib.listener_backlog_cap {
         // Bounded listener backlog: discard the connection instead of
         // growing the unaccepted queue without limit. The manager's CTL_ACK
         // was already sent, so no retransmit storm; the client's end stays
@@ -2196,8 +2196,8 @@ pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         w.faults.stats.table_rejects += 1;
         return;
     }
-    create_end(w, s, node, id, name.clone(), client);
-    let Some(ls) = w.node_mut(node).listeners.get_mut(&name) else {
+    create_end(w, s, node, id, name.to_string(), client);
+    let Some(ls) = w.node_mut(node).listeners.get_mut(name) else {
         return;
     };
     ls.pending.push_back((id, client));

@@ -80,6 +80,16 @@ pub fn note_seen(st: &mut MgrState, key: (u32, u64)) -> bool {
     true
 }
 
+/// The key of `name` in [`MgrState::pending`] and [`MgrState::servers`]:
+/// the object kind's digit, a NUL, the name. One allocation.
+fn mgr_key(kind: proto::ObjKind, name: &str) -> String {
+    let mut key = String::with_capacity(2 + name.len());
+    key.push(char::from(b'0' + kind as u8));
+    key.push('\0');
+    key.push_str(name);
+    key
+}
+
 /// FNV-1a hash of a channel name; stable across runs and platforms.
 pub fn name_hash(name: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -133,9 +143,15 @@ impl ResolveCache {
         }
     }
 
-    /// Record that `name` was served by `mgr` under `epoch`.
-    pub fn put(&mut self, epoch: u64, name: String, mgr: NodeAddr) {
-        self.entries.insert(name, (epoch, mgr));
+    /// Record that `name` was served by `mgr` under `epoch`. Owns the name
+    /// only the first time it is seen.
+    pub fn put(&mut self, epoch: u64, name: &str, mgr: NodeAddr) {
+        match self.entries.get_mut(name) {
+            Some(entry) => *entry = (epoch, mgr),
+            None => {
+                self.entries.insert(name.to_string(), (epoch, mgr));
+            }
+        }
     }
 
     /// Drop every entry (node crash wipes kernel state cold). The hit/stale
@@ -224,7 +240,7 @@ fn push_replica(
 pub fn on_repl_reg(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (kind, server, name) = proto::parse_repl_reg(&f.payload);
-    let key = format!("{}\0{name}", kind as u8);
+    let key = mgr_key(kind, name);
     w.node_mut(node).mgr.servers.entry(key).or_insert(server);
 }
 
@@ -266,7 +282,7 @@ fn try_failover(
         _ => return false,
     }
     w.faults.stats.mgr_failovers += 1;
-    send_open_req(w, s, node, succ, kind, name, token);
+    kernel::send_frame(w, s, open_req(node, succ, kind, name, token));
     arm_open_timer(w, s, node, token, 0);
     true
 }
@@ -393,7 +409,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
         return; // the manager node crashed between the charge and the service
     }
     let (kind, name) = proto::parse_open_req_kind(&f.payload);
-    let key = format!("{}\0{name}", kind as u8);
+    let key = mgr_key(kind, name);
     let requester = (f.src, f.seq);
     let cap = w.calib.mgr_pending_cap;
     let st = &mut w.node_mut(mgr).mgr;
@@ -407,7 +423,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             requester.0,
             proto::KIND_OPEN_REP,
             requester.1,
-            proto::pack_open_rep_kind(kind, id, server, &name),
+            proto::pack_open_rep_kind(kind, id, server, name),
         );
         crate::fault::reliable_send(w, s, rep);
         let ctok = w.token();
@@ -416,7 +432,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             server,
             proto::KIND_SERVE_CONN,
             ctok,
-            proto::pack_open_rep_kind(kind, id, requester.0, &name),
+            proto::pack_open_rep_kind(kind, id, requester.0, name),
         );
         crate::fault::reliable_send(w, s, conn);
         return;
@@ -431,7 +447,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             requester.0,
             proto::KIND_OPEN_NACK,
             requester.1,
-            proto::pack_open_req_kind(kind, &name),
+            proto::pack_open_req_kind(kind, name),
         );
         crate::fault::reliable_send(w, s, nack);
         return;
@@ -450,7 +466,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             me.0,
             proto::KIND_OPEN_REP,
             me.1,
-            proto::pack_open_rep_kind(kind, id, other.0, &name),
+            proto::pack_open_rep_kind(kind, id, other.0, name),
         );
         crate::fault::reliable_send(w, s, rep);
     }
@@ -467,7 +483,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             return; // the manager node crashed before servicing
         }
         let (kind, name) = proto::parse_open_req_kind(&f.payload);
-        let key = format!("{}\0{name}", kind as u8);
+        let key = mgr_key(kind, name);
         let server = f.src;
         let st = &mut w.node_mut(mgr).mgr;
         if st.servers.get(&key) == Some(&server) {
@@ -478,7 +494,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
                 server,
                 proto::KIND_SERVE_ACK,
                 f.seq,
-                proto::pack_open_req_kind(kind, &name),
+                proto::pack_open_req_kind(kind, name),
             );
             kernel::send_frame(w, s, ack);
             return;
@@ -493,7 +509,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             .unwrap_or_default();
         // Replicate the fresh registration to the name's successor so opens
         // can fail over if this manager becomes unreachable.
-        push_replica(w, s, mgr, kind, server, &name);
+        push_replica(w, s, mgr, kind, server, name);
         // Acknowledge the registration. Plain send: a lost ack is healed by
         // the server's registration retransmission (re-acked above).
         let ack = Frame::unicast(
@@ -501,7 +517,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             server,
             proto::KIND_SERVE_ACK,
             f.seq,
-            proto::pack_open_req_kind(kind, &name),
+            proto::pack_open_req_kind(kind, name),
         );
         kernel::send_frame(w, s, ack);
         // Connect clients that were already waiting.
@@ -512,7 +528,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
                 client,
                 proto::KIND_OPEN_REP,
                 token,
-                proto::pack_open_rep_kind(kind, id, server, &name),
+                proto::pack_open_rep_kind(kind, id, server, name),
             );
             crate::fault::reliable_send(w, s, rep);
             let ctok = w.token();
@@ -521,7 +537,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
                 server,
                 proto::KIND_SERVE_CONN,
                 ctok,
-                proto::pack_open_rep_kind(kind, id, client, &name),
+                proto::pack_open_rep_kind(kind, id, client, name),
             );
             crate::fault::reliable_send(w, s, conn);
         }
@@ -550,7 +566,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     // after a failover), stamped with the current epoch.
     let epoch = resolve_epoch(w);
     let mgr = f.src;
-    w.node_mut(node).resolve.put(epoch, name.clone(), mgr);
+    w.node_mut(node).resolve.put(epoch, name, mgr);
     match kind {
         proto::ObjKind::Channel => {
             // Create the channel end if this node does not have it yet
@@ -558,7 +574,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // second reply is a no-op at the kernel level but still
             // resolves its own token).
             if !w.node(node).chans.contains_key(&id) {
-                channel::create_end(w, s, node, id, name, peer);
+                channel::create_end(w, s, node, id, name.to_string(), peer);
             }
         }
         proto::ObjKind::Udco => {
@@ -609,24 +625,15 @@ pub fn on_open_queued(w: &mut World, _s: &mut VSched, node: NodeAddr, f: Frame) 
     }
 }
 
-/// Send one open request frame (initial transmission and retransmissions).
-fn send_open_req(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    mgr: NodeAddr,
-    kind: proto::ObjKind,
-    name: &str,
-    token: u64,
-) {
-    let f = Frame::unicast(
+/// One open request frame (initial transmission and retransmissions).
+fn open_req(node: NodeAddr, mgr: NodeAddr, kind: proto::ObjKind, name: &str, token: u64) -> Frame {
+    Frame::unicast(
         node,
         mgr,
         proto::KIND_OPEN_REQ,
         token,
         proto::pack_open_req_kind(kind, name),
-    );
-    kernel::send_frame(w, s, f);
+    )
 }
 
 /// Arm (or re-arm) the retransmit timer for an open request that the
@@ -685,7 +692,7 @@ pub(crate) fn arm_open_timer(
             }
             Next::Resend(mgr, kind, name) => {
                 w.faults.stats.retransmits += 1;
-                send_open_req(w, s, node, mgr, kind, &name, token);
+                kernel::send_frame(w, s, open_req(node, mgr, kind, &name, token));
                 arm_open_timer(w, s, node, token, attempts + 1);
             }
         }
@@ -722,7 +729,7 @@ pub(crate) fn resend_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: 
     let Some((mgr, kind, name)) = info else {
         return;
     };
-    send_open_req(w, s, node, mgr, kind, &name, token);
+    kernel::send_frame(w, s, open_req(node, mgr, kind, &name, token));
     arm_open_timer(w, s, node, token, 0);
 }
 
@@ -748,18 +755,20 @@ pub fn rendezvous(
         }
         let mgr = resolve_mgr(w, node, &name_owned);
         let token = w.token();
+        // Packed before the pending entry takes the name over.
+        let req = open_req(node, mgr, kind, &name_owned, token);
         w.node_mut(node).open_waits.insert(
             token,
             OpenResult::Pending {
                 mgr,
-                name: name_owned.clone(),
+                name: name_owned,
                 kind,
                 attempts: 0,
                 queued: false,
                 timer: None,
             },
         );
-        send_open_req(w, s, node, mgr, kind, &name_owned, token);
+        kernel::send_frame(w, s, req);
         arm_open_timer(w, s, node, token, 0);
         Ok(token)
     })?;
@@ -819,7 +828,7 @@ mod tests {
     #[test]
     fn resolve_cache_never_serves_across_epochs() {
         let mut c = ResolveCache::default();
-        c.put(0, "a".into(), NodeAddr(3));
+        c.put(0, "a", NodeAddr(3));
         assert_eq!(c.lookup(0, "a"), Some(NodeAddr(3)));
         assert_eq!(c.hits, 1);
         // Epoch moved: the entry must be evicted, never returned.
@@ -828,7 +837,7 @@ mod tests {
         assert!(c.is_empty(), "stale entry evicted on lookup");
         // Re-learned under the new epoch, a crash wipe clears entries but
         // keeps the measurement counters.
-        c.put(1, "a".into(), NodeAddr(4));
+        c.put(1, "a", NodeAddr(4));
         assert_eq!(c.lookup(1, "a"), Some(NodeAddr(4)));
         c.clear();
         assert!(c.is_empty());

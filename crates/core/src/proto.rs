@@ -5,8 +5,42 @@
 //! frames to the channel machinery, the object manager, the host syscall
 //! service, or user-defined communications objects.
 
-use bytes::{BufMut, BytesMut};
-use hpcnet::{NodeAddr, Payload};
+use bytes::{BufMut, Bytes};
+use hpcnet::{NodeAddr, Payload, MAX_PAYLOAD};
+
+/// A control payload under construction, on the stack: at most `N` bytes,
+/// copied into a [`Payload`] once they are all there — one allocation, none
+/// when the payload fits a `Bytes` handle.
+struct StackBuf<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+/// Room for the longest payload a frame carries: an object name with its
+/// fixed fields in front.
+type NamedBuf = StackBuf<{ MAX_PAYLOAD as usize }>;
+
+impl<const N: usize> StackBuf<N> {
+    fn new() -> Self {
+        StackBuf {
+            buf: [0; N],
+            len: 0,
+        }
+    }
+
+    fn finish(&self) -> Payload {
+        Payload::Data(Bytes::copy_from_slice(&self.buf[..self.len]))
+    }
+}
+
+impl<const N: usize> BufMut for StackBuf<N> {
+    /// # Panics
+    /// Panics past `N` bytes: the payload would not fit its frame.
+    fn put_slice(&mut self, src: &[u8]) {
+        self.buf[self.len..][..src.len()].copy_from_slice(src);
+        self.len += src.len();
+    }
+}
 
 /// Channel data fragment; more fragments of the same write follow.
 pub const KIND_CHAN_DATA: u16 = 1;
@@ -72,10 +106,10 @@ impl ObjKind {
 
 /// Encode an open-request payload (object kind + name).
 pub fn pack_open_req_kind(kind: ObjKind, name: &str) -> Payload {
-    let mut b = BytesMut::with_capacity(1 + name.len());
+    let mut b = NamedBuf::new();
     b.put_u8(kind.to_byte());
     b.put_slice(name.as_bytes());
-    Payload::Data(b.freeze())
+    b.finish()
 }
 
 /// Encode a channel open-request payload.
@@ -83,17 +117,19 @@ pub fn pack_open_req(name: &str) -> Payload {
     pack_open_req_kind(ObjKind::Channel, name)
 }
 
+/// The object name that ends a control payload, borrowed from it.
+fn name_in(bytes: &[u8]) -> &str {
+    std::str::from_utf8(bytes).expect("object names are UTF-8")
+}
+
 /// Decode an open-request payload into `(kind, name)`.
-pub fn parse_open_req_kind(p: &Payload) -> (ObjKind, String) {
+pub fn parse_open_req_kind(p: &Payload) -> (ObjKind, &str) {
     let b = p.bytes().expect("open request must carry the name");
-    (
-        ObjKind::from_byte(b[0]),
-        String::from_utf8(b[1..].to_vec()).expect("object names are UTF-8"),
-    )
+    (ObjKind::from_byte(b[0]), name_in(&b[1..]))
 }
 
 /// Decode an open-request payload, ignoring the object kind.
-pub fn parse_open_req(p: &Payload) -> String {
+pub fn parse_open_req(p: &Payload) -> &str {
     parse_open_req_kind(p).1
 }
 
@@ -102,12 +138,12 @@ pub fn parse_open_req(p: &Payload) -> String {
 /// Peer addresses are 32-bit on the wire (million-endpoint worlds outgrew
 /// u16 node ids).
 pub fn pack_open_rep_kind(kind: ObjKind, id: u32, peer: NodeAddr, name: &str) -> Payload {
-    let mut b = BytesMut::with_capacity(9 + name.len());
+    let mut b = NamedBuf::new();
     b.put_u8(kind.to_byte());
     b.put_u32(id);
     b.put_u32(peer.0);
     b.put_slice(name.as_bytes());
-    Payload::Data(b.freeze())
+    b.finish()
 }
 
 /// Encode a channel open-reply payload.
@@ -116,18 +152,17 @@ pub fn pack_open_rep(chan: u32, peer: NodeAddr, name: &str) -> Payload {
 }
 
 /// Decode an open-reply payload into `(kind, id, peer, name)`.
-pub fn parse_open_rep_kind(p: &Payload) -> (ObjKind, u32, NodeAddr, String) {
+pub fn parse_open_rep_kind(p: &Payload) -> (ObjKind, u32, NodeAddr, &str) {
     let b = p.bytes().expect("open reply carries data");
     assert!(b.len() >= 9, "short open reply");
     let kind = ObjKind::from_byte(b[0]);
     let id = u32::from_be_bytes([b[1], b[2], b[3], b[4]]);
     let peer = NodeAddr(u32::from_be_bytes([b[5], b[6], b[7], b[8]]));
-    let name = String::from_utf8(b[9..].to_vec()).expect("object names are UTF-8");
-    (kind, id, peer, name)
+    (kind, id, peer, name_in(&b[9..]))
 }
 
 /// Decode a channel open-reply payload.
-pub fn parse_open_rep(p: &Payload) -> (u32, NodeAddr, String) {
+pub fn parse_open_rep(p: &Payload) -> (u32, NodeAddr, &str) {
     let (kind, id, peer, name) = parse_open_rep_kind(p);
     assert_eq!(kind, ObjKind::Channel, "expected a channel reply");
     (id, peer, name)
@@ -174,10 +209,10 @@ pub const KIND_CHAN_WACK: u16 = 19;
 /// fragment `cum_ack + 1 + i` is already held out of order) and the credit
 /// grant (receiver buffer slots available beyond `cum_ack`, in fragments).
 pub fn pack_wack(sack: u32, credit: u32) -> Payload {
-    let mut b = BytesMut::with_capacity(8);
+    let mut b = StackBuf::<8>::new();
     b.put_u32(sack);
     b.put_u32(credit);
-    Payload::Data(b.freeze())
+    b.finish()
 }
 
 /// Decode a windowed ack payload into `(sack bitmap, credit)`.
@@ -246,30 +281,30 @@ pub fn is_sheddable_kind(kind: u16) -> bool {
 /// Encode a replica registration (`KIND_REPL_REG`): object kind + the
 /// registered server's address + the name.
 pub fn pack_repl_reg(kind: ObjKind, server: NodeAddr, name: &str) -> Payload {
-    let mut b = BytesMut::with_capacity(5 + name.len());
+    let mut b = NamedBuf::new();
     b.put_u8(kind.to_byte());
     b.put_u32(server.0);
     b.put_slice(name.as_bytes());
-    Payload::Data(b.freeze())
+    b.finish()
 }
 
 /// Decode a replica registration into `(kind, server, name)`.
-pub fn parse_repl_reg(p: &Payload) -> (ObjKind, NodeAddr, String) {
+pub fn parse_repl_reg(p: &Payload) -> (ObjKind, NodeAddr, &str) {
     let b = p.bytes().expect("replica registration carries data");
     assert!(b.len() >= 5, "short replica registration");
     (
         ObjKind::from_byte(b[0]),
         NodeAddr(u32::from_be_bytes([b[1], b[2], b[3], b[4]])),
-        String::from_utf8(b[5..].to_vec()).expect("object names are UTF-8"),
+        name_in(&b[5..]),
     )
 }
 
 /// Encode an all-to-all value payload: member index + 64-bit value.
 pub fn pack_a2a(idx: u32, value: u64) -> Payload {
-    let mut b = BytesMut::with_capacity(12);
+    let mut b = StackBuf::<12>::new();
     b.put_u32(idx);
     b.put_u64(value);
-    Payload::Data(b.freeze())
+    b.finish()
 }
 
 /// Decode an all-to-all value payload into `(index, value)`.
@@ -284,9 +319,9 @@ pub fn parse_a2a(p: &Payload) -> (u32, u64) {
 
 /// Encode an all-to-all recovery request: the requester's member index.
 pub fn pack_a2a_req(idx: u32) -> Payload {
-    let mut b = BytesMut::with_capacity(4);
+    let mut b = StackBuf::<4>::new();
     b.put_u32(idx);
-    Payload::Data(b.freeze())
+    b.finish()
 }
 
 /// Decode an all-to-all recovery request into the requester's index.
@@ -317,7 +352,7 @@ mod tests {
     #[test]
     fn open_rep_round_trip() {
         let p = pack_open_rep(7, NodeAddr(300), "pipe");
-        assert_eq!(parse_open_rep(&p), (7, NodeAddr(300), "pipe".to_string()));
+        assert_eq!(parse_open_rep(&p), (7, NodeAddr(300), "pipe"));
     }
 
     #[test]
@@ -339,7 +374,7 @@ mod tests {
         let p = pack_repl_reg(ObjKind::Channel, NodeAddr(513), "svc/name");
         assert_eq!(
             parse_repl_reg(&p),
-            (ObjKind::Channel, NodeAddr(513), "svc/name".to_string())
+            (ObjKind::Channel, NodeAddr(513), "svc/name")
         );
     }
 }

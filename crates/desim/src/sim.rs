@@ -36,9 +36,11 @@
 //! stored in place (`event_fn`); a larger or over-aligned capture costs
 //! one box. Queued closures sit in a slab of recycled slots and the heap and
 //! lane carry 32-byte entries that name a slot, so a sift never moves a
-//! capture; [`Scheduler`] buffers are pooled. What still allocates: the
-//! `Arc` flag behind each [`TimerHandle`], and every buffer named here while
-//! it grows to the most events ever outstanding at once.
+//! capture; [`Scheduler`] buffers are pooled. A [`TimerHandle`] names a
+//! recycled cell of the simulation's one `TimerCells` table, so arming and
+//! cancelling a timer allocates nothing either. What still allocates: every
+//! buffer named here, while it grows to the most events (or armed timers)
+//! ever outstanding at once.
 
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
@@ -48,7 +50,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
     AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering as AtomicOrdering,
 };
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -89,28 +91,149 @@ type ProcFn<W> = Box<dyn FnOnce(Ctx<W>) + Send + 'static>;
 /// protocol timeout that was disarmed (e.g. the awaited ack arrived) leaves
 /// no trace in the simulated timeline. Cheap to clone; cancelling any clone
 /// cancels the event.
-#[derive(Clone, Debug)]
-pub struct TimerHandle(Arc<AtomicBool>);
+#[derive(Clone)]
+pub struct TimerHandle {
+    sim: Arc<SimShared>,
+    /// The event's cell in `sim.timers`, for as long as it is at `gen`.
+    cell: u32,
+    gen: u32,
+}
 
 impl TimerHandle {
     /// Disarm the event. Idempotent; a no-op if the event already ran.
     pub fn cancel(&self) {
-        self.0.store(true, AtomicOrdering::Relaxed);
+        self.sim.timers.cancel(self.cell, self.gen);
+    }
+}
+
+impl fmt::Debug for TimerHandle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TimerHandle")
+            .field("cell", &self.cell)
+            .field("gen", &self.gen)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The cancel flags of a simulation's armed timers: one recycled cell per
+/// cancellable event from the call that arms it until the queue lets go of it
+/// (fired, or found disarmed), so the table grows to the most timers ever
+/// outstanding at once and then stops allocating.
+///
+/// A cell is a *generation* and, in its low bit, the *cancelled* flag of the
+/// event that holds it now. Retiring the event moves the cell on to the next
+/// generation, which is what makes a handle kept past its event harmless: its
+/// compare-and-set names a generation that is gone. A generation is 32 bits,
+/// so a stale handle would have to sit out 2³² timers *on its own cell* to
+/// cancel a stranger's.
+///
+/// Cells never move (a `cancel` may come from any thread, without a lock), so
+/// the table is a fixed row of lazily made chunks, chunk `k` holding
+/// `CHUNK0 << k` cells.
+struct TimerCells {
+    chunks: [OnceLock<Box<[AtomicU64]>>; TIMER_CHUNKS],
+    free: Mutex<FreeCells>,
+}
+
+/// Cells in the first chunk of [`TimerCells`]; a power of two.
+const CHUNK0: u32 = 64;
+/// Enough doubling chunks for every `u32` index.
+const TIMER_CHUNKS: usize = (u32::BITS - CHUNK0.ilog2() + 1) as usize;
+
+#[derive(Default)]
+struct FreeCells {
+    /// Retired cells, to be claimed again before the table grows.
+    spare: Vec<u32>,
+    /// Cells handed out so far: the next index when `spare` is empty.
+    made: u32,
+}
+
+impl TimerCells {
+    fn new() -> Self {
+        TimerCells {
+            chunks: [const { OnceLock::new() }; TIMER_CHUNKS],
+            free: Mutex::new(FreeCells::default()),
+        }
     }
 
-    /// True if [`TimerHandle::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(AtomicOrdering::Relaxed)
+    fn cell(&self, idx: u32) -> &AtomicU64 {
+        // Chunk `k` starts at index `CHUNK0 * (2^k - 1)`.
+        let i = u64::from(idx) + u64::from(CHUNK0);
+        let k = i.ilog2() - CHUNK0.ilog2();
+        let len = (CHUNK0 as usize) << k;
+        let chunk = self.chunks[k as usize].get_or_init(|| {
+            std::iter::repeat_with(AtomicU64::default)
+                .take(len)
+                .collect()
+        });
+        &chunk[i as usize - len]
     }
+
+    /// Claim a cell for a new event: `(index, generation)`, not cancelled.
+    fn arm(&self) -> (u32, u32) {
+        let idx = {
+            let mut free = self.free.lock();
+            free.spare.pop().unwrap_or_else(|| {
+                let idx = free.made;
+                free.made = idx.checked_add(1).expect("over u32::MAX timers armed");
+                idx
+            })
+        };
+        // The free list's lock orders this load after the `retire` that put
+        // the cell there; until we return, nobody else names the cell.
+        (
+            idx,
+            (self.cell(idx).load(AtomicOrdering::Relaxed) >> 1) as u32,
+        )
+    }
+
+    /// Set the cancelled flag of `idx` if it is still at `gen`. `Relaxed`:
+    /// the flag publishes nothing but itself.
+    fn cancel(&self, idx: u32, gen: u32) {
+        let armed = u64::from(gen) << 1;
+        let _ = self.cell(idx).compare_exchange(
+            armed,
+            armed | 1,
+            AtomicOrdering::Relaxed,
+            AtomicOrdering::Relaxed,
+        );
+    }
+
+    /// Whether the event holding `idx` has been cancelled.
+    fn is_cancelled(&self, idx: u32) -> bool {
+        self.cell(idx).load(AtomicOrdering::Relaxed) & 1 == 1
+    }
+
+    /// The queue is done with the event holding `idx`: move the cell to its
+    /// next generation and let it be claimed again. Returns whether the event
+    /// had been cancelled; a `cancel` racing with this from another thread
+    /// either made it or names a generation that is gone.
+    fn retire(&self, idx: u32) -> bool {
+        let cell = self.cell(idx);
+        let word = cell.load(AtomicOrdering::Relaxed);
+        let gen = (word >> 1) as u32;
+        cell.store(u64::from(gen.wrapping_add(1)) << 1, AtomicOrdering::Relaxed);
+        self.free.lock().spare.push(idx);
+        word & 1 == 1
+    }
+}
+
+/// What a [`Scheduler`] and a [`TimerHandle`] reach of their simulation
+/// without a lock.
+struct SimShared {
+    /// Simulation-global process-id allocator.
+    next_pid: AtomicU32,
+    timers: TimerCells,
 }
 
 /// An action as a [`Scheduler`] collects it, before it is queued.
 enum Pending<W> {
     Run(EventFn<W>),
     Wake(ProcId, Wakeup),
-    /// A cancellable event: skipped (without advancing time) if the flag is
-    /// set by the time it reaches the head of the queue.
-    Cancellable(Arc<AtomicBool>, EventFn<W>),
+    /// A cancellable event, with its timer cell: skipped (without advancing
+    /// time) if the cell is cancelled by the time it reaches the head of the
+    /// queue.
+    Cancellable(u32, EventFn<W>),
 }
 
 /// An action as the queues hold it. A closure stays in [`Core::events`] and
@@ -119,17 +242,9 @@ enum Pending<W> {
 enum Queued {
     Run(u32),
     Wake(ProcId, Wakeup),
-    Cancellable(Arc<AtomicBool>, u32),
-}
-
-impl Queued {
-    /// The closure slot of a timer that has been disarmed, if this is one.
-    fn cancelled_slot(&self) -> Option<u32> {
-        match self {
-            Queued::Cancellable(flag, slot) if flag.load(AtomicOrdering::Relaxed) => Some(*slot),
-            _ => None,
-        }
-    }
+    /// Timer cell, closure slot. The entry holds the cell until it is
+    /// dequeued, whoever dequeues it retires the cell.
+    Cancellable(u32, u32),
 }
 
 struct QEntry {
@@ -374,7 +489,7 @@ impl<W> Core<W> {
         let act = match act {
             Pending::Run(f) => Queued::Run(self.events.insert(f)),
             Pending::Wake(pid, token) => Queued::Wake(pid, token),
-            Pending::Cancellable(flag, f) => Queued::Cancellable(flag, self.events.insert(f)),
+            Pending::Cancellable(cell, f) => Queued::Cancellable(cell, self.events.insert(f)),
         };
         if t == self.now {
             self.lane.push_back((seq, act));
@@ -386,9 +501,17 @@ impl<W> Core<W> {
     /// Discard disarmed timers at the head of the heap before their
     /// timestamps are ever consulted: a cancelled event must neither advance
     /// the clock nor keep the simulation from going idle.
-    fn pop_cancelled_heads(&mut self) {
-        while let Some(slot) = self.queue.peek().and_then(|e| e.act.cancelled_slot()) {
+    fn pop_cancelled_heads(&mut self, timers: &TimerCells) {
+        while let Some(&QEntry {
+            act: Queued::Cancellable(cell, slot),
+            ..
+        }) = self.queue.peek()
+        {
+            if !timers.is_cancelled(cell) {
+                break;
+            }
             self.queue.pop();
+            timers.retire(cell);
             drop(self.events.take(slot));
         }
     }
@@ -426,7 +549,7 @@ struct SimInner<W> {
     /// while it holds the core lock; read by [`Ctx::now`] /
     /// [`Simulation::now`] without locking.
     now_ns: AtomicU64,
-    next_pid: Arc<AtomicU32>,
+    shared: Arc<SimShared>,
     /// Pool of spent `Scheduler` buffers, so steady-state event dispatch and
     /// `Ctx::with` reuse their allocations instead of growing fresh `Vec`s.
     pool: Mutex<Vec<SchBufs<W>>>,
@@ -454,8 +577,7 @@ pub struct Scheduler<W> {
     now: SimTime,
     pending: Vec<(SimTime, Pending<W>)>,
     spawns: Vec<SpawnReq<W>>,
-    /// Simulation-global process-id allocator (shared with `SimInner`).
-    next_pid: Arc<AtomicU32>,
+    shared: Arc<SimShared>,
 }
 
 impl<W: Send + 'static> Scheduler<W> {
@@ -482,12 +604,14 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        let flag = Arc::new(AtomicBool::new(false));
-        self.pending.push((
-            self.now + d,
-            Pending::Cancellable(Arc::clone(&flag), EventFn::new(f)),
-        ));
-        TimerHandle(flag)
+        let (cell, gen) = self.shared.timers.arm();
+        self.pending
+            .push((self.now + d, Pending::Cancellable(cell, EventFn::new(f))));
+        TimerHandle {
+            sim: Arc::clone(&self.shared),
+            cell,
+            gen,
+        }
     }
 
     /// Wake `pid` with `token` after `d` has elapsed.
@@ -507,7 +631,7 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
-        let pid = ProcId(self.next_pid.fetch_add(1, AtomicOrdering::Relaxed));
+        let pid = ProcId(self.shared.next_pid.fetch_add(1, AtomicOrdering::Relaxed));
         self.spawns.push(SpawnReq {
             name: name.into(),
             at: self.now + d,
@@ -610,7 +734,7 @@ fn scheduler<W>(now: SimTime, inner: &Arc<SimInner<W>>) -> Scheduler<W> {
         now,
         pending,
         spawns,
-        next_pid: Arc::clone(&inner.next_pid),
+        shared: Arc::clone(&inner.shared),
     }
 }
 
@@ -781,7 +905,10 @@ impl<W: Send + 'static> Simulation<W> {
                 }),
                 world: Mutex::new(world),
                 now_ns: AtomicU64::new(0),
-                next_pid: Arc::new(AtomicU32::new(0)),
+                shared: Arc::new(SimShared {
+                    next_pid: AtomicU32::new(0),
+                    timers: TimerCells::new(),
+                }),
                 pool: Mutex::new(Vec::new()),
                 stack: Stack::new(),
             }),
@@ -854,7 +981,7 @@ impl<W: Send + 'static> Simulation<W> {
                 // Inner loop so stale wakeups are skipped without bouncing
                 // the core lock.
                 loop {
-                    core.pop_cancelled_heads();
+                    core.pop_cancelled_heads(&self.inner.shared.timers);
                     // Does the same-instant lane or the heap fire next? Lane
                     // entries are all at `now`; a heap entry wins only if it
                     // is also at `now` with a smaller seq (pushed before time
@@ -894,9 +1021,12 @@ impl<W: Send + 'static> Simulation<W> {
                             core.dispatched += 1;
                             break Next::Run(core.events.take(slot), core.now);
                         }
-                        Queued::Cancellable(flag, slot) => {
+                        Queued::Cancellable(cell, slot) => {
                             let f = core.events.take(slot);
-                            if flag.load(AtomicOrdering::Relaxed) {
+                            // From here on the event's handles are stale:
+                            // cancelling a timer that is running, or has run,
+                            // is a no-op.
+                            if self.inner.shared.timers.retire(cell) {
                                 // Cancelled same-instant (lane) entry: time
                                 // is already `now`, just skip it.
                                 continue;
@@ -927,7 +1057,7 @@ impl<W: Send + 'static> Simulation<W> {
                         now,
                         pending: std::mem::take(&mut bufs.pending),
                         spawns: std::mem::take(&mut bufs.spawns),
-                        next_pid: Arc::clone(&self.inner.next_pid),
+                        shared: Arc::clone(&self.inner.shared),
                     };
                     {
                         let mut w = self.inner.world.lock();
@@ -999,7 +1129,7 @@ impl<W: Send + 'static> Simulation<W> {
     /// pick the next lookahead window.
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut core = self.inner.core.lock();
-        core.pop_cancelled_heads();
+        core.pop_cancelled_heads(&self.inner.shared.timers);
         if !core.lane.is_empty() {
             return Some(core.now);
         }
@@ -1305,14 +1435,40 @@ mod tests {
     fn uncancelled_timer_fires_normally() {
         let mut sim = Simulation::new(TestWorld::default());
         sim.setup(|_, s| {
-            let h = s.schedule_cancellable_in(SimDuration::from_us(5), |w: &mut TestWorld, s| {
-                w.log(s.now(), "timeout");
-            });
-            assert!(!h.is_cancelled());
+            let _armed =
+                s.schedule_cancellable_in(SimDuration::from_us(5), |w: &mut TestWorld, s| {
+                    w.log(s.now(), "timeout");
+                });
         });
         let report = sim.run_to_idle();
         assert_eq!(report.now, SimTime::from_ns(5_000));
         assert_eq!(sim.world().log, vec![(5_000, "timeout".into())]);
+    }
+
+    #[test]
+    fn timer_cells_recycle_and_a_stale_generation_is_inert() {
+        let cells = TimerCells::new();
+        assert_eq!(cells.arm(), (0, 0));
+        cells.cancel(0, 0);
+        assert!(cells.is_cancelled(0));
+        assert!(cells.retire(0));
+        // Same cell, next generation, armed: the old handle can do nothing.
+        assert_eq!(cells.arm(), (0, 1));
+        cells.cancel(0, 0);
+        assert!(!cells.is_cancelled(0));
+        cells.cancel(0, 1);
+        assert!(cells.is_cancelled(0));
+        // Every index has a cell of its own, across chunk boundaries.
+        let n = 3 * CHUNK0 + 5;
+        for idx in 1..n {
+            assert_eq!(cells.arm(), (idx, 0));
+            cells.cancel(idx, 0);
+        }
+        assert!(cells.retire(0));
+        assert!((1..n).all(|idx| cells.is_cancelled(idx)));
+        assert!(!cells.is_cancelled(0));
+        assert_eq!(cells.free.lock().made, n);
+        assert_eq!(cells.arm(), (0, 2));
     }
 
     #[test]

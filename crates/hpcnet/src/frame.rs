@@ -188,6 +188,17 @@ pub struct Frame {
     pub corrupted: bool,
 }
 
+// Growing `Bytes` by 8 bytes makes `Frame` 72 bytes, pushes every net-event
+// closure past `EventFn`'s 72-byte inline limit and boxes it: `paper70_sw`
+// went 4.90 → 22.57 allocations/op in the prototype. So the next field added
+// to `Frame` fails the build here instead of quadrupling the heap traffic
+// silently.
+const _: () = {
+    assert!(std::mem::size_of::<Bytes>() == 32);
+    assert!(std::mem::size_of::<Payload>() == 32);
+    assert!(std::mem::size_of::<Frame>() == 64);
+};
+
 impl Frame {
     /// Build a unicast frame.
     pub fn unicast(src: NodeAddr, dst: NodeAddr, kind: u16, seq: u64, payload: Payload) -> Self {
