@@ -48,6 +48,16 @@ if [ "$(grep -c 'Stack::new' crates/desim/src/sim.rs)" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> one transmit state machine (no stop-and-wait sender state beside WinTx in crates/core/src, no vendor/crossbeam)"
+if grep -rn 'TxPending\|tx_pending\|tx_epoch\|arm_data_timer' crates/core/src/; then
+    echo "crates/core/src keeps a second copy of the channel retransmit state again" >&2
+    exit 1
+fi
+if [ -e vendor/crossbeam ]; then
+    echo "vendor/crossbeam is back; no crate depends on it" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

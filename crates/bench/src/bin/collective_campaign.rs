@@ -27,8 +27,7 @@
 //!   collective_campaign           # full sweep + JSON
 //!   collective_campaign --smoke   # fan-in 512 flat, both modes (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,6 +36,7 @@ use vorx::collective::{self, CollMode, GroupCfg};
 use vorx::hpcnet::combine::CombOp;
 use vorx::hpcnet::{NodeAddr, Topology};
 use vorx::{VorxBuilder, VorxShardedSim};
+use vorx_bench::campaign::{with_watchdog, workspace_root};
 
 /// Shard count, fixed per cell across worker counts (clamped to the
 /// cluster count on the smallest worlds); the shard partition is part of
@@ -183,20 +183,6 @@ fn run_cell(fanin: usize, topo: Topo, mode: CollMode, mode_name: &'static str) -
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
 /// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
 fn to_json(host_cpus: usize, cells: &[Cell]) -> String {
     let mut out = String::new();
@@ -255,26 +241,6 @@ fn speedups(cells: &[Cell]) -> Vec<(usize, &'static str, f64)> {
     out
 }
 
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("collective campaign: watchdog expired after {secs}s — the run hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
-}
-
 fn print_cell(c: &Cell) {
     println!(
         "fan-in {:>4} {:>4} {:>5}: {:>10} ns/op, end {:.2} ms, retries {}, \
@@ -313,7 +279,7 @@ fn main() {
     if smoke {
         // One point past the gate threshold, flat only: big enough that the
         // O(fan-in) root convoy would be unmissable, small enough for CI.
-        let cells: Vec<Cell> = with_watchdog(600, || {
+        let cells: Vec<Cell> = with_watchdog("collective", 600, None, || {
             modes
                 .iter()
                 .map(|(m, name)| run_cell(512, Topo::Flat, *m, name))
@@ -340,7 +306,9 @@ fn main() {
                 continue;
             }
             for (m, name) in &modes {
-                cells.push(with_watchdog(3600, || run_cell(fanin, topo, *m, name)));
+                cells.push(with_watchdog("collective", 3600, None, || {
+                    run_cell(fanin, topo, *m, name)
+                }));
                 print_cell(cells.last().expect("just pushed"));
             }
         }

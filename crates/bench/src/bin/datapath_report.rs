@@ -16,7 +16,6 @@
 //!   datapath_report           # full sweep + BENCH_datapath.json
 //!   datapath_report --smoke   # one comparison, assert windowed >= 2x (CI)
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults};
@@ -25,6 +24,7 @@ use vorx::channel;
 use vorx::hpcnet::{copymeter, NodeAddr, Payload};
 use vorx::objmgr::ObjMgrMode;
 use vorx::{Calibration, VorxBuilder};
+use vorx_bench::campaign::workspace_root;
 use vorx_bench::report::{render, Row};
 
 /// Messages per cell (enough to amortize rendezvous and reach steady state).
@@ -141,21 +141,6 @@ fn run_cell(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Cell {
         link_faults,
         depth_hwm: w.net.max_port_link_depth_hwm(),
         bytes_hwm: w.net.max_cluster_data_bytes_hwm(),
-    }
-}
-
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
     }
 }
 

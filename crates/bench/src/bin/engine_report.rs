@@ -15,6 +15,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+use vorx_bench::campaign::workspace_root;
+
 #[derive(Debug, Clone, Copy)]
 struct Stats {
     min_ns: f64,
@@ -112,20 +114,6 @@ fn read_existing_before(report: &Path) -> BTreeMap<String, Stats> {
         rest = &after[ob + cb..];
     }
     out
-}
-
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
 }
 
 fn emit_section(out: &mut String, name: &str, stats: &BTreeMap<String, Stats>) {

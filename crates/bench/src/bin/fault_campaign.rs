@@ -18,7 +18,6 @@
 //!   fault_campaign            # full sweep + BENCH_faults.json
 //!   fault_campaign --smoke    # one faulted cell, assert it recovers (CI)
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults, SimTime};
@@ -27,6 +26,7 @@ use vorx::channel;
 use vorx::hpcnet::{NodeAddr, Payload};
 use vorx::objmgr::ObjMgrMode;
 use vorx::{VorxBuilder, VorxError};
+use vorx_bench::campaign::{index_of, msg_payload, workspace_root};
 use vorx_bench::report::{render, Row};
 
 /// Messages in the stream.
@@ -45,19 +45,6 @@ const RESTART_AT_NS: u64 = 50_000_000;
 /// Channel name for one failover generation.
 fn stream_name(generation: u32) -> String {
     format!("stream.g{generation}")
-}
-
-/// 256 B payload carrying its stream index in the first four bytes.
-fn msg_payload(idx: u32) -> Payload {
-    let mut buf = vec![0u8; MSG_LEN];
-    buf[..4].copy_from_slice(&idx.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-/// Recover the stream index from a payload.
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// What the reader observed, shared with the harness.
@@ -117,7 +104,7 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
         let mut idx = 0u32;
         let mut ch = channel::try_open(&ctx, WRITER, &stream_name(0)).expect("initial open");
         while idx < MSGS {
-            match ch.write(&ctx, msg_payload(idx)) {
+            match ch.write(&ctx, msg_payload(idx, MSG_LEN)) {
                 Ok(()) => idx += 1,
                 Err(_) => {
                     // Peer declared down: abandon this generation and
@@ -196,10 +183,9 @@ fn run_cell(loss: f64, crash: bool, seed: u64) -> CellResult {
     });
 
     let report = v.run();
-    if std::env::var("FAULT_CAMPAIGN_DEBUG").is_ok() {
-        for (pid, name) in &report.parked {
-            eprintln!("parked: {pid:?} {name}");
-        }
+    // A leaked waiter fails the cell; say which process it was.
+    for (pid, name) in &report.parked {
+        eprintln!("parked: {pid:?} {name}");
     }
     let elapsed_ns = report.now.as_ns();
     let leaked_waiters = report.parked.len();
@@ -274,21 +260,6 @@ fn print_link_faults(cell: &CellResult) {
             "  link {l}: dropped={} corrupted={} delayed={} down_drops={} downs={} flaps={}{lat}",
             s.dropped, s.corrupted, s.delayed, s.down_drops, s.downs, s.flaps
         );
-    }
-}
-
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
     }
 }
 

@@ -30,13 +30,13 @@
 //!   gray_campaign            # full sweep + BENCH_gray.json
 //!   gray_campaign --smoke    # reduced sweep under a wall-clock watchdog
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use desim::{FaultSchedule, SimDuration, SimTime};
-use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
+use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Topology};
 use vorx::{channel, FaultStats, VCtx, VorxBuilder, VorxShardedSim};
+use vorx_bench::campaign::{index_of, msg_payload, with_watchdog, workspace_root};
 
 /// Hierarchy shape: two groups of four clusters.
 const LEVELS: [usize; 2] = [4, 2];
@@ -258,18 +258,6 @@ struct RunOutcome {
     lat_count: u64,
 }
 
-/// Payload carrying its stream sequence number.
-fn msg_payload(i: u32) -> Payload {
-    let mut buf = vec![0u8; 64];
-    buf[..4].copy_from_slice(&i.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-}
-
 /// Run one cell at `workers`, oracles evaluated at quiescence.
 fn run_once(cell: &Cell, seed: u64, workers: usize, msgs: u32) -> RunOutcome {
     let t = topo();
@@ -310,7 +298,7 @@ fn run_once(cell: &Cell, seed: u64, workers: usize, msgs: u32) -> RunOutcome {
             let ch = channel::open(&ctx, wn, &name);
             for i in 0..msgs {
                 ctx.sleep(SimDuration::from_ns(PACE_NS));
-                ch.write(&ctx, msg_payload(i)).expect("writer failed");
+                ch.write(&ctx, msg_payload(i, 64)).expect("writer failed");
             }
             d1.fetch_add(1, Ordering::Relaxed);
         });
@@ -467,20 +455,6 @@ fn run_cell(cell: &Cell, seed: u64, msgs: u32) -> CellResult {
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
 /// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
 fn to_json(cells: &[CellResult]) -> String {
     let mut out = String::new();
@@ -541,26 +515,6 @@ fn to_json(cells: &[CellResult]) -> String {
     out
 }
 
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("gray campaign: watchdog expired after {secs}s — the run-to-idle hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
-}
-
 fn print_cell(c: &CellResult) {
     let r = &c.run;
     println!(
@@ -595,7 +549,7 @@ fn print_cell(c: &CellResult) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
-        let cells: Vec<CellResult> = with_watchdog(240, || {
+        let cells: Vec<CellResult> = with_watchdog("gray", 240, None, || {
             CELLS.iter().map(|c| run_cell(c, 0x69A1, 12)).collect()
         });
         for c in &cells {
@@ -616,7 +570,7 @@ fn main() {
         .flat_map(|i| {
             CELLS
                 .iter()
-                .map(move |c| with_watchdog(600, || run_cell(c, 0x69A1 + i, 24)))
+                .map(move |c| with_watchdog("gray", 600, None, || run_cell(c, 0x69A1 + i, 24)))
         })
         .collect();
     for c in &cells {

@@ -24,15 +24,14 @@
 //!   partition_campaign --smoke    # one outage cell under a wall-clock
 //!                                 # watchdog, assert it recovers (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
 use parking_lot::Mutex;
 use vorx::channel;
-use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
+use vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Topology};
 use vorx::{VorxBuilder, VorxError};
+use vorx_bench::campaign::{index_of, msg_payload, with_watchdog, workspace_root};
 use vorx_bench::report::{render, Row};
 
 /// Messages in the stream.
@@ -89,19 +88,6 @@ fn node_in(c: u32) -> NodeAddr {
         .map(NodeAddr)
         .find(|&n| t.cluster_of(n) == ClusterId(c))
         .expect("cluster populated")
-}
-
-/// 128 B payload carrying its stream index in the first four bytes.
-fn msg_payload(idx: u32) -> Payload {
-    let mut buf = vec![0u8; MSG_LEN];
-    buf[..4].copy_from_slice(&idx.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-/// Recover the stream index from a payload.
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// What the reader observed.
@@ -195,7 +181,7 @@ fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
         let mut idx = 0u32;
         while idx < MSGS {
             ctx.sleep(SimDuration::from_ns(PACE_NS));
-            match ch.write(&ctx, msg_payload(idx)) {
+            match ch.write(&ctx, msg_payload(idx, MSG_LEN)) {
                 Ok(()) => idx += 1,
                 Err(VorxError::Partitioned) => {
                     // Typed, bounded-time failure: count it, wait out the
@@ -292,21 +278,6 @@ fn run_cell(churn: Churn, loss: f64, seed: u64) -> CellResult {
     }
 }
 
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
 /// Emit the campaign as hand-rolled JSON (same convention as the other
 /// BENCH_*.json reports: no serde dependency on the output path).
 fn to_json(cells: &[CellResult]) -> String {
@@ -366,28 +337,6 @@ fn to_json(cells: &[CellResult]) -> String {
     out
 }
 
-/// Run `f` with a wall-clock watchdog: if the simulation fails to reach
-/// idle in `secs`, abort loudly instead of hanging CI. This is the
-/// "run-to-idle terminates" gate in executable form.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("partition campaign: watchdog expired after {secs}s — the run-to-idle hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
@@ -395,7 +344,7 @@ fn main() {
         // loss, under a wall-clock watchdog. The stream must complete
         // exactly-once in order, with the partition both declared and
         // healed, and nothing left parked.
-        let c = with_watchdog(120, || {
+        let c = with_watchdog("partition", 120, None, || {
             run_cell(
                 Churn::Isolate {
                     heal_delay_ns: 400_000_000,

@@ -35,14 +35,13 @@
 //!                            # under a deadlock watchdog that dumps every
 //!                            # shard's frontier and mailbox depths (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use desim::{affinity, PdesMonitor, PdesStats, WorkerStall};
 use vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
 use vorx::{channel, VCtx, VorxBuilder};
+use vorx_bench::campaign::{with_watchdog, workspace_root};
 use vorx_bench::report::{render, Row};
 
 /// Messages per channel.
@@ -285,21 +284,6 @@ fn run_config(clusters: usize, epc: usize, slot: &MonitorSlot) -> ConfigResult {
     }
 }
 
-/// Walk up from cwd until the directory holding `Cargo.lock`.
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
 /// Emit the campaign as hand-rolled JSON (same convention as the other
 /// BENCH_*.json reports: no serde dependency on the output path).
 fn to_json(host_cpus: usize, configs: &[ConfigResult]) -> String {
@@ -390,31 +374,16 @@ fn to_json(host_cpus: usize, configs: &[ConfigResult]) -> String {
     out
 }
 
-/// Run `f` with a wall-clock watchdog: if the campaign fails to finish in
-/// `secs`, dump the active engine's frontiers and mailbox depths (the
-/// conservative-sync equivalent of a deadlock backtrace) and abort loudly
-/// instead of hanging CI.
-fn with_watchdog<T>(secs: u64, slot: &MonitorSlot, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
+/// The watchdog's expiry hook: dump the active engine's frontiers and
+/// mailbox depths (the conservative-sync equivalent of a deadlock
+/// backtrace).
+fn dump_on_expiry(slot: &MonitorSlot) -> Option<Box<dyn FnOnce() + Send>> {
     let watch = Arc::clone(slot);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("pdes campaign: watchdog expired after {secs}s — a run failed to reach idle");
+    Some(Box::new(move || {
         if let Some(m) = watch.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
             eprintln!("engine state at expiry:\n{}", m.dump());
         }
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
+    }))
 }
 
 /// Smoke mode: the small config with tracing ON, workers {1, 4, 8} — the
@@ -443,7 +412,9 @@ fn smoke() {
         (v.merged_trace().to_json(), end, delivered, stats, depth_hwm)
     };
     let ((t1, e1, d1, s1, h1), (t4, e4, d4, s4, h4), (t8, e8, d8, _s8, _h8)) =
-        with_watchdog(120, &slot, || (run(1), run(4), run(8)));
+        with_watchdog("pdes", 120, dump_on_expiry(&slot), || {
+            (run(1), run(4), run(8))
+        });
     assert_eq!(h1, h4, "smoke: queue-depth high-water marks diverged");
     assert_eq!(e1, e4, "smoke: end times diverged at 1 vs 4 workers");
     assert_eq!(e1, e8, "smoke: end times diverged at 1 vs 8 workers");
@@ -486,7 +457,7 @@ fn main() {
     }
     let host_cpus = affinity::effective_parallelism();
     let slot: MonitorSlot = Arc::default();
-    let configs: Vec<ConfigResult> = with_watchdog(540, &slot, || {
+    let configs: Vec<ConfigResult> = with_watchdog("pdes", 540, dump_on_expiry(&slot), || {
         CONFIGS
             .iter()
             .map(|&(c, e)| run_config(c, e, &slot))

@@ -30,8 +30,7 @@
 //!   scale_campaign            # full sweep {1k, 10k, 100k, 1M} + JSON
 //!   scale_campaign --smoke    # 10k only, under a wall-clock watchdog (CI)
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -40,6 +39,7 @@ use vorx::hpcnet::{
     Attachment, ClusterId, Fabric, NetConfig, NodeAddr, PortRef, Topology, PORTS_PER_CLUSTER,
 };
 use vorx::{accounting, Calibration, VCtx, VorxBuilder, VorxShardedSim};
+use vorx_bench::campaign::{with_watchdog, workspace_root};
 use vorx_bench::workload::StreamingWorkload;
 
 /// Shard count, fixed across every scale point and worker count: the shard
@@ -316,20 +316,6 @@ fn recompute_speedup(cfg: &ScaleCfg) -> (u64, u64, f64) {
     (overlay_ns, dense_ns, dense_ns as f64 / overlay_ns as f64)
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
 /// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
 fn to_json(host_cpus: usize, cells: &[CellResult], speedup: &(u64, u64, f64)) -> String {
     let mut out = String::new();
@@ -378,26 +364,6 @@ fn to_json(host_cpus: usize, cells: &[CellResult], speedup: &(u64, u64, f64)) ->
     out
 }
 
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("scale campaign: watchdog expired after {secs}s — the run hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
-}
-
 fn print_cell(c: &CellResult) {
     let r = &c.run1;
     println!(
@@ -428,7 +394,9 @@ fn main() {
         // The 10k point: big enough that an O(endpoints) sweep anywhere on
         // the hot path would blow the watchdog, small enough for CI.
         let cfg = &SCALES[1];
-        let (cell, sp) = with_watchdog(300, || (run_cell(cfg), recompute_speedup(cfg)));
+        let (cell, sp) = with_watchdog("scale", 300, None, || {
+            (run_cell(cfg), recompute_speedup(cfg))
+        });
         print_cell(&cell);
         println!(
             "recompute after churn: overlay {} ns vs dense BFS {} ns ({:.0}x)",
@@ -449,7 +417,7 @@ fn main() {
 
     let mut cells = Vec::new();
     for cfg in &SCALES {
-        cells.push(with_watchdog(3600, || run_cell(cfg)));
+        cells.push(with_watchdog("scale", 3600, None, || run_cell(cfg)));
         print_cell(cells.last().expect("just pushed"));
     }
     // The headline acceptance number: implicit recompute vs dense BFS at

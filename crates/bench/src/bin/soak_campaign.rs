@@ -40,13 +40,13 @@
 //!   soak_campaign            # 3-seed sweep + BENCH_soak.json
 //!   soak_campaign --smoke    # one seed under a wall-clock watchdog (CI)
 
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 use desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
 use vorx::hpcnet::{ClusterId, Fabric, LinkId, NetConfig, NodeAddr, Payload, Topology};
 use vorx::{accounting, channel, objmgr, FaultStats, VCtx, VorxBuilder, VorxShardedSim, World};
+use vorx_bench::campaign::{index_of, msg_payload, with_watchdog, workspace_root};
 
 /// Clusters in the campaign machine.
 const CLUSTERS: u32 = 4;
@@ -84,18 +84,6 @@ fn cable(a: u32, b: u32) -> [u32; 2] {
         f.cluster_link(ClusterId(a), ClusterId(b)).expect("wired").0,
         f.cluster_link(ClusterId(b), ClusterId(a)).expect("wired").0,
     ]
-}
-
-/// Payload carrying its stream index, `amp`× the base length.
-fn msg_payload(idx: u32, amp: u32) -> Payload {
-    let mut buf = vec![0u8; (BASE_LEN * amp.max(1)) as usize];
-    buf[..4].copy_from_slice(&idx.to_le_bytes());
-    Payload::copy_from(&buf)
-}
-
-fn index_of(p: &Payload) -> u32 {
-    let b = p.bytes().expect("data payload");
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// Everything one `(seed, workers)` run produced, oracles pre-evaluated.
@@ -329,7 +317,8 @@ fn run_once(seed: u64, workers: usize, msgs: u32) -> RunOutcome {
                 // Offered load amplifies inside burst windows —
                 // deterministically, from sim time alone.
                 let amp = ctx.with(|w, s| w.faults.schedule.amplification(s.now().as_ns()));
-                ch.write(&ctx, msg_payload(i, amp)).expect("writer failed");
+                ch.write(&ctx, msg_payload(i, (BASE_LEN * amp.max(1)) as usize))
+                    .expect("writer failed");
             }
             d1.fetch_add(1, Ordering::Relaxed);
         });
@@ -511,20 +500,6 @@ fn run_cell(seed: u64, msgs: u32) -> CellResult {
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let cwd = std::env::current_dir().expect("cwd");
-    let mut dir = cwd.as_path();
-    loop {
-        if dir.join("Cargo.lock").exists() {
-            return dir.to_path_buf();
-        }
-        match dir.parent() {
-            Some(p) => dir = p,
-            None => return cwd,
-        }
-    }
-}
-
 /// Hand-rolled JSON, same convention as the other BENCH_*.json reports.
 fn to_json(cells: &[CellResult]) -> String {
     let mut out = String::new();
@@ -584,26 +559,6 @@ fn to_json(cells: &[CellResult]) -> String {
     out
 }
 
-/// Wall-clock watchdog: abort loudly instead of hanging CI.
-fn with_watchdog<T>(secs: u64, f: impl FnOnce() -> T) -> T {
-    let done = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&done);
-    std::thread::spawn(move || {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(secs);
-        while std::time::Instant::now() < deadline {
-            if flag.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        }
-        eprintln!("soak campaign: watchdog expired after {secs}s — the run-to-idle hung");
-        std::process::abort();
-    });
-    let r = f();
-    done.store(true, Ordering::Relaxed);
-    r
-}
-
 fn print_cell(c: &CellResult) {
     let r = &c.run;
     let viol = c.violations();
@@ -638,7 +593,7 @@ fn print_cell(c: &CellResult) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     if smoke {
-        let cell = with_watchdog(180, || run_cell(0x50AC, 20));
+        let cell = with_watchdog("soak", 180, None, || run_cell(0x50AC, 20));
         print_cell(&cell);
         let viol = cell.violations();
         assert!(viol.is_empty(), "smoke: oracle violations {viol:?}");
@@ -647,7 +602,7 @@ fn main() {
     }
 
     let cells: Vec<CellResult> = (0..3)
-        .map(|i| with_watchdog(600, || run_cell(0x50AC + i, 48)))
+        .map(|i| with_watchdog("soak", 600, None, || run_cell(0x50AC + i, 48)))
         .collect();
     println!(
         "chaos soak: 8 streams x 48 msgs, loss 2% corrupt 1%, squeeze {}..{} ms, \

@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod campaign;
 pub mod experiments;
 pub mod report;
 pub mod workload;

@@ -24,16 +24,34 @@
 //! ## Windowed mode (`Calibration::chan_window > 1`)
 //!
 //! The paper's Table 1 shows sliding-window transfer roughly doubling
-//! goodput over stop-and-wait. With `chan_window = W > 1` the kernel data
-//! path pipelines: a `write` returns once its fragments are accepted into
-//! the kernel's W-deep transmit window (blocking only while the window is
-//! full or the receiver's credit is exhausted), acknowledgements are
-//! cumulative with a selective-ack bitmap ([`proto::KIND_CHAN_WACK`]), lost
-//! fragments are retransmitted by a single window-base timer with the same
-//! doubling backoff and retry budget as stop-and-wait, and the receiver
-//! reassembles in order through a bounded reorder buffer while granting
-//! credits. `W = 1` never touches any of this machinery — the stop-and-wait
-//! code path below runs unchanged, bit-for-bit. See DESIGN.md §10.
+//! goodput over stop-and-wait. With `chan_window = W > 1` a `write` returns
+//! once its fragments are accepted into the kernel's W-deep transmit window,
+//! acknowledgements are cumulative with a selective-ack bitmap
+//! ([`proto::KIND_CHAN_WACK`]), and the receiver reassembles in order
+//! through a bounded reorder buffer while granting credits.
+//!
+//! ## One sender, two protocols
+//!
+//! Stop-and-wait is *not* the W = 1 case of the window: the two differ in
+//! what the paper measures, so both data paths stay. What they share is the
+//! sender's retransmission state ([`WinTx`]), of which a stop-and-wait
+//! `write` is the depth-1 user. See DESIGN.md §10.
+//!
+//! | shared by both modes | where |
+//! |---|---|
+//! | in-flight set (fragments kept until acked) | [`WinTx::inflight`] |
+//! | epoch / attempts / busy grants | [`WinTx`] |
+//! | the one retransmit timer, doubling backoff | `arm_tx_timer` |
+//! | the one retransmission loop | `retransmit_inflight` |
+//! | give-up → `peer_down` or heartbeat probe | `arm_tx_timer` |
+//! | pause / resume / wipe | `pause_tx`, `resume_tx`, `clear_tx` |
+//!
+//! | per mode (Table 1 has a row for each) | stop-and-wait | windowed |
+//! |---|---|---|
+//! | ack wire format | 0-byte `KIND_CHAN_ACK` per fragment | 8-byte `KIND_CHAN_WACK`: cumulative + sack + credit |
+//! | receive charges | side-buffer copy + ack generation, then a user copy in `read` | ack generation only (payload handed over by reference) |
+//! | where `write` blocks | until the fragment is acked | only while the window or the credit is exhausted |
+//! | flow control | withheld ack + `KIND_CHAN_BUSY`, deferred frame | credit grants, reorder bound |
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -61,56 +79,19 @@ pub type ChanResult<T> = Result<T, ChanError>;
 /// budget again.
 const MAX_BUSY_GRANTS: u32 = 64;
 
-/// The writer's outstanding (unacknowledged) fragment.
-#[derive(Debug, Clone)]
-pub struct TxPending {
-    /// The frame, kept for retransmission.
-    pub frame: Frame,
-    /// Its fragment number.
-    pub frag: u32,
-    /// Sim time of the *first* transmission (never reset on retransmit):
-    /// an ack with `rexmit == false` yields an unambiguous RTT sample.
-    pub sent_ns: u64,
-    /// Retransmitted at least once — its ack is ambiguous, so it never
-    /// contributes an RTT sample (Karn's rule). Unlike `attempts`, never
-    /// reset by a probe-ack resume.
-    pub rexmit: bool,
-    /// Retransmissions so far.
-    pub attempts: u32,
-    /// Timer-chain epoch: bumped whenever the chain is reset so stale
-    /// timers die on mismatch.
-    pub epoch: u32,
-    /// `KIND_CHAN_BUSY` grants consumed (see [`MAX_BUSY_GRANTS`]).
-    pub busy_grants: u32,
-    /// The armed ack-timeout timer, disarmed when the fragment resolves.
-    pub timer: Option<desim::TimerHandle>,
-}
-
-/// Drop all outstanding transmit state and disarm its timers (ack received,
-/// peer closed/down, or crash cleanup). Covers both the stop-and-wait
-/// fragment and the windowed in-flight set.
+/// Drop all outstanding transmit state and disarm its timer (ack received,
+/// peer closed/down, failed write, or crash cleanup).
 pub(crate) fn clear_tx(end: &mut ChanEnd) {
-    if let Some(tp) = end.tx_pending.take() {
-        if let Some(t) = tp.timer {
-            t.cancel();
-        }
-    }
-    if let Some(t) = end.win.timer.take() {
-        t.cancel();
-    }
     end.win.inflight.clear();
+    end.win.busy_grants = 0;
+    end.win.restart();
 }
 
 /// Pause a stalled end's retransmit machinery without wiping it: disarm the
-/// timers but keep the outstanding fragment and the in-flight window, so
-/// the heal resume can retransmit them over the restored route. The
-/// partition-tolerant counterpart of [`clear_tx`].
+/// timer but keep the in-flight set, so the heal resume can retransmit it
+/// over the restored route. The partition-tolerant counterpart of
+/// [`clear_tx`].
 pub(crate) fn pause_tx(end: &mut ChanEnd) {
-    if let Some(tp) = end.tx_pending.as_mut() {
-        if let Some(t) = tp.timer.take() {
-            t.cancel();
-        }
-    }
     if let Some(t) = end.win.timer.take() {
         t.cancel();
     }
@@ -135,66 +116,17 @@ pub(crate) fn resume_peer(w: &mut World, s: &mut VSched, node: NodeAddr, peer: N
 }
 
 fn resume_tx(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
-    enum Re {
-        Idle,
-        Data(Frame, u32, u32),
-        Win(Vec<Frame>, u32),
-    }
-    let re = {
-        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
-            return;
-        };
-        end.partitioned = false;
-        if end.peer_down {
-            return; // the peer crashed while partitioned; nothing to resume
-        }
-        if let Some(t) = end.win.timer.take() {
-            t.cancel();
-        }
-        if let Some(tp) = end.tx_pending.as_mut() {
-            if let Some(t) = tp.timer.take() {
-                t.cancel();
-            }
-            end.tx_epoch += 1;
-            let e = end.tx_epoch;
-            let tp = end.tx_pending.as_mut().expect("checked just above");
-            tp.epoch = e;
-            tp.attempts = 0;
-            tp.rexmit = true;
-            Re::Data(tp.frame.clone(), tp.frag, e)
-        } else if !end.win.inflight.is_empty() {
-            end.win.epoch += 1;
-            end.win.attempts = 0;
-            Re::Win(
-                end.win
-                    .inflight
-                    .values_mut()
-                    .filter(|fr| !fr.sacked)
-                    .map(|fr| {
-                        fr.rexmit = true;
-                        fr.frame.clone()
-                    })
-                    .collect(),
-                end.win.epoch,
-            )
-        } else {
-            Re::Idle
-        }
+    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+        return;
     };
-    match re {
-        Re::Idle => {}
-        Re::Data(f, frag, epoch) => {
-            w.faults.stats.retransmits += 1;
-            kernel::send_frame(w, s, f);
-            arm_data_timer(w, s, node, chan, frag, epoch, 0);
-        }
-        Re::Win(frames, epoch) => {
-            w.faults.stats.retransmits += frames.len() as u64;
-            for f in frames {
-                kernel::send_frame(w, s, f);
-            }
-            arm_win_timer(w, s, node, chan, epoch, 0);
-        }
+    end.partitioned = false;
+    if end.peer_down {
+        return; // the peer crashed while partitioned; nothing to resume
+    }
+    let epoch = end.win.restart();
+    if !end.win.inflight.is_empty() {
+        retransmit_inflight(w, s, node, chan);
+        arm_tx_timer(w, s, node, chan, epoch, 0);
     }
     // Wake blocked readers and writers either way: the end is usable again.
     if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
@@ -314,42 +246,100 @@ impl PayloadAsm {
     }
 }
 
-/// Windowed-mode transmit state: the in-flight window and its base timer.
+/// Transmit state of one end, both modes: the in-flight fragments and the
+/// one retransmit-timer chain that guards them. A windowed end keeps up to
+/// `ChannelConfig::window` fragments here; a stop-and-wait end at most one.
 #[derive(Debug, Default)]
 pub struct WinTx {
-    /// Unacked fragments by fragment number, kept for retransmission.
-    /// `sacked` marks fragments the receiver already holds out of order
-    /// (selective ack) so a timeout skips them.
-    pub inflight: BTreeMap<u32, WinFrag>,
+    /// Unacked fragments, oldest first, kept for retransmission. Fragment
+    /// numbers are handed out consecutively and leave only from the front
+    /// (cumulative ack) or all at once (`clear_tx`), so this is always a
+    /// contiguous run: fragment `n` sits at index `n − front`.
+    pub inflight: VecDeque<WinFrag>,
     /// Highest fragment number the receiver has granted credit for
-    /// (cumulative ack + advertised credit, monotonic). A writer whose
-    /// window is otherwise empty may send one fragment past this as a
-    /// zero-window probe.
+    /// (cumulative ack + advertised credit, monotonic; windowed only). A
+    /// writer whose window is otherwise empty may send one fragment past
+    /// this as a zero-window probe.
     pub tx_limit: u32,
     /// Timer-chain epoch: bumped on every ack progress so stale timers die.
     pub epoch: u32,
-    /// Consecutive timeouts without cumulative progress.
+    /// Consecutive timeouts without acknowledged progress.
     pub attempts: u32,
-    /// Zero-credit grants honored without counting silence against the
-    /// retry budget (the windowed analog of `KIND_CHAN_BUSY`, capped by
-    /// [`MAX_BUSY_GRANTS`]).
+    /// "Receiver full" signals honored without counting silence against the
+    /// retry budget — `KIND_CHAN_BUSY`, or a zero-credit windowed ack —
+    /// capped by `MAX_BUSY_GRANTS`.
     pub busy_grants: u32,
-    /// The armed window-base retransmit timer.
+    /// The armed retransmit timer.
     pub timer: Option<desim::TimerHandle>,
 }
 
-/// One in-flight windowed fragment.
+impl WinTx {
+    /// Accept a freshly numbered fragment into the in-flight set.
+    fn push(&mut self, frame: Frame, now_ns: u64) {
+        debug_assert!(
+            self.inflight
+                .back()
+                .is_none_or(|b| b.frag() + 1 == proto::seq_frag(frame.seq)),
+            "in-flight fragment numbers must stay a contiguous run"
+        );
+        self.inflight.push_back(WinFrag {
+            frame,
+            sacked: false,
+            sent_ns: now_ns,
+            rexmit: false,
+        });
+    }
+
+    /// The in-flight fragment numbered `frag`; `None` below the front or
+    /// past the tail.
+    fn get_mut(&mut self, frag: u32) -> Option<&mut WinFrag> {
+        let front = self.inflight.front()?.frag();
+        self.inflight.get_mut(frag.checked_sub(front)? as usize)
+    }
+
+    /// Restart the timer chain: zero the retry budget, bump the epoch so
+    /// every timer armed so far is stale, and disarm the current one.
+    /// Returns the new epoch.
+    fn restart(&mut self) -> u32 {
+        self.attempts = 0;
+        self.epoch += 1;
+        if let Some(t) = self.timer.take() {
+            t.cancel();
+        }
+        self.epoch
+    }
+
+    /// The receiver said "full", not the network "lost": restart the chain
+    /// without touching the fragments. `None` once the grants are spent, so
+    /// a reader that never drains cannot hold the writer forever.
+    fn grant_busy(&mut self) -> Option<u32> {
+        if self.busy_grants >= MAX_BUSY_GRANTS {
+            return None;
+        }
+        self.busy_grants += 1;
+        Some(self.restart())
+    }
+}
+
+/// One in-flight fragment.
 #[derive(Debug, Clone)]
 pub struct WinFrag {
     /// The frame, kept for retransmission.
     pub frame: Frame,
     /// Selectively acknowledged: held by the receiver, skip on timeout.
     pub sacked: bool,
-    /// Sim time of the first transmission.
+    /// Sim time of the *first* transmission (never reset on retransmit).
     pub sent_ns: u64,
     /// Retransmitted at least once — its ack is ambiguous, so it never
     /// contributes an RTT sample (Karn's rule).
     pub rexmit: bool,
+}
+
+impl WinFrag {
+    /// This fragment's number.
+    pub fn frag(&self) -> u32 {
+        proto::seq_frag(self.frame.seq)
+    }
 }
 
 /// Windowed-mode receive state: the bounded reorder buffer and the credit
@@ -396,12 +386,8 @@ pub struct ChanEnd {
     pub rx_waiters: WaitSet,
     /// Process blocked in `write` awaiting the kernel ack.
     pub tx_wait: WaitSet,
-    /// The ack for the outstanding fragment has arrived.
+    /// The ack for the outstanding stop-and-wait fragment has arrived.
     pub ack_ready: bool,
-    /// The outstanding fragment, kept for retransmission until acked.
-    pub tx_pending: Option<TxPending>,
-    /// Timer-chain epoch counter (see [`TxPending::epoch`]).
-    pub tx_epoch: u32,
     /// Next fragment number expected from the peer; anything below it is a
     /// duplicate (its ack was lost) and is re-acked, not re-delivered.
     pub rx_next_frag: u32,
@@ -431,7 +417,7 @@ pub struct ChanEnd {
     pub closed_remote: bool,
     /// Protocol parameters frozen at creation (window, credit pool).
     pub cfg: ChannelConfig,
-    /// Windowed transmit state (untouched when `cfg.window == 1`).
+    /// Transmit state: in-flight fragments and their retransmit timer.
     pub win: WinTx,
     /// Windowed receive state (untouched when `cfg.window == 1`).
     pub winrx: WinRx,
@@ -467,8 +453,6 @@ impl ChanEnd {
             rx_waiters: WaitSet::new(),
             tx_wait: WaitSet::new(),
             ack_ready: false,
-            tx_pending: None,
-            tx_epoch: 0,
             rx_next_frag: 1,
             accepting: None,
             peer_down: false,
@@ -484,6 +468,21 @@ impl ChanEnd {
             winrx: WinRx::default(),
             rtt: crate::rtt::RttEstimator::new(),
             rto_backoff: 0,
+        }
+    }
+
+    /// Why no new transfer can start on this end, if none can.
+    fn broken(&self) -> Option<ChanError> {
+        if self.closed_local {
+            Some(ChanError::LocalClosed)
+        } else if self.closed_remote {
+            Some(ChanError::PeerClosed)
+        } else if self.peer_down {
+            Some(ChanError::PeerDown)
+        } else if self.partitioned {
+            Some(ChanError::Partitioned)
+        } else {
+            None
         }
     }
 
@@ -506,17 +505,13 @@ impl ChanEnd {
             + self.rx.iter().map(|p| u64::from(p.len())).sum::<u64>()
             + self.asm.bytes_held()
             + frames(&mut self.deferred.iter())
-            + frames(&mut self.win.inflight.values().map(|fr| &fr.frame))
+            + frames(&mut self.win.inflight.iter().map(|fr| &fr.frame))
             + self
                 .winrx
                 .ready
                 .values()
                 .map(|(p, _)| u64::from(p.len()))
                 .sum::<u64>()
-            + self
-                .tx_pending
-                .as_ref()
-                .map_or(0, |tp| u64::from(tp.frame.wire_bytes()))
     }
 
     /// Pop the next complete message, releasing the credit its fragments
@@ -603,6 +598,37 @@ pub(crate) fn fragment(payload: Payload) -> impl Iterator<Item = (Payload, bool)
     })
 }
 
+/// Number the next fragment of `h`'s stream, accept it into the in-flight
+/// set and put it on the wire; arm the retransmit timer unless one already
+/// guards the set. The single entry into the transmit state for both modes.
+fn transmit_frag(w: &mut World, s: &mut VSched, h: ChannelHandle, payload: Payload, last: bool) {
+    let now_ns = s.now().as_ns();
+    let end = w
+        .node_mut(h.node)
+        .chans
+        .get_mut(&h.id)
+        .expect("caller holds the end");
+    end.msgs_tx += 1;
+    let kind = if last {
+        proto::KIND_CHAN_DATA_LAST
+    } else {
+        proto::KIND_CHAN_DATA
+    };
+    let seq = proto::chan_seq(h.id, end.msgs_tx as u32);
+    let f = Frame::unicast(h.node, h.peer, kind, seq, payload);
+    if end.win.inflight.capacity() == 0 {
+        // One buffer per writing end for its lifetime, sized to the window.
+        end.win.inflight.reserve_exact(end.cfg.window as usize);
+    }
+    end.win.push(f.clone(), now_ns);
+    let arm = end.win.timer.is_none();
+    let (epoch, attempts) = (end.win.epoch, end.win.attempts);
+    kernel::send_frame(w, s, f);
+    if arm {
+        arm_tx_timer(w, s, h.node, h.id, epoch, attempts);
+    }
+}
+
 impl ChannelHandle {
     /// Write one message. Blocks (stop-and-wait) until the receiving kernel
     /// has acknowledged every fragment. Fails if either end is closed
@@ -626,42 +652,16 @@ impl ChannelHandle {
                 let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
                     return Err(ChanError::NodeDown);
                 };
-                if end.closed_local {
-                    return Err(ChanError::LocalClosed);
+                if let Some(e) = end.broken() {
+                    return Err(e);
                 }
-                if end.closed_remote {
-                    return Err(ChanError::PeerClosed);
-                }
-                if end.peer_down {
-                    return Err(ChanError::PeerDown);
-                }
-                if end.partitioned {
-                    return Err(ChanError::Partitioned);
-                }
-                end.msgs_tx += 1;
-                let frag_no = end.msgs_tx as u32;
+                debug_assert!(
+                    end.win.inflight.is_empty(),
+                    "stop-and-wait write with a fragment still outstanding"
+                );
                 end.writer_blocked = true;
-                let kind = if last {
-                    proto::KIND_CHAN_DATA_LAST
-                } else {
-                    proto::KIND_CHAN_DATA
-                };
-                let f = Frame::unicast(h.node, h.peer, kind, proto::chan_seq(h.id, frag_no), frag);
-                end.tx_epoch += 1;
-                let epoch = end.tx_epoch;
-                end.tx_pending = Some(TxPending {
-                    frame: f.clone(),
-                    frag: frag_no,
-                    sent_ns: now.as_ns(),
-                    rexmit: false,
-                    attempts: 0,
-                    epoch,
-                    busy_grants: 0,
-                    timer: None,
-                });
                 w.block(now, h.node, BlockReason::Output);
-                kernel::send_frame(w, s, f);
-                arm_data_timer(w, s, h.node, h.id, frag_no, epoch, 0);
+                transmit_frag(w, s, h, frag, last);
                 Ok(())
             });
             pre?;
@@ -736,21 +736,10 @@ impl ChannelHandle {
                     }
                     return Some((Err(ChanError::NodeDown), blocked));
                 };
-                let err = if end.closed_local {
-                    Some(ChanError::LocalClosed)
-                } else if end.closed_remote {
-                    Some(ChanError::PeerClosed)
-                } else if end.peer_down {
-                    Some(ChanError::PeerDown)
-                } else if end.partitioned {
-                    // Fragments already accepted into the window stay there
-                    // (the heal resume retransmits them); this fragment was
-                    // never accepted, so the write fails cleanly.
-                    Some(ChanError::Partitioned)
-                } else {
-                    None
-                };
-                if let Some(e) = err {
+                // On `Partitioned`, fragments already accepted into the
+                // window stay there (the heal resume retransmits them); this
+                // one was never accepted, so the write fails cleanly.
+                if let Some(e) = end.broken() {
                     if blocked {
                         end.writer_blocked = false;
                         w.unblock(now, h.node, BlockReason::Output);
@@ -774,34 +763,11 @@ impl ChannelHandle {
                     return None;
                 }
                 let p = frag_slot.take().expect("fragment transmitted twice");
-                end.msgs_tx += 1;
-                let frag_no = end.msgs_tx as u32;
-                let kind = if last {
-                    proto::KIND_CHAN_DATA_LAST
-                } else {
-                    proto::KIND_CHAN_DATA
-                };
-                let f = Frame::unicast(h.node, h.peer, kind, proto::chan_seq(h.id, frag_no), p);
-                end.win.inflight.insert(
-                    frag_no,
-                    WinFrag {
-                        frame: f.clone(),
-                        sacked: false,
-                        sent_ns: now.as_ns(),
-                        rexmit: false,
-                    },
-                );
-                let arm = end.win.timer.is_none();
-                let epoch = end.win.epoch;
-                let attempts = end.win.attempts;
                 if blocked {
                     end.writer_blocked = false;
                     w.unblock(now, h.node, BlockReason::Output);
                 }
-                kernel::send_frame(w, s, f);
-                if arm {
-                    arm_win_timer(w, s, h.node, h.id, epoch, attempts);
-                }
+                transmit_frag(w, s, h, p, last);
                 Some((Ok(()), blocked))
             });
             if was_blocked {
@@ -832,44 +798,27 @@ impl ChannelHandle {
                 }
                 return Some((Err(ChanError::NodeDown), blocked));
             };
-            match end.pop_rx() {
-                Some(p) => {
-                    if blocked {
-                        end.reader_blocked = false;
-                        w.unblock(now, h.node, BlockReason::Input);
+            // Buffered messages outlive a close or a lost peer.
+            let outcome = match end.pop_rx() {
+                Some(p) => Ok(p),
+                None => match end.broken() {
+                    Some(e) => Err(e),
+                    None => {
+                        end.rx_waiters.register(pid);
+                        if !blocked {
+                            blocked = true;
+                            end.reader_blocked = true;
+                            w.block(now, h.node, BlockReason::Input);
+                        }
+                        return None;
                     }
-                    Some((Ok(p), blocked))
-                }
-                None if end.closed_local
-                    || end.closed_remote
-                    || end.peer_down
-                    || end.partitioned =>
-                {
-                    let err = if end.closed_local {
-                        ChanError::LocalClosed
-                    } else if end.closed_remote {
-                        ChanError::PeerClosed
-                    } else if end.peer_down {
-                        ChanError::PeerDown
-                    } else {
-                        ChanError::Partitioned
-                    };
-                    if blocked {
-                        end.reader_blocked = false;
-                        w.unblock(now, h.node, BlockReason::Input);
-                    }
-                    Some((Err(err), blocked))
-                }
-                None => {
-                    end.rx_waiters.register(pid);
-                    if !blocked {
-                        blocked = true;
-                        end.reader_blocked = true;
-                        w.block(now, h.node, BlockReason::Input);
-                    }
-                    None
-                }
+                },
+            };
+            if blocked {
+                end.reader_blocked = false;
+                w.unblock(now, h.node, BlockReason::Input);
             }
+            Some((outcome, blocked))
         });
         let (outcome, was_blocked) = outcome;
         if was_blocked {
@@ -1100,104 +1049,6 @@ pub(crate) fn peer_rto_hint(w: &World, node: NodeAddr, peer: NodeAddr) -> Option
         .max()
 }
 
-/// Arm (or re-arm) the writer's ack-timeout timer for the outstanding
-/// fragment. The timer is a no-op unless the exact `(frag, epoch, attempts)`
-/// it was armed for is still outstanding when it fires — acks, closes,
-/// crashes, and `KIND_CHAN_BUSY` resets all invalidate it by changing one of
-/// the three. Timeouts double per retry; after `chan_max_retries` silent
-/// retries the writer declares the peer down.
-fn arm_data_timer(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    chan: u32,
-    frag: u32,
-    epoch: u32,
-    attempts: u32,
-) {
-    let base = rto_base_ns(w, node, chan);
-    let delay = base << attempts.min(10);
-    let timer = s.schedule_cancellable_in(desim::SimDuration::from_ns(delay), move |w, s| {
-        if !w.node(node).up {
-            return;
-        }
-        let max = w.calib.chan_max_retries;
-        enum Next {
-            Stale,
-            GiveUp(NodeAddr),
-            Resend(Frame),
-        }
-        let next = {
-            let gray = w.faults.gray_armed;
-            let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
-                return; // channel gone (crash wiped it)
-            };
-            let next = match end.tx_pending.as_mut() {
-                Some(tp) if tp.frag == frag && tp.epoch == epoch && tp.attempts == attempts => {
-                    if tp.attempts >= max {
-                        Next::GiveUp(end.peer)
-                    } else {
-                        tp.attempts += 1;
-                        tp.rexmit = true;
-                        Next::Resend(tp.frame.clone())
-                    }
-                }
-                _ => Next::Stale, // acked, or a newer timer chain owns it
-            };
-            if gray && matches!(next, Next::Resend(_)) {
-                end.rto_backoff = (end.rto_backoff + 1).min(10);
-            }
-            next
-        };
-        match next {
-            Next::Stale => {}
-            Next::GiveUp(peer) => {
-                let rideout = w.net.overload_active();
-                if (w.net.topology().generation() > 0 || rideout || w.faults.gray_armed)
-                    && w.node(peer).up
-                {
-                    // The partition plane is active (or the fabric is under
-                    // an overload budget that may be shedding our data, or a
-                    // gray fault may be delaying acks past the retry chain)
-                    // and the peer's node is alive: the silence may be a
-                    // routing outage, overload, or degradation rather than a
-                    // crash. Park the fragment (the exhausted timer is
-                    // already dead) and let a heartbeat probe — never shed —
-                    // decide between resume and peer-down.
-                    if rideout {
-                        w.faults.stats.overload_rideouts += 1;
-                    }
-                    crate::membership::suspect(w, s, node, peer);
-                } else {
-                    let end = w
-                        .node_mut(node)
-                        .chans
-                        .get_mut(&chan)
-                        .expect("present just above");
-                    end.tx_pending = None;
-                    end.peer_down = true;
-                    end.rx_waiters.wake_all(s, Wakeup::START);
-                    end.tx_wait.wake_all(s, Wakeup::START);
-                    w.faults.stats.peer_down_events += 1;
-                }
-            }
-            Next::Resend(f) => {
-                w.faults.stats.retransmits += 1;
-                kernel::send_frame(w, s, f);
-                arm_data_timer(w, s, node, chan, frag, epoch, attempts + 1);
-            }
-        }
-    });
-    // Hand the disarm handle to the outstanding fragment it guards.
-    if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
-        if let Some(tp) = end.tx_pending.as_mut() {
-            if tp.frag == frag && tp.epoch == epoch {
-                tp.timer = Some(timer);
-            }
-        }
-    }
-}
-
 /// Kernel handler: a channel data fragment arrived at `node`.
 ///
 /// Under loss, the same fragment may arrive more than once (the writer
@@ -1328,7 +1179,8 @@ fn commit_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last
     kernel::send_frame(w, s, ack);
 }
 
-/// Kernel handler: a channel ack arrived at the writer's node.
+/// Kernel handler: a stop-and-wait ack arrived at the writer's node — the
+/// depth-1 case of [`on_wack`]'s cumulative drain.
 pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
     let now_ns = s.now().as_ns();
@@ -1336,16 +1188,19 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
         return; // crash or close raced the ack
     };
-    let Some(tp) = end.tx_pending.as_ref() else {
+    if end.cfg.window > 1 {
+        return; // defensive: windowed ends never use this kind
+    }
+    let Some(fr) = end.win.inflight.front() else {
         return; // duplicate ack for an already-acknowledged fragment
     };
-    if tp.frag != proto::seq_frag(f.seq) {
+    if fr.frag() != proto::seq_frag(f.seq) {
         return;
     }
     // Karn's rule: only a never-retransmitted fragment's ack is an
     // unambiguous round-trip sample.
-    if gray && !tp.rexmit && tp.attempts == 0 {
-        let rtt = now_ns.saturating_sub(tp.sent_ns);
+    if gray && !fr.rexmit {
+        let rtt = now_ns.saturating_sub(fr.sent_ns);
         end.rtt.sample(rtt);
         end.rto_backoff = 0;
     }
@@ -1356,40 +1211,27 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 
 /// Kernel handler: the receiver's side buffers are full (`KIND_CHAN_BUSY`).
 /// The outstanding fragment was *received*, not lost: stop counting silence
-/// against the retry budget and restart the timer chain from zero. Grants
-/// are capped ([`MAX_BUSY_GRANTS`]) so a receiver that never drains cannot
-/// hold the writer forever.
+/// against the retry budget and restart the timer chain from zero — the
+/// stop-and-wait spelling of [`on_wack`]'s zero-credit branch.
 pub fn on_busy(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
-    let frag = proto::seq_frag(f.seq);
-    let epoch = {
-        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
-            return;
-        };
-        match end.tx_pending.as_mut() {
-            Some(tp) if tp.frag == frag && tp.busy_grants < MAX_BUSY_GRANTS => {
-                tp.busy_grants += 1;
-                tp.attempts = 0;
-                // The silence-counting chain is being replaced; disarm it.
-                if let Some(t) = tp.timer.take() {
-                    t.cancel();
-                }
-            }
-            _ => return, // stale: already acked, or grants exhausted
-        }
-        end.tx_epoch += 1;
-        let e = end.tx_epoch;
-        if let Some(tp) = end.tx_pending.as_mut() {
-            tp.epoch = e;
-        }
-        e
+    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+        return;
     };
-    arm_data_timer(w, s, node, chan, frag, epoch, 0);
+    if end.cfg.window > 1
+        || end.win.inflight.front().map(WinFrag::frag) != Some(proto::seq_frag(f.seq))
+    {
+        return; // stale: already acked
+    }
+    if let Some(epoch) = end.win.grant_busy() {
+        arm_tx_timer(w, s, node, chan, epoch, 0);
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Windowed mode (`chan_window > 1`): credit-based pipelining. See the module
-// docs and DESIGN.md §10. None of this runs at W = 1.
+// docs and DESIGN.md §10. Of this section only the retransmit timer runs at
+// W = 1.
 // ---------------------------------------------------------------------------
 
 /// Windowed-mode data handler: dedup against the cumulative ack, the reorder
@@ -1563,14 +1405,9 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         // ack, so their elapsed time overestimates the path).
         let before = end.win.inflight.len();
         let mut rtt_sample = None;
-        while let Some((&k, _)) = end.win.inflight.iter().next() {
-            if k > cum {
-                break;
-            }
-            if let Some(fr) = end.win.inflight.remove(&k) {
-                if gray && !fr.rexmit {
-                    rtt_sample = Some(now_ns.saturating_sub(fr.sent_ns));
-                }
+        while let Some(fr) = end.win.inflight.pop_front_if(|fr| fr.frag() <= cum) {
+            if gray && !fr.rexmit {
+                rtt_sample = Some(now_ns.saturating_sub(fr.sent_ns));
             }
         }
         if let Some(rtt) = rtt_sample {
@@ -1578,11 +1415,13 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             end.rto_backoff = 0;
         }
         let progress = end.win.inflight.len() < before;
-        // Selective acks: skip these on retransmit timeouts.
+        // Selective acks: skip these on retransmit timeouts. A bit naming a
+        // fragment outside the in-flight run (a stale or damaged ack) finds
+        // nothing and is ignored.
         let mut sacked_new = false;
         for i in 0..32u32 {
             if sack & (1 << i) != 0 {
-                if let Some(fr) = end.win.inflight.get_mut(&(cum + 1 + i)) {
+                if let Some(fr) = end.win.get_mut(cum.saturating_add(1 + i)) {
                     if !fr.sacked {
                         fr.sacked = true;
                         sacked_new = true;
@@ -1599,34 +1438,15 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         }
         if progress || sacked_new {
             // Forward progress: reset the retry budget and restart the
-            // window-base timer chain.
-            end.win.attempts = 0;
+            // timer chain.
             end.win.busy_grants = 0;
-            end.win.epoch += 1;
-            if let Some(t) = end.win.timer.take() {
-                t.cancel();
-            }
+            let epoch = end.win.restart();
             maybe_wake_writer(end, s, limit_opened);
-            if end.win.inflight.is_empty() {
-                None
-            } else {
-                Some(end.win.epoch)
-            }
+            (!end.win.inflight.is_empty()).then_some(epoch)
         } else if credit == 0 && !end.win.inflight.is_empty() {
             // Zero credit, no progress: the receiver is full, not the
             // network lossy — the windowed analog of `KIND_CHAN_BUSY`.
-            // Stop counting silence against the retry budget, but cap the
-            // grants so a reader that never drains cannot park us forever.
-            if end.win.busy_grants >= MAX_BUSY_GRANTS {
-                return;
-            }
-            end.win.busy_grants += 1;
-            end.win.attempts = 0;
-            end.win.epoch += 1;
-            if let Some(t) = end.win.timer.take() {
-                t.cancel();
-            }
-            Some(end.win.epoch)
+            end.win.grant_busy()
         } else {
             // Duplicate ack carrying nothing new; it may still reopen the
             // credit limit for a stalled writer.
@@ -1637,16 +1457,38 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         }
     };
     if let Some(epoch) = rearm_epoch {
-        arm_win_timer(w, s, node, chan, epoch, 0);
+        arm_tx_timer(w, s, node, chan, epoch, 0);
     }
 }
 
-/// Arm (or re-arm) the windowed retransmit timer. One timer guards the whole
-/// window: on expiry every unsacked in-flight fragment is retransmitted in
-/// order (go-back-N with selective-ack skip), with the same doubling backoff
-/// and `chan_max_retries` give-up as stop-and-wait. Acks bump the epoch, so
-/// stale timers die on mismatch.
-fn arm_win_timer(
+/// Retransmit every unsacked in-flight fragment of `chan`, oldest first
+/// (go-back-N with selective-ack skip; one fragment for stop-and-wait) — the
+/// only place channel data is ever re-sent. Each copy makes its fragment's
+/// ack ambiguous for RTT sampling (Karn's rule). Walks by index, re-borrowing
+/// the end around each `send_frame`, so no frame list is built.
+fn retransmit_inflight(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
+    for i in 0.. {
+        let end = w.node_mut(node).chans.get_mut(&chan);
+        let Some(fr) = end.and_then(|end| end.win.inflight.get_mut(i)) else {
+            return;
+        };
+        if fr.sacked {
+            continue;
+        }
+        fr.rexmit = true;
+        let f = fr.frame.clone();
+        w.faults.stats.retransmits += 1;
+        kernel::send_frame(w, s, f);
+    }
+}
+
+/// Arm (or re-arm) the retransmit timer. One timer guards the whole
+/// in-flight set: on expiry [`retransmit_inflight`] re-sends it and the next
+/// timer waits twice as long; after `chan_max_retries` silent retries the
+/// writer gives up. The timer is a no-op unless the exact `(epoch,
+/// attempts)` it was armed for still describes a non-empty set when it fires
+/// — acks, BUSY grants, closes, crashes and resumes all bump the epoch.
+fn arm_tx_timer(
     w: &mut World,
     s: &mut VSched,
     node: NodeAddr,
@@ -1661,77 +1503,50 @@ fn arm_win_timer(
             return;
         }
         let max = w.calib.chan_max_retries;
-        enum Next {
-            Stale,
-            GiveUp(NodeAddr),
-            Resend(Vec<Frame>),
-        }
-        let next = {
-            let gray = w.faults.gray_armed;
-            let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
-                return; // channel gone (crash wiped it)
-            };
-            if end.win.epoch != epoch || end.win.attempts != attempts || end.win.inflight.is_empty()
-            {
-                Next::Stale // acked, or a newer timer chain owns the window
-            } else if end.win.attempts >= max {
-                Next::GiveUp(end.peer)
-            } else {
-                end.win.attempts += 1;
-                if gray {
-                    end.rto_backoff = (end.rto_backoff + 1).min(10);
-                }
-                Next::Resend(
-                    end.win
-                        .inflight
-                        .values_mut()
-                        .filter(|fr| !fr.sacked)
-                        .map(|fr| {
-                            fr.rexmit = true;
-                            fr.frame.clone()
-                        })
-                        .collect(),
-                )
-            }
+        let gray = w.faults.gray_armed;
+        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+            return; // channel gone (crash wiped it)
         };
-        match next {
-            Next::Stale => {}
-            Next::GiveUp(peer) => {
-                let rideout = w.net.overload_active();
-                if (w.net.topology().generation() > 0 || rideout || w.faults.gray_armed)
-                    && w.node(peer).up
-                {
-                    // Alive peer + active partition plane, overload budget,
-                    // or possible gray degradation: keep the in-flight
-                    // window parked for a resume retransmit and hand the
-                    // verdict to a heartbeat probe (see arm_data_timer).
-                    if rideout {
-                        w.faults.stats.overload_rideouts += 1;
-                    }
-                    crate::membership::suspect(w, s, node, peer);
-                } else {
-                    let end = w
-                        .node_mut(node)
-                        .chans
-                        .get_mut(&chan)
-                        .expect("present just above");
-                    clear_tx(end);
-                    end.peer_down = true;
-                    end.rx_waiters.wake_all(s, Wakeup::START);
-                    end.tx_wait.wake_all(s, Wakeup::START);
-                    w.faults.stats.peer_down_events += 1;
-                }
+        if end.win.epoch != epoch || end.win.attempts != attempts || end.win.inflight.is_empty() {
+            return; // acked, or a newer timer chain owns the set
+        }
+        if attempts < max {
+            end.win.attempts += 1;
+            if gray {
+                end.rto_backoff = (end.rto_backoff + 1).min(10);
             }
-            Next::Resend(frames) => {
-                w.faults.stats.retransmits += frames.len() as u64;
-                for f in frames {
-                    kernel::send_frame(w, s, f);
-                }
-                arm_win_timer(w, s, node, chan, epoch, attempts + 1);
+            retransmit_inflight(w, s, node, chan);
+            arm_tx_timer(w, s, node, chan, epoch, attempts + 1);
+            return;
+        }
+        let peer = end.peer;
+        let rideout = w.net.overload_active();
+        if (w.net.topology().generation() > 0 || rideout || gray) && w.node(peer).up {
+            // The partition plane is active (or the fabric is under an
+            // overload budget that may be shedding our data, or a gray fault
+            // may be delaying acks past the retry chain) and the peer's node
+            // is alive: the silence may be a routing outage, overload, or
+            // degradation rather than a crash. Keep the in-flight set parked
+            // (the exhausted timer is already dead) and let a heartbeat
+            // probe — never shed — decide between resume and peer-down.
+            if rideout {
+                w.faults.stats.overload_rideouts += 1;
             }
+            crate::membership::suspect(w, s, node, peer);
+        } else {
+            let end = w
+                .node_mut(node)
+                .chans
+                .get_mut(&chan)
+                .expect("present just above");
+            clear_tx(end);
+            end.peer_down = true;
+            end.rx_waiters.wake_all(s, Wakeup::START);
+            end.tx_wait.wake_all(s, Wakeup::START);
+            w.faults.stats.peer_down_events += 1;
         }
     });
-    // Hand the disarm handle to the window it guards.
+    // Hand the disarm handle to the set it guards.
     if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
         if end.win.epoch == epoch && !end.win.inflight.is_empty() {
             end.win.timer = Some(timer);

@@ -437,14 +437,59 @@ impl desim::ShardWorld for World {
 /// Builder for a simulated HPC/VORX installation.
 pub struct VorxBuilder {
     topo: Topology,
+    faults: Option<desim::FaultSchedule>,
+    shards: Option<usize>,
+    cfg: WorldCfg,
+}
+
+/// The builder's by-value settings: what a [`World`] is made from besides
+/// its topology, fault schedule and shard context.
+#[derive(Clone, Copy)]
+struct WorldCfg {
     netcfg: NetConfig,
     calib: Calibration,
     objmgr_mode: ObjMgrMode,
     trace_enabled: bool,
     seed: u64,
     n_hosts: usize,
-    faults: Option<desim::FaultSchedule>,
-    shards: Option<usize>,
+}
+
+impl WorldCfg {
+    /// The one place a `World` is assembled, for the sequential engine
+    /// (`ShardCtx::default()`) and for each shard alike. Shard `k` perturbs
+    /// the seed and offsets the channel-id and token counters by `k`; shard
+    /// 0 — and so the sequential build — gets exactly `seed`, 1 and 0, which
+    /// is why a single-shard sharded run replays the sequential one
+    /// byte-for-byte.
+    fn world(self, topo: Topology, schedule: desim::FaultSchedule, shard: ShardCtx) -> World {
+        let n = topo.n_endpoints();
+        let k = shard.shard_id as u64;
+        World {
+            calib: self.calib,
+            net: data_plane_fabric(topo, self.netcfg),
+            nodes: NodeTable::new(n),
+            objmgr_mode: self.objmgr_mode,
+            alloc: Allocator::new(self.n_hosts, n),
+            hosts: (0..self.n_hosts)
+                .map(|i| Host::new(i, NodeAddr(i as u32), &self.calib))
+                .collect(),
+            appmgr: crate::appmgr::AppRegistry::default(),
+            dbg: crate::debug::DbgState::default(),
+            trace: if self.trace_enabled {
+                Trace::new()
+            } else {
+                Trace::disabled()
+            },
+            faults: crate::fault::FaultState::new(schedule),
+            rng: SmallRng::seed_from_u64(self.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            next_chan: 1 + k as u32,
+            next_token: k,
+            payload_pool: crate::alloc::PayloadPool::default(),
+            coll_groups: HashMap::new(),
+            shard,
+            net_outputs: Vec::new(),
+        }
+    }
 }
 
 impl VorxBuilder {
@@ -467,44 +512,46 @@ impl VorxBuilder {
     pub fn with_topology(topo: Topology) -> Self {
         VorxBuilder {
             topo,
-            netcfg: NetConfig::paper_1988(),
-            calib: Calibration::paper_1988(),
-            objmgr_mode: ObjMgrMode::Distributed,
-            trace_enabled: true,
-            seed: 0x5EED,
-            n_hosts: 0,
             faults: None,
             shards: None,
+            cfg: WorldCfg {
+                netcfg: NetConfig::paper_1988(),
+                calib: Calibration::paper_1988(),
+                objmgr_mode: ObjMgrMode::Distributed,
+                trace_enabled: true,
+                seed: 0x5EED,
+                n_hosts: 0,
+            },
         }
     }
 
     /// Override the software cost model.
     pub fn calibration(mut self, c: Calibration) -> Self {
-        self.calib = c;
+        self.cfg.calib = c;
         self
     }
 
     /// Override the hardware parameters.
     pub fn net_config(mut self, c: NetConfig) -> Self {
-        self.netcfg = c;
+        self.cfg.netcfg = c;
         self
     }
 
     /// Select the object-manager architecture (§3.2).
     pub fn objmgr(mut self, m: ObjMgrMode) -> Self {
-        self.objmgr_mode = m;
+        self.cfg.objmgr_mode = m;
         self
     }
 
     /// Enable or disable trace recording (disable for long benchmarks).
     pub fn trace(mut self, enabled: bool) -> Self {
-        self.trace_enabled = enabled;
+        self.cfg.trace_enabled = enabled;
         self
     }
 
     /// Seed for workload randomness.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
@@ -538,46 +585,22 @@ impl VorxBuilder {
     /// get ids `0..n` and live on node addresses `0..n`; processing nodes
     /// occupy the remaining addresses.
     pub fn hosts(mut self, n: usize) -> Self {
-        self.n_hosts = n;
+        self.cfg.n_hosts = n;
         self
     }
 
     /// Construct the simulation.
     pub fn build(self) -> VorxSim {
-        let n = self.topo.n_endpoints();
-        assert!(self.n_hosts <= n, "more hosts than endpoints");
-        let nodes = NodeTable::new(n);
-        let hosts = (0..self.n_hosts)
-            .map(|i| Host::new(i, NodeAddr(i as u32), &self.calib))
-            .collect();
+        assert!(
+            self.cfg.n_hosts <= self.topo.n_endpoints(),
+            "more hosts than endpoints"
+        );
         let schedule = self
             .faults
-            .unwrap_or_else(|| desim::FaultSchedule::new(self.seed));
+            .unwrap_or_else(|| desim::FaultSchedule::new(self.cfg.seed));
         let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
         events.sort_by_key(|e| e.at);
-        let world = World {
-            calib: self.calib,
-            net: data_plane_fabric(self.topo, self.netcfg),
-            nodes,
-            objmgr_mode: self.objmgr_mode,
-            alloc: Allocator::new(self.n_hosts, n),
-            hosts,
-            appmgr: crate::appmgr::AppRegistry::default(),
-            dbg: crate::debug::DbgState::default(),
-            trace: if self.trace_enabled {
-                Trace::new()
-            } else {
-                Trace::disabled()
-            },
-            faults: crate::fault::FaultState::new(schedule),
-            rng: SmallRng::seed_from_u64(self.seed),
-            next_chan: 1,
-            next_token: 0,
-            payload_pool: crate::alloc::PayloadPool::default(),
-            coll_groups: HashMap::new(),
-            shard: ShardCtx::default(),
-            net_outputs: Vec::new(),
-        };
+        let world = self.cfg.world(self.topo, schedule, ShardCtx::default());
         let vs = VorxSim {
             sim: Simulation::new(world),
         };
@@ -596,9 +619,9 @@ impl VorxBuilder {
     /// a single-cluster topology the one shard executes byte-for-byte like
     /// [`VorxBuilder::build`].
     pub fn build_sharded(self, workers: usize) -> VorxShardedSim {
-        let topo = self.topo;
+        let (topo, cfg) = (self.topo, self.cfg);
         let n = topo.n_endpoints();
-        assert!(self.n_hosts <= n, "more hosts than endpoints");
+        assert!(cfg.n_hosts <= n, "more hosts than endpoints");
         let n_clusters = topo.n_clusters();
         let n_shards = self.shards.unwrap_or(n_clusters).min(n_clusters);
 
@@ -624,7 +647,7 @@ impl VorxBuilder {
         // crosses (up-link + one inter-cluster hop + down-link = 3).
         // Diagonals carry `u64::MAX`: the bridge only ever carries frames
         // to other shards, so self-pairs never constrain the EIT.
-        let probe_fabric = Fabric::new(topo.clone(), self.netcfg);
+        let probe_fabric = Fabric::new(topo.clone(), cfg.netcfg);
         let unit_ns = probe_fabric.header_link_latency_ns();
         let latency: Vec<Vec<u64>> = if n_shards == n_clusters {
             topo.cluster_link_counts()
@@ -669,7 +692,7 @@ impl VorxBuilder {
 
         let schedule = self
             .faults
-            .unwrap_or_else(|| desim::FaultSchedule::new(self.seed));
+            .unwrap_or_else(|| desim::FaultSchedule::new(cfg.seed));
         let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
         events.sort_by_key(|e| e.at);
         let owner = |e: &desim::FaultEvent| match e.action {
@@ -684,44 +707,17 @@ impl VorxBuilder {
 
         let mut shards = Vec::with_capacity(n_shards);
         for k in 0..n_shards {
-            let world = World {
-                calib: self.calib,
-                net: data_plane_fabric(topo.clone(), self.netcfg),
-                nodes: NodeTable::new(n),
-                objmgr_mode: self.objmgr_mode,
-                alloc: Allocator::new(self.n_hosts, n),
-                hosts: (0..self.n_hosts)
-                    .map(|i| Host::new(i, NodeAddr(i as u32), &self.calib))
-                    .collect(),
-                appmgr: crate::appmgr::AppRegistry::default(),
-                dbg: crate::debug::DbgState::default(),
-                trace: if self.trace_enabled {
-                    Trace::new()
-                } else {
-                    Trace::disabled()
-                },
-                faults: crate::fault::FaultState::new(schedule.clone()),
-                // Shard 0 seeds exactly like the sequential build, so a
-                // single-shard sharded run replays it byte-for-byte.
-                rng: SmallRng::seed_from_u64(
-                    self.seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                ),
-                next_chan: 1 + k as u32,
-                next_token: k as u64,
-                payload_pool: crate::alloc::PayloadPool::default(),
-                coll_groups: HashMap::new(),
-                shard: ShardCtx {
-                    enabled: true,
-                    shard_id: k,
-                    n_shards,
-                    shard_of_node: std::sync::Arc::clone(&shard_of_node),
-                    tx_busy: vec![false; n],
-                    outbox: Vec::new(),
-                    chan_stride: n_shards as u32,
-                    token_stride: n_shards as u64,
-                },
-                net_outputs: Vec::new(),
+            let shard = ShardCtx {
+                enabled: true,
+                shard_id: k,
+                n_shards,
+                shard_of_node: std::sync::Arc::clone(&shard_of_node),
+                tx_busy: vec![false; n],
+                outbox: Vec::new(),
+                chan_stride: n_shards as u32,
+                token_stride: n_shards as u64,
             };
+            let world = cfg.world(topo.clone(), schedule.clone(), shard);
             let sim = Simulation::new(world);
             let mine: Vec<desim::FaultEvent> =
                 events.iter().copied().filter(|e| owner(e) == k).collect();

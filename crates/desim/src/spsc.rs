@@ -18,11 +18,6 @@
 //! The orderings are argued at each `SAFETY:` note below, and exercised by
 //! `tests/spsc_reuse.rs`; the exhaustive-interleaving checker of ROADMAP
 //! item 4(d) is still open, and this file is its first customer.
-//!
-//! The vendored `crossbeam` stand-in implements its channel as a
-//! mutex+condvar ring (see `vendor/README.md`); it is deliberately *not*
-//! used here — a blocking mailbox at every link would reintroduce the
-//! barrier this engine exists to remove.
 
 use std::cell::Cell;
 use std::marker::PhantomData;

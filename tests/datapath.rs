@@ -10,10 +10,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hpc_vorx::desim::{FaultSchedule, LinkFaults};
-use hpc_vorx::hpcnet::{NodeAddr, Payload};
+use hpc_vorx::desim::{FaultSchedule, LinkFaults, RunOutcome, SimTime};
+use hpc_vorx::hpcnet::{Frame, NodeAddr, Payload};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
-use hpc_vorx::vorx::{channel, Calibration, VorxBuilder};
+use hpc_vorx::vorx::{channel, proto, Calibration, VorxBuilder, World};
 
 use proptest::prelude::*;
 
@@ -57,7 +57,16 @@ fn stream_with(
             sink.lock().push(p.bytes().unwrap().to_vec());
         }
     });
-    let report = v.run();
+    // Run in 1 ms slices so the sender's in-flight set is inspected while
+    // it is populated, not only once it has drained.
+    let mut t = 0u64;
+    let report = loop {
+        t += 1_000_000;
+        match v.sim.run_until(SimTime::from_ns(t)) {
+            RunOutcome::Idle(r) => break r,
+            RunOutcome::DeadlineReached => assert_inflight_contiguous(&v.world()),
+        }
+    };
     let leaked = report.parked.len();
     let trace_json = if trace {
         v.world().trace.to_json()
@@ -66,14 +75,35 @@ fn stream_with(
     };
     let order = got.lock().clone();
     // The receive-side window state must be fully drained: nothing held,
-    // nothing mid-copy, nothing parked in the reorder buffer.
+    // nothing mid-copy, nothing parked in the reorder buffer — and the
+    // sender keeps nothing for retransmission.
     let w = v.world();
+    for end in w.nodes[0].chans.values() {
+        assert!(
+            end.win.inflight.is_empty(),
+            "unacked fragments at quiescence"
+        );
+    }
     for end in w.nodes[1].chans.values() {
         assert!(end.winrx.ready.is_empty(), "reorder buffer not drained");
         assert!(end.winrx.copying.is_empty(), "copy in flight at quiescence");
         assert_eq!(end.winrx.held, 0, "credit leaked by consumed messages");
     }
     (order, leaked, trace_json)
+}
+
+/// The property the sender's `VecDeque` indexing (`frag − front`) rests on:
+/// every end's in-flight fragment numbers are one contiguous ascending run,
+/// never longer than the window.
+fn assert_inflight_contiguous(w: &World) {
+    for end in w.nodes.iter().flat_map(|n| n.chans.values()) {
+        let frags: Vec<u32> = end.win.inflight.iter().map(|fr| fr.frag()).collect();
+        assert!(
+            frags.windows(2).all(|p| p[0] + 1 == p[1]),
+            "in-flight fragments not contiguous: {frags:?}"
+        );
+        assert!(frags.len() <= end.cfg.window as usize, "window overrun");
+    }
 }
 
 /// Expected stream for `sizes`.
@@ -196,8 +226,97 @@ fn windowed_finishes_sooner_than_stop_and_wait() {
     );
 }
 
+/// A windowed ack naming fragments the sender does not hold — selective-ack
+/// bits past the in-flight tail, or a stale cumulative ack whose bits fall
+/// below the front — must change nothing: no fragment marked, no timer
+/// chain restarted, no index out of range.
+#[test]
+fn sack_bits_outside_the_inflight_run_are_ignored() {
+    let mut v = VorxBuilder::single_cluster(2)
+        .objmgr(ObjMgrMode::Centralized(NodeAddr(0)))
+        .calibration(Calibration::paper_1988_windowed(4))
+        .trace(false)
+        .build();
+    v.spawn("n0:writer", |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(0), "sack");
+        for i in 0..4 {
+            ch.write(&ctx, Payload::copy_from(&msg(i, 64))).unwrap();
+        }
+        ctx.with(|w, s| {
+            let snapshot = |w: &World| {
+                let end = &w.nodes[0].chans[&ch.id];
+                let marks: Vec<(u32, bool)> = end
+                    .win
+                    .inflight
+                    .iter()
+                    .map(|fr| (fr.frag(), fr.sacked))
+                    .collect();
+                (marks, end.win.epoch, end.win.tx_limit)
+            };
+            let before = snapshot(w);
+            let (front, len) = (before.0[0].0, before.0.len() as u32);
+            assert!(len >= 2, "the window must still be in flight");
+            let credit = before.2 - (front - 1);
+            // Every bit from the tail on, on a duplicate of the last ack.
+            let past_tail = !0u32 << len;
+            // A reordered ack from before the stream began: its bits name
+            // fragments 1.. which, below `front`, are long gone.
+            for (cum, sack) in [(front - 1, past_tail), (0, (1u32 << (front - 1)) - 1)] {
+                let forged = Frame::unicast(
+                    NodeAddr(1),
+                    NodeAddr(0),
+                    proto::KIND_CHAN_WACK,
+                    proto::chan_seq(ch.id, cum),
+                    proto::pack_wack(sack, credit.min(before.2 - cum)),
+                );
+                channel::on_wack(w, s, NodeAddr(0), forged);
+                assert_eq!(snapshot(w), before, "cum {cum} sack {sack:#x}");
+            }
+        });
+        ch.close(&ctx);
+    });
+    v.spawn("n1:reader", |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(1), "sack");
+        for i in 0..4 {
+            assert_eq!(ch.read(&ctx).unwrap().bytes().unwrap().to_vec(), msg(i, 64));
+        }
+    });
+    v.run_all();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Duplicated and reordered acks under loss, W ∈ {1, 4, 16}: a share of
+    /// the frames on every link — acks included — arrives late. 700 µs late
+    /// overtakes the neighbouring acks (reordering); 25 ms late outlives
+    /// the 20 ms ack timeout, so the fragment is retransmitted and acked
+    /// twice (duplication). Delivery stays byte-identical, and
+    /// `stream_with` checks the in-flight run every simulated millisecond.
+    #[test]
+    fn duplicated_and_reordered_acks_deliver_byte_identical(
+        seed in 0u64..1_000_000,
+        window in prop::sample::select(vec![1u32, 4, 16]),
+        drop in 0.0f64..0.05,
+        delay in 0.05f64..0.3,
+        late in any::<bool>(),
+    ) {
+        let schedule = FaultSchedule::new(seed).all_links(LinkFaults {
+            drop,
+            corrupt: 0.0,
+            delay,
+            delay_ns: if late { 25_000_000 } else { 700_000 },
+        });
+        let sizes = [4usize, 1500, 256, 64, 2048, 1, 900, 256, 3000, 16];
+        let (order, leaked, _) = stream_with(
+            Calibration::paper_1988_windowed(window),
+            schedule,
+            &sizes,
+            false,
+        );
+        prop_assert_eq!(order, expect(&sizes));
+        prop_assert_eq!(leaked, 0);
+    }
 
     /// Randomized loss/corruption with random seeds across window sizes:
     /// the windowed protocol delivers every message byte-identically, in

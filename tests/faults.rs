@@ -391,6 +391,99 @@ fn busy_grant_exhaustion_surfaces_typed_error() {
     );
 }
 
+/// A lost `KIND_CHAN_BUSY`: the reader naps with its side buffers full, the
+/// 9th fragment is deferred, and the BUSY that says so is dropped. The
+/// writer's timer must retransmit, the retransmission must draw a *second*
+/// BUSY (the receiver's `ReBusy` arm), and that BUSY must restart the retry
+/// budget through the one shared retransmit timer — the nap (500 ms)
+/// outlasts the whole un-restarted budget (20 + 40 + 80 ms at two retries)
+/// several times over, so a writer whose budget was not restarted would
+/// fail with `PeerDown`. Every message arrives exactly once, in order.
+#[test]
+fn lost_busy_is_resent_and_restarts_the_retry_budget() {
+    const MSGS: u8 = 12;
+    // On node 1's transmit link: open request, control ack, the acks of
+    // fragments 1–8, then the BUSY for fragment 9.
+    let schedule = FaultSchedule::new(1).drop_nth(tx_link_of(NodeAddr(1)), 11);
+    let mut calib = hpc_vorx::vorx::Calibration::paper_1988();
+    calib.chan_max_retries = 2;
+    let mut v = VorxBuilder::single_cluster(2)
+        .objmgr(ObjMgrMode::Centralized(NodeAddr(0)))
+        .calibration(calib)
+        .trace(false)
+        .faults(schedule)
+        .build();
+    v.spawn("n0:writer", move |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(0), "busy");
+        for i in 0..MSGS {
+            ch.write(&ctx, Payload::copy_from(&[i])).unwrap();
+        }
+        ch.close(&ctx);
+    });
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&got);
+    v.spawn("n1:reader", move |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(1), "busy");
+        ctx.sleep(SimDuration::from_ns(500_000_000));
+        for _ in 0..MSGS {
+            sink.lock().push(ch.read(&ctx).unwrap().bytes().unwrap()[0]);
+        }
+    });
+
+    // Step to the instant the receiver defers fragment 9 and says BUSY.
+    let mut t = 0u64;
+    while v.world().faults.stats.busy_sent == 0 {
+        t += 1_000_000;
+        assert!(t < 100_000_000, "fragment 9 was never deferred");
+        v.sim.run_until(SimTime::from_ns(t));
+    }
+    // One more millisecond: the BUSY is on the wire, and dies there.
+    v.sim.run_until(SimTime::from_ns(t + 1_000_000));
+    {
+        let w = v.world();
+        assert_eq!(
+            w.faults.schedule.stats.dropped, 1,
+            "the BUSY must be the frame dropped"
+        );
+        assert_eq!(w.faults.stats.retransmits, 0);
+        let tx = w.nodes[0].chans.values().next().unwrap();
+        assert_eq!(tx.win.inflight.len(), 1, "fragment 9 is outstanding");
+        assert_eq!(tx.win.busy_grants, 0, "the writer never heard the BUSY");
+        let rx = w.nodes[1].chans.values().next().unwrap();
+        assert_eq!(rx.deferred.len(), 1);
+    }
+    // Past the first ack timeout: one retransmission, answered by a second
+    // BUSY, which grants the writer a fresh budget on a fresh timer.
+    v.sim.run_until(SimTime::from_ns(t + 25_000_000));
+    {
+        let w = v.world();
+        assert_eq!(w.faults.stats.retransmits, 1);
+        assert_eq!(
+            w.faults.stats.dups_suppressed, 1,
+            "the duplicate drew ReBusy"
+        );
+        assert_eq!(
+            w.faults.stats.busy_sent, 1,
+            "ReBusy repeats a BUSY, it does not defer again"
+        );
+        let tx = w.nodes[0].chans.values().next().unwrap();
+        assert_eq!(tx.win.busy_grants, 1);
+        assert_eq!(tx.win.attempts, 0, "the second BUSY restarted the budget");
+        assert!(tx.win.timer.is_some(), "on a freshly armed timer");
+        assert_eq!(tx.win.inflight.len(), 1);
+    }
+    let report = v.run();
+    assert_eq!(report.parked, vec![], "no process may stay parked");
+    assert_eq!(*got.lock(), (0..MSGS).collect::<Vec<_>>());
+    let w = v.world();
+    assert!(
+        w.faults.stats.retransmits > 2,
+        "the nap outlasts the un-restarted budget: only grants carry the writer through"
+    );
+    assert_eq!(w.faults.stats.peer_down_events, 0);
+    assert!(w.nodes[0].chans.values().all(|e| e.win.inflight.is_empty()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
