@@ -64,29 +64,21 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 
-echo "==> fault-campaign smoke (fixed seed, 5% loss, one crash/restart)"
-cargo run --release -p vorx-bench --bin fault_campaign -- --smoke
+echo "==> one campaign harness (one --smoke entry point under crates/bench/src/bin; no report emitter, \"cells\" literal or BENCH_ path in code outside crates/bench/src/campaign.rs)"
+if [ "$(grep -l -- '--smoke' crates/bench/src/bin/*.rs | wc -l)" -ne 1 ]; then
+    echo "exactly one file under crates/bench/src/bin/ may handle --smoke:" >&2
+    grep -l -- '--smoke' crates/bench/src/bin/*.rs >&2
+    exit 1
+fi
+# Comment lines may name the files; code may not.
+if grep -rn 'fn to_json\|"cells"\|BENCH_' crates/bench/src --include='*.rs' |
+    grep -v '^crates/bench/src/campaign.rs:' | grep -v '^[^:]*:[0-9]*: *//'; then
+    echo "a second report emitter or reader outside crates/bench/src/campaign.rs" >&2
+    exit 1
+fi
 
-echo "==> datapath smoke (windowed >= 2x stop-and-wait, zero payload copies)"
-cargo run --release -p vorx-bench --bin datapath_report -- --smoke
-
-echo "==> partition smoke (full partition + heal under watchdog, typed errors, no hang)"
-cargo run --release -p vorx-bench --bin partition_campaign -- --smoke
-
-echo "==> pdes smoke (sharded engine: 1/4/8-worker traces bit-identical, deadlock watchdog)"
-cargo run --release -p vorx-bench --bin pdes_campaign -- --smoke
-
-echo "==> soak smoke (chaos soak under watchdog: all fault classes + overload, invariant oracles)"
-cargo run --release -p vorx-bench --bin soak_campaign -- --smoke
-
-echo "==> scale smoke (10k-endpoint hierarchy under watchdog: churn, workers {1,4} trace equality, recompute speedup)"
-cargo run --release -p vorx-bench --bin scale_campaign -- --smoke
-
-echo "==> gray smoke (gray failures under watchdog: delay/asymmetry/flap/gateway cells, adaptive-timer oracles)"
-cargo run --release -p vorx-bench --bin gray_campaign -- --smoke
-
-echo "==> collective smoke (fan-in 512 under watchdog: in-network >= 3x software tree, workers {1,4} trace equality)"
-cargo run --release -p vorx-bench --bin collective_campaign -- --smoke
+echo "==> campaign smoke (all eight campaigns, every cell not marked heavy, under the watchdog: named oracles, workers {1,4} trace equality, cross-cell gates, and each cell's simulated record compared with the committed BENCH_<name>.json)"
+cargo run --release -p vorx-bench --bin campaign -- --smoke
 
 echo "==> benchmark self-check (read-only: 1/20-size rep of all six workloads against the public surface benchmark/ calls)"
 CARGO_TARGET_DIR=target/benchmark cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --check

@@ -2,133 +2,70 @@
 //!
 //! Reads the per-bench JSON files the criterion harness drops under
 //! `target/criterion-stub/desim/` (run `cargo bench -p vorx-bench --bench
-//! engine` first) and writes a before/after report at the workspace root.
+//! engine` first) and writes a before/after report at the workspace root,
+//! in the campaign schema: one host-only cell per bench.
 //!
 //! Usage:
 //!   engine_report                      # refresh "after", keep "before"
 //!   engine_report --set-baseline       # record current results as "before"
 //!   engine_report --baseline-dir DIR   # read "before" numbers from DIR
 //!
-//! The "before" section is preserved across runs so the perf trajectory of
+//! The "before" figures are preserved across runs so the perf trajectory of
 //! the engine is tracked from PR to PR.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use vorx_bench::campaign::workspace_root;
+use vorx_bench::campaign::{
+    cell_report, cells_of, new_report, parse, read_report, workspace_root, write_report, Record,
+    Value,
+};
 
-#[derive(Debug, Clone, Copy)]
-struct Stats {
-    min_ns: f64,
-    median_ns: f64,
-    mean_ns: f64,
-}
+const NOTE: &str = "desim engine hot-path benches, ns of host wall time; measured with the \
+    vendored criterion stand-in (vendor/README.md), so only before/after ratios are comparable, \
+    not absolute numbers from real criterion; run both sides pinned to one CPU (taskset), and \
+    expect runs of one binary on a shared host to differ by 20% or more. spawn_park_N spawns N \
+    processes, parks them all, wakes them all, runs them out and drops the simulation, all timed \
+    (an engine with a stack mapping per process, PR 13 and before, holds about 30,000); \
+    timer_arm_cancel_10k arms, cancels and purges 10k timeouts between 10k plain events on a \
+    warm simulation; spsc_burst64_100k pushes 64-message bursts of 64-byte messages through one \
+    mailbox and drains each";
 
-/// Extract a numeric field from a flat JSON object by key.
-fn field_f64(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = json.find(&pat)? + pat.len();
-    let rest = json[i..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn parse_stats(json: &str) -> Option<Stats> {
-    Some(Stats {
-        min_ns: field_f64(json, "min_ns")?,
-        median_ns: field_f64(json, "median_ns")?,
-        mean_ns: field_f64(json, "mean_ns")?,
-    })
+/// The three statistics of one bench, if `r` holds them all.
+fn stats_of(r: &Record) -> Option<Record> {
+    ["min_ns", "median_ns", "mean_ns"]
+        .iter()
+        .try_fold(Record::new(), |s, k| Some(s.with(k, r.get(k)?.clone())))
 }
 
 /// Read every `<bench>.json` in `dir` into a name → stats map.
-fn read_dir_stats(dir: &Path) -> BTreeMap<String, Stats> {
+fn read_dir_stats(dir: &Path) -> BTreeMap<String, Record> {
     let mut out = BTreeMap::new();
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return out;
-    };
-    for e in entries.flatten() {
-        let p = e.path();
+    for p in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let p = p.path();
         if p.extension().is_none_or(|x| x != "json") {
             continue;
         }
-        let Some(name) = p.file_stem().and_then(|s| s.to_str()) else {
-            continue;
-        };
-        if let Some(st) = std::fs::read_to_string(&p)
-            .ok()
-            .as_deref()
-            .and_then(parse_stats)
+        let text = std::fs::read_to_string(&p).unwrap_or_default();
+        if let (Some(name), Ok(Value::Rec(r))) =
+            (p.file_stem().and_then(|s| s.to_str()), parse(&text))
         {
-            out.insert(name.to_string(), st);
+            out.extend(stats_of(&r).map(|s| (name.to_string(), s)));
         }
     }
     out
 }
 
-/// Pull the `"before"` object out of an existing report (naive but
-/// sufficient: the report is machine-written with known nesting).
-fn read_existing_before(report: &Path) -> BTreeMap<String, Stats> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(report) else {
-        return out;
+/// The "before" statistics of the existing report, by bench.
+fn read_existing_before() -> BTreeMap<String, Record> {
+    let report = read_report("engine").unwrap_or_default();
+    let before = |c: &Record| {
+        Some((
+            c.rec("key").str("bench").to_string(),
+            stats_of(c.rec("host").rec("before"))?,
+        ))
     };
-    let Some(start) = text.find("\"before\":") else {
-        return out;
-    };
-    let body = &text[start..];
-    let Some(open) = body.find('{') else {
-        return out;
-    };
-    let mut depth = 0usize;
-    let mut end = open;
-    for (i, c) in body[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = open + i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let obj = &body[open..=end];
-    // Each bench is `"name":{...}` one level down.
-    let mut rest = &obj[1..];
-    while let Some(q) = rest.find('"') {
-        let after = &rest[q + 1..];
-        let Some(q2) = after.find('"') else { break };
-        let name = &after[..q2];
-        let Some(ob) = after.find('{') else { break };
-        let Some(cb) = after[ob..].find('}') else {
-            break;
-        };
-        if let Some(st) = parse_stats(&after[ob..=ob + cb]) {
-            out.insert(name.to_string(), st);
-        }
-        rest = &after[ob + cb..];
-    }
-    out
-}
-
-fn emit_section(out: &mut String, name: &str, stats: &BTreeMap<String, Stats>) {
-    out.push_str(&format!("  \"{name}\": {{\n"));
-    let n = stats.len();
-    for (i, (bench, st)) in stats.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{bench}\": {{\"min_ns\": {:.1}, \"median_ns\": {:.1}, \"mean_ns\": {:.1}}}{}\n",
-            st.min_ns,
-            st.median_ns,
-            st.mean_ns,
-            if i + 1 < n { "," } else { "" }
-        ));
-    }
-    out.push_str("  }");
+    cells_of(&report).filter_map(before).collect()
 }
 
 fn main() {
@@ -140,10 +77,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(PathBuf::from);
 
-    let root = workspace_root();
-    let results_dir = root.join("target/criterion-stub/desim");
-    let report_path = root.join("BENCH_engine.json");
-
+    let results_dir = workspace_root().join("target/criterion-stub/desim");
     let after = read_dir_stats(&results_dir);
     if after.is_empty() {
         eprintln!(
@@ -152,54 +86,35 @@ fn main() {
         );
         std::process::exit(1);
     }
-
     let before = if set_baseline {
         after.clone()
     } else if let Some(dir) = baseline_dir {
         read_dir_stats(&dir)
     } else {
-        read_existing_before(&report_path)
+        read_existing_before()
     };
 
-    let mut out = String::from("{\n");
-    out.push_str(
-        "  \"note\": \"desim engine hot-path benches, ns of host wall time; \
-         measured with the vendored criterion stand-in (vendor/README.md), so \
-         only before/after ratios are comparable, not absolute numbers from \
-         real criterion; run both sides pinned to one CPU (taskset), and \
-         expect runs of one binary on a shared host to differ by 20% or more. \
-         spawn_park_N spawns N processes, parks them all, wakes them all, \
-         runs them out and drops the simulation, all timed (an engine with a \
-         stack mapping per process, PR 13 and before, holds about 30,000); \
-         timer_arm_cancel_10k arms, cancels and purges 10k timeouts between \
-         10k plain events on a warm simulation; spsc_burst64_100k pushes \
-         64-message bursts of 64-byte messages through one mailbox and \
-         drains each\",\n",
-    );
-    out.push_str(&format!(
-        "  \"host_cpus\": {},\n",
-        desim::affinity::effective_parallelism()
-    ));
-    emit_section(&mut out, "before", &before);
-    out.push_str(",\n");
-    emit_section(&mut out, "after", &after);
-    if !before.is_empty() {
-        out.push_str(",\n  \"speedup_median\": {\n");
-        let common: Vec<_> = after
-            .iter()
-            .filter_map(|(k, a)| before.get(k).map(|b| (k, b.median_ns / a.median_ns)))
-            .collect();
-        for (i, (k, s)) in common.iter().enumerate() {
-            out.push_str(&format!(
-                "    \"{k}\": {s:.2}{}\n",
-                if i + 1 < common.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  }");
-    }
-    out.push_str("\n}\n");
-
-    std::fs::write(&report_path, &out).expect("write BENCH_engine.json");
-    println!("wrote {}", report_path.display());
-    print!("{out}");
+    let cells: Vec<Record> = after
+        .iter()
+        .map(|(bench, a)| {
+            let b = before.get(bench);
+            let host = Record::new()
+                .with("before", b.cloned())
+                .with("after", a.clone())
+                .with(
+                    "speedup_median",
+                    b.map(|b| b.f64("median_ns") / a.f64("median_ns")),
+                );
+            println!("{bench}: {}", host.line());
+            cell_report(
+                Record::new().with("bench", bench.as_str()),
+                Record::new(),
+                host,
+                None,
+                &[],
+            )
+        })
+        .collect();
+    let path = write_report(new_report("engine", NOTE, Record::new()), cells, Vec::new());
+    println!("wrote {}", path.display());
 }

@@ -1,0 +1,13 @@
+//! The eight campaigns: each module holds what is particular to it — its
+//! reasons (the doc header), its machine and fault scripts, its cell table,
+//! the run of one cell, its named oracles and cross-cell gates — as one
+//! `CAMPAIGN` constant for [`crate::campaign::drive`].
+
+pub mod collective;
+pub mod datapath;
+pub mod faults;
+pub mod gray;
+pub mod partition;
+pub mod pdes;
+pub mod scale;
+pub mod soak;

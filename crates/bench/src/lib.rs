@@ -10,8 +10,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod campaign;
+pub mod campaigns;
 pub mod experiments;
 pub mod report;
-pub mod workload;
 
 pub use experiments::*;

@@ -12,7 +12,7 @@
 //! * **Software tree** — a configurable-radix reduction tree built on
 //!   ordinary channels, paying the full per-message channel software cost at
 //!   every level. This is the baseline the in-network engine races in
-//!   `collective_campaign`.
+//!   the `collective` campaign (`vorx-bench`).
 //!
 //! Reliability follows the PR 2 retry/dedup discipline, adapted to
 //! combining: a contribution that *might already be merged* must never be

@@ -65,6 +65,44 @@ pub struct FaultStats {
     pub coll_retries: u64,
 }
 
+impl std::ops::AddAssign<&FaultStats> for FaultStats {
+    /// Sum another world's (another shard's) counters into this one. The
+    /// destructuring names every field, so a counter added to the struct
+    /// does not compile until it is merged here.
+    fn add_assign(&mut self, o: &FaultStats) {
+        let FaultStats {
+            retransmits,
+            dups_suppressed,
+            corrupted_rx,
+            busy_sent,
+            peer_down_events,
+            crashes,
+            restarts,
+            probes_sent,
+            partitions,
+            heals,
+            mgr_failovers,
+            overload_rideouts,
+            table_rejects,
+            coll_retries,
+        } = self;
+        *retransmits += o.retransmits;
+        *dups_suppressed += o.dups_suppressed;
+        *corrupted_rx += o.corrupted_rx;
+        *busy_sent += o.busy_sent;
+        *peer_down_events += o.peer_down_events;
+        *crashes += o.crashes;
+        *restarts += o.restarts;
+        *probes_sent += o.probes_sent;
+        *partitions += o.partitions;
+        *heals += o.heals;
+        *mgr_failovers += o.mgr_failovers;
+        *overload_rideouts += o.overload_rideouts;
+        *table_rejects += o.table_rejects;
+        *coll_retries += o.coll_retries;
+    }
+}
+
 /// The fault plane as the world sees it: the seeded schedule plus the
 /// recovery statistics. Implements [`hpcnet::FaultHook`] so the fabric
 /// consults the schedule (and its private RNG streams) on every hop.

@@ -57,6 +57,7 @@ pub mod debug;
 pub mod error;
 pub mod fault;
 pub mod host;
+pub mod invariants;
 pub mod kernel;
 pub mod membership;
 pub mod multicast;

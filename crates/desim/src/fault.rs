@@ -144,6 +144,44 @@ impl LinkStats {
     pub fn lat_mean_ns(&self) -> u64 {
         self.lat_sum_ns.checked_div(self.lat_count).unwrap_or(0)
     }
+
+    /// Fold another link's (or another shard's view of this link's)
+    /// counters into this one: counts add, the latency extremes widen, and
+    /// `lat_min_ns` is taken only from a side that recorded a latency. The
+    /// destructuring names every field, so a counter added to the struct
+    /// does not compile until it is merged here.
+    pub fn merge(&mut self, o: &LinkStats) {
+        let LinkStats {
+            dropped,
+            corrupted,
+            delayed,
+            down_drops,
+            downs,
+            shed,
+            flaps,
+            lat_min_ns,
+            lat_max_ns,
+            lat_sum_ns,
+            lat_count,
+        } = self;
+        *dropped += o.dropped;
+        *corrupted += o.corrupted;
+        *delayed += o.delayed;
+        *down_drops += o.down_drops;
+        *downs += o.downs;
+        *shed += o.shed;
+        *flaps += o.flaps;
+        if o.lat_count > 0 {
+            *lat_min_ns = if *lat_count > 0 {
+                (*lat_min_ns).min(o.lat_min_ns)
+            } else {
+                o.lat_min_ns
+            };
+            *lat_max_ns = (*lat_max_ns).max(o.lat_max_ns);
+            *lat_sum_ns += o.lat_sum_ns;
+            *lat_count += o.lat_count;
+        }
+    }
 }
 
 /// One deterministic latency-degradation window: between `start_ns` and

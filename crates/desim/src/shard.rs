@@ -114,7 +114,7 @@ pub struct WorkerStall {
 }
 
 /// Counters the sharded engine keeps about its own execution, for the
-/// `pdes_campaign` report and CI regression visibility.
+/// `pdes` campaign's report and CI regression visibility.
 #[derive(Debug, Clone, Default)]
 pub struct PdesStats {
     /// Run segments issued across all shards (each is one `run_until` over

@@ -237,6 +237,38 @@ pub struct Stats {
     pub comb_flushes: u64,
 }
 
+impl Stats {
+    /// Add another fabric's (another shard's) scalar counters into this
+    /// one; the per-endpoint vectors are left alone — at a million
+    /// endpoints nobody wants eight of them summed. The destructuring names
+    /// every field, so a counter added to the struct does not compile until
+    /// it is merged (or skipped) here.
+    pub fn merge_counters(&mut self, o: &Stats) {
+        let Stats {
+            frames_delivered,
+            payload_bytes_delivered,
+            frames_sent,
+            frames_dropped,
+            frames_corrupted,
+            frames_rerouted,
+            frames_shed,
+            per_endpoint_rx: _,
+            per_endpoint_tx: _,
+            frames_combined,
+            comb_flushes,
+        } = self;
+        *frames_delivered += o.frames_delivered;
+        *payload_bytes_delivered += o.payload_bytes_delivered;
+        *frames_sent += o.frames_sent;
+        *frames_dropped += o.frames_dropped;
+        *frames_corrupted += o.frames_corrupted;
+        *frames_rerouted += o.frames_rerouted;
+        *frames_shed += o.frames_shed;
+        *frames_combined += o.frames_combined;
+        *comb_flushes += o.comb_flushes;
+    }
+}
+
 /// The HPC interconnect model. See module docs.
 pub struct Fabric {
     cfg: NetConfig,

@@ -40,6 +40,4 @@ pub use fabric::{
 pub use frame::{
     copymeter, Dest, Frame, FrameError, NodeAddr, Payload, HEADER_BYTES, MAX_FRAME, MAX_PAYLOAD,
 };
-pub use topology::{
-    Attachment, ClusterId, PortRef, RoutingMode, Topology, TopologyBuilder, TopologyError,
-};
+pub use topology::{Attachment, ClusterId, PortRef, Topology, TopologyBuilder, TopologyError};

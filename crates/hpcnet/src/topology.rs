@@ -193,22 +193,6 @@ impl TopologyBuilder {
     }
 }
 
-/// How inter-cluster routes are computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingMode {
-    /// Shortest path by breadth-first search over dense tables (arbitrary
-    /// topologies from [`TopologyBuilder`]).
-    Bfs,
-    /// Incomplete-hypercube two-phase bit-fixing (clear high→low, then set
-    /// low→high), computed implicitly from cluster ids. Deterministic,
-    /// minimal, and every intermediate cluster id is `< cluster count`.
-    IncompleteHypercube,
-    /// A hierarchy of incomplete hypercubes (groups of clusters linked by
-    /// gateway clusters, recursively). Routes are computed implicitly from
-    /// mixed-radix cluster coordinates in O(levels).
-    Hierarchical,
-}
-
 /// A directed inter-cluster edge: (cluster, output port). Kept sorted so
 /// membership tests are binary searches and churn never allocates once the
 /// vector has warmed up.
@@ -447,7 +431,6 @@ pub struct Topology {
     dead: Vec<DeadEdge>,
     /// How many times routing was recomputed. 0 = fault-free baseline.
     generation: u64,
-    mode: RoutingMode,
     scratch: Scratch,
 }
 
@@ -686,11 +669,6 @@ impl Topology {
             }
         }
 
-        let mode = if k == 1 {
-            RoutingMode::IncompleteHypercube
-        } else {
-            RoutingMode::Hierarchical
-        };
         Ok(Topology {
             scratch: Scratch::new(n),
             clusters,
@@ -698,7 +676,6 @@ impl Topology {
             repr: Repr::Hier(hier),
             dead: Vec::new(),
             generation: 0,
-            mode,
         })
     }
 
@@ -750,7 +727,6 @@ impl Topology {
             },
             dead: Vec::new(),
             generation: 0,
-            mode: RoutingMode::Bfs,
         })
     }
 
@@ -767,11 +743,6 @@ impl Topology {
     /// All endpoint addresses.
     pub fn endpoints(&self) -> impl Iterator<Item = NodeAddr> + '_ {
         (0..self.endpoints.len()).map(|i| NodeAddr(i as u32))
-    }
-
-    /// The routing mode in effect.
-    pub fn mode(&self) -> RoutingMode {
-        self.mode
     }
 
     /// Level sizes (innermost first) of a hierarchical-hypercube topology;
@@ -1796,7 +1767,6 @@ mod tests {
         let t = Topology::hierarchical_hypercube(&[4, 2], 1).unwrap();
         assert_eq!(t.n_clusters(), 8);
         assert_eq!(t.n_endpoints(), 8);
-        assert_eq!(t.mode(), RoutingMode::Hierarchical);
         assert_eq!(t.hier_levels(), Some(&[4u32, 2][..]));
         // 3 -> 5: walk the group to gateway 0 (3->1->0), cross to 4, then
         // one in-group hop to 5.

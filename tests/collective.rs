@@ -19,7 +19,7 @@ use hpc_vorx::desim::{FaultSchedule, LinkFaults};
 use hpc_vorx::hpcnet::combine::CombOp;
 use hpc_vorx::hpcnet::{NetConfig, NodeAddr, Topology};
 use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
-use hpc_vorx::vorx::VorxBuilder;
+use hpc_vorx::vorx::{invariants, VorxBuilder};
 
 const GROUP: u32 = 7;
 /// Fixed shard count: the shard partition is part of the simulated outcome,
@@ -90,6 +90,7 @@ fn run_group(
     }
     let mut v = v;
     let end = v.run_all();
+    assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
     let trace = v.merged_trace().to_json();
     let (r1, r2) = (r1.lock().clone(), r2.lock().clone());
     Run {
@@ -192,6 +193,7 @@ fn unused_group_leaves_noncollective_traces_untouched() {
         });
         let mut v = v;
         let end = v.run_all();
+        assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
         (end.as_ns(), v.merged_trace().to_json())
     };
     let (end_armed, trace_armed) = run(true);
@@ -230,5 +232,6 @@ fn software_tree_and_in_network_agree() {
     }
     let mut v = v;
     v.run_all();
+    assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
     assert_eq!(&*got.lock(), &innet.r1, "engines disagree on CombOp::Min");
 }

@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use hpc_vorx::desim::{FaultSchedule, LinkFaults, RunOutcome, SimTime};
 use hpc_vorx::hpcnet::{Frame, NodeAddr, Payload};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
-use hpc_vorx::vorx::{channel, proto, Calibration, VorxBuilder, World};
+use hpc_vorx::vorx::{channel, invariants, proto, Calibration, VorxBuilder, World};
 
 use proptest::prelude::*;
 
@@ -89,6 +89,7 @@ fn stream_with(
         assert!(end.winrx.copying.is_empty(), "copy in flight at quiescence");
         assert_eq!(end.winrx.held, 0, "credit leaked by consumed messages");
     }
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
     (order, leaked, trace_json)
 }
 
@@ -186,7 +187,7 @@ fn same_seed_same_window_replays_bit_identically() {
 
 /// The windowed pipeline is actually faster: the same workload finishes in
 /// less simulated time at W=8 than at W=1 (the full goodput comparison
-/// against the paper's tables lives in `datapath_report`).
+/// against the paper's tables lives in the `datapath` campaign).
 #[test]
 fn windowed_finishes_sooner_than_stop_and_wait() {
     let sizes = [256usize; 16];
@@ -214,6 +215,7 @@ fn windowed_finishes_sooner_than_stop_and_wait() {
             *sink.lock() = ctx.now().as_ns();
         });
         v.run_all();
+        assert_eq!(invariants::check(&v.world(), 0), [] as [&str; 0]);
         let t = *done.lock();
         assert!(t > 0);
         t
@@ -282,6 +284,7 @@ fn sack_bits_outside_the_inflight_run_are_ignored() {
         }
     });
     v.run_all();
+    assert_eq!(invariants::check(&v.world(), 0), [] as [&str; 0]);
 }
 
 proptest! {

@@ -11,7 +11,7 @@ use parking_lot::Mutex;
 use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
 use hpc_vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
-use hpc_vorx::vorx::{channel, fault, VorxBuilder, VorxError};
+use hpc_vorx::vorx::{channel, fault, invariants, VorxBuilder, VorxError};
 
 use proptest::prelude::*;
 
@@ -62,6 +62,7 @@ fn stream_under(schedule: FaultSchedule, msgs: u8) -> (Vec<u8>, u64, u64, u64, u
     let report = v.run();
     let leaked = report.parked.len();
     let w = v.world();
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
     let order = got.lock().clone();
     (
         order,
@@ -218,6 +219,8 @@ fn failover_run(seed: u64) -> (Vec<u32>, usize, String) {
     });
     let report = v.run();
     let leaked = report.parked.len();
+    // The crashed node is back up and the stream healed: quiescence holds.
+    assert_eq!(invariants::check(&v.world(), 0), [] as [&str; 0]);
     let trace = v.world().trace.to_json();
     let order = got.lock().clone();
     (order, leaked, trace)
@@ -332,6 +335,7 @@ fn link_cut_drops_frames_then_retransmission_recovers() {
         w.faults.stats.partitions, 0,
         "a sub-timeout blip must not be declared a partition"
     );
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }
 
 /// BUSY-grant exhaustion: a receiver that never drains must surface a
@@ -389,6 +393,7 @@ fn busy_grant_exhaustion_surfaces_typed_error() {
         w.faults.stats.peer_down_events >= 1,
         "grant exhaustion ends in a peer-down verdict"
     );
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }
 
 /// A lost `KIND_CHAN_BUSY`: the reader naps with its side buffers full, the
@@ -482,6 +487,7 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
     );
     assert_eq!(w.faults.stats.peer_down_events, 0);
     assert!(w.nodes[0].chans.values().all(|e| e.win.inflight.is_empty()));
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }
 
 proptest! {

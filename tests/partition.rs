@@ -15,7 +15,7 @@ use parking_lot::Mutex;
 use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
 use hpc_vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::name_hash;
-use hpc_vorx::vorx::{channel, Calibration, VorxBuilder, VorxError};
+use hpc_vorx::vorx::{channel, invariants, Calibration, VorxBuilder, VorxError};
 
 use proptest::prelude::*;
 
@@ -127,6 +127,7 @@ fn churn_run(schedule: FaultSchedule, calib: Calibration, msgs: u8) -> Run {
     let delivered = got.lock().clone();
     let writer_stalls = *stalls.lock();
     let w = v.world();
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
     Run {
         delivered,
         writer_stalls,
@@ -269,6 +270,9 @@ fn open_fails_over_to_replica_when_home_is_partitioned() {
         w.faults.stats.mgr_failovers >= 1,
         "the open must have failed over to the successor replica"
     );
+    // The cut never heals, so the marks it left are the right answer here
+    // and nothing else is: every other quiescence oracle still holds.
+    assert_eq!(invariants::check(&w, 0), [invariants::MEMBERSHIP]);
 }
 
 /// The node-local resolve cache must never serve a manager address across a
@@ -351,6 +355,7 @@ fn resolve_cache_is_invalidated_across_failover_and_heal() {
         Some(home),
         "post-heal resolution must come from the hash-home again"
     );
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }
 
 /// Build the scripted churn schedule used by the determinism tests: two

@@ -4,7 +4,7 @@
 
 use desim::{FaultSchedule, SimTime};
 use hpc_vorx::vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
-use hpc_vorx::vorx::{channel, workers_from_env, VCtx, VorxBuilder, VorxShardedSim};
+use hpc_vorx::vorx::{channel, invariants, workers_from_env, VCtx, VorxBuilder, VorxShardedSim};
 use hpc_vorx::vorx_tools::oscillo::Oscilloscope;
 
 /// Group node addresses by cluster, in address order.
@@ -143,6 +143,7 @@ fn single_shard_matches_sequential_engine_byte_for_byte() {
         seq.spawn(name, f);
     });
     let seq_end = seq.run_all();
+    assert_eq!(invariants::check(&seq.world(), 0), [] as [&str; 0]);
     let seq_json = seq.world().trace.to_json();
     let seq_delivered = seq.world().net.stats.frames_delivered;
 
@@ -154,6 +155,7 @@ fn single_shard_matches_sequential_engine_byte_for_byte() {
         sh.spawn_at(node, name, f);
     });
     let sh_end = sh.run_all();
+    assert_eq!(invariants::check_shards(&sh, 0), [] as [&str; 0]);
     let sh_delivered = sh.world(0).net.stats.frames_delivered;
     let sh_json = sh.merged_trace().to_json();
 
@@ -181,6 +183,7 @@ fn merged_trace_feeds_the_tools_unchanged() {
         v.spawn_at(node, name, f);
     });
     let end = v.run_all();
+    assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
     let trace = v.merged_trace();
     // Time-windowing works on the merged trace (monotone timestamps).
     let mut last = SimTime::ZERO;
@@ -208,6 +211,7 @@ fn per_shard_counters_cover_every_shard() {
         v.spawn_at(node, name, f);
     });
     v.run_all();
+    assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
     let stats = v.stats();
     assert_eq!(stats.events_per_shard.len(), 10);
     assert!(stats.events_per_shard.iter().all(|&e| e > 0));
@@ -274,6 +278,7 @@ fn seeds_are_worker_invariant() {
                 v.spawn_at(node, name, f);
             });
             v.run_all();
+            assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
             v.merged_trace().to_json()
         };
         assert_eq!(run(1), run(3), "seed {seed:#x} diverged across workers");
@@ -337,6 +342,7 @@ fn overload_shedding_is_worker_invariant() {
             });
         }
         v.run_all();
+        assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
         let shed = v.sum_over_shards(|w| w.net.stats.frames_shed);
         let retx = v.sum_over_shards(|w| w.faults.stats.retransmits);
         (v.merged_trace().to_json(), shed, retx)
