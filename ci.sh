@@ -7,14 +7,8 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (VORX_SIM_WORKERS=1: sharded paths at one worker)"
-VORX_SIM_WORKERS=1 cargo test --workspace -q
-
-echo "==> cargo test (VORX_SIM_WORKERS=4: sharded paths at four workers)"
-VORX_SIM_WORKERS=4 cargo test --workspace -q
-
-echo "==> cargo test (VORX_SIM_WORKERS=8: sharded paths at eight workers)"
-VORX_SIM_WORKERS=8 cargo test --workspace -q
+echo "==> cargo test (every sharded test names its own worker counts)"
+cargo test --workspace -q
 
 echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle, stale-handle ABA, 0 per warmed-up fabric frame, 81 + 0.1/msg for a stop-and-wait run, <= 0.1/msg more across two shards, <= 6 per try_open, SPSC nodes <= max depth + 1, recompute, trace merge)"
 cargo test -q --test event_storage --test datapath_alloc --test spsc_reuse --test topology_alloc --test trace_merge_alloc
@@ -55,6 +49,26 @@ if grep -rn 'TxPending\|tx_pending\|tx_epoch\|arm_data_timer' crates/core/src/; 
 fi
 if [ -e vendor/crossbeam ]; then
     echo "vendor/crossbeam is back; no crate depends on it" >&2
+    exit 1
+fi
+
+echo "==> one router (one BFS queue in hpcnet/src/topology.rs, no second live route store under crates/, no worker-count environment knob)"
+# Above `mod tests`: the line of the `fn` enclosing each `pop_front()`.
+bfs_fns=$(sed '/^mod tests/,$d' crates/hpcnet/src/topology.rs |
+    awk '/^ *(pub )?(pub\(crate\) )?fn /{f=NR} /pop_front\(\)/{print f}' | sort -u | wc -l)
+if [ "$bfs_fns" -ne 1 ]; then
+    echo "exactly one function in crates/hpcnet/src/topology.rs may run a BFS queue:" >&2
+    grep -n 'pop_front()' crates/hpcnet/src/topology.rs >&2
+    exit 1
+fi
+if grep -rn 'recompute_table\|finish_table\|Repr::Table\|base_next_port' crates/; then
+    echo "crates/ keeps a dense live routing table beside the overlay again" >&2
+    exit 1
+fi
+# The name is split so this script does not match itself.
+if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclude=ROADMAP.md \
+    --exclude=ISSUE.md 'VORX_SIM_''WORKERS' .; then
+    echo "the worker-count environment variable is back; tests name their worker counts" >&2
     exit 1
 fi
 

@@ -73,9 +73,7 @@ pub use calib::Calibration;
 pub use cpu::{BlockReason, CpuCat, TraceEvent};
 pub use error::{VorxError, VorxResult};
 pub use fault::{FaultState, FaultStats};
-pub use world::{
-    workers_from_env, ShardCtx, VCtx, VSched, VorxBuilder, VorxShardedSim, VorxSim, World,
-};
+pub use world::{ShardCtx, VCtx, VSched, VorxBuilder, VorxShardedSim, VorxSim, World};
 
 /// Re-export of the interconnect crate for convenience.
 pub use hpcnet;

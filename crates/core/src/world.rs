@@ -780,15 +780,6 @@ fn spawn_fault_plane(sim: &Simulation<World>, events: Vec<desim::FaultEvent>) {
     });
 }
 
-/// Worker-thread count for sharded runs, from `VORX_SIM_WORKERS` (default 1).
-pub fn workers_from_env() -> usize {
-    std::env::var("VORX_SIM_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&w| w >= 1)
-        .unwrap_or(1)
-}
-
 /// A runnable HPC/VORX installation: a thin wrapper over
 /// `desim::Simulation<World>` with VORX-flavoured conveniences.
 pub struct VorxSim {

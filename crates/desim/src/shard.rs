@@ -488,13 +488,12 @@ impl<W: ShardWorld> ShardedSim<W> {
             .collect();
         self.slots
             .iter_mut()
-            .map(|s| match s.sim.run_until(SimTime::ZERO) {
-                crate::sim::RunOutcome::Idle(r) => r,
-                // Cannot happen: termination detection proved every shard
-                // quiescent with no messages in flight.
-                crate::sim::RunOutcome::DeadlineReached => {
-                    unreachable!("shard {} not idle after termination", s.id)
-                }
+            .map(|s| {
+                // Termination detection proved every shard quiescent with no
+                // messages in flight.
+                let idle = s.sim.run_segment(SimTime::ZERO);
+                assert!(idle, "shard {} not idle after termination", s.id);
+                s.sim.idle_report()
             })
             .collect()
     }
@@ -633,7 +632,7 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
             .min(next_msg.unwrap_or(u64::MAX))
             .min(start.saturating_add(self_l));
         debug_assert!(bound > start);
-        let _ = slot.sim.run_until(SimTime::from_ns(bound - 1));
+        slot.sim.run_segment(SimTime::from_ns(bound - 1));
         slot.run_bound = bound;
         slot.rounds += 1;
         ran = true;

@@ -972,10 +972,22 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Run until no events remain or the next event is later than `deadline`.
     pub fn run_until(&mut self, deadline: SimTime) -> RunOutcome {
+        if self.run_segment(deadline) {
+            RunOutcome::Idle(self.idle_report())
+        } else {
+            RunOutcome::DeadlineReached
+        }
+    }
+
+    /// [`Simulation::run_until`] without the report: `true` when no events
+    /// remain, `false` at the deadline. The sharded engine runs thousands of
+    /// segments that end idle and wants none of their reports (a `Vec` and a
+    /// name per parked process each).
+    pub(crate) fn run_segment(&mut self, deadline: SimTime) -> bool {
         // One set of scheduler buffers serves every event callback this run
         // dispatches; per-event pool traffic would cost more than it saves.
         let mut bufs = self.inner.pool.lock().pop().unwrap_or_default();
-        let outcome = 'run: loop {
+        let idle = 'run: loop {
             let next = {
                 let mut core = self.inner.core.lock();
                 // Inner loop so stale wakeups are skipped without bouncing
@@ -990,13 +1002,13 @@ impl<W: Send + 'static> Simulation<W> {
                         (Some(_), None) => true,
                         (Some(&(lane_seq, _)), Some(h)) => h.t > core.now || h.seq > lane_seq,
                         (None, Some(_)) => false,
-                        (None, None) => break 'run RunOutcome::Idle(idle_report(&core)),
+                        (None, None) => break 'run true,
                     };
                     let act = if use_lane {
                         if core.now > deadline {
                             // Lane entries fire at `now`, which is already
                             // past the bound; time does not move.
-                            break 'run RunOutcome::DeadlineReached;
+                            break 'run false;
                         }
                         core.lane.pop_front().expect("lane front").1
                     } else {
@@ -1006,7 +1018,7 @@ impl<W: Send + 'static> Simulation<W> {
                             self.inner
                                 .now_ns
                                 .store(core.now.as_ns(), AtomicOrdering::Release);
-                            break 'run RunOutcome::DeadlineReached;
+                            break 'run false;
                         }
                         let e = core.queue.pop().expect("peeked");
                         debug_assert!(e.t >= core.now, "time ran backwards");
@@ -1074,7 +1086,7 @@ impl<W: Send + 'static> Simulation<W> {
         if pool.len() < POOL_CAP {
             pool.push(bufs);
         }
-        outcome
+        idle
     }
 
     /// Switch into `pid` with `token`, and when it hands back record how it
@@ -1119,7 +1131,26 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Names of processes that are still parked.
     pub fn parked_processes(&self) -> Vec<(ProcId, String)> {
-        idle_report(&self.inner.core.lock()).parked
+        self.idle_report().parked
+    }
+
+    /// The current time and the processes parked at it.
+    pub(crate) fn idle_report(&self) -> IdleReport {
+        let core = self.inner.core.lock();
+        let parked = core
+            .procs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| {
+                s.as_ref()
+                    .filter(|s| s.state == ProcState::Parked)
+                    .map(|s| (ProcId(i as u32), s.name.clone()))
+            })
+            .collect();
+        IdleReport {
+            now: core.now,
+            parked,
+        }
     }
 
     /// Time of the earliest pending activity, or `None` when idle. Disarmed
@@ -1153,23 +1184,6 @@ impl<W: Send + 'static> Simulation<W> {
     {
         let mut core = self.inner.core.lock();
         core.push(t, Pending::Run(EventFn::new(f)));
-    }
-}
-
-fn idle_report<W>(core: &Core<W>) -> IdleReport {
-    let parked = core
-        .procs
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| {
-            s.as_ref()
-                .filter(|s| s.state == ProcState::Parked)
-                .map(|s| (ProcId(i as u32), s.name.clone()))
-        })
-        .collect();
-    IdleReport {
-        now: core.now,
-        parked,
     }
 }
 

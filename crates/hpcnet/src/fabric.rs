@@ -334,7 +334,7 @@ pub struct Fabric {
     /// frame's targets leaving through the port under consideration.
     /// Hoisted so steady-state forwarding performs zero allocations.
     fwd_scratch: Vec<NodeAddr>,
-    /// Reusable cluster-path buffer for [`Fabric::probe_route_ns`].
+    /// Reusable cluster-path buffer for [`Fabric::comb_register_group`].
     path_scratch: Vec<ClusterId>,
     /// In-switch combining state. `None` — and never consulted beyond one
     /// pointer test on the arrival paths — until the software layer
@@ -628,16 +628,17 @@ impl Fabric {
     }
 
     /// The directed inter-cluster link out of cluster `from` toward cluster
-    /// `to`, if those clusters are wired directly. Lets tests and benches
-    /// name a hypercube edge without reverse-engineering link-id order.
+    /// `to`, if those clusters are wired directly — the lowest link id when
+    /// several cables join the pair. Lets tests and benches name a hypercube
+    /// edge without reverse-engineering link-id order. Read off `from`'s own
+    /// ports: the gray bridge asks once per inter-cluster hop of a frame.
     pub fn cluster_link(&self, from: ClusterId, to: ClusterId) -> Option<LinkId> {
-        self.links
-            .iter()
-            .position(|l| {
-                matches!((l.from, l.to), (Element::Port(a), Element::Port(b))
-                if a.cluster == from && b.cluster == to)
-            })
-            .map(|i| LinkId(i as u32))
+        let joins = |l: &LinkId| match self.links[l.0 as usize].to {
+            Element::Port(p) => p.cluster == to,
+            Element::Endpoint(_) => false,
+        };
+        let outs = self.port_out[from.0 as usize].iter().flatten().copied();
+        outs.filter(joins).min_by_key(|l| l.0)
     }
 
     /// Software writes a frame to the endpoint's output register.
@@ -885,11 +886,6 @@ impl Fabric {
         self.in_flight
     }
 
-    /// Total transmitting time of the busiest link, in ns (diagnostics).
-    pub fn max_link_busy_ns(&self) -> u64 {
-        self.links.iter().map(|l| l.busy_ns).max().unwrap_or(0)
-    }
-
     /// Per-link utilization snapshot: `(link, description, busy_ns,
     /// buffered frames)` for every directed link, in id order. The
     /// description names the two elements the link joins.
@@ -1069,23 +1065,6 @@ impl Fabric {
     /// the fabric latency of any frame on a path of `links` links).
     pub fn header_link_latency_ns(&self) -> u64 {
         self.cfg.link_latency_ns(crate::frame::HEADER_BYTES)
-    }
-
-    /// Uncontended store-and-forward latency (ns) of a header-only frame
-    /// from `src` to `dst` over the routing tables *currently* in force —
-    /// detours lengthen the answer, heals shrink it back — or `None` when
-    /// no route survives. Walks the implicit routes via
-    /// [`Topology::cluster_path_into`] into a hoisted scratch buffer, so
-    /// probing is allocation-free in steady state: the scale campaign calls
-    /// this per churn cycle on 10⁵–10⁶-endpoint worlds to record detour
-    /// stretch without perturbing the allocator.
-    pub fn probe_route_ns(&mut self, src: NodeAddr, dst: NodeAddr) -> Option<u64> {
-        let mut path = std::mem::take(&mut self.path_scratch);
-        let ok = self.topo.cluster_path_into(src, dst, &mut path);
-        // Endpoint up-link + one link per inter-cluster hop + down-link.
-        let links = path.len() as u64 + 1;
-        self.path_scratch = path;
-        ok.then(|| links * self.header_link_latency_ns())
     }
 
     /// Register collective group `group`: frames of `kind` whose `seq`
@@ -1878,7 +1857,11 @@ mod tests {
         assert_eq!(net.fabric.stats.payload_bytes_delivered, 100);
         assert_eq!(net.fabric.stats.per_endpoint_tx[0], 1);
         assert_eq!(net.fabric.stats.per_endpoint_rx[1], 1);
-        assert!(net.fabric.max_link_busy_ns() > 0);
+        assert!(net
+            .fabric
+            .link_report()
+            .iter()
+            .any(|&(_, _, busy_ns, _)| busy_ns > 0));
     }
 
     #[test]
@@ -2383,5 +2366,52 @@ mod report_tests {
         assert!(cross_busy, "{report:?}");
         // Quiescent: nothing buffered anywhere.
         assert!(report.iter().all(|(_, _, _, buffered)| *buffered == 0));
+    }
+
+    /// `cluster_link` answers from the 12 ports of `from`; the scan over
+    /// every link it replaced is the reference. Standby gateway cables and
+    /// parallel builder cables give pairs with two candidates: lowest id wins.
+    #[test]
+    fn cluster_link_matches_the_full_link_scan() {
+        use crate::topology::TopologyBuilder;
+        let mut b = TopologyBuilder::new();
+        let cs: Vec<_> = (0..3).map(|_| b.add_cluster()).collect();
+        // c0 = c1 twice (the higher ports wired first), c1 - c2 once.
+        for (a, pa, z, pz) in [(0, 5, 1, 2), (0, 1, 1, 7), (1, 0, 2, 0)] {
+            let (a, z) = (
+                PortRef {
+                    cluster: cs[a],
+                    port: pa,
+                },
+                PortRef {
+                    cluster: cs[z],
+                    port: pz,
+                },
+            );
+            b.connect(a, z).unwrap();
+        }
+        let worlds = [
+            Topology::hierarchical_hypercube_redundant(&[4, 2], 1).unwrap(),
+            b.build().unwrap(),
+        ];
+        for topo in worlds {
+            let f = Fabric::new(topo, NetConfig::paper_1988());
+            let n = f.topology().n_clusters() as u32;
+            let mut wired = 0;
+            for (from, to) in (0..n).flat_map(|a| (0..n).map(move |z| (ClusterId(a), ClusterId(z))))
+            {
+                let scan = f.links.iter().position(|l| {
+                    matches!((l.from, l.to), (Element::Port(a), Element::Port(b))
+                        if a.cluster == from && b.cluster == to)
+                });
+                assert_eq!(
+                    f.cluster_link(from, to),
+                    scan.map(|i| LinkId(i as u32)),
+                    "{from:?} -> {to:?}"
+                );
+                wired += usize::from(scan.is_some());
+            }
+            assert!(wired > 0);
+        }
     }
 }

@@ -6,30 +6,32 @@
 //! connections with arbitrary topologies, we have chosen to connect the
 //! clusters in the shape of an incomplete hypercube." (§1)
 //!
-//! Three generators exist here: an arbitrary-graph builder routed by BFS
-//! tables, the paper's flat incomplete hypercube, and the paper's scheme
-//! *recursed* — a hierarchy of incomplete hypercubes where each level-0
-//! group of clusters is an incomplete hypercube and designated gateway
-//! clusters link groups (then groups-of-groups, …) in higher-level
-//! incomplete hypercubes. Hypercube levels route by the deadlock-free
-//! two-phase rule (clear differing bits from high to low, then set differing
-//! bits from low to high — every intermediate id stays below the level size,
-//! which is Katseff's incomplete-hypercube property).
+//! Three generators exist here: an arbitrary-graph builder, the paper's flat
+//! incomplete hypercube, and the paper's scheme *recursed* — a hierarchy of
+//! incomplete hypercubes where each level-0 group of clusters is an
+//! incomplete hypercube and designated gateway clusters link groups (then
+//! groups-of-groups, …) in higher-level incomplete hypercubes. Hypercube
+//! levels route by the deadlock-free two-phase rule (clear differing bits
+//! from high to low, then set differing bits from low to high — every
+//! intermediate id stays below the level size, which is Katseff's
+//! incomplete-hypercube property).
 //!
-//! # Implicit routing and the detour overlay
+//! # One router: a fixed baseline plus a detour overlay
 //!
-//! Hypercube topologies do **not** keep dense `next_port` tables: the
-//! fault-free output port is computed in O(levels) from cluster coordinates
-//! ([`Topology::route`] stays O(1) for the flat paper topology). Link churn
-//! installs only the *differences* from that baseline into a hash-map
-//! overlay keyed `(cluster, destination)`, so [`Topology::recompute`] after
-//! churn costs O(affected destinations), and healing every edge is a single
-//! overlay clear — O(1), allocation-free — instead of the old O(n²) table
-//! restore. Arbitrary-graph (builder) topologies keep the dense BFS tables;
-//! they exist for small irregular worlds where O(n²) is irrelevant.
+//! Every topology routes the same way: a fault-free *baseline* fixed at
+//! construction, and a hash-map *overlay* holding only the entries link
+//! churn made differ from it. Hypercubes compute their baseline in O(levels)
+//! from cluster coordinates ([`Topology::route`] stays O(1) for the flat
+//! paper topology) and never hold a dense table; builder graphs have no such
+//! rule, so theirs is the BFS first-hop table — small irregular worlds where
+//! O(n²) is irrelevant. [`Topology::recompute`] after churn costs O(affected
+//! destinations), and healing every edge is a single overlay clear — O(1),
+//! allocation-free. One reverse BFS (`reverse_bfs`) builds the dense
+//! baseline and every repair, so all of them break ties alike.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 
 use crate::config::PORTS_PER_CLUSTER;
 use crate::frame::NodeAddr;
@@ -187,9 +189,23 @@ impl TopologyBuilder {
         })
     }
 
-    /// Finalize: compute routing tables (BFS over the cluster graph).
+    /// Finalize: the baseline is the BFS first-hop table of the graph as
+    /// wired — [`Topology::dense_bfs_into`] with no edge dead yet.
     pub fn build(self) -> Result<Topology, TopologyError> {
-        Topology::finish_table(self.clusters, self.endpoints)
+        let mut t = Topology::with_base(self.clusters, self.endpoints, Base::Dense(Vec::new()));
+        let mut table = Vec::new();
+        t.dense_bfs_into(&mut table);
+        for to in 0..table.len() {
+            let cut = |&from: &usize| from != to && table[from][to] == u8::MAX;
+            if let Some(from) = (0..table.len()).find(cut) {
+                return Err(TopologyError::Unreachable {
+                    from: ClusterId(from as u32),
+                    to: ClusterId(to as u32),
+                });
+            }
+        }
+        t.base = Base::Dense(table);
+        Ok(t)
     }
 }
 
@@ -198,19 +214,22 @@ impl TopologyBuilder {
 /// vector has warmed up.
 type DeadEdge = (u32, u8);
 
-/// How the routing overlay currently relates to the implicit baseline.
+/// How the routing overlay currently relates to the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OverlayScope {
-    /// No dead edges: every route is the implicit baseline, overlay empty.
+    /// Every route is the baseline, overlay empty: no edge is dead, or only
+    /// gateway cables whose role a standby class took over.
     Baseline,
-    /// Every dead edge is a level-0 (intra-group) link. The overlay holds
-    /// group-local detours keyed by `(cluster, local waypoint target)`;
-    /// gateway hops are untouched and guaranteed alive.
+    /// Hypercubes only: every dead edge that carries baseline traffic is a
+    /// level-0 (intra-group) link. The overlay holds group-local detours
+    /// keyed by `(cluster, local waypoint target)`; gateway hops are
+    /// untouched and guaranteed alive.
     Waypoint,
-    /// At least one gateway link is down (or a group lost internal
-    /// connectivity). The overlay holds exact per-destination detours keyed
-    /// by `(cluster, destination cluster)` for every affected destination,
-    /// computed by full reverse BFS — global ground truth.
+    /// Anything else — a routing gateway link down, a group that lost
+    /// internal connectivity, any dead edge of a builder graph. The overlay
+    /// holds exact per-destination detours keyed by `(cluster, destination
+    /// cluster)` for every affected destination, computed by full reverse
+    /// BFS — global ground truth.
     Target,
 }
 
@@ -245,13 +264,6 @@ struct Hier {
     /// the primary class loses a gateway link (and back on heal). Always
     /// equals `gw` in non-redundant worlds.
     gw_active: Vec<Vec<u32>>,
-    /// Detours installed by [`Topology::recompute`]: only entries that
-    /// *differ* from the implicit baseline are present (`u8::MAX` marks an
-    /// unreachable pair). Never iterated, so hash order cannot leak into
-    /// simulation behavior.
-    overlay: HashMap<(u32, u32), u8>,
-    /// What the overlay keys currently mean.
-    scope: OverlayScope,
 }
 
 /// Where the implicit walk from a cluster heads next.
@@ -314,9 +326,14 @@ impl Hier {
     /// (`x != dst`). O(levels²) worst case, O(1) for flat topologies.
     fn base_port(&self, x: u32, dst: u32) -> u8 {
         match self.waypoint(x, dst) {
-            Step::Local(t) => hypercube_next_dim(self.digit(x, 0), self.digit(t, 0)) as u8,
+            Step::Local(t) => self.local_port(x, t),
             Step::Cross { level, dim } => self.gateway_port(x, level, dim),
         }
+    }
+
+    /// The two-phase step from `x` toward `t` inside their level-0 group.
+    fn local_port(&self, x: u32, t: u32) -> u8 {
+        hypercube_next_dim(self.digit(x, 0), self.digit(t, 0)) as u8
     }
 
     /// The residue classes holding the `(l, dim)` gateway role, in port
@@ -327,44 +344,26 @@ impl Hier {
             .chain(self.gw_standby.get(l - 1).map(|row| row[dim as usize]))
     }
 
-    /// The port cluster `c` uses for its level-`level`, dimension-`dim`
-    /// gateway link. Gateway ports are allocated after the dimension and
-    /// endpoint ports in `(level, dim, class)` order of the roles `c` holds;
-    /// a role reserves its port even when the partner digit does not exist
-    /// (keeps port numbering identical across a residue class). Within a
-    /// role, `c` belongs to at most one class (primary and standby residues
-    /// are distinct), so the match is unambiguous.
-    fn gateway_port(&self, c: u32, level: usize, dim: u32) -> u8 {
-        let mut port = self.dims[0] + self.eps;
+    /// Walk the gateway roles cluster `c` holds as `(port, level, dim, class
+    /// residue)` and return the first answer `pick` gives. Gateway ports are
+    /// allocated after the dimension and endpoint ports in `(level, dim,
+    /// class)` order of the roles `c` holds; a role reserves its port even
+    /// when the partner digit does not exist (keeps port numbering identical
+    /// across a residue class). Within a role, `c` belongs to at most one
+    /// class (primary and standby residues are distinct), so a `(level,
+    /// dim)` names at most one port.
+    fn find_role<T>(
+        &self,
+        c: u32,
+        mut pick: impl FnMut(u8, usize, u32, u32) -> Option<T>,
+    ) -> Option<T> {
+        let mut port = (self.dims[0] + self.eps) as u8;
         for l in 1..self.n_levels() {
             for d in 0..self.dims[l] {
                 for r in self.role_classes(l, d) {
                     if c % self.block[l] == r {
-                        if l == level && d == dim {
-                            return port as u8;
-                        }
-                        port += 1;
-                    }
-                }
-            }
-        }
-        unreachable!("cluster {c} holds no gateway role ({level},{dim})")
-    }
-
-    /// The gateway role owning port `p` on cluster `c`, as
-    /// `(level, dim, class residue)` — `None` for dimension and endpoint
-    /// ports. The inverse of [`Hier::gateway_port`]'s allocation walk.
-    fn port_role(&self, c: u32, p: u8) -> Option<(usize, u32, u32)> {
-        if u32::from(p) < self.dims[0] + self.eps {
-            return None;
-        }
-        let mut port = self.dims[0] + self.eps;
-        for l in 1..self.n_levels() {
-            for d in 0..self.dims[l] {
-                for r in self.role_classes(l, d) {
-                    if c % self.block[l] == r {
-                        if port == u32::from(p) {
-                            return Some((l, d, r));
+                        if let Some(found) = pick(port, l, d, r) {
+                            return Some(found);
                         }
                         port += 1;
                     }
@@ -373,44 +372,109 @@ impl Hier {
         }
         None
     }
+
+    /// The port cluster `c` uses for its level-`level`, dimension-`dim`
+    /// gateway link.
+    fn gateway_port(&self, c: u32, level: usize, dim: u32) -> u8 {
+        self.find_role(c, |port, l, d, _| ((l, d) == (level, dim)).then_some(port))
+            .unwrap_or_else(|| unreachable!("cluster {c} holds no gateway role ({level},{dim})"))
+    }
+
+    /// The gateway role owning port `p` on cluster `c`, as
+    /// `(level, dim, class residue)` — `None` for dimension and endpoint
+    /// ports.
+    fn port_role(&self, c: u32, p: u8) -> Option<(usize, u32, u32)> {
+        self.find_role(c, |port, l, d, r| (port == p).then_some((l, d, r)))
+    }
+
+    /// Redundant-gateway failover: re-derive the active class of every role
+    /// from the dead set (a pure function of it, so sharded replays agree).
+    /// A role whose primary class lost a gateway link moves to its standby —
+    /// unless the standby class lost one too, in which case the role stays
+    /// put and the exact repair must route around both. No dead edge (a full
+    /// heal) restores every primary.
+    fn fail_over(&mut self, dead: &[DeadEdge]) {
+        for (a, p) in self.gw_active.iter_mut().zip(self.gw.iter()) {
+            a.copy_from_slice(p);
+        }
+        if self.gw_standby.is_empty() {
+            return;
+        }
+        let lost = |h: &Hier, role| dead.iter().any(|&(c, p)| h.port_role(c, p) == Some(role));
+        for l in 1..self.n_levels() {
+            for d in 0..self.dims[l] {
+                let (primary, standby) = (
+                    self.gw[l - 1][d as usize],
+                    self.gw_standby[l - 1][d as usize],
+                );
+                if lost(self, (l, d, primary)) && !lost(self, (l, d, standby)) {
+                    self.gw_active[l - 1][d as usize] = standby;
+                }
+            }
+        }
+    }
+
+    /// Which repair a dead set calls for, once [`Hier::fail_over`] has run.
+    /// A dead gateway edge whose class is not routing its role carries no
+    /// baseline traffic: it neither forces the exact global repair nor
+    /// perturbs group-local detours.
+    fn scope_for(&self, dead: &[DeadEdge]) -> OverlayScope {
+        let mut scope = OverlayScope::Baseline;
+        for &(c, p) in dead {
+            if u32::from(p) < self.dims[0] {
+                scope = OverlayScope::Waypoint;
+                continue;
+            }
+            // Endpoint ports never appear in `dead`, so `None` is moot.
+            let routing = |(l, d, r): (usize, u32, u32)| self.gw_active[l - 1][d as usize] == r;
+            if self.port_role(c, p).is_none_or(routing) {
+                return OverlayScope::Target;
+            }
+        }
+        scope
+    }
 }
 
-/// Dense routing tables (arbitrary builder graphs) or implicit hierarchical
-/// routing with a sparse detour overlay (hypercube generators).
+/// The fault-free routing a topology was built with. Which one is the
+/// constructor's choice, never a user's: hypercubes have a rule, arbitrary
+/// builder graphs do not.
 #[derive(Debug, Clone)]
-enum Repr {
-    /// `next_port[c][d]` = output port on cluster `c` toward cluster `d`
-    /// (`u8::MAX` for c == d, or for d unreachable over surviving edges),
-    /// plus the fault-free baseline restored verbatim on heal.
-    Table {
-        /// Live tables (recomputed on churn).
-        next_port: Vec<Vec<u8>>,
-        /// The fault-free tables from construction.
-        base_next_port: Vec<Vec<u8>>,
-    },
-    /// Implicit routing from cluster coordinates plus the churn overlay.
-    Hier(Hier),
+enum Base {
+    /// Hypercube generators: computed from cluster coordinates on demand.
+    Implicit(Hier),
+    /// Builder graphs: `table[c][d]` = output port on cluster `c` toward
+    /// cluster `d`, the first hop of one BFS shortest path (`u8::MAX` on the
+    /// diagonal).
+    Dense(Vec<Vec<u8>>),
+}
+
+impl Base {
+    /// Fault-free output port on cluster `from` toward cluster `to`
+    /// (`u8::MAX` for `from == to`).
+    fn port(&self, from: u32, to: u32) -> u8 {
+        if from == to {
+            return u8::MAX;
+        }
+        match self {
+            Base::Implicit(h) => h.base_port(from, to),
+            Base::Dense(table) => table[from as usize][to as usize],
+        }
+    }
 }
 
 /// Reusable buffers for recompute/repair so link churn never allocates on
 /// the hot path once warmed up.
 #[derive(Debug, Clone)]
 struct Scratch {
-    dist: Vec<usize>,
-    queue: VecDeque<usize>,
+    queue: VecDeque<u32>,
     ports: Vec<u8>,
-    targets: Vec<u32>,
-    groups: Vec<u32>,
 }
 
 impl Scratch {
     fn new(n: usize) -> Self {
         Scratch {
-            dist: vec![usize::MAX; n],
             queue: VecDeque::with_capacity(n),
             ports: vec![u8::MAX; n],
-            targets: Vec::with_capacity(n),
-            groups: Vec::with_capacity(n.min(1024)),
         }
     }
 }
@@ -426,7 +490,14 @@ impl Scratch {
 pub struct Topology {
     clusters: Vec<[Attachment; PORTS_PER_CLUSTER]>,
     endpoints: Vec<PortRef>,
-    repr: Repr,
+    base: Base,
+    /// Detours installed by [`Topology::recompute`]: only entries that
+    /// *differ* from the baseline are present (`u8::MAX` marks an
+    /// unreachable pair). Never iterated, so hash order cannot leak into
+    /// simulation behavior.
+    overlay: HashMap<(u32, u32), u8>,
+    /// What the overlay keys currently mean.
+    scope: OverlayScope,
     /// Sorted directed dead edges `(cluster, out port)`.
     dead: Vec<DeadEdge>,
     /// How many times routing was recomputed. 0 = fault-free baseline.
@@ -435,20 +506,10 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// A single cluster with `n` endpoints (`n <= 12`).
+    /// A single cluster with `n` endpoints (`n <= 12`): the one-cluster
+    /// hypercube, endpoints on ports `0..n`.
     pub fn single_cluster(n: usize) -> Result<Topology, TopologyError> {
-        if n > PORTS_PER_CLUSTER {
-            return Err(TopologyError::NotEnoughPorts {
-                needed: n,
-                available: PORTS_PER_CLUSTER,
-            });
-        }
-        let mut b = TopologyBuilder::new();
-        let c = b.add_cluster();
-        for _ in 0..n {
-            b.attach_endpoint_auto(c)?;
-        }
-        b.build()
+        Topology::hier_impl(&[1], n, false)
     }
 
     /// The paper's incomplete hypercube: `n_clusters` clusters (any count
@@ -465,7 +526,7 @@ impl Topology {
         n_clusters: usize,
         endpoints_per_cluster: usize,
     ) -> Result<Topology, TopologyError> {
-        Topology::hierarchical_hypercube(&[n_clusters], endpoints_per_cluster)
+        Topology::hier_impl(&[n_clusters], endpoints_per_cluster, false)
     }
 
     /// The paper's scheme recursed: `levels[0]` clusters form a group wired
@@ -599,8 +660,6 @@ impl Topology {
             gw: gw.clone(),
             gw_standby: gw_standby.clone(),
             gw_active: gw.clone(),
-            overlay: HashMap::new(),
-            scope: OverlayScope::Baseline,
         };
 
         // Wire it. Level-0 links use port d ↔ port d within each group —
@@ -669,65 +728,29 @@ impl Topology {
             }
         }
 
-        Ok(Topology {
-            scratch: Scratch::new(n),
+        Ok(Topology::with_base(
             clusters,
             endpoints,
-            repr: Repr::Hier(hier),
-            dead: Vec::new(),
-            generation: 0,
-        })
+            Base::Implicit(hier),
+        ))
     }
 
-    /// Finalize a builder graph: dense BFS tables.
-    fn finish_table(
+    /// A fault-free topology over `clusters` routed by `base`.
+    fn with_base(
         clusters: Vec<[Attachment; PORTS_PER_CLUSTER]>,
         endpoints: Vec<PortRef>,
-    ) -> Result<Topology, TopologyError> {
-        let n = clusters.len();
-        let mut next_port = vec![vec![u8::MAX; n]; n];
-        // BFS from every destination cluster over reversed edges gives, per
-        // source, the first hop of one shortest path.
-        for dst in 0..n {
-            let mut dist = vec![usize::MAX; n];
-            dist[dst] = 0;
-            let mut q = VecDeque::from([dst]);
-            while let Some(c) = q.pop_front() {
-                for att in clusters[c].iter() {
-                    if let Attachment::Cluster(peer) = att {
-                        let p = peer.cluster.0 as usize;
-                        if dist[p] == usize::MAX {
-                            dist[p] = dist[c] + 1;
-                            q.push_back(p);
-                        }
-                        // Record the port on `p` that leads back to `c` if
-                        // that is a step toward `dst`.
-                        if dist[p] == dist[c] + 1 && next_port[p][dst] == u8::MAX {
-                            next_port[p][dst] = peer.port;
-                        }
-                    }
-                }
-            }
-            for (src, d) in dist.iter().enumerate() {
-                if src != dst && *d == usize::MAX {
-                    return Err(TopologyError::Unreachable {
-                        from: ClusterId(src as u32),
-                        to: ClusterId(dst as u32),
-                    });
-                }
-            }
-        }
-        Ok(Topology {
-            scratch: Scratch::new(n),
+        base: Base,
+    ) -> Topology {
+        Topology {
+            scratch: Scratch::new(clusters.len()),
             clusters,
             endpoints,
-            repr: Repr::Table {
-                base_next_port: next_port.clone(),
-                next_port,
-            },
+            base,
+            overlay: HashMap::new(),
+            scope: OverlayScope::Baseline,
             dead: Vec::new(),
             generation: 0,
-        })
+        }
     }
 
     /// Number of clusters.
@@ -745,24 +768,19 @@ impl Topology {
         (0..self.endpoints.len()).map(|i| NodeAddr(i as u32))
     }
 
-    /// Level sizes (innermost first) of a hierarchical-hypercube topology;
-    /// `None` for table-routed builder graphs. Flat paper topologies report
-    /// one level.
+    /// Level sizes (innermost first) of a hypercube topology; `None` for
+    /// builder graphs. Flat paper topologies report one level.
     pub fn hier_levels(&self) -> Option<&[u32]> {
-        match &self.repr {
-            Repr::Hier(h) => Some(&h.levels),
-            Repr::Table { .. } => None,
+        match &self.base {
+            Base::Implicit(h) => Some(&h.levels),
+            Base::Dense(_) => None,
         }
     }
 
-    /// Number of detour entries currently overlaid on the implicit routing
-    /// baseline. 0 for fault-free hierarchies and for table-routed graphs
-    /// (which patch dense tables instead).
+    /// Number of detour entries currently overlaid on the routing baseline.
+    /// 0 for every fault-free topology.
     pub fn overlay_len(&self) -> usize {
-        match &self.repr {
-            Repr::Hier(h) => h.overlay.len(),
-            Repr::Table { .. } => 0,
-        }
+        self.overlay.len()
     }
 
     /// The port an endpoint is attached to.
@@ -781,39 +799,25 @@ impl Topology {
     }
 
     /// Output port on cluster `from` toward cluster `to` over the routing
-    /// currently in force (`u8::MAX` for `from == to` or unreachable).
+    /// currently in force (`u8::MAX` for `from == to` or unreachable): the
+    /// overlay entry if churn installed one, else the baseline.
     fn next_port_of(&self, from: u32, to: u32) -> u8 {
         if from == to {
             return u8::MAX;
         }
-        match &self.repr {
-            Repr::Table { next_port, .. } => next_port[from as usize][to as usize],
-            Repr::Hier(h) => match h.scope {
-                OverlayScope::Baseline => h.base_port(from, to),
-                OverlayScope::Target => h
-                    .overlay
-                    .get(&(from, to))
-                    .copied()
-                    .unwrap_or_else(|| h.base_port(from, to)),
-                OverlayScope::Waypoint => match h.waypoint(from, to) {
-                    // Gateway links are alive in this scope by definition.
-                    Step::Cross { level, dim } => h.gateway_port(from, level, dim),
-                    Step::Local(t) => h.overlay.get(&(from, t)).copied().unwrap_or_else(|| {
-                        hypercube_next_dim(h.digit(from, 0), h.digit(t, 0)) as u8
-                    }),
+        let base = || self.base.port(from, to);
+        match (self.scope, &self.base) {
+            (OverlayScope::Baseline, _) => base(),
+            // Group-local detours are keyed by the waypoint, not by `to`.
+            (OverlayScope::Waypoint, Base::Implicit(h)) => match h.waypoint(from, to) {
+                // Gateway links are alive in this scope by definition.
+                Step::Cross { level, dim } => h.gateway_port(from, level, dim),
+                Step::Local(t) => match self.overlay.get(&(from, t)) {
+                    Some(&detour) => detour,
+                    None => h.local_port(from, t),
                 },
             },
-        }
-    }
-
-    /// Fault-free baseline output port on cluster `from` toward `to`.
-    fn base_port_of(&self, from: u32, to: u32) -> u8 {
-        if from == to {
-            return u8::MAX;
-        }
-        match &self.repr {
-            Repr::Table { base_next_port, .. } => base_next_port[from as usize][to as usize],
-            Repr::Hier(h) => h.base_port(from, to),
+            _ => self.overlay.get(&(from, to)).copied().unwrap_or_else(base),
         }
     }
 
@@ -835,7 +839,7 @@ impl Topology {
         if dp.cluster == cluster {
             dp.port
         } else {
-            self.base_port_of(cluster.0, dp.cluster.0)
+            self.base.port(cluster.0, dp.cluster.0)
         }
     }
 
@@ -843,14 +847,10 @@ impl Topology {
     /// of `src` to the cluster of `dst` (inclusive). Diagnostic helper;
     /// panics if `dst` is unreachable over the surviving edges.
     pub fn cluster_path(&self, src: NodeAddr, dst: NodeAddr) -> Vec<ClusterId> {
-        self.try_cluster_path(src, dst)
-            .expect("no surviving route between endpoints")
-    }
-
-    /// Like [`Topology::cluster_path`], but `None` when no route survives.
-    pub fn try_cluster_path(&self, src: NodeAddr, dst: NodeAddr) -> Option<Vec<ClusterId>> {
         let mut path = Vec::new();
-        self.cluster_path_into(src, dst, &mut path).then_some(path)
+        let routed = self.cluster_path_into(src, dst, &mut path);
+        assert!(routed, "no surviving route between endpoints");
+        path
     }
 
     /// Write the cluster path from `src` to `dst` into `path` (cleared
@@ -864,27 +864,45 @@ impl Topology {
         path: &mut Vec<ClusterId>,
     ) -> bool {
         path.clear();
-        let mut here = self.cluster_of(src);
-        let goal = self.cluster_of(dst);
-        path.push(here);
-        while here != goal {
-            let port = self.route(here, dst);
+        let (from, to) = (self.cluster_of(src), self.cluster_of(dst));
+        path.push(from);
+        self.walk(from.0, to.0, true, |_, next| path.push(next))
+            .is_some()
+    }
+
+    /// The one route walker: follow the routing in force (`live`) or the
+    /// fault-free baseline hop by hop from cluster `from` to cluster `to`,
+    /// calling `visit(here, next)` for every cable crossed. Returns the hop
+    /// count, `None` as soon as a cluster has no route onward.
+    fn walk(
+        &self,
+        from: u32,
+        to: u32,
+        live: bool,
+        mut visit: impl FnMut(ClusterId, ClusterId),
+    ) -> Option<usize> {
+        let mut here = from;
+        let mut hops = 0;
+        while here != to {
+            let port = if live {
+                self.next_port_of(here, to)
+            } else {
+                self.base.port(here, to)
+            };
             if port == u8::MAX {
-                return false;
+                return None;
             }
-            match self.attachment(PortRef {
-                cluster: here,
-                port,
-            }) {
+            match self.clusters[here as usize][usize::from(port)] {
                 Attachment::Cluster(peer) => {
-                    here = peer.cluster;
-                    path.push(here);
+                    visit(ClusterId(here), peer.cluster);
+                    here = peer.cluster.0;
                 }
                 other => panic!("route led to non-cluster attachment {other:?}"),
             }
-            assert!(path.len() <= self.clusters.len() + 1, "routing loop");
+            hops += 1;
+            assert!(hops <= self.clusters.len(), "routing loop");
         }
-        true
+        Some(hops)
     }
 
     /// Number of cluster-to-cluster hops between two endpoints.
@@ -903,17 +921,17 @@ impl Topology {
     /// cross-cluster delivery — a static bound that churn can only increase,
     /// never undercut.
     pub fn min_cross_cluster_links(&self) -> Option<usize> {
-        match &self.repr {
+        match &self.base {
             // Hypercube generators always give every cluster endpoints and
             // an adjacent in-group neighbor: the minimum is exactly 3.
-            Repr::Hier(h) => {
+            Base::Implicit(h) => {
                 if self.clusters.len() >= 2 && h.eps > 0 {
                     Some(3)
                 } else {
                     None
                 }
             }
-            Repr::Table { .. } => {
+            Base::Dense(_) => {
                 let mut hosts: Vec<usize> = self
                     .endpoints
                     .iter()
@@ -976,25 +994,8 @@ impl Topology {
         if a == b {
             return 0;
         }
-        let mut here = a.0;
-        let mut hops = 0u64;
-        while here != b.0 {
-            let port = self.base_port_of(here, b.0);
-            debug_assert_ne!(port, u8::MAX, "baseline routing is fully connected");
-            match self.attachment(PortRef {
-                cluster: ClusterId(here),
-                port,
-            }) {
-                Attachment::Cluster(peer) => here = peer.cluster.0,
-                other => panic!("route led to non-cluster attachment {other:?}"),
-            }
-            hops += 1;
-            assert!(
-                hops as usize <= self.clusters.len(),
-                "baseline routing loop"
-            );
-        }
-        hops + 2
+        let hops = self.walk(a.0, b.0, false, |_, _| {});
+        hops.expect("baseline routing is fully connected") as u64 + 2
     }
 
     /// Visit every consecutive cluster pair `(from, to)` on the fault-free
@@ -1006,51 +1007,16 @@ impl Topology {
         &self,
         a: ClusterId,
         b: ClusterId,
-        mut f: impl FnMut(ClusterId, ClusterId),
+        f: impl FnMut(ClusterId, ClusterId),
     ) {
-        let mut here = a.0;
-        let mut hops = 0usize;
-        while here != b.0 {
-            let port = self.base_port_of(here, b.0);
-            debug_assert_ne!(port, u8::MAX, "baseline routing is fully connected");
-            match self.attachment(PortRef {
-                cluster: ClusterId(here),
-                port,
-            }) {
-                Attachment::Cluster(peer) => {
-                    f(ClusterId(here), peer.cluster);
-                    here = peer.cluster.0;
-                }
-                other => panic!("route led to non-cluster attachment {other:?}"),
-            }
-            hops += 1;
-            assert!(hops <= self.clusters.len(), "baseline routing loop");
-        }
+        self.walk(a.0, b.0, false, f)
+            .expect("baseline routing is fully connected");
     }
 
     /// Hop count of the routed path from cluster `from` to cluster `to`
     /// over the routing currently in force; `None` when unreachable.
     fn cluster_hops(&self, from: usize, to: usize) -> Option<usize> {
-        let mut here = from as u32;
-        let mut hops = 0;
-        while here != to as u32 {
-            let port = self.next_port_of(here, to as u32);
-            if port == u8::MAX {
-                return None;
-            }
-            match self.attachment(PortRef {
-                cluster: ClusterId(here),
-                port,
-            }) {
-                Attachment::Cluster(peer) => here = peer.cluster.0,
-                other => panic!("route led to non-cluster attachment {other:?}"),
-            }
-            hops += 1;
-            if hops > self.clusters.len() {
-                return None; // defensive loop guard
-            }
-        }
-        Some(hops)
+        self.walk(from as u32, to as u32, true, |_, _| {})
     }
 
     /// Mark the directed inter-cluster edge out of `p` alive (`up = true`)
@@ -1071,11 +1037,6 @@ impl Topology {
         }
     }
 
-    /// True iff any inter-cluster edge is currently marked dead.
-    pub fn has_dead_edges(&self) -> bool {
-        !self.dead.is_empty()
-    }
-
     /// How many times routing was recomputed; 0 means the fault-free
     /// baseline is in force.
     pub fn generation(&self) -> u64 {
@@ -1085,18 +1046,10 @@ impl Topology {
     /// True iff cluster `to` is reachable from cluster `from` over the
     /// surviving edges.
     pub fn reachable(&self, from: ClusterId, to: ClusterId) -> bool {
-        if from == to {
-            return true;
-        }
-        match &self.repr {
-            Repr::Table { next_port, .. } => next_port[from.0 as usize][to.0 as usize] != u8::MAX,
-            Repr::Hier(h) => {
-                if h.scope == OverlayScope::Baseline {
-                    return true; // generators build connected graphs
-                }
-                self.cluster_hops(from.0 as usize, to.0 as usize).is_some()
-            }
-        }
+        // Every constructor yields a connected graph (the generators by
+        // wiring, the builder by rejecting the rest).
+        self.scope == OverlayScope::Baseline
+            || self.cluster_hops(from.0 as usize, to.0 as usize).is_some()
     }
 
     /// Repair routing over the surviving edges and bump the generation
@@ -1105,345 +1058,173 @@ impl Topology {
     /// delivering it. When every edge has healed, routing returns to the
     /// construction-time baseline verbatim.
     ///
-    /// Cost depends on the representation. Dense tables (builder graphs)
-    /// re-run the all-destinations BFS. Implicit hierarchies clear the
-    /// overlay — so a full heal is O(1) and allocation-free — then repair
-    /// only what churn touched: intra-group link deaths rebuild group-local
-    /// detours (O(group² · affected targets), independent of total cluster
-    /// count, ties broken by lowest port exactly like the dense BFS);
-    /// gateway deaths or a disconnected group escalate to exact
-    /// per-destination reverse BFS over the affected destinations only.
+    /// One scheme for every topology: clear the overlay — so a full heal is
+    /// O(1) and allocation-free — then overlay only what churn made differ
+    /// from the baseline. In a hypercube, intra-group link deaths rebuild
+    /// group-local detours (O(group² · affected targets), independent of
+    /// total cluster count); a routing gateway's death, a disconnected group
+    /// or any dead edge of a builder graph takes the exact per-destination
+    /// repair over the affected destinations only. Both are one repair over
+    /// one BFS, so ties break alike.
     pub fn recompute(&mut self) {
         self.generation += 1;
-        if matches!(self.repr, Repr::Hier(_)) {
-            self.recompute_hier();
-        } else {
-            self.recompute_table();
-        }
-    }
-
-    fn recompute_table(&mut self) {
-        let Repr::Table {
-            next_port,
-            base_next_port,
-        } = &mut self.repr
-        else {
-            unreachable!()
-        };
-        if self.dead.is_empty() {
-            // Element-wise restore: same result as cloning the baseline
-            // tables, without allocating fresh rows on every heal.
-            for (row, base) in next_port.iter_mut().zip(base_next_port.iter()) {
-                row.copy_from_slice(base);
+        self.overlay.clear(); // keeps capacity: repeat churn cycles do not allocate
+        self.scope = match &mut self.base {
+            Base::Implicit(h) => {
+                h.fail_over(&self.dead);
+                h.scope_for(&self.dead)
             }
-            return;
-        }
-        let n = self.clusters.len();
-        for row in next_port.iter_mut() {
-            row.fill(u8::MAX);
-        }
-        // `dst` indexes a *column* across rows the BFS picks (`next_port[p]
-        // [dst]`), which `enumerate()` over rows cannot express.
-        #[allow(clippy::needless_range_loop)]
-        for dst in 0..n {
-            // BFS over the hoisted scratch buffers: recompute runs on every
-            // link-churn event and must not allocate.
-            self.scratch.dist.fill(usize::MAX);
-            self.scratch.dist[dst] = 0;
-            self.scratch.queue.clear();
-            self.scratch.queue.push_back(dst);
-            while let Some(c) = self.scratch.queue.pop_front() {
-                for att in self.clusters[c].iter() {
-                    if let Attachment::Cluster(peer) = att {
-                        let p = peer.cluster.0 as usize;
-                        // A frame taking this step leaves `p` through port
-                        // `peer.port`; skip if that directed edge is dead.
-                        if self
-                            .dead
-                            .binary_search(&(peer.cluster.0, peer.port))
-                            .is_ok()
-                        {
-                            continue;
-                        }
-                        if self.scratch.dist[p] == usize::MAX {
-                            self.scratch.dist[p] = self.scratch.dist[c] + 1;
-                            self.scratch.queue.push_back(p);
-                        }
-                        if self.scratch.dist[p] == self.scratch.dist[c] + 1
-                            && next_port[p][dst] == u8::MAX
-                        {
-                            next_port[p][dst] = peer.port;
-                        }
-                    }
+            Base::Dense(_) if self.dead.is_empty() => OverlayScope::Baseline,
+            Base::Dense(_) => OverlayScope::Target,
+        };
+        if let (OverlayScope::Waypoint, Base::Implicit(h)) = (self.scope, &self.base) {
+            let (size, ports, nested) = (h.levels[0], h.dims[0] as usize, h.n_levels() > 1);
+            let mut done = 0; // clusters below this are repaired
+            for i in 0..self.dead.len() {
+                let start = self.dead[i].0 / size * size;
+                // `dead` is sorted, so a group's edges are adjacent.
+                if start < done {
+                    continue;
+                }
+                done = start + size;
+                // In its own group a cluster's digit 0 is its offset, and
+                // the baseline toward a neighbour the bare two-phase rule.
+                let local = |_: &Base, u, t| hypercube_next_dim(u - start, t - start) as u8;
+                if !self.repair(start..done, ports, nested, local) {
+                    // A group lost internal connectivity: group-local
+                    // detours are no longer ground truth (a path may exist
+                    // through neighboring groups). Fall back to the exact
+                    // global repair.
+                    self.overlay.clear();
+                    self.scope = OverlayScope::Target;
+                    break;
                 }
             }
         }
+        if self.scope == OverlayScope::Target {
+            let all = 0..self.clusters.len() as u32;
+            self.repair(all, PORTS_PER_CLUSTER, false, Base::port);
+        }
     }
 
-    fn recompute_hier(&mut self) {
-        let Repr::Hier(h) = &mut self.repr else {
-            unreachable!()
-        };
-        h.overlay.clear(); // keeps capacity: repeat churn cycles do not allocate
-        if self.dead.is_empty() {
-            h.scope = OverlayScope::Baseline;
-            // Full heal restores the primary gateway classes.
-            for (a, p) in h.gw_active.iter_mut().zip(h.gw.iter()) {
-                a.copy_from_slice(p);
+    /// The one repair, over the clusters of `range` and their ports below
+    /// `port_limit` — a level-0 group and its own links, or everything —
+    /// where `base_port(base, u, t)` is the baseline port on `u` toward
+    /// `t != u`. For every destination in `range` whose baseline in-tree
+    /// lost an edge, rebuild the in-tree by reverse BFS over the surviving
+    /// links and overlay the ports that differ from the baseline (`u8::MAX`
+    /// marks unreachable). Destinations whose baseline in-tree is intact
+    /// need no entries: every baseline step toward them is alive, and on a
+    /// BFS-built baseline the BFS would rediscover exactly those steps, the
+    /// dead edges being ones it never used.
+    ///
+    /// With `nested`, an unreached cluster returns `false` instead: the
+    /// range is one group among several and a detour may exist through the
+    /// others. A flat topology records the sentinel, because there the group
+    /// *is* the whole graph and unreached means unreachable.
+    fn repair(
+        &mut self,
+        range: Range<u32>,
+        port_limit: usize,
+        nested: bool,
+        base_port: impl Fn(&Base, u32, u32) -> u8,
+    ) -> bool {
+        let Topology {
+            clusters,
+            base,
+            overlay,
+            dead,
+            scratch,
+            ..
+        } = self;
+        for t in range.clone() {
+            let affected =
+                |&(u, p): &DeadEdge| range.contains(&u) && u != t && base_port(base, u, t) == p;
+            if !dead.iter().any(affected) {
+                continue;
             }
-            return;
-        }
-        // Redundant-gateway failover: re-derive the active class of every
-        // role from the dead set (a pure function of it, so sharded replays
-        // agree). A role whose primary class lost a gateway link moves to
-        // its standby — unless the standby class lost one too, in which
-        // case the exact repair below must route around both.
-        if !h.gw_standby.is_empty() {
-            for (a, p) in h.gw_active.iter_mut().zip(h.gw.iter()) {
-                a.copy_from_slice(p);
-            }
-            let mut class_dead: Vec<(usize, u32, u32)> = Vec::new();
-            for &(c, p) in &self.dead {
-                if let Some(role) = h.port_role(c, p) {
-                    if !class_dead.contains(&role) {
-                        class_dead.push(role);
-                    }
+            reverse_bfs(clusters, dead, t, range.clone(), port_limit, scratch);
+            for u in range.clone().filter(|&u| u != t) {
+                let bfs = scratch.ports[(u - range.start) as usize];
+                if bfs == u8::MAX && nested {
+                    return false;
+                }
+                if bfs != base_port(base, u, t) {
+                    overlay.insert((u, t), bfs);
                 }
             }
-            for l in 1..h.n_levels() {
-                for d in 0..h.dims[l] {
-                    let primary = h.gw[l - 1][d as usize];
-                    let standby = h.gw_standby[l - 1][d as usize];
-                    if class_dead.contains(&(l, d, primary))
-                        && !class_dead.contains(&(l, d, standby))
-                    {
-                        h.gw_active[l - 1][d as usize] = standby;
-                    }
-                }
-            }
         }
-        let dims0 = h.dims[0];
-        // A dead gateway edge whose class is not routing its role carries no
-        // baseline traffic: it neither forces the exact global repair nor
-        // perturbs group-local detours.
-        let gateway_relevant = |h: &Hier, c: u32, p: u8| -> bool {
-            match h.port_role(c, p) {
-                Some((l, d, r)) => h.gw_active[l - 1][d as usize] == r,
-                None => true, // endpoint ports never appear in `dead`
-            }
-        };
-        if self
-            .dead
-            .iter()
-            .all(|&(c, p)| u32::from(p) < dims0 || !gateway_relevant(h, c, p))
-        {
-            if self.dead.iter().all(|&(_, p)| u32::from(p) >= dims0) {
-                // Pure gateway failover: every dead edge was re-wired onto a
-                // standby class, so the (new) baseline is ground truth.
-                h.scope = OverlayScope::Baseline;
-                return;
-            }
-            h.scope = OverlayScope::Waypoint;
-            if waypoint_repair(h, &self.clusters, &self.dead, &mut self.scratch) {
-                return;
-            }
-            // A group lost internal connectivity: group-local detours are
-            // no longer ground truth (a path may exist through neighboring
-            // groups). Fall back to the exact global repair.
-            h.overlay.clear();
-        }
-        h.scope = OverlayScope::Target;
-        target_repair(h, &self.clusters, &self.dead, &mut self.scratch);
+        true
     }
 
-    /// Rebuild the *dense* all-destinations routing tables over surviving
-    /// edges into a caller-owned buffer — the pre-overlay algorithm, kept as
-    /// the measured baseline for the implicit representation's recompute
-    /// speedup (the scale campaign times this against
-    /// [`Topology::recompute`]). Not used by any routing path.
+    /// The *dense* all-destinations routing table over surviving edges, into
+    /// a caller-owned buffer: `table[c][d]` = output port on `c` toward `d`,
+    /// `u8::MAX` for `c == d` or no surviving route. With no edge dead it is
+    /// a builder graph's baseline; on a churned topology it is the ground
+    /// truth `tests/routing.rs` holds [`Topology::route`] to, and the
+    /// pre-overlay algorithm the scale campaign times against
+    /// [`Topology::recompute`]. Not used by any routing path.
     #[doc(hidden)]
     pub fn dense_bfs_into(&self, table: &mut Vec<Vec<u8>>) {
         let n = self.clusters.len();
         table.resize_with(n, Vec::new);
         for row in table.iter_mut() {
             row.resize(n, u8::MAX);
-            row.fill(u8::MAX);
         }
-        let mut dist = vec![usize::MAX; n];
-        let mut queue = VecDeque::with_capacity(n);
-        for dst in 0..n {
-            dist.fill(usize::MAX);
-            dist[dst] = 0;
-            queue.clear();
-            queue.push_back(dst);
-            while let Some(c) = queue.pop_front() {
-                for att in self.clusters[c].iter() {
-                    if let Attachment::Cluster(peer) = att {
-                        let p = peer.cluster.0 as usize;
-                        if self
-                            .dead
-                            .binary_search(&(peer.cluster.0, peer.port))
-                            .is_ok()
-                        {
-                            continue;
-                        }
-                        if dist[p] == usize::MAX {
-                            dist[p] = dist[c] + 1;
-                            queue.push_back(p);
-                        }
-                        if dist[p] == dist[c] + 1 && table[p][dst] == u8::MAX {
-                            table[p][dst] = peer.port;
-                        }
-                    }
-                }
+        let mut s = Scratch::new(n);
+        for dst in 0..n as u32 {
+            reverse_bfs(
+                &self.clusters,
+                &self.dead,
+                dst,
+                0..n as u32,
+                PORTS_PER_CLUSTER,
+                &mut s,
+            );
+            for (row, &port) in table.iter_mut().zip(&s.ports) {
+                row[dst as usize] = port;
             }
         }
     }
 }
 
-/// Group-local repair for level-0 link deaths: for every group containing a
-/// dead edge, rebuild the in-group reverse-BFS in-tree of every *affected*
-/// local target (one some dead edge's baseline traffic used) and overlay the
-/// ports that differ from the implicit baseline. Neighbor iteration follows
-/// port order with first-write-wins — exactly the dense BFS tie-break, so
-/// flat topologies repair to byte-identical routing decisions.
+/// The one BFS: from `root` over reversed surviving edges, confined to the
+/// clusters of `range` and to their ports below `port_limit`. Leaves in
+/// `s.ports[c - range.start]` the output port on `c` that starts a shortest
+/// surviving path to `root` — `u8::MAX` where there is none, and for `root`.
 ///
-/// Returns `false` when a multi-level group is internally disconnected
-/// (escalate to [`target_repair`]); flat topologies record `u8::MAX`
-/// sentinels instead, because there the group *is* the whole graph and
-/// unreached means unreachable.
-fn waypoint_repair(
-    h: &mut Hier,
+/// The tie-break every route in this file rests on: clusters leave the queue
+/// in discovery order and scan their ports in port order, and the first edge
+/// to reach a cluster names its port.
+fn reverse_bfs(
     clusters: &[[Attachment; PORTS_PER_CLUSTER]],
     dead: &[DeadEdge],
-    s: &mut Scratch,
-) -> bool {
-    let g = h.levels[0] as usize;
-    let dims0 = h.dims[0] as usize;
-    let flat = h.n_levels() == 1;
-    s.groups.clear();
-    for &(u, _) in dead {
-        let grp = u / h.levels[0];
-        if s.groups.last() != Some(&grp) {
-            s.groups.push(grp); // dead is sorted, so groups arrive sorted
-        }
-    }
-    for gi in 0..s.groups.len() {
-        let grp = s.groups[gi];
-        let base = grp * h.levels[0];
-        // Affected local targets: some dead edge (u, p) in this group lies
-        // on the baseline two-phase step from u toward the target.
-        s.targets.clear();
-        for t in 0..g as u32 {
-            let affected = dead.iter().any(|&(u, p)| {
-                u / h.levels[0] == grp && {
-                    let ul = u - base;
-                    ul != t && hypercube_next_dim(ul, t) as u8 == p
-                }
-            });
-            if affected {
-                s.targets.push(t);
-            }
-        }
-        for ti in 0..s.targets.len() {
-            let t = s.targets[ti];
-            s.dist[..g].fill(usize::MAX);
-            s.ports[..g].fill(u8::MAX);
-            s.dist[t as usize] = 0;
-            s.queue.clear();
-            s.queue.push_back(t as usize);
-            while let Some(c) = s.queue.pop_front() {
-                // Only level-0 links (ports < dims0) stay inside the group.
-                for att in clusters[base as usize + c].iter().take(dims0) {
-                    if let Attachment::Cluster(peer) = att {
-                        debug_assert_eq!(peer.cluster.0 / h.levels[0], grp);
-                        let pl = (peer.cluster.0 - base) as usize;
-                        if dead.binary_search(&(peer.cluster.0, peer.port)).is_ok() {
-                            continue;
-                        }
-                        if s.dist[pl] == usize::MAX {
-                            s.dist[pl] = s.dist[c] + 1;
-                            s.queue.push_back(pl);
-                        }
-                        if s.dist[pl] == s.dist[c] + 1 && s.ports[pl] == u8::MAX {
-                            s.ports[pl] = peer.port;
-                        }
-                    }
-                }
-            }
-            for u in 0..g as u32 {
-                if u == t {
-                    continue;
-                }
-                let bfs = s.ports[u as usize];
-                if bfs == u8::MAX {
-                    if !flat {
-                        return false; // detour may exist via other groups
-                    }
-                    h.overlay.insert((base + u, base + t), u8::MAX);
-                } else if bfs != hypercube_next_dim(u, t) as u8 {
-                    h.overlay.insert((base + u, base + t), bfs);
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Exact global repair: for every destination whose baseline in-tree lost an
-/// edge, run a full reverse BFS over the surviving physical links and
-/// overlay every cluster whose port differs from the implicit baseline
-/// (`u8::MAX` marks unreachable). Destinations whose baseline in-tree is
-/// intact need no entries: every baseline step toward them is alive, by
-/// definition of "affected".
-fn target_repair(
-    h: &mut Hier,
-    clusters: &[[Attachment; PORTS_PER_CLUSTER]],
-    dead: &[DeadEdge],
+    root: u32,
+    range: Range<u32>,
+    port_limit: usize,
     s: &mut Scratch,
 ) {
-    let n = clusters.len();
-    s.targets.clear();
-    for dstc in 0..n as u32 {
-        let affected = dead
-            .iter()
-            .any(|&(u, p)| u != dstc && h.base_port(u, dstc) == p);
-        if affected {
-            s.targets.push(dstc);
-        }
-    }
-    for ti in 0..s.targets.len() {
-        let dstc = s.targets[ti];
-        s.dist[..n].fill(usize::MAX);
-        s.ports[..n].fill(u8::MAX);
-        s.dist[dstc as usize] = 0;
-        s.queue.clear();
-        s.queue.push_back(dstc as usize);
-        while let Some(c) = s.queue.pop_front() {
-            for att in clusters[c].iter() {
-                if let Attachment::Cluster(peer) = att {
-                    let p = peer.cluster.0 as usize;
-                    if dead.binary_search(&(peer.cluster.0, peer.port)).is_ok() {
-                        continue;
-                    }
-                    if s.dist[p] == usize::MAX {
-                        s.dist[p] = s.dist[c] + 1;
-                        s.queue.push_back(p);
-                    }
-                    if s.dist[p] == s.dist[c] + 1 && s.ports[p] == u8::MAX {
-                        s.ports[p] = peer.port;
-                    }
-                }
-            }
-        }
-        for u in 0..n as u32 {
-            if u == dstc {
+    let ports = &mut s.ports[..range.len()];
+    ports.fill(u8::MAX);
+    s.queue.clear();
+    s.queue.push_back(root);
+    while let Some(c) = s.queue.pop_front() {
+        for att in clusters[c as usize].iter().take(port_limit) {
+            let Attachment::Cluster(peer) = att else {
+                continue;
+            };
+            debug_assert!(range.contains(&peer.cluster.0), "edge leaves the range");
+            let seen = &mut ports[(peer.cluster.0 - range.start) as usize];
+            // A frame taking this step leaves `peer.cluster` through
+            // `peer.port`; a dead directed edge carries none.
+            if peer.cluster.0 == root
+                || *seen != u8::MAX
+                || dead.binary_search(&(peer.cluster.0, peer.port)).is_ok()
+            {
                 continue;
             }
-            let bfs = s.ports[u as usize];
-            if bfs != h.base_port(u, dstc) {
-                h.overlay.insert((u, dstc), bfs);
-            }
+            *seen = peer.port;
+            s.queue.push_back(peer.cluster.0);
         }
     }
 }
@@ -1689,9 +1470,12 @@ mod tests {
             },
             false,
         );
-        assert!(t.has_dead_edges());
         t.recompute();
         assert_eq!(t.generation(), 1);
+        assert!(
+            t.overlay_len() > 0,
+            "a dead edge on a used route installs detours"
+        );
         assert_eq!(
             t.cluster_path(NodeAddr(0), NodeAddr(3)),
             vec![ClusterId(0), ClusterId(2), ClusterId(3)],
@@ -1724,7 +1508,7 @@ mod tests {
             "reverse direction alive"
         );
         assert_eq!(t.route(ClusterId(0), NodeAddr(1)), u8::MAX);
-        assert_eq!(t.try_cluster_path(NodeAddr(0), NodeAddr(1)), None);
+        assert!(!t.cluster_path_into(NodeAddr(0), NodeAddr(1), &mut Vec::new()));
         // Heal: the construction-time routing comes back verbatim.
         t.set_edge_state(
             PortRef {
@@ -1876,7 +1660,7 @@ mod tests {
         t.recompute();
         assert!(!t.reachable(ClusterId(1), ClusterId(5)));
         assert!(t.reachable(ClusterId(5), ClusterId(1)), "reverse alive");
-        assert_eq!(t.try_cluster_path(NodeAddr(1), NodeAddr(5)), None);
+        assert!(!t.cluster_path_into(NodeAddr(1), NodeAddr(5), &mut Vec::new()));
         // In-group routing still works on both sides.
         assert!(t.reachable(ClusterId(1), ClusterId(2)));
         assert!(t.reachable(ClusterId(5), ClusterId(6)));

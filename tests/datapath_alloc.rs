@@ -5,7 +5,6 @@
 
 use std::sync::Mutex;
 
-use hpc_vorx::desim::SimDuration;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{copymeter, Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::{channel, VorxBuilder};
@@ -156,25 +155,14 @@ fn stop_and_wait_message_stays_within_alloc_budget() {
 
 /// Allocations of a stop-and-wait stream of `msgs` messages between the two
 /// shards of a two-cluster world (one worker: the calling thread runs both
-/// shards, so all of it is counted), and the frames bridged meanwhile.
-///
-/// Each shard also holds a process that sleeps past the end of the stream.
-/// Without it a shard's queue runs empty between messages, and every run
-/// segment that ends idle builds an `IdleReport` — a `Vec` and a name per
-/// parked process, which the sharded engine discards: two allocations per
-/// message here that are the report's, not the message path's. Busy shards
-/// (`dense1k_shard`) do not go idle mid-run; the cost is recorded in
-/// EXPERIMENTS.md `H-ALLOC2`, not fixed.
+/// shards, so all of it is counted), and the frames bridged meanwhile. A
+/// shard's queue runs empty between messages here, so this also holds the
+/// sharded engine to building no `IdleReport` per run segment that ends idle.
 fn allocs_for_bridged_stream(msgs: u64) -> (u64, u64) {
     let topo = Topology::incomplete_hypercube(2, 4).unwrap();
     let mut v = VorxBuilder::with_topology(topo).build_sharded(1);
     assert_eq!(v.n_shards(), 2);
     let payload = Payload::copy_from(&[0x5Au8; 64]);
-    for node in [1, 5] {
-        v.spawn_at(NodeAddr(node), format!("n{node}:keeps-busy"), |ctx| {
-            ctx.sleep(SimDuration::from_ms(2_000))
-        });
-    }
     v.spawn_at(NodeAddr(0), "n0:writer", move |ctx| {
         let ch = channel::open(&ctx, NodeAddr(0), "bridged");
         for _ in 0..msgs {

@@ -4,7 +4,7 @@
 
 use desim::{FaultSchedule, SimTime};
 use hpc_vorx::vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
-use hpc_vorx::vorx::{channel, invariants, workers_from_env, VCtx, VorxBuilder, VorxShardedSim};
+use hpc_vorx::vorx::{channel, invariants, VCtx, VorxBuilder, VorxShardedSim};
 use hpc_vorx::vorx_tools::oscillo::Oscilloscope;
 
 /// Group node addresses by cluster, in address order.
@@ -164,14 +164,15 @@ fn single_shard_matches_sequential_engine_byte_for_byte() {
     assert_eq!(seq_json, sh_json, "single-shard run must be byte-identical");
 }
 
-/// The env-selected worker count (`VORX_SIM_WORKERS` — what `ci.sh` sweeps
-/// at 1 and 4) must be as invisible as any explicit one.
+/// The same at a second seed, workers {1, 4, 8}.
 #[test]
-fn env_selected_worker_count_is_invisible() {
+fn worker_count_is_invisible_on_a_second_seed() {
     let (t1, d1, b1, e1) = run70(1, 0xC1);
-    let (tn, dn, bn, en) = run70(workers_from_env(), 0xC1);
-    assert_eq!((d1, b1, e1), (dn, bn, en));
-    assert_eq!(t1, tn, "VORX_SIM_WORKERS changed the simulated execution");
+    for workers in [4, 8] {
+        let (tn, dn, bn, en) = run70(workers, 0xC1);
+        assert_eq!((d1, b1, e1), (dn, bn, en), "workers={workers}");
+        assert_eq!(t1, tn, "workers={workers} diverged from workers=1");
+    }
 }
 
 #[test]

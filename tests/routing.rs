@@ -3,13 +3,16 @@
 //! reachability computation, and every route it serves must be loop-free,
 //! alive edge by edge, and shortest.
 //!
-//! These run on *incomplete* hypercubes (the paper's §2 configuration) with
+//! These run on *incomplete* hypercubes (the paper's §2 configuration), on
+//! hierarchies of them, and on arbitrary `TopologyBuilder` graphs, with
 //! arbitrary subsets of directed edges marked dead — including splits,
 //! one-way cuts, and fully severed fabrics.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use hpc_vorx::hpcnet::{Attachment, ClusterId, NodeAddr, PortRef, Topology, PORTS_PER_CLUSTER};
+use hpc_vorx::hpcnet::{
+    Attachment, ClusterId, NodeAddr, PortRef, Topology, TopologyBuilder, PORTS_PER_CLUSTER,
+};
 
 use proptest::prelude::*;
 
@@ -66,8 +69,158 @@ fn bfs_dist(n_clusters: usize, alive: &BTreeSet<(u32, u32)>, from: ClusterId) ->
     dist
 }
 
+/// Follow the `route` answers from cluster `src` toward `dst_ep` like a frame
+/// would: every next hop must be a live cable, and no cluster may come up
+/// twice. Returns the hops walked, `None` where some cluster has no route.
+fn walk_route(
+    t: &Topology,
+    dead_ports: &BTreeSet<(u32, u8)>,
+    src: u32,
+    dst_ep: NodeAddr,
+) -> Result<Option<usize>, String> {
+    let dst = t.cluster_of(dst_ep).0;
+    let mut here = src;
+    let mut visited = BTreeSet::from([src]);
+    while here != dst {
+        let port = t.route(ClusterId(here), dst_ep);
+        if port == u8::MAX {
+            return Ok(None);
+        }
+        prop_assert!(
+            !dead_ports.contains(&(here, port)),
+            "next-hop {}:{} toward {} is a dead edge",
+            here,
+            port,
+            dst
+        );
+        let cluster = ClusterId(here);
+        let att = t.attachment(PortRef { cluster, port });
+        let Attachment::Cluster(peer) = att else {
+            return Err(format!(
+                "next-hop {here}:{port} toward {dst} is not a cluster link: {att:?}"
+            ));
+        };
+        here = peer.cluster.0;
+        prop_assert!(
+            visited.insert(here),
+            "route {} -> {} revisits cluster {}",
+            src,
+            dst,
+            here
+        );
+    }
+    Ok(Some(visited.len() - 1))
+}
+
+/// One cable of a random builder graph: the two clusters (reduced modulo
+/// what exists when it is wired) and the port each side would like.
+type Cable = (usize, usize, u8, u8);
+
+/// The port endpoints sit on; cables use the eleven below it.
+const ENDPOINT_PORT: u8 = PORTS_PER_CLUSTER as u8 - 1;
+
+/// A connected builder graph of `n` clusters: cluster `c > 0` hangs off an
+/// earlier one (`tree[c - 1]`, a spanning tree — eleven ports always
+/// suffice), then every `extra` cable that still finds a free port on both
+/// sides; repeats of a pair are parallel cables. A side takes the first free
+/// port at or after the one it asked for, so port order and wiring order
+/// differ. Endpoint `c` sits on cluster `c`.
+fn builder_graph(n: usize, tree: &[Cable], extra: &[Cable]) -> Topology {
+    let mut b = TopologyBuilder::new();
+    let cs: Vec<ClusterId> = (0..n).map(|_| b.add_cluster()).collect();
+    let mut used = vec![[false; ENDPOINT_PORT as usize]; n];
+    let mut take = |c: usize, want: u8| {
+        let port = (0..ENDPOINT_PORT)
+            .map(|i| (want + i) % ENDPOINT_PORT)
+            .find(|&p| !used[c][p as usize])?;
+        used[c][port as usize] = true;
+        Some(PortRef {
+            cluster: cs[c],
+            port,
+        })
+    };
+    let tree = (1..n).map(|c| (tree[c - 1].0 % c, c, tree[c - 1].2, tree[c - 1].3));
+    let extra = extra.iter().map(|&(a, z, pa, pz)| (a % n, z % n, pa, pz));
+    for (a, z, pa, pz) in tree.chain(extra).filter(|&(a, z, ..)| a != z) {
+        if let (Some(a), Some(z)) = (take(a, pa), take(z, pz)) {
+            b.connect(a, z).unwrap();
+        }
+    }
+    for &cluster in &cs {
+        b.attach_endpoint(PortRef {
+            cluster,
+            port: ENDPOINT_PORT,
+        })
+        .unwrap();
+    }
+    b.build().unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Builder graphs route by the same baseline-plus-overlay scheme as the
+    /// hypercubes, their baseline being a BFS table. On random connected
+    /// graphs with parallel cables and arbitrary dead-edge sets: every
+    /// `route` answer equals the dense BFS over the surviving edges
+    /// (`u8::MAX` for severed pairs included), following the answers never
+    /// takes a dead port or revisits a cluster and arrives in exactly the
+    /// ground-truth shortest distance, and a full heal empties the overlay
+    /// and restores the as-built routes.
+    #[test]
+    fn builder_graphs_reroute_like_dense_bfs_and_heal_to_baseline(
+        n_clusters in 2usize..13,
+        tree in proptest::collection::vec((0usize..12, 0usize..12, 0u8..11, 0u8..11), 11..12),
+        extra in proptest::collection::vec((0usize..12, 0usize..12, 0u8..11, 0u8..11), 0..16),
+        dead_draw in proptest::collection::vec(0u8..4, 0..80),
+    ) {
+        let pristine = builder_graph(n_clusters, &tree, &extra);
+        let mut t = pristine.clone();
+        let all = edges(&t);
+        let mut alive: BTreeSet<(u32, u32)> = BTreeSet::new();
+        let mut dead_ports: BTreeSet<(u32, u8)> = BTreeSet::new();
+        for (i, (p, to)) in all.iter().enumerate() {
+            if dead_draw.get(i) == Some(&0) {
+                t.set_edge_state(*p, false);
+                dead_ports.insert((p.cluster.0, p.port));
+            } else {
+                alive.insert((p.cluster.0, to.0));
+            }
+        }
+        t.recompute();
+
+        let mut dense = Vec::new();
+        t.dense_bfs_into(&mut dense);
+        for src in 0..n_clusters as u32 {
+            let dist = bfs_dist(n_clusters, &alive, ClusterId(src));
+            for dst in (0..n_clusters as u32).filter(|&d| d != src) {
+                prop_assert_eq!(
+                    t.route(ClusterId(src), NodeAddr(dst)),
+                    dense[src as usize][dst as usize],
+                    "route({}, {}) is not the dense BFS answer", src, dst
+                );
+                let walked = walk_route(&t, &dead_ports, src, NodeAddr(dst))?;
+                let truth = Some(dist[dst as usize]).filter(|&d| d != usize::MAX);
+                prop_assert_eq!(walked, truth, "walk {} -> {} vs BFS distance", src, dst);
+                prop_assert_eq!(t.reachable(ClusterId(src), ClusterId(dst)), truth.is_some());
+            }
+        }
+
+        for (p, _) in &all {
+            t.set_edge_state(*p, true);
+        }
+        t.recompute();
+        prop_assert_eq!(t.overlay_len(), 0);
+        for src in 0..n_clusters as u32 {
+            for dst in 0..n_clusters as u32 {
+                prop_assert_eq!(
+                    t.route(ClusterId(src), NodeAddr(dst)),
+                    pristine.route(ClusterId(src), NodeAddr(dst)),
+                    "healed route({}, {}) is not the as-built one", src, dst
+                );
+            }
+        }
+    }
 
     /// Kill an arbitrary subset of directed inter-cluster edges, recompute,
     /// and check every ordered endpoint pair: the tables must serve a route
@@ -92,6 +245,7 @@ proptest! {
         }
         t.recompute();
 
+        let mut path = Vec::new();
         for src in 0..n_clusters as u32 {
             let truth = bfs_reachable(n_clusters, &alive, ClusterId(src));
             for dst in 0..n_clusters as u32 {
@@ -101,12 +255,12 @@ proptest! {
                     truth.contains(&dst),
                     "reachable({}, {}) disagrees with ground truth", src, dst
                 );
-                match t.try_cluster_path(a, b) {
-                    None => prop_assert!(
+                match t.cluster_path_into(a, b, &mut path) {
+                    false => prop_assert!(
                         !truth.contains(&dst),
                         "no route served for a reachable pair {} -> {}", src, dst
                     ),
-                    Some(path) => {
+                    true => {
                         prop_assert!(truth.contains(&dst));
                         prop_assert_eq!(path[0].0, src);
                         prop_assert_eq!(path[path.len() - 1].0, dst);
@@ -171,43 +325,13 @@ proptest! {
                     truth,
                     "reachable({}, {}) disagrees with ground truth", src, dst
                 );
-                // Walk the implicit next-hops like a frame would.
-                let mut here = src;
-                let mut steps = 0usize;
-                let mut visited = BTreeSet::from([src]);
-                let delivered = loop {
-                    if here == dst {
-                        break true;
-                    }
-                    let port = t.route(ClusterId(here), dst_ep);
-                    if port == u8::MAX {
-                        break false;
-                    }
-                    prop_assert!(
-                        !dead_ports.contains(&(here, port)),
-                        "next-hop {}:{} toward {} is a dead edge", here, port, dst
-                    );
-                    let att = t.attachment(PortRef { cluster: ClusterId(here), port });
-                    let Attachment::Cluster(peer) = att else {
-                        prop_assert!(
-                            false,
-                            "next-hop {}:{} toward {} is not a cluster link: {:?}",
-                            here, port, dst, att
-                        );
-                        unreachable!()
-                    };
-                    here = peer.cluster.0;
-                    steps += 1;
-                    prop_assert!(
-                        visited.insert(here),
-                        "route {} -> {} revisits cluster {}", src, dst, here
-                    );
-                };
+                let walked = walk_route(&t, &dead_ports, src, dst_ep)?;
+                let delivered = walked.is_some();
                 prop_assert_eq!(
                     delivered, truth,
                     "route served for {} -> {} iff BFS connects them", src, dst
                 );
-                if delivered {
+                if let Some(steps) = walked {
                     prop_assert!(
                         steps >= dist[dst as usize],
                         "walk {} -> {} beat the BFS lower bound", src, dst

@@ -4,7 +4,7 @@
 //! zero heap allocations per recompute, on both the reroute and the
 //! heal-to-baseline paths.
 
-use hpc_vorx::hpcnet::{ClusterId, NodeAddr, PortRef, Topology};
+use hpc_vorx::hpcnet::{ClusterId, NodeAddr, PortRef, Topology, TopologyBuilder};
 
 #[path = "common/alloc_meter.rs"]
 mod alloc_meter;
@@ -25,27 +25,51 @@ fn churn_cycle(t: &mut Topology) {
     t.recompute();
 }
 
-/// Steady-state recomputes must not allocate at all: the BFS distance array
-/// and work queue are hoisted scratch buffers sized at construction.
+/// A builder graph — a ring of five clusters, port 0 of each cabled to port
+/// 1 of the next, one endpoint apiece — whose dense baseline routes 0 -> 1
+/// and 0 -> 2 over [`EDGE`].
+fn builder_ring() -> Topology {
+    let mut b = TopologyBuilder::new();
+    let cs: Vec<ClusterId> = (0..5).map(|_| b.add_cluster()).collect();
+    for (i, &cluster) in cs.iter().enumerate() {
+        let next = PortRef {
+            cluster: cs[(i + 1) % cs.len()],
+            port: 1,
+        };
+        b.connect(PortRef { cluster, port: 0 }, next).unwrap();
+    }
+    for &cluster in &cs {
+        b.attach_endpoint_auto(cluster).unwrap();
+    }
+    b.build().unwrap()
+}
+
+/// Steady-state recomputes must not allocate at all, whichever baseline the
+/// overlay sits on: the BFS port array and work queue are hoisted scratch
+/// buffers sized at construction, and the overlay map keeps its capacity.
 #[test]
 fn recompute_allocates_nothing_in_steady_state() {
-    let mut t = Topology::incomplete_hypercube(10, 7).unwrap();
-    // Warm-up cycle: first recompute may lazily size scratch state.
-    churn_cycle(&mut t);
-    let gen_before = t.generation();
-
-    let before = alloc_meter::bytes();
-    for _ in 0..32 {
+    for mut t in [
+        Topology::incomplete_hypercube(10, 7).unwrap(),
+        builder_ring(),
+    ] {
+        // Warm-up cycle: the first repair sizes the overlay map.
         churn_cycle(&mut t);
-    }
-    let churn = alloc_meter::bytes() - before;
+        let gen_before = t.generation();
 
-    assert_eq!(t.generation(), gen_before + 64, "64 recomputes ran");
-    assert_eq!(
-        churn, 0,
-        "recompute allocated {churn} bytes over 64 steady-state runs; \
-         the BFS must reuse the hoisted scratch buffers"
-    );
+        let before = alloc_meter::bytes();
+        for _ in 0..32 {
+            churn_cycle(&mut t);
+        }
+        let churn = alloc_meter::bytes() - before;
+
+        assert_eq!(t.generation(), gen_before + 64, "64 recomputes ran");
+        assert_eq!(
+            churn, 0,
+            "recompute allocated {churn} bytes over 64 steady-state runs; \
+             the BFS must reuse the hoisted scratch buffers"
+        );
+    }
 }
 
 /// The zero-allocation property must not come at the price of correctness:
@@ -104,7 +128,7 @@ fn hier_heal_is_overlay_clear_and_allocation_free() {
 /// `cluster_path_into` with a reused buffer answers identically to the
 /// allocating `cluster_path` and performs zero allocations in steady state
 /// — baseline routes and overlay detours alike. This is the variant the
-/// fabric's route probe and the scale campaign drive per churn cycle.
+/// fabric's combining set-up walks per group member.
 #[test]
 fn cluster_path_into_reuses_buffer_without_allocating() {
     let mut t = Topology::hierarchical_hypercube(&[8, 8], 4).unwrap();
