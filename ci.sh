@@ -42,6 +42,19 @@ if [ "$(grep -c 'Stack::new' crates/desim/src/sim.rs)" -ne 1 ]; then
     exit 1
 fi
 
+echo "==> one event queue (no batch, buffer pool or second queue struct beside Scheduler in desim/src/sim.rs, and three mutexes: sched, world, panic_msg)"
+# Above `mod tests`, where the executor lives.
+sim_rs=$(sed '/^mod tests/,$d' crates/desim/src/sim.rs)
+if grep -n 'enum Pending\|SchBufs\|POOL_CAP\|fn commit\|fn drain\|FreeCells\|struct Core' <<<"$sim_rs"; then
+    echo "desim/src/sim.rs collects scheduled actions in a batch before queueing them again" >&2
+    exit 1
+fi
+if [ "$(grep -c 'Mutex<' <<<"$sim_rs")" -ne 3 ]; then
+    echo "desim/src/sim.rs must name Mutex< exactly three times (sched, world, panic_msg):" >&2
+    grep -n 'Mutex<' <<<"$sim_rs" >&2
+    exit 1
+fi
+
 echo "==> one transmit state machine (no stop-and-wait sender state beside WinTx in crates/core/src, no vendor/crossbeam)"
 if grep -rn 'TxPending\|tx_pending\|tx_epoch\|arm_data_timer' crates/core/src/; then
     echo "crates/core/src keeps a second copy of the channel retransmit state again" >&2

@@ -108,6 +108,57 @@ fn bench_wake_chain(c: &mut Criterion) {
 }
 
 #[derive(Default)]
+struct PingWorld {
+    pids: Vec<ProcId>,
+    /// Whose turn it is, and how many hand-overs are left.
+    turn: usize,
+    left: u32,
+}
+
+/// Two processes hand a token back and forth 10k times: each checks for its
+/// turn in a `Ctx::with`, passes it on with a same-instant `wake` in another,
+/// checks again and parks. One round trip is six `with` blocks, two wakes and
+/// two park/resume pairs — the path under every channel read and write, with
+/// no world to speak of.
+fn bench_ctx_with_wake(c: &mut Criterion) {
+    const ROUND_TRIPS: u32 = 10_000;
+    let mut g = c.benchmark_group("desim");
+    g.throughput(Throughput::Elements(u64::from(ROUND_TRIPS)));
+    g.bench_function("ctx_with_wake_10k", |b| {
+        b.iter_batched(
+            || {
+                let sim = Simulation::new(PingWorld::default());
+                let pids = [0, 1].map(|me| {
+                    sim.spawn(format!("p{me}"), move |ctx: Ctx<PingWorld>| loop {
+                        ctx.wait_until(move |w, _| (w.turn == me).then_some(()));
+                        let more = ctx.with(|w, s| {
+                            w.turn = 1 - me;
+                            w.left = w.left.saturating_sub(1);
+                            s.wake(w.pids[1 - me], Wakeup::START);
+                            w.left > 0
+                        });
+                        if !more {
+                            break;
+                        }
+                    })
+                });
+                sim.setup(move |w, _| {
+                    w.pids = pids.to_vec();
+                    w.left = 2 * ROUND_TRIPS;
+                });
+                sim
+            },
+            |mut sim| {
+                assert!(sim.run_to_idle().all_finished());
+                assert_eq!(sim.world().left, 0);
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    g.finish();
+}
+
+#[derive(Default)]
 struct GateWorld {
     open: bool,
 }
@@ -202,6 +253,7 @@ criterion_group!(
     bench_spsc_bursts,
     bench_process_switching,
     bench_wake_chain,
+    bench_ctx_with_wake,
     bench_spawn_park
 );
 criterion_main!(benches);

@@ -29,7 +29,8 @@ const NOTE: &str = "desim engine hot-path benches, ns of host wall time; measure
     (an engine with a stack mapping per process, PR 13 and before, holds about 30,000); \
     timer_arm_cancel_10k arms, cancels and purges 10k timeouts between 10k plain events on a \
     warm simulation; spsc_burst64_100k pushes 64-message bursts of 64-byte messages through one \
-    mailbox and drains each";
+    mailbox and drains each; ctx_with_wake_10k hands a turn between two processes 10k times each \
+    way, six Ctx::with blocks, two same-instant wakes and two park/resume pairs per round trip";
 
 /// The three statistics of one bench, if `r` holds them all.
 fn stats_of(r: &Record) -> Option<Record> {

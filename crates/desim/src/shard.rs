@@ -702,7 +702,8 @@ fn route_outbox<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64],
         // the frontier lags the clock, so a world violating the self-link
         // contract (deliver_at >= produce time + self lookahead) could pass
         // it and schedule into the already-executed segment — `schedule_at`
-        // has no past-time check. Every segment is bounded by
+        // refuses a time behind the clock, not one behind the bound of a
+        // segment that went idle early. Every segment is bounded by
         // `start + self_l`, so an honored contract always lands at or past
         // the segment's exclusive bound; anything below it is a violation.
         assert!(

@@ -13,34 +13,34 @@
 //!   queue's decision alone, so the simulation is fully deterministic.
 //!
 //! Determinism contract: the event queue is ordered by `(time, sequence
-//! number)`; ties fire in scheduling order. Any randomness must come from an
-//! explicitly seeded RNG stored in `W`.
+//! number)`, numbered at the scheduling call (a spawn's start wake too), so
+//! ties fire in call order. Randomness must come from a seeded RNG in `W`.
 //!
 //! # Hot-path design
 //!
-//! The executor⇄process handoff is a single shared [`Baton`] per process — a
-//! payload word each way, the two stack pointers of a user-space register
-//! swap (`coro::switch`), and the image of the process's frames while it is
-//! suspended — so a process switch is a function call and two copies of
-//! however deep the process parked (1.2–1.5 KiB in the `vorx` workloads): no
-//! system call, no lock, and no allocation once the image buffer exists,
-//! which is from the process's first park on. Spawning a process maps
-//! nothing: its first frame sits inline in the baton. Same-instant wakes (the
-//! common case in protocol code: `wake` + `park` chains at one timestamp)
-//! bypass the binary heap through a FIFO *lane*, making zero-delay scheduling
-//! O(1). Simulated time lives in an atomic mirror ([`SimInner::now_ns`]) so
-//! [`Ctx::now`] is lock-free.
+//! [`Scheduler`] is the queue and scheduling is a push on it: no batch, no
+//! pool. It and the world each sit behind an uncontended lock, because the
+//! executor and a process inside the executor's call both reach them and a
+//! lock is how safe Rust hands out that `&mut`.
 //!
-//! Scheduling and dispatching an event allocates nothing in steady state. An
-//! event closure whose capture is at most 72 bytes and at most 8-aligned is
-//! stored in place (`event_fn`); a larger or over-aligned capture costs
-//! one box. Queued closures sit in a slab of recycled slots and the heap and
-//! lane carry 32-byte entries that name a slot, so a sift never moves a
-//! capture; [`Scheduler`] buffers are pooled. A [`TimerHandle`] names a
-//! recycled cell of the simulation's one `TimerCells` table, so arming and
-//! cancelling a timer allocates nothing either. What still allocates: every
-//! buffer named here, while it grows to the most events (or armed timers)
-//! ever outstanding at once.
+//! The executor⇄process handoff is one [`Baton`] per process — a payload
+//! word each way, the two stack pointers of a user-space register swap
+//! (`coro::switch`), and the image of the process's frames while it is
+//! suspended — so a switch is a function call and two copies of however deep
+//! the process parked (1.2–1.5 KiB in the `vorx` workloads): no system call,
+//! no lock, no allocation after the first park, and no mapping at spawn (the
+//! first frame sits inline in the baton). Same-instant wakes (`wake` + `park`
+//! chains, the common case in protocol code) bypass the heap through a FIFO
+//! *lane*, O(1); [`Ctx::now`] reads an atomic mirror of the clock.
+//!
+//! Scheduling and dispatching an event allocates nothing in steady state. A
+//! closure capturing at most 72 bytes, at most 8-aligned, is stored in place
+//! (`event_fn`); a larger or over-aligned one costs one box. Queued closures
+//! sit in a slab of recycled slots, and the heap and lane carry 32-byte
+//! entries that name a slot, so a sift never moves a capture. A
+//! [`TimerHandle`] names a recycled cell of the one `TimerCells` table, so
+//! arming and cancelling a timer allocates nothing either. What allocates:
+//! each buffer named here, as it grows to the most ever outstanding at once.
 
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
@@ -93,8 +93,8 @@ type ProcFn<W> = Box<dyn FnOnce(Ctx<W>) + Send + 'static>;
 /// cancels the event.
 #[derive(Clone)]
 pub struct TimerHandle {
-    sim: Arc<SimShared>,
-    /// The event's cell in `sim.timers`, for as long as it is at `gen`.
+    timers: Arc<TimerCells>,
+    /// The event's cell in `timers`, for as long as it is at `gen`.
     cell: u32,
     gen: u32,
 }
@@ -102,7 +102,7 @@ pub struct TimerHandle {
 impl TimerHandle {
     /// Disarm the event. Idempotent; a no-op if the event already ran.
     pub fn cancel(&self) {
-        self.sim.timers.cancel(self.cell, self.gen);
+        self.timers.cancel(self.cell, self.gen);
     }
 }
 
@@ -115,10 +115,10 @@ impl fmt::Debug for TimerHandle {
     }
 }
 
-/// The cancel flags of a simulation's armed timers: one recycled cell per
-/// cancellable event from the call that arms it until the queue lets go of it
-/// (fired, or found disarmed), so the table grows to the most timers ever
-/// outstanding at once and then stops allocating.
+/// The cancel flags of a simulation's armed timers, which is all of a timer
+/// that a [`TimerHandle`] reaches: one cell per cancellable event from the
+/// call that arms it until the queue retires it (fired, or found disarmed).
+/// The [`Scheduler`] hands retired cells out again before it makes new ones.
 ///
 /// A cell is a *generation* and, in its low bit, the *cancelled* flag of the
 /// event that holds it now. Retiring the event moves the cell on to the next
@@ -127,12 +127,11 @@ impl fmt::Debug for TimerHandle {
 /// so a stale handle would have to sit out 2³² timers *on its own cell* to
 /// cancel a stranger's.
 ///
-/// Cells never move (a `cancel` may come from any thread, without a lock), so
-/// the table is a fixed row of lazily made chunks, chunk `k` holding
+/// Cells never move (a `cancel` takes no lock, and a handle may be anywhere),
+/// so the table is a fixed row of lazily made chunks, chunk `k` holding
 /// `CHUNK0 << k` cells.
 struct TimerCells {
     chunks: [OnceLock<Box<[AtomicU64]>>; TIMER_CHUNKS],
-    free: Mutex<FreeCells>,
 }
 
 /// Cells in the first chunk of [`TimerCells`]; a power of two.
@@ -140,19 +139,10 @@ const CHUNK0: u32 = 64;
 /// Enough doubling chunks for every `u32` index.
 const TIMER_CHUNKS: usize = (u32::BITS - CHUNK0.ilog2() + 1) as usize;
 
-#[derive(Default)]
-struct FreeCells {
-    /// Retired cells, to be claimed again before the table grows.
-    spare: Vec<u32>,
-    /// Cells handed out so far: the next index when `spare` is empty.
-    made: u32,
-}
-
 impl TimerCells {
     fn new() -> Self {
         TimerCells {
             chunks: [const { OnceLock::new() }; TIMER_CHUNKS],
-            free: Mutex::new(FreeCells::default()),
         }
     }
 
@@ -169,22 +159,10 @@ impl TimerCells {
         &chunk[i as usize - len]
     }
 
-    /// Claim a cell for a new event: `(index, generation)`, not cancelled.
-    fn arm(&self) -> (u32, u32) {
-        let idx = {
-            let mut free = self.free.lock();
-            free.spare.pop().unwrap_or_else(|| {
-                let idx = free.made;
-                free.made = idx.checked_add(1).expect("over u32::MAX timers armed");
-                idx
-            })
-        };
-        // The free list's lock orders this load after the `retire` that put
-        // the cell there; until we return, nobody else names the cell.
-        (
-            idx,
-            (self.cell(idx).load(AtomicOrdering::Relaxed) >> 1) as u32,
-        )
+    /// The generation `idx` is at: what a handle to the event that claims it
+    /// now must name.
+    fn generation(&self, idx: u32) -> u32 {
+        (self.cell(idx).load(AtomicOrdering::Relaxed) >> 1) as u32
     }
 
     /// Set the cancelled flag of `idx` if it is still at `gen`. `Relaxed`:
@@ -205,45 +183,27 @@ impl TimerCells {
     }
 
     /// The queue is done with the event holding `idx`: move the cell to its
-    /// next generation and let it be claimed again. Returns whether the event
-    /// had been cancelled; a `cancel` racing with this from another thread
-    /// either made it or names a generation that is gone.
+    /// next generation. Returns whether the event had been cancelled; a
+    /// `cancel` racing with this from another thread either made it or names
+    /// a generation that is gone.
     fn retire(&self, idx: u32) -> bool {
         let cell = self.cell(idx);
         let word = cell.load(AtomicOrdering::Relaxed);
         let gen = (word >> 1) as u32;
         cell.store(u64::from(gen.wrapping_add(1)) << 1, AtomicOrdering::Relaxed);
-        self.free.lock().spare.push(idx);
         word & 1 == 1
     }
 }
 
-/// What a [`Scheduler`] and a [`TimerHandle`] reach of their simulation
-/// without a lock.
-struct SimShared {
-    /// Simulation-global process-id allocator.
-    next_pid: AtomicU32,
-    timers: TimerCells,
-}
-
-/// An action as a [`Scheduler`] collects it, before it is queued.
-enum Pending<W> {
-    Run(EventFn<W>),
-    Wake(ProcId, Wakeup),
-    /// A cancellable event, with its timer cell: skipped (without advancing
-    /// time) if the cell is cancelled by the time it reaches the head of the
-    /// queue.
-    Cancellable(u32, EventFn<W>),
-}
-
-/// An action as the queues hold it. A closure stays in [`Core::events`] and
-/// the entry carries its slot, so heap sifts move 32-byte entries whatever
-/// the closures capture.
+/// A scheduled action, from the call that schedules it to its dispatch. A
+/// closure stays in [`Scheduler::events`] and the entry carries its slot, so
+/// heap sifts move 32-byte entries whatever the closures capture.
 enum Queued {
     Run(u32),
     Wake(ProcId, Wakeup),
-    /// Timer cell, closure slot. The entry holds the cell until it is
-    /// dequeued, whoever dequeues it retires the cell.
+    /// Timer cell, closure slot: skipped (without advancing time) if the cell
+    /// is cancelled by the time it reaches the head of the queue. The entry
+    /// holds the cell until it is dequeued, whoever dequeues it retires it.
     Cancellable(u32, u32),
 }
 
@@ -310,8 +270,8 @@ const REPORT_PANICKED: u32 = 2;
 /// The executor⇄process handoff cell. A handoff is: write your payload
 /// (`token` or `report`), then `coro::switch` to the other side's saved
 /// stack pointer, leaving your own behind; the executor also moves the
-/// process's frames between `image` and the run stack. No lock and no system
-/// call on the hot path, and no allocation after the process's first park.
+/// process's frames between `image` and the run stack. No lock is held across
+/// it, and there is no system call and, after the first park, no allocation.
 ///
 /// Why this may be shared and sent between threads: exactly one side of a
 /// baton runs at a time (the `coro` contract), so every field but
@@ -462,7 +422,28 @@ impl ProcSlot {
     }
 }
 
-struct Core<W> {
+struct SimInner<W> {
+    /// Taken before `world` wherever both are held.
+    sched: Mutex<Scheduler<W>>,
+    world: Mutex<W>,
+    /// Lock-free mirror of `Scheduler::now` (ns). Written only by the
+    /// executor while it holds the queue lock; read by [`Ctx::now`] /
+    /// [`Simulation::now`] without locking.
+    now_ns: AtomicU64,
+    /// The run stack: every process of this simulation runs on it, one at a
+    /// time, whichever OS thread drives the run.
+    stack: Stack,
+}
+
+/// Marker payload used to unwind process stacks when the simulation is
+/// dropped while they are still parked.
+struct Killed;
+
+/// The event queue of a [`Simulation`], as event callbacks and
+/// [`Ctx::with`] / [`Simulation::setup`] blocks are handed it: each call
+/// below claims what it needs (closure slot, timer cell, process id,
+/// sequence number) and takes its place in `(time, seq)` order at once.
+pub struct Scheduler<W> {
     now: SimTime,
     seq: u64,
     /// Activities executed so far (events run + process resumes), for
@@ -478,106 +459,16 @@ struct Core<W> {
     lane: VecDeque<(u64, Queued)>,
     /// The closures the `Run`/`Cancellable` entries of both queues refer to.
     events: EventSlab<W>,
-    procs: Vec<Option<ProcSlot>>,
-}
-
-impl<W> Core<W> {
-    fn push(&mut self, t: SimTime, act: Pending<W>) {
-        debug_assert!(t >= self.now, "scheduled event in the past");
-        let seq = self.seq;
-        self.seq += 1;
-        let act = match act {
-            Pending::Run(f) => Queued::Run(self.events.insert(f)),
-            Pending::Wake(pid, token) => Queued::Wake(pid, token),
-            Pending::Cancellable(cell, f) => Queued::Cancellable(cell, self.events.insert(f)),
-        };
-        if t == self.now {
-            self.lane.push_back((seq, act));
-        } else {
-            self.queue.push(QEntry { t, seq, act });
-        }
-    }
-
-    /// Discard disarmed timers at the head of the heap before their
-    /// timestamps are ever consulted: a cancelled event must neither advance
-    /// the clock nor keep the simulation from going idle.
-    fn pop_cancelled_heads(&mut self, timers: &TimerCells) {
-        while let Some(&QEntry {
-            act: Queued::Cancellable(cell, slot),
-            ..
-        }) = self.queue.peek()
-        {
-            if !timers.is_cancelled(cell) {
-                break;
-            }
-            self.queue.pop();
-            timers.retire(cell);
-            drop(self.events.take(slot));
-        }
-    }
-
-    fn slot_mut(&mut self, pid: ProcId) -> &mut ProcSlot {
-        self.procs
-            .get_mut(pid.0 as usize)
-            .and_then(Option::as_mut)
-            .expect("unknown ProcId")
-    }
-}
-
-/// Recycled `Scheduler` buffers (see [`SimInner::pool`]).
-struct SchBufs<W> {
-    pending: Vec<(SimTime, Pending<W>)>,
-    spawns: Vec<SpawnReq<W>>,
-}
-
-impl<W> Default for SchBufs<W> {
-    fn default() -> Self {
-        SchBufs {
-            pending: Vec::new(),
-            spawns: Vec::new(),
-        }
-    }
-}
-
-/// How many `SchBufs` the pool keeps; beyond this, buffers are dropped.
-const POOL_CAP: usize = 4;
-
-struct SimInner<W> {
-    core: Mutex<Core<W>>,
-    world: Mutex<W>,
-    /// Lock-free mirror of `Core::now` (ns). Written only by the executor
-    /// while it holds the core lock; read by [`Ctx::now`] /
-    /// [`Simulation::now`] without locking.
-    now_ns: AtomicU64,
-    shared: Arc<SimShared>,
-    /// Pool of spent `Scheduler` buffers, so steady-state event dispatch and
-    /// `Ctx::with` reuse their allocations instead of growing fresh `Vec`s.
-    pool: Mutex<Vec<SchBufs<W>>>,
-    /// The run stack: every process of this simulation runs on it, one at a
-    /// time, whichever OS thread drives the run.
-    stack: Stack,
-}
-
-/// Marker payload used to unwind process stacks when the simulation is
-/// dropped while they are still parked.
-struct Killed;
-
-struct SpawnReq<W> {
-    name: String,
-    at: SimTime,
-    f: ProcFn<W>,
-    pid: ProcId,
-}
-
-/// Collects actions scheduled from inside an event callback or a
-/// [`Ctx::with`] block; they are committed to the event queue when the block
-/// ends. Scheduling is therefore transactional with respect to the world
-/// lock, which keeps lock ordering trivial.
-pub struct Scheduler<W> {
-    now: SimTime,
-    pending: Vec<(SimTime, Pending<W>)>,
-    spawns: Vec<SpawnReq<W>>,
-    shared: Arc<SimShared>,
+    /// Every process ever spawned; a [`ProcId`] is an index here.
+    procs: Vec<ProcSlot>,
+    timers: Arc<TimerCells>,
+    /// Retired timer cells, to be claimed again before the table grows.
+    spare_cells: Vec<u32>,
+    /// Timer cells handed out so far: the next index when `spare_cells` is
+    /// empty.
+    cells_made: u32,
+    /// The simulation this is the queue of, for a spawned process's `Ctx`.
+    sim: Weak<SimInner<W>>,
 }
 
 impl<W: Send + 'static> Scheduler<W> {
@@ -591,8 +482,8 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        self.pending
-            .push((self.now + d, Pending::Run(EventFn::new(f))));
+        let slot = self.events.insert(EventFn::new(f));
+        self.push(self.now + d, Queued::Run(slot));
     }
 
     /// Like [`Scheduler::schedule_in`], but returns a [`TimerHandle`] that
@@ -604,11 +495,18 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        let (cell, gen) = self.shared.timers.arm();
-        self.pending
-            .push((self.now + d, Pending::Cancellable(cell, EventFn::new(f))));
+        let cell = self.spare_cells.pop().unwrap_or_else(|| {
+            let idx = self.cells_made;
+            self.cells_made = idx.checked_add(1).expect("over u32::MAX timers armed");
+            idx
+        });
+        // `&mut self` orders this load after the `retire` that freed the
+        // cell; until we return, nobody else names it.
+        let gen = self.timers.generation(cell);
+        let slot = self.events.insert(EventFn::new(f));
+        self.push(self.now + d, Queued::Cancellable(cell, slot));
         TimerHandle {
-            sim: Arc::clone(&self.shared),
+            timers: Arc::clone(&self.timers),
             cell,
             gen,
         }
@@ -616,7 +514,7 @@ impl<W: Send + 'static> Scheduler<W> {
 
     /// Wake `pid` with `token` after `d` has elapsed.
     pub fn wake_in(&mut self, d: SimDuration, pid: ProcId, token: Wakeup) {
-        self.pending.push((self.now + d, Pending::Wake(pid, token)));
+        self.push(self.now + d, Queued::Wake(pid, token));
     }
 
     /// Wake `pid` with `token` at the current instant (ordered after all
@@ -631,14 +529,7 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
-        let pid = ProcId(self.shared.next_pid.fetch_add(1, AtomicOrdering::Relaxed));
-        self.spawns.push(SpawnReq {
-            name: name.into(),
-            at: self.now + d,
-            f: Box::new(f),
-            pid,
-        });
-        pid
+        self.start_proc(self.now + d, name.into(), Box::new(f))
     }
 
     /// Spawn a new process that starts at the current instant.
@@ -647,6 +538,105 @@ impl<W: Send + 'static> Scheduler<W> {
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
         self.spawn_in(SimDuration::ZERO, name, f)
+    }
+
+    fn push(&mut self, t: SimTime, act: Queued) {
+        debug_assert!(t >= self.now, "scheduled event in the past");
+        let seq = self.seq;
+        self.seq += 1;
+        if t == self.now {
+            self.lane.push_back((seq, act));
+        } else {
+            self.queue.push(QEntry { t, seq, act });
+        }
+    }
+
+    /// The queue is done with the event holding timer cell `cell`: from here
+    /// on its handles are stale, and the cell can be claimed again. Returns
+    /// whether the event had been cancelled.
+    fn retire(&mut self, cell: u32) -> bool {
+        self.spare_cells.push(cell);
+        self.timers.retire(cell)
+    }
+
+    /// Discard disarmed timers at the head of the heap before their
+    /// timestamps are ever consulted: a cancelled event must neither advance
+    /// the clock nor keep the simulation from going idle.
+    fn pop_cancelled_heads(&mut self) {
+        while let Some(&QEntry {
+            act: Queued::Cancellable(cell, slot),
+            ..
+        }) = self.queue.peek()
+        {
+            if !self.timers.is_cancelled(cell) {
+                break;
+            }
+            self.queue.pop();
+            self.retire(cell);
+            drop(self.events.take(slot));
+        }
+    }
+
+    fn slot_mut(&mut self, pid: ProcId) -> &mut ProcSlot {
+        self.procs.get_mut(pid.0 as usize).expect("unknown ProcId")
+    }
+
+    /// Make a process's baton, register it under the next id and queue its
+    /// start wake. Out of line: `spawn` is called from inside `Ctx::with`
+    /// blocks in a process's own frames, which every park copies.
+    #[inline(never)]
+    fn start_proc(&mut self, at: SimTime, name: String, f: ProcFn<W>) -> ProcId {
+        let pid = ProcId(u32::try_from(self.procs.len()).expect("over u32::MAX processes"));
+        let inner = self
+            .sim
+            .upgrade()
+            .expect("a scheduler is reached through its simulation");
+        let baton = Arc::new_cyclic(|me: &Weak<Baton>| {
+            let me = Weak::clone(me);
+            // Runs on the run stack at the process's first resume, and drops
+            // all it captured or made before it returns (the `coro::Body`
+            // contract).
+            Baton::new(Box::new(move || {
+                let baton = me
+                    .upgrade()
+                    .expect("whoever enters a process holds its baton");
+                let ctx = Ctx {
+                    inner,
+                    pid,
+                    baton: Arc::clone(&baton),
+                };
+                let report = if baton.kill.load(AtomicOrdering::Relaxed) {
+                    // Torn down before it ever ran: only drop what it
+                    // captured.
+                    REPORT_FINISHED
+                } else {
+                    match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+                        Ok(()) => REPORT_FINISHED,
+                        // Unwound by `Baton::park` because the simulation is
+                        // being dropped.
+                        Err(payload) if payload.is::<Killed>() => REPORT_FINISHED,
+                        Err(payload) => {
+                            let msg = payload
+                                .downcast_ref::<&str>()
+                                .map(|s| s.to_string())
+                                .or_else(|| payload.downcast_ref::<String>().cloned())
+                                .unwrap_or_else(|| "<non-string panic payload>".into());
+                            *baton.panic_msg.lock() = Some(msg);
+                            REPORT_PANICKED
+                        }
+                    }
+                };
+                baton.report.store(report, AtomicOrdering::Relaxed);
+                baton.exec_sp.load(AtomicOrdering::Relaxed)
+            }))
+        });
+        self.procs.push(ProcSlot {
+            name,
+            state: ProcState::Parked,
+            baton: Some(baton),
+        });
+        self.push(at, Queued::Wake(pid, Wakeup::START));
+        pid
     }
 }
 
@@ -682,16 +672,12 @@ impl<W: Send + 'static> Ctx<W> {
 
     /// Access the world and scheduler without simulated time passing.
     ///
-    /// Do not call other `Ctx` methods from inside `f` (the world lock is
-    /// held) and do not park: `with` blocks are instantaneous.
+    /// Do not call other `Ctx` methods from inside `f` (the world and queue
+    /// locks are held) and do not park: `with` blocks are instantaneous.
     pub fn with<R>(&self, f: impl FnOnce(&mut W, &mut Scheduler<W>) -> R) -> R {
-        let mut sch = scheduler(self.now(), &self.inner);
-        let r = {
-            let mut world = self.inner.world.lock();
-            f(&mut world, &mut sch)
-        };
-        drain(&self.inner, sch);
-        r
+        let mut sched = self.inner.sched.lock();
+        let mut world = self.inner.world.lock();
+        f(&mut world, &mut sched)
     }
 
     /// Park until woken. Returns the (advisory) wakeup token.
@@ -703,14 +689,9 @@ impl<W: Send + 'static> Ctx<W> {
     /// fixed-cost operation). Tolerates spurious wakeups: always sleeps the
     /// full duration.
     pub fn sleep(&self, d: SimDuration) {
-        // The timer wake needs no world access: push it under the core lock
-        // directly rather than paying for a scheduler round-trip.
-        let deadline = {
-            let mut core = self.inner.core.lock();
-            let t = core.now + d;
-            core.push(t, Pending::Wake(self.pid, Wakeup::TIMER));
-            t
-        };
+        // The timer wake needs no world access: the queue lock alone.
+        let deadline = self.now() + d;
+        self.inner.sched.lock().wake_in(d, self.pid, Wakeup::TIMER);
         while self.now() < deadline {
             self.park();
         }
@@ -726,126 +707,16 @@ impl<W: Send + 'static> Ctx<W> {
             self.park();
         }
     }
-}
 
-fn scheduler<W>(now: SimTime, inner: &Arc<SimInner<W>>) -> Scheduler<W> {
-    let SchBufs { pending, spawns } = inner.pool.lock().pop().unwrap_or_default();
-    Scheduler {
-        now,
-        pending,
-        spawns,
-        shared: Arc::clone(&inner.shared),
+    /// Spawn a sibling process from process context (sugar over
+    /// [`Ctx::with`] + [`Scheduler::spawn`]).
+    pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
+    where
+        F: FnOnce(Ctx<W>) + Send + 'static,
+    {
+        let name = name.into();
+        self.with(move |_, s| s.spawn(name, f))
     }
-}
-
-/// Commit everything a `Scheduler` collected: make spawned processes' batons,
-/// register them, and push all pending actions into the queue. Leaves the
-/// scheduler's buffers empty (capacity retained) so the caller can reuse or
-/// pool them. Takes no locks at all when nothing was scheduled.
-///
-/// This runs at the bottom of every `Ctx::with` in a process's own frames, so
-/// its frame is kept small: the process-starting half lives in
-/// [`commit_spawns`], out of line.
-fn commit<W: Send + 'static>(inner: &Arc<SimInner<W>>, sch: &mut Scheduler<W>) {
-    if sch.pending.is_empty() && sch.spawns.is_empty() {
-        return;
-    }
-    let mut core = if sch.spawns.is_empty() {
-        inner.core.lock()
-    } else {
-        commit_spawns(inner, &mut sch.spawns)
-    };
-    for (t, act) in sch.pending.drain(..) {
-        core.push(t, act);
-    }
-}
-
-/// Make the requested processes' batons, then — under the core lock, which is
-/// returned still held — register them and queue their start wakes, ahead of
-/// whatever else the same scheduler collected.
-#[inline(never)]
-fn commit_spawns<'a, W: Send + 'static>(
-    inner: &'a Arc<SimInner<W>>,
-    spawns: &mut Vec<SpawnReq<W>>,
-) -> MutexGuard<'a, Core<W>> {
-    let started: Vec<_> = spawns.drain(..).map(|req| start_proc(inner, req)).collect();
-    let mut core = inner.core.lock();
-    for (pid, at, slot) in started {
-        let idx = pid.0 as usize;
-        if core.procs.len() <= idx {
-            core.procs.resize_with(idx + 1, || None);
-        }
-        assert!(core.procs[idx].is_none(), "ProcId reused");
-        core.procs[idx] = Some(slot);
-        core.push(at, Pending::Wake(pid, Wakeup::START));
-    }
-    core
-}
-
-/// [`commit`], then hand the scheduler's buffers back to the pool.
-fn drain<W: Send + 'static>(inner: &Arc<SimInner<W>>, mut sch: Scheduler<W>) {
-    commit(inner, &mut sch);
-    let Scheduler {
-        pending, spawns, ..
-    } = sch;
-    let mut pool = inner.pool.lock();
-    if pool.len() < POOL_CAP {
-        pool.push(SchBufs { pending, spawns });
-    }
-}
-
-fn start_proc<W: Send + 'static>(
-    inner: &Arc<SimInner<W>>,
-    req: SpawnReq<W>,
-) -> (ProcId, SimTime, ProcSlot) {
-    let SpawnReq { name, at, f, pid } = req;
-    let baton = Arc::new_cyclic(|me: &Weak<Baton>| {
-        let me = Weak::clone(me);
-        let inner = Arc::clone(inner);
-        // Runs on the run stack at the process's first resume, and drops all
-        // it captured or made before it returns (the `coro::Body` contract).
-        Baton::new(Box::new(move || {
-            let baton = me
-                .upgrade()
-                .expect("whoever enters a process holds its baton");
-            let ctx = Ctx {
-                inner,
-                pid,
-                baton: Arc::clone(&baton),
-            };
-            let report = if baton.kill.load(AtomicOrdering::Relaxed) {
-                // Torn down before it ever ran: only drop what it captured.
-                REPORT_FINISHED
-            } else {
-                match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                    Ok(()) => REPORT_FINISHED,
-                    // Unwound by `Baton::park` because the simulation is
-                    // being dropped.
-                    Err(payload) if payload.is::<Killed>() => REPORT_FINISHED,
-                    Err(payload) => {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic payload>".into());
-                        *baton.panic_msg.lock() = Some(msg);
-                        REPORT_PANICKED
-                    }
-                }
-            };
-            baton.report.store(report, AtomicOrdering::Relaxed);
-            baton.exec_sp.load(AtomicOrdering::Relaxed)
-        }))
-    });
-    (
-        pid,
-        at,
-        ProcSlot {
-            name,
-            state: ProcState::Parked,
-            baton: Some(baton),
-        },
-    )
 }
 
 /// Why a call to [`Simulation::run_until`] / [`Simulation::run_to_idle`]
@@ -880,39 +751,31 @@ pub struct Simulation<W: Send + 'static> {
     inner: Arc<SimInner<W>>,
 }
 
-/// What the locked dequeue step handed the run loop to execute.
-enum Next<W> {
-    Run(EventFn<W>, SimTime),
-    Wake(Arc<Baton>, ProcId, Wakeup),
-}
-
 impl<W: Send + 'static> Simulation<W> {
     /// Create a simulation owning `world`, at time zero.
     pub fn new(world: W) -> Self {
-        Simulation {
-            inner: Arc::new(SimInner {
-                core: Mutex::new(Core {
-                    now: SimTime::ZERO,
-                    seq: 0,
-                    dispatched: 0,
-                    queue: BinaryHeap::new(),
-                    lane: VecDeque::new(),
-                    events: EventSlab {
-                        slots: Vec::new(),
-                        free: Vec::new(),
-                    },
-                    procs: Vec::new(),
-                }),
-                world: Mutex::new(world),
-                now_ns: AtomicU64::new(0),
-                shared: Arc::new(SimShared {
-                    next_pid: AtomicU32::new(0),
-                    timers: TimerCells::new(),
-                }),
-                pool: Mutex::new(Vec::new()),
-                stack: Stack::new(),
+        let inner = Arc::new_cyclic(|me: &Weak<SimInner<W>>| SimInner {
+            sched: Mutex::new(Scheduler {
+                now: SimTime::ZERO,
+                seq: 0,
+                dispatched: 0,
+                queue: BinaryHeap::new(),
+                lane: VecDeque::new(),
+                events: EventSlab {
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                },
+                procs: Vec::new(),
+                timers: Arc::new(TimerCells::new()),
+                spare_cells: Vec::new(),
+                cells_made: 0,
+                sim: Weak::clone(me),
             }),
-        }
+            world: Mutex::new(world),
+            now_ns: AtomicU64::new(0),
+            stack: Stack::new(),
+        });
+        Simulation { inner }
     }
 
     /// Current simulated time. Lock-free: reads the executor-maintained
@@ -928,12 +791,8 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Schedule and spawn from outside the run loop (setup).
     pub fn setup(&self, f: impl FnOnce(&mut W, &mut Scheduler<W>)) {
-        let mut sch = self.mk_scheduler(self.now());
-        {
-            let mut w = self.inner.world.lock();
-            f(&mut w, &mut sch);
-        }
-        drain(&self.inner, sch);
+        let mut sched = self.inner.sched.lock();
+        f(&mut self.inner.world.lock(), &mut sched);
     }
 
     /// Spawn a process starting at the current time. Convenience wrapper
@@ -942,10 +801,7 @@ impl<W: Send + 'static> Simulation<W> {
     where
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
-        let mut sch = self.mk_scheduler(self.now());
-        let pid = sch.spawn(name, f);
-        drain(&self.inner, sch);
-        pid
+        self.inner.sched.lock().spawn(name, f)
     }
 
     /// Schedule an event callback after `d`.
@@ -953,13 +809,7 @@ impl<W: Send + 'static> Simulation<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        let mut sch = self.mk_scheduler(self.now());
-        sch.schedule_in(d, f);
-        drain(&self.inner, sch);
-    }
-
-    fn mk_scheduler(&self, now: SimTime) -> Scheduler<W> {
-        scheduler(now, &self.inner)
+        self.inner.sched.lock().schedule_in(d, f);
     }
 
     /// Run until no events remain.
@@ -979,154 +829,120 @@ impl<W: Send + 'static> Simulation<W> {
         }
     }
 
+    /// Run for `d` of simulated time from now (or until idle, whichever is
+    /// first). Convenience over [`Simulation::run_until`].
+    pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
+        let deadline = self.now() + d;
+        self.run_until(deadline)
+    }
+
     /// [`Simulation::run_until`] without the report: `true` when no events
     /// remain, `false` at the deadline. The sharded engine runs thousands of
     /// segments that end idle and wants none of their reports (a `Vec` and a
     /// name per parked process each).
     pub(crate) fn run_segment(&mut self, deadline: SimTime) -> bool {
-        // One set of scheduler buffers serves every event callback this run
-        // dispatches; per-event pool traffic would cost more than it saves.
-        let mut bufs = self.inner.pool.lock().pop().unwrap_or_default();
-        let idle = 'run: loop {
-            let next = {
-                let mut core = self.inner.core.lock();
-                // Inner loop so stale wakeups are skipped without bouncing
-                // the core lock.
-                loop {
-                    core.pop_cancelled_heads(&self.inner.shared.timers);
-                    // Does the same-instant lane or the heap fire next? Lane
-                    // entries are all at `now`; a heap entry wins only if it
-                    // is also at `now` with a smaller seq (pushed before time
-                    // advanced here — see the `Core::lane` invariant).
-                    let use_lane = match (core.lane.front(), core.queue.peek()) {
-                        (Some(_), None) => true,
-                        (Some(&(lane_seq, _)), Some(h)) => h.t > core.now || h.seq > lane_seq,
-                        (None, Some(_)) => false,
-                        (None, None) => break 'run true,
-                    };
-                    let act = if use_lane {
-                        if core.now > deadline {
-                            // Lane entries fire at `now`, which is already
-                            // past the bound; time does not move.
-                            break 'run false;
-                        }
-                        core.lane.pop_front().expect("lane front").1
-                    } else {
-                        let t = core.queue.peek().expect("heap top").t;
-                        if t > deadline {
-                            core.now = deadline.max(core.now);
-                            self.inner
-                                .now_ns
-                                .store(core.now.as_ns(), AtomicOrdering::Release);
-                            break 'run false;
-                        }
-                        let e = core.queue.pop().expect("peeked");
-                        debug_assert!(e.t >= core.now, "time ran backwards");
-                        core.now = e.t;
-                        self.inner
-                            .now_ns
-                            .store(e.t.as_ns(), AtomicOrdering::Release);
-                        e.act
-                    };
-                    match act {
-                        Queued::Run(slot) => {
-                            core.dispatched += 1;
-                            break Next::Run(core.events.take(slot), core.now);
-                        }
-                        Queued::Cancellable(cell, slot) => {
-                            let f = core.events.take(slot);
-                            // From here on the event's handles are stale:
-                            // cancelling a timer that is running, or has run,
-                            // is a no-op.
-                            if self.inner.shared.timers.retire(cell) {
-                                // Cancelled same-instant (lane) entry: time
-                                // is already `now`, just skip it.
-                                continue;
-                            }
-                            core.dispatched += 1;
-                            break Next::Run(f, core.now);
-                        }
-                        Queued::Wake(pid, token) => {
-                            let slot = core.slot_mut(pid);
-                            if slot.state == ProcState::Finished {
-                                continue; // stale wakeup for a completed process
-                            }
-                            // `resume`'s soundness rests on this: a process
-                            // is entered only while it is suspended.
-                            assert_eq!(slot.state, ProcState::Parked, "woke a running process");
-                            slot.state = ProcState::Running;
-                            let baton = slot.baton.as_ref().expect("a parked process has a baton");
-                            let next = Next::Wake(Arc::clone(baton), pid, token);
-                            core.dispatched += 1;
-                            break next;
-                        }
+        let inner = &*self.inner;
+        // Held across event callbacks, which schedule through it; let go of
+        // around every process resume, which takes it from the inside.
+        let mut sched = inner.sched.lock();
+        loop {
+            sched.pop_cancelled_heads();
+            // Does the same-instant lane or the heap fire next? Lane entries
+            // are all at `now`; a heap entry wins only if it is also at `now`
+            // with a smaller seq (pushed before time advanced here — see the
+            // `Scheduler::lane` invariant).
+            let use_lane = match (sched.lane.front(), sched.queue.peek()) {
+                (Some(_), None) => true,
+                (Some(&(lane_seq, _)), Some(h)) => h.t > sched.now || h.seq > lane_seq,
+                (None, Some(_)) => false,
+                (None, None) => return true,
+            };
+            let act = if use_lane {
+                if sched.now > deadline {
+                    // Lane entries fire at `now`, which is already past the
+                    // bound; time does not move.
+                    return false;
+                }
+                sched.lane.pop_front().expect("lane front").1
+            } else {
+                let t = sched.queue.peek().expect("heap top").t;
+                let stop = t > deadline;
+                debug_assert!(t >= sched.now, "time ran backwards");
+                sched.now = if stop { deadline.max(sched.now) } else { t };
+                inner
+                    .now_ns
+                    .store(sched.now.as_ns(), AtomicOrdering::Release);
+                if stop {
+                    return false;
+                }
+                sched.queue.pop().expect("peeked").act
+            };
+            let f = match act {
+                Queued::Run(slot) => sched.events.take(slot),
+                Queued::Cancellable(cell, slot) => {
+                    let f = sched.events.take(slot);
+                    // Cancelling a timer that is running, or has run, is a
+                    // no-op.
+                    if sched.retire(cell) {
+                        // Cancelled same-instant (lane) entry: time is
+                        // already `now`, just skip it.
+                        continue;
                     }
+                    f
+                }
+                Queued::Wake(pid, token) => {
+                    sched = self.resume(sched, pid, token);
+                    continue;
                 }
             };
-            match next {
-                Next::Run(f, now) => {
-                    let mut sch = Scheduler {
-                        now,
-                        pending: std::mem::take(&mut bufs.pending),
-                        spawns: std::mem::take(&mut bufs.spawns),
-                        shared: Arc::clone(&self.inner.shared),
-                    };
-                    {
-                        let mut w = self.inner.world.lock();
-                        f.call(&mut w, &mut sch);
-                    }
-                    commit(&self.inner, &mut sch);
-                    bufs.pending = sch.pending;
-                    bufs.spawns = sch.spawns;
-                }
-                Next::Wake(baton, pid, token) => self.resume(baton, pid, token),
-            }
-        };
-        let mut pool = self.inner.pool.lock();
-        if pool.len() < POOL_CAP {
-            pool.push(bufs);
+            sched.dispatched += 1;
+            f.call(&mut inner.world.lock(), &mut sched);
         }
-        idle
     }
 
-    /// Switch into `pid` with `token`, and when it hands back record how it
-    /// yielded. The baton was fetched under the same core lock that dequeued
-    /// the wake, so the happy path (process parks again) costs one lock to
-    /// re-mark it parked and nothing else.
-    fn resume(&self, baton: Arc<Baton>, pid: ProcId, token: Wakeup) {
+    /// Dispatch a wake: switch into `pid` with `token` unless it has
+    /// finished, and when it hands back record how it yielded. Takes the
+    /// queue lock and returns it, because in between the process must be
+    /// able to take it: the happy path (process parks again) costs one
+    /// acquisition to re-mark it parked and nothing else.
+    fn resume<'a>(
+        &'a self,
+        mut sched: MutexGuard<'a, Scheduler<W>>,
+        pid: ProcId,
+        token: Wakeup,
+    ) -> MutexGuard<'a, Scheduler<W>> {
+        let slot = sched.slot_mut(pid);
+        if slot.state == ProcState::Finished {
+            return sched; // stale wakeup for a completed process
+        }
+        // The `enter` below rests on this: a process is entered only while
+        // it is suspended.
+        assert_eq!(slot.state, ProcState::Parked, "woke a running process");
+        slot.state = ProcState::Running;
+        let baton = Arc::clone(slot.baton.as_ref().expect("a parked process has a baton"));
+        sched.dispatched += 1;
+        drop(sched);
         baton.token.store(token.0, AtomicOrdering::Relaxed);
-        // SAFETY: the dequeue found the process `Parked` and marked it
-        // `Running` under the core lock, so it is suspended, unfinished, and
-        // entered by no one else until we mark it otherwise below; `baton`
-        // is ours for the whole call. We are this simulation's executor, and
-        // not on its run stack: running takes `&mut Simulation`, which
-        // nothing a process can reach holds while the run that resumed it
-        // does.
+        // SAFETY: we found the process `Parked` and marked it `Running`
+        // under the queue lock, so it is suspended, unfinished, and entered
+        // by no one else until we mark it otherwise below; `baton` is ours
+        // for the whole call. We are this simulation's executor, and not on
+        // its run stack: running takes `&mut Simulation`, which nothing a
+        // process can reach holds while the run that resumed it does.
         let report = unsafe { baton.enter(&self.inner.stack) };
+        let mut sched = self.inner.sched.lock();
+        let slot = sched.slot_mut(pid);
         match report {
-            REPORT_PARKED => {
-                self.inner.core.lock().slot_mut(pid).state = ProcState::Parked;
-            }
-            REPORT_FINISHED => {
-                self.inner.core.lock().slot_mut(pid).finish();
-            }
+            REPORT_PARKED => slot.state = ProcState::Parked,
+            REPORT_FINISHED => slot.finish(),
             _ => {
-                // Panic path: only now is the process name needed, so the
-                // clone happens here instead of on every resume.
-                let name = {
-                    let mut core = self.inner.core.lock();
-                    let slot = core.slot_mut(pid);
-                    slot.finish();
-                    slot.name.clone()
-                };
-                let msg = baton
-                    .panic_msg
-                    .lock()
-                    .take()
-                    .unwrap_or_else(|| "<missing panic message>".into());
-                panic!("simulated process '{name}' panicked: {msg}");
+                slot.finish();
+                let msg = baton.panic_msg.lock().take();
+                let msg = msg.as_deref().unwrap_or("<missing panic message>");
+                panic!("simulated process '{}' panicked: {msg}", slot.name);
             }
         }
+        sched
     }
 
     /// Names of processes that are still parked.
@@ -1136,19 +952,16 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// The current time and the processes parked at it.
     pub(crate) fn idle_report(&self) -> IdleReport {
-        let core = self.inner.core.lock();
-        let parked = core
+        let sched = self.inner.sched.lock();
+        let parked = sched
             .procs
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| {
-                s.as_ref()
-                    .filter(|s| s.state == ProcState::Parked)
-                    .map(|s| (ProcId(i as u32), s.name.clone()))
-            })
+            .filter(|(_, s)| s.state == ProcState::Parked)
+            .map(|(i, s)| (ProcId(i as u32), s.name.clone()))
             .collect();
         IdleReport {
-            now: core.now,
+            now: sched.now,
             parked,
         }
     }
@@ -1159,19 +972,19 @@ impl<W: Send + 'static> Simulation<W> {
     /// lane entries report the current time. Used by the sharded engine to
     /// pick the next lookahead window.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut core = self.inner.core.lock();
-        core.pop_cancelled_heads(&self.inner.shared.timers);
-        if !core.lane.is_empty() {
-            return Some(core.now);
+        let mut sched = self.inner.sched.lock();
+        sched.pop_cancelled_heads();
+        if !sched.lane.is_empty() {
+            return Some(sched.now);
         }
-        core.queue.peek().map(|e| e.t)
+        sched.queue.peek().map(|e| e.t)
     }
 
     /// Total activities executed so far (event callbacks run plus process
     /// resumes). Monotone across `run_until` calls; the sharded engine
     /// reports it per shard as a load-balance signal.
     pub fn events_dispatched(&self) -> u64 {
-        self.inner.core.lock().dispatched
+        self.inner.sched.lock().dispatched
     }
 
     /// Schedule an event callback at *absolute* simulated time `t`, which
@@ -1182,8 +995,14 @@ impl<W: Send + 'static> Simulation<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        let mut core = self.inner.core.lock();
-        core.push(t, Pending::Run(EventFn::new(f)));
+        let mut sched = self.inner.sched.lock();
+        assert!(
+            t >= sched.now,
+            "schedule_at({t}) is in the past: the clock reads {}",
+            sched.now
+        );
+        let slot = sched.events.insert(EventFn::new(f));
+        sched.push(t, Queued::Run(slot));
     }
 }
 
@@ -1191,12 +1010,12 @@ impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
         // A parked process owns live values; it gets to unwind its own frames
         // so their destructors run. The batons are collected first and the
-        // core lock released, because a destructor may use its `Ctx`.
+        // queue lock released, because a destructor may use its `Ctx`.
         let parked: Vec<Arc<Baton>> = {
-            let mut core = self.inner.core.lock();
-            core.procs
+            let mut sched = self.inner.sched.lock();
+            sched
+                .procs
                 .iter_mut()
-                .flatten()
                 .filter(|slot| slot.state == ProcState::Parked)
                 .filter_map(|slot| {
                     slot.state = ProcState::Finished;
@@ -1460,14 +1279,14 @@ mod tests {
     }
 
     #[test]
-    fn timer_cells_recycle_and_a_stale_generation_is_inert() {
+    fn a_stale_generation_is_inert_and_every_index_has_its_own_cell() {
         let cells = TimerCells::new();
-        assert_eq!(cells.arm(), (0, 0));
+        assert_eq!(cells.generation(0), 0);
         cells.cancel(0, 0);
         assert!(cells.is_cancelled(0));
         assert!(cells.retire(0));
         // Same cell, next generation, armed: the old handle can do nothing.
-        assert_eq!(cells.arm(), (0, 1));
+        assert_eq!(cells.generation(0), 1);
         cells.cancel(0, 0);
         assert!(!cells.is_cancelled(0));
         cells.cancel(0, 1);
@@ -1475,14 +1294,48 @@ mod tests {
         // Every index has a cell of its own, across chunk boundaries.
         let n = 3 * CHUNK0 + 5;
         for idx in 1..n {
-            assert_eq!(cells.arm(), (idx, 0));
+            assert_eq!(cells.generation(idx), 0);
             cells.cancel(idx, 0);
         }
         assert!(cells.retire(0));
         assert!((1..n).all(|idx| cells.is_cancelled(idx)));
         assert!(!cells.is_cancelled(0));
-        assert_eq!(cells.free.lock().made, n);
-        assert_eq!(cells.arm(), (0, 2));
+        assert_eq!(cells.generation(0), 2);
+    }
+
+    #[test]
+    fn a_retired_timer_cell_is_armed_again_before_the_table_grows() {
+        let mut sim = Simulation::new(TestWorld::default());
+        let arm = |s: &mut Scheduler<TestWorld>| {
+            s.schedule_cancellable_in(SimDuration::from_us(1), |_, _| {})
+        };
+        let at = |h: TimerHandle| (h.cell, h.gen);
+        // Fired or cancelled, the one cell comes back a generation on.
+        sim.setup(|_, s| assert_eq!(at(arm(s)), (0, 0)));
+        sim.run_to_idle();
+        sim.setup(|_, s| {
+            let h = arm(s);
+            h.cancel();
+            assert_eq!(at(h), (0, 1));
+        });
+        sim.run_to_idle();
+        // Timers outstanding together get a cell each, spare ones first.
+        let n = 3 * CHUNK0 + 5;
+        sim.setup(|_, s| {
+            assert_eq!(at(arm(s)), (0, 2));
+            for idx in 1..n {
+                assert_eq!(at(arm(s)), (idx, 0));
+            }
+            assert_eq!(s.cells_made, n);
+        });
+        sim.run_to_idle();
+        sim.setup(|_, s| {
+            let mut cells: Vec<_> = (0..n).map(|_| at(arm(s))).collect();
+            cells.sort_unstable();
+            let again = (0..n).map(|idx| (idx, if idx == 0 { 3 } else { 1 }));
+            assert!(cells.into_iter().eq(again));
+            assert_eq!(s.cells_made, n);
+        });
     }
 
     #[test]
@@ -1514,20 +1367,6 @@ mod tests {
         });
         assert!(sim.run_to_idle().all_finished());
     }
-}
-
-impl<W: Send + 'static> Simulation<W> {
-    /// Run for `d` of simulated time from now (or until idle, whichever is
-    /// first). Convenience over [`Simulation::run_until`].
-    pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
-        let deadline = self.now() + d;
-        self.run_until(deadline)
-    }
-}
-
-#[cfg(test)]
-mod run_for_tests {
-    use super::*;
 
     #[test]
     fn run_for_advances_by_the_duration() {
@@ -1545,23 +1384,6 @@ mod run_for_tests {
         ));
         assert_eq!(*sim.world(), 1);
     }
-}
-
-impl<W: Send + 'static> Ctx<W> {
-    /// Spawn a sibling process from process context (sugar over
-    /// [`Ctx::with`] + [`Scheduler::spawn`]).
-    pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
-    where
-        F: FnOnce(Ctx<W>) + Send + 'static,
-    {
-        let name = name.into();
-        self.with(move |_, s| s.spawn(name, f))
-    }
-}
-
-#[cfg(test)]
-mod ctx_spawn_tests {
-    use super::*;
 
     #[test]
     fn ctx_spawn_runs_the_child() {

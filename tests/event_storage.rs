@@ -18,10 +18,10 @@ mod alloc_meter;
 const N: u64 = 100_000;
 
 /// Allocations that queue growth may cost while `N` events are outstanding:
-/// six doubling buffers (scheduler batch, heap, closure slab, slab free
-/// list, timer cells, timer-cell free list) of at most `log2(N) + 1` steps
-/// each, and a third again for slack.
-const GROWTH: u64 = 8 * (N.ilog2() as u64 + 1);
+/// five doubling buffers (heap, closure slab, slab free list, timer cells,
+/// timer-cell free list) of at most `log2(N) + 1` steps each, and two in
+/// five again for slack.
+const GROWTH: u64 = 7 * (N.ilog2() as u64 + 1);
 
 /// Counts how many times it has been dropped.
 struct DropCount(Arc<AtomicUsize>);

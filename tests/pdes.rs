@@ -462,6 +462,19 @@ fn self_send_below_lookahead_panics() {
     sim.run_to_idle();
 }
 
+/// What the shard bridge injects with must refuse a time behind the clock in
+/// a release build too: an event queued there would fire "before" events
+/// that have already run.
+#[test]
+#[should_panic(expected = "is in the past")]
+fn schedule_at_a_time_the_clock_has_passed_panics() {
+    let mut sim = Simulation::new(0u32);
+    sim.schedule_in(SimDuration::from_ns(100), |w: &mut u32, _| *w += 1);
+    sim.run_until(SimTime::from_ns(40));
+    sim.schedule_at(SimTime::from_ns(40), |w: &mut u32, _| *w += 1); // now: fine
+    sim.schedule_at(SimTime::from_ns(39), |w: &mut u32, _| *w += 1);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -330,7 +330,7 @@ fn foreign_ctx_park_panics_instead_of_switching() {
 
 /// (h) What a parked process costs: its frames' bytes on the heap and no
 /// mapping. 10,000 processes parked in `wait_until` hold at most 2 KiB each
-/// (1,176 B measured), baton, name and slot included. Unoptimised frames are
+/// (984 B measured), baton, name and slot included. Unoptimised frames are
 /// nearly three times as deep, so a debug build gets 3 KiB (2,712 B measured).
 #[cfg(target_os = "linux")]
 #[test]

@@ -7,7 +7,9 @@
 //! * the sliding-window protocol transfers everything for any window size;
 //! * the S/NET model conserves messages (delivered + undelivered =
 //!   enqueued) under every recovery strategy;
-//! * simulated time never decreases and runs are deterministic.
+//! * simulated time never decreases and runs are deterministic;
+//! * the event queue fires in `(time, issue order)`, whatever the action and
+//!   wherever it was issued from (`queue_model`).
 
 use proptest::prelude::*;
 
@@ -163,5 +165,246 @@ proptest! {
         for (a, b) in fx.iter().zip(&fr) {
             prop_assert!((a.abs() - b.abs()).abs() < 1e-6 * (1.0 + a.abs()));
         }
+    }
+}
+
+/// The event queue's order contract against a reference model: every action
+/// fires in the order "stable sort of the issue order by fire time", whatever
+/// kind it is and wherever it was issued from.
+///
+/// A program is a table of blocks of `(kind, delay_ns, pick)` ops. Issuing an
+/// op draws the next id; when the action fires it logs `(now, id)` and issues
+/// the ops of block `id` (none if the table is shorter), so ids — and through
+/// them the whole log — depend on the order the queue fires in. Block 0 runs
+/// in `Simulation::setup`; a scheduled event or timer runs its block in the
+/// event callback, a wake in a `Ctx::with` block of the woken process, a
+/// spawned process in `Ctx::with` blocks of its own, where alone a `SLEEP` op
+/// is a `Ctx::sleep` (elsewhere it is one more `schedule_in`).
+mod queue_model {
+    use std::sync::Arc;
+
+    use hpc_vorx::desim::{Ctx, ProcId, Scheduler, SimDuration, SimTime, Simulation};
+    use hpc_vorx::desim::{TimerHandle, Wakeup};
+
+    pub const SCHEDULE: u8 = 0;
+    pub const TIMER: u8 = 1;
+    pub const CANCEL: u8 = 2;
+    pub const WAKE: u8 = 3;
+    pub const SPAWN: u8 = 4;
+    pub const SLEEP: u8 = 5;
+
+    pub type Op = (u8, u64, usize);
+    pub type Program = Arc<Vec<Vec<Op>>>;
+    pub type Log = Vec<(u64, u32)>;
+
+    /// Processes that exist only to be woken: they never sleep, so every
+    /// wake finds them parked and none is swallowed.
+    const WAITERS: usize = 3;
+
+    #[derive(Default)]
+    pub struct World {
+        log: Log,
+        ids: u32,
+        /// Every timer armed so far, in arming order; `CANCEL` picks one.
+        timers: Vec<TimerHandle>,
+        waiters: Vec<ProcId>,
+    }
+
+    impl World {
+        fn next_id(&mut self) -> u32 {
+            self.ids += 1;
+            self.ids
+        }
+
+        fn fired(&mut self, s: &Scheduler<World>, id: u32) {
+            self.log.push((s.now().as_ns(), id));
+        }
+    }
+
+    fn block(prog: &Program, id: u32) -> &[Op] {
+        prog.get(id as usize).map_or(&[], Vec::as_slice)
+    }
+
+    fn fire(prog: &Program, id: u32, w: &mut World, s: &mut Scheduler<World>) {
+        w.fired(s, id);
+        for &op in block(prog, id) {
+            issue(prog, op, w, s);
+        }
+    }
+
+    fn issue(prog: &Program, (kind, d, pick): Op, w: &mut World, s: &mut Scheduler<World>) {
+        let d = SimDuration::from_ns(d);
+        if kind == CANCEL {
+            if !w.timers.is_empty() {
+                w.timers[pick % w.timers.len()].cancel();
+            }
+            return;
+        }
+        let id = w.next_id();
+        let prog = Arc::clone(prog);
+        match kind {
+            SCHEDULE | SLEEP => s.schedule_in(d, move |w: &mut World, s| fire(&prog, id, w, s)),
+            TIMER => {
+                let h = s.schedule_cancellable_in(d, move |w: &mut World, s| fire(&prog, id, w, s));
+                w.timers.push(h);
+            }
+            WAKE => s.wake_in(d, w.waiters[pick % WAITERS], Wakeup(u64::from(id))),
+            SPAWN => {
+                s.spawn_in(d, format!("p{id}"), move |ctx: Ctx<World>| {
+                    ctx.with(|w, s| w.fired(s, id));
+                    for &op in block(&prog, id) {
+                        if op.0 == SLEEP {
+                            let id = ctx.with(|w, _| w.next_id());
+                            ctx.sleep(SimDuration::from_ns(op.1));
+                            ctx.with(|w, s| w.fired(s, id));
+                        } else {
+                            ctx.with(|w, s| issue(&prog, op, w, s));
+                        }
+                    }
+                });
+            }
+            _ => unreachable!("op kind {kind}"),
+        }
+    }
+
+    /// Run `prog` on the real executor, split at `deadline_ns` if given.
+    pub fn run(prog: &Program, deadline_ns: Option<u64>) -> Log {
+        let mut sim = Simulation::new(World::default());
+        for i in 0..WAITERS {
+            let prog = Arc::clone(prog);
+            let pid = sim.spawn(format!("waiter{i}"), move |ctx: Ctx<World>| loop {
+                let id = ctx.park().0 as u32;
+                ctx.with(|w, s| fire(&prog, id, w, s));
+            });
+            sim.world().waiters.push(pid);
+        }
+        sim.setup(|w, s| {
+            for &op in block(prog, 0) {
+                issue(prog, op, w, s);
+            }
+        });
+        if let Some(ns) = deadline_ns {
+            sim.run_until(SimTime::from_ns(ns));
+            let w = sim.world();
+            assert!(w.log.iter().all(|&(t, _)| t <= ns), "ran past the deadline");
+        }
+        sim.run_to_idle();
+        let log = std::mem::take(&mut sim.world().log);
+        log
+    }
+
+    /// What firing an action goes on to do, in the model.
+    enum Then {
+        /// Issue all of block `id`.
+        Block,
+        /// A process: go on with `block` from op `from` up to its next sleep.
+        Proc { block: u32, from: usize },
+    }
+
+    /// The reference: the pending actions in issue order, where "what fires
+    /// next" is the first of those with the earliest time.
+    struct Model<'a> {
+        prog: &'a Program,
+        pending: Vec<(u64, u32, Then)>,
+        ids: u32,
+        timers: Vec<u32>,
+        log: Log,
+    }
+
+    impl Model<'_> {
+        /// Issue `block` from op `from` at time `t`. A process stops at its
+        /// first sleep, which carries the rest of the block — unless it is a
+        /// sleep of nothing, which `Ctx::sleep` returns from without parking.
+        fn issue(&mut self, t: u64, block_id: u32, from: usize, proc: bool) {
+            let ops = block(self.prog, block_id);
+            for (k, &(kind, d, pick)) in ops.iter().enumerate().skip(from) {
+                if kind == CANCEL {
+                    if !self.timers.is_empty() {
+                        let id = self.timers[pick % self.timers.len()];
+                        self.pending.retain(|p| p.1 != id);
+                    }
+                    continue;
+                }
+                self.ids += 1;
+                let id = self.ids;
+                match kind {
+                    SLEEP if proc && d == 0 => self.log.push((t, id)),
+                    SLEEP if proc => {
+                        let rest = Then::Proc {
+                            block: block_id,
+                            from: k + 1,
+                        };
+                        self.pending.push((t + d, id, rest));
+                        return;
+                    }
+                    SPAWN => self
+                        .pending
+                        .push((t + d, id, Then::Proc { block: id, from: 0 })),
+                    _ => self.pending.push((t + d, id, Then::Block)),
+                }
+                if kind == TIMER {
+                    self.timers.push(id);
+                }
+            }
+        }
+    }
+
+    pub fn reference(prog: &Program) -> Log {
+        let mut m = Model {
+            prog,
+            pending: Vec::new(),
+            ids: 0,
+            timers: Vec::new(),
+            log: Log::new(),
+        };
+        m.issue(0, 0, 0, false);
+        // `min_by_key` returns the first of equal minima: the stable order.
+        while let Some(i) = (0..m.pending.len()).min_by_key(|&i| m.pending[i].0) {
+            let (t, id, then) = m.pending.remove(i);
+            m.log.push((t, id));
+            match then {
+                Then::Block => m.issue(t, id, 0, false),
+                Then::Proc { block, from } => m.issue(t, block, from, true),
+            }
+        }
+        m.log
+    }
+}
+
+/// The one ordering rule the single-queue executor changed: a block that
+/// wakes, then spawns, then schedules, all at delay 0, fires them in that
+/// order — the spawned process's start is no longer moved ahead of what the
+/// block scheduled before it — from setup, an event callback and a
+/// `Ctx::with` block alike.
+#[test]
+fn a_spawned_process_starts_in_its_place_among_same_instant_actions() {
+    use queue_model::*;
+    let triple = vec![(WAKE, 0, 0), (SPAWN, 0, 0), (SCHEDULE, 0, 0)];
+    let from_setup: Program = vec![triple.clone()].into();
+    assert_eq!(run(&from_setup, None), [(0, 1), (0, 2), (0, 3)]);
+    for via in [SCHEDULE, WAKE] {
+        let prog: Program = vec![vec![(via, 1, 0)], triple.clone()].into();
+        assert_eq!(run(&prog, None), [(1, 1), (1, 2), (1, 3), (1, 4)]);
+        assert_eq!(reference(&prog), [(1, 1), (1, 2), (1, 3), (1, 4)]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random programs over every scheduling call and every place one can be
+    /// made from fire in the model's order, whole or split by a `run_until`.
+    #[test]
+    fn the_queue_fires_in_issue_order_within_an_instant(
+        blocks in proptest::collection::vec(
+            proptest::collection::vec((0u8..6, 0u64..3, 0usize..8), 0..6),
+            1..32,
+        ),
+        deadline_ns in 0u64..8,
+    ) {
+        let prog: queue_model::Program = blocks.into();
+        let expect = queue_model::reference(&prog);
+        prop_assert_eq!(&queue_model::run(&prog, None), &expect);
+        prop_assert_eq!(&queue_model::run(&prog, Some(deadline_ns)), &expect);
     }
 }
