@@ -85,6 +85,27 @@ if grep -rn --exclude-dir=target --exclude-dir=.git --exclude=CHANGES.md --exclu
     exit 1
 fi
 
+echo "==> no serialisation framework (a trace event writes its own JSON: no vendor stand-in, no generic serializer, no manifest entry; and every manifest names only crates its sources name)"
+# The names are split so this script does not match itself.
+if grep -rniE 'ser''de|impl Seri''alize|Mini''Json' crates src tests examples vendor Cargo.toml Cargo.lock; then
+    echo "a serialisation framework is back; implement desim::trace::JsonEvent for the event type" >&2
+    exit 1
+fi
+if [ -e vendor/ser''de ]; then
+    echo "vendor/ser""de is back; no crate depends on it" >&2
+    exit 1
+fi
+for pkg in . crates/*; do
+    deps=$(awk '/^\[/{dep = /^\[(dev-)?dependencies\]/} dep && /^[a-z0-9_-]+ *=/{sub(/ *=.*/, ""); print}' "$pkg/Cargo.toml")
+    for dep in $deps; do
+        name=${dep//-/_}
+        if ! grep -rqE "\b$name::|\buse $name\b" "$pkg"/{src,tests,benches,examples} 2>/dev/null; then
+            echo "$pkg/Cargo.toml lists $dep, which nothing under $pkg/{src,tests,benches,examples} names" >&2
+            exit 1
+        fi
+    done
+done
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

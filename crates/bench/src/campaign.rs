@@ -24,6 +24,7 @@ use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use desim::trace::json_str;
 use desim::{FaultSchedule, LinkFaults, LinkStats, SimDuration};
 use vorx::hpcnet::{self, ClusterId, Fabric, NodeAddr, Payload, Topology};
 use vorx::{channel, FaultStats, VCtx, VorxShardedSim, World};
@@ -167,7 +168,7 @@ impl Record {
     }
 
     fn json_at(&self, expand: usize, depth: usize) -> String {
-        let field = |(k, v): &(String, Value)| escape(k) + ": " + &v.json(expand, depth + 1);
+        let field = |(k, v): &(String, Value)| json_str(k) + ": " + &v.json(expand, depth + 1);
         container(self.0.iter().map(field).collect(), true, expand, depth)
     }
 
@@ -176,23 +177,6 @@ impl Record {
         let field = |(k, v): &(String, Value)| format!("{k}={}", v.text());
         self.0.iter().map(field).collect::<Vec<_>>().join(" ")
     }
-}
-
-/// JSON string escaping — the one place it happens.
-fn escape(s: &str) -> String {
-    let mut out = String::from('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out + "\""
 }
 
 impl Value {
@@ -219,7 +203,7 @@ impl Value {
             Value::F64(x) if x.is_finite() => format!("{x:?}"),
             Value::F64(_) | Value::Null => "null".into(),
             Value::Bool(b) => b.to_string(),
-            Value::Str(s) => escape(s),
+            Value::Str(s) => json_str(s),
             Value::List(l) => {
                 let items = l.iter().map(|v| v.json(expand, depth + 1)).collect();
                 container(items, false, expand, depth)

@@ -21,8 +21,10 @@
 //! serialized here; finer-grained policy (priorities, quanta) is the
 //! subprocess scheduler's job ([`crate::sched`]).
 
+use std::fmt::Write as _;
+
+use desim::trace::{json_str, JsonEvent};
 use desim::{SimDuration, SimTime};
-use serde::Serialize;
 
 /// What a span of CPU time was spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,17 +36,6 @@ pub enum CpuCat {
     System,
 }
 
-// Hand-written (derive unavailable offline, see vendor/README.md); matches
-// what `#[derive(Serialize)]` would emit.
-impl Serialize for CpuCat {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            CpuCat::User => serializer.serialize_unit_variant("CpuCat", 0, "User"),
-            CpuCat::System => serializer.serialize_unit_variant("CpuCat", 1, "System"),
-        }
-    }
-}
-
 /// Why a process is blocked (oscilloscope idle-time categories, §6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockReason {
@@ -54,16 +45,6 @@ pub enum BlockReason {
     Output,
     /// Waiting for something else (semaphore, timer, device).
     Other,
-}
-
-impl Serialize for BlockReason {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        match self {
-            BlockReason::Input => serializer.serialize_unit_variant("BlockReason", 0, "Input"),
-            BlockReason::Output => serializer.serialize_unit_variant("BlockReason", 1, "Output"),
-            BlockReason::Other => serializer.serialize_unit_variant("BlockReason", 2, "Other"),
-        }
-    }
 }
 
 /// Events recorded into the world trace for the tools.
@@ -122,56 +103,36 @@ pub enum TraceEvent {
     },
 }
 
-impl Serialize for TraceEvent {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStructVariant;
-        match self {
+/// `{"Variant":{"field":value,…}}`, fields in declaration order, `cat` and
+/// `reason` by variant name. Root `tests/end_to_end.rs` pins every byte.
+impl JsonEvent for TraceEvent {
+    fn write_json(&self, out: &mut String) {
+        let (variant, fields) = match self {
             TraceEvent::Cpu {
                 node,
                 cat,
                 start_ns,
                 end_ns,
-            } => {
-                let mut sv = serializer.serialize_struct_variant("TraceEvent", 0, "Cpu", 4)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("cat", cat)?;
-                sv.serialize_field("start_ns", start_ns)?;
-                sv.serialize_field("end_ns", end_ns)?;
-                sv.end()
-            }
+            } => (
+                "Cpu",
+                format!(r#""node":{node},"cat":"{cat:?}","start_ns":{start_ns},"end_ns":{end_ns}"#),
+            ),
             TraceEvent::Block { node, reason } => {
-                let mut sv = serializer.serialize_struct_variant("TraceEvent", 1, "Block", 2)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("reason", reason)?;
-                sv.end()
+                ("Block", format!(r#""node":{node},"reason":"{reason:?}""#))
             }
             TraceEvent::Unblock { node, reason } => {
-                let mut sv = serializer.serialize_struct_variant("TraceEvent", 2, "Unblock", 2)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("reason", reason)?;
-                sv.end()
+                ("Unblock", format!(r#""node":{node},"reason":"{reason:?}""#))
             }
-            TraceEvent::Region { node, name, enter } => {
-                let mut sv = serializer.serialize_struct_variant("TraceEvent", 3, "Region", 3)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("name", name)?;
-                sv.serialize_field("enter", enter)?;
-                sv.end()
-            }
-            TraceEvent::Fault { node, up } => {
-                let mut sv = serializer.serialize_struct_variant("TraceEvent", 4, "Fault", 2)?;
-                sv.serialize_field("node", node)?;
-                sv.serialize_field("up", up)?;
-                sv.end()
-            }
+            TraceEvent::Region { node, name, enter } => (
+                "Region",
+                format!(r#""node":{node},"name":{},"enter":{enter}"#, json_str(name)),
+            ),
+            TraceEvent::Fault { node, up } => ("Fault", format!(r#""node":{node},"up":{up}"#)),
             TraceEvent::LinkFault { link, up } => {
-                let mut sv =
-                    serializer.serialize_struct_variant("TraceEvent", 5, "LinkFault", 2)?;
-                sv.serialize_field("link", link)?;
-                sv.serialize_field("up", up)?;
-                sv.end()
+                ("LinkFault", format!(r#""link":{link},"up":{up}"#))
             }
-        }
+        };
+        let _ = write!(out, r#"{{"{variant}":{{{fields}}}}}"#);
     }
 }
 

@@ -144,11 +144,6 @@ impl FaultState {
         }
     }
 
-    /// True iff the damper is currently holding `l` down.
-    pub fn is_flap_held(&self, l: LinkId) -> bool {
-        self.flap_held.contains_key(&l.0)
-    }
-
     /// Downs of `l` recorded within the damping window ending at `now_ns`.
     fn downs_in_window(&mut self, l: LinkId, now_ns: u64, window_ns: u64) -> usize {
         match self.flap_history.get_mut(&l.0) {

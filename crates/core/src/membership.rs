@@ -59,11 +59,6 @@ pub struct MbrState {
     pub peer_rtt: BTreeMap<u32, RttEstimator>,
 }
 
-/// True when `node` currently believes `peer` is partitioned away.
-pub fn is_partitioned(w: &World, node: NodeAddr, peer: NodeAddr) -> bool {
-    w.node(node).mbr.partitioned.contains(&peer.0)
-}
-
 /// Channel retry exhaustion against a peer still believed alive: send one
 /// heartbeat beacon to disambiguate *slow/rerouting* from *unreachable*.
 /// At most one probe per (node, peer) pair is in flight; the stalled

@@ -211,11 +211,6 @@ impl NodeTable {
     pub fn materialized(&self) -> impl Iterator<Item = &Node> {
         self.slots.iter().filter_map(|s| s.as_deref())
     }
-
-    /// Only the materialized nodes, mutably, in address order.
-    pub fn materialized_mut(&mut self) -> impl Iterator<Item = &mut Node> {
-        self.slots.iter_mut().filter_map(|s| s.as_deref_mut())
-    }
 }
 
 impl std::ops::Index<usize> for NodeTable {
@@ -913,10 +908,11 @@ impl VorxShardedSim {
     /// Drain every shard's trace and merge them into one global trace,
     /// ordered by time with shard index breaking ties — identical for every
     /// worker count, and directly consumable by the measurement tools
-    /// (oscilloscope, profiler) exactly like a sequential trace.
+    /// (oscilloscope, profiler) exactly like a sequential trace. Shards go on
+    /// recording (or not) as built: a later call returns what came after.
     pub fn merged_trace(&mut self) -> Trace<TraceEvent> {
-        let traces: Vec<Trace<TraceEvent>> = (0..self.n_shards())
-            .map(|k| std::mem::replace(&mut self.world(k).trace, Trace::disabled()))
+        let traces = (0..self.n_shards())
+            .map(|k| self.world(k).trace.take())
             .collect();
         Trace::merge(traces)
     }

@@ -10,8 +10,7 @@
 //!   system code, application processes) runs as **processes** — stackful
 //!   coroutines switched in user space on the executor's own thread —
 //!   written in ordinary blocking style via [`Ctx`].
-//! * [`sync`] — wait sets, semaphores, and mailboxes for simulated
-//!   processes.
+//! * [`sync`] — wait sets and mailboxes for simulated processes.
 //! * [`Trace`] — timestamped event recording for the measurement tools.
 //! * [`ShardedSim`] — asynchronous conservative parallel execution: several
 //!   `Simulation` shards advance independently to their earliest input

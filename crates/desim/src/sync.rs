@@ -88,73 +88,6 @@ impl WaitSet {
     }
 }
 
-/// A counting semaphore for simulated processes (the primitive VORX offers
-/// subprocesses for intra-process synchronization, §5 of the paper).
-#[derive(Debug, Clone)]
-pub struct SimSemaphore {
-    count: i64,
-    waiters: WaitSet,
-}
-
-impl SimSemaphore {
-    /// Create with an initial count (may be zero).
-    pub fn new(initial: i64) -> Self {
-        SimSemaphore {
-            count: initial,
-            waiters: WaitSet::new(),
-        }
-    }
-
-    /// Current count (for inspection/debugging).
-    pub fn count(&self) -> i64 {
-        self.count
-    }
-
-    /// Number of processes blocked in `acquire`.
-    pub fn waiting(&self) -> usize {
-        self.waiters.len()
-    }
-
-    /// V operation: increment and wake one waiter.
-    pub fn release<W: Send + 'static>(&mut self, s: &mut Scheduler<W>) {
-        self.count += 1;
-        self.waiters.wake_one(s, Wakeup::START);
-    }
-
-    /// Non-blocking P: take a unit if available.
-    pub fn try_acquire(&mut self, pid: ProcId) -> bool {
-        if self.count > 0 {
-            self.count -= 1;
-            // A successful acquire cancels any stale registration.
-            self.waiters.deregister(pid);
-            true
-        } else {
-            self.waiters.register(pid);
-            false
-        }
-    }
-}
-
-/// Blocking P operation on a semaphore located inside the world by `get`.
-pub fn sem_acquire<W, F>(ctx: &Ctx<W>, mut get: F)
-where
-    W: Send + 'static,
-    F: FnMut(&mut W) -> &mut SimSemaphore,
-{
-    let pid = ctx.pid();
-    ctx.wait_until(|w, _| get(w).try_acquire(pid).then_some(()));
-}
-
-/// Blocking V operation on a semaphore located inside the world by `get`.
-/// (Non-blocking in simulated time; provided for symmetry.)
-pub fn sem_release<W, F>(ctx: &Ctx<W>, mut get: F)
-where
-    W: Send + 'static,
-    F: FnMut(&mut W) -> &mut SimSemaphore,
-{
-    ctx.with(|w, s| get(w).release(s));
-}
-
 /// An unbounded FIFO mailbox between simulated processes.
 #[derive(Debug)]
 pub struct Mailbox<T> {
@@ -232,47 +165,8 @@ mod tests {
 
     #[derive(Default)]
     struct World {
-        sem: Option<SimSemaphore>,
         mbox: Mailbox<u32>,
         order: Vec<u32>,
-    }
-
-    #[test]
-    fn semaphore_serializes_critical_sections() {
-        let mut sim = Simulation::new(World {
-            sem: Some(SimSemaphore::new(1)),
-            ..Default::default()
-        });
-        for i in 0..3u32 {
-            sim.spawn(format!("w{i}"), move |ctx| {
-                sem_acquire(&ctx, |w: &mut World| w.sem.as_mut().unwrap());
-                ctx.with(|w, _| w.order.push(i * 10));
-                ctx.sleep(SimDuration::from_us(5));
-                ctx.with(|w, _| w.order.push(i * 10 + 1));
-                sem_release(&ctx, |w: &mut World| w.sem.as_mut().unwrap());
-            });
-        }
-        let report = sim.run_to_idle();
-        assert!(report.all_finished());
-        let order = sim.world().order.clone();
-        // Enter/exit pairs must not interleave.
-        for pair in order.chunks(2) {
-            assert_eq!(
-                pair[0] + 1,
-                pair[1],
-                "critical sections interleaved: {order:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn semaphore_counts_waiters() {
-        let mut sem = SimSemaphore::new(0);
-        assert_eq!(sem.count(), 0);
-        assert!(!sem.try_acquire(ProcId(1)));
-        assert!(!sem.try_acquire(ProcId(2)));
-        assert!(!sem.try_acquire(ProcId(2))); // duplicate coalesced
-        assert_eq!(sem.waiting(), 2);
     }
 
     #[test]

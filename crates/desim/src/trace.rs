@@ -5,8 +5,13 @@
 //! provides the recording half in a domain-agnostic way: a `Trace<E>` is an
 //! append-only log of `(SimTime, E)` pairs that higher layers (the
 //! oscilloscope, `cdb`, experiment harnesses) interpret.
+//!
+//! [`Trace::to_json`] is the one export, for offline analysis and for
+//! comparing two runs byte for byte (every determinism test and campaign
+//! cell does). An event type opts in by writing itself ([`JsonEvent`]); there
+//! is no serialisation framework underneath.
 
-use serde::Serialize;
+use std::fmt::Write as _;
 
 use crate::time::SimTime;
 
@@ -94,6 +99,15 @@ impl<E> Trace<E> {
         self.events.clear();
     }
 
+    /// Take the log so far, leaving an empty trace with the same enabled
+    /// flag: recording carries on where it was.
+    pub fn take(&mut self) -> Trace<E> {
+        Trace {
+            events: std::mem::take(&mut self.events),
+            enabled: self.enabled,
+        }
+    }
+
     /// Consume the trace, returning the raw log.
     pub fn into_events(self) -> Vec<(SimTime, E)> {
         self.events
@@ -171,60 +185,42 @@ impl<E> Trace<E> {
     }
 }
 
-impl<E: Serialize> Trace<E> {
-    /// Serialize the trace as a JSON array of `{t_ns, event}` objects, for
-    /// offline analysis. Uses a hand-rolled envelope to avoid requiring
-    /// `SimTime: Serialize`.
+/// An event that writes itself as one JSON value. Implemented for the
+/// element types traces are exported with, nothing generic: the format is
+/// whatever the implementations write, and [`Trace::to_json`] is its only
+/// consumer.
+pub trait JsonEvent {
+    /// Append this event's JSON value to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+impl JsonEvent for u64 {
+    fn write_json(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+}
+
+impl<E: JsonEvent> Trace<E> {
+    /// The trace as a JSON array of `{"t_ns":…,"event":…}` objects, in
+    /// record order.
     pub fn to_json(&self) -> String {
         let mut out = String::from("[");
         for (i, (t, e)) in self.events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "{{\"t_ns\":{},\"event\":{}}}",
-                t.as_ns(),
-                serde_json_value(e)
-            ));
+            let _ = write!(out, "{{\"t_ns\":{},\"event\":", t.as_ns());
+            e.write_json(&mut out);
+            out.push('}');
         }
         out.push(']');
         out
     }
 }
 
-/// Minimal JSON serialization via serde's `Serialize` into a string. We avoid
-/// pulling in `serde_json` (not in the approved dependency set) by
-/// implementing the small subset we need.
-fn serde_json_value<E: Serialize>(e: &E) -> String {
-    let mut ser = MiniJson::default();
-    e.serialize(&mut ser)
-        .expect("trace event serialization failed");
-    ser.out
-}
-
-/// A deliberately small JSON serializer: supports the scalar types, strings,
-/// sequences, maps, structs, and enum variants that trace events use.
-#[derive(Default)]
-struct MiniJson {
-    out: String,
-}
-
-#[derive(Debug)]
-struct MiniJsonError(String);
-
-impl std::fmt::Display for MiniJsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-impl std::error::Error for MiniJsonError {}
-impl serde::ser::Error for MiniJsonError {
-    fn custom<T: std::fmt::Display>(msg: T) -> Self {
-        MiniJsonError(msg.to_string())
-    }
-}
-
-fn esc(s: &str) -> String {
+/// `s` as a JSON string literal, quotes included. The workspace's one JSON
+/// string escaper: event implementations and the campaign reports call it.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -242,333 +238,20 @@ fn esc(s: &str) -> String {
     out
 }
 
-macro_rules! ser_num {
-    ($fn:ident, $ty:ty) => {
-        fn $fn(self, v: $ty) -> Result<(), MiniJsonError> {
-            self.out.push_str(&v.to_string());
-            Ok(())
-        }
-    };
-}
-
-impl<'a> serde::Serializer for &'a mut MiniJson {
-    type Ok = ();
-    type Error = MiniJsonError;
-    type SerializeSeq = SeqSer<'a>;
-    type SerializeTuple = SeqSer<'a>;
-    type SerializeTupleStruct = SeqSer<'a>;
-    type SerializeTupleVariant = SeqSer<'a>;
-    type SerializeMap = MapSer<'a>;
-    type SerializeStruct = MapSer<'a>;
-    type SerializeStructVariant = MapSer<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), MiniJsonError> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-    ser_num!(serialize_i8, i8);
-    ser_num!(serialize_i16, i16);
-    ser_num!(serialize_i32, i32);
-    ser_num!(serialize_i64, i64);
-    ser_num!(serialize_u8, u8);
-    ser_num!(serialize_u16, u16);
-    ser_num!(serialize_u32, u32);
-    ser_num!(serialize_u64, u64);
-    fn serialize_f32(self, v: f32) -> Result<(), MiniJsonError> {
-        self.serialize_f64(f64::from(v))
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), MiniJsonError> {
-        if v.is_finite() {
-            self.out.push_str(&v.to_string());
-        } else {
-            self.out.push_str("null");
-        }
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), MiniJsonError> {
-        self.out.push_str(&esc(&v.to_string()));
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), MiniJsonError> {
-        self.out.push_str(&esc(v));
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), MiniJsonError> {
-        use serde::ser::SerializeSeq;
-        let mut seq = self.serialize_seq(Some(v.len()))?;
-        for b in v {
-            seq.serialize_element(b)?;
-        }
-        seq.end()
-    }
-    fn serialize_none(self) -> Result<(), MiniJsonError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), MiniJsonError> {
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), MiniJsonError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), MiniJsonError> {
-        self.serialize_unit()
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-    ) -> Result<(), MiniJsonError> {
-        self.serialize_str(variant)
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), MiniJsonError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), MiniJsonError> {
-        self.out.push('{');
-        self.out.push_str(&esc(variant));
-        self.out.push(':');
-        value.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<SeqSer<'a>, MiniJsonError> {
-        self.out.push('[');
-        Ok(SeqSer {
-            ser: self,
-            first: true,
-            close: "]",
-        })
-    }
-    fn serialize_tuple(self, len: usize) -> Result<SeqSer<'a>, MiniJsonError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<SeqSer<'a>, MiniJsonError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<SeqSer<'a>, MiniJsonError> {
-        self.out.push('{');
-        self.out.push_str(&esc(variant));
-        self.out.push_str(":[");
-        Ok(SeqSer {
-            ser: self,
-            first: true,
-            close: "]}",
-        })
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<MapSer<'a>, MiniJsonError> {
-        self.out.push('{');
-        Ok(MapSer {
-            ser: self,
-            first: true,
-            close: "}",
-        })
-    }
-    fn serialize_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<MapSer<'a>, MiniJsonError> {
-        self.serialize_map(Some(len))
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _idx: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<MapSer<'a>, MiniJsonError> {
-        self.out.push('{');
-        self.out.push_str(&esc(variant));
-        self.out.push_str(":{");
-        Ok(MapSer {
-            ser: self,
-            first: true,
-            close: "}}",
-        })
-    }
-}
-
-struct SeqSer<'a> {
-    ser: &'a mut MiniJson,
-    first: bool,
-    close: &'static str,
-}
-
-impl SeqSer<'_> {
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.ser.out.push(',');
-        }
-    }
-}
-
-impl serde::ser::SerializeSeq for SeqSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniJsonError> {
-        self.sep();
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        self.ser.out.push_str(self.close);
-        Ok(())
-    }
-}
-impl serde::ser::SerializeTuple for SeqSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeSeq::end(self)
-    }
-}
-impl serde::ser::SerializeTupleStruct for SeqSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeSeq::end(self)
-    }
-}
-impl serde::ser::SerializeTupleVariant for SeqSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeSeq::end(self)
-    }
-}
-
-struct MapSer<'a> {
-    ser: &'a mut MiniJson,
-    first: bool,
-    close: &'static str,
-}
-
-impl MapSer<'_> {
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.ser.out.push(',');
-        }
-    }
-}
-
-impl serde::ser::SerializeMap for MapSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), MiniJsonError> {
-        self.sep();
-        // JSON keys must be strings; serialize then coerce.
-        let mut tmp = MiniJson::default();
-        key.serialize(&mut tmp)?;
-        if tmp.out.starts_with('"') {
-            self.ser.out.push_str(&tmp.out);
-        } else {
-            self.ser.out.push_str(&esc(&tmp.out));
-        }
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), MiniJsonError> {
-        self.ser.out.push(':');
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        self.ser.out.push_str(self.close);
-        Ok(())
-    }
-}
-impl serde::ser::SerializeStruct for MapSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), MiniJsonError> {
-        self.sep();
-        self.ser.out.push_str(&esc(key));
-        self.ser.out.push(':');
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        self.ser.out.push_str(self.close);
-        Ok(())
-    }
-}
-impl serde::ser::SerializeStructVariant for MapSer<'_> {
-    type Ok = ();
-    type Error = MiniJsonError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeStruct::serialize_field(self, key, value)
-    }
-    fn end(self) -> Result<(), MiniJsonError> {
-        serde::ser::SerializeStruct::end(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[derive(Clone)]
     struct Ev {
-        node: u32,
         kind: &'static str,
-    }
-
-    // Hand-written (derive unavailable offline, see vendor/README.md).
-    impl Serialize for Ev {
-        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            use serde::ser::SerializeStruct;
-            let mut st = serializer.serialize_struct("Ev", 2)?;
-            st.serialize_field("node", &self.node)?;
-            st.serialize_field("kind", &self.kind)?;
-            st.end()
-        }
     }
 
     #[test]
     fn records_in_order_and_iterates() {
         let mut t = Trace::new();
-        t.record(SimTime::from_ns(1), Ev { node: 0, kind: "a" });
-        t.record(SimTime::from_ns(5), Ev { node: 1, kind: "b" });
+        t.record(SimTime::from_ns(1), Ev { kind: "a" });
+        t.record(SimTime::from_ns(5), Ev { kind: "b" });
         assert_eq!(t.len(), 2);
         let kinds: Vec<_> = t.iter().map(|(_, e)| e.kind).collect();
         assert_eq!(kinds, ["a", "b"]);
@@ -598,49 +281,9 @@ mod tests {
     }
 
     #[test]
-    fn json_output_structs_and_enums() {
-        enum K {
-            Unit,
-            Tuple(u8, u8),
-            Struct { x: i32 },
-        }
-
-        // Hand-written (derive unavailable offline, see vendor/README.md).
-        impl Serialize for K {
-            fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-                use serde::ser::{SerializeStructVariant, SerializeTupleVariant};
-                match self {
-                    K::Unit => serializer.serialize_unit_variant("K", 0, "Unit"),
-                    K::Tuple(a, b) => {
-                        let mut tv = serializer.serialize_tuple_variant("K", 1, "Tuple", 2)?;
-                        tv.serialize_field(a)?;
-                        tv.serialize_field(b)?;
-                        tv.end()
-                    }
-                    K::Struct { x } => {
-                        let mut sv = serializer.serialize_struct_variant("K", 2, "Struct", 1)?;
-                        sv.serialize_field("x", x)?;
-                        sv.end()
-                    }
-                }
-            }
-        }
-        let mut t = Trace::new();
-        t.record(SimTime::from_ns(3), K::Unit);
-        t.record(SimTime::from_ns(4), K::Tuple(1, 2));
-        t.record(SimTime::from_ns(5), K::Struct { x: -7 });
-        let json = t.to_json();
-        assert_eq!(
-            json,
-            r#"[{"t_ns":3,"event":"Unit"},{"t_ns":4,"event":{"Tuple":[1,2]}},{"t_ns":5,"event":{"Struct":{"x":-7}}}]"#
-        );
-    }
-
-    #[test]
     fn json_escapes_strings() {
-        let mut t = Trace::new();
-        t.record(SimTime::ZERO, "he said \"hi\"\n".to_string());
-        assert_eq!(t.to_json(), r#"[{"t_ns":0,"event":"he said \"hi\"\n"}]"#);
+        assert_eq!(json_str("he said \"hi\"\n"), r#""he said \"hi\"\n""#);
+        assert_eq!(json_str("\t\r\\\u{1}é"), r#""\t\r\\\u0001é""#);
     }
 
     #[test]

@@ -942,11 +942,6 @@ impl Fabric {
         self.budgets_active = self.byte_budget.iter().any(|&b| b != u64::MAX);
     }
 
-    /// Cluster `c`'s current sheddable-byte budget.
-    pub fn cluster_byte_budget(&self, c: ClusterId) -> u64 {
-        self.byte_budget[c.0 as usize]
-    }
-
     /// True iff any cluster currently has a finite byte budget (the fast
     /// guard the software layer uses to choose overload ride-out over
     /// give-up).

@@ -5,7 +5,6 @@
 //! hardware envelope plus up to 1024 bytes of payload.
 
 use bytes::Bytes;
-use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
 
@@ -51,14 +50,6 @@ pub const MAX_FRAME: u32 = HEADER_BYTES + MAX_PAYLOAD;
 /// Address of an endpoint (a processing node or a host workstation port).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeAddr(pub u32);
-
-// Hand-written (derive unavailable offline, see vendor/README.md); matches
-// what `#[derive(Serialize)]` would emit for a newtype struct.
-impl Serialize for NodeAddr {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_newtype_struct("NodeAddr", &self.0)
-    }
-}
 
 impl fmt::Debug for NodeAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

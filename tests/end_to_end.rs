@@ -104,6 +104,71 @@ fn full_stack_determinism() {
     assert_eq!(j1, j2);
 }
 
+/// The trace export format, byte for byte: every comparison above and in the
+/// campaigns is run against run, so this golden is what pins the bytes (every
+/// variant, every `CpuCat`/`BlockReason` name, every escape class, `u64::MAX`).
+#[test]
+fn trace_json_format_is_pinned() {
+    use hpc_vorx::vorx::{BlockReason, CpuCat, TraceEvent};
+    let events = [
+        TraceEvent::Cpu {
+            node: 3,
+            cat: CpuCat::User,
+            start_ns: 1,
+            end_ns: u64::MAX,
+        },
+        TraceEvent::Cpu {
+            node: 0,
+            cat: CpuCat::System,
+            start_ns: 0,
+            end_ns: 7,
+        },
+        TraceEvent::Block {
+            node: 1,
+            reason: BlockReason::Input,
+        },
+        TraceEvent::Unblock {
+            node: 1,
+            reason: BlockReason::Output,
+        },
+        TraceEvent::Block {
+            node: 2,
+            reason: BlockReason::Other,
+        },
+        TraceEvent::Region {
+            node: 9,
+            name: "he said \"hi\"\n\t\\ \u{1} é".into(),
+            enter: true,
+        },
+        TraceEvent::Region {
+            node: 9,
+            name: String::new(),
+            enter: false,
+        },
+        TraceEvent::Fault { node: 4, up: false },
+        TraceEvent::LinkFault { link: 77, up: true },
+    ];
+    let mut t = desim::Trace::new();
+    for (i, e) in events.into_iter().enumerate() {
+        t.record(SimTime::from_ns(i as u64 + 1), e);
+    }
+    assert_eq!(
+        t.to_json(),
+        concat!(
+            r#"[{"t_ns":1,"event":{"Cpu":{"node":3,"cat":"User","start_ns":1,"end_ns":18446744073709551615}}},"#,
+            r#"{"t_ns":2,"event":{"Cpu":{"node":0,"cat":"System","start_ns":0,"end_ns":7}}},"#,
+            r#"{"t_ns":3,"event":{"Block":{"node":1,"reason":"Input"}}},"#,
+            r#"{"t_ns":4,"event":{"Unblock":{"node":1,"reason":"Output"}}},"#,
+            r#"{"t_ns":5,"event":{"Block":{"node":2,"reason":"Other"}}},"#,
+            r#"{"t_ns":6,"event":{"Region":{"node":9,"name":"he said \"hi\"\n\t\\ \u0001 é","enter":true}}},"#,
+            r#"{"t_ns":7,"event":{"Region":{"node":9,"name":"","enter":false}}},"#,
+            r#"{"t_ns":8,"event":{"Fault":{"node":4,"up":false}}},"#,
+            r#"{"t_ns":9,"event":{"LinkFault":{"link":77,"up":true}}}]"#,
+        )
+    );
+    assert_eq!(desim::Trace::<u64>::new().to_json(), "[]");
+}
+
 /// Centralized vs distributed object manager gives identical *connectivity*
 /// (same pairs match), only different timing.
 #[test]

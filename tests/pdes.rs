@@ -2,9 +2,9 @@
 //! topology, workload, and seed — never of the worker-thread count — and a
 //! single-shard sharded run replays the sequential engine byte-for-byte.
 
-use desim::{FaultSchedule, SimTime};
+use desim::{FaultSchedule, SimDuration, SimTime};
 use hpc_vorx::vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
-use hpc_vorx::vorx::{channel, invariants, VCtx, VorxBuilder, VorxShardedSim};
+use hpc_vorx::vorx::{api, channel, invariants, VCtx, VorxBuilder, VorxShardedSim};
 use hpc_vorx::vorx_tools::oscillo::Oscilloscope;
 
 /// Group node addresses by cluster, in address order.
@@ -203,6 +203,31 @@ fn merged_trace_feeds_the_tools_unchanged() {
     assert!(!rendered.is_empty());
 }
 
+/// `merged_trace` takes the log, not the recorder: a second round of work on
+/// the same machine is traced too, and a machine built with tracing off
+/// stays off.
+#[test]
+fn merged_trace_can_be_taken_twice() {
+    let round = |v: &mut VorxShardedSim| {
+        v.spawn_at(NodeAddr(0), "n0:burst", |ctx: VCtx| {
+            api::user_compute(&ctx, NodeAddr(0), SimDuration::from_us(100));
+        });
+        v.run_all();
+        v.merged_trace()
+    };
+    let mut v = VorxBuilder::hypercube(2, 2).trace(true).build_sharded(1);
+    let first = round(&mut v);
+    let second = round(&mut v);
+    assert!(!first.is_empty() && !second.is_empty());
+    let first_end = first.iter().last().unwrap().0;
+    assert!(second.iter().next().unwrap().0 >= first_end);
+    assert!((0..v.n_shards()).all(|k| v.world(k).trace.is_enabled()));
+
+    let mut off = VorxBuilder::hypercube(2, 2).trace(false).build_sharded(1);
+    assert!(round(&mut off).is_empty());
+    assert!((0..off.n_shards()).all(|k| !off.world(k).trace.is_enabled()));
+}
+
 #[test]
 fn per_shard_counters_cover_every_shard() {
     let topo = topo70();
@@ -364,7 +389,7 @@ fn overload_shedding_is_worker_invariant() {
 // for every worker count.
 // ---------------------------------------------------------------------------
 
-use desim::{OutMsg, Scheduler, ShardWorld, ShardedSim, SimDuration, Simulation};
+use desim::{OutMsg, Scheduler, ShardWorld, ShardedSim, Simulation};
 use proptest::prelude::*;
 
 /// Forwards each message round-robin to the next shard, charging exactly
