@@ -155,12 +155,25 @@ impl StandaloneNet {
     /// Run until quiescent without asserting delivery (for tests that
     /// deliberately wedge the fabric).
     pub fn run_inner(&mut self) {
+        self.run_through(u64::MAX);
+    }
+
+    /// Run every action due at or before time `t`, then stand at `t`: the
+    /// place to [`StandaloneNet::apply`] a mid-run step (a cable cut, a
+    /// restart) while frames are still buffered inside the fabric.
+    pub fn run_until(&mut self, t: u64) {
+        self.run_through(t);
+        self.now = self.now.max(t);
+    }
+
+    fn run_through(&mut self, limit: u64) {
         loop {
             // Lane vs heap: a heap entry wins only when it is also at `now`
             // with a smaller seq (see the `lane` field invariant).
             let use_lane = match (self.lane.front(), self.queue.peek()) {
                 (Some(_), None) => true,
                 (Some(&(lane_seq, _)), Some(h)) => h.t > self.now || h.seq > lane_seq,
+                (None, Some(h)) if h.t > limit => break,
                 (None, Some(_)) => false,
                 (None, None) => break,
             };

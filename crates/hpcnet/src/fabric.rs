@@ -26,6 +26,10 @@
 //! future [`NetEvent`]s the embedder must schedule. The fabric itself holds
 //! no clock, so it can be driven by `desim`, by the standalone driver in
 //! [`crate::driver`], or directly by unit tests.
+//!
+//! Which transmission starts next is the business of the `arbiter`
+//! submodule: a frame is routed once, when it becomes the head of a queue,
+//! and a worklist of (cluster, port) pairs replaces scanning for work.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -33,6 +37,9 @@ use std::fmt;
 use crate::config::{NetConfig, PORTS_PER_CLUSTER};
 use crate::frame::{Dest, Frame, FrameError, NodeAddr};
 use crate::topology::{Attachment, ClusterId, PortRef, Topology};
+
+mod arbiter;
+use arbiter::McHead;
 
 /// Identifies one directed link in the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,11 +58,30 @@ enum Element {
     Port(PortRef),
 }
 
+// `Link::head` and `McHead::ports` values beside the output ports 0..12.
+/// No surviving route ([`Topology::route`]'s answer).
+const PORT_NONE: u8 = u8::MAX;
+/// A multicast target whose branch already left (or was stripped).
+const PORT_SENT: u8 = 0xFE;
+/// Nothing buffered, or an endpoint FIFO (drained by software, never routed).
+const HEAD_NONE: u8 = 0xFD;
+/// A multicast head: its per-target ports are `Fabric::mcast[Link::mc]`.
+const HEAD_MCAST: u8 = 0xFC;
+
 struct Link {
     from: Element,
     to: Element,
     /// Transmitting right now.
     busy: bool,
+    /// Down: carries nothing — frames in flight on it when it went down are
+    /// lost, and no transmission starts on it until it comes back up.
+    down: bool,
+    /// The route of the front frame of `buf`, computed once when it became
+    /// the head: an output port, [`PORT_NONE`], [`HEAD_MCAST`] or
+    /// [`HEAD_NONE`]. Stale only when the topology's generation moves.
+    head: u8,
+    /// Slot in `Fabric::mcast` while `head == HEAD_MCAST`.
+    mc: u32,
     /// Frames fully arrived at the `to` side, awaiting forwarding/drain.
     buf: VecDeque<Frame>,
     /// Slots claimed by in-flight frames (reserved at transmission start —
@@ -70,6 +96,12 @@ impl Link {
     fn can_accept(&self) -> bool {
         self.buf.len() + self.reserved < self.cap
     }
+
+    /// True iff a transmission may start on this link now: it is up, idle,
+    /// and has room to buffer a whole frame at its far end.
+    fn grantable(&self) -> bool {
+        !self.down && !self.busy && self.can_accept()
+    }
 }
 
 struct EndpointState {
@@ -77,8 +109,6 @@ struct EndpointState {
     up: LinkId,
     /// cluster -> endpoint.
     down: LinkId,
-    /// The output register is serializing.
-    tx_busy: bool,
     /// Frame written by software, waiting for downstream buffer space.
     out_reg: Option<Frame>,
 }
@@ -269,28 +299,54 @@ impl Stats {
     }
 }
 
+/// Exact counts of arbitration work (they repeat to the digit), kept apart
+/// from [`Stats`]: the model's effort, not the modelled machine's traffic.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Work {
+    /// [`Topology::route`] calls: one per target of each frame that becomes
+    /// the head of a cluster input, plus the re-routes of a cable event.
+    pub routes: u64,
+    /// Worklist keys visited by `progress` (port, endpoint and purge keys).
+    pub port_visits: u64,
+    /// Transmissions started.
+    pub grants: u64,
+}
+
 /// The HPC interconnect model. See module docs.
 pub struct Fabric {
     cfg: NetConfig,
     topo: Topology,
     links: Vec<Link>,
     eps: Vec<EndpointState>,
-    /// Per-cluster list of links terminating at that cluster, ordered by the
-    /// receiving port index (deterministic arbitration order).
-    cluster_inputs: Vec<Vec<LinkId>>,
+    /// Per-cluster incoming link at each port; port order is the
+    /// (deterministic) arbitration order.
+    port_in: Vec<[Option<LinkId>; PORTS_PER_CLUSTER]>,
     /// Per-cluster outgoing link for each port.
     port_out: Vec<[Option<LinkId>; PORTS_PER_CLUSTER]>,
-    /// Round-robin pointer per output link into `cluster_inputs` (fairness).
-    rr: Vec<usize>,
+    /// Round-robin pointer per output link: the input port to ask first
+    /// (fairness).
+    rr: Vec<u8>,
+    /// Per cluster and output port: bit `k` is set iff the head of
+    /// `port_in[c][k]` has a target leaving through that port.
+    want: Vec<[u16; PORTS_PER_CLUSTER]>,
+    /// Routed multicast heads (`Link::mc` indexes this slab) and its free
+    /// slots; a slot keeps its `ports` capacity from head to head.
+    mcast: Vec<McHead>,
+    mcast_free: Vec<u32>,
+    /// The dirty worklist, sorted: `cur[pos..]` are this pass's keys not yet
+    /// visited, `cursor` the key being visited (0 outside `progress`), `next`
+    /// the next pass's keys.
+    cur: Vec<u64>,
+    next: Vec<u64>,
+    pos: usize,
+    cursor: u64,
+    work: Work,
+    /// Calls of the quiescence oracle, for its stride in large worlds.
+    #[cfg(debug_assertions)]
+    oracle_calls: u64,
     /// Per-endpoint fault state: a down endpoint's interface is electrically
     /// dead — it cannot inject, and frames arriving at it are lost.
     down: Vec<bool>,
-    /// Per-link fault state: a down link carries nothing — frames in flight
-    /// on it when it went down are lost, and no new transmission starts on
-    /// it until it comes back up.
-    link_down: Vec<bool>,
-    /// How many links are currently down (fast fault-free guard).
-    links_down: usize,
     /// Frames currently inside the fabric (in a register, buffer or flight).
     in_flight: usize,
     /// Per-cluster store-and-forward byte budget for sheddable frames
@@ -314,26 +370,6 @@ pub struct Fabric {
     /// traffic). Defaults to "nothing" — control/ack frames must never be
     /// shed, so the embedding software opts data kinds in explicitly.
     sheddable: fn(&Frame) -> bool,
-    /// Endpoints whose output register holds a frame awaiting injection,
-    /// sorted ascending. `progress` scans only these instead of every
-    /// endpoint — O(active) per event, which is what lets million-endpoint
-    /// worlds run (DESIGN.md §14). Sorted-`Vec` rather than a set so the
-    /// scan order matches the old full 0..n sweep exactly and capacity is
-    /// retained (no steady-state allocation).
-    pending_eps: Vec<u32>,
-    /// Frames buffered at each cluster's input ports (cluster-side links
-    /// only; endpoint receive FIFOs are not counted).
-    cluster_buffered: Vec<u32>,
-    /// Clusters with `cluster_buffered > 0`, sorted ascending — the only
-    /// clusters the forwarding scan visits.
-    active_clusters: Vec<u32>,
-    /// Reusable scan snapshot (progress mutates the candidate sets while
-    /// iterating them).
-    scan_scratch: Vec<u32>,
-    /// Reusable target buffer for `forward_one`: the subset of a head
-    /// frame's targets leaving through the port under consideration.
-    /// Hoisted so steady-state forwarding performs zero allocations.
-    fwd_scratch: Vec<NodeAddr>,
     /// Reusable cluster-path buffer for [`Fabric::comb_register_group`].
     path_scratch: Vec<ClusterId>,
     /// In-switch combining state. `None` — and never consulted beyond one
@@ -404,7 +440,7 @@ impl Fabric {
     /// Build a fabric over `topo` with hardware parameters `cfg`.
     pub fn new(topo: Topology, cfg: NetConfig) -> Self {
         let mut links = Vec::new();
-        let mut cluster_inputs = vec![Vec::new(); topo.n_clusters()];
+        let mut port_in = vec![[None; PORTS_PER_CLUSTER]; topo.n_clusters()];
         let mut port_out = vec![[None; PORTS_PER_CLUSTER]; topo.n_clusters()];
         let mut eps = Vec::with_capacity(topo.n_endpoints());
 
@@ -414,6 +450,9 @@ impl Fabric {
                 from,
                 to,
                 busy: false,
+                down: false,
+                head: HEAD_NONE,
+                mc: 0,
                 buf: VecDeque::new(),
                 reserved: 0,
                 cap,
@@ -437,12 +476,11 @@ impl Fabric {
                 Element::Endpoint(addr),
                 cfg.endpoint_rx_slots,
             );
-            cluster_inputs[p.cluster.0 as usize].push(up);
+            port_in[p.cluster.0 as usize][usize::from(p.port)] = Some(up);
             port_out[p.cluster.0 as usize][usize::from(p.port)] = Some(down);
             eps.push(EndpointState {
                 up,
                 down,
-                tx_busy: false,
                 out_reg: None,
             });
         }
@@ -471,21 +509,11 @@ impl Fabric {
                         );
                         port_out[c][port] = Some(out);
                         port_out[peer.cluster.0 as usize][usize::from(peer.port)] = Some(back);
-                        cluster_inputs[peer.cluster.0 as usize].push(out);
-                        cluster_inputs[c].push(back);
+                        port_in[peer.cluster.0 as usize][usize::from(peer.port)] = Some(out);
+                        port_in[c][port] = Some(back);
                     }
                 }
             }
-        }
-        // Deterministic arbitration order: by receiving port index.
-        for (c, inputs) in cluster_inputs.iter_mut().enumerate() {
-            inputs.sort_by_key(|l| match links[l.0 as usize].to {
-                Element::Port(p) => {
-                    debug_assert_eq!(p.cluster.0 as usize, c);
-                    p.port
-                }
-                Element::Endpoint(_) => unreachable!("cluster input ends at a port"),
-            });
         }
 
         let n_links = links.len();
@@ -496,12 +524,20 @@ impl Fabric {
             topo,
             links,
             eps,
-            cluster_inputs,
+            port_in,
             port_out,
             rr: vec![0; n_links],
+            want: vec![[0; PORTS_PER_CLUSTER]; n_clusters],
+            mcast: Vec::new(),
+            mcast_free: Vec::new(),
+            cur: Vec::new(),
+            next: Vec::new(),
+            pos: 0,
+            cursor: 0,
+            work: Work::default(),
+            #[cfg(debug_assertions)]
+            oracle_calls: 0,
             down: vec![false; n_eps],
-            link_down: vec![false; n_links],
-            links_down: 0,
             in_flight: 0,
             byte_budget: vec![cfg.switch_byte_budget; n_clusters],
             data_buf_bytes: vec![0; n_clusters],
@@ -509,11 +545,6 @@ impl Fabric {
             link_depth_hwm: vec![0; n_links],
             budgets_active: cfg.switch_byte_budget != u64::MAX,
             sheddable: |_| false,
-            pending_eps: Vec::new(),
-            cluster_buffered: vec![0; n_clusters],
-            active_clusters: Vec::new(),
-            scan_scratch: Vec::new(),
-            fwd_scratch: Vec::new(),
             path_scratch: Vec::new(),
             comb: None,
             stats: Stats {
@@ -535,11 +566,16 @@ impl Fabric {
         &self.cfg
     }
 
+    /// The arbitration work done since the fabric was built.
+    pub fn work(&self) -> Work {
+        self.work
+    }
+
     /// True iff `src` can accept a new frame into its output register.
     /// A down endpoint's interface is dead and never accepts.
     pub fn can_send(&self, src: NodeAddr) -> bool {
         let e = &self.eps[src.0 as usize];
-        !self.down[src.0 as usize] && !e.tx_busy && e.out_reg.is_none()
+        !self.down[src.0 as usize] && !self.links[e.up.0 as usize].busy && e.out_reg.is_none()
     }
 
     /// True iff `node`'s interface is currently marked down.
@@ -564,35 +600,25 @@ impl Fabric {
         self.down[i] = down;
         if down {
             if self.eps[i].out_reg.take().is_some() {
-                sorted_remove(&mut self.pending_eps, node.0);
                 self.in_flight -= 1;
                 self.stats.frames_dropped += 1;
             }
+            // Freed FIFO slots may unblock upstream forwarding (the frames
+            // it admits will be dropped on arrival).
             let down_link = self.eps[i].down;
-            let purged = {
-                let buf = &mut self.links[down_link.0 as usize].buf;
-                let n = buf.len();
-                buf.clear();
-                n
-            };
-            self.in_flight -= purged;
-            self.stats.frames_dropped += purged as u64;
-            if purged > 0 {
-                // Freed FIFO slots may unblock upstream forwarding (the
-                // frames it admits will be dropped on arrival).
-                self.progress(out);
+            while self.dequeue(down_link).is_some() {
+                self.in_flight -= 1;
+                self.stats.frames_dropped += 1;
             }
-        } else {
             self.progress(out);
-            if self.can_send(node) {
-                out.notifies.push(Notify::TxReady(node));
-            }
+        } else if self.can_send(node) {
+            out.notifies.push(Notify::TxReady(node));
         }
     }
 
     /// True iff directed link `l` is currently down.
     pub fn is_link_down(&self, l: LinkId) -> bool {
-        self.link_down[l.0 as usize]
+        self.links[l.0 as usize].down
     }
 
     /// Take one directed link down (cable cut) or bring it back up.
@@ -609,21 +635,20 @@ impl Fabric {
     pub fn set_link_down(&mut self, now_ns: u64, l: LinkId, down: bool, out: &mut Output) {
         self.now_ns = now_ns;
         let i = l.0 as usize;
-        if self.link_down[i] == down {
+        if self.links[i].down == down {
             return;
         }
-        self.link_down[i] = down;
-        self.links_down = if down {
-            self.links_down + 1
-        } else {
-            self.links_down - 1
-        };
+        self.links[i].down = down;
         if let (Element::Port(p), Element::Port(_)) = (self.links[i].from, self.links[i].to) {
             self.topo.set_edge_state(p, !down);
             self.topo.recompute();
+            // The generation moved: every cached head route is stale. Heads
+            // with no surviving route are purged by the pass that follows.
+            self.reroute_heads();
         }
         // Either direction of change can unblock forwarding: a reroute opens
         // new paths, a heal reopens the link itself.
+        self.wake_upstream(l);
         self.progress(out);
     }
 
@@ -660,9 +685,11 @@ impl Fabric {
         self.stats.frames_sent += 1;
         self.stats.per_endpoint_tx[frame.src.0 as usize] += 1;
         let src = frame.src;
-        self.eps[src.0 as usize].out_reg = Some(frame);
-        sorted_insert(&mut self.pending_eps, src.0);
+        let e = &mut self.eps[src.0 as usize];
+        e.out_reg = Some(frame);
+        let up = e.up;
         self.in_flight += 1;
+        self.wake_upstream(up);
         self.progress(out);
         Ok(())
     }
@@ -687,24 +714,23 @@ impl Fabric {
                 let link = &mut self.links[l.0 as usize];
                 debug_assert!(link.busy);
                 link.busy = false;
-                if let Element::Endpoint(a) = link.from {
-                    self.eps[a.0 as usize].tx_busy = false;
-                    self.progress(out);
-                    // Only signal readiness if progress did not immediately
-                    // refill the transmitter (it cannot: software has not
-                    // run), but keep the check for robustness.
+                let from = link.from;
+                self.wake_upstream(l);
+                self.progress(out);
+                // Only signal readiness if progress did not immediately
+                // refill the transmitter (it cannot: software has not run),
+                // but keep the check for robustness.
+                if let Element::Endpoint(a) = from {
                     if self.can_send(a) {
                         out.notifies.push(Notify::TxReady(a));
                     }
-                } else {
-                    self.progress(out);
                 }
             }
             NetEvent::Arrive(l, frame) => {
                 // A link that went down mid-flight loses the frame: it must
                 // never be delivered after the down edge, and no disposition
                 // is drawn for it (scripted, not probabilistic).
-                if self.link_down[l.0 as usize] {
+                if self.links[l.0 as usize].down {
                     hook.on_down_drop(l);
                     self.drop_in_transit(l, out);
                 } else {
@@ -727,7 +753,7 @@ impl Fabric {
                 }
             }
             NetEvent::ArriveDelayed(l, frame) => {
-                if self.link_down[l.0 as usize] {
+                if self.links[l.0 as usize].down {
                     hook.on_down_drop(l);
                     self.drop_in_transit(l, out);
                 } else {
@@ -739,10 +765,7 @@ impl Fabric {
     }
 
     /// A frame completes its hop on `l`: convert the reservation into a
-    /// buffered frame, unless the receiving endpoint is down (then the
-    /// frame dies at the dead interface) or buffering it at a cluster port
-    /// would exceed the cluster's sheddable-byte budget (then the frame is
-    /// shed — deterministic overload degradation).
+    /// buffered frame, unless [`Fabric::admit`] turns it away.
     fn finish_arrival(
         &mut self,
         l: LinkId,
@@ -750,93 +773,77 @@ impl Fabric {
         hook: &mut dyn FaultHook,
         out: &mut Output,
     ) {
-        {
-            let link = &mut self.links[l.0 as usize];
-            debug_assert!(link.reserved > 0);
-            link.reserved -= 1;
-        }
-        let to = self.links[l.0 as usize].to;
-        if let Element::Endpoint(a) = to {
-            if self.down[a.0 as usize] {
-                self.in_flight -= 1;
-                self.stats.frames_dropped += 1;
-                self.progress(out);
-                return;
-            }
-        }
-        // In-switch combining: a combinable frame arriving at a cluster
-        // input merges into the coupler's held partial instead of
-        // buffering. Entirely behind the one pointer test — non-collective
-        // runs take the unchanged path below.
-        let frame = if self.comb.is_some() {
-            if let Element::Port(p) = to {
-                match self.try_comb_absorb(p.cluster, Some(l), frame, out) {
-                    None => {
-                        self.progress(out);
-                        return;
-                    }
-                    Some(f) => f,
-                }
-            } else {
-                frame
-            }
-        } else {
-            frame
-        };
-        if let Element::Port(p) = to {
-            if (self.sheddable)(&frame) {
-                let c = p.cluster.0 as usize;
-                let cost = frame_cost(&frame);
-                if self.budgets_active
-                    && self.data_buf_bytes[c].saturating_add(cost) > self.byte_budget[c]
-                {
-                    // Shed: the slot reservation is already released, so
-                    // upstream flow control sees the space free again.
-                    self.in_flight -= 1;
-                    self.stats.frames_shed += 1;
-                    hook.on_overload_drop(l);
-                    self.progress(out);
-                    return;
-                }
-                // Accounted whether or not a budget is in force, so a budget
-                // squeeze arriving mid-run sees accurate occupancy.
-                self.data_buf_bytes[c] += cost;
-                if self.data_buf_bytes[c] > self.data_bytes_hwm[c] {
-                    self.data_bytes_hwm[c] = self.data_buf_bytes[c];
+        let link = &mut self.links[l.0 as usize];
+        debug_assert!(link.reserved > 0);
+        link.reserved -= 1;
+        let to = link.to;
+        match self.admit(l, to, frame, hook, out) {
+            Some(frame) => {
+                self.enqueue(l, frame);
+                if let Element::Endpoint(a) = to {
+                    out.notifies.push(Notify::RxArrived(a));
                 }
             }
-        }
-        self.links[l.0 as usize].buf.push_back(frame);
-        if let Element::Port(p) = to {
-            self.note_cluster_buffered(p.cluster);
-        }
-        self.note_link_depth(l);
-        if let Element::Endpoint(a) = to {
-            out.notifies.push(Notify::RxArrived(a));
+            // The released reservation is a free slot again.
+            None => self.wake_upstream(l),
         }
         self.progress(out);
+    }
+
+    /// Whether `frame`, arriving on `l` at `to`, is buffered there. `None`
+    /// (accounted here): the receiving endpoint is down and the frame dies at
+    /// the dead interface; it merged into a star coupler's held partial; or
+    /// buffering it at a cluster port would exceed the cluster's
+    /// sheddable-byte budget and it is shed — deterministic overload
+    /// degradation.
+    fn admit(
+        &mut self,
+        l: LinkId,
+        to: Element,
+        frame: Frame,
+        hook: &mut dyn FaultHook,
+        out: &mut Output,
+    ) -> Option<Frame> {
+        let p = match to {
+            Element::Endpoint(a) if self.down[a.0 as usize] => {
+                self.in_flight -= 1;
+                self.stats.frames_dropped += 1;
+                return None;
+            }
+            Element::Endpoint(_) => return Some(frame),
+            Element::Port(p) => p,
+        };
+        // In-switch combining: a combinable frame arriving at a cluster
+        // input merges into the coupler's held partial instead of buffering.
+        // Entirely behind the one pointer test — non-collective runs skip it.
+        let frame = match self.comb {
+            Some(_) => self.try_comb_absorb(p.cluster, Some(l), frame, out)?,
+            None => frame,
+        };
+        if (self.sheddable)(&frame) {
+            let c = p.cluster.0 as usize;
+            let cost = frame_cost(&frame);
+            if self.budgets_active
+                && self.data_buf_bytes[c].saturating_add(cost) > self.byte_budget[c]
+            {
+                self.in_flight -= 1;
+                self.stats.frames_shed += 1;
+                hook.on_overload_drop(l);
+                return None;
+            }
+            // Accounted whether or not a budget is in force, so a budget
+            // squeeze arriving mid-run sees accurate occupancy.
+            self.data_buf_bytes[c] += cost;
+            self.data_bytes_hwm[c] = self.data_bytes_hwm[c].max(self.data_buf_bytes[c]);
+        }
+        Some(frame)
     }
 
     /// Record the current occupancy of `l` into its high-water mark.
     fn note_link_depth(&mut self, l: LinkId) {
         let link = &self.links[l.0 as usize];
-        let depth = link.buf.len() + link.reserved;
-        if depth > self.link_depth_hwm[l.0 as usize] {
-            self.link_depth_hwm[l.0 as usize] = depth;
-        }
-    }
-
-    /// Release the byte-budget charge of a frame leaving a cluster-port
-    /// buffer. No-op unless the frame was counted at admission (the
-    /// classifier is a pure function of the frame's kind, so it answers
-    /// identically at admission and release).
-    fn release_data_bytes(&mut self, cluster: ClusterId, frame: &Frame) {
-        if (self.sheddable)(frame) {
-            let c = cluster.0 as usize;
-            let cost = frame_cost(frame);
-            debug_assert!(self.data_buf_bytes[c] >= cost);
-            self.data_buf_bytes[c] = self.data_buf_bytes[c].saturating_sub(cost);
-        }
+        let hwm = &mut self.link_depth_hwm[l.0 as usize];
+        *hwm = (*hwm).max(link.buf.len() + link.reserved);
     }
 
     /// A frame was lost in transit on `l`: release its reservation (the
@@ -847,6 +854,7 @@ impl Fabric {
         link.reserved -= 1;
         self.in_flight -= 1;
         self.stats.frames_dropped += 1;
+        self.wake_upstream(l);
         self.progress(out);
     }
 
@@ -870,7 +878,7 @@ impl Fabric {
     pub fn rx_pop(&mut self, now_ns: u64, node: NodeAddr, out: &mut Output) -> Option<Frame> {
         self.now_ns = now_ns;
         let down = self.eps[node.0 as usize].down;
-        let frame = self.links[down.0 as usize].buf.pop_front();
+        let frame = self.dequeue(down);
         if let Some(f) = &frame {
             self.in_flight -= 1;
             self.stats.frames_delivered += 1;
@@ -1037,8 +1045,7 @@ impl Fabric {
             frame
         };
         let down = self.eps[dst.0 as usize].down;
-        self.links[down.0 as usize].buf.push_back(frame);
-        self.note_link_depth(down);
+        self.enqueue(down, frame);
         self.in_flight += 1;
         out.notifies.push(Notify::RxArrived(dst));
     }
@@ -1237,9 +1244,7 @@ impl Fabric {
             // the root and merges again at the next coupler — recursive
             // combining at gateway levels falls out of this re-entry.
             Some(l) => {
-                self.links[l.0 as usize].buf.push_back(frame);
-                self.note_cluster_buffered(cluster);
-                self.note_link_depth(l);
+                self.enqueue(l, frame);
                 self.progress(out);
             }
             // Every contribution arrived through the cross-shard bridge:
@@ -1253,303 +1258,10 @@ impl Fabric {
                     return;
                 }
                 let down = self.eps[ent.dst.0 as usize].down;
-                self.links[down.0 as usize].buf.push_back(frame);
-                self.note_link_depth(down);
+                self.enqueue(down, frame);
                 out.notifies.push(Notify::RxArrived(ent.dst));
             }
         }
-    }
-
-    /// A frame was buffered at one of `cluster`'s input ports.
-    fn note_cluster_buffered(&mut self, cluster: ClusterId) {
-        let c = cluster.0 as usize;
-        self.cluster_buffered[c] += 1;
-        if self.cluster_buffered[c] == 1 {
-            sorted_insert(&mut self.active_clusters, cluster.0);
-        }
-    }
-
-    /// A frame left one of `cluster`'s input-port buffers.
-    fn note_cluster_drained(&mut self, cluster: ClusterId) {
-        let c = cluster.0 as usize;
-        debug_assert!(self.cluster_buffered[c] > 0);
-        self.cluster_buffered[c] -= 1;
-        if self.cluster_buffered[c] == 0 {
-            sorted_remove(&mut self.active_clusters, cluster.0);
-        }
-    }
-
-    /// Start every transmission that can start, repeating until quiescent.
-    ///
-    /// Every call, and every pass of a call, rescans every active cluster ×
-    /// its 12 output ports × that cluster's inputs, and `forward_one` routes
-    /// each input's head frame again for every port it is asked about. With
-    /// process switches out of the way this rescan, and the routing under it,
-    /// is most of the host time of a 70-node run (EXPERIMENTS.md `H-SWITCH`).
-    fn progress(&mut self, out: &mut Output) {
-        loop {
-            let mut changed = false;
-
-            // Under a partition, head frames with no surviving route would
-            // block their input queue forever; drop them (and strip dead
-            // targets from multicast heads) instead of wedging. Never runs
-            // on a fault-free fabric.
-            if self.links_down > 0 && self.purge_unroutable_heads() {
-                changed = true;
-            }
-
-            // Endpoint injections: scan only endpoints with a loaded
-            // output register, ascending — the order the old full 0..n
-            // sweep visited its non-trivial entries. Snapshot first;
-            // injection removes entries mid-scan.
-            let mut scan = std::mem::take(&mut self.scan_scratch);
-            scan.clear();
-            scan.extend_from_slice(&self.pending_eps);
-            for &ei in &scan {
-                let i = ei as usize;
-                let up = self.eps[i].up;
-                if !self.eps[i].tx_busy
-                    && self.eps[i].out_reg.is_some()
-                    && !self.link_down[up.0 as usize]
-                    && !self.links[up.0 as usize].busy
-                    && self.links[up.0 as usize].can_accept()
-                {
-                    let frame = self.eps[i].out_reg.take().expect("checked");
-                    sorted_remove(&mut self.pending_eps, ei);
-                    self.eps[i].tx_busy = true;
-                    self.start_tx(up, frame, out);
-                    changed = true;
-                }
-            }
-
-            // Cluster forwarding, one output port at a time, fair
-            // round-robin over that cluster's inputs. Only clusters with
-            // buffered frames can forward anything.
-            scan.clear();
-            scan.extend_from_slice(&self.active_clusters);
-            for &ci in &scan {
-                let c = ci as usize;
-                for port in 0..PORTS_PER_CLUSTER {
-                    let Some(out_link) = self.port_out[c][port] else {
-                        continue;
-                    };
-                    if self.link_down[out_link.0 as usize]
-                        || self.links[out_link.0 as usize].busy
-                        || !self.links[out_link.0 as usize].can_accept()
-                    {
-                        continue;
-                    }
-                    if self.forward_one(ClusterId(ci), port as u8, out_link, out) {
-                        changed = true;
-                    }
-                }
-            }
-            self.scan_scratch = scan;
-
-            if !changed {
-                return;
-            }
-        }
-    }
-
-    /// Drop buffered head frames with no surviving route and strip
-    /// unreachable targets from multicast heads. Returns true if anything
-    /// changed. Only called while at least one link is down.
-    fn purge_unroutable_heads(&mut self) -> bool {
-        let mut changed = false;
-        // Only clusters holding buffered frames have heads to purge.
-        // Snapshot them (the body drains counts) into the hoisted scratch:
-        // `progress` calls this on every pass while any link is down, and
-        // nearly every pass finds nothing to purge.
-        let mut scan = std::mem::take(&mut self.scan_scratch);
-        scan.clear();
-        scan.extend_from_slice(&self.active_clusters);
-        let mut live = std::mem::take(&mut self.fwd_scratch);
-        for &ci in &scan {
-            let c = ci as usize;
-            let cluster = ClusterId(ci);
-            for k in 0..self.cluster_inputs[c].len() {
-                let input = self.cluster_inputs[c][k];
-                let Some(head) = self.links[input.0 as usize].buf.front() else {
-                    continue;
-                };
-                let targets = head.dst.targets();
-                let routable = |t: &NodeAddr| self.topo.route(cluster, *t) != u8::MAX;
-                let n_live = targets.iter().filter(|t| routable(t)).count();
-                if n_live == targets.len() {
-                    continue;
-                }
-                let lost = (targets.len() - n_live) as u64;
-                if n_live == 0 {
-                    let dead = self.links[input.0 as usize]
-                        .buf
-                        .pop_front()
-                        .expect("checked");
-                    self.note_cluster_drained(cluster);
-                    self.release_data_bytes(cluster, &dead);
-                    self.in_flight -= 1;
-                } else {
-                    // A multicast head that lost some targets: the one case
-                    // that builds a new destination list.
-                    live.clear();
-                    live.extend(targets.iter().copied().filter(routable));
-                    let head = self.links[input.0 as usize]
-                        .buf
-                        .front_mut()
-                        .expect("checked");
-                    head.dst = if live.len() == 1 {
-                        Dest::Unicast(live[0])
-                    } else {
-                        Dest::Multicast(live.as_slice().into())
-                    };
-                }
-                self.stats.frames_dropped += lost;
-                changed = true;
-            }
-        }
-        self.scan_scratch = scan;
-        self.fwd_scratch = live;
-        changed
-    }
-
-    /// Try to start one transmission on `out_link` (output `port` of
-    /// `cluster`), taking the next input in round-robin order whose head
-    /// frame routes (at least partially) through this port. Returns true if
-    /// a transmission started.
-    fn forward_one(
-        &mut self,
-        cluster: ClusterId,
-        port: u8,
-        out_link: LinkId,
-        out: &mut Output,
-    ) -> bool {
-        let inputs = &self.cluster_inputs[cluster.0 as usize];
-        let n = inputs.len();
-        if n == 0 {
-            return false;
-        }
-        let start = self.rr[out_link.0 as usize] % n;
-        // The subset of the head's targets leaving through `port`, collected
-        // into the hoisted scratch (target order preserved). Unicast heads —
-        // the hot path — and multicast heads whose targets share the port
-        // take the no-split branch below, which forwards the frame without
-        // allocating anything.
-        let mut via = std::mem::take(&mut self.fwd_scratch);
-        let mut hit = false;
-        for k in 0..n {
-            let input = inputs[(start + k) % n];
-            let Some(head) = self.links[input.0 as usize].buf.front() else {
-                continue;
-            };
-            via.clear();
-            let total = head.dst.targets().len();
-            for &t in head.dst.targets() {
-                if self.topo.route(cluster, t) == port {
-                    via.push(t);
-                }
-            }
-            if via.is_empty() {
-                continue;
-            }
-            // Found a frame (or a multicast branch of one) for this port.
-            self.rr[out_link.0 as usize] = (start + k + 1) % n;
-            // Count frames leaving through a port the fault-free tables
-            // would not have chosen (adaptive reroute). The generation
-            // guard keeps this off the fault-free hot path.
-            if self.topo.generation() > 0
-                && via
-                    .iter()
-                    .any(|t| self.topo.base_route(cluster, *t) != port)
-            {
-                self.stats.frames_rerouted += 1;
-            }
-            if via.len() == total {
-                // Every remaining target leaves through this port: forward
-                // the buffered frame itself. No destination list is copied
-                // and no branch is replicated.
-                let mut done = self.links[input.0 as usize]
-                    .buf
-                    .pop_front()
-                    .expect("checked");
-                self.note_cluster_drained(cluster);
-                self.release_data_bytes(cluster, &done);
-                // A split can leave a one-target `Multicast` head behind;
-                // forward it as the `Unicast` it now is, so delivered
-                // frames are identical to the pre-scratch grouping code.
-                if let Dest::Multicast(ts) = &done.dst {
-                    if ts.len() == 1 {
-                        done.dst = Dest::Unicast(ts[0]);
-                    }
-                }
-                self.start_tx(out_link, done, out);
-            } else {
-                let head = self.links[input.0 as usize]
-                    .buf
-                    .front_mut()
-                    .expect("checked");
-                let sub_dst = if via.len() == 1 {
-                    Dest::Unicast(via[0])
-                } else {
-                    Dest::Multicast(via.as_slice().into())
-                };
-                // Replicate the branch by hand instead of `head.clone()`:
-                // the payload is a refcounted slice (every fan-out branch
-                // shares the same bytes), and cloning `head.dst` only to
-                // overwrite it would copy the target list a second time.
-                let copy = Frame {
-                    src: head.src,
-                    dst: sub_dst,
-                    kind: head.kind,
-                    seq: head.seq,
-                    payload: head.payload.clone(),
-                    corrupted: head.corrupted,
-                };
-                // Remove the transmitted targets from the head frame; the
-                // split branch is a new frame inside the fabric.
-                let remaining: Vec<NodeAddr> = head
-                    .dst
-                    .targets()
-                    .iter()
-                    .copied()
-                    .filter(|t| !via.contains(t))
-                    .collect();
-                head.dst = Dest::Multicast(remaining.into());
-                self.in_flight += 1;
-                self.start_tx(out_link, copy, out);
-            }
-            hit = true;
-            break;
-        }
-        self.fwd_scratch = via;
-        hit
-    }
-
-    fn start_tx(&mut self, l: LinkId, frame: Frame, out: &mut Output) {
-        let ser = self.cfg.serialize_ns(frame.wire_bytes());
-        let link = &mut self.links[l.0 as usize];
-        debug_assert!(!link.busy && link.can_accept());
-        link.busy = true;
-        link.reserved += 1;
-        link.busy_ns += ser;
-        self.note_link_depth(l);
-        out.schedule.push((ser, NetEvent::LinkFree(l)));
-        out.schedule
-            .push((ser + self.cfg.hop_latency_ns, NetEvent::Arrive(l, frame)));
-    }
-}
-
-/// Insert `v` into sorted `vec` if absent. Capacity is retained across
-/// the run, so steady-state candidate-set churn is allocation-free.
-fn sorted_insert(vec: &mut Vec<u32>, v: u32) {
-    if let Err(pos) = vec.binary_search(&v) {
-        vec.insert(pos, v);
-    }
-}
-
-/// Remove `v` from sorted `vec` if present.
-fn sorted_remove(vec: &mut Vec<u32>, v: u32) {
-    if let Ok(pos) = vec.binary_search(&v) {
-        vec.remove(pos);
     }
 }
 

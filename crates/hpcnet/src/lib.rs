@@ -35,7 +35,7 @@ pub mod topology;
 
 pub use config::{NetConfig, PORTS_PER_CLUSTER};
 pub use fabric::{
-    Fabric, FaultHook, LinkId, NetEvent, NoFaults, Notify, Output, SendError, Stats, Transit,
+    Fabric, FaultHook, LinkId, NetEvent, NoFaults, Notify, Output, SendError, Stats, Transit, Work,
 };
 pub use frame::{
     copymeter, Dest, Frame, FrameError, NodeAddr, Payload, HEADER_BYTES, MAX_FRAME, MAX_PAYLOAD,

@@ -115,6 +115,39 @@ fn standalone_unicast_allocates_nothing_after_warm_up() {
     );
 }
 
+/// A multicast head is partitioned once, when it is routed: each branch that
+/// carries several targets gets one list of its exact size, a one-target
+/// branch is a `Unicast`, and the head's own list is never rebuilt. A
+/// 63-target multicast over 16 clusters of 4 therefore allocates once per
+/// inter-cluster edge of its tree — 15 — where the per-port rescan allocated
+/// ≈ 3 times at each of its 62 splits (≈ 188).
+#[test]
+fn standalone_multicast_allocates_one_list_per_tree_edge() {
+    let topo = Topology::incomplete_hypercube(16, 4).unwrap();
+    let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
+    let everyone: std::sync::Arc<[NodeAddr]> = (1..64).map(NodeAddr).collect();
+    let send_one = |net: &mut StandaloneNet, seq: u64| {
+        let frame = Frame {
+            src: NodeAddr(0),
+            dst: Dest::Multicast(everyone.clone()),
+            kind: 0,
+            seq,
+            payload: Payload::Synthetic(512),
+            corrupted: false,
+        };
+        net.send_at(net.now(), frame);
+        net.run();
+        assert_eq!(net.delivered.len(), 63);
+        net.delivered.clear();
+    };
+    send_one(&mut net, 0);
+    let (_, calls) = alloc_meter::measure(|| send_one(&mut net, 1));
+    assert!(
+        (15..=20).contains(&calls),
+        "a warmed-up 63-target multicast allocated {calls} times"
+    );
+}
+
 /// Heap allocations per message of a two-node stop-and-wait stream, payload
 /// construction excluded (every write sends a clone of one payload). One
 /// window around the whole run: events and both simulated processes execute
