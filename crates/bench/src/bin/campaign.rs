@@ -7,12 +7,15 @@
 //!                                nothing, and compare each cell's simulated
 //!                                record with the committed report (CI)
 //!
-//! Names: faults partition datapath pdes soak scale gray collective.
+//! Run without arguments, it prints the names: the `CAMPAIGNS` array below.
 
 use vorx_bench::campaign::{drive, Campaign};
-use vorx_bench::campaigns::{collective, datapath, faults, gray, partition, pdes, scale, soak};
+use vorx_bench::campaigns::{
+    collective, datapath, faults, gray, paper, partition, pdes, scale, soak,
+};
 
-const CAMPAIGNS: [&Campaign; 8] = [
+const CAMPAIGNS: [&Campaign; 9] = [
+    &paper::CAMPAIGN,
     &faults::CAMPAIGN,
     &partition::CAMPAIGN,
     &datapath::CAMPAIGN,
@@ -40,7 +43,9 @@ fn main() {
         chosen = CAMPAIGNS.to_vec();
     }
     if chosen.is_empty() {
+        let names: Vec<&str> = CAMPAIGNS.iter().map(|c| c.name).collect();
         eprintln!("usage: campaign <name>… | campaign --smoke [<name>…]");
+        eprintln!("names: {}", names.join(" "));
         std::process::exit(2);
     }
     let t0 = std::time::Instant::now();

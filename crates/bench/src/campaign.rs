@@ -11,7 +11,8 @@
 //! * [`drive`] — the sweep / `--smoke` driver: every cell under a wall-clock
 //!   watchdog, re-run at each of its worker counts with trace and `sim`
 //!   equality, gates evaluated, and under `--smoke` the fresh `sim` of each
-//!   cell compared field for field with the committed report;
+//!   cell compared field for field with the committed report, whose every
+//!   cell must in turn still be a row of the table;
 //! * what the cells share: [`Totals`] (every fault, fabric and link counter
 //!   of a world or summed over shards), [`streams`] (paced writer/reader
 //!   pairs whose reader is the online exactly-once FIFO oracle), [`cable`],
@@ -181,7 +182,7 @@ impl Record {
 
 impl Value {
     /// Console form: strings bare, `null` as `-`, containers bracketed.
-    fn text(&self) -> String {
+    pub fn text(&self) -> String {
         match self {
             Value::Str(s) => s.clone(),
             Value::Null => "-".into(),
@@ -463,11 +464,19 @@ pub fn find<'a>(cells: &'a [Record], want: &[(&str, Value)]) -> Option<&'a Recor
         .find(|c| want.iter().all(|(k, v)| c.rec("key").get(k) == Some(v)))
 }
 
-/// The smoke comparison: every freshly run cell must exist in the committed
-/// report under the same key, with every field of its `sim` equal there.
+/// The smoke comparison, in both directions: every freshly run cell must
+/// exist in the committed report under the same key, with every field of its
+/// `sim` equal there; and every committed cell must still be a row of the
+/// campaign's cell table (`table`: the key of every row, heavy ones too), so
+/// that deleting or re-keying a row cannot drop a recorded number silently.
 /// `host` objects are not looked at. Returns one message per difference,
 /// each naming the campaign, the cell key and the field.
-pub fn compare_sim(campaign: &str, fresh: &[Record], committed: &[Record]) -> Vec<String> {
+pub fn compare_sim(
+    campaign: &str,
+    table: &[Record],
+    fresh: &[Record],
+    committed: &[Record],
+) -> Vec<String> {
     let mut diffs = Vec::new();
     for cell in fresh {
         let at = format!("{campaign} cell {{{}}}", cell.rec("key").line());
@@ -482,6 +491,12 @@ pub fn compare_sim(campaign: &str, fresh: &[Record], committed: &[Record]) -> Ve
                 diffs.push(format!("{at} field {k}: ran {}, committed {was}", v.text()));
             }
         }
+    }
+    for old in committed.iter().filter(|c| !table.contains(c.rec("key"))) {
+        let key = old.rec("key").line();
+        diffs.push(format!(
+            "{campaign} cell {{{key}}}: committed, but no row of the cell table has this key"
+        ));
     }
     diffs
 }
@@ -624,7 +639,8 @@ pub fn drive(c: &Campaign, smoke: bool) -> Vec<String> {
     };
     let mut failures = Vec::new();
     let mut cells = Vec::new();
-    for cell in (c.cells)().iter().filter(|cell| !(smoke && cell.heavy)) {
+    let table = (c.cells)();
+    for cell in table.iter().filter(|cell| !(smoke && cell.heavy)) {
         let r = with_watchdog(c.name, bound, c.on_expiry, || run_cell(cell));
         let bad = !r.list("violations").is_empty();
         if !smoke || bad {
@@ -663,7 +679,8 @@ pub fn drive(c: &Campaign, smoke: bool) -> Vec<String> {
         match read_report(c.name) {
             Ok(committed) => {
                 let old: Vec<Record> = cells_of(&committed).cloned().collect();
-                failures.extend(compare_sim(c.name, &cells, &old));
+                let keys: Vec<Record> = table.iter().map(|cell| cell.key.clone()).collect();
+                failures.extend(compare_sim(c.name, &keys, &cells, &old));
             }
             Err(e) => failures.push(format!("{}: {e}", c.name)),
         }

@@ -17,6 +17,7 @@ use vorx::hpcnet::{copymeter, NodeAddr};
 use vorx::objmgr::ObjMgrMode;
 use vorx::{channel, Calibration, VorxBuilder};
 
+use super::paper::{TABLE1_PAPER, TABLE2_PAPER};
 use crate::campaign::{
     find, index_of, lossy, msg_payload, stream_verdict, Campaign, Cell, Gate, Record, Run,
 };
@@ -24,11 +25,11 @@ use crate::campaign::{
 /// Messages per cell (enough to amortize rendezvous and reach steady state).
 const MSGS: u32 = 64;
 
-/// Paper Table 2: one 4-byte channel write cycle, stop-and-wait, ≈ 303 µs.
-const PAPER_SW_4B_US: u64 = 303;
+/// Paper Table 2: one 4-byte channel write cycle, stop-and-wait, 303 µs.
+const PAPER_SW_4B_US: u64 = TABLE2_PAPER[0] as u64;
 /// Paper Table 1: sliding-window UDCO asymptote for 4-byte messages with 64
-/// buffers, ≈ 164 µs.
-const PAPER_WIN_4B_US: u64 = 164;
+/// buffers, 164 µs.
+const PAPER_WIN_4B_US: u64 = TABLE1_PAPER[6][0] as u64;
 
 /// The campaign.
 pub const CAMPAIGN: Campaign = Campaign {

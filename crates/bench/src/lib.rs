@@ -1,17 +1,18 @@
-//! Experiment harnesses regenerating every table and figure of
-//! *The Evolution of HPC/VORX* (PPoPP 1990), plus the in-text measurements.
+//! Measurement harnesses for the reproduction of *The Evolution of
+//! HPC/VORX* (PPoPP 1990).
 //!
-//! Each `src/bin/*` binary prints one experiment as paper-vs-measured rows;
-//! the runners live here so the criterion benches and integration tests can
-//! share them. See `DESIGN.md` (per-experiment index) and `EXPERIMENTS.md`
-//! (recorded results) at the repository root.
+//! Every committed `BENCH_<name>.json` is a campaign: a cell table, the run
+//! of one cell, its oracles and gates (`campaigns/<name>.rs`) over the one
+//! harness ([`campaign`]). The paper's own tables, figure and in-text
+//! measurements are the ninth, [`campaigns::paper`]; the two cell runners of
+//! Tables 1 and 2 are re-exported here for the criterion benches and the
+//! property tests. See `DESIGN.md` §4 (per-experiment index) and
+//! `EXPERIMENTS.md` (the report as a table) at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod campaign;
 pub mod campaigns;
-pub mod experiments;
-pub mod report;
 
-pub use experiments::*;
+pub use campaigns::paper::{table1_cell, table2_cell};
