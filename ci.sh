@@ -10,7 +10,7 @@ cargo build --release --workspace
 echo "==> cargo test (every sharded test names its own worker counts)"
 cargo test --workspace -q
 
-echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, 81 + 0.1/msg for a stop-and-wait run, <= 0.1/msg more across two shards, <= 6 per try_open, SPSC nodes <= max depth + 1, recompute, trace merge)"
+echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, 81 + 0.1/msg for a stop-and-wait run, <= 0.1/msg more across two shards, <= 6 per try_open, SPSC nodes <= max depth + 1, recompute, trace merge)"
 cargo test -q --test event_storage --test datapath_alloc --test spsc_reuse --test topology_alloc --test trace_merge_alloc
 
 echo "==> allocation-free leaves stay that way (no per-pop free in desim/src/spsc.rs, no Arc flag per timer in desim/src/sim.rs)"
@@ -45,7 +45,7 @@ if [ "$(grep -c 'Stack::new' crates/desim/src/sim.rs)" -ne 1 ]; then
     exit 1
 fi
 
-echo "==> one event queue (no batch, buffer pool or second queue struct beside Scheduler in desim/src/sim.rs, and three mutexes: sched, world, panic_msg)"
+echo "==> one event queue (no batch, buffer pool or second queue struct beside Scheduler in desim/src/sim.rs, and three mutexes: sched, which a run segment holds from resume to resume, world, which it holds across every run of event callbacks, and panic_msg)"
 # Above `mod tests`, where the executor lives.
 sim_rs=$(sed '/^mod tests/,$d' crates/desim/src/sim.rs)
 if grep -n 'enum Pending\|SchBufs\|POOL_CAP\|fn commit\|fn drain\|FreeCells\|struct Core' <<<"$sim_rs"; then

@@ -4,7 +4,7 @@
 //! `src/bin/` runs on top of this engine.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use desim::{spsc, Ctx, ProcId, SimDuration, Simulation, Wakeup};
+use desim::{spsc, Ctx, ProcId, Scheduler, SimDuration, Simulation, Wakeup};
 
 #[derive(Default)]
 struct World {
@@ -223,6 +223,66 @@ fn bench_timer_arm_cancel(c: &mut Criterion) {
     g.finish();
 }
 
+#[derive(Default)]
+struct AckWorld {
+    acked: u32,
+    hops: u32,
+    timeouts: u32,
+}
+
+/// One stop-and-wait message of `stream`: arm the 20 ms ack timeout, let the
+/// frame and its ack make three hops, and at 1.5 ms take the ack — cancel the
+/// timeout and send the next message.
+fn send_acked(s: &mut Scheduler<AckWorld>, stream: u64, left: u32) {
+    let timeout = s.schedule_cancellable_in(SimDuration::from_us(20_000), |w: &mut AckWorld, _| {
+        w.timeouts += 1;
+    });
+    for hop in 1..=3 {
+        s.schedule_in(
+            SimDuration::from_ns(hop * 400_000 + stream),
+            |w: &mut AckWorld, _| w.hops += 1,
+        );
+    }
+    s.schedule_in(SimDuration::from_us(1_500), move |w: &mut AckWorld, s| {
+        timeout.cancel();
+        w.acked += 1;
+        if left > 1 {
+            send_acked(s, stream, left - 1);
+        }
+    });
+}
+
+/// The `paper70_sw` shape: 210 stop-and-wait streams of 48 messages, each
+/// message acknowledged 1.5 ms into a 20 ms timeout, so every stream trails
+/// thirteen disarmed timers behind its one live one while four plain events
+/// per message go through the same queue. What a pop costs when most of what
+/// is queued will never fire. The simulation is reused, so its buffers are at
+/// their high-water size from the second iteration on.
+fn bench_ack_timer_backlog(c: &mut Criterion) {
+    const STREAMS: u64 = 210;
+    const MSGS: u32 = 48;
+    let total = STREAMS as u32 * MSGS;
+    let mut g = c.benchmark_group("desim");
+    g.throughput(Throughput::Elements(u64::from(total)));
+    let mut sim = Simulation::new(AckWorld::default());
+    g.bench_function("ack_timer_backlog_10k", |b| {
+        b.iter(|| {
+            *sim.world() = AckWorld::default();
+            sim.setup(|_, s| {
+                for stream in 0..STREAMS {
+                    s.schedule_in(SimDuration::from_us(7 * stream), move |_, s| {
+                        send_acked(s, stream, MSGS)
+                    });
+                }
+            });
+            sim.run_to_idle();
+            let w = sim.world();
+            assert_eq!((w.acked, w.hops, w.timeouts), (total, 3 * total, 0));
+        });
+    });
+    g.finish();
+}
+
 /// A shard mailbox carrying bursts of 64 messages, drained between bursts:
 /// 100k pushes and pops on one thread.
 fn bench_spsc_bursts(c: &mut Criterion) {
@@ -250,6 +310,7 @@ criterion_group!(
     benches,
     bench_event_dispatch,
     bench_timer_arm_cancel,
+    bench_ack_timer_backlog,
     bench_spsc_bursts,
     bench_process_switching,
     bench_wake_chain,

@@ -28,7 +28,9 @@ const NOTE: &str = "desim engine hot-path benches, ns of host wall time; measure
     processes, parks them all, wakes them all, runs them out and drops the simulation, all timed \
     (an engine with a stack mapping per process, PR 13 and before, holds about 30,000); \
     timer_arm_cancel_10k arms, cancels and purges 10k timeouts between 10k plain events on a \
-    warm simulation; spsc_burst64_100k pushes 64-message bursts of 64-byte messages through one \
+    warm simulation; ack_timer_backlog_10k runs 210 stop-and-wait streams of 48 messages on a \
+    warm simulation, each message arming a 20 ms timeout that its ack cancels 1.5 ms later \
+    among four plain events, so thirteen disarmed timers trail every live one; spsc_burst64_100k pushes 64-message bursts of 64-byte messages through one \
     mailbox and drains each; ctx_with_wake_10k hands a turn between two processes 10k times each \
     way, six Ctx::with blocks, two same-instant wakes and two park/resume pairs per round trip";
 

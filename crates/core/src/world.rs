@@ -642,8 +642,7 @@ impl VorxBuilder {
         // crosses (up-link + one inter-cluster hop + down-link = 3).
         // Diagonals carry `u64::MAX`: the bridge only ever carries frames
         // to other shards, so self-pairs never constrain the EIT.
-        let probe_fabric = Fabric::new(topo.clone(), cfg.netcfg);
-        let unit_ns = probe_fabric.header_link_latency_ns();
+        let unit_ns = cfg.netcfg.header_link_latency_ns();
         let latency: Vec<Vec<u64>> = if n_shards == n_clusters {
             topo.cluster_link_counts()
                 .iter()
@@ -674,29 +673,25 @@ impl VorxBuilder {
                 .collect()
         };
 
-        // Map every fabric link to the shard that owns it: endpoint links
-        // to the endpoint's shard, inter-cluster cables to the `from`
-        // cluster's shard. One O(links) pass — no cluster-pair probing.
-        let link_shard: Vec<u32> = (0..probe_fabric.n_links())
-            .map(|l| {
-                let c = probe_fabric.link_owner_cluster(hpcnet::LinkId(l as u32));
-                shard_of_cluster[c.0 as usize]
-            })
-            .collect();
-        drop(probe_fabric);
-
         let schedule = self
             .faults
             .unwrap_or_else(|| desim::FaultSchedule::new(cfg.seed));
         let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
         events.sort_by_key(|e| e.at);
-        let owner = |e: &desim::FaultEvent| match e.action {
+        // A fault belongs to the shard that owns what it hits; a link goes
+        // with its owning cluster (endpoint links: the endpoint's,
+        // inter-cluster cables: the `from` side's), which any shard's fabric
+        // can name, since each wires the whole topology.
+        let owner = |e: &desim::FaultEvent, net: &Fabric| match e.action {
             desim::FaultAction::Down(id) | desim::FaultAction::Up(id) => {
                 shard_of_node[id as usize] as usize
             }
             desim::FaultAction::LinkDown(id)
             | desim::FaultAction::LinkUp(id)
-            | desim::FaultAction::LinkDegrade(id) => link_shard[id as usize] as usize,
+            | desim::FaultAction::LinkDegrade(id) => {
+                let c = net.link_owner_cluster(hpcnet::LinkId(id));
+                shard_of_cluster[c.0 as usize] as usize
+            }
             desim::FaultAction::BudgetSqueeze(c) => shard_of_cluster[c as usize] as usize,
         };
 
@@ -713,9 +708,12 @@ impl VorxBuilder {
                 token_stride: n_shards as u64,
             };
             let world = cfg.world(topo.clone(), schedule.clone(), shard);
+            let mine: Vec<desim::FaultEvent> = events
+                .iter()
+                .copied()
+                .filter(|e| owner(e, &world.net) == k)
+                .collect();
             let sim = Simulation::new(world);
-            let mine: Vec<desim::FaultEvent> =
-                events.iter().copied().filter(|e| owner(e) == k).collect();
             spawn_fault_plane(&sim, mine);
             shards.push(sim);
         }

@@ -39,9 +39,11 @@
 //!   seq)` order. Since `t < EIT`, the batch is complete — no later-arriving
 //!   message can land at `t` — so both the batch and its order are pure
 //!   functions of the simulation state.
-//! * A shard's clock only ever settles on executed-event times: run segments
-//!   are issued only when an event exists below the bound, so the final
-//!   per-shard clocks (and the [`IdleReport`]s) are pacing-independent.
+//! * Within a run a shard's clock only ever settles on executed-event times:
+//!   run segments are issued only when an event exists below the bound, so
+//!   each shard's resting time (its [`IdleReport`]) is pacing-independent.
+//!   After the reports are taken every clock moves up to the latest resting
+//!   time, itself such a time, so a further run starts at one instant.
 //! * A single-shard configuration has `EIT = ∞` and executes as one
 //!   uninterrupted run — byte-for-byte the sequential engine.
 //!
@@ -486,7 +488,8 @@ impl<W: ShardWorld> ShardedSim<W> {
             .iter()
             .map(|s| s.sim.events_dispatched())
             .collect();
-        self.slots
+        let reports: Vec<IdleReport> = self
+            .slots
             .iter_mut()
             .map(|s| {
                 // Termination detection proved every shard quiescent with no
@@ -495,7 +498,16 @@ impl<W: ShardWorld> ShardedSim<W> {
                 assert!(idle, "shard {} not idle after termination", s.id);
                 s.sim.idle_report()
             })
-            .collect()
+            .collect();
+        // Each report carries its shard's own resting time; the clocks then
+        // move up to the latest of them, so that work set up for another run
+        // starts at one instant everywhere and nothing it sends can be due
+        // at a shard before that shard's clock.
+        let end = reports.iter().map(|r| r.now).max().expect("n >= 1");
+        for s in &mut self.slots {
+            s.sim.rest_until(end);
+        }
+        reports
     }
 }
 

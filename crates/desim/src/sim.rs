@@ -21,7 +21,22 @@
 //! [`Scheduler`] is the queue and scheduling is a push on it: no batch, no
 //! pool. It and the world each sit behind an uncontended lock, because the
 //! executor and a process inside the executor's call both reach them and a
-//! lock is how safe Rust hands out that `&mut`.
+//! lock is how safe Rust hands out that `&mut`. A run segment holds `sched`
+//! throughout and `world` (taken after it) across every run of event
+//! callbacks, which are handed `&mut` of both, so dispatching an event takes
+//! no lock; it lets go of them only around a process resume, where
+//! [`Ctx::with`] takes the same two in the same order, and takes `world`
+//! again for the next event callback, not before.
+//!
+//! The queue is sized by what will still fire. A cancelled timer stays queued
+//! at first — `cancel` takes no lock and cannot reach the heap — and is
+//! discarded when it comes to the head; but cancelled cells are counted, and
+//! whenever they number more than `SWEEP_FLOOR` and at least as many as the
+//! live entries, the run loop takes them all out in one pass before its next
+//! pop. So the heap, the closure slab and the timer cells stop growing at
+//! twice the live entries, a protocol that arms a long timeout per message
+//! and cancels it early pays a constant per timer, and `(time, seq)` order is
+//! untouched: keys are unique, whatever shape the heap has.
 //!
 //! The executor⇄process handoff is one [`Baton`] per process — a payload
 //! word each way, the two stack pointers of a user-space register swap
@@ -39,8 +54,9 @@
 //! sit in a slab of recycled slots, and the heap and lane carry 32-byte
 //! entries that name a slot, so a sift never moves a capture. A
 //! [`TimerHandle`] names a recycled cell of the one `TimerCells` table, so
-//! arming and cancelling a timer allocates nothing either. What allocates:
-//! each buffer named here, as it grows to the most ever outstanding at once.
+//! arming and cancelling a timer allocates nothing either, nor does a sweep.
+//! What allocates: each buffer named here, as it grows to the most it ever
+//! holds at once — at most twice the most ever live.
 
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
@@ -132,6 +148,13 @@ impl fmt::Debug for TimerHandle {
 /// `CHUNK0 << k` cells.
 struct TimerCells {
     chunks: [OnceLock<Box<[AtomicU64]>>; TIMER_CHUNKS],
+    /// Cells whose cancelled flag is set: timers that are disarmed and still
+    /// queued, which is what a sweep of the queue would take out. `Relaxed`:
+    /// a tally, read by the queue to decide *when* to sweep, never *what*. A
+    /// `cancel` on another thread than the queue's adds its one after its
+    /// flag is visible, so a `retire` in between wraps the tally for that
+    /// moment; the worst a wrong reading does is one sweep that finds nothing.
+    dead: AtomicUsize,
 }
 
 /// Cells in the first chunk of [`TimerCells`]; a power of two.
@@ -143,6 +166,7 @@ impl TimerCells {
     fn new() -> Self {
         TimerCells {
             chunks: [const { OnceLock::new() }; TIMER_CHUNKS],
+            dead: AtomicUsize::new(0),
         }
     }
 
@@ -169,12 +193,15 @@ impl TimerCells {
     /// the flag publishes nothing but itself.
     fn cancel(&self, idx: u32, gen: u32) {
         let armed = u64::from(gen) << 1;
-        let _ = self.cell(idx).compare_exchange(
+        let disarmed = self.cell(idx).compare_exchange(
             armed,
             armed | 1,
             AtomicOrdering::Relaxed,
             AtomicOrdering::Relaxed,
         );
+        if disarmed.is_ok() {
+            self.dead.fetch_add(1, AtomicOrdering::Relaxed);
+        }
     }
 
     /// Whether the event holding `idx` has been cancelled.
@@ -191,7 +218,11 @@ impl TimerCells {
         let word = cell.load(AtomicOrdering::Relaxed);
         let gen = (word >> 1) as u32;
         cell.store(u64::from(gen.wrapping_add(1)) << 1, AtomicOrdering::Relaxed);
-        word & 1 == 1
+        let cancelled = word & 1 == 1;
+        if cancelled {
+            self.dead.fetch_sub(1, AtomicOrdering::Relaxed);
+        }
+        cancelled
     }
 }
 
@@ -259,6 +290,10 @@ impl<W> EventSlab<W> {
             .expect("a queued event owns its slot")
     }
 }
+
+/// Disarmed timers a [`Scheduler`] leaves queued however few entries are
+/// live, so that a near-empty queue is not swept for every handful.
+const SWEEP_FLOOR: usize = 64;
 
 /// `Baton::report`: the process parked and can be resumed again.
 const REPORT_PARKED: u32 = 0;
@@ -467,6 +502,9 @@ pub struct Scheduler<W> {
     /// Timer cells handed out so far: the next index when `spare_cells` is
     /// empty.
     cells_made: u32,
+    /// The (cell, slot) pairs a sweep has taken out of the queues and not
+    /// yet retired; empty between sweeps.
+    swept: Vec<(u32, u32)>,
     /// The simulation this is the queue of, for a spawned process's `Ctx`.
     sim: Weak<SimInner<W>>,
 }
@@ -559,10 +597,59 @@ impl<W: Send + 'static> Scheduler<W> {
         self.timers.retire(cell)
     }
 
+    /// Let go of a disarmed timer that has left the queue: its cell, then
+    /// its closure, which is dropped unrun.
+    fn discard(&mut self, cell: u32, slot: u32) {
+        self.retire(cell);
+        drop(self.events.take(slot));
+    }
+
+    /// Take every disarmed timer out of the heap and the lane in one pass,
+    /// once they outnumber the entries that will still fire: a protocol that
+    /// arms a long timeout per message and cancels it early (an ack timer)
+    /// would otherwise size the heap, the closure slab and the timer cells
+    /// for every timer armed within one timeout instead of for the work
+    /// outstanding. A sweep costs a pass over at most twice the entries it
+    /// removes, so a constant per cancelled timer, and it removes all of them
+    /// — the lane's too, or those would trigger the next sweep on their own.
+    /// `(time, seq)` keys are unique, so what is left pops in the same order.
+    fn sweep_cancelled(&mut self) {
+        let dead = self.timers.dead.load(AtomicOrdering::Relaxed);
+        if dead <= SWEEP_FLOOR {
+            return;
+        }
+        let live = (self.queue.len() + self.lane.len()).saturating_sub(dead);
+        if dead < live {
+            return;
+        }
+        let Scheduler {
+            queue,
+            lane,
+            timers,
+            swept,
+            ..
+        } = self;
+        // The closures are dropped below, outside `retain`: a capture's
+        // destructor is foreign code, and may not run over a half-kept heap.
+        let mut keep = |act: &Queued| match *act {
+            Queued::Cancellable(cell, slot) if timers.is_cancelled(cell) => {
+                swept.push((cell, slot));
+                false
+            }
+            _ => true,
+        };
+        queue.retain(|e| keep(&e.act));
+        lane.retain(|(_, act)| keep(act));
+        while let Some((cell, slot)) = self.swept.pop() {
+            self.discard(cell, slot);
+        }
+    }
+
     /// Discard disarmed timers at the head of the heap before their
     /// timestamps are ever consulted: a cancelled event must neither advance
     /// the clock nor keep the simulation from going idle.
     fn pop_cancelled_heads(&mut self) {
+        self.sweep_cancelled();
         while let Some(&QEntry {
             act: Queued::Cancellable(cell, slot),
             ..
@@ -572,8 +659,7 @@ impl<W: Send + 'static> Scheduler<W> {
                 break;
             }
             self.queue.pop();
-            self.retire(cell);
-            drop(self.events.take(slot));
+            self.discard(cell, slot);
         }
     }
 
@@ -769,6 +855,7 @@ impl<W: Send + 'static> Simulation<W> {
                 timers: Arc::new(TimerCells::new()),
                 spare_cells: Vec::new(),
                 cells_made: 0,
+                swept: Vec::new(),
                 sim: Weak::clone(me),
             }),
             world: Mutex::new(world),
@@ -845,6 +932,10 @@ impl<W: Send + 'static> Simulation<W> {
         // Held across event callbacks, which schedule through it; let go of
         // around every process resume, which takes it from the inside.
         let mut sched = inner.sched.lock();
+        // Likewise the world, taken (after `sched`) for the first event
+        // callback since the last resume: a run of events shares one
+        // acquisition, and a run of resumes makes none.
+        let mut world = None;
         loop {
             sched.pop_cancelled_heads();
             // Does the same-instant lane or the heap fire next? Lane entries
@@ -891,12 +982,14 @@ impl<W: Send + 'static> Simulation<W> {
                     f
                 }
                 Queued::Wake(pid, token) => {
+                    drop(world.take());
                     sched = self.resume(sched, pid, token);
                     continue;
                 }
             };
             sched.dispatched += 1;
-            f.call(&mut inner.world.lock(), &mut sched);
+            let world = world.get_or_insert_with(|| inner.world.lock());
+            f.call(world, &mut sched);
         }
     }
 
@@ -978,6 +1071,22 @@ impl<W: Send + 'static> Simulation<W> {
             return Some(sched.now);
         }
         sched.queue.peek().map(|e| e.t)
+    }
+
+    /// Move the clock of an idle simulation forward to `t` (never back).
+    /// With nothing queued no activity can tell when the clock moved, and
+    /// the next one scheduled counts its delay from `t`. The sharded engine
+    /// ends a run with this, so that all its shards start the next together.
+    pub(crate) fn rest_until(&mut self, t: SimTime) {
+        let mut sched = self.inner.sched.lock();
+        assert!(
+            sched.queue.is_empty() && sched.lane.is_empty(),
+            "only an idle simulation's clock may be moved"
+        );
+        sched.now = sched.now.max(t);
+        self.inner
+            .now_ns
+            .store(sched.now.as_ns(), AtomicOrdering::Release);
     }
 
     /// Total activities executed so far (event callbacks run plus process
@@ -1336,6 +1445,81 @@ mod tests {
             assert!(cells.into_iter().eq(again));
             assert_eq!(s.cells_made, n);
         });
+    }
+
+    /// What the queue holds, as an event callback sees it: heap entries,
+    /// lane entries, cancelled timers still queued.
+    fn queued<W>(s: &Scheduler<W>) -> (usize, usize, usize) {
+        let dead = s.timers.dead.load(AtomicOrdering::Relaxed);
+        (s.queue.len(), s.lane.len(), dead)
+    }
+
+    #[test]
+    fn cancelled_timers_are_swept_once_they_outnumber_the_live_past_the_floor() {
+        #[derive(Default)]
+        struct World {
+            timers: Vec<TimerHandle>,
+            seen: Vec<(usize, usize, usize)>,
+            fired: usize,
+        }
+        let mut sim = Simulation::new(World::default());
+        sim.setup(|w, s| {
+            w.timers = (0..300)
+                .map(|_| {
+                    s.schedule_cancellable_in(SimDuration::from_us(50), |w: &mut World, _| {
+                        w.fired += 1
+                    })
+                })
+                .collect();
+            // Each step sees what the cancellations of the one before left
+            // queued (the steps still to come included), then cancels more.
+            for (step, upto) in [SWEEP_FLOOR, 150, 152, 152].into_iter().enumerate() {
+                let at = SimDuration::from_us(1 + step as u64);
+                s.schedule_in(at, move |w: &mut World, s| {
+                    w.seen.push(queued(s));
+                    w.timers[..upto].iter().for_each(TimerHandle::cancel);
+                });
+            }
+        });
+        sim.run_to_idle();
+        let w = sim.world();
+        // At the floor: left alone. 150 dead of 302: left alone. 152 dead of
+        // 301: all out, and the tally with them.
+        assert_eq!(
+            w.seen,
+            [(303, 0, 0), (302, 0, 64), (301, 0, 150), (148, 0, 0)]
+        );
+        assert_eq!(w.fired, 148);
+        let sched = sim.inner.sched.lock();
+        assert_eq!(queued(&sched), (0, 0, 0));
+        assert_eq!((sched.spare_cells.len(), sched.cells_made), (300, 300));
+        assert_eq!(sched.events.free.len(), sched.events.slots.len());
+    }
+
+    #[test]
+    fn a_sweep_takes_cancelled_same_instant_timers_too_and_keeps_the_lane_in_order() {
+        let mut sim = Simulation::new(TestWorld::default());
+        sim.schedule_in(SimDuration::from_us(1), |_: &mut TestWorld, s| {
+            for i in 0..100 {
+                s.schedule_cancellable_in(SimDuration::ZERO, |w: &mut TestWorld, s| {
+                    w.log(s.now(), "cancelled")
+                })
+                .cancel();
+                if i % 40 == 0 {
+                    s.schedule_in(SimDuration::ZERO, move |w: &mut TestWorld, s| {
+                        // Left in the lane they would bring on a sweep at
+                        // every event, or sit out their turn one by one.
+                        assert_eq!(queued(s), (0, 2 - i / 40, 0));
+                        w.log(s.now(), format!("lane {i}"));
+                    });
+                }
+            }
+            assert_eq!(queued(s), (0, 103, 100));
+        });
+        let report = sim.run_to_idle();
+        assert_eq!(report.now, SimTime::from_ns(1_000));
+        let lane = |i| (1_000, format!("lane {i}"));
+        assert_eq!(sim.world().log, [lane(0), lane(40), lane(80)]);
     }
 
     #[test]

@@ -69,6 +69,15 @@ impl NetConfig {
     pub fn link_latency_ns(&self, wire_bytes: u32) -> u64 {
         self.serialize_ns(wire_bytes) + self.hop_latency_ns
     }
+
+    /// Per-link latency (ns) of a header-only frame — the unit that converts
+    /// [`crate::Topology::cluster_link_counts`] into the sharded engine's
+    /// per-pair lookahead matrix (no frame is smaller, so `links × this`
+    /// lower-bounds the fabric latency of any frame on a path of `links`
+    /// links).
+    pub fn header_link_latency_ns(&self) -> u64 {
+        self.link_latency_ns(crate::frame::HEADER_BYTES)
+    }
 }
 
 impl Default for NetConfig {

@@ -1061,12 +1061,9 @@ impl Fabric {
             .map(|links| links as u64 * self.header_link_latency_ns())
     }
 
-    /// Per-link latency (ns) of a header-only frame — the unit that converts
-    /// [`Topology::cluster_link_counts`] into the sharded engine's per-pair
-    /// lookahead matrix (no frame is smaller, so `links × this` lower-bounds
-    /// the fabric latency of any frame on a path of `links` links).
+    /// [`NetConfig::header_link_latency_ns`] of this fabric's configuration.
     pub fn header_link_latency_ns(&self) -> u64 {
-        self.cfg.link_latency_ns(crate::frame::HEADER_BYTES)
+        self.cfg.header_link_latency_ns()
     }
 
     /// Register collective group `group`: frames of `kind` whose `seq`

@@ -4,7 +4,8 @@
 //! cancel flag, which is a recycled cell) and that a capture is dropped
 //! exactly once however its event ends — run, cancelled, abandoned in a
 //! dropped simulation, or unwound. Also what a `TimerHandle` may do to a
-//! timer that is not its own: nothing.
+//! timer that is not its own: nothing; and what cancelled timers may do to
+//! the size of the queue they wait in: at most double it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,10 +19,10 @@ mod alloc_meter;
 const N: u64 = 100_000;
 
 /// Allocations that queue growth may cost while `N` events are outstanding:
-/// five doubling buffers (heap, closure slab, slab free list, timer cells,
-/// timer-cell free list) of at most `log2(N) + 1` steps each, and two in
-/// five again for slack.
-const GROWTH: u64 = 7 * (N.ilog2() as u64 + 1);
+/// six doubling buffers (heap, closure slab, slab free list, timer cells,
+/// timer-cell free list, sweep scratch) of at most `log2(N) + 1` steps each,
+/// and two more for slack.
+const GROWTH: u64 = 8 * (N.ilog2() as u64 + 1);
 
 /// Counts how many times it has been dropped.
 struct DropCount(Arc<AtomicUsize>);
@@ -105,6 +106,94 @@ fn arm_cancel_cycles_keep_the_timer_table_at_its_high_water_size() {
     assert_eq!(*sim.world(), 0, "no cancelled timer may fire");
     assert_eq!(calls, 0, "{N} arm/cancel cycles made {calls} allocations");
     assert_eq!(alloc_meter::live_bytes(), live);
+}
+
+/// What stop-and-wait channels do to the queue: every message arms a 20 ms
+/// timeout and cancels it when the ack comes, 1.5 ms later, so thirteen
+/// disarmed timers sit behind each live one. A message goes out every 7.5 us
+/// here, which keeps 200 timers live and would keep 2,467 dead ones queued
+/// until they came up. The queue must be sized by the live ones: the memory
+/// it ends up holding is bounded by twice what is live, it stops allocating
+/// once that is reached (the sweeps that keep it there included), and the
+/// run is the one that never armed a timer.
+#[test]
+fn dead_timers_do_not_size_the_queue() {
+    use std::collections::VecDeque;
+
+    use desim::{Scheduler, SimTime, TimerHandle};
+
+    const TICK_NS: u64 = 7_500;
+    /// Messages whose ack is outstanding: 1.5 ms of them.
+    const UNACKED: usize = 200;
+    /// Bytes a queued entry may hold in all buffers together: 32 in the
+    /// heap, a closure slot of under 100, a free-list word, and for a timer
+    /// its cell, a spare-cell word and a sweep word.
+    const ENTRY_BYTES: i64 = 160;
+
+    struct Acks {
+        armed: bool,
+        unacked: VecDeque<TimerHandle>,
+        sent: u64,
+        timeouts: u64,
+    }
+
+    /// Send one message, take the ack of the one sent 1.5 ms ago.
+    fn tick(w: &mut Acks, s: &mut Scheduler<Acks>) {
+        if w.armed {
+            if w.unacked.len() == UNACKED {
+                w.unacked.pop_front().expect("full").cancel();
+            }
+            w.unacked.push_back(
+                s.schedule_cancellable_in(SimDuration::from_us(20_000), |w: &mut Acks, _| {
+                    w.timeouts += 1
+                }),
+            );
+        }
+        w.sent += 1;
+        if w.sent < N {
+            s.schedule_in(SimDuration::from_ns(TICK_NS), tick);
+        } else {
+            w.unacked.drain(..).for_each(|timeout| timeout.cancel());
+        }
+    }
+
+    // (bytes held at the end, allocations in steady state, end state).
+    let run = |armed: bool| {
+        let before = alloc_meter::live_bytes();
+        let mut sim = Simulation::new(Acks {
+            armed,
+            unacked: VecDeque::with_capacity(UNACKED),
+            sent: 0,
+            timeouts: 0,
+        });
+        sim.setup(tick);
+        // Three timeouts in, a queue that kept its dead timers until they
+        // came up has long held all it ever will.
+        sim.run_until(SimTime::from_ns(60_000_000));
+        // Steady state lasts until the last message, 750 ms in; there the
+        // free lists grow to take every slot and cell back.
+        let (_, calls) = alloc_meter::measure(|| sim.run_until(SimTime::from_ns(700_000_000)));
+        let report = sim.run_to_idle();
+        let held = alloc_meter::live_bytes() - before;
+        let w = sim.world();
+        let end = (report.now, sim.events_dispatched(), w.sent, w.timeouts);
+        (held, calls, end)
+    };
+    let (held, calls, end) = run(true);
+    let (_, plain_calls, plain_end) = run(false);
+
+    assert_eq!((end.2, end.3), (N, 0), "no cancelled timer may fire");
+    assert_eq!(end, plain_end, "the timers left a trace in the run");
+    assert_eq!((calls, plain_calls), (0, 0), "allocations in steady state");
+    // The outstanding timers and the next tick are live; the queue may hold
+    // as many dead again plus the sweep's floor, and a doubling buffer twice
+    // that.
+    let live = UNACKED as i64 + 1;
+    let bound = 2 * (2 * live + 64) * ENTRY_BYTES;
+    assert!(
+        held <= bound,
+        "{held} bytes held for {live} live entries; twice-live sizing explains {bound}"
+    );
 }
 
 /// ABA: a handle kept past its event names a cell that the next timer has

@@ -205,26 +205,54 @@ fn merged_trace_feeds_the_tools_unchanged() {
 
 /// `merged_trace` takes the log, not the recorder: a second round of work on
 /// the same machine is traced too, and a machine built with tracing off
-/// stays off.
+/// stays off. Both rounds cross every shard boundary, and the first leaves
+/// the shards resting at different times: the second must still find no
+/// frame due at a shard before that shard's own clock, whatever the workers.
 #[test]
 fn merged_trace_can_be_taken_twice() {
-    let round = |v: &mut VorxShardedSim| {
-        v.spawn_at(NodeAddr(0), "n0:burst", |ctx: VCtx| {
-            api::user_compute(&ctx, NodeAddr(0), SimDuration::from_us(100));
-        });
-        v.run_all();
-        v.merged_trace()
+    let two_rounds = |workers: usize, trace: bool| {
+        let topo = Topology::incomplete_hypercube(4, 2).unwrap();
+        let pairs = cross_pairs(&topo, 1);
+        let mut v = VorxBuilder::with_topology(topo)
+            .trace(trace)
+            .build_sharded(workers);
+        let mut round = |k: usize| {
+            for (i, &(wn, rn)) in pairs.iter().enumerate() {
+                // Writer `i` of round 0 starts `i` x 40 us late, so that the
+                // shards come to rest far apart; round 1 sends at once.
+                let (name, late) = (format!("round{k}-p{i}"), ((1 - k) * i) as u64 * 40);
+                let rname = name.clone();
+                v.spawn_at(wn, format!("n{}:w{i}", wn.0), move |ctx: VCtx| {
+                    api::user_compute(&ctx, wn, SimDuration::from_us(late));
+                    let ch = channel::open(&ctx, wn, &name);
+                    ch.write(&ctx, Payload::Synthetic(64)).unwrap();
+                    ch.write(&ctx, Payload::Synthetic(264)).unwrap();
+                });
+                v.spawn_at(rn, format!("n{}:r{i}", rn.0), move |ctx: VCtx| {
+                    let ch = channel::open(&ctx, rn, &rname);
+                    ch.read(&ctx).unwrap();
+                    ch.read(&ctx).unwrap();
+                });
+            }
+            v.run_all();
+            v.merged_trace()
+        };
+        let traces = [round(0), round(1)];
+        assert!(v.stats().msgs_bridged > 0, "round 1 must cross shards");
+        assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
+        (v, traces)
     };
-    let mut v = VorxBuilder::hypercube(2, 2).trace(true).build_sharded(1);
-    let first = round(&mut v);
-    let second = round(&mut v);
+    let (v, [first, second]) = two_rounds(1, true);
     assert!(!first.is_empty() && !second.is_empty());
     let first_end = first.iter().last().unwrap().0;
     assert!(second.iter().next().unwrap().0 >= first_end);
     assert!((0..v.n_shards()).all(|k| v.world(k).trace.is_enabled()));
+    let (_, [first4, second4]) = two_rounds(4, true);
+    assert_eq!(first.to_json(), first4.to_json(), "round 0, workers=4");
+    assert_eq!(second.to_json(), second4.to_json(), "round 1, workers=4");
 
-    let mut off = VorxBuilder::hypercube(2, 2).trace(false).build_sharded(1);
-    assert!(round(&mut off).is_empty());
+    let (off, traces) = two_rounds(1, false);
+    assert!(traces.iter().all(|t| t.is_empty()));
     assert!((0..off.n_shards()).all(|k| !off.world(k).trace.is_enabled()));
 }
 

@@ -430,14 +430,8 @@ fn two_run_world(workers: usize) -> (String, u64, Vec<(ThreadId, ThreadId)>) {
     let reports = v.run();
     let parked: usize = reports.iter().map(|r| r.parked.len()).sum();
     assert_eq!(parked, pairs.len(), "every reader parks in its open");
-    // Shard clocks rest wherever each shard's last event left them; the
-    // second run's traffic starts after the latest, so that no frame is due
-    // at a shard before that shard's own clock.
-    let latest = reports.iter().map(|r| r.now.as_ns()).max().unwrap();
-    let restart_ns = latest + 1_000_000;
     for (i, &(writer, _)) in pairs.iter().enumerate() {
         v.spawn_at(writer, format!("n{}:w{i}", writer.0), move |ctx| {
-            ctx.sleep(SimDuration::from_ns(restart_ns - ctx.now().as_ns()));
             let ch = channel::open(&ctx, writer, &format!("p{i}"));
             for m in 0..MSGS {
                 ch.write(&ctx, Payload::Synthetic(64 + 100 * m as u32))

@@ -9,7 +9,8 @@
 //!   enqueued) under every recovery strategy;
 //! * simulated time never decreases and runs are deterministic;
 //! * the event queue fires in `(time, issue order)`, whatever the action and
-//!   wherever it was issued from (`queue_model`).
+//!   wherever it was issued from, sweeps of cancelled timers or none
+//!   (`queue_model`).
 
 use proptest::prelude::*;
 
@@ -403,6 +404,37 @@ proptest! {
         deadline_ns in 0u64..8,
     ) {
         let prog: queue_model::Program = blocks.into();
+        let expect = queue_model::reference(&prog);
+        prop_assert_eq!(&queue_model::run(&prog, None), &expect);
+        prop_assert_eq!(&queue_model::run(&prog, Some(deadline_ns)), &expect);
+    }
+
+    /// The same with enough cancelled timers queued that the queue sweeps
+    /// them out in mid-run: 200 or more timers armed in setup, and two mass
+    /// cancellations — one from the first event to fire, one from whichever
+    /// timer was armed first, if it lives to fire — that between them disarm
+    /// most. What is left, and what its blocks go on to issue, still fires in
+    /// the model's order.
+    #[test]
+    fn sweeping_cancelled_timers_keeps_the_order(
+        delays in proptest::collection::vec(1u64..48, 200..260),
+        picks in proptest::collection::vec(0usize..1000, 200..400),
+        blocks in proptest::collection::vec(
+            proptest::collection::vec((0u8..6, 0u64..3, 0usize..8), 0..6),
+            0..32,
+        ),
+        deadline_ns in 0u64..48,
+    ) {
+        use queue_model::{CANCEL, SCHEDULE, TIMER};
+        // Ids are drawn in issue order: the `SCHEDULE` is id 1 and runs block
+        // 1, the first timer is id 2 and runs block 2.
+        let mut setup = vec![(SCHEDULE, 1, 0)];
+        setup.extend(delays.iter().map(|&d| (TIMER, d, 0)));
+        let (early, late) = picks.split_at(picks.len() / 2);
+        let cancel = |picks: &[usize]| picks.iter().map(|&p| (CANCEL, 0, p)).collect();
+        let mut prog = vec![setup, cancel(early), cancel(late)];
+        prog.extend(blocks);
+        let prog: queue_model::Program = prog.into();
         let expect = queue_model::reference(&prog);
         prop_assert_eq!(&queue_model::run(&prog, None), &expect);
         prop_assert_eq!(&queue_model::run(&prog, Some(deadline_ns)), &expect);
