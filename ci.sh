@@ -128,7 +128,7 @@ if grep -rn 'fn to_json\|"cells"\|BENCH_' crates/bench/src --include='*.rs' |
     exit 1
 fi
 
-echo "==> campaign smoke (all nine campaigns — the paper's own numbers first —, every cell not marked heavy, under the watchdog: named oracles, workers {1,4} trace equality, cross-cell gates, each cell's simulated record compared with the committed BENCH_<name>.json, and every committed cell still a row of its table)"
+echo "==> campaign smoke (all ten campaigns — the paper's own numbers first, then every engine kernel run once —, every cell not marked heavy, under the watchdog: named oracles, workers {1,4} trace equality, cross-cell gates, each cell's simulated record compared with the committed BENCH_<name>.json, and every committed cell still a row of its table)"
 cargo run --release -p vorx-bench --bin campaign -- --smoke
 
 echo "==> benchmark self-check (read-only: 1/20-size rep of all six workloads against the public surface benchmark/ calls)"

@@ -11,11 +11,12 @@
 
 use vorx_bench::campaign::{drive, Campaign};
 use vorx_bench::campaigns::{
-    collective, datapath, faults, gray, paper, partition, pdes, scale, soak,
+    collective, datapath, engine, faults, gray, paper, partition, pdes, scale, soak,
 };
 
-const CAMPAIGNS: [&Campaign; 9] = [
+const CAMPAIGNS: [&Campaign; 10] = [
     &paper::CAMPAIGN,
+    &engine::CAMPAIGN,
     &faults::CAMPAIGN,
     &partition::CAMPAIGN,
     &datapath::CAMPAIGN,

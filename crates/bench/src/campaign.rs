@@ -13,6 +13,9 @@
 //!   equality, gates evaluated, and under `--smoke` the fresh `sim` of each
 //!   cell compared field for field with the committed report, whose every
 //!   cell must in turn still be a row of the table;
+//! * host time: [`sample`] (a warm-up call, then one timed call per sample,
+//!   any setup outside the timed region) and [`summary`] (min, upper
+//!   median, mean), which every `wall-clock` cell reports through;
 //! * what the cells share: [`Totals`] (every fault, fabric and link counter
 //!   of a world or summed over shards), [`streams`] (paced writer/reader
 //!   pairs whose reader is the online exactly-once FIFO oracle), [`cable`],
@@ -391,8 +394,7 @@ fn tool_line(cmd: &str, args: &[&str]) -> String {
 }
 
 /// An empty report for `campaign`: the schema's head, stamped with the host
-/// it was taken on. Cells and gates are appended by [`drive`] (or by
-/// `engine_report`, whose cells are host-only).
+/// it was taken on. Cells and gates are appended by [`drive`].
 pub fn new_report(campaign: &str, note: &str, workload: Record) -> Record {
     let host = Record::new()
         .with("host_cpus", desim::affinity::effective_parallelism())
@@ -702,6 +704,37 @@ pub fn drive(c: &Campaign, smoke: bool) -> Vec<String> {
         t0.elapsed().as_secs_f64(),
     );
     failures
+}
+
+/// `n` host-time samples of `routine`, ns, after one warm-up call that is not
+/// counted. Each sample times one call on a fresh input from `setup`, which
+/// runs outside the timed region; what the routine returns is dropped inside
+/// it, as the input it consumed is.
+pub fn sample<I, O>(
+    n: usize,
+    mut setup: impl FnMut() -> I,
+    mut routine: impl FnMut(I) -> O,
+) -> Vec<u64> {
+    std::hint::black_box(routine(setup()));
+    let timed = |_| {
+        let input = setup();
+        let t0 = Instant::now();
+        std::hint::black_box(routine(input));
+        t0.elapsed().as_nanos() as u64
+    };
+    (0..n).map(timed).collect()
+}
+
+/// Host-time samples summarised, ns: the least, the upper median
+/// (`sorted[n / 2]`) and the mean. Panics on no samples.
+pub fn summary(samples_ns: &[u64]) -> Record {
+    let mut s = samples_ns.to_vec();
+    s.sort_unstable();
+    let mean = s.iter().sum::<u64>() as f64 / s.len() as f64;
+    Record::new()
+        .with("min_ns", s[0])
+        .with("median_ns", s[s.len() / 2])
+        .with("mean_ns", mean)
 }
 
 /// Run `f` with a wall-clock watchdog: if it has not returned after `secs`,

@@ -30,7 +30,8 @@
 //! determinism, and that the sequential engine's hop-by-hop fabric costs at
 //! most 3× the bridged path on one worker — no parallelism in either).
 //!
-//! Per wall-clock cell and worker count: the repeats and their median,
+//! Per wall-clock cell and worker count: the repeats and their min, upper
+//! median and mean (`campaign::summary`),
 //! round and frontier-bump counters (engine scheduling, so host-side: above
 //! one worker they vary with thread timing) and per-worker stall histograms
 //! (idle-spin vs yielded wall time); simulated: bridged messages and
@@ -41,10 +42,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use desim::{affinity, PdesMonitor};
-use vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
+use vorx::hpcnet::{NetConfig, NodeAddr, Payload, Topology};
 use vorx::{channel, invariants, VCtx, VorxBuilder};
 
-use crate::campaign::{find, Campaign, Cell, Gate, Record, Run, Totals};
+use crate::campaign::{find, summary, Campaign, Cell, Gate, Record, Run, Totals};
 
 /// Messages per channel.
 const MSGS: u32 = 20;
@@ -132,7 +133,7 @@ fn median_70(cells: &[Record], engine: &str, w: &str) -> Option<f64> {
         ("measure", "wall-clock".into()),
     ];
     let cell = find(cells, &key)?;
-    Some(cell.rec("host").rec(w).f64("median_wall_ns"))
+    Some(cell.rec("host").rec(w).f64("median_ns"))
 }
 
 fn cells() -> Vec<Cell> {
@@ -287,8 +288,6 @@ fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
         .map(|_| pass(&topo, workers, !timed, pin))
         .collect();
     let walls: Vec<u64> = passes.iter().map(|p| p.0).collect();
-    let mut sorted = walls.clone();
-    sorted.sort_unstable();
     // Engine counters and stall accounting are host-timing noise above one
     // worker; keep the last repeat's.
     let (_, mut run) = passes.pop().expect("at least one pass");
@@ -300,14 +299,38 @@ fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
     }
     let host = Record::new()
         .with("pinned", pin)
-        .with("median_wall_ns", sorted[repeats / 2])
+        .and(summary(&walls))
         .with("wall_ns", walls);
-    // Minimum per-pair lookahead of the config (ns) — the per-link matrix
-    // entries vary by cluster distance; this is their floor.
-    let lookahead = Fabric::new(topo, NetConfig::paper_1988()).lookahead_ns();
+    let lookahead = min_lookahead_ns(&topo).unwrap_or(0);
     Run {
-        sim: run.sim.with("min_lookahead_ns", lookahead.unwrap_or(0)),
+        sim: run.sim.with("min_lookahead_ns", lookahead),
         host: host.and(run.host),
         ..run
+    }
+}
+
+/// The floor of the config's per-pair lookahead matrix, ns, by
+/// `VorxBuilder::build_sharded`'s formula: the fewest links any
+/// cross-cluster frame crosses, each at least a header-only frame's latency.
+/// `None` for one cluster, where nothing crosses a shard boundary.
+fn min_lookahead_ns(topo: &Topology) -> Option<u64> {
+    let unit_ns = NetConfig::paper_1988().header_link_latency_ns();
+    topo.min_cross_cluster_links()
+        .map(|links| links as u64 * unit_ns)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lookahead_matches_min_cross_cluster_path() {
+        // Hypercube: adjacent clusters one hop apart, plus the two endpoint
+        // links; a header-only frame pays 36 * 50 + 500 ns per link.
+        let cube = Topology::incomplete_hypercube(10, 7).unwrap();
+        assert_eq!(min_lookahead_ns(&cube), Some(3 * (36 * 50 + 500)));
+        // Single cluster: nothing ever crosses a shard boundary.
+        let one = Topology::single_cluster(4).unwrap();
+        assert_eq!(min_lookahead_ns(&one), None);
     }
 }

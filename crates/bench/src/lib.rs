@@ -3,11 +3,12 @@
 //!
 //! Every committed `BENCH_<name>.json` is a campaign: a cell table, the run
 //! of one cell, its oracles and gates (`campaigns/<name>.rs`) over the one
-//! harness ([`campaign`]). The paper's own tables, figure and in-text
-//! measurements are the ninth, [`campaigns::paper`]; the two cell runners of
-//! Tables 1 and 2 are re-exported here for the criterion benches and the
-//! property tests. See `DESIGN.md` §4 (per-experiment index) and
-//! `EXPERIMENTS.md` (the report as a table) at the repository root.
+//! harness ([`campaign`]), host speed included. The paper's own tables,
+//! figure and in-text measurements are [`campaigns::paper`]; the engine's
+//! kernels, simulated and timed, are [`campaigns::engine`]. The two cell
+//! runners of Tables 1 and 2 are re-exported here for the property tests.
+//! See `DESIGN.md` §4 (per-experiment index) and `EXPERIMENTS.md` (the
+//! report as a table) at the repository root.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

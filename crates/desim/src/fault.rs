@@ -97,17 +97,6 @@ pub enum Disposition {
     Delay(u64),
 }
 
-/// Counters of what the plane actually injected.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Messages dropped.
-    pub dropped: u64,
-    /// Messages corrupted.
-    pub corrupted: u64,
-    /// Messages delayed.
-    pub delayed: u64,
-}
-
 /// Per-link injection counters, keyed by link id in
 /// [`FaultSchedule::link_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -240,8 +229,6 @@ pub struct FaultSchedule {
     gray_seed: u64,
     /// Per-link injection counters (ordered so summaries are deterministic).
     link_stats: BTreeMap<u32, LinkStats>,
-    /// What was injected so far.
-    pub stats: FaultStats,
 }
 
 impl FaultSchedule {
@@ -260,7 +247,6 @@ impl FaultSchedule {
             lat_windows: Vec::new(),
             gray_seed: seed,
             link_stats: BTreeMap::new(),
-            stats: FaultStats::default(),
         }
     }
 
@@ -538,7 +524,6 @@ impl FaultSchedule {
         let ordinal = *n;
         if let Some(script) = self.scripted_drops.get(&link) {
             if script.contains(&ordinal) {
-                self.stats.dropped += 1;
                 self.link_stats.entry(link).or_default().dropped += 1;
                 return Disposition::Drop;
             }
@@ -549,17 +534,14 @@ impl FaultSchedule {
         }
         let f = *f;
         if f.drop > 0.0 && self.rng.random_bool(f.drop) {
-            self.stats.dropped += 1;
             self.link_stats.entry(link).or_default().dropped += 1;
             return Disposition::Drop;
         }
         if f.corrupt > 0.0 && self.rng.random_bool(f.corrupt) {
-            self.stats.corrupted += 1;
             self.link_stats.entry(link).or_default().corrupted += 1;
             return Disposition::Corrupt;
         }
         if f.delay > 0.0 && self.rng.random_bool(f.delay) {
-            self.stats.delayed += 1;
             self.link_stats.entry(link).or_default().delayed += 1;
             return Disposition::Delay(f.delay_ns);
         }
@@ -571,6 +553,11 @@ impl FaultSchedule {
 mod tests {
     use super::*;
 
+    /// Messages the plane dropped, summed over its links.
+    fn dropped(f: &FaultSchedule) -> u64 {
+        f.link_stats().values().map(|s| s.dropped).sum()
+    }
+
     #[test]
     fn same_seed_same_dispositions() {
         let mk = || FaultSchedule::new(42).all_links(LinkFaults::loss(0.3));
@@ -580,8 +567,8 @@ mod tests {
                 assert_eq!(a.disposition(link), b.disposition(link));
             }
         }
-        assert_eq!(a.stats, b.stats);
-        assert!(a.stats.dropped > 0, "30% loss must fire in 800 draws");
+        assert_eq!(a.link_stats(), b.link_stats());
+        assert!(dropped(&a) > 0, "30% loss must fire in 800 draws");
     }
 
     #[test]
@@ -593,7 +580,7 @@ mod tests {
         assert_eq!(f.disposition(5), Disposition::Deliver);
         // Other links are untouched.
         assert_eq!(f.disposition(6), Disposition::Deliver);
-        assert_eq!(f.stats.dropped, 1);
+        assert_eq!(dropped(&f), 1);
     }
 
     #[test]
@@ -665,9 +652,9 @@ mod tests {
             !f.link_stats().contains_key(&6),
             "untouched links have no entry"
         );
-        // Aggregate stats exclude down-drops (those are scripted losses, not
-        // probabilistic dispositions).
-        assert_eq!(f.stats.dropped, 2);
+        // The summed `dropped` excludes down-drops (those are scripted
+        // losses, not dispositions, and counted apart).
+        assert_eq!(dropped(&f), 2);
     }
 
     #[test]
@@ -767,7 +754,7 @@ mod tests {
         f.note_overload_shed(3);
         f.note_overload_shed(3);
         assert_eq!(f.link_stats()[&3].shed, 2);
-        assert_eq!(f.stats.dropped, 0, "sheds are not probabilistic drops");
+        assert_eq!(dropped(&f), 0, "sheds are not probabilistic drops");
     }
 
     #[test]

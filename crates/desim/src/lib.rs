@@ -62,9 +62,7 @@ pub mod spsc;
 pub mod sync;
 pub mod trace;
 
-pub use fault::{
-    Disposition, FaultAction, FaultEvent, FaultSchedule, FaultStats, LinkFaults, LinkStats,
-};
+pub use fault::{Disposition, FaultAction, FaultEvent, FaultSchedule, LinkFaults, LinkStats};
 pub use shard::{OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim, WorkerStall};
 pub use sim::{Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup};
 pub use time::{SimDuration, SimTime};

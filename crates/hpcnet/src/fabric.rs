@@ -1050,22 +1050,6 @@ impl Fabric {
         out.notifies.push(Notify::RxArrived(dst));
     }
 
-    /// Lower bound (ns) on the fabric latency of any frame crossing a
-    /// cluster boundary, over the routing tables currently in force: the
-    /// minimum cross-cluster link count times the per-link latency of a
-    /// header-only frame. `None` for single-cluster topologies. This is the
-    /// sharded engine's lookahead window.
-    pub fn lookahead_ns(&self) -> Option<u64> {
-        self.topo
-            .min_cross_cluster_links()
-            .map(|links| links as u64 * self.header_link_latency_ns())
-    }
-
-    /// [`NetConfig::header_link_latency_ns`] of this fabric's configuration.
-    pub fn header_link_latency_ns(&self) -> u64 {
-        self.cfg.header_link_latency_ns()
-    }
-
     /// Register collective group `group`: frames of `kind` whose `seq`
     /// carries this group id (see [`crate::combine::enc_seq`]) merge inside
     /// the star couplers on their way to `root`. This call is what *arms*
@@ -1329,23 +1313,6 @@ mod tests {
         // 4 * (serialize + hop latency) for (100+36) bytes.
         let per_hop = 136 * 50 + 500;
         assert_eq!(net.delivered[0].0, 4 * per_hop);
-    }
-
-    #[test]
-    fn lookahead_matches_min_cross_cluster_path() {
-        // Hypercube: adjacent clusters one hop apart, plus the two endpoint
-        // links; a header-only frame pays 36 * 50 + 500 ns per link.
-        let f = Fabric::new(
-            Topology::incomplete_hypercube(10, 7).unwrap(),
-            NetConfig::paper_1988(),
-        );
-        assert_eq!(f.lookahead_ns(), Some(3 * (36 * 50 + 500)));
-        // Single cluster: nothing ever crosses a shard boundary.
-        let f1 = Fabric::new(
-            Topology::single_cluster(4).unwrap(),
-            NetConfig::paper_1988(),
-        );
-        assert_eq!(f1.lookahead_ns(), None);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! The campaign harness's record type and smoke comparison
 //! (`vorx_bench::campaign`): what a report file can hold, that it reads back
-//! as written, and what `campaign --smoke` does and does not fail on. Then
+//! as written, what `campaign --smoke` does and does not fail on, and how a
+//! `wall-clock` cell samples and summarises host time. Then
 //! the `paper` campaign's committed report: its published figures are the
 //! constants, its gates hold and can fail, and EXPERIMENTS.md quotes it.
 
+use std::time::Duration;
+
 use vorx_bench::campaign::{
-    cell_report, cells_of, compare_sim, find, parse, read_report, report_text, Record, Value,
-    SCHEMA,
+    cell_report, cells_of, compare_sim, find, parse, read_report, report_text, sample, summary,
+    Record, Value, SCHEMA,
 };
 use vorx_bench::campaigns::paper::{self, TABLE1_BUFS, TABLE1_PAPER, TABLE2_PAPER, TABLE_SIZES};
 
@@ -139,6 +142,50 @@ fn a_damaged_report_is_an_error_not_a_panic() {
     ] {
         assert!(parse(bad).is_err(), "{bad:?} parsed");
     }
+}
+
+// -------------------------------------------------------------- host time
+
+#[test]
+fn summary_is_min_upper_median_and_mean() {
+    let odd = summary(&[50, 10, 30]);
+    assert_eq!(
+        odd.json(),
+        r#"{ "min_ns": 10, "median_ns": 30, "mean_ns": 30.0 }"#
+    );
+    // An even count takes the upper of the two middle samples.
+    let even = summary(&[40, 10, 30, 20]);
+    assert_eq!(
+        even.json(),
+        r#"{ "min_ns": 10, "median_ns": 30, "mean_ns": 25.0 }"#
+    );
+    let one = summary(&[7]);
+    assert_eq!((one.u64("min_ns"), one.u64("median_ns")), (7, 7));
+}
+
+#[test]
+fn sampling_drops_the_warm_up_call_and_times_only_the_routine() {
+    let (mut setups, mut calls) = (0, 0);
+    let samples = sample(
+        5,
+        || {
+            setups += 1;
+            // Untimed: a slow setup must not show in any sample.
+            std::thread::sleep(Duration::from_millis(100));
+        },
+        |()| {
+            calls += 1;
+            // Only the first call, the warm-up, is slow.
+            if calls == 1 {
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        },
+    );
+    assert_eq!((setups, calls, samples.len()), (6, 6, 5));
+    assert!(
+        samples.iter().all(|&ns| ns < 50_000_000),
+        "a sample holds the warm-up or the setup: {samples:?}"
+    );
 }
 
 // ------------------------------------------------------ the paper campaign
