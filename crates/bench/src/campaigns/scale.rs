@@ -18,6 +18,9 @@
 //! worker counts. Per cell it records:
 //!
 //! * events/sec (engine activities dispatched / wall time),
+//! * build cost: `build_s`, the wall time of `build_sharded`, and the links
+//!   whose state the shards' fabrics built, summed over shards (a count,
+//!   so it repeats to the digit),
 //! * bytes/endpoint (per-shard memory accountant total / endpoints, max
 //!   over shards) and the count of endpoints still at the idle baseline,
 //! * route-overlay size: detour entries sampled mid-flap on the shard
@@ -262,6 +265,7 @@ fn run(cfg: &Scale, workers: usize) -> Run {
     let t = topo(cfg);
     let (n, clusters) = (t.n_endpoints() as u32, t.n_clusters());
     let schedule = churn(&t);
+    let built = Instant::now();
     let mut v = VorxBuilder::with_topology(t)
         .seed(SEED)
         .shards(SHARDS)
@@ -274,6 +278,7 @@ fn run(cfg: &Scale, workers: usize) -> Run {
         })
         .faults(schedule)
         .build_sharded(workers);
+    let build_s = built.elapsed().as_secs_f64();
 
     let delivered = Arc::new(AtomicU64::new(0));
     install_generators(&v, n, &delivered);
@@ -330,8 +335,13 @@ fn run(cfg: &Scale, workers: usize) -> Run {
         .with("idle_nodes", idle)
         .with("overlay_mid_flap", overlay_mid)
         .with("overlay_final", overlay_final)
+        .with(
+            "materialized_links",
+            v.sum_over_shards(|w| w.net.materialized_links() as u64),
+        )
         .and(Totals::over_shards(&v).record());
     let host = Record::new()
+        .with("build_s", build_s)
         .with("wall_s", wall_s)
         .with("events_per_sec", events as f64 / wall_s.max(1e-9));
     Run::new(sim, violations).host(host).trace(trace)

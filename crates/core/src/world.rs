@@ -237,7 +237,8 @@ impl<'a> IntoIterator for &'a NodeTable {
 /// Cross-shard bridge state for the sharded engine (DESIGN.md §12).
 ///
 /// In a sharded build every shard owns one cluster's nodes and runs them in
-/// a full copy of the `World`; frames whose destination lives on another
+/// a `World` of its own, whose fabric shares the machine's wiring with every
+/// other shard's (DESIGN.md §12); frames whose destination lives on another
 /// shard never enter the local fabric — the kernel parks them in `outbox`
 /// with a delivery time computed from the fabric's per-link physics, and the
 /// engine drains the outbox after every shard step and routes each frame
@@ -456,12 +457,18 @@ impl WorldCfg {
     /// 0 — and so the sequential build — gets exactly `seed`, 1 and 0, which
     /// is why a single-shard sharded run replays the sequential one
     /// byte-for-byte.
-    fn world(self, topo: Topology, schedule: desim::FaultSchedule, shard: ShardCtx) -> World {
-        let n = topo.n_endpoints();
+    ///
+    /// The kernel's shed classifier is installed on `net`: only
+    /// lowest-priority channel data fragments are eligible for overload
+    /// shedding. With the default unbounded budget the classifier is never
+    /// consulted on the drop path, so fault-free runs are byte-identical.
+    fn world(self, mut net: Fabric, schedule: desim::FaultSchedule, shard: ShardCtx) -> World {
+        net.set_sheddable(|f| crate::proto::is_sheddable_kind(f.kind));
+        let n = net.topology().n_endpoints();
         let k = shard.shard_id as u64;
         World {
             calib: self.calib,
-            net: data_plane_fabric(topo, self.netcfg),
+            net,
             nodes: NodeTable::new(n),
             objmgr_mode: self.objmgr_mode,
             alloc: Allocator::new(self.n_hosts, n),
@@ -595,7 +602,8 @@ impl VorxBuilder {
             .unwrap_or_else(|| desim::FaultSchedule::new(self.cfg.seed));
         let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
         events.sort_by_key(|e| e.at);
-        let world = self.cfg.world(self.topo, schedule, ShardCtx::default());
+        let net = Fabric::new(self.topo, self.cfg.netcfg);
+        let world = self.cfg.world(net, schedule, ShardCtx::default());
         let vs = VorxSim {
             sim: Simulation::new(world),
         };
@@ -604,7 +612,8 @@ impl VorxBuilder {
     }
 
     /// Construct a sharded simulation: one shard per cluster, drained in
-    /// parallel by up to `workers` threads under asynchronous conservative
+    /// parallel by up to `workers` threads (never more than the host's
+    /// CPUs) under asynchronous conservative
     /// synchronization, with per-link lookahead derived from the fabric's
     /// link physics (DESIGN.md §12).
     ///
@@ -678,11 +687,14 @@ impl VorxBuilder {
             .unwrap_or_else(|| desim::FaultSchedule::new(cfg.seed));
         let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
         events.sort_by_key(|e| e.at);
+        // One wiring for the machine: every shard's fabric is a sibling of
+        // this one, sharing its link table and the topology's tables, and
+        // builds state only for the links its own traffic touches.
+        let net = Fabric::new(topo, cfg.netcfg);
         // A fault belongs to the shard that owns what it hits; a link goes
         // with its owning cluster (endpoint links: the endpoint's,
-        // inter-cluster cables: the `from` side's), which any shard's fabric
-        // can name, since each wires the whole topology.
-        let owner = |e: &desim::FaultEvent, net: &Fabric| match e.action {
+        // inter-cluster cables: the `from` side's).
+        let owner = |e: &desim::FaultEvent| match e.action {
             desim::FaultAction::Down(id) | desim::FaultAction::Up(id) => {
                 shard_of_node[id as usize] as usize
             }
@@ -707,12 +719,9 @@ impl VorxBuilder {
                 chan_stride: n_shards as u32,
                 token_stride: n_shards as u64,
             };
-            let world = cfg.world(topo.clone(), schedule.clone(), shard);
-            let mine: Vec<desim::FaultEvent> = events
-                .iter()
-                .copied()
-                .filter(|e| owner(e, &world.net) == k)
-                .collect();
+            let world = cfg.world(net.sibling(), schedule.clone(), shard);
+            let mine: Vec<desim::FaultEvent> =
+                events.iter().copied().filter(|e| owner(e) == k).collect();
             let sim = Simulation::new(world);
             spawn_fault_plane(&sim, mine);
             shards.push(sim);
@@ -722,16 +731,6 @@ impl VorxBuilder {
             shard_of_node,
         }
     }
-}
-
-/// Build the world's fabric with the kernel's shed classifier installed:
-/// only lowest-priority channel data fragments are eligible for overload
-/// shedding. With the default unbounded budget the classifier is never
-/// consulted on the drop path, so fault-free runs are byte-identical.
-fn data_plane_fabric(topo: Topology, cfg: NetConfig) -> Fabric {
-    let mut f = Fabric::new(topo, cfg);
-    f.set_sheddable(|f| crate::proto::is_sheddable_kind(f.kind));
-    f
 }
 
 /// Spawn the fault plane: an ordinary simulated process applying the

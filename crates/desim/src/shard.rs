@@ -289,7 +289,11 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// ≥ 1 ns; `u64::MAX` means "src never sends to dst" and removes the
     /// link from dst's EIT (the engine asserts if such a message appears).
     /// The diagonal bounds self-sends through the outbox the same way.
-    /// Executed by `workers` threads (clamped to `[1, shards.len()]`).
+    /// Executed by `workers` threads, clamped to `[1, shards.len()]` and to
+    /// the CPUs the process may run on
+    /// ([`crate::affinity::effective_parallelism`]): a worker beyond the
+    /// host's CPUs only spins against its peers for a time slice, and the
+    /// worker count is invisible in every simulated result.
     pub fn new(shards: Vec<Simulation<W>>, link_latency_ns: Vec<Vec<u64>>, workers: usize) -> Self {
         assert!(!shards.is_empty(), "a sharded sim needs at least one shard");
         let n = shards.len();
@@ -307,7 +311,9 @@ impl<W: ShardWorld> ShardedSim<W> {
                 i % n
             );
         }
-        let workers = workers.clamp(1, n);
+        let workers = workers
+            .min(crate::affinity::effective_parallelism())
+            .clamp(1, n);
         let shared = Arc::new(Shared {
             frontier: (0..n).map(|_| PaddedU64(AtomicU64::new(0))).collect(),
             sent: (0..n).map(|_| AtomicU64::new(0)).collect(),

@@ -30,9 +30,23 @@
 //! Which transmission starts next is the business of the `arbiter`
 //! submodule: a frame is routed once, when it becomes the head of a queue,
 //! and a worklist of (cluster, port) pairs replaces scanning for work.
+//!
+//! **Wiring and state.** A fabric keeps apart what never changes and what
+//! frames change. The wiring — each link's two ends and buffer cap, and the
+//! link on each side of every cluster port — is built once by
+//! [`Fabric::new`] and held in `Arc`s, so every [`Fabric::sibling`] (one
+//! per shard of a sharded world) refers to it instead of copying it. Each
+//! link's state — busy, down, buffered frames, reservations, head route,
+//! round-robin pointer, statistics, a copy of its cap — and each
+//! endpoint's output register live in one table that builds an entry on the
+//! first write to it; a read of an untouched link sees the idle template. An
+//! untouched link costs one 4-byte slot, so a fabric pays for the part of
+//! the machine its traffic reaches, not for the machine.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::{Index, IndexMut};
+use std::sync::Arc;
 
 use crate::config::{NetConfig, PORTS_PER_CLUSTER};
 use crate::frame::{Dest, Frame, FrameError, NodeAddr};
@@ -68,9 +82,32 @@ const HEAD_NONE: u8 = 0xFD;
 /// A multicast head: its per-target ports are `Fabric::mcast[Link::mc]`.
 const HEAD_MCAST: u8 = 0xFC;
 
-struct Link {
+/// How one directed link is wired: the elements it joins and how many
+/// frames its `to` side buffers (at least one).
+#[derive(Clone, Copy)]
+struct Wire {
     from: Element,
     to: Element,
+    cap: u32,
+}
+
+/// Which link enters (or leaves) each port of each cluster.
+type PortLinks = [[Option<LinkId>; PORTS_PER_CLUSTER]];
+
+/// The endpoint→cluster link of `a` (its transmit side).
+fn up_link(a: NodeAddr) -> LinkId {
+    LinkId(2 * a.0)
+}
+
+/// The cluster→endpoint link of `a` (its receive side).
+fn down_link(a: NodeAddr) -> LinkId {
+    LinkId(2 * a.0 + 1)
+}
+
+/// Everything about one link that changes as frames move.
+struct Link {
+    /// The link this state belongs to.
+    id: LinkId,
     /// Transmitting right now.
     busy: bool,
     /// Down: carries nothing — frames in flight on it when it went down are
@@ -80,21 +117,52 @@ struct Link {
     /// the head: an output port, [`PORT_NONE`], [`HEAD_MCAST`] or
     /// [`HEAD_NONE`]. Stale only when the topology's generation moves.
     head: u8,
+    /// As a cluster output: the input port to ask first (round-robin
+    /// fairness).
+    rr: u8,
     /// Slot in `Fabric::mcast` while `head == HEAD_MCAST`.
     mc: u32,
     /// Frames fully arrived at the `to` side, awaiting forwarding/drain.
     buf: VecDeque<Frame>,
     /// Slots claimed by in-flight frames (reserved at transmission start —
     /// this reservation *is* the hardware flow control).
-    reserved: usize,
-    cap: usize,
+    reserved: u32,
+    /// The wire's cap, copied at the first touch so that a grant reads one
+    /// place.
+    cap: u32,
+    /// Occupancy high-water mark (`buf.len() + reserved`), counter only —
+    /// the cap itself is enforced by [`Link::can_accept`]. Endpoint receive
+    /// links can exceed their cap via [`Fabric::inject_arrival`]
+    /// (documented bridge simplification).
+    depth_hwm: u32,
     /// Total ns this link has spent transmitting (utilization statistics).
     busy_ns: u64,
+    /// An endpoint's up-link only: the frame software wrote to the output
+    /// register, waiting for downstream buffer space.
+    out_reg: Option<Frame>,
 }
 
 impl Link {
+    /// The state every link starts in.
+    fn idle(id: LinkId, cap: u32) -> Self {
+        Link {
+            id,
+            busy: false,
+            down: false,
+            head: HEAD_NONE,
+            rr: 0,
+            mc: 0,
+            buf: VecDeque::new(),
+            reserved: 0,
+            cap,
+            depth_hwm: 0,
+            busy_ns: 0,
+            out_reg: None,
+        }
+    }
+
     fn can_accept(&self) -> bool {
-        self.buf.len() + self.reserved < self.cap
+        self.buf.len() + (self.reserved as usize) < self.cap as usize
     }
 
     /// True iff a transmission may start on this link now: it is up, idle,
@@ -102,15 +170,62 @@ impl Link {
     fn grantable(&self) -> bool {
         !self.down && !self.busy && self.can_accept()
     }
+
+    /// Record the current occupancy into the high-water mark.
+    fn note_depth(&mut self) {
+        self.depth_hwm = self.depth_hwm.max(self.buf.len() as u32 + self.reserved);
+    }
 }
 
-struct EndpointState {
-    /// endpoint -> cluster.
-    up: LinkId,
-    /// cluster -> endpoint.
-    down: LinkId,
-    /// Frame written by software, waiting for downstream buffer space.
-    out_reg: Option<Frame>,
+/// Every link: its wire, shared with the fabric's siblings, and its state,
+/// built on first touch — the `NodeTable` pattern of DESIGN.md §14:
+/// indexing reads the idle template for a link nobody has written, and
+/// mutable indexing creates the link's entry. Entries share one `Vec`, so a
+/// first touch costs an allocation only when that `Vec` grows.
+struct Links {
+    wires: Arc<[Wire]>,
+    /// Per link: its entry's index, 0 (the idle template) while untouched —
+    /// so a new table is zeroed memory and a read never branches.
+    slot: Vec<u32>,
+    /// The idle template, which is never written, then one entry per
+    /// touched link. The template's cap is `u32::MAX`: an untouched link
+    /// holds nothing, so it accepts a frame, as every wire's cap of at least
+    /// one says it should.
+    entries: Vec<Link>,
+}
+
+impl Links {
+    fn new(wires: Arc<[Wire]>) -> Self {
+        Links {
+            slot: vec![0; wires.len()],
+            entries: vec![Link::idle(LinkId(u32::MAX), u32::MAX)],
+            wires,
+        }
+    }
+
+    /// The touched links' entries.
+    fn touched(&self) -> &[Link] {
+        &self.entries[1..]
+    }
+}
+
+impl Index<LinkId> for Links {
+    type Output = Link;
+    fn index(&self, l: LinkId) -> &Link {
+        &self.entries[self.slot[l.0 as usize] as usize]
+    }
+}
+
+impl IndexMut<LinkId> for Links {
+    fn index_mut(&mut self, l: LinkId) -> &mut Link {
+        let slot = &mut self.slot[l.0 as usize];
+        if *slot == 0 {
+            *slot = u32::try_from(self.entries.len()).expect("link ids fit in u32");
+            self.entries
+                .push(Link::idle(l, self.wires[l.0 as usize].cap));
+        }
+        &mut self.entries[*slot as usize]
+    }
 }
 
 /// Internal fabric event; opaque to embedders, who only need to schedule it
@@ -316,16 +431,12 @@ pub struct Work {
 pub struct Fabric {
     cfg: NetConfig,
     topo: Topology,
-    links: Vec<Link>,
-    eps: Vec<EndpointState>,
+    links: Links,
     /// Per-cluster incoming link at each port; port order is the
-    /// (deterministic) arbitration order.
-    port_in: Vec<[Option<LinkId>; PORTS_PER_CLUSTER]>,
-    /// Per-cluster outgoing link for each port.
-    port_out: Vec<[Option<LinkId>; PORTS_PER_CLUSTER]>,
-    /// Round-robin pointer per output link: the input port to ask first
-    /// (fairness).
-    rr: Vec<u8>,
+    /// (deterministic) arbitration order. Shared with the siblings.
+    port_in: Arc<PortLinks>,
+    /// Per-cluster outgoing link for each port. Shared with the siblings.
+    port_out: Arc<PortLinks>,
     /// Per cluster and output port: bit `k` is set iff the head of
     /// `port_in[c][k]` has a target leaving through that port.
     want: Vec<[u16; PORTS_PER_CLUSTER]>,
@@ -358,11 +469,6 @@ pub struct Fabric {
     data_buf_bytes: Vec<u64>,
     /// High-water mark of `data_buf_bytes`, per cluster.
     data_bytes_hwm: Vec<u64>,
-    /// Per-link occupancy high-water mark (`buf.len() + reserved`), counter
-    /// only — the cap itself is enforced by [`Link::can_accept`]. Endpoint
-    /// receive links can exceed their cap via [`Fabric::inject_arrival`]
-    /// (documented bridge simplification).
-    link_depth_hwm: Vec<usize>,
     /// Fast guard: true iff any cluster budget is finite. Keeps byte
     /// accounting and shed checks entirely off the unbounded hot path.
     budgets_active: bool,
@@ -438,53 +544,35 @@ fn frame_cost(f: &Frame) -> u64 {
 
 impl Fabric {
     /// Build a fabric over `topo` with hardware parameters `cfg`.
+    ///
+    /// Endpoint links come first, two per endpoint in address order, so
+    /// endpoint `a`'s up-link is `2a` and its down-link `2a + 1`
+    /// ([`up_link`], [`down_link`]); cluster-to-cluster links follow.
     pub fn new(topo: Topology, cfg: NetConfig) -> Self {
-        let mut links = Vec::new();
+        let mut wires = Vec::with_capacity(2 * topo.n_endpoints());
         let mut port_in = vec![[None; PORTS_PER_CLUSTER]; topo.n_clusters()];
-        let mut port_out = vec![[None; PORTS_PER_CLUSTER]; topo.n_clusters()];
-        let mut eps = Vec::with_capacity(topo.n_endpoints());
-
-        let add_link = |links: &mut Vec<Link>, from: Element, to: Element, cap: usize| {
-            let id = LinkId(links.len() as u32);
-            links.push(Link {
-                from,
-                to,
-                busy: false,
-                down: false,
-                head: HEAD_NONE,
-                mc: 0,
-                buf: VecDeque::new(),
-                reserved: 0,
-                cap,
-                busy_ns: 0,
-            });
-            id
+        let mut port_out = port_in.clone();
+        // A link from `from` to `to` that buffers `cap` frames at `to`.
+        let mut add = |from, to, cap: usize| {
+            let cap = u32::try_from(cap).expect("a buffer cap fits in u32");
+            assert!(cap > 0, "a link that buffers no frame carries none");
+            wires.push(Wire { from, to, cap });
+            LinkId(wires.len() as u32 - 1)
         };
-
-        // Endpoint links first (ids correlate with NodeAddr order).
+        // Port `p` receives on `into` and transmits on `out`.
+        let mut plug = |p: PortRef, into, out| {
+            let (c, k) = (p.cluster.0 as usize, usize::from(p.port));
+            port_in[c][k] = Some(into);
+            port_out[c][k] = Some(out);
+        };
         for addr in topo.endpoints() {
             let p = topo.endpoint_port(addr);
-            let up = add_link(
-                &mut links,
-                Element::Endpoint(addr),
-                Element::Port(p),
-                cfg.cluster_port_slots,
-            );
-            let down = add_link(
-                &mut links,
-                Element::Port(p),
-                Element::Endpoint(addr),
-                cfg.endpoint_rx_slots,
-            );
-            port_in[p.cluster.0 as usize][usize::from(p.port)] = Some(up);
-            port_out[p.cluster.0 as usize][usize::from(p.port)] = Some(down);
-            eps.push(EndpointState {
-                up,
-                down,
-                out_reg: None,
-            });
+            let (ep, port) = (Element::Endpoint(addr), Element::Port(p));
+            let up = add(ep, port, cfg.cluster_port_slots);
+            let down = add(port, ep, cfg.endpoint_rx_slots);
+            debug_assert_eq!((up, down), (up_link(addr), down_link(addr)));
+            plug(p, up, down);
         }
-
         // Cluster-to-cluster links (each wired pair appears once per
         // direction). Scan ports; create the pair when we see the lower id.
         for c in 0..topo.n_clusters() {
@@ -495,38 +583,46 @@ impl Fabric {
                 };
                 if let Attachment::Cluster(peer) = topo.attachment(here) {
                     if (peer.cluster.0 as usize, usize::from(peer.port)) > (c, port) {
-                        let out = add_link(
-                            &mut links,
-                            Element::Port(here),
-                            Element::Port(peer),
-                            cfg.cluster_port_slots,
-                        );
-                        let back = add_link(
-                            &mut links,
-                            Element::Port(peer),
-                            Element::Port(here),
-                            cfg.cluster_port_slots,
-                        );
-                        port_out[c][port] = Some(out);
-                        port_out[peer.cluster.0 as usize][usize::from(peer.port)] = Some(back);
-                        port_in[peer.cluster.0 as usize][usize::from(peer.port)] = Some(out);
-                        port_in[c][port] = Some(back);
+                        let (a, b) = (Element::Port(here), Element::Port(peer));
+                        let out = add(a, b, cfg.cluster_port_slots);
+                        let back = add(b, a, cfg.cluster_port_slots);
+                        plug(here, back, out);
+                        plug(peer, out, back);
                     }
                 }
             }
         }
+        let links = Links::new(wires.into());
+        Fabric::over(links, port_in.into(), port_out.into(), topo, cfg)
+    }
 
-        let n_links = links.len();
-        let n_eps = eps.len();
+    /// A new fabric over the same machine, with no frame in it: it shares
+    /// this fabric's wiring and clones its topology (neither copies anything
+    /// proportional to the machine), so each shard of a sharded world gets
+    /// its own fabric for the price of the links its traffic touches. The
+    /// routing in force is this fabric's; the shed classifier is the
+    /// default.
+    pub fn sibling(&self) -> Fabric {
+        let (port_in, port_out) = (Arc::clone(&self.port_in), Arc::clone(&self.port_out));
+        let links = Links::new(Arc::clone(&self.links.wires));
+        Fabric::over(links, port_in, port_out, self.topo.clone(), self.cfg)
+    }
+
+    fn over(
+        links: Links,
+        port_in: Arc<PortLinks>,
+        port_out: Arc<PortLinks>,
+        topo: Topology,
+        cfg: NetConfig,
+    ) -> Self {
+        let n_eps = topo.n_endpoints();
         let n_clusters = topo.n_clusters();
         Fabric {
             cfg,
             topo,
             links,
-            eps,
             port_in,
             port_out,
-            rr: vec![0; n_links],
             want: vec![[0; PORTS_PER_CLUSTER]; n_clusters],
             mcast: Vec::new(),
             mcast_free: Vec::new(),
@@ -542,7 +638,6 @@ impl Fabric {
             byte_budget: vec![cfg.switch_byte_budget; n_clusters],
             data_buf_bytes: vec![0; n_clusters],
             data_bytes_hwm: vec![0; n_clusters],
-            link_depth_hwm: vec![0; n_links],
             budgets_active: cfg.switch_byte_budget != u64::MAX,
             sheddable: |_| false,
             path_scratch: Vec::new(),
@@ -574,8 +669,18 @@ impl Fabric {
     /// True iff `src` can accept a new frame into its output register.
     /// A down endpoint's interface is dead and never accepts.
     pub fn can_send(&self, src: NodeAddr) -> bool {
-        let e = &self.eps[src.0 as usize];
-        !self.down[src.0 as usize] && !self.links[e.up.0 as usize].busy && e.out_reg.is_none()
+        let up = &self.links[up_link(src)];
+        !self.down[src.0 as usize] && !up.busy && up.out_reg.is_none()
+    }
+
+    /// How link `l` is wired.
+    fn wire(&self, l: LinkId) -> Wire {
+        self.links.wires[l.0 as usize]
+    }
+
+    /// True iff a transmission may start on link `l` now.
+    fn grantable(&self, l: LinkId) -> bool {
+        self.links[l].grantable()
     }
 
     /// True iff `node`'s interface is currently marked down.
@@ -599,14 +704,16 @@ impl Fabric {
         }
         self.down[i] = down;
         if down {
-            if self.eps[i].out_reg.take().is_some() {
+            // Read before writing: a crash of an untouched endpoint builds
+            // no state for it.
+            if self.links[up_link(node)].out_reg.is_some() {
+                self.links[up_link(node)].out_reg = None;
                 self.in_flight -= 1;
                 self.stats.frames_dropped += 1;
             }
             // Freed FIFO slots may unblock upstream forwarding (the frames
             // it admits will be dropped on arrival).
-            let down_link = self.eps[i].down;
-            while self.dequeue(down_link).is_some() {
+            while self.dequeue(down_link(node)).is_some() {
                 self.in_flight -= 1;
                 self.stats.frames_dropped += 1;
             }
@@ -618,7 +725,7 @@ impl Fabric {
 
     /// True iff directed link `l` is currently down.
     pub fn is_link_down(&self, l: LinkId) -> bool {
-        self.links[l.0 as usize].down
+        self.links[l].down
     }
 
     /// Take one directed link down (cable cut) or bring it back up.
@@ -634,12 +741,11 @@ impl Fabric {
     /// cable cut is two directed links — take both ids down to model it.
     pub fn set_link_down(&mut self, now_ns: u64, l: LinkId, down: bool, out: &mut Output) {
         self.now_ns = now_ns;
-        let i = l.0 as usize;
-        if self.links[i].down == down {
+        if self.links[l].down == down {
             return;
         }
-        self.links[i].down = down;
-        if let (Element::Port(p), Element::Port(_)) = (self.links[i].from, self.links[i].to) {
+        self.links[l].down = down;
+        if let (Element::Port(p), Element::Port(_)) = (self.wire(l).from, self.wire(l).to) {
             self.topo.set_edge_state(p, !down);
             self.topo.recompute();
             // The generation moved: every cached head route is stale. Heads
@@ -658,7 +764,7 @@ impl Fabric {
     /// edge without reverse-engineering link-id order. Read off `from`'s own
     /// ports: the gray bridge asks once per inter-cluster hop of a frame.
     pub fn cluster_link(&self, from: ClusterId, to: ClusterId) -> Option<LinkId> {
-        let joins = |l: &LinkId| match self.links[l.0 as usize].to {
+        let joins = |l: &LinkId| match self.wire(*l).to {
             Element::Port(p) => p.cluster == to,
             Element::Endpoint(_) => false,
         };
@@ -684,10 +790,8 @@ impl Fabric {
         }
         self.stats.frames_sent += 1;
         self.stats.per_endpoint_tx[frame.src.0 as usize] += 1;
-        let src = frame.src;
-        let e = &mut self.eps[src.0 as usize];
-        e.out_reg = Some(frame);
-        let up = e.up;
+        let up = up_link(frame.src);
+        self.links[up].out_reg = Some(frame);
         self.in_flight += 1;
         self.wake_upstream(up);
         self.progress(out);
@@ -711,10 +815,10 @@ impl Fabric {
         self.now_ns = now_ns;
         match ev {
             NetEvent::LinkFree(l) => {
-                let link = &mut self.links[l.0 as usize];
+                let link = &mut self.links[l];
                 debug_assert!(link.busy);
                 link.busy = false;
-                let from = link.from;
+                let from = self.wire(l).from;
                 self.wake_upstream(l);
                 self.progress(out);
                 // Only signal readiness if progress did not immediately
@@ -730,7 +834,7 @@ impl Fabric {
                 // A link that went down mid-flight loses the frame: it must
                 // never be delivered after the down edge, and no disposition
                 // is drawn for it (scripted, not probabilistic).
-                if self.links[l.0 as usize].down {
+                if self.links[l].down {
                     hook.on_down_drop(l);
                     self.drop_in_transit(l, out);
                 } else {
@@ -753,7 +857,7 @@ impl Fabric {
                 }
             }
             NetEvent::ArriveDelayed(l, frame) => {
-                if self.links[l.0 as usize].down {
+                if self.links[l].down {
                     hook.on_down_drop(l);
                     self.drop_in_transit(l, out);
                 } else {
@@ -773,10 +877,10 @@ impl Fabric {
         hook: &mut dyn FaultHook,
         out: &mut Output,
     ) {
-        let link = &mut self.links[l.0 as usize];
+        let link = &mut self.links[l];
         debug_assert!(link.reserved > 0);
         link.reserved -= 1;
-        let to = link.to;
+        let to = self.wire(l).to;
         match self.admit(l, to, frame, hook, out) {
             Some(frame) => {
                 self.enqueue(l, frame);
@@ -839,17 +943,10 @@ impl Fabric {
         Some(frame)
     }
 
-    /// Record the current occupancy of `l` into its high-water mark.
-    fn note_link_depth(&mut self, l: LinkId) {
-        let link = &self.links[l.0 as usize];
-        let hwm = &mut self.link_depth_hwm[l.0 as usize];
-        *hwm = (*hwm).max(link.buf.len() + link.reserved);
-    }
-
     /// A frame was lost in transit on `l`: release its reservation (the
     /// slot it claimed frees, which may unblock upstream senders).
     fn drop_in_transit(&mut self, l: LinkId, out: &mut Output) {
-        let link = &mut self.links[l.0 as usize];
+        let link = &mut self.links[l];
         debug_assert!(link.reserved > 0);
         link.reserved -= 1;
         self.in_flight -= 1;
@@ -860,16 +957,12 @@ impl Fabric {
 
     /// Number of frames waiting in an endpoint's receive FIFO.
     pub fn rx_depth(&self, node: NodeAddr) -> usize {
-        self.links[self.eps[node.0 as usize].down.0 as usize]
-            .buf
-            .len()
+        self.links[down_link(node)].buf.len()
     }
 
     /// Peek at the head of an endpoint's receive FIFO.
     pub fn rx_peek(&self, node: NodeAddr) -> Option<&Frame> {
-        self.links[self.eps[node.0 as usize].down.0 as usize]
-            .buf
-            .front()
+        self.links[down_link(node)].buf.front()
     }
 
     /// Software drains one frame from the endpoint's receive FIFO, freeing
@@ -877,8 +970,7 @@ impl Fabric {
     /// appended to `out`).
     pub fn rx_pop(&mut self, now_ns: u64, node: NodeAddr, out: &mut Output) -> Option<Frame> {
         self.now_ns = now_ns;
-        let down = self.eps[node.0 as usize].down;
-        let frame = self.dequeue(down);
+        let frame = self.dequeue(down_link(node));
         if let Some(f) = &frame {
             self.in_flight -= 1;
             self.stats.frames_delivered += 1;
@@ -898,12 +990,11 @@ impl Fabric {
     /// buffered frames)` for every directed link, in id order. The
     /// description names the two elements the link joins.
     pub fn link_report(&self) -> Vec<(LinkId, String, u64, usize)> {
-        self.links
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let desc = format!("{} -> {}", elem_name(l.from), elem_name(l.to));
-                (LinkId(i as u32), desc, l.busy_ns, l.buf.len())
+        (0..self.n_links() as u32)
+            .map(|i| {
+                let (l, w) = (LinkId(i), self.wire(LinkId(i)));
+                let desc = format!("{} -> {}", elem_name(w.from), elem_name(w.to));
+                (l, desc, self.links[l].busy_ns, self.links[l].buf.len())
             })
             .collect()
     }
@@ -912,7 +1003,7 @@ impl Fabric {
     /// purposes: the `from`-side cluster for inter-cluster cables, the
     /// endpoint's own cluster for endpoint up/down links.
     pub fn link_owner_cluster(&self, l: LinkId) -> ClusterId {
-        match self.links[l.0 as usize].from {
+        match self.wire(l).from {
             Element::Port(p) => p.cluster,
             Element::Endpoint(a) => self.topo.cluster_of(a),
         }
@@ -920,18 +1011,25 @@ impl Fabric {
 
     /// Number of directed links in the fabric.
     pub fn n_links(&self) -> usize {
-        self.links.len()
+        self.links.wires.len()
+    }
+
+    /// Number of links whose state this fabric has built: the links a frame,
+    /// a fault or an output register has touched. Every other link reads as
+    /// idle and costs one 4-byte slot.
+    pub fn materialized_links(&self) -> usize {
+        self.links.touched().len()
     }
 
     /// The endpoint→cluster link of `node` (its transmit side).
     pub fn endpoint_up_link(&self, node: NodeAddr) -> LinkId {
-        self.eps[node.0 as usize].up
+        up_link(node)
     }
 
     /// The cluster→endpoint link of `node` (its receive side). Useful for
     /// targeting fault injection at one receiver.
     pub fn endpoint_down_link(&self, node: NodeAddr) -> LinkId {
-        self.eps[node.0 as usize].down
+        down_link(node)
     }
 
     /// Install the classifier deciding which frames are eligible for
@@ -975,12 +1073,12 @@ impl Fabric {
 
     /// Occupancy high-water mark of link `l` (`buf + reserved` slots).
     pub fn link_depth_hwm(&self, l: LinkId) -> usize {
-        self.link_depth_hwm[l.0 as usize]
+        self.links[l].depth_hwm as usize
     }
 
     /// Buffer-slot cap of link `l`.
     pub fn link_cap(&self, l: LinkId) -> usize {
-        self.links[l.0 as usize].cap
+        self.wire(l).cap as usize
     }
 
     /// True iff link `l` terminates at an endpoint's receive FIFO (such
@@ -988,20 +1086,16 @@ impl Fabric {
     /// documented cross-shard bridge simplification — so depth oracles
     /// exempt them).
     pub fn link_ends_at_endpoint(&self, l: LinkId) -> bool {
-        matches!(self.links[l.0 as usize].to, Element::Endpoint(_))
+        matches!(self.wire(l).to, Element::Endpoint(_))
     }
 
     /// The largest occupancy high-water mark over links that terminate at a
     /// cluster port (the links whose caps the hardware flow control
-    /// enforces unconditionally).
+    /// enforces unconditionally). Untouched links never held a frame.
     pub fn max_port_link_depth_hwm(&self) -> usize {
-        self.links
-            .iter()
-            .zip(&self.link_depth_hwm)
-            .filter(|(l, _)| matches!(l.to, Element::Port(_)))
-            .map(|(_, &h)| h)
-            .max()
-            .unwrap_or(0)
+        let entries = self.links.touched().iter();
+        let port_side = entries.filter(|l| !self.link_ends_at_endpoint(l.id));
+        port_side.map(|l| l.depth_hwm as usize).max().unwrap_or(0)
     }
 
     /// Materialize a frame in the destination endpoint's receive FIFO, as
@@ -1044,8 +1138,7 @@ impl Fabric {
         } else {
             frame
         };
-        let down = self.eps[dst.0 as usize].down;
-        self.enqueue(down, frame);
+        self.enqueue(down_link(dst), frame);
         self.in_flight += 1;
         out.notifies.push(Notify::RxArrived(dst));
     }
@@ -1238,8 +1331,7 @@ impl Fabric {
                     self.stats.frames_dropped += 1;
                     return;
                 }
-                let down = self.eps[ent.dst.0 as usize].down;
-                self.enqueue(down, frame);
+                self.enqueue(down_link(ent.dst), frame);
                 out.notifies.push(Notify::RxArrived(ent.dst));
             }
         }
@@ -2071,7 +2163,7 @@ mod report_tests {
             let mut wired = 0;
             for (from, to) in (0..n).flat_map(|a| (0..n).map(move |z| (ClusterId(a), ClusterId(z))))
             {
-                let scan = f.links.iter().position(|l| {
+                let scan = f.links.wires.iter().position(|l| {
                     matches!((l.from, l.to), (Element::Port(a), Element::Port(b))
                         if a.cluster == from && b.cluster == to)
                 });

@@ -53,14 +53,13 @@ impl Fabric {
     /// `l` may have become grantable — it went idle, a slot on it freed, it
     /// came back up: wake whatever transmits on it, if that has a frame.
     pub(super) fn wake_upstream(&mut self, l: LinkId) {
-        let link = &self.links[l.0 as usize];
+        let link = &self.links[l];
         if !link.grantable() {
             return;
         }
-        let key = match link.from {
-            Element::Endpoint(a) if self.eps[a.0 as usize].out_reg.is_some() => {
-                KEY_EP | u64::from(a.0)
-            }
+        let key = match self.wire(l).from {
+            // An endpoint transmits on its up-link, which holds its register.
+            Element::Endpoint(a) if link.out_reg.is_some() => KEY_EP | u64::from(a.0),
             Element::Port(p) if self.want[p.cluster.0 as usize][usize::from(p.port)] != 0 => {
                 port_key(p.cluster.0, p.port)
             }
@@ -74,10 +73,10 @@ impl Fabric {
     /// ports that can serve it now, and leaves a purge key if it (or one of
     /// its multicast targets) has no surviving route.
     fn route_head(&mut self, l: LinkId) {
-        let link = &mut self.links[l.0 as usize];
-        let Element::Port(at) = link.to else {
+        let Element::Port(at) = self.wire(l).to else {
             return; // An endpoint FIFO: drained by software.
         };
+        let link = &mut self.links[l];
         let (c, ci) = (at.cluster, at.cluster.0 as usize);
         let bit = 1u16 << at.port;
         if link.head != HEAD_NONE {
@@ -119,7 +118,7 @@ impl Fabric {
             let port = ports.trailing_zeros() as usize;
             ports &= ports - 1;
             self.want[ci][port] |= bit;
-            if self.port_out[ci][port].is_some_and(|o| self.links[o.0 as usize].grantable()) {
+            if self.port_out[ci][port].is_some_and(|o| self.grantable(o)) {
                 self.mark(port_key(c.0, port as u8));
             }
         }
@@ -147,12 +146,12 @@ impl Fabric {
     /// [`Fabric::head_changed`] are the only code that touches a `Link::buf`,
     /// so head routes, want-masks and worklist cannot drift from the queues.
     pub(super) fn enqueue(&mut self, l: LinkId, frame: Frame) {
-        let buf = &mut self.links[l.0 as usize].buf;
-        buf.push_back(frame);
-        if buf.len() == 1 {
+        let link = &mut self.links[l];
+        link.buf.push_back(frame);
+        link.note_depth();
+        if link.buf.len() == 1 {
             self.route_head(l);
         }
-        self.note_link_depth(l);
     }
 
     /// Pop the head of `l` and retire its route (and its byte-budget charge:
@@ -161,9 +160,10 @@ impl Fabric {
     /// has one, *then* calls [`Fabric::head_changed`], so that the next head
     /// does not wake the port being granted.
     fn take_head(&mut self, l: LinkId) -> Frame {
-        let link = &mut self.links[l.0 as usize];
+        let to = self.wire(l).to;
+        let link = &mut self.links[l];
         let frame = link.buf.pop_front().expect("a head to take");
-        if let Element::Port(at) = link.to {
+        if let Element::Port(at) = to {
             let c = at.cluster.0 as usize;
             self.want[c].iter_mut().for_each(|w| *w &= !(1 << at.port));
             if std::mem::replace(&mut link.head, HEAD_NONE) == HEAD_MCAST {
@@ -181,14 +181,14 @@ impl Fabric {
     /// the frame behind it, if any, is the head now.
     fn head_changed(&mut self, l: LinkId) {
         self.wake_upstream(l);
-        if !self.links[l.0 as usize].buf.is_empty() {
+        if !self.links[l].buf.is_empty() {
             self.route_head(l);
         }
     }
 
     /// Pop the head of `l`, if any, for a frame that leaves the fabric.
     pub(super) fn dequeue(&mut self, l: LinkId) -> Option<Frame> {
-        if self.links[l.0 as usize].buf.is_empty() {
+        if self.links[l].buf.is_empty() {
             return None;
         }
         let frame = self.take_head(l);
@@ -223,9 +223,9 @@ impl Fabric {
                 match key & !IDX {
                     KEY_PURGE => self.purge_head(LinkId(key as u32)),
                     KEY_EP => {
-                        let e = &mut self.eps[key as u32 as usize];
-                        if e.out_reg.is_some() && self.links[e.up.0 as usize].grantable() {
-                            let (up, frame) = (e.up, e.out_reg.take().expect("checked"));
+                        let up = up_link(NodeAddr(key as u32));
+                        if self.links[up].out_reg.is_some() && self.grantable(up) {
+                            let frame = self.links[up].out_reg.take().expect("checked");
                             self.start_tx(up, frame, out);
                         }
                     }
@@ -254,25 +254,25 @@ impl Fabric {
     /// Missed-wakeup oracle, debug builds only: with the worklist drained,
     /// the full scan it replaced must find no transmission that can start,
     /// no stranded head, and every cached head route and want-mask equal to
-    /// a fresh [`Topology::route`]. Worlds too large to scan per call are
-    /// scanned every `links / 2048`-th call.
+    /// a fresh [`Topology::route`]. An untouched link is idle — no register,
+    /// no head — so it passes trivially. Worlds too large to scan per call
+    /// are scanned every `links / 2048`-th call.
     #[cfg(debug_assertions)]
     fn assert_quiescent(&mut self) {
         self.oracle_calls += 1;
-        let stride = (self.links.len() as u64 / 2048).max(1);
+        let stride = (self.n_links() as u64 / 2048).max(1);
         if !self.oracle_calls.is_multiple_of(stride) {
             return;
         }
-        let grantable = |l: LinkId| self.links[l.0 as usize].grantable();
-        for (i, e) in self.eps.iter().enumerate() {
-            let stuck = e.out_reg.is_some() && grantable(e.up);
-            assert!(!stuck, "missed wakeup: endpoint {i} can inject");
+        for link in self.links.touched() {
+            let stuck = link.out_reg.is_some() && self.grantable(link.id);
+            assert!(!stuck, "missed wakeup: {:?} can inject", link.id);
         }
         for (c, inputs) in self.port_in.iter().enumerate() {
             let mut want = [0u16; PORTS_PER_CLUSTER];
             for (k, input) in inputs.iter().enumerate() {
-                let Some(input) = input else { continue };
-                let link = &self.links[input.0 as usize];
+                let Some(input) = *input else { continue };
+                let link = &self.links[input];
                 let Some(head) = link.buf.front() else {
                     assert_eq!(link.head, HEAD_NONE, "{input:?}: a route and no head");
                     continue;
@@ -289,7 +289,7 @@ impl Fabric {
             }
             assert_eq!(want, self.want[c], "want-masks of cluster {c}");
             for (port, &w) in want.iter().enumerate() {
-                let stuck = w != 0 && self.port_out[c][port].is_some_and(grantable);
+                let stuck = w != 0 && self.port_out[c][port].is_some_and(|o| self.grantable(o));
                 assert!(!stuck, "missed wakeup: c{c}p{port} can forward ({w:#b})");
             }
         }
@@ -300,7 +300,7 @@ impl Fabric {
     /// head) instead of wedging. One head per input per pass, as the scan
     /// did; a head can be stranded only while a cable is down.
     fn purge_head(&mut self, l: LinkId) {
-        let link = &self.links[l.0 as usize];
+        let link = &self.links[l];
         let mut gone = link.head == PORT_NONE;
         let mut lost = usize::from(gone);
         if link.head == HEAD_MCAST {
@@ -327,17 +327,20 @@ impl Fabric {
         let Some(out_link) = self.port_out[ci][pi] else {
             return;
         };
-        if mask == 0 || !self.links[out_link.0 as usize].grantable() {
+        if mask == 0 || !self.grantable(out_link) {
             return;
         }
-        let start = u32::from(self.rr[out_link.0 as usize]);
+        // `out_link` is granted below either way: this write builds no state
+        // that the grant would not.
+        let rr = &mut self.links[out_link].rr;
+        let start = u32::from(*rr);
         let k = match mask >> start {
             0 => mask.trailing_zeros(),
             ahead => start + ahead.trailing_zeros(),
         };
-        self.rr[out_link.0 as usize] = ((k + 1) % PORTS_PER_CLUSTER as u32) as u8;
+        *rr = ((k + 1) % PORTS_PER_CLUSTER as u32) as u8;
         let input = self.port_in[ci][k as usize].expect("a want bit has an input");
-        let link = &self.links[input.0 as usize];
+        let link = &self.links[input];
         let head = link.buf.front().expect("a wanted port has a head");
         let targets = head.dst.targets();
         let ports = Self::head_ports(link, &self.mcast);
@@ -404,12 +407,12 @@ impl Fabric {
     fn start_tx(&mut self, l: LinkId, frame: Frame, out: &mut Output) {
         let ser = self.cfg.serialize_ns(frame.wire_bytes());
         self.work.grants += 1;
-        let link = &mut self.links[l.0 as usize];
+        let link = &mut self.links[l];
         debug_assert!(!link.busy && link.can_accept());
         link.busy = true;
         link.reserved += 1;
         link.busy_ns += ser;
-        self.note_link_depth(l);
+        link.note_depth();
         out.schedule.push((ser, NetEvent::LinkFree(l)));
         out.schedule
             .push((ser + self.cfg.hop_latency_ns, NetEvent::Arrive(l, frame)));

@@ -28,10 +28,20 @@
 //! destinations), and healing every edge is a single overlay clear — O(1),
 //! allocation-free. One reverse BFS (`reverse_bfs`) builds the dense
 //! baseline and every repair, so all of them break ties alike.
+//!
+//! # Shared wiring, private routing state
+//!
+//! What is wired to each cluster port and where each endpoint sits never
+//! change after construction, so those two tables are held behind an `Arc`:
+//! a clone — one per shard of a sharded world — refers to them and copies
+//! nothing proportional to the machine. What a clone owns is what churn
+//! changes: the dead-edge set, the overlay, the gateway failover state and
+//! the BFS scratch, which stays empty until the first [`Topology::recompute`].
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::config::PORTS_PER_CLUSTER;
 use crate::frame::NodeAddr;
@@ -463,8 +473,8 @@ impl Base {
 }
 
 /// Reusable buffers for recompute/repair so link churn never allocates on
-/// the hot path once warmed up.
-#[derive(Debug, Clone)]
+/// the hot path once warmed up. Sized by the first recompute, not at build.
+#[derive(Debug, Default)]
 struct Scratch {
     queue: VecDeque<u32>,
     ports: Vec<u8>,
@@ -479,6 +489,13 @@ impl Scratch {
     }
 }
 
+/// Buffers only: a clone starts empty, like a topology that never churned.
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
 /// A finalized interconnect topology.
 ///
 /// Routing is *live*: [`Topology::set_edge_state`] marks inter-cluster edges
@@ -488,8 +505,10 @@ impl Scratch {
 /// recomputes and keeps routing exactly as built.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    clusters: Vec<[Attachment; PORTS_PER_CLUSTER]>,
-    endpoints: Vec<PortRef>,
+    /// What each cluster port is wired to; shared by every clone.
+    clusters: Arc<[[Attachment; PORTS_PER_CLUSTER]]>,
+    /// Where each endpoint is attached, by address; shared by every clone.
+    endpoints: Arc<[PortRef]>,
     base: Base,
     /// Detours installed by [`Topology::recompute`]: only entries that
     /// *differ* from the baseline are present (`u8::MAX` marks an
@@ -742,9 +761,9 @@ impl Topology {
         base: Base,
     ) -> Topology {
         Topology {
-            scratch: Scratch::new(clusters.len()),
-            clusters,
-            endpoints,
+            scratch: Scratch::default(),
+            clusters: clusters.into(),
+            endpoints: endpoints.into(),
             base,
             overlay: HashMap::new(),
             scope: OverlayScope::Baseline,
@@ -969,7 +988,7 @@ impl Topology {
     pub fn cluster_link_counts(&self) -> Vec<Vec<u64>> {
         let nc = self.clusters.len();
         let mut hosted = vec![false; nc];
-        for p in &self.endpoints {
+        for p in self.endpoints.iter() {
             hosted[p.cluster.0 as usize] = true;
         }
         let mut counts = vec![vec![0u64; nc]; nc];
@@ -1069,6 +1088,9 @@ impl Topology {
     pub fn recompute(&mut self) {
         self.generation += 1;
         self.overlay.clear(); // keeps capacity: repeat churn cycles do not allocate
+        if self.scratch.ports.len() < self.clusters.len() {
+            self.scratch = Scratch::new(self.clusters.len());
+        }
         self.scope = match &mut self.base {
             Base::Implicit(h) => {
                 h.fail_over(&self.dead);

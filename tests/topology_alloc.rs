@@ -46,7 +46,8 @@ fn builder_ring() -> Topology {
 
 /// Steady-state recomputes must not allocate at all, whichever baseline the
 /// overlay sits on: the BFS port array and work queue are hoisted scratch
-/// buffers sized at construction, and the overlay map keeps its capacity.
+/// buffers sized by the first recompute, and the overlay map keeps its
+/// capacity.
 #[test]
 fn recompute_allocates_nothing_in_steady_state() {
     for mut t in [
@@ -123,6 +124,28 @@ fn hier_heal_is_overlay_clear_and_allocation_free() {
         assert_eq!(heal, 0, "heal #{i} allocated {heal} bytes");
         assert_eq!(t.overlay_len(), 0, "heal must clear the overlay");
     }
+}
+
+/// A clone — each shard of a sharded world takes one — shares the cluster
+/// and endpoint tables: a 100k-endpoint world clones for the same few bytes
+/// as a 1k one (the level and gateway tables of its hierarchy).
+#[test]
+fn topology_clone_allocates_nothing_proportional_to_endpoints() {
+    let clone_bytes = |t: &Topology| {
+        let before = alloc_meter::bytes();
+        let c = t.clone();
+        let used = alloc_meter::bytes() - before;
+        drop(c);
+        used
+    };
+    let small = Topology::hierarchical_hypercube(&[8, 16], 8).unwrap();
+    let big = Topology::hierarchical_hypercube(&[64, 20, 20], 4).unwrap();
+    assert_eq!(big.n_endpoints(), 102_400);
+    let (s, b) = (clone_bytes(&small), clone_bytes(&big));
+    assert!(
+        s <= 256 && b <= 256,
+        "clones took {s} B (1k) and {b} B (100k)"
+    );
 }
 
 /// `cluster_path_into` with a reused buffer answers identically to the
