@@ -33,8 +33,12 @@
 //! single edge death against the pre-overlay dense all-destinations BFS
 //! (`dense_bfs_into`) on the same churned topology; the implicit
 //! representation must be ≥ 100× faster at the 100k point (and at 10k, the
-//! one CI can afford). The 100k and 1M worlds and the 100k dense BFS (most
-//! of a minute on its own) are the heavy cells `--smoke` skips.
+//! one CI can afford). The `dense` cell is the opposite of the sweep's
+//! mostly-idle worlds: on the 100k world every endpoint writes one stream and
+//! reads one, 204,800 processes live from the first event, and it records
+//! the resident memory they cost per process. The 100k and 1M worlds, the
+//! dense row and the 100k dense BFS (most of a minute on its own) are the
+//! heavy cells `--smoke` skips.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,6 +77,14 @@ const PACE_NS: u64 = 50_000;
 const PAYLOAD_LEN: u32 = 256;
 /// Messages the workload delivers when it runs to completion.
 const EXPECTED_MESSAGES: u64 = (WINDOWS * STREAMS_PER_WINDOW * MSGS_PER_STREAM) as u64;
+/// Messages of each stream of the dense row, `PAYLOAD_LEN` bytes each.
+const DENSE_MSGS: u32 = 2;
+/// Mean gap between the starts of the dense row's streams, ns: each starts at
+/// a seeded instant within `endpoints × DENSE_START_GAP_NS`, an offered load
+/// of 100,000 streams per simulated second at any size. All at once, 10,240
+/// streams already jam the fabric: frames it can never drain, and
+/// retransmissions until writers declare their peers down.
+const DENSE_START_GAP_NS: u64 = 10_000;
 
 /// One scale point of the sweep: name, hierarchy levels, endpoints per
 /// cluster, and whether the world is too big for CI.
@@ -106,6 +118,8 @@ pub const CAMPAIGN: Campaign = Campaign {
         ("flap_a_up_ns", FLAP_A_NS.1),
         ("flap_b_down_ns", FLAP_B_NS.0),
         ("flap_b_up_ns", FLAP_B_NS.1),
+        ("dense_msgs_per_stream", DENSE_MSGS as u64),
+        ("dense_start_gap_ns", DENSE_START_GAP_NS),
     ],
     cells,
     gates: &[
@@ -116,6 +130,15 @@ pub const CAMPAIGN: Campaign = Campaign {
                 let x: Vec<f64> = measured(cells, "recompute").map(speedup).collect();
                 let ok = x.iter().all(|s| *s >= 100.0);
                 (!x.is_empty()).then_some((ok, format!("{x:.0?}x")))
+            },
+        },
+        Gate {
+            name: "dense: delivered == expected",
+            check: |cells| {
+                let sim = measured(cells, "dense").next()?.rec("sim");
+                let got = sim.u64("delivered");
+                let want = sim.u64("endpoints") * u64::from(DENSE_MSGS);
+                Some((got == want, format!("{got} of {want}")))
             },
         },
         Gate {
@@ -146,6 +169,11 @@ fn cells() -> Vec<Cell> {
     for s in &SCALES {
         out.push(Cell::new(key(s, "world"), s.3, &[1, 4], move |w| run(s, w)));
     }
+    // The dense row: every endpoint active at once.
+    let s = &SCALES[2];
+    out.push(Cell::new(key(s, "dense"), true, &[1, 4], move |w| {
+        dense(s, w)
+    }));
     // The headline acceptance number: implicit recompute vs dense BFS.
     for s in &SCALES[1..3] {
         out.push(Cell::new(key(s, "recompute"), s.3, &[0], move |_| {
@@ -347,6 +375,91 @@ fn run(cfg: &Scale, workers: usize) -> Run {
     Run::new(sim, violations).host(host).trace(trace)
 }
 
+/// A seeded derangement of `0..n` (`n >= 2`): Sattolo's shuffle, which
+/// makes one cycle through every index, so no `i` maps to itself.
+fn derangement(n: u32) -> Vec<u32> {
+    let mut to: Vec<u32> = (0..n).collect();
+    for i in (1..n as usize).rev() {
+        let j = mix(SEED ^ i as u64) % i as u64;
+        to.swap(i, j as usize);
+    }
+    to
+}
+
+/// This process's resident set, bytes (`VmRSS`); 0 where procfs has none.
+fn rss_bytes() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.split_whitespace().next()?.parse::<u64>().ok());
+    kib.unwrap_or(0) << 10
+}
+
+/// The dense row: every endpoint of `cfg`'s world writes one stream of
+/// `DENSE_MSGS` messages to its image under [`derangement`] and reads the
+/// one stream written to it, both ends from the stream's seeded start. Two
+/// processes per endpoint exist from the first event, parked until their
+/// start and then in their open, so what the world costs beyond its build is
+/// theirs: the resident set it grows by, per process.
+fn dense(cfg: &Scale, workers: usize) -> Run {
+    let t = topo(cfg);
+    let n = t.n_endpoints() as u32;
+    let built = Instant::now();
+    let mut v = VorxBuilder::with_topology(t)
+        .seed(SEED)
+        .shards(SHARDS)
+        // Millions of CPU intervals; the sim record carries the outcome.
+        .trace(false)
+        .build_sharded(workers);
+    let build_s = built.elapsed().as_secs_f64();
+    let delivered = Arc::new(AtomicU64::new(0));
+    let rss_before = rss_bytes();
+    let spread = u64::from(n) * DENSE_START_GAP_NS;
+    for (src, dst) in derangement(n).into_iter().enumerate() {
+        let (src, dst) = (NodeAddr(src as u32), NodeAddr(dst));
+        let start = SimDuration::from_ns(mix(!SEED ^ u64::from(src.0)) % spread);
+        let name = format!("dense.{}", src.0);
+        let reader_name = name.clone();
+        v.spawn_at(src, format!("n{}:w", src.0), move |ctx: VCtx| {
+            ctx.sleep(start);
+            let ch = channel::open(&ctx, src, &name);
+            for _ in 0..DENSE_MSGS {
+                ch.write(&ctx, Payload::Synthetic(PAYLOAD_LEN))
+                    .expect("dense writer failed");
+            }
+        });
+        let del = Arc::clone(&delivered);
+        v.spawn_at(dst, format!("n{}:r", dst.0), move |ctx: VCtx| {
+            ctx.sleep(start);
+            let ch = channel::open(&ctx, dst, &reader_name);
+            for _ in 0..DENSE_MSGS {
+                ch.read(&ctx).expect("dense reader failed");
+                del.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    }
+    let processes = 2 * u64::from(n);
+    let wall = Instant::now();
+    let end = v.run_all();
+    let wall_s = wall.elapsed().as_secs_f64();
+    let rss_growth = rss_bytes().saturating_sub(rss_before);
+    let events: u64 = v.stats().events_per_shard.iter().sum();
+    let delivered = delivered.load(Ordering::Relaxed);
+    let violations = invariants::check_shards(&v, 0);
+    let sim = Record::new()
+        .with("endpoints", n)
+        .with("processes", processes)
+        .with("delivered", delivered)
+        .with("events", events)
+        .with("end_ns", end.as_ns());
+    let host = Record::new()
+        .with("build_s", build_s)
+        .with("wall_s", wall_s)
+        .with("rss_growth_per_process_b", rss_growth / processes);
+    Run::new(sim, violations).host(host)
+}
+
 /// Time `recompute` after a single edge death on the implicit hierarchical
 /// representation against the dense all-destinations BFS it replaced.
 fn recompute_speedup(cfg: &Scale) -> Run {
@@ -388,6 +501,26 @@ fn recompute_speedup(cfg: &Scale) -> Run {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_dense_pairing_is_a_seeded_derangement() {
+        let to = derangement(1000);
+        assert_eq!(to, derangement(1000), "must be pure");
+        let mut seen = vec![false; 1000];
+        for (i, &d) in to.iter().enumerate() {
+            assert_ne!(i as u32, d, "no self-streams");
+            assert!(!std::mem::replace(&mut seen[d as usize], true), "{d} twice");
+        }
+    }
+
+    /// The dense row's workload, on the 1k world: every stream delivered.
+    #[test]
+    fn the_dense_row_delivers_every_message_at_1k() {
+        let r = dense(&SCALES[0], 1);
+        assert!(r.violations.is_empty(), "{:?}", r.violations);
+        assert_eq!(r.sim.u64("processes"), 2048);
+        assert_eq!(r.sim.u64("delivered"), 1024 * u64::from(DENSE_MSGS));
+    }
 
     #[test]
     fn streams_are_pure_and_distinct_endpoints() {

@@ -27,55 +27,61 @@ pub fn compute(ctx: &VCtx, node: NodeAddr, cat: CpuCat, d: SimDuration) {
                 ctx.sleep(end - now);
             }
         }
-        CpuCat::User => {
-            let (start, mut end, mut sys_mark) = ctx.with(move |w, s| {
-                let cpu = &mut w.node_mut(node).cpu;
-                let (start, end) = cpu.begin_user(s.now(), d);
-                (start, end, cpu.sys_cum_ns())
-            });
-            loop {
-                let now = ctx.now();
-                if end > now {
-                    ctx.sleep(end - now);
-                }
-                // Extend by however much interrupt-priority work was
-                // reserved while we slept (it preempted this burst).
-                let extended = ctx.with(move |w, _| {
-                    let cpu = &mut w.node_mut(node).cpu;
-                    let intruded = cpu.sys_cum_ns() - sys_mark;
-                    if intruded == 0 {
-                        None
-                    } else {
-                        let ne = end + SimDuration::from_ns(intruded);
-                        cpu.extend_user(ne);
-                        Some((ne, cpu.sys_cum_ns()))
-                    }
-                });
-                match extended {
-                    None => break,
-                    Some((ne, mark)) => {
-                        end = ne;
-                        sys_mark = mark;
-                    }
-                }
+        CpuCat::User => compute_user(ctx, node, d),
+    }
+}
+
+/// [`compute`]'s user-category burst, preempted by system work. Out of line:
+/// its bookkeeping would otherwise widen the frame of every system charge,
+/// which a process keeps across its park in `sleep`.
+#[inline(never)]
+fn compute_user(ctx: &VCtx, node: NodeAddr, d: SimDuration) {
+    let (start, mut end, mut sys_mark) = ctx.with(move |w, s| {
+        let cpu = &mut w.node_mut(node).cpu;
+        let (start, end) = cpu.begin_user(s.now(), d);
+        (start, end, cpu.sys_cum_ns())
+    });
+    loop {
+        let now = ctx.now();
+        if end > now {
+            ctx.sleep(end - now);
+        }
+        // Extend by however much interrupt-priority work was
+        // reserved while we slept (it preempted this burst).
+        let extended = ctx.with(move |w, _| {
+            let cpu = &mut w.node_mut(node).cpu;
+            let intruded = cpu.sys_cum_ns() - sys_mark;
+            if intruded == 0 {
+                None
+            } else {
+                let ne = end + SimDuration::from_ns(intruded);
+                cpu.extend_user(ne);
+                Some((ne, cpu.sys_cum_ns()))
             }
-            // Record the actual burst interval now that its extent is known.
-            ctx.with(move |w, s| {
-                if w.trace.is_enabled() {
-                    let now = s.now();
-                    w.trace.record(
-                        now,
-                        crate::cpu::TraceEvent::Cpu {
-                            node: node.0,
-                            cat: CpuCat::User,
-                            start_ns: start.as_ns(),
-                            end_ns: end.as_ns(),
-                        },
-                    );
-                }
-            });
+        });
+        match extended {
+            None => break,
+            Some((ne, mark)) => {
+                end = ne;
+                sys_mark = mark;
+            }
         }
     }
+    // Record the actual burst interval now that its extent is known.
+    ctx.with(move |w, s| {
+        if w.trace.is_enabled() {
+            let now = s.now();
+            w.trace.record(
+                now,
+                crate::cpu::TraceEvent::Cpu {
+                    node: node.0,
+                    cat: CpuCat::User,
+                    start_ns: start.as_ns(),
+                    end_ns: end.as_ns(),
+                },
+            );
+        }
+    });
 }
 
 /// [`compute`] with a nanosecond constant (the calibration unit).

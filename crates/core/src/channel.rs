@@ -576,8 +576,8 @@ pub fn open(ctx: &VCtx, node: NodeAddr, name: &str) -> ChannelHandle {
 /// manager does not answer within the retry budget, or
 /// [`ChanError::NodeDown`] when the opener's own node crashes mid-open.
 pub fn try_open(ctx: &VCtx, node: NodeAddr, name: &str) -> ChanResult<ChannelHandle> {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::System, c.chan_read_syscall_ns);
+    let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
+    api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
     let (id, peer) = crate::objmgr::rendezvous(ctx, node, name, proto::ObjKind::Channel)?;
     Ok(ChannelHandle { id, node, peer })
 }
@@ -636,14 +636,17 @@ impl ChannelHandle {
     /// on a real machine).
     pub fn write(&self, ctx: &VCtx, payload: Payload) -> ChanResult<()> {
         let h = *self;
-        let c = ctx.with(|w, _| w.calib);
-        if c.chan_window > 1 {
-            return self.write_windowed(ctx, payload, c);
+        let (window, syscall_ns, switch_ns) = ctx.with(|w, _| {
+            let c = &w.calib;
+            (c.chan_window, c.chan_write_syscall_ns, c.ctx_switch_ns)
+        });
+        if window > 1 {
+            return self.write_windowed(ctx, payload, syscall_ns, switch_ns);
         }
         let pid = ctx.pid();
         for (frag, last) in fragment(payload) {
             // Syscall entry + protocol work, then transmit and block.
-            api::compute_ns(ctx, h.node, CpuCat::System, c.chan_write_syscall_ns);
+            api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
             let pre = ctx.with(move |w, s| {
                 let now = s.now();
                 if !w.node(h.node).up {
@@ -708,7 +711,7 @@ impl ChannelHandle {
             });
             // The writer was blocked; switching back in costs a context
             // switch.
-            api::compute_ns(ctx, h.node, CpuCat::System, c.ctx_switch_ns);
+            api::compute_ns(ctx, h.node, CpuCat::System, switch_ns);
             acked?;
         }
         Ok(())
@@ -720,12 +723,18 @@ impl ChannelHandle {
     /// acknowledgements. The window-base timer retransmits and the
     /// cumulative/selective acks ([`on_wack`]) drain the window behind us;
     /// [`ChannelHandle::close`] flushes it.
-    fn write_windowed(&self, ctx: &VCtx, payload: Payload, c: Calibration) -> ChanResult<()> {
+    fn write_windowed(
+        &self,
+        ctx: &VCtx,
+        payload: Payload,
+        syscall_ns: u64,
+        switch_ns: u64,
+    ) -> ChanResult<()> {
         let h = *self;
         let pid = ctx.pid();
         for (frag, last) in fragment(payload) {
             // Syscall entry + protocol work for this fragment.
-            api::compute_ns(ctx, h.node, CpuCat::System, c.chan_write_syscall_ns);
+            api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
             let mut frag_slot = Some(frag);
             let mut blocked = false;
             let (res, was_blocked) = ctx.wait_until(move |w, s| {
@@ -773,7 +782,7 @@ impl ChannelHandle {
             if was_blocked {
                 // The writer was parked awaiting window space; switching
                 // back in costs a context switch.
-                api::compute_ns(ctx, h.node, CpuCat::System, c.ctx_switch_ns);
+                api::compute_ns(ctx, h.node, CpuCat::System, switch_ns);
             }
             res?;
         }
@@ -784,8 +793,18 @@ impl ChannelHandle {
     /// remain readable after a close; once drained, reads fail.
     pub fn read(&self, ctx: &VCtx) -> ChanResult<Payload> {
         let h = *self;
-        let c = ctx.with(|w, _| w.calib);
-        api::compute_ns(ctx, h.node, CpuCat::System, c.chan_read_syscall_ns);
+        let (syscall_ns, switch_ns, copy_ns_per_byte) = ctx.with(|w, _| {
+            let c = &w.calib;
+            // The user copy is a stop-and-wait cost only: the windowed path
+            // hands the user the refcounted payload directly.
+            let copy = if c.chan_window <= 1 {
+                c.copy_user_ns_per_byte
+            } else {
+                0
+            };
+            (c.chan_read_syscall_ns, c.ctx_switch_ns, copy)
+        });
+        api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
         let pid = ctx.pid();
         let mut blocked = false;
         let outcome = ctx.wait_until(move |w, s| {
@@ -822,19 +841,17 @@ impl ChannelHandle {
         });
         let (outcome, was_blocked) = outcome;
         if was_blocked {
-            api::compute_ns(ctx, h.node, CpuCat::System, c.ctx_switch_ns);
+            api::compute_ns(ctx, h.node, CpuCat::System, switch_ns);
         }
         let payload = outcome?;
-        // Stop-and-wait copies from the side buffer into the user's buffer;
-        // the windowed path hands the user the refcounted payload directly.
-        if c.chan_window <= 1 {
-            api::compute(
-                ctx,
-                h.node,
-                CpuCat::System,
-                crate::calib::Calibration::per_byte(c.copy_user_ns_per_byte, payload.len()),
-            );
-        }
+        // Stop-and-wait copies from the side buffer into the user's buffer
+        // (a charge of nothing when windowed).
+        api::compute(
+            ctx,
+            h.node,
+            CpuCat::System,
+            crate::calib::Calibration::per_byte(copy_ns_per_byte, payload.len()),
+        );
         // Freeing the side buffer may release a deferred fragment (and its
         // withheld ack).
         ctx.with(move |w, s| release_deferred(w, s, h.node, h.id));
@@ -859,8 +876,9 @@ impl ChannelHandle {
     /// idempotent. Buffered inbound messages stay readable at the peer.
     pub fn close(&self, ctx: &VCtx) {
         let h = *self;
-        let c = ctx.with(|w, _| w.calib);
-        if c.chan_window > 1 {
+        let (window, syscall_ns) =
+            ctx.with(|w, _| (w.calib.chan_window, w.calib.chan_read_syscall_ns));
+        if window > 1 {
             // Pipelined writes return before their acks; flush the transmit
             // window so a close never races data still in flight. Errors
             // (peer down/closed) end the flush — nothing left to wait for.
@@ -877,7 +895,7 @@ impl ChannelHandle {
                 }
             });
         }
-        api::compute_ns(ctx, h.node, CpuCat::System, c.chan_read_syscall_ns);
+        api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
         ctx.with(move |w, s| {
             let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
                 return; // node crashed; nothing left to close
@@ -937,8 +955,17 @@ pub fn read_any(
         handles.iter().all(|h| h.node == node),
         "read_any channels must share a node"
     );
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::System, c.chan_read_syscall_ns);
+    let (syscall_ns, switch_ns, copy_ns_per_byte) = ctx.with(|w, _| {
+        let c = &w.calib;
+        // As in `read`: the user copy is a stop-and-wait cost only.
+        let copy = if c.chan_window <= 1 {
+            c.copy_user_ns_per_byte
+        } else {
+            0
+        };
+        (c.chan_read_syscall_ns, c.ctx_switch_ns, copy)
+    });
+    api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
     let pid = ctx.pid();
     // `wait_until` runs its closure inline on this thread, so the handle
     // slice can be borrowed directly — no per-poll `to_vec`.
@@ -986,7 +1013,7 @@ pub fn read_any(
         None
     });
     if was_blocked {
-        api::compute_ns(ctx, node, CpuCat::System, c.ctx_switch_ns);
+        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
         // Clear the blocked marker on the channels that did not fire.
         ctx.with(|w, _| {
             for h in handles {
@@ -997,15 +1024,12 @@ pub fn read_any(
         });
     }
     let (idx, payload) = outcome?;
-    // As in `read`: the user-copy charge is a stop-and-wait cost only.
-    if c.chan_window <= 1 {
-        api::compute(
-            ctx,
-            node,
-            CpuCat::System,
-            crate::calib::Calibration::per_byte(c.copy_user_ns_per_byte, payload.len()),
-        );
-    }
+    api::compute(
+        ctx,
+        node,
+        CpuCat::System,
+        crate::calib::Calibration::per_byte(copy_ns_per_byte, payload.len()),
+    );
     let h = handles[idx];
     ctx.with(move |w, s| release_deferred(w, s, h.node, h.id));
     Ok((idx, payload))
@@ -1841,8 +1865,8 @@ pub struct Listener {
 /// rendezvous). Register the server before starting clients, or use a name
 /// only clients-of-this-server open.
 pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::System, c.chan_read_syscall_ns);
+    let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
+    api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
     let name_owned = name.to_string();
     ctx.with(move |w, s| {
         let prev = w
@@ -1955,8 +1979,8 @@ impl Listener {
                 }
             }
         });
-        let c = ctx.with(|w, _| w.calib);
-        api::compute_ns(ctx, node, CpuCat::System, c.chan_read_syscall_ns);
+        let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
+        api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
         ChannelHandle { id, node, peer }
     }
 

@@ -27,6 +27,7 @@
 //! so the software tree needs none of this.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use desim::{sync::WaitSet, SimDuration, TimerHandle, Wakeup};
 use hpcnet::combine::{self, CombOp};
@@ -60,6 +61,42 @@ pub struct GroupCfg {
     pub members: Vec<NodeAddr>,
     /// Execution engine.
     pub mode: CollMode,
+}
+
+/// A registered group as every world holds it: the member list sorted,
+/// deduplicated and shared — by every attached member's [`Collective`], the
+/// root's result and retry multicasts, and the all-to-all recovery timer —
+/// never copied per member or per operation.
+#[derive(Debug, Clone)]
+pub struct Group {
+    /// The member nodes, ascending; the first is the root.
+    pub(crate) members: Arc<[NodeAddr]>,
+    /// Every member but the root (`members[1..]`): the root's multicast
+    /// targets.
+    pub(crate) others: Arc<[NodeAddr]>,
+    /// Execution engine.
+    pub(crate) mode: CollMode,
+}
+
+impl Group {
+    fn new(cfg: &GroupCfg) -> Group {
+        let mut members = cfg.members.clone();
+        members.sort();
+        members.dedup();
+        assert!(!members.is_empty(), "collective group needs members");
+        assert!(
+            cfg.group <= combine::MAX_GROUP,
+            "collective group id exceeds 24 bits"
+        );
+        if let CollMode::SoftwareTree { radix } = cfg.mode {
+            assert!(radix >= 1, "software tree radix must be >= 1");
+        }
+        Group {
+            others: members[1..].into(),
+            members: members.into(),
+            mode: cfg.mode,
+        }
+    }
 }
 
 /// Per-node, per-group collective protocol state (lives in
@@ -129,8 +166,9 @@ pub struct RootPending {
     pub attempt: u8,
     /// Full group size (completion threshold).
     pub total: u32,
-    /// Every member except the root (retry/result multicast targets).
-    pub others: Vec<NodeAddr>,
+    /// Every member except the root (retry/result multicast targets): the
+    /// group's own list.
+    pub others: Arc<[NodeAddr]>,
     /// Armed retry timer.
     pub timer: Option<TimerHandle>,
 }
@@ -162,48 +200,42 @@ impl A2aPending {
 /// combining state disarmed and their traces byte-identical to
 /// collective-free builds.
 pub fn register_group(w: &mut World, cfg: &GroupCfg) {
-    let mut cfg = cfg.clone();
-    cfg.members.sort();
-    cfg.members.dedup();
-    assert!(!cfg.members.is_empty(), "collective group needs members");
-    assert!(
-        cfg.group <= combine::MAX_GROUP,
-        "collective group id exceeds 24 bits"
-    );
-    if let CollMode::SoftwareTree { radix } = cfg.mode {
-        assert!(radix >= 1, "software tree radix must be >= 1");
+    install(w, cfg.group, Group::new(cfg));
+}
+
+/// [`register_group`] on every shard of a sharded simulation, all of them
+/// sharing one member list. Call before spawning member processes.
+pub fn register_group_sharded(sim: &VorxShardedSim, cfg: &GroupCfg) {
+    let g = Group::new(cfg);
+    for k in 0..sim.n_shards() {
+        install(&mut sim.world(k), cfg.group, g.clone());
     }
-    let root = cfg.members[0];
-    if cfg.mode == CollMode::InNetwork {
-        let total = cfg.members.len() as u32;
+}
+
+fn install(w: &mut World, group: u32, g: Group) {
+    let root = g.members[0];
+    if g.mode == CollMode::InNetwork {
+        let total = g.members.len() as u32;
         if w.shard.enabled {
             if !w.shard.is_remote(root) {
                 // Only members co-located with the root route through this
                 // fabric; everyone else's frames arrive over the bridge and
                 // merge at the root's own cluster.
-                let local: Vec<NodeAddr> = cfg
+                let local: Vec<NodeAddr> = g
                     .members
                     .iter()
                     .copied()
                     .filter(|m| !w.shard.is_remote(*m))
                     .collect();
                 w.net
-                    .comb_register_group(cfg.group, proto::KIND_COLL_UP, &local, root, total);
+                    .comb_register_group(group, proto::KIND_COLL_UP, &local, root, total);
             }
         } else {
             w.net
-                .comb_register_group(cfg.group, proto::KIND_COLL_UP, &cfg.members, root, total);
+                .comb_register_group(group, proto::KIND_COLL_UP, &g.members, root, total);
         }
     }
-    w.coll_groups.insert(cfg.group, cfg);
-}
-
-/// [`register_group`] on every shard of a sharded simulation. Call before
-/// spawning member processes.
-pub fn register_group_sharded(sim: &VorxShardedSim, cfg: &GroupCfg) {
-    for k in 0..sim.n_shards() {
-        register_group(&mut sim.world(k), cfg);
-    }
+    w.coll_groups.insert(group, g);
 }
 
 /// A process-side handle to one collective group, bound to the calling
@@ -213,7 +245,9 @@ pub struct Collective {
     group: u32,
     node: NodeAddr,
     idx: usize,
-    members: Vec<NodeAddr>,
+    members: Arc<[NodeAddr]>,
+    /// The root's multicast targets (used by the root only).
+    others: Arc<[NodeAddr]>,
     engine: Engine,
 }
 
@@ -261,6 +295,7 @@ pub fn attach(ctx: &VCtx, node: NodeAddr, group: u32) -> Collective {
         node,
         idx,
         members: cfg.members,
+        others: cfg.others,
         engine,
     }
 }
@@ -324,18 +359,16 @@ impl Collective {
     fn innet_allreduce(&self, ctx: &VCtx, op: CombOp, operand: u64) -> u64 {
         let node = self.node;
         let group = self.group;
-        let cal = ctx.with(|w, _| w.calib);
         // The lean direct-hardware send (the raw UDCO path of §4.1): build
         // a 13-byte operand and poke the output registers.
-        api::compute_ns(
-            ctx,
-            node,
-            CpuCat::User,
-            cal.raw_send_ns + cal.udco_copy_ns_per_byte * u64::from(combine::COMB_PAYLOAD_BYTES),
-        );
+        let send_ns = ctx.with(|w, _| {
+            w.calib.raw_send_ns
+                + w.calib.udco_copy_ns_per_byte * u64::from(combine::COMB_PAYLOAD_BYTES)
+        });
+        api::compute_ns(ctx, node, CpuCat::User, send_ns);
         let cseq = if self.idx == 0 {
-            let members = self.members.clone();
-            ctx.with(move |w, s| root_begin(w, s, node, group, op, operand, &members))
+            let others = Arc::clone(&self.others);
+            ctx.with(move |w, s| root_begin(w, s, node, group, op, operand, others))
         } else {
             let root = self.members[0];
             ctx.with(move |w, s| member_begin(w, s, node, group, op, operand, root))
@@ -348,13 +381,11 @@ impl Collective {
         let group = self.group;
         let idx = self.idx as u32;
         let n = self.members.len();
-        let cal = ctx.with(|w, _| w.calib);
-        api::compute_ns(
-            ctx,
-            node,
-            CpuCat::User,
-            cal.raw_send_ns + cal.udco_copy_ns_per_byte * 12,
-        );
+        let (send_ns, switch_ns) = ctx.with(|w, _| {
+            let send_ns = w.calib.raw_send_ns + w.calib.udco_copy_ns_per_byte * 12;
+            (send_ns, w.calib.ctx_switch_ns)
+        });
+        api::compute_ns(ctx, node, CpuCat::User, send_ns);
         let others: Vec<NodeAddr> = self
             .members
             .iter()
@@ -422,7 +453,7 @@ impl Collective {
             }
         });
         if was_blocked {
-            api::compute_ns(ctx, node, CpuCat::System, cal.ctx_switch_ns);
+            api::compute_ns(ctx, node, CpuCat::System, switch_ns);
         }
         vals
     }
@@ -572,7 +603,8 @@ fn member_begin(
 
 /// Start the root-side collection: fold the root's own operand into attempt
 /// 0 and arm the retry timer. Early contributions (members that raced
-/// ahead) are already accumulated.
+/// ahead) are already accumulated. `others` is the group's every member but
+/// this root.
 fn root_begin(
     w: &mut World,
     s: &mut VSched,
@@ -580,10 +612,9 @@ fn root_begin(
     group: u32,
     op: CombOp,
     own: u64,
-    members: &[NodeAddr],
+    others: Arc<[NodeAddr]>,
 ) -> u32 {
-    let others: Vec<NodeAddr> = members.iter().copied().filter(|&m| m != node).collect();
-    let total = members.len() as u32;
+    let total = others.len() as u32 + 1;
     let st = coll_state(w, node, group);
     let cseq = st.next_cseq;
     st.next_cseq += 1;
@@ -631,8 +662,8 @@ fn wait_completed(ctx: &VCtx, node: NodeAddr, group: u32, cseq: u32) -> u64 {
         }
     });
     if was_blocked {
-        let c = ctx.with(|w, _| w.calib);
-        api::compute_ns(ctx, node, CpuCat::System, c.ctx_switch_ns);
+        let switch_ns = ctx.with(|w, _| w.calib.ctx_switch_ns);
+        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
     }
     val
 }
@@ -706,7 +737,7 @@ fn arm_root_timer(
             return;
         }
         rp.attempt = rp.attempt.saturating_add(1);
-        let (a, op, own, others) = (rp.attempt, rp.op, rp.own, rp.others.clone());
+        let (a, op, own, others) = (rp.attempt, rp.op, rp.own, Arc::clone(&rp.others));
         let e = st.accs.entry((cseq, a)).or_insert((op.identity(), 0));
         e.0 = op.apply(e.0, own);
         e.1 += 1;
@@ -714,7 +745,7 @@ fn arm_root_timer(
         if !others.is_empty() {
             let f = Frame {
                 src: node,
-                dst: Dest::Multicast(others.into()),
+                dst: Dest::Multicast(others),
                 kind: proto::KIND_COLL_RETRY,
                 seq: combine::enc_seq(group, cseq, a),
                 payload: Payload::Synthetic(0),
@@ -777,7 +808,7 @@ fn try_complete_root(
         );
         let f = Frame {
             src: node,
-            dst: Dest::Multicast(rp.others.into()),
+            dst: Dest::Multicast(rp.others),
             kind: proto::KIND_COLL_RESULT,
             seq: combine::enc_seq(group, cseq, 0),
             payload: combine::pack(op, val, cnt),
@@ -912,7 +943,7 @@ fn arm_a2a_timer(
             return;
         }
         let members = match w.coll_groups.get(&group) {
-            Some(cfg) => cfg.members.clone(),
+            Some(g) => Arc::clone(&g.members),
             None => return,
         };
         let my_idx = members.binary_search(&node).unwrap_or(usize::MAX) as u32;

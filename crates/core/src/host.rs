@@ -409,8 +409,8 @@ pub fn boot_loader(
 /// The caller must spawn a [`boot_loader`] on each target with channel name
 /// `dl-<node>` and no children.
 pub fn download_per_process(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], text_bytes: u32) {
-    let host_node = ctx.with(move |w, _| w.hosts[host_id].node);
-    let c = ctx.with(|w, _| w.calib);
+    let (host_node, copy_ns_per_byte) =
+        ctx.with(move |w, _| (w.hosts[host_id].node, w.calib.host_copy_ns_per_byte));
     for &t in targets {
         // One stub per process: fork/exec plus its own copy of the text.
         create_stub(ctx, host_id, vec![t]);
@@ -418,7 +418,7 @@ pub fn download_per_process(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], te
             ctx,
             host_node,
             CpuCat::System,
-            Calibration::per_byte(c.host_copy_ns_per_byte, text_bytes),
+            Calibration::per_byte(copy_ns_per_byte, text_bytes),
         );
         let chan = channel::open(ctx, host_node, &format!("dl-{}", t.0));
         for _ in 0..n_chunks(text_bytes) {
@@ -447,15 +447,15 @@ pub fn tree_children(targets: &[NodeAddr], idx: usize) -> Vec<String> {
 /// [`tree_children`]-derived wiring.
 pub fn download_tree(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], text_bytes: u32) {
     assert!(!targets.is_empty());
-    let host_node = ctx.with(move |w, _| w.hosts[host_id].node);
-    let c = ctx.with(|w, _| w.calib);
+    let (host_node, copy_ns_per_byte) =
+        ctx.with(move |w, _| (w.hosts[host_id].node, w.calib.host_copy_ns_per_byte));
     // One stub serves every process of the application.
     create_stub(ctx, host_id, targets.to_vec());
     api::compute(
         ctx,
         host_node,
         CpuCat::System,
-        Calibration::per_byte(c.host_copy_ns_per_byte, text_bytes),
+        Calibration::per_byte(copy_ns_per_byte, text_bytes),
     );
     let chan = channel::open(ctx, host_node, &format!("dl-{}", targets[0].0));
     for _ in 0..n_chunks(text_bytes) {

@@ -81,14 +81,15 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
 /// per-sender at each receiver.
 pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload: Payload) {
     assert!(!dsts.is_empty(), "multicast with no destinations");
-    let c = ctx.with(|w, _| w.calib);
+    let (syscall_ns, switch_ns) =
+        ctx.with(|w, _| (w.calib.chan_write_syscall_ns, w.calib.ctx_switch_ns));
     let n_dst = dsts.len();
     let pid = ctx.pid();
     // One refcounted target list shared by every fragment: a multi-frame
     // mwrite allocates no per-fragment destination copies.
     let dsts: Arc<[NodeAddr]> = dsts.into();
     for (frag, last) in crate::channel::fragment(payload) {
-        api::compute_ns(ctx, node, CpuCat::System, c.chan_write_syscall_ns);
+        api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
         let dsts = Arc::clone(&dsts);
         let seq = ctx.with(move |w, s| {
             let now = s.now();
@@ -134,14 +135,15 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
             w.node_mut(node).mcast_pending.remove(&seq);
             w.unblock(now, node, BlockReason::Output);
         });
-        api::compute_ns(ctx, node, CpuCat::System, c.ctx_switch_ns);
+        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
     }
 }
 
 /// Blocking read from a multicast group.
 pub fn mread(ctx: &VCtx, node: NodeAddr, gid: u16) -> (NodeAddr, Payload) {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::System, c.chan_read_syscall_ns);
+    let (syscall_ns, copy_ns_per_byte) =
+        ctx.with(|w, _| (w.calib.chan_read_syscall_ns, w.calib.copy_user_ns_per_byte));
+    api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
     let pid = ctx.pid();
     let (src, payload) = ctx.wait_until(move |w, _| {
         let end = w
@@ -163,7 +165,7 @@ pub fn mread(ctx: &VCtx, node: NodeAddr, gid: u16) -> (NodeAddr, Payload) {
         ctx,
         node,
         CpuCat::System,
-        crate::calib::Calibration::per_byte(c.copy_user_ns_per_byte, payload.len()),
+        crate::calib::Calibration::per_byte(copy_ns_per_byte, payload.len()),
     );
     (src, payload)
 }

@@ -355,8 +355,8 @@ pub fn sp_ready_in(w: &mut World, s: &mut VSched, node: NodeAddr, idx: u32) {
 /// in the application code, so that most registers need not be saved" (§5).
 /// Charges the much smaller partial-save cost.
 pub fn coroutine_switch(ctx: &VCtx, node: NodeAddr) {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::System, c.coroutine_switch_ns);
+    let switch_ns = ctx.with(|w, _| w.calib.coroutine_switch_ns);
+    api::compute_ns(ctx, node, CpuCat::System, switch_ns);
 }
 
 #[cfg(test)]

@@ -109,8 +109,8 @@ pub fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode
 /// hardware flow control — that is the *only* flow control unless the
 /// application layers its own protocol on top.
 pub fn send(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, payload: Payload) {
-    let c = ctx.with(|w, _| w.calib);
-    let cost = c.udco_send_ns + c.udco_copy_ns_per_byte * u64::from(payload.len());
+    let len = u64::from(payload.len());
+    let cost = ctx.with(move |w, _| w.calib.udco_send_ns + w.calib.udco_copy_ns_per_byte * len);
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
     let pid = ctx.pid();
     let mut frame = Some(Frame::unicast(
@@ -153,8 +153,8 @@ pub fn send_multi(
     seq: u64,
     payload: Payload,
 ) {
-    let c = ctx.with(|w, _| w.calib);
-    let cost = c.udco_send_ns + c.udco_copy_ns_per_byte * u64::from(payload.len());
+    let len = u64::from(payload.len());
+    let cost = ctx.with(move |w, _| w.calib.udco_send_ns + w.calib.udco_copy_ns_per_byte * len);
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
     let pid = ctx.pid();
     let mut frame = Some(Frame {
@@ -212,8 +212,8 @@ pub fn recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
         }
     });
     if was_blocked {
-        let c = ctx.with(|w, _| w.calib);
-        api::compute_ns(ctx, node, CpuCat::System, c.ctx_switch_ns);
+        let switch_ns = ctx.with(|w, _| w.calib.ctx_switch_ns);
+        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
     }
     msg
 }
@@ -221,8 +221,8 @@ pub fn recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
 /// Non-blocking poll of a (typically polled-mode) UDCO. Charges the poll
 /// cost and returns a queued message if any.
 pub fn try_recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::User, c.udco_poll_ns);
+    let poll_ns = ctx.with(|w, _| w.calib.udco_poll_ns);
+    api::compute_ns(ctx, node, CpuCat::User, poll_ns);
     ctx.with(move |w, _| {
         w.node_mut(node)
             .udcos
@@ -277,8 +277,8 @@ pub fn is_raw(w: &World, node: NodeAddr, kind: u16) -> bool {
 
 /// Raw-mode send: the leanest possible path ("no low-level protocol").
 pub fn send_raw(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, payload: Payload) {
-    let c = ctx.with(|w, _| w.calib);
-    let cost = c.raw_send_ns + c.udco_copy_ns_per_byte * u64::from(payload.len());
+    let len = u64::from(payload.len());
+    let cost = ctx.with(move |w, _| w.calib.raw_send_ns + w.calib.udco_copy_ns_per_byte * len);
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
     let pid = ctx.pid();
     let mut frame = Some(Frame::unicast(
@@ -307,8 +307,9 @@ pub fn send_raw(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, p
 /// out of the hardware FIFO at user level (paying the per-byte read there,
 /// since the kernel never touched it).
 pub fn try_recv_raw(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::User, c.raw_poll_ns);
+    let (poll_ns, read_ns_per_byte) =
+        ctx.with(|w, _| (w.calib.raw_poll_ns, w.calib.fifo_read_ns_per_byte));
+    api::compute_ns(ctx, node, CpuCat::User, poll_ns);
     let msg = ctx.with(move |w, _| {
         w.node_mut(node)
             .udcos
@@ -322,7 +323,7 @@ pub fn try_recv_raw(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
             ctx,
             node,
             CpuCat::User,
-            SimDuration::from_ns(c.fifo_read_ns_per_byte * u64::from(m.payload.len())),
+            SimDuration::from_ns(read_ns_per_byte * u64::from(m.payload.len())),
         );
     }
     msg
@@ -566,8 +567,8 @@ pub struct UdcoBinding {
 /// a channel open, then register the assigned tag locally with `mode` (the
 /// receive discipline is each side's own choice).
 pub fn open(ctx: &VCtx, node: NodeAddr, name: &str, mode: UdcoMode) -> UdcoBinding {
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(ctx, node, CpuCat::System, c.chan_read_syscall_ns);
+    let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
+    api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
     let (id, peer) = crate::objmgr::rendezvous(ctx, node, name, crate::proto::ObjKind::Udco)
         .expect("UDCO open failed under fault injection");
     // Tags share the system-wide object-id space; the hardware kind field
@@ -603,10 +604,12 @@ pub fn send_gather(
         total <= hpcnet::MAX_PAYLOAD,
         "gathered message exceeds one hardware frame"
     );
-    let c = ctx.with(|w, _| w.calib);
-    let cost = c.udco_send_ns
-        + c.udco_poll_ns * parts.len() as u64 // descriptor per part
-        + c.udco_copy_ns_per_byte * u64::from(total);
+    let n_parts = parts.len() as u64;
+    let cost = ctx.with(move |w, _| {
+        w.calib.udco_send_ns
+            + w.calib.udco_poll_ns * n_parts // descriptor per part
+            + w.calib.udco_copy_ns_per_byte * u64::from(total)
+    });
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
     // Assemble the gathered payload. A single data part passes through
     // zero-copy; a real gather goes through the pooled buffer (the physical
@@ -659,13 +662,8 @@ pub fn recv_scatter(ctx: &VCtx, node: NodeAddr, tag: u16, part_lens: &[u32]) -> 
         total,
         "scatter lengths must match the received message"
     );
-    let c = ctx.with(|w, _| w.calib);
-    api::compute_ns(
-        ctx,
-        node,
-        CpuCat::User,
-        c.udco_poll_ns * part_lens.len() as u64,
-    );
+    let poll_ns = ctx.with(|w, _| w.calib.udco_poll_ns);
+    api::compute_ns(ctx, node, CpuCat::User, poll_ns * part_lens.len() as u64);
     match m.payload {
         Payload::Data(b) => {
             let mut out = Vec::with_capacity(part_lens.len());

@@ -331,7 +331,7 @@ pub struct World {
     /// allocating fresh ones per message.
     pub payload_pool: crate::alloc::PayloadPool,
     /// Registered collective groups, by group id (DESIGN.md §16).
-    pub coll_groups: HashMap<u32, crate::collective::GroupCfg>,
+    pub coll_groups: HashMap<u32, crate::collective::Group>,
     /// Sharded-engine bridge state; inert defaults in sequential builds.
     pub shard: ShardCtx,
     /// Emptied fabric outputs awaiting reuse (see

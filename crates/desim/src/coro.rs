@@ -26,9 +26,10 @@
 //!   `MAP_NORESERVE` so only touched pages cost memory. Overflow hits the
 //!   guard page and is a plain `SIGSEGV`: Rust's "stack overflow" message
 //!   covers only stacks `std` created.
-//! * A process parked *D* bytes deep costs *D* bytes of heap (plus the slack
-//!   [`Stack::save`] leaves) and no mapping, and each resume copies 2 × *D*
-//!   bytes: the image in, and the frames back out at the next park.
+//! * A process parked *D* bytes deep costs *D* bytes of heap and no mapping
+//!   ([`Stack::save`] sizes a buffer to the depth exactly and keeps it while
+//!   later parks go no deeper), and each resume copies 2 × *D* bytes: the
+//!   image in, and the frames back out at the next park.
 //! * Only the integer callee-saved registers are switched. The MXCSR and x87
 //!   control words are callee-saved too, but nothing in this program changes
 //!   them from their defaults, so both sides always agree.
@@ -83,7 +84,7 @@ pub(crate) enum Image {
     /// Not started yet: the frame [`first_frame`] laid out.
     Fresh([usize; 8]),
     /// What the last park left on the run stack, padding and dead slots
-    /// included. The buffer keeps the capacity of the deepest park so far.
+    /// included. The buffer's capacity is the deepest park so far.
     Parked(Vec<MaybeUninit<u8>>),
 }
 
@@ -197,13 +198,12 @@ impl Stack {
             .checked_sub(sp)
             .filter(|&d| d <= STACK_BYTES)
             .expect("a parked process's stack pointer lies on the run stack");
-        // Reuse the buffer when it is big enough. A process parks deeper from
-        // one call site than from the next (by up to 48 % in the benchmark's
-        // workloads); with this slack one allocation lasts its lifetime
-        // unless a park goes half as deep again as any before it.
+        // Reuse the buffer when it is big enough; otherwise replace it with
+        // one of exactly this depth, so an image never holds more than the
+        // deepest park so far.
         let mut buf = match std::mem::replace(image, Image::Parked(Vec::new())) {
             Image::Parked(buf) if buf.capacity() >= depth => buf,
-            _ => Vec::with_capacity(depth + depth / 2),
+            _ => Vec::with_capacity(depth),
         };
         // SAFETY: `[sp, top)` is `depth` bytes of the mapping's read-write
         // part that nothing is writing (the caller's contract), `buf` has

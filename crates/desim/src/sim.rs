@@ -42,11 +42,16 @@
 //! word each way, the two stack pointers of a user-space register swap
 //! (`coro::switch`), and the image of the process's frames while it is
 //! suspended — so a switch is a function call and two copies of however deep
-//! the process parked (1.2–1.5 KiB in the `vorx` workloads): no system call,
-//! no lock, no allocation after the first park, and no mapping at spawn (the
-//! first frame sits inline in the baton). Same-instant wakes (`wake` + `park`
-//! chains, the common case in protocol code) bypass the heap through a FIFO
-//! *lane*, O(1); [`Ctx::now`] reads an atomic mirror of the clock.
+//! the process parked (0.78–0.83 KiB on average in the benchmark's `vorx`
+//! workloads): no system call, no lock, no allocation unless the park goes
+//! deeper than any before, and no mapping at spawn (the first frame sits
+//! inline in the baton). What a blocking call does before it parks — a
+//! `wait_until` condition under the locks, arming a `sleep`'s timer — runs in
+//! out-of-line frames (`Ctx::poll`, `Ctx::wake_me_in`), as does the body's
+//! panic report (`Baton::unwound`), so none of it is copied with every park.
+//! Same-instant wakes (`wake` + `park` chains, the common case in protocol
+//! code) bypass the heap through a FIFO *lane*, O(1); [`Ctx::now`] reads an
+//! atomic mirror of the clock.
 //!
 //! Scheduling and dispatching an event allocates nothing in steady state. A
 //! closure capturing at most 72 bytes, at most 8-aligned, is stored in place
@@ -58,6 +63,7 @@
 //! What allocates: each buffer named here, as it grows to the most it ever
 //! holds at once — at most twice the most ever live.
 
+use std::any::Any;
 use std::cell::UnsafeCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -405,6 +411,26 @@ impl Baton {
         report
     }
 
+    /// Process side: what a body that unwound reports — finished, when the
+    /// unwind is [`Baton::park`]'s teardown, otherwise panicked, with the
+    /// message stored for the executor. Cold and out of line: it runs at most
+    /// once per process, and its frame would otherwise sit at the bottom of
+    /// every parked process's image.
+    #[cold]
+    #[inline(never)]
+    fn unwound(&self, payload: Box<dyn Any + Send>) -> u32 {
+        if payload.is::<Killed>() {
+            return REPORT_FINISHED;
+        }
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "<non-string panic payload>".into());
+        *self.panic_msg.lock() = Some(msg);
+        REPORT_PANICKED
+    }
+
     /// Process side: hand back to the executor until it enters again. Returns
     /// the wakeup token; unwinds with [`Killed`] if the simulation is tearing
     /// down.
@@ -698,18 +724,7 @@ impl<W: Send + 'static> Scheduler<W> {
                 } else {
                     match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
                         Ok(()) => REPORT_FINISHED,
-                        // Unwound by `Baton::park` because the simulation is
-                        // being dropped.
-                        Err(payload) if payload.is::<Killed>() => REPORT_FINISHED,
-                        Err(payload) => {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "<non-string panic payload>".into());
-                            *baton.panic_msg.lock() = Some(msg);
-                            REPORT_PANICKED
-                        }
+                        Err(payload) => baton.unwound(payload),
                     }
                 };
                 baton.report.store(report, AtomicOrdering::Relaxed);
@@ -775,23 +790,39 @@ impl<W: Send + 'static> Ctx<W> {
     /// fixed-cost operation). Tolerates spurious wakeups: always sleeps the
     /// full duration.
     pub fn sleep(&self, d: SimDuration) {
-        // The timer wake needs no world access: the queue lock alone.
         let deadline = self.now() + d;
-        self.inner.sched.lock().wake_in(d, self.pid, Wakeup::TIMER);
+        self.wake_me_in(d);
         while self.now() < deadline {
             self.park();
         }
+    }
+
+    /// Queue this process's own timer wake, `d` from now: the queue lock
+    /// alone, no world access. Out of line, as is [`Ctx::poll`]: what a
+    /// blocking call does before it parks stays out of the frames every park
+    /// copies.
+    #[inline(never)]
+    fn wake_me_in(&self, d: SimDuration) {
+        self.inner.sched.lock().wake_in(d, self.pid, Wakeup::TIMER);
     }
 
     /// Park repeatedly until `cond` (evaluated against the world) yields
     /// `Some(r)`. The standard condition-loop: immune to spurious wakeups.
     pub fn wait_until<R>(&self, mut cond: impl FnMut(&mut W, &mut Scheduler<W>) -> Option<R>) -> R {
         loop {
-            if let Some(r) = self.with(&mut cond) {
+            if let Some(r) = self.poll(&mut cond) {
                 return r;
             }
             self.park();
         }
+    }
+
+    /// One evaluation of a [`Ctx::wait_until`] condition, out of line so
+    /// that the locks and the condition's own locals are gone from the stack
+    /// by the time the process parks.
+    #[inline(never)]
+    fn poll<R>(&self, cond: &mut impl FnMut(&mut W, &mut Scheduler<W>) -> Option<R>) -> Option<R> {
+        self.with(cond)
     }
 
     /// Spawn a sibling process from process context (sugar over

@@ -15,7 +15,11 @@ use crate::sim::{Ctx, ProcId, Scheduler, Wakeup};
 /// A set of parked processes waiting on some condition in the world.
 ///
 /// Waiters form a FIFO: [`wake_one`](WaitSet::wake_one) releases the
-/// longest-waiting process in O(1) (ring buffer pop, not a `Vec` shift).
+/// longest-waiting process in O(1). A set holds its one waiter inline until a
+/// second registers beside it; then it moves them to a ring buffer, which it
+/// keeps. So a set that never has two waiters at once — a channel end's
+/// reader, a blocked writer — never allocates, and no set allocates twice.
+/// Either way it is the size of the ring buffer alone.
 ///
 /// # Coalescing semantics
 ///
@@ -28,9 +32,26 @@ use crate::sim::{Ctx, ProcId, Scheduler, Wakeup};
 /// wakeup is advisory — the woken process re-checks its condition, so a
 /// wake delivered to a process whose condition is already satisfied (or
 /// that was concurrently deregistered) is harmless.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct WaitSet {
-    waiters: VecDeque<ProcId>,
+    waiters: Waiters,
+}
+
+/// A [`WaitSet`]'s waiters, oldest first.
+#[derive(Debug, Clone)]
+enum Waiters {
+    /// Never two at once so far: at most one, inline.
+    Inline(Option<ProcId>),
+    /// Two or more have waited at once.
+    Spilled(VecDeque<ProcId>),
+}
+
+impl Default for WaitSet {
+    fn default() -> Self {
+        WaitSet {
+            waiters: Waiters::Inline(None),
+        }
+    }
 }
 
 impl WaitSet {
@@ -42,14 +63,32 @@ impl WaitSet {
     /// Register `pid` as waiting. Duplicate registrations are coalesced
     /// (see the type-level docs); the original FIFO position is kept.
     pub fn register(&mut self, pid: ProcId) {
-        if !self.waiters.contains(&pid) {
-            self.waiters.push_back(pid);
+        match &mut self.waiters {
+            Waiters::Inline(one @ None) => *one = Some(pid),
+            Waiters::Inline(Some(p)) if *p == pid => {}
+            Waiters::Inline(Some(p)) => {
+                let mut queue = VecDeque::new();
+                queue.extend([*p, pid]);
+                self.waiters = Waiters::Spilled(queue);
+            }
+            Waiters::Spilled(queue) => {
+                if !queue.contains(&pid) {
+                    queue.push_back(pid);
+                }
+            }
         }
     }
 
     /// Remove a registration (e.g. on timeout or cancellation).
     pub fn deregister(&mut self, pid: ProcId) {
-        self.waiters.retain(|p| *p != pid);
+        match &mut self.waiters {
+            Waiters::Inline(one) => {
+                if *one == Some(pid) {
+                    *one = None;
+                }
+            }
+            Waiters::Spilled(queue) => queue.retain(|p| *p != pid),
+        }
     }
 
     /// Wake the longest-waiting process, if any. Returns who was woken.
@@ -58,33 +97,44 @@ impl WaitSet {
         s: &mut Scheduler<W>,
         token: Wakeup,
     ) -> Option<ProcId> {
-        let pid = self.waiters.pop_front()?;
+        let pid = match &mut self.waiters {
+            Waiters::Inline(one) => one.take(),
+            Waiters::Spilled(queue) => queue.pop_front(),
+        }?;
         s.wake(pid, token);
         Some(pid)
     }
 
     /// Wake every waiting process. Returns how many were woken.
     pub fn wake_all<W: Send + 'static>(&mut self, s: &mut Scheduler<W>, token: Wakeup) -> usize {
-        let n = self.waiters.len();
-        for pid in self.waiters.drain(..) {
-            s.wake(pid, token);
+        let n = self.len();
+        match &mut self.waiters {
+            Waiters::Inline(one) => one.take().into_iter().for_each(|pid| s.wake(pid, token)),
+            Waiters::Spilled(queue) => queue.drain(..).for_each(|pid| s.wake(pid, token)),
         }
         n
     }
 
     /// Number of registered waiters.
     pub fn len(&self) -> usize {
-        self.waiters.len()
+        match &self.waiters {
+            Waiters::Inline(one) => usize::from(one.is_some()),
+            Waiters::Spilled(queue) => queue.len(),
+        }
     }
 
     /// True iff no process is waiting.
     pub fn is_empty(&self) -> bool {
-        self.waiters.is_empty()
+        self.len() == 0
     }
 
     /// The registered waiters, oldest first.
     pub fn waiters(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.waiters.iter().copied()
+        let (one, queue) = match &self.waiters {
+            Waiters::Inline(one) => (*one, None),
+            Waiters::Spilled(queue) => (None, Some(queue)),
+        };
+        one.into_iter().chain(queue.into_iter().flatten().copied())
     }
 }
 
@@ -208,6 +258,15 @@ mod tests {
         });
         assert!(sim.run_to_idle().all_finished());
         assert_eq!(sim.world().order, vec![100, 200, 300]);
+    }
+
+    #[test]
+    fn a_waitset_is_no_bigger_than_its_ring_buffer() {
+        // Kernel tables hold many; `vorx`'s memory accountant sizes them.
+        assert_eq!(
+            std::mem::size_of::<WaitSet>(),
+            std::mem::size_of::<VecDeque<ProcId>>()
+        );
     }
 
     #[test]

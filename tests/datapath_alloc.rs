@@ -153,16 +153,16 @@ fn standalone_multicast_allocates_one_list_per_tree_edge() {
 /// window around the whole run: events and both simulated processes execute
 /// on the calling thread, and the opening rendezvous is inside it.
 ///
-/// Measured: 81 for 1,000 messages — the open handshake and the one-off
-/// growth of queues and free lists to their working size, and nothing per
-/// message (the ack timer's cancel flag is a recycled cell); the budget is
-/// that plus 0.1 per message. With an `Arc` flag per timer the same stream
-/// took 1,089, with boxed event closures and a fresh fabric `Output` per step
-/// over 22,000.
+/// Measured: 78 for 1,000 messages (79 unoptimised) — the open handshake
+/// and the one-off growth of queues, free lists and the two images to their
+/// working size, and nothing per message (the ack timer's cancel flag is a
+/// recycled cell, a lone waiter is held inline); the budget is exactly that.
+/// With an `Arc` flag per timer the same stream took 1,089, with boxed event
+/// closures and a fresh fabric `Output` per step over 22,000.
 #[test]
 fn stop_and_wait_message_stays_within_alloc_budget() {
     const MSGS: u64 = 1_000;
-    const BUDGET: u64 = 81 + MSGS / 10;
+    const BUDGET: u64 = 79;
     let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut v = VorxBuilder::single_cluster(2).build();
     let payload = Payload::copy_from(&[0x5Au8; 64]);
@@ -216,8 +216,8 @@ fn allocs_for_bridged_stream(msgs: u64) -> (u64, u64) {
 /// A frame crossing shards rides a mailbox node that the receiving shard
 /// hands back, so a mailbox allocates to its deepest backlog and then never:
 /// 1,000 more messages (2,000 more bridged frames — each data frame and its
-/// ack) cost the same allocations, give or take 0.1 per message. A node per
-/// `push` and a cancel flag per ack timer made it 3 per message.
+/// ack) cost 3 more allocations (88 → 91 measured). A node per `push` and a
+/// cancel flag per ack timer made it 3 per message.
 #[test]
 fn bridged_frames_allocate_for_the_mailbox_high_water_not_per_frame() {
     const EXTRA: u64 = 1_000;
@@ -226,7 +226,7 @@ fn bridged_frames_allocate_for_the_mailbox_high_water_not_per_frame() {
     let (long, long_bridged) = allocs_for_bridged_stream(500 + EXTRA);
     assert!(long_bridged - short_bridged >= 2 * EXTRA);
     assert!(
-        long <= short + EXTRA / 10,
+        long <= short + 3,
         "{EXTRA} more bridged messages made {} more allocations ({short} -> {long})",
         long.saturating_sub(short)
     );
@@ -251,16 +251,17 @@ fn allocs_for_opens(opens: usize) -> u64 {
 }
 
 /// The open handshake — request, manager match, reply, channel end — costs
-/// at most six allocations per `try_open`, the channel end's own buffers
-/// included: names travel as `&str` borrowed from the frames, and the request
-/// and reply payloads are packed on the stack. (It was twelve.) Measured as
-/// the difference between two run lengths, so one-off growth cancels.
+/// 4.55 allocations per `try_open` (1,166 for 256), the channel end's own
+/// buffers included: names travel as `&str` borrowed from the frames, and the
+/// request and reply payloads are packed on the stack. (It was twelve.)
+/// Measured as the difference between two run lengths, so one-off growth
+/// cancels.
 #[test]
-fn an_open_handshake_allocates_at_most_six_times_per_end() {
+fn an_open_handshake_allocates_under_five_times_per_end() {
     let extra = allocs_for_opens(192) - allocs_for_opens(64);
     let per_open = extra as f64 / (2.0 * 128.0);
     assert!(
-        per_open <= 6.0,
+        per_open <= 4.6,
         "{per_open:.2} allocations per try_open ({extra} for 256 more)"
     );
 }

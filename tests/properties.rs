@@ -10,7 +10,9 @@
 //! * simulated time never decreases and runs are deterministic;
 //! * the event queue fires in `(time, issue order)`, whatever the action and
 //!   wherever it was issued from, sweeps of cancelled timers or none
-//!   (`queue_model`).
+//!   (`queue_model`);
+//! * a `WaitSet` — a lone waiter inline, more in a ring buffer — behaves as
+//!   a plain FIFO list that coalesces re-registrations.
 
 use proptest::prelude::*;
 
@@ -438,5 +440,87 @@ proptest! {
         let expect = queue_model::reference(&prog);
         prop_assert_eq!(&queue_model::run(&prog, None), &expect);
         prop_assert_eq!(&queue_model::run(&prog, Some(deadline_ns)), &expect);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `desim::sync::WaitSet` against a `Vec` model, over random
+    /// `register` / `deregister` / `wake_one` / `wake_all` on six processes:
+    /// a re-registration keeps its first place, `deregister` removes a waiter
+    /// wherever it is — the lone inline one included, and the oldest of a
+    /// spilled set, whose place the next takes — and wakes release waiters
+    /// oldest first. Checked after every call in what the set reports, and at
+    /// the end in the order the woken processes run with the tokens they were
+    /// woken with.
+    #[test]
+    fn a_wait_set_is_a_coalescing_fifo(
+        ops in proptest::collection::vec((0u8..6, 0usize..6), 0..64),
+    ) {
+        use hpc_vorx::desim::sync::WaitSet;
+        use hpc_vorx::desim::{Ctx, ProcId, Simulation, Wakeup};
+
+        #[derive(Default)]
+        struct World {
+            ws: WaitSet,
+            woke: Vec<(ProcId, u64)>,
+        }
+
+        let mut sim = Simulation::new(World::default());
+        let pids: Vec<ProcId> = (0..6)
+            .map(|i| {
+                sim.spawn(format!("p{i}"), |ctx: Ctx<World>| loop {
+                    let token = ctx.park();
+                    let me = ctx.pid();
+                    ctx.with(|w, _| w.woke.push((me, token.0)));
+                })
+            })
+            .collect();
+        sim.run_to_idle();
+        let mut model: Vec<ProcId> = Vec::new();
+        let mut woken = Vec::new();
+        let mut mismatch = None;
+        sim.setup(|w, s| {
+            for (k, &(kind, pick)) in ops.iter().enumerate() {
+                let pid = pids[pick];
+                let token = Wakeup(k as u64 + 1);
+                match kind {
+                    // Registration is the common call: half of them.
+                    0..=2 => {
+                        w.ws.register(pid);
+                        if !model.contains(&pid) {
+                            model.push(pid);
+                        }
+                    }
+                    3 => {
+                        w.ws.deregister(pid);
+                        model.retain(|&p| p != pid);
+                    }
+                    4 => {
+                        let want = (!model.is_empty()).then(|| model.remove(0));
+                        let got = w.ws.wake_one(s, token);
+                        if got != want {
+                            mismatch.get_or_insert(format!("op {k}: wake_one {got:?}, model {want:?}"));
+                        }
+                        woken.extend(want.map(|p| (p, token.0)));
+                    }
+                    _ => {
+                        let got = w.ws.wake_all(s, token);
+                        if got != model.len() {
+                            mismatch.get_or_insert(format!("op {k}: wake_all {got}, model {}", model.len()));
+                        }
+                        woken.extend(model.drain(..).map(|p| (p, token.0)));
+                    }
+                }
+                let listed: Vec<ProcId> = w.ws.waiters().collect();
+                if listed != model || w.ws.len() != model.len() || w.ws.is_empty() != model.is_empty() {
+                    mismatch.get_or_insert(format!("op {k}: set {listed:?}, model {model:?}"));
+                }
+            }
+        });
+        prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        sim.run_to_idle();
+        prop_assert_eq!(&sim.world().woke, &woken);
     }
 }
