@@ -12,9 +12,8 @@
 //! refresh a 900x900 pixel portion of a monochrome (bi-level black and
 //! white) display 30 times per second from a remote processor."
 
-use desim::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use desim::{lock, SimDuration, SimTime};
+use std::sync::{Arc, Mutex};
 use vorx::hpcnet::{NodeAddr, Payload, MAX_PAYLOAD};
 use vorx::udco::{self, UdcoMode};
 use vorx::VorxBuilder;
@@ -105,11 +104,11 @@ pub fn run_bitmap(params: BitmapParams) -> BitmapResult {
             // incoming bitmap data in the frame buffer"
             bytes += u64::from(m.payload.len());
         }
-        *rx_total.lock() = bytes;
+        *lock(&rx_total) = bytes;
     });
     let end = v.run_all();
     let elapsed = end - SimTime::ZERO;
-    let bytes_received = *received.lock();
+    let bytes_received = *lock(&received);
     let secs = elapsed.as_secs_f64();
     let mbytes_per_sec = bytes_received as f64 / 1e6 / secs;
     let fps = f64::from(params.frames) / secs;

@@ -15,13 +15,11 @@
 //! distributed waveform is verified bit-exactly against the serial
 //! simulator.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::{BufMut, BytesMut};
-use desim::SimDuration;
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use desim::rng::SmallRng;
+use desim::{lock, SimDuration};
 use vorx::api::user_compute;
 use vorx::hpcnet::{NodeAddr, Payload};
 use vorx::sched::coroutine_switch;
@@ -80,19 +78,21 @@ impl Circuit {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut gates = Vec::with_capacity(n_gates);
         for g in 0..n_gates {
-            let kind = match rng.random_range(0..4) {
+            let kind = match rng.below(4) {
                 0 => GateKind::And,
                 1 => GateKind::Or,
                 2 => GateKind::Not,
                 _ => GateKind::Xor,
             };
             let n_in = if kind == GateKind::Not { 1 } else { 2 };
-            let inputs = (0..n_in).map(|_| rng.random_range(0..n_signals)).collect();
+            let inputs = (0..n_in)
+                .map(|_| rng.below(n_signals as u64) as usize)
+                .collect();
             gates.push(Gate {
                 kind,
                 inputs,
                 out: n_inputs + g,
-                delay: rng.random_range(1..=MAX_DELAY),
+                delay: 1 + rng.below(MAX_DELAY as u64) as usize,
             });
         }
         Circuit {
@@ -116,7 +116,7 @@ fn eval(kind: GateKind, inputs: &[bool]) -> bool {
 pub fn random_stimulus(n_inputs: usize, ticks: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xC1BC);
     (0..ticks)
-        .map(|_| (0..n_inputs).map(|_| rng.random::<bool>()).collect())
+        .map(|_| (0..n_inputs).map(|_| rng.bool()).collect())
         .collect()
 }
 
@@ -283,7 +283,7 @@ pub fn run_cemu(c: &Circuit, p: usize, ticks: usize, seed: u64) -> CemuResult {
             }
             // Record (signal ids are implicit in gate order).
             let sigs: Vec<usize> = my_gates.iter().map(|g| g.out).collect();
-            let mut w = waves.lock();
+            let mut w = lock(&waves);
             w[me] = out_wave.into_iter().collect();
             // Stash the signal order as a final pseudo-entry.
             w[me].push((usize::MAX, sigs.iter().map(|s| *s != 0).collect()));
@@ -304,7 +304,7 @@ pub fn run_cemu(c: &Circuit, p: usize, ticks: usize, seed: u64) -> CemuResult {
         })
         .collect();
     let mut verified = true;
-    let w = waves.lock();
+    let w = lock(&waves);
     for me in 0..p {
         for (t, vals) in &w[me] {
             if *t == usize::MAX {

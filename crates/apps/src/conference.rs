@@ -16,10 +16,9 @@
 //! Each receiver tracks per-stream end-to-end latency, jitter, and audio
 //! deadline misses. Frames carry their send timestamp in the `seq` field.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use desim::{SimDuration, SimTime};
-use parking_lot::Mutex;
+use desim::{lock, SimDuration, SimTime};
 use vorx::hpcnet::{NodeAddr, Payload, MAX_PAYLOAD};
 use vorx::udco::{self, UdcoMode};
 use vorx::VorxBuilder;
@@ -192,13 +191,13 @@ pub fn run_conference(p: ConferenceParams) -> ConferenceResult {
                 for &peer in &peers {
                     while let Some(m) = udco::try_recv_raw(&ctx, node, AUDIO_BASE + peer.0 as u16) {
                         let lat = (ctx.now().as_ns() - m.seq) as f64 / 1000.0;
-                        alat.lock().push(lat);
+                        lock(&alat).push(lat);
                         got_audio += 1;
                         progressed = true;
                     }
                     while let Some(m) = udco::try_recv_raw(&ctx, node, VIDEO_BASE + peer.0 as u16) {
                         let lat = (ctx.now().as_ns() - m.seq) as f64 / 1000.0;
-                        vlat.lock().push(lat);
+                        lock(&vlat).push(lat);
                         got_video += 1;
                         progressed = true;
                     }
@@ -211,8 +210,8 @@ pub fn run_conference(p: ConferenceParams) -> ConferenceResult {
     }
 
     v.run_all();
-    let audio = finish(&audio_lat.lock(), p.audio_deadline_ms as f64 * 1000.0);
-    let video = finish(&video_lat.lock(), f64::MAX);
+    let audio = finish(&lock(&audio_lat), p.audio_deadline_ms as f64 * 1000.0);
+    let video = finish(&lock(&video_lat), f64::MAX);
     ConferenceResult { audio, video }
 }
 

@@ -19,13 +19,11 @@
 //! against the serial 2D FFT, so the comparison measures correct programs.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::{BufMut, BytesMut};
-use desim::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use desim::rng::SmallRng;
+use desim::{lock, SimDuration, SimTime};
 use vorx::api::user_compute;
 use vorx::collective::{self, CollMode, GroupCfg};
 use vorx::hpcnet::{NodeAddr, Payload, Topology};
@@ -198,9 +196,7 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
 
     // The input image and its serial reference transform.
     let mut rng = SmallRng::seed_from_u64(seed);
-    let img: Vec<Complex> = (0..n * n)
-        .map(|_| Complex::new(rng.random::<f64>(), 0.0))
-        .collect();
+    let img: Vec<Complex> = (0..n * n).map(|_| Complex::new(rng.f64(), 0.0)).collect();
     let mut reference = img.clone();
     fft2d_serial(&mut reference, n);
 
@@ -389,7 +385,7 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
                 fft1d(c);
             }
 
-            let mut g = coll.lock();
+            let mut g = lock(&coll);
             g.bytes_rx[me] = bytes_rx;
             g.dist_time[me] = dist;
             g.bar_time[me] = bar_time;
@@ -400,7 +396,7 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
     }
 
     let end = v.run_all();
-    let g = collected.lock();
+    let g = lock(&collected);
     // Verify against the serial transform.
     let mut err: f64 = 0.0;
     for (c, data) in &g.cols {

@@ -12,13 +12,11 @@
 //! The parallel iterate is verified bit-exactly against the serial Jacobi
 //! iterate, so the experiment measures a correct solver.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use bytes::{BufMut, BytesMut};
-use desim::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use desim::rng::SmallRng;
+use desim::{lock, SimDuration, SimTime};
 use vorx::api::user_compute;
 use vorx::collective::{self, CollMode, GroupCfg};
 use vorx::hpcnet::combine::CombOp;
@@ -159,7 +157,7 @@ pub fn run_spice_checked(
     assert!(p >= 2 && m % p == 0);
     let k = m / p;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let b: Vec<f64> = (0..m).map(|_| rng.random::<f64>()).collect();
+    let b: Vec<f64> = (0..m).map(|_| rng.f64()).collect();
     let serial = serial_jacobi(&b, iters);
 
     let mut v = VorxBuilder::with_topology(topology_for(p))
@@ -293,7 +291,7 @@ pub fn run_spice_checked(
                         }
                     };
                     if me == 0 {
-                        let mut g = chk.lock();
+                        let mut g = lock(&chk);
                         g.0 += 1;
                         g.1 = global;
                     }
@@ -306,18 +304,18 @@ pub fn run_spice_checked(
                 jacobi_sweep(&x, &my_b, lv, rv, &mut nx);
                 std::mem::swap(&mut x, &mut nx);
             }
-            sol.lock()[me * k..(me + 1) * k].copy_from_slice(&x);
+            lock(&sol)[me * k..(me + 1) * k].copy_from_slice(&x);
         });
     }
     let end = v.run_all();
     let elapsed = end - SimTime::ZERO;
-    let x = solution.lock().clone();
+    let x = lock(&solution).clone();
     let max_err = x
         .iter()
         .zip(&serial)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
-    let (checks, checked_residual) = *checked.lock();
+    let (checks, checked_residual) = *lock(&checked);
     SpiceResult {
         elapsed,
         per_iter: elapsed / iters.max(1) as u64,

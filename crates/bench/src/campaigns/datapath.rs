@@ -10,9 +10,9 @@
 //! stop-and-wait (164 µs vs 303 µs per 4-byte message); this report
 //! reproduces that ordering inside the simulation, for channels.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
+use desim::lock;
 use vorx::hpcnet::{copymeter, NodeAddr};
 use vorx::objmgr::ObjMgrMode;
 use vorx::{channel, Calibration, VorxBuilder};
@@ -112,7 +112,7 @@ fn run(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Run {
     let span_w = Arc::clone(&span);
     v.spawn("n0:writer", move |ctx| {
         let ch = channel::open(&ctx, NodeAddr(0), "dp");
-        span_w.lock().0 = ctx.now().as_ns();
+        lock(&span_w).0 = ctx.now().as_ns();
         for i in 0..MSGS {
             ch.write(&ctx, msg_payload(i, msg_bytes.max(4))).unwrap();
         }
@@ -124,15 +124,15 @@ fn run(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Run {
     v.spawn("n1:reader", move |ctx| {
         let ch = channel::open(&ctx, NodeAddr(1), "dp");
         for _ in 0..MSGS {
-            sink.lock().push(index_of(&ch.read(&ctx).unwrap()));
+            lock(&sink).push(index_of(&ch.read(&ctx).unwrap()));
         }
-        span_r.lock().1 = ctx.now().as_ns();
+        lock(&span_r).1 = ctx.now().as_ns();
     });
     let report = v.run();
-    let (t0, t1) = *span.lock();
+    let (t0, t1) = *lock(&span);
     let elapsed_ns = t1.saturating_sub(t0);
     let w = v.world();
-    let (sim, violations) = stream_verdict(&w, &report, &got.lock(), MSGS);
+    let (sim, violations) = stream_verdict(&w, &report, &lock(&got), MSGS);
     let (pool_hits, pool_misses, pool_recycled) = w.payload_pool.stats();
     let kbytes = (u64::from(MSGS) * msg_bytes as u64) as f64 / 1e3;
     let sim = sim

@@ -16,10 +16,9 @@
 //! retransmits, duplicates suppressed, recovery latency, per-link injection
 //! counters.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use desim::SimTime;
-use parking_lot::Mutex;
+use desim::{lock, SimTime};
 use vorx::hpcnet::{NodeAddr, Payload};
 use vorx::objmgr::ObjMgrMode;
 use vorx::{channel, VorxBuilder, VorxError};
@@ -160,7 +159,7 @@ fn run(loss: f64, crash: bool, seed: u64) -> Run {
                         if i != expect {
                             continue; // app-level duplicate from the rewind
                         }
-                        let mut g = shared.lock();
+                        let mut g = lock(&shared);
                         if generation > 0 && g.recovery_ns.is_none() {
                             g.recovery_ns = Some(ctx.now().as_ns() - CRASH_AT_NS);
                         }
@@ -189,7 +188,7 @@ fn run(loss: f64, crash: bool, seed: u64) -> Run {
     });
 
     let report = v.run();
-    let g = progress.lock();
+    let g = lock(&progress);
     let (sim, mut violations) = stream_verdict(&v.world(), &report, &g.delivered, MSGS);
     if crash && (sim.u64("crashes"), sim.u64("restarts")) != (1, 1) {
         violations.push("fault-plane-idle");

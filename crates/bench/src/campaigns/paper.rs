@@ -22,12 +22,10 @@
 //! as a table (`tests/campaign.rs` keeps the two equal).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use desim::{SimDuration, SimTime};
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use desim::rng::SmallRng;
+use desim::{lock, SimDuration, SimTime};
 use snet::{SnetConfig, SnetSim, Strategy};
 use vorx::alloc::UserId;
 use vorx::api::{compute_ns, user_compute};
@@ -996,23 +994,23 @@ fn alloc_race(policy: AllocPolicy, cycles: u32, seed: u64) -> [u32; 2] {
             }
             for _ in 0..cycles {
                 // Edit + compile.
-                ctx.sleep(SimDuration::from_ms(500 + rng.random_range(0..500)));
+                ctx.sleep(SimDuration::from_ms(500 + rng.below(500)));
                 // Run.
                 if policy == AllocPolicy::VorxExplicit {
                     // The session allocation is still held.
-                    ctx.sleep(SimDuration::from_ms(300 + rng.random_range(0..300)));
+                    ctx.sleep(SimDuration::from_ms(300 + rng.below(300)));
                     continue;
                 }
                 match ctx.with(move |w, _| w.alloc.allocate(user, WANT)) {
                     Ok(nodes) => {
-                        ctx.sleep(SimDuration::from_ms(300 + rng.random_range(0..300)));
+                        ctx.sleep(SimDuration::from_ms(300 + rng.below(300)));
                         ctx.with(move |w, _| {
                             w.alloc.free(user, &nodes);
                         });
                     }
                     Err(_) => {
                         // "processors not available"
-                        fail.lock()[dev as usize] += 1;
+                        lock(&fail)[dev as usize] += 1;
                         ctx.sleep(SimDuration::from_ms(200));
                     }
                 }
@@ -1025,7 +1023,7 @@ fn alloc_race(policy: AllocPolicy, cycles: u32, seed: u64) -> [u32; 2] {
         });
     }
     v.run_all();
-    let f = *failures.lock();
+    let f = *lock(&failures);
     f
 }
 
@@ -1043,7 +1041,7 @@ fn shared_vs_exclusive(interferer: bool) -> (f64, f64) {
             for _ in 0..10 {
                 user_compute(&ctx, NodeAddr(wk as u32), SimDuration::from_ms(1));
             }
-            spans.lock()[wk] = (ctx.now() - t0).as_ns();
+            lock(&spans)[wk] = (ctx.now() - t0).as_ns();
         });
     }
     if interferer {
@@ -1055,7 +1053,7 @@ fn shared_vs_exclusive(interferer: bool) -> (f64, f64) {
         });
     }
     let end = v.run_all();
-    let spans = spans.lock();
+    let spans = lock(&spans);
     let max = *spans.iter().max().unwrap() as f64 / 1000.0;
     let min = *spans.iter().min().unwrap() as f64 / 1000.0;
     (end.as_us_f64(), max - min)

@@ -20,10 +20,9 @@
 //! CI has gated on since the partition plane landed: it must both declare
 //! and heal, and show the typed write failure.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use desim::{SimDuration, SimTime};
-use parking_lot::Mutex;
+use desim::{lock, SimDuration, SimTime};
 use vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Topology};
 use vorx::{channel, VorxBuilder, VorxError};
 
@@ -149,8 +148,8 @@ fn run(mode: &str, heal_delay_ns: Option<u64>, loss: f64, seed: u64) -> Run {
                 Err(VorxError::Partitioned) => {
                     // Typed, bounded-time failure: count it, wait out the
                     // outage, retry the same message on the same handle.
-                    *fw.lock() += 1;
-                    assert!(*fw.lock() < 5_000, "writer stalled unboundedly");
+                    *lock(&fw) += 1;
+                    assert!(*lock(&fw) < 5_000, "writer stalled unboundedly");
                     ctx.sleep(SimDuration::from_ns(20_000_000));
                 }
                 Err(e) => panic!("writer: unexpected error {e:?}"),
@@ -171,7 +170,7 @@ fn run(mode: &str, heal_delay_ns: Option<u64>, loss: f64, seed: u64) -> Run {
                     if i != expect {
                         continue; // app-level duplicate from a write retry
                     }
-                    let mut g = shared.lock();
+                    let mut g = lock(&shared);
                     let now = ctx.now().as_ns();
                     if now > CUT_AT_NS && g.recovery_ns.is_none() {
                         g.recovery_ns = Some(now - CUT_AT_NS);
@@ -191,9 +190,9 @@ fn run(mode: &str, heal_delay_ns: Option<u64>, loss: f64, seed: u64) -> Run {
     });
 
     let report = v.run();
-    let g = progress.lock();
+    let g = lock(&progress);
     let (sim, mut violations) = stream_verdict(&v.world(), &report, &g.delivered, MSGS);
-    let failed_writes = *failed_writes.lock();
+    let failed_writes = *lock(&failed_writes);
     if mode == "outage" {
         // A cut that outlasts the sweep must be declared, healed, and seen
         // by the writer as the typed error.

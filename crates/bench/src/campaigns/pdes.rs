@@ -43,7 +43,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use desim::{affinity, PdesMonitor};
+use desim::{affinity, lock, PdesMonitor};
 use vorx::hpcnet::{NetConfig, NodeAddr, Payload, Topology};
 use vorx::{channel, invariants, VCtx, VorxBuilder};
 
@@ -216,7 +216,7 @@ fn spawn_workload(
 static MONITOR: Mutex<Option<PdesMonitor>> = Mutex::new(None);
 
 fn dump_on_expiry() {
-    if let Some(m) = MONITOR.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+    if let Some(m) = lock(&MONITOR).as_ref() {
         eprintln!("engine state at expiry:\n{}", m.dump());
     }
 }
@@ -246,11 +246,11 @@ fn pass(topo: &Topology, workers: usize, traced: bool, pin: bool) -> (u64, Run) 
     spawn_workload(topo, |node, name, f| {
         v.spawn_at(node, name, f);
     });
-    *MONITOR.lock().unwrap_or_else(|e| e.into_inner()) = Some(v.monitor());
+    *lock(&MONITOR) = Some(v.monitor());
     let t0 = Instant::now();
     let end = v.run_all();
     let wall_ns = t0.elapsed().as_nanos() as u64;
-    *MONITOR.lock().unwrap_or_else(|e| e.into_inner()) = None;
+    *lock(&MONITOR) = None;
     let st = v.stats().clone();
     let mut violations = invariants::check_shards(&v, 0);
     if st.msgs_bridged == 0 {

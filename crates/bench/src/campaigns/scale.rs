@@ -44,6 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use desim::rng::SplitMix64;
 use desim::{FaultSchedule, SimDuration, SimTime};
 use vorx::hpcnet::{
     Attachment, ClusterId, Fabric, NetConfig, NodeAddr, Payload, PortRef, Topology,
@@ -216,21 +217,13 @@ fn churn(t: &Topology) -> FaultSchedule {
     s
 }
 
-/// SplitMix64 finalizer: the pure source of stream endpoints.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
-}
-
 /// The `i`-th stream of window `k` on an `n`-endpoint world: a pure function
-/// every shard evaluates identically. Source and destination are always
-/// distinct nodes.
+/// (one SplitMix64 step from a key) every shard evaluates identically.
+/// Source and destination are always distinct nodes.
 fn stream(n: u32, k: u32, i: u32) -> (NodeAddr, NodeAddr) {
-    let h = mix(SEED ^ (u64::from(k) << 32) ^ u64::from(i));
+    let h = SplitMix64::new(SEED ^ (u64::from(k) << 32) ^ u64::from(i)).next_u64();
     let src = (h % u64::from(n)) as u32;
-    let step = (mix(h) % u64::from(n - 1)) as u32 + 1;
+    let step = (SplitMix64::new(h).next_u64() % u64::from(n - 1)) as u32 + 1;
     (NodeAddr(src), NodeAddr((src + step) % n))
 }
 
@@ -380,7 +373,7 @@ fn run(cfg: &Scale, workers: usize) -> Run {
 fn derangement(n: u32) -> Vec<u32> {
     let mut to: Vec<u32> = (0..n).collect();
     for i in (1..n as usize).rev() {
-        let j = mix(SEED ^ i as u64) % i as u64;
+        let j = SplitMix64::new(SEED ^ i as u64).next_u64() % i as u64;
         to.swap(i, j as usize);
     }
     to
@@ -418,7 +411,8 @@ fn dense(cfg: &Scale, workers: usize) -> Run {
     let spread = u64::from(n) * DENSE_START_GAP_NS;
     for (src, dst) in derangement(n).into_iter().enumerate() {
         let (src, dst) = (NodeAddr(src as u32), NodeAddr(dst));
-        let start = SimDuration::from_ns(mix(!SEED ^ u64::from(src.0)) % spread);
+        let start =
+            SimDuration::from_ns(SplitMix64::new(!SEED ^ u64::from(src.0)).next_u64() % spread);
         let name = format!("dense.{}", src.0);
         let reader_name = name.clone();
         v.spawn_at(src, format!("n{}:w", src.0), move |ctx: VCtx| {

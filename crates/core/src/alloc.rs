@@ -491,7 +491,7 @@ impl Drop for PooledStore {
             return; // the simulation is gone; let the Vec free normally
         };
         let mut v = std::mem::take(&mut self.data);
-        let mut free = pool.free.lock().expect("pool free list poisoned");
+        let mut free = desim::lock(&pool.free);
         if free.len() < POOL_MAX_FREE {
             v.clear();
             free.push(v);
@@ -504,12 +504,7 @@ impl PayloadPool {
     /// Take a cleared buffer with at least `cap` bytes reserved, reusing a
     /// recycled allocation when one is free.
     pub fn acquire(&self, cap: usize) -> PooledBuf {
-        let recycled = self
-            .inner
-            .free
-            .lock()
-            .expect("pool free list poisoned")
-            .pop();
+        let recycled = desim::lock(&self.inner.free).pop();
         let data = match recycled {
             Some(mut v) => {
                 self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -597,7 +592,7 @@ mod pool_tests {
             .collect();
         drop(frozen);
         assert_eq!(
-            pool.inner.free.lock().unwrap().len(),
+            desim::lock(&pool.inner.free).len(),
             POOL_MAX_FREE,
             "returns beyond the cap must be freed, not hoarded"
         );

@@ -1055,12 +1055,12 @@ mod tests {
             v.spawn(format!("n{m}:coll"), move |ctx| {
                 let c = attach(&ctx, NodeAddr(m), 7);
                 let r = c.allreduce(&ctx, CombOp::Sum, u64::from(m) + 1);
-                results.lock().unwrap()[i] = r;
+                desim::lock(&results)[i] = r;
             });
         }
         v.run_all();
         assert_eq!(v.world().net.in_flight(), 0);
-        let r = results.lock().unwrap().clone();
+        let r = desim::lock(&results).clone();
         r
     }
 
@@ -1110,12 +1110,12 @@ mod tests {
                 v.spawn(format!("n{m}:a2a"), move |ctx| {
                     let c = attach(&ctx, NodeAddr(m), 7);
                     let r = c.all_to_all(&ctx, u64::from(m) * 100);
-                    results.lock().unwrap().push(r);
+                    desim::lock(&results).push(r);
                 });
             }
             v.run_all();
             let want: Vec<u64> = (0..6).map(|i| i * 100).collect();
-            for r in results.lock().unwrap().iter() {
+            for r in desim::lock(&results).iter() {
                 assert_eq!(r, &want, "mode {mode:?}");
             }
         }
@@ -1140,11 +1140,11 @@ mod tests {
                 assert_eq!(fa, 8);
                 let vals = c.all_to_all(&ctx, u64::from(m) ^ 5);
                 assert_eq!(vals, vec![5, 4, 7, 6]);
-                *oks.lock().unwrap() += 1;
+                *desim::lock(&oks) += 1;
             });
         }
         v.run_all();
-        assert_eq!(*oks.lock().unwrap(), 4);
+        assert_eq!(*desim::lock(&oks), 4);
     }
 
     #[test]
@@ -1160,12 +1160,12 @@ mod tests {
                 v.spawn_at(NodeAddr(m), format!("n{m}:coll"), move |ctx| {
                     let c = attach(&ctx, NodeAddr(m), 7);
                     let r = c.allreduce(&ctx, CombOp::Sum, u64::from(m));
-                    results.lock().unwrap()[i] = r;
+                    desim::lock(&results)[i] = r;
                 });
             }
             let mut v = v;
             let end = v.run_all().as_ns();
-            let r = results.lock().unwrap().clone();
+            let r = desim::lock(&results).clone();
             let trace = v.merged_trace().to_json();
             (end, r, trace)
         };

@@ -5,8 +5,6 @@ use std::collections::HashMap;
 
 use desim::{sync::WaitSet, Ctx, Scheduler, SimDuration, SimTime, Simulation, Trace};
 use hpcnet::{ClusterId, Fabric, Frame, NetConfig, NodeAddr, Topology};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::alloc::Allocator;
 use crate::calib::Calibration;
@@ -320,8 +318,6 @@ pub struct World {
     pub trace: Trace<TraceEvent>,
     /// Fault-injection plane: the seeded schedule plus recovery statistics.
     pub faults: crate::fault::FaultState,
-    /// Deterministic randomness for workloads.
-    pub rng: SmallRng,
     /// Next channel id.
     pub next_chan: u32,
     /// Next open token / generic correlation id.
@@ -452,11 +448,10 @@ struct WorldCfg {
 
 impl WorldCfg {
     /// The one place a `World` is assembled, for the sequential engine
-    /// (`ShardCtx::default()`) and for each shard alike. Shard `k` perturbs
-    /// the seed and offsets the channel-id and token counters by `k`; shard
-    /// 0 — and so the sequential build — gets exactly `seed`, 1 and 0, which
-    /// is why a single-shard sharded run replays the sequential one
-    /// byte-for-byte.
+    /// (`ShardCtx::default()`) and for each shard alike. Shard `k` offsets
+    /// the channel-id and token counters by `k`; shard 0 — and so the
+    /// sequential build — gets exactly 1 and 0, which is why a single-shard
+    /// sharded run replays the sequential one byte-for-byte.
     ///
     /// The kernel's shed classifier is installed on `net`: only
     /// lowest-priority channel data fragments are eligible for overload
@@ -483,7 +478,6 @@ impl WorldCfg {
                 Trace::disabled()
             },
             faults: crate::fault::FaultState::new(schedule),
-            rng: SmallRng::seed_from_u64(self.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             next_chan: 1 + k as u32,
             next_token: k,
             payload_pool: crate::alloc::PayloadPool::default(),
@@ -551,7 +545,8 @@ impl VorxBuilder {
         self
     }
 
-    /// Seed for workload randomness.
+    /// Seed of the fault schedule built when [`VorxBuilder::faults`]
+    /// installs none.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
         self
@@ -812,7 +807,7 @@ impl VorxSim {
     }
 
     /// Inspect or mutate the world between runs.
-    pub fn world(&self) -> parking_lot::MutexGuard<'_, World> {
+    pub fn world(&self) -> std::sync::MutexGuard<'_, World> {
         self.sim.world()
     }
 
@@ -898,7 +893,7 @@ impl VorxShardedSim {
     }
 
     /// Inspect or mutate one shard's world between runs.
-    pub fn world(&self, shard: usize) -> parking_lot::MutexGuard<'_, World> {
+    pub fn world(&self, shard: usize) -> std::sync::MutexGuard<'_, World> {
         self.engine.shard(shard).world()
     }
 

@@ -4,22 +4,18 @@
 //!
 //! Run with: `cargo run -p desim --example mm1`
 
+use desim::rng::SmallRng;
 use desim::{sync::Mailbox, Ctx, SimDuration, Simulation};
 
 struct World {
     queue: Mailbox<u64>, // arrival times, ns
     served: u64,
     total_wait_ns: u64,
-    // xorshift state for exponential variates
-    rng: u64,
+    rng: SmallRng,
 }
 
-fn exp_sample(rng: &mut u64, mean_ns: f64) -> u64 {
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let u = (*rng >> 11) as f64 / (1u64 << 53) as f64;
-    (-mean_ns * (1.0 - u).ln()) as u64
+fn exp_sample(rng: &mut SmallRng, mean_ns: f64) -> u64 {
+    (-mean_ns * (1.0 - rng.f64()).ln()) as u64
 }
 
 fn schedule_arrival(w: &mut World, s: &mut desim::Scheduler<World>, remaining: u32) {
@@ -39,7 +35,7 @@ fn main() {
         queue: Mailbox::new(),
         served: 0,
         total_wait_ns: 0,
-        rng: 0x9E3779B97F4A7C15,
+        rng: SmallRng::seed_from_u64(1),
     });
     const JOBS: u32 = 10_000;
     sim.setup(|w, s| schedule_arrival(w, s, JOBS));

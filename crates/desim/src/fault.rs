@@ -11,9 +11,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use crate::rng::{SmallRng, SplitMix64};
 use crate::time::SimTime;
 
 /// A scheduled change to an element's availability. Element ids are opaque
@@ -187,16 +185,6 @@ struct GrayWindow {
     jitter_ns: u64,
 }
 
-/// SplitMix64 finalizer: a stateless hash used to derive per-frame jitter
-/// from `(seed, link, sim time)` without touching the schedule's RNG.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A seeded, deterministic fault plan: a crash/restart timeline plus
 /// per-link message fault probabilities and an optional scripted drop table
 /// (for tests that need to kill exactly the nth message on a link).
@@ -320,7 +308,9 @@ impl FaultSchedule {
     }
 
     /// Flap link `link`: starting at `first_down`, alternate down/up every
-    /// `half_period_ns` nanoseconds for `cycles` full down+up cycles.
+    /// `half_period_ns` nanoseconds for `cycles` full down+up cycles. Edges
+    /// that would fall past [`SimTime::MAX`] land on it, so the timeline
+    /// never runs backwards.
     pub fn flap_link(
         mut self,
         link: u32,
@@ -329,10 +319,11 @@ impl FaultSchedule {
         cycles: u32,
     ) -> Self {
         let base = first_down.as_ns();
+        let edge = |k: u64| SimTime::from_ns(base.saturating_add(k.saturating_mul(half_period_ns)));
         for i in 0..u64::from(cycles) {
             self = self
-                .link_down_at(link, SimTime::from_ns(base + 2 * i * half_period_ns))
-                .link_up_at(link, SimTime::from_ns(base + (2 * i + 1) * half_period_ns));
+                .link_down_at(link, edge(2 * i))
+                .link_up_at(link, edge(2 * i + 1));
         }
         self
     }
@@ -431,9 +422,11 @@ impl FaultSchedule {
         let jitter = if jitter_bound == 0 {
             0
         } else {
-            splitmix64(self.gray_seed ^ (u64::from(link) << 32) ^ now_ns) % (jitter_bound + 1)
+            let h = SplitMix64::new(self.gray_seed ^ (u64::from(link) << 32) ^ now_ns).next_u64();
+            // A bound of `u64::MAX` admits every word.
+            jitter_bound.checked_add(1).map_or(h, |span| h % span)
         };
-        inflation + jitter
+        inflation.saturating_add(jitter)
     }
 
     /// Per-link injection counters, keyed by link id. Links that never saw
@@ -533,15 +526,15 @@ impl FaultSchedule {
             return Disposition::Deliver;
         }
         let f = *f;
-        if f.drop > 0.0 && self.rng.random_bool(f.drop) {
+        if f.drop > 0.0 && self.rng.chance(f.drop) {
             self.link_stats.entry(link).or_default().dropped += 1;
             return Disposition::Drop;
         }
-        if f.corrupt > 0.0 && self.rng.random_bool(f.corrupt) {
+        if f.corrupt > 0.0 && self.rng.chance(f.corrupt) {
             self.link_stats.entry(link).or_default().corrupted += 1;
             return Disposition::Corrupt;
         }
-        if f.delay > 0.0 && self.rng.random_bool(f.delay) {
+        if f.delay > 0.0 && self.rng.chance(f.delay) {
             self.link_stats.entry(link).or_default().delayed += 1;
             return Disposition::Delay(f.delay_ns);
         }

@@ -16,12 +16,15 @@
 //!   `Simulation` shards advance independently to their earliest input
 //!   time (peer frontier + per-link lookahead), exchanging messages over
 //!   lock-free per-link SPSC mailboxes with deterministic injection order.
+//! * [`rng`] — the one seeded PRNG every simulated stream draws from.
+//! * [`lock`] — the one way the workspace takes a `std::sync::Mutex`.
 //!
 //! ## Determinism
 //!
 //! Exactly one simulated activity executes at any moment; the event queue is
-//! ordered by `(time, sequence)`. Two runs of the same scenario produce
-//! bit-identical traces. A process has a stack of its own but no thread:
+//! ordered by `(time, sequence)`, and every random draw comes from a seeded
+//! [`rng`] generator. Two runs of the same scenario produce bit-identical
+//! traces. A process has a stack of its own but no thread:
 //! the executor switches into it and it switches back, one at a time, so the
 //! host scheduler has no say in the order. Process code must not hold a
 //! thread-local borrow or a lock guard across a park (the sharded engine may
@@ -57,6 +60,7 @@ mod time;
 
 pub mod affinity;
 pub mod fault;
+pub mod rng;
 pub mod shard;
 pub mod spsc;
 pub mod sync;
@@ -67,3 +71,16 @@ pub use shard::{OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim, WorkerSt
 pub use sim::{Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup};
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Take `m`, recovering it if a panic poisoned it.
+///
+/// The workspace's one poisoning policy. A simulated process that panics
+/// unwinds through whatever it holds — [`Ctx::with`]'s scheduler and world,
+/// a test's result collector — and the executor re-raises the panic to its
+/// caller by name, so the panic is never lost; the data it left behind is
+/// still what later readers (teardown, a test's post-mortem) should see.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

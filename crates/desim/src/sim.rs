@@ -14,7 +14,8 @@
 //!
 //! Determinism contract: the event queue is ordered by `(time, sequence
 //! number)`, numbered at the scheduling call (a spawn's start wake too), so
-//! ties fire in call order. Randomness must come from a seeded RNG in `W`.
+//! ties fire in call order. Randomness must come from a seeded [`crate::rng`]
+//! generator in `W`.
 //!
 //! # Hot-path design
 //!
@@ -72,12 +73,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
     AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering as AtomicOrdering,
 };
-use std::sync::{Arc, OnceLock, Weak};
-
-use parking_lot::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 
 use crate::coro::{self, Image, Stack};
 use crate::event_fn::EventFn;
+use crate::lock;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated process for the lifetime of a [`Simulation`].
@@ -427,7 +427,7 @@ impl Baton {
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "<non-string panic payload>".into());
-        *self.panic_msg.lock() = Some(msg);
+        *lock(&self.panic_msg) = Some(msg);
         REPORT_PANICKED
     }
 
@@ -776,8 +776,8 @@ impl<W: Send + 'static> Ctx<W> {
     /// Do not call other `Ctx` methods from inside `f` (the world and queue
     /// locks are held) and do not park: `with` blocks are instantaneous.
     pub fn with<R>(&self, f: impl FnOnce(&mut W, &mut Scheduler<W>) -> R) -> R {
-        let mut sched = self.inner.sched.lock();
-        let mut world = self.inner.world.lock();
+        let mut sched = lock(&self.inner.sched);
+        let mut world = lock(&self.inner.world);
         f(&mut world, &mut sched)
     }
 
@@ -803,7 +803,7 @@ impl<W: Send + 'static> Ctx<W> {
     /// copies.
     #[inline(never)]
     fn wake_me_in(&self, d: SimDuration) {
-        self.inner.sched.lock().wake_in(d, self.pid, Wakeup::TIMER);
+        lock(&self.inner.sched).wake_in(d, self.pid, Wakeup::TIMER);
     }
 
     /// Park repeatedly until `cond` (evaluated against the world) yields
@@ -904,13 +904,13 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// Mutable access to the world between runs (inspection, setup).
     pub fn world(&self) -> MutexGuard<'_, W> {
-        self.inner.world.lock()
+        lock(&self.inner.world)
     }
 
     /// Schedule and spawn from outside the run loop (setup).
     pub fn setup(&self, f: impl FnOnce(&mut W, &mut Scheduler<W>)) {
-        let mut sched = self.inner.sched.lock();
-        f(&mut self.inner.world.lock(), &mut sched);
+        let mut sched = lock(&self.inner.sched);
+        f(&mut lock(&self.inner.world), &mut sched);
     }
 
     /// Spawn a process starting at the current time. Convenience wrapper
@@ -919,7 +919,7 @@ impl<W: Send + 'static> Simulation<W> {
     where
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
-        self.inner.sched.lock().spawn(name, f)
+        lock(&self.inner.sched).spawn(name, f)
     }
 
     /// Schedule an event callback after `d`.
@@ -927,7 +927,7 @@ impl<W: Send + 'static> Simulation<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        self.inner.sched.lock().schedule_in(d, f);
+        lock(&self.inner.sched).schedule_in(d, f);
     }
 
     /// Run until no events remain.
@@ -962,7 +962,7 @@ impl<W: Send + 'static> Simulation<W> {
         let inner = &*self.inner;
         // Held across event callbacks, which schedule through it; let go of
         // around every process resume, which takes it from the inside.
-        let mut sched = inner.sched.lock();
+        let mut sched = lock(&inner.sched);
         // Likewise the world, taken (after `sched`) for the first event
         // callback since the last resume: a run of events shares one
         // acquisition, and a run of resumes makes none.
@@ -1019,7 +1019,7 @@ impl<W: Send + 'static> Simulation<W> {
                 }
             };
             sched.dispatched += 1;
-            let world = world.get_or_insert_with(|| inner.world.lock());
+            let world = world.get_or_insert_with(|| lock(&inner.world));
             f.call(world, &mut sched);
         }
     }
@@ -1054,14 +1054,14 @@ impl<W: Send + 'static> Simulation<W> {
         // its run stack: running takes `&mut Simulation`, which nothing a
         // process can reach holds while the run that resumed it does.
         let report = unsafe { baton.enter(&self.inner.stack) };
-        let mut sched = self.inner.sched.lock();
+        let mut sched = lock(&self.inner.sched);
         let slot = sched.slot_mut(pid);
         match report {
             REPORT_PARKED => slot.state = ProcState::Parked,
             REPORT_FINISHED => slot.finish(),
             _ => {
                 slot.finish();
-                let msg = baton.panic_msg.lock().take();
+                let msg = lock(&baton.panic_msg).take();
                 let msg = msg.as_deref().unwrap_or("<missing panic message>");
                 panic!("simulated process '{}' panicked: {msg}", slot.name);
             }
@@ -1076,7 +1076,7 @@ impl<W: Send + 'static> Simulation<W> {
 
     /// The current time and the processes parked at it.
     pub(crate) fn idle_report(&self) -> IdleReport {
-        let sched = self.inner.sched.lock();
+        let sched = lock(&self.inner.sched);
         let parked = sched
             .procs
             .iter()
@@ -1096,7 +1096,7 @@ impl<W: Send + 'static> Simulation<W> {
     /// lane entries report the current time. Used by the sharded engine to
     /// pick the next lookahead window.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        let mut sched = self.inner.sched.lock();
+        let mut sched = lock(&self.inner.sched);
         sched.pop_cancelled_heads();
         if !sched.lane.is_empty() {
             return Some(sched.now);
@@ -1109,7 +1109,7 @@ impl<W: Send + 'static> Simulation<W> {
     /// the next one scheduled counts its delay from `t`. The sharded engine
     /// ends a run with this, so that all its shards start the next together.
     pub(crate) fn rest_until(&mut self, t: SimTime) {
-        let mut sched = self.inner.sched.lock();
+        let mut sched = lock(&self.inner.sched);
         assert!(
             sched.queue.is_empty() && sched.lane.is_empty(),
             "only an idle simulation's clock may be moved"
@@ -1124,7 +1124,7 @@ impl<W: Send + 'static> Simulation<W> {
     /// resumes). Monotone across `run_until` calls; the sharded engine
     /// reports it per shard as a load-balance signal.
     pub fn events_dispatched(&self) -> u64 {
-        self.inner.sched.lock().dispatched
+        lock(&self.inner.sched).dispatched
     }
 
     /// Schedule an event callback at *absolute* simulated time `t`, which
@@ -1135,7 +1135,7 @@ impl<W: Send + 'static> Simulation<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        let mut sched = self.inner.sched.lock();
+        let mut sched = lock(&self.inner.sched);
         assert!(
             t >= sched.now,
             "schedule_at({t}) is in the past: the clock reads {}",
@@ -1152,7 +1152,7 @@ impl<W: Send + 'static> Drop for Simulation<W> {
         // so their destructors run. The batons are collected first and the
         // queue lock released, because a destructor may use its `Ctx`.
         let parked: Vec<Arc<Baton>> = {
-            let mut sched = self.inner.sched.lock();
+            let mut sched = lock(&self.inner.sched);
             sched
                 .procs
                 .iter_mut()
@@ -1521,7 +1521,7 @@ mod tests {
             [(303, 0, 0), (302, 0, 64), (301, 0, 150), (148, 0, 0)]
         );
         assert_eq!(w.fired, 148);
-        let sched = sim.inner.sched.lock();
+        let sched = lock(&sim.inner.sched);
         assert_eq!(queued(&sched), (0, 0, 0));
         assert_eq!((sched.spare_cells.len(), sched.cells_made), (300, 300));
         assert_eq!(sched.events.free.len(), sched.events.slots.len());

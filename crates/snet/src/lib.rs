@@ -27,4 +27,4 @@ pub mod config;
 pub mod sim;
 
 pub use config::{SnetConfig, Strategy};
-pub use sim::{Delivery, SnetReport, SnetSim, SplitMix64};
+pub use sim::{Delivery, SnetReport, SnetSim};

@@ -12,33 +12,9 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
+use desim::rng::SplitMix64;
+
 use crate::config::{SnetConfig, Strategy};
-
-/// Deterministic SplitMix64 (for random backoff) — keeps this crate
-/// dependency-free and runs identically on every platform.
-#[derive(Debug, Clone)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeded generator.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next raw value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, bound)`; `bound` must be nonzero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next_u64() % bound
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MsgKind {
@@ -519,7 +495,7 @@ impl SnetSim {
                 let window = (self.cfg.backoff_initial_ns << (exp - 1))
                     .min(self.cfg.backoff_max_ns)
                     .max(1);
-                self.cfg.retry_ns + self.rng.below(window)
+                self.cfg.retry_ns + self.rng.next_u64() % window
             }
         };
         node.phase = SenderPhase::BackingOff;
@@ -750,14 +726,6 @@ mod tests {
         assert_eq!(r.corrupted, 5);
         assert!(r.garbage_bytes > 0);
         assert!(!r.completed);
-    }
-
-    #[test]
-    fn splitmix_below_is_bounded() {
-        let mut r = SplitMix64::new(1);
-        for _ in 0..1000 {
-            assert!(r.below(17) < 17);
-        }
     }
 
     #[test]

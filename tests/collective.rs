@@ -10,12 +10,11 @@
 //! arrival order, the sharded engine must replay every run bit-identically
 //! at workers {1, 4, 8}.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use hpc_vorx::desim::{FaultSchedule, LinkFaults};
+use hpc_vorx::desim::{lock, FaultSchedule, LinkFaults};
 use hpc_vorx::hpcnet::combine::CombOp;
 use hpc_vorx::hpcnet::{NetConfig, NodeAddr, Topology};
 use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
@@ -84,15 +83,15 @@ fn run_group(
         let (r1, r2) = (Arc::clone(&r1), Arc::clone(&r2));
         v.spawn_at(NodeAddr(m as u32), format!("n{m}:coll"), move |ctx| {
             let c = collective::attach(&ctx, NodeAddr(m as u32), GROUP);
-            r1.lock()[m] = c.allreduce(&ctx, op, x);
-            r2.lock()[m] = c.reduce(&ctx, op, second(x));
+            lock(&r1)[m] = c.allreduce(&ctx, op, x);
+            lock(&r2)[m] = c.reduce(&ctx, op, second(x));
         });
     }
     let mut v = v;
     let end = v.run_all();
     assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
     let trace = v.merged_trace().to_json();
-    let (r1, r2) = (r1.lock().clone(), r2.lock().clone());
+    let (r1, r2) = (lock(&r1).clone(), lock(&r2).clone());
     Run {
         r1,
         r2,
@@ -227,11 +226,11 @@ fn software_tree_and_in_network_agree() {
         let got = Arc::clone(&got);
         v.spawn_at(NodeAddr(m as u32), format!("n{m}:tree"), move |ctx| {
             let c = collective::attach(&ctx, NodeAddr(m as u32), GROUP);
-            got.lock()[m] = c.allreduce(&ctx, CombOp::Min, x);
+            lock(&got)[m] = c.allreduce(&ctx, CombOp::Min, x);
         });
     }
     let mut v = v;
     v.run_all();
     assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
-    assert_eq!(&*got.lock(), &innet.r1, "engines disagree on CombOp::Min");
+    assert_eq!(&*lock(&got), &innet.r1, "engines disagree on CombOp::Min");
 }

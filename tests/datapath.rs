@@ -6,11 +6,9 @@
 //! Everything runs from fixed seeds, so each scenario replays
 //! bit-identically on every run.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use hpc_vorx::desim::{FaultSchedule, LinkFaults, RunOutcome, SimTime};
+use hpc_vorx::desim::{lock, FaultSchedule, LinkFaults, RunOutcome, SimTime};
 use hpc_vorx::hpcnet::{Frame, NodeAddr, Payload};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
 use hpc_vorx::vorx::{channel, invariants, proto, Calibration, VorxBuilder, World};
@@ -54,7 +52,7 @@ fn stream_with(
         let ch = channel::open(&ctx, NodeAddr(1), "dp");
         for _ in 0..n_msgs {
             let p = ch.read(&ctx).unwrap();
-            sink.lock().push(p.bytes().unwrap().to_vec());
+            lock(&sink).push(p.bytes().unwrap().to_vec());
         }
     });
     // Run in 1 ms slices so the sender's in-flight set is inspected while
@@ -73,7 +71,7 @@ fn stream_with(
     } else {
         String::new()
     };
-    let order = got.lock().clone();
+    let order = lock(&got).clone();
     // The receive-side window state must be fully drained: nothing held,
     // nothing mid-copy, nothing parked in the reorder buffer — and the
     // sender keeps nothing for retransmission.
@@ -212,11 +210,11 @@ fn windowed_finishes_sooner_than_stop_and_wait() {
             for _ in 0..16 {
                 ch.read(&ctx).unwrap();
             }
-            *sink.lock() = ctx.now().as_ns();
+            *lock(&sink) = ctx.now().as_ns();
         });
         v.run_all();
         assert_eq!(invariants::check(&v.world(), 0), [] as [&str; 0]);
-        let t = *done.lock();
+        let t = *lock(&done);
         assert!(t > 0);
         t
     };

@@ -5,6 +5,7 @@
 
 use std::sync::Mutex;
 
+use hpc_vorx::desim::lock;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{copymeter, Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::{channel, VorxBuilder};
@@ -46,7 +47,7 @@ fn fan_out(len: usize) -> (u64, Vec<Frame>) {
 /// payload aliases the original allocation.
 #[test]
 fn multicast_fan_out_shares_payload_bytes() {
-    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock(&COPYMETER_LOCK);
     copymeter::reset();
     let (_, delivered) = fan_out(1024);
     assert_eq!(delivered.len(), 3);
@@ -70,7 +71,7 @@ fn multicast_fan_out_shares_payload_bytes() {
 /// never payload-sized buffers.
 #[test]
 fn forwarding_churn_is_payload_size_independent() {
-    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock(&COPYMETER_LOCK);
     // Warm up allocator pools and lazy statics so the two measured runs see
     // identical bookkeeping behavior.
     let _ = fan_out(16);
@@ -163,7 +164,7 @@ fn standalone_multicast_allocates_one_list_per_tree_edge() {
 fn stop_and_wait_message_stays_within_alloc_budget() {
     const MSGS: u64 = 1_000;
     const BUDGET: u64 = 79;
-    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock(&COPYMETER_LOCK);
     let mut v = VorxBuilder::single_cluster(2).build();
     let payload = Payload::copy_from(&[0x5Au8; 64]);
     v.spawn("n0:writer", move |ctx| {
@@ -221,7 +222,7 @@ fn allocs_for_bridged_stream(msgs: u64) -> (u64, u64) {
 #[test]
 fn bridged_frames_allocate_for_the_mailbox_high_water_not_per_frame() {
     const EXTRA: u64 = 1_000;
-    let _guard = COPYMETER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = lock(&COPYMETER_LOCK);
     let (short, short_bridged) = allocs_for_bridged_stream(500);
     let (long, long_bridged) = allocs_for_bridged_stream(500 + EXTRA);
     assert!(long_bridged - short_bridged >= 2 * EXTRA);

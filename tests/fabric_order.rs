@@ -13,12 +13,12 @@
 //! a frame is routed once per cluster it crosses, and a grant costs a bounded
 //! number of worklist visits.
 
+use hpc_vorx::desim::rng::SplitMix64;
 use hpc_vorx::hpcnet::combine::{self, CombOp};
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{
     ClusterId, Dest, Fabric, Frame, LinkId, NetConfig, NodeAddr, Payload, Stats, Topology,
 };
-use hpc_vorx::snet::SplitMix64;
 
 const CLUSTERS: usize = 16;
 const PER_CLUSTER: usize = 4;
@@ -31,11 +31,6 @@ const DATA: u16 = 9;
 /// The combining kind of the collective scenario.
 const COMB: u16 = 30;
 
-/// The scenarios' only randomness.
-fn below(rng: &mut SplitMix64, n: u32) -> u32 {
-    rng.below(u64::from(n)) as u32
-}
-
 fn hypercube(cfg: NetConfig) -> Fabric {
     Fabric::new(
         Topology::incomplete_hypercube(CLUSTERS, PER_CLUSTER).unwrap(),
@@ -44,7 +39,8 @@ fn hypercube(cfg: NetConfig) -> Fabric {
 }
 
 /// `frames` injections one every [`GAP_NS`], sources round-robin,
-/// destinations and sizes drawn from `seed`; every `mcast_every`-th (0:
+/// destinations and sizes drawn from `seed` (a SplitMix64 word modulo the
+/// range: the scenarios' only randomness); every `mcast_every`-th (0:
 /// never) is a 512-byte multicast to every other endpoint. `hot` draws one
 /// destination in four from that endpoint's cluster, so its ports back up.
 fn load(net: &mut StandaloneNet, seed: u64, frames: u32, mcast_every: u32, hot: Option<u32>) {
@@ -61,8 +57,10 @@ fn load(net: &mut StandaloneNet, seed: u64, frames: u32, mcast_every: u32, hot: 
             )
         } else {
             let mut d = match hot {
-                Some(h) if below(&mut rng, 4) == 0 => h - h % 4 + below(&mut rng, 4),
-                _ => below(&mut rng, ENDPOINTS),
+                Some(h) if rng.next_u64().is_multiple_of(4) => {
+                    h - h % 4 + (rng.next_u64() % 4) as u32
+                }
+                _ => (rng.next_u64() % u64::from(ENDPOINTS)) as u32,
             };
             if d == src {
                 d = (d + 1) % ENDPOINTS;
@@ -71,7 +69,7 @@ fn load(net: &mut StandaloneNet, seed: u64, frames: u32, mcast_every: u32, hot: 
         };
         let len = match dst {
             Dest::Multicast(_) => 512,
-            Dest::Unicast(_) => 16 + below(&mut rng, 1009),
+            Dest::Unicast(_) => 16 + (rng.next_u64() % 1009) as u32,
         };
         net.send_at(
             u64::from(i) * GAP_NS,
@@ -273,9 +271,13 @@ fn registered_combining_group() {
         let seq = combine::enc_seq(5, round, 0);
         for m in 0..ENDPOINTS {
             // Stragglers: a few members contribute after the window closed.
-            let late = if below(&mut rng, 8) == 0 { 45_000 } else { 0 };
+            let late = if rng.next_u64().is_multiple_of(8) {
+                45_000
+            } else {
+                0
+            };
             net.send_at(
-                u64::from(round) * 400_000 + u64::from(below(&mut rng, 3_000)) + late,
+                u64::from(round) * 400_000 + rng.next_u64() % 3_000 + late,
                 Frame::unicast(
                     NodeAddr(m),
                     root,

@@ -4,11 +4,9 @@
 //! Everything here runs from fixed seeds, so each scenario — including the
 //! probabilistic ones — replays bit-identically on every run.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
+use hpc_vorx::desim::{lock, FaultAction, FaultSchedule, LinkFaults, SimDuration, SimTime};
 use hpc_vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
 use hpc_vorx::vorx::{channel, fault, invariants, VorxBuilder, VorxError, World};
@@ -61,14 +59,14 @@ fn stream_under(schedule: FaultSchedule, msgs: u8) -> (Vec<u8>, u64, u64, u64, u
         let ch = channel::open(&ctx, NodeAddr(1), "stream");
         for _ in 0..msgs {
             let p = ch.read(&ctx).unwrap();
-            sink.lock().push(p.bytes().unwrap()[0]);
+            lock(&sink).push(p.bytes().unwrap()[0]);
         }
     });
     let report = v.run();
     let leaked = report.parked.len();
     let w = v.world();
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
-    let order = got.lock().clone();
+    let order = lock(&got).clone();
     (
         order,
         w.faults.stats.retransmits,
@@ -124,17 +122,16 @@ fn crash_wakes_blocked_waiters_with_errors() {
         // Write after the crash: the frame vanishes into the dark
         // interface and only the detection sweep can unblock us.
         ctx.sleep(SimDuration::from_ns(5_000_000));
-        sink.lock()
-            .push(("writer", ch.write(&ctx, Payload::copy_from(&[1]))));
+        lock(&sink).push(("writer", ch.write(&ctx, Payload::copy_from(&[1]))));
     });
     let sink = Arc::clone(&errs);
     v.spawn("n1:reader", move |ctx| {
         let ch = channel::open(&ctx, NodeAddr(1), "doomed");
-        sink.lock().push(("reader", ch.read(&ctx).map(|_| ())));
+        lock(&sink).push(("reader", ch.read(&ctx).map(|_| ())));
     });
     let report = v.run();
     assert_eq!(report.parked, vec![], "no process may stay parked");
-    let errs = errs.lock();
+    let errs = lock(&errs);
     assert!(errs.contains(&("reader", Err(VorxError::NodeDown))));
     assert!(errs.contains(&("writer", Err(VorxError::PeerDown))));
     let w = v.world();
@@ -207,7 +204,7 @@ fn failover_run(seed: u64) -> (Vec<u32>, usize, String) {
                         if i != expect {
                             continue; // duplicate from the rewind
                         }
-                        sink.lock().push(i);
+                        lock(&sink).push(i);
                         expect += 1;
                         if expect == FAILOVER_MSGS {
                             return;
@@ -227,7 +224,7 @@ fn failover_run(seed: u64) -> (Vec<u32>, usize, String) {
     // The crashed node is back up and the stream healed: quiescence holds.
     assert_eq!(invariants::check(&v.world(), 0), [] as [&str; 0]);
     let trace = v.world().trace.to_json();
-    let order = got.lock().clone();
+    let order = lock(&got).clone();
     (order, leaked, trace)
 }
 
@@ -317,12 +314,12 @@ fn link_cut_drops_frames_then_retransmission_recovers() {
     v.spawn("n1:reader", move |ctx| {
         let ch = channel::open(&ctx, NodeAddr(1), "cut");
         for _ in 0..6 {
-            sink.lock().push(ch.read(&ctx).unwrap().bytes().unwrap()[0]);
+            lock(&sink).push(ch.read(&ctx).unwrap().bytes().unwrap()[0]);
         }
     });
     let report = v.run();
     assert_eq!(report.parked, vec![], "no process may stay parked");
-    assert_eq!(*got.lock(), (0..6).collect::<Vec<_>>());
+    assert_eq!(*lock(&got), (0..6).collect::<Vec<_>>());
     let w = v.world();
     assert!(
         w.net.stats.frames_dropped >= 1,
@@ -365,7 +362,7 @@ fn busy_grant_exhaustion_surfaces_typed_error() {
         let ch = channel::open(&ctx, NodeAddr(0), "wedge");
         for i in 0..32u8 {
             if let Err(e) = ch.write(&ctx, Payload::copy_from(&[i])) {
-                *sink.lock() = Some((i, e, ctx.now()));
+                *lock(&sink) = Some((i, e, ctx.now()));
                 return;
             }
         }
@@ -377,8 +374,7 @@ fn busy_grant_exhaustion_surfaces_typed_error() {
     });
     let report = v.run();
     assert_eq!(report.parked, vec![], "the writer must not wedge");
-    let (at_msg, err, when) = failure
-        .lock()
+    let (at_msg, err, when) = lock(&failure)
         .take()
         .expect("a never-draining receiver must produce a typed error, not silence");
     assert_eq!(err, VorxError::PeerDown, "the failure must be typed");
@@ -436,7 +432,7 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
         let ch = channel::open(&ctx, NodeAddr(1), "busy");
         ctx.sleep(SimDuration::from_ns(500_000_000));
         for _ in 0..MSGS {
-            sink.lock().push(ch.read(&ctx).unwrap().bytes().unwrap()[0]);
+            lock(&sink).push(ch.read(&ctx).unwrap().bytes().unwrap()[0]);
         }
     });
 
@@ -485,7 +481,7 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
     }
     let report = v.run();
     assert_eq!(report.parked, vec![], "no process may stay parked");
-    assert_eq!(*got.lock(), (0..MSGS).collect::<Vec<_>>());
+    assert_eq!(*lock(&got), (0..MSGS).collect::<Vec<_>>());
     let w = v.world();
     assert!(
         w.faults.stats.retransmits > 2,
@@ -517,5 +513,95 @@ proptest! {
         let (order, _, _, _, leaked) = stream_under(schedule, 8);
         prop_assert_eq!(order, (0..8u8).collect::<Vec<_>>());
         prop_assert_eq!(leaked, 0);
+    }
+}
+
+/// Values a fault script can name at the ends of `u64`, drawn one time in
+/// two in place of an arbitrary word.
+const EDGE_NS: [u64; 6] = [0, 1, 2, u64::MAX / 2, u64::MAX - 1, u64::MAX];
+/// Degrade factors that are not ordinary slowdowns.
+const ODD_FACTORS: [f64; 6] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, 1e300];
+
+fn edge_or((i, word): (usize, u64)) -> u64 {
+    EDGE_NS.get(i).copied().unwrap_or(word)
+}
+
+/// Every `LinkDown`/`LinkUp` instant of `link`, in timeline order.
+fn flap_times(f: &FaultSchedule, link: u32) -> Vec<u64> {
+    f.events()
+        .iter()
+        .filter(
+            |e| matches!(e.action, FaultAction::LinkDown(l) | FaultAction::LinkUp(l) if l == link),
+        )
+        .map(|e| e.at.as_ns())
+        .collect()
+}
+
+/// The two scripts that used to panic: an all-admitting jitter bound, and a
+/// flap whose later edges fall past the end of time.
+#[test]
+fn extreme_fault_scripts_do_not_panic() {
+    let gray = FaultSchedule::new(3).degrade(0, SimTime::ZERO, SimTime::MAX, 2.0, u64::MAX);
+    assert!(
+        gray.gray_delay_ns(0, 5, 1_000) >= 1_000,
+        "the 2x inflation stays"
+    );
+    let flap = FaultSchedule::new(3).flap_link(7, SimTime::from_ns(5), u64::MAX / 2, 3);
+    let times = flap_times(&flap, 7);
+    assert_eq!(
+        &times[..2],
+        &[5, 5 + u64::MAX / 2],
+        "in-range edges are exact"
+    );
+    assert_eq!(
+        &times[2..],
+        &[u64::MAX; 4],
+        "later edges stop at the end of time"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `degrade` and `flap_link` take any parameters — 0, 1, `u64::MAX`,
+    /// NaN and infinite factors included — without a panic; each link's
+    /// flap instants never decrease, and where no edge overflows they are
+    /// exactly `first_down + k × half_period`.
+    fn scripted_fault_parameters_never_panic(
+        times in (
+            (0usize..12, any::<u64>()),
+            (0usize..12, any::<u64>()),
+            (0usize..12, any::<u64>()),
+            (0usize..12, any::<u64>()),
+            (0usize..12, any::<u64>()),
+        ),
+        factor in (0usize..12, 0.0f64..8.0),
+        hop_ns in (0usize..12, any::<u64>()),
+        link in 0u32..4,
+        cycles in 0u32..5,
+    ) {
+        let (start, end, jitter, first, half) = (
+            edge_or(times.0),
+            edge_or(times.1),
+            edge_or(times.2),
+            edge_or(times.3),
+            edge_or(times.4),
+        );
+        let factor = ODD_FACTORS.get(factor.0).copied().unwrap_or(factor.1);
+        let f = FaultSchedule::new(u64::from(link))
+            .degrade(link, SimTime::from_ns(start), SimTime::from_ns(end), factor, jitter)
+            .flap_link(link, SimTime::from_ns(first), half, cycles);
+        for now in [start, end.saturating_sub(1), first] {
+            f.gray_delay_ns(link, now, edge_or(hop_ns));
+        }
+        let got = flap_times(&f, link);
+        prop_assert_eq!(got.len(), 2 * cycles as usize);
+        prop_assert!(got.windows(2).all(|w| w[0] <= w[1]), "flap times decrease: {got:?}");
+        let exact: Option<Vec<u64>> = (0..2 * u64::from(cycles))
+            .map(|k| k.checked_mul(half)?.checked_add(first))
+            .collect();
+        if let Some(exact) = exact {
+            prop_assert_eq!(got, exact);
+        }
     }
 }

@@ -8,11 +8,9 @@
 //! *typed* error in bounded time — nothing ever parks forever — and equal
 //! seeds replay bit-identically.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
-use hpc_vorx::desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
+use hpc_vorx::desim::{lock, FaultSchedule, LinkFaults, SimDuration, SimTime};
 use hpc_vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::name_hash;
 use hpc_vorx::vorx::{channel, invariants, Calibration, VorxBuilder, VorxError};
@@ -90,8 +88,8 @@ fn churn_run(schedule: FaultSchedule, calib: Calibration, msgs: u8) -> Run {
             match ch.write(&ctx, Payload::copy_from(&[i])) {
                 Ok(()) => i += 1,
                 Err(VorxError::Partitioned) => {
-                    *st.lock() += 1;
-                    assert!(*st.lock() < 400, "writer stalled unboundedly");
+                    *lock(&st) += 1;
+                    assert!(*lock(&st) < 400, "writer stalled unboundedly");
                     ctx.sleep(SimDuration::from_ns(50_000_000));
                 }
                 Err(e) => panic!("writer: unexpected error {e:?}"),
@@ -109,7 +107,7 @@ fn churn_run(schedule: FaultSchedule, calib: Calibration, msgs: u8) -> Run {
                 Ok(p) => {
                     let b = p.bytes().unwrap()[0];
                     if b == expect {
-                        sink.lock().push(b);
+                        lock(&sink).push(b);
                         expect += 1;
                     } // else: duplicate from an app-level write retry
                 }
@@ -124,8 +122,8 @@ fn churn_run(schedule: FaultSchedule, calib: Calibration, msgs: u8) -> Run {
     });
     let report = v.run();
     let leaked = report.parked.len();
-    let delivered = got.lock().clone();
-    let writer_stalls = *stalls.lock();
+    let delivered = lock(&got).clone();
+    let writer_stalls = *lock(&stalls);
     let w = v.world();
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
     Run {
@@ -259,12 +257,12 @@ fn open_fails_over_to_replica_when_home_is_partitioned() {
         let ch = channel::try_open(&ctx, client, &cname).unwrap();
         ch.write(&ctx, Payload::copy_from(b"ping")).unwrap();
         let echo = ch.read(&ctx).unwrap();
-        *sink.lock() = Some(echo.bytes().unwrap().to_vec());
+        *lock(&sink) = Some(echo.bytes().unwrap().to_vec());
         ch.close(&ctx);
     });
     let report = v.run();
     assert_eq!(report.parked, vec![], "no process may stay parked");
-    assert_eq!(got.lock().as_deref(), Some(b"ping".as_slice()));
+    assert_eq!(lock(&got).as_deref(), Some(b"ping".as_slice()));
     let w = v.world();
     assert!(
         w.faults.stats.mgr_failovers >= 1,

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 
-use desim::{Ctx, SimDuration, Simulation, Wakeup};
+use desim::{lock, Ctx, SimDuration, Simulation, Wakeup};
 use hpc_vorx::vorx::hpcnet::{NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::{channel, VorxBuilder, VorxShardedSim};
 
@@ -24,7 +24,7 @@ use hpc_vorx::vorx::{channel, VorxBuilder, VorxShardedSim};
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> MutexGuard<'static, ()> {
-    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+    lock(&ONE_AT_A_TIME)
 }
 
 /// A numeric field of `/proc/self/status` (`Threads:`).
@@ -130,9 +130,9 @@ fn processes_run_on_the_executors_thread() {
         .map(|i| {
             let seen = Arc::clone(&seen);
             sim.spawn(format!("w{i}"), move |ctx: Ctx<Gate>| {
-                seen.lock().unwrap().push(std::thread::current().id());
+                lock(&seen).push(std::thread::current().id());
                 ctx.wait_until(|w, _| w.open.then_some(()));
-                seen.lock().unwrap().push(std::thread::current().id());
+                lock(&seen).push(std::thread::current().id());
             })
         })
         .collect();
@@ -146,7 +146,7 @@ fn processes_run_on_the_executors_thread() {
     );
     open_gate(&sim, pids);
     assert!(sim.run_to_idle().all_finished());
-    let seen = seen.lock().unwrap();
+    let seen = lock(&seen);
     assert_eq!(seen.len(), 2_000);
     assert!(seen.iter().all(|&t| t == me));
 }
@@ -286,6 +286,45 @@ fn panic_in_a_process_is_reported_and_the_rest_torn_down() {
     assert_eq!(tally.dropped(), 3);
 }
 
+/// (e') The one poisoning policy, `desim::lock`: a process that panics
+/// inside `Ctx::with` unwinds through the queue and world locks and through a
+/// collector's guard, poisoning all three. The caller still gets the panic by
+/// name, the world and the collector still read, and dropping the simulation
+/// tears the bystander down without a second panic or a hang.
+#[test]
+fn panic_inside_with_leaves_world_and_collector_readable() {
+    let _x = exclusive();
+    let tally = DropTally::new(1);
+    let log: Arc<Mutex<Vec<u32>>> = Arc::default();
+    let mut sim = Simulation::new(Gate::default());
+    let held = tally.guard(0);
+    sim.spawn("bystander", move |ctx: Ctx<Gate>| {
+        let _held = held;
+        ctx.wait_until(|w, _| w.open.then_some(()));
+    });
+    let sink = Arc::clone(&log);
+    sim.spawn("bad", move |ctx: Ctx<Gate>| {
+        ctx.sleep(SimDuration::from_us(2));
+        ctx.with(|w, _| {
+            w.passed = 7;
+            let mut log = lock(&sink);
+            log.push(1);
+            panic!("inside with");
+        });
+    });
+    let result = catch_unwind(AssertUnwindSafe(|| sim.run_to_idle()));
+    let payload = result.expect_err("the process panic must reach the caller");
+    let msg = payload
+        .downcast_ref::<String>()
+        .expect("formatted panic message");
+    assert_eq!(msg, "simulated process 'bad' panicked: inside with");
+    assert!(log.is_poisoned());
+    assert_eq!(*lock(&log), [1]);
+    assert_eq!(sim.world().passed, 7);
+    drop(sim);
+    assert_eq!(tally.dropped(), 1);
+}
+
 /// (g) A `Ctx` parks only its own process. Every process of a simulation
 /// runs on the same stack, so "am I on my stack" cannot tell them apart: a
 /// park through another process's `Ctx` must panic, not save the caller's
@@ -301,13 +340,13 @@ fn foreign_ctx_park_panics_instead_of_switching() {
         let held = tally.guard(0);
         sim.spawn("b", move |ctx: Ctx<Gate>| {
             let _held = held;
-            *publish.lock().unwrap() = Some(ctx.clone());
+            *lock(&publish) = Some(ctx.clone());
             ctx.wait_until(|w, _| w.open.then_some(()));
         });
         let borrow = Arc::clone(&published);
         sim.spawn("a", move |ctx: Ctx<Gate>| {
             ctx.sleep(SimDuration::from_us(1));
-            let foreign = borrow.lock().unwrap().clone().expect("b ran first");
+            let foreign = lock(&borrow).clone().expect("b ran first");
             foreign.park();
         });
         sim.run_to_idle();
@@ -324,7 +363,7 @@ fn foreign_ctx_park_panics_instead_of_switching() {
     // with its frames intact, was unwound.
     assert_eq!(tally.dropped(), 1);
     // Long after its simulation: still a panic, not a switch.
-    let stale = published.lock().unwrap().take().expect("b published it");
+    let stale = lock(&published).take().expect("b published it");
     assert!(catch_unwind(AssertUnwindSafe(|| stale.park())).is_err());
 }
 
@@ -426,7 +465,7 @@ fn two_run_world(workers: usize) -> (String, u64, Vec<(ThreadId, ThreadId)>) {
                 ch.read(&ctx).unwrap();
             }
             let second = std::thread::current().id();
-            threads.lock().unwrap().push((first, second));
+            lock(&threads).push((first, second));
         });
     }
     let reports = v.run();
@@ -442,7 +481,7 @@ fn two_run_world(workers: usize) -> (String, u64, Vec<(ThreadId, ThreadId)>) {
         });
     }
     let end = v.run_all();
-    let threads = std::mem::take(&mut *threads.lock().unwrap());
+    let threads = std::mem::take(&mut *lock(&threads));
     (v.merged_trace().to_json(), end.as_ns(), threads)
 }
 

@@ -12,10 +12,12 @@
 //!   wherever it was issued from, sweeps of cancelled timers or none
 //!   (`queue_model`);
 //! * a `WaitSet` — a lone waiter inline, more in a ring buffer — behaves as
-//!   a plain FIFO list that coalesces re-registrations.
+//!   a plain FIFO list that coalesces re-registrations;
+//! * `desim::rng` replays its pinned streams word for word (`rng_pins`).
 
 use proptest::prelude::*;
 
+use hpc_vorx::desim::lock;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::hpcnet as _;
@@ -68,15 +70,15 @@ proptest! {
             let ch = channel::open(&ctx, NodeAddr(1), "prop");
             ch.write(&ctx, Payload::Data(bytes::Bytes::from(data))).unwrap();
         });
-        let got = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let got = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
         let got2 = std::sync::Arc::clone(&got);
         v.spawn("r", move |ctx| {
             let ch = channel::open(&ctx, NodeAddr(2), "prop");
             let m = ch.read(&ctx).unwrap();
-            *got2.lock() = m.bytes().unwrap().to_vec();
+            *lock(&got2) = m.bytes().unwrap().to_vec();
         });
         v.run_all();
-        prop_assert_eq!(&*got.lock(), &expect);
+        prop_assert_eq!(&*lock(&got), &expect);
     }
 
     /// The sliding-window protocol completes for every window size and
@@ -522,5 +524,124 @@ proptest! {
         prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
         sim.run_to_idle();
         prop_assert_eq!(&sim.world().woke, &woken);
+    }
+}
+
+/// `desim::rng`'s streams, pinned: every seeded workload and fault plan
+/// draws from them, so a changed word here moves simulated results. The
+/// literals are the outputs of the stand-in `rand` crate's `SmallRng` and
+/// of `snet`'s own SplitMix64, which these generators replaced.
+mod rng_pins {
+    use hpc_vorx::desim::rng::{SmallRng, SplitMix64};
+
+    fn words(seed: u64) -> [u64; 4] {
+        let mut r = SmallRng::seed_from_u64(seed);
+        [r.next_u64(), r.next_u64(), r.next_u64(), r.next_u64()]
+    }
+
+    #[test]
+    fn small_rng_first_words() {
+        let zero = [
+            0x53175d61490b23df,
+            0x61da6f3dc380d507,
+            0x5c0fdf91ec9a7bfc,
+            0x02eebf8c3bbe5e1a,
+        ];
+        assert_eq!(words(0), zero);
+        let answer = [
+            0xd0764d4f4476689f,
+            0x519e4174576f3791,
+            0xfbe07cfb0c24ed8c,
+            0xb37d9f600cd835b8,
+        ];
+        assert_eq!(words(42), answer);
+    }
+
+    #[test]
+    fn split_mix_first_words() {
+        let mut s = SplitMix64::new(1);
+        let got = [s.next_u64(), s.next_u64(), s.next_u64(), s.next_u64()];
+        assert_eq!(
+            got,
+            [
+                0x910a2dec89025cc1,
+                0xbeeb8da1658eec67,
+                0xf893a2eefb32555e,
+                0x71c18690ee42c90b
+            ]
+        );
+    }
+
+    /// Six draws from seed 7 under `bound`: 2⁶³ + 1 rejects almost one word
+    /// in two, so it pins the rejection loop too.
+    #[test]
+    fn below_draws() {
+        let draws = |bound: u64| {
+            let mut r = SmallRng::seed_from_u64(7);
+            (0..6).map(|_| r.below(bound)).collect::<Vec<_>>()
+        };
+        assert_eq!(draws(1), [0; 6]);
+        assert_eq!(draws(3), [2, 2, 2, 0, 1, 0]);
+        assert_eq!(draws(500), [161, 416, 178, 356, 142, 65]);
+        let huge = [
+            1021219803524665661,
+            3174977118032272916,
+            7880630202246103356,
+            8590716767756797065,
+            6084463542373836072,
+            1351847338095743469,
+        ];
+        assert_eq!(draws((1 << 63) + 1), huge);
+        // `1..=5` is `1 + below(5)`.
+        assert_eq!(
+            draws(5).iter().map(|d| 1 + d).collect::<Vec<_>>(),
+            [2, 2, 4, 2, 3, 1]
+        );
+    }
+
+    #[test]
+    fn f64_bool_and_chance_draws() {
+        let mut r = SmallRng::seed_from_u64(9);
+        let f = [r.f64(), r.f64(), r.f64()];
+        assert_eq!(
+            f,
+            [0.5990316791291411, 0.4297364011687632, 0.19864982391454744]
+        );
+        let mut r = SmallRng::seed_from_u64(9);
+        let b: Vec<bool> = (0..8).map(|_| r.bool()).collect();
+        assert_eq!(b, [true, false, true, true, true, false, true, true]);
+        let mut r = SmallRng::seed_from_u64(9);
+        let c: Vec<bool> = (0..8).map(|_| r.chance(0.5)).collect();
+        assert_eq!(c, [false, true, true, false, true, true, true, true]);
+    }
+
+    #[test]
+    fn same_seed_same_stream() {
+        let (mut a, mut b) = (SmallRng::seed_from_u64(42), SmallRng::seed_from_u64(42));
+        for _ in 0..100 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut r = SmallRng::seed_from_u64(7);
+        for _ in 0..1000 {
+            assert!((10..20).contains(&(10 + r.below(10))));
+            assert!(r.below(3) < 3);
+            assert!((1..=5).contains(&(1 + r.below(5))));
+            assert!((-2.0..3.0).contains(&(-2.0 + r.f64() * 5.0)));
+            assert!((0.0..1.0).contains(&r.f64()));
+        }
+    }
+
+    #[test]
+    fn bools_take_both_values() {
+        let mut r = SmallRng::seed_from_u64(1);
+        let trues = (0..1000).filter(|_| r.bool()).count();
+        assert!(
+            trues > 300 && trues < 700,
+            "suspicious bool stream: {trues}"
+        );
     }
 }
