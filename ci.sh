@@ -61,6 +61,17 @@ if [ "$(grep -c 'Mutex<' <<<"$sim_rs")" -ne 3 ]; then
     exit 1
 fi
 
+echo "==> one (time, seq) rule (desim/src/queue.rs holds the only BinaryHeap under crates/*/src; no hand-ordered heap entry in the four loops that use it)"
+if grep -rln 'BinaryHeap' crates/*/src | grep -vx 'crates/desim/src/queue.rs'; then
+    echo "a BinaryHeap outside desim/src/queue.rs: order events with desim::queue::EventQueue, or key a desim::queue::MinHeap" >&2
+    exit 1
+fi
+if grep -nE 'impl(<[^>]*>)? (Partial)?Ord for' crates/desim/src/sim.rs crates/desim/src/shard.rs \
+    crates/hpcnet/src/driver.rs crates/snet/src/sim.rs; then
+    echo "an event or envelope orders itself again; the queue's key does" >&2
+    exit 1
+fi
+
 echo "==> one transmit state machine (no stop-and-wait sender state beside WinTx in crates/core/src)"
 if grep -rn 'TxPending\|tx_pending\|tx_epoch\|arm_data_timer' crates/core/src/; then
     echo "crates/core/src keeps a second copy of the channel retransmit state again" >&2

@@ -16,6 +16,8 @@
 //!   `Simulation` shards advance independently to their earliest input
 //!   time (peer frontier + per-link lookahead), exchanging messages over
 //!   lock-free per-link SPSC mailboxes with deterministic injection order.
+//! * [`queue`] — the one `(time, seq)` event queue, and the keyed min-heap
+//!   under it.
 //! * [`rng`] — the one seeded PRNG every simulated stream draws from.
 //! * [`lock`] — the one way the workspace takes a `std::sync::Mutex`.
 //!
@@ -60,6 +62,7 @@ mod time;
 
 pub mod affinity;
 pub mod fault;
+pub mod queue;
 pub mod rng;
 pub mod shard;
 pub mod spsc;

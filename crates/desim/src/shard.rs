@@ -56,13 +56,12 @@
 //! drain is reflected in the quiescent flag, so an in-flight message always
 //! holds the sums apart.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::queue::MinHeap;
 use crate::sim::{IdleReport, Scheduler, Simulation};
 use crate::spsc;
 use crate::time::{SimDuration, SimTime};
@@ -134,37 +133,11 @@ pub struct PdesStats {
     pub events_per_shard: Vec<u64>,
 }
 
-/// A buffered cross-shard message: the wire envelope that defines the global
-/// injection order `(deliver_at, src_shard, seq)`.
-struct Envelope<M> {
-    at: u64,
-    src: u32,
-    seq: u64,
-    msg: M,
-}
-
-impl<M> Envelope<M> {
-    fn key(&self) -> (u64, u32, u64) {
-        (self.at, self.src, self.seq)
-    }
-}
-
-impl<M> PartialEq for Envelope<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for Envelope<M> {}
-impl<M> PartialOrd for Envelope<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Envelope<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
+/// A cross-shard message's place in the global injection order,
+/// `(deliver_at, src_shard, seq)`: `seq` counts the sender's messages to the
+/// destination, so the order never depends on when a mailbox was drained.
+type Key = (u64, u32, u64);
+type Envelope<M> = (Key, M);
 
 /// A frontier counter alone on its cache line: frontiers are the hottest
 /// cross-thread state in the engine, and false sharing between neighbors
@@ -249,7 +222,7 @@ struct Slot<W: ShardWorld> {
     /// Next sequence number per destination shard (self included).
     seq: Vec<u64>,
     /// Messages received (or self-sent) but not yet injectable.
-    pending: BinaryHeap<Reverse<Envelope<W::Msg>>>,
+    pending: MinHeap<Key, W::Msg>,
     /// Reused outbox drain buffer (capacity persists across the run).
     scratch: Vec<OutMsg<W::Msg>>,
     /// Last published frontier value.
@@ -349,7 +322,7 @@ impl<W: ShardWorld> ShardedSim<W> {
                 rx,
                 tx,
                 seq: vec![0; n],
-                pending: BinaryHeap::new(),
+                pending: MinHeap::default(),
                 scratch: Vec::new(),
                 last_frontier: 0,
                 run_bound: 0,
@@ -603,9 +576,9 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
     let mut drained = 0u64;
     for src in 0..n {
         let Some(rx) = &slot.rx[src] else { continue };
-        while let Some(env) = rx.pop() {
+        while let Some((key, msg)) = rx.pop() {
             shared.depth[src * n + me].fetch_sub(1, Ordering::Relaxed);
-            slot.pending.push(Reverse(env));
+            slot.pending.push(key, msg);
             drained += 1;
         }
     }
@@ -617,7 +590,7 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
     loop {
         route_outbox(slot, shared, lat, n);
         let next_local = slot.sim.next_event_time().map(|t| t.as_ns());
-        let next_msg = slot.pending.peek().map(|r| r.0.at);
+        let next_msg = slot.pending.peek().map(|(k, _)| k.0);
         let start = match (next_local, next_msg) {
             (None, None) => break,
             (a, b) => a.into_iter().chain(b).min().expect("one is Some"),
@@ -629,13 +602,9 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
             // Everything below `start` has executed and `start < eit`, so
             // the batch at `start` is complete and injection order is the
             // heap's `(deliver_at, src_shard, seq)` order.
-            while let Some(r) = slot.pending.peek() {
-                if r.0.at != start {
-                    break;
-                }
-                let env = slot.pending.pop().expect("peeked").0;
-                let at = SimTime::from_ns(env.at);
-                let msg = env.msg;
+            let at = SimTime::from_ns(start);
+            while slot.pending.peek().is_some_and(|(k, _)| k.0 == start) {
+                let (_, msg) = slot.pending.pop().expect("peeked");
                 slot.sim
                     .schedule_at(at, move |w: &mut W, s| w.deliver(s, msg));
             }
@@ -660,7 +629,7 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
     //    delivery, or (if those are later or absent) its EIT. Monotone by
     //    construction; `max` guards the invariant regardless.
     let next_local = slot.sim.next_event_time().map(|t| t.as_ns());
-    let next_msg = slot.pending.peek().map(|r| r.0.at);
+    let next_msg = slot.pending.peek().map(|(k, _)| k.0);
     slot.quiet = next_local.is_none() && next_msg.is_none();
     let f = [next_local, next_msg, Some(eit)]
         .into_iter()
@@ -731,15 +700,10 @@ fn route_outbox<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64],
              lookahead of {l} ns",
             slot.run_bound
         );
-        let env = Envelope {
-            at,
-            src: me as u32,
-            seq: slot.seq[dst],
-            msg: m.msg,
-        };
+        let env = ((at, me as u32, slot.seq[dst]), m.msg);
         slot.seq[dst] += 1;
         if dst == me {
-            slot.pending.push(Reverse(env));
+            slot.pending.push(env.0, env.1);
         } else {
             // `sent` before the push: an in-flight message must always hold
             // `sent > absorbed` for the termination detector.

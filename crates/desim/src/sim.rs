@@ -19,15 +19,16 @@
 //!
 //! # Hot-path design
 //!
-//! [`Scheduler`] is the queue and scheduling is a push on it: no batch, no
-//! pool. It and the world each sit behind an uncontended lock, because the
-//! executor and a process inside the executor's call both reach them and a
-//! lock is how safe Rust hands out that `&mut`. A run segment holds `sched`
-//! throughout and `world` (taken after it) across every run of event
-//! callbacks, which are handed `&mut` of both, so dispatching an event takes
-//! no lock; it lets go of them only around a process resume, where
-//! [`Ctx::with`] takes the same two in the same order, and takes `world`
-//! again for the next event callback, not before.
+//! [`Scheduler`] is the queue (`crate::queue::EventQueue`, and the closures,
+//! timers and processes its entries name) and scheduling is a push on it: no
+//! batch, no pool. It and the world each sit behind an uncontended lock,
+//! because the executor and a process inside the executor's call both reach
+//! them and a lock is how safe Rust hands out that `&mut`. A run segment holds
+//! `sched` throughout and `world` (taken after it) across every run of event
+//! callbacks, which are handed `&mut` of both, so dispatching an event takes no
+//! lock; it lets go of them only around a process resume, where [`Ctx::with`]
+//! takes the same two in the same order, and takes `world` again for the next
+//! event callback, not before.
 //!
 //! The queue is sized by what will still fire. A cancelled timer stays queued
 //! at first — `cancel` takes no lock and cannot reach the heap — and is
@@ -57,8 +58,8 @@
 //! Scheduling and dispatching an event allocates nothing in steady state. A
 //! closure capturing at most 72 bytes, at most 8-aligned, is stored in place
 //! (`event_fn`); a larger or over-aligned one costs one box. Queued closures
-//! sit in a slab of recycled slots, and the heap and lane carry 32-byte
-//! entries that name a slot, so a sift never moves a capture. A
+//! sit in a slab of recycled slots, and the heap carries 32-byte entries (the
+//! lane 16-byte ones) that name a slot, so a sift never moves a capture. A
 //! [`TimerHandle`] names a recycled cell of the one `TimerCells` table, so
 //! arming and cancelling a timer allocates nothing either, nor does a sweep.
 //! What allocates: each buffer named here, as it grows to the most it ever
@@ -66,8 +67,6 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
@@ -78,6 +77,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use crate::coro::{self, Image, Stack};
 use crate::event_fn::EventFn;
 use crate::lock;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated process for the lifetime of a [`Simulation`].
@@ -242,31 +242,6 @@ enum Queued {
     /// is cancelled by the time it reaches the head of the queue. The entry
     /// holds the cell until it is dequeued, whoever dequeues it retires it.
     Cancellable(u32, u32),
-}
-
-struct QEntry {
-    t: SimTime,
-    seq: u64,
-    act: Queued,
-}
-
-impl PartialEq for QEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for QEntry {}
-impl PartialOrd for QEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest (time, seq)
-        // at the top.
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
 }
 
 /// The closures of queued events, in recycled slots: a slot is claimed when
@@ -505,20 +480,12 @@ struct Killed;
 /// below claims what it needs (closure slot, timer cell, process id,
 /// sequence number) and takes its place in `(time, seq)` order at once.
 pub struct Scheduler<W> {
-    now: SimTime,
-    seq: u64,
+    /// The clock and every action still to fire.
+    queue: EventQueue<Queued>,
     /// Activities executed so far (events run + process resumes), for
     /// load accounting in the sharded engine and campaign reports.
     dispatched: u64,
-    /// Future events, ordered by `(time, seq)`.
-    queue: BinaryHeap<QEntry>,
-    /// Events scheduled *at the current instant*, FIFO. Every entry's time is
-    /// `now`, so ordering within the lane is by `seq` alone, and `push` is
-    /// O(1) instead of a heap insert. Invariant: any heap entry at `t == now`
-    /// was pushed before `now` advanced to `t` and therefore has a smaller
-    /// `seq` than every lane entry; the pop logic relies on this.
-    lane: VecDeque<(u64, Queued)>,
-    /// The closures the `Run`/`Cancellable` entries of both queues refer to.
+    /// The closures the `Run`/`Cancellable` entries of the queue refer to.
     events: EventSlab<W>,
     /// Every process ever spawned; a [`ProcId`] is an index here.
     procs: Vec<ProcSlot>,
@@ -538,7 +505,7 @@ pub struct Scheduler<W> {
 impl<W: Send + 'static> Scheduler<W> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        SimTime::from_ns(self.queue.now())
     }
 
     /// Run `f` against the world after `d` has elapsed.
@@ -547,7 +514,7 @@ impl<W: Send + 'static> Scheduler<W> {
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
         let slot = self.events.insert(EventFn::new(f));
-        self.push(self.now + d, Queued::Run(slot));
+        self.queue.push_in(d.as_ns(), Queued::Run(slot));
     }
 
     /// Like [`Scheduler::schedule_in`], but returns a [`TimerHandle`] that
@@ -568,7 +535,8 @@ impl<W: Send + 'static> Scheduler<W> {
         // cell; until we return, nobody else names it.
         let gen = self.timers.generation(cell);
         let slot = self.events.insert(EventFn::new(f));
-        self.push(self.now + d, Queued::Cancellable(cell, slot));
+        self.queue
+            .push_in(d.as_ns(), Queued::Cancellable(cell, slot));
         TimerHandle {
             timers: Arc::clone(&self.timers),
             cell,
@@ -578,7 +546,7 @@ impl<W: Send + 'static> Scheduler<W> {
 
     /// Wake `pid` with `token` after `d` has elapsed.
     pub fn wake_in(&mut self, d: SimDuration, pid: ProcId, token: Wakeup) {
-        self.push(self.now + d, Queued::Wake(pid, token));
+        self.queue.push_in(d.as_ns(), Queued::Wake(pid, token));
     }
 
     /// Wake `pid` with `token` at the current instant (ordered after all
@@ -593,7 +561,7 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
-        self.start_proc(self.now + d, name.into(), Box::new(f))
+        self.start_proc(self.now() + d, name.into(), Box::new(f))
     }
 
     /// Spawn a new process that starts at the current instant.
@@ -602,17 +570,6 @@ impl<W: Send + 'static> Scheduler<W> {
         F: FnOnce(Ctx<W>) + Send + 'static,
     {
         self.spawn_in(SimDuration::ZERO, name, f)
-    }
-
-    fn push(&mut self, t: SimTime, act: Queued) {
-        debug_assert!(t >= self.now, "scheduled event in the past");
-        let seq = self.seq;
-        self.seq += 1;
-        if t == self.now {
-            self.lane.push_back((seq, act));
-        } else {
-            self.queue.push(QEntry { t, seq, act });
-        }
     }
 
     /// The queue is done with the event holding timer cell `cell`: from here
@@ -644,28 +601,19 @@ impl<W: Send + 'static> Scheduler<W> {
         if dead <= SWEEP_FLOOR {
             return;
         }
-        let live = (self.queue.len() + self.lane.len()).saturating_sub(dead);
+        let live = self.queue.len().saturating_sub(dead);
         if dead < live {
             return;
         }
-        let Scheduler {
-            queue,
-            lane,
-            timers,
-            swept,
-            ..
-        } = self;
         // The closures are dropped below, outside `retain`: a capture's
         // destructor is foreign code, and may not run over a half-kept heap.
-        let mut keep = |act: &Queued| match *act {
-            Queued::Cancellable(cell, slot) if timers.is_cancelled(cell) => {
-                swept.push((cell, slot));
+        self.queue.retain(|act| match *act {
+            Queued::Cancellable(cell, slot) if self.timers.is_cancelled(cell) => {
+                self.swept.push((cell, slot));
                 false
             }
             _ => true,
-        };
-        queue.retain(|e| keep(&e.act));
-        lane.retain(|(_, act)| keep(act));
+        });
         while let Some((cell, slot)) = self.swept.pop() {
             self.discard(cell, slot);
         }
@@ -676,15 +624,11 @@ impl<W: Send + 'static> Scheduler<W> {
     /// the clock nor keep the simulation from going idle.
     fn pop_cancelled_heads(&mut self) {
         self.sweep_cancelled();
-        while let Some(&QEntry {
-            act: Queued::Cancellable(cell, slot),
-            ..
-        }) = self.queue.peek()
-        {
+        while let Some(&Queued::Cancellable(cell, slot)) = self.queue.heap_head() {
             if !self.timers.is_cancelled(cell) {
                 break;
             }
-            self.queue.pop();
+            self.queue.take_heap_head();
             self.discard(cell, slot);
         }
     }
@@ -736,7 +680,8 @@ impl<W: Send + 'static> Scheduler<W> {
             state: ProcState::Parked,
             baton: Some(baton),
         });
-        self.push(at, Queued::Wake(pid, Wakeup::START));
+        self.queue
+            .push(at.as_ns(), Queued::Wake(pid, Wakeup::START));
         pid
     }
 }
@@ -873,11 +818,8 @@ impl<W: Send + 'static> Simulation<W> {
     pub fn new(world: W) -> Self {
         let inner = Arc::new_cyclic(|me: &Weak<SimInner<W>>| SimInner {
             sched: Mutex::new(Scheduler {
-                now: SimTime::ZERO,
-                seq: 0,
+                queue: EventQueue::default(),
                 dispatched: 0,
-                queue: BinaryHeap::new(),
-                lane: VecDeque::new(),
                 events: EventSlab {
                     slots: Vec::new(),
                     free: Vec::new(),
@@ -969,35 +911,12 @@ impl<W: Send + 'static> Simulation<W> {
         let mut world = None;
         loop {
             sched.pop_cancelled_heads();
-            // Does the same-instant lane or the heap fire next? Lane entries
-            // are all at `now`; a heap entry wins only if it is also at `now`
-            // with a smaller seq (pushed before time advanced here — see the
-            // `Scheduler::lane` invariant).
-            let use_lane = match (sched.lane.front(), sched.queue.peek()) {
-                (Some(_), None) => true,
-                (Some(&(lane_seq, _)), Some(h)) => h.t > sched.now || h.seq > lane_seq,
-                (None, Some(_)) => false,
-                (None, None) => return true,
-            };
-            let act = if use_lane {
-                if sched.now > deadline {
-                    // Lane entries fire at `now`, which is already past the
-                    // bound; time does not move.
-                    return false;
-                }
-                sched.lane.pop_front().expect("lane front").1
-            } else {
-                let t = sched.queue.peek().expect("heap top").t;
-                let stop = t > deadline;
-                debug_assert!(t >= sched.now, "time ran backwards");
-                sched.now = if stop { deadline.max(sched.now) } else { t };
-                inner
-                    .now_ns
-                    .store(sched.now.as_ns(), AtomicOrdering::Release);
-                if stop {
-                    return false;
-                }
-                sched.queue.pop().expect("peeked").act
+            let popped = sched.queue.pop(deadline.as_ns());
+            inner
+                .now_ns
+                .store(sched.queue.now(), AtomicOrdering::Release);
+            let Some(act) = popped else {
+                return sched.queue.is_empty();
             };
             let f = match act {
                 Queued::Run(slot) => sched.events.take(slot),
@@ -1085,7 +1004,7 @@ impl<W: Send + 'static> Simulation<W> {
             .map(|(i, s)| (ProcId(i as u32), s.name.clone()))
             .collect();
         IdleReport {
-            now: sched.now,
+            now: sched.now(),
             parked,
         }
     }
@@ -1098,26 +1017,20 @@ impl<W: Send + 'static> Simulation<W> {
     pub fn next_event_time(&self) -> Option<SimTime> {
         let mut sched = lock(&self.inner.sched);
         sched.pop_cancelled_heads();
-        if !sched.lane.is_empty() {
-            return Some(sched.now);
-        }
-        sched.queue.peek().map(|e| e.t)
+        sched.queue.peek_time().map(SimTime::from_ns)
     }
 
-    /// Move the clock of an idle simulation forward to `t` (never back).
-    /// With nothing queued no activity can tell when the clock moved, and
+    /// Move the clock of an idle simulation forward to `t` (never back; the
+    /// queue refuses to pass an event). With nothing queued no activity can
+    /// tell when the clock moved, and
     /// the next one scheduled counts its delay from `t`. The sharded engine
     /// ends a run with this, so that all its shards start the next together.
     pub(crate) fn rest_until(&mut self, t: SimTime) {
         let mut sched = lock(&self.inner.sched);
-        assert!(
-            sched.queue.is_empty() && sched.lane.is_empty(),
-            "only an idle simulation's clock may be moved"
-        );
-        sched.now = sched.now.max(t);
+        sched.queue.advance_to(t.as_ns());
         self.inner
             .now_ns
-            .store(sched.now.as_ns(), AtomicOrdering::Release);
+            .store(sched.queue.now(), AtomicOrdering::Release);
     }
 
     /// Total activities executed so far (event callbacks run plus process
@@ -1128,21 +1041,16 @@ impl<W: Send + 'static> Simulation<W> {
     }
 
     /// Schedule an event callback at *absolute* simulated time `t`, which
-    /// must not be in the past. The sharded engine uses this to inject
-    /// cross-shard deliveries between lookahead windows; injection order at
-    /// equal `t` is preserved by the queue's sequence numbers.
+    /// must not be in the past (that panics). The sharded engine uses this to
+    /// inject cross-shard deliveries between lookahead windows; injection
+    /// order at equal `t` is preserved by the queue's sequence numbers.
     pub fn schedule_at<F>(&self, t: SimTime, f: F)
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
         let mut sched = lock(&self.inner.sched);
-        assert!(
-            t >= sched.now,
-            "schedule_at({t}) is in the past: the clock reads {}",
-            sched.now
-        );
         let slot = sched.events.insert(EventFn::new(f));
-        sched.push(t, Queued::Run(slot));
+        sched.queue.push(t.as_ns(), Queued::Run(slot));
     }
 }
 
@@ -1478,11 +1386,10 @@ mod tests {
         });
     }
 
-    /// What the queue holds, as an event callback sees it: heap entries,
-    /// lane entries, cancelled timers still queued.
-    fn queued<W>(s: &Scheduler<W>) -> (usize, usize, usize) {
-        let dead = s.timers.dead.load(AtomicOrdering::Relaxed);
-        (s.queue.len(), s.lane.len(), dead)
+    /// What the queue holds, as an event callback sees it: entries, and
+    /// cancelled timers among them.
+    fn queued<W>(s: &Scheduler<W>) -> (usize, usize) {
+        (s.queue.len(), s.timers.dead.load(AtomicOrdering::Relaxed))
     }
 
     #[test]
@@ -1490,7 +1397,7 @@ mod tests {
         #[derive(Default)]
         struct World {
             timers: Vec<TimerHandle>,
-            seen: Vec<(usize, usize, usize)>,
+            seen: Vec<(usize, usize)>,
             fired: usize,
         }
         let mut sim = Simulation::new(World::default());
@@ -1516,13 +1423,10 @@ mod tests {
         let w = sim.world();
         // At the floor: left alone. 150 dead of 302: left alone. 152 dead of
         // 301: all out, and the tally with them.
-        assert_eq!(
-            w.seen,
-            [(303, 0, 0), (302, 0, 64), (301, 0, 150), (148, 0, 0)]
-        );
+        assert_eq!(w.seen, [(303, 0), (302, 64), (301, 150), (148, 0)]);
         assert_eq!(w.fired, 148);
         let sched = lock(&sim.inner.sched);
-        assert_eq!(queued(&sched), (0, 0, 0));
+        assert_eq!(queued(&sched), (0, 0));
         assert_eq!((sched.spare_cells.len(), sched.cells_made), (300, 300));
         assert_eq!(sched.events.free.len(), sched.events.slots.len());
     }
@@ -1540,12 +1444,12 @@ mod tests {
                     s.schedule_in(SimDuration::ZERO, move |w: &mut TestWorld, s| {
                         // Left in the lane they would bring on a sweep at
                         // every event, or sit out their turn one by one.
-                        assert_eq!(queued(s), (0, 2 - i / 40, 0));
+                        assert_eq!(queued(s), (2 - i / 40, 0));
                         w.log(s.now(), format!("lane {i}"));
                     });
                 }
             }
-            assert_eq!(queued(s), (0, 103, 100));
+            assert_eq!(queued(s), (103, 100));
         });
         let report = sim.run_to_idle();
         assert_eq!(report.now, SimTime::from_ns(1_000));

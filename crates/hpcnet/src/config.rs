@@ -6,8 +6,8 @@ pub const PORTS_PER_CLUSTER: usize = 12;
 
 /// Timing and buffering parameters for the fabric model.
 ///
-/// Durations are expressed in nanoseconds here (this crate is independent of
-/// `desim`); the embedding layer converts them to `SimDuration`.
+/// Durations are expressed in nanoseconds here (the fabric is independent
+/// of `desim`); the embedding layer converts them to `SimDuration`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetConfig {
     /// Serialization time of one byte on a port, in ns. The paper's ports

@@ -3,12 +3,13 @@
 //! kernel that drains the receive FIFO instantly and retries busy
 //! transmitters as soon as `TxReady` fires.
 //!
-//! Used by hpcnet's own tests, property tests, and micro-examples; the real
-//! embedding (VORX) replaces this with simulated kernel software that
-//! charges CPU time for every action.
+//! Used by the benchmark's `fabric_sat` workload, the `paper` and `engine`
+//! campaigns, and tests; its loop is `desim`'s event queue. VORX puts simulated
+//! kernel software here, which charges CPU time per action.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
+
+use desim::queue::EventQueue;
 
 use crate::fabric::{Fabric, FaultHook, NetEvent, Notify, Output};
 use crate::frame::{Frame, NodeAddr};
@@ -25,45 +26,14 @@ enum Action {
     Crash(NodeAddr),
 }
 
-struct Entry {
-    t: u64,
-    seq: u64,
-    action: Action,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.t, self.seq) == (other.t, other.seq)
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq)) // min-heap
-    }
-}
-
 /// Standalone fabric driver. See module docs.
 pub struct StandaloneNet {
     /// The fabric under test.
     pub fabric: Fabric,
     /// Frames delivered to endpoint software: `(time_ns, endpoint, frame)`.
     pub delivered: Vec<(u64, NodeAddr, Frame)>,
-    now: u64,
-    seq: u64,
-    queue: BinaryHeap<Entry>,
-    /// Same-instant lane: actions scheduled *at* `now` while processing an
-    /// event at `now` (zero-delay cascades — rx drains, tx retries). They
-    /// fire in FIFO order before any later heap entry, without paying the
-    /// O(log n) heap churn. Invariant (as in `desim::sim`): time advances
-    /// only on heap pops, so any heap entry with `t == now` predates — and
-    /// hence outranks by seq — every lane entry.
-    lane: VecDeque<(u64, Action)>,
+    /// The clock, and the actions still to fire.
+    queue: EventQueue<Action>,
     waiting_tx: HashMap<NodeAddr, VecDeque<Frame>>,
     /// Frames discarded from `waiting_tx`: newest-first overflow past
     /// [`WAITING_TX_CAP`], plus everything purged when the queue's endpoint
@@ -83,10 +53,7 @@ impl StandaloneNet {
         StandaloneNet {
             fabric,
             delivered: Vec::new(),
-            now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            lane: VecDeque::new(),
+            queue: EventQueue::default(),
             waiting_tx: HashMap::new(),
             waiting_dropped: 0,
             faults: None,
@@ -111,7 +78,7 @@ impl StandaloneNet {
 
     /// Current time, ns.
     pub fn now(&self) -> u64 {
-        self.now
+        self.queue.now()
     }
 
     /// Schedule a crash of `node` at time `t`: the endpoint goes down in the
@@ -119,23 +86,14 @@ impl StandaloneNet {
     /// for retry is purged into `waiting_dropped` — without the purge, a
     /// crashed sender's retry queue would pin its frames forever.
     pub fn crash_at(&mut self, t: u64, node: NodeAddr) {
-        self.push(t, Action::Crash(node));
-    }
-
-    fn push(&mut self, t: u64, action: Action) {
-        let seq = self.seq;
-        self.seq += 1;
-        if t == self.now {
-            self.lane.push_back((seq, action));
-        } else {
-            self.queue.push(Entry { t, seq, action });
-        }
+        self.queue.push(t, Action::Crash(node));
     }
 
     /// Ask the endpoint software to inject `frame` at time `t` (busy
-    /// transmitters are retried on `TxReady`).
+    /// transmitters are retried on `TxReady`). Panics if `t` is before
+    /// [`StandaloneNet::now`].
     pub fn send_at(&mut self, t: u64, frame: Frame) {
-        self.push(t, Action::Inject(frame));
+        self.queue.push(t, Action::Inject(frame));
     }
 
     /// Run until quiescent. Panics if any frame remains stuck in the fabric.
@@ -163,38 +121,22 @@ impl StandaloneNet {
     /// restart) while frames are still buffered inside the fabric.
     pub fn run_until(&mut self, t: u64) {
         self.run_through(t);
-        self.now = self.now.max(t);
+        self.queue.advance_to(t);
     }
 
     fn run_through(&mut self, limit: u64) {
-        loop {
-            // Lane vs heap: a heap entry wins only when it is also at `now`
-            // with a smaller seq (see the `lane` field invariant).
-            let use_lane = match (self.lane.front(), self.queue.peek()) {
-                (Some(_), None) => true,
-                (Some(&(lane_seq, _)), Some(h)) => h.t > self.now || h.seq > lane_seq,
-                (None, Some(h)) if h.t > limit => break,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let action = if use_lane {
-                self.lane.pop_front().expect("lane front").1
-            } else {
-                let e = self.queue.pop().expect("peeked");
-                debug_assert!(e.t >= self.now);
-                self.now = e.t;
-                e.action
-            };
+        while let Some(action) = self.queue.pop(limit) {
+            let now = self.queue.now();
             let mut out = self.spare.pop().unwrap_or_default();
             match action {
                 Action::Net(ev) => match &mut self.faults {
-                    Some(h) => self.fabric.handle_with(self.now, ev, h.as_mut(), &mut out),
-                    None => self.fabric.handle(self.now, ev, &mut out),
+                    Some(h) => self.fabric.handle_with(now, ev, h.as_mut(), &mut out),
+                    None => self.fabric.handle(now, ev, &mut out),
                 },
                 Action::Inject(frame) => {
                     let src = frame.src;
                     if self.fabric.can_send(src) {
-                        if let Err(e) = self.fabric.try_send(self.now, frame, &mut out) {
+                        if let Err(e) = self.fabric.try_send(now, frame, &mut out) {
                             panic!("injection failed: {e}");
                         }
                     } else {
@@ -213,8 +155,7 @@ impl StandaloneNet {
                         self.waiting_dropped += q.len() as u64;
                         q.clear();
                     }
-                    self.fabric
-                        .set_endpoint_down(self.now, node, true, &mut out);
+                    self.fabric.set_endpoint_down(now, node, true, &mut out);
                 }
             }
             self.process(out);
@@ -227,10 +168,11 @@ impl StandaloneNet {
     /// answer's events are scheduled. That order fixes the sequence numbers
     /// of same-time events, so it must not change.
     fn process(&mut self, out: Output) {
+        let now = self.queue.now();
         self.work.push(out);
         while let Some(mut out) = self.work.pop() {
             for (delay, ev) in out.schedule.drain(..) {
-                self.push(self.now + delay, Action::Net(ev));
+                self.queue.push_in(delay, Action::Net(ev));
             }
             for n in out.notifies.drain(..) {
                 let mut o = self.spare.pop().unwrap_or_default();
@@ -239,15 +181,15 @@ impl StandaloneNet {
                         if let Some(frame) =
                             self.waiting_tx.get_mut(&a).and_then(VecDeque::pop_front)
                         {
-                            if let Err(e) = self.fabric.try_send(self.now, frame, &mut o) {
+                            if let Err(e) = self.fabric.try_send(now, frame, &mut o) {
                                 panic!("retry injection failed: {e}");
                             }
                         }
                     }
                     Notify::RxArrived(a) => {
                         // Idealized kernel: drain immediately.
-                        if let Some(f) = self.fabric.rx_pop(self.now, a, &mut o) {
-                            self.delivered.push((self.now, a, f));
+                        if let Some(f) = self.fabric.rx_pop(now, a, &mut o) {
+                            self.delivered.push((now, a, f));
                         }
                     }
                 }

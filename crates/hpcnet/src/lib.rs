@@ -16,9 +16,10 @@
 //! * **Hardware multicast** — frames are replicated at branch clusters, not
 //!   at the source (§4.2).
 //!
-//! The fabric is a pure state machine with an explicit event interface, so
-//! it can be embedded in the `desim`-based VORX simulation, driven by the
-//! bundled [`driver::StandaloneNet`], or unit-tested directly.
+//! The fabric is a pure, `desim`-free state machine with an explicit event
+//! interface, so it can be embedded in the `desim`-based VORX simulation,
+//! driven by the bundled [`driver::StandaloneNet`] (a loop over `desim`'s
+//! event queue alone), or unit-tested directly.
 //!
 //! The contrasting previous-generation interconnect (single-bus S/NET with
 //! software flow-control recovery) lives in the sibling `snet` crate.

@@ -9,9 +9,9 @@
 //! keep refilling every freed byte with partial garbage, so no whole message
 //! ever fits again.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
+use desim::queue::EventQueue;
 use desim::rng::SplitMix64;
 
 use crate::config::{SnetConfig, Strategy};
@@ -123,29 +123,6 @@ enum Event {
     DrainChunk(usize),
 }
 
-struct Entry {
-    t: u64,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        (self.t, self.seq) == (other.t, other.seq)
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.t, other.seq).cmp(&(self.t, self.seq))
-    }
-}
-
 /// One delivered message: `(time_ns, src, seq)`.
 pub type Delivery = (u64, usize, u64);
 
@@ -181,9 +158,8 @@ pub struct SnetSim {
     cfg: SnetConfig,
     strategy: Strategy,
     nodes: Vec<Node>,
-    now: u64,
-    seq: u64,
-    queue: BinaryHeap<Entry>,
+    /// The clock, and the events still to fire.
+    queue: EventQueue<Event>,
     bus_busy: bool,
     bus_waiting: VecDeque<usize>,
     rng: SplitMix64,
@@ -207,9 +183,7 @@ impl SnetSim {
             cfg,
             strategy,
             nodes: (0..n).map(|_| Node::new()).collect(),
-            now: 0,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             bus_busy: false,
             bus_waiting: VecDeque::new(),
             rng: SplitMix64::new(seed),
@@ -264,7 +238,7 @@ impl SnetSim {
             });
         }
         self.enqueued_data += count;
-        self.push(start_ns, Event::Offer(src));
+        self.queue.push(start_ns, Event::Offer(src));
     }
 
     /// Like [`SnetSim::enqueue`], but the sender waits `gap_ns` after each
@@ -283,21 +257,10 @@ impl SnetSim {
         self.enqueue(src, dst, len, count, start_ns);
     }
 
-    fn push(&mut self, t: u64, ev: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Entry { t, seq, ev });
-    }
-
     /// Run until quiescent or `deadline_ns`, whichever comes first.
     pub fn run(mut self, deadline_ns: u64) -> SnetReport {
-        while let Some(e) = self.queue.pop() {
-            if e.t > deadline_ns {
-                break;
-            }
-            debug_assert!(e.t >= self.now);
-            self.now = e.t;
-            match e.ev {
+        while let Some(ev) = self.queue.pop(deadline_ns) {
+            match ev {
                 Event::Offer(n) => self.offer(n),
                 Event::TransferEnd { src, msg } => self.transfer_end(src, msg),
                 Event::DrainChunk(n) => self.drain_chunk(n),
@@ -366,7 +329,7 @@ impl SnetSim {
         let dur = self.cfg.transfer_ns(msg.len);
         self.bus_busy = true;
         self.bus_busy_ns += dur;
-        self.push(self.now + dur, Event::TransferEnd { src: n, msg });
+        self.queue.push_in(dur, Event::TransferEnd { src: n, msg });
     }
 
     fn bus_release(&mut self) {
@@ -472,7 +435,7 @@ impl SnetSim {
                 if node.head().is_some() {
                     // Software gap before offering the next message.
                     let gap = node.send_gap_ns.unwrap_or(self.cfg.retry_ns);
-                    self.push(self.now + gap, Event::Offer(src));
+                    self.queue.push_in(gap, Event::Offer(src));
                 } else {
                     node.phase = SenderPhase::Idle;
                 }
@@ -499,7 +462,7 @@ impl SnetSim {
             }
         };
         node.phase = SenderPhase::BackingOff;
-        self.push(self.now + delay, Event::Offer(src));
+        self.queue.push_in(delay, Event::Offer(src));
     }
 
     /// Start the receiver software drain loop at `n` if it is not running.
@@ -509,7 +472,7 @@ impl SnetSim {
             // Per-message software overhead is charged before the first
             // chunk of each item.
             let d = self.cfg.sw_per_msg_ns + self.chunk_ns(n);
-            self.push(self.now + d, Event::DrainChunk(n));
+            self.queue.push_in(d, Event::DrainChunk(n));
         }
     }
 
@@ -531,7 +494,7 @@ impl SnetSim {
             let item = node.fifo.pop_front().expect("checked");
             match item.kind {
                 ItemKind::Data => {
-                    self.delivered[n].push((self.now, item.src, item.seq));
+                    self.delivered[n].push((self.queue.now(), item.src, item.seq));
                     self.delivered_data += 1;
                     if self.strategy == Strategy::Reservation
                         && self.nodes[n].grant_outstanding == Some(item.src)
@@ -548,7 +511,8 @@ impl SnetSim {
                 ItemKind::Grant => {
                     // This node's request was granted: send the data now.
                     self.nodes[n].phase = SenderPhase::Granted;
-                    self.push(self.now + self.cfg.reservation_sw_ns, Event::Offer(n));
+                    self.queue
+                        .push_in(self.cfg.reservation_sw_ns, Event::Offer(n));
                 }
             }
         }
@@ -563,7 +527,7 @@ impl SnetSim {
                 0
             };
             let d = extra + self.chunk_ns(n);
-            self.push(self.now + d, Event::DrainChunk(n));
+            self.queue.push_in(d, Event::DrainChunk(n));
         }
     }
 
@@ -582,7 +546,8 @@ impl SnetSim {
             seq: 0,
             kind: MsgKind::Grant,
         });
-        self.push(self.now + self.cfg.reservation_sw_ns, Event::Offer(n));
+        self.queue
+            .push_in(self.cfg.reservation_sw_ns, Event::Offer(n));
     }
 }
 

@@ -12,6 +12,10 @@
 //! The work counters ([`Fabric::work`]) are asserted on the unicast scenario:
 //! a frame is routed once per cluster it crosses, and a grant costs a bounded
 //! number of worklist visits.
+//!
+//! The S/NET simulator's event order is pinned the same way, by four runs of
+//! §2's recovery strategies (`snet_order`): it shares `desim::queue` with the
+//! fabric driver, and a changed hash means same-instant events moved.
 
 use hpc_vorx::desim::rng::SplitMix64;
 use hpc_vorx::hpcnet::combine::{self, CombOp};
@@ -19,6 +23,7 @@ use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{
     ClusterId, Dest, Fabric, Frame, LinkId, NetConfig, NodeAddr, Payload, Stats, Topology,
 };
+use snet::{SnetConfig, SnetReport, SnetSim, Strategy};
 
 const CLUSTERS: usize = 16;
 const PER_CLUSTER: usize = 4;
@@ -338,4 +343,70 @@ fn a_frame_is_routed_once_per_cluster_and_a_grant_costs_o1_visits() {
         w.port_visits,
         w.grants
     );
+}
+
+/// Scheduling behind the clock is refused in every build, not only under
+/// `debug_assert!`: a frame queued for 500 µs after the driver stood at
+/// 1 ms would otherwise run the clock backwards and leave `delivered` out
+/// of time order.
+#[test]
+#[should_panic(expected = "in the past")]
+fn a_frame_sent_in_the_past_is_refused() {
+    let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
+    net.run_until(1_000_000);
+    net.send_at(
+        500_000,
+        Frame::unicast(NodeAddr(0), NodeAddr(1), DATA, 0, Payload::Synthetic(64)),
+    );
+}
+
+/// One S/NET run's observable outcome: every delivery per receiver, in
+/// order, and the counters the §2 comparison reads.
+fn snet_digest(r: &SnetReport) -> u64 {
+    let mut h = Fnv(0xCBF2_9CE4_8422_2325);
+    for node in &r.delivered {
+        h.word(node.len() as u64);
+        for &(t, src, seq) in node {
+            h.word(t);
+            h.word(src as u64);
+            h.word(seq);
+        }
+    }
+    h.word(r.rejects);
+    h.word(r.garbage_bytes);
+    h.word(r.last_delivery_ns);
+    h.0
+}
+
+/// `senders` nodes each blast `count` messages of `len` bytes at node 0 from
+/// t = 0.
+fn snet_burst(strategy: Strategy, seed: u64, senders: usize, len: u32, count: u64) -> SnetSim {
+    let mut sim = SnetSim::new(SnetConfig::paper_1985(), senders + 1, strategy, seed);
+    for s in 1..=senders {
+        sim.enqueue(s, 0, len, count, 0);
+    }
+    sim
+}
+
+#[test]
+fn snet_order() {
+    let lockout = snet_burst(Strategy::BusyRetry, 1, 8, 1024, 10).run(200_000_000);
+    assert!(!lockout.completed, "busy retry locks out");
+    let backoff = snet_burst(Strategy::RandomBackoff, 7, 8, 1024, 4).run(30_000_000_000);
+    assert!(backoff.completed);
+    let reservation = snet_burst(Strategy::Reservation, 9, 11, 1024, 10).run(30_000_000_000);
+    assert_eq!((reservation.delivered_total, reservation.rejects), (110, 0));
+    let mut paced = SnetSim::new(SnetConfig::paper_1985(), 2, Strategy::BusyRetry, 11);
+    paced.set_faults(0.2, 0.1);
+    paced.enqueue_paced(1, 0, 512, 50, 0, 400_000);
+    let paced = paced.run(60_000_000_000);
+    assert!(paced.lost > 0 && paced.corrupted > 0);
+    let got = [&lockout, &backoff, &reservation, &paced].map(snet_digest);
+    let want = [
+        0x354c_094d_074b_1f8a,
+        0xf4a6_5b9e_75b0_a0d3,
+        0xd4f3_d3d8_0f91_9a8a,
+        0x7dbd_09c0_89af_0af0,
+    ];
+    assert_eq!(got, want, "S/NET event order moved: {got:#018x?}");
 }

@@ -10,7 +10,9 @@
 //! * simulated time never decreases and runs are deterministic;
 //! * the event queue fires in `(time, issue order)`, whatever the action and
 //!   wherever it was issued from, sweeps of cancelled timers or none
-//!   (`queue_model`);
+//!   (`queue_model`), and so does `desim::queue::EventQueue` by itself, under
+//!   pushes, bounded pops, `retain` and `advance_to` (`event_queue_model`),
+//!   as its `MinHeap` pops in key order;
 //! * a `WaitSet` — a lone waiter inline, more in a ring buffer — behaves as
 //!   a plain FIFO list that coalesces re-registrations;
 //! * `desim::rng` replays its pinned streams word for word (`rng_pins`).
@@ -442,6 +444,161 @@ proptest! {
         let expect = queue_model::reference(&prog);
         prop_assert_eq!(&queue_model::run(&prog, None), &expect);
         prop_assert_eq!(&queue_model::run(&prog, Some(deadline_ns)), &expect);
+    }
+}
+
+/// `desim::queue` on its own, against a `BTreeMap` keyed the way the contract
+/// reads: `(time, seq)` for the event queue, `K` for the heap.
+mod event_queue_model {
+    use std::collections::BTreeMap;
+
+    use hpc_vorx::desim::queue::{EventQueue, MinHeap};
+
+    const PUSH_NOW: u8 = 0;
+    const PUSH_LATER: u8 = 1;
+    const POP: u8 = 2;
+    const RETAIN: u8 = 3;
+    const ADVANCE: u8 = 4;
+
+    /// Run `ops` — `(kind, d)` — on an `EventQueue` and on the reference, and
+    /// return the first disagreement. Action ids count pushes; a `POP` is
+    /// bounded by `now + d - 1`, one below the clock when `d` is 0 (where
+    /// even the lane must wait); a
+    /// `RETAIN` drops the ids that are multiples of `d + 2`; an `ADVANCE`
+    /// to `now + d` is made only where it passes nothing queued.
+    pub fn event_queue(ops: &[(u8, u64)]) -> Result<(), String> {
+        let mut q = EventQueue::default();
+        let mut model: BTreeMap<(u64, u64), u32> = BTreeMap::new();
+        let (mut now, mut seq, mut ids) = (0u64, 0u64, 0u32);
+        // A refused pop of a queue that holds something stands at the limit.
+        let model_pop = |model: &mut BTreeMap<(u64, u64), u32>, now: &mut u64, limit| {
+            let (&(t, s), _) = model.first_key_value()?;
+            if t > limit {
+                *now = (*now).max(limit);
+                return None;
+            }
+            *now = t;
+            model.remove(&(t, s))
+        };
+        for (k, &(kind, d)) in ops.iter().enumerate() {
+            match kind {
+                PUSH_NOW | PUSH_LATER => {
+                    let t = if kind == PUSH_NOW { now } else { now + 1 + d };
+                    ids += 1;
+                    q.push(t, ids);
+                    model.insert((t, seq), ids);
+                    seq += 1;
+                }
+                POP => {
+                    let limit = (now + d).saturating_sub(1);
+                    let want = model_pop(&mut model, &mut now, limit);
+                    let got = q.pop(limit);
+                    if got != want {
+                        return Err(format!("op {k}: pop({limit}) gave {got:?}, model {want:?}"));
+                    }
+                }
+                RETAIN => {
+                    let keep = |a: &u32| u64::from(*a) % (d + 2) != 0;
+                    q.retain(keep);
+                    model.retain(|_, a| keep(a));
+                }
+                ADVANCE => {
+                    let t = now + d;
+                    if model.first_key_value().is_none_or(|(&(h, _), _)| h >= t) {
+                        q.advance_to(t);
+                        now = t;
+                    }
+                }
+                _ => unreachable!("op kind {kind}"),
+            }
+            let want = (
+                now,
+                model.len(),
+                model.first_key_value().map(|(&(t, _), _)| t),
+            );
+            let got = (q.now(), q.len(), q.peek_time());
+            if got != want {
+                return Err(format!(
+                    "op {k}: (now, len, peek_time) {got:?}, model {want:?}"
+                ));
+            }
+        }
+        // Drain what is left.
+        while let Some(want) = model_pop(&mut model, &mut now, u64::MAX) {
+            let got = q.pop(u64::MAX);
+            if got != Some(want) || q.now() != now {
+                return Err(format!(
+                    "drain: {got:?} at {}, model {want} at {now}",
+                    q.now()
+                ));
+            }
+        }
+        match q.pop(u64::MAX) {
+            None => Ok(()),
+            Some(a) => Err(format!("drain: {a} left over")),
+        }
+    }
+
+    /// A `MinHeap` op at or past this pops; below it, it is a time to push.
+    pub const HEAP_POP: u64 = 6;
+
+    /// Run `ops` — push `(t, tag)` with a value that has no order of its own,
+    /// or pop — on a `MinHeap` and on the reference; keys are unique because
+    /// each push gets a tag of its own, so only the keys order the pops.
+    pub fn min_heap(ops: &[u64]) -> Result<(), String> {
+        let mut heap = MinHeap::default();
+        let mut model = BTreeMap::new();
+        for (tag, &t) in ops.iter().enumerate() {
+            match t {
+                0..HEAP_POP => {
+                    // An `f64` payload: `V` needs no `Ord`.
+                    heap.push((t, tag), tag as f64);
+                    model.insert((t, tag), tag as f64);
+                }
+                _ => {
+                    let got = heap.pop();
+                    let want = model.pop_first();
+                    if got != want {
+                        return Err(format!("op {tag}: pop {got:?}, model {want:?}"));
+                    }
+                }
+            }
+            if heap.peek().map(|(k, _)| *k) != model.first_key_value().map(|(k, _)| *k) {
+                return Err(format!("op {tag}: heads differ"));
+            }
+        }
+        let rest: Vec<_> = std::iter::from_fn(|| heap.pop()).collect();
+        let want: Vec<_> = model.into_iter().collect();
+        if rest == want {
+            Ok(())
+        } else {
+            Err(format!("drain: {rest:?}, model {want:?}"))
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `EventQueue` pops what a `BTreeMap` keyed `(time, seq)` pops first,
+    /// whatever mix of same-instant cascades, later pushes, bounded pops,
+    /// sweeps and clock moves drives it.
+    #[test]
+    fn the_event_queue_is_a_time_then_seq_ordered_map(
+        ops in proptest::collection::vec((0u8..5, 0u64..4), 0..96),
+    ) {
+        let r = event_queue_model::event_queue(&ops);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
+    }
+
+    /// `MinHeap` pops in key order; ties on the leading key are kept apart
+    /// by the rest of it.
+    #[test]
+    fn the_keyed_heap_pops_in_key_order(
+        ops in proptest::collection::vec(0u64..event_queue_model::HEAP_POP + 1, 0..96),
+    ) {
+        let r = event_queue_model::min_heap(&ops);
+        prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }
 }
 
