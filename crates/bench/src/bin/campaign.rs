@@ -9,6 +9,8 @@
 //!
 //! Run without arguments, it prints the names: the `CAMPAIGNS` array below.
 
+#![forbid(unsafe_code)]
+
 use vorx_bench::campaign::{drive, Campaign};
 use vorx_bench::campaigns::{
     collective, datapath, engine, faults, gray, paper, partition, pdes, scale, soak,

@@ -397,7 +397,7 @@ fn tool_line(cmd: &str, args: &[&str]) -> String {
 /// it was taken on. Cells and gates are appended by [`drive`].
 pub fn new_report(campaign: &str, note: &str, workload: Record) -> Record {
     let host = Record::new()
-        .with("host_cpus", desim::affinity::effective_parallelism())
+        .with("host_cpus", desim::host_cpus())
         .with("rustc", tool_line("rustc", &["--version"]))
         .with(
             "git_rev",

@@ -21,12 +21,12 @@
 //! Speed is the `wall-clock` cells' business (tracing off, median of
 //! `REPEATS`): marked heavy, because a wall clock on a shared CI host
 //! measures the neighbours, so `--smoke` neither takes nor gates it.
-//! Parallel *wall-clock* speedup needs parallel hardware: `host_cpus` is the
-//! **effective** parallelism — the CPU affinity mask actually granted to
-//! this process, not the machine's core count — and worker threads are
-//! pinned to distinct allowed CPUs whenever the mask grants enough of them.
-//! The engine never runs more workers than that (a 4-worker cell on a
-//! 2-CPU host runs 2), which a gate holds on every host: w4 ≤ 1.1 × w1.
+//! Parallel *wall-clock* speedup needs parallel hardware: `host_cpus` is
+//! `std::thread::available_parallelism` — the CPUs this process may run on
+//! (its affinity mask and cgroup quota), not the machine's core count — and
+//! worker threads go wherever the host's scheduler puts them. The engine
+//! never runs more workers than that (a 4-worker cell on a 2-CPU host runs
+//! 2), which a gate holds on every host: w4 ≤ 1.1 × w1.
 //! The ≥2.5× 4-worker scaling gate on the 70-node cell is evaluated only when
 //! the host has ≥ 4 effective CPUs (a smaller host still validates
 //! determinism, and that the sequential engine's hop-by-hop fabric costs at
@@ -43,7 +43,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use desim::{affinity, lock, PdesMonitor};
+use desim::{host_cpus, lock, PdesMonitor};
 use vorx::hpcnet::{NetConfig, NodeAddr, Payload, Topology};
 use vorx::{channel, invariants, VCtx, VorxBuilder};
 
@@ -70,8 +70,8 @@ pub const CAMPAIGN: Campaign = Campaign {
     name: "pdes",
     note: "PDES campaign: asynchronous conservative sharded engine (earliest-input-time sync, \
            per-link lookahead) vs the sequential engine on cross-cluster channel workloads; \
-           wall-clock parallel speedup requires parallel host hardware (host_cpus = effective \
-           CPU affinity mask)",
+           wall-clock parallel speedup requires parallel host hardware (host_cpus = \
+           std::thread::available_parallelism)",
     watchdog_s: (120, 540),
     on_expiry: Some(dump_on_expiry),
     workload: &[
@@ -126,7 +126,7 @@ pub const CAMPAIGN: Campaign = Campaign {
         Gate {
             name: "70 nodes: 4 workers >= 2.5x over 1 worker (hosts with >= 4 CPUs)",
             check: |cells| {
-                let cpus = affinity::effective_parallelism();
+                let cpus = host_cpus();
                 if cpus < 4 {
                     return None;
                 }
@@ -224,7 +224,7 @@ fn dump_on_expiry() {
 /// One pass over the workload — `workers == 0` is the sequential engine —
 /// and its wall clock, ns. The run's host record holds what the sharded
 /// engine counted: rounds, frontier bumps, per-worker stalls.
-fn pass(topo: &Topology, workers: usize, traced: bool, pin: bool) -> (u64, Run) {
+fn pass(topo: &Topology, workers: usize, traced: bool) -> (u64, Run) {
     let b = VorxBuilder::with_topology(topo.clone())
         .seed(SEED)
         .trace(traced);
@@ -242,7 +242,6 @@ fn pass(topo: &Topology, workers: usize, traced: bool, pin: bool) -> (u64, Run) 
         return (wall_ns, run);
     }
     let mut v = b.build_sharded(workers);
-    v.pin_workers(pin);
     spawn_workload(topo, |node, name, f| {
         v.spawn_at(node, name, f);
     });
@@ -293,12 +292,8 @@ fn pass(topo: &Topology, workers: usize, traced: bool, pin: bool) -> (u64, Run) 
 /// `REPEATS` untraced ones, which must all simulate the same run.
 fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
     let topo = Topology::incomplete_hypercube(clusters, epc).expect("valid hypercube");
-    // Pinning only helps when each worker can own a distinct CPU.
-    let pin = workers > 1 && affinity::effective_parallelism() >= workers;
     let repeats = if timed { REPEATS } else { 1 };
-    let mut passes: Vec<(u64, Run)> = (0..repeats)
-        .map(|_| pass(&topo, workers, !timed, pin))
-        .collect();
+    let mut passes: Vec<(u64, Run)> = (0..repeats).map(|_| pass(&topo, workers, !timed)).collect();
     let walls: Vec<u64> = passes.iter().map(|p| p.0).collect();
     // Engine counters and stall accounting are host-timing noise above one
     // worker; keep the last repeat's.
@@ -309,10 +304,7 @@ fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
     if run.sim.u64("frames_delivered") == 0 {
         run.violations.push("nothing-delivered");
     }
-    let host = Record::new()
-        .with("pinned", pin)
-        .and(summary(&walls))
-        .with("wall_ns", walls);
+    let host = summary(&walls).with("wall_ns", walls);
     let lookahead = min_lookahead_ns(&topo).unwrap_or(0);
     Run {
         sim: run.sim.with("min_lookahead_ns", lookahead),

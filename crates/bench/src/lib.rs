@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod campaigns;

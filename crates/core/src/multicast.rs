@@ -325,65 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_copies_are_one_gather_per_receiver() {
-        // The receive side-buffer path holds fragments as refcounted
-        // slices: a single-fragment message reaches `mread` without the
-        // simulator copying any payload bytes, and a multi-fragment message
-        // costs exactly one reassembly gather per receiver. The meter is
-        // process-global, so assert on deltas.
-        let single = {
-            let before = hpcnet::copymeter::payload_bytes_copied();
-            let mut v = VorxBuilder::single_cluster(3).build();
-            v.spawn("n0:w", |ctx| {
-                let data = vec![7u8; 600];
-                mwrite(
-                    &ctx,
-                    NodeAddr(0),
-                    6,
-                    vec![NodeAddr(1), NodeAddr(2)],
-                    Payload::copy_from(&data),
-                );
-            });
-            for n in 1..3u32 {
-                v.spawn(format!("n{n}:r"), move |ctx| {
-                    join(&ctx, NodeAddr(n), 6);
-                    let _ = mread(&ctx, NodeAddr(n), 6);
-                });
-            }
-            v.run_all();
-            hpcnet::copymeter::payload_bytes_copied() - before
-        };
-        // Only the creation copy inside `Payload::copy_from`: hardware
-        // replication to both receivers and both deliveries are zero-copy.
-        assert_eq!(single, 600);
-
-        let multi = {
-            let before = hpcnet::copymeter::payload_bytes_copied();
-            let mut v = VorxBuilder::single_cluster(3).build();
-            v.spawn("n0:w", |ctx| {
-                let data = vec![7u8; 2500];
-                mwrite(
-                    &ctx,
-                    NodeAddr(0),
-                    6,
-                    vec![NodeAddr(1), NodeAddr(2)],
-                    Payload::copy_from(&data),
-                );
-            });
-            for n in 1..3u32 {
-                v.spawn(format!("n{n}:r"), move |ctx| {
-                    join(&ctx, NodeAddr(n), 6);
-                    let _ = mread(&ctx, NodeAddr(n), 6);
-                });
-            }
-            v.run_all();
-            hpcnet::copymeter::payload_bytes_copied() - before
-        };
-        // Creation + one 3-fragment gather per receiver, nothing per-frame.
-        assert_eq!(multi, 2500 + 2 * 2500);
-    }
-
-    #[test]
     fn multi_write_emulation_delivers_to_each() {
         let mut v = VorxBuilder::single_cluster(4).build();
         v.spawn("n0:w", |ctx| {

@@ -880,12 +880,6 @@ impl VorxShardedSim {
         self.engine.stats()
     }
 
-    /// Pin each worker thread to a distinct allowed host CPU when the host
-    /// grants enough of them (see [`desim::ShardedSim::pin_workers`]).
-    pub fn pin_workers(&mut self, enable: bool) {
-        self.engine.pin_workers(enable);
-    }
-
     /// Introspection handle over the engine's frontiers and mailboxes, for
     /// deadlock watchdogs; stays valid while the engine runs elsewhere.
     pub fn monitor(&self) -> desim::PdesMonitor {

@@ -66,7 +66,7 @@ const MAP_ANONYMOUS: i32 = 0x20;
 const MAP_NORESERVE: i32 = 0x4000;
 const MAP_STACK: i32 = 0x2_0000;
 
-// From the libc `std` already links, as in `affinity`.
+// From the libc `std` already links.
 extern "C" {
     fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
     fn mprotect(addr: *mut u8, len: usize, prot: i32) -> i32;

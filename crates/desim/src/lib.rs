@@ -15,7 +15,7 @@
 //! * [`ShardedSim`] — asynchronous conservative parallel execution: several
 //!   `Simulation` shards advance independently to their earliest input
 //!   time (peer frontier + per-link lookahead), exchanging messages over
-//!   lock-free per-link SPSC mailboxes with deterministic injection order.
+//!   locked per-link mailboxes ([`spsc`]) with deterministic injection order.
 //! * [`queue`] — the one `(time, seq)` event queue, and the keyed min-heap
 //!   under it.
 //! * [`rng`] — the one seeded PRNG every simulated stream draws from.
@@ -54,13 +54,16 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![deny(unsafe_code)]
 
+#[allow(unsafe_code)]
 mod coro;
+#[allow(unsafe_code)]
 mod event_fn;
+#[allow(unsafe_code)]
 mod sim;
 mod time;
 
-pub mod affinity;
 pub mod fault;
 pub mod queue;
 pub mod rng;
@@ -70,7 +73,7 @@ pub mod sync;
 pub mod trace;
 
 pub use fault::{Disposition, FaultAction, FaultEvent, FaultSchedule, LinkFaults, LinkStats};
-pub use shard::{OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim, WorkerStall};
+pub use shard::{host_cpus, OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim, WorkerStall};
 pub use sim::{Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup};
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;

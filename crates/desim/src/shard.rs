@@ -17,11 +17,11 @@
 //! before `F_i`. Because every message from `i` to `j` carries at least the
 //! per-link lookahead `L[i][j]` of simulated latency, shard `j` may safely
 //! execute everything *strictly below* `EIT_j = min_i (F_i + L[i][j])`.
-//! Messages travel through per-directed-link SPSC mailboxes
-//! ([`crate::spsc`]); a producer pushes **before** it publishes the frontier
-//! covering the send (Release), and a consumer reads frontiers (Acquire)
-//! **before** draining its mailboxes, so any message below the consumer's
-//! computed EIT is already visible when it drains.
+//! Messages travel through per-directed-link locked mailboxes
+//! ([`crate::spsc`]); a producer's unlock after a push comes before its
+//! `Release` store of the frontier covering the send, and a consumer's
+//! `Acquire` load of that frontier comes before its lock, so any message
+//! below the consumer's computed EIT is already visible when it drains.
 //!
 //! An idle shard cannot stall its neighbors: with no events of its own, its
 //! frontier becomes its own EIT, which grows as *its* inputs advance — the
@@ -58,13 +58,23 @@
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use crate::queue::MinHeap;
 use crate::sim::{IdleReport, Scheduler, Simulation};
 use crate::spsc;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
+
+/// The CPUs this process may run on, as
+/// [`std::thread::available_parallelism`] reports them (the affinity mask
+/// and any cgroup quota), 1 where it cannot tell. Read once per process: the
+/// call reads cgroup files (≈ 12 µs on a 2-vCPU Linux host), where building a
+/// sharded world takes about half a millisecond.
+pub fn host_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
 /// A cross-shard message drained from a shard's outbox.
 #[derive(Debug)]
@@ -251,7 +261,6 @@ pub struct ShardedSim<W: ShardWorld> {
     /// `u64::MAX` declares "no such link" (excluded from EIT; sends assert).
     lat: Vec<u64>,
     workers: usize,
-    pin: bool,
     stats: PdesStats,
 }
 
@@ -263,8 +272,7 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// link from dst's EIT (the engine asserts if such a message appears).
     /// The diagonal bounds self-sends through the outbox the same way.
     /// Executed by `workers` threads, clamped to `[1, shards.len()]` and to
-    /// the CPUs the process may run on
-    /// ([`crate::affinity::effective_parallelism`]): a worker beyond the
+    /// the CPUs the process may run on ([`host_cpus`]): a worker beyond the
     /// host's CPUs only spins against its peers for a time slice, and the
     /// worker count is invisible in every simulated result.
     pub fn new(shards: Vec<Simulation<W>>, link_latency_ns: Vec<Vec<u64>>, workers: usize) -> Self {
@@ -284,9 +292,7 @@ impl<W: ShardWorld> ShardedSim<W> {
                 i % n
             );
         }
-        let workers = workers
-            .min(crate::affinity::effective_parallelism())
-            .clamp(1, n);
+        let workers = workers.min(host_cpus()).clamp(1, n);
         let shared = Arc::new(Shared {
             frontier: (0..n).map(|_| PaddedU64(AtomicU64::new(0))).collect(),
             sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
@@ -295,10 +301,10 @@ impl<W: ShardWorld> ShardedSim<W> {
             depth: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
             done: AtomicBool::new(false),
         });
-        // One SPSC mailbox per directed cross-shard pair. The worker owning
-        // the source shard is the only producer and the worker owning the
-        // destination the only consumer, so the SPSC contract holds for any
-        // (static, contiguous) shard-to-worker assignment.
+        // One mailbox per directed cross-shard pair. The worker owning the
+        // source shard is the only producer and the worker owning the
+        // destination the only consumer, for any (static, contiguous)
+        // shard-to-worker assignment.
         type RxMat<M> = Vec<Vec<Option<spsc::Receiver<Envelope<M>>>>>;
         type TxMat<M> = Vec<Vec<Option<spsc::Sender<Envelope<M>>>>>;
         let mut rx_mat: RxMat<W::Msg> = (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
@@ -338,22 +344,8 @@ impl<W: ShardWorld> ShardedSim<W> {
             shared,
             lat,
             workers,
-            pin: false,
             stats: PdesStats::default(),
         }
-    }
-
-    /// Convenience constructor for a uniform lookahead: every pair
-    /// (self-sends included) promises at least `lookahead` of latency.
-    pub fn with_uniform_lookahead(
-        shards: Vec<Simulation<W>>,
-        lookahead: SimDuration,
-        workers: usize,
-    ) -> Self {
-        assert!(lookahead.as_ns() >= 1, "lookahead must be at least 1 ns");
-        let n = shards.len();
-        let matrix = vec![vec![lookahead.as_ns(); n]; n];
-        Self::new(shards, matrix, workers)
     }
 
     /// Number of shards.
@@ -364,13 +356,6 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// Worker threads the run loop will use.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Pin each worker thread to a distinct allowed host CPU (when the host
-    /// grants enough of them). No-op at one worker, which runs on the
-    /// caller's thread.
-    pub fn pin_workers(&mut self, enable: bool) {
-        self.pin = enable;
     }
 
     /// Access shard `i` (for setup: spawning processes, world inspection).
@@ -419,28 +404,21 @@ impl<W: ShardWorld> ShardedSim<W> {
         let shared = &self.shared;
         let lat = &self.lat;
         if self.workers <= 1 {
-            let stall = worker_loop(&mut self.slots, shared, lat, n, None);
+            let stall = worker_loop(&mut self.slots, shared, lat, n);
             self.stats.worker_stalls.push(stall);
         } else {
-            let pin_to: Vec<Option<usize>> = if self.pin {
-                let cpus = crate::affinity::allowed_cpus();
-                (0..self.workers).map(|wi| cpus.get(wi).copied()).collect()
-            } else {
-                vec![None; self.workers]
-            };
             let chunk = n.div_ceil(self.workers);
-            let chunks: Vec<&mut [Slot<W>]> = self.slots.chunks_mut(chunk).collect();
             std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .zip(&pin_to)
-                    .map(|(slots, &pin)| {
+                let handles: Vec<_> = self
+                    .slots
+                    .chunks_mut(chunk)
+                    .map(|slots| {
                         scope.spawn(move || {
                             // A panicking worker (lookahead violation, world
                             // bug) must release its peers before unwinding,
                             // or the scope join would hang.
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                worker_loop(slots, shared, lat, n, pin)
+                                worker_loop(slots, shared, lat, n)
                             }));
                             match r {
                                 Ok(stall) => stall,
@@ -497,11 +475,7 @@ fn worker_loop<W: ShardWorld>(
     shared: &Shared,
     lat: &[u64],
     n: usize,
-    pin: Option<usize>,
 ) -> WorkerStall {
-    if let Some(cpu) = pin {
-        let _ = crate::affinity::pin_current_thread(cpu);
-    }
     let mut stall = WorkerStall::default();
     let mut spins: u32 = 0;
     let mut idle_mark: Option<Instant> = None;
@@ -743,6 +717,7 @@ fn try_terminate(shared: &Shared, n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
 
     /// A toy shard world: messages bounce round-robin across shards with a
     /// fixed 10 ns latency, each shard logging what it saw.
@@ -789,8 +764,7 @@ mod tests {
                 msg: 0,
             });
         });
-        let mut sharded =
-            ShardedSim::with_uniform_lookahead(shards, SimDuration::from_ns(10), workers);
+        let mut sharded = ShardedSim::new(shards, vec![vec![10; n_shards]; n_shards], workers);
         let reports = sharded.run_to_idle();
         assert!(reports.iter().all(IdleReport::all_finished));
         let stats = sharded.stats().clone();
@@ -875,8 +849,7 @@ mod tests {
                 .collect();
             chain(&shards[0], 100, 9); // fires at 100, 200, ..., 1000
             chain(&shards[1], 50, 0); // fires at 50 only
-            let mut sharded =
-                ShardedSim::with_uniform_lookahead(shards, SimDuration::from_ns(10), workers);
+            let mut sharded = ShardedSim::new(shards, vec![vec![10; 2]; 2], workers);
             let reports = sharded.run_to_idle();
             assert_eq!(reports[0].now, SimTime::from_ns(1000));
             assert_eq!(reports[1].now, SimTime::from_ns(50));
@@ -898,8 +871,7 @@ mod tests {
             .map(|_| Simulation::new(LocalWorld { fired: Vec::new() }))
             .collect();
         chain(&shards[0], 10, 3);
-        let mut sharded =
-            ShardedSim::with_uniform_lookahead(shards, SimDuration::from_ns(5), workers_for_test());
+        let mut sharded = ShardedSim::new(shards, vec![vec![5; 2]; 2], 1);
         let monitor = sharded.monitor();
         assert!(!monitor.is_done());
         sharded.run_to_idle();
@@ -908,9 +880,5 @@ mod tests {
         assert!(dump.contains("shard 0:"));
         assert!(dump.contains("shard 1:"));
         assert!(!dump.contains("mailbox"), "no messages may be in flight");
-    }
-
-    fn workers_for_test() -> usize {
-        1
     }
 }

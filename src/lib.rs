@@ -15,6 +15,8 @@
 //! scenarios; `crates/bench` regenerates every table and figure of the
 //! paper's evaluation.
 
+#![forbid(unsafe_code)]
+
 pub use desim;
 pub use hpcnet;
 pub use snet;

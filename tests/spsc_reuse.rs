@@ -1,7 +1,9 @@
 //! `desim::spsc` under two threads: FIFO, every value dropped exactly once,
-//! and — the point of its node cache — no more nodes than the queue was ever
-//! deep. A stress test shows the absence of nothing; the orderings are argued
-//! in `spsc.rs`, and ROADMAP item 4(d)'s exhaustive checker is still open.
+//! and — because a mailbox is a `VecDeque` that keeps its capacity and grows
+//! by doubling — at most `1 + ⌈log₂ max_depth⌉` allocations for a queue never
+//! deeper than `max_depth`, however many values pass through it (14–16
+//! measured for a million values, the queue 18–68 thousand deep). A stress
+//! test shows the absence of nothing; the queue's ordering is its lock's.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -35,10 +37,10 @@ fn next(state: &mut u64) -> u64 {
 }
 
 #[test]
-fn bursts_across_threads_stay_fifo_drop_once_and_reuse_their_nodes() {
+fn bursts_across_threads_stay_fifo_drop_once_and_grow_by_doubling() {
     let (tx, rx) = spsc::pair::<Tracked>();
     // Values popped so far, published after each pop: what the producer
-    // reads here is at most what `head` has moved by, so `pushed - popped`
+    // reads here is at most what the consumer has taken, so `pushed - popped`
     // bounds the depth the producer's next `push` can find from above.
     let popped = Arc::new(AtomicU64::new(0));
     let start = Arc::new(Barrier::new(2));
@@ -66,9 +68,9 @@ fn bursts_across_threads_stay_fifo_drop_once_and_reuse_their_nodes() {
                     std::hint::spin_loop();
                 }
             }
-            // One box per value; the rest are queue nodes.
-            let nodes = alloc_meter::calls() - allocs_before - N;
-            (tx, nodes, max_depth)
+            // One box per value; the rest grew the queue.
+            let growths = alloc_meter::calls() - allocs_before - N;
+            (tx, growths, max_depth)
         })
     };
 
@@ -90,12 +92,16 @@ fn bursts_across_threads_stay_fifo_drop_once_and_reuse_their_nodes() {
             std::hint::spin_loop();
         }
     }
-    let (tx, nodes, max_depth) = producer.join().expect("producer panicked");
+    let (tx, growths, max_depth) = producer.join().expect("producer panicked");
 
     assert_eq!(DROPS.load(Ordering::Relaxed), N - LEFT);
+    // A buffer that starts at one slot or more and doubles reaches
+    // `max_depth` slots within `1 + ⌈log₂ max_depth⌉` allocations.
+    let bound = 1 + u64::from(max_depth.next_power_of_two().ilog2());
     assert!(
-        nodes <= max_depth + 1,
-        "{nodes} nodes allocated for a queue never deeper than {max_depth}"
+        growths <= bound,
+        "{growths} allocations for {N} values through a queue never deeper than \
+         {max_depth}: more than 1 + ⌈log₂ {max_depth}⌉ = {bound}"
     );
     assert!(!rx.is_empty());
     drop(tx);
