@@ -807,7 +807,7 @@ impl VorxSim {
     }
 
     /// Inspect or mutate the world between runs.
-    pub fn world(&self) -> std::sync::MutexGuard<'_, World> {
+    pub fn world(&self) -> desim::WorldGuard<'_, World> {
         self.sim.world()
     }
 
@@ -887,7 +887,7 @@ impl VorxShardedSim {
     }
 
     /// Inspect or mutate one shard's world between runs.
-    pub fn world(&self, shard: usize) -> std::sync::MutexGuard<'_, World> {
+    pub fn world(&self, shard: usize) -> desim::WorldGuard<'_, World> {
         self.engine.shard(shard).world()
     }
 

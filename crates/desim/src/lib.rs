@@ -9,13 +9,15 @@
 //!   callbacks** over a user-defined world state `W`; software (operating
 //!   system code, application processes) runs as **processes** — stackful
 //!   coroutines switched in user space on the executor's own thread —
-//!   written in ordinary blocking style via [`Ctx`].
+//!   written in ordinary blocking style via [`Ctx`]. Queue and world share
+//!   one lock; a call that finds it taken (inside [`Ctx::with`]) panics.
 //! * [`sync`] — wait sets and mailboxes for simulated processes.
 //! * [`Trace`] — timestamped event recording for the measurement tools.
 //! * [`ShardedSim`] — asynchronous conservative parallel execution: several
 //!   `Simulation` shards advance independently to their earliest input
 //!   time (peer frontier + per-link lookahead), exchanging messages over
-//!   locked per-link mailboxes ([`spsc`]) with deterministic injection order.
+//!   locked per-link mailboxes ([`spsc`], never locked empty) with
+//!   deterministic injection order.
 //! * [`queue`] — the one `(time, seq)` event queue, and the keyed min-heap
 //!   under it.
 //! * [`rng`] — the one seeded PRNG every simulated stream draws from.
@@ -74,7 +76,9 @@ pub mod trace;
 
 pub use fault::{Disposition, FaultAction, FaultEvent, FaultSchedule, LinkFaults, LinkStats};
 pub use shard::{host_cpus, OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim, WorkerStall};
-pub use sim::{Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup};
+pub use sim::{
+    Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup, WorldGuard,
+};
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;
 
@@ -83,10 +87,11 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Take `m`, recovering it if a panic poisoned it.
 ///
 /// The workspace's one poisoning policy. A simulated process that panics
-/// unwinds through whatever it holds — [`Ctx::with`]'s scheduler and world,
-/// a test's result collector — and the executor re-raises the panic to its
-/// caller by name, so the panic is never lost; the data it left behind is
-/// still what later readers (teardown, a test's post-mortem) should see.
+/// unwinds through whatever it holds — [`Ctx::with`]'s queue and world (the
+/// executor recovers them the same way), a test's result collector — and
+/// the executor re-raises the panic to its caller by name, so the panic is
+/// never lost; the data it left behind is still what later readers
+/// (teardown, a test's post-mortem) should see.
 pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }

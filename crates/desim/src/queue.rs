@@ -5,6 +5,10 @@
 //! The [`MinHeap`] under it also merges `ShardedSim`'s cross-shard messages,
 //! by a key drawn at the sender. Time is `u64` ns.
 
+// The workspace's one `BinaryHeap`: the root `clippy.toml` refuses it
+// everywhere else.
+#![allow(clippy::disallowed_types)]
+
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 

@@ -18,10 +18,11 @@
 //! per-link lookahead `L[i][j]` of simulated latency, shard `j` may safely
 //! execute everything *strictly below* `EIT_j = min_i (F_i + L[i][j])`.
 //! Messages travel through per-directed-link locked mailboxes
-//! ([`crate::spsc`]); a producer's unlock after a push comes before its
-//! `Release` store of the frontier covering the send, and a consumer's
-//! `Acquire` load of that frontier comes before its lock, so any message
-//! below the consumer's computed EIT is already visible when it drains.
+//! ([`crate::spsc`]), each with a `depth` count. A producer bumps the count,
+//! pushes, then `Release`-stores the frontier covering the send; a consumer
+//! `Acquire`-loads that frontier, then reads the count and locks. So any
+//! message below its computed EIT is counted and visible when it drains, and
+//! a mailbox whose count reads 0 is skipped unlocked.
 //!
 //! An idle shard cannot stall its neighbors: with no events of its own, its
 //! frontier becomes its own EIT, which grows as *its* inputs advance — the
@@ -168,8 +169,8 @@ struct Shared {
     /// Shard has no local events and no buffered messages, as of its last
     /// step boundary.
     quiescent: Vec<AtomicBool>,
-    /// Mailbox depth per directed link (`src * n + dst`); advisory, for the
-    /// deadlock-watchdog dump.
+    /// Mailbox depth per directed link (`src * n + dst`), bumped *before*
+    /// the push: a step drains no more than it reads (see the module docs).
     depth: Vec<AtomicU64>,
     /// Global termination flag.
     done: AtomicBool,
@@ -185,11 +186,6 @@ pub struct PdesMonitor {
 }
 
 impl PdesMonitor {
-    /// True once the engine has detected global quiescence.
-    pub fn is_done(&self) -> bool {
-        self.shared.done.load(Ordering::Acquire)
-    }
-
     /// Human-readable dump of per-shard frontiers and per-link mailbox
     /// depths — what a watchdog prints when a run fails to reach idle.
     pub fn dump(&self) -> String {
@@ -547,13 +543,21 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
     }
     // 2. Drain the per-link mailboxes into the pending heap (after the
     //    frontier reads — never before, or a message could slip between).
+    //    A message counted but not yet pushed is above EIT: a later step's.
     let mut drained = 0u64;
     for src in 0..n {
         let Some(rx) = &slot.rx[src] else { continue };
-        while let Some((key, msg)) = rx.pop() {
-            shared.depth[src * n + me].fetch_sub(1, Ordering::Relaxed);
+        let depth = &shared.depth[src * n + me];
+        let counted = depth.load(Ordering::Relaxed);
+        let mut popped = 0;
+        while popped < counted {
+            let Some((key, msg)) = rx.pop() else { break };
             slot.pending.push(key, msg);
-            drained += 1;
+            popped += 1;
+        }
+        if popped > 0 {
+            depth.fetch_sub(popped, Ordering::Relaxed);
+            drained += popped;
         }
     }
     // 3. Execute everything strictly below EIT. Buffered deliveries are
@@ -679,8 +683,8 @@ fn route_outbox<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64],
         if dst == me {
             slot.pending.push(env.0, env.1);
         } else {
-            // `sent` before the push: an in-flight message must always hold
-            // `sent > absorbed` for the termination detector.
+            // Both counts before the push: an in-flight message must hold
+            // `sent > absorbed`, and be counted in `depth` once visible.
             shared.sent[me].fetch_add(1, Ordering::SeqCst);
             shared.depth[me * n + dst].fetch_add(1, Ordering::Relaxed);
             slot.tx[dst].as_ref().expect("cross-shard sender").push(env);
@@ -873,9 +877,7 @@ mod tests {
         chain(&shards[0], 10, 3);
         let mut sharded = ShardedSim::new(shards, vec![vec![5; 2]; 2], 1);
         let monitor = sharded.monitor();
-        assert!(!monitor.is_done());
         sharded.run_to_idle();
-        assert!(monitor.is_done());
         let dump = monitor.dump();
         assert!(dump.contains("shard 0:"));
         assert!(dump.contains("shard 1:"));

@@ -4,10 +4,10 @@
 //! these per *directed* cross-shard link: the worker that owns the source
 //! shard is the only pusher and the worker that owns the destination shard
 //! is the only popper (neither half is `Clone`). Both halves share one
-//! `VecDeque` behind a `Mutex`, taken through [`crate::lock`]; the lock is
-//! the whole memory-ordering argument. A `VecDeque` keeps its capacity, so a
-//! mailbox allocates only while it grows to its deepest backlog, doubling
-//! each time, and then never again.
+//! `VecDeque` behind a `Mutex`, taken through [`crate::lock`]; the engine
+//! counts each mailbox beside it and locks no empty one ([`crate::shard`]).
+//! A `VecDeque` keeps its capacity, so a mailbox allocates only while it
+//! grows to its deepest backlog, doubling each time, and then never again.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
@@ -42,12 +42,6 @@ impl<T: Send> Receiver<T> {
     pub fn pop(&self) -> Option<T> {
         lock(&self.0).pop_front()
     }
-
-    /// True iff no element is currently queued (advisory: the producer may
-    /// push concurrently).
-    pub fn is_empty(&self) -> bool {
-        lock(&self.0).is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -57,11 +51,10 @@ mod tests {
     #[test]
     fn fifo_order_same_thread() {
         let (tx, rx) = pair::<u32>();
-        assert!(rx.is_empty());
+        assert_eq!(rx.pop(), None);
         for i in 0..100 {
             tx.push(i);
         }
-        assert!(!rx.is_empty());
         for i in 0..100 {
             assert_eq!(rx.pop(), Some(i));
         }
@@ -87,7 +80,7 @@ mod tests {
             }
         }
         producer.join().unwrap();
-        assert!(rx.is_empty());
+        assert_eq!(rx.pop(), None);
     }
 
     #[test]

@@ -57,18 +57,11 @@ impl SimTime {
                 .expect("SimTime::since: `earlier` is later than `self`"),
         )
     }
-
-    /// Saturating difference: zero if `earlier` is later than `self`.
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// The largest representable span.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from nanoseconds.
     pub const fn from_ns(ns: u64) -> Self {
@@ -88,18 +81,6 @@ impl SimDuration {
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimDuration(s * 1_000_000_000)
-    }
-
-    /// Construct from fractional microseconds, rounding to the nearest
-    /// nanosecond. Negative values are clamped to zero.
-    pub fn from_us_f64(us: f64) -> Self {
-        SimDuration((us * 1_000.0).round().max(0.0) as u64)
-    }
-
-    /// Construct from fractional seconds, rounding to the nearest nanosecond.
-    /// Negative values are clamped to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1_000_000_000.0).round().max(0.0) as u64)
     }
 
     /// Raw nanoseconds.
@@ -266,15 +247,7 @@ mod tests {
         assert_eq!(SimDuration::from_us(3).as_ns(), 3_000);
         assert_eq!(SimDuration::from_ms(2).as_ns(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_ns(), 1_000_000_000);
-        assert_eq!(SimDuration::from_us_f64(0.5).as_ns(), 500);
-        assert_eq!(SimDuration::from_secs_f64(1.5).as_ns(), 1_500_000_000);
         assert_eq!(SimTime::from_ns(42).as_ns(), 42);
-    }
-
-    #[test]
-    fn negative_float_durations_clamp_to_zero() {
-        assert_eq!(SimDuration::from_us_f64(-1.0), SimDuration::ZERO);
-        assert_eq!(SimDuration::from_secs_f64(-0.5), SimDuration::ZERO);
     }
 
     #[test]
@@ -296,7 +269,6 @@ mod tests {
         let a = SimTime::from_ns(10);
         let b = SimTime::from_ns(25);
         assert_eq!(b.since(a).as_ns(), 15);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
         assert_eq!(
             SimDuration::from_ns(5).saturating_sub(SimDuration::from_ns(9)),
             SimDuration::ZERO

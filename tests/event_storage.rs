@@ -175,8 +175,9 @@ fn dead_timers_do_not_size_the_queue() {
         let (_, calls) = alloc_meter::measure(|| sim.run_until(SimTime::from_ns(700_000_000)));
         let report = sim.run_to_idle();
         let held = alloc_meter::live_bytes() - before;
+        let dispatched = sim.events_dispatched();
         let w = sim.world();
-        let end = (report.now, sim.events_dispatched(), w.sent, w.timeouts);
+        let end = (report.now, dispatched, w.sent, w.timeouts);
         (held, calls, end)
     };
     let (held, calls, end) = run(true);

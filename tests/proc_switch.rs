@@ -286,9 +286,9 @@ fn panic_in_a_process_is_reported_and_the_rest_torn_down() {
     assert_eq!(tally.dropped(), 3);
 }
 
-/// (e') The one poisoning policy, `desim::lock`: a process that panics
-/// inside `Ctx::with` unwinds through the queue and world locks and through a
-/// collector's guard, poisoning all three. The caller still gets the panic by
+/// (e') The one poisoning policy, `desim::lock`'s: a process that panics
+/// inside `Ctx::with` unwinds through the simulation's lock and through a
+/// collector's guard, poisoning both. The caller still gets the panic by
 /// name, the world and the collector still read, and dropping the simulation
 /// tears the bystander down without a second panic or a hang.
 #[test]
@@ -323,6 +323,40 @@ fn panic_inside_with_leaves_world_and_collector_readable() {
     assert_eq!(sim.world().passed, 7);
     drop(sim);
     assert_eq!(tally.dropped(), 1);
+}
+
+/// (e'') A simulation's queue and world are one lock, and only one activity
+/// runs at a time: a `Ctx` call inside `Ctx::with` finds it taken and panics,
+/// re-raised by the process's name, where waiting for it would deadlock.
+#[test]
+#[should_panic(expected = "simulated process 'nested' panicked")]
+fn a_ctx_call_inside_with_panics_naming_the_process() {
+    let _x = exclusive();
+    let mut sim = Simulation::new(Gate::default());
+    sim.spawn("nested", |ctx: Ctx<Gate>| {
+        let inner = ctx.clone();
+        ctx.with(|_, _| inner.with(|w, _| w.passed += 1));
+    });
+    sim.run_to_idle();
+}
+
+/// (e''') A process that parks inside `Ctx::with` keeps that lock: the
+/// executor finds it taken when the process hands back and panics, and
+/// dropping the simulation on the way out leaves every process be rather
+/// than panic a second time (which would abort).
+#[test]
+#[should_panic(expected = "already taken")]
+fn parking_inside_with_panics_and_teardown_does_not_abort() {
+    let _x = exclusive();
+    let mut sim = Simulation::new(Gate::default());
+    sim.spawn("parks", |ctx: Ctx<Gate>| {
+        let inner = ctx.clone();
+        ctx.with(|_, s| {
+            s.wake(inner.pid(), Wakeup::START);
+            inner.park();
+        });
+    });
+    sim.run_to_idle();
 }
 
 /// (g) A `Ctx` parks only its own process. Every process of a simulation
