@@ -1,7 +1,8 @@
 //! Windowed data-path report: sweep channel window size × message size ×
 //! loss rate and measure goodput through the credit-based pipeline, plus
-//! the zero-copy accounting (physical payload bytes copied, buffer-pool
-//! recycling).
+//! the zero-copy accounting (physical payload bytes copied). Only the
+//! 4096-byte cells send messages longer than one HPC frame, so only they
+//! gather fragments, each message into a buffer of its own.
 //!
 //! A 2-node cluster streams a fixed message count from node 0 to node 1.
 //! `chan_window = 1` is the paper's §5 stop-and-wait protocol bit-for-bit;
@@ -133,15 +134,11 @@ fn run(window: u32, msg_bytes: usize, loss: f64, seed: u64) -> Run {
     let elapsed_ns = t1.saturating_sub(t0);
     let w = v.world();
     let (sim, violations) = stream_verdict(&w, &report, &lock(&got), MSGS);
-    let (pool_hits, pool_misses, pool_recycled) = w.payload_pool.stats();
     let kbytes = (u64::from(MSGS) * msg_bytes as u64) as f64 / 1e3;
     let sim = sim
         .with("elapsed_ns", elapsed_ns)
         .with("per_msg_us", elapsed_ns as f64 / 1e3 / f64::from(MSGS))
         .with("goodput_kbps", kbytes / (elapsed_ns as f64 / 1e9))
-        .with("payload_bytes_copied", copymeter::payload_bytes_copied())
-        .with("pool_hits", pool_hits)
-        .with("pool_misses", pool_misses)
-        .with("pool_recycled", pool_recycled);
+        .with("payload_bytes_copied", copymeter::payload_bytes_copied());
     Run::new(sim, violations)
 }

@@ -15,10 +15,6 @@
 //!   remedies are implemented: free on logout ([`Allocator::logout`]),
 //!   idle-timeout reclamation ([`Allocator::reclaim_idle`]), and the
 //!   use-carefully [`Allocator::force_free`] command.
-//!
-//! The file also owns the data path's [`PayloadPool`]: recycled gather
-//! buffers for multi-fragment message reassembly (see the section comment
-//! below and DESIGN.md §10).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -414,187 +410,5 @@ mod tests {
         assert_eq!(a.owned_by(UserId(1)), vec![]);
         assert_eq!(a.owned_by(UserId(2)).len(), 3);
         assert_eq!(a.free_count(), 5);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Payload buffer pool (windowed data path).
-//
-// Multi-fragment reassembly is the one place the data path must gather
-// payload bytes into a fresh contiguous buffer (single-fragment messages are
-// delivered zero-copy — see `channel::PayloadAsm`). The gather buffers churn
-// at message rate, so they are pooled: `PayloadPool::acquire` hands out a
-// recycled `Vec<u8>` when one is free, and the buffer returns to the free
-// list automatically when the last `Bytes` clone referencing the assembled
-// message is dropped.
-// ---------------------------------------------------------------------------
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
-
-use bytes::{ByteStore, Bytes};
-
-/// Free-list capacity: buffers returned beyond this are simply freed, so a
-/// burst cannot pin memory forever.
-const POOL_MAX_FREE: usize = 64;
-
-/// Usage counters for [`PayloadPool`] (observable in tests and `cdb`).
-#[derive(Debug, Default)]
-pub struct PoolStats {
-    /// Acquires served from the free list.
-    pub hits: AtomicU64,
-    /// Acquires that had to allocate.
-    pub misses: AtomicU64,
-    /// Buffers returned to the free list by `Bytes` drops.
-    pub recycled: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct PoolInner {
-    free: Mutex<Vec<Vec<u8>>>,
-    stats: PoolStats,
-}
-
-/// A shared pool of payload gather buffers. Cloning the pool handle shares
-/// the underlying free list; the `World` owns one per simulation.
-#[derive(Debug, Clone, Default)]
-pub struct PayloadPool {
-    inner: Arc<PoolInner>,
-}
-
-/// A pooled gather buffer: fill it with `extend_from_slice`, then `freeze`
-/// it into a refcounted [`Bytes`]. The backing `Vec` rejoins the pool's free
-/// list when the last `Bytes` clone dies.
-#[derive(Debug)]
-pub struct PooledBuf {
-    data: Vec<u8>,
-    pool: Weak<PoolInner>,
-}
-
-/// The frozen store behind a pooled [`Bytes`]; its `Drop` recycles the
-/// allocation.
-#[derive(Debug)]
-struct PooledStore {
-    data: Vec<u8>,
-    pool: Weak<PoolInner>,
-}
-
-impl ByteStore for PooledStore {
-    fn as_slice(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl Drop for PooledStore {
-    fn drop(&mut self) {
-        let Some(pool) = self.pool.upgrade() else {
-            return; // the simulation is gone; let the Vec free normally
-        };
-        let mut v = std::mem::take(&mut self.data);
-        let mut free = desim::lock(&pool.free);
-        if free.len() < POOL_MAX_FREE {
-            v.clear();
-            free.push(v);
-            pool.stats.recycled.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-impl PayloadPool {
-    /// Take a cleared buffer with at least `cap` bytes reserved, reusing a
-    /// recycled allocation when one is free.
-    pub fn acquire(&self, cap: usize) -> PooledBuf {
-        let recycled = desim::lock(&self.inner.free).pop();
-        let data = match recycled {
-            Some(mut v) => {
-                self.inner.stats.hits.fetch_add(1, Ordering::Relaxed);
-                v.reserve(cap);
-                v
-            }
-            None => {
-                self.inner.stats.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::with_capacity(cap)
-            }
-        };
-        PooledBuf {
-            data,
-            pool: Arc::downgrade(&self.inner),
-        }
-    }
-
-    /// Snapshot `(hits, misses, recycled)`.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.inner.stats.hits.load(Ordering::Relaxed),
-            self.inner.stats.misses.load(Ordering::Relaxed),
-            self.inner.stats.recycled.load(Ordering::Relaxed),
-        )
-    }
-}
-
-impl PooledBuf {
-    /// Append bytes (this *is* a physical copy; callers meter it).
-    pub fn extend_from_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True iff nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Freeze into an immutable, refcounted [`Bytes`]. All clones and slices
-    /// share this one allocation; the last drop recycles it into the pool.
-    pub fn freeze(self) -> Bytes {
-        Bytes::from_shared(Arc::new(PooledStore {
-            data: self.data,
-            pool: self.pool,
-        }))
-    }
-}
-
-#[cfg(test)]
-mod pool_tests {
-    use super::*;
-
-    #[test]
-    fn acquire_freeze_drop_recycles() {
-        let pool = PayloadPool::default();
-        let mut b = pool.acquire(8);
-        b.extend_from_slice(&[1, 2, 3]);
-        let frozen = b.freeze();
-        assert_eq!(&*frozen, &[1, 2, 3]);
-        let copy = frozen.clone();
-        drop(frozen);
-        assert_eq!(pool.stats().2, 0, "a live clone must pin the buffer");
-        drop(copy);
-        assert_eq!(pool.stats(), (0, 1, 1));
-        // The next acquire reuses the recycled allocation.
-        let b2 = pool.acquire(2);
-        assert_eq!(pool.stats().0, 1);
-        assert!(b2.is_empty());
-    }
-
-    #[test]
-    fn free_list_is_bounded() {
-        let pool = PayloadPool::default();
-        let frozen: Vec<Bytes> = (0..POOL_MAX_FREE + 10)
-            .map(|_| {
-                let mut b = pool.acquire(4);
-                b.extend_from_slice(&[0; 4]);
-                b.freeze()
-            })
-            .collect();
-        drop(frozen);
-        assert_eq!(
-            desim::lock(&pool.inner.free).len(),
-            POOL_MAX_FREE,
-            "returns beyond the cap must be freed, not hoarded"
-        );
     }
 }

@@ -59,7 +59,6 @@ use bytes::Bytes;
 use desim::{sync::WaitSet, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload, MAX_PAYLOAD};
 
-use crate::alloc::PayloadPool;
 use crate::api;
 use crate::calib::Calibration;
 use crate::cpu::{BlockReason, CpuCat};
@@ -185,9 +184,9 @@ impl ChannelConfig {
 }
 
 /// Reassembles fragments of one written message. Fragments are held as
-/// refcounted slices: a single-fragment message (the common case) is
-/// delivered zero-copy, and only a multi-fragment gather touches payload
-/// bytes — through a pooled buffer, with the copy metered.
+/// refcounted slices: a single-fragment message (every size the paper
+/// measures) is delivered zero-copy, and only a multi-fragment gather
+/// touches payload bytes — into a buffer of its own, with the copy metered.
 #[derive(Debug, Default)]
 pub struct PayloadAsm {
     parts: Vec<Bytes>,
@@ -224,9 +223,9 @@ impl PayloadAsm {
     }
 
     /// Take the assembled message, resetting the assembler. One fragment
-    /// passes straight through (zero-copy); several are gathered into a
-    /// buffer recycled through `pool`.
-    pub fn take(&mut self, pool: &PayloadPool) -> Payload {
+    /// passes straight through (zero-copy); several are gathered into one
+    /// new buffer.
+    pub fn take(&mut self) -> Payload {
         self.frags = 0;
         if self.parts.is_empty() {
             let n = self.synth;
@@ -237,12 +236,12 @@ impl PayloadAsm {
             return Payload::Data(self.parts.pop().expect("checked"));
         }
         let total: usize = self.parts.iter().map(Bytes::len).sum();
-        let mut buf = pool.acquire(total);
+        let mut buf = Vec::with_capacity(total);
         for b in self.parts.drain(..) {
             buf.extend_from_slice(&b);
         }
         hpcnet::copymeter::add(total as u64);
-        Payload::Data(buf.freeze())
+        Payload::Data(Bytes::from(buf))
     }
 }
 
@@ -1183,7 +1182,6 @@ fn commit_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last
     let chan = proto::seq_chan(f.seq);
     let src = f.src;
     let seq = f.seq;
-    let pool = w.payload_pool.clone();
     {
         let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
             return; // the node crashed while the copy charge was in flight
@@ -1192,7 +1190,7 @@ fn commit_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last
         end.rx_next_frag = proto::seq_frag(seq) + 1;
         end.asm.push(f.payload);
         if last {
-            let msg = end.asm.take(&pool);
+            let msg = end.asm.take();
             end.rx.push_back(msg);
             end.msgs_rx += 1;
             end.rx_waiters.wake_all(s, Wakeup::START);
@@ -1332,7 +1330,6 @@ fn accept_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
 fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bool) {
     let chan = proto::seq_chan(f.seq);
     let frag = proto::seq_frag(f.seq);
-    let pool = w.payload_pool.clone();
     {
         let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
             return; // the node crashed while the copy charge was in flight
@@ -1350,7 +1347,7 @@ fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
             end.asm.push(p);
             if l {
                 let frags = end.asm.frags() as u32;
-                let msg = end.asm.take(&pool);
+                let msg = end.asm.take();
                 end.rx.push_back(msg);
                 end.winrx.rx_frag_counts.push_back(frags);
                 end.msgs_rx += 1;
@@ -1642,7 +1639,7 @@ mod tests {
         asm.push(Payload::copy_from(&[1, 2]));
         asm.push(Payload::copy_from(&[3]));
         assert_eq!(asm.frags(), 2);
-        let p = asm.take(&PayloadPool::default());
+        let p = asm.take();
         assert_eq!(p.bytes().unwrap().as_ref(), &[1, 2, 3]);
         assert_eq!(asm.frags(), 0);
     }
@@ -1652,7 +1649,7 @@ mod tests {
         let mut asm = PayloadAsm::default();
         asm.push(Payload::Synthetic(1024));
         asm.push(Payload::Synthetic(476));
-        assert_eq!(asm.take(&PayloadPool::default()).len(), 1500);
+        assert_eq!(asm.take().len(), 1500);
     }
 
     #[test]

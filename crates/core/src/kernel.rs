@@ -139,7 +139,6 @@ fn bridge_one(w: &mut World, now: u64, ser: u64, t: NodeAddr, frame: Frame) {
     }
     // Injection statistics, mirroring what `Fabric::try_send` records.
     w.net.stats.frames_sent += 1;
-    w.net.stats.per_endpoint_tx[src.0 as usize] += 1;
     w.shard.outbox.push(OutMsg {
         deliver_at: SimTime::from_ns(at_ns),
         dst_shard: w.shard.owner(t),

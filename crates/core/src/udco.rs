@@ -612,19 +612,17 @@ pub fn send_gather(
     });
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
     // Assemble the gathered payload. A single data part passes through
-    // zero-copy; a real gather goes through the pooled buffer (the physical
-    // copy is already charged above and metered by the buffer pool path).
+    // zero-copy; a real gather copies every part into one new buffer (the
+    // copy is charged above in simulated time and metered here).
     let payload = if parts.len() == 1 && parts[0].bytes().is_some() {
         parts[0].clone()
     } else if parts.iter().all(|p| p.bytes().is_some()) {
-        let mut b = ctx
-            .with(|w, _| w.payload_pool.clone())
-            .acquire(total as usize);
+        let mut b = Vec::with_capacity(total as usize);
         for p in parts {
             b.extend_from_slice(p.bytes().expect("checked"));
         }
         hpcnet::copymeter::add(u64::from(total));
-        Payload::Data(b.freeze())
+        Payload::Data(b.into())
     } else {
         Payload::Synthetic(total)
     };
@@ -810,7 +808,9 @@ mod multi_tests {
             });
         }
         v.run_all();
-        // The source injected exactly one frame (hardware replication).
-        assert_eq!(v.world().net.stats.per_endpoint_tx[0], 1);
+        // The source injected exactly one frame (hardware replication), and
+        // each destination got a copy.
+        let st = &v.world().net.stats;
+        assert_eq!((st.frames_sent, st.frames_delivered), (1, 4));
     }
 }

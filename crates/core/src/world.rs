@@ -322,10 +322,6 @@ pub struct World {
     pub next_chan: u32,
     /// Next open token / generic correlation id.
     pub next_token: u64,
-    /// Shared payload-buffer pool: multi-fragment reassembly and UDCO
-    /// gathers recycle their scatter/gather buffers through it instead of
-    /// allocating fresh ones per message.
-    pub payload_pool: crate::alloc::PayloadPool,
     /// Registered collective groups, by group id (DESIGN.md §16).
     pub coll_groups: HashMap<u32, crate::collective::Group>,
     /// Sharded-engine bridge state; inert defaults in sequential builds.
@@ -480,7 +476,6 @@ impl WorldCfg {
             faults: crate::fault::FaultState::new(schedule),
             next_chan: 1 + k as u32,
             next_token: k,
-            payload_pool: crate::alloc::PayloadPool::default(),
             coll_groups: HashMap::new(),
             shard,
             net_outputs: Vec::new(),

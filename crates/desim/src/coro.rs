@@ -36,7 +36,7 @@
 //!
 //! # Porting
 //!
-//! [`switch`] and the frame [`first_frame`] lays out for it are written for
+//! [`switch`] and the frame [`boot_frame`] lays out for it are written for
 //! the x86-64 System V ABI, and the `mmap` flag values are Linux's. There is
 //! deliberately no fallback engine: a new target ports those items.
 
@@ -47,7 +47,7 @@ use std::mem::MaybeUninit;
 #[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
 compile_error!(
     "desim::coro supports x86_64 Linux only: port `coro::switch` (the callee-saved \
-     register swap), `coro::first_frame` (its initial frame) and `coro::Stack::new` \
+     register swap), `coro::boot_frame` (its initial frame) and `coro::Stack::new` \
      (the mmap flag values)"
 );
 
@@ -81,29 +81,42 @@ pub(crate) type Body = Box<dyn FnOnce() -> usize + Send>;
 /// A process's frames while it is suspended: the bytes from its saved stack
 /// pointer up to the top of the run stack, lowest address first.
 pub(crate) enum Image {
-    /// Not started yet: the frame [`first_frame`] laid out.
-    Fresh([usize; 8]),
+    /// Not started yet: the address of the boxed [`Body`], from which
+    /// [`Stack::restore`] lays out the frame [`boot_frame`] describes.
+    Fresh(usize),
     /// What the last park left on the run stack, padding and dead slots
     /// included. The buffer's capacity is the deepest park so far.
     Parked(Vec<MaybeUninit<u8>>),
 }
 
-/// The frame that makes the first [`switch`] into it run `body` (through
-/// [`boot`] and [`entry`]), to sit at the very top of a run stack.
+/// No frames and no allocation: what stands in for a process's image while
+/// it runs, or once it has finished.
+impl Default for Image {
+    fn default() -> Self {
+        Image::Parked(Vec::new())
+    }
+}
+
+/// The image whose first [`switch`] runs `body` (through [`boot`] and
+/// [`entry`]).
 ///
-/// The body is leaked into the frame: an image dropped before its first
+/// The body is leaked into the image: an image dropped before its first
 /// switch leaks it, and a parked one dropped abandons the process's frames
 /// without running their destructors. The engine enters every process it has
 /// not seen finish before letting go.
 pub(crate) fn first_frame(body: Body) -> Image {
-    // From the top of the stack downwards: a null return address (`entry`
-    // runs as if called from nowhere, so an unwinder or backtrace stops
-    // there), `boot` for `switch`'s `ret`, then what `switch` pops: the boxed
-    // body for `rbx` and null for the other five registers (a null `rbp` ends
-    // a frame-pointer walk). After the `ret`, `rsp` ≡ 8 (mod 16), as the ABI
-    // has it at a function's first instruction.
-    let body = Box::into_raw(Box::new(body)) as usize;
-    Image::Fresh([0, 0, 0, 0, body, 0, boot as *const () as usize, 0])
+    Image::Fresh(Box::into_raw(Box::new(body)) as usize)
+}
+
+/// The frame that makes a [`switch`] into it run the boxed body at `body`, to
+/// sit at the very top of a run stack. From the top downwards: a null return
+/// address (`entry` runs as if called from nowhere, so an unwinder or
+/// backtrace stops there), `boot` for `switch`'s `ret`, then what `switch`
+/// pops: the body for `rbx` and null for the other five registers (a null
+/// `rbp` ends a frame-pointer walk). After the `ret`, `rsp` ≡ 8 (mod 16), as
+/// the ABI has it at a function's first instruction.
+fn boot_frame(body: usize) -> [usize; 8] {
+    [0, 0, 0, 0, body, 0, boot as *const () as usize, 0]
 }
 
 /// A simulation's run stack, unmapped on drop: the one mapping every process
@@ -170,8 +183,12 @@ impl Stack {
     /// Nothing may be running on this stack, the caller included, and nothing
     /// else may touch its bytes during the call.
     pub(crate) unsafe fn restore(&self, image: &Image) -> usize {
+        let frame;
         let (bytes, len) = match image {
-            Image::Fresh(frame) => (frame.as_ptr().cast::<u8>(), size_of_val(frame)),
+            Image::Fresh(body) => {
+                frame = boot_frame(*body);
+                (frame.as_ptr().cast::<u8>(), size_of_val(&frame))
+            }
             Image::Parked(buf) => (buf.as_ptr().cast::<u8>(), buf.len()),
         };
         assert!(len <= STACK_BYTES, "image deeper than the run stack");
@@ -179,7 +196,8 @@ impl Stack {
         // SAFETY: `bytes` is valid for `len` bytes (a whole array, a whole
         // `Vec`), `[sp, top)` lies in the mapping's read-write part (checked
         // above), which the caller vouches is idle and ours alone, and a heap
-        // buffer or an inline frame cannot overlap it.
+        // buffer or a local of the caller's (who is not on this stack) cannot
+        // overlap it.
         unsafe { std::ptr::copy_nonoverlapping(bytes, sp as *mut u8, len) };
         sp
     }
@@ -230,7 +248,7 @@ impl Drop for Stack {
 /// Suspend the caller and continue whoever saved the stack pointer `load`:
 /// push the callee-saved registers, store `rsp` to `*save`, adopt `load`, pop
 /// the other side's registers and return into it. The other side sees its own
-/// `switch` call return (a frame fresh from [`first_frame`] starts its body
+/// `switch` call return (a frame fresh from [`boot_frame`] starts its body
 /// instead). Returns when someone switches back to `*save`.
 ///
 /// # Safety

@@ -40,16 +40,18 @@
 //! untouched: keys are unique, whatever shape the heap has.
 //!
 //! The executor⇄process handoff is one [`Baton`] per process — a payload
-//! word each way, the two stack pointers of a user-space register swap
-//! (`coro::switch`), and the image of the process's frames while it is
-//! suspended — so a switch is a function call and two copies of however deep
-//! the process parked (0.78–0.83 KiB on average in the benchmark's `vorx`
-//! workloads): no system call, no lock, no allocation unless the park goes
-//! deeper than any before, and no mapping at spawn (the first frame sits
-//! inline in the baton). What a blocking call does before it parks — a
-//! `wait_until` condition under the lock, arming a `sleep`'s timer — runs in
-//! out-of-line frames (`Ctx::poll`, `Ctx::wake_me_in`), as does the body's
-//! panic report (`Baton::unwound`), so none of it is copied with every park.
+//! word each way and the two stack pointers of a user-space register swap
+//! (`coro::switch`) — and the image of the process's frames, kept in its
+//! process-table slot while it is suspended. So a switch is a function call
+//! and two copies of however deep the process parked (0.78–0.83 KiB on
+//! average in the benchmark's `vorx` workloads): no system call, no lock, no
+//! allocation unless the park goes deeper than any before, and no mapping at
+//! spawn (a fresh image is one word, the boxed body, and the first frame is
+//! laid out on the run stack at the first resume). What a blocking call does
+//! before it parks — a `wait_until` condition under the lock, arming a
+//! `sleep`'s timer — runs in out-of-line frames (`Ctx::poll`,
+//! `Ctx::wake_me_in`), as does the body's panic report (`Baton::unwound`), so
+//! none of it is copied with every park.
 //! Same-instant wakes (`wake` + `park` chains, the common case in protocol
 //! code) bypass the heap through a FIFO *lane*, O(1); [`Ctx::now`] reads an
 //! atomic mirror of the clock.
@@ -65,7 +67,6 @@
 //! holds at once — at most twice the most ever live.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -285,23 +286,24 @@ const REPORT_PANICKED: u32 = 2;
 
 /// The executor⇄process handoff cell. A handoff is: write your payload
 /// (`token` or `report`), then `coro::switch` to the other side's saved
-/// stack pointer, leaving your own behind; the executor also moves the
-/// process's frames between `image` and the run stack. No lock is held across
-/// it, and there is no system call and, after the first park, no allocation.
+/// stack pointer, leaving your own behind; around it the executor moves the
+/// process's frames between its slot's image and the run stack. No lock is
+/// held across it, and there is no system call and, after the first park, no
+/// allocation.
 ///
-/// Why this may be shared and sent between threads: exactly one side of a
-/// baton runs at a time (the `coro` contract), so every field but
-/// `panic_msg` has one accessor at any moment and the atomics are plain
-/// cells — `Relaxed` throughout, the stack pointers written by `switch`
-/// through `as_ptr`. `image` is the executor's alone: only [`Baton::enter`]
-/// touches it, outside its `switch`, and entering takes `&mut Simulation`
-/// (a run, or the drop), so it too has one accessor at a time. Within one
-/// run both sides are the same OS thread, and a `switch` is a jump on it, so
-/// program order is all the ordering there is to keep. A process resumed by a
-/// *different* thread than last time (sharded workers) is resumed by whoever
-/// holds `&mut Simulation` now, and whatever moved that borrow between the
-/// threads — the scoped spawn and join of a `ShardedSim::run`, a channel, a
-/// mutex — already orders these cells and the image along with it.
+/// Every field is `Sync` by itself, so a baton is shared and sent between
+/// threads with no argument of ours. Exactly one side of a baton runs at a
+/// time (the `coro` contract), so every field but `panic_msg` has one
+/// accessor at any moment and the atomics are plain cells — `Relaxed`
+/// throughout, the stack pointers written by `switch` through `as_ptr`.
+/// Within one run both sides are the same OS thread, and a `switch` is a jump
+/// on it, so program order is all the ordering there is to keep. A process
+/// resumed by a *different* thread than last time (sharded workers) is
+/// resumed by whoever holds `&mut Simulation` now, and whatever moved that
+/// borrow between the threads — the scoped spawn and join of a
+/// `ShardedSim::run`, a channel, a mutex — already orders these cells along
+/// with it. `Default` is a fresh baton: `report` reads `REPORT_PARKED`, 0.
+#[derive(Default)]
 struct Baton {
     /// Wakeup token payload; written by the executor before switching in.
     token: AtomicU64,
@@ -319,69 +321,39 @@ struct Baton {
     /// Where the process left off at its last park, for `enter` to save its
     /// frames from.
     proc_sp: AtomicUsize,
-    /// The process's frames while it is suspended; stale while it runs and
-    /// once it has finished.
-    image: UnsafeCell<Image>,
     /// Panic message, set before reporting `REPORT_PANICKED`.
     panic_msg: Mutex<Option<String>>,
 }
 
-// SAFETY: every field but `image` is `Sync` by itself. `image` is reached
-// only from `Baton::enter`, whose caller vouches it is the only one entering
-// this process, so no two threads touch it at once; see the type's doc for
-// how it moves between threads. Its contents are the process's frames, which
-// change threads under the `coro` contract.
-unsafe impl Sync for Baton {}
-
 impl Baton {
-    /// A baton whose first [`Baton::enter`] runs `body`.
-    fn new(body: coro::Body) -> Self {
-        Baton {
-            token: AtomicU64::new(0),
-            report: AtomicU32::new(REPORT_PARKED),
-            kill: AtomicBool::new(false),
-            entered: AtomicBool::new(false),
-            exec_sp: AtomicUsize::new(0),
-            proc_sp: AtomicUsize::new(0),
-            image: UnsafeCell::new(coro::first_frame(body)),
-            panic_msg: Mutex::new(None),
-        }
-    }
-
-    /// Executor side: put the process's frames back on `stack`, run it until
-    /// it parks or finishes, save the frames of a parked one, and return its
-    /// report.
+    /// Executor side: put the process's frames back on `stack` from `image`,
+    /// run it until it parks or finishes, save the frames of a parked one
+    /// into `image`, and return its report.
     ///
     /// # Safety
     ///
     /// The process must be suspended — parked, or not yet started — and not
-    /// finished, `stack` the run stack of the simulation it belongs to, and
-    /// the caller the executor of that simulation: not on `stack` itself, and
-    /// the only one entering any of its processes. The caller's own `Arc`
-    /// must keep the baton alive across the call.
-    unsafe fn enter(&self, stack: &Stack) -> u32 {
-        // SAFETY: `image` is ours (the caller is the only one entering this
-        // process, and nothing else reads it), and no process is on `stack`:
-        // they run only inside this function's `switch`, the caller is the
-        // only one here, and it is not on `stack`.
-        let sp = unsafe { stack.restore(&*self.image.get()) };
+    /// finished, `image` its frames, `stack` the run stack of the simulation
+    /// it belongs to, and the caller the executor of that simulation: not on
+    /// `stack` itself, and the only one entering any of its processes. The
+    /// caller's own `Arc` must keep the baton alive across the call.
+    unsafe fn enter(&self, stack: &Stack, image: &mut Image) -> u32 {
+        // SAFETY: no process is on `stack`: they run only inside this
+        // function's `switch`, the caller is the only one here, and it is not
+        // on `stack`.
+        let sp = unsafe { stack.restore(image) };
         self.entered.store(true, AtomicOrdering::Relaxed);
-        // SAFETY: `sp` names the frame `first_frame` made or the one the
-        // process's last `park` saved, just put back where it was and unused
-        // since. `exec_sp` lives as long as `self`.
+        // SAFETY: `sp` names the frame `restore` laid out for a fresh image
+        // or the one the process's last `park` saved, just put back where it
+        // was and unused since. `exec_sp` lives as long as `self`.
         unsafe { coro::switch(self.exec_sp.as_ptr(), sp) };
         self.entered.store(false, AtomicOrdering::Relaxed);
         let report = self.report.load(AtomicOrdering::Relaxed);
         if report == REPORT_PARKED {
             // SAFETY: the process handed back through `park`, whose `switch`
             // ran on `stack` (asserted there) and stored `proc_sp`; we are
-            // back on the executor's stack, and `image` is ours as above.
-            unsafe {
-                stack.save(
-                    self.proc_sp.load(AtomicOrdering::Relaxed),
-                    &mut *self.image.get(),
-                )
-            };
+            // back on the executor's stack.
+            unsafe { stack.save(self.proc_sp.load(AtomicOrdering::Relaxed), image) };
         }
         report
     }
@@ -447,8 +419,12 @@ enum ProcState {
 struct ProcSlot {
     name: String,
     state: ProcState,
-    /// `None` once the process has finished, so its image can go.
+    /// `None` once the process has finished.
     baton: Option<Arc<Baton>>,
+    /// The process's frames while it is suspended. The executor takes them
+    /// out, under the lock, to run it, and puts them back when it parks; while
+    /// it runs and once it has finished, the slot holds an empty image.
+    image: Image,
 }
 
 impl ProcSlot {
@@ -687,38 +663,33 @@ impl<W: Send + 'static> Scheduler<W> {
             .sim
             .upgrade()
             .expect("a scheduler is reached through its simulation");
-        let baton = Arc::new_cyclic(|me: &Weak<Baton>| {
-            let me = Weak::clone(me);
-            // Runs on the run stack at the process's first resume, and drops
-            // all it captured or made before it returns (the `coro::Body`
-            // contract).
-            Baton::new(Box::new(move || {
-                let baton = me
-                    .upgrade()
-                    .expect("whoever enters a process holds its baton");
-                let ctx = Ctx {
-                    inner,
-                    pid,
-                    baton: Arc::clone(&baton),
-                };
-                let report = if baton.kill.load(AtomicOrdering::Relaxed) {
-                    // Torn down before it ever ran: only drop what it
-                    // captured.
-                    REPORT_FINISHED
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                        Ok(()) => REPORT_FINISHED,
-                        Err(payload) => baton.unwound(payload),
-                    }
-                };
-                baton.report.store(report, AtomicOrdering::Relaxed);
-                baton.exec_sp.load(AtomicOrdering::Relaxed)
-            }))
-        });
+        let baton = Arc::new(Baton::default());
+        let own = Arc::clone(&baton);
+        // Runs on the run stack at the process's first resume, and drops all
+        // it captured or made before it returns (the `coro::Body` contract).
+        let image = coro::first_frame(Box::new(move || {
+            let ctx = Ctx {
+                inner,
+                pid,
+                baton: Arc::clone(&own),
+            };
+            let report = if own.kill.load(AtomicOrdering::Relaxed) {
+                // Torn down before it ever ran: only drop what it captured.
+                REPORT_FINISHED
+            } else {
+                match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
+                    Ok(()) => REPORT_FINISHED,
+                    Err(payload) => own.unwound(payload),
+                }
+            };
+            own.report.store(report, AtomicOrdering::Relaxed);
+            own.exec_sp.load(AtomicOrdering::Relaxed)
+        }));
         self.procs.push(ProcSlot {
             name,
             state: ProcState::Parked,
             baton: Some(baton),
+            image,
         });
         self.queue
             .push(at.as_ns(), Queued::Wake(pid, Wakeup::START));
@@ -993,20 +964,25 @@ impl<W: Send + 'static> Simulation<W> {
         assert_eq!(slot.state, ProcState::Parked, "woke a running process");
         slot.state = ProcState::Running;
         let baton = Arc::clone(slot.baton.as_ref().expect("a parked process has a baton"));
+        let mut image = std::mem::take(&mut slot.image);
         sched.dispatched += 1;
         drop(core);
         baton.token.store(token.0, AtomicOrdering::Relaxed);
         // SAFETY: we found the process `Parked` and marked it `Running`
         // under the lock, so it is suspended, unfinished, and entered by no
-        // one else until we mark it otherwise below; `baton` is ours for the
-        // whole call. We are this simulation's executor, and not on its run
-        // stack: running takes `&mut Simulation`, which nothing a process can
-        // reach holds while the run that resumed it does.
-        let report = unsafe { baton.enter(&self.inner.stack) };
+        // one else until we mark it otherwise below; `image` is the frames we
+        // took out of its slot then, and `baton` is ours for the whole call.
+        // We are this simulation's executor, and not on its run stack:
+        // running takes `&mut Simulation`, which nothing a process can reach
+        // holds while the run that resumed it does.
+        let report = unsafe { baton.enter(&self.inner.stack, &mut image) };
         let mut core = self.inner.core();
         let slot = core.0.slot_mut(pid);
         match report {
-            REPORT_PARKED => slot.state = ProcState::Parked,
+            REPORT_PARKED => {
+                slot.state = ProcState::Parked;
+                slot.image = image;
+            }
             REPORT_FINISHED => slot.finish(),
             _ => {
                 slot.finish();
@@ -1087,33 +1063,33 @@ impl<W: Send + 'static> Simulation<W> {
 impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
         // A parked process owns live values; it gets to unwind its own frames
-        // so their destructors run. The batons are collected first and the
-        // lock released, because a destructor may use its `Ctx`. A process
-        // that parked inside `Ctx::with` still holds the lock, and the run
-        // that found it so has panicked: leave every process be, and do not
-        // panic again.
+        // so their destructors run. The batons and images are collected first
+        // and the lock released, because a destructor may use its `Ctx`. A
+        // process that parked inside `Ctx::with` still holds the lock, and the
+        // run that found it so has panicked: leave every process be, and do
+        // not panic again.
         let Some(mut core) = self.inner.try_core() else {
             return;
         };
-        let parked: Vec<Arc<Baton>> = core
+        let parked: Vec<(Arc<Baton>, Image)> = core
             .0
             .procs
             .iter_mut()
             .filter(|slot| slot.state == ProcState::Parked)
             .filter_map(|slot| {
                 slot.state = ProcState::Finished;
-                slot.baton.take()
+                Some((slot.baton.take()?, std::mem::take(&mut slot.image)))
             })
             .collect();
         drop(core);
-        for baton in parked {
+        for (baton, mut image) in parked {
             baton.kill.store(true, AtomicOrdering::Relaxed);
             // SAFETY: the process was `Parked`, so it is suspended and
-            // unfinished; `&mut self` means no run loop is entering anything,
-            // and the slot no longer names it — nor, for the same reason, are
-            // we on the run stack. `baton` is ours for the call. Its report
-            // does not matter any more.
-            unsafe { baton.enter(&self.inner.stack) };
+            // unfinished, and `image` holds its frames; `&mut self` means no
+            // run loop is entering anything, and the slot no longer names it
+            // — nor, for the same reason, are we on the run stack. `baton` is
+            // ours for the call. Its report does not matter any more.
+            unsafe { baton.enter(&self.inner.stack, &mut image) };
         }
     }
 }

@@ -62,6 +62,8 @@ mod tests {
     }
 
     #[test]
+    // A mailbox joins two shard workers, which are OS threads; so does this test.
+    #[allow(clippy::disallowed_methods)]
     fn cross_thread_stream() {
         let (tx, rx) = pair::<u64>();
         let n = 10_000u64;

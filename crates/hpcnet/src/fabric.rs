@@ -370,10 +370,6 @@ pub struct Stats {
     /// from [`Stats::frames_dropped`]: a shed is a deliberate degradation
     /// decision, not a fault. Always zero while budgets are unbounded.
     pub frames_shed: u64,
-    /// Per-endpoint delivered-frame counts.
-    pub per_endpoint_rx: Vec<u64>,
-    /// Per-endpoint injected-frame counts.
-    pub per_endpoint_tx: Vec<u64>,
     /// Contributions merged into a held partial by a combining switch (each
     /// merge removed one frame from the network). Always zero until a
     /// collective group is registered.
@@ -383,11 +379,9 @@ pub struct Stats {
 }
 
 impl Stats {
-    /// Add another fabric's (another shard's) scalar counters into this
-    /// one; the per-endpoint vectors are left alone — at a million
-    /// endpoints nobody wants eight of them summed. The destructuring names
-    /// every field, so a counter added to the struct does not compile until
-    /// it is merged (or skipped) here.
+    /// Add another fabric's (another shard's) counters into this one. The
+    /// destructuring names every field, so a counter added to the struct
+    /// does not compile until it is merged here.
     pub fn merge_counters(&mut self, o: &Stats) {
         let Stats {
             frames_delivered,
@@ -397,8 +391,6 @@ impl Stats {
             frames_corrupted,
             frames_rerouted,
             frames_shed,
-            per_endpoint_rx: _,
-            per_endpoint_tx: _,
             frames_combined,
             comb_flushes,
         } = self;
@@ -642,11 +634,7 @@ impl Fabric {
             sheddable: |_| false,
             path_scratch: Vec::new(),
             comb: None,
-            stats: Stats {
-                per_endpoint_rx: vec![0; n_eps],
-                per_endpoint_tx: vec![0; n_eps],
-                ..Default::default()
-            },
+            stats: Stats::default(),
             now_ns: 0,
         }
     }
@@ -789,7 +777,6 @@ impl Fabric {
             return Err(SendError::TxBusy);
         }
         self.stats.frames_sent += 1;
-        self.stats.per_endpoint_tx[frame.src.0 as usize] += 1;
         let up = up_link(frame.src);
         self.links[up].out_reg = Some(frame);
         self.in_flight += 1;
@@ -975,7 +962,6 @@ impl Fabric {
             self.in_flight -= 1;
             self.stats.frames_delivered += 1;
             self.stats.payload_bytes_delivered += u64::from(f.payload.len());
-            self.stats.per_endpoint_rx[node.0 as usize] += 1;
             self.progress(out);
         }
         frame
@@ -1618,8 +1604,8 @@ mod tests {
         );
         net.run();
         assert_eq!(net.fabric.stats.payload_bytes_delivered, 100);
-        assert_eq!(net.fabric.stats.per_endpoint_tx[0], 1);
-        assert_eq!(net.fabric.stats.per_endpoint_rx[1], 1);
+        assert_eq!(net.fabric.stats.frames_sent, 1);
+        assert_eq!(net.fabric.stats.frames_delivered, 1);
         assert!(net
             .fabric
             .link_report()

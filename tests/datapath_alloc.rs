@@ -9,7 +9,8 @@ use hpc_vorx::desim::lock;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{copymeter, Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::multicast::{join, mread, mwrite};
-use hpc_vorx::vorx::{channel, VorxBuilder};
+use hpc_vorx::vorx::udco::{self, UdcoMode};
+use hpc_vorx::vorx::{channel, Calibration, VorxBuilder};
 
 #[path = "common/alloc_meter.rs"]
 mod alloc_meter;
@@ -266,6 +267,146 @@ fn bridged_frames_allocate_for_the_mailbox_high_water_not_per_frame() {
         long <= short + 3,
         "{EXTRA} more bridged messages made {} more allocations ({short} -> {long})",
         long.saturating_sub(short)
+    );
+}
+
+/// `len` bytes that differ from one position to the next, so a delivery
+/// checked against them is checked byte for byte.
+fn pattern(len: usize) -> Vec<u8> {
+    (0..len).map(|i| (i * 7 + i / 251) as u8).collect()
+}
+
+/// Allocations of a two-node channel stream of `msgs` copies of `data` at
+/// `window`, each read back and compared with `data`.
+fn chan_allocs(window: u32, data: &[u8], msgs: u64) -> u64 {
+    let calib = Calibration::paper_1988_windowed(window);
+    let mut v = VorxBuilder::single_cluster(2).calibration(calib).build();
+    let (sent, want) = (Payload::copy_from(data), data.to_vec());
+    v.spawn("n0:writer", move |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(0), "gather");
+        for _ in 0..msgs {
+            ch.write(&ctx, sent.clone()).unwrap();
+        }
+        ch.close(&ctx);
+    });
+    v.spawn("n1:reader", move |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(1), "gather");
+        for _ in 0..msgs {
+            assert_eq!(ch.read(&ctx).unwrap().bytes().expect("data"), &want);
+        }
+    });
+    let (report, total) = alloc_meter::measure(|| v.run());
+    assert!(report.all_finished());
+    total
+}
+
+/// Allocations while node 0 `mwrite`s `msgs` copies of `data` to the two
+/// other members of a three-node cluster, each `mread` and compared.
+fn mcast_allocs(data: &[u8], msgs: u64) -> u64 {
+    let mut v = VorxBuilder::single_cluster(3).build();
+    let sent = Payload::copy_from(data);
+    v.spawn("n0:w", move |ctx| {
+        for _ in 0..msgs {
+            let dsts = vec![NodeAddr(1), NodeAddr(2)];
+            mwrite(&ctx, NodeAddr(0), 6, dsts, sent.clone());
+        }
+    });
+    for n in 1..3u32 {
+        let want = data.to_vec();
+        v.spawn(format!("n{n}:r"), move |ctx| {
+            join(&ctx, NodeAddr(n), 6);
+            for _ in 0..msgs {
+                let (_, p) = mread(&ctx, NodeAddr(n), 6);
+                assert_eq!(p.bytes().expect("data"), &want);
+            }
+        });
+    }
+    let (report, total) = alloc_meter::measure(|| v.run());
+    assert!(report.all_finished());
+    total
+}
+
+/// Allocations while node 0 sends `msgs` UDCO messages made of `parts` by
+/// `send_gather`, each received whole, compared with the parts end to end and
+/// answered with an empty message before the next goes out.
+fn gather_allocs(parts: &[Payload], msgs: u64) -> u64 {
+    let mut v = VorxBuilder::single_cluster(2).build();
+    let want: Vec<u8> = parts
+        .iter()
+        .flat_map(|p| p.bytes().expect("data").to_vec())
+        .collect();
+    let parts = parts.to_vec();
+    v.spawn("n0:tx", move |ctx| {
+        udco::register(&ctx, NodeAddr(0), 2, UdcoMode::Interrupt);
+        for seq in 0..msgs {
+            udco::send_gather(&ctx, NodeAddr(0), NodeAddr(1), 1, seq, &parts);
+            udco::recv(&ctx, NodeAddr(0), 2);
+        }
+    });
+    v.spawn("n1:rx", move |ctx| {
+        udco::register(&ctx, NodeAddr(1), 1, UdcoMode::Interrupt);
+        for seq in 0..msgs {
+            let m = udco::recv(&ctx, NodeAddr(1), 1);
+            assert_eq!(m.payload.bytes().expect("data"), &want);
+            udco::send(
+                &ctx,
+                NodeAddr(1),
+                NodeAddr(0),
+                2,
+                seq,
+                Payload::Synthetic(0),
+            );
+        }
+    });
+    let (report, total) = alloc_meter::measure(|| v.run());
+    assert!(report.all_finished());
+    total
+}
+
+/// Allocations per message of a run, warm-up cancelled: the runs of
+/// `2 * MSGS` and of `MSGS` messages differ by `MSGS` messages' worth.
+fn per_msg(run: impl Fn(u64) -> u64) -> f64 {
+    const MSGS: u64 = 64;
+    (run(2 * MSGS) as f64 - run(MSGS) as f64) / MSGS as f64
+}
+
+/// A message longer than one frame is gathered into a buffer of its own at
+/// the receiver (a channel at either window, each multicast reader), and a
+/// `send_gather` of several parts into one at the sender. Every delivery is
+/// compared byte for byte, and each gather costs exactly the buffer and its
+/// refcount block, measured as the allocations per message beyond those of
+/// the same stream in one-frame messages or with the parts already joined.
+/// The gathers meter their copies, so this holds `COPYMETER_LOCK` too.
+#[test]
+fn a_gathered_message_allocates_its_buffer_and_refcount_block() {
+    let _guard = lock(&COPYMETER_LOCK);
+    let (long, short) = (pattern(4096), pattern(1024));
+    for window in [1, 8] {
+        let gathered = per_msg(|n| chan_allocs(window, &long, n));
+        let whole = per_msg(|n| chan_allocs(window, &short, n));
+        assert_eq!(
+            gathered - whole,
+            2.0,
+            "W={window}: {gathered} vs {whole} per message"
+        );
+    }
+    // Three fragments, gathered once at each of the two readers.
+    let gathered = per_msg(|n| mcast_allocs(&pattern(2500), n));
+    let whole = per_msg(|n| mcast_allocs(&pattern(600), n));
+    assert_eq!(
+        gathered - whole,
+        2.0 * 2.0,
+        "mwrite: {gathered} vs {whole} per message"
+    );
+    let data = pattern(900);
+    let joined = [Payload::copy_from(&data)];
+    let split = [&data[..100], &data[100..600], &data[600..]].map(Payload::copy_from);
+    let gathered = per_msg(|n| gather_allocs(&split, n));
+    let whole = per_msg(|n| gather_allocs(&joined, n));
+    assert_eq!(
+        gathered - whole,
+        2.0,
+        "send_gather: {gathered} vs {whole} per message"
     );
 }
 

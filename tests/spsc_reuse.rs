@@ -37,6 +37,8 @@ fn next(state: &mut u64) -> u64 {
 }
 
 #[test]
+// A mailbox joins two shard workers, which are OS threads; so does this test.
+#[allow(clippy::disallowed_methods)]
 fn bursts_across_threads_stay_fifo_drop_once_and_grow_by_doubling() {
     let (tx, rx) = spsc::pair::<Tracked>();
     // Values popped so far, published after each pop: what the producer
