@@ -33,12 +33,11 @@
 //! most 3× the bridged path on one worker — no parallelism in either).
 //!
 //! Per wall-clock cell and worker count: the repeats and their min, upper
-//! median and mean (`campaign::summary`),
-//! round and frontier-bump counters (engine scheduling, so host-side: above
-//! one worker they vary with thread timing) and per-worker stall histograms
-//! (idle-spin vs yielded wall time); simulated: bridged messages and
-//! per-shard event counts. A hung cell dumps every shard's frontier and
-//! mailbox depths before the watchdog aborts.
+//! median and mean (`campaign::summary`), and the round and frontier-bump
+//! counters (engine scheduling, so host-side: above one worker they vary
+//! with thread timing); simulated: bridged messages and per-shard event
+//! counts. A hung cell dumps every shard's frontier, the engine's `busy`
+//! count and the mailbox depths before the watchdog aborts.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -111,8 +110,8 @@ pub const CAMPAIGN: Campaign = Campaign {
             },
         },
         // The engine runs at most one worker per effective CPU, so asking
-        // for more workers than the host has cannot cost a spinning
-        // oversubscribed run: this holds on any host.
+        // for more workers than the host has cannot cost an oversubscribed
+        // run: this holds on any host.
         Gate {
             name: "70 nodes: w4 <= 1.1x w1",
             check: |cells| {
@@ -223,7 +222,7 @@ fn dump_on_expiry() {
 
 /// One pass over the workload — `workers == 0` is the sequential engine —
 /// and its wall clock, ns. The run's host record holds what the sharded
-/// engine counted: rounds, frontier bumps, per-worker stalls.
+/// engine counted: rounds and frontier bumps.
 fn pass(topo: &Topology, workers: usize, traced: bool) -> (u64, Run) {
     let b = VorxBuilder::with_topology(topo.clone())
         .seed(SEED)
@@ -258,13 +257,6 @@ fn pass(topo: &Topology, workers: usize, traced: bool) -> (u64, Run) {
     if st.events_per_shard.contains(&0) {
         violations.push("idle-shard");
     }
-    let stall = |s: &desim::WorkerStall| {
-        Record::new()
-            .with("spin_ns", s.spin_ns)
-            .with("yield_ns", s.yield_ns)
-            .with("stalls", s.stalls)
-            .with("yields", s.yields)
-    };
     let sim = Record::new()
         .with("end_ns", end.as_ns())
         .with("msgs_bridged", st.msgs_bridged)
@@ -272,11 +264,7 @@ fn pass(topo: &Topology, workers: usize, traced: bool) -> (u64, Run) {
         .and(Totals::over_shards(&v).record());
     let host = Record::new()
         .with("rounds", st.rounds)
-        .with("frontier_bumps", st.frontier_bumps)
-        .with(
-            "worker_stalls",
-            st.worker_stalls.iter().map(stall).collect::<Vec<_>>(),
-        );
+        .with("frontier_bumps", st.frontier_bumps);
     let run = Run::new(sim, violations).host(host);
     (
         wall_ns,
@@ -295,8 +283,8 @@ fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
     let repeats = if timed { REPEATS } else { 1 };
     let mut passes: Vec<(u64, Run)> = (0..repeats).map(|_| pass(&topo, workers, !timed)).collect();
     let walls: Vec<u64> = passes.iter().map(|p| p.0).collect();
-    // Engine counters and stall accounting are host-timing noise above one
-    // worker; keep the last repeat's.
+    // Engine counters are host-timing noise above one worker; keep the last
+    // repeat's.
     let (_, mut run) = passes.pop().expect("at least one pass");
     if passes.iter().any(|(_, p)| p.sim != run.sim) {
         run.violations.push("repeat-determinism");

@@ -870,7 +870,7 @@ impl VorxShardedSim {
     }
 
     /// Engine counters (run rounds, bridged messages, frontier bumps,
-    /// per-worker stall accounting, per-shard event counts).
+    /// per-shard event counts).
     pub fn stats(&self) -> &desim::PdesStats {
         self.engine.stats()
     }

@@ -11,7 +11,7 @@
 //!   coroutines switched in user space on the executor's own thread —
 //!   written in ordinary blocking style via [`Ctx`]. Queue and world share
 //!   one lock; a call that finds it taken (inside [`Ctx::with`]) panics.
-//! * [`sync`] — wait sets and mailboxes for simulated processes.
+//! * [`sync`] — wait sets for simulated processes.
 //! * [`Trace`] — timestamped event recording for the measurement tools.
 //! * [`ShardedSim`] — asynchronous conservative parallel execution: several
 //!   `Simulation` shards advance independently to their earliest input
@@ -75,7 +75,7 @@ pub mod sync;
 pub mod trace;
 
 pub use fault::{Disposition, FaultAction, FaultEvent, FaultSchedule, LinkFaults, LinkStats};
-pub use shard::{host_cpus, OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim, WorkerStall};
+pub use shard::{host_cpus, OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim};
 pub use sim::{
     Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup, WorldGuard,
 };

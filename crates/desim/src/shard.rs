@@ -50,17 +50,17 @@
 //!
 //! ## Termination
 //!
-//! Global quiescence is detected with a double scan over per-shard monotone
-//! counters: every shard quiescent (no local events, no buffered messages)
-//! and `Σ sent == Σ absorbed` across two identical scans. `sent` is bumped
-//! before the mailbox push and `absorbed` only at a step boundary after the
-//! drain is reflected in the quiescent flag, so an in-flight message always
-//! holds the sums apart.
+//! One fetch-and-add counter, `busy`, counts the shards whose last step
+//! boundary left them with work, plus the cross-shard messages pushed but not
+//! yet settled by the step that drained them. A sender adds 1 before the
+//! push; a step settles once, at its boundary, with one RMW of its net change
+//! (`(busy now − busy before) − drained`). So `busy` reads 0 only when no
+//! shard has work and no message is in flight, and nothing can raise it
+//! again: a worker that reads 0 after a pass with no progress stops.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use crate::queue::MinHeap;
 use crate::sim::{IdleReport, Scheduler, Simulation};
@@ -111,20 +111,6 @@ pub trait ShardWorld: Send + Sized + 'static {
     fn deliver(&mut self, s: &mut Scheduler<Self>, msg: Self::Msg);
 }
 
-/// Per-worker idle accounting: where a worker's wall-clock went while it had
-/// no executable work (split by back-off phase).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStall {
-    /// Wall ns spent in the busy-spin phase of idle streaks.
-    pub spin_ns: u64,
-    /// Wall ns spent in the yield phase (streak outlasted the spin budget).
-    pub yield_ns: u64,
-    /// Idle streaks entered (a streak ends at the next productive pass).
-    pub stalls: u64,
-    /// `thread::yield_now` calls issued.
-    pub yields: u64,
-}
-
 /// Counters the sharded engine keeps about its own execution, for the
 /// `pdes` campaign's report and CI regression visibility.
 #[derive(Debug, Clone, Default)]
@@ -137,8 +123,6 @@ pub struct PdesStats {
     /// Frontier advances published by shards that neither executed nor
     /// received anything that pass — the null-message traffic equivalent.
     pub frontier_bumps: u64,
-    /// Idle-time accounting per worker thread, indexed by worker.
-    pub worker_stalls: Vec<WorkerStall>,
     /// Activities dispatched by each shard over the whole run (events +
     /// process resumes), indexed by shard.
     pub events_per_shard: Vec<u64>,
@@ -150,9 +134,11 @@ pub struct PdesStats {
 type Key = (u64, u32, u64);
 type Envelope<M> = (Key, M);
 
-/// A frontier counter alone on its cache line: frontiers are the hottest
-/// cross-thread state in the engine, and false sharing between neighbors
-/// would serialize exactly the reads the design makes independent.
+/// A counter alone on its cache line: frontiers are the hottest cross-thread
+/// state in the engine, and false sharing between neighbors would serialize
+/// exactly the reads the design makes independent. `busy` is written by every
+/// worker; beside the fields of `Shared` that every step reads, it would
+/// make each of its writes a miss on that line for the other workers.
 #[repr(align(64))]
 struct PaddedU64(AtomicU64);
 
@@ -160,25 +146,19 @@ struct PaddedU64(AtomicU64);
 struct Shared {
     /// Published frontier per shard (ns).
     frontier: Vec<PaddedU64>,
-    /// Messages pushed into mailboxes, per source shard. Bumped *before*
-    /// the push (see the termination argument in the module docs).
-    sent: Vec<AtomicU64>,
-    /// Messages drained *and reflected in the quiescent flag*, per
-    /// destination shard. Bumped only at a step boundary.
-    absorbed: Vec<AtomicU64>,
-    /// Shard has no local events and no buffered messages, as of its last
-    /// step boundary.
-    quiescent: Vec<AtomicBool>,
     /// Mailbox depth per directed link (`src * n + dst`), bumped *before*
     /// the push: a step drains no more than it reads (see the module docs).
     depth: Vec<AtomicU64>,
-    /// Global termination flag.
+    /// Shards with work at their last step boundary, plus messages pushed
+    /// and not yet settled (the termination rule in the module docs).
+    busy: PaddedU64,
+    /// Set by a worker that panics, to release its peers.
     done: AtomicBool,
 }
 
 /// Introspection handle for deadlock watchdogs: a snapshot of every shard's
-/// frontier, quiescence, message accounting, and mailbox depths. Cheap to
-/// clone and safe to read while the engine runs.
+/// frontier, the `busy` count, and mailbox depths. Cheap to clone and safe
+/// to read while the engine runs.
 #[derive(Clone)]
 pub struct PdesMonitor {
     shared: Arc<Shared>,
@@ -186,23 +166,21 @@ pub struct PdesMonitor {
 }
 
 impl PdesMonitor {
-    /// Human-readable dump of per-shard frontiers and per-link mailbox
-    /// depths — what a watchdog prints when a run fails to reach idle.
+    /// Human-readable dump of per-shard frontiers, the `busy` count and
+    /// per-link mailbox depths — what a watchdog prints when a run fails to
+    /// reach idle.
     pub fn dump(&self) -> String {
-        let mut out = String::new();
+        let mut out = format!("busy={}\n", self.shared.busy.0.load(Ordering::SeqCst));
         for i in 0..self.n {
             let f = self.shared.frontier[i].0.load(Ordering::Acquire);
             let _ = writeln!(
                 out,
-                "shard {i}: frontier={} quiescent={} sent={} absorbed={}",
+                "shard {i}: frontier={}",
                 if f == u64::MAX {
                     "inf".to_string()
                 } else {
                     format!("{f}ns")
                 },
-                self.shared.quiescent[i].load(Ordering::Acquire),
-                self.shared.sent[i].load(Ordering::Acquire),
-                self.shared.absorbed[i].load(Ordering::Acquire),
             );
         }
         for src in 0..self.n {
@@ -236,18 +214,14 @@ struct Slot<W: ShardWorld> {
     /// Exclusive upper bound of the last issued run segment: every executed
     /// event is strictly below it, so nothing may ever be scheduled below it.
     run_bound: u64,
-    /// Last computed quiescence, mirrored into `Shared` on change.
-    quiet: bool,
-    published_quiet: bool,
+    /// Whether this shard counts itself in `busy`: its last step boundary
+    /// left it with local events or buffered messages.
+    busy: bool,
     // Slot-local statistics, aggregated after the run.
     rounds: u64,
     bumps: u64,
     sent: u64,
 }
-
-/// Unproductive passes a worker busy-spins before falling back to
-/// `thread::yield_now` (which keeps single-CPU hosts live).
-const SPIN_PASSES: u32 = 64;
 
 /// An asynchronous conservative sharded simulation.
 pub struct ShardedSim<W: ShardWorld> {
@@ -268,9 +242,8 @@ impl<W: ShardWorld> ShardedSim<W> {
     /// link from dst's EIT (the engine asserts if such a message appears).
     /// The diagonal bounds self-sends through the outbox the same way.
     /// Executed by `workers` threads, clamped to `[1, shards.len()]` and to
-    /// the CPUs the process may run on ([`host_cpus`]): a worker beyond the
-    /// host's CPUs only spins against its peers for a time slice, and the
-    /// worker count is invisible in every simulated result.
+    /// the CPUs the process may run on ([`host_cpus`]); the worker count is
+    /// invisible in every simulated result.
     pub fn new(shards: Vec<Simulation<W>>, link_latency_ns: Vec<Vec<u64>>, workers: usize) -> Self {
         assert!(!shards.is_empty(), "a sharded sim needs at least one shard");
         let n = shards.len();
@@ -291,10 +264,8 @@ impl<W: ShardWorld> ShardedSim<W> {
         let workers = workers.min(host_cpus()).clamp(1, n);
         let shared = Arc::new(Shared {
             frontier: (0..n).map(|_| PaddedU64(AtomicU64::new(0))).collect(),
-            sent: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            absorbed: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            quiescent: (0..n).map(|_| AtomicBool::new(false)).collect(),
             depth: (0..n * n).map(|_| AtomicU64::new(0)).collect(),
+            busy: PaddedU64(AtomicU64::new(0)),
             done: AtomicBool::new(false),
         });
         // One mailbox per directed cross-shard pair. The worker owning the
@@ -328,8 +299,7 @@ impl<W: ShardWorld> ShardedSim<W> {
                 scratch: Vec::new(),
                 last_frontier: 0,
                 run_bound: 0,
-                quiet: false,
-                published_quiet: false,
+                busy: true,
                 rounds: 0,
                 bumps: 0,
                 sent: 0,
@@ -384,24 +354,22 @@ impl<W: ShardWorld> ShardedSim<W> {
         let n = self.slots.len();
         // Reset the sync state for this run (frontiers may only ratchet
         // *within* a run; new work spawned between runs starts a new epoch).
+        // Every shard counts itself busy until its first step boundary.
         self.shared.done.store(false, Ordering::SeqCst);
+        self.shared.busy.0.store(n as u64, Ordering::SeqCst);
         for i in 0..n {
             self.shared.frontier[i].0.store(0, Ordering::SeqCst);
-            self.shared.quiescent[i].store(false, Ordering::SeqCst);
         }
         for s in &mut self.slots {
             s.last_frontier = 0;
             s.run_bound = 0;
-            s.quiet = false;
-            s.published_quiet = false;
+            s.busy = true;
         }
-        self.stats.worker_stalls.clear();
 
         let shared = &self.shared;
         let lat = &self.lat;
         if self.workers <= 1 {
-            let stall = worker_loop(&mut self.slots, shared, lat, n);
-            self.stats.worker_stalls.push(stall);
+            worker_loop(&mut self.slots, shared, lat, n);
         } else {
             let chunk = n.div_ceil(self.workers);
             std::thread::scope(|scope| {
@@ -416,19 +384,15 @@ impl<W: ShardWorld> ShardedSim<W> {
                             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                 worker_loop(slots, shared, lat, n)
                             }));
-                            match r {
-                                Ok(stall) => stall,
-                                Err(p) => {
-                                    shared.done.store(true, Ordering::SeqCst);
-                                    std::panic::resume_unwind(p)
-                                }
+                            if let Err(p) = r {
+                                shared.done.store(true, Ordering::SeqCst);
+                                std::panic::resume_unwind(p)
                             }
                         })
                     })
                     .collect();
                 for h in handles {
-                    let stall = h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-                    self.stats.worker_stalls.push(stall);
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
                 }
             });
         }
@@ -445,8 +409,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             .slots
             .iter_mut()
             .map(|s| {
-                // Termination detection proved every shard quiescent with no
-                // messages in flight.
+                // `busy` read 0: every shard idle, no message in flight.
                 let idle = s.sim.run_segment(SimTime::ZERO);
                 assert!(idle, "shard {} not idle after termination", s.id);
                 s.sim.idle_report()
@@ -464,62 +427,30 @@ impl<W: ShardWorld> ShardedSim<W> {
     }
 }
 
-/// Drive a chunk of shards until global termination. Returns this worker's
-/// idle accounting.
-fn worker_loop<W: ShardWorld>(
-    slots: &mut [Slot<W>],
-    shared: &Shared,
-    lat: &[u64],
-    n: usize,
-) -> WorkerStall {
-    let mut stall = WorkerStall::default();
-    let mut spins: u32 = 0;
-    let mut idle_mark: Option<Instant> = None;
-    while !shared.done.load(Ordering::Acquire) {
+/// Drive a chunk of shards until `busy` reads 0 after a pass that made no
+/// progress, or a panicking peer sets `done`. Otherwise an unproductive pass
+/// yields the CPU; frontier bumps still happen every pass, so the
+/// null-message ratchet keeps running underneath.
+fn worker_loop<W: ShardWorld>(slots: &mut [Slot<W>], shared: &Shared, lat: &[u64], n: usize) {
+    loop {
         let mut progress = false;
         for slot in slots.iter_mut() {
             progress |= step(slot, shared, lat, n);
         }
         if progress {
-            spins = 0;
-            idle_mark = None;
             continue;
         }
-        // Nothing executable on any owned shard. If everything we own is
-        // quiescent, probe for global termination; otherwise (or if the
-        // probe fails) back off — frontier bumps still happen every pass,
-        // so the null-message ratchet keeps running underneath.
-        if slots.iter().all(|s| s.quiet) && try_terminate(shared, n) {
-            shared.done.store(true, Ordering::SeqCst);
-            break;
+        if shared.busy.0.load(Ordering::SeqCst) == 0 || shared.done.load(Ordering::SeqCst) {
+            return;
         }
-        let now = Instant::now();
-        if let Some(prev) = idle_mark {
-            let d = now.duration_since(prev).as_nanos() as u64;
-            if spins <= SPIN_PASSES {
-                stall.spin_ns += d;
-            } else {
-                stall.yield_ns += d;
-            }
-        } else {
-            stall.stalls += 1;
-        }
-        idle_mark = Some(now);
-        spins = spins.saturating_add(1);
-        if spins <= SPIN_PASSES {
-            std::hint::spin_loop();
-        } else {
-            stall.yields += 1;
-            std::thread::yield_now();
-        }
+        std::thread::yield_now();
     }
-    stall
 }
 
 /// One scheduling pass over one shard: read frontiers, drain mailboxes,
 /// execute everything provably safe, publish the new frontier. Returns true
 /// iff the pass drained, injected, or executed anything (frontier bumps
-/// alone do not count — they must not hold workers in the hot spin phase).
+/// alone do not count).
 fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usize) -> bool {
     let me = slot.id;
     // 1. Earliest input time from the peer frontiers. The Acquire load pairs
@@ -608,7 +539,6 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
     //    construction; `max` guards the invariant regardless.
     let next_local = slot.sim.next_event_time().map(|t| t.as_ns());
     let next_msg = slot.pending.peek().map(|(k, _)| k.0);
-    slot.quiet = next_local.is_none() && next_msg.is_none();
     let f = [next_local, next_msg, Some(eit)]
         .into_iter()
         .flatten()
@@ -622,25 +552,24 @@ fn step<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usiz
         slot.last_frontier = f;
         shared.frontier[me].0.store(f, Ordering::Release);
     }
-    // 5. Step boundary: mirror quiescence, then account the drains. The
-    //    termination detector depends on this order (see module docs): once
-    //    a scan sees the drained count in `absorbed`, it must also see this
-    //    shard non-quiescent if the drain left unexecuted work — the reverse
-    //    order opens a window where sent == absorbed with a stale quiescent
-    //    flag, and a double scan in that window drops the pending message.
-    if slot.quiet != slot.published_quiet {
-        slot.published_quiet = slot.quiet;
-        shared.quiescent[me].store(slot.quiet, Ordering::SeqCst);
-    }
-    if drained > 0 {
-        shared.absorbed[me].fetch_add(drained, Ordering::SeqCst);
+    // 5. Step boundary: settle with `busy` in one RMW. This shard's own
+    //    count moves to whether it has work now, and the drained messages
+    //    stop counting as in flight. The net change is never positive (an
+    //    idle shard gains work only from what it drained); split into two
+    //    RMWs, it would open a window in which `busy` reads 0 while the
+    //    drained messages wait here.
+    let busy = next_local.is_some() || next_msg.is_some();
+    let settled = drained + u64::from(slot.busy) - u64::from(busy);
+    slot.busy = busy;
+    if settled > 0 {
+        shared.busy.0.fetch_sub(settled, Ordering::SeqCst);
     }
     ran || drained > 0
 }
 
 /// Route this shard's outbox: self-sends into its own pending heap, remote
-/// sends into the per-link mailboxes (push first, `sent` already bumped —
-/// the frontier publish that covers them comes after, in `step`).
+/// sends into the per-link mailboxes (pushed after `busy` and `depth` count
+/// them — the frontier publish that covers them comes after, in `step`).
 fn route_outbox<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64], n: usize) {
     slot.sim.world().drain_outbox(&mut slot.scratch);
     if slot.scratch.is_empty() {
@@ -684,37 +613,12 @@ fn route_outbox<W: ShardWorld>(slot: &mut Slot<W>, shared: &Shared, lat: &[u64],
             slot.pending.push(env.0, env.1);
         } else {
             // Both counts before the push: an in-flight message must hold
-            // `sent > absorbed`, and be counted in `depth` once visible.
-            shared.sent[me].fetch_add(1, Ordering::SeqCst);
+            // `busy` above 0, and be counted in `depth` once visible.
+            shared.busy.0.fetch_add(1, Ordering::SeqCst);
             shared.depth[me * n + dst].fetch_add(1, Ordering::Relaxed);
             slot.tx[dst].as_ref().expect("cross-shard sender").push(env);
             slot.sent += 1;
         }
-    }
-}
-
-/// Double-scan termination detection: two identical observations of "every
-/// shard quiescent and `Σ sent == Σ absorbed`" prove global quiescence (the
-/// counters are monotone, and a drained-but-unaccounted message keeps the
-/// sums apart — see the module docs).
-fn try_terminate(shared: &Shared, n: usize) -> bool {
-    let scan = || -> Option<(u64, u64)> {
-        for i in 0..n {
-            if !shared.quiescent[i].load(Ordering::SeqCst) {
-                return None;
-            }
-        }
-        let mut sent = 0u64;
-        let mut absorbed = 0u64;
-        for i in 0..n {
-            sent += shared.sent[i].load(Ordering::SeqCst);
-            absorbed += shared.absorbed[i].load(Ordering::SeqCst);
-        }
-        Some((sent, absorbed))
-    };
-    match (scan(), scan()) {
-        (Some(a), Some(b)) => a == b && a.0 == a.1,
-        _ => false,
     }
 }
 
@@ -791,7 +695,6 @@ mod tests {
         assert!(stats.rounds > 0);
         assert_eq!(stats.msgs_bridged, 26);
         assert_eq!(stats.events_per_shard.len(), 3);
-        assert_eq!(stats.worker_stalls.len(), 1);
     }
 
     #[test]
@@ -879,6 +782,7 @@ mod tests {
         let monitor = sharded.monitor();
         sharded.run_to_idle();
         let dump = monitor.dump();
+        assert!(dump.starts_with("busy=0\n"), "{dump}");
         assert!(dump.contains("shard 0:"));
         assert!(dump.contains("shard 1:"));
         assert!(!dump.contains("mailbox"), "no messages may be in flight");

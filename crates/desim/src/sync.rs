@@ -1,16 +1,17 @@
 //! Synchronization primitives for simulated processes.
 //!
 //! These structures live *inside* the world state `W`; waking requires a
-//! [`Scheduler`], so all operations that release waiters take one. Blocking
-//! helpers take an accessor closure that finds the primitive inside `W`
-//! (the world cannot be borrowed across a park).
+//! [`Scheduler`], so all operations that release waiters take one. A process
+//! waits with [`Ctx::wait_until`](crate::Ctx::wait_until), registering
+//! itself when its condition fails (the world cannot be borrowed across a
+//! park).
 //!
 //! All primitives use condition-loop semantics: a woken process re-checks its
 //! condition, so spurious or stolen wakeups are harmless.
 
 use std::collections::VecDeque;
 
-use crate::sim::{Ctx, ProcId, Scheduler, Wakeup};
+use crate::sim::{ProcId, Scheduler, Wakeup};
 
 /// A set of parked processes waiting on some condition in the world.
 ///
@@ -138,75 +139,6 @@ impl WaitSet {
     }
 }
 
-/// An unbounded FIFO mailbox between simulated processes.
-#[derive(Debug)]
-pub struct Mailbox<T> {
-    queue: VecDeque<T>,
-    waiters: WaitSet,
-}
-
-impl<T> Default for Mailbox<T> {
-    fn default() -> Self {
-        Mailbox {
-            queue: VecDeque::new(),
-            waiters: WaitSet::new(),
-        }
-    }
-}
-
-impl<T> Mailbox<T> {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Deposit a message and wake one waiting receiver.
-    pub fn post<W: Send + 'static>(&mut self, s: &mut Scheduler<W>, msg: T) {
-        self.queue.push_back(msg);
-        self.waiters.wake_one(s, Wakeup::START);
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self, pid: ProcId) -> Option<T> {
-        match self.queue.pop_front() {
-            Some(m) => {
-                self.waiters.deregister(pid);
-                Some(m)
-            }
-            None => {
-                self.waiters.register(pid);
-                None
-            }
-        }
-    }
-
-    /// Messages currently queued.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True iff no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Peek at the head message.
-    pub fn peek(&self) -> Option<&T> {
-        self.queue.front()
-    }
-}
-
-/// Blocking receive from a mailbox located inside the world by `get`.
-pub fn mailbox_recv<W, T, F>(ctx: &Ctx<W>, mut get: F) -> T
-where
-    W: Send + 'static,
-    T: Send + 'static,
-    F: FnMut(&mut W) -> &mut Mailbox<T>,
-{
-    let pid = ctx.pid();
-    ctx.wait_until(|w, _| get(w).try_recv(pid))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,49 +147,43 @@ mod tests {
 
     #[derive(Default)]
     struct World {
-        mbox: Mailbox<u32>,
-        order: Vec<u32>,
-    }
-
-    #[test]
-    fn mailbox_delivers_fifo_across_processes() {
-        let mut sim = Simulation::new(World::default());
-        sim.spawn("rx", |ctx| {
-            for expect in [7u32, 8, 9] {
-                let got = mailbox_recv(&ctx, |w: &mut World| &mut w.mbox);
-                assert_eq!(got, expect);
-            }
-        });
-        sim.spawn("tx", |ctx| {
-            for v in [7u32, 8, 9] {
-                ctx.sleep(SimDuration::from_us(1));
-                ctx.with(|w, s| w.mbox.post(s, v));
-            }
-        });
-        assert!(sim.run_to_idle().all_finished());
+        posted: VecDeque<u32>,
+        waiters: WaitSet,
+        order: Vec<(u32, u32)>,
     }
 
     #[test]
     fn waitset_wake_one_is_fifo() {
         let mut sim = Simulation::new(World::default());
-        // Three processes park on the mailbox; posts release them in order.
+        // Three processes park on the wait set; each post wakes the longest
+        // waiter, which takes the value just posted.
         for i in 0..3u32 {
             sim.spawn(format!("rx{i}"), move |ctx| {
                 // Stagger registration so FIFO order is well-defined.
                 ctx.sleep(SimDuration::from_us(u64::from(i)));
-                let v = mailbox_recv(&ctx, |w: &mut World| &mut w.mbox);
-                ctx.with(move |w, _| w.order.push(v));
+                let pid = ctx.pid();
+                let v = ctx.wait_until(|w: &mut World, _| {
+                    let v = w.posted.pop_front();
+                    if v.is_none() {
+                        w.waiters.register(pid);
+                    }
+                    v
+                });
+                ctx.with(move |w, _| w.order.push((i, v)));
             });
         }
         sim.spawn("tx", |ctx| {
             ctx.sleep(SimDuration::from_us(10));
             for v in [100u32, 200, 300] {
-                ctx.with(|w, s| w.mbox.post(s, v));
+                ctx.with(|w, s| {
+                    w.posted.push_back(v);
+                    w.waiters.wake_one(s, Wakeup::START);
+                });
                 ctx.sleep(SimDuration::from_us(1));
             }
         });
         assert!(sim.run_to_idle().all_finished());
-        assert_eq!(sim.world().order, vec![100, 200, 300]);
+        assert_eq!(sim.world().order, vec![(0, 100), (1, 200), (2, 300)]);
     }
 
     #[test]
@@ -278,16 +204,5 @@ mod tests {
         assert_eq!(ws.waiters().collect::<Vec<_>>(), vec![ProcId(2)]);
         assert_eq!(ws.len(), 1);
         assert!(!ws.is_empty());
-    }
-
-    #[test]
-    fn mailbox_basics() {
-        let mut m: Mailbox<u8> = Mailbox::new();
-        assert!(m.is_empty());
-        assert_eq!(m.try_recv(ProcId(0)), None);
-        m.queue.push_back(5);
-        assert_eq!(m.peek(), Some(&5));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.try_recv(ProcId(0)), Some(5));
     }
 }

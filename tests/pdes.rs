@@ -418,14 +418,17 @@ fn overload_shedding_is_worker_invariant() {
 // messages ride the exact per-pair latency from a *random* matrix. Every
 // delivery must land at its analytically expected time (so the engine never
 // delivered across a frontier, early or late) and the log must be identical
-// for every worker count.
+// for every worker count. Several tokens travel at once, so messages are in
+// flight while shards go quiet between drains: a run that stopped early
+// would lose deliveries, and one that never saw `busy` reach 0 would hang.
 // ---------------------------------------------------------------------------
 
 use desim::{OutMsg, Scheduler, ShardWorld, ShardedSim, Simulation};
 use proptest::prelude::*;
 
 /// Forwards each message round-robin to the next shard, charging exactly
-/// `lat[self][next]` — the tightest delivery the lookahead permits.
+/// `lat[self][next]` — the tightest delivery the lookahead permits. A message
+/// is `token << 16 | hops left`.
 struct LatWorld {
     id: usize,
     lat: Vec<Vec<u64>>,
@@ -440,7 +443,7 @@ impl ShardWorld for LatWorld {
     }
     fn deliver(&mut self, s: &mut Scheduler<Self>, msg: u32) {
         self.log.push((s.now().as_ns(), msg));
-        if msg > 0 {
+        if msg & 0xFFFF > 0 {
             let dst = (self.id + 1) % self.lat.len();
             self.outbox.push(OutMsg {
                 deliver_at: s.now() + SimDuration::from_ns(self.lat[self.id][dst]),
@@ -451,7 +454,13 @@ impl ShardWorld for LatWorld {
     }
 }
 
-fn run_lat(lat: &[Vec<u64>], hops: u32, workers: usize) -> Vec<Vec<(u64, u32)>> {
+/// The first hop of token `k` out of shard 0: tokens fan out over the other
+/// shards in turn.
+fn first_hop(k: u32, n: usize) -> usize {
+    1 + k as usize % (n - 1)
+}
+
+fn run_lat(lat: &[Vec<u64>], hops: u32, fan: u32, workers: usize) -> Vec<Vec<(u64, u32)>> {
     let n = lat.len();
     let shards: Vec<Simulation<LatWorld>> = (0..n)
         .map(|id| {
@@ -463,14 +472,16 @@ fn run_lat(lat: &[Vec<u64>], hops: u32, workers: usize) -> Vec<Vec<(u64, u32)>> 
             })
         })
         .collect();
-    // Seed: shard 0 hands the first hop to shard 1 at t = 0.
-    let l01 = lat[0][1 % n];
+    // Seed: at t = 0 shard 0 hands `fan` tokens to the other shards.
     shards[0].schedule_in(SimDuration::ZERO, move |w: &mut LatWorld, s| {
-        w.outbox.push(OutMsg {
-            deliver_at: s.now() + SimDuration::from_ns(l01),
-            dst_shard: 1 % w.lat.len(),
-            msg: hops,
-        });
+        for k in 0..fan {
+            let dst = first_hop(k, n);
+            w.outbox.push(OutMsg {
+                deliver_at: s.now() + SimDuration::from_ns(w.lat[0][dst]),
+                dst_shard: dst,
+                msg: k << 16 | hops,
+            });
+        }
     });
     let mut sim = ShardedSim::new(shards, lat.to_vec(), workers);
     sim.run_to_idle();
@@ -535,33 +546,41 @@ fn schedule_at_a_time_the_clock_has_passed_panics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random full latency matrices (2–4 shards, 1–60 ns per directed pair):
-    /// messages riding the exact lookahead must arrive at the analytically
-    /// expected instants, identically for 1, 2, and 4 workers.
+    /// Random full latency matrices (2–4 shards, 1–60 ns per directed pair)
+    /// and 1–5 tokens at once: messages riding the exact lookahead must
+    /// arrive at the analytically expected instants, identically for 1, 2,
+    /// and 4 workers.
     #[test]
     fn random_link_latencies_never_cross_a_frontier(
         n in 2usize..5,
         cells in proptest::collection::vec(1u64..61, 16..17),
         hops in 5u32..40,
+        fan in 1u32..6,
     ) {
         let lat: Vec<Vec<u64>> =
             (0..n).map(|a| (0..n).map(|b| cells[a * 4 + b]).collect()).collect();
-        let logs1 = run_lat(&lat, hops, 1);
-        // Expected: hop k (message value hops - k) lands on shard (k+1) % n
-        // at the sum of the per-pair latencies along the round-robin chain.
-        let mut t = 0u64;
-        let mut src = 0usize;
+        let logs1 = run_lat(&lat, hops, fan, 1);
+        // Expected: hop j of token k (hops left: hops - j) lands one shard
+        // further round the ring at the sum of the per-pair latencies along
+        // the way. Tokens meeting at one instant may land in either order.
         let mut expect: Vec<Vec<(u64, u32)>> = vec![Vec::new(); n];
-        for k in 0..=hops {
-            let dst = (src + 1) % n;
-            t += lat[src][dst];
-            expect[dst].push((t, hops - k));
-            src = dst;
+        for k in 0..fan {
+            let (mut t, mut src, mut dst) = (0u64, 0usize, first_hop(k, n));
+            for j in 0..=hops {
+                t += lat[src][dst];
+                expect[dst].push((t, k << 16 | (hops - j)));
+                (src, dst) = (dst, (dst + 1) % n);
+            }
         }
-        prop_assert_eq!(&logs1, &expect, "delivery drifted from the link latencies");
-        let logs2 = run_lat(&lat, hops, 2);
+        let mut sorted = logs1.clone();
+        for (got, want) in sorted.iter_mut().zip(&mut expect) {
+            got.sort_unstable();
+            want.sort_unstable();
+        }
+        prop_assert_eq!(&sorted, &expect, "delivery drifted from the link latencies");
+        let logs2 = run_lat(&lat, hops, fan, 2);
         prop_assert_eq!(&logs1, &logs2, "workers=2 diverged");
-        let logs4 = run_lat(&lat, hops, 4);
+        let logs4 = run_lat(&lat, hops, fan, 4);
         prop_assert_eq!(&logs1, &logs4, "workers=4 diverged");
     }
 }
