@@ -294,6 +294,7 @@ fn spawn_park(samples: Option<usize>, n: u32) -> Run {
 /// queue discard them: the timer path of every channel message. The
 /// simulation is reused, as a world's is, so its queues and timer cells are
 /// warm from the second call on.
+#[allow(clippy::disallowed_methods, reason = "times desim's own timer")]
 fn timer_arm_cancel(samples: Option<usize>) -> Run {
     let mut sim = Simulation::new(World::default());
     repeat(samples, || {
@@ -322,6 +323,7 @@ struct AckWorld {
 /// One stop-and-wait message of `stream`: arm the 20 ms ack timeout, let the
 /// frame and its ack make three hops, and at 1.5 ms take the ack — cancel the
 /// timeout and send the next message.
+#[allow(clippy::disallowed_methods, reason = "times desim's own timer")]
 fn send_acked(s: &mut Scheduler<AckWorld>, stream: u64, left: u32) {
     let timeout = s.schedule_cancellable_in(SimDuration::from_us(20_000), |w: &mut AckWorld, _| {
         w.timeouts += 1;

@@ -40,10 +40,10 @@
 //! | shared by both modes | where |
 //! |---|---|
 //! | in-flight set (fragments kept until acked) | [`WinTx::inflight`] |
-//! | epoch / attempts / busy grants | [`WinTx`] |
-//! | the one retransmit timer, doubling backoff | `arm_tx_timer` |
+//! | the retry chain and busy grants | [`WinTx`] |
+//! | the one retransmit timer: a [`crate::retry`] chain | `TxRetry` |
 //! | the one retransmission loop | `retransmit_inflight` |
-//! | give-up → `peer_down` or heartbeat probe | `arm_tx_timer` |
+//! | give-up → `peer_down` or heartbeat probe | `TxRetry::give_up` |
 //! | pause / resume / wipe | `pause_tx`, `resume_tx`, `clear_tx` |
 //!
 //! | per mode (Table 1 has a row for each) | stop-and-wait | windowed |
@@ -64,6 +64,7 @@ use crate::calib::Calibration;
 use crate::cpu::{BlockReason, CpuCat};
 use crate::kernel;
 use crate::proto;
+use crate::retry::{self, Chain, Retry};
 use crate::world::{VCtx, VSched, World};
 
 /// Channel operation errors (an alias of the unified [`crate::VorxError`];
@@ -83,7 +84,7 @@ const MAX_BUSY_GRANTS: u32 = 64;
 pub(crate) fn clear_tx(end: &mut ChanEnd) {
     end.win.inflight.clear();
     end.win.busy_grants = 0;
-    end.win.restart();
+    end.win.chain.restart();
 }
 
 /// Pause a stalled end's retransmit machinery without wiping it: disarm the
@@ -91,9 +92,7 @@ pub(crate) fn clear_tx(end: &mut ChanEnd) {
 /// over the restored route. The partition-tolerant counterpart of
 /// [`clear_tx`].
 pub(crate) fn pause_tx(end: &mut ChanEnd) {
-    if let Some(t) = end.win.timer.take() {
-        t.cancel();
-    }
+    end.win.chain.disarm();
 }
 
 /// Restart the retransmit machinery of every end on `node` peered with
@@ -122,10 +121,10 @@ fn resume_tx(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
     if end.peer_down {
         return; // the peer crashed while partitioned; nothing to resume
     }
-    let epoch = end.win.restart();
+    end.win.chain.restart();
     if !end.win.inflight.is_empty() {
         retransmit_inflight(w, s, node, chan);
-        arm_tx_timer(w, s, node, chan, epoch, 0);
+        retry::arm(w, s, node, TxRetry(chan));
     }
     // Wake blocked readers and writers either way: the end is usable again.
     if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
@@ -260,16 +259,13 @@ pub struct WinTx {
     /// writer whose window is otherwise empty may send one fragment past
     /// this as a zero-window probe.
     pub tx_limit: u32,
-    /// Timer-chain epoch: bumped on every ack progress so stale timers die.
-    pub epoch: u32,
-    /// Consecutive timeouts without acknowledged progress.
-    pub attempts: u32,
+    /// The retransmit chain: restarted on every ack progress, its attempts
+    /// the consecutive timeouts without acknowledged progress.
+    pub chain: Chain,
     /// "Receiver full" signals honored without counting silence against the
     /// retry budget — `KIND_CHAN_BUSY`, or a zero-credit windowed ack —
     /// capped by `MAX_BUSY_GRANTS`.
     pub busy_grants: u32,
-    /// The armed retransmit timer.
-    pub timer: Option<desim::TimerHandle>,
 }
 
 impl WinTx {
@@ -296,27 +292,16 @@ impl WinTx {
         self.inflight.get_mut(frag.checked_sub(front)? as usize)
     }
 
-    /// Restart the timer chain: zero the retry budget, bump the epoch so
-    /// every timer armed so far is stale, and disarm the current one.
-    /// Returns the new epoch.
-    fn restart(&mut self) -> u32 {
-        self.attempts = 0;
-        self.epoch += 1;
-        if let Some(t) = self.timer.take() {
-            t.cancel();
-        }
-        self.epoch
-    }
-
     /// The receiver said "full", not the network "lost": restart the chain
-    /// without touching the fragments. `None` once the grants are spent, so
+    /// without touching the fragments. False once the grants are spent, so
     /// a reader that never drains cannot hold the writer forever.
-    fn grant_busy(&mut self) -> Option<u32> {
+    fn grant_busy(&mut self) -> bool {
         if self.busy_grants >= MAX_BUSY_GRANTS {
-            return None;
+            return false;
         }
         self.busy_grants += 1;
-        Some(self.restart())
+        self.chain.restart();
+        true
     }
 }
 
@@ -620,11 +605,10 @@ fn transmit_frag(w: &mut World, s: &mut VSched, h: ChannelHandle, payload: Paylo
         end.win.inflight.reserve_exact(end.cfg.window as usize);
     }
     end.win.push(f.clone(), now_ns);
-    let arm = end.win.timer.is_none();
-    let (epoch, attempts) = (end.win.epoch, end.win.attempts);
+    let arm = end.win.chain.timer.is_none();
     kernel::send_frame(w, s, f);
     if arm {
-        arm_tx_timer(w, s, h.node, h.id, epoch, attempts);
+        retry::arm(w, s, h.node, TxRetry(h.id));
     }
 }
 
@@ -1037,8 +1021,8 @@ pub fn read_any(
 /// Base (attempt-0) retransmit timeout for `chan` on `node`: the fixed
 /// `chan_ack_timeout_ns` until a gray fault arms adaptation and the end has
 /// observed at least one round trip, then the Jacobson RTO
-/// `clamp(SRTT + 4·RTTVAR, rto_floor_ns, rto_ceil_ns)`. The doubling
-/// backoff (`base << attempts`) is layered on top either way.
+/// `clamp(SRTT + 4·RTTVAR, rto_floor_ns, rto_ceil_ns)`. The retry chain's
+/// doubling backoff ([`retry::backoff`]) is layered on top either way.
 fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
     let fixed = w.calib.chan_ack_timeout_ns;
     if !w.faults.gray_armed {
@@ -1052,7 +1036,7 @@ fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
     let base = end.rtt.rto_ns(floor, ceil).unwrap_or(fixed);
     // Karn backoff persistence: keep a timed-out end's doubled base until a
     // valid sample replaces it, clamped to the configured ceiling.
-    (base << end.rto_backoff.min(10)).clamp(floor, ceil.max(floor))
+    retry::backoff(base, end.rto_backoff).clamp(floor, ceil.max(floor))
 }
 
 /// The widest adaptive RTO among `node`'s channel ends peered with `peer`,
@@ -1245,8 +1229,8 @@ pub fn on_busy(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     {
         return; // stale: already acked
     }
-    if let Some(epoch) = end.win.grant_busy() {
-        arm_tx_timer(w, s, node, chan, epoch, 0);
+    if end.win.grant_busy() {
+        retry::arm(w, s, node, TxRetry(chan));
     }
 }
 
@@ -1412,7 +1396,7 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let (sack, credit) = proto::parse_wack(&f.payload);
     let now_ns = s.now().as_ns();
     let gray = w.faults.gray_armed;
-    let rearm_epoch = {
+    let rearm = {
         let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
             return; // crash or close raced the ack
         };
@@ -1461,9 +1445,9 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // Forward progress: reset the retry budget and restart the
             // timer chain.
             end.win.busy_grants = 0;
-            let epoch = end.win.restart();
+            end.win.chain.restart();
             maybe_wake_writer(end, s, limit_opened);
-            (!end.win.inflight.is_empty()).then_some(epoch)
+            !end.win.inflight.is_empty()
         } else if credit == 0 && !end.win.inflight.is_empty() {
             // Zero credit, no progress: the receiver is full, not the
             // network lossy — the windowed analog of `KIND_CHAN_BUSY`.
@@ -1474,11 +1458,11 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             if limit_opened {
                 maybe_wake_writer(end, s, true);
             }
-            None
+            false
         }
     };
-    if let Some(epoch) = rearm_epoch {
-        arm_tx_timer(w, s, node, chan, epoch, 0);
+    if rearm {
+        retry::arm(w, s, node, TxRetry(chan));
     }
 }
 
@@ -1503,45 +1487,42 @@ fn retransmit_inflight(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32)
     }
 }
 
-/// Arm (or re-arm) the retransmit timer. One timer guards the whole
-/// in-flight set: on expiry [`retransmit_inflight`] re-sends it and the next
+/// The retransmit chain of channel `chan`'s in-flight set. One timer guards
+/// the whole set: on expiry [`retransmit_inflight`] re-sends it and the next
 /// timer waits twice as long; after `chan_max_retries` silent retries the
-/// writer gives up. The timer is a no-op unless the exact `(epoch,
-/// attempts)` it was armed for still describes a non-empty set when it fires
-/// — acks, BUSY grants, closes, crashes and resumes all bump the epoch.
-fn arm_tx_timer(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    chan: u32,
-    epoch: u32,
-    attempts: u32,
-) {
-    let base = rto_base_ns(w, node, chan);
-    let delay = base << attempts.min(10);
-    let timer = s.schedule_cancellable_in(desim::SimDuration::from_ns(delay), move |w, s| {
-        if !w.node(node).up {
-            return;
-        }
-        let max = w.calib.chan_max_retries;
+/// writer gives up. Acks, BUSY grants, closes, crashes and resumes all
+/// restart the chain.
+struct TxRetry(u32);
+
+impl Retry for TxRetry {
+    fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
+        let end = w.node_mut(node).chans.get_mut(&self.0)?;
+        (!end.win.inflight.is_empty()).then_some(&mut end.win.chain)
+    }
+
+    fn base_ns(&self, w: &World, node: NodeAddr) -> u64 {
+        rto_base_ns(w, node, self.0)
+    }
+
+    fn budget(&self, w: &World) -> Option<u32> {
+        Some(w.calib.chan_max_retries)
+    }
+
+    fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
         let gray = w.faults.gray_armed;
-        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
-            return; // channel gone (crash wiped it)
-        };
-        if end.win.epoch != epoch || end.win.attempts != attempts || end.win.inflight.is_empty() {
-            return; // acked, or a newer timer chain owns the set
+        if let Some(end) = w.node_mut(node).chans.get_mut(&self.0).filter(|_| gray) {
+            end.rto_backoff = (end.rto_backoff + 1).min(retry::MAX_SHIFT);
         }
-        if attempts < max {
-            end.win.attempts += 1;
-            if gray {
-                end.rto_backoff = (end.rto_backoff + 1).min(10);
-            }
-            retransmit_inflight(w, s, node, chan);
-            arm_tx_timer(w, s, node, chan, epoch, attempts + 1);
+        retransmit_inflight(w, s, node, self.0);
+    }
+
+    fn give_up(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        let Some(end) = w.node_mut(node).chans.get_mut(&self.0) else {
             return;
-        }
+        };
         let peer = end.peer;
         let rideout = w.net.overload_active();
+        let gray = w.faults.gray_armed;
         if (w.net.topology().generation() > 0 || rideout || gray) && w.node(peer).up {
             // The partition plane is active (or the fabric is under an
             // overload budget that may be shedding our data, or a gray fault
@@ -1554,23 +1535,12 @@ fn arm_tx_timer(
                 w.faults.stats.overload_rideouts += 1;
             }
             crate::membership::suspect(w, s, node, peer);
-        } else {
-            let end = w
-                .node_mut(node)
-                .chans
-                .get_mut(&chan)
-                .expect("present just above");
+        } else if let Some(end) = w.node_mut(node).chans.get_mut(&self.0) {
             clear_tx(end);
             end.peer_down = true;
             end.rx_waiters.wake_all(s, Wakeup::START);
             end.tx_wait.wake_all(s, Wakeup::START);
             w.faults.stats.peer_down_events += 1;
-        }
-    });
-    // Hand the disarm handle to the set it guards.
-    if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
-        if end.win.epoch == epoch && !end.win.inflight.is_empty() {
-            end.win.timer = Some(timer);
         }
     }
 }
@@ -1831,12 +1801,10 @@ mod tests {
 pub struct ListenState {
     /// Registration acknowledged by the object manager.
     pub acked: bool,
-    /// Registration retransmissions so far (stale timers key off this).
-    pub attempts: u32,
     /// The registration request's token, kept for retransmission.
     pub token: u64,
-    /// The armed registration-retransmit timer, disarmed on `SERVE_ACK`.
-    pub timer: Option<desim::TimerHandle>,
+    /// The registration's retransmit chain, disarmed on `SERVE_ACK`.
+    pub chain: Chain,
     /// Accepted-but-unclaimed connections: `(channel id, client node)`.
     pub pending: std::collections::VecDeque<(u32, NodeAddr)>,
     /// Processes blocked in `accept` (or awaiting the registration ack).
@@ -1889,7 +1857,7 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
             proto::pack_open_req(&name_owned),
         );
         kernel::send_frame(w, s, f);
-        arm_listen_timer(w, s, node, name_owned, 0);
+        retry::arm(w, s, node, ListenRetry(name_owned));
     });
     let pid = ctx.pid();
     let name_owned = name.to_string();
@@ -1910,49 +1878,37 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
     }
 }
 
-/// Retransmit an unacknowledged listen registration with doubling timeouts.
-/// The `SERVE_ACK` is a plain frame: if it is lost, the next retransmission
-/// here makes the manager re-ack (registrations are idempotent per token).
-/// After `open_max_retries` the chain gives up silently — an unreachable
-/// manager leaves the listener parked (see DESIGN.md on non-recoverable
-/// paths).
-fn arm_listen_timer(w: &mut World, s: &mut VSched, node: NodeAddr, name: String, attempts: u32) {
-    let delay = w.calib.open_timeout_ns << attempts.min(10);
-    let name_key = name.clone();
-    let timer = s.schedule_cancellable_in(desim::SimDuration::from_ns(delay), move |w, s| {
-        if !w.node(node).up {
+/// The retransmit chain of the unacknowledged registration of this listen
+/// name. The `SERVE_ACK` is a plain frame: if it is lost, the next
+/// retransmission here makes the manager re-ack (registrations are
+/// idempotent per token). After `open_max_retries` the chain gives up
+/// silently — an unreachable manager leaves the listener parked (see
+/// DESIGN.md on non-recoverable paths).
+struct ListenRetry(String);
+
+impl Retry for ListenRetry {
+    fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
+        let ls = w.node_mut(node).listeners.get_mut(&self.0)?;
+        (!ls.acked).then_some(&mut ls.chain)
+    }
+
+    fn base_ns(&self, w: &World, _: NodeAddr) -> u64 {
+        w.calib.open_timeout_ns
+    }
+
+    fn budget(&self, w: &World) -> Option<u32> {
+        Some(w.calib.open_max_retries)
+    }
+
+    fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        let Some(token) = w.node(node).listeners.get(&self.0).map(|ls| ls.token) else {
             return;
-        }
-        let max = w.calib.open_max_retries;
-        let token = {
-            let Some(ls) = w.node_mut(node).listeners.get_mut(&name) else {
-                return; // crash wiped the listener
-            };
-            if ls.acked || ls.attempts != attempts {
-                return; // acked, or a newer timer owns the chain
-            }
-            if ls.attempts >= max {
-                return; // give up
-            }
-            ls.attempts += 1;
-            ls.token
         };
-        let mgr = crate::objmgr::manager_for(w, &name);
+        let mgr = crate::objmgr::manager_for(w, &self.0);
         w.faults.stats.retransmits += 1;
-        let f = Frame::unicast(
-            node,
-            mgr,
-            proto::KIND_SERVE_REQ,
-            token,
-            proto::pack_open_req(&name),
-        );
+        let req = proto::pack_open_req(&self.0);
+        let f = Frame::unicast(node, mgr, proto::KIND_SERVE_REQ, token, req);
         kernel::send_frame(w, s, f);
-        arm_listen_timer(w, s, node, name, attempts + 1);
-    });
-    if let Some(ls) = w.node_mut(node).listeners.get_mut(&name_key) {
-        if !ls.acked {
-            ls.timer = Some(timer);
-        }
     }
 }
 
@@ -2003,9 +1959,7 @@ pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         return; // crash wiped the listener; stale ack
     };
     ls.acked = true;
-    if let Some(t) = ls.timer.take() {
-        t.cancel();
-    }
+    ls.chain.disarm();
     ls.waiters.wake_all(s, Wakeup::START);
 }
 

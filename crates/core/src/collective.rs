@@ -29,13 +29,14 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use desim::{sync::WaitSet, SimDuration, TimerHandle, Wakeup};
+use desim::{sync::WaitSet, SimDuration, Wakeup};
 use hpcnet::combine::{self, CombOp};
 use hpcnet::{Dest, Frame, NodeAddr, Payload};
 
 use crate::api;
 use crate::channel::{self, ChannelHandle};
 use crate::cpu::{BlockReason, CpuCat};
+use crate::retry::{self, Chain, Retry};
 use crate::world::{VCtx, VSched, VorxShardedSim, World};
 use crate::{kernel, proto};
 
@@ -150,8 +151,8 @@ pub struct PendingUp {
     pub attempt: u8,
     /// The group root (result source, nudge target).
     pub root: NodeAddr,
-    /// Armed nudge timer.
-    pub timer: Option<TimerHandle>,
+    /// The nudge chain.
+    pub chain: Chain,
 }
 
 /// The root's in-flight collection.
@@ -169,8 +170,8 @@ pub struct RootPending {
     /// Every member except the root (retry/result multicast targets): the
     /// group's own list.
     pub others: Arc<[NodeAddr]>,
-    /// Armed retry timer.
-    pub timer: Option<TimerHandle>,
+    /// The retry chain.
+    pub chain: Chain,
 }
 
 /// One node's in-flight all-to-all gather.
@@ -179,8 +180,8 @@ pub struct A2aPending {
     pub cseq: u32,
     /// Received values by member index (own slot filled at start).
     pub vals: Vec<Option<u64>>,
-    /// Armed recovery timer.
-    pub timer: Option<TimerHandle>,
+    /// The recovery chain.
+    pub chain: Chain,
 }
 
 impl A2aPending {
@@ -407,7 +408,7 @@ impl Collective {
             st.a2a = Some(A2aPending {
                 cseq,
                 vals,
-                timer: None,
+                chain: Chain::default(),
             });
             if !others.is_empty() {
                 let f = Frame {
@@ -420,7 +421,7 @@ impl Collective {
                 };
                 kernel::send_frame(w, s, f);
             }
-            arm_a2a_timer(w, s, node, group, cseq, 0);
+            retry::arm(w, s, node, CollRetry(CollChain::A2a, group, cseq));
             cseq
         });
         let pid = ctx.pid();
@@ -433,10 +434,7 @@ impl Collective {
                 .as_ref()
                 .is_some_and(|p| p.cseq == cseq && p.missing() == 0);
             if done {
-                let mut p = st.a2a.take().expect("checked above");
-                if let Some(t) = p.timer.take() {
-                    t.cancel();
-                }
+                let p = st.a2a.take().expect("checked above");
                 let vals: Vec<u64> = p.vals.into_iter().map(|v| v.expect("complete")).collect();
                 if blocked {
                     w.unblock(now, node, BlockReason::Input);
@@ -587,7 +585,7 @@ fn member_begin(
         value,
         attempt,
         root,
-        timer: None,
+        chain: Chain::default(),
     });
     let f = Frame::unicast(
         node,
@@ -597,7 +595,7 @@ fn member_begin(
         combine::pack(op, value, 1),
     );
     kernel::send_frame(w, s, f);
-    arm_member_timer(w, s, node, group, cseq, 0);
+    retry::arm(w, s, node, CollRetry(CollChain::Nudge, group, cseq));
     cseq
 }
 
@@ -628,12 +626,10 @@ fn root_begin(
         attempt: 0,
         total,
         others,
-        timer: None,
+        chain: Chain::default(),
     });
     try_complete_root(w, s, node, group, cseq, 0);
-    if coll_state(w, node, group).root_pending.is_some() {
-        arm_root_timer(w, s, node, group, cseq, 0);
-    }
+    retry::arm(w, s, node, CollRetry(CollChain::Root, group, cseq));
     cseq
 }
 
@@ -668,101 +664,91 @@ fn wait_completed(ctx: &VCtx, node: NodeAddr, group: u32, cseq: u32) -> u64 {
     val
 }
 
-/// Member nudge timer: the result hasn't come back — ask the root to
-/// replay it (or, if the root is still collecting, let its own retry timer
-/// drive recovery). Backoff doubles with a capped shift; the loss and
+/// The three collective retry chains. None has a budget: the loss and
 /// degradation fault models are probabilistic per transmission, so retries
 /// eventually succeed.
-fn arm_member_timer(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    group: u32,
-    cseq: u32,
-    attempts: u32,
-) {
-    let delay = w.calib.ctl_timeout_ns << attempts.min(10);
-    let t = s.schedule_cancellable_in(SimDuration::from_ns(delay), move |w: &mut World, s| {
-        if !w.node(node).up {
-            return;
-        }
-        let Some(st) = w.node_mut(node).coll.get_mut(&group) else {
-            return;
+enum CollChain {
+    /// A member's result hasn't come back: [`send_nudge`].
+    Nudge,
+    /// The root's current attempt didn't complete in time: [`retry_root`].
+    Root,
+    /// An all-to-all gather still misses values: [`replay_a2a`].
+    A2a,
+}
+
+/// The retry chain `(kind, group, cseq)`: `kind` of operation `cseq` of
+/// `group`.
+struct CollRetry(CollChain, u32, u32);
+
+impl Retry for CollRetry {
+    fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
+        let st = w.node_mut(node).coll.get_mut(&self.1)?;
+        let (cseq, chain) = match self.0 {
+            CollChain::Nudge => st.pending.as_mut().map(|p| (p.cseq, &mut p.chain))?,
+            CollChain::Root => st.root_pending.as_mut().map(|p| (p.cseq, &mut p.chain))?,
+            CollChain::A2a => {
+                let p = st.a2a.as_mut().filter(|p| p.missing() > 0)?;
+                (p.cseq, &mut p.chain)
+            }
         };
-        let Some(p) = &st.pending else { return };
-        if p.cseq != cseq {
-            return;
-        }
-        let (root, attempt) = (p.root, p.attempt);
-        let f = Frame::unicast(
-            node,
-            root,
-            proto::KIND_COLL_NUDGE,
-            combine::enc_seq(group, cseq, attempt),
-            Payload::Synthetic(0),
-        );
-        kernel::send_frame(w, s, f);
-        arm_member_timer(w, s, node, group, cseq, attempts + 1);
-    });
-    if let Some(p) = &mut coll_state(w, node, group).pending {
-        if p.cseq == cseq {
-            p.timer = Some(t);
-        }
+        (cseq == self.2).then_some(chain)
+    }
+
+    fn base_ns(&self, w: &World, _: NodeAddr) -> u64 {
+        w.calib.ctl_timeout_ns
+    }
+
+    fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        let resend = match self.0 {
+            CollChain::Nudge => send_nudge,
+            CollChain::Root => retry_root,
+            CollChain::A2a => replay_a2a,
+        };
+        resend(w, s, node, self.1, self.2);
     }
 }
 
-/// Root retry timer: the current attempt didn't complete in time — a
-/// contribution (or a flushed partial) was lost, or a straggler is slow.
-/// Open a fresh attempt epoch and ask every member to re-send under it.
-fn arm_root_timer(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    group: u32,
-    cseq: u32,
-    attempts: u32,
-) {
-    let delay = w.calib.ctl_timeout_ns << attempts.min(10);
-    let t = s.schedule_cancellable_in(SimDuration::from_ns(delay), move |w: &mut World, s| {
-        if !w.node(node).up {
-            return;
-        }
-        let Some(st) = w.node_mut(node).coll.get_mut(&group) else {
-            return;
+/// Ask the root to replay the result of `cseq` (or, if the root is still
+/// collecting, let its own retry chain drive recovery).
+fn send_nudge(w: &mut World, s: &mut VSched, node: NodeAddr, group: u32, cseq: u32) {
+    let Some(p) = coll_state(w, node, group).pending.as_ref() else {
+        return;
+    };
+    let f = Frame::unicast(
+        node,
+        p.root,
+        proto::KIND_COLL_NUDGE,
+        combine::enc_seq(group, cseq, p.attempt),
+        Payload::Synthetic(0),
+    );
+    kernel::send_frame(w, s, f);
+}
+
+/// A contribution (or a flushed partial) was lost, or a straggler is slow:
+/// open a fresh attempt epoch and ask every member to re-send under it.
+fn retry_root(w: &mut World, s: &mut VSched, node: NodeAddr, group: u32, cseq: u32) {
+    let st = coll_state(w, node, group);
+    let Some(rp) = &mut st.root_pending else {
+        return;
+    };
+    rp.attempt = rp.attempt.saturating_add(1);
+    let (a, op, own, others) = (rp.attempt, rp.op, rp.own, Arc::clone(&rp.others));
+    let e = st.accs.entry((cseq, a)).or_insert((op.identity(), 0));
+    e.0 = op.apply(e.0, own);
+    e.1 += 1;
+    w.faults.stats.coll_retries += 1;
+    if !others.is_empty() {
+        let f = Frame {
+            src: node,
+            dst: Dest::Multicast(others),
+            kind: proto::KIND_COLL_RETRY,
+            seq: combine::enc_seq(group, cseq, a),
+            payload: Payload::Synthetic(0),
+            corrupted: false,
         };
-        let Some(rp) = &mut st.root_pending else {
-            return;
-        };
-        if rp.cseq != cseq {
-            return;
-        }
-        rp.attempt = rp.attempt.saturating_add(1);
-        let (a, op, own, others) = (rp.attempt, rp.op, rp.own, Arc::clone(&rp.others));
-        let e = st.accs.entry((cseq, a)).or_insert((op.identity(), 0));
-        e.0 = op.apply(e.0, own);
-        e.1 += 1;
-        w.faults.stats.coll_retries += 1;
-        if !others.is_empty() {
-            let f = Frame {
-                src: node,
-                dst: Dest::Multicast(others),
-                kind: proto::KIND_COLL_RETRY,
-                seq: combine::enc_seq(group, cseq, a),
-                payload: Payload::Synthetic(0),
-                corrupted: false,
-            };
-            kernel::send_frame(w, s, f);
-        }
-        try_complete_root(w, s, node, group, cseq, a);
-        if coll_state(w, node, group).root_pending.is_some() {
-            arm_root_timer(w, s, node, group, cseq, attempts + 1);
-        }
-    });
-    if let Some(rp) = &mut coll_state(w, node, group).root_pending {
-        if rp.cseq == cseq {
-            rp.timer = Some(t);
-        }
+        kernel::send_frame(w, s, f);
     }
+    try_complete_root(w, s, node, group, cseq, a);
 }
 
 /// If `attempt`'s accumulation reached the group size, finish the
@@ -788,10 +774,7 @@ fn try_complete_root(
     if cnt < total {
         return;
     }
-    let mut rp = st.root_pending.take().expect("checked above");
-    if let Some(t) = rp.timer.take() {
-        t.cancel();
-    }
+    let rp = st.root_pending.take().expect("checked above");
     let op = rp.op;
     st.accs.retain(|&(c, _), _| c != cseq);
     st.completed = Some((cseq, val));
@@ -849,14 +832,8 @@ pub fn on_result(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
         return; // duplicate replay
     }
     st.completed = Some((cseq, v));
-    if let Some(mut p) = st.pending.take() {
-        if p.cseq == cseq {
-            if let Some(t) = p.timer.take() {
-                t.cancel();
-            }
-        } else {
-            st.pending = Some(p);
-        }
+    if st.pending.as_ref().is_some_and(|p| p.cseq == cseq) {
+        st.pending = None;
     }
     st.waiters.wake_all(s, Wakeup::START);
 }
@@ -927,56 +904,33 @@ pub fn on_nudge(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     kernel::send_frame(w, s, frame);
 }
 
-/// All-to-all recovery timer: unicast a replay request to every member
-/// whose value is still missing.
-fn arm_a2a_timer(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    group: u32,
-    cseq: u32,
-    attempts: u32,
-) {
-    let delay = w.calib.ctl_timeout_ns << attempts.min(10);
-    let t = s.schedule_cancellable_in(SimDuration::from_ns(delay), move |w: &mut World, s| {
-        if !w.node(node).up {
-            return;
-        }
-        let members = match w.coll_groups.get(&group) {
-            Some(g) => Arc::clone(&g.members),
-            None => return,
-        };
-        let my_idx = members.binary_search(&node).unwrap_or(usize::MAX) as u32;
-        let Some(st) = w.node_mut(node).coll.get_mut(&group) else {
-            return;
-        };
-        let Some(p) = &st.a2a else { return };
-        if p.cseq != cseq || p.missing() == 0 {
-            return;
-        }
-        let missing: Vec<NodeAddr> = p
-            .vals
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_none())
-            .map(|(i, _)| members[i])
-            .collect();
-        for m in missing {
-            let f = Frame::unicast(
-                node,
-                m,
-                proto::KIND_COLL_A2A_REQ,
-                combine::enc_seq(group, cseq, 0),
-                proto::pack_a2a_req(my_idx),
-            );
-            kernel::send_frame(w, s, f);
-        }
-        arm_a2a_timer(w, s, node, group, cseq, attempts + 1);
-    });
-    if let Some(p) = &mut coll_state(w, node, group).a2a {
-        if p.cseq == cseq {
-            p.timer = Some(t);
-        }
+/// Unicast a replay request to every member whose value for all-to-all
+/// `cseq` is still missing.
+fn replay_a2a(w: &mut World, s: &mut VSched, node: NodeAddr, group: u32, cseq: u32) {
+    let Some(g) = w.coll_groups.get(&group) else {
+        return;
+    };
+    let members = Arc::clone(&g.members);
+    let my_idx = members.binary_search(&node).unwrap_or(usize::MAX) as u32;
+    let Some(p) = coll_state(w, node, group).a2a.as_ref() else {
+        return;
+    };
+    let missing: Vec<NodeAddr> = p
+        .vals
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.is_none())
+        .map(|(i, _)| members[i])
+        .collect();
+    for m in missing {
+        let f = Frame::unicast(
+            node,
+            m,
+            proto::KIND_COLL_A2A_REQ,
+            combine::enc_seq(group, cseq, 0),
+            proto::pack_a2a_req(my_idx),
+        );
+        kernel::send_frame(w, s, f);
     }
 }
 

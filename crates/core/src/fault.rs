@@ -20,6 +20,7 @@ use hpcnet::{Frame, LinkId, NodeAddr, Payload, Transit};
 use crate::cpu::TraceEvent;
 use crate::kernel;
 use crate::proto;
+use crate::retry::{self, Chain, Retry};
 use crate::world::{VCtx, VSched, World};
 
 /// Recovery-protocol counters, kept alongside the schedule in
@@ -195,18 +196,16 @@ impl hpcnet::FaultHook for FaultState {
 }
 
 /// A reliably-delivered control frame awaiting its `KIND_CTL_ACK`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct CtlPending {
     /// The frame, kept for retransmission.
     pub frame: Frame,
-    /// Retransmissions so far (stale timers key off this).
-    pub attempts: u32,
     /// Base retransmit timeout for this frame (doubles per attempt).
     /// `ctl_timeout_ns` for ordinary control traffic; heartbeat probes use
     /// an adaptive deadline derived from the peer's observed RTT.
     pub base_timeout_ns: u64,
-    /// The armed retransmit timer, disarmed when the ack arrives.
-    pub timer: Option<desim::TimerHandle>,
+    /// The retransmit chain, disarmed when the ack arrives.
+    pub chain: Chain,
 }
 
 /// Send a control frame (open reply, connect notification, close) with
@@ -235,68 +234,49 @@ pub fn reliable_send_with_timeout(
         key,
         CtlPending {
             frame: frame.clone(),
-            attempts: 0,
             base_timeout_ns,
-            timer: None,
+            chain: Chain::default(),
         },
     );
     kernel::send_frame(w, s, frame);
-    arm_ctl_timer(w, s, from, key, 0);
+    retry::arm(w, s, from, CtlRetry(key));
 }
 
-fn arm_ctl_timer(w: &mut World, s: &mut VSched, from: NodeAddr, key: u64, attempts: u32) {
-    let base = w
-        .node(from)
-        .ctl_unacked
-        .get(&key)
-        .map(|p| p.base_timeout_ns)
-        .unwrap_or(w.calib.ctl_timeout_ns);
-    let delay = base << attempts.min(10);
-    let timer = s.schedule_cancellable_in(SimDuration::from_ns(delay), move |w: &mut World, s| {
-        if !w.node(from).up {
+/// The retry chain of the unacknowledged control frame with this `seq`.
+struct CtlRetry(u64);
+
+impl Retry for CtlRetry {
+    fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
+        Some(&mut w.node_mut(node).ctl_unacked.get_mut(&self.0)?.chain)
+    }
+
+    fn base_ns(&self, w: &World, node: NodeAddr) -> u64 {
+        let p = w.node(node).ctl_unacked.get(&self.0);
+        p.map_or(w.calib.ctl_timeout_ns, |p| p.base_timeout_ns)
+    }
+
+    fn budget(&self, w: &World) -> Option<u32> {
+        Some(w.calib.ctl_max_retries)
+    }
+
+    fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        if let Some(p) = w.node(node).ctl_unacked.get(&self.0) {
+            let f = p.frame.clone();
+            w.faults.stats.retransmits += 1;
+            kernel::send_frame(w, s, f);
+        }
+    }
+
+    /// The receiver is gone. Drop the entry; higher-level recovery
+    /// (peer-down marking, manager re-resolution) owns the outcome. A
+    /// heartbeat beacon *is* that recovery — its exhaustion is the
+    /// membership layer's unreachability verdict.
+    fn give_up(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        let Some(p) = w.node_mut(node).ctl_unacked.remove(&self.0) else {
             return;
-        }
-        let max = w.calib.ctl_max_retries;
-        let resend = {
-            let Some(p) = w.node_mut(from).ctl_unacked.get_mut(&key) else {
-                return; // acked
-            };
-            if p.attempts != attempts {
-                return; // a newer timer owns this entry
-            }
-            if p.attempts >= max {
-                None
-            } else {
-                p.attempts += 1;
-                Some(p.frame.clone())
-            }
         };
-        match resend {
-            None => {
-                // Retry budget exhausted: the receiver is gone. Drop the
-                // entry; higher-level recovery (peer-down marking, manager
-                // re-resolution) owns the outcome. A heartbeat beacon *is*
-                // that recovery — its exhaustion is the membership layer's
-                // unreachability verdict.
-                let dropped = w.node_mut(from).ctl_unacked.remove(&key);
-                if let Some(p) = dropped {
-                    if p.frame.kind == proto::KIND_HEARTBEAT {
-                        if let hpcnet::Dest::Unicast(peer) = p.frame.dst {
-                            crate::membership::on_probe_failed(w, s, from, peer);
-                        }
-                    }
-                }
-            }
-            Some(f) => {
-                w.faults.stats.retransmits += 1;
-                kernel::send_frame(w, s, f);
-                arm_ctl_timer(w, s, from, key, attempts + 1);
-            }
-        }
-    });
-    if let Some(p) = w.node_mut(from).ctl_unacked.get_mut(&key) {
-        if p.attempts == attempts {
-            p.timer = Some(timer);
+        if let (proto::KIND_HEARTBEAT, hpcnet::Dest::Unicast(peer)) = (p.frame.kind, &p.frame.dst) {
+            crate::membership::on_probe_failed(w, s, node, *peer);
         }
     }
 }
@@ -318,13 +298,11 @@ pub fn ack_ctl(w: &mut World, s: &mut VSched, node: NodeAddr, f: &Frame) {
 /// Kernel handler: a control-frame ack arrived; stop retransmitting. An
 /// acked heartbeat beacon is the membership layer's reachability evidence.
 pub fn on_ctl_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+    // Dropping the entry disarms its chain.
     if let Some(p) = w.node_mut(node).ctl_unacked.remove(&f.seq) {
-        if let Some(t) = p.timer {
-            t.cancel();
-        }
         if p.frame.kind == proto::KIND_HEARTBEAT {
             if let hpcnet::Dest::Unicast(peer) = p.frame.dst {
-                crate::membership::on_probe_ack(w, s, node, peer, p.attempts);
+                crate::membership::on_probe_ack(w, s, node, peer, p.chain.attempts);
             }
         }
     }
@@ -365,26 +343,11 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     n.tx_q.clear();
     n.orphans.clear();
     n.resolve.clear();
-    // Disarm every retransmit timer the node had running — a dead node's
-    // timeouts must not keep ticking (they would be no-ops, but no-op
-    // events still drag the simulated clock forward).
-    for p in n.ctl_unacked.values() {
-        if let Some(t) = &p.timer {
-            t.cancel();
-        }
-    }
+    // Wiping an entry drops its retry chain, which disarms the chain's
+    // timer: a dead node's timeouts must not keep ticking (they would be
+    // no-ops, but no-op events still drag the simulated clock forward).
     n.ctl_unacked.clear();
-    for o in n.open_waits.values() {
-        if let crate::world::OpenResult::Pending { timer: Some(t), .. } = o {
-            t.cancel();
-        }
-    }
     n.open_waits.clear();
-    for ls in n.listeners.values() {
-        if let Some(t) = &ls.timer {
-            t.cancel();
-        }
-    }
     n.listeners.clear();
     n.syscall_waits.clear();
     n.mgr = Default::default();

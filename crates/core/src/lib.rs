@@ -65,6 +65,7 @@ pub mod multicast;
 pub mod objmgr;
 pub mod proto;
 pub mod protocols;
+pub mod retry;
 pub mod rtt;
 pub mod sched;
 pub mod udco;

@@ -24,6 +24,7 @@ use crate::channel;
 use crate::cpu::CpuCat;
 use crate::kernel;
 use crate::proto;
+use crate::retry::{self, Chain, Retry};
 use crate::world::{OpenResult, VCtx, VSched, World};
 
 /// Where channel-open requests are served.
@@ -266,24 +267,17 @@ fn try_failover(
     }
     match w.node_mut(node).open_waits.get_mut(&token) {
         Some(OpenResult::Pending {
-            mgr,
-            attempts,
-            queued,
-            timer,
-            ..
+            mgr, queued, chain, ..
         }) => {
             *mgr = succ;
-            *attempts = 0;
             *queued = false;
-            if let Some(t) = timer.take() {
-                t.cancel();
-            }
+            chain.restart();
         }
         _ => return false,
     }
     w.faults.stats.mgr_failovers += 1;
     kernel::send_frame(w, s, open_req(node, succ, kind, name, token));
-    arm_open_timer(w, s, node, token, 0);
+    retry::arm(w, s, node, OpenRetry(token));
     true
 }
 
@@ -551,12 +545,10 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let token = f.seq;
     match w.node_mut(node).open_waits.get_mut(&token) {
-        Some(OpenResult::Pending { timer, .. }) => {
+        Some(OpenResult::Pending { chain, .. }) => {
             // A reply can beat the OPEN_QUEUED ack; disarm the request's
-            // retransmit timer either way.
-            if let Some(t) = timer.take() {
-                t.cancel();
-            }
+            // retransmit chain either way.
+            chain.disarm();
         }
         // Duplicate reply (our first ack was lost), or a crash wiped the open.
         _ => return,
@@ -596,11 +588,7 @@ pub fn on_open_nack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let token = f.seq;
     match w.node_mut(node).open_waits.get_mut(&token) {
-        Some(OpenResult::Pending { timer, .. }) => {
-            if let Some(t) = timer.take() {
-                t.cancel();
-            }
-        }
+        Some(OpenResult::Pending { chain, .. }) => chain.disarm(),
         // Duplicate NACK (our first ack was lost), or a crash wiped the open.
         _ => return,
     }
@@ -615,13 +603,11 @@ pub fn on_open_nack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// stop the request's retransmit chain. (Loss of this frame is healed by
 /// the next retransmission; the manager re-acks duplicates.)
 pub fn on_open_queued(w: &mut World, _s: &mut VSched, node: NodeAddr, f: Frame) {
-    if let Some(OpenResult::Pending { queued, timer, .. }) =
+    if let Some(OpenResult::Pending { queued, chain, .. }) =
         w.node_mut(node).open_waits.get_mut(&f.seq)
     {
         *queued = true;
-        if let Some(t) = timer.take() {
-            t.cancel();
-        }
+        chain.disarm();
     }
 }
 
@@ -636,70 +622,62 @@ fn open_req(node: NodeAddr, mgr: NodeAddr, kind: proto::ObjKind, name: &str, tok
     )
 }
 
-/// Arm (or re-arm) the retransmit timer for an open request that the
-/// manager has not yet acknowledged with `OPEN_QUEUED`. Timeouts double per
-/// retry; after `open_max_retries` the open fails with
-/// [`crate::VorxError::Unreachable`].
-pub(crate) fn arm_open_timer(
-    w: &mut World,
-    s: &mut VSched,
-    node: NodeAddr,
-    token: u64,
-    attempts: u32,
-) {
-    let delay = w.calib.open_timeout_ns << attempts.min(10);
-    let timer = s.schedule_cancellable_in(SimDuration::from_ns(delay), move |w: &mut World, s| {
-        if !w.node(node).up {
-            return;
-        }
-        let max = w.calib.open_max_retries;
-        enum Next {
-            Stale,
-            Fail(NodeAddr, proto::ObjKind, String),
-            Resend(NodeAddr, proto::ObjKind, String),
-        }
-        let next = match w.node_mut(node).open_waits.get_mut(&token) {
+/// The retransmit chain of the open request with this token, until the
+/// manager acknowledges it with `OPEN_QUEUED`. Timeouts double per retry;
+/// after `open_max_retries` the open fails over to the name's successor
+/// replica, or fails with [`crate::VorxError::Unreachable`].
+struct OpenRetry(u64);
+
+impl OpenRetry {
+    /// Where the pending request goes and what it asks for.
+    fn request(&self, w: &World, node: NodeAddr) -> Option<(NodeAddr, proto::ObjKind, String)> {
+        match w.node(node).open_waits.get(&self.0) {
             Some(OpenResult::Pending {
-                mgr,
-                name,
-                kind,
-                attempts: a,
-                queued,
-                ..
-            }) => {
-                if *queued || *a != attempts {
-                    Next::Stale // acknowledged, or a newer timer owns the chain
-                } else if *a >= max {
-                    Next::Fail(*mgr, *kind, name.clone())
-                } else {
-                    *a += 1;
-                    Next::Resend(*mgr, *kind, name.clone())
-                }
-            }
-            _ => Next::Stale, // resolved, failed, or wiped by a crash
-        };
-        match next {
-            Next::Stale => {}
-            Next::Fail(mgr, kind, name) => {
-                // Before giving up, try the name's successor replica — the
-                // silent manager may merely be partitioned away from us.
-                if !try_failover(w, s, node, token, mgr, kind, &name) {
-                    w.node_mut(node)
-                        .open_waits
-                        .insert(token, OpenResult::Failed(crate::VorxError::Unreachable));
-                    w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
-                }
-            }
-            Next::Resend(mgr, kind, name) => {
-                w.faults.stats.retransmits += 1;
-                kernel::send_frame(w, s, open_req(node, mgr, kind, &name, token));
-                arm_open_timer(w, s, node, token, attempts + 1);
-            }
+                mgr, name, kind, ..
+            }) => Some((*mgr, *kind, name.clone())),
+            _ => None,
         }
-    });
-    if let Some(OpenResult::Pending { timer: t, .. }) = w.node_mut(node).open_waits.get_mut(&token)
-    {
-        *t = Some(timer);
+    }
+}
+
+impl Retry for OpenRetry {
+    fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
+        match w.node_mut(node).open_waits.get_mut(&self.0) {
+            Some(OpenResult::Pending {
+                queued: false,
+                chain,
+                ..
+            }) => Some(chain),
+            _ => None, // acknowledged, resolved, failed, or wiped by a crash
+        }
+    }
+
+    fn base_ns(&self, w: &World, _: NodeAddr) -> u64 {
+        w.calib.open_timeout_ns
+    }
+
+    fn budget(&self, w: &World) -> Option<u32> {
+        Some(w.calib.open_max_retries)
+    }
+
+    fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        if let Some((mgr, kind, name)) = self.request(w, node) {
+            w.faults.stats.retransmits += 1;
+            kernel::send_frame(w, s, open_req(node, mgr, kind, &name, self.0));
+        }
+    }
+
+    /// Before giving up, try the name's successor replica — the silent
+    /// manager may merely be partitioned away from us.
+    fn give_up(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
+        let Some((mgr, kind, name)) = self.request(w, node) else {
+            return;
+        };
+        if !try_failover(w, s, node, self.0, mgr, kind, &name) {
+            let failed = OpenResult::Failed(crate::VorxError::Unreachable);
+            w.node_mut(node).open_waits.insert(self.0, failed);
+            w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
+        }
     }
 }
 
@@ -712,16 +690,12 @@ pub(crate) fn resend_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: 
             mgr,
             name,
             kind,
-            attempts,
             queued,
-            timer,
+            chain,
         }) => {
-            *attempts = 0;
             *queued = false;
             // Disarm whatever remained of the pre-crash chain.
-            if let Some(t) = timer.take() {
-                t.cancel();
-            }
+            chain.restart();
             Some((*mgr, *kind, name.clone()))
         }
         _ => None,
@@ -730,7 +704,7 @@ pub(crate) fn resend_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: 
         return;
     };
     kernel::send_frame(w, s, open_req(node, mgr, kind, &name, token));
-    arm_open_timer(w, s, node, token, 0);
+    retry::arm(w, s, node, OpenRetry(token));
 }
 
 /// Rendezvous on `name` through the object manager: register a pending
@@ -763,13 +737,12 @@ pub fn rendezvous(
                 mgr,
                 name: name_owned,
                 kind,
-                attempts: 0,
                 queued: false,
-                timer: None,
+                chain: Chain::default(),
             },
         );
         kernel::send_frame(w, s, req);
-        arm_open_timer(w, s, node, token, 0);
+        retry::arm(w, s, node, OpenRetry(token));
         Ok(token)
     })?;
     let pid = ctx.pid();

@@ -20,7 +20,7 @@ pub type VCtx = Ctx<World>;
 pub type VSched = Scheduler<World>;
 
 /// Result slot for an in-flight channel open.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum OpenResult {
     /// Request sent, no reply yet. Carries everything needed to retransmit
     /// the request or re-resolve it after a manager restart.
@@ -31,14 +31,13 @@ pub enum OpenResult {
         name: String,
         /// Channel or UDCO.
         kind: crate::proto::ObjKind,
-        /// Retransmissions so far (stale timers key off this).
-        attempts: u32,
         /// The manager acknowledged receipt (`KIND_OPEN_QUEUED`); stop
         /// retransmitting and park until the reply.
         queued: bool,
-        /// The armed retransmit timer, disarmed when the request resolves
-        /// so it cannot drag the simulated clock out to its fire time.
-        timer: Option<desim::TimerHandle>,
+        /// The request's retransmit chain, disarmed when the request
+        /// resolves so it cannot drag the simulated clock out to its fire
+        /// time.
+        chain: crate::retry::Chain,
     },
     /// Manager matched us: `(object id, peer node)`.
     Done(u32, NodeAddr),

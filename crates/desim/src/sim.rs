@@ -1095,6 +1095,7 @@ impl<W: Send + 'static> Drop for Simulation<W> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "tests of the timer itself")]
 mod tests {
     use super::*;
 

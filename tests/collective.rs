@@ -14,11 +14,11 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use hpc_vorx::desim::{lock, FaultSchedule, LinkFaults};
+use hpc_vorx::desim::{lock, FaultSchedule, LinkFaults, SimTime};
 use hpc_vorx::hpcnet::combine::CombOp;
 use hpc_vorx::hpcnet::{NetConfig, NodeAddr, Topology};
 use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
-use hpc_vorx::vorx::{invariants, VorxBuilder};
+use hpc_vorx::vorx::{invariants, Calibration, VorxBuilder};
 
 const GROUP: u32 = 7;
 /// Fixed shard count: the shard partition is part of the simulated outcome,
@@ -233,4 +233,49 @@ fn software_tree_and_in_network_agree() {
     v.run_all();
     assert_eq!(invariants::check_shards(&v, 0), [] as [&str; 0]);
     assert_eq!(&*lock(&got), &innet.r1, "engines disagree on CombOp::Min");
+}
+
+/// A crash disarms every retry chain the node owned, the collective ones
+/// included. The root never joins, so the member's operation cannot
+/// complete and only its nudge chain keeps the run going: first nudge at
+/// 20 ms, the next armed for 60 ms. The member dies at 30 ms, with the
+/// failure-detection sweep off so nothing else is left to run; the run must
+/// go idle at the crash, not tick on to the dead member's next nudge.
+#[test]
+fn a_crashed_member_leaves_no_nudge_armed() {
+    let crash = SimTime::from_ns(30_000_000);
+    let calib = Calibration {
+        crash_detect_ns: u64::MAX,
+        ..Calibration::paper_1988()
+    };
+    let mut v = VorxBuilder::single_cluster(2)
+        .calibration(calib)
+        .faults(FaultSchedule::new(1).down_at(1, crash))
+        .build();
+    collective::register_group(
+        &mut v.world(),
+        &GroupCfg {
+            group: GROUP,
+            members: vec![NodeAddr(0), NodeAddr(1)],
+            mode: CollMode::InNetwork,
+        },
+    );
+    v.spawn("n1:member", |ctx| {
+        let c = collective::attach(&ctx, NodeAddr(1), GROUP);
+        c.allreduce(&ctx, CombOp::Sum, 1);
+    });
+    let report = v.run();
+    assert_eq!(report.parked.len(), 1, "the member dies parked");
+    let w = v.world();
+    assert_eq!(w.faults.stats.crashes, 1);
+    assert!(
+        w.nodes[1].coll.is_empty(),
+        "the crash wiped the member's state"
+    );
+    drop(w);
+    assert_eq!(
+        v.now(),
+        crash,
+        "a timer of the dead member's nudge chain ran after the crash"
+    );
 }

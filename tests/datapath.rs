@@ -251,7 +251,7 @@ fn sack_bits_outside_the_inflight_run_are_ignored() {
                     .iter()
                     .map(|fr| (fr.frag(), fr.sacked))
                     .collect();
-                (marks, end.win.epoch, end.win.tx_limit)
+                (marks, end.win.chain.epoch, end.win.tx_limit)
             };
             let before = snapshot(w);
             let (front, len) = (before.0[0].0, before.0.len() as u32);

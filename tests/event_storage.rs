@@ -7,6 +7,8 @@
 //! timer that is not its own: nothing; and what cancelled timers may do to
 //! the size of the queue they wait in: at most double it.
 
+#![allow(clippy::disallowed_methods, reason = "tests of the desim timer itself")]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

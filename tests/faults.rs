@@ -475,8 +475,11 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
         );
         let tx = w.nodes[0].chans.values().next().unwrap();
         assert_eq!(tx.win.busy_grants, 1);
-        assert_eq!(tx.win.attempts, 0, "the second BUSY restarted the budget");
-        assert!(tx.win.timer.is_some(), "on a freshly armed timer");
+        assert_eq!(
+            tx.win.chain.attempts, 0,
+            "the second BUSY restarted the budget"
+        );
+        assert!(tx.win.chain.timer.is_some(), "on a freshly armed timer");
         assert_eq!(tx.win.inflight.len(), 1);
     }
     let report = v.run();

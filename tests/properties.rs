@@ -239,6 +239,10 @@ mod queue_model {
         }
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the model drives desim's own timer"
+    )]
     fn issue(prog: &Program, (kind, d, pick): Op, w: &mut World, s: &mut Scheduler<World>) {
         let d = SimDuration::from_ns(d);
         if kind == CANCEL {
