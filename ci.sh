@@ -13,7 +13,7 @@ cargo test --workspace -q
 echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (no cancel flag allocated per timer), 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, <= 79 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 4.6 per try_open, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
 cargo test -q --test event_storage --test retry_chain --test datapath_alloc --test spsc_reuse --test topology_alloc --test trace_merge_alloc
 
-echo "==> shard build memory, optimised build (an 8-shard build of the 100k-endpoint world holds <= 80 MB live: one wiring shared by every shard, link state built on first touch; a dense 1024-endpoint run builds <= 1/4 of the links on any shard; untouched links read idle)"
+echo "==> shard build memory, optimised build (an 8-shard build of the 100k-endpoint world holds <= 52 MB live: one wiring shared by every shard, link state built on first touch; a dense 1024-endpoint run builds <= 1/4 of the links on any shard; untouched links read idle)"
 cargo test --release -q --test wiring
 
 echo "==> process switch and footprint, optimised build (one run stack: no OS threads, 250k parked, <= 650 B each in wait_until, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume; live heap per process parked in each blocking VORX call within 10 % of its measured figure; a group member's handle costs the same at 1,024 members as at 64)"

@@ -18,12 +18,11 @@
 //! The workload carries real spectral data and the result is verified
 //! against the serial 2D FFT, so the comparison measures correct programs.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use bytes::{BufMut, BytesMut};
 use desim::rng::SmallRng;
-use desim::{lock, SimDuration, SimTime};
+use desim::{lock, FixedMap, SimDuration, SimTime};
 use vorx::api::user_compute;
 use vorx::collective::{self, CollMode, GroupCfg};
 use vorx::hpcnet::{NodeAddr, Payload, Topology};
@@ -131,7 +130,7 @@ fn parse_block(p: &Payload) -> Vec<Complex> {
 #[derive(Default)]
 struct Collected {
     /// col index -> transformed column.
-    cols: HashMap<usize, Vec<Complex>>,
+    cols: FixedMap<usize, Vec<Complex>>,
     bytes_rx: Vec<u64>,
     dist_time: Vec<SimDuration>,
     bar_time: Vec<SimDuration>,
@@ -346,7 +345,7 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
                     // peer `me + k` — without this, every node would write
                     // to node 0 first and the exchange would convoy through
                     // one hot receiver at a time.
-                    let by_q: std::collections::HashMap<usize, _> =
+                    let by_q: FixedMap<usize, _> =
                         p2p_out.iter().map(|(q, ch)| (*q, *ch)).collect();
                     for k in 1..p {
                         let q = (me + k) % p;

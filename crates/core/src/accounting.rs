@@ -9,9 +9,10 @@
 //! nodes grow shows up as a number, not an OOM three PRs later.
 //!
 //! The figures are approximations (container headers and allocator slack
-//! are modeled as a flat per-entry overhead), but they are *deterministic*
-//! approximations: the same run yields the same bytes, so they are safe to
-//! assert on in tests and campaigns.
+//! are modeled as a flat per-entry overhead, a node and a channel end as
+//! the fixed [`NODE_BYTES`] and [`CHAN_END_BYTES`]), but they are
+//! *deterministic* approximations: the same run yields the same bytes on
+//! any host layout, so they are safe to assert on in tests and campaigns.
 
 use hpcnet::Frame;
 
@@ -22,24 +23,35 @@ use crate::world::{Node, World};
 /// growth, not malloc internals.
 pub const ENTRY_BYTES: u64 = 48;
 
+/// Modeled fixed cost of a materialized node: its tables' headers, wait
+/// sets and CPU model, as read from the `Node` layout when the accountant's
+/// figures were pinned. The simulator's own layout may change without
+/// moving any figure this module reports.
+pub const NODE_BYTES: u64 = 1_056;
+
+/// Modeled fixed cost of one channel end, read the same way from the
+/// `ChanEnd` layout.
+pub const CHAN_END_BYTES: u64 = 432;
+
 fn frame_bytes<'a>(it: impl Iterator<Item = &'a Frame>) -> u64 {
     it.map(|f| u64::from(f.wire_bytes())).sum()
 }
 
-/// Approximate resident bytes of one node's kernel state: the fixed `Node`
-/// struct plus everything its tables currently hold. An idle node — booted
-/// but never communicating — pays only the fixed part.
-pub fn node_mem_bytes(node: &Node) -> u64 {
-    let mut b = std::mem::size_of::<Node>() as u64;
+/// Approximate resident bytes of one of `w`'s nodes' kernel state: the
+/// fixed [`NODE_BYTES`] plus everything its tables currently hold. An idle
+/// node — booted but never communicating — pays only the fixed part.
+pub fn node_mem_bytes(w: &World, node: &Node) -> u64 {
+    let mut b = NODE_BYTES;
     // Transmit path: queued frames and reliably-sent control frames.
     b += frame_bytes(node.tx_q.iter()) + node.tx_q.len() as u64 * ENTRY_BYTES;
-    b += frame_bytes(node.ctl_unacked.values().map(|p| &p.frame))
-        + node.ctl_unacked.len() as u64 * ENTRY_BYTES;
+    let ctl = || w.ctl_unacked.iter().filter(|((a, _), _)| *a == node.addr);
+    b += frame_bytes(ctl().map(|(_, p)| &p.frame)) + ctl().count() as u64 * ENTRY_BYTES;
     // Channels: each end reports its own buffered payloads.
-    b += node.chans.values().map(|e| e.mem_bytes()).sum::<u64>()
+    b += w.chan_ends.of(node).map(|e| e.mem_bytes()).sum::<u64>()
         + node.chans.len() as u64 * ENTRY_BYTES;
     // Open/syscall rendezvous tables.
-    b += (node.open_waits.len() + node.syscall_waits.len()) as u64 * ENTRY_BYTES;
+    let opens = w.open_waits.values().filter(|(a, _)| *a == node.addr);
+    b += (opens.count() + node.syscall_waits.len()) as u64 * ENTRY_BYTES;
     // Listeners and their (bounded) unaccepted-connection backlogs.
     b += node
         .listeners
@@ -66,7 +78,7 @@ pub fn node_mem_bytes(node: &Node) -> u64 {
 /// The fixed cost of a *materialized* node holding no kernel state: the
 /// accountant's baseline for a node that communicated once and went quiet.
 pub fn idle_node_bytes() -> u64 {
-    std::mem::size_of::<Node>() as u64
+    NODE_BYTES
 }
 
 /// The cost of an endpoint that has never been touched at all: one lazy
@@ -94,7 +106,7 @@ pub fn world_mem_report(w: &World) -> (u64, u64, usize) {
     let mut total = w.nodes.len() as u64 * idle_slot_bytes();
     let mut idle = w.nodes.len() - w.nodes.materialized_count();
     for node in w.nodes.materialized() {
-        let b = node_mem_bytes(node);
+        let b = node_mem_bytes(w, node);
         max = max.max(b);
         total += b;
         if b == idle_node_bytes() {
@@ -136,7 +148,7 @@ mod tests {
             let n = &w.nodes[i];
             if n.mgr.servers.is_empty() && n.mgr.seen.is_empty() {
                 assert_eq!(
-                    node_mem_bytes(n),
+                    node_mem_bytes(&w, n),
                     baseline,
                     "idle node {i} grew beyond the O(1) baseline"
                 );

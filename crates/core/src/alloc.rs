@@ -16,9 +16,10 @@
 //!   idle-timeout reclamation ([`Allocator::reclaim_idle`]), and the
 //!   use-carefully [`Allocator::force_free`] command.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
+use desim::FixedMap;
 use hpcnet::NodeAddr;
 
 /// A user of the installation.
@@ -65,14 +66,20 @@ impl Slot {
     }
 }
 
-/// Ownership state of the processing-node pool.
+/// Ownership state of the processing-node pool. Only owned processors
+/// hold a [`Slot`]: a pool of 100k endpoints that nobody allocates costs
+/// nothing per processor.
 #[derive(Debug, Clone)]
 pub struct Allocator {
     /// First allocatable node (host adapters are not allocatable).
     first: usize,
-    slots: Vec<Slot>,
+    /// Processors in the pool.
+    size: usize,
+    /// The owned processors' slots, by pool index; a slot that frees is
+    /// removed.
+    owned: BTreeMap<usize, Slot>,
     /// Last-activity timestamps for idle reclamation, ns.
-    activity: HashMap<UserId, u64>,
+    activity: FixedMap<UserId, u64>,
 }
 
 impl Allocator {
@@ -80,8 +87,9 @@ impl Allocator {
     pub fn new(first_node: usize, n_nodes: usize) -> Self {
         Allocator {
             first: first_node,
-            slots: vec![Slot::default(); n_nodes.saturating_sub(first_node)],
-            activity: HashMap::new(),
+            size: n_nodes.saturating_sub(first_node),
+            owned: BTreeMap::new(),
+            activity: FixedMap::default(),
         }
     }
 
@@ -90,38 +98,54 @@ impl Allocator {
     }
 
     fn idx(&self, a: NodeAddr) -> usize {
-        (a.0 as usize)
+        let i = (a.0 as usize)
             .checked_sub(self.first)
-            .expect("not an allocatable node")
+            .expect("not an allocatable node");
+        assert!(i < self.size, "{a} is not in the pool");
+        i
+    }
+
+    /// Apply `f` to the slot of pool index `i`, dropping the slot if that
+    /// leaves it free.
+    fn update(&mut self, i: usize, f: impl FnOnce(&mut Slot)) {
+        let slot = self.owned.entry(i).or_default();
+        f(slot);
+        if slot.is_free() {
+            self.owned.remove(&i);
+        }
+    }
+
+    /// Free pool indices, ascending.
+    fn free_indices(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.size).filter(|i| !self.owned.contains_key(i))
     }
 
     /// Number of completely unowned processors.
     pub fn free_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_free()).count()
+        self.size - self.owned.len()
     }
 
     /// Total pool size.
     pub fn pool_size(&self) -> usize {
-        self.slots.len()
+        self.size
     }
 
     /// The current exclusive owner of a node.
     pub fn owner_of(&self, a: NodeAddr) -> Option<UserId> {
-        self.slots[self.idx(a)].exclusive
+        self.owned.get(&self.idx(a)).and_then(|s| s.exclusive)
     }
 
     /// Shared-mode processes on a node.
     pub fn shared_on(&self, a: NodeAddr) -> &[UserId] {
-        &self.slots[self.idx(a)].shared
+        self.owned.get(&self.idx(a)).map_or(&[], |s| &s.shared)
     }
 
     /// Nodes exclusively owned by `user`.
     pub fn owned_by(&self, user: UserId) -> Vec<NodeAddr> {
-        self.slots
+        self.owned
             .iter()
-            .enumerate()
             .filter(|(_, s)| s.exclusive == Some(user))
-            .map(|(i, _)| self.addr(i))
+            .map(|(&i, _)| self.addr(i))
             .collect()
     }
 
@@ -133,24 +157,18 @@ impl Allocator {
         user: UserId,
         count: usize,
     ) -> Result<Vec<NodeAddr>, ProcessorsNotAvailable> {
-        let free: Vec<usize> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_free())
-            .map(|(i, _)| i)
-            .collect();
-        if free.len() < count {
+        let free = self.free_count();
+        if free < count {
             return Err(ProcessorsNotAvailable {
                 requested: count,
-                free: free.len(),
+                free,
             });
         }
-        let taken = &free[..count];
-        for &i in taken {
-            self.slots[i].exclusive = Some(user);
+        let taken: Vec<usize> = self.free_indices().take(count).collect();
+        for &i in &taken {
+            self.update(i, |s| s.exclusive = Some(user));
         }
-        Ok(taken.iter().map(|&i| self.addr(i)).collect())
+        Ok(taken.into_iter().map(|i| self.addr(i)).collect())
     }
 
     /// Shared-mode placement of `count` processes (the original Meglos
@@ -163,26 +181,23 @@ impl Allocator {
     ) -> Result<Vec<NodeAddr>, ProcessorsNotAvailable> {
         let mut placed = Vec::with_capacity(count);
         for _ in 0..count {
-            let best = self
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.exclusive.is_none() && s.shared.len() < MAX_PROCS_PER_NODE)
-                .min_by_key(|(i, s)| (s.shared.len(), *i))
-                .map(|(i, _)| i);
+            // A free processor is the least loaded there is, and the first
+            // is the lowest-numbered of them.
+            let best = self.free_indices().next().or_else(|| {
+                self.owned
+                    .iter()
+                    .filter(|(_, s)| s.exclusive.is_none() && s.shared.len() < MAX_PROCS_PER_NODE)
+                    .min_by_key(|(&i, s)| (s.shared.len(), i))
+                    .map(|(&i, _)| i)
+            });
             match best {
                 Some(i) => {
-                    self.slots[i].shared.push(user);
+                    self.update(i, |s| s.shared.push(user));
                     placed.push(self.addr(i));
                 }
                 None => {
                     // Roll back partial placement.
-                    for a in &placed {
-                        let i = self.idx(*a);
-                        if let Some(pos) = self.slots[i].shared.iter().rposition(|u| *u == user) {
-                            self.slots[i].shared.remove(pos);
-                        }
-                    }
+                    self.release_shared(user, &placed);
                     return Err(ProcessorsNotAvailable {
                         requested: count,
                         free: 0,
@@ -197,9 +212,11 @@ impl Allocator {
     pub fn release_shared(&mut self, user: UserId, nodes: &[NodeAddr]) {
         for &a in nodes {
             let i = self.idx(a);
-            if let Some(pos) = self.slots[i].shared.iter().rposition(|u| *u == user) {
-                self.slots[i].shared.remove(pos);
-            }
+            self.update(i, |s| {
+                if let Some(pos) = s.shared.iter().rposition(|u| *u == user) {
+                    s.shared.remove(pos);
+                }
+            });
         }
     }
 
@@ -208,9 +225,8 @@ impl Allocator {
     pub fn free(&mut self, user: UserId, nodes: &[NodeAddr]) -> usize {
         let mut n = 0;
         for &a in nodes {
-            let i = self.idx(a);
-            if self.slots[i].exclusive == Some(user) {
-                self.slots[i].exclusive = None;
+            if self.owner_of(a) == Some(user) {
+                self.owned.remove(&self.idx(a));
                 n += 1;
             }
         }
@@ -221,13 +237,14 @@ impl Allocator {
     /// number of exclusive nodes freed.
     pub fn free_all(&mut self, user: UserId) -> usize {
         let mut n = 0;
-        for s in &mut self.slots {
+        self.owned.retain(|_, s| {
             if s.exclusive == Some(user) {
                 s.exclusive = None;
                 n += 1;
             }
             s.shared.retain(|u| *u != user);
-        }
+            !s.is_free()
+        });
         n
     }
 
@@ -236,8 +253,7 @@ impl Allocator {
     /// carefully." Frees the nodes regardless of owner.
     pub fn force_free(&mut self, nodes: &[NodeAddr]) {
         for &a in nodes {
-            let i = self.idx(a);
-            self.slots[i] = Slot::default();
+            self.owned.remove(&self.idx(a));
         }
     }
 

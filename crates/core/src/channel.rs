@@ -65,7 +65,7 @@ use crate::cpu::{BlockReason, CpuCat};
 use crate::kernel;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
-use crate::world::{VCtx, VSched, World};
+use crate::world::{Node, VCtx, VSched, World};
 
 /// Channel operation errors (an alias of the unified [`crate::VorxError`];
 /// variant paths like `ChanError::PeerClosed` keep working through it).
@@ -100,21 +100,13 @@ pub(crate) fn pause_tx(end: &mut ChanEnd) {
 /// mark, bump the timer epoch, zero the retry budget, and retransmit the
 /// outstanding state immediately over whatever route the fabric has now.
 pub(crate) fn resume_peer(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    let mut ids: Vec<u32> = w
-        .node(node)
-        .chans
-        .iter()
-        .filter(|(_, e)| e.peer == peer)
-        .map(|(id, _)| *id)
-        .collect();
-    ids.sort_unstable();
-    for id in ids {
+    for id in w.chans_peered(node, peer, |_| true) {
         resume_tx(w, s, node, id);
     }
 }
 
 fn resume_tx(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
-    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+    let Some(end) = w.chan_mut(node, chan) else {
         return;
     };
     end.partitioned = false;
@@ -127,7 +119,7 @@ fn resume_tx(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
         retry::arm(w, s, node, TxRetry(chan));
     }
     // Wake blocked readers and writers either way: the end is usable again.
-    if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
+    if let Some(end) = w.chan_mut(node, chan) {
         end.rx_waiters.wake_all(s, Wakeup::START);
         end.tx_wait.wake_all(s, Wakeup::START);
     }
@@ -137,16 +129,8 @@ fn resume_tx(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
 /// heartbeat probe outlived the peer's crash): PR 2 semantics — wipe the
 /// transmit state and wake blocked callers with `PeerDown`.
 pub(crate) fn mark_peer_down(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    let mut ids: Vec<u32> = w
-        .node(node)
-        .chans
-        .iter()
-        .filter(|(_, e)| e.peer == peer && !e.peer_down)
-        .map(|(id, _)| *id)
-        .collect();
-    ids.sort_unstable();
-    for id in ids {
-        let Some(end) = w.node_mut(node).chans.get_mut(&id) else {
+    for id in w.chans_peered(node, peer, |e| !e.peer_down) {
+        let Some(end) = w.chan_mut(node, id) else {
             continue;
         };
         end.peer_down = true;
@@ -219,6 +203,18 @@ impl PayloadAsm {
     /// end keeps alive, not unique ownership).
     pub fn bytes_held(&self) -> u64 {
         self.parts.iter().map(|b| b.len() as u64).sum::<u64>() + u64::from(self.synth)
+    }
+
+    /// Append the last fragment `p` and take the message. A message of one
+    /// fragment — nothing buffered before it — is `p` itself and never
+    /// touches `parts`, so a reader end of one-frame messages holds no
+    /// reassembly buffer.
+    pub fn finish(&mut self, p: Payload) -> Payload {
+        if self.frags == 0 {
+            return p;
+        }
+        self.push(p);
+        self.take()
     }
 
     /// Take the assembled message, resetting the assembler. One fragment
@@ -419,6 +415,9 @@ pub struct ChanEnd {
     pub rto_backoff: u32,
 }
 
+// One channel end, one slot of its world's `ChanSlab`: 432 bytes.
+const _: () = assert!(size_of::<ChanEnd>() <= 432);
+
 impl ChanEnd {
     fn new(id: u32, name: String, peer: NodeAddr, cfg: ChannelConfig) -> Self {
         // Until the first ack arrives, the writer trusts the configured
@@ -476,15 +475,15 @@ impl ChanEnd {
         self.rx.len() + usize::from(self.asm.frags() > 0)
     }
 
-    /// Approximate resident bytes this channel end keeps alive: the fixed
-    /// struct plus every buffered payload (receive queue, reassembly,
+    /// Approximate resident bytes this channel end keeps alive: the modeled
+    /// fixed part plus every buffered payload (receive queue, reassembly,
     /// deferred frames, retransmit window, reorder buffer). Used by the
     /// per-node memory accountant (`crate::accounting`).
     pub fn mem_bytes(&self) -> u64 {
         let frames = |it: &mut dyn Iterator<Item = &Frame>| -> u64 {
             it.map(|f| u64::from(f.wire_bytes())).sum()
         };
-        std::mem::size_of::<ChanEnd>() as u64
+        crate::accounting::CHAN_END_BYTES
             + self.name.len() as u64
             + self.rx.iter().map(|p| u64::from(p.len())).sum::<u64>()
             + self.asm.bytes_held()
@@ -518,6 +517,129 @@ impl ChanEnd {
     }
 }
 
+/// Channel ends per chunk of a [`ChanSlab`]: 64 × 432 B, 27 KiB.
+const SLAB_CHUNK: usize = 64;
+
+/// Every channel end of one [`World`], in one table: a node's
+/// [`ChanIndex`] names the slots of its own ends. The table grows a chunk
+/// of [`SLAB_CHUNK`] slots at a time, so growing it never moves an end or
+/// leaves a freed copy of the table behind. A slot freed by a crash wipe is
+/// reused by the next end created.
+#[derive(Debug, Default)]
+pub struct ChanSlab {
+    chunks: Vec<Box<[Option<ChanEnd>]>>,
+    /// Slots handed out so far, freed ones included.
+    used: u32,
+    free: Vec<u32>,
+}
+
+impl ChanSlab {
+    fn insert(&mut self, end: ChanEnd) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if (self.used as usize).is_multiple_of(SLAB_CHUNK) {
+                self.chunks.push((0..SLAB_CHUNK).map(|_| None).collect());
+            }
+            self.used += 1;
+            self.used - 1
+        });
+        *self.entry(slot) = Some(end);
+        slot
+    }
+
+    fn entry(&mut self, slot: u32) -> &mut Option<ChanEnd> {
+        let slot = slot as usize;
+        &mut self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK]
+    }
+
+    fn remove(&mut self, slot: u32) -> ChanEnd {
+        self.free.push(slot);
+        self.entry(slot).take().expect("a live slot")
+    }
+
+    fn get(&self, slot: u32) -> &ChanEnd {
+        let slot = slot as usize;
+        let end = &self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK];
+        end.as_ref().expect("a live slot")
+    }
+
+    fn get_mut(&mut self, slot: u32) -> &mut ChanEnd {
+        self.entry(slot).as_mut().expect("a live slot")
+    }
+
+    /// `node`'s channel ends, by channel id.
+    pub fn of<'a>(&'a self, node: &'a Node) -> impl Iterator<Item = &'a ChanEnd> + 'a {
+        node.chans.0.iter().map(|&(_, slot)| self.get(slot))
+    }
+}
+
+/// One node's channel ends: `(channel id, slot in the world's
+/// [`ChanSlab`])`, sorted by id.
+#[derive(Debug, Default)]
+pub struct ChanIndex(Vec<(u32, u32)>);
+
+impl ChanIndex {
+    fn slot(&self, id: u32) -> Option<u32> {
+        let i = self.0.binary_search_by_key(&id, |&(k, _)| k).ok()?;
+        Some(self.0[i].1)
+    }
+
+    fn insert(&mut self, id: u32, slot: u32) {
+        let at = self.0.partition_point(|&(k, _)| k < id);
+        self.0.insert(at, (id, slot));
+    }
+
+    /// True iff this node holds an end of channel `id`.
+    pub fn contains(&self, id: u32) -> bool {
+        self.slot(id).is_some()
+    }
+
+    /// Channel ends on this node.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// True iff this node holds no channel end.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl World {
+    /// Node `a`'s end of channel `id`, if it holds one.
+    pub fn chan(&self, a: NodeAddr, id: u32) -> Option<&ChanEnd> {
+        let slot = self.node(a).chans.slot(id)?;
+        Some(self.chan_ends.get(slot))
+    }
+
+    /// Mutable [`World::chan`]; materializes node `a`, as
+    /// [`World::node_mut`] does.
+    pub fn chan_mut(&mut self, a: NodeAddr, id: u32) -> Option<&mut ChanEnd> {
+        let slot = self.nodes.get_mut(a.0 as usize).chans.slot(id)?;
+        Some(self.chan_ends.get_mut(slot))
+    }
+
+    /// Ids of node `a`'s channel ends peered with `peer` that pass `keep`,
+    /// in id order.
+    pub(crate) fn chans_peered(
+        &self,
+        a: NodeAddr,
+        peer: NodeAddr,
+        keep: impl Fn(&ChanEnd) -> bool,
+    ) -> Vec<u32> {
+        let ends = self.chan_ends.of(self.node(a));
+        ends.filter(|e| e.peer == peer && keep(e))
+            .map(|e| e.id)
+            .collect()
+    }
+
+    /// Take every channel end off node `a`, in id order (a crash wipe).
+    pub(crate) fn take_chans(&mut self, a: NodeAddr) -> Vec<ChanEnd> {
+        let index = std::mem::take(&mut self.node_mut(a).chans);
+        let ends = index.0.into_iter();
+        ends.map(|(_, slot)| self.chan_ends.remove(slot)).collect()
+    }
+}
+
 /// Create a channel end on `node` (called by the object manager's reply
 /// handler, and directly by tests).
 pub fn create_end(
@@ -529,11 +651,10 @@ pub fn create_end(
     peer: NodeAddr,
 ) {
     let cfg = ChannelConfig::from_calib(&w.calib);
-    let prev = w
-        .node_mut(node)
-        .chans
-        .insert(id, ChanEnd::new(id, name, peer, cfg));
-    assert!(prev.is_none(), "channel id {id} already exists on {node}");
+    let exists = w.node_mut(node).chans.contains(id);
+    assert!(!exists, "channel id {id} already exists on {node}");
+    let slot = w.chan_ends.insert(ChanEnd::new(id, name, peer, cfg));
+    w.node_mut(node).chans.insert(id, slot);
     kernel::drain_orphans(w, s, node, id);
 }
 
@@ -587,11 +708,7 @@ pub(crate) fn fragment(payload: Payload) -> impl Iterator<Item = (Payload, bool)
 /// guards the set. The single entry into the transmit state for both modes.
 fn transmit_frag(w: &mut World, s: &mut VSched, h: ChannelHandle, payload: Payload, last: bool) {
     let now_ns = s.now().as_ns();
-    let end = w
-        .node_mut(h.node)
-        .chans
-        .get_mut(&h.id)
-        .expect("caller holds the end");
+    let end = w.chan_mut(h.node, h.id).expect("caller holds the end");
     end.msgs_tx += 1;
     let kind = if last {
         proto::KIND_CHAN_DATA_LAST
@@ -635,7 +752,7 @@ impl ChannelHandle {
                 if !w.node(h.node).up {
                     return Err(ChanError::NodeDown);
                 }
-                let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
+                let Some(end) = w.chan_mut(h.node, h.id) else {
                     return Err(ChanError::NodeDown);
                 };
                 if let Some(e) = end.broken() {
@@ -652,7 +769,7 @@ impl ChannelHandle {
             });
             pre?;
             let acked = ctx.wait_until(move |w, s| {
-                let outcome = match w.node_mut(h.node).chans.get_mut(&h.id) {
+                let outcome = match w.chan_mut(h.node, h.id) {
                     None => Some(Err(ChanError::NodeDown)),
                     Some(end) => {
                         if end.ack_ready {
@@ -722,7 +839,7 @@ impl ChannelHandle {
             let mut blocked = false;
             let (res, was_blocked) = ctx.wait_until(move |w, s| {
                 let now = s.now();
-                let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
+                let Some(end) = w.chan_mut(h.node, h.id) else {
                     if blocked {
                         w.unblock(now, h.node, BlockReason::Output);
                     }
@@ -792,7 +909,7 @@ impl ChannelHandle {
         let mut blocked = false;
         let outcome = ctx.wait_until(move |w, s| {
             let now = s.now();
-            let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
+            let Some(end) = w.chan_mut(h.node, h.id) else {
                 // The node crashed out from under us; the wake that
                 // delivered us here came from the crash cleanup.
                 if blocked {
@@ -845,13 +962,7 @@ impl ChannelHandle {
     /// Returns 0 if the channel no longer exists (node crashed).
     pub fn readable(&self, ctx: &VCtx) -> usize {
         let h = *self;
-        ctx.with(move |w, _| {
-            w.node(h.node)
-                .chans
-                .get(&h.id)
-                .map(|e| e.rx.len())
-                .unwrap_or(0)
-        })
+        ctx.with(move |w, _| w.chan(h.node, h.id).map(|e| e.rx.len()).unwrap_or(0))
     }
 
     /// Close this end (§4: channels "are dynamically created and destroyed
@@ -867,7 +978,7 @@ impl ChannelHandle {
             // (peer down/closed) end the flush — nothing left to wait for.
             let pid = ctx.pid();
             ctx.wait_until(move |w, _| {
-                let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
+                let Some(end) = w.chan_mut(h.node, h.id) else {
                     return Some(());
                 };
                 if end.win.inflight.is_empty() || end.closed_remote || end.peer_down {
@@ -880,7 +991,7 @@ impl ChannelHandle {
         }
         api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
         ctx.with(move |w, s| {
-            let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
+            let Some(end) = w.chan_mut(h.node, h.id) else {
                 return; // node crashed; nothing left to close
             };
             if end.closed_local {
@@ -908,7 +1019,7 @@ impl ChannelHandle {
 pub fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let chan = proto::seq_chan(f.seq);
-    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+    let Some(end) = w.chan_mut(node, chan) else {
         // Close may race the open reply; stash like data frames. (A
         // retransmitted close after a crash wiped the end lands here too
         // and is dropped with the orphan list if the end never reappears.)
@@ -958,7 +1069,7 @@ pub fn read_any(
         let now = s.now();
         let mut all_closed = true;
         for (i, h) in hs.iter().enumerate() {
-            let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) else {
+            let Some(end) = w.chan_mut(h.node, h.id) else {
                 // Our node crashed and wiped the channels.
                 if blocked {
                     w.unblock(now, node, BlockReason::Input);
@@ -983,7 +1094,7 @@ pub fn read_any(
             return Some((Err(ChanError::PeerClosed), blocked));
         }
         for h in hs {
-            let end = w.node_mut(h.node).chans.get_mut(&h.id).expect("checked");
+            let end = w.chan_mut(h.node, h.id).expect("checked");
             end.rx_waiters.register(pid);
             if !blocked {
                 end.reader_blocked = true;
@@ -1000,7 +1111,7 @@ pub fn read_any(
         // Clear the blocked marker on the channels that did not fire.
         ctx.with(|w, _| {
             for h in handles {
-                if let Some(end) = w.node_mut(h.node).chans.get_mut(&h.id) {
+                if let Some(end) = w.chan_mut(h.node, h.id) {
                     end.reader_blocked = false;
                 }
             }
@@ -1030,7 +1141,7 @@ fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
     }
     let floor = w.calib.rto_floor_ns;
     let ceil = w.calib.rto_ceil_ns;
-    let Some(end) = w.node(node).chans.get(&chan) else {
+    let Some(end) = w.chan(node, chan) else {
         return fixed;
     };
     let base = end.rtt.rto_ns(floor, ceil).unwrap_or(fixed);
@@ -1048,9 +1159,8 @@ fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
 pub(crate) fn peer_rto_hint(w: &World, node: NodeAddr, peer: NodeAddr) -> Option<u64> {
     let floor = w.calib.rto_floor_ns;
     let ceil = w.calib.rto_ceil_ns;
-    w.node(node)
-        .chans
-        .values()
+    w.chan_ends
+        .of(w.node(node))
         .filter(|end| end.peer == peer)
         .filter_map(|end| end.rtt.rto_ns(floor, ceil))
         .max()
@@ -1065,7 +1175,7 @@ pub(crate) fn peer_rto_hint(w: &World, node: NodeAddr, peer: NodeAddr) -> Option
 /// being copied (`accepting`) or deferred is dropped as a duplicate.
 pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bool) {
     let chan = proto::seq_chan(f.seq);
-    let windowed = match w.node(node).chans.get(&chan) {
+    let windowed = match w.chan(node, chan) {
         Some(end) => end.cfg.window > 1,
         None => w.calib.chan_window > 1,
     };
@@ -1084,7 +1194,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bo
         Defer,
         Accept,
     }
-    let act = match w.node(node).chans.get(&chan) {
+    let act = match w.chan(node, chan) {
         // Open-reply race: the peer learned about the channel before we did.
         None => Act::Orphan,
         Some(end) => {
@@ -1131,9 +1241,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bo
             kernel::send_frame(w, s, busy);
         }
         Act::Defer => {
-            w.node_mut(node)
-                .chans
-                .get_mut(&chan)
+            w.chan_mut(node, chan)
                 .expect("matched just above")
                 .deferred
                 .push_back(f);
@@ -1150,7 +1258,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bo
 /// a duplicate arriving mid-copy is not committed twice.
 fn accept_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bool) {
     let chan = proto::seq_chan(f.seq);
-    if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
+    if let Some(end) = w.chan_mut(node, chan) {
         end.accepting = Some(proto::seq_frag(f.seq));
     }
     let c = w.calib;
@@ -1167,17 +1275,18 @@ fn commit_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last
     let src = f.src;
     let seq = f.seq;
     {
-        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+        let Some(end) = w.chan_mut(node, chan) else {
             return; // the node crashed while the copy charge was in flight
         };
         end.accepting = None;
         end.rx_next_frag = proto::seq_frag(seq) + 1;
-        end.asm.push(f.payload);
         if last {
-            let msg = end.asm.take();
+            let msg = end.asm.finish(f.payload);
             end.rx.push_back(msg);
             end.msgs_rx += 1;
             end.rx_waiters.wake_all(s, Wakeup::START);
+        } else {
+            end.asm.push(f.payload);
         }
     }
     // Kernel-level acknowledgement back to the writer's kernel.
@@ -1191,7 +1300,7 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
     let now_ns = s.now().as_ns();
     let gray = w.faults.gray_armed;
-    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+    let Some(end) = w.chan_mut(node, chan) else {
         return; // crash or close raced the ack
     };
     if end.cfg.window > 1 {
@@ -1221,7 +1330,7 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// stop-and-wait spelling of [`on_wack`]'s zero-credit branch.
 pub fn on_busy(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
-    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+    let Some(end) = w.chan_mut(node, chan) else {
         return;
     };
     if end.cfg.window > 1
@@ -1253,7 +1362,7 @@ fn on_data_windowed(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, las
         DropOverflow,
         Accept,
     }
-    let act = match w.node(node).chans.get(&chan) {
+    let act = match w.chan(node, chan) {
         // Open-reply race: the peer learned about the channel before we did.
         None => Act::Orphan,
         Some(end) => {
@@ -1296,7 +1405,7 @@ fn on_data_windowed(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, las
 /// holds its credit slot.
 fn accept_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bool) {
     let chan = proto::seq_chan(f.seq);
-    if let Some(end) = w.node_mut(node).chans.get_mut(&chan) {
+    if let Some(end) = w.chan_mut(node, chan) {
         end.winrx.copying.insert(proto::seq_frag(f.seq));
     }
     let c = w.calib;
@@ -1315,7 +1424,7 @@ fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
     let chan = proto::seq_chan(f.seq);
     let frag = proto::seq_frag(f.seq);
     {
-        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+        let Some(end) = w.chan_mut(node, chan) else {
             return; // the node crashed while the copy charge was in flight
         };
         if !end.winrx.copying.remove(&frag) {
@@ -1328,14 +1437,15 @@ fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
         while let Some((p, l)) = end.winrx.ready.remove(&end.rx_next_frag) {
             end.rx_next_frag += 1;
             end.winrx.held += 1;
-            end.asm.push(p);
             if l {
-                let frags = end.asm.frags() as u32;
-                let msg = end.asm.take();
+                let frags = end.asm.frags() as u32 + 1;
+                let msg = end.asm.finish(p);
                 end.rx.push_back(msg);
                 end.winrx.rx_frag_counts.push_back(frags);
                 end.msgs_rx += 1;
                 end.rx_waiters.wake_all(s, Wakeup::START);
+            } else {
+                end.asm.push(p);
             }
         }
     }
@@ -1347,7 +1457,7 @@ fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
 /// grant. Advertising zero credit sets `starved` so the next reader-side
 /// release pushes a fresh grant.
 fn send_wack(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
-    let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+    let Some(end) = w.chan_mut(node, chan) else {
         return;
     };
     let cum = end.rx_next_frag - 1;
@@ -1397,7 +1507,7 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let now_ns = s.now().as_ns();
     let gray = w.faults.gray_armed;
     let rearm = {
-        let Some(end) = w.node_mut(node).chans.get_mut(&chan) else {
+        let Some(end) = w.chan_mut(node, chan) else {
             return; // crash or close raced the ack
         };
         if end.cfg.window <= 1 {
@@ -1473,7 +1583,7 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// the end around each `send_frame`, so no frame list is built.
 fn retransmit_inflight(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
     for i in 0.. {
-        let end = w.node_mut(node).chans.get_mut(&chan);
+        let end = w.chan_mut(node, chan);
         let Some(fr) = end.and_then(|end| end.win.inflight.get_mut(i)) else {
             return;
         };
@@ -1496,7 +1606,7 @@ struct TxRetry(u32);
 
 impl Retry for TxRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        let end = w.node_mut(node).chans.get_mut(&self.0)?;
+        let end = w.chan_mut(node, self.0)?;
         (!end.win.inflight.is_empty()).then_some(&mut end.win.chain)
     }
 
@@ -1510,14 +1620,14 @@ impl Retry for TxRetry {
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
         let gray = w.faults.gray_armed;
-        if let Some(end) = w.node_mut(node).chans.get_mut(&self.0).filter(|_| gray) {
+        if let Some(end) = w.chan_mut(node, self.0).filter(|_| gray) {
             end.rto_backoff = (end.rto_backoff + 1).min(retry::MAX_SHIFT);
         }
         retransmit_inflight(w, s, node, self.0);
     }
 
     fn give_up(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
-        let Some(end) = w.node_mut(node).chans.get_mut(&self.0) else {
+        let Some(end) = w.chan_mut(node, self.0) else {
             return;
         };
         let peer = end.peer;
@@ -1535,7 +1645,7 @@ impl Retry for TxRetry {
                 w.faults.stats.overload_rideouts += 1;
             }
             crate::membership::suspect(w, s, node, peer);
-        } else if let Some(end) = w.node_mut(node).chans.get_mut(&self.0) {
+        } else if let Some(end) = w.chan_mut(node, self.0) {
             clear_tx(end);
             end.peer_down = true;
             end.rx_waiters.wake_all(s, Wakeup::START);
@@ -1549,7 +1659,7 @@ impl Retry for TxRetry {
 /// zero, a freed message must push a fresh credit update or the writer stays
 /// stalled forever.
 fn release_win_credit(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
-    let send = match w.node(node).chans.get(&chan) {
+    let send = match w.chan(node, chan) {
         Some(end) => end.winrx.starved && end.win_avail() > 0,
         None => false,
     };
@@ -1561,7 +1671,7 @@ fn release_win_credit(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) 
 /// After a reader frees a side buffer, accept one deferred fragment (and
 /// release its withheld ack).
 fn release_deferred(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
-    let Some(end) = w.node(node).chans.get(&chan) else {
+    let Some(end) = w.chan(node, chan) else {
         return;
     };
     if end.cfg.window > 1 {
@@ -1571,9 +1681,7 @@ fn release_deferred(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
         return;
     }
     let f = w
-        .node_mut(node)
-        .chans
-        .get_mut(&chan)
+        .chan_mut(node, chan)
         .expect("checked")
         .deferred
         .pop_front()
@@ -1782,8 +1890,8 @@ mod tests {
         });
         v.run_all();
         let w = v.world();
-        let end1 = w.nodes[1].chans.values().next().unwrap();
-        let end2 = w.nodes[2].chans.values().next().unwrap();
+        let end1 = w.chan_ends.of(&w.nodes[1]).next().unwrap();
+        let end2 = w.chan_ends.of(&w.nodes[2]).next().unwrap();
         assert_eq!(end1.msgs_tx, 2);
         assert_eq!(end1.msgs_rx, 1);
         assert_eq!(end2.msgs_rx, 2);
@@ -1969,7 +2077,7 @@ pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (id, client, name) = proto::parse_open_rep(&f.payload);
-    if w.node(node).chans.contains_key(&id) {
+    if w.node(node).chans.contains(id) {
         return; // duplicate connect (our first ack was lost)
     }
     if !w.node(node).listeners.contains_key(name) {

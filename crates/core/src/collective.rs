@@ -26,10 +26,9 @@
 //! [`crate::proto::KIND_COLL_NUDGE`]. Channels carry their own reliability,
 //! so the software tree needs none of this.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use desim::{sync::WaitSet, SimDuration, Wakeup};
+use desim::{sync::WaitSet, FixedMap, SimDuration, Wakeup};
 use hpcnet::combine::{self, CombOp};
 use hpcnet::{Dest, Frame, NodeAddr, Payload};
 
@@ -120,23 +119,23 @@ pub struct CollNodeState {
     /// operation it names: `(sequence, attempt)` to start from.
     pub retry_hint: Option<(u32, u8)>,
     /// Root side: per-`(sequence, attempt)` accumulated `(value, count)`.
-    pub accs: HashMap<(u32, u8), (u64, u32)>,
+    pub accs: FixedMap<(u32, u8), (u64, u32)>,
     /// Root side: the in-flight operation this root is collecting.
     pub root_pending: Option<RootPending>,
     /// Root side: recently completed results, kept for `KIND_COLL_NUDGE`
     /// replay. A straggler can lag at most one full operation behind the
     /// root (every op is a full synchronization), so only the last two
     /// sequences are retained.
-    pub done: HashMap<u32, (u64, CombOp, u32)>,
+    pub done: FixedMap<u32, (u64, CombOp, u32)>,
     /// All-to-all: the in-flight gather on this node.
     pub a2a: Option<A2aPending>,
     /// All-to-all: own `(sequence → value)` contributions, kept for
     /// `KIND_COLL_A2A_REQ` replay (last two sequences, same bound as
     /// `done`).
-    pub a2a_sent: HashMap<u32, u64>,
+    pub a2a_sent: FixedMap<u32, u64>,
     /// All-to-all values that arrived before this node entered the
     /// operation, keyed by sequence.
-    pub a2a_early: HashMap<u32, Vec<(u32, u64)>>,
+    pub a2a_early: FixedMap<u32, Vec<(u32, u64)>>,
 }
 
 /// A member's in-flight contribution awaiting its result.

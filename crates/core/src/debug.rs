@@ -10,9 +10,9 @@
 //! lives in `vorx-tools::vdb`; this module is the part the "kernel" owns —
 //! exactly how the real vdb worked against kernel-held process state.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
-use desim::{sync::WaitSet, ProcId, Wakeup};
+use desim::{sync::WaitSet, FixedSet, ProcId, Wakeup};
 use hpcnet::NodeAddr;
 
 use crate::world::{VCtx, World};
@@ -29,7 +29,7 @@ pub struct DbgProc {
     /// Published "local variables" (symbol -> rendered value).
     pub vars: BTreeMap<String, String>,
     /// Armed breakpoint labels.
-    pub breaks: HashSet<String>,
+    pub breaks: FixedSet<String>,
     /// Stop at the next breakpoint regardless of label (attach-and-stop).
     pub stop_requested: bool,
     /// Currently stopped at a breakpoint: `(label, wait set)`.
@@ -70,7 +70,7 @@ pub fn register_process(ctx: &VCtx, node: NodeAddr, name: &str) -> usize {
             name,
             node,
             vars: BTreeMap::new(),
-            breaks: HashSet::new(),
+            breaks: FixedSet::default(),
             stop_requested: false,
             stopped_at: None,
             cont_waiters: WaitSet::new(),

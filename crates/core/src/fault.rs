@@ -123,11 +123,11 @@ pub struct FaultState {
     pub(crate) track_latency: bool,
     /// Flap damping: recent down timestamps per link, pruned to
     /// `flap_window_ns`. Keyed lookups only — never iterated.
-    flap_history: std::collections::HashMap<u32, std::collections::VecDeque<u64>>,
+    flap_history: desim::FixedMap<u32, std::collections::VecDeque<u64>>,
     /// Links currently held down by the damper, with the suppress epoch
     /// owning the pending reinstate timer (each new transition while held
     /// bumps the epoch, extending the hold).
-    flap_held: std::collections::HashMap<u32, u64>,
+    flap_held: desim::FixedMap<u32, u64>,
 }
 
 impl FaultState {
@@ -140,8 +140,8 @@ impl FaultState {
             stats: FaultStats::default(),
             gray_armed,
             track_latency,
-            flap_history: std::collections::HashMap::new(),
-            flap_held: std::collections::HashMap::new(),
+            flap_history: Default::default(),
+            flap_held: Default::default(),
         }
     }
 
@@ -230,8 +230,10 @@ pub fn reliable_send_with_timeout(
 ) {
     let from = frame.src;
     let key = frame.seq;
-    w.node_mut(from).ctl_unacked.insert(
-        key,
+    // The entry is the sender's kernel state: materialize its node.
+    w.node_mut(from);
+    w.ctl_unacked.insert(
+        (from, key),
         CtlPending {
             frame: frame.clone(),
             base_timeout_ns,
@@ -247,11 +249,11 @@ struct CtlRetry(u64);
 
 impl Retry for CtlRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        Some(&mut w.node_mut(node).ctl_unacked.get_mut(&self.0)?.chain)
+        Some(&mut w.ctl_unacked.get_mut(&(node, self.0))?.chain)
     }
 
     fn base_ns(&self, w: &World, node: NodeAddr) -> u64 {
-        let p = w.node(node).ctl_unacked.get(&self.0);
+        let p = w.ctl_unacked.get(&(node, self.0));
         p.map_or(w.calib.ctl_timeout_ns, |p| p.base_timeout_ns)
     }
 
@@ -260,7 +262,7 @@ impl Retry for CtlRetry {
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
-        if let Some(p) = w.node(node).ctl_unacked.get(&self.0) {
+        if let Some(p) = w.ctl_unacked.get(&(node, self.0)) {
             let f = p.frame.clone();
             w.faults.stats.retransmits += 1;
             kernel::send_frame(w, s, f);
@@ -272,7 +274,7 @@ impl Retry for CtlRetry {
     /// heartbeat beacon *is* that recovery — its exhaustion is the
     /// membership layer's unreachability verdict.
     fn give_up(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
-        let Some(p) = w.node_mut(node).ctl_unacked.remove(&self.0) else {
+        let Some(p) = w.take_ctl_unacked(node, self.0) else {
             return;
         };
         if let (proto::KIND_HEARTBEAT, hpcnet::Dest::Unicast(peer)) = (p.frame.kind, &p.frame.dst) {
@@ -299,7 +301,7 @@ pub fn ack_ctl(w: &mut World, s: &mut VSched, node: NodeAddr, f: &Frame) {
 /// acked heartbeat beacon is the membership layer's reachability evidence.
 pub fn on_ctl_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     // Dropping the entry disarms its chain.
-    if let Some(p) = w.node_mut(node).ctl_unacked.remove(&f.seq) {
+    if let Some(p) = w.take_ctl_unacked(node, f.seq) {
         if p.frame.kind == proto::KIND_HEARTBEAT {
             if let hpcnet::Dest::Unicast(peer) = p.frame.dst {
                 crate::membership::on_probe_ack(w, s, node, peer, p.chain.attempts);
@@ -334,9 +336,8 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     });
 
     // Wipe the node's kernel state cold, keeping the wait sets we must wake.
-    // Iteration is over *sorted* keys everywhere: HashMap order is random
-    // per process, and wake order feeds the event order that the
-    // determinism guarantee rests on.
+    // Wakes go in channel-id order: wake order feeds the event order that
+    // the determinism guarantee rests on.
     let n = w.node_mut(node);
     n.up = false;
     n.rx_in_service = false;
@@ -346,8 +347,6 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     // Wiping an entry drops its retry chain, which disarms the chain's
     // timer: a dead node's timeouts must not keep ticking (they would be
     // no-ops, but no-op events still drag the simulated clock forward).
-    n.ctl_unacked.clear();
-    n.open_waits.clear();
     n.listeners.clear();
     n.syscall_waits.clear();
     n.mgr = Default::default();
@@ -361,12 +360,9 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     n.mcast.clear();
     n.mcast_pending.clear();
     n.coll.clear();
-    let mut chans = std::mem::take(&mut n.chans);
-    let mut ids: Vec<u32> = chans.keys().copied().collect();
-    ids.sort_unstable();
-    for id in ids {
-        let end = chans.get_mut(&id).expect("key from this map");
-        crate::channel::clear_tx(end);
+    w.wipe_handshakes(node);
+    for mut end in w.take_chans(node) {
+        crate::channel::clear_tx(&mut end);
         end.rx_waiters.wake_all(s, Wakeup::START);
         end.tx_wait.wake_all(s, Wakeup::START);
     }
@@ -391,16 +387,8 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
         if i == node.0 as usize {
             continue;
         }
-        let mut peered: Vec<u32> = other
-            .chans
-            .iter()
-            .filter(|(_, e)| e.peer == node)
-            .map(|(id, _)| *id)
-            .collect();
-        peered.sort_unstable();
-        for id in peered {
-            hits.push((i as u32, id));
-        }
+        let peered = w.chan_ends.of(other).filter(|e| e.peer == node);
+        hits.extend(peered.map(|e| (i as u32, e.id)));
     }
     // Manager entries backed by the dead node are snapshotted the same way:
     // eviction only removes what was stale *at crash time*. If the node
@@ -426,7 +414,7 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     }
     s.schedule_in(SimDuration::from_ns(detect), move |w: &mut World, s| {
         for &(ni, id) in &hits {
-            let Some(end) = w.node_mut(NodeAddr(ni)).chans.get_mut(&id) else {
+            let Some(end) = w.chan_mut(NodeAddr(ni), id) else {
                 continue;
             };
             if end.peer_down {
@@ -482,21 +470,17 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
     // before the crash are still parked (their retransmit chains stopped at
     // the KIND_OPEN_QUEUED ack). The manager's queue died with it, so those
     // requests restart from scratch.
-    for i in 0..w.nodes.len() {
-        let ni = NodeAddr(i as u32);
-        let mut tokens: Vec<u64> = w
-            .node(ni)
-            .open_waits
-            .iter()
-            .filter(
-                |(_, o)| matches!(o, crate::world::OpenResult::Pending { mgr, .. } if *mgr == node),
-            )
-            .map(|(t, _)| *t)
-            .collect();
-        tokens.sort_unstable();
-        for t in tokens {
-            crate::objmgr::resend_open(w, s, ni, t);
-        }
+    let mut opens: Vec<(NodeAddr, u64)> = w
+        .open_waits
+        .iter()
+        .filter(|(_, (_, o))| {
+            matches!(o, crate::world::OpenResult::Pending { mgr, .. } if *mgr == node)
+        })
+        .map(|(&t, &(a, _))| (a, t))
+        .collect();
+    opens.sort_unstable();
+    for (a, t) in opens {
+        crate::objmgr::resend_open(w, s, a, t);
     }
 }
 

@@ -16,7 +16,7 @@
 //!   download and start 70 processes") — at the cost of serialized blocking
 //!   system calls and a shared 32-descriptor table.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use desim::{SimDuration, Wakeup};
@@ -151,7 +151,7 @@ pub struct Host {
     /// Stubs running on this host.
     pub stubs: Vec<Stub>,
     /// Which stub serves each node process.
-    pub stub_by_node: HashMap<u32, usize>,
+    pub stub_by_node: desim::FixedMap<u32, usize>,
     /// Per-stub descriptor limit (SunOS: 32).
     pub fd_limit: usize,
     /// Lazily created shared stub used by the decentralized syscall scheme
@@ -166,7 +166,7 @@ impl Host {
             id,
             node,
             stubs: Vec::new(),
-            stub_by_node: HashMap::new(),
+            stub_by_node: Default::default(),
             fd_limit: calib.stub_fd_limit,
             service_stub: None,
         }

@@ -92,7 +92,7 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
             let entries = n.mgr.servers.iter().map(|(k, v)| (k.clone(), v.0));
             servers.push((a.0, entries.collect()));
         }
-        let b = accounting::node_mem_bytes(n);
+        let b = accounting::node_mem_bytes(w, n);
         mem_max = b.max(mem_max);
         mem_total += b;
         mem_idle += usize::from(b == baseline);

@@ -163,16 +163,8 @@ pub(crate) fn mark_partitioned(w: &mut World, s: &mut VSched, node: NodeAddr, pe
         return;
     }
     w.faults.stats.partitions += 1;
-    let mut ids: Vec<u32> = w
-        .node(node)
-        .chans
-        .iter()
-        .filter(|(_, e)| e.peer == peer && !e.peer_down && !e.partitioned)
-        .map(|(id, _)| *id)
-        .collect();
-    ids.sort_unstable();
-    for id in ids {
-        let Some(end) = w.node_mut(node).chans.get_mut(&id) else {
+    for id in w.chans_peered(node, peer, |e| !e.peer_down && !e.partitioned) {
+        let Some(end) = w.chan_mut(node, id) else {
             continue;
         };
         end.partitioned = true;

@@ -35,7 +35,7 @@ use crate::world::{VCtx, VSched, World};
 #[derive(Debug, Default)]
 pub struct McastEnd {
     /// Per-sender reassembly of fragmented multicast writes.
-    pub asm: std::collections::HashMap<u32, crate::channel::PayloadAsm>,
+    pub asm: desim::FixedMap<u32, crate::channel::PayloadAsm>,
     /// Delivered messages awaiting [`mread`].
     pub rx: VecDeque<(NodeAddr, Payload)>,
     /// Processes blocked in [`mread`].

@@ -15,9 +15,9 @@
 //! in either mode; only the load distribution differs — which is exactly
 //! what the E-OPEN experiment measures.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use desim::{SimDuration, Wakeup};
+use desim::{FixedMap, FixedSet, SimDuration, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload};
 
 use crate::channel;
@@ -42,9 +42,9 @@ pub enum ObjMgrMode {
 #[derive(Debug, Default)]
 pub struct MgrState {
     /// Unmatched open requests by name: `(requester, token)`.
-    pub pending: HashMap<String, VecDeque<(NodeAddr, u64)>>,
+    pub pending: FixedMap<String, VecDeque<(NodeAddr, u64)>>,
     /// Registered server names (§4 name reuse): name -> server node.
-    pub servers: HashMap<String, NodeAddr>,
+    pub servers: FixedMap<String, NodeAddr>,
     /// Requests this manager has served (load statistics for E-OPEN).
     pub served: u64,
     /// Open requests already seen, by `(requester, token)`: a retransmitted
@@ -57,7 +57,7 @@ pub struct MgrState {
     /// arrive within a few timeouts of the original, so the window only
     /// needs to cover requests still in flight — a manager that served
     /// millions of opens must not hold memory for all of them.
-    pub seen: HashSet<(u32, u64)>,
+    pub seen: FixedSet<(u32, u64)>,
     /// FIFO eviction order for `seen`.
     pub seen_order: VecDeque<(u32, u64)>,
 }
@@ -119,7 +119,7 @@ pub fn manager_for(w: &World, name: &str) -> NodeAddr {
 /// manager address is evicted on lookup instead.
 #[derive(Debug, Default)]
 pub struct ResolveCache {
-    entries: HashMap<String, (u64, NodeAddr)>,
+    entries: FixedMap<String, (u64, NodeAddr)>,
     /// Lookups served from the cache.
     pub hits: u64,
     /// Entries dropped because the failover/heal epoch moved past them.
@@ -265,7 +265,7 @@ fn try_failover(
     if old_mgr != manager_for(w, name) || succ == old_mgr {
         return false;
     }
-    match w.node_mut(node).open_waits.get_mut(&token) {
+    match w.open_wait_mut(node, token) {
         Some(OpenResult::Pending {
             mgr, queued, chain, ..
         }) => {
@@ -288,22 +288,20 @@ fn try_failover(
 /// [`crate::VorxError::Unreachable`].
 pub(crate) fn failover_opens(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
     let mut toks: Vec<(u64, proto::ObjKind, String)> = w
-        .node(node)
         .open_waits
         .iter()
-        .filter_map(|(t, o)| match o {
+        .filter_map(|(t, (a, o))| match o {
             OpenResult::Pending {
                 mgr, kind, name, ..
-            } if *mgr == peer => Some((*t, *kind, name.clone())),
+            } if *a == node && *mgr == peer => Some((*t, *kind, name.clone())),
             _ => None,
         })
         .collect();
     toks.sort_by_key(|e| e.0);
     for (token, kind, name) in toks {
         if !try_failover(w, s, node, token, peer, kind, &name) {
-            w.node_mut(node)
-                .open_waits
-                .insert(token, OpenResult::Failed(crate::VorxError::Unreachable));
+            let failed = OpenResult::Failed(crate::VorxError::Unreachable);
+            w.set_open_wait(node, token, failed);
             w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
         }
     }
@@ -544,7 +542,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
 pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let token = f.seq;
-    match w.node_mut(node).open_waits.get_mut(&token) {
+    match w.open_wait_mut(node, token) {
         Some(OpenResult::Pending { chain, .. }) => {
             // A reply can beat the OPEN_QUEUED ack; disarm the request's
             // retransmit chain either way.
@@ -565,7 +563,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // (both ends of a same-node channel share one kernel, so the
             // second reply is a no-op at the kernel level but still
             // resolves its own token).
-            if !w.node(node).chans.contains_key(&id) {
+            if !w.node(node).chans.contains(id) {
                 channel::create_end(w, s, node, id, name.to_string(), peer);
             }
         }
@@ -574,9 +572,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // assigned tag is known (receive discipline is a local choice).
         }
     }
-    w.node_mut(node)
-        .open_waits
-        .insert(token, OpenResult::Done(id, peer));
+    w.set_open_wait(node, token, OpenResult::Done(id, peer));
     w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
 }
 
@@ -587,15 +583,13 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 pub fn on_open_nack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let token = f.seq;
-    match w.node_mut(node).open_waits.get_mut(&token) {
+    match w.open_wait_mut(node, token) {
         Some(OpenResult::Pending { chain, .. }) => chain.disarm(),
         // Duplicate NACK (our first ack was lost), or a crash wiped the open.
         _ => return,
     }
-    w.node_mut(node).open_waits.insert(
-        token,
-        OpenResult::Failed(crate::VorxError::ResourceExhausted),
-    );
+    let failed = OpenResult::Failed(crate::VorxError::ResourceExhausted);
+    w.set_open_wait(node, token, failed);
     w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
 }
 
@@ -603,9 +597,7 @@ pub fn on_open_nack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// stop the request's retransmit chain. (Loss of this frame is healed by
 /// the next retransmission; the manager re-acks duplicates.)
 pub fn on_open_queued(w: &mut World, _s: &mut VSched, node: NodeAddr, f: Frame) {
-    if let Some(OpenResult::Pending { queued, chain, .. }) =
-        w.node_mut(node).open_waits.get_mut(&f.seq)
-    {
+    if let Some(OpenResult::Pending { queued, chain, .. }) = w.open_wait_mut(node, f.seq) {
         *queued = true;
         chain.disarm();
     }
@@ -631,7 +623,7 @@ struct OpenRetry(u64);
 impl OpenRetry {
     /// Where the pending request goes and what it asks for.
     fn request(&self, w: &World, node: NodeAddr) -> Option<(NodeAddr, proto::ObjKind, String)> {
-        match w.node(node).open_waits.get(&self.0) {
+        match w.open_wait(node, self.0) {
             Some(OpenResult::Pending {
                 mgr, name, kind, ..
             }) => Some((*mgr, *kind, name.clone())),
@@ -642,7 +634,7 @@ impl OpenRetry {
 
 impl Retry for OpenRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        match w.node_mut(node).open_waits.get_mut(&self.0) {
+        match w.open_wait_mut(node, self.0) {
             Some(OpenResult::Pending {
                 queued: false,
                 chain,
@@ -675,7 +667,7 @@ impl Retry for OpenRetry {
         };
         if !try_failover(w, s, node, self.0, mgr, kind, &name) {
             let failed = OpenResult::Failed(crate::VorxError::Unreachable);
-            w.node_mut(node).open_waits.insert(self.0, failed);
+            w.set_open_wait(node, self.0, failed);
             w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
         }
     }
@@ -685,7 +677,7 @@ impl Retry for OpenRetry {
 /// queued it crashed, taking the queue with it). Called from
 /// [`crate::fault::on_restart`].
 pub(crate) fn resend_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: u64) {
-    let info = match w.node_mut(node).open_waits.get_mut(&token) {
+    let info = match w.open_wait_mut(node, token) {
         Some(OpenResult::Pending {
             mgr,
             name,
@@ -731,30 +723,28 @@ pub fn rendezvous(
         let token = w.token();
         // Packed before the pending entry takes the name over.
         let req = open_req(node, mgr, kind, &name_owned, token);
-        w.node_mut(node).open_waits.insert(
-            token,
-            OpenResult::Pending {
-                mgr,
-                name: name_owned,
-                kind,
-                queued: false,
-                chain: Chain::default(),
-            },
-        );
+        let pending = OpenResult::Pending {
+            mgr,
+            name: name_owned,
+            kind,
+            queued: false,
+            chain: Chain::default(),
+        };
+        w.set_open_wait(node, token, pending);
         kernel::send_frame(w, s, req);
         retry::arm(w, s, node, OpenRetry(token));
         Ok(token)
     })?;
     let pid = ctx.pid();
-    ctx.wait_until(move |w, _| match w.node(node).open_waits.get(&token) {
+    ctx.wait_until(move |w, _| match w.open_wait(node, token) {
         Some(OpenResult::Done(id, peer)) => {
             let (id, peer) = (*id, *peer);
-            w.node_mut(node).open_waits.remove(&token);
+            w.take_open_wait(node, token);
             Some(Ok((id, peer)))
         }
         Some(OpenResult::Failed(e)) => {
             let e = *e;
-            w.node_mut(node).open_waits.remove(&token);
+            w.take_open_wait(node, token);
             Some(Err(e))
         }
         Some(OpenResult::Pending { .. }) => {
@@ -849,7 +839,7 @@ mod tests {
     fn distributed_mode_spreads_managers() {
         let v = VorxBuilder::single_cluster(8).build();
         let w = v.world();
-        let mgrs: std::collections::HashSet<u32> = (0..50)
+        let mgrs: FixedSet<u32> = (0..50)
             .map(|i| manager_for(&w, &format!("chan-{i}")).0)
             .collect();
         assert!(

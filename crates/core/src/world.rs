@@ -1,15 +1,14 @@
 //! The simulated world: the fabric, every node's kernel state, the hosts,
 //! the resource managers, and the measurement trace.
 
-use std::collections::HashMap;
-
-use desim::{sync::WaitSet, Ctx, Scheduler, SimDuration, SimTime, Simulation, Trace};
+use desim::{sync::WaitSet, Ctx, FixedMap, Scheduler, SimDuration, SimTime, Simulation, Trace};
 use hpcnet::{ClusterId, Fabric, Frame, NetConfig, NodeAddr, Topology};
 
 use crate::alloc::Allocator;
 use crate::calib::Calibration;
-use crate::channel::ChanEnd;
+use crate::channel::{ChanIndex, ChanSlab};
 use crate::cpu::{BlockReason, Cpu, CpuCat, TraceEvent};
+use crate::fault::CtlPending;
 use crate::host::Host;
 use crate::objmgr::{MgrState, ObjMgrMode};
 use crate::udco::Udco;
@@ -45,6 +44,10 @@ pub enum OpenResult {
     Failed(crate::VorxError),
 }
 
+/// Entries an emptied handshake table may keep room for
+/// ([`World::end_handshake`]).
+const HANDSHAKE_KEEP: usize = 16;
+
 /// Per-node kernel state.
 pub struct Node {
     /// This node's fabric address.
@@ -54,9 +57,6 @@ pub struct Node {
     pub up: bool,
     /// Processes parked in [`crate::fault::wait_until_up`] for this node.
     pub up_waiters: WaitSet,
-    /// Reliably-delivered control frames awaiting their `KIND_CTL_ACK`,
-    /// keyed by the control frame's `seq`.
-    pub ctl_unacked: HashMap<u64, crate::fault::CtlPending>,
     /// The node's CPU.
     pub cpu: Cpu,
     /// Kernel frames waiting for the hardware output register.
@@ -65,20 +65,19 @@ pub struct Node {
     pub tx_waiters: WaitSet,
     /// The kernel receive-service loop is active.
     pub rx_in_service: bool,
-    /// Channel ends on this node, by channel id.
-    pub chans: HashMap<u32, ChanEnd>,
-    /// In-flight opens issued from this node, by token.
-    pub open_waits: HashMap<u64, OpenResult>,
+    /// Channel ends on this node: their slots in [`World::chan_ends`], by
+    /// channel id ([`World::chan`] reads one).
+    pub chans: ChanIndex,
     /// Processes blocked in `open`.
     pub open_waiters: WaitSet,
     /// User-defined communications objects on this node, by tag.
-    pub udcos: HashMap<u16, Udco>,
+    pub udcos: FixedMap<u16, Udco>,
     /// In-flight forwarded syscalls from this node, by token.
-    pub syscall_waits: HashMap<u64, Option<crate::host::SyscallRet>>,
+    pub syscall_waits: FixedMap<u64, Option<crate::host::SyscallRet>>,
     /// Processes blocked in `syscall`.
     pub syscall_waiters: WaitSet,
     /// Listening server names on this node (§4 name reuse).
-    pub listeners: HashMap<String, crate::channel::ListenState>,
+    pub listeners: FixedMap<String, crate::channel::ListenState>,
     /// Object-manager role state (every node can serve opens).
     pub mgr: MgrState,
     /// Epoch-guarded cache of name → serving-manager resolutions.
@@ -89,15 +88,21 @@ pub struct Node {
     /// Subprocess scheduler state (§5).
     pub sched: crate::sched::SchedState,
     /// Multicast group receiver ends (§4.2).
-    pub mcast: HashMap<u16, crate::multicast::McastEnd>,
+    pub mcast: FixedMap<u16, crate::multicast::McastEnd>,
     /// Outstanding multicast writes from this node, by sequence token.
-    pub mcast_pending: HashMap<u64, crate::multicast::McastPending>,
+    pub mcast_pending: FixedMap<u64, crate::multicast::McastPending>,
     /// Data frames that arrived before their channel end existed (the
     /// open-reply race); re-dispatched when the channel is created.
     pub orphans: Vec<hpcnet::Frame>,
     /// Collective protocol state per group (DESIGN.md §16).
-    pub coll: HashMap<u32, crate::collective::CollNodeState>,
+    pub coll: FixedMap<u32, crate::collective::CollNodeState>,
 }
+
+// What a materialized node costs before its tables hold anything: 776
+// bytes. It was 1,056 with a `RandomState` in each of its thirteen maps and
+// its channel ends, open waits and unacknowledged control frames in maps of
+// its own.
+const _: () = assert!(size_of::<Node>() <= 776);
 
 impl Node {
     fn new(addr: NodeAddr) -> Self {
@@ -105,26 +110,24 @@ impl Node {
             addr,
             up: true,
             up_waiters: WaitSet::new(),
-            ctl_unacked: HashMap::new(),
             cpu: Cpu::new(),
             tx_q: Default::default(),
             tx_waiters: WaitSet::new(),
             rx_in_service: false,
-            chans: HashMap::new(),
-            open_waits: HashMap::new(),
+            chans: ChanIndex::default(),
             open_waiters: WaitSet::new(),
-            syscall_waits: HashMap::new(),
+            syscall_waits: FixedMap::default(),
             syscall_waiters: WaitSet::new(),
-            udcos: HashMap::new(),
-            listeners: HashMap::new(),
+            udcos: FixedMap::default(),
+            listeners: FixedMap::default(),
             mgr: MgrState::default(),
             resolve: crate::objmgr::ResolveCache::default(),
             mbr: crate::membership::MbrState::default(),
             sched: crate::sched::SchedState::default(),
-            mcast: HashMap::new(),
-            mcast_pending: HashMap::new(),
+            mcast: FixedMap::default(),
+            mcast_pending: FixedMap::default(),
             orphans: Vec::new(),
-            coll: HashMap::new(),
+            coll: FixedMap::default(),
         }
     }
 }
@@ -303,6 +306,14 @@ pub struct World {
     pub net: Fabric,
     /// Kernel state per endpoint, materialized on first touch.
     pub nodes: NodeTable,
+    /// Every node's channel ends; a node's [`Node::chans`] names its own.
+    pub chan_ends: ChanSlab,
+    /// In-flight opens, by token (tokens are world-unique): the issuing
+    /// node and the open's state. Freed when a burst of opens drains it.
+    pub open_waits: FixedMap<u64, (NodeAddr, OpenResult)>,
+    /// Reliably-delivered control frames awaiting their `KIND_CTL_ACK`, by
+    /// sending node and the frame's `seq`. Freed when a burst drains it.
+    pub ctl_unacked: FixedMap<(NodeAddr, u64), CtlPending>,
     /// Object-manager configuration.
     pub objmgr_mode: ObjMgrMode,
     /// Processor allocator (§3.1).
@@ -322,7 +333,7 @@ pub struct World {
     /// Next open token / generic correlation id.
     pub next_token: u64,
     /// Registered collective groups, by group id (DESIGN.md §16).
-    pub coll_groups: HashMap<u32, crate::collective::Group>,
+    pub coll_groups: FixedMap<u32, crate::collective::Group>,
     /// Sharded-engine bridge state; inert defaults in sequential builds.
     pub shard: ShardCtx,
     /// Emptied fabric outputs awaiting reuse (see
@@ -340,6 +351,61 @@ impl World {
     /// the idle template (up, empty tables) without materializing.
     pub fn node(&self, a: NodeAddr) -> &Node {
         self.nodes.get(a.0 as usize)
+    }
+
+    /// Node `a`'s in-flight open `token`.
+    pub(crate) fn open_wait(&self, a: NodeAddr, token: u64) -> Option<&OpenResult> {
+        let (n, r) = self.open_waits.get(&token)?;
+        (*n == a).then_some(r)
+    }
+
+    /// Mutable [`World::open_wait`].
+    pub(crate) fn open_wait_mut(&mut self, a: NodeAddr, token: u64) -> Option<&mut OpenResult> {
+        let (n, r) = self.open_waits.get_mut(&token)?;
+        (*n == a).then_some(r)
+    }
+
+    /// Record `r` as the state of node `a`'s open `token` (materializes
+    /// `a`).
+    pub(crate) fn set_open_wait(&mut self, a: NodeAddr, token: u64, r: OpenResult) {
+        self.node_mut(a);
+        self.open_waits.insert(token, (a, r));
+    }
+
+    /// Take node `a`'s open `token` off the table.
+    pub(crate) fn take_open_wait(&mut self, a: NodeAddr, token: u64) -> Option<OpenResult> {
+        self.open_wait(a, token)?;
+        let (_, r) = self.open_waits.remove(&token)?;
+        Self::end_handshake(&mut self.open_waits);
+        Some(r)
+    }
+
+    /// Node `a`'s control frame `seq` is answered or abandoned: take it off
+    /// the table.
+    pub(crate) fn take_ctl_unacked(&mut self, a: NodeAddr, seq: u64) -> Option<CtlPending> {
+        let p = self.ctl_unacked.remove(&(a, seq))?;
+        Self::end_handshake(&mut self.ctl_unacked);
+        Some(p)
+    }
+
+    /// Drop node `a`'s in-flight opens and unacknowledged control frames
+    /// (a crash wipe), disarming their retry chains.
+    pub(crate) fn wipe_handshakes(&mut self, a: NodeAddr) {
+        self.open_waits.retain(|_, (n, _)| *n != a);
+        self.ctl_unacked.retain(|(n, _), _| *n != a);
+        Self::end_handshake(&mut self.open_waits);
+        Self::end_handshake(&mut self.ctl_unacked);
+    }
+
+    /// Free a handshake table that has emptied. A burst of opens grows
+    /// `open_waits` and `ctl_unacked` to one entry per open in flight and
+    /// then leaves them empty for the rest of the run. A table with room
+    /// for at most [`HANDSHAKE_KEEP`] entries stays: it is cheaper kept
+    /// than built again by the next open.
+    fn end_handshake<K, V>(table: &mut FixedMap<K, V>) {
+        if table.is_empty() && table.capacity() > HANDSHAKE_KEEP {
+            *table = FixedMap::default();
+        }
     }
 
     /// Allocate a fresh correlation token. Sharded builds stride by the
@@ -475,7 +541,10 @@ impl WorldCfg {
             faults: crate::fault::FaultState::new(schedule),
             next_chan: 1 + k as u32,
             next_token: k,
-            coll_groups: HashMap::new(),
+            coll_groups: FixedMap::default(),
+            chan_ends: ChanSlab::default(),
+            open_waits: FixedMap::default(),
+            ctl_unacked: FixedMap::default(),
             shard,
             net_outputs: Vec::new(),
         }

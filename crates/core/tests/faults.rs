@@ -71,7 +71,7 @@ fn degraded_but_live_peer_is_not_declared_partitioned() {
     });
     v.run_all();
     let w = v.world();
-    let writer_end = w.nodes[1].chans.values().next().expect("writer end");
+    let writer_end = w.chan_ends.of(&w.nodes[1]).next().expect("writer end");
     assert!(
         writer_end.rtt.samples() > 0,
         "the moderate phase must feed the Jacobson estimator"

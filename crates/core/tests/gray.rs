@@ -152,7 +152,7 @@ fn run_once(workers: usize) -> (String, u64, u64, u64) {
     let samples = v.sum_over_shards(|w| {
         w.nodes
             .iter()
-            .flat_map(|n| n.chans.values())
+            .flat_map(|n| w.chan_ends.of(n))
             .map(|e| e.rtt.samples())
             .sum()
     });

@@ -9,8 +9,9 @@
 //! the same seed inject byte-identical fault streams and traces replay
 //! bit-identically.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
+use crate::hash::FixedMap;
 use crate::rng::{SmallRng, SplitMix64};
 use crate::time::SimTime;
 
@@ -193,18 +194,18 @@ pub struct FaultSchedule {
     rng: SmallRng,
     events: Vec<FaultEvent>,
     default_link: LinkFaults,
-    per_link: HashMap<u32, LinkFaults>,
+    per_link: FixedMap<u32, LinkFaults>,
     /// `link -> sorted arrival ordinals (1-based) to drop`, consulted before
     /// any probabilistic draw.
-    scripted_drops: HashMap<u32, Vec<u64>>,
+    scripted_drops: FixedMap<u32, Vec<u64>>,
     /// Messages seen so far per link (drives the scripted table).
-    arrivals: HashMap<u32, u64>,
+    arrivals: FixedMap<u32, u64>,
     /// `link -> queued degrade profiles`, consumed in timeline order by
     /// [`FaultSchedule::apply_degrade`].
-    degrades: HashMap<u32, VecDeque<LinkFaults>>,
+    degrades: FixedMap<u32, VecDeque<LinkFaults>>,
     /// `cluster -> queued byte budgets`, consumed in timeline order by
     /// [`FaultSchedule::apply_squeeze`].
-    squeezes: HashMap<u32, VecDeque<u64>>,
+    squeezes: FixedMap<u32, VecDeque<u64>>,
     /// Traffic-amplification windows `(start_ns, end_ns, factor)`: a pure
     /// function of sim time consulted by load generators, so overload bursts
     /// replay bit-identically without touching the RNG.
@@ -226,11 +227,11 @@ impl FaultSchedule {
             rng: SmallRng::seed_from_u64(seed),
             events: Vec::new(),
             default_link: LinkFaults::NONE,
-            per_link: HashMap::new(),
-            scripted_drops: HashMap::new(),
-            arrivals: HashMap::new(),
-            degrades: HashMap::new(),
-            squeezes: HashMap::new(),
+            per_link: FixedMap::default(),
+            scripted_drops: FixedMap::default(),
+            arrivals: FixedMap::default(),
+            degrades: FixedMap::default(),
+            squeezes: FixedMap::default(),
             bursts: Vec::new(),
             lat_windows: Vec::new(),
             gray_seed: seed,

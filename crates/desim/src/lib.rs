@@ -22,6 +22,7 @@
 //!   under it.
 //! * [`rng`] — the one seeded PRNG every simulated stream draws from.
 //! * [`lock`] — the one way the workspace takes a `std::sync::Mutex`.
+//! * [`hash`] — the one hasher every hash map in the workspace uses.
 //!
 //! ## Determinism
 //!
@@ -67,6 +68,7 @@ mod sim;
 mod time;
 
 pub mod fault;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod shard;
@@ -75,6 +77,7 @@ pub mod sync;
 pub mod trace;
 
 pub use fault::{Disposition, FaultAction, FaultEvent, FaultSchedule, LinkFaults, LinkStats};
+pub use hash::{FixedMap, FixedSet, FixedState};
 pub use shard::{host_cpus, OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSim};
 pub use sim::{
     Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup, WorldGuard,

@@ -7,9 +7,10 @@
 //! campaigns, and tests; its loop is `desim`'s event queue. VORX puts simulated
 //! kernel software here, which charges CPU time per action.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use desim::queue::EventQueue;
+use desim::FixedMap;
 
 use crate::fabric::{Fabric, FaultHook, NetEvent, Notify, Output};
 use crate::frame::{Frame, NodeAddr};
@@ -34,7 +35,7 @@ pub struct StandaloneNet {
     pub delivered: Vec<(u64, NodeAddr, Frame)>,
     /// The clock, and the actions still to fire.
     queue: EventQueue<Action>,
-    waiting_tx: HashMap<NodeAddr, VecDeque<Frame>>,
+    waiting_tx: FixedMap<NodeAddr, VecDeque<Frame>>,
     /// Frames discarded from `waiting_tx`: newest-first overflow past
     /// [`WAITING_TX_CAP`], plus everything purged when the queue's endpoint
     /// crashed.
@@ -54,7 +55,7 @@ impl StandaloneNet {
             fabric,
             delivered: Vec::new(),
             queue: EventQueue::default(),
-            waiting_tx: HashMap::new(),
+            waiting_tx: FixedMap::default(),
             waiting_dropped: 0,
             faults: None,
             work: Vec::new(),

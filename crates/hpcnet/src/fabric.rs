@@ -43,10 +43,12 @@
 //! untouched link costs one 4-byte slot, so a fabric pays for the part of
 //! the machine its traffic reaches, not for the machine.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
+
+use desim::FixedMap;
 
 use crate::config::{NetConfig, PORTS_PER_CLUSTER};
 use crate::frame::{Dest, Frame, FrameError, NodeAddr};
@@ -483,9 +485,9 @@ pub struct Fabric {
 /// See `combine` module docs and DESIGN.md §16.
 struct Comb {
     /// Registered groups by id.
-    groups: HashMap<u32, CombGroup>,
+    groups: FixedMap<u32, CombGroup>,
     /// Live partial combines keyed by `(cluster, frame.seq)`.
-    entries: HashMap<(u32, u64), CombEntry>,
+    entries: FixedMap<(u32, u64), CombEntry>,
 }
 
 /// One registered collective group, as the switches see it.
@@ -1164,8 +1166,8 @@ impl Fabric {
         expected[self.topo.cluster_of(root).0 as usize] = total;
         let comb = self.comb.get_or_insert_with(|| {
             Box::new(Comb {
-                groups: HashMap::new(),
-                entries: HashMap::new(),
+                groups: FixedMap::default(),
+                entries: FixedMap::default(),
             })
         });
         comb.groups.insert(group, CombGroup { kind, expected });

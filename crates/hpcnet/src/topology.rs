@@ -38,10 +38,12 @@
 //! changes: the dead-edge set, the overlay, the gateway failover state and
 //! the BFS scratch, which stays empty until the first [`Topology::recompute`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
+
+use desim::FixedMap;
 
 use crate::config::PORTS_PER_CLUSTER;
 use crate::frame::NodeAddr;
@@ -514,7 +516,7 @@ pub struct Topology {
     /// *differ* from the baseline are present (`u8::MAX` marks an
     /// unreachable pair). Never iterated, so hash order cannot leak into
     /// simulation behavior.
-    overlay: HashMap<(u32, u32), u8>,
+    overlay: FixedMap<(u32, u32), u8>,
     /// What the overlay keys currently mean.
     scope: OverlayScope,
     /// Sorted directed dead edges `(cluster, out port)`.
@@ -765,7 +767,7 @@ impl Topology {
             clusters: clusters.into(),
             endpoints: endpoints.into(),
             base,
-            overlay: HashMap::new(),
+            overlay: FixedMap::default(),
             scope: OverlayScope::Baseline,
             dead: Vec::new(),
             generation: 0,

@@ -13,7 +13,7 @@
 //! the information that it needs was already encoded in the communications
 //! driver": we read it straight out of the kernels' channel tables.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vorx::hpcnet::NodeAddr;
 use vorx::World;
@@ -111,9 +111,9 @@ impl CdbFilter {
 
 /// Take a snapshot of every channel in the installation.
 pub fn snapshot(w: &World) -> Vec<ChanReport> {
-    let mut by_id: HashMap<u32, ChanReport> = HashMap::new();
+    let mut by_id: BTreeMap<u32, ChanReport> = BTreeMap::new();
     for node in &w.nodes {
-        for end in node.chans.values() {
+        for end in w.chan_ends.of(node) {
             let state = match (end.reader_blocked, end.writer_blocked) {
                 (false, false) => EndState::Idle,
                 (true, false) => EndState::ReaderBlocked,
@@ -144,7 +144,6 @@ pub fn snapshot(w: &World) -> Vec<ChanReport> {
     for c in &mut out {
         c.ends.sort_by_key(|e| e.node);
     }
-    out.sort_by_key(|c| c.id);
     out
 }
 
@@ -192,7 +191,7 @@ pub fn render(reports: &[ChanReport]) -> String {
 /// symptom: "the application stops running with each process waiting for
 /// input from another process."
 pub fn deadlock_cycles(w: &World) -> Vec<Vec<NodeAddr>> {
-    let mut edges: HashMap<u32, Vec<u32>> = HashMap::new();
+    let mut edges: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     for c in snapshot(w) {
         for e in &c.ends {
             if e.state != EndState::Idle {
@@ -202,17 +201,12 @@ pub fn deadlock_cycles(w: &World) -> Vec<Vec<NodeAddr>> {
     }
     // DFS cycle enumeration (small graphs; dedupe by rotation).
     let mut cycles: Vec<Vec<u32>> = Vec::new();
-    let nodes: Vec<u32> = {
-        let mut v: Vec<u32> = edges.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
-    for &start in &nodes {
+    for &start in edges.keys() {
         let mut stack = vec![start];
         dfs(start, start, &edges, &mut stack, &mut cycles);
     }
     // Normalize: rotate each cycle so it starts at its minimum, dedupe.
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut out = Vec::new();
     for mut cyc in cycles {
         let min_pos = cyc
@@ -232,7 +226,7 @@ pub fn deadlock_cycles(w: &World) -> Vec<Vec<NodeAddr>> {
 fn dfs(
     start: u32,
     here: u32,
-    edges: &HashMap<u32, Vec<u32>>,
+    edges: &BTreeMap<u32, Vec<u32>>,
     stack: &mut Vec<u32>,
     cycles: &mut Vec<Vec<u32>>,
 ) {

@@ -9,9 +9,7 @@
 //! [`region`] closure helper); the report attributes wall time between the
 //! brackets to the named region, per node.
 
-use std::collections::HashMap;
-
-use desim::{SimDuration, SimTime, Trace};
+use desim::{FixedMap, SimDuration, SimTime, Trace};
 use vorx::hpcnet::NodeAddr;
 use vorx::{TraceEvent, VCtx};
 
@@ -68,7 +66,7 @@ pub struct RegionStat {
 #[derive(Debug, Default)]
 pub struct ProfReport {
     /// The aggregates.
-    pub regions: HashMap<(u32, String), RegionStat>,
+    pub regions: FixedMap<(u32, String), RegionStat>,
 }
 
 impl ProfReport {
@@ -76,7 +74,7 @@ impl ProfReport {
     /// in the instrumented program); unmatched enters are attributed up to
     /// the end of the trace.
     pub fn from_trace(trace: &Trace<TraceEvent>) -> Self {
-        let mut open: HashMap<(u32, String), Vec<SimTime>> = HashMap::new();
+        let mut open: FixedMap<(u32, String), Vec<SimTime>> = FixedMap::default();
         let mut report = ProfReport::default();
         let mut t_end = SimTime::ZERO;
         for (t, ev) in trace.iter() {

@@ -429,9 +429,11 @@ fn allocs_for_opens(opens: usize) -> u64 {
 }
 
 /// The open handshake — request, manager match, reply, channel end — costs
-/// 4.55 allocations per `try_open` (1,166 for 256), the channel end's own
-/// buffers included: names travel as `&str` borrowed from the frames, and the
-/// request and reply payloads are packed on the stack. (It was twelve.)
+/// 4.58 allocations per `try_open` (1,173 for 256), the channel end's own
+/// buffers and its share of a 64-end slab chunk included: names travel as
+/// `&str` borrowed from the frames, and the request and reply payloads are
+/// packed on the stack. (It was twelve; 4.55 while each node kept its ends in
+/// a hash table of its own.)
 /// Measured as the difference between two run lengths, so one-off growth
 /// cancels.
 #[test]
@@ -444,4 +446,47 @@ fn an_open_handshake_allocates_under_five_times_per_end() {
         per_open <= 4.6,
         "{per_open:.2} allocations per try_open ({extra} for 256 more)"
     );
+}
+
+/// Allocations of a two-node stop-and-wait world in which `streams`
+/// channels open and each carries one message of `len` bytes, read back and
+/// compared byte for byte.
+fn first_message_allocs(streams: u32, len: usize) -> u64 {
+    let mut v = VorxBuilder::single_cluster(2).build();
+    let data = pattern(len);
+    for i in 0..streams {
+        let name: std::sync::Arc<str> = format!("first/{i:03}").into();
+        let (sent, want) = (Payload::copy_from(&data), data.clone());
+        let peer_name = std::sync::Arc::clone(&name);
+        v.spawn("n0:writer", move |ctx| {
+            let ch = channel::open(&ctx, NodeAddr(0), &name);
+            ch.write(&ctx, sent).unwrap();
+        });
+        v.spawn("n1:reader", move |ctx| {
+            let ch = channel::open(&ctx, NodeAddr(1), &peer_name);
+            assert_eq!(ch.read(&ctx).unwrap().bytes().expect("data"), &want);
+        });
+    }
+    let (report, total) = alloc_meter::measure(|| v.run());
+    assert!(report.all_finished());
+    total
+}
+
+/// A message of one frame reaches the reader's queue without passing through
+/// the reassembly buffer: a fresh stop-and-wait stream's first message costs
+/// 3 allocations more when it is two frames long than when it is one — the
+/// reassembly buffer, the gathered buffer and its refcount block (2 while
+/// every reader end allocated the reassembly buffer for its first message,
+/// whatever its length). Measured per stream as the difference between 128
+/// and 64 streams, so one-off growth cancels, to the nearest whole
+/// allocation (queues that grow with the frames in flight leave 1/64 over).
+#[test]
+fn a_one_frame_message_skips_the_reassembly_buffer() {
+    let _guard = lock(&COPYMETER_LOCK);
+    let per_stream = |len| {
+        let run = |streams| first_message_allocs(streams, len) as f64;
+        (run(128) - run(64)) / 64.0
+    };
+    let (one, two) = (per_stream(1024), per_stream(2048));
+    assert_eq!((two - one).round(), 3.0, "{two} vs {one} per stream");
 }

@@ -332,7 +332,7 @@ fn appmgr_listener_close_and_vdb_together() {
     let closed = w
         .nodes
         .iter()
-        .flat_map(|n| n.chans.values())
+        .flat_map(|n| w.chan_ends.of(n))
         .filter(|e| e.name == "echo" && (e.closed_local || e.closed_remote))
         .count();
     assert!(closed >= 3, "expected closed echo channels, got {closed}");

@@ -453,10 +453,10 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
             "the BUSY must be the frame dropped"
         );
         assert_eq!(w.faults.stats.retransmits, 0);
-        let tx = w.nodes[0].chans.values().next().unwrap();
+        let tx = w.chan_ends.of(&w.nodes[0]).next().unwrap();
         assert_eq!(tx.win.inflight.len(), 1, "fragment 9 is outstanding");
         assert_eq!(tx.win.busy_grants, 0, "the writer never heard the BUSY");
-        let rx = w.nodes[1].chans.values().next().unwrap();
+        let rx = w.chan_ends.of(&w.nodes[1]).next().unwrap();
         assert_eq!(rx.deferred.len(), 1);
     }
     // Past the first ack timeout: one retransmission, answered by a second
@@ -473,7 +473,7 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
             w.faults.stats.busy_sent, 1,
             "ReBusy repeats a BUSY, it does not defer again"
         );
-        let tx = w.nodes[0].chans.values().next().unwrap();
+        let tx = w.chan_ends.of(&w.nodes[0]).next().unwrap();
         assert_eq!(tx.win.busy_grants, 1);
         assert_eq!(
             tx.win.chain.attempts, 0,
@@ -491,7 +491,10 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
         "the nap outlasts the un-restarted budget: only grants carry the writer through"
     );
     assert_eq!(w.faults.stats.peer_down_events, 0);
-    assert!(w.nodes[0].chans.values().all(|e| e.win.inflight.is_empty()));
+    assert!(w
+        .chan_ends
+        .of(&w.nodes[0])
+        .all(|e| e.win.inflight.is_empty()));
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }
 

@@ -280,3 +280,48 @@ fn an_attached_member_costs_the_same_in_a_group_of_any_size() {
         "{large} B per attached member at 1,024 members, {small} B at 64"
     );
 }
+
+/// Live heap per stream of the 64-node world after every node `i` opened a
+/// stop-and-wait channel to node `i + 1`, sent one message on it, read the
+/// one from node `i - 1`, and returned: both ends, the touched nodes, the
+/// fabric links the traffic built and whatever the open handshake left.
+fn live_per_idle_stream() -> i64 {
+    let topo = Topology::incomplete_hypercube(16, 4).unwrap();
+    let mut v = VorxBuilder::with_topology(topo).trace(false).build();
+    let before = alloc_meter::live_bytes();
+    for i in 0..NODES {
+        let (me, peer) = (NodeAddr(i), NodeAddr((i + 1) % NODES));
+        let name: Arc<str> = format!("idle{i}").into();
+        let peer_name = Arc::clone(&name);
+        v.spawn(format!("n{i}:w{i}"), move |ctx| {
+            let ch = channel::open(&ctx, me, &name);
+            ch.write(&ctx, Payload::Synthetic(64)).unwrap();
+        });
+        v.spawn(format!("n{}:r{i}", peer.0), move |ctx| {
+            let ch = channel::open(&ctx, peer, &peer_name);
+            ch.read(&ctx).unwrap();
+        });
+    }
+    let report = v.run();
+    assert!(report.all_finished());
+    (alloc_meter::live_bytes() - before) / i64::from(NODES)
+}
+
+/// A connected idle stream costs at most its measured heap plus 10 %:
+/// 5,234 bytes, optimised or not — a node (776 B), two ends in their world's
+/// slab (432 B each), the links and name caches its traffic touched. It was
+/// 7,038 while every node kept its ends, its open waits and its
+/// unacknowledged control frames in hash tables of its own, rounded up to
+/// four buckets, left allocated once the handshake had emptied them, and
+/// keyed by a `RandomState` each.
+#[test]
+fn a_connected_idle_stream_costs_at_most_its_budget() {
+    const MEASURED: i64 = 5_234;
+    let bytes = live_per_idle_stream();
+    println!("connected idle stream: {bytes} B");
+    assert!(
+        bytes <= MEASURED * 11 / 10,
+        "{bytes} B per connected idle stream, budget {} B",
+        MEASURED * 11 / 10
+    );
+}

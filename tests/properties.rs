@@ -115,7 +115,7 @@ proptest! {
         prop_assert_eq!(r.delivered_total + r.undelivered, senders as u64 * count);
         // Delivered messages per sender are in order.
         for node_deliveries in &r.delivered {
-            let mut per_src: std::collections::HashMap<usize, u64> = Default::default();
+            let mut per_src: hpc_vorx::desim::FixedMap<usize, u64> = Default::default();
             for (_, src, seq) in node_deliveries {
                 let next = per_src.entry(*src).or_insert(0);
                 prop_assert_eq!(*seq, *next, "S/NET reordered messages");

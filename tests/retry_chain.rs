@@ -40,7 +40,7 @@ struct Probe {
 
 impl Retry for Probe {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        Some(&mut w.node_mut(node).ctl_unacked.get_mut(&KEY)?.chain)
+        Some(&mut w.ctl_unacked.get_mut(&(node, KEY))?.chain)
     }
 
     fn base_ns(&self, _: &World, _: NodeAddr) -> u64 {
@@ -67,8 +67,8 @@ fn armed(budget: Option<u32>) -> VorxSim {
     let v = VorxBuilder::single_cluster(2).build();
     v.sim.setup(|w, s| {
         let frame = Frame::unicast(NODE, NodeAddr(1), 0, KEY, Payload::Synthetic(0));
-        w.node_mut(NODE).ctl_unacked.insert(
-            KEY,
+        w.ctl_unacked.insert(
+            (NODE, KEY),
             CtlPending {
                 frame,
                 base_timeout_ns: BASE,
@@ -81,12 +81,7 @@ fn armed(budget: Option<u32>) -> VorxSim {
 }
 
 fn chain(w: &mut World) -> &mut Chain {
-    &mut w
-        .node_mut(NODE)
-        .ctl_unacked
-        .get_mut(&KEY)
-        .expect("entry")
-        .chain
+    &mut w.ctl_unacked.get_mut(&(NODE, KEY)).expect("entry").chain
 }
 
 #[test]
@@ -133,7 +128,7 @@ fn a_restart_makes_the_pending_fire_inert() {
 fn an_answer_ends_the_chain() {
     let mut v = armed(Some(3));
     v.sim.run_until(SimTime::from_ns(BASE + BASE / 2));
-    v.world().node_mut(NODE).ctl_unacked.remove(&KEY);
+    v.world().ctl_unacked.remove(&(NODE, KEY));
     v.run();
     assert_eq!(take_log(), [("resend", BASE)]);
     assert_eq!(
