@@ -101,6 +101,9 @@ cargo fmt --all --check
 echo "==> cargo clippy -D warnings (clippy.toml: no BinaryHeap outside desim::queue, no OS thread for a process, no environment read, no vorx timeout armed outside vorx::retry)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 
+echo "==> cargo doc -D warnings (no broken or private intra-doc link, no stray HTML tag in a doc comment)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> one campaign harness (one --smoke entry point under crates/bench/src/bin; no report emitter, \"cells\" literal or BENCH_ path in code outside crates/bench/src/campaign.rs)"
 if [ "$(grep -l -- '--smoke' crates/bench/src/bin/*.rs | wc -l)" -ne 1 ]; then
     echo "exactly one file under crates/bench/src/bin/ may handle --smoke:" >&2

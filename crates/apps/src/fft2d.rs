@@ -8,7 +8,7 @@
 //! Two redistribution strategies are implemented, exactly the paper's
 //! comparison:
 //!
-//! * [`Distribution::Multicast`] — "each processor [multicasts] its entire
+//! * [`Distribution::Multicast`] — "each processor \[multicasts\] its entire
 //!   row to all the other processors. The problem with this approach is
 //!   that each processor reads 65536 numbers of which only 256 are needed."
 //! * [`Distribution::PointToPoint`] — "a better approach [...] is for each

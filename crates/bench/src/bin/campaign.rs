@@ -1,11 +1,14 @@
 //! The campaign runner: every sweep behind the committed `BENCH_*.json`.
 //!
 //! Usage:
-//!   campaign <name>…             run the sweep, write BENCH_<name>.json
-//!   campaign --smoke [<name>…]   run every cell not marked heavy (all
-//!                                campaigns when none is named), write
-//!                                nothing, and compare each cell's simulated
-//!                                record with the committed report (CI)
+//!
+//! ```text
+//! campaign <name>…             run the sweep, write BENCH_<name>.json
+//! campaign --smoke [<name>…]   run every cell not marked heavy (all
+//!                              campaigns when none is named), write
+//!                              nothing, and compare each cell's simulated
+//!                              record with the committed report (CI)
+//! ```
 //!
 //! Run without arguments, it prints the names: the `CAMPAIGNS` array below.
 

@@ -21,7 +21,7 @@
 use desim::{spsc, Ctx, IdleReport, ProcId, Scheduler, SimDuration, Simulation, Wakeup};
 use hpcnet::driver::StandaloneNet;
 use hpcnet::{Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
-use snet::{SnetConfig, SnetSim, Strategy};
+use snet::{SnetSim, Strategy};
 
 use super::paper::{table1_cell, table2_cell};
 use crate::campaign::{sample, summary, Campaign, Cell, Record, Run};
@@ -496,7 +496,7 @@ fn saturated(samples: Option<usize>) -> Run {
 /// reservation protocol.
 fn snet_reservation(samples: Option<usize>) -> Run {
     repeat(samples, || {
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), 12, Strategy::Reservation, 42);
+        let mut sim = SnetSim::new(12, Strategy::Reservation, 42);
         for s in 1..12 {
             sim.enqueue(s, 0, 1024, 10, 0);
         }

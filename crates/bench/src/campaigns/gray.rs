@@ -19,7 +19,7 @@
 //!    Jacobson/Karn timers keep retransmissions within a small
 //!    bootstrap/ramp allowance instead of one-per-write forever;
 //! 4. flap cells: the fast train trips flap damping (`flaps > 0`) and the
-//!    slow train — spaced wider than `flap_window_ns` — does not;
+//!    slow train — spaced wider than `FLAP_WINDOW_NS` — does not;
 //! 5. membership convergence: every node up, no partition marks, no
 //!    probes in flight (with the rest of `vorx::invariants`);
 //! 6. workers 1 and 4 produce bit-identical merged traces.

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 
 use desim::rng::SmallRng;
 use desim::{lock, SimDuration, SimTime};
-use snet::{SnetConfig, SnetSim, Strategy};
+use snet::{SnetSim, Strategy};
 use vorx::alloc::UserId;
 use vorx::api::{compute_ns, user_compute};
 use vorx::cpu::CpuCat;
@@ -830,7 +830,7 @@ fn figure1() -> Record {
 /// node 0 of an S/NET at once, recovering from fifo overflow by `strategy`.
 fn snet_burst(strategy: Strategy, (senders, count, len): (usize, u64, u32)) -> snet::SnetReport {
     const DEADLINE_NS: u64 = 60_000_000_000;
-    let mut sim = SnetSim::new(SnetConfig::paper_1985(), senders + 1, strategy, 42);
+    let mut sim = SnetSim::new(senders + 1, strategy, 42);
     for s in 1..=senders {
         sim.enqueue(s, 0, len, count, 0);
     }

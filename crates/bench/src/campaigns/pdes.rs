@@ -43,7 +43,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use desim::{host_cpus, lock, PdesMonitor};
-use vorx::hpcnet::{NetConfig, NodeAddr, Payload, Topology};
+use vorx::hpcnet::{NodeAddr, Payload, Topology};
 use vorx::{channel, invariants, VCtx, VorxBuilder};
 
 use crate::campaign::{find, summary, Campaign, Cell, Gate, Record, Run, Totals};
@@ -306,7 +306,7 @@ fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
 /// cross-cluster frame crosses, each at least a header-only frame's latency.
 /// `None` for one cluster, where nothing crosses a shard boundary.
 fn min_lookahead_ns(topo: &Topology) -> Option<u64> {
-    let unit_ns = NetConfig::paper_1988().header_link_latency_ns();
+    let unit_ns = vorx::hpcnet::config::header_link_latency_ns();
     topo.min_cross_cluster_links()
         .map(|links| links as u64 * unit_ns)
 }

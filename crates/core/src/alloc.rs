@@ -67,7 +67,7 @@ impl Slot {
 }
 
 /// Ownership state of the processing-node pool. Only owned processors
-/// hold a [`Slot`]: a pool of 100k endpoints that nobody allocates costs
+/// hold a `Slot`: a pool of 100k endpoints that nobody allocates costs
 /// nothing per processor.
 #[derive(Debug, Clone)]
 pub struct Allocator {
@@ -150,7 +150,7 @@ impl Allocator {
     }
 
     /// Exclusively allocate `count` processors to `user`, or fail with the
-    /// §3.1 diagnostic. Exclusive access "exclude[s] other processes from a
+    /// §3.1 diagnostic. Exclusive access "exclude\[s\] other processes from a
     /// processor", so only completely free nodes qualify.
     pub fn allocate(
         &mut self,

@@ -6,7 +6,19 @@
 //! software operation is charged a calibrated amount of simulated CPU time.
 //! `Calibration::paper_1988()` is tuned so that the reproduction of Table 1
 //! and Table 2 lands near the published values; the derivation of each
-//! number is given on its field.
+//! number is given on its field or constant.
+//!
+//! A value that some run or test varies is a field of [`Calibration`]: the
+//! 20 CPU costs (zeroed by [`Calibration::instant`], ablated by the `paper`
+//! campaign) and seven protocol settings. A value nothing varies is a named
+//! constant here, with its derivation: the side buffers per channel end
+//! ([`CHAN_SIDE_BUFFERS`]), the SunOS descriptor table ([`STUB_FD_LIMIT`]),
+//! the control and open retry timers ([`CTL_TIMEOUT_NS`],
+//! [`CTL_MAX_RETRIES`], [`OPEN_TIMEOUT_NS`], [`OPEN_MAX_RETRIES`]), the
+//! adaptive-timer clamps ([`RTO_FLOOR_NS`], [`RTO_CEIL_NS`]), link flap
+//! damping ([`FLAP_DAMP_DOWNS`], [`FLAP_WINDOW_NS`], [`FLAP_HOLD_NS`]) and
+//! the kernel table bounds ([`MAX_CHANS_PER_NODE`],
+//! [`LISTENER_BACKLOG_CAP`]).
 //!
 //! Everything is expressed in nanoseconds (`u64`), convertible with
 //! [`Calibration::d`] into `SimDuration`.
@@ -41,12 +53,10 @@ pub struct Calibration {
     /// Copying from the side buffer to the reader's user buffer, per byte
     /// (off the sender-visible path).
     pub copy_user_ns_per_byte: u64,
-    /// Side buffers per channel end ("the kernel has many side buffers").
-    pub chan_side_buffers: usize,
 
     // ----- subprocess scheduling (§5) -----
     /// A full context switch, "which includes saving both fixed and floating
-    /// point registers[,] takes 80 µsec" — measured by the paper.
+    /// point registers\[,\] takes 80 µsec" — measured by the paper.
     pub ctx_switch_ns: u64,
     /// A coroutine switch: "most registers need not be saved".
     pub coroutine_switch_ns: u64,
@@ -81,31 +91,19 @@ pub struct Calibration {
     pub host_syscall_ns: u64,
     /// Host CPU copy rate, per byte (program text downloads).
     pub host_copy_ns_per_byte: u64,
-    /// Open file descriptors allowed per stub ("limited by the SunOS kernel
-    /// to 32 open file descriptors").
-    pub stub_fd_limit: usize,
 
     // ----- fault recovery (timeouts and retry budgets) -----
     //
     // The 1988 hardware never lost a frame (store-and-forward with hardware
-    // flow control), so these constants have no Table to calibrate against.
-    // They are protocol constants, not CPU costs: `instant()` keeps them
+    // flow control), so these values have no Table to calibrate against.
+    // They are protocol settings, not CPU costs: `instant()` keeps them
     // nonzero because a zero retransmission timeout would be a busy loop.
+    // The control and open timers, which nothing varies, are the constants
+    // below the struct.
     /// Base ack timeout for a channel data fragment; doubles per retry.
     pub chan_ack_timeout_ns: u64,
     /// Retransmissions of a data fragment before the peer is declared down.
     pub chan_max_retries: u32,
-    /// Base timeout for reliable control frames (open replies, connect
-    /// notifications, closes); doubles per retry.
-    pub ctl_timeout_ns: u64,
-    /// Retransmissions of a control frame before giving up.
-    pub ctl_max_retries: u32,
-    /// Base timeout for an unacknowledged open/listen request to the object
-    /// manager; doubles per retry.
-    pub open_timeout_ns: u64,
-    /// Retransmissions of an open/listen request before the manager is
-    /// declared unreachable.
-    pub open_max_retries: u32,
     /// Delay between a node crash and its peers learning of it (the soft
     /// failure-detection sweep). `u64::MAX` disables detection, leaving
     /// retry exhaustion as the only signal.
@@ -117,27 +115,6 @@ pub struct Calibration {
     /// disables the sweep, leaving heartbeat-probe exhaustion as the only
     /// partition signal.
     pub partition_detect_ns: u64,
-
-    // ----- adaptive timers (gray failures, DESIGN.md §15) -----
-    //
-    // Jacobson/Karn retransmission-timer estimation: RTO = SRTT + 4·RTTVAR,
-    // clamped to [rto_floor_ns, rto_ceil_ns]. The estimator arms only when
-    // the fault schedule contains a gray (pure-delay) degradation window;
-    // otherwise every timer uses the fixed calibration constants above and
-    // traces stay byte-identical to pre-estimator builds.
-    /// Lower clamp on the adaptive retransmission timeout. Keeps a freshly
-    /// converged estimator from firing inside normal delivery jitter.
-    pub rto_floor_ns: u64,
-    /// Upper clamp on the adaptive retransmission timeout (pre-backoff).
-    pub rto_ceil_ns: u64,
-    /// Downs within [`Calibration::flap_window_ns`] before the fault plane
-    /// declares a link *flapping* and holds it down.
-    pub flap_damp_downs: u32,
-    /// Sliding window over which downs of one link count toward damping.
-    pub flap_window_ns: u64,
-    /// How long a flapping link is held down after its last transition
-    /// before it is reinstated (hysteresis: each new flap extends the hold).
-    pub flap_hold_ns: u64,
 
     // ----- windowed channel data path (Tables 1/2 ordering) -----
     //
@@ -157,23 +134,70 @@ pub struct Calibration {
     /// Clamped to 32 (the selective-ack bitmap width); fragments beyond
     /// `cum_ack + bound` are dropped and retransmitted later.
     pub chan_reorder_frags: u32,
-
-    // ----- resource budgets (graceful degradation, DESIGN.md §13) -----
-    //
-    // Every kernel table is bounded so an overloaded or abused node refuses
-    // work (`VorxError::ResourceExhausted`) instead of growing without
-    // limit. The defaults are far above anything a correct workload reaches,
-    // so they change no existing behavior.
-    /// Channels a single node may hold open concurrently; `rendezvous`
-    /// refuses further opens.
-    pub max_chans_per_node: usize,
-    /// Unaccepted connections a listener may queue; further `SERVE_CONN`s
-    /// are discarded (the client's own open retry/timeout path recovers).
-    pub listener_backlog_cap: usize,
-    /// Pending open requests the object manager may queue per name; further
-    /// requesters get a reliable `KIND_OPEN_NACK`.
-    pub mgr_pending_cap: usize,
 }
+
+// ----- side buffers and stubs -----
+
+/// Side buffers per channel end ("the kernel has many side buffers").
+pub const CHAN_SIDE_BUFFERS: usize = 8;
+
+/// Open file descriptors allowed per stub ("limited by the SunOS kernel to
+/// 32 open file descriptors").
+pub const STUB_FD_LIMIT: usize = 32;
+
+// ----- fault recovery: control and open timers -----
+//
+// Protocol constants like the channel ack timeout on `Calibration`, with
+// no Table to calibrate against and nonzero for the same reason.
+
+/// Base timeout for reliable control frames (open replies, connect
+/// notifications, closes); doubles per retry.
+pub const CTL_TIMEOUT_NS: u64 = 20_000_000;
+/// Retransmissions of a control frame before giving up.
+pub const CTL_MAX_RETRIES: u32 = 6;
+/// Base timeout for an unacknowledged open/listen request to the object
+/// manager; doubles per retry.
+pub const OPEN_TIMEOUT_NS: u64 = 50_000_000;
+/// Retransmissions of an open/listen request before the manager is declared
+/// unreachable.
+pub const OPEN_MAX_RETRIES: u32 = 8;
+
+// ----- adaptive timers (gray failures, DESIGN.md §15) -----
+//
+// Jacobson/Karn retransmission-timer estimation: RTO = SRTT + 4·RTTVAR,
+// clamped to [RTO_FLOOR_NS, RTO_CEIL_NS]. The estimator arms only when the
+// fault schedule contains a gray (pure-delay) degradation window; otherwise
+// every timer uses the fixed constants above and traces stay byte-identical
+// to pre-estimator builds.
+
+/// Lower clamp on the adaptive retransmission timeout. Keeps a freshly
+/// converged estimator from firing inside normal delivery jitter.
+pub const RTO_FLOOR_NS: u64 = 5_000_000;
+/// Upper clamp on the adaptive retransmission timeout (pre-backoff).
+pub const RTO_CEIL_NS: u64 = 640_000_000;
+/// Downs within [`FLAP_WINDOW_NS`] before the fault plane declares a link
+/// *flapping* and holds it down.
+pub const FLAP_DAMP_DOWNS: u32 = 3;
+/// Sliding window over which downs of one link count toward damping.
+pub const FLAP_WINDOW_NS: u64 = 50_000_000;
+/// How long a flapping link is held down after its last transition before
+/// it is reinstated (hysteresis: each new flap extends the hold).
+pub const FLAP_HOLD_NS: u64 = 100_000_000;
+
+// ----- resource budgets (graceful degradation, DESIGN.md §13) -----
+//
+// Every kernel table is bounded so an overloaded or abused node refuses
+// work (`VorxError::ResourceExhausted`) instead of growing without limit.
+// The bounds are far above anything a correct workload reaches, so they
+// change no existing behavior. The object manager's pending-open queue
+// needs no bound: it holds at most one opener per name by construction.
+
+/// Channels a single node may hold open concurrently; `rendezvous` refuses
+/// further opens.
+pub const MAX_CHANS_PER_NODE: usize = 4096;
+/// Unaccepted connections a listener may queue; further `SERVE_CONN`s are
+/// discarded (the client's own open retry/timeout path recovers).
+pub const LISTENER_BACKLOG_CAP: usize = 1024;
 
 impl Calibration {
     /// The tuned 1988 model. Rationale:
@@ -195,7 +219,6 @@ impl Calibration {
             chan_sidebuf_ns_per_byte: 300,
             chan_ack_gen_ns: 18_000,
             copy_user_ns_per_byte: 150,
-            chan_side_buffers: 8,
             ctx_switch_ns: 80_000,
             coroutine_switch_ns: 8_000,
             udco_send_ns: 45_000,
@@ -208,26 +231,13 @@ impl Calibration {
             stub_create_ns: 60_000_000,
             host_syscall_ns: 2_000_000,
             host_copy_ns_per_byte: 100,
-            stub_fd_limit: 32,
             chan_ack_timeout_ns: 20_000_000,
             chan_max_retries: 6,
-            ctl_timeout_ns: 20_000_000,
-            ctl_max_retries: 6,
-            open_timeout_ns: 50_000_000,
-            open_max_retries: 8,
             crash_detect_ns: 200_000_000,
             partition_detect_ns: 250_000_000,
-            rto_floor_ns: 5_000_000,
-            rto_ceil_ns: 640_000_000,
-            flap_damp_downs: 3,
-            flap_window_ns: 50_000_000,
-            flap_hold_ns: 100_000_000,
             chan_window: 1,
             chan_rx_frag_buffers: 64,
             chan_reorder_frags: 32,
-            max_chans_per_node: 4096,
-            listener_backlog_cap: 1024,
-            mgr_pending_cap: 4096,
         }
     }
 
@@ -240,7 +250,8 @@ impl Calibration {
     }
 
     /// An idealized zero-cost-software calibration, useful in unit tests
-    /// that check protocol *logic* rather than timing.
+    /// that check protocol *logic* rather than timing: every CPU cost is 0,
+    /// the protocol settings are [`Calibration::paper_1988`]'s.
     pub fn instant() -> Self {
         Calibration {
             intr_entry_ns: 0,
@@ -251,7 +262,6 @@ impl Calibration {
             chan_sidebuf_ns_per_byte: 0,
             chan_ack_gen_ns: 0,
             copy_user_ns_per_byte: 0,
-            chan_side_buffers: 8,
             ctx_switch_ns: 0,
             coroutine_switch_ns: 0,
             udco_send_ns: 0,
@@ -264,26 +274,7 @@ impl Calibration {
             stub_create_ns: 0,
             host_syscall_ns: 0,
             host_copy_ns_per_byte: 0,
-            stub_fd_limit: 32,
-            chan_ack_timeout_ns: 20_000_000,
-            chan_max_retries: 6,
-            ctl_timeout_ns: 20_000_000,
-            ctl_max_retries: 6,
-            open_timeout_ns: 50_000_000,
-            open_max_retries: 8,
-            crash_detect_ns: 200_000_000,
-            partition_detect_ns: 250_000_000,
-            rto_floor_ns: 5_000_000,
-            rto_ceil_ns: 640_000_000,
-            flap_damp_downs: 3,
-            flap_window_ns: 50_000_000,
-            flap_hold_ns: 100_000_000,
-            chan_window: 1,
-            chan_rx_frag_buffers: 64,
-            chan_reorder_frags: 32,
-            max_chans_per_node: 4096,
-            listener_backlog_cap: 1024,
-            mgr_pending_cap: 4096,
+            ..Self::paper_1988()
         }
     }
 

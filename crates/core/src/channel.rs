@@ -60,7 +60,10 @@ use desim::{sync::WaitSet, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload, MAX_PAYLOAD};
 
 use crate::api;
-use crate::calib::Calibration;
+use crate::calib::{
+    Calibration, CHAN_SIDE_BUFFERS, LISTENER_BACKLOG_CAP, OPEN_MAX_RETRIES, OPEN_TIMEOUT_NS,
+    RTO_CEIL_NS, RTO_FLOOR_NS,
+};
 use crate::cpu::{BlockReason, CpuCat};
 use crate::kernel;
 use crate::proto;
@@ -336,7 +339,7 @@ pub struct WinRx {
     /// arriving mid-copy are dropped.
     pub copying: BTreeSet<u32>,
     /// Fragment count of each queued `rx` message, popped in lockstep by
-    /// [`ChanEnd::pop_rx`] to release the credit those fragments held.
+    /// `ChanEnd::pop_rx` to release the credit those fragments held.
     pub rx_frag_counts: VecDeque<u32>,
     /// Fragments committed but not yet consumed by a reader (in `asm` or in
     /// queued `rx` messages); they hold credit.
@@ -522,7 +525,7 @@ const SLAB_CHUNK: usize = 64;
 
 /// Every channel end of one [`World`], in one table: a node's
 /// [`ChanIndex`] names the slots of its own ends. The table grows a chunk
-/// of [`SLAB_CHUNK`] slots at a time, so growing it never moves an end or
+/// of `SLAB_CHUNK` slots at a time, so growing it never moves an end or
 /// leaves a freed copy of the table behind. A slot freed by a crash wipe is
 /// reused by the next end created.
 #[derive(Debug, Default)]
@@ -1132,22 +1135,20 @@ pub fn read_any(
 /// Base (attempt-0) retransmit timeout for `chan` on `node`: the fixed
 /// `chan_ack_timeout_ns` until a gray fault arms adaptation and the end has
 /// observed at least one round trip, then the Jacobson RTO
-/// `clamp(SRTT + 4·RTTVAR, rto_floor_ns, rto_ceil_ns)`. The retry chain's
+/// `clamp(SRTT + 4·RTTVAR, RTO_FLOOR_NS, RTO_CEIL_NS)`. The retry chain's
 /// doubling backoff ([`retry::backoff`]) is layered on top either way.
 fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
     let fixed = w.calib.chan_ack_timeout_ns;
     if !w.faults.gray_armed {
         return fixed;
     }
-    let floor = w.calib.rto_floor_ns;
-    let ceil = w.calib.rto_ceil_ns;
     let Some(end) = w.chan(node, chan) else {
         return fixed;
     };
-    let base = end.rtt.rto_ns(floor, ceil).unwrap_or(fixed);
+    let base = end.rtt.rto_ns(RTO_FLOOR_NS, RTO_CEIL_NS).unwrap_or(fixed);
     // Karn backoff persistence: keep a timed-out end's doubled base until a
-    // valid sample replaces it, clamped to the configured ceiling.
-    retry::backoff(base, end.rto_backoff).clamp(floor, ceil.max(floor))
+    // valid sample replaces it, clamped to the ceiling.
+    retry::backoff(base, end.rto_backoff).clamp(RTO_FLOOR_NS, RTO_CEIL_NS)
 }
 
 /// The widest adaptive RTO among `node`'s channel ends peered with `peer`,
@@ -1157,12 +1158,10 @@ fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
 /// channel itself observed. Taking the max over ends is order-independent,
 /// so sharded replays stay deterministic.
 pub(crate) fn peer_rto_hint(w: &World, node: NodeAddr, peer: NodeAddr) -> Option<u64> {
-    let floor = w.calib.rto_floor_ns;
-    let ceil = w.calib.rto_ceil_ns;
     w.chan_ends
         .of(w.node(node))
         .filter(|end| end.peer == peer)
-        .filter_map(|end| end.rtt.rto_ns(floor, ceil))
+        .filter_map(|end| end.rtt.rto_ns(RTO_FLOOR_NS, RTO_CEIL_NS))
         .max()
 }
 
@@ -1214,7 +1213,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bo
                 // Already deferred (side buffers full): the BUSY we sent was
                 // lost, so the writer's timer fired. Tell it again.
                 Act::ReBusy
-            } else if end.sidebuf_used() >= w.calib.chan_side_buffers {
+            } else if end.sidebuf_used() >= CHAN_SIDE_BUFFERS {
                 // Side buffers full: hold the fragment, withhold the ack,
                 // and send BUSY so the stall is not mistaken for loss. The
                 // writer stays blocked — this is the protocol's flow
@@ -1677,7 +1676,7 @@ fn release_deferred(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
     if end.cfg.window > 1 {
         return release_win_credit(w, s, node, chan);
     }
-    if end.deferred.is_empty() || end.sidebuf_used() >= w.calib.chan_side_buffers {
+    if end.deferred.is_empty() || end.sidebuf_used() >= CHAN_SIDE_BUFFERS {
         return;
     }
     let f = w
@@ -1989,7 +1988,7 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
 /// The retransmit chain of the unacknowledged registration of this listen
 /// name. The `SERVE_ACK` is a plain frame: if it is lost, the next
 /// retransmission here makes the manager re-ack (registrations are
-/// idempotent per token). After `open_max_retries` the chain gives up
+/// idempotent per token). After [`OPEN_MAX_RETRIES`] the chain gives up
 /// silently — an unreachable manager leaves the listener parked (see
 /// DESIGN.md on non-recoverable paths).
 struct ListenRetry(String);
@@ -2000,12 +1999,12 @@ impl Retry for ListenRetry {
         (!ls.acked).then_some(&mut ls.chain)
     }
 
-    fn base_ns(&self, w: &World, _: NodeAddr) -> u64 {
-        w.calib.open_timeout_ns
+    fn base_ns(&self, _: &World, _: NodeAddr) -> u64 {
+        OPEN_TIMEOUT_NS
     }
 
-    fn budget(&self, w: &World) -> Option<u32> {
-        Some(w.calib.open_max_retries)
+    fn budget(&self, _: &World) -> Option<u32> {
+        Some(OPEN_MAX_RETRIES)
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
@@ -2083,7 +2082,7 @@ pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     if !w.node(node).listeners.contains_key(name) {
         return; // listener died with a crash; the client will learn via timeout
     }
-    if w.node(node).listeners[name].pending.len() >= w.calib.listener_backlog_cap {
+    if w.node(node).listeners[name].pending.len() >= LISTENER_BACKLOG_CAP {
         // Bounded listener backlog: discard the connection instead of
         // growing the unaccepted queue without limit. The manager's CTL_ACK
         // was already sent, so no retransmit storm; the client's end stays

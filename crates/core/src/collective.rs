@@ -33,6 +33,7 @@ use hpcnet::combine::{self, CombOp};
 use hpcnet::{Dest, Frame, NodeAddr, Payload};
 
 use crate::api;
+use crate::calib::CTL_TIMEOUT_NS;
 use crate::channel::{self, ChannelHandle};
 use crate::cpu::{BlockReason, CpuCat};
 use crate::retry::{self, Chain, Retry};
@@ -693,8 +694,8 @@ impl Retry for CollRetry {
         (cseq == self.2).then_some(chain)
     }
 
-    fn base_ns(&self, w: &World, _: NodeAddr) -> u64 {
-        w.calib.ctl_timeout_ns
+    fn base_ns(&self, _: &World, _: NodeAddr) -> u64 {
+        CTL_TIMEOUT_NS
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {

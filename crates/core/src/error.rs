@@ -34,10 +34,10 @@ pub enum VorxError {
     /// separates the two ends. Unlike [`VorxError::PeerDown`], no state was
     /// wiped — when the partition heals, the channel reconnects and resumes.
     Partitioned,
-    /// A bounded kernel table (channel table, listener backlog, object
-    /// manager registration queue) is full. The operation was refused so the
-    /// node degrades instead of growing without limit; retrying after
-    /// existing entries drain may succeed.
+    /// A bounded kernel table is full: the node already holds
+    /// [`MAX_CHANS_PER_NODE`](crate::calib::MAX_CHANS_PER_NODE) channels. The
+    /// open was refused so the node degrades instead of growing without
+    /// limit; retrying after existing channels close may succeed.
     ResourceExhausted,
 }
 

@@ -17,6 +17,9 @@
 use desim::{SimDuration, Wakeup};
 use hpcnet::{Frame, LinkId, NodeAddr, Payload, Transit};
 
+use crate::calib::{
+    CTL_MAX_RETRIES, CTL_TIMEOUT_NS, FLAP_DAMP_DOWNS, FLAP_HOLD_NS, FLAP_WINDOW_NS,
+};
 use crate::cpu::TraceEvent;
 use crate::kernel;
 use crate::proto;
@@ -57,8 +60,10 @@ pub struct FaultStats {
     /// was under an overload budget: the writer rides out shedding via the
     /// pause/resume path instead of declaring its (alive) peer down.
     pub overload_rideouts: u64,
-    /// Open requests refused (`KIND_OPEN_NACK`) or listener connections
-    /// discarded because a bounded kernel table was full.
+    /// Opens refused because the node already held
+    /// [`MAX_CHANS_PER_NODE`](crate::calib::MAX_CHANS_PER_NODE) channels, or
+    /// listener connections discarded past
+    /// [`LISTENER_BACKLOG_CAP`](crate::calib::LISTENER_BACKLOG_CAP).
     pub table_rejects: u64,
     /// Collective attempt epochs opened by a root's retry timer (a
     /// contribution or flushed partial was lost, or a straggler outlasted
@@ -122,7 +127,7 @@ pub struct FaultState {
     /// per-link latency statistics are recorded (off on clean scale runs).
     pub(crate) track_latency: bool,
     /// Flap damping: recent down timestamps per link, pruned to
-    /// `flap_window_ns`. Keyed lookups only — never iterated.
+    /// [`FLAP_WINDOW_NS`]. Keyed lookups only — never iterated.
     flap_history: desim::FixedMap<u32, std::collections::VecDeque<u64>>,
     /// Links currently held down by the damper, with the suppress epoch
     /// owning the pending reinstate timer (each new transition while held
@@ -146,10 +151,10 @@ impl FaultState {
     }
 
     /// Downs of `l` recorded within the damping window ending at `now_ns`.
-    fn downs_in_window(&mut self, l: LinkId, now_ns: u64, window_ns: u64) -> usize {
+    fn downs_in_window(&mut self, l: LinkId, now_ns: u64) -> usize {
         match self.flap_history.get_mut(&l.0) {
             Some(h) => {
-                while h.front().is_some_and(|&t| t + window_ns < now_ns) {
+                while h.front().is_some_and(|&t| t + FLAP_WINDOW_NS < now_ns) {
                     h.pop_front();
                 }
                 h.len()
@@ -201,7 +206,7 @@ pub struct CtlPending {
     /// The frame, kept for retransmission.
     pub frame: Frame,
     /// Base retransmit timeout for this frame (doubles per attempt).
-    /// `ctl_timeout_ns` for ordinary control traffic; heartbeat probes use
+    /// [`CTL_TIMEOUT_NS`] for ordinary control traffic; heartbeat probes use
     /// an adaptive deadline derived from the peer's observed RTT.
     pub base_timeout_ns: u64,
     /// The retransmit chain, disarmed when the ack arrives.
@@ -211,12 +216,11 @@ pub struct CtlPending {
 /// Send a control frame (open reply, connect notification, close) with
 /// at-least-once delivery: the receiver echoes `frame.seq` in a
 /// `KIND_CTL_ACK`; until that arrives the sender retransmits with doubling
-/// timeouts, giving up after `ctl_max_retries`. `frame.seq` must be unique
+/// timeouts, giving up after [`CTL_MAX_RETRIES`]. `frame.seq` must be unique
 /// among the sender's outstanding control frames (tokens and
 /// `chan_seq(id, 0)` keys never collide).
 pub fn reliable_send(w: &mut World, s: &mut VSched, frame: Frame) {
-    let base = w.calib.ctl_timeout_ns;
-    reliable_send_with_timeout(w, s, frame, base);
+    reliable_send_with_timeout(w, s, frame, CTL_TIMEOUT_NS);
 }
 
 /// [`reliable_send`] with an explicit base timeout — the membership layer's
@@ -254,11 +258,11 @@ impl Retry for CtlRetry {
 
     fn base_ns(&self, w: &World, node: NodeAddr) -> u64 {
         let p = w.ctl_unacked.get(&(node, self.0));
-        p.map_or(w.calib.ctl_timeout_ns, |p| p.base_timeout_ns)
+        p.map_or(CTL_TIMEOUT_NS, |p| p.base_timeout_ns)
     }
 
-    fn budget(&self, w: &World) -> Option<u32> {
-        Some(w.calib.ctl_max_retries)
+    fn budget(&self, _: &World) -> Option<u32> {
+        Some(CTL_MAX_RETRIES)
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
@@ -502,13 +506,10 @@ pub fn on_link_down(w: &mut World, s: &mut VSched, l: LinkId) {
     }
     // Flap bookkeeping: a down within the damping window of the previous
     // down counts as a flap.
-    let window = w.calib.flap_window_ns;
-    if w.calib.flap_damp_downs > 0 {
-        if w.faults.downs_in_window(l, now, window) > 0 {
-            w.faults.schedule.note_flap(l.0);
-        }
-        w.faults.flap_history.entry(l.0).or_default().push_back(now);
+    if w.faults.downs_in_window(l, now) > 0 {
+        w.faults.schedule.note_flap(l.0);
     }
+    w.faults.flap_history.entry(l.0).or_default().push_back(now);
     w.faults.schedule.note_link_down(l.0);
     w.trace.record(
         s.now(),
@@ -525,9 +526,9 @@ pub fn on_link_down(w: &mut World, s: &mut VSched, l: LinkId) {
 /// to the baseline when no dead edges remain), and the membership heal
 /// sweep reconnects every node pair the restored edge made reachable again.
 ///
-/// A link that flapped `flap_damp_downs` times within `flap_window_ns` is
+/// A link that flapped [`FLAP_DAMP_DOWNS`] times within [`FLAP_WINDOW_NS`] is
 /// *damped*: the up is suppressed and the link held down until it has been
-/// stable for `flap_hold_ns` (each further transition extends the hold), so
+/// stable for [`FLAP_HOLD_NS`] (each further transition extends the hold), so
 /// the detour overlay and channel pause/resume stop thrashing.
 pub fn on_link_up(w: &mut World, s: &mut VSched, l: LinkId) {
     if !w.net.is_link_down(l) {
@@ -539,8 +540,7 @@ pub fn on_link_up(w: &mut World, s: &mut VSched, l: LinkId) {
         extend_flap_hold(w, s, l);
         return;
     }
-    let damp = w.calib.flap_damp_downs;
-    if damp > 0 && w.faults.downs_in_window(l, now, w.calib.flap_window_ns) >= damp as usize {
+    if w.faults.downs_in_window(l, now) >= FLAP_DAMP_DOWNS as usize {
         w.faults.flap_held.insert(l.0, 0);
         extend_flap_hold(w, s, l);
         return;
@@ -563,7 +563,7 @@ fn raise_link(w: &mut World, s: &mut VSched, l: LinkId) {
 }
 
 /// Bump the suppress epoch of held link `l` and (re)schedule its reinstate
-/// for `flap_hold_ns` from now. Only the newest epoch's timer acts, so
+/// for [`FLAP_HOLD_NS`] from now. Only the newest epoch's timer acts, so
 /// every transition during the hold pushes reinstatement further out.
 fn extend_flap_hold(w: &mut World, s: &mut VSched, l: LinkId) {
     let epoch = {
@@ -575,8 +575,8 @@ fn extend_flap_hold(w: &mut World, s: &mut VSched, l: LinkId) {
         *e += 1;
         *e
     };
-    let hold = w.calib.flap_hold_ns;
-    s.schedule_in(SimDuration::from_ns(hold), move |w: &mut World, s| {
+    let hold = SimDuration::from_ns(FLAP_HOLD_NS);
+    s.schedule_in(hold, move |w: &mut World, s| {
         if w.faults.flap_held.get(&l.0) != Some(&epoch) {
             return; // a newer transition extended the hold
         }

@@ -23,7 +23,7 @@ use desim::{SimDuration, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload};
 
 use crate::api;
-use crate::calib::Calibration;
+use crate::calib::{Calibration, STUB_FD_LIMIT};
 use crate::channel::{self, ChannelHandle};
 use crate::cpu::CpuCat;
 use crate::kernel;
@@ -152,8 +152,6 @@ pub struct Host {
     pub stubs: Vec<Stub>,
     /// Which stub serves each node process.
     pub stub_by_node: desim::FixedMap<u32, usize>,
-    /// Per-stub descriptor limit (SunOS: 32).
-    pub fd_limit: usize,
     /// Lazily created shared stub used by the decentralized syscall scheme
     /// (§3.3 future work), serving calls directed here by any node.
     pub service_stub: Option<usize>,
@@ -161,13 +159,12 @@ pub struct Host {
 
 impl Host {
     /// Create a host on `node`.
-    pub fn new(id: usize, node: NodeAddr, calib: &Calibration) -> Self {
+    pub fn new(id: usize, node: NodeAddr) -> Self {
         Host {
             id,
             node,
             stubs: Vec::new(),
             stub_by_node: Default::default(),
-            fd_limit: calib.stub_fd_limit,
             service_stub: None,
         }
     }
@@ -317,13 +314,12 @@ fn finish_syscall(
     token: u64,
     op: SyscallOp,
 ) {
-    let fd_limit = w.hosts[host_id].fd_limit;
     let host_node = w.hosts[host_id].node;
     let stub = &mut w.hosts[host_id].stubs[stub_id];
     stub.served += 1;
     let ret = match op {
         SyscallOp::OpenFile => {
-            if stub.fds_open >= fd_limit {
+            if stub.fds_open >= STUB_FD_LIMIT {
                 SyscallRet::TooManyFiles
             } else {
                 stub.fds_open += 1;

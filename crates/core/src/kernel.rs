@@ -8,6 +8,7 @@
 //! the hardware buffers never stay full.
 
 use desim::{OutMsg, SimDuration, SimTime, Wakeup};
+use hpcnet::config::{serialize_ns, HOP_LATENCY_NS};
 use hpcnet::{Dest, Frame, NetEvent, NodeAddr, Notify, Output};
 
 use crate::cpu::CpuCat;
@@ -73,7 +74,7 @@ fn inject(w: &mut World, s: &mut VSched, frame: Frame) {
 /// control would be zero lookahead (see DESIGN.md §12).
 fn bridge(w: &mut World, s: &mut VSched, frame: Frame) -> Option<Frame> {
     let src = frame.src;
-    let ser = w.net.config().serialize_ns(frame.wire_bytes());
+    let ser = serialize_ns(frame.wire_bytes());
     let now = now_ns(s);
     match &frame.dst {
         // The per-message case, kept free of destination lists.
@@ -120,7 +121,6 @@ fn bridge(w: &mut World, s: &mut VSched, frame: Frame) -> Option<Frame> {
 /// the hop latency, from `now`.
 fn bridge_one(w: &mut World, now: u64, ser: u64, t: NodeAddr, frame: Frame) {
     let src = frame.src;
-    let hop_ns = w.net.config().hop_latency_ns;
     // Fault-free baseline link count for the pair, walked from the implicit
     // routes in O(path) — no O(clusters²) matrix. Static under churn (faults
     // only lengthen real routes), so the bridge latency never depends on
@@ -128,14 +128,14 @@ fn bridge_one(w: &mut World, now: u64, ser: u64, t: NodeAddr, frame: Frame) {
     // per-pair lookahead bound.
     let topo = w.net.topology();
     let links = topo.baseline_cluster_links(topo.cluster_of(src), topo.cluster_of(t));
-    let mut at_ns = now + links * (ser + hop_ns);
+    let mut at_ns = now + links * (ser + HOP_LATENCY_NS);
     if w.faults.gray_armed {
         // Gray degradation applies to bridged frames too: the extra latency
         // of every link on the baseline path, evaluated at the injection
         // time. A pure function of `(seed, links, now)`, the same at every
         // worker count, and strictly additive — the engine's lookahead
         // bound is never undercut.
-        at_ns += bridge_gray_ns(w, src, t, now, hop_ns);
+        at_ns += bridge_gray_ns(w, src, t, now);
     }
     // Injection statistics, mirroring what `Fabric::try_send` records.
     w.net.stats.frames_sent += 1;
@@ -152,15 +152,15 @@ fn bridge_one(w: &mut World, now: u64, ser: u64, t: NodeAddr, frame: Frame) {
 /// delivered latency of each link when statistics are armed. Only called
 /// when a gray window armed the fault plane, so clean and loss-only runs
 /// never pay the walk.
-fn bridge_gray_ns(w: &mut World, src: NodeAddr, dst: NodeAddr, now: u64, hop_ns: u64) -> u64 {
+fn bridge_gray_ns(w: &mut World, src: NodeAddr, dst: NodeAddr, now: u64) -> u64 {
     let World { net, faults, .. } = w;
     let topo = net.topology();
     let mut extra = 0u64;
     let mut visit = |l: hpcnet::LinkId| {
-        let g = faults.schedule.gray_delay_ns(l.0, now, hop_ns);
+        let g = faults.schedule.gray_delay_ns(l.0, now, HOP_LATENCY_NS);
         extra += g;
         if faults.track_latency {
-            faults.schedule.note_delivered(l.0, hop_ns + g);
+            faults.schedule.note_delivered(l.0, HOP_LATENCY_NS + g);
         }
     };
     visit(net.endpoint_up_link(src));
@@ -313,7 +313,6 @@ fn dispatch(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
         proto::KIND_CTL_ACK => crate::fault::on_ctl_ack(w, s, a, f),
         proto::KIND_HEARTBEAT => crate::membership::on_heartbeat(w, s, a, f),
         proto::KIND_REPL_REG => objmgr::on_repl_reg(w, s, a, f),
-        proto::KIND_OPEN_NACK => objmgr::on_open_nack(w, s, a, f),
         proto::KIND_COLL_UP => crate::collective::on_up(w, s, a, f),
         proto::KIND_COLL_RESULT => crate::collective::on_result(w, s, a, f),
         proto::KIND_COLL_RETRY => crate::collective::on_retry(w, s, a, f),

@@ -40,6 +40,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use desim::{SimDuration, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload};
 
+use crate::calib::{CTL_TIMEOUT_NS, RTO_CEIL_NS, RTO_FLOOR_NS};
 use crate::proto;
 use crate::rtt::RttEstimator;
 use crate::world::{VSched, World};
@@ -93,22 +94,20 @@ pub fn suspect(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
 }
 
 /// Base retransmit timeout for a heartbeat probe from `node` to `peer`:
-/// the fixed `ctl_timeout_ns` until a gray fault arms adaptation, then the
+/// the fixed [`CTL_TIMEOUT_NS`] until a gray fault arms adaptation, then the
 /// widest of the fixed constant, the heartbeat-RTT estimate, and the RTO of
 /// the channel ends stalled behind the probe.
 fn probe_timeout_ns(w: &World, node: NodeAddr, peer: NodeAddr) -> u64 {
-    let fixed = w.calib.ctl_timeout_ns;
+    let fixed = CTL_TIMEOUT_NS;
     if !w.faults.gray_armed {
         return fixed;
     }
-    let floor = w.calib.rto_floor_ns;
-    let ceil = w.calib.rto_ceil_ns;
     let hb = w
         .node(node)
         .mbr
         .peer_rtt
         .get(&peer.0)
-        .and_then(|e| e.rto_ns(floor, ceil))
+        .and_then(|e| e.rto_ns(RTO_FLOOR_NS, RTO_CEIL_NS))
         .unwrap_or(0);
     let chan = crate::channel::peer_rto_hint(w, node, peer).unwrap_or(0);
     fixed.max(hb).max(chan)

@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 use desim::{FixedMap, FixedSet, SimDuration, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload};
 
+use crate::calib::{MAX_CHANS_PER_NODE, OPEN_MAX_RETRIES, OPEN_TIMEOUT_NS};
 use crate::channel;
 use crate::cpu::CpuCat;
 use crate::kernel;
@@ -41,7 +42,8 @@ pub enum ObjMgrMode {
 /// Per-node object-manager state.
 #[derive(Debug, Default)]
 pub struct MgrState {
-    /// Unmatched open requests by name: `(requester, token)`.
+    /// Unmatched open requests by name: `(requester, token)`. At most one
+    /// per name: the next request for the name pairs with it.
     pub pending: FixedMap<String, VecDeque<(NodeAddr, u64)>>,
     /// Registered server names (§4 name reuse): name -> server node.
     pub servers: FixedMap<String, NodeAddr>,
@@ -403,7 +405,6 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
     let (kind, name) = proto::parse_open_req_kind(&f.payload);
     let key = mgr_key(kind, name);
     let requester = (f.src, f.seq);
-    let cap = w.calib.mgr_pending_cap;
     let st = &mut w.node_mut(mgr).mgr;
     st.served += 1;
     // A registered server takes priority: every client open yields a fresh
@@ -429,22 +430,10 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
         crate::fault::reliable_send(w, s, conn);
         return;
     }
-    if st.pending.get(&key).is_some_and(|q| q.len() >= cap) {
-        // Bounded registration table: refuse with a typed NACK (reliable, so
-        // the opener fails fast with `ResourceExhausted` instead of
-        // retrying into an overloaded manager until its budget runs out).
-        w.faults.stats.table_rejects += 1;
-        let nack = Frame::unicast(
-            mgr,
-            requester.0,
-            proto::KIND_OPEN_NACK,
-            requester.1,
-            proto::pack_open_req_kind(kind, name),
-        );
-        crate::fault::reliable_send(w, s, nack);
-        return;
-    }
     let q = st.pending.entry(key).or_default();
+    // Pairing below empties the queue whenever it reaches two, so it never
+    // holds more than one waiting opener per name and needs no bound.
+    debug_assert!(q.len() <= 1, "{} openers wait on one name", q.len());
     q.push_back(requester);
     if q.len() < 2 {
         return;
@@ -576,23 +565,6 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
 }
 
-/// Kernel handler: the manager refused our open request (`KIND_OPEN_NACK`,
-/// pending-open table full). Delivered reliably, so ack first, then fail the
-/// waiting open with [`crate::VorxError::ResourceExhausted`] — retrying
-/// later, after the manager's queue drains, may succeed.
-pub fn on_open_nack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
-    crate::fault::ack_ctl(w, s, node, &f);
-    let token = f.seq;
-    match w.open_wait_mut(node, token) {
-        Some(OpenResult::Pending { chain, .. }) => chain.disarm(),
-        // Duplicate NACK (our first ack was lost), or a crash wiped the open.
-        _ => return,
-    }
-    let failed = OpenResult::Failed(crate::VorxError::ResourceExhausted);
-    w.set_open_wait(node, token, failed);
-    w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
-}
-
 /// Kernel handler: the manager acknowledged queueing our open request —
 /// stop the request's retransmit chain. (Loss of this frame is healed by
 /// the next retransmission; the manager re-acks duplicates.)
@@ -616,7 +588,7 @@ fn open_req(node: NodeAddr, mgr: NodeAddr, kind: proto::ObjKind, name: &str, tok
 
 /// The retransmit chain of the open request with this token, until the
 /// manager acknowledges it with `OPEN_QUEUED`. Timeouts double per retry;
-/// after `open_max_retries` the open fails over to the name's successor
+/// after [`OPEN_MAX_RETRIES`] the open fails over to the name's successor
 /// replica, or fails with [`crate::VorxError::Unreachable`].
 struct OpenRetry(u64);
 
@@ -644,12 +616,12 @@ impl Retry for OpenRetry {
         }
     }
 
-    fn base_ns(&self, w: &World, _: NodeAddr) -> u64 {
-        w.calib.open_timeout_ns
+    fn base_ns(&self, _: &World, _: NodeAddr) -> u64 {
+        OPEN_TIMEOUT_NS
     }
 
-    fn budget(&self, w: &World) -> Option<u32> {
-        Some(w.calib.open_max_retries)
+    fn budget(&self, _: &World) -> Option<u32> {
+        Some(OPEN_MAX_RETRIES)
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
@@ -715,7 +687,7 @@ pub fn rendezvous(
         // budgeted number of channels — degrade locally instead of growing
         // the kernel without limit. (Checked before anything is registered,
         // so a refused open leaves no state behind.)
-        if w.node(node).chans.len() >= w.calib.max_chans_per_node {
+        if w.node(node).chans.len() >= MAX_CHANS_PER_NODE {
             w.faults.stats.table_rejects += 1;
             return Err(crate::VorxError::ResourceExhausted);
         }

@@ -234,10 +234,6 @@ pub const KIND_HEARTBEAT: u16 = 20;
 /// registered name to its successor replica (and anti-entropy pushes mirror
 /// in both directions after a partition heals).
 pub const KIND_REPL_REG: u16 = 21;
-/// Typed refusal of an open request: the object manager's pending-open table
-/// is full (`VorxError::ResourceExhausted`). Sent reliably so the opener
-/// fails fast instead of retrying into an overloaded manager.
-pub const KIND_OPEN_NACK: u16 = 22;
 
 /// In-network collective contribution, combinable inside the fabric: a
 /// member's operand headed up to the group root. The payload is the

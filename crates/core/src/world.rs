@@ -529,7 +529,7 @@ impl WorldCfg {
             objmgr_mode: self.objmgr_mode,
             alloc: Allocator::new(self.n_hosts, n),
             hosts: (0..self.n_hosts)
-                .map(|i| Host::new(i, NodeAddr(i as u32), &self.calib))
+                .map(|i| Host::new(i, NodeAddr(i as u32)))
                 .collect(),
             appmgr: crate::appmgr::AppRegistry::default(),
             dbg: crate::debug::DbgState::default(),
@@ -709,7 +709,7 @@ impl VorxBuilder {
         // crosses (up-link + one inter-cluster hop + down-link = 3).
         // Diagonals carry `u64::MAX`: the bridge only ever carries frames
         // to other shards, so self-pairs never constrain the EIT.
-        let unit_ns = cfg.netcfg.header_link_latency_ns();
+        let unit_ns = hpcnet::config::header_link_latency_ns();
         let latency: Vec<Vec<u64>> = if n_shards == n_clusters {
             topo.cluster_link_counts()
                 .iter()

@@ -50,7 +50,10 @@ use std::sync::Arc;
 
 use desim::FixedMap;
 
-use crate::config::{NetConfig, PORTS_PER_CLUSTER};
+use crate::config::{
+    NetConfig, CLUSTER_PORT_SLOTS, COMB_ALU_NS, ENDPOINT_RX_SLOTS, HOP_LATENCY_NS,
+    PORTS_PER_CLUSTER,
+};
 use crate::frame::{Dest, Frame, FrameError, NodeAddr};
 use crate::topology::{Attachment, ClusterId, PortRef, Topology};
 
@@ -511,7 +514,7 @@ struct CombEntry {
     /// Original contributions folded into `value`.
     count: u32,
     /// When the combining ALU finishes the merges so far: each merge
-    /// extends this by `NetConfig::comb_alu_ns`, and the entry never
+    /// extends this by [`COMB_ALU_NS`], and the entry never
     /// flushes earlier.
     ready_at: u64,
     /// Source of the first contribution (deterministic in arrival order) —
@@ -537,11 +540,12 @@ fn frame_cost(f: &Frame) -> u64 {
 }
 
 impl Fabric {
-    /// Build a fabric over `topo` with hardware parameters `cfg`.
+    /// Build a fabric over `topo` with the run parameters `cfg`; the
+    /// hardware itself is the constants of [`crate::config`].
     ///
     /// Endpoint links come first, two per endpoint in address order, so
     /// endpoint `a`'s up-link is `2a` and its down-link `2a + 1`
-    /// ([`up_link`], [`down_link`]); cluster-to-cluster links follow.
+    /// (`up_link`, `down_link`); cluster-to-cluster links follow.
     pub fn new(topo: Topology, cfg: NetConfig) -> Self {
         let mut wires = Vec::with_capacity(2 * topo.n_endpoints());
         let mut port_in = vec![[None; PORTS_PER_CLUSTER]; topo.n_clusters()];
@@ -562,8 +566,8 @@ impl Fabric {
         for addr in topo.endpoints() {
             let p = topo.endpoint_port(addr);
             let (ep, port) = (Element::Endpoint(addr), Element::Port(p));
-            let up = add(ep, port, cfg.cluster_port_slots);
-            let down = add(port, ep, cfg.endpoint_rx_slots);
+            let up = add(ep, port, CLUSTER_PORT_SLOTS);
+            let down = add(port, ep, ENDPOINT_RX_SLOTS);
             debug_assert_eq!((up, down), (up_link(addr), down_link(addr)));
             plug(p, up, down);
         }
@@ -578,8 +582,8 @@ impl Fabric {
                 if let Attachment::Cluster(peer) = topo.attachment(here) {
                     if (peer.cluster.0 as usize, usize::from(peer.port)) > (c, port) {
                         let (a, b) = (Element::Port(here), Element::Port(peer));
-                        let out = add(a, b, cfg.cluster_port_slots);
-                        let back = add(b, a, cfg.cluster_port_slots);
+                        let out = add(a, b, CLUSTER_PORT_SLOTS);
+                        let back = add(b, a, CLUSTER_PORT_SLOTS);
                         plug(here, back, out);
                         plug(peer, out, back);
                     }
@@ -827,7 +831,7 @@ impl Fabric {
                     hook.on_down_drop(l);
                     self.drop_in_transit(l, out);
                 } else {
-                    match hook.on_transit(l, &frame, now_ns, self.cfg.hop_latency_ns) {
+                    match hook.on_transit(l, &frame, now_ns, HOP_LATENCY_NS) {
                         Transit::Deliver => self.finish_arrival(l, frame, hook, out),
                         Transit::Drop => self.drop_in_transit(l, out),
                         Transit::Corrupt => {
@@ -1221,7 +1225,6 @@ impl Fabric {
             return Some(frame);
         };
         let now = self.now_ns;
-        let alu = self.cfg.comb_alu_ns;
         match comb.entries.entry((cluster.0, frame.seq)) {
             Entry::Occupied(mut e) => {
                 let ent = e.get_mut();
@@ -1230,7 +1233,7 @@ impl Fabric {
                 }
                 ent.value = ent.op.apply(ent.value, value);
                 ent.count += count;
-                ent.ready_at = ent.ready_at.max(now) + alu;
+                ent.ready_at = ent.ready_at.max(now) + COMB_ALU_NS;
                 if ent.arrival.is_none() {
                     ent.arrival = arrival;
                 }
@@ -1787,8 +1790,7 @@ mod tests {
     #[test]
     fn depth_high_water_marks_track_occupancy() {
         let topo = Topology::single_cluster(12).unwrap();
-        let cfg = NetConfig::paper_1988();
-        let mut net = StandaloneNet::new(Fabric::new(topo, cfg));
+        let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
         for src in 1..12u32 {
             for seq in 0..5 {
                 net.send_at(
@@ -1802,15 +1804,15 @@ mod tests {
         // flow-control cap — that is the invariant the soak oracle checks.
         let hwm = net.fabric.max_port_link_depth_hwm();
         assert!(hwm >= 1);
-        assert!(hwm <= cfg.cluster_port_slots);
+        assert!(hwm <= CLUSTER_PORT_SLOTS);
         // Per-link accessors agree with the hardware shape.
         let rx = net.fabric.endpoint_down_link(NodeAddr(0));
         assert!(net.fabric.link_ends_at_endpoint(rx));
-        assert_eq!(net.fabric.link_cap(rx), cfg.endpoint_rx_slots);
+        assert_eq!(net.fabric.link_cap(rx), ENDPOINT_RX_SLOTS);
         assert!(net.fabric.link_depth_hwm(rx) >= 1);
         let up = net.fabric.endpoint_up_link(NodeAddr(1));
         assert!(!net.fabric.link_ends_at_endpoint(up));
-        assert_eq!(net.fabric.link_cap(up), cfg.cluster_port_slots);
+        assert_eq!(net.fabric.link_cap(up), CLUSTER_PORT_SLOTS);
     }
 }
 

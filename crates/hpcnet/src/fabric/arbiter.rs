@@ -405,7 +405,7 @@ impl Fabric {
     }
 
     fn start_tx(&mut self, l: LinkId, frame: Frame, out: &mut Output) {
-        let ser = self.cfg.serialize_ns(frame.wire_bytes());
+        let ser = crate::config::serialize_ns(frame.wire_bytes());
         self.work.grants += 1;
         let link = &mut self.links[l];
         debug_assert!(!link.busy && link.can_accept());
@@ -415,6 +415,6 @@ impl Fabric {
         link.note_depth();
         out.schedule.push((ser, NetEvent::LinkFree(l)));
         out.schedule
-            .push((ser + self.cfg.hop_latency_ns, NetEvent::Arrive(l, frame)));
+            .push((ser + HOP_LATENCY_NS, NetEvent::Arrive(l, frame)));
     }
 }

@@ -8,7 +8,7 @@
 //!   the paper's incomplete hypercube (up to "more than a thousand nodes")
 //!   are all constructible.
 //! * **Ports** — independent input and output sections running at
-//!   160 Mbit/s ([`config::NetConfig`]).
+//!   160 Mbit/s ([`config::NS_PER_BYTE`]).
 //! * **Hardware flow control** — a link accepts a frame only when it has
 //!   room to buffer the whole frame, so the interconnect *never loses
 //!   messages* and software needs no recovery protocol

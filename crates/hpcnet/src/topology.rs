@@ -937,7 +937,7 @@ impl Topology {
     /// always ≥ 3. `None` when no two endpoint-hosting clusters are
     /// connected (single-cluster topologies: nothing ever crosses). This is
     /// the lookahead extraction for the sharded engine: multiplied by the
-    /// minimal per-link frame latency ([`crate::NetConfig::link_latency_ns`]
+    /// minimal per-link frame latency ([`crate::config::link_latency_ns`]
     /// of a header-only frame) it lower-bounds the fabric latency of every
     /// cross-cluster delivery — a static bound that churn can only increase,
     /// never undercut.

@@ -19,6 +19,10 @@
 //! shipped (application-level message-length limits). The `E-SNET`
 //! experiment harness in `crates/bench` turns these into the paper's
 //! comparison.
+//!
+//! The machine is the paper's one S/NET: its bus, FIFO and software timings
+//! are constants in [`config`], so a simulator is chosen by processor count,
+//! recovery [`Strategy`] and seed alone ([`SnetSim::new`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -27,5 +31,5 @@
 pub mod config;
 pub mod sim;
 
-pub use config::{SnetConfig, Strategy};
+pub use config::Strategy;
 pub use sim::{Delivery, SnetReport, SnetSim};

@@ -14,7 +14,10 @@ use std::collections::VecDeque;
 use desim::queue::EventQueue;
 use desim::rng::SplitMix64;
 
-use crate::config::{SnetConfig, Strategy};
+use crate::config::{
+    transfer_ns, Strategy, BACKOFF_INITIAL_NS, BACKOFF_MAX_NS, CONTROL_BYTES, DRAIN_CHUNK_BYTES,
+    FIFO_BYTES, HEADER_BYTES, RESERVATION_SW_NS, RETRY_NS, SW_PER_MSG_NS, SW_READ_NS_PER_BYTE,
+};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MsgKind {
@@ -155,7 +158,6 @@ pub struct SnetReport {
 
 /// The S/NET simulator. Build, enqueue traffic, [`SnetSim::run`].
 pub struct SnetSim {
-    cfg: SnetConfig,
     strategy: Strategy,
     nodes: Vec<Node>,
     /// The clock, and the events still to fire.
@@ -178,9 +180,8 @@ pub struct SnetSim {
 
 impl SnetSim {
     /// Create a simulator with `n` processors.
-    pub fn new(cfg: SnetConfig, n: usize, strategy: Strategy, seed: u64) -> Self {
+    pub fn new(n: usize, strategy: Strategy, seed: u64) -> Self {
         SnetSim {
-            cfg,
             strategy,
             nodes: (0..n).map(|_| Node::new()).collect(),
             queue: EventQueue::default(),
@@ -226,7 +227,7 @@ impl SnetSim {
     pub fn enqueue(&mut self, src: usize, dst: usize, len: u32, count: u64, start_ns: u64) {
         assert_ne!(src, dst, "S/NET node cannot send to itself");
         assert!(
-            len + self.cfg.header_bytes <= self.cfg.fifo_bytes,
+            len + HEADER_BYTES <= FIFO_BYTES,
             "message larger than the receive FIFO can never be delivered"
         );
         for i in 0..count {
@@ -306,7 +307,7 @@ impl SnetSim {
                     // Send a request first.
                     node.control.push_back(OutMsg {
                         dst: head.dst,
-                        len: self.cfg.control_bytes,
+                        len: CONTROL_BYTES,
                         seq: head.seq,
                         kind: MsgKind::Request,
                     });
@@ -326,7 +327,7 @@ impl SnetSim {
     fn start_transfer(&mut self, n: usize) {
         debug_assert!(!self.bus_busy);
         let msg = self.nodes[n].pop_head();
-        let dur = self.cfg.transfer_ns(msg.len);
+        let dur = transfer_ns(msg.len);
         self.bus_busy = true;
         self.bus_busy_ns += dur;
         self.queue.push_in(dur, Event::TransferEnd { src: n, msg });
@@ -346,7 +347,7 @@ impl SnetSim {
     }
 
     fn transfer_end(&mut self, src: usize, msg: OutMsg) {
-        let size = msg.len + self.cfg.header_bytes;
+        let size = msg.len + HEADER_BYTES;
         let dst = msg.dst;
         if msg.kind == MsgKind::Data {
             if self.chance(self.fault_drop) {
@@ -363,7 +364,7 @@ impl SnetSim {
                 // Damaged in transit: whatever fits of it lands in the FIFO
                 // as junk the receiving kernel must read and discard.
                 self.corrupted += 1;
-                let free = self.cfg.fifo_bytes - self.nodes[dst].fifo_used;
+                let free = FIFO_BYTES - self.nodes[dst].fifo_used;
                 let junk = size.min(free);
                 if junk > 0 {
                     self.nodes[dst].fifo.push_back(FifoItem {
@@ -382,7 +383,7 @@ impl SnetSim {
                 return;
             }
         }
-        let free = self.cfg.fifo_bytes - self.nodes[dst].fifo_used;
+        let free = FIFO_BYTES - self.nodes[dst].fifo_used;
         if size <= free {
             // Accepted whole.
             let kind = match msg.kind {
@@ -434,7 +435,7 @@ impl SnetSim {
                 node.phase = SenderPhase::Ready;
                 if node.head().is_some() {
                     // Software gap before offering the next message.
-                    let gap = node.send_gap_ns.unwrap_or(self.cfg.retry_ns);
+                    let gap = node.send_gap_ns.unwrap_or(RETRY_NS);
                     self.queue.push_in(gap, Event::Offer(src));
                 } else {
                     node.phase = SenderPhase::Idle;
@@ -452,13 +453,11 @@ impl SnetSim {
         }
         node.consecutive_rejects += 1;
         let delay = match self.strategy {
-            Strategy::BusyRetry | Strategy::Reservation => self.cfg.retry_ns,
+            Strategy::BusyRetry | Strategy::Reservation => RETRY_NS,
             Strategy::RandomBackoff => {
                 let exp = node.consecutive_rejects.min(16);
-                let window = (self.cfg.backoff_initial_ns << (exp - 1))
-                    .min(self.cfg.backoff_max_ns)
-                    .max(1);
-                self.cfg.retry_ns + self.rng.next_u64() % window
+                let window = (BACKOFF_INITIAL_NS << (exp - 1)).clamp(1, BACKOFF_MAX_NS);
+                RETRY_NS + self.rng.next_u64() % window
             }
         };
         node.phase = SenderPhase::BackingOff;
@@ -471,7 +470,7 @@ impl SnetSim {
             self.nodes[n].draining = true;
             // Per-message software overhead is charged before the first
             // chunk of each item.
-            let d = self.cfg.sw_per_msg_ns + self.chunk_ns(n);
+            let d = SW_PER_MSG_NS + self.chunk_ns(n);
             self.queue.push_in(d, Event::DrainChunk(n));
         }
     }
@@ -479,15 +478,14 @@ impl SnetSim {
     fn chunk_ns(&self, n: usize) -> u64 {
         let item = self.nodes[n].fifo.front().expect("drain with empty fifo");
         let remaining = item.total - item.drained;
-        let chunk = remaining.min(self.cfg.drain_chunk_bytes);
-        self.cfg.sw_read_ns_per_byte * u64::from(chunk)
+        let chunk = remaining.min(DRAIN_CHUNK_BYTES);
+        SW_READ_NS_PER_BYTE * u64::from(chunk)
     }
 
     fn drain_chunk(&mut self, n: usize) {
-        let cfg_chunk = self.cfg.drain_chunk_bytes;
         let node = &mut self.nodes[n];
         let item = node.fifo.front_mut().expect("drain with empty fifo");
-        let chunk = (item.total - item.drained).min(cfg_chunk);
+        let chunk = (item.total - item.drained).min(DRAIN_CHUNK_BYTES);
         item.drained += chunk;
         node.fifo_used -= chunk; // space frees as the kernel reads
         if item.drained == item.total {
@@ -511,8 +509,7 @@ impl SnetSim {
                 ItemKind::Grant => {
                     // This node's request was granted: send the data now.
                     self.nodes[n].phase = SenderPhase::Granted;
-                    self.queue
-                        .push_in(self.cfg.reservation_sw_ns, Event::Offer(n));
+                    self.queue.push_in(RESERVATION_SW_NS, Event::Offer(n));
                 }
             }
         }
@@ -521,11 +518,7 @@ impl SnetSim {
             node.draining = false;
         } else {
             let head_fresh = node.fifo.front().expect("checked").drained == 0;
-            let extra = if head_fresh {
-                self.cfg.sw_per_msg_ns
-            } else {
-                0
-            };
+            let extra = if head_fresh { SW_PER_MSG_NS } else { 0 };
             let d = extra + self.chunk_ns(n);
             self.queue.push_in(d, Event::DrainChunk(n));
         }
@@ -542,12 +535,11 @@ impl SnetSim {
         self.nodes[n].grant_outstanding = Some(who);
         self.nodes[n].control.push_back(OutMsg {
             dst: who,
-            len: self.cfg.control_bytes,
+            len: CONTROL_BYTES,
             seq: 0,
             kind: MsgKind::Grant,
         });
-        self.queue
-            .push_in(self.cfg.reservation_sw_ns, Event::Offer(n));
+        self.queue.push_in(RESERVATION_SW_NS, Event::Offer(n));
     }
 }
 
@@ -558,7 +550,7 @@ mod tests {
     const SEC: u64 = 1_000_000_000;
 
     fn burst(strategy: Strategy, senders: usize, len: u32, count: u64) -> SnetReport {
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), senders + 1, strategy, 42);
+        let mut sim = SnetSim::new(senders + 1, strategy, 42);
         for s in 1..=senders {
             sim.enqueue(s, 0, len, count, 0);
         }
@@ -568,7 +560,7 @@ mod tests {
     #[test]
     fn paced_single_sender_delivers_everything() {
         // A sender paced slower than the receiver's drain never overflows.
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), 2, Strategy::BusyRetry, 42);
+        let mut sim = SnetSim::new(2, Strategy::BusyRetry, 42);
         sim.enqueue_paced(1, 0, 1024, 20, 0, 400_000);
         let r = sim.run(30 * SEC);
         assert!(r.completed);
@@ -617,7 +609,7 @@ mod tests {
         assert!(back.completed, "backoff must avoid lockout");
         // Busy retry with this load locks out; compare against the
         // no-contention bus-bound time instead: backoff pays heavily.
-        let ideal_bus_ns = SnetConfig::paper_1985().transfer_ns(1024) * 64;
+        let ideal_bus_ns = transfer_ns(1024) * 64;
         assert!(
             back.last_delivery_ns > 3 * ideal_bus_ns,
             "backoff should run well below bus speed: {} vs ideal {}",
@@ -645,7 +637,7 @@ mod tests {
         let t_plain = plain.delivered[0][0].0;
         let t_resv = resv.delivered[0][0].0;
         assert!(
-            t_resv > t_plain + 2 * SnetConfig::paper_1985().transfer_ns(16),
+            t_resv > t_plain + 2 * transfer_ns(16),
             "reservation latency {t_resv} should exceed plain {t_plain} by \
              at least a request+grant round trip"
         );
@@ -654,7 +646,7 @@ mod tests {
     #[test]
     fn backoff_is_deterministic_per_seed() {
         let run = |seed| {
-            let mut sim = SnetSim::new(SnetConfig::paper_1985(), 9, Strategy::RandomBackoff, seed);
+            let mut sim = SnetSim::new(9, Strategy::RandomBackoff, seed);
             for s in 1..=8 {
                 sim.enqueue(s, 0, 1024, 4, 0);
             }
@@ -668,7 +660,7 @@ mod tests {
     #[test]
     fn injected_loss_is_deterministic_and_accounted() {
         let run = |seed| {
-            let mut sim = SnetSim::new(SnetConfig::paper_1985(), 2, Strategy::BusyRetry, seed);
+            let mut sim = SnetSim::new(2, Strategy::BusyRetry, seed);
             sim.set_faults(0.2, 0.1);
             sim.enqueue_paced(1, 0, 512, 50, 0, 400_000);
             let r = sim.run(60 * SEC);
@@ -683,7 +675,7 @@ mod tests {
 
     #[test]
     fn corrupted_messages_become_junk_the_kernel_discards() {
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), 2, Strategy::BusyRetry, 3);
+        let mut sim = SnetSim::new(2, Strategy::BusyRetry, 3);
         sim.set_faults(0.0, 1.0); // every data message is damaged
         sim.enqueue_paced(1, 0, 256, 5, 0, 400_000);
         let r = sim.run(30 * SEC);
@@ -696,7 +688,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "larger than the receive FIFO")]
     fn oversize_message_rejected_at_enqueue() {
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), 2, Strategy::BusyRetry, 1);
+        let mut sim = SnetSim::new(2, Strategy::BusyRetry, 1);
         sim.enqueue(1, 0, 2048, 1, 0);
     }
 }

@@ -1,6 +1,6 @@
 //! Additional S/NET strategy behaviour tests.
 
-use snet::{SnetConfig, SnetSim, Strategy};
+use snet::{SnetSim, Strategy};
 
 const SEC: u64 = 1_000_000_000;
 
@@ -9,7 +9,7 @@ const SEC: u64 = 1_000_000_000;
 /// monopolizing the receiver.
 #[test]
 fn reservation_interleaves_senders() {
-    let mut sim = SnetSim::new(SnetConfig::paper_1985(), 4, Strategy::Reservation, 9);
+    let mut sim = SnetSim::new(4, Strategy::Reservation, 9);
     for s in 1..4 {
         sim.enqueue(s, 0, 1024, 6, 0);
     }
@@ -27,7 +27,7 @@ fn reservation_interleaves_senders() {
 #[test]
 fn backoff_without_contention_is_free() {
     let mk = |strategy| {
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), 2, strategy, 5);
+        let mut sim = SnetSim::new(2, strategy, 5);
         sim.enqueue_paced(1, 0, 512, 5, 0, 300_000);
         sim.run(SEC)
     };
@@ -45,7 +45,7 @@ fn backoff_without_contention_is_free() {
 #[test]
 fn lockout_depends_on_offered_load() {
     let run = |len: u32, count: u64| {
-        let mut sim = SnetSim::new(SnetConfig::paper_1985(), 9, Strategy::BusyRetry, 3);
+        let mut sim = SnetSim::new(9, Strategy::BusyRetry, 3);
         for s in 1..9 {
             sim.enqueue(s, 0, len, count, 0);
         }

@@ -201,12 +201,7 @@ fn objmgr_modes_agree_on_rendezvous() {
 #[test]
 fn hpc_survives_the_burst_that_kills_the_snet() {
     // S/NET side.
-    let mut sim = snet::SnetSim::new(
-        snet::SnetConfig::paper_1985(),
-        9,
-        snet::Strategy::BusyRetry,
-        1,
-    );
+    let mut sim = snet::SnetSim::new(9, snet::Strategy::BusyRetry, 1);
     for s in 1..9 {
         sim.enqueue(s, 0, 1024, 10, 0);
     }

@@ -26,7 +26,7 @@ use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{
     ClusterId, Dest, Fabric, Frame, LinkId, NetConfig, NodeAddr, Payload, Stats, Topology,
 };
-use snet::{SnetConfig, SnetReport, SnetSim, Strategy};
+use snet::{SnetReport, SnetSim, Strategy};
 
 const CLUSTERS: usize = 16;
 const PER_CLUSTER: usize = 4;
@@ -379,7 +379,7 @@ fn snet_digest(r: &SnetReport) -> u64 {
 /// `senders` nodes each blast `count` messages of `len` bytes at node 0 from
 /// t = 0.
 fn snet_burst(strategy: Strategy, seed: u64, senders: usize, len: u32, count: u64) -> SnetSim {
-    let mut sim = SnetSim::new(SnetConfig::paper_1985(), senders + 1, strategy, seed);
+    let mut sim = SnetSim::new(senders + 1, strategy, seed);
     for s in 1..=senders {
         sim.enqueue(s, 0, len, count, 0);
     }
@@ -394,7 +394,7 @@ fn snet_order() {
     assert!(backoff.completed);
     let reservation = snet_burst(Strategy::Reservation, 9, 11, 1024, 10).run(30_000_000_000);
     assert_eq!((reservation.delivered_total, reservation.rejects), (110, 0));
-    let mut paced = SnetSim::new(SnetConfig::paper_1985(), 2, Strategy::BusyRetry, 11);
+    let mut paced = SnetSim::new(2, Strategy::BusyRetry, 11);
     paced.set_faults(0.2, 0.1);
     paced.enqueue_paced(1, 0, 512, 50, 0, 400_000);
     let paced = paced.run(60_000_000_000);

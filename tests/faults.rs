@@ -397,6 +397,69 @@ fn busy_grant_exhaustion_surfaces_typed_error() {
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }
 
+/// The channel table's bound at its real value: both nodes of a 2-node world
+/// open [`MAX_CHANS_PER_NODE`] channels with each other, all of which pair.
+/// The next `try_open` on node 0 is refused with `ResourceExhausted` before
+/// anything is registered or sent: it costs the open syscall and nothing
+/// more, never reaches the manager, counts one `table_rejects`, and leaves
+/// no open wait, unacked control frame or waiting opener behind.
+#[test]
+fn channel_table_refuses_the_open_past_its_cap() {
+    use hpc_vorx::vorx::calib::MAX_CHANS_PER_NODE;
+    let names: Arc<Vec<String>> = Arc::new(
+        (0..MAX_CHANS_PER_NODE)
+            .map(|i| format!("cap/{i}"))
+            .collect(),
+    );
+    let mut v = VorxBuilder::single_cluster(2)
+        .objmgr(ObjMgrMode::Centralized(NodeAddr(0)))
+        .trace(false)
+        .build();
+    let refused: Arc<Mutex<Option<(VorxError, u64)>>> = Arc::new(Mutex::new(None));
+    for node in 0..2u32 {
+        let (names, sink) = (Arc::clone(&names), Arc::clone(&refused));
+        v.spawn(format!("n{node}:opener"), move |ctx| {
+            for name in names.iter() {
+                channel::try_open(&ctx, NodeAddr(node), name)
+                    .expect("under the cap, every open pairs");
+            }
+            if node == 0 {
+                let start = ctx.now();
+                let err = channel::try_open(&ctx, NodeAddr(0), "cap/one-too-many").unwrap_err();
+                *lock(&sink) = Some((err, (ctx.now() - start).as_ns()));
+            }
+        });
+    }
+    let report = v.run();
+    assert!(report.all_finished(), "no opener may wedge: {report:?}");
+    let (err, elapsed_ns) = lock(&refused)
+        .take()
+        .expect("node 0 tried one open past the cap");
+    assert_eq!(err, VorxError::ResourceExhausted);
+    let w = v.world();
+    assert_eq!(
+        elapsed_ns, w.calib.chan_read_syscall_ns,
+        "the refusal costs the open syscall, no round trip"
+    );
+    assert_eq!(w.faults.stats.table_rejects, 1);
+    for node in 0..2 {
+        assert_eq!(w.node(NodeAddr(node)).chans.len(), MAX_CHANS_PER_NODE);
+    }
+    assert!(w.open_waits.is_empty(), "an open wait was left behind");
+    assert!(w.ctl_unacked.is_empty(), "a control frame is still unacked");
+    let mgr = &w.node(NodeAddr(0)).mgr;
+    assert_eq!(
+        mgr.served,
+        2 * MAX_CHANS_PER_NODE as u64,
+        "the refused open reached the manager"
+    );
+    assert!(
+        mgr.pending.values().all(|q| q.is_empty()),
+        "an opener still waits at the manager"
+    );
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
+}
+
 /// A lost `KIND_CHAN_BUSY`: the reader naps with its side buffers full, the
 /// 9th fragment is deferred, and the BUSY that says so is dropped. The
 /// writer's timer must retransmit, the retransmission must draw a *second*

@@ -103,11 +103,11 @@ proptest! {
         len in 1u32..1500,
         count in 1u64..12,
     ) {
-        use snet::{SnetConfig, SnetSim, Strategy};
+        use snet::config::{FIFO_BYTES, HEADER_BYTES};
+        use snet::{SnetSim, Strategy};
         let strategy = [Strategy::BusyRetry, Strategy::RandomBackoff, Strategy::Reservation][strategy_idx];
-        let cfg = SnetConfig::paper_1985();
-        let len = len.min(cfg.fifo_bytes - cfg.header_bytes);
-        let mut sim = SnetSim::new(cfg, senders + 1, strategy, 7);
+        let len = len.min(FIFO_BYTES - HEADER_BYTES);
+        let mut sim = SnetSim::new(senders + 1, strategy, 7);
         for s in 1..=senders {
             sim.enqueue(s, 0, len, count, 0);
         }
