@@ -61,11 +61,8 @@ pub fn node_mem_bytes(w: &World, node: &Node) -> u64 {
     // Object-manager role state: registrations, pending opens, dedup window.
     let mgr = &node.mgr;
     b += (mgr.servers.len() + mgr.seen.len() + mgr.seen_order.len()) as u64 * ENTRY_BYTES;
-    b += mgr
-        .pending
-        .values()
-        .map(|q| ENTRY_BYTES * (1 + q.len() as u64))
-        .sum::<u64>();
+    // A pending entry holds its one opener.
+    b += mgr.pending.len() as u64 * 2 * ENTRY_BYTES;
     // Name-resolution cache and membership sets.
     b += node.resolve.len() as u64 * ENTRY_BYTES;
     b += (node.mbr.partitioned.len() + node.mbr.probing.len()) as u64 * ENTRY_BYTES;

@@ -66,6 +66,7 @@ use crate::calib::{
 };
 use crate::cpu::{BlockReason, CpuCat};
 use crate::kernel;
+use crate::objmgr::Name;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
 use crate::world::{Node, VCtx, VSched, World};
@@ -355,7 +356,7 @@ pub struct ChanEnd {
     /// Channel id (same on both ends).
     pub id: u32,
     /// The rendezvous name.
-    pub name: String,
+    pub name: Name,
     /// The other end's node.
     pub peer: NodeAddr,
     /// Complete received messages awaiting `read` (kernel side buffers).
@@ -422,7 +423,7 @@ pub struct ChanEnd {
 const _: () = assert!(size_of::<ChanEnd>() <= 432);
 
 impl ChanEnd {
-    fn new(id: u32, name: String, peer: NodeAddr, cfg: ChannelConfig) -> Self {
+    fn new(id: u32, name: Name, peer: NodeAddr, cfg: ChannelConfig) -> Self {
         // Until the first ack arrives, the writer trusts the configured
         // receive capacity (both ends share one calibration).
         let win = WinTx {
@@ -650,7 +651,7 @@ pub fn create_end(
     s: &mut VSched,
     node: NodeAddr,
     id: u32,
-    name: String,
+    name: Name,
     peer: NodeAddr,
 ) {
     let cfg = ChannelConfig::from_calib(&w.calib);
@@ -1926,7 +1927,7 @@ pub struct Listener {
     /// The server's node.
     pub node: NodeAddr,
     /// The listening name.
-    pub name: String,
+    pub name: Name,
 }
 
 /// Register `name` as a server name on `node` and wait until the object
@@ -1939,7 +1940,8 @@ pub struct Listener {
 pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
     let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
     api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
-    let name_owned = name.to_string();
+    let name = Name::new(name);
+    let name_owned = name.clone();
     ctx.with(move |w, s| {
         let prev = w
             .node_mut(node)
@@ -1967,7 +1969,7 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
         retry::arm(w, s, node, ListenRetry(name_owned));
     });
     let pid = ctx.pid();
-    let name_owned = name.to_string();
+    let name_owned = name.clone();
     ctx.wait_until(move |w, _| {
         let Some(ls) = w.node_mut(node).listeners.get_mut(&name_owned) else {
             return Some(()); // our node crashed; the registration died with it
@@ -1979,10 +1981,7 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
             None
         }
     });
-    Listener {
-        node,
-        name: name.to_string(),
-    }
+    Listener { node, name }
 }
 
 /// The retransmit chain of the unacknowledged registration of this listen
@@ -1991,7 +1990,7 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
 /// idempotent per token). After [`OPEN_MAX_RETRIES`] the chain gives up
 /// silently — an unreachable manager leaves the listener parked (see
 /// DESIGN.md on non-recoverable paths).
-struct ListenRetry(String);
+struct ListenRetry(Name);
 
 impl Retry for ListenRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
@@ -2079,10 +2078,10 @@ pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     if w.node(node).chans.contains(id) {
         return; // duplicate connect (our first ack was lost)
     }
-    if !w.node(node).listeners.contains_key(name) {
+    let Some((key, ls)) = w.node(node).listeners.get_key_value(name) else {
         return; // listener died with a crash; the client will learn via timeout
-    }
-    if w.node(node).listeners[name].pending.len() >= LISTENER_BACKLOG_CAP {
+    };
+    if ls.pending.len() >= LISTENER_BACKLOG_CAP {
         // Bounded listener backlog: discard the connection instead of
         // growing the unaccepted queue without limit. The manager's CTL_ACK
         // was already sent, so no retransmit storm; the client's end stays
@@ -2093,7 +2092,7 @@ pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         w.faults.stats.table_rejects += 1;
         return;
     }
-    create_end(w, s, node, id, name.to_string(), client);
+    create_end(w, s, node, id, key.clone(), client);
     let Some(ls) = w.node_mut(node).listeners.get_mut(name) else {
         return;
     };

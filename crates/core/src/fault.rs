@@ -22,6 +22,7 @@ use crate::calib::{
 };
 use crate::cpu::TraceEvent;
 use crate::kernel;
+use crate::objmgr::MgrKey;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
 use crate::world::{VCtx, VSched, World};
@@ -400,19 +401,17 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     // generation), those fresh entries must survive the sweep. Tokens are
     // world-unique, so `(manager, name, token)` identifies a queued request
     // exactly.
-    let mut stale_servers: Vec<(u32, String)> = Vec::new();
-    let mut stale_pending: Vec<(u32, String, u64)> = Vec::new();
+    let mut stale_servers: Vec<(u32, MgrKey)> = Vec::new();
+    let mut stale_pending: Vec<(u32, MgrKey, u64)> = Vec::new();
     for (i, other) in w.nodes.iter().enumerate() {
-        for (name, srv) in &other.mgr.servers {
+        for (key, srv) in &other.mgr.servers {
             if *srv == node {
-                stale_servers.push((i as u32, name.clone()));
+                stale_servers.push((i as u32, key.clone()));
             }
         }
-        for (name, q) in &other.mgr.pending {
-            for &(req, token) in q {
-                if req == node {
-                    stale_pending.push((i as u32, name.clone(), token));
-                }
+        for (key, &(req, token)) in &other.mgr.pending {
+            if req == node {
+                stale_pending.push((i as u32, key.clone(), token));
             }
         }
     }
@@ -432,16 +431,16 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
         }
         // Evict the manager entries snapshotted at crash time — and only
         // those, so registrations made after a restart are untouched.
-        for (ni, name) in &stale_servers {
+        for (ni, key) in &stale_servers {
             let mgr = &mut w.nodes[*ni as usize].mgr;
-            if mgr.servers.get(name) == Some(&node) {
-                mgr.servers.remove(name);
+            if mgr.servers.get(key) == Some(&node) {
+                mgr.servers.remove(key);
             }
         }
-        for (ni, name, token) in &stale_pending {
+        for (ni, key, token) in &stale_pending {
             let mgr = &mut w.nodes[*ni as usize].mgr;
-            if let Some(q) = mgr.pending.get_mut(name) {
-                q.retain(|(req, t)| !(*req == node && t == token));
+            if mgr.pending.get(key) == Some(&(node, *token)) {
+                mgr.pending.remove(key);
             }
         }
     });

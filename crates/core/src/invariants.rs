@@ -24,13 +24,19 @@
 //!   has no heartbeat probe in flight;
 //! * [`REPLICAS`] — in distributed-manager mode, every server registration
 //!   held by its hash-home also sits on the home's successor replica;
+//! * [`PENDING_OPENER`] — every manager's `pending` entry holds exactly one
+//!   opener, and no opener under two names: a request's token names one
+//!   object;
+//! * [`PENDING_SERVED`] — no manager keeps an opener waiting on a name it
+//!   has a server registered for (registering connects the waiting opener);
 //! * [`IDLE_MEMORY`] — at least the expected number of owned nodes cost
 //!   exactly the accountant's O(1) idle baseline.
 
+use desim::FixedSet;
 use hpcnet::{ClusterId, LinkId, NodeAddr};
 
 use crate::accounting;
-use crate::objmgr::{self, ObjMgrMode};
+use crate::objmgr::{self, MgrKey, ObjMgrMode};
 use crate::world::{VorxShardedSim, World};
 
 /// A port link's occupancy exceeded its slot cap.
@@ -43,6 +49,10 @@ pub const UNDRAINED_SWITCH: &str = "undrained-switch";
 pub const MEMBERSHIP: &str = "membership-convergence";
 /// A home manager's registration is missing from its successor replica.
 pub const REPLICAS: &str = "replica-consistency";
+/// A manager holds one opener under two names.
+pub const PENDING_OPENER: &str = "pending-one-opener";
+/// A manager keeps an opener waiting on a name it has a server for.
+pub const PENDING_SERVED: &str = "pending-beside-server";
 /// Fewer nodes than expected sit at the idle-memory baseline.
 pub const IDLE_MEMORY: &str = "idle-memory-baseline";
 
@@ -54,7 +64,7 @@ pub struct Part {
     local: Vec<&'static str>,
     /// `(node, [(servers-map key, server node)])` for owned nodes that hold
     /// registrations; replica consistency is judged over all parts.
-    servers: Vec<(u32, Vec<(String, u32)>)>,
+    servers: Vec<(u32, Vec<(MgrKey, u32)>)>,
     /// Endpoints in the machine, when managers are distributed by hash.
     hash_homes: Option<u64>,
     /// Largest accounted footprint of one owned node, bytes.
@@ -84,10 +94,14 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
     }
     let (mut servers, mut mem_max, mut mem_total, mut mem_idle) = (Vec::new(), 0, 0, 0);
     let baseline = accounting::idle_node_bytes();
-    let mut converged = true;
+    let (mut converged, mut one_opener, mut unserved) = (true, true, true);
     for &a in owned {
         let n = w.node(a);
         converged &= n.up && n.mbr.partitioned.is_empty() && n.mbr.probing.is_empty();
+        let pending = &n.mgr.pending;
+        let openers: FixedSet<_> = pending.values().collect();
+        one_opener &= openers.len() == pending.len();
+        unserved &= pending.keys().all(|k| !n.mgr.servers.contains_key(k));
         if !n.mgr.servers.is_empty() {
             let entries = n.mgr.servers.iter().map(|(k, v)| (k.clone(), v.0));
             servers.push((a.0, entries.collect()));
@@ -99,6 +113,12 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
     }
     if !converged {
         local.push(MEMBERSHIP);
+    }
+    if !one_opener {
+        local.push(PENDING_OPENER);
+    }
+    if !unserved {
+        local.push(PENDING_SERVED);
     }
     Part {
         local,
@@ -165,7 +185,7 @@ fn replicas_consistent(parts: &[Part]) -> bool {
         return true;
     };
     let held = || parts.iter().flat_map(|p| &p.servers);
-    let lookup = |node: u32, key: &str| {
+    let lookup = |node: u32, key: &MgrKey| {
         held()
             .find(|(at, _)| *at == node)
             .and_then(|(_, es)| es.iter().find(|(k, _)| k == key))
@@ -173,12 +193,8 @@ fn replicas_consistent(parts: &[Part]) -> bool {
     };
     held().all(|(node, entries)| {
         entries.iter().all(|(key, server)| {
-            // The servers-map key is `<kind>\0<name>`; the hash home is a
-            // function of the name alone.
-            let Some(name) = key.split('\0').nth(1) else {
-                return true;
-            };
-            let home = (objmgr::name_hash(name) % n) as u32;
+            // The hash home is a function of the name alone.
+            let home = (objmgr::name_hash(&key.1) % n) as u32;
             let succ = ((u64::from(home) + 1) % n) as u32;
             // A replica copy, or a one-node machine: nothing to mirror.
             home != *node || succ == home || lookup(succ, key) == Some(*server)

@@ -75,6 +75,7 @@ pub use calib::Calibration;
 pub use cpu::{BlockReason, CpuCat, TraceEvent};
 pub use error::{VorxError, VorxResult};
 pub use fault::{FaultState, FaultStats};
+pub use objmgr::Name;
 pub use world::{ShardCtx, VCtx, VSched, VorxBuilder, VorxShardedSim, VorxSim, World};
 
 /// Re-export of the interconnect crate for convenience.

@@ -14,8 +14,20 @@
 //! opening the same name hash to the same manager, the rendezvous is correct
 //! in either mode; only the load distribution differs — which is exactly
 //! what the E-OPEN experiment measures.
+//!
+//! Every name an open or a listen keeps — the opener's pending request, the
+//! manager's tables, the resolve cache, the channel end, the listener — is
+//! a [`Name`]: up to [`Name::INLINE`] bytes held in place, a longer one in
+//! one shared `Arc<str>`. A name costs its bytes once, on the wire; a
+//! manager keys its tables by `(ObjKind, Name)`, and a paired name leaves
+//! nothing there.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
+use std::sync::Arc;
 
 use desim::{FixedMap, FixedSet, SimDuration, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload};
@@ -39,14 +51,128 @@ pub enum ObjMgrMode {
     Distributed,
 }
 
+/// An immutable object name, no larger than a `String`: up to
+/// [`Name::INLINE`] bytes are held in place, a longer name in one
+/// `Arc<str>` that every clone shares. Hashes, compares and orders exactly
+/// as its `str` does, so a map keyed by `Name` is searched with a `&str`.
+#[derive(Clone)]
+pub struct Name(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline { len: u8, bytes: [u8; Name::INLINE] },
+    Shared(Arc<str>),
+}
+
+const _: () = assert!(size_of::<Name>() <= size_of::<String>());
+
+impl Name {
+    /// The longest name held in place.
+    pub const INLINE: usize = 22;
+
+    /// `s` as a name: in place if it fits, one allocation otherwise.
+    pub fn new(s: &str) -> Self {
+        if s.len() > Self::INLINE {
+            return Name(Repr::Shared(s.into()));
+        }
+        let mut bytes = [0; Self::INLINE];
+        bytes[..s.len()].copy_from_slice(s.as_bytes());
+        Name(Repr::Inline {
+            len: s.len() as u8,
+            bytes,
+        })
+    }
+
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => {
+                std::str::from_utf8(&bytes[..usize::from(*len)]).expect("built from a str")
+            }
+            Repr::Shared(s) => s,
+        }
+    }
+
+    /// The name's bytes (no UTF-8 check).
+    fn bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Shared(s) => s.as_bytes(),
+        }
+    }
+
+    /// True when the name is held in place (it is at most
+    /// [`Name::INLINE`] bytes long).
+    pub fn is_inline(&self) -> bool {
+        matches!(self.0, Repr::Inline { .. })
+    }
+}
+
+impl Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Borrow<str> for Name {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Hash for Name {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.bytes() == other.as_bytes()
+    }
+}
+
+impl PartialOrd for Name {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Byte order, as `str`'s.
+impl Ord for Name {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.bytes().cmp(other.bytes())
+    }
+}
+
+impl fmt::Debug for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The key of a name in [`MgrState::pending`] and [`MgrState::servers`]:
+/// a channel and a UDCO of one name are different objects.
+pub type MgrKey = (proto::ObjKind, Name);
+
 /// Per-node object-manager state.
 #[derive(Debug, Default)]
 pub struct MgrState {
-    /// Unmatched open requests by name: `(requester, token)`. At most one
-    /// per name: the next request for the name pairs with it.
-    pub pending: FixedMap<String, VecDeque<(NodeAddr, u64)>>,
+    /// The unmatched open request of each name: `(requester, token)`. The
+    /// next request for the name removes it and pairs with it, so a paired
+    /// name leaves nothing here.
+    pub pending: FixedMap<MgrKey, (NodeAddr, u64)>,
     /// Registered server names (§4 name reuse): name -> server node.
-    pub servers: FixedMap<String, NodeAddr>,
+    pub servers: FixedMap<MgrKey, NodeAddr>,
     /// Requests this manager has served (load statistics for E-OPEN).
     pub served: u64,
     /// Open requests already seen, by `(requester, token)`: a retransmitted
@@ -83,16 +209,6 @@ pub fn note_seen(st: &mut MgrState, key: (u32, u64)) -> bool {
     true
 }
 
-/// The key of `name` in [`MgrState::pending`] and [`MgrState::servers`]:
-/// the object kind's digit, a NUL, the name. One allocation.
-fn mgr_key(kind: proto::ObjKind, name: &str) -> String {
-    let mut key = String::with_capacity(2 + name.len());
-    key.push(char::from(b'0' + kind as u8));
-    key.push('\0');
-    key.push_str(name);
-    key
-}
-
 /// FNV-1a hash of a channel name; stable across runs and platforms.
 pub fn name_hash(name: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -121,7 +237,7 @@ pub fn manager_for(w: &World, name: &str) -> NodeAddr {
 /// manager address is evicted on lookup instead.
 #[derive(Debug, Default)]
 pub struct ResolveCache {
-    entries: FixedMap<String, (u64, NodeAddr)>,
+    entries: FixedMap<Name, (u64, NodeAddr)>,
     /// Lookups served from the cache.
     pub hits: u64,
     /// Entries dropped because the failover/heal epoch moved past them.
@@ -146,13 +262,12 @@ impl ResolveCache {
         }
     }
 
-    /// Record that `name` was served by `mgr` under `epoch`. Owns the name
-    /// only the first time it is seen.
-    pub fn put(&mut self, epoch: u64, name: &str, mgr: NodeAddr) {
+    /// Record that `name` was served by `mgr` under `epoch`.
+    pub fn put(&mut self, epoch: u64, name: &Name, mgr: NodeAddr) {
         match self.entries.get_mut(name) {
             Some(entry) => *entry = (epoch, mgr),
             None => {
-                self.entries.insert(name.to_string(), (epoch, mgr));
+                self.entries.insert(name.clone(), (epoch, mgr));
             }
         }
     }
@@ -243,8 +358,8 @@ fn push_replica(
 pub fn on_repl_reg(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (kind, server, name) = proto::parse_repl_reg(&f.payload);
-    let key = mgr_key(kind, name);
-    w.node_mut(node).mgr.servers.entry(key).or_insert(server);
+    let servers = &mut w.node_mut(node).mgr.servers;
+    servers.entry((kind, Name::new(name))).or_insert(server);
 }
 
 /// Retarget an exhausted pending open at the home manager's successor
@@ -289,7 +404,7 @@ fn try_failover(
 /// determinism; opens with no replica to fail over to resolve as
 /// [`crate::VorxError::Unreachable`].
 pub(crate) fn failover_opens(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    let mut toks: Vec<(u64, proto::ObjKind, String)> = w
+    let mut toks: Vec<(u64, proto::ObjKind, Name)> = w
         .open_waits
         .iter()
         .filter_map(|(t, (a, o))| match o {
@@ -322,25 +437,18 @@ pub(crate) fn anti_entropy(w: &mut World, s: &mut VSched) {
         if !w.node(me).up {
             continue;
         }
-        let mut entries: Vec<(String, NodeAddr)> = w
+        // Channels before UDCOs, then by name bytes.
+        let mut entries: Vec<(MgrKey, NodeAddr)> = w
             .node(me)
             .mgr
             .servers
             .iter()
             .map(|(k, v)| (k.clone(), *v))
             .collect();
-        entries.sort();
-        for (key, server) in entries {
-            let Some((disc, name)) = key.split_once('\0') else {
-                continue;
-            };
-            let kind = if disc == "1" {
-                proto::ObjKind::Udco
-            } else {
-                proto::ObjKind::Channel
-            };
-            let home = manager_for(w, name);
-            let Some(succ) = successor_for(w, name) else {
+        entries.sort_unstable();
+        for ((kind, name), server) in entries {
+            let home = manager_for(w, &name);
+            let Some(succ) = successor_for(w, &name) else {
                 continue;
             };
             if succ == home {
@@ -362,7 +470,7 @@ pub(crate) fn anti_entropy(w: &mut World, s: &mut VSched) {
                 target,
                 proto::KIND_REPL_REG,
                 tok,
-                proto::pack_repl_reg(kind, server, name),
+                proto::pack_repl_reg(kind, server, &name),
             );
             crate::fault::reliable_send(w, s, f);
         }
@@ -403,7 +511,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
         return; // the manager node crashed between the charge and the service
     }
     let (kind, name) = proto::parse_open_req_kind(&f.payload);
-    let key = mgr_key(kind, name);
+    let key = (kind, Name::new(name));
     let requester = (f.src, f.seq);
     let st = &mut w.node_mut(mgr).mgr;
     st.served += 1;
@@ -430,16 +538,13 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
         crate::fault::reliable_send(w, s, conn);
         return;
     }
-    let q = st.pending.entry(key).or_default();
-    // Pairing below empties the queue whenever it reaches two, so it never
-    // holds more than one waiting opener per name and needs no bound.
-    debug_assert!(q.len() <= 1, "{} openers wait on one name", q.len());
-    q.push_back(requester);
-    if q.len() < 2 {
+    // The first opener of a name waits here; the second takes it out and
+    // pairs with it, so no name ever holds two waiting openers.
+    let Some(a) = st.pending.remove(&key) else {
+        st.pending.insert(key, requester);
         return;
-    }
-    let a = q.pop_front().expect("len >= 2");
-    let b = q.pop_front().expect("len >= 2");
+    };
+    let b = requester;
     let id = w.alloc_chan();
     for (me, other) in [(a, b), (b, a)] {
         let rep = Frame::unicast(
@@ -464,7 +569,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             return; // the manager node crashed before servicing
         }
         let (kind, name) = proto::parse_open_req_kind(&f.payload);
-        let key = mgr_key(kind, name);
+        let key = (kind, Name::new(name));
         let server = f.src;
         let st = &mut w.node_mut(mgr).mgr;
         if st.servers.get(&key) == Some(&server) {
@@ -481,13 +586,9 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             return;
         }
         st.served += 1;
-        let prev = st.servers.insert(key.clone(), server);
+        let waiting = st.pending.remove(&key);
+        let prev = st.servers.insert(key, server);
         assert!(prev.is_none(), "name {name:?} already has a server");
-        let waiting: Vec<(NodeAddr, u64)> = st
-            .pending
-            .remove(&key)
-            .map(|q| q.into_iter().collect())
-            .unwrap_or_default();
         // Replicate the fresh registration to the name's successor so opens
         // can fail over if this manager becomes unreachable.
         push_replica(w, s, mgr, kind, server, name);
@@ -501,8 +602,8 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             proto::pack_open_req_kind(kind, name),
         );
         kernel::send_frame(w, s, ack);
-        // Connect clients that were already waiting.
-        for (client, token) in waiting {
+        // Connect the client that was already waiting.
+        if let Some((client, token)) = waiting {
             let id = w.alloc_chan();
             let rep = Frame::unicast(
                 mgr,
@@ -545,7 +646,8 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     // after a failover), stamped with the current epoch.
     let epoch = resolve_epoch(w);
     let mgr = f.src;
-    w.node_mut(node).resolve.put(epoch, name, mgr);
+    let name = Name::new(name);
+    w.node_mut(node).resolve.put(epoch, &name, mgr);
     match kind {
         proto::ObjKind::Channel => {
             // Create the channel end if this node does not have it yet
@@ -553,7 +655,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // second reply is a no-op at the kernel level but still
             // resolves its own token).
             if !w.node(node).chans.contains(id) {
-                channel::create_end(w, s, node, id, name.to_string(), peer);
+                channel::create_end(w, s, node, id, name, peer);
             }
         }
         proto::ObjKind::Udco => {
@@ -594,7 +696,7 @@ struct OpenRetry(u64);
 
 impl OpenRetry {
     /// Where the pending request goes and what it asks for.
-    fn request(&self, w: &World, node: NodeAddr) -> Option<(NodeAddr, proto::ObjKind, String)> {
+    fn request(&self, w: &World, node: NodeAddr) -> Option<(NodeAddr, proto::ObjKind, Name)> {
         match w.open_wait(node, self.0) {
             Some(OpenResult::Pending {
                 mgr, name, kind, ..
@@ -681,8 +783,7 @@ pub fn rendezvous(
     name: &str,
     kind: proto::ObjKind,
 ) -> crate::VorxResult<(u32, NodeAddr)> {
-    let name_owned = name.to_string();
-    let token = ctx.with(move |w, s| {
+    let token = ctx.with(|w, s| {
         // Bounded channel table: refuse new opens once this node holds its
         // budgeted number of channels — degrade locally instead of growing
         // the kernel without limit. (Checked before anything is registered,
@@ -691,13 +792,14 @@ pub fn rendezvous(
             w.faults.stats.table_rejects += 1;
             return Err(crate::VorxError::ResourceExhausted);
         }
-        let mgr = resolve_mgr(w, node, &name_owned);
+        let mgr = resolve_mgr(w, node, name);
         let token = w.token();
-        // Packed before the pending entry takes the name over.
-        let req = open_req(node, mgr, kind, &name_owned, token);
+        let req = open_req(node, mgr, kind, name, token);
+        // The name is built here rather than before `with`, so the frame a
+        // parked opener keeps does not hold it.
         let pending = OpenResult::Pending {
             mgr,
-            name: name_owned,
+            name: Name::new(name),
             kind,
             queued: false,
             chain: Chain::default(),
@@ -763,7 +865,8 @@ mod tests {
     #[test]
     fn resolve_cache_never_serves_across_epochs() {
         let mut c = ResolveCache::default();
-        c.put(0, "a", NodeAddr(3));
+        let a = Name::new("a");
+        c.put(0, &a, NodeAddr(3));
         assert_eq!(c.lookup(0, "a"), Some(NodeAddr(3)));
         assert_eq!(c.hits, 1);
         // Epoch moved: the entry must be evicted, never returned.
@@ -772,7 +875,7 @@ mod tests {
         assert!(c.is_empty(), "stale entry evicted on lookup");
         // Re-learned under the new epoch, a crash wipe clears entries but
         // keeps the measurement counters.
-        c.put(1, "a", NodeAddr(4));
+        c.put(1, &a, NodeAddr(4));
         assert_eq!(c.lookup(1, "a"), Some(NodeAddr(4)));
         c.clear();
         assert!(c.is_empty());

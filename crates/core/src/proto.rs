@@ -77,8 +77,9 @@ pub fn seq_frag(seq: u64) -> u32 {
     seq as u32
 }
 
-/// Kind of object being rendezvoused through the object manager.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Kind of object being rendezvoused through the object manager. Ordered
+/// `Channel` before `Udco`, as their wire bytes are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ObjKind {
     /// An ordinary channel.
     Channel,

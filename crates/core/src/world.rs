@@ -27,7 +27,7 @@ pub enum OpenResult {
         /// The object manager this request was routed to.
         mgr: NodeAddr,
         /// The rendezvous name.
-        name: String,
+        name: crate::objmgr::Name,
         /// Channel or UDCO.
         kind: crate::proto::ObjKind,
         /// The manager acknowledged receipt (`KIND_OPEN_QUEUED`); stop
@@ -77,7 +77,7 @@ pub struct Node {
     /// Processes blocked in `syscall`.
     pub syscall_waiters: WaitSet,
     /// Listening server names on this node (§4 name reuse).
-    pub listeners: FixedMap<String, crate::channel::ListenState>,
+    pub listeners: FixedMap<crate::objmgr::Name, crate::channel::ListenState>,
     /// Object-manager role state (every node can serve opens).
     pub mgr: MgrState,
     /// Epoch-guarded cache of name → serving-manager resolutions.

@@ -133,7 +133,7 @@ pub fn snapshot(w: &World) -> Vec<ChanReport> {
                 .entry(end.id)
                 .or_insert_with(|| ChanReport {
                     id: end.id,
-                    name: end.name.clone(),
+                    name: end.name.to_string(),
                     ends: Vec::new(),
                 })
                 .ends

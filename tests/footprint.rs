@@ -20,7 +20,7 @@ use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
 use hpc_vorx::vorx::hpcnet::combine::CombOp;
 use hpc_vorx::vorx::hpcnet::{NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::udco::{self, UdcoMode};
-use hpc_vorx::vorx::{channel, Calibration, VorxBuilder, VorxSim};
+use hpc_vorx::vorx::{channel, invariants, Calibration, VorxBuilder, VorxSim};
 
 /// Endpoints of the measured world (16 clusters of 4), one measured process
 /// on each.
@@ -308,15 +308,17 @@ fn live_per_idle_stream() -> i64 {
 }
 
 /// A connected idle stream costs at most its measured heap plus 10 %:
-/// 5,234 bytes, optimised or not — a node (776 B), two ends in their world's
+/// 5,122 bytes, optimised or not — a node (776 B), two ends in their world's
 /// slab (432 B each), the links and name caches its traffic touched. It was
 /// 7,038 while every node kept its ends, its open waits and its
 /// unacknowledged control frames in hash tables of its own, rounded up to
 /// four buckets, left allocated once the handshake had emptied them, and
-/// keyed by a `RandomState` each.
+/// keyed by a `RandomState` each; 5,234 while each name was a `String`
+/// copied at every table it entered and a paired name kept its key and an
+/// emptied queue at its manager.
 #[test]
 fn a_connected_idle_stream_costs_at_most_its_budget() {
-    const MEASURED: i64 = 5_234;
+    const MEASURED: i64 = 5_122;
     let bytes = live_per_idle_stream();
     println!("connected idle stream: {bytes} B");
     assert!(
@@ -324,4 +326,33 @@ fn a_connected_idle_stream_costs_at_most_its_budget() {
         "{bytes} B per connected idle stream, budget {} B",
         MEASURED * 11 / 10
     );
+}
+
+/// A paired name leaves nothing at its manager: once both nodes of a
+/// two-node world have opened the same 256 names, no manager holds a
+/// pending open. (Each paired name used to keep its key and an emptied
+/// queue there for the life of the node.)
+#[test]
+fn a_paired_name_leaves_nothing_at_its_manager() {
+    let mut v = VorxBuilder::single_cluster(2).trace(false).build();
+    for node in 0..2 {
+        v.spawn(format!("n{node}:opener"), move |ctx| {
+            for i in 0..256 {
+                channel::try_open(&ctx, NodeAddr(node), &format!("paired/{i}")).unwrap();
+            }
+        });
+    }
+    assert!(v.run().all_finished());
+    let w = v.world();
+    let served: u64 = (0..2).map(|a| w.node(NodeAddr(a)).mgr.served).sum();
+    assert_eq!(served, 512, "every open reached a manager");
+    for a in 0..2 {
+        let pending = &w.node(NodeAddr(a)).mgr.pending;
+        assert!(
+            pending.is_empty(),
+            "manager {a} still holds {} names",
+            pending.len()
+        );
+    }
+    assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }

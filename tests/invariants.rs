@@ -10,7 +10,7 @@
 use hpc_vorx::desim::{FaultSchedule, RunOutcome, SimTime};
 use hpc_vorx::hpcnet::{ClusterId, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::name_hash;
-use hpc_vorx::vorx::{channel, invariants, VorxBuilder, VorxSim};
+use hpc_vorx::vorx::{channel, invariants, Name, VorxBuilder, VorxSim};
 
 const NONE: [&str; 0] = [];
 
@@ -99,6 +99,34 @@ fn a_registration_missing_from_its_successor_is_a_replica_violation() {
     assert!(!w.node(NodeAddr(2)).mgr.servers.is_empty(), "replica too");
     w.node_mut(NodeAddr(2)).mgr.servers.clear();
     assert_eq!(invariants::check(&w, 0), [invariants::REPLICAS]);
+}
+
+#[test]
+fn an_opener_held_twice_or_beside_a_server_is_a_pending_violation() {
+    let v = clean_world();
+    let mut w = v.world();
+    let home = NodeAddr(1);
+    let (key, _) = w
+        .node(home)
+        .mgr
+        .servers
+        .iter()
+        .next()
+        .expect("home holds it");
+    let (kind, name) = key.clone();
+    // An opener waiting on a name its manager has a server for.
+    let opener = (NodeAddr(3), 7);
+    w.node_mut(home).mgr.pending.insert((kind, name), opener);
+    assert_eq!(invariants::check(&w, 0), [invariants::PENDING_SERVED]);
+    // The same opener under two names the manager serves no server for.
+    let mgr = &mut w.node_mut(home).mgr;
+    mgr.pending.clear();
+    for other in ["a", "b"] {
+        mgr.pending.insert((kind, Name::new(other)), opener);
+    }
+    assert_eq!(invariants::check(&w, 0), [invariants::PENDING_OPENER]);
+    w.node_mut(home).mgr.pending.remove(&(kind, Name::new("b")));
+    assert_eq!(invariants::check(&w, 0), NONE);
 }
 
 #[test]

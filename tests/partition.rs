@@ -11,9 +11,10 @@
 use std::sync::{Arc, Mutex};
 
 use hpc_vorx::desim::{lock, FaultSchedule, LinkFaults, SimDuration, SimTime};
-use hpc_vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology};
+use hpc_vorx::hpcnet::{ClusterId, Fabric, NetConfig, NodeAddr, Payload, Topology, MAX_PAYLOAD};
 use hpc_vorx::vorx::objmgr::name_hash;
-use hpc_vorx::vorx::{channel, invariants, Calibration, VorxBuilder, VorxError};
+use hpc_vorx::vorx::proto::ObjKind;
+use hpc_vorx::vorx::{channel, invariants, Calibration, Name, VorxBuilder, VorxError};
 
 use proptest::prelude::*;
 
@@ -277,9 +278,27 @@ fn open_fails_over_to_replica_when_home_is_partitioned() {
 /// failover/heal epoch change. A client learns the successor replica during
 /// a partition (cache stamped with the failover epoch); after the fabric
 /// heals, the next open of the same name must evict that entry and resolve
-/// back to the hash-home — not silently reuse the successor.
+/// back to the hash-home — not silently reuse the successor. Run under a
+/// short name and under names of 22 bytes (the longest `Name` held in
+/// place), 23 bytes (the shortest shared), 200 bytes and the longest an
+/// open reply carries, each `svc` and a zero-padded counter: the listen,
+/// the failover, the anti-entropy push on the heal and the accepts all
+/// carry the whole name.
 #[test]
 fn resolve_cache_is_invalidated_across_failover_and_heal() {
+    failover_and_heal_round_trip(|i| format!("svc{i}"));
+    let longest = MAX_PAYLOAD as usize - 9;
+    for len in [Name::INLINE, Name::INLINE + 1, 200, longest] {
+        let digits = len - 3;
+        let name = failover_and_heal_round_trip(|i| format!("svc{i:0digits$}"));
+        assert_eq!(name.len(), len);
+    }
+}
+
+/// Run [`resolve_cache_is_invalidated_across_failover_and_heal`]'s scenario
+/// under the first of `name_at(0)`, `name_at(1)`, … whose hash homes it on
+/// the last endpoint of cluster 0, and return that name.
+fn failover_and_heal_round_trip(name_at: impl Fn(u32) -> String) -> String {
     use hpc_vorx::vorx::objmgr::resolve_epoch;
 
     let t = topo();
@@ -292,7 +311,7 @@ fn resolve_cache_is_invalidated_across_failover_and_heal() {
         .max_by_key(|a| a.0)
         .unwrap();
     let name = (0..)
-        .map(|i| format!("svc{i}"))
+        .map(name_at)
         .find(|s| name_hash(s) % n == u64::from(home.0))
         .unwrap();
 
@@ -353,7 +372,13 @@ fn resolve_cache_is_invalidated_across_failover_and_heal() {
         Some(home),
         "post-heal resolution must come from the hash-home again"
     );
+    // The home and its successor hold the registration under the name.
+    let key = (ObjKind::Channel, Name::new(&name));
+    for mgr in [home, NodeAddr((home.0 + 1) % n as u32)] {
+        assert_eq!(w.node(mgr).mgr.servers.get(&key), Some(&server));
+    }
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
+    name
 }
 
 /// Build the scripted churn schedule used by the determinism tests: two

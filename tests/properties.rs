@@ -15,7 +15,10 @@
 //!   as its `MinHeap` pops in key order;
 //! * a `WaitSet` — a lone waiter inline, more in a ring buffer — behaves as
 //!   a plain FIFO list that coalesces re-registrations;
-//! * `desim::rng` replays its pinned streams word for word (`rng_pins`).
+//! * `desim::rng` replays its pinned streams word for word (`rng_pins`);
+//! * a `vorx::Name` of any UTF-8 text an open frame carries gives its text
+//!   back, is held in place exactly when it is short, and hashes, compares
+//!   and orders as that text does.
 
 use proptest::prelude::*;
 
@@ -804,5 +807,76 @@ mod rng_pins {
             trues > 300 && trues < 700,
             "suspicious bool stream: {trues}"
         );
+    }
+}
+
+/// A UTF-8 string of at most `max` bytes built from `picks`: each pick's
+/// low two bits choose how many bytes its character encodes to, the rest
+/// which character of that width.
+fn utf8_text(picks: &[u32], max: usize) -> String {
+    let mut s = String::new();
+    for &p in picks {
+        let x = p >> 2;
+        let cp = match p & 3 {
+            0 => x % 0x80,
+            1 => 0x80 + x % (0x800 - 0x80),
+            2 => 0x800 + x % (0x1_0000 - 0x800),
+            _ => 0x1_0000 + x % (0x11_0000 - 0x1_0000),
+        };
+        // Surrogates are no characters; their width class is three bytes.
+        let c = char::from_u32(cp).unwrap_or('\u{fffd}');
+        if s.len() + c.len_utf8() > max {
+            break;
+        }
+        s.push(c);
+    }
+    s
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Names of any UTF-8 text up to the longest an open reply carries
+    /// (`MAX_PAYLOAD` less its nine header bytes), half of them within a
+    /// few bytes of the in-place limit: each gives its text back, is held
+    /// in place if and only if it is at most `Name::INLINE` bytes, hashes,
+    /// compares and orders as its text does, and a map keyed by names finds
+    /// each by its `&str`.
+    #[test]
+    fn a_name_is_its_str(
+        specs in proptest::collection::vec(
+            (any::<bool>(), 0usize..30, 0usize..1016, proptest::collection::vec(any::<u32>(), 0..1016)),
+            1..12,
+        ),
+    ) {
+        use std::hash::BuildHasher;
+
+        use hpc_vorx::desim::{FixedMap, FixedState};
+        use hpc_vorx::hpcnet::MAX_PAYLOAD;
+        use hpc_vorx::vorx::Name;
+
+        let longest = MAX_PAYLOAD as usize - 9;
+        let texts: Vec<String> = specs
+            .iter()
+            .map(|(short, near, any_len, picks)| {
+                utf8_text(picks, if *short { *near } else { (*any_len).min(longest) })
+            })
+            .collect();
+        let names: Vec<Name> = texts.iter().map(|t| Name::new(t)).collect();
+        let hasher = FixedState::default();
+        for (t, n) in texts.iter().zip(&names) {
+            prop_assert_eq!(n.as_str(), t.as_str());
+            prop_assert_eq!(n.is_inline(), t.len() <= Name::INLINE, "{} bytes", t.len());
+            prop_assert_eq!(hasher.hash_one(n), hasher.hash_one(t.as_str()));
+            prop_assert_eq!(n.clone(), *n);
+            for (u, m) in texts.iter().zip(&names) {
+                prop_assert_eq!(n.cmp(m), t.as_str().cmp(u.as_str()));
+                prop_assert_eq!(n == m, t == u);
+            }
+        }
+        let map: FixedMap<Name, &str> = names.iter().cloned().zip(texts.iter().map(String::as_str)).collect();
+        for t in &texts {
+            prop_assert_eq!(map.get(t.as_str()).copied(), Some(t.as_str()));
+        }
     }
 }
