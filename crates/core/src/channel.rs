@@ -124,25 +124,30 @@ fn resume_tx(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
     }
     // Wake blocked readers and writers either way: the end is usable again.
     if let Some(end) = w.chan_mut(node, chan) {
-        end.rx_waiters.wake_all(s, Wakeup::START);
-        end.tx_wait.wake_all(s, Wakeup::START);
+        end.wake_all(s);
     }
 }
 
 /// Declare the peer of every end on `node` peered with `peer` down (a
-/// heartbeat probe outlived the peer's crash): PR 2 semantics — wipe the
-/// transmit state and wake blocked callers with `PeerDown`.
+/// heartbeat probe outlived the peer's crash).
 pub(crate) fn mark_peer_down(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
     for id in w.chans_peered(node, peer, |e| !e.peer_down) {
-        let Some(end) = w.chan_mut(node, id) else {
-            continue;
-        };
-        end.peer_down = true;
-        clear_tx(end);
-        end.rx_waiters.wake_all(s, Wakeup::START);
-        end.tx_wait.wake_all(s, Wakeup::START);
-        w.faults.stats.peer_down_events += 1;
+        set_peer_down(w, s, node, id);
     }
+}
+
+/// `node`'s end of channel `chan` learns its peer is down (retry
+/// exhaustion, a failed heartbeat probe, or the crash-detection sweep): wipe
+/// its transmit state and wake its blocked callers, which observe
+/// [`ChanError::PeerDown`]. Once per end; a gone end is a no-op.
+pub(crate) fn set_peer_down(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
+    let Some(end) = w.chan_mut(node, chan).filter(|e| !e.peer_down) else {
+        return;
+    };
+    end.peer_down = true;
+    clear_tx(end);
+    end.wake_all(s);
+    w.faults.stats.peer_down_events += 1;
 }
 
 /// Per-end protocol parameters, frozen from the [`Calibration`] when the end
@@ -458,6 +463,13 @@ impl ChanEnd {
         }
     }
 
+    /// Wake the end's blocked readers, then its blocked writer, so each
+    /// re-checks the end's state.
+    pub(crate) fn wake_all(&mut self, s: &mut VSched) {
+        self.rx_waiters.wake_all(s, Wakeup::START);
+        self.tx_wait.wake_all(s, Wakeup::START);
+    }
+
     /// Why no new transfer can start on this end, if none can.
     fn broken(&self) -> Option<ChanError> {
         if self.closed_local {
@@ -574,6 +586,12 @@ impl ChanSlab {
     pub fn of<'a>(&'a self, node: &'a Node) -> impl Iterator<Item = &'a ChanEnd> + 'a {
         node.chans.0.iter().map(|&(_, slot)| self.get(slot))
     }
+
+    /// Take the ends `index` names off the slab, in id order, emptying it.
+    pub(crate) fn remove_all(&mut self, index: &mut ChanIndex) -> Vec<ChanEnd> {
+        let slots = index.0.drain(..).map(|(_, slot)| slot);
+        slots.map(|slot| self.remove(slot)).collect()
+    }
 }
 
 /// One node's channel ends: `(channel id, slot in the world's
@@ -635,13 +653,6 @@ impl World {
             .map(|e| e.id)
             .collect()
     }
-
-    /// Take every channel end off node `a`, in id order (a crash wipe).
-    pub(crate) fn take_chans(&mut self, a: NodeAddr) -> Vec<ChanEnd> {
-        let index = std::mem::take(&mut self.node_mut(a).chans);
-        let ends = index.0.into_iter();
-        ends.map(|(_, slot)| self.chan_ends.remove(slot)).collect()
-    }
 }
 
 /// Create a channel end on `node` (called by the object manager's reply
@@ -683,7 +694,8 @@ pub fn open(ctx: &VCtx, node: NodeAddr, name: &str) -> ChannelHandle {
 
 /// Fallible [`open`]: fails with [`ChanError::Unreachable`] when the object
 /// manager does not answer within the retry budget, or
-/// [`ChanError::NodeDown`] when the opener's own node crashes mid-open.
+/// [`ChanError::NodeDown`] when the opener's own node is down or crashes
+/// mid-open.
 pub fn try_open(ctx: &VCtx, node: NodeAddr, name: &str) -> ChanResult<ChannelHandle> {
     let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
     api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
@@ -1036,8 +1048,7 @@ pub fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     end.closed_remote = true;
     clear_tx(end);
     // Wake everyone so blocked reads/writes observe the close.
-    end.rx_waiters.wake_all(s, Wakeup::START);
-    end.tx_wait.wake_all(s, Wakeup::START);
+    end.wake_all(s);
 }
 
 /// Multiplexed read (§4): block until a message is available on *any* of
@@ -1645,12 +1656,8 @@ impl Retry for TxRetry {
                 w.faults.stats.overload_rideouts += 1;
             }
             crate::membership::suspect(w, s, node, peer);
-        } else if let Some(end) = w.chan_mut(node, self.0) {
-            clear_tx(end);
-            end.peer_down = true;
-            end.rx_waiters.wake_all(s, Wakeup::START);
-            end.tx_wait.wake_all(s, Wakeup::START);
-            w.faults.stats.peer_down_events += 1;
+        } else {
+            set_peer_down(w, s, node, self.0);
         }
     }
 }
@@ -1931,7 +1938,9 @@ pub struct Listener {
 }
 
 /// Register `name` as a server name on `node` and wait until the object
-/// manager acknowledges the registration.
+/// manager acknowledges the registration. On a down node nothing is
+/// registered, as when the node crashes mid-registration: the call returns
+/// at once and `accept` stays parked.
 ///
 /// Note: plain `open`s are symmetric, so two clients that open the name
 /// *before* the server registers will pair with each other (the ordinary
@@ -1943,6 +1952,9 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
     let name = Name::new(name);
     let name_owned = name.clone();
     ctx.with(move |w, s| {
+        if !w.node(node).up {
+            return; // nothing registered: `accept` stays parked
+        }
         let prev = w
             .node_mut(node)
             .listeners

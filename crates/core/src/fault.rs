@@ -340,105 +340,65 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
         w.net.set_endpoint_down(now.as_ns(), node, true, out)
     });
 
-    // Wipe the node's kernel state cold, keeping the wait sets we must wake.
-    // Wakes go in channel-id order: wake order feeds the event order that
-    // the determinism guarantee rests on.
-    let n = w.node_mut(node);
-    n.up = false;
-    n.rx_in_service = false;
-    n.tx_q.clear();
-    n.orphans.clear();
-    n.resolve.clear();
-    // Wiping an entry drops its retry chain, which disarms the chain's
-    // timer: a dead node's timeouts must not keep ticking (they would be
-    // no-ops, but no-op events still drag the simulated clock forward).
-    n.listeners.clear();
-    n.syscall_waits.clear();
-    n.mgr = Default::default();
-    n.mbr = Default::default();
-    n.sched = Default::default();
-    // UDCO and multicast state dies with the node. Their waiters are *not*
-    // woken: those paths predate the recovery protocols and have no error
-    // vocabulary (see DESIGN.md — processes using them on a crashed node
-    // stay parked, as do listeners).
-    n.udcos.clear();
-    n.mcast.clear();
-    n.mcast_pending.clear();
-    n.coll.clear();
-    w.wipe_handshakes(node);
-    for mut end in w.take_chans(node) {
-        crate::channel::clear_tx(&mut end);
-        end.rx_waiters.wake_all(s, Wakeup::START);
-        end.tx_wait.wake_all(s, Wakeup::START);
+    // A cold node takes the slot. Wakes go in channel-id order (wake order
+    // feeds the event order determinism rests on); UDCO, multicast and
+    // listener waiters stay parked, as DESIGN.md §9 documents. Dropping the
+    // crashed node disarms every retry chain it held: a dead node's
+    // timeouts must not drag the simulated clock forward.
+    let (mut crashed, ends) = w.wipe_node(node);
+    for mut end in ends {
+        end.wake_all(s);
     }
-    w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
-    w.node_mut(node).syscall_waiters.wake_all(s, Wakeup::START);
-    w.node_mut(node).tx_waiters.wake_all(s, Wakeup::START);
+    crashed.open_waiters.wake_all(s, Wakeup::START);
+    crashed.syscall_waiters.wake_all(s, Wakeup::START);
+    crashed.tx_waiters.wake_all(s, Wakeup::START);
+    drop(crashed);
 
     // The application manager's failure detector is part of the manager
     // abstraction: mark the node's processes failed so `wait_app` completes.
     crate::appmgr::on_node_failed(w, node);
 
     // Failure-detection sweep: after `crash_detect_ns`, peers with channel
-    // ends to this node learn it is down, and manager registrations backed
-    // by it are evicted. Snapshot the affected ends now — ends created
-    // after the crash (a new generation) must not be marked.
+    // ends to this node learn it is down, and manager entries backed by it
+    // are evicted. Both are snapshotted now: what the node builds after a
+    // restart inside the window (a new generation) must survive the sweep.
+    // Tokens are world-unique, so `(manager, name, token)` identifies a
+    // queued request exactly. Idle templates hold neither ends nor entries.
     let detect = w.calib.crash_detect_ns;
     if detect == u64::MAX {
         return;
     }
-    let mut hits: Vec<(u32, u32)> = Vec::new();
-    for (i, other) in w.nodes.iter().enumerate() {
-        if i == node.0 as usize {
-            continue;
-        }
+    let mut hits: Vec<(NodeAddr, u32)> = Vec::new();
+    let mut stale_servers: Vec<(NodeAddr, MgrKey)> = Vec::new();
+    let mut stale_pending: Vec<(NodeAddr, MgrKey, u64)> = Vec::new();
+    for other in w.nodes.materialized() {
         let peered = w.chan_ends.of(other).filter(|e| e.peer == node);
-        hits.extend(peered.map(|e| (i as u32, e.id)));
-    }
-    // Manager entries backed by the dead node are snapshotted the same way:
-    // eviction only removes what was stale *at crash time*. If the node
-    // restarts inside the detection window and re-registers (a new
-    // generation), those fresh entries must survive the sweep. Tokens are
-    // world-unique, so `(manager, name, token)` identifies a queued request
-    // exactly.
-    let mut stale_servers: Vec<(u32, MgrKey)> = Vec::new();
-    let mut stale_pending: Vec<(u32, MgrKey, u64)> = Vec::new();
-    for (i, other) in w.nodes.iter().enumerate() {
+        hits.extend(peered.map(|e| (other.addr, e.id)));
         for (key, srv) in &other.mgr.servers {
             if *srv == node {
-                stale_servers.push((i as u32, key.clone()));
+                stale_servers.push((other.addr, key.clone()));
             }
         }
         for (key, &(req, token)) in &other.mgr.pending {
             if req == node {
-                stale_pending.push((i as u32, key.clone(), token));
+                stale_pending.push((other.addr, key.clone(), token));
             }
         }
     }
     s.schedule_in(SimDuration::from_ns(detect), move |w: &mut World, s| {
-        for &(ni, id) in &hits {
-            let Some(end) = w.chan_mut(NodeAddr(ni), id) else {
-                continue;
-            };
-            if end.peer_down {
-                continue;
-            }
-            end.peer_down = true;
-            crate::channel::clear_tx(end);
-            end.rx_waiters.wake_all(s, Wakeup::START);
-            end.tx_wait.wake_all(s, Wakeup::START);
-            w.faults.stats.peer_down_events += 1;
+        for &(a, id) in &hits {
+            crate::channel::set_peer_down(w, s, a, id);
         }
         // Evict the manager entries snapshotted at crash time — and only
         // those, so registrations made after a restart are untouched.
-        for (ni, key) in &stale_servers {
-            let mgr = &mut w.nodes[*ni as usize].mgr;
+        for (a, key) in &stale_servers {
+            let mgr = &mut w.node_mut(*a).mgr;
             if mgr.servers.get(key) == Some(&node) {
                 mgr.servers.remove(key);
             }
         }
-        for (ni, key, token) in &stale_pending {
-            let mgr = &mut w.nodes[*ni as usize].mgr;
+        for (a, key, token) in &stale_pending {
+            let mgr = &mut w.node_mut(*a).mgr;
             if mgr.pending.get(key) == Some(&(node, *token)) {
                 mgr.pending.remove(key);
             }

@@ -208,15 +208,32 @@ pub fn host_of(w: &World, node: NodeAddr) -> Option<usize> {
 /// Fails with [`crate::VorxError::NoStub`] when no host serves `node`,
 /// [`crate::VorxError::HostDown`] when the serving host's interface is down
 /// at issue time, and [`crate::VorxError::NodeDown`] when the caller's own
-/// node crashes while the call is outstanding.
+/// node is down at issue time or crashes while the call is outstanding.
 pub fn syscall(ctx: &VCtx, node: NodeAddr, op: SyscallOp) -> crate::VorxResult<SyscallRet> {
+    forward(ctx, node, None, op)
+}
+
+/// Forward `op` from `node` to host `directed`'s shared service stub, or
+/// with `None` to the node's home stub, and block for the result.
+fn forward(
+    ctx: &VCtx,
+    node: NodeAddr,
+    directed: Option<usize>,
+    op: SyscallOp,
+) -> crate::VorxResult<SyscallRet> {
     let token = ctx.with(move |w, s| {
-        let Some(host_id) = host_of(w, node) else {
-            return Err(crate::VorxError::NoStub);
-        };
+        if !w.node(node).up {
+            return Err(crate::VorxError::NodeDown);
+        }
+        let host_id = directed
+            .or_else(|| host_of(w, node))
+            .ok_or(crate::VorxError::NoStub)?;
         let host_node = w.hosts[host_id].node;
         if !w.node(host_node).up {
             return Err(crate::VorxError::HostDown);
+        }
+        if directed.is_some() {
+            ensure_service_stub(w, host_id, node);
         }
         let token = w.token();
         w.node_mut(node).syscall_waits.insert(token, None);
@@ -349,7 +366,10 @@ fn finish_syscall(
 /// Kernel handler: a syscall reply arrived back at the node.
 pub fn on_syscall_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let ret = parse_ret(&f.payload);
-    w.node_mut(node).syscall_waits.insert(f.seq, Some(ret));
+    // A reply to a call a crash wiped finds no slot and leaves none.
+    if let Some(slot) = w.node_mut(node).syscall_waits.get_mut(&f.seq) {
+        *slot = Some(ret);
+    }
     w.node_mut(node).syscall_waiters.wake_all(s, Wakeup::START);
 }
 
@@ -671,31 +691,7 @@ pub fn syscall_on(
     host_id: usize,
     op: SyscallOp,
 ) -> crate::VorxResult<SyscallRet> {
-    let token = ctx.with(move |w, s| {
-        let host_node = w.hosts[host_id].node;
-        if !w.node(host_node).up {
-            return Err(crate::VorxError::HostDown);
-        }
-        ensure_service_stub(w, host_id, node);
-        let token = w.token();
-        w.node_mut(node).syscall_waits.insert(token, None);
-        let f = Frame::unicast(node, host_node, proto::KIND_SYSCALL_REQ, token, pack_op(op));
-        kernel::send_frame(w, s, f);
-        Ok(token)
-    })?;
-    let pid = ctx.pid();
-    let ret = ctx.wait_until(move |w, _| match w.node(node).syscall_waits.get(&token) {
-        Some(Some(r)) => Some(Ok(*r)),
-        Some(None) => {
-            w.node_mut(node).syscall_waiters.register(pid);
-            None
-        }
-        None => Some(Err(crate::VorxError::NodeDown)),
-    });
-    ctx.with(move |w, _| {
-        w.node_mut(node).syscall_waits.remove(&token);
-    });
-    ret
+    forward(ctx, node, Some(host_id), op)
 }
 
 /// Issue a system call load-balanced across every host workstation:

@@ -37,7 +37,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use desim::{SimDuration, Wakeup};
+use desim::SimDuration;
 use hpcnet::{Frame, NodeAddr, Payload};
 
 use crate::calib::{CTL_TIMEOUT_NS, RTO_CEIL_NS, RTO_FLOOR_NS};
@@ -168,8 +168,7 @@ pub(crate) fn mark_partitioned(w: &mut World, s: &mut VSched, node: NodeAddr, pe
         };
         end.partitioned = true;
         crate::channel::pause_tx(end);
-        end.rx_waiters.wake_all(s, Wakeup::START);
-        end.tx_wait.wake_all(s, Wakeup::START);
+        end.wake_all(s);
     }
     crate::objmgr::failover_opens(w, s, node, peer);
 }

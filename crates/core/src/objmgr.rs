@@ -272,12 +272,6 @@ impl ResolveCache {
         }
     }
 
-    /// Drop every entry (node crash wipes kernel state cold). The hit/stale
-    /// counters survive: they are measurements, not state.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Cached entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -784,6 +778,11 @@ pub fn rendezvous(
     kind: proto::ObjKind,
 ) -> crate::VorxResult<(u32, NodeAddr)> {
     let token = ctx.with(|w, s| {
+        // A crashed node's kernel takes no request: the restart must find
+        // its tables cold.
+        if !w.node(node).up {
+            return Err(crate::VorxError::NodeDown);
+        }
         // Bounded channel table: refuse new opens once this node holds its
         // budgeted number of channels — degrade locally instead of growing
         // the kernel without limit. (Checked before anything is registered,
@@ -873,12 +872,9 @@ mod tests {
         assert_eq!(c.lookup(1, "a"), None);
         assert_eq!(c.stale_evictions, 1);
         assert!(c.is_empty(), "stale entry evicted on lookup");
-        // Re-learned under the new epoch, a crash wipe clears entries but
-        // keeps the measurement counters.
+        // Re-learned under the new epoch, it is served again.
         c.put(1, &a, NodeAddr(4));
         assert_eq!(c.lookup(1, "a"), Some(NodeAddr(4)));
-        c.clear();
-        assert!(c.is_empty());
         assert_eq!(c.hits, 2);
         assert_eq!(c.stale_evictions, 1);
     }

@@ -6,7 +6,7 @@ use hpcnet::{ClusterId, Fabric, Frame, NetConfig, NodeAddr, Topology};
 
 use crate::alloc::Allocator;
 use crate::calib::Calibration;
-use crate::channel::{ChanIndex, ChanSlab};
+use crate::channel::{ChanEnd, ChanIndex, ChanSlab};
 use crate::cpu::{BlockReason, Cpu, CpuCat, TraceEvent};
 use crate::fault::CtlPending;
 use crate::host::Host;
@@ -52,8 +52,8 @@ const HANDSHAKE_KEEP: usize = 16;
 pub struct Node {
     /// This node's fabric address.
     pub addr: NodeAddr,
-    /// False while the node is crashed; its kernel state is wiped at crash
-    /// time and frames die at its interface.
+    /// False while the node is crashed: a crash replaces the node with a
+    /// cold one and frames die at its interface.
     pub up: bool,
     /// Processes parked in [`crate::fault::wait_until_up`] for this node.
     pub up_waiters: WaitSet,
@@ -105,6 +105,8 @@ pub struct Node {
 const _: () = assert!(size_of::<Node>() <= 776);
 
 impl Node {
+    /// Everything a node owns, empty: a booted node, the idle template, and
+    /// (through [`Node::reborn`]) what a crash leaves in the node's slot.
     fn new(addr: NodeAddr) -> Self {
         Node {
             addr,
@@ -129,6 +131,20 @@ impl Node {
             orphans: Vec::new(),
             coll: FixedMap::default(),
         }
+    }
+
+    /// The cold node that takes a crashed node's slot: [`Node::new`],
+    /// marked down. Only what is the processor's rather than its kernel's
+    /// moves over from `crashed`: the CPU model, the processes waiting for
+    /// the restart, and the resolve cache's measurement counters.
+    fn reborn(crashed: &mut Node) -> Self {
+        let mut n = Node::new(crashed.addr);
+        n.up = false;
+        std::mem::swap(&mut n.cpu, &mut crashed.cpu);
+        std::mem::swap(&mut n.up_waiters, &mut crashed.up_waiters);
+        n.resolve.hits = crashed.resolve.hits;
+        n.resolve.stale_evictions = crashed.resolve.stale_evictions;
+        n
     }
 }
 
@@ -388,13 +404,20 @@ impl World {
         Some(p)
     }
 
-    /// Drop node `a`'s in-flight opens and unacknowledged control frames
-    /// (a crash wipe), disarming their retry chains.
-    pub(crate) fn wipe_handshakes(&mut self, a: NodeAddr) {
+    /// Crash node `a`'s kernel: a [`Node::reborn`] takes its slot, and its
+    /// rows leave every world table keyed by node. Returns the crashed node
+    /// and its channel ends in id order, whose waiters the caller wakes;
+    /// dropping them disarms every retry chain the node owned.
+    pub(crate) fn wipe_node(&mut self, a: NodeAddr) -> (Node, Vec<ChanEnd>) {
+        let slot = self.node_mut(a);
+        let reborn = Node::reborn(slot);
+        let mut crashed = std::mem::replace(slot, reborn);
         self.open_waits.retain(|_, (n, _)| *n != a);
         self.ctl_unacked.retain(|(n, _), _| *n != a);
         Self::end_handshake(&mut self.open_waits);
         Self::end_handshake(&mut self.ctl_unacked);
+        let ends = self.chan_ends.remove_all(&mut crashed.chans);
+        (crashed, ends)
     }
 
     /// Free a handshake table that has emptied. A burst of opens grows

@@ -7,9 +7,11 @@
 use std::sync::{Arc, Mutex};
 
 use hpc_vorx::desim::{lock, FaultAction, FaultSchedule, LinkFaults, SimDuration, SimTime};
-use hpc_vorx::hpcnet::{Fabric, NetConfig, NodeAddr, Payload, Topology};
-use hpc_vorx::vorx::objmgr::ObjMgrMode;
-use hpc_vorx::vorx::{channel, fault, invariants, VorxBuilder, VorxError, World};
+use hpc_vorx::hpcnet::{Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
+use hpc_vorx::vorx::objmgr::{self, ObjMgrMode};
+use hpc_vorx::vorx::{
+    accounting, channel, fault, invariants, proto, VorxBuilder, VorxError, World,
+};
 
 use proptest::prelude::*;
 
@@ -136,6 +138,206 @@ fn crash_wakes_blocked_waiters_with_errors() {
     assert!(errs.contains(&("writer", Err(VorxError::PeerDown))));
     let w = v.world();
     assert!(w.faults.stats.peer_down_events >= 1);
+}
+
+/// The first name `{prefix}{i}` whose object manager passes `pick`.
+fn name_managed(w: &World, prefix: &str, pick: impl Fn(NodeAddr) -> bool) -> String {
+    (0..)
+        .map(|i| format!("{prefix}{i}"))
+        .find(|n| pick(objmgr::manager_for(w, n)))
+        .expect("some name hashes there")
+}
+
+/// `node` holds no kernel state and no world table has a row for it.
+fn assert_cold(w: &World, node: NodeAddr) {
+    let n = w.node(node);
+    assert!(!n.up);
+    assert_eq!(
+        accounting::node_mem_bytes(w, n),
+        accounting::idle_node_bytes()
+    );
+    assert!(n.chans.is_empty() && n.listeners.is_empty() && n.syscall_waits.is_empty());
+    assert!(n.mgr.servers.is_empty() && n.mgr.pending.is_empty() && n.resolve.is_empty());
+    assert!(n.udcos.is_empty() && n.mcast.is_empty() && n.coll.is_empty());
+    assert!(n.tx_q.is_empty() && n.orphans.is_empty());
+    assert!(w.open_waits.values().all(|(a, _)| *a != node));
+    assert!(w.ctl_unacked.keys().all(|(a, _)| *a != node));
+}
+
+/// A crash leaves nothing of the victim behind: before it the victim holds
+/// a channel end, an open in flight, an unacknowledged control frame, a
+/// listener, a manager registration and a queued open, a resolve entry, a
+/// pending syscall, a UDCO, a multicast end and collective state; just
+/// after it, and still at the restart instant after processes on the down
+/// node called `try_open`, `listen` and `syscall`, the victim reads as a
+/// cold node and nothing it armed is left ticking.
+#[test]
+fn crash_leaves_nothing_behind() {
+    use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
+    use hpc_vorx::vorx::host::{self, SyscallOp};
+    use hpc_vorx::vorx::{multicast, udco, Calibration};
+
+    const V: NodeAddr = NodeAddr(3); // the victim
+    const A: NodeAddr = NodeAddr(4); // its channel peer, a server behind its manager
+    const B: NodeAddr = NodeAddr(5); // an opener queued at its manager
+    const CRASH_NS: u64 = 20_000_000;
+    let calib = Calibration {
+        // The detection sweep frees the survivors well before the restart
+        // check 10 ms after the crash, and a chain the crash failed to
+        // disarm (control frames time out after 20 ms) would still be armed.
+        crash_detect_ns: 2_000_000,
+        ..Calibration::paper_1988()
+    };
+    let mut v = VorxBuilder::single_cluster(8)
+        .hosts(1)
+        .calibration(calib)
+        .trace(false)
+        .build();
+    // The victim manages `served` and `queued`; it is neither the manager
+    // of `elsewhere` and `listened` nor the successor replica
+    // (`objmgr::successor_for`, the next node) of `listened`.
+    let (served, queued, elsewhere, listened) = {
+        let w = v.world();
+        let away = |m: NodeAddr| m != V && m.0 + 1 != V.0;
+        (
+            name_managed(&w, "srv", |m| m == V),
+            name_managed(&w, "q", |m| m == V),
+            name_managed(&w, "lonely", away),
+            name_managed(&w, "v.server", away),
+        )
+    };
+    collective::register_group(
+        &mut v.world(),
+        &GroupCfg {
+            group: 1,
+            members: vec![V, A],
+            mode: CollMode::InNetwork,
+        },
+    );
+    let errs = Arc::new(Mutex::new(Vec::new()));
+    let log = |tag: &'static str| {
+        let sink = Arc::clone(&errs);
+        move |r: Result<(), VorxError>| lock(&sink).push((tag, r))
+    };
+
+    let done = log("v:read");
+    v.spawn("n3:chan", move |ctx| {
+        let ch = channel::open(&ctx, V, "pair");
+        done(ch.read(&ctx).map(|_| ()));
+    });
+    let done = log("a:read");
+    v.spawn("n4:chan", move |ctx| {
+        let ch = channel::open(&ctx, A, "pair");
+        done(ch.read(&ctx).map(|_| ()));
+    });
+    let done = log("v:open");
+    v.spawn("n3:open", move |ctx| {
+        done(channel::try_open(&ctx, V, &elsewhere).map(|_| ()));
+    });
+    v.spawn("n5:open", move |ctx| {
+        let _ = channel::try_open(&ctx, B, &queued);
+    });
+    v.spawn("n4:listen", move |ctx| {
+        channel::listen(&ctx, A, &served).accept(&ctx);
+    });
+    v.spawn("n3:listen", move |ctx| {
+        // Registered 25 us before the crash: its retry chain is armed then.
+        ctx.sleep(SimDuration::from_ns(CRASH_NS - 50_000));
+        channel::listen(&ctx, V, &listened).accept(&ctx);
+    });
+    let done = log("v:syscall");
+    v.spawn("n3:syscall", move |ctx| {
+        ctx.sleep(SimDuration::from_ns(CRASH_NS - 100_000));
+        let op = SyscallOp::Blocking { dur_ns: 1_000_000 };
+        done(host::syscall_on(&ctx, V, 0, op).map(|_| ()));
+    });
+    v.spawn("n3:objects", move |ctx| {
+        udco::register(&ctx, V, 7, udco::UdcoMode::Polled);
+        multicast::join(&ctx, V, 3);
+    });
+    for node in [V, A] {
+        v.spawn(format!("n{}:coll", node.0), move |ctx| {
+            let c = collective::attach(&ctx, node, 1);
+            c.allreduce(&ctx, hpc_vorx::hpcnet::combine::CombOp::Sum, 1);
+        });
+    }
+    v.sim.run_until(SimTime::from_ns(CRASH_NS));
+
+    // The victim holds an entry in every table a crash must empty.
+    v.sim.setup(|w, s| {
+        let seq = w.token();
+        let f = Frame::unicast(V, A, proto::KIND_HEARTBEAT, seq, Payload::Synthetic(0));
+        fault::reliable_send(w, s, f);
+    });
+    {
+        let w = v.world();
+        let n = w.node(V);
+        assert!(n.listeners.values().any(|l| !l.acked));
+        assert!(!n.chans.is_empty() && !n.syscall_waits.is_empty());
+        assert!(!n.mgr.servers.is_empty() && !n.mgr.pending.is_empty() && !n.resolve.is_empty());
+        assert!(!n.udcos.is_empty() && !n.mcast.is_empty() && !n.coll.is_empty());
+        assert!(w.open_waits.values().any(|(a, _)| *a == V));
+        assert!(w.ctl_unacked.keys().any(|(a, _)| *a == V));
+    }
+    let retransmits = v.world().faults.stats.retransmits;
+    let survivors = |w: &World| {
+        let n = w.node(V);
+        (
+            n.cpu.sys_cum_ns(),
+            n.resolve.hits,
+            n.resolve.stale_evictions,
+        )
+    };
+    let before = survivors(&v.world());
+    v.sim.setup(|w, s| fault::on_crash(w, s, V));
+    assert_cold(&v.world(), V);
+    assert_eq!(
+        survivors(&v.world()),
+        before,
+        "the processor's state survives"
+    );
+
+    // Processes on the down node call into its kernel.
+    let done = log("late:open");
+    v.spawn("n3:late-open", move |ctx| {
+        done(channel::try_open(&ctx, V, "late").map(|_| ()));
+    });
+    v.spawn("n3:late-listen", move |ctx| {
+        channel::listen(&ctx, V, "late.server");
+    });
+    let done = log("late:syscall");
+    v.spawn("n3:late-syscall", move |ctx| {
+        done(host::syscall(&ctx, V, SyscallOp::OpenFile).map(|_| ()));
+    });
+
+    let restart = SimTime::from_ns(CRASH_NS + 10_000_000);
+    v.sim.run_until(restart);
+
+    assert_eq!(
+        v.sim.next_event_time(),
+        None,
+        "a retry chain of the victim is still armed"
+    );
+    assert_cold(&v.world(), V);
+    assert_eq!(v.world().faults.stats.retransmits, retransmits);
+    let mut errs = lock(&errs).clone();
+    errs.sort_by_key(|(tag, _)| *tag);
+    assert_eq!(
+        errs,
+        [
+            ("a:read", Err(VorxError::PeerDown)),
+            ("late:open", Err(VorxError::NodeDown)),
+            ("late:syscall", Err(VorxError::NodeDown)),
+            ("v:open", Err(VorxError::NodeDown)),
+            ("v:read", Err(VorxError::NodeDown)),
+            ("v:syscall", Err(VorxError::NodeDown)),
+        ]
+    );
+
+    // The restart re-queues B's open at the victim's manager: the node works.
+    v.sim.setup(|w, s| fault::on_restart(w, s, V));
+    v.run();
+    assert_eq!(v.world().node(V).mgr.pending.len(), 1);
 }
 
 /// How many messages the failover workload streams.
