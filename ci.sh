@@ -64,12 +64,12 @@ if [ "$vendored" != "README.md bytes proptest " ]; then
     exit 1
 fi
 
-echo "==> one router (one BFS queue in hpcnet/src/topology.rs, no second live route store under crates/)"
+echo "==> one router (one BFS queue in hpcnet/src/topology.rs builds routes, repairs and the lookahead table; no second live route store under crates/)"
 # Above `mod tests`: the line of the `fn` enclosing each `pop_front()`.
 bfs_fns=$(sed '/^mod tests/,$d' crates/hpcnet/src/topology.rs |
     awk '/^ *(pub )?(pub\(crate\) )?fn /{f=NR} /pop_front\(\)/{print f}' | sort -u | wc -l)
 if [ "$bfs_fns" -ne 1 ]; then
-    echo "exactly one function in crates/hpcnet/src/topology.rs may run a BFS queue:" >&2
+    echo "exactly one function in crates/hpcnet/src/topology.rs may run a BFS queue (it builds routes, repairs and the sharded lookahead table):" >&2
     grep -n 'pop_front()' crates/hpcnet/src/topology.rs >&2
     exit 1
 fi

@@ -301,14 +301,21 @@ fn run(clusters: usize, epc: usize, workers: usize, timed: bool) -> Run {
     }
 }
 
-/// The floor of the config's per-pair lookahead matrix, ns, by
-/// `VorxBuilder::build_sharded`'s formula: the fewest links any
-/// cross-cluster frame crosses, each at least a header-only frame's latency.
-/// `None` for one cluster, where nothing crosses a shard boundary.
+/// The floor of the config's per-shard-pair lookahead, ns, by
+/// `VorxBuilder::build_sharded`'s formula over its default one shard per
+/// cluster: the smallest off-diagonal entry of `Topology::min_shard_links`
+/// in header-only frame latencies. `None` for one cluster, where nothing
+/// crosses a shard boundary.
 fn min_lookahead_ns(topo: &Topology) -> Option<u64> {
     let unit_ns = vorx::hpcnet::config::header_link_latency_ns();
-    topo.min_cross_cluster_links()
-        .map(|links| links as u64 * unit_ns)
+    let per_cluster: Vec<u32> = (0..topo.n_clusters() as u32).collect();
+    let links = topo.min_shard_links(&per_cluster);
+    links
+        .into_iter()
+        .flatten()
+        .flatten()
+        .min()
+        .map(|l| l * unit_ns)
 }
 
 #[cfg(test)]

@@ -373,13 +373,6 @@ pub fn on_syscall_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     w.node_mut(node).syscall_waiters.wake_all(s, Wakeup::START);
 }
 
-/// Kernel handler for raw download frames. Program download is implemented
-/// over channels (see [`download_per_process`] / [`download_tree`]), so this
-/// kind is unused on the wire; kept for forward compatibility.
-pub fn on_download(_w: &mut World, _s: &mut VSched, node: NodeAddr, _f: Frame) {
-    panic!("unexpected raw DOWNLOAD frame at {node}; downloads run over channels");
-}
-
 // ---------------------------------------------------------------------------
 // Program download (§3.3)
 // ---------------------------------------------------------------------------

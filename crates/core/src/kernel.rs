@@ -298,7 +298,6 @@ fn dispatch(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
         proto::KIND_OPEN_REP => objmgr::on_open_rep(w, s, a, f),
         proto::KIND_SYSCALL_REQ => host::on_syscall_req(w, s, a, f),
         proto::KIND_SYSCALL_REP => host::on_syscall_rep(w, s, a, f),
-        proto::KIND_DOWNLOAD => host::on_download(w, s, a, f),
         proto::KIND_CHAN_CLOSE => channel::on_close(w, s, a, f),
         proto::KIND_SERVE_REQ => objmgr::on_serve_req(w, s, a, f),
         proto::KIND_SERVE_ACK => channel::on_serve_ack(w, s, a, f),

@@ -58,9 +58,12 @@ pub struct McastPending {
 
 /// Join multicast group `gid` on `node` (receiver side). Frames that
 /// arrived before the join (the group-creation race) are delivered
-/// immediately.
+/// immediately. On a down node nothing joins.
 pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
     ctx.with(move |w, s| {
+        if !w.node(node).up {
+            return;
+        }
         w.node_mut(node).mcast.entry(gid).or_default();
         let orphans = std::mem::take(&mut w.node_mut(node).orphans);
         let (mine, rest): (Vec<Frame>, Vec<Frame>) = orphans.into_iter().partition(|f| {
@@ -78,11 +81,17 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
 /// replication, and the writer blocks until every destination's kernel has
 /// acknowledged each fragment (stop-and-wait generalized to the group).
 /// Messages larger than one hardware frame are fragmented and reassembled
-/// per-sender at each receiver.
+/// per-sender at each receiver. On a down node nothing is sent: the call
+/// returns at once.
 pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload: Payload) {
     assert!(!dsts.is_empty(), "multicast with no destinations");
-    let (syscall_ns, switch_ns) =
-        ctx.with(|w, _| (w.calib.chan_write_syscall_ns, w.calib.ctx_switch_ns));
+    let (up, syscall_ns, switch_ns) = ctx.with(|w, _| {
+        let c = &w.calib;
+        (w.node(node).up, c.chan_write_syscall_ns, c.ctx_switch_ns)
+    });
+    if !up {
+        return;
+    }
     let n_dst = dsts.len();
     let pid = ctx.pid();
     // One refcounted target list shared by every fragment: a multi-frame

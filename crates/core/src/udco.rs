@@ -71,13 +71,17 @@ pub struct Udco {
 }
 
 /// Register a UDCO with `tag` on `node`. Frames that arrived early (the
-/// registration race) are delivered immediately.
+/// registration race) are delivered immediately. On a down node nothing is
+/// registered.
 pub fn register(ctx: &VCtx, node: NodeAddr, tag: u16, mode: UdcoMode) {
     ctx.with(move |w, s| register_in(w, s, node, tag, mode));
 }
 
 /// Event-context variant of [`register`].
 pub fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode: UdcoMode) {
+    if !w.node(node).up {
+        return;
+    }
     let prev = w.node_mut(node).udcos.insert(
         tag,
         Udco {

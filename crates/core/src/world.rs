@@ -650,14 +650,11 @@ impl VorxBuilder {
     /// Group clusters into exactly `n` shards for [`VorxBuilder::build_sharded`]
     /// instead of the default one-shard-per-cluster partition. Clusters map
     /// to shards in contiguous balanced blocks, so a hierarchical world's
-    /// level-0 groups (where most traffic stays) land on one shard. Grouped
-    /// mode uses a uniform cross-shard lookahead — the minimum links any
-    /// cross-cluster frame crosses × the header-frame link latency — rather
-    /// than the per-cluster-pair matrix, which would be O(clusters²) at
-    /// hierarchical scale. The shard partition is part of the simulated
-    /// outcome (it decides which frames ride the bridge approximation):
-    /// traces are bit-identical across *worker* counts at a fixed shard
-    /// count, not across different shard counts.
+    /// level-0 groups (where most traffic stays) land on one shard. The
+    /// shard partition is part of the simulated outcome (it decides which
+    /// frames ride the bridge approximation): traces are bit-identical
+    /// across *worker* counts at a fixed shard count, not across different
+    /// shard counts.
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
         self.shards = Some(n);
@@ -692,11 +689,11 @@ impl VorxBuilder {
         vs
     }
 
-    /// Construct a sharded simulation: one shard per cluster, drained in
-    /// parallel by up to `workers` threads (never more than the host's
-    /// CPUs) under asynchronous conservative
-    /// synchronization, with per-link lookahead derived from the fabric's
-    /// link physics (DESIGN.md §12).
+    /// Construct a sharded simulation: one shard per cluster (or as
+    /// [`VorxBuilder::shards`] groups them), drained in parallel by up to
+    /// `workers` threads (never more than the host's CPUs) under
+    /// asynchronous conservative synchronization, with a per-shard-pair
+    /// lookahead derived from the fabric's link physics (DESIGN.md §12).
     ///
     /// The shard partition — and with it every simulated outcome — is fixed
     /// by the topology; `workers` only chooses how many OS threads drain the
@@ -721,47 +718,22 @@ impl VorxBuilder {
                 .collect(),
         );
 
-        // Engine lookahead. Per-cluster partitions keep the tight per-pair
-        // matrix: every bridged frame from cluster `a` to `b` crosses
-        // `links[a][b]` links of at least a header-frame's latency each
-        // (kernel::bridge charges exactly `links × (serialize + hop)`, and
-        // faults can only lengthen routes, never shorten them below the
-        // fault-free baseline). Grouped partitions — hierarchical scale,
-        // where an O(clusters²) matrix is unaffordable — use the uniform
-        // lower bound instead: the minimum links *any* cross-cluster frame
-        // crosses (up-link + one inter-cluster hop + down-link = 3).
-        // Diagonals carry `u64::MAX`: the bridge only ever carries frames
-        // to other shards, so self-pairs never constrain the EIT.
+        // Engine lookahead: a bridged frame between endpoints of shards
+        // `a` and `b` crosses its baseline route's links at `serialize +
+        // hop` each (kernel::bridge), and no route is shorter than the
+        // fewest links between the two shards' endpoints, each at least a
+        // header-only frame's latency. `u64::MAX` — the diagonal, and a pair
+        // no frame can join — leaves the pair out of the EIT.
         let unit_ns = hpcnet::config::header_link_latency_ns();
-        let latency: Vec<Vec<u64>> = if n_shards == n_clusters {
-            topo.cluster_link_counts()
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|&links| {
-                            if links == 0 {
-                                u64::MAX
-                            } else {
-                                links * unit_ns
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        } else {
-            let floor = topo
-                .min_cross_cluster_links()
-                .expect("grouped shards need cross-cluster traffic bounds")
-                as u64
-                * unit_ns;
-            (0..n_shards)
-                .map(|a| {
-                    (0..n_shards)
-                        .map(|b| if a == b { u64::MAX } else { floor })
-                        .collect()
-                })
-                .collect()
-        };
+        let latency: Vec<Vec<u64>> = topo
+            .min_shard_links(&shard_of_cluster)
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|links| links.map_or(u64::MAX, |l| l * unit_ns))
+                    .collect()
+            })
+            .collect();
 
         let schedule = self
             .faults

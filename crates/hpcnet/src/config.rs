@@ -50,8 +50,8 @@ pub fn link_latency_ns(wire_bytes: u32) -> u64 {
 }
 
 /// Per-link latency (ns) of a header-only frame — the unit that converts
-/// [`crate::Topology::cluster_link_counts`] into the sharded engine's
-/// per-pair lookahead matrix (no frame is smaller, so `links × this`
+/// [`crate::Topology::min_shard_links`] into the sharded engine's
+/// per-shard-pair lookahead (no frame is smaller, so `links × this`
 /// lower-bounds the fabric latency of any frame on a path of `links` links).
 pub fn header_link_latency_ns() -> u64 {
     link_latency_ns(crate::frame::HEADER_BYTES)

@@ -27,7 +27,8 @@
 //! O(n²) is irrelevant. [`Topology::recompute`] after churn costs O(affected
 //! destinations), and healing every edge is a single overlay clear — O(1),
 //! allocation-free. One reverse BFS (`reverse_bfs`) builds the dense
-//! baseline and every repair, so all of them break ties alike.
+//! baseline, every repair and the sharded engine's lookahead table
+//! ([`Topology::min_shard_links`]), so all of them break ties alike.
 //!
 //! # Shared wiring, private routing state
 //!
@@ -480,6 +481,7 @@ impl Base {
 struct Scratch {
     queue: VecDeque<u32>,
     ports: Vec<u8>,
+    dist: Vec<u32>,
 }
 
 impl Scratch {
@@ -487,6 +489,7 @@ impl Scratch {
         Scratch {
             queue: VecDeque::with_capacity(n),
             ports: vec![u8::MAX; n],
+            dist: vec![u32::MAX; n],
         }
     }
 }
@@ -931,79 +934,47 @@ impl Topology {
         self.cluster_path(src, dst).len() - 1
     }
 
-    /// Minimum number of directed links on any endpoint-to-endpoint path
-    /// that crosses a cluster boundary: the source endpoint's up-link, the
-    /// inter-cluster hops, and the destination endpoint's down-link — so
-    /// always ≥ 3. `None` when no two endpoint-hosting clusters are
-    /// connected (single-cluster topologies: nothing ever crosses). This is
-    /// the lookahead extraction for the sharded engine: multiplied by the
-    /// minimal per-link frame latency ([`crate::config::link_latency_ns`]
-    /// of a header-only frame) it lower-bounds the fabric latency of every
-    /// cross-cluster delivery — a static bound that churn can only increase,
-    /// never undercut.
-    pub fn min_cross_cluster_links(&self) -> Option<usize> {
-        match &self.base {
-            // Hypercube generators always give every cluster endpoints and
-            // an adjacent in-group neighbor: the minimum is exactly 3.
-            Base::Implicit(h) => {
-                if self.clusters.len() >= 2 && h.eps > 0 {
-                    Some(3)
-                } else {
-                    None
-                }
-            }
-            Base::Dense(_) => {
-                let mut hosts: Vec<usize> = self
-                    .endpoints
-                    .iter()
-                    .map(|p| p.cluster.0 as usize)
-                    .collect();
-                hosts.sort_unstable();
-                hosts.dedup();
-                let mut best: Option<usize> = None;
-                for &a in &hosts {
-                    for &b in &hosts {
-                        if a == b {
-                            continue;
-                        }
-                        if let Some(h) = self.cluster_hops(a, b) {
-                            let links = h + 2;
-                            best = Some(best.map_or(links, |m| m.min(links)));
-                        }
-                    }
-                }
-                best
-            }
-        }
-    }
-
-    /// Directed link counts between cluster pairs over the routing currently
-    /// in force: `counts[a][b]` is the number of links a unicast frame from
-    /// an endpoint in cluster `a` crosses to reach an endpoint in cluster
-    /// `b` — the source endpoint's up-link, the inter-cluster hops, and the
-    /// destination endpoint's down-link (`hops + 2`). Entries are 0 on the
-    /// diagonal (intra-cluster frames never cross the boundary), when
-    /// either cluster hosts no endpoints, or when the pair is unreachable.
-    /// O(clusters² · path): intended for small worlds where the sharded
-    /// engine keeps a per-pair lookahead matrix — large hierarchical worlds
-    /// use grouped shards with a uniform bound instead.
-    pub fn cluster_link_counts(&self) -> Vec<Vec<u64>> {
-        let nc = self.clusters.len();
-        let mut hosted = vec![false; nc];
+    /// The fewest directed links between an endpoint hosted in one shard
+    /// and an endpoint hosted in another, where `shard_of_cluster[c]` is the
+    /// shard owning cluster `c`: `links[a][b]` counts the source endpoint's
+    /// up-link, the inter-cluster hops of a shortest path over the
+    /// fault-free wiring and the destination endpoint's down-link, so it is
+    /// at least 3. `None` on the diagonal, and for a pair with no path or a
+    /// shard hosting no endpoint. One BFS per destination shard, rooted at
+    /// each of its endpoint-hosting clusters: O(shards × clusters).
+    ///
+    /// No route, baseline or detour, is shorter, so times a header-only
+    /// frame's link latency ([`crate::config::header_link_latency_ns`])
+    /// each entry is the sharded engine's lookahead for that pair.
+    pub fn min_shard_links(&self, shard_of_cluster: &[u32]) -> Vec<Vec<Option<u64>>> {
+        let n = self.clusters.len();
+        assert_eq!(shard_of_cluster.len(), n, "one shard per cluster");
+        let n_shards = shard_of_cluster.iter().max().map_or(0, |&s| s as usize + 1);
+        let mut hosted = vec![false; n];
         for p in self.endpoints.iter() {
             hosted[p.cluster.0 as usize] = true;
         }
-        let mut counts = vec![vec![0u64; nc]; nc];
-        for a in 0..nc {
-            for b in 0..nc {
-                if a != b && hosted[a] && hosted[b] {
-                    if let Some(h) = self.cluster_hops(a, b) {
-                        counts[a][b] = h as u64 + 2;
-                    }
-                }
+        let mut hosts = vec![Vec::new(); n_shards];
+        for c in (0..n).filter(|&c| hosted[c]) {
+            hosts[shard_of_cluster[c] as usize].push(c as u32);
+        }
+        let mut links = vec![vec![None; n_shards]; n_shards];
+        let mut s = Scratch::new(n);
+        for (b, roots) in hosts.iter().enumerate() {
+            reverse_bfs(
+                &self.clusters,
+                &[],
+                roots,
+                0..n as u32,
+                PORTS_PER_CLUSTER,
+                &mut s,
+            );
+            for (a, from) in hosts.iter().enumerate().filter(|&(a, _)| a != b) {
+                let hops = from.iter().map(|&c| s.dist[c as usize]).min();
+                links[a][b] = hops.filter(|&h| h != u32::MAX).map(|h| u64::from(h) + 2);
             }
         }
-        counts
+        links
     }
 
     /// Number of directed links a unicast frame crosses between endpoints
@@ -1032,12 +1003,6 @@ impl Topology {
     ) {
         self.walk(a.0, b.0, false, f)
             .expect("baseline routing is fully connected");
-    }
-
-    /// Hop count of the routed path from cluster `from` to cluster `to`
-    /// over the routing currently in force; `None` when unreachable.
-    fn cluster_hops(&self, from: usize, to: usize) -> Option<usize> {
-        self.walk(from as u32, to as u32, true, |_, _| {})
     }
 
     /// Mark the directed inter-cluster edge out of `p` alive (`up = true`)
@@ -1069,8 +1034,7 @@ impl Topology {
     pub fn reachable(&self, from: ClusterId, to: ClusterId) -> bool {
         // Every constructor yields a connected graph (the generators by
         // wiring, the builder by rejecting the rest).
-        self.scope == OverlayScope::Baseline
-            || self.cluster_hops(from.0 as usize, to.0 as usize).is_some()
+        self.scope == OverlayScope::Baseline || self.walk(from.0, to.0, true, |_, _| {}).is_some()
     }
 
     /// Repair routing over the surviving edges and bump the generation
@@ -1167,7 +1131,7 @@ impl Topology {
             if !dead.iter().any(affected) {
                 continue;
             }
-            reverse_bfs(clusters, dead, t, range.clone(), port_limit, scratch);
+            reverse_bfs(clusters, dead, &[t], range.clone(), port_limit, scratch);
             for u in range.clone().filter(|&u| u != t) {
                 let bfs = scratch.ports[(u - range.start) as usize];
                 if bfs == u8::MAX && nested {
@@ -1200,7 +1164,7 @@ impl Topology {
             reverse_bfs(
                 &self.clusters,
                 &self.dead,
-                dst,
+                &[dst],
                 0..n as u32,
                 PORTS_PER_CLUSTER,
                 &mut s,
@@ -1212,10 +1176,12 @@ impl Topology {
     }
 }
 
-/// The one BFS: from `root` over reversed surviving edges, confined to the
-/// clusters of `range` and to their ports below `port_limit`. Leaves in
-/// `s.ports[c - range.start]` the output port on `c` that starts a shortest
-/// surviving path to `root` — `u8::MAX` where there is none, and for `root`.
+/// The one BFS: from the clusters of `roots` over reversed surviving edges,
+/// confined to the clusters of `range` and to their ports below
+/// `port_limit`. Leaves, at `c - range.start`, in `s.ports` the output port
+/// on `c` that starts a shortest surviving path to the nearest root —
+/// `u8::MAX` where there is none, and for a root — and in `s.dist` that
+/// path's hop count (`u32::MAX` where there is none).
 ///
 /// The tie-break every route in this file rests on: clusters leave the queue
 /// in discovery order and scan their ports in port order, and the first edge
@@ -1223,31 +1189,34 @@ impl Topology {
 fn reverse_bfs(
     clusters: &[[Attachment; PORTS_PER_CLUSTER]],
     dead: &[DeadEdge],
-    root: u32,
+    roots: &[u32],
     range: Range<u32>,
     port_limit: usize,
     s: &mut Scratch,
 ) {
-    let ports = &mut s.ports[..range.len()];
-    ports.fill(u8::MAX);
+    let at = |c: u32| (c - range.start) as usize;
+    s.ports[..range.len()].fill(u8::MAX);
+    s.dist[..range.len()].fill(u32::MAX);
     s.queue.clear();
-    s.queue.push_back(root);
+    for &r in roots {
+        s.dist[at(r)] = 0;
+        s.queue.push_back(r);
+    }
     while let Some(c) = s.queue.pop_front() {
+        let hops = s.dist[at(c)] + 1;
         for att in clusters[c as usize].iter().take(port_limit) {
             let Attachment::Cluster(peer) = att else {
                 continue;
             };
             debug_assert!(range.contains(&peer.cluster.0), "edge leaves the range");
-            let seen = &mut ports[(peer.cluster.0 - range.start) as usize];
+            let i = at(peer.cluster.0);
             // A frame taking this step leaves `peer.cluster` through
             // `peer.port`; a dead directed edge carries none.
-            if peer.cluster.0 == root
-                || *seen != u8::MAX
-                || dead.binary_search(&(peer.cluster.0, peer.port)).is_ok()
-            {
+            if s.dist[i] != u32::MAX || dead.binary_search(&(peer.cluster.0, peer.port)).is_ok() {
                 continue;
             }
-            *seen = peer.port;
+            s.dist[i] = hops;
+            s.ports[i] = peer.port;
             s.queue.push_back(peer.cluster.0);
         }
     }
@@ -1290,23 +1259,86 @@ mod tests {
         assert!(Topology::single_cluster(13).is_err());
     }
 
+    /// `min_shard_links` against a brute-force reference: the fewest
+    /// baseline links between any endpoint-hosting cluster of one shard and
+    /// any of the other, clusters dealt to shards in contiguous blocks.
+    /// `exact`: the two agree (shortest paths are baseline routes); else the
+    /// table is a floor of 3 links and never above the reference.
+    fn check_min_shard_links(t: &Topology, shards: usize, exact: bool) {
+        let n = t.n_clusters();
+        let part: Vec<u32> = (0..n).map(|c| (c * shards / n) as u32).collect();
+        let mut hosts = vec![Vec::new(); shards];
+        for e in t.endpoints() {
+            let c = t.cluster_of(e);
+            hosts[part[c.0 as usize] as usize].push(c);
+        }
+        for h in &mut hosts {
+            h.dedup();
+        }
+        let links = t.min_shard_links(&part);
+        assert_eq!(links.len(), shards);
+        for (a, row) in links.iter().enumerate() {
+            assert_eq!(row.len(), shards);
+            for (b, &got) in row.iter().enumerate() {
+                if a == b {
+                    assert_eq!(got, None, "diagonal {a}");
+                    continue;
+                }
+                let reference = hosts[a]
+                    .iter()
+                    .flat_map(|&ca| hosts[b].iter().map(move |&cb| (ca, cb)))
+                    .map(|(ca, cb)| t.baseline_cluster_links(ca, cb))
+                    .min();
+                if exact {
+                    assert_eq!(got, reference, "shards {a} -> {b}");
+                } else {
+                    let got = got.expect("grouped shards are connected");
+                    assert!(
+                        3 <= got && got <= reference.unwrap(),
+                        "shards {a} -> {b}: {got}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn min_cross_cluster_links_reflects_topology() {
-        // Single cluster: no path ever crosses a boundary.
-        assert_eq!(
-            Topology::single_cluster(4)
-                .unwrap()
-                .min_cross_cluster_links(),
-            None
-        );
-        // Hypercube: adjacent clusters exist, so the minimum path is
-        // up-link + one inter-cluster hop + down-link.
-        assert_eq!(
-            Topology::incomplete_hypercube(10, 7)
-                .unwrap()
-                .min_cross_cluster_links(),
-            Some(3)
-        );
+    fn min_shard_links_matches_brute_force() {
+        // One shard per cluster: every shortest path is a baseline route.
+        for (clusters, eps) in [(10, 7), (16, 4), (128, 4)] {
+            let t = Topology::incomplete_hypercube(clusters, eps).unwrap();
+            check_min_shard_links(&t, clusters, true);
+        }
+        // A line of three clusters, the middle one hosting no endpoint.
+        let mut b = TopologyBuilder::new();
+        let c: Vec<ClusterId> = (0..3).map(|_| b.add_cluster()).collect();
+        for (i, port) in [(0, 0), (1, 1)] {
+            let a = PortRef {
+                cluster: c[i],
+                port,
+            };
+            let z = PortRef {
+                cluster: c[i + 1],
+                port: 0,
+            };
+            b.connect(a, z).unwrap();
+        }
+        b.attach_endpoint_auto(c[0]).unwrap();
+        b.attach_endpoint_auto(c[2]).unwrap();
+        let line = b.build().unwrap();
+        check_min_shard_links(&line, 3, true);
+        assert_eq!(line.min_shard_links(&[0, 1, 2])[0][2], Some(4));
+        // Eight grouped shards.
+        for t in [
+            Topology::hierarchical_hypercube(&[8, 16], 8).unwrap(),
+            Topology::incomplete_hypercube(128, 4).unwrap(),
+            Topology::hierarchical_hypercube_redundant(&[8, 8], 4).unwrap(),
+        ] {
+            check_min_shard_links(&t, 8, false);
+        }
+        // A single cluster: nothing ever crosses a shard boundary.
+        let one = Topology::single_cluster(4).unwrap();
+        assert_eq!(one.min_shard_links(&[0]), vec![vec![None]]);
     }
 
     #[test]

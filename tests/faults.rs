@@ -169,8 +169,9 @@ fn assert_cold(w: &World, node: NodeAddr) {
 /// listener, a manager registration and a queued open, a resolve entry, a
 /// pending syscall, a UDCO, a multicast end and collective state; just
 /// after it, and still at the restart instant after processes on the down
-/// node called `try_open`, `listen` and `syscall`, the victim reads as a
-/// cold node and nothing it armed is left ticking.
+/// node called `try_open`, `listen`, `syscall`, `udco::register`,
+/// `multicast::join` and `mwrite`, the victim reads as a cold node and
+/// nothing it armed is left ticking.
 #[test]
 fn crash_leaves_nothing_behind() {
     use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
@@ -308,6 +309,11 @@ fn crash_leaves_nothing_behind() {
     let done = log("late:syscall");
     v.spawn("n3:late-syscall", move |ctx| {
         done(host::syscall(&ctx, V, SyscallOp::OpenFile).map(|_| ()));
+    });
+    v.spawn("n3:late-objects", move |ctx| {
+        udco::register(&ctx, V, 7, udco::UdcoMode::Polled);
+        multicast::join(&ctx, V, 3);
+        multicast::mwrite(&ctx, V, 3, vec![A], Payload::Synthetic(8));
     });
 
     let restart = SimTime::from_ns(CRASH_NS + 10_000_000);
