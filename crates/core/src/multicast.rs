@@ -81,8 +81,9 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
 /// replication, and the writer blocks until every destination's kernel has
 /// acknowledged each fragment (stop-and-wait generalized to the group).
 /// Messages larger than one hardware frame are fragmented and reassembled
-/// per-sender at each receiver. On a down node nothing is sent: the call
-/// returns at once.
+/// per-sender at each receiver. On a down node nothing is sent and the call
+/// returns at once with no error, which the caller cannot tell from a
+/// delivery every destination acknowledged.
 pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload: Payload) {
     assert!(!dsts.is_empty(), "multicast with no destinations");
     let (up, syscall_ns, switch_ns) = ctx.with(|w, _| {

@@ -481,7 +481,6 @@ impl Base {
 struct Scratch {
     queue: VecDeque<u32>,
     ports: Vec<u8>,
-    dist: Vec<u32>,
 }
 
 impl Scratch {
@@ -489,7 +488,6 @@ impl Scratch {
         Scratch {
             queue: VecDeque::with_capacity(n),
             ports: vec![u8::MAX; n],
-            dist: vec![u32::MAX; n],
         }
     }
 }
@@ -969,9 +967,22 @@ impl Topology {
                 PORTS_PER_CLUSTER,
                 &mut s,
             );
+            // Down the BFS tree to a root; no cluster of another shard is
+            // one, so a cluster with no port has no path.
+            let depth = |mut c: u32| {
+                let mut hops = 0;
+                while s.ports[c as usize] != u8::MAX {
+                    let port = usize::from(s.ports[c as usize]);
+                    let Attachment::Cluster(peer) = self.clusters[c as usize][port] else {
+                        unreachable!("a BFS port leads to a cluster");
+                    };
+                    c = peer.cluster.0;
+                    hops += 1;
+                }
+                (hops > 0).then_some(hops)
+            };
             for (a, from) in hosts.iter().enumerate().filter(|&(a, _)| a != b) {
-                let hops = from.iter().map(|&c| s.dist[c as usize]).min();
-                links[a][b] = hops.filter(|&h| h != u32::MAX).map(|h| u64::from(h) + 2);
+                links[a][b] = from.iter().filter_map(|&c| depth(c)).min().map(|h| h + 2);
             }
         }
         links
@@ -1178,10 +1189,9 @@ impl Topology {
 
 /// The one BFS: from the clusters of `roots` over reversed surviving edges,
 /// confined to the clusters of `range` and to their ports below
-/// `port_limit`. Leaves, at `c - range.start`, in `s.ports` the output port
-/// on `c` that starts a shortest surviving path to the nearest root —
-/// `u8::MAX` where there is none, and for a root — and in `s.dist` that
-/// path's hop count (`u32::MAX` where there is none).
+/// `port_limit`. Leaves in `s.ports[c - range.start]` the output port on
+/// `c` that starts a shortest surviving path to the nearest root — `u8::MAX`
+/// where there is none, and for a root.
 ///
 /// The tie-break every route in this file rests on: clusters leave the queue
 /// in discovery order and scan their ports in port order, and the first edge
@@ -1194,31 +1204,33 @@ fn reverse_bfs(
     port_limit: usize,
     s: &mut Scratch,
 ) {
-    let at = |c: u32| (c - range.start) as usize;
-    s.ports[..range.len()].fill(u8::MAX);
-    s.dist[..range.len()].fill(u32::MAX);
+    // A root reads as seen while the BFS runs, and as portless after it.
+    const ROOT: u8 = u8::MAX - 1;
+    let ports = &mut s.ports[..range.len()];
+    ports.fill(u8::MAX);
     s.queue.clear();
     for &r in roots {
-        s.dist[at(r)] = 0;
+        ports[(r - range.start) as usize] = ROOT;
         s.queue.push_back(r);
     }
     while let Some(c) = s.queue.pop_front() {
-        let hops = s.dist[at(c)] + 1;
         for att in clusters[c as usize].iter().take(port_limit) {
             let Attachment::Cluster(peer) = att else {
                 continue;
             };
             debug_assert!(range.contains(&peer.cluster.0), "edge leaves the range");
-            let i = at(peer.cluster.0);
+            let seen = &mut ports[(peer.cluster.0 - range.start) as usize];
             // A frame taking this step leaves `peer.cluster` through
             // `peer.port`; a dead directed edge carries none.
-            if s.dist[i] != u32::MAX || dead.binary_search(&(peer.cluster.0, peer.port)).is_ok() {
+            if *seen != u8::MAX || dead.binary_search(&(peer.cluster.0, peer.port)).is_ok() {
                 continue;
             }
-            s.dist[i] = hops;
-            s.ports[i] = peer.port;
+            *seen = peer.port;
             s.queue.push_back(peer.cluster.0);
         }
+    }
+    for &r in roots {
+        ports[(r - range.start) as usize] = u8::MAX;
     }
 }
 
@@ -1263,7 +1275,8 @@ mod tests {
     /// baseline links between any endpoint-hosting cluster of one shard and
     /// any of the other, clusters dealt to shards in contiguous blocks.
     /// `exact`: the two agree (shortest paths are baseline routes); else the
-    /// table is a floor of 3 links and never above the reference.
+    /// table is at least 3 links, never above the reference, and above 3
+    /// somewhere — not the uniform floor it replaced.
     fn check_min_shard_links(t: &Topology, shards: usize, exact: bool) {
         let n = t.n_clusters();
         let part: Vec<u32> = (0..n).map(|c| (c * shards / n) as u32).collect();
@@ -1300,6 +1313,7 @@ mod tests {
                 }
             }
         }
+        assert!(exact || links.iter().flatten().flatten().any(|&l| l > 3));
     }
 
     #[test]
@@ -1328,10 +1342,13 @@ mod tests {
         let line = b.build().unwrap();
         check_min_shard_links(&line, 3, true);
         assert_eq!(line.min_shard_links(&[0, 1, 2])[0][2], Some(4));
-        // Eight grouped shards.
+        // Eight grouped shards. On a flat hypercube every shortest path is
+        // still a baseline route; across a hierarchy a detour through
+        // another group can be shorter than the baseline.
+        let flat = Topology::incomplete_hypercube(128, 4).unwrap();
+        check_min_shard_links(&flat, 8, true);
         for t in [
             Topology::hierarchical_hypercube(&[8, 16], 8).unwrap(),
-            Topology::incomplete_hypercube(128, 4).unwrap(),
             Topology::hierarchical_hypercube_redundant(&[8, 8], 4).unwrap(),
         ] {
             check_min_shard_links(&t, 8, false);
