@@ -252,9 +252,8 @@ impl TupleSpace {
         let pid = ctx.pid();
         let payload = ctx.wait_until(move |w, _| {
             let u = w
-                .node_mut(me)
                 .udcos
-                .get_mut(&REP_TAG)
+                .get_mut(me, &REP_TAG)
                 .expect("join() the space before using it");
             match u.rx.iter().position(|m| m.seq == token) {
                 Some(i) => Some(u.rx.remove(i).expect("indexed").payload),

@@ -261,7 +261,7 @@ fn run(
     let totals = Totals::over_shards(&v);
     let (f, links) = (&totals.faults, totals.all_links());
     let rtt_samples = v.sum_over_shards(|w| {
-        let chans = w.nodes.iter().flat_map(|n| w.chan_ends.of(n));
+        let chans = w.nodes.iter().flat_map(|n| w.chan_ends.of(n.addr));
         chans.map(|e| e.rtt.samples()).sum()
     });
 

@@ -959,7 +959,7 @@ fn measured_ctx_switch_us() -> f64 {
     });
     v.run_all();
     let w = v.world();
-    w.nodes[0].cpu.system_ns as f64 / 1000.0 / w.nodes[0].sched.switches as f64
+    w.nodes[0].cpu.system_ns as f64 / 1000.0 / w.nodes[0].sched().switches as f64
 }
 
 /// The §3.1 allocation discipline under test.

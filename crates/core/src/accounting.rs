@@ -41,34 +41,34 @@ fn frame_bytes<'a>(it: impl Iterator<Item = &'a Frame>) -> u64 {
 /// fixed [`NODE_BYTES`] plus everything its tables currently hold. An idle
 /// node — booted but never communicating — pays only the fixed part.
 pub fn node_mem_bytes(w: &World, node: &Node) -> u64 {
+    let a = node.addr;
+    let rows = |n: usize| n as u64 * ENTRY_BYTES;
     let mut b = NODE_BYTES;
     // Transmit path: queued frames and reliably-sent control frames.
-    b += frame_bytes(node.tx_q.iter()) + node.tx_q.len() as u64 * ENTRY_BYTES;
-    let ctl = || w.ctl_unacked.iter().filter(|((a, _), _)| *a == node.addr);
-    b += frame_bytes(ctl().map(|(_, p)| &p.frame)) + ctl().count() as u64 * ENTRY_BYTES;
+    b += frame_bytes(w.tx_q.of(a)) + rows(w.tx_q.of(a).count());
+    b += frame_bytes(w.ctl_unacked.of(a).map(|(_, p)| &p.frame)) + rows(w.ctl_unacked.count(a));
     // Channels: each end reports its own buffered payloads.
-    b += w.chan_ends.of(node).map(|e| e.mem_bytes()).sum::<u64>()
-        + node.chans.len() as u64 * ENTRY_BYTES;
+    b += w.chan_ends.of(a).map(|e| e.mem_bytes()).sum::<u64>() + rows(w.chan_ends.count(a));
     // Open/syscall rendezvous tables.
-    let opens = w.open_waits.values().filter(|(a, _)| *a == node.addr);
-    b += (opens.count() + node.syscall_waits.len()) as u64 * ENTRY_BYTES;
+    b += rows(w.open_waits.count(a) + w.syscall_waits.count(a));
     // Listeners and their (bounded) unaccepted-connection backlogs.
-    b += node
+    b += w
         .listeners
-        .values()
-        .map(|ls| ENTRY_BYTES * (1 + ls.pending.len() as u64))
+        .of(a)
+        .map(|(_, ls)| ENTRY_BYTES * (1 + ls.pending.len() as u64))
         .sum::<u64>();
-    // Object-manager role state: registrations, pending opens, dedup window.
-    let mgr = &node.mgr;
-    b += (mgr.servers.len() + mgr.seen.len() + mgr.seen_order.len()) as u64 * ENTRY_BYTES;
+    // Object-manager role state: registrations, pending opens, dedup window
+    // (an entry and its place in the eviction order).
+    let mgr = &w.managers;
+    b += rows(mgr.servers.count(a) + 2 * mgr.seen.count(a));
     // A pending entry holds its one opener.
-    b += mgr.pending.len() as u64 * 2 * ENTRY_BYTES;
+    b += rows(2 * mgr.pending.count(a));
     // Name-resolution cache and membership sets.
-    b += node.resolve.len() as u64 * ENTRY_BYTES;
-    b += (node.mbr.partitioned.len() + node.mbr.probing.len()) as u64 * ENTRY_BYTES;
+    b += rows(w.resolve.count(a));
+    b += rows(w.mbr.partitioned.count(a) + w.mbr.probing.count(a));
     // UDCOs, multicast ends, and frames parked for not-yet-created channels.
-    b += (node.udcos.len() + node.mcast.len() + node.mcast_pending.len()) as u64 * ENTRY_BYTES;
-    b += frame_bytes(node.orphans.iter()) + node.orphans.len() as u64 * ENTRY_BYTES;
+    b += rows(w.udcos.count(a) + w.mcast.count(a) + w.mcast_pending.count(a));
+    b += frame_bytes(w.orphans.of(a)) + rows(w.orphans.of(a).count());
     b
 }
 
@@ -78,13 +78,19 @@ pub fn idle_node_bytes() -> u64 {
     NODE_BYTES
 }
 
-/// The cost of an endpoint that has never been touched at all: one lazy
-/// [`crate::world::NodeTable`] slot (a null pointer). This — not
-/// [`idle_node_bytes`] — is the per-endpoint price of *scale*: a booted
-/// million-endpoint world pays `n × idle_slot_bytes()` for its kernel
-/// tables until traffic actually reaches a node (DESIGN.md §14).
+/// Modeled cost of an endpoint that has never been touched at all: one
+/// lazy [`crate::world::NodeTable`] slot, as read from the table's layout
+/// (a null pointer) when the accountant's figures were pinned; the slot is
+/// a 4-byte index today.
+pub const IDLE_SLOT_BYTES: u64 = 8;
+
+/// The cost of an endpoint that has never been touched at all,
+/// [`IDLE_SLOT_BYTES`]. This — not [`idle_node_bytes`] — is the
+/// per-endpoint price of *scale*: a booted million-endpoint world pays
+/// `n × idle_slot_bytes()` for its kernel tables until traffic actually
+/// reaches a node (DESIGN.md §14).
 pub fn idle_slot_bytes() -> u64 {
-    std::mem::size_of::<Option<Box<Node>>>() as u64
+    IDLE_SLOT_BYTES
 }
 
 /// Documented O(1) idle budget, bytes per endpoint, for a booted world
@@ -143,7 +149,8 @@ mod tests {
                 continue;
             }
             let n = &w.nodes[i];
-            if n.mgr.servers.is_empty() && n.mgr.seen.is_empty() {
+            let a = NodeAddr(i as u32);
+            if !w.managers.servers.holds(a) && n.mgr.seen == 0 {
                 assert_eq!(
                     node_mem_bytes(&w, n),
                     baseline,

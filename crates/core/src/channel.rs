@@ -69,7 +69,7 @@ use crate::kernel;
 use crate::objmgr::Name;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
-use crate::world::{Node, VCtx, VSched, World};
+use crate::world::{Table, VCtx, VSched, World};
 
 /// Channel operation errors (an alias of the unified [`crate::VorxError`];
 /// variant paths like `ChanError::PeerClosed` keep working through it).
@@ -536,21 +536,24 @@ impl ChanEnd {
 /// Channel ends per chunk of a [`ChanSlab`]: 64 × 432 B, 27 KiB.
 const SLAB_CHUNK: usize = 64;
 
-/// Every channel end of one [`World`], in one table: a node's
-/// [`ChanIndex`] names the slots of its own ends. The table grows a chunk
-/// of `SLAB_CHUNK` slots at a time, so growing it never moves an end or
-/// leaves a freed copy of the table behind. A slot freed by a crash wipe is
-/// reused by the next end created.
+/// Every channel end of one [`World`], in one table, and the world table
+/// that names each node's: `(node, channel id)` → slot. The slots grow a
+/// chunk of `SLAB_CHUNK` at a time, so growing them never moves an end or
+/// leaves a freed copy behind. A slot freed by a crash wipe is reused by
+/// the next end created.
 #[derive(Debug, Default)]
 pub struct ChanSlab {
     chunks: Vec<Box<[Option<ChanEnd>]>>,
     /// Slots handed out so far, freed ones included.
     used: u32,
     free: Vec<u32>,
+    /// Each node's ends: their slots, by node and channel id.
+    pub(crate) index: Table<u32, u32>,
 }
 
 impl ChanSlab {
-    fn insert(&mut self, end: ChanEnd) -> u32 {
+    fn insert(&mut self, a: NodeAddr, end: ChanEnd) {
+        let id = end.id;
         let slot = self.free.pop().unwrap_or_else(|| {
             if (self.used as usize).is_multiple_of(SLAB_CHUNK) {
                 self.chunks.push((0..SLAB_CHUNK).map(|_| None).collect());
@@ -559,7 +562,7 @@ impl ChanSlab {
             self.used - 1
         });
         *self.entry(slot) = Some(end);
-        slot
+        self.index.insert(a, id, slot);
     }
 
     fn entry(&mut self, slot: u32) -> &mut Option<ChanEnd> {
@@ -582,61 +585,40 @@ impl ChanSlab {
         self.entry(slot).as_mut().expect("a live slot")
     }
 
-    /// `node`'s channel ends, by channel id.
-    pub fn of<'a>(&'a self, node: &'a Node) -> impl Iterator<Item = &'a ChanEnd> + 'a {
-        node.chans.0.iter().map(|&(_, slot)| self.get(slot))
+    /// Node `a`'s channel ends, by channel id.
+    pub fn of(&self, a: NodeAddr) -> impl Iterator<Item = &ChanEnd> + '_ {
+        self.index.of(a).map(|(_, &slot)| self.get(slot))
     }
 
-    /// Take the ends `index` names off the slab, in id order, emptying it.
-    pub(crate) fn remove_all(&mut self, index: &mut ChanIndex) -> Vec<ChanEnd> {
-        let slots = index.0.drain(..).map(|(_, slot)| slot);
+    /// True iff node `a` holds an end of channel `id`.
+    pub fn contains(&self, a: NodeAddr, id: u32) -> bool {
+        self.index.contains(a, &id)
+    }
+
+    /// Channel ends node `a` holds.
+    pub fn count(&self, a: NodeAddr) -> usize {
+        self.index.count(a)
+    }
+
+    /// Take node `a`'s ends off the slab, in id order.
+    pub(crate) fn remove_all(&mut self, a: NodeAddr) -> Vec<ChanEnd> {
+        let slots = self.index.wipe(a).into_iter().map(|(_, slot)| slot);
         slots.map(|slot| self.remove(slot)).collect()
-    }
-}
-
-/// One node's channel ends: `(channel id, slot in the world's
-/// [`ChanSlab`])`, sorted by id.
-#[derive(Debug, Default)]
-pub struct ChanIndex(Vec<(u32, u32)>);
-
-impl ChanIndex {
-    fn slot(&self, id: u32) -> Option<u32> {
-        let i = self.0.binary_search_by_key(&id, |&(k, _)| k).ok()?;
-        Some(self.0[i].1)
-    }
-
-    fn insert(&mut self, id: u32, slot: u32) {
-        let at = self.0.partition_point(|&(k, _)| k < id);
-        self.0.insert(at, (id, slot));
-    }
-
-    /// True iff this node holds an end of channel `id`.
-    pub fn contains(&self, id: u32) -> bool {
-        self.slot(id).is_some()
-    }
-
-    /// Channel ends on this node.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True iff this node holds no channel end.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
     }
 }
 
 impl World {
     /// Node `a`'s end of channel `id`, if it holds one.
     pub fn chan(&self, a: NodeAddr, id: u32) -> Option<&ChanEnd> {
-        let slot = self.node(a).chans.slot(id)?;
+        let slot = *self.chan_ends.index.get(a, &id)?;
         Some(self.chan_ends.get(slot))
     }
 
     /// Mutable [`World::chan`]; materializes node `a`, as
     /// [`World::node_mut`] does.
     pub fn chan_mut(&mut self, a: NodeAddr, id: u32) -> Option<&mut ChanEnd> {
-        let slot = self.nodes.get_mut(a.0 as usize).chans.slot(id)?;
+        self.node_mut(a);
+        let slot = *self.chan_ends.index.get(a, &id)?;
         Some(self.chan_ends.get_mut(slot))
     }
 
@@ -648,7 +630,7 @@ impl World {
         peer: NodeAddr,
         keep: impl Fn(&ChanEnd) -> bool,
     ) -> Vec<u32> {
-        let ends = self.chan_ends.of(self.node(a));
+        let ends = self.chan_ends.of(a);
         ends.filter(|e| e.peer == peer && keep(e))
             .map(|e| e.id)
             .collect()
@@ -666,10 +648,10 @@ pub fn create_end(
     peer: NodeAddr,
 ) {
     let cfg = ChannelConfig::from_calib(&w.calib);
-    let exists = w.node_mut(node).chans.contains(id);
+    w.node_mut(node);
+    let exists = w.chan_ends.contains(node, id);
     assert!(!exists, "channel id {id} already exists on {node}");
-    let slot = w.chan_ends.insert(ChanEnd::new(id, name, peer, cfg));
-    w.node_mut(node).chans.insert(id, slot);
+    w.chan_ends.insert(node, ChanEnd::new(id, name, peer, cfg));
     kernel::drain_orphans(w, s, node, id);
 }
 
@@ -1039,7 +1021,7 @@ pub fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         // Close may race the open reply; stash like data frames. (A
         // retransmitted close after a crash wiped the end lands here too
         // and is dropped with the orphan list if the end never reappears.)
-        w.node_mut(node).orphans.push(f);
+        w.orphans.push(node, f);
         return;
     };
     if end.closed_remote {
@@ -1171,7 +1153,7 @@ fn rto_base_ns(w: &World, node: NodeAddr, chan: u32) -> u64 {
 /// so sharded replays stay deterministic.
 pub(crate) fn peer_rto_hint(w: &World, node: NodeAddr, peer: NodeAddr) -> Option<u64> {
     w.chan_ends
-        .of(w.node(node))
+        .of(node)
         .filter(|end| end.peer == peer)
         .filter_map(|end| end.rtt.rto_ns(RTO_FLOOR_NS, RTO_CEIL_NS))
         .max()
@@ -1237,7 +1219,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bo
         }
     };
     match act {
-        Act::Orphan => w.node_mut(node).orphans.push(f),
+        Act::Orphan => w.orphans.push(node, f),
         Act::ReAck => {
             w.faults.stats.dups_suppressed += 1;
             let ack = Frame::unicast(node, src, proto::KIND_CHAN_ACK, seq, Payload::Synthetic(0));
@@ -1393,7 +1375,7 @@ fn on_data_windowed(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, las
         }
     };
     match act {
-        Act::Orphan => w.node_mut(node).orphans.push(f),
+        Act::Orphan => w.orphans.push(node, f),
         Act::ReAck => {
             w.faults.stats.dups_suppressed += 1;
             send_wack(w, s, node, chan);
@@ -1897,8 +1879,8 @@ mod tests {
         });
         v.run_all();
         let w = v.world();
-        let end1 = w.chan_ends.of(&w.nodes[1]).next().unwrap();
-        let end2 = w.chan_ends.of(&w.nodes[2]).next().unwrap();
+        let end1 = w.chan_ends.of(NodeAddr(1)).next().unwrap();
+        let end2 = w.chan_ends.of(NodeAddr(2)).next().unwrap();
         assert_eq!(end1.msgs_tx, 2);
         assert_eq!(end1.msgs_rx, 1);
         assert_eq!(end2.msgs_rx, 2);
@@ -1956,18 +1938,16 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
             return; // nothing registered: `accept` stays parked
         }
         let prev = w
-            .node_mut(node)
             .listeners
-            .insert(name_owned.clone(), ListenState::default());
+            .insert(node, name_owned.clone(), ListenState::default());
         assert!(
             prev.is_none(),
             "name {name_owned:?} already listening on {node}"
         );
         let mgr = crate::objmgr::manager_for(w, &name_owned);
         let token = w.token();
-        w.node_mut(node)
-            .listeners
-            .get_mut(&name_owned)
+        w.listeners
+            .get_mut(node, &name_owned)
             .expect("just inserted")
             .token = token;
         let f = Frame::unicast(
@@ -1983,7 +1963,7 @@ pub fn listen(ctx: &VCtx, node: NodeAddr, name: &str) -> Listener {
     let pid = ctx.pid();
     let name_owned = name.clone();
     ctx.wait_until(move |w, _| {
-        let Some(ls) = w.node_mut(node).listeners.get_mut(&name_owned) else {
+        let Some(ls) = w.listeners.get_mut(node, &name_owned) else {
             return Some(()); // our node crashed; the registration died with it
         };
         if ls.acked {
@@ -2006,7 +1986,7 @@ struct ListenRetry(Name);
 
 impl Retry for ListenRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        let ls = w.node_mut(node).listeners.get_mut(&self.0)?;
+        let ls = w.listeners.get_mut(node, &self.0)?;
         (!ls.acked).then_some(&mut ls.chain)
     }
 
@@ -2019,7 +1999,7 @@ impl Retry for ListenRetry {
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
-        let Some(token) = w.node(node).listeners.get(&self.0).map(|ls| ls.token) else {
+        let Some(token) = w.listeners.get(node, &self.0).map(|ls| ls.token) else {
             return;
         };
         let mgr = crate::objmgr::manager_for(w, &self.0);
@@ -2041,7 +2021,7 @@ impl Listener {
             // If the node crashed the listener is gone and nobody will wake
             // us — stay parked (documented non-recoverable path) rather
             // than panic in the wake path.
-            let ls = w.node_mut(node).listeners.get_mut(&name)?;
+            let ls = w.listeners.get_mut(node, &name)?;
             match ls.pending.pop_front() {
                 Some(conn) => Some(conn),
                 None => {
@@ -2060,12 +2040,18 @@ impl Listener {
         let node = self.node;
         let name = self.name.clone();
         ctx.with(move |w, _| {
-            w.node(node)
-                .listeners
-                .get(&name)
+            w.listeners
+                .get(node, &name)
                 .map(|l| l.pending.len())
                 .unwrap_or(0)
         })
+    }
+}
+
+impl World {
+    /// Node `a`'s listener on `name`, found without building a [`Name`].
+    fn listener_mut(&mut self, a: NodeAddr, name: &str) -> Option<(&Name, &mut ListenState)> {
+        self.listeners.find_mut(a, |k, _| *k == name)
     }
 }
 
@@ -2073,7 +2059,7 @@ impl Listener {
 /// Duplicates (a retransmitted registration re-acked) are idempotent.
 pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let name = proto::parse_open_req(&f.payload);
-    let Some(ls) = w.node_mut(node).listeners.get_mut(name) else {
+    let Some((_, ls)) = w.listener_mut(node, name) else {
         return; // crash wiped the listener; stale ack
     };
     ls.acked = true;
@@ -2087,10 +2073,10 @@ pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (id, client, name) = proto::parse_open_rep(&f.payload);
-    if w.node(node).chans.contains(id) {
+    if w.chan_ends.contains(node, id) {
         return; // duplicate connect (our first ack was lost)
     }
-    let Some((key, ls)) = w.node(node).listeners.get_key_value(name) else {
+    let Some((key, ls)) = w.listener_mut(node, name) else {
         return; // listener died with a crash; the client will learn via timeout
     };
     if ls.pending.len() >= LISTENER_BACKLOG_CAP {
@@ -2104,8 +2090,9 @@ pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         w.faults.stats.table_rejects += 1;
         return;
     }
+    let key = key.clone();
     create_end(w, s, node, id, key.clone(), client);
-    let Some(ls) = w.node_mut(node).listeners.get_mut(name) else {
+    let Some(ls) = w.listeners.get_mut(node, &key) else {
         return;
     };
     ls.pending.push_back((id, client));

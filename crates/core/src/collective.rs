@@ -100,9 +100,8 @@ impl Group {
     }
 }
 
-/// Per-node, per-group collective protocol state (lives in
-/// [`crate::world::Node::coll`]; wiped cold by a crash like every other
-/// kernel table).
+/// Per-node, per-group collective protocol state (a row of
+/// [`World::coll`]; a crash wipes it like every other world table's).
 #[derive(Default)]
 pub struct CollNodeState {
     /// Next operation sequence number on this node. Members of a group call
@@ -558,7 +557,8 @@ fn parse_pairs(p: &Payload) -> Vec<(u32, u64)> {
 // ----- kernel-side machinery (in-network engine) -----
 
 fn coll_state(w: &mut World, node: NodeAddr, group: u32) -> &mut CollNodeState {
-    w.node_mut(node).coll.entry(group).or_default()
+    w.node_mut(node);
+    w.coll.get_or_insert_with(node, group, Default::default)
 }
 
 /// Start a member-side operation: allocate the sequence, send the operand
@@ -682,7 +682,7 @@ struct CollRetry(CollChain, u32, u32);
 
 impl Retry for CollRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        let st = w.node_mut(node).coll.get_mut(&self.1)?;
+        let st = w.coll.get_mut(node, &self.1)?;
         let (cseq, chain) = match self.0 {
             CollChain::Nudge => st.pending.as_mut().map(|p| (p.cseq, &mut p.chain))?,
             CollChain::Root => st.root_pending.as_mut().map(|p| (p.cseq, &mut p.chain))?,

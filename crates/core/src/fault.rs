@@ -238,7 +238,8 @@ pub fn reliable_send_with_timeout(
     // The entry is the sender's kernel state: materialize its node.
     w.node_mut(from);
     w.ctl_unacked.insert(
-        (from, key),
+        from,
+        key,
         CtlPending {
             frame: frame.clone(),
             base_timeout_ns,
@@ -254,11 +255,11 @@ struct CtlRetry(u64);
 
 impl Retry for CtlRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        Some(&mut w.ctl_unacked.get_mut(&(node, self.0))?.chain)
+        Some(&mut w.ctl_unacked.get_mut(node, &self.0)?.chain)
     }
 
     fn base_ns(&self, w: &World, node: NodeAddr) -> u64 {
-        let p = w.ctl_unacked.get(&(node, self.0));
+        let p = w.ctl_unacked.get(node, &self.0);
         p.map_or(CTL_TIMEOUT_NS, |p| p.base_timeout_ns)
     }
 
@@ -267,7 +268,7 @@ impl Retry for CtlRetry {
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
-        if let Some(p) = w.ctl_unacked.get(&(node, self.0)) {
+        if let Some(p) = w.ctl_unacked.get(node, &self.0) {
             let f = p.frame.clone();
             w.faults.stats.retransmits += 1;
             kernel::send_frame(w, s, f);
@@ -340,19 +341,24 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
         w.net.set_endpoint_down(now.as_ns(), node, true, out)
     });
 
-    // A cold node takes the slot. Wakes go in channel-id order (wake order
-    // feeds the event order determinism rests on); UDCO, multicast and
-    // listener waiters stay parked, as DESIGN.md §9 documents. Dropping the
-    // crashed node disarms every retry chain it held: a dead node's
-    // timeouts must not drag the simulated clock forward.
-    let (mut crashed, ends) = w.wipe_node(node);
-    for mut end in ends {
+    // A cold node takes the slot and the node's rows leave every world
+    // table. Wakes go in channel-id, then token, then sequence order (wake
+    // order feeds the event order determinism rests on); UDCO, multicast
+    // reader and listener waiters stay parked, as DESIGN.md §9 documents.
+    // Dropping the rows disarms every retry chain the node held: a dead
+    // node's timeouts must not drag the simulated clock forward.
+    let mut wiped = w.wipe_node(node);
+    for mut end in wiped.ends {
         end.wake_all(s);
     }
-    crashed.open_waiters.wake_all(s, Wakeup::START);
-    crashed.syscall_waiters.wake_all(s, Wakeup::START);
-    crashed.tx_waiters.wake_all(s, Wakeup::START);
-    drop(crashed);
+    for pid in wiped.opens.iter().filter_map(|o| o.waiter) {
+        s.wake(pid, Wakeup::START);
+    }
+    wiped.node.syscall_waiters.wake_all(s, Wakeup::START);
+    wiped.node.tx_waiters.wake_all(s, Wakeup::START);
+    for mut p in wiped.mcasts {
+        p.waiters.wake_all(s, Wakeup::START);
+    }
 
     // The application manager's failure detector is part of the manager
     // abstraction: mark the node's processes failed so `wait_app` completes.
@@ -369,38 +375,38 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
         return;
     }
     let mut hits: Vec<(NodeAddr, u32)> = Vec::new();
-    let mut stale_servers: Vec<(NodeAddr, MgrKey)> = Vec::new();
-    let mut stale_pending: Vec<(NodeAddr, MgrKey, u64)> = Vec::new();
     for other in w.nodes.materialized() {
-        let peered = w.chan_ends.of(other).filter(|e| e.peer == node);
+        let peered = w.chan_ends.of(other.addr).filter(|e| e.peer == node);
         hits.extend(peered.map(|e| (other.addr, e.id)));
-        for (key, srv) in &other.mgr.servers {
-            if *srv == node {
-                stale_servers.push((other.addr, key.clone()));
-            }
-        }
-        for (key, &(req, token)) in &other.mgr.pending {
-            if req == node {
-                stale_pending.push((other.addr, key.clone(), token));
-            }
-        }
     }
+    let mgr = &w.managers;
+    let stale_servers: Vec<(NodeAddr, MgrKey)> = mgr
+        .servers
+        .iter()
+        .filter(|(_, _, srv)| **srv == node)
+        .map(|(a, key, _)| (a, key.clone()))
+        .collect();
+    let stale_pending: Vec<(NodeAddr, MgrKey, u64)> = mgr
+        .pending
+        .iter()
+        .filter(|(_, _, (req, _))| *req == node)
+        .map(|(a, key, &(_, token))| (a, key.clone(), token))
+        .collect();
     s.schedule_in(SimDuration::from_ns(detect), move |w: &mut World, s| {
         for &(a, id) in &hits {
             crate::channel::set_peer_down(w, s, a, id);
         }
         // Evict the manager entries snapshotted at crash time — and only
         // those, so registrations made after a restart are untouched.
+        let mgr = &mut w.managers;
         for (a, key) in &stale_servers {
-            let mgr = &mut w.node_mut(*a).mgr;
-            if mgr.servers.get(key) == Some(&node) {
-                mgr.servers.remove(key);
+            if mgr.servers.get(*a, key) == Some(&node) {
+                mgr.servers.remove(*a, key);
             }
         }
         for (a, key, token) in &stale_pending {
-            let mgr = &mut w.node_mut(*a).mgr;
-            if mgr.pending.get(key) == Some(&(node, *token)) {
-                mgr.pending.remove(key);
+            if mgr.pending.get(*a, key) == Some(&(node, *token)) {
+                mgr.pending.remove(*a, key);
             }
         }
     });
@@ -436,10 +442,10 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
     let mut opens: Vec<(NodeAddr, u64)> = w
         .open_waits
         .iter()
-        .filter(|(_, (_, o))| {
-            matches!(o, crate::world::OpenResult::Pending { mgr, .. } if *mgr == node)
+        .filter(|(_, _, o)| {
+            matches!(o.state, crate::world::OpenResult::Pending { mgr, .. } if mgr == node)
         })
-        .map(|(&t, &(a, _))| (a, t))
+        .map(|(a, &t, _)| (a, t))
         .collect();
     opens.sort_unstable();
     for (a, t) in opens {

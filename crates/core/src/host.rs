@@ -236,13 +236,14 @@ fn forward(
             ensure_service_stub(w, host_id, node);
         }
         let token = w.token();
-        w.node_mut(node).syscall_waits.insert(token, None);
+        w.node_mut(node);
+        w.syscall_waits.insert(node, token, None);
         let f = Frame::unicast(node, host_node, proto::KIND_SYSCALL_REQ, token, pack_op(op));
         kernel::send_frame(w, s, f);
         Ok(token)
     })?;
     let pid = ctx.pid();
-    let ret = ctx.wait_until(move |w, _| match w.node(node).syscall_waits.get(&token) {
+    let ret = ctx.wait_until(move |w, _| match w.syscall_waits.get(node, &token) {
         Some(Some(r)) => Some(Ok(*r)),
         Some(None) => {
             w.node_mut(node).syscall_waiters.register(pid);
@@ -253,7 +254,7 @@ fn forward(
         None => Some(Err(crate::VorxError::NodeDown)),
     });
     ctx.with(move |w, _| {
-        w.node_mut(node).syscall_waits.remove(&token);
+        w.syscall_waits.remove(node, &token);
     });
     ret
 }
@@ -367,7 +368,7 @@ fn finish_syscall(
 pub fn on_syscall_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let ret = parse_ret(&f.payload);
     // A reply to a call a crash wiped finds no slot and leaves none.
-    if let Some(slot) = w.node_mut(node).syscall_waits.get_mut(&f.seq) {
+    if let Some(slot) = w.syscall_waits.get_mut(node, &f.seq) {
         *slot = Some(ret);
     }
     w.node_mut(node).syscall_waiters.wake_all(s, Wakeup::START);

@@ -22,6 +22,9 @@
 //! * [`UNDRAINED_SWITCH`] — no switch still buffers a sheddable byte;
 //! * [`MEMBERSHIP`] — every owned node is up, holds no partition mark and
 //!   has no heartbeat probe in flight;
+//! * [`CRASHED_OWNS_NOTHING`] — no world table ([`World::tables`]) holds a
+//!   row of an owned node that is down: a crash wipes every row, and a down
+//!   node's kernel takes none;
 //! * [`REPLICAS`] — in distributed-manager mode, every server registration
 //!   held by its hash-home also sits on the home's successor replica;
 //! * [`PENDING_OPENER`] — every manager's `pending` entry holds exactly one
@@ -55,6 +58,8 @@ pub const PENDING_OPENER: &str = "pending-one-opener";
 pub const PENDING_SERVED: &str = "pending-beside-server";
 /// Fewer nodes than expected sit at the idle-memory baseline.
 pub const IDLE_MEMORY: &str = "idle-memory-baseline";
+/// A down node holds a row in some world table.
+pub const CRASHED_OWNS_NOTHING: &str = "crashed-owns-nothing";
 
 /// What one world — a whole sequential world, or one shard of a sharded
 /// one — shows at quiescence for the nodes it owns. Built under one short
@@ -95,15 +100,17 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
     let (mut servers, mut mem_max, mut mem_total, mut mem_idle) = (Vec::new(), 0, 0, 0);
     let baseline = accounting::idle_node_bytes();
     let (mut converged, mut one_opener, mut unserved) = (true, true, true);
+    let mut cold = true;
+    let mgr = &w.managers;
     for &a in owned {
         let n = w.node(a);
-        converged &= n.up && n.mbr.partitioned.is_empty() && n.mbr.probing.is_empty();
-        let pending = &n.mgr.pending;
-        let openers: FixedSet<_> = pending.values().collect();
-        one_opener &= openers.len() == pending.len();
-        unserved &= pending.keys().all(|k| !n.mgr.servers.contains_key(k));
-        if !n.mgr.servers.is_empty() {
-            let entries = n.mgr.servers.iter().map(|(k, v)| (k.clone(), v.0));
+        converged &= n.up && !w.mbr.partitioned.holds(a) && !w.mbr.probing.holds(a);
+        cold &= n.up || w.tables().iter().all(|(_, t)| !t.holds(a));
+        let openers: FixedSet<_> = mgr.pending.of(a).map(|(_, o)| o).collect();
+        one_opener &= openers.len() == mgr.pending.count(a);
+        unserved &= mgr.pending.of(a).all(|(k, _)| !mgr.servers.contains(a, k));
+        if mgr.servers.holds(a) {
+            let entries = mgr.servers.of(a).map(|(k, v)| (k.clone(), v.0));
             servers.push((a.0, entries.collect()));
         }
         let b = accounting::node_mem_bytes(w, n);
@@ -113,6 +120,9 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
     }
     if !converged {
         local.push(MEMBERSHIP);
+    }
+    if !cold {
+        local.push(CRASHED_OWNS_NOTHING);
     }
     if !one_opener {
         local.push(PENDING_OPENER);

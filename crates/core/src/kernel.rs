@@ -29,7 +29,8 @@ pub fn send_frame(w: &mut World, s: &mut VSched, frame: Frame) {
     if can_inject(w, src) {
         inject(w, s, frame);
     } else {
-        w.node_mut(src).tx_q.push_back(frame);
+        w.node_mut(src);
+        w.tx_q.push(src, frame);
     }
 }
 
@@ -37,7 +38,7 @@ pub fn send_frame(w: &mut World, s: &mut VSched, frame: Frame) {
 /// register free — fabric or shard bridge — and no kernel frames queued
 /// ahead).
 pub fn can_inject(w: &World, a: NodeAddr) -> bool {
-    w.net.can_send(a) && !w.shard.tx_busy(a) && w.node(a).tx_q.is_empty()
+    w.net.can_send(a) && !w.shard.tx_busy(a) && !w.tx_q.holds(a)
 }
 
 /// Put a frame on the wire: into the local fabric, or — in a sharded build,
@@ -221,7 +222,7 @@ fn on_tx_ready(w: &mut World, s: &mut VSched, a: NodeAddr) {
     if !w.node(a).up {
         return; // crashed between queueing and the interrupt
     }
-    if let Some(frame) = w.node_mut(a).tx_q.pop_front() {
+    if let Some(frame) = w.tx_q.pop(a) {
         // The register is free after a transmit-complete (fabric or bridge),
         // so the queued frame injects directly — through the bridge again if
         // its destination is remote.
@@ -327,11 +328,7 @@ fn dispatch(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
 
 /// Re-dispatch frames that arrived for a channel before its end existed.
 pub fn drain_orphans(w: &mut World, s: &mut VSched, a: NodeAddr, chan: u32) {
-    let orphans = std::mem::take(&mut w.node_mut(a).orphans);
-    let (mine, rest): (Vec<Frame>, Vec<Frame>) = orphans
-        .into_iter()
-        .partition(|f| proto::seq_chan(f.seq) == chan);
-    w.node_mut(a).orphans = rest;
+    let mine = w.orphans.take_if(a, |f| proto::seq_chan(f.seq) == chan);
     for f in mine {
         dispatch(w, s, a, f);
     }

@@ -35,7 +35,7 @@
 //! schedule; fault-free runs execute none of this code, preserving PR 3
 //! trace bit-identity.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use desim::SimDuration;
 use hpcnet::{Frame, NodeAddr, Payload};
@@ -43,21 +43,21 @@ use hpcnet::{Frame, NodeAddr, Payload};
 use crate::calib::{CTL_TIMEOUT_NS, RTO_CEIL_NS, RTO_FLOOR_NS};
 use crate::proto;
 use crate::rtt::RttEstimator;
-use crate::world::{VSched, World};
+use crate::world::{Table, VSched, World};
 
-/// Per-node membership state.
+/// Every node's membership state, by node and peer.
 #[derive(Debug, Default)]
-pub struct MbrState {
-    /// Peers this node currently believes are partitioned away (alive but
+pub struct Membership {
+    /// Peers each node currently believes are partitioned away (alive but
     /// unreachable). Cleared pairwise by the heal sweep.
-    pub partitioned: BTreeSet<u32>,
+    pub partitioned: Table<u32, ()>,
     /// Peers with a heartbeat beacon in flight, keyed to the sim time the
     /// probe was sent (feeds the heartbeat RTT estimator on the ack).
-    pub probing: BTreeMap<u32, u64>,
+    pub probing: Table<u32, u64>,
     /// Observed heartbeat round-trip estimators per peer (phi-accrual-lite:
     /// the suspicion window is `SRTT + 4·RTTVAR`, clamped, instead of a
     /// fixed constant). Only populated when a gray fault armed adaptation.
-    pub peer_rtt: BTreeMap<u32, RttEstimator>,
+    pub peer_rtt: Table<u32, RttEstimator>,
 }
 
 /// Channel retry exhaustion against a peer still believed alive: send one
@@ -72,14 +72,15 @@ pub struct MbrState {
 /// outlive its latency inflation instead of inheriting the exhausted
 /// channel's (too short) fixed chain and declaring a live peer partitioned.
 pub fn suspect(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    if w.node(node).mbr.partitioned.contains(&peer.0) {
+    if w.mbr.partitioned.contains(node, &peer.0) {
         return; // verdict already in
     }
     let now = s.now().as_ns();
-    if w.node(node).mbr.probing.contains_key(&peer.0) {
+    if w.mbr.probing.contains(node, &peer.0) {
         return; // a probe is already out
     }
-    w.node_mut(node).mbr.probing.insert(peer.0, now);
+    w.node_mut(node);
+    w.mbr.probing.insert(node, peer.0, now);
     w.faults.stats.probes_sent += 1;
     let token = w.token();
     let f = Frame::unicast(
@@ -103,10 +104,9 @@ fn probe_timeout_ns(w: &World, node: NodeAddr, peer: NodeAddr) -> u64 {
         return fixed;
     }
     let hb = w
-        .node(node)
         .mbr
         .peer_rtt
-        .get(&peer.0)
+        .get(node, &peer.0)
         .and_then(|e| e.rto_ns(RTO_FLOOR_NS, RTO_CEIL_NS))
         .unwrap_or(0);
     let chan = crate::channel::peer_rto_hint(w, node, peer).unwrap_or(0);
@@ -124,17 +124,16 @@ pub fn on_heartbeat(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// `attempts` is the beacon's retransmission count — only a never-
 /// retransmitted probe yields an unambiguous RTT sample (Karn's rule).
 pub fn on_probe_ack(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr, attempts: u32) {
-    let Some(sent_ns) = w.node_mut(node).mbr.probing.remove(&peer.0) else {
+    let Some(sent_ns) = w.mbr.probing.remove(node, &peer.0) else {
         return;
     };
     if w.faults.gray_armed && attempts == 0 {
         let rtt = s.now().as_ns().saturating_sub(sent_ns);
-        w.node_mut(node)
+        let est = w
             .mbr
             .peer_rtt
-            .entry(peer.0)
-            .or_default()
-            .sample(rtt);
+            .get_or_insert_with(node, peer.0, Default::default);
+        est.sample(rtt);
     }
     crate::channel::resume_peer(w, s, node, peer);
 }
@@ -143,7 +142,7 @@ pub fn on_probe_ack(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAdd
 /// if it is still up; ordinary PR 2 peer-down semantics if it crashed while
 /// the probe was out.
 pub fn on_probe_failed(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    if w.node_mut(node).mbr.probing.remove(&peer.0).is_none() {
+    if w.mbr.probing.remove(node, &peer.0).is_none() {
         return;
     }
     if w.node(peer).up {
@@ -158,7 +157,8 @@ pub fn on_probe_failed(w: &mut World, s: &mut VSched, node: NodeAddr, peer: Node
 /// [`crate::VorxError::Partitioned`], and fail pending opens over to the
 /// name's successor replica when their hash-home sits behind the partition.
 pub(crate) fn mark_partitioned(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    if !w.node_mut(node).mbr.partitioned.insert(peer.0) {
+    w.node_mut(node);
+    if w.mbr.partitioned.insert(node, peer.0, ()).is_some() {
         return;
     }
     w.faults.stats.partitions += 1;
@@ -229,12 +229,12 @@ pub fn on_heal(w: &mut World, s: &mut VSched) {
     let mut healed = false;
     for a in 0..w.nodes.len() {
         let na = NodeAddr(a as u32);
-        let marks: Vec<u32> = w.nodes[a].mbr.partitioned.iter().copied().collect();
+        let marks: Vec<u32> = w.mbr.partitioned.of(na).map(|(b, _)| *b).collect();
         for b in marks {
             let nb = NodeAddr(b);
             let topo = w.net.topology();
             if topo.reachable(topo.cluster_of(na), topo.cluster_of(nb)) {
-                w.nodes[a].mbr.partitioned.remove(&b);
+                w.mbr.partitioned.remove(na, &b);
                 w.faults.stats.heals += 1;
                 healed = true;
                 crate::channel::resume_peer(w, s, na, nb);

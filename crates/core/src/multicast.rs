@@ -64,13 +64,12 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
         if !w.node(node).up {
             return;
         }
-        w.node_mut(node).mcast.entry(gid).or_default();
-        let orphans = std::mem::take(&mut w.node_mut(node).orphans);
-        let (mine, rest): (Vec<Frame>, Vec<Frame>) = orphans.into_iter().partition(|f| {
+        w.node_mut(node);
+        w.mcast.get_or_insert_with(node, gid, Default::default);
+        let mine = w.orphans.take_if(node, |f| {
             (f.kind == KIND_MCAST_DATA || f.kind == KIND_MCAST_DATA_LAST)
                 && (f.seq >> 48) as u16 == gid
         });
-        w.node_mut(node).orphans = rest;
         for f in mine {
             on_data(w, s, node, f);
         }
@@ -83,7 +82,8 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
 /// Messages larger than one hardware frame are fragmented and reassembled
 /// per-sender at each receiver. On a down node nothing is sent and the call
 /// returns at once with no error, which the caller cannot tell from a
-/// delivery every destination acknowledged.
+/// delivery every destination acknowledged; a crash of the node while the
+/// writer waits returns the same way, with no more fragments sent.
 pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload: Payload) {
     assert!(!dsts.is_empty(), "multicast with no destinations");
     let (up, syscall_ns, switch_ns) = ctx.with(|w, _| {
@@ -104,7 +104,9 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
         let seq = ctx.with(move |w, s| {
             let now = s.now();
             let seq = w.token();
-            w.node_mut(node).mcast_pending.insert(
+            w.node_mut(node);
+            w.mcast_pending.insert(
+                node,
                 seq,
                 McastPending {
                     remaining: n_dst,
@@ -127,14 +129,13 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
             kernel::send_frame(w, s, f);
             seq
         });
-        ctx.wait_until(move |w, _| {
-            let p = w
-                .node_mut(node)
-                .mcast_pending
-                .get_mut(&seq)
-                .expect("pending mcast vanished");
+        let acked = ctx.wait_until(move |w, _| {
+            // A crash took the write off the table and woke us.
+            let Some(p) = w.mcast_pending.get_mut(node, &seq) else {
+                return Some(false);
+            };
             if p.remaining == 0 {
-                Some(())
+                Some(true)
             } else {
                 p.waiters.register(pid);
                 None
@@ -142,9 +143,12 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
         });
         ctx.with(move |w, s| {
             let now = s.now();
-            w.node_mut(node).mcast_pending.remove(&seq);
+            w.mcast_pending.remove(node, &seq);
             w.unblock(now, node, BlockReason::Output);
         });
+        if !acked {
+            return;
+        }
         api::compute_ns(ctx, node, CpuCat::System, switch_ns);
     }
 }
@@ -157,9 +161,8 @@ pub fn mread(ctx: &VCtx, node: NodeAddr, gid: u16) -> (NodeAddr, Payload) {
     let pid = ctx.pid();
     let (src, payload) = ctx.wait_until(move |w, _| {
         let end = w
-            .node_mut(node)
             .mcast
-            .get_mut(&gid)
+            .get_mut(node, &gid)
             .unwrap_or_else(|| panic!("mread before join({gid}) on {node}"));
         match end.rx.pop_front() {
             Some(m) => Some(m),
@@ -196,8 +199,8 @@ pub fn multi_write(
 /// Kernel handler: multicast data arrived at a receiver.
 pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let gid = (f.seq >> 48) as u16;
-    if !w.node(node).mcast.contains_key(&gid) {
-        w.node_mut(node).orphans.push(f);
+    if !w.mcast.contains(node, &gid) {
+        w.orphans.push(node, f);
         return;
     }
     // Side-buffer copy + ack generation, like a channel fragment.
@@ -212,7 +215,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         let last = f.kind == KIND_MCAST_DATA_LAST;
         let len = u64::from(f.payload.len());
         {
-            let Some(e) = w.node_mut(node).mcast.get_mut(&gid) else {
+            let Some(e) = w.mcast.get_mut(node, &gid) else {
                 return; // the node crashed while the copy charge was in flight
             };
             e.bytes_rx += len;
@@ -233,7 +236,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// Kernel handler: a multicast ack arrived back at the writer.
 pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let seq = f.seq & 0x0000_FFFF_FFFF_FFFF;
-    let Some(p) = w.node_mut(node).mcast_pending.get_mut(&seq) else {
+    let Some(p) = w.mcast_pending.get_mut(node, &seq) else {
         return; // a crash wiped the pending write; stale (or delayed) ack
     };
     p.remaining -= 1;
@@ -330,7 +333,8 @@ mod tests {
         v.run_all();
         let w = v.world();
         for n in 1..4 {
-            assert_eq!(w.nodes[n].mcast[&3].bytes_rx, 4 * 1024);
+            let end = w.mcast.get(NodeAddr(n as u32), &3).expect("joined");
+            assert_eq!(end.bytes_rx, 4 * 1024);
         }
     }
 

@@ -23,13 +23,12 @@
 //! nothing there.
 
 use std::borrow::Borrow;
-use std::collections::VecDeque;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::Arc;
 
-use desim::{FixedMap, FixedSet, SimDuration, Wakeup};
+use desim::SimDuration;
 use hpcnet::{Frame, NodeAddr, Payload};
 
 use crate::calib::{MAX_CHANS_PER_NODE, OPEN_MAX_RETRIES, OPEN_TIMEOUT_NS};
@@ -38,7 +37,7 @@ use crate::cpu::CpuCat;
 use crate::kernel;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
-use crate::world::{OpenResult, VCtx, VSched, World};
+use crate::world::{OpenResult, Table, VCtx, VSched, World};
 
 /// Where channel-open requests are served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,51 +159,60 @@ impl fmt::Debug for Name {
     }
 }
 
-/// The key of a name in [`MgrState::pending`] and [`MgrState::servers`]:
+/// The key of a name in [`Managers::pending`] and [`Managers::servers`]:
 /// a channel and a UDCO of one name are different objects.
 pub type MgrKey = (proto::ObjKind, Name);
 
-/// Per-node object-manager state.
+/// A node's object-manager counters.
 #[derive(Debug, Default)]
 pub struct MgrState {
+    /// Requests this manager has served (load statistics for E-OPEN).
+    pub served: u64,
+    /// Rows the manager holds in [`Managers::seen`].
+    pub seen: u32,
+}
+
+/// Every node's object-manager tables (every node can serve opens).
+#[derive(Debug, Default)]
+pub struct Managers {
     /// The unmatched open request of each name: `(requester, token)`. The
     /// next request for the name removes it and pairs with it, so a paired
     /// name leaves nothing here.
-    pub pending: FixedMap<MgrKey, (NodeAddr, u64)>,
+    pub pending: Table<MgrKey, (NodeAddr, u64)>,
     /// Registered server names (§4 name reuse): name -> server node.
-    pub servers: FixedMap<MgrKey, NodeAddr>,
-    /// Requests this manager has served (load statistics for E-OPEN).
-    pub served: u64,
+    pub servers: Table<MgrKey, NodeAddr>,
     /// Open requests already seen, by `(requester, token)`: a retransmitted
     /// request (the requester's timeout fired before our `OPEN_QUEUED`
     /// landed) must not queue twice. Dies with the node on a crash, which is
     /// what lets retransmissions after a restart be served from scratch.
     ///
-    /// Bounded: entries are evicted FIFO once [`SEEN_CAP`] is reached (see
-    /// `seen_order`). Tokens are unique per request and retransmissions
-    /// arrive within a few timeouts of the original, so the window only
-    /// needs to cover requests still in flight — a manager that served
-    /// millions of opens must not hold memory for all of them.
-    pub seen: FixedSet<(u32, u64)>,
-    /// FIFO eviction order for `seen`.
-    pub seen_order: VecDeque<(u32, u64)>,
+    /// Bounded: entries are evicted oldest first once [`SEEN_CAP`] is
+    /// reached (a manager's rows are listed in the order they came).
+    /// Tokens are unique per request and retransmissions arrive within a
+    /// few timeouts of the original, so the window only needs to cover
+    /// requests still in flight — a manager that served millions of opens
+    /// must not hold memory for all of them.
+    pub seen: Table<(u32, u64), ()>,
 }
 
-/// Bound on the per-manager duplicate-suppression window (`MgrState::seen`).
+/// Bound on the per-manager duplicate-suppression window (`Managers::seen`).
 /// Large enough that every request with a live retransmit chain stays
 /// remembered, small enough that dedup state cannot grow with workload age.
 pub const SEEN_CAP: usize = 4096;
 
-/// Record `key` in the manager's duplicate-suppression window, evicting the
-/// oldest entry beyond [`SEEN_CAP`]. Returns `true` when the key is new.
-pub fn note_seen(st: &mut MgrState, key: (u32, u64)) -> bool {
-    if !st.seen.insert(key) {
+/// Record `key` in manager `mgr`'s duplicate-suppression window, evicting
+/// the oldest entry beyond [`SEEN_CAP`]. Returns `true` when the key is new.
+pub fn note_seen(w: &mut World, mgr: NodeAddr, key: (u32, u64)) -> bool {
+    let seen = &mut w.managers.seen;
+    if seen.contains(mgr, &key) {
         return false;
     }
-    st.seen_order.push_back(key);
-    while st.seen_order.len() > SEEN_CAP {
-        let old = st.seen_order.pop_front().expect("nonempty");
-        st.seen.remove(&old);
+    seen.push_back(mgr, key, ());
+    let held = &mut w.nodes.get_mut(mgr.0 as usize).mgr.seen;
+    *held += 1;
+    while *held as usize > SEEN_CAP {
+        seen.pop_front(mgr).expect("nonempty");
+        *held -= 1;
     }
     true
 }
@@ -227,7 +235,8 @@ pub fn manager_for(w: &World, name: &str) -> NodeAddr {
     }
 }
 
-/// Node-local cache of name → serving-manager resolutions.
+/// Counters of a node's cache of name → serving-manager resolutions
+/// ([`World::resolve`]).
 ///
 /// Normally the hash picks the manager and the cache is a transparent
 /// confirmation of it; the win comes after a manager failover, when the node
@@ -235,51 +244,44 @@ pub fn manager_for(w: &World, name: &str) -> NodeAddr {
 /// next open of the same name. Entries are stamped with the failover/heal
 /// epoch at insert time and never served across an epoch change — a stale
 /// manager address is evicted on lookup instead.
-#[derive(Debug, Default)]
-pub struct ResolveCache {
-    entries: FixedMap<Name, (u64, NodeAddr)>,
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ResolveStats {
     /// Lookups served from the cache.
     pub hits: u64,
     /// Entries dropped because the failover/heal epoch moved past them.
     pub stale_evictions: u64,
 }
 
-impl ResolveCache {
-    /// Look `name` up; a hit must match the current `epoch` exactly, and a
-    /// mismatched entry is evicted (never returned).
-    pub fn lookup(&mut self, epoch: u64, name: &str) -> Option<NodeAddr> {
-        match self.entries.get(name) {
-            Some(&(e, addr)) if e == epoch => {
-                self.hits += 1;
-                Some(addr)
+impl World {
+    /// Look `name` up in node `a`'s resolve cache; a hit must match the
+    /// current `epoch` exactly, and a mismatched entry is evicted (never
+    /// returned).
+    pub fn resolve_lookup(&mut self, a: NodeAddr, epoch: u64, name: &Name) -> Option<NodeAddr> {
+        let stats = &mut self.nodes.get_mut(a.0 as usize).resolve;
+        match self.resolve.get(a, name) {
+            Some(&(e, mgr)) if e == epoch => {
+                stats.hits += 1;
+                Some(mgr)
             }
             Some(_) => {
-                self.entries.remove(name);
-                self.stale_evictions += 1;
+                self.resolve.remove(a, name);
+                stats.stale_evictions += 1;
                 None
             }
             None => None,
         }
     }
 
-    /// Record that `name` was served by `mgr` under `epoch`.
-    pub fn put(&mut self, epoch: u64, name: &Name, mgr: NodeAddr) {
-        match self.entries.get_mut(name) {
+    /// Record in node `a`'s resolve cache that `name` was served by `mgr`
+    /// under `epoch` (materializes `a`).
+    pub fn resolve_put(&mut self, a: NodeAddr, epoch: u64, name: &Name, mgr: NodeAddr) {
+        self.node_mut(a);
+        match self.resolve.get_mut(a, name) {
             Some(entry) => *entry = (epoch, mgr),
             None => {
-                self.entries.insert(name.clone(), (epoch, mgr));
+                self.resolve.insert(a, name.clone(), (epoch, mgr));
             }
         }
-    }
-
-    /// Cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -292,9 +294,9 @@ pub fn resolve_epoch(w: &World) -> u64 {
 
 /// Resolve the manager to target for an open of `name` from `node`: the
 /// node's epoch-checked cache first, the hash otherwise.
-pub fn resolve_mgr(w: &mut World, node: NodeAddr, name: &str) -> NodeAddr {
+pub fn resolve_mgr(w: &mut World, node: NodeAddr, name: &Name) -> NodeAddr {
     let epoch = resolve_epoch(w);
-    if let Some(mgr) = w.node_mut(node).resolve.lookup(epoch, name) {
+    if let Some(mgr) = w.resolve_lookup(node, epoch, name) {
         return mgr;
     }
     manager_for(w, name)
@@ -352,8 +354,8 @@ fn push_replica(
 pub fn on_repl_reg(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (kind, server, name) = proto::parse_repl_reg(&f.payload);
-    let servers = &mut w.node_mut(node).mgr.servers;
-    servers.entry((kind, Name::new(name))).or_insert(server);
+    let servers = &mut w.managers.servers;
+    servers.get_or_insert_with(node, (kind, Name::new(name)), || server);
 }
 
 /// Retarget an exhausted pending open at the home manager's successor
@@ -398,22 +400,21 @@ fn try_failover(
 /// determinism; opens with no replica to fail over to resolve as
 /// [`crate::VorxError::Unreachable`].
 pub(crate) fn failover_opens(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
-    let mut toks: Vec<(u64, proto::ObjKind, Name)> = w
+    let toks: Vec<(u64, proto::ObjKind, Name)> = w
         .open_waits
-        .iter()
-        .filter_map(|(t, (a, o))| match o {
+        .of(node)
+        .filter_map(|(t, o)| match &o.state {
             OpenResult::Pending {
                 mgr, kind, name, ..
-            } if *a == node && *mgr == peer => Some((*t, *kind, name.clone())),
+            } if *mgr == peer => Some((*t, *kind, name.clone())),
             _ => None,
         })
         .collect();
-    toks.sort_by_key(|e| e.0);
     for (token, kind, name) in toks {
         if !try_failover(w, s, node, token, peer, kind, &name) {
             let failed = OpenResult::Failed(crate::VorxError::Unreachable);
             w.set_open_wait(node, token, failed);
-            w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
+            w.wake_openers(node, s);
         }
     }
 }
@@ -432,14 +433,12 @@ pub(crate) fn anti_entropy(w: &mut World, s: &mut VSched) {
             continue;
         }
         // Channels before UDCOs, then by name bytes.
-        let mut entries: Vec<(MgrKey, NodeAddr)> = w
-            .node(me)
-            .mgr
+        let entries: Vec<(MgrKey, NodeAddr)> = w
+            .managers
             .servers
-            .iter()
+            .of(me)
             .map(|(k, v)| (k.clone(), *v))
             .collect();
-        entries.sort_unstable();
         for ((kind, name), server) in entries {
             let home = manager_for(w, &name);
             let Some(succ) = successor_for(w, &name) else {
@@ -484,7 +483,7 @@ pub fn on_open_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
         f.seq,
         Payload::Synthetic(0),
     );
-    let dup = !note_seen(&mut w.node_mut(mgr).mgr, (f.src.0, f.seq));
+    let dup = !note_seen(w, mgr, (f.src.0, f.seq));
     kernel::send_frame(w, s, queued);
     if dup {
         return; // already queued (or served); don't double-enqueue
@@ -507,11 +506,11 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
     let (kind, name) = proto::parse_open_req_kind(&f.payload);
     let key = (kind, Name::new(name));
     let requester = (f.src, f.seq);
-    let st = &mut w.node_mut(mgr).mgr;
-    st.served += 1;
+    w.node_mut(mgr).mgr.served += 1;
+    let st = &mut w.managers;
     // A registered server takes priority: every client open yields a fresh
     // channel to the server without consuming the registration.
-    if let Some(&server) = st.servers.get(&key) {
+    if let Some(&server) = st.servers.get(mgr, &key) {
         let id = w.alloc_chan();
         let rep = Frame::unicast(
             mgr,
@@ -534,8 +533,8 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
     }
     // The first opener of a name waits here; the second takes it out and
     // pairs with it, so no name ever holds two waiting openers.
-    let Some(a) = st.pending.remove(&key) else {
-        st.pending.insert(key, requester);
+    let Some(a) = st.pending.remove(mgr, &key) else {
+        st.pending.insert(mgr, key, requester);
         return;
     };
     let b = requester;
@@ -565,8 +564,8 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
         let (kind, name) = proto::parse_open_req_kind(&f.payload);
         let key = (kind, Name::new(name));
         let server = f.src;
-        let st = &mut w.node_mut(mgr).mgr;
-        if st.servers.get(&key) == Some(&server) {
+        let st = &mut w.managers;
+        if st.servers.get(mgr, &key) == Some(&server) {
             // Retransmitted registration (our SERVE_ACK was lost): re-ack
             // without re-registering or double-counting.
             let ack = Frame::unicast(
@@ -579,9 +578,9 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
             kernel::send_frame(w, s, ack);
             return;
         }
-        st.served += 1;
-        let waiting = st.pending.remove(&key);
-        let prev = st.servers.insert(key, server);
+        let waiting = st.pending.remove(mgr, &key);
+        let prev = st.servers.insert(mgr, key, server);
+        w.node_mut(mgr).mgr.served += 1;
         assert!(prev.is_none(), "name {name:?} already has a server");
         // Replicate the fresh registration to the name's successor so opens
         // can fail over if this manager becomes unreachable.
@@ -641,14 +640,14 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let epoch = resolve_epoch(w);
     let mgr = f.src;
     let name = Name::new(name);
-    w.node_mut(node).resolve.put(epoch, &name, mgr);
+    w.resolve_put(node, epoch, &name, mgr);
     match kind {
         proto::ObjKind::Channel => {
             // Create the channel end if this node does not have it yet
             // (both ends of a same-node channel share one kernel, so the
             // second reply is a no-op at the kernel level but still
             // resolves its own token).
-            if !w.node(node).chans.contains(id) {
+            if !w.chan_ends.contains(node, id) {
                 channel::create_end(w, s, node, id, name, peer);
             }
         }
@@ -658,7 +657,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         }
     }
     w.set_open_wait(node, token, OpenResult::Done(id, peer));
-    w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
+    w.wake_openers(node, s);
 }
 
 /// Kernel handler: the manager acknowledged queueing our open request —
@@ -736,7 +735,7 @@ impl Retry for OpenRetry {
         if !try_failover(w, s, node, self.0, mgr, kind, &name) {
             let failed = OpenResult::Failed(crate::VorxError::Unreachable);
             w.set_open_wait(node, self.0, failed);
-            w.node_mut(node).open_waiters.wake_all(s, Wakeup::START);
+            w.wake_openers(node, s);
         }
     }
 }
@@ -787,18 +786,19 @@ pub fn rendezvous(
         // budgeted number of channels — degrade locally instead of growing
         // the kernel without limit. (Checked before anything is registered,
         // so a refused open leaves no state behind.)
-        if w.node(node).chans.len() >= MAX_CHANS_PER_NODE {
+        if w.chan_ends.count(node) >= MAX_CHANS_PER_NODE {
             w.faults.stats.table_rejects += 1;
             return Err(crate::VorxError::ResourceExhausted);
         }
-        let mgr = resolve_mgr(w, node, name);
-        let token = w.token();
-        let req = open_req(node, mgr, kind, name, token);
         // The name is built here rather than before `with`, so the frame a
         // parked opener keeps does not hold it.
+        let name = Name::new(name);
+        let mgr = resolve_mgr(w, node, &name);
+        let token = w.token();
+        let req = open_req(node, mgr, kind, &name, token);
         let pending = OpenResult::Pending {
             mgr,
-            name: Name::new(name),
+            name,
             kind,
             queued: false,
             chain: Chain::default(),
@@ -821,7 +821,8 @@ pub fn rendezvous(
             Some(Err(e))
         }
         Some(OpenResult::Pending { .. }) => {
-            w.node_mut(node).open_waiters.register(pid);
+            let wait = w.open_waits.get_mut(node, &token).expect("just read");
+            wait.waiter = Some(pid);
             None
         }
         // Our own node crashed and the pending-open table died with it.
@@ -835,6 +836,7 @@ mod tests {
     use crate::calib::Calibration;
     use crate::channel::open;
     use crate::world::VorxBuilder;
+    use desim::FixedSet;
     use hpcnet::Payload;
 
     #[test]
@@ -845,38 +847,45 @@ mod tests {
 
     #[test]
     fn seen_window_dedups_and_stays_bounded() {
-        let mut st = MgrState::default();
-        assert!(note_seen(&mut st, (1, 42)));
-        assert!(!note_seen(&mut st, (1, 42)), "retransmission must dedup");
+        let v = VorxBuilder::single_cluster(2).build();
+        let mut w = v.world();
+        let m = NodeAddr(1);
+        assert!(note_seen(&mut w, m, (1, 42)));
+        assert!(!note_seen(&mut w, m, (1, 42)), "retransmission must dedup");
         // Push far past the cap: memory stays bounded...
         for t in 0..(SEEN_CAP as u64 * 2) {
-            note_seen(&mut st, (2, t));
+            note_seen(&mut w, m, (2, t));
         }
-        assert_eq!(st.seen.len(), SEEN_CAP);
-        assert_eq!(st.seen_order.len(), SEEN_CAP);
+        assert_eq!(w.managers.seen.count(m), SEEN_CAP);
+        assert_eq!(w.node(m).mgr.seen as usize, SEEN_CAP);
         // ...recent entries still dedup, and the oldest were evicted (so a
         // very late retransmission would be re-served, which is safe — the
         // requester stopped retransmitting long ago).
-        assert!(!note_seen(&mut st, (2, SEEN_CAP as u64 * 2 - 1)));
-        assert!(note_seen(&mut st, (1, 42)), "evicted entries are forgotten");
+        assert!(!note_seen(&mut w, m, (2, SEEN_CAP as u64 * 2 - 1)));
+        assert!(
+            note_seen(&mut w, m, (1, 42)),
+            "evicted entries are forgotten"
+        );
+        assert!(!w.managers.seen.holds(NodeAddr(0)), "one manager's window");
     }
 
     #[test]
     fn resolve_cache_never_serves_across_epochs() {
-        let mut c = ResolveCache::default();
-        let a = Name::new("a");
-        c.put(0, &a, NodeAddr(3));
-        assert_eq!(c.lookup(0, "a"), Some(NodeAddr(3)));
-        assert_eq!(c.hits, 1);
+        let v = VorxBuilder::single_cluster(2).build();
+        let mut w = v.world();
+        let (n, a) = (NodeAddr(1), Name::new("a"));
+        w.resolve_put(n, 0, &a, NodeAddr(3));
+        assert_eq!(w.resolve_lookup(n, 0, &a), Some(NodeAddr(3)));
+        assert_eq!(w.node(n).resolve.hits, 1);
         // Epoch moved: the entry must be evicted, never returned.
-        assert_eq!(c.lookup(1, "a"), None);
-        assert_eq!(c.stale_evictions, 1);
-        assert!(c.is_empty(), "stale entry evicted on lookup");
+        assert_eq!(w.resolve_lookup(n, 1, &a), None);
+        assert_eq!(w.node(n).resolve.stale_evictions, 1);
+        assert!(!w.resolve.holds(n), "stale entry evicted on lookup");
         // Re-learned under the new epoch, it is served again.
-        c.put(1, &a, NodeAddr(4));
-        assert_eq!(c.lookup(1, "a"), Some(NodeAddr(4)));
-        assert_eq!(c.hits, 2);
-        assert_eq!(c.stale_evictions, 1);
+        w.resolve_put(n, 1, &a, NodeAddr(4));
+        assert_eq!(w.resolve_lookup(n, 1, &a), Some(NodeAddr(4)));
+        assert_eq!(w.node(n).resolve.hits, 2);
+        assert_eq!(w.node(n).resolve.stale_evictions, 1);
     }
 
     #[test]

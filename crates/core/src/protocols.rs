@@ -66,9 +66,8 @@ pub mod sliding_window {
                 credits += 1;
                 credits += ctx.with(move |w, _| {
                     let u = w
-                        .node_mut(node)
                         .udcos
-                        .get_mut(&p.credit_tag)
+                        .get_mut(node, &p.credit_tag)
                         .expect("credit UDCO registered");
                     let extra = u.rx.len() as u64;
                     u.rx.clear();

@@ -59,6 +59,15 @@ pub struct SpSem {
     waiters: std::collections::VecDeque<u32>,
 }
 
+/// The scheduler of a node that never ran a subprocess.
+pub(crate) static NO_SUBPROCS: SchedState = SchedState {
+    subprocs: Vec::new(),
+    current: None,
+    next_seq: 0,
+    sems: Vec::new(),
+    switches: 0,
+};
+
 /// Per-node subprocess scheduler state.
 #[derive(Debug, Default)]
 pub struct SchedState {
@@ -110,7 +119,7 @@ pub struct SubprocHandle {
 /// If nothing is scheduled, dispatch the best ready subprocess, charging the
 /// context-switch cost on the node CPU before it resumes.
 fn reschedule(w: &mut World, s: &mut VSched, node: NodeAddr) {
-    let st = &mut w.node_mut(node).sched;
+    let st = &mut w.node_mut(node).sched_mut();
     if st.current.is_some() {
         return;
     }
@@ -156,15 +165,15 @@ pub fn spawn_subproc_in<F>(
 where
     F: FnOnce(VCtx, SubprocHandle) + Send + 'static,
 {
-    let idx = w.node(node).sched.subprocs.len() as u32;
+    let idx = w.node(node).sched().subprocs.len() as u32;
     let handle = SubprocHandle { node, idx };
     let pid = s.spawn(name, move |ctx: VCtx| {
         // Wait to be dispatched for the first time.
-        ctx.wait_until(move |w, _| (w.node(node).sched.current == Some(idx)).then_some(()));
+        ctx.wait_until(move |w, _| (w.node(node).sched().current == Some(idx)).then_some(()));
         body(ctx.clone(), handle);
         // Exit: release the CPU and dispatch the next subprocess.
         ctx.with(move |w, s| {
-            let st = &mut w.node_mut(node).sched;
+            let st = &mut w.node_mut(node).sched_mut();
             st.subprocs[idx as usize].state = SpState::Done;
             if st.current == Some(idx) {
                 st.current = None;
@@ -172,7 +181,7 @@ where
             reschedule(w, s, node);
         });
     });
-    let st = &mut w.node_mut(node).sched;
+    let st = &mut w.node_mut(node).sched_mut();
     let seq = st.next_seq;
     st.next_seq += 1;
     st.subprocs.push(Sp {
@@ -189,7 +198,7 @@ impl SubprocHandle {
     /// Compute for `d` of user time while scheduled (not preemptible).
     pub fn compute(&self, ctx: &VCtx, d: SimDuration) {
         let h = *self;
-        debug_assert!(ctx.with(move |w, _| w.node(h.node).sched.current == Some(h.idx)));
+        debug_assert!(ctx.with(move |w, _| w.node(h.node).sched().current == Some(h.idx)));
         api::compute(ctx, self.node, CpuCat::User, d);
     }
 
@@ -212,7 +221,7 @@ impl SubprocHandle {
     pub fn yield_now(&self, ctx: &VCtx) {
         let h = *self;
         let switched = ctx.with(move |w, s| {
-            let st = &mut w.node_mut(h.node).sched;
+            let st = &mut w.node_mut(h.node).sched_mut();
             debug_assert_eq!(st.current, Some(h.idx));
             let me_prio = st.subprocs[h.idx as usize].prio;
             let better = st
@@ -239,7 +248,7 @@ impl SubprocHandle {
     /// Block until re-dispatched.
     fn wait_scheduled(&self, ctx: &VCtx) {
         let h = *self;
-        ctx.wait_until(move |w, _| (w.node(h.node).sched.current == Some(h.idx)).then_some(()));
+        ctx.wait_until(move |w, _| (w.node(h.node).sched().current == Some(h.idx)).then_some(()));
     }
 
     /// Block this subprocess (scheduler dispatches the next one); the caller
@@ -249,7 +258,7 @@ impl SubprocHandle {
         ctx.with(move |w, s| {
             let now = s.now();
             w.block(now, h.node, reason);
-            let st = &mut w.node_mut(h.node).sched;
+            let st = &mut w.node_mut(h.node).sched_mut();
             debug_assert_eq!(st.current, Some(h.idx));
             st.subprocs[h.idx as usize].state = SpState::Blocked;
             st.current = None;
@@ -266,7 +275,7 @@ impl SubprocHandle {
     pub fn sem_p(&self, ctx: &VCtx, sem: usize) {
         let h = *self;
         let acquired = ctx.with(move |w, _| {
-            let st = &mut w.node_mut(h.node).sched;
+            let st = &mut w.node_mut(h.node).sched_mut();
             if st.sems[sem].count > 0 {
                 st.sems[sem].count -= 1;
                 true
@@ -295,7 +304,7 @@ impl SubprocHandle {
 /// Create a semaphore on `node` with an initial count; returns its index.
 pub fn create_sem(ctx: &VCtx, node: NodeAddr, initial: i64) -> usize {
     ctx.with(move |w, _| {
-        let st = &mut w.node_mut(node).sched;
+        let st = &mut w.node_mut(node).sched_mut();
         st.sems.push(SpSem {
             count: initial,
             waiters: std::collections::VecDeque::new(),
@@ -313,7 +322,7 @@ pub fn sem_v_in(
     sem: usize,
     from: Option<u32>,
 ) -> bool {
-    let st = &mut w.node_mut(node).sched;
+    let st = &mut w.node_mut(node).sched_mut();
     let Some(woken) = st.sems[sem].waiters.pop_front() else {
         st.sems[sem].count += 1;
         return false;
@@ -341,7 +350,7 @@ pub fn sem_v_in(
 /// Mark a blocked subprocess ready (e.g. from a communications interrupt)
 /// and dispatch if the node is idle.
 pub fn sp_ready_in(w: &mut World, s: &mut VSched, node: NodeAddr, idx: u32) {
-    let st = &mut w.node_mut(node).sched;
+    let st = &mut w.node_mut(node).sched_mut();
     if st.subprocs[idx as usize].state == SpState::Blocked {
         st.subprocs[idx as usize].state = SpState::Ready;
         let sp = &mut st.subprocs[idx as usize];
@@ -375,7 +384,7 @@ mod tests {
         });
         v.run_all();
         let w = v.world();
-        assert_eq!(w.nodes[0].sched.switches, 1);
+        assert_eq!(w.nodes[0].sched().switches, 1);
         // 80us dispatch + 100us compute.
         assert_eq!(w.nodes[0].cpu.busy(), SimDuration::from_us(180));
     }
@@ -433,12 +442,15 @@ mod tests {
         let w = v.world();
         // 2 initial dispatches + ~2 switches per item.
         assert!(
-            (20..=24).contains(&w.nodes[0].sched.switches),
+            (20..=24).contains(&w.nodes[0].sched().switches),
             "switches = {}",
-            w.nodes[0].sched.switches
+            w.nodes[0].sched().switches
         );
         // All time is switch overhead (no compute was charged).
-        assert_eq!(w.nodes[0].cpu.system_ns, w.nodes[0].sched.switches * 80_000);
+        assert_eq!(
+            w.nodes[0].cpu.system_ns,
+            w.nodes[0].sched().switches * 80_000
+        );
     }
 
     #[test]

@@ -82,7 +82,9 @@ pub fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode
     if !w.node(node).up {
         return;
     }
-    let prev = w.node_mut(node).udcos.insert(
+    w.node_mut(node);
+    let prev = w.udcos.insert(
+        node,
         tag,
         Udco {
             tag,
@@ -99,10 +101,7 @@ pub fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode
     );
     // Deliver any frames that raced registration.
     let kind = KIND_UDCO_BASE + tag;
-    let orphans = std::mem::take(&mut w.node_mut(node).orphans);
-    let (mine, rest): (Vec<Frame>, Vec<Frame>) = orphans.into_iter().partition(|f| f.kind == kind);
-    w.node_mut(node).orphans = rest;
-    for f in mine {
+    for f in w.orphans.take_if(node, |f| f.kind == kind) {
         on_frame(w, s, node, f);
     }
 }
@@ -129,7 +128,7 @@ pub fn send(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, paylo
         let now = s.now();
         if kernel::can_inject(w, node) {
             let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.node_mut(node).udcos.get_mut(&tag) {
+            if let Some(u) = w.udcos.get_mut(node, &tag) {
                 u.frames_tx += 1;
             }
             kernel::send_frame(w, s, f);
@@ -172,7 +171,7 @@ pub fn send_multi(
     ctx.wait_until(move |w, s| {
         if kernel::can_inject(w, node) {
             let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.node_mut(node).udcos.get_mut(&tag) {
+            if let Some(u) = w.udcos.get_mut(node, &tag) {
                 u.frames_tx += 1;
             }
             kernel::send_frame(w, s, f);
@@ -194,9 +193,8 @@ pub fn recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
     let (msg, was_blocked) = ctx.wait_until(move |w, s| {
         let now = s.now();
         let u = w
-            .node_mut(node)
             .udcos
-            .get_mut(&tag)
+            .get_mut(node, &tag)
             .unwrap_or_else(|| panic!("recv on unregistered UDCO {tag} at {node}"));
         match u.rx.pop_front() {
             Some(m) => {
@@ -228,9 +226,8 @@ pub fn try_recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
     let poll_ns = ctx.with(|w, _| w.calib.udco_poll_ns);
     api::compute_ns(ctx, node, CpuCat::User, poll_ns);
     ctx.with(move |w, _| {
-        w.node_mut(node)
-            .udcos
-            .get_mut(&tag)
+        w.udcos
+            .get_mut(node, &tag)
             .unwrap_or_else(|| panic!("poll on unregistered UDCO {tag} at {node}"))
             .rx
             .pop_front()
@@ -239,15 +236,15 @@ pub fn try_recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
 
 /// Messages queued on a UDCO (diagnostics).
 pub fn rx_depth(ctx: &VCtx, node: NodeAddr, tag: u16) -> usize {
-    ctx.with(move |w, _| w.node(node).udcos.get(&tag).map_or(0, |u| u.rx.len()))
+    ctx.with(move |w, _| w.udcos.get(node, &tag).map_or(0, |u| u.rx.len()))
 }
 
 /// Kernel handler: a UDCO frame arrived.
 pub fn on_frame(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let tag = f.kind - KIND_UDCO_BASE;
-    let Some(u) = w.node(node).udcos.get(&tag) else {
+    let Some(u) = w.udcos.get(node, &tag) else {
         // Registration race: stash until `register` runs.
-        w.node_mut(node).orphans.push(f);
+        w.orphans.push(node, f);
         return;
     };
     match u.mode {
@@ -273,9 +270,8 @@ pub fn is_raw(w: &World, node: NodeAddr, kind: u16) -> bool {
     if kind < KIND_UDCO_BASE {
         return false;
     }
-    w.node(node)
-        .udcos
-        .get(&(kind - KIND_UDCO_BASE))
+    w.udcos
+        .get(node, &(kind - KIND_UDCO_BASE))
         .is_some_and(|u| u.mode == UdcoMode::Raw)
 }
 
@@ -295,7 +291,7 @@ pub fn send_raw(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, p
     ctx.wait_until(move |w, s| {
         if kernel::can_inject(w, node) {
             let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.node_mut(node).udcos.get_mut(&tag) {
+            if let Some(u) = w.udcos.get_mut(node, &tag) {
                 u.frames_tx += 1;
             }
             kernel::send_frame(w, s, f);
@@ -315,9 +311,8 @@ pub fn try_recv_raw(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
         ctx.with(|w, _| (w.calib.raw_poll_ns, w.calib.fifo_read_ns_per_byte));
     api::compute_ns(ctx, node, CpuCat::User, poll_ns);
     let msg = ctx.with(move |w, _| {
-        w.node_mut(node)
-            .udcos
-            .get_mut(&tag)
+        w.udcos
+            .get_mut(node, &tag)
             .unwrap_or_else(|| panic!("raw poll on unregistered UDCO {tag} at {node}"))
             .rx
             .pop_front()
@@ -344,11 +339,7 @@ pub fn recv_raw_spin(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
         // Nothing yet: wait until *something* is queued, then poll again.
         let pid = ctx.pid();
         ctx.wait_until(move |w, _| {
-            let u = w
-                .node_mut(node)
-                .udcos
-                .get_mut(&tag)
-                .expect("raw UDCO vanished");
+            let u = w.udcos.get_mut(node, &tag).expect("raw UDCO vanished");
             if u.rx.is_empty() {
                 u.rx_waiters.register(pid);
                 None
@@ -361,7 +352,7 @@ pub fn recv_raw_spin(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
 
 fn commit(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, wake: bool) {
     let tag = f.kind - KIND_UDCO_BASE;
-    let Some(u) = w.node_mut(node).udcos.get_mut(&tag) else {
+    let Some(u) = w.udcos.get_mut(node, &tag) else {
         return; // the node crashed while the frame's charge was in flight
     };
     u.frames_rx += 1;
@@ -580,7 +571,7 @@ pub fn open(ctx: &VCtx, node: NodeAddr, name: &str, mode: UdcoMode) -> UdcoBindi
     let tag = u16::try_from(id).expect("object id exceeded the UDCO tag space");
     ctx.with(move |w, s| {
         // A same-node rendezvous registers once.
-        if !w.node(node).udcos.contains_key(&tag) {
+        if !w.udcos.contains(node, &tag) {
             register_in(w, s, node, tag, mode);
         }
     });
@@ -641,7 +632,7 @@ pub fn send_gather(
     ctx.wait_until(move |w, s| {
         if kernel::can_inject(w, node) {
             let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.node_mut(node).udcos.get_mut(&tag) {
+            if let Some(u) = w.udcos.get_mut(node, &tag) {
                 u.frames_tx += 1;
             }
             kernel::send_frame(w, s, f);

@@ -1,16 +1,19 @@
 //! The simulated world: the fabric, every node's kernel state, the hosts,
 //! the resource managers, and the measurement trace.
 
-use desim::{sync::WaitSet, Ctx, FixedMap, Scheduler, SimDuration, SimTime, Simulation, Trace};
+use desim::{
+    sync::WaitSet, Ctx, FixedMap, ProcId, Scheduler, SimDuration, SimTime, Simulation, Trace,
+    Wakeup,
+};
 use hpcnet::{ClusterId, Fabric, Frame, NetConfig, NodeAddr, Topology};
 
 use crate::alloc::Allocator;
 use crate::calib::Calibration;
-use crate::channel::{ChanEnd, ChanIndex, ChanSlab};
+use crate::channel::{ChanEnd, ChanSlab};
 use crate::cpu::{BlockReason, Cpu, CpuCat, TraceEvent};
 use crate::fault::CtlPending;
 use crate::host::Host;
-use crate::objmgr::{MgrState, ObjMgrMode};
+use crate::objmgr::{Managers, MgrState, Name, ObjMgrMode};
 use crate::udco::Udco;
 
 /// Process context over the VORX world.
@@ -44,92 +47,72 @@ pub enum OpenResult {
     Failed(crate::VorxError),
 }
 
-/// Entries an emptied handshake table may keep room for
-/// ([`World::end_handshake`]).
-const HANDSHAKE_KEEP: usize = 16;
+mod table;
 
-/// Per-node kernel state.
+pub use table::{NodeRows, Queue, Table, HANDSHAKE_KEEP};
+
+/// One in-flight open: its state, and the opener parked on it.
+#[derive(Debug)]
+pub struct OpenWait {
+    /// Where the open stands.
+    pub state: OpenResult,
+    /// The process parked in `open` until the state moves, if it parked.
+    pub waiter: Option<ProcId>,
+}
+
+/// What a node keeps outside the world tables: its address and liveness,
+/// the processor (CPU model, receive-service flag, the processes waiting
+/// for the restart, for the output register or for a syscall reply), the
+/// counters statistics read across a crash, and the subprocess scheduler,
+/// boxed because few nodes run one.
 pub struct Node {
     /// This node's fabric address.
     pub addr: NodeAddr,
     /// False while the node is crashed: a crash replaces the node with a
     /// cold one and frames die at its interface.
     pub up: bool,
+    /// The kernel receive-service loop is active.
+    pub rx_in_service: bool,
     /// Processes parked in [`crate::fault::wait_until_up`] for this node.
     pub up_waiters: WaitSet,
     /// The node's CPU.
     pub cpu: Cpu,
-    /// Kernel frames waiting for the hardware output register.
-    pub tx_q: std::collections::VecDeque<hpcnet::Frame>,
     /// Processes blocked waiting to inject a frame (user-level senders).
     pub tx_waiters: WaitSet,
-    /// The kernel receive-service loop is active.
-    pub rx_in_service: bool,
-    /// Channel ends on this node: their slots in [`World::chan_ends`], by
-    /// channel id ([`World::chan`] reads one).
-    pub chans: ChanIndex,
-    /// Processes blocked in `open`.
-    pub open_waiters: WaitSet,
-    /// User-defined communications objects on this node, by tag.
-    pub udcos: FixedMap<u16, Udco>,
-    /// In-flight forwarded syscalls from this node, by token.
-    pub syscall_waits: FixedMap<u64, Option<crate::host::SyscallRet>>,
     /// Processes blocked in `syscall`.
     pub syscall_waiters: WaitSet,
-    /// Listening server names on this node (§4 name reuse).
-    pub listeners: FixedMap<crate::objmgr::Name, crate::channel::ListenState>,
-    /// Object-manager role state (every node can serve opens).
+    /// Object-manager counters (every node can serve opens); the manager's
+    /// tables are [`World::managers`].
     pub mgr: MgrState,
-    /// Epoch-guarded cache of name → serving-manager resolutions.
-    pub resolve: crate::objmgr::ResolveCache,
-    /// Membership state: which peers this node believes are partitioned
-    /// away, and which it is currently probing with heartbeats.
-    pub mbr: crate::membership::MbrState,
-    /// Subprocess scheduler state (§5).
-    pub sched: crate::sched::SchedState,
-    /// Multicast group receiver ends (§4.2).
-    pub mcast: FixedMap<u16, crate::multicast::McastEnd>,
-    /// Outstanding multicast writes from this node, by sequence token.
-    pub mcast_pending: FixedMap<u64, crate::multicast::McastPending>,
-    /// Data frames that arrived before their channel end existed (the
-    /// open-reply race); re-dispatched when the channel is created.
-    pub orphans: Vec<hpcnet::Frame>,
-    /// Collective protocol state per group (DESIGN.md §16).
-    pub coll: FixedMap<u32, crate::collective::CollNodeState>,
+    /// Resolve-cache counters; the cache is [`World::resolve`].
+    pub resolve: crate::objmgr::ResolveStats,
+    /// Subprocess scheduler state (§5), from the first subprocess on.
+    pub sched: Option<Box<crate::sched::SchedState>>,
 }
 
-// What a materialized node costs before its tables hold anything: 776
-// bytes. It was 1,056 with a `RandomState` in each of its thirteen maps and
-// its channel ends, open waits and unacknowledged control frames in maps of
-// its own.
-const _: () = assert!(size_of::<Node>() <= 776);
+// What a materialized node costs before it holds anything. It was 776 bytes
+// while the node kept its channel index, its queues and a dozen maps of its
+// own, and 1,056 with a `RandomState` in each map.
+const _: () = assert!(size_of::<Node>() <= 256);
 
 impl Node {
     /// Everything a node owns, empty: a booted node, the idle template, and
     /// (through [`Node::reborn`]) what a crash leaves in the node's slot.
+    /// What a node holds a row of — channel ends, opens, queued frames,
+    /// objects, manager and cache entries — lives in the world tables,
+    /// which [`World::wipe_node`] empties of a crashed node's rows.
     fn new(addr: NodeAddr) -> Self {
         Node {
             addr,
             up: true,
+            rx_in_service: false,
             up_waiters: WaitSet::new(),
             cpu: Cpu::new(),
-            tx_q: Default::default(),
             tx_waiters: WaitSet::new(),
-            rx_in_service: false,
-            chans: ChanIndex::default(),
-            open_waiters: WaitSet::new(),
-            syscall_waits: FixedMap::default(),
             syscall_waiters: WaitSet::new(),
-            udcos: FixedMap::default(),
-            listeners: FixedMap::default(),
             mgr: MgrState::default(),
-            resolve: crate::objmgr::ResolveCache::default(),
-            mbr: crate::membership::MbrState::default(),
-            sched: crate::sched::SchedState::default(),
-            mcast: FixedMap::default(),
-            mcast_pending: FixedMap::default(),
-            orphans: Vec::new(),
-            coll: FixedMap::default(),
+            resolve: crate::objmgr::ResolveStats::default(),
+            sched: None,
         }
     }
 
@@ -142,40 +125,53 @@ impl Node {
         n.up = false;
         std::mem::swap(&mut n.cpu, &mut crashed.cpu);
         std::mem::swap(&mut n.up_waiters, &mut crashed.up_waiters);
-        n.resolve.hits = crashed.resolve.hits;
-        n.resolve.stale_evictions = crashed.resolve.stale_evictions;
+        n.resolve = crashed.resolve;
         n
+    }
+
+    /// The node's subprocess scheduler; a node that never ran a subprocess
+    /// reads as an empty one.
+    pub fn sched(&self) -> &crate::sched::SchedState {
+        self.sched.as_deref().unwrap_or(&crate::sched::NO_SUBPROCS)
+    }
+
+    /// Mutable [`Node::sched`], built on first use.
+    pub fn sched_mut(&mut self) -> &mut crate::sched::SchedState {
+        self.sched.get_or_insert_default()
     }
 }
 
+/// An endpoint's slot in a [`NodeTable`] before its node materializes.
+const IDLE_SLOT: u32 = u32::MAX;
+
 /// Kernel-state table with O(1) idle-node cost (DESIGN.md §14).
 ///
-/// A million-endpoint world cannot afford a full [`Node`] — maps, queues,
-/// wait sets, a CPU model — per endpoint that never does anything. The
-/// table therefore holds one pointer-sized slot per endpoint and
-/// materializes the `Node` only on first *write* (the first time the
-/// kernel charges CPU, opens a channel, or delivers a frame there). Reads
-/// of an untouched node resolve to the shared `idle` template: a node
-/// that is up, with empty tables and an idle CPU — exactly the state a
-/// fresh `Node::new` would observe — so every existing read path works
-/// unchanged on never-touched endpoints.
+/// A million-endpoint world cannot afford a full [`Node`] per endpoint that
+/// never does anything. The table therefore holds one `u32` slot per
+/// endpoint and materializes the `Node` only on first *write* (the first
+/// time the kernel charges CPU, opens a channel, or delivers a frame
+/// there), appending it to one dense `Vec<Node>` the slot then indexes.
+/// Reads of an untouched node resolve to the shared `idle` template: a node
+/// that is up, with an idle CPU — exactly the state a fresh `Node::new`
+/// would observe — so every existing read path works unchanged on
+/// never-touched endpoints.
 ///
 /// Indexing is positional over the full address space: `table[i]` and
 /// `table.iter()` cover all `len()` addresses (idle stand-ins included),
 /// while [`NodeTable::materialized`] walks only the faulted-in nodes.
 pub struct NodeTable {
-    slots: Vec<Option<Box<Node>>>,
-    idle: Box<Node>,
-    materialized: usize,
+    slots: Vec<u32>,
+    nodes: Vec<Node>,
+    idle: Node,
 }
 
 impl NodeTable {
     /// A table for `n` endpoints, none materialized.
     pub fn new(n: usize) -> Self {
         NodeTable {
-            slots: (0..n).map(|_| None).collect(),
-            idle: Box::new(Node::new(NodeAddr(u32::MAX))),
-            materialized: 0,
+            slots: vec![IDLE_SLOT; n],
+            nodes: Vec::new(),
+            idle: Node::new(NodeAddr(u32::MAX)),
         }
     }
 
@@ -191,41 +187,41 @@ impl NodeTable {
 
     /// Shared access; untouched nodes read as the idle template.
     pub fn get(&self, i: usize) -> &Node {
-        assert!(i < self.slots.len(), "node index {i} out of range");
-        self.slots[i].as_deref().unwrap_or(&self.idle)
+        match self.slots[i] {
+            IDLE_SLOT => &self.idle,
+            k => &self.nodes[k as usize],
+        }
     }
 
     /// Mutable access; materializes the node on first touch.
     pub fn get_mut(&mut self, i: usize) -> &mut Node {
-        let slot = &mut self.slots[i];
-        if slot.is_none() {
-            *slot = Some(Box::new(Node::new(NodeAddr(i as u32))));
-            self.materialized += 1;
+        if self.slots[i] == IDLE_SLOT {
+            self.slots[i] = u32::try_from(self.nodes.len()).expect("under u32::MAX nodes");
+            self.nodes.push(Node::new(NodeAddr(i as u32)));
         }
-        slot.as_deref_mut().expect("just materialized")
+        &mut self.nodes[self.slots[i] as usize]
     }
 
     /// True iff node `i` has been written to (has real kernel state).
     pub fn is_materialized(&self, i: usize) -> bool {
-        self.slots[i].is_some()
+        self.slots[i] != IDLE_SLOT
     }
 
     /// Number of nodes holding real kernel state.
     pub fn materialized_count(&self) -> usize {
-        self.materialized
+        self.nodes.len()
     }
 
     /// All `len()` nodes in address order, idle stand-ins included.
     pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        self.slots
-            .iter()
-            .map(move |s| s.as_deref().unwrap_or(&self.idle))
+        (0..self.slots.len()).map(move |i| self.get(i))
     }
 
     /// Only the materialized nodes, in address order. Each carries its
     /// real `addr`, so callers needing the index read it from there.
     pub fn materialized(&self) -> impl Iterator<Item = &Node> {
-        self.slots.iter().filter_map(|s| s.as_deref())
+        let slots = self.slots.iter().filter(|&&k| k != IDLE_SLOT);
+        slots.map(move |&k| &self.nodes[k as usize])
     }
 }
 
@@ -314,6 +310,49 @@ impl ShardCtx {
     }
 }
 
+/// World tables keyed by node: the length of [`World::tables`].
+const TABLES: usize = 18;
+
+/// Every world table keyed by node, named, as `&dyn NodeRows` — or, given
+/// `mut`, as `&mut dyn NodeRows`. Listed once, here: [`World::tables`] and
+/// [`World::wipe_node`] are its two readers.
+macro_rules! node_tables {
+    ($w:ident $(, $m:tt)?) => {
+        [
+            ("chan_ends", &$($m)? $w.chan_ends.index as &$($m)? dyn NodeRows),
+            ("open_waits", &$($m)? $w.open_waits),
+            ("ctl_unacked", &$($m)? $w.ctl_unacked),
+            ("tx_q", &$($m)? $w.tx_q),
+            ("orphans", &$($m)? $w.orphans),
+            ("udcos", &$($m)? $w.udcos),
+            ("syscall_waits", &$($m)? $w.syscall_waits),
+            ("listeners", &$($m)? $w.listeners),
+            ("mcast", &$($m)? $w.mcast),
+            ("mcast_pending", &$($m)? $w.mcast_pending),
+            ("coll", &$($m)? $w.coll),
+            ("managers.pending", &$($m)? $w.managers.pending),
+            ("managers.servers", &$($m)? $w.managers.servers),
+            ("managers.seen", &$($m)? $w.managers.seen),
+            ("resolve", &$($m)? $w.resolve),
+            ("mbr.partitioned", &$($m)? $w.mbr.partitioned),
+            ("mbr.probing", &$($m)? $w.mbr.probing),
+            ("mbr.peer_rtt", &$($m)? $w.mbr.peer_rtt),
+        ]
+    };
+}
+
+/// What a crash takes off a node, for [`crate::fault::on_crash`] to wake.
+pub(crate) struct Wiped {
+    /// The crashed node: its wait sets.
+    pub node: Node,
+    /// Its channel ends, in id order.
+    pub ends: Vec<ChanEnd>,
+    /// Its in-flight opens, in token order.
+    pub opens: Vec<OpenWait>,
+    /// Its outstanding multicast writes, in sequence order.
+    pub mcasts: Vec<crate::multicast::McastPending>,
+}
+
 /// The complete state of a simulated HPC/VORX installation.
 pub struct World {
     /// Software cost model.
@@ -322,14 +361,37 @@ pub struct World {
     pub net: Fabric,
     /// Kernel state per endpoint, materialized on first touch.
     pub nodes: NodeTable,
-    /// Every node's channel ends; a node's [`Node::chans`] names its own.
+    /// Every node's channel ends, by node and channel id.
     pub chan_ends: ChanSlab,
-    /// In-flight opens, by token (tokens are world-unique): the issuing
-    /// node and the open's state. Freed when a burst of opens drains it.
-    pub open_waits: FixedMap<u64, (NodeAddr, OpenResult)>,
+    /// In-flight opens, by issuing node and token.
+    pub open_waits: Table<u64, OpenWait>,
     /// Reliably-delivered control frames awaiting their `KIND_CTL_ACK`, by
-    /// sending node and the frame's `seq`. Freed when a burst drains it.
-    pub ctl_unacked: FixedMap<(NodeAddr, u64), CtlPending>,
+    /// sending node and the frame's `seq`.
+    pub ctl_unacked: Table<u64, CtlPending>,
+    /// Kernel frames waiting for a node's hardware output register.
+    pub tx_q: Queue<Frame>,
+    /// Data frames that arrived before their channel end, UDCO or group
+    /// existed (the open-reply race); re-dispatched when it is created.
+    pub orphans: Queue<Frame>,
+    /// User-defined communications objects, by node and tag.
+    pub udcos: Table<u16, Udco>,
+    /// In-flight forwarded syscalls, by calling node and token.
+    pub syscall_waits: Table<u64, Option<crate::host::SyscallRet>>,
+    /// Listening server names (§4 name reuse), by node and name.
+    pub listeners: Table<Name, crate::channel::ListenState>,
+    /// Multicast group receiver ends (§4.2), by node and group.
+    pub mcast: Table<u16, crate::multicast::McastEnd>,
+    /// Outstanding multicast writes, by writing node and sequence token.
+    pub mcast_pending: Table<u64, crate::multicast::McastPending>,
+    /// Collective protocol state (DESIGN.md §16), by node and group.
+    pub coll: Table<u32, crate::collective::CollNodeState>,
+    /// Object-manager tables of every node's manager role.
+    pub managers: Managers,
+    /// Epoch-stamped name → serving-manager resolutions, by node and name.
+    pub resolve: Table<Name, (u64, NodeAddr)>,
+    /// Membership state: which peers each node believes are partitioned
+    /// away, and which it is probing with heartbeats.
+    pub mbr: crate::membership::Membership,
     /// Object-manager configuration.
     pub objmgr_mode: ObjMgrMode,
     /// Processor allocator (§3.1).
@@ -371,63 +433,90 @@ impl World {
 
     /// Node `a`'s in-flight open `token`.
     pub(crate) fn open_wait(&self, a: NodeAddr, token: u64) -> Option<&OpenResult> {
-        let (n, r) = self.open_waits.get(&token)?;
-        (*n == a).then_some(r)
+        Some(&self.open_waits.get(a, &token)?.state)
     }
 
     /// Mutable [`World::open_wait`].
     pub(crate) fn open_wait_mut(&mut self, a: NodeAddr, token: u64) -> Option<&mut OpenResult> {
-        let (n, r) = self.open_waits.get_mut(&token)?;
-        (*n == a).then_some(r)
+        Some(&mut self.open_waits.get_mut(a, &token)?.state)
     }
 
     /// Record `r` as the state of node `a`'s open `token` (materializes
-    /// `a`).
+    /// `a`); a parked opener stays parked on it.
     pub(crate) fn set_open_wait(&mut self, a: NodeAddr, token: u64, r: OpenResult) {
         self.node_mut(a);
-        self.open_waits.insert(token, (a, r));
+        match self.open_waits.get_mut(a, &token) {
+            Some(w) => w.state = r,
+            None => {
+                let w = OpenWait {
+                    state: r,
+                    waiter: None,
+                };
+                self.open_waits.insert(a, token, w);
+            }
+        }
     }
 
     /// Take node `a`'s open `token` off the table.
     pub(crate) fn take_open_wait(&mut self, a: NodeAddr, token: u64) -> Option<OpenResult> {
-        self.open_wait(a, token)?;
-        let (_, r) = self.open_waits.remove(&token)?;
-        Self::end_handshake(&mut self.open_waits);
-        Some(r)
+        Some(self.open_waits.remove(a, &token)?.state)
+    }
+
+    /// Wake every process parked on one of node `a`'s opens, in token
+    /// order: the state of one of them moved.
+    pub(crate) fn wake_openers(&mut self, a: NodeAddr, s: &mut VSched) {
+        self.open_waits.for_each_mut(a, |_, w| {
+            if let Some(pid) = w.waiter.take() {
+                s.wake(pid, Wakeup::START);
+            }
+        });
     }
 
     /// Node `a`'s control frame `seq` is answered or abandoned: take it off
     /// the table.
     pub(crate) fn take_ctl_unacked(&mut self, a: NodeAddr, seq: u64) -> Option<CtlPending> {
-        let p = self.ctl_unacked.remove(&(a, seq))?;
-        Self::end_handshake(&mut self.ctl_unacked);
-        Some(p)
+        self.ctl_unacked.remove(a, &seq)
+    }
+
+    /// Every world table keyed by node, by name: the one list
+    /// a crash's wipe empties of the node's rows and the
+    /// crashed-owns-nothing oracle ([`crate::invariants`]) reads.
+    pub fn tables(&self) -> [(&'static str, &dyn NodeRows); TABLES] {
+        node_tables!(self)
     }
 
     /// Crash node `a`'s kernel: a [`Node::reborn`] takes its slot, and its
-    /// rows leave every world table keyed by node. Returns the crashed node
-    /// and its channel ends in id order, whose waiters the caller wakes;
-    /// dropping them disarms every retry chain the node owned.
-    pub(crate) fn wipe_node(&mut self, a: NodeAddr) -> (Node, Vec<ChanEnd>) {
+    /// rows leave every world table, each table's in key order. Returns
+    /// what the caller wakes: the crashed node's wait sets, its channel
+    /// ends in id order, its opens in token order and its outstanding
+    /// multicast writes in sequence order. Dropping the rows disarms every
+    /// retry chain the node owned.
+    pub(crate) fn wipe_node(&mut self, a: NodeAddr) -> Wiped {
         let slot = self.node_mut(a);
         let reborn = Node::reborn(slot);
-        let mut crashed = std::mem::replace(slot, reborn);
-        self.open_waits.retain(|_, (n, _)| *n != a);
-        self.ctl_unacked.retain(|(n, _), _| *n != a);
-        Self::end_handshake(&mut self.open_waits);
-        Self::end_handshake(&mut self.ctl_unacked);
-        let ends = self.chan_ends.remove_all(&mut crashed.chans);
-        (crashed, ends)
-    }
-
-    /// Free a handshake table that has emptied. A burst of opens grows
-    /// `open_waits` and `ctl_unacked` to one entry per open in flight and
-    /// then leaves them empty for the rest of the run. A table with room
-    /// for at most [`HANDSHAKE_KEEP`] entries stays: it is cheaper kept
-    /// than built again by the next open.
-    fn end_handshake<K, V>(table: &mut FixedMap<K, V>) {
-        if table.is_empty() && table.capacity() > HANDSHAKE_KEEP {
-            *table = FixedMap::default();
+        let node = std::mem::replace(slot, reborn);
+        let ends = self.chan_ends.remove_all(a);
+        let opens = self
+            .open_waits
+            .wipe(a)
+            .into_iter()
+            .map(|(_, w)| w)
+            .collect();
+        let mcasts = self
+            .mcast_pending
+            .wipe(a)
+            .into_iter()
+            .map(|(_, p)| p)
+            .collect();
+        let tables: [(&'static str, &mut dyn NodeRows); TABLES] = node_tables!(self, mut);
+        for (_, t) in tables {
+            t.drop_rows(a);
+        }
+        Wiped {
+            node,
+            ends,
+            opens,
+            mcasts,
         }
     }
 
@@ -566,8 +655,19 @@ impl WorldCfg {
             next_token: k,
             coll_groups: FixedMap::default(),
             chan_ends: ChanSlab::default(),
-            open_waits: FixedMap::default(),
-            ctl_unacked: FixedMap::default(),
+            open_waits: Table::default(),
+            ctl_unacked: Table::default(),
+            tx_q: Queue::default(),
+            orphans: Queue::default(),
+            udcos: Table::default(),
+            syscall_waits: Table::default(),
+            listeners: Table::default(),
+            mcast: Table::default(),
+            mcast_pending: Table::default(),
+            coll: Table::default(),
+            managers: Managers::default(),
+            resolve: Table::default(),
+            mbr: crate::membership::Membership::default(),
             shard,
             net_outputs: Vec::new(),
         }

@@ -71,7 +71,7 @@ fn degraded_but_live_peer_is_not_declared_partitioned() {
     });
     v.run_all();
     let w = v.world();
-    let writer_end = w.chan_ends.of(&w.nodes[1]).next().expect("writer end");
+    let writer_end = w.chan_ends.of(NodeAddr(1)).next().expect("writer end");
     assert!(
         writer_end.rtt.samples() > 0,
         "the moderate phase must feed the Jacobson estimator"
@@ -84,9 +84,7 @@ fn degraded_but_live_peer_is_not_declared_partitioned() {
         w.faults.stats.peer_down_events, 0,
         "a delayed-but-live peer was declared down"
     );
-    for n in w.nodes.iter() {
-        assert!(n.mbr.partitioned.is_empty(), "stale partition mark");
-    }
+    assert!(w.mbr.partitioned.is_empty(), "stale partition mark");
 }
 
 /// Same machine, no degradation anywhere in the schedule: the estimators

@@ -152,16 +152,14 @@ fn run_once(workers: usize) -> (String, u64, u64, u64) {
     let samples = v.sum_over_shards(|w| {
         w.nodes
             .iter()
-            .flat_map(|n| w.chan_ends.of(n))
+            .flat_map(|n| w.chan_ends.of(n.addr))
             .map(|e| e.rtt.samples())
             .sum()
     });
     for k in 0..v.n_shards() {
         let w = v.world(k);
-        for n in w.nodes.iter() {
-            assert!(n.mbr.partitioned.is_empty(), "stale partition mark");
-            assert!(n.mbr.probing.is_empty(), "probe still in flight at idle");
-        }
+        assert!(w.mbr.partitioned.is_empty(), "stale partition mark");
+        assert!(w.mbr.probing.is_empty(), "probe still in flight at idle");
     }
     assert_eq!(
         delivered.load(Ordering::Relaxed),

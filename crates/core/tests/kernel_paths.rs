@@ -141,6 +141,6 @@ fn fragmentation_boundary_sizes() {
     // Frame accounting: 1 + 2 + 2 data frames, each acked; plus 4 open
     // messages and 2 replies.
     let w = v.world();
-    let end = w.chan_ends.of(&w.nodes[1]).next().unwrap();
+    let end = w.chan_ends.of(NodeAddr(1)).next().unwrap();
     assert_eq!(end.msgs_tx, 5, "fragment count");
 }

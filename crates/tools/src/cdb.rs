@@ -113,7 +113,7 @@ impl CdbFilter {
 pub fn snapshot(w: &World) -> Vec<ChanReport> {
     let mut by_id: BTreeMap<u32, ChanReport> = BTreeMap::new();
     for node in &w.nodes {
-        for end in w.chan_ends.of(node) {
+        for end in w.chan_ends.of(node.addr) {
             let state = match (end.reader_blocked, end.writer_blocked) {
                 (false, false) => EndState::Idle,
                 (true, false) => EndState::ReaderBlocked,

@@ -269,7 +269,7 @@ fn a_crashed_member_leaves_no_nudge_armed() {
     let w = v.world();
     assert_eq!(w.faults.stats.crashes, 1);
     assert!(
-        w.nodes[1].coll.is_empty(),
+        !w.coll.holds(NodeAddr(1)),
         "the crash wiped the member's state"
     );
     drop(w);

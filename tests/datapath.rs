@@ -76,13 +76,13 @@ fn stream_with(
     // nothing mid-copy, nothing parked in the reorder buffer — and the
     // sender keeps nothing for retransmission.
     let w = v.world();
-    for end in w.chan_ends.of(&w.nodes[0]) {
+    for end in w.chan_ends.of(NodeAddr(0)) {
         assert!(
             end.win.inflight.is_empty(),
             "unacked fragments at quiescence"
         );
     }
-    for end in w.chan_ends.of(&w.nodes[1]) {
+    for end in w.chan_ends.of(NodeAddr(1)) {
         assert!(end.winrx.ready.is_empty(), "reorder buffer not drained");
         assert!(end.winrx.copying.is_empty(), "copy in flight at quiescence");
         assert_eq!(end.winrx.held, 0, "credit leaked by consumed messages");
@@ -95,7 +95,7 @@ fn stream_with(
 /// every end's in-flight fragment numbers are one contiguous ascending run,
 /// never longer than the window.
 fn assert_inflight_contiguous(w: &World) {
-    for end in w.nodes.iter().flat_map(|n| w.chan_ends.of(n)) {
+    for end in w.nodes.iter().flat_map(|n| w.chan_ends.of(n.addr)) {
         let frags: Vec<u32> = end.win.inflight.iter().map(|fr| fr.frag()).collect();
         assert!(
             frags.windows(2).all(|p| p[0] + 1 == p[1]),

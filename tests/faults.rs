@@ -156,12 +156,11 @@ fn assert_cold(w: &World, node: NodeAddr) {
         accounting::node_mem_bytes(w, n),
         accounting::idle_node_bytes()
     );
-    assert!(n.chans.is_empty() && n.listeners.is_empty() && n.syscall_waits.is_empty());
-    assert!(n.mgr.servers.is_empty() && n.mgr.pending.is_empty() && n.resolve.is_empty());
-    assert!(n.udcos.is_empty() && n.mcast.is_empty() && n.coll.is_empty());
-    assert!(n.tx_q.is_empty() && n.orphans.is_empty());
-    assert!(w.open_waits.values().all(|(a, _)| *a != node));
-    assert!(w.ctl_unacked.keys().all(|(a, _)| *a != node));
+    for (table, rows) in w.tables() {
+        assert!(!rows.holds(node), "{table} holds a row of the crashed node");
+    }
+    let violated = invariants::check(w, 0);
+    assert!(!violated.contains(&invariants::CRASHED_OWNS_NOTHING));
 }
 
 /// A crash leaves nothing of the victim behind: before it the victim holds
@@ -272,13 +271,12 @@ fn crash_leaves_nothing_behind() {
     });
     {
         let w = v.world();
-        let n = w.node(V);
-        assert!(n.listeners.values().any(|l| !l.acked));
-        assert!(!n.chans.is_empty() && !n.syscall_waits.is_empty());
-        assert!(!n.mgr.servers.is_empty() && !n.mgr.pending.is_empty() && !n.resolve.is_empty());
-        assert!(!n.udcos.is_empty() && !n.mcast.is_empty() && !n.coll.is_empty());
-        assert!(w.open_waits.values().any(|(a, _)| *a == V));
-        assert!(w.ctl_unacked.keys().any(|(a, _)| *a == V));
+        assert!(w.listeners.of(V).any(|(_, l)| !l.acked));
+        assert!(w.chan_ends.count(V) > 0 && w.syscall_waits.holds(V));
+        let mgr = &w.managers;
+        assert!(mgr.servers.holds(V) && mgr.pending.holds(V) && w.resolve.holds(V));
+        assert!(w.udcos.holds(V) && w.mcast.holds(V) && w.coll.holds(V));
+        assert!(w.open_waits.holds(V) && w.ctl_unacked.holds(V));
     }
     let retransmits = v.world().faults.stats.retransmits;
     let survivors = |w: &World| {
@@ -343,7 +341,40 @@ fn crash_leaves_nothing_behind() {
     // The restart re-queues B's open at the victim's manager: the node works.
     v.sim.setup(|w, s| fault::on_restart(w, s, V));
     v.run();
-    assert_eq!(v.world().node(V).mgr.pending.len(), 1);
+    assert_eq!(v.world().managers.pending.count(V), 1);
+}
+
+/// An `mwrite` whose node crashes while the writer waits for its acks
+/// returns as it does on a down node: the crash takes the pending write off
+/// the world's table and wakes the writer, which sends no more fragments,
+/// and the victim reads cold. (The crash used to drop the write with the
+/// node, leaving the writer parked for good, and any wake to panic on
+/// "pending mcast vanished".)
+#[test]
+fn a_crash_while_mwrite_waits_wakes_the_writer() {
+    use hpc_vorx::vorx::multicast;
+
+    const V: NodeAddr = NodeAddr(1);
+    const CRASH_NS: u64 = 2_000_000;
+    let mut v = VorxBuilder::single_cluster(4).trace(false).build();
+    let returned = Arc::new(Mutex::new(false));
+    let flag = Arc::clone(&returned);
+    v.spawn("n1:mwrite", move |ctx| {
+        // Three fragments to nodes that never join group 5: nobody acks.
+        let dsts = vec![NodeAddr(2), NodeAddr(3)];
+        multicast::mwrite(&ctx, V, 5, dsts, Payload::Synthetic(3_000));
+        *lock(&flag) = true;
+    });
+    v.sim.run_until(SimTime::from_ns(CRASH_NS));
+    assert!(v.world().mcast_pending.holds(V), "the writer waits");
+    let sent = v.world().net.stats.frames_sent;
+    v.sim.setup(|w, s| fault::on_crash(w, s, V));
+    let report = v.run();
+    assert_eq!(report.parked, vec![], "the writer must not stay parked");
+    assert!(*lock(&returned), "mwrite returned");
+    let w = v.world();
+    assert_eq!(w.net.stats.frames_sent, sent, "no fragment after the crash");
+    assert_cold(&w, V);
 }
 
 /// How many messages the failover workload streams.
@@ -651,7 +682,7 @@ fn channel_table_refuses_the_open_past_its_cap() {
     );
     assert_eq!(w.faults.stats.table_rejects, 1);
     for node in 0..2 {
-        assert_eq!(w.node(NodeAddr(node)).chans.len(), MAX_CHANS_PER_NODE);
+        assert_eq!(w.chan_ends.count(NodeAddr(node)), MAX_CHANS_PER_NODE);
     }
     assert!(w.open_waits.is_empty(), "an open wait was left behind");
     assert!(w.ctl_unacked.is_empty(), "a control frame is still unacked");
@@ -662,7 +693,7 @@ fn channel_table_refuses_the_open_past_its_cap() {
         "the refused open reached the manager"
     );
     assert!(
-        mgr.pending.is_empty(),
+        w.managers.pending.is_empty(),
         "an opener still waits at the manager"
     );
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
@@ -724,10 +755,10 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
             "the BUSY must be the frame dropped"
         );
         assert_eq!(w.faults.stats.retransmits, 0);
-        let tx = w.chan_ends.of(&w.nodes[0]).next().unwrap();
+        let tx = w.chan_ends.of(NodeAddr(0)).next().unwrap();
         assert_eq!(tx.win.inflight.len(), 1, "fragment 9 is outstanding");
         assert_eq!(tx.win.busy_grants, 0, "the writer never heard the BUSY");
-        let rx = w.chan_ends.of(&w.nodes[1]).next().unwrap();
+        let rx = w.chan_ends.of(NodeAddr(1)).next().unwrap();
         assert_eq!(rx.deferred.len(), 1);
     }
     // Past the first ack timeout: one retransmission, answered by a second
@@ -744,7 +775,7 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
             w.faults.stats.busy_sent, 1,
             "ReBusy repeats a BUSY, it does not defer again"
         );
-        let tx = w.chan_ends.of(&w.nodes[0]).next().unwrap();
+        let tx = w.chan_ends.of(NodeAddr(0)).next().unwrap();
         assert_eq!(tx.win.busy_grants, 1);
         assert_eq!(
             tx.win.chain.attempts, 0,
@@ -764,7 +795,7 @@ fn lost_busy_is_resent_and_restarts_the_retry_budget() {
     assert_eq!(w.faults.stats.peer_down_events, 0);
     assert!(w
         .chan_ends
-        .of(&w.nodes[0])
+        .of(NodeAddr(0))
         .all(|e| e.win.inflight.is_empty()));
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
 }

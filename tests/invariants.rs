@@ -10,7 +10,7 @@
 use hpc_vorx::desim::{FaultSchedule, RunOutcome, SimTime};
 use hpc_vorx::hpcnet::{ClusterId, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::name_hash;
-use hpc_vorx::vorx::{channel, invariants, Name, VorxBuilder, VorxSim};
+use hpc_vorx::vorx::{channel, fault, invariants, Name, VorxBuilder, VorxSim};
 
 const NONE: [&str; 0] = [];
 
@@ -80,24 +80,45 @@ fn a_healed_world_passes_every_oracle() {
 #[test]
 fn a_left_over_partition_mark_or_a_down_node_is_a_membership_violation() {
     let v = clean_world();
-    v.world().node_mut(NodeAddr(0)).mbr.partitioned.insert(3);
+    v.world().mbr.partitioned.insert(NodeAddr(0), 3, ());
     assert_eq!(invariants::check(&v.world(), 0), [invariants::MEMBERSHIP]);
-    v.world().node_mut(NodeAddr(0)).mbr.partitioned.clear();
+    v.world().mbr.partitioned.remove(NodeAddr(0), &3);
     assert_eq!(invariants::check(&v.world(), 0), NONE);
-    v.world().node_mut(NodeAddr(0)).mbr.probing.insert(3, 0);
+    v.world().mbr.probing.insert(NodeAddr(0), 3, 0);
     assert_eq!(invariants::check(&v.world(), 0), [invariants::MEMBERSHIP]);
-    v.world().node_mut(NodeAddr(0)).mbr.probing.clear();
+    v.world().mbr.probing.remove(NodeAddr(0), &3);
     v.world().node_mut(NodeAddr(0)).up = false;
     assert_eq!(invariants::check(&v.world(), 0), [invariants::MEMBERSHIP]);
+}
+
+/// A crash leaves no row behind, and a down node's kernel takes none: a
+/// row leaked into any world table of a down node is the crashed-owns-
+/// nothing violation.
+#[test]
+fn a_row_a_down_node_holds_is_a_crashed_owns_nothing_violation() {
+    let v = clean_world();
+    let node = NodeAddr(3);
+    v.sim.setup(|w, s| fault::on_crash(w, s, node));
+    assert_eq!(invariants::check(&v.world(), 0), [invariants::MEMBERSHIP]);
+    v.world()
+        .resolve
+        .insert(node, Name::new("leak"), (0, NodeAddr(1)));
+    assert_eq!(
+        invariants::check(&v.world(), 0),
+        [invariants::MEMBERSHIP, invariants::CRASHED_OWNS_NOTHING]
+    );
+    v.world().resolve.remove(node, &Name::new("leak"));
+    v.sim.setup(|w, s| fault::on_restart(w, s, node));
+    assert_eq!(invariants::check(&v.world(), 0), NONE);
 }
 
 #[test]
 fn a_registration_missing_from_its_successor_is_a_replica_violation() {
     let v = clean_world();
     let mut w = v.world();
-    assert!(!w.node(NodeAddr(1)).mgr.servers.is_empty(), "home holds it");
-    assert!(!w.node(NodeAddr(2)).mgr.servers.is_empty(), "replica too");
-    w.node_mut(NodeAddr(2)).mgr.servers.clear();
+    assert!(w.managers.servers.holds(NodeAddr(1)), "home holds it");
+    assert!(w.managers.servers.holds(NodeAddr(2)), "replica too");
+    w.managers.servers.wipe(NodeAddr(2));
     assert_eq!(invariants::check(&w, 0), [invariants::REPLICAS]);
 }
 
@@ -106,26 +127,21 @@ fn an_opener_held_twice_or_beside_a_server_is_a_pending_violation() {
     let v = clean_world();
     let mut w = v.world();
     let home = NodeAddr(1);
-    let (key, _) = w
-        .node(home)
-        .mgr
-        .servers
-        .iter()
-        .next()
-        .expect("home holds it");
+    let (key, _) = w.managers.servers.first(home).expect("home holds it");
     let (kind, name) = key.clone();
     // An opener waiting on a name its manager has a server for.
     let opener = (NodeAddr(3), 7);
-    w.node_mut(home).mgr.pending.insert((kind, name), opener);
+    let pending = &mut w.managers.pending;
+    pending.insert(home, (kind, name), opener);
     assert_eq!(invariants::check(&w, 0), [invariants::PENDING_SERVED]);
     // The same opener under two names the manager serves no server for.
-    let mgr = &mut w.node_mut(home).mgr;
-    mgr.pending.clear();
+    let pending = &mut w.managers.pending;
+    pending.wipe(home);
     for other in ["a", "b"] {
-        mgr.pending.insert((kind, Name::new(other)), opener);
+        pending.insert(home, (kind, Name::new(other)), opener);
     }
     assert_eq!(invariants::check(&w, 0), [invariants::PENDING_OPENER]);
-    w.node_mut(home).mgr.pending.remove(&(kind, Name::new("b")));
+    w.managers.pending.remove(home, &(kind, Name::new("b")));
     assert_eq!(invariants::check(&w, 0), NONE);
 }
 
@@ -142,7 +158,7 @@ fn a_replica_lost_on_another_shard_is_seen_across_the_parts() {
     assert_eq!(invariants::check_shards(&v, 0), NONE);
     // Node 1 (the home) lives on shard 0, node 2 (its successor) on shard 1.
     assert_ne!(v.shard_of(NodeAddr(1)), v.shard_of(NodeAddr(2)));
-    v.world(1).node_mut(NodeAddr(2)).mgr.servers.clear();
+    v.world(1).managers.servers.wipe(NodeAddr(2));
     assert_eq!(invariants::check_shards(&v, 0), [invariants::REPLICAS]);
 }
 

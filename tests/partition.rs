@@ -368,14 +368,14 @@ fn failover_and_heal_round_trip(name_at: impl Fn(u32) -> String) -> String {
     // points back at the hash-home that served open #2.
     let epoch = resolve_epoch(&w);
     assert_eq!(
-        w.node_mut(client).resolve.lookup(epoch, &name),
+        w.resolve_lookup(client, epoch, &Name::new(&name)),
         Some(home),
         "post-heal resolution must come from the hash-home again"
     );
     // The home and its successor hold the registration under the name.
     let key = (ObjKind::Channel, Name::new(&name));
     for mgr in [home, NodeAddr((home.0 + 1) % n as u32)] {
-        assert_eq!(w.node(mgr).mgr.servers.get(&key), Some(&server));
+        assert_eq!(w.managers.servers.get(mgr, &key), Some(&server));
     }
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
     name
