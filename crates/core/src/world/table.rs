@@ -15,9 +15,9 @@
 //! unless it has room for at most [`HANDSHAKE_KEEP`] rows: that is cheaper
 //! kept than built again by the next burst.
 
-use std::hash::Hash;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-use desim::FixedMap;
 use hpcnet::NodeAddr;
 
 /// Rows an emptied table may keep room for.
@@ -63,11 +63,64 @@ enum At<K> {
     Ends(NodeAddr),
 }
 
+/// The hasher of a [`Table`]'s index: `rustc`'s multiply-add over the
+/// key's words, with fixed state. The index is never iterated where order
+/// could reach an event, and its keys are small integers and short names
+/// the simulation makes itself, so SipHash's defence against chosen keys
+/// buys nothing here and costs a lookup on every frame.
+#[derive(Debug, Default, Clone, Copy)]
+struct RowHasher(u64);
+
+impl RowHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for RowHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("eight bytes")));
+        }
+        let mut tail = [0; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        self.add(u64::from_le_bytes(tail) ^ bytes.len() as u64);
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u16(&mut self, i: u16) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// Every node's rows of one kind, by `(node, key)`.
 #[derive(Debug)]
 pub struct Table<K, V> {
     /// The slot of each row, and the ends of each node's list.
-    index: FixedMap<At<K>, u64>,
+    index: HashMap<At<K>, u64, BuildHasherDefault<RowHasher>>,
     /// The rows, and the free slots linked from `free`.
     slots: Vec<Slot<K, V>>,
     free: u32,
@@ -78,7 +131,7 @@ pub struct Table<K, V> {
 impl<K, V> Default for Table<K, V> {
     fn default() -> Self {
         Table {
-            index: FixedMap::default(),
+            index: HashMap::default(),
             slots: Vec::new(),
             free: NIL,
             len: 0,
@@ -378,16 +431,6 @@ impl<V> Queue<V> {
     /// True iff node `a`'s queue holds a row.
     pub fn holds(&self, a: NodeAddr) -> bool {
         self.rows.holds(a)
-    }
-
-    /// Rows of every node.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True iff every node's queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 

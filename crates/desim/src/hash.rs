@@ -8,7 +8,9 @@
 //! inserted in the same order iterate in the same order on every run.
 //! (`clippy.toml` refuses `HashMap::new`, `HashMap::with_capacity`,
 //! `HashSet::new` and `HashSet::with_capacity`, which build a
-//! `RandomState` map.)
+//! `RandomState` map.) The one other hasher is `vorx`'s world tables': a
+//! fixed multiply-add over the key's words, for an index that is never
+//! iterated where its order could reach an event.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, DefaultHasher};
