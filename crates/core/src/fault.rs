@@ -375,23 +375,17 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
         return;
     }
     let mut hits: Vec<(NodeAddr, u32)> = Vec::new();
-    for other in w.nodes.materialized() {
-        let peered = w.chan_ends.of(other.addr).filter(|e| e.peer == node);
-        hits.extend(peered.map(|e| (other.addr, e.id)));
-    }
+    let mut stale_servers: Vec<(NodeAddr, MgrKey)> = Vec::new();
+    let mut stale_pending: Vec<(NodeAddr, MgrKey, u64)> = Vec::new();
     let mgr = &w.managers;
-    let stale_servers: Vec<(NodeAddr, MgrKey)> = mgr
-        .servers
-        .iter()
-        .filter(|(_, _, srv)| **srv == node)
-        .map(|(a, key, _)| (a, key.clone()))
-        .collect();
-    let stale_pending: Vec<(NodeAddr, MgrKey, u64)> = mgr
-        .pending
-        .iter()
-        .filter(|(_, _, (req, _))| *req == node)
-        .map(|(a, key, &(_, token))| (a, key.clone(), token))
-        .collect();
+    for a in w.nodes.materialized().map(|n| n.addr) {
+        let peered = w.chan_ends.of(a).filter(|e| e.peer == node);
+        hits.extend(peered.map(|e| (a, e.id)));
+        let servers = mgr.servers.of(a).filter(|(_, srv)| **srv == node);
+        stale_servers.extend(servers.map(|(key, _)| (a, key.clone())));
+        let pending = mgr.pending.of(a).filter(|(_, (req, _))| *req == node);
+        stale_pending.extend(pending.map(|(key, &(_, token))| (a, key.clone(), token)));
+    }
     s.schedule_in(SimDuration::from_ns(detect), move |w: &mut World, s| {
         for &(a, id) in &hits {
             crate::channel::set_peer_down(w, s, a, id);
@@ -439,15 +433,12 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
     // before the crash are still parked (their retransmit chains stopped at
     // the KIND_OPEN_QUEUED ack). The manager's queue died with it, so those
     // requests restart from scratch.
-    let mut opens: Vec<(NodeAddr, u64)> = w
-        .open_waits
-        .iter()
-        .filter(|(_, _, o)| {
-            matches!(o.state, crate::world::OpenResult::Pending { mgr, .. } if mgr == node)
-        })
-        .map(|(a, &t, _)| (a, t))
+    let queued = |o: &crate::world::OpenWait| matches!(o.state, crate::world::OpenResult::Pending { mgr, .. } if mgr == node);
+    let opens: Vec<(NodeAddr, u64)> = (w.nodes.materialized())
+        .flat_map(|n| w.open_waits.of(n.addr).map(move |(t, o)| (n.addr, *t, o)))
+        .filter(|(_, _, o)| queued(o))
+        .map(|(a, t, _)| (a, t))
         .collect();
-    opens.sort_unstable();
     for (a, t) in opens {
         crate::objmgr::resend_open(w, s, a, t);
     }

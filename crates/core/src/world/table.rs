@@ -1,15 +1,13 @@
 //! World tables: one table per kind of per-node kernel state, keyed by
 //! `(node, key)` (DESIGN.md §14).
 //!
-//! A node used to own a hash map, queue or index of each kind, and paid for
-//! it — a first allocation, a four-bucket minimum, a header on its `Node` —
-//! whether it held one row or none. A [`Table`] holds every node's rows of
-//! one kind: one slab of rows, a hash index by `(node, key)` for point
-//! operations, and each node's rows linked through the slab in key order,
-//! so [`Table::of`] reads them and [`Table::wipe`] takes them in key order.
-//! The slab and the index grow by doubling with the rows the whole world
-//! holds: a node costs nothing until it holds a row, and a row costs no
-//! allocation of its own.
+//! A node pays for kernel state only while it holds some. A [`Table`] keeps
+//! every node's rows of one kind in one slab, with a hash index by
+//! `(node, key)` for point operations and each node's rows linked through
+//! the slab in key order, so [`Table::of`] reads them and [`Table::wipe`]
+//! takes them in key order. The slab and the index grow by doubling with
+//! the rows the whole world holds: no node and no row costs an allocation
+//! of its own.
 //!
 //! A table that a burst grew and then drained is freed as it empties,
 //! unless it has room for at most [`HANDSHAKE_KEEP`] rows: that is cheaper
@@ -349,17 +347,6 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
             out.push((k, v));
         }
         out
-    }
-
-    /// Every row, in no particular order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeAddr, &K, &V)> + '_ {
-        self.index.iter().filter_map(|(at, &slot)| match at {
-            At::Row(a, _) => {
-                let row = self.row(slot as u32);
-                Some((*a, &row.key, &row.val))
-            }
-            At::Ends(_) => None,
-        })
     }
 
     /// Rows of every node.

@@ -561,7 +561,7 @@ fn allocs_per_node_opening_one_stream() -> f64 {
 
 /// A node's kernel state is rows of world tables, not tables of its own:
 /// a 512-endpoint world in which every node opens one stream makes 11.13
-/// allocations per node optimised (5,699), 12.13 unoptimised (6,211) — the
+/// allocations per node optimised (5,700), 12.13 unoptimised (6,212) — the
 /// processes' images, the channel ends' buffers, the links the traffic
 /// touched and the world tables' growth — and the bound is that plus 10 %.
 /// It made 17.95 per node optimised (9,190), 18.95 unoptimised (9,702),
