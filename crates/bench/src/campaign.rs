@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 use desim::trace::json_str;
 use desim::{FaultSchedule, LinkFaults, LinkStats, SimDuration};
 use vorx::hpcnet::{self, ClusterId, Fabric, NodeAddr, Payload, Topology};
-use vorx::{channel, FaultStats, VCtx, VorxShardedSim, World};
+use vorx::{channel, invariants, FaultStats, VCtx, VorxShardedSim, World};
 
 /// Schema tag of every report this harness writes.
 pub const SCHEMA: &str = "vorx-campaign/1";
@@ -862,6 +862,17 @@ impl Totals {
             .map(|(l, s)| link_record(Record::new().with("link", *l), s))
             .collect()
     }
+}
+
+/// What a machine's nodes own at quiescence, from its inspected parts
+/// ([`invariants::inspect_shards`]): the most rows one node holds over every
+/// world table, the rows all nodes hold, and the nodes owning nothing.
+pub fn rows_record(parts: &[invariants::Part]) -> Record {
+    let rows = || parts.iter().flat_map(|p| &p.busy).map(|&(_, r)| r);
+    Record::new()
+        .with("rows_max_node", rows().max().unwrap_or(0))
+        .with("rows_total", rows().sum::<usize>())
+        .with("idle_nodes", parts.iter().map(|p| p.idle).sum::<usize>())
 }
 
 /// Endpoints of cluster `c`, in address order.

@@ -21,8 +21,12 @@
 //! * build cost: `build_s`, the wall time of `build_sharded`, and the links
 //!   whose state the shards' fabrics built, summed over shards (a count,
 //!   so it repeats to the digit),
-//! * bytes/endpoint (per-shard memory accountant total / endpoints, max
-//!   over shards) and the count of endpoints still at the idle baseline,
+//! * what the nodes own at the end, counted over every world table
+//!   (`World::tables`): the most rows one node holds, the rows all hold,
+//!   and the endpoints owning nothing; and an oracle, checked at every
+//!   scale: an endpoint the workload does not name — a stream end, a
+//!   stream name's manager or its successor replica, a generator host, the
+//!   overlay monitor's node — owns nothing (`World::owns_nothing`),
 //! * route-overlay size: detour entries sampled mid-flap on the shard
 //!   owning the churned edge, and the final size (must be 0 — heal is an
 //!   overlay clear),
@@ -39,7 +43,12 @@
 //! the resident memory they cost per process. The 100k and 1M worlds, the
 //! dense row and the 100k dense BFS (most of a minute on its own) are the
 //! heavy cells `--smoke` skips.
+//!
+//! Bytes are measured, not modelled: the 8-shard 100k build's live heap in
+//! `tests/wiring.rs`, each blocking call's parked footprint in
+//! `tests/footprint.rs`, and the dense row's resident growth per process.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -50,9 +59,9 @@ use vorx::hpcnet::{
     Attachment, ClusterId, Fabric, NetConfig, NodeAddr, Payload, PortRef, Topology,
     PORTS_PER_CLUSTER,
 };
-use vorx::{accounting, channel, invariants, Calibration, VCtx, VorxBuilder, VorxShardedSim};
+use vorx::{channel, invariants, objmgr, Calibration, VCtx, VorxBuilder, VorxShardedSim};
 
-use crate::campaign::{cable, Campaign, Cell, Gate, Record, Run, Totals};
+use crate::campaign::{cable, rows_record, Campaign, Cell, Gate, Record, Run, Totals};
 
 /// Shard count, fixed across every scale point and worker count: the shard
 /// partition is part of the simulated outcome, so holding it constant is
@@ -142,19 +151,6 @@ pub const CAMPAIGN: Campaign = Campaign {
                 Some((got == want, format!("{got} of {want}")))
             },
         },
-        Gate {
-            name: "<= 16 B/endpoint from 10k endpoints up",
-            check: |cells| {
-                let bpe: Vec<u64> = measured(cells, "world")
-                    .map(|c| c.rec("sim"))
-                    .filter(|s| s.u64("endpoints") >= 10_000)
-                    .map(|s| s.u64("bytes_per_endpoint"))
-                    .collect();
-                let budget = accounting::IDLE_BYTES_PER_ENDPOINT_BUDGET;
-                let ok = bpe.iter().all(|&b| b <= budget);
-                (!bpe.is_empty()).then_some((ok, format!("{bpe:?} B/endpoint")))
-            },
-        },
     ],
 };
 
@@ -227,15 +223,44 @@ fn stream(n: u32, k: u32, i: u32) -> (NodeAddr, NodeAddr) {
     (NodeAddr(src), NodeAddr((src + step) % n))
 }
 
-/// Install one streaming generator per shard. `delivered` is bumped by every
-/// reader per message; process completion itself is `run_all`'s oracle.
-fn install_generators(v: &VorxShardedSim, n: u32, delivered: &Arc<AtomicU64>) {
-    // One representative node per shard, to route each generator.
+/// The name the `i`-th stream of window `k` opens.
+fn stream_name(k: u32, i: u32) -> String {
+    format!("scale.{k}.{i}")
+}
+
+/// Each shard's generator host: its lowest address, `None` for a shard
+/// that owns no endpoint.
+fn generator_hosts(v: &VorxShardedSim, n: u32) -> Vec<Option<NodeAddr>> {
     let mut rep: Vec<Option<NodeAddr>> = vec![None; v.n_shards()];
     for a in (0..n).map(NodeAddr) {
         rep[v.shard_of(a)].get_or_insert(a);
     }
-    for (shard, rep) in rep.into_iter().enumerate() {
+    rep
+}
+
+/// Every endpoint the workload names on an `n`-endpoint world: each
+/// stream's two ends, each stream name's manager and its successor replica,
+/// the generator hosts and the overlay monitor's node. No other endpoint
+/// may own anything once the run is over.
+fn named(v: &VorxShardedSim, n: u32) -> BTreeSet<NodeAddr> {
+    let mut named: BTreeSet<NodeAddr> = generator_hosts(v, n).into_iter().flatten().collect();
+    named.insert(NodeAddr(0));
+    let w = v.world(0);
+    for k in 0..WINDOWS {
+        for i in 0..STREAMS_PER_WINDOW {
+            let (src, dst) = stream(n, k, i);
+            let name = stream_name(k, i);
+            named.extend([src, dst, objmgr::manager_for(&w, &name)]);
+            named.extend(objmgr::successor_for(&w, &name));
+        }
+    }
+    named
+}
+
+/// Install one streaming generator per shard. `delivered` is bumped by every
+/// reader per message; process completion itself is `run_all`'s oracle.
+fn install_generators(v: &VorxShardedSim, n: u32, delivered: &Arc<AtomicU64>) {
+    for (shard, rep) in generator_hosts(v, n).into_iter().enumerate() {
         let Some(rep) = rep else { continue };
         let delivered = Arc::clone(delivered);
         v.spawn_at(rep, format!("gen{shard}"), move |ctx: VCtx| {
@@ -256,7 +281,7 @@ fn generator(ctx: &VCtx, n: u32, delivered: &Arc<AtomicU64>) {
             for i in 0..STREAMS_PER_WINDOW {
                 let (src, dst) = stream(n, k, i);
                 if w.shard.owner(src) == me {
-                    let name = format!("scale.{k}.{i}");
+                    let name = stream_name(k, i);
                     sch.spawn(format!("n{}:w:{name}", src.0), move |ctx: VCtx| {
                         let ch = channel::open(&ctx, src, &name);
                         for _ in 0..MSGS_PER_STREAM {
@@ -267,7 +292,7 @@ fn generator(ctx: &VCtx, n: u32, delivered: &Arc<AtomicU64>) {
                     });
                 }
                 if w.shard.owner(dst) == me {
-                    let name = format!("scale.{k}.{i}");
+                    let name = stream_name(k, i);
                     let del = Arc::clone(delivered);
                     sch.spawn(format!("n{}:r:{name}", dst.0), move |ctx: VCtx| {
                         let ch = channel::open(&ctx, dst, &name);
@@ -321,21 +346,16 @@ fn run(cfg: &Scale, workers: usize) -> Run {
     let trace = v.merged_trace().to_json();
     let events: u64 = v.stats().events_per_shard.iter().sum();
 
-    let (mut bpe, mut mem_max, mut idle, mut overlay_final) = (0, 0, 0usize, 0);
-    for k in 0..v.n_shards() {
-        let w = v.world(k);
-        let (mx, total, id) = accounting::world_mem_report(&w);
-        // Each shard replicates the compact slot index; the honest
-        // per-endpoint figure is each replica's own total over n.
-        bpe = bpe.max(total / u64::from(n));
-        mem_max = mem_max.max(mx);
-        idle = idle.max(id);
-        overlay_final = overlay_final.max(w.net.topology().overlay_len());
-    }
+    let parts = invariants::inspect_shards(&v);
+    let overlay_final = v.sum_over_shards(|w| w.net.topology().overlay_len() as u64);
     let delivered = delivered.load(Ordering::Relaxed);
     let overlay_mid = overlay_mid.load(Ordering::Relaxed);
 
-    let mut violations = invariants::check_shards(&v, 0);
+    let mut violations = invariants::violations(&parts, 0);
+    let named = named(&v, n);
+    if (parts.iter().flat_map(|p| &p.busy)).any(|(a, _)| !named.contains(a)) {
+        violations.push("unnamed-endpoint-owns-rows");
+    }
     if delivered != EXPECTED_MESSAGES {
         violations.push("lost-messages");
     }
@@ -351,9 +371,7 @@ fn run(cfg: &Scale, workers: usize) -> Run {
         .with("end_ns", end.as_ns())
         .with("delivered", delivered)
         .with("events", events)
-        .with("bytes_per_endpoint", bpe)
-        .with("mem_max_node_bytes", mem_max)
-        .with("idle_nodes", idle)
+        .and(rows_record(&parts))
         .with("overlay_mid_flap", overlay_mid)
         .with("overlay_final", overlay_final)
         .with(

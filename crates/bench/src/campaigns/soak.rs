@@ -27,7 +27,7 @@
 //!    in-flight probes,
 //! 6. replica consistency: every hash-home server registration present on
 //!    its successor replica,
-//! 7. the memory accountant's idle nodes still at the O(1) baseline,
+//! 7. at least two nodes own nothing at the end (`World::owns_nothing`),
 //!
 //! and — across the whole campaign — workers 1 and 4 must produce
 //! bit-identical merged traces. (Deep cross-cluster partitions are the
@@ -44,7 +44,7 @@ use desim::{FaultSchedule, LinkFaults, SimDuration, SimTime};
 use vorx::hpcnet::{Fabric, NetConfig, Payload, Topology};
 use vorx::{channel, invariants, VCtx, VorxBuilder, VorxShardedSim};
 
-use crate::campaign::{cable, nodes_of, streams, Campaign, Cell, Record, Run, Totals};
+use crate::campaign::{cable, nodes_of, rows_record, streams, Campaign, Cell, Record, Run, Totals};
 
 /// Clusters in the campaign machine.
 const CLUSTERS: u32 = 4;
@@ -194,8 +194,7 @@ fn run(seed: u64, msgs: u32, workers: usize) -> Run {
     let totals = Totals::over_shards(&v);
 
     let mut violations = s.violations();
-    // The two crash/restart spares plus all-idle bystanders must leave at
-    // least the untouched endpoints at the O(1) baseline.
+    // The workload leaves at least two endpoints owning nothing.
     violations.extend(invariants::violations(&parts, 2));
     // A soak that shed nothing and recovered nothing tested nothing.
     if totals.net.frames_shed == 0 {
@@ -211,15 +210,7 @@ fn run(seed: u64, msgs: u32, workers: usize) -> Run {
             "shed_links",
             totals.links.values().filter(|l| l.shed > 0).count(),
         )
-        .with("mem_max_node_bytes", parts.iter().map(|p| p.mem_max).max())
-        .with(
-            "mem_total_bytes",
-            parts.iter().map(|p| p.mem_total).sum::<u64>(),
-        )
-        .with(
-            "mem_idle_nodes",
-            parts.iter().map(|p| p.mem_idle).sum::<usize>(),
-        )
+        .and(rows_record(&parts))
         .and(totals.record());
     Run::new(sim, violations).trace(trace)
 }

@@ -207,13 +207,6 @@ impl PayloadAsm {
         self.frags
     }
 
-    /// Payload bytes currently held by buffered fragments (shared refcounted
-    /// slices count their full length — the accountant measures what this
-    /// end keeps alive, not unique ownership).
-    pub fn bytes_held(&self) -> u64 {
-        self.parts.iter().map(|b| b.len() as u64).sum::<u64>() + u64::from(self.synth)
-    }
-
     /// Append the last fragment `p` and take the message. A message of one
     /// fragment — nothing buffered before it — is `p` itself and never
     /// touches `parts`, so a reader end of one-frame messages holds no
@@ -489,28 +482,6 @@ impl ChanEnd {
     /// reassembly counts as one).
     fn sidebuf_used(&self) -> usize {
         self.rx.len() + usize::from(self.asm.frags() > 0)
-    }
-
-    /// Approximate resident bytes this channel end keeps alive: the modeled
-    /// fixed part plus every buffered payload (receive queue, reassembly,
-    /// deferred frames, retransmit window, reorder buffer). Used by the
-    /// per-node memory accountant (`crate::accounting`).
-    pub fn mem_bytes(&self) -> u64 {
-        let frames = |it: &mut dyn Iterator<Item = &Frame>| -> u64 {
-            it.map(|f| u64::from(f.wire_bytes())).sum()
-        };
-        crate::accounting::CHAN_END_BYTES
-            + self.name.len() as u64
-            + self.rx.iter().map(|p| u64::from(p.len())).sum::<u64>()
-            + self.asm.bytes_held()
-            + frames(&mut self.deferred.iter())
-            + frames(&mut self.win.inflight.iter().map(|fr| &fr.frame))
-            + self
-                .winrx
-                .ready
-                .values()
-                .map(|(p, _)| u64::from(p.len()))
-                .sum::<u64>()
     }
 
     /// Pop the next complete message, releasing the credit its fragments

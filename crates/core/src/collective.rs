@@ -311,7 +311,8 @@ impl Collective {
         self.members.len()
     }
 
-    /// Block until every member has entered the barrier.
+    /// Block until every member has entered the barrier. In an in-network
+    /// group a down node returns at once, entering nothing.
     pub fn barrier(&self, ctx: &VCtx) {
         self.allreduce(ctx, CombOp::Sum, 0);
     }
@@ -320,7 +321,8 @@ impl Collective {
     /// reduction completes, and all of them receive the folded value (the
     /// result broadcast doubles as the completion acknowledgement, so a
     /// root-only variant would cost exactly the same — `reduce` *is*
-    /// `allreduce`).
+    /// `allreduce`). In an in-network group a down node returns `operand`
+    /// at once, as [`Collective::allreduce`] does.
     pub fn reduce(&self, ctx: &VCtx, op: CombOp, operand: u64) -> u64 {
         self.allreduce(ctx, op, operand)
     }
@@ -328,12 +330,17 @@ impl Collective {
     /// Fetch-and-add: every member contributes `operand` and receives the
     /// group total. (The Ultracomputer's per-requester serialization prefix
     /// is not modeled — a documented simplification; see
-    /// [`hpcnet::combine::CombOp::FetchAdd`].)
+    /// [`hpcnet::combine::CombOp::FetchAdd`].) In an in-network group a
+    /// down node returns `operand` at once, as [`Collective::allreduce`]
+    /// does.
     pub fn fetch_add(&self, ctx: &VCtx, operand: u64) -> u64 {
         self.allreduce(ctx, CombOp::FetchAdd, operand)
     }
 
     /// Fold every member's operand with `op` and deliver the result to all.
+    /// In an in-network group a call on a down node sends nothing, keeps no
+    /// state and returns `operand` at once, which the caller cannot tell
+    /// from a group whose other members all contributed the identity.
     pub fn allreduce(&self, ctx: &VCtx, op: CombOp, operand: u64) -> u64 {
         match &self.engine {
             Engine::InNetwork => self.innet_allreduce(ctx, op, operand),
@@ -344,7 +351,10 @@ impl Collective {
     }
 
     /// Exchange one value with every member: returns the full vector of
-    /// member values, indexed by member index (own value included).
+    /// member values, indexed by member index (own value included). In an
+    /// in-network group a call on a down node sends nothing, keeps no state
+    /// and returns at once, with `value` at this member's index and 0 at
+    /// every other.
     pub fn all_to_all(&self, ctx: &VCtx, value: u64) -> Vec<u64> {
         match &self.engine {
             Engine::InNetwork => self.innet_all_to_all(ctx, value),
@@ -361,10 +371,15 @@ impl Collective {
         let group = self.group;
         // The lean direct-hardware send (the raw UDCO path of §4.1): build
         // a 13-byte operand and poke the output registers.
-        let send_ns = ctx.with(|w, _| {
-            w.calib.raw_send_ns
-                + w.calib.udco_copy_ns_per_byte * u64::from(combine::COMB_PAYLOAD_BYTES)
+        let (up, send_ns) = ctx.with(|w, _| {
+            let c = &w.calib;
+            let send_ns =
+                c.raw_send_ns + c.udco_copy_ns_per_byte * u64::from(combine::COMB_PAYLOAD_BYTES);
+            (w.node(node).up, send_ns)
         });
+        if !up {
+            return operand;
+        }
         api::compute_ns(ctx, node, CpuCat::User, send_ns);
         let cseq = if self.idx == 0 {
             let others = Arc::clone(&self.others);
@@ -381,10 +396,15 @@ impl Collective {
         let group = self.group;
         let idx = self.idx as u32;
         let n = self.members.len();
-        let (send_ns, switch_ns) = ctx.with(|w, _| {
+        let (up, send_ns, switch_ns) = ctx.with(|w, _| {
             let send_ns = w.calib.raw_send_ns + w.calib.udco_copy_ns_per_byte * 12;
-            (send_ns, w.calib.ctx_switch_ns)
+            (w.node(node).up, send_ns, w.calib.ctx_switch_ns)
         });
+        if !up {
+            let mut vals = vec![0; n];
+            vals[idx as usize] = value;
+            return vals;
+        }
         api::compute_ns(ctx, node, CpuCat::User, send_ns);
         let others: Vec<NodeAddr> = self
             .members

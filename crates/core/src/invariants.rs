@@ -22,9 +22,9 @@
 //! * [`UNDRAINED_SWITCH`] — no switch still buffers a sheddable byte;
 //! * [`MEMBERSHIP`] — every owned node is up, holds no partition mark and
 //!   has no heartbeat probe in flight;
-//! * [`CRASHED_OWNS_NOTHING`] — no world table ([`World::tables`]) holds a
-//!   row of an owned node that is down: a crash wipes every row, and a down
-//!   node's kernel takes none;
+//! * [`CRASHED_OWNS_NOTHING`] — every owned node that is down owns nothing
+//!   ([`World::owns_nothing`]): a crash wipes every row, and a down node's
+//!   kernel takes none;
 //! * [`REPLICAS`] — in distributed-manager mode, every server registration
 //!   held by its hash-home also sits on the home's successor replica;
 //! * [`PENDING_OPENER`] — every manager's `pending` entry holds exactly one
@@ -32,13 +32,15 @@
 //!   object;
 //! * [`PENDING_SERVED`] — no manager keeps an opener waiting on a name it
 //!   has a server registered for (registering connects the waiting opener);
-//! * [`IDLE_MEMORY`] — at least the expected number of owned nodes cost
-//!   exactly the accountant's O(1) idle baseline.
+//! * [`IDLE_OWNS_NOTHING`] — at least the expected number of owned nodes
+//!   own nothing.
+//!
+//! A node owning something is materialized, so each oracle walks the
+//! materialized nodes alone: O(active nodes), not O(endpoints).
 
 use desim::FixedSet;
 use hpcnet::{ClusterId, LinkId, NodeAddr};
 
-use crate::accounting;
 use crate::objmgr::{self, MgrKey, ObjMgrMode};
 use crate::world::{VorxShardedSim, World};
 
@@ -56,8 +58,8 @@ pub const REPLICAS: &str = "replica-consistency";
 pub const PENDING_OPENER: &str = "pending-one-opener";
 /// A manager keeps an opener waiting on a name it has a server for.
 pub const PENDING_SERVED: &str = "pending-beside-server";
-/// Fewer nodes than expected sit at the idle-memory baseline.
-pub const IDLE_MEMORY: &str = "idle-memory-baseline";
+/// Fewer nodes than expected own nothing.
+pub const IDLE_OWNS_NOTHING: &str = "idle-owns-nothing";
 /// A down node holds a row in some world table.
 pub const CRASHED_OWNS_NOTHING: &str = "crashed-owns-nothing";
 
@@ -72,16 +74,15 @@ pub struct Part {
     servers: Vec<(u32, Vec<(MgrKey, u32)>)>,
     /// Endpoints in the machine, when managers are distributed by hash.
     hash_homes: Option<u64>,
-    /// Largest accounted footprint of one owned node, bytes.
-    pub mem_max: u64,
-    /// Accounted footprint of all owned nodes, bytes.
-    pub mem_total: u64,
-    /// Owned nodes costing exactly [`accounting::idle_node_bytes`].
-    pub mem_idle: usize,
+    /// Owned nodes that own something, in address order, each with the
+    /// rows it holds over every world table.
+    pub busy: Vec<(NodeAddr, usize)>,
+    /// Owned nodes that own nothing ([`World::owns_nothing`]).
+    pub idle: usize,
 }
 
-/// Inspect `w` at quiescence on behalf of the nodes in `owned`.
-pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
+/// Inspect `w` at quiescence on behalf of the nodes that pass `owned`.
+fn inspect(w: &World, owned: impl Fn(NodeAddr) -> bool) -> Part {
     let mut local = Vec::new();
     let net = &w.net;
     // Hardware flow control must have held on every port link.
@@ -97,15 +98,27 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
     if (0..net.topology().n_clusters() as u32).any(|c| net.cluster_data_bytes(ClusterId(c)) != 0) {
         local.push(UNDRAINED_SWITCH);
     }
-    let (mut servers, mut mem_max, mut mem_total, mut mem_idle) = (Vec::new(), 0, 0, 0);
-    let baseline = accounting::idle_node_bytes();
+    let rows_of = |a| w.tables().iter().map(|(_, t)| t.count(a)).sum::<usize>();
+    debug_assert_eq!(
+        w.nodes
+            .materialized()
+            .map(|n| rows_of(n.addr))
+            .sum::<usize>(),
+        w.tables().iter().map(|(_, t)| t.rows()).sum::<usize>(),
+        "a row of a node never materialized: a write must call `node_mut` first"
+    );
+    let (mut servers, mut busy) = (Vec::new(), Vec::new());
     let (mut converged, mut one_opener, mut unserved) = (true, true, true);
     let mut cold = true;
     let mgr = &w.managers;
-    for &a in owned {
-        let n = w.node(a);
+    for n in w.nodes.materialized().filter(|n| owned(n.addr)) {
+        let a = n.addr;
         converged &= n.up && !w.mbr.partitioned.holds(a) && !w.mbr.probing.holds(a);
-        cold &= n.up || w.tables().iter().all(|(_, t)| !t.holds(a));
+        if w.owns_nothing(a) {
+            continue;
+        }
+        cold &= n.up;
+        busy.push((a, rows_of(a)));
         let openers: FixedSet<_> = mgr.pending.of(a).map(|(_, o)| o).collect();
         one_opener &= openers.len() == mgr.pending.count(a);
         unserved &= mgr.pending.of(a).all(|(k, _)| !mgr.servers.contains(a, k));
@@ -113,10 +126,6 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
             let entries = mgr.servers.of(a).map(|(k, v)| (k.clone(), v.0));
             servers.push((a.0, entries.collect()));
         }
-        let b = accounting::node_mem_bytes(w, n);
-        mem_max = b.max(mem_max);
-        mem_total += b;
-        mem_idle += usize::from(b == baseline);
     }
     if !converged {
         local.push(MEMBERSHIP);
@@ -137,22 +146,20 @@ pub fn inspect(w: &World, owned: &[NodeAddr]) -> Part {
             ObjMgrMode::Distributed => Some(w.nodes.len() as u64),
             ObjMgrMode::Centralized(_) => None,
         },
-        mem_max,
-        mem_total,
-        mem_idle,
+        idle: (0..w.nodes.len() as u32)
+            .filter(|&a| owned(NodeAddr(a)))
+            .count()
+            - busy.len(),
+        busy,
     }
 }
 
-/// [`inspect`] every shard of `v` for the nodes that shard owns.
+/// Inspect every shard of `v` for the nodes that shard owns.
 pub fn inspect_shards(v: &VorxShardedSim) -> Vec<Part> {
     (0..v.n_shards())
         .map(|k| {
             let w = v.world(k);
-            let owned: Vec<NodeAddr> = (0..w.nodes.len() as u32)
-                .map(NodeAddr)
-                .filter(|&a| w.shard.owner(a) == k)
-                .collect();
-            inspect(&w, &owned)
+            inspect(&w, |a| w.shard.owner(a) == k)
         })
         .collect()
 }
@@ -170,16 +177,15 @@ pub fn violations(parts: &[Part], min_idle: usize) -> Vec<&'static str> {
     if !replicas_consistent(parts) {
         v.push(REPLICAS);
     }
-    if parts.iter().map(|p| p.mem_idle).sum::<usize>() < min_idle {
-        v.push(IDLE_MEMORY);
+    if parts.iter().map(|p| p.idle).sum::<usize>() < min_idle {
+        v.push(IDLE_OWNS_NOTHING);
     }
     v
 }
 
 /// All oracles over a sequential world, every node owned.
 pub fn check(w: &World, min_idle: usize) -> Vec<&'static str> {
-    let all: Vec<NodeAddr> = (0..w.nodes.len() as u32).map(NodeAddr).collect();
-    violations(&[inspect(w, &all)], min_idle)
+    violations(&[inspect(w, |_| true)], min_idle)
 }
 
 /// All oracles over a sharded machine, each shard owning its nodes.

@@ -46,7 +46,6 @@
 // unwrap freely.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
-pub mod accounting;
 pub mod alloc;
 pub mod api;
 pub mod appmgr;

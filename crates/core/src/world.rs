@@ -202,16 +202,6 @@ impl NodeTable {
         &mut self.nodes[self.slots[i] as usize]
     }
 
-    /// True iff node `i` has been written to (has real kernel state).
-    pub fn is_materialized(&self, i: usize) -> bool {
-        self.slots[i] != IDLE_SLOT
-    }
-
-    /// Number of nodes holding real kernel state.
-    pub fn materialized_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// All `len()` nodes in address order, idle stand-ins included.
     pub fn iter(&self) -> impl Iterator<Item = &Node> {
         (0..self.slots.len()).map(move |i| self.get(i))
@@ -322,8 +312,8 @@ macro_rules! node_tables {
             ("chan_ends", &$($m)? $w.chan_ends.index as &$($m)? dyn NodeRows),
             ("open_waits", &$($m)? $w.open_waits),
             ("ctl_unacked", &$($m)? $w.ctl_unacked),
-            ("tx_q", &$($m)? $w.tx_q),
-            ("orphans", &$($m)? $w.orphans),
+            ("tx_q", &$($m)? $w.tx_q.rows),
+            ("orphans", &$($m)? $w.orphans.rows),
             ("udcos", &$($m)? $w.udcos),
             ("syscall_waits", &$($m)? $w.syscall_waits),
             ("listeners", &$($m)? $w.listeners),
@@ -479,10 +469,19 @@ impl World {
     }
 
     /// Every world table keyed by node, by name: the one list
-    /// a crash's wipe empties of the node's rows and the
-    /// crashed-owns-nothing oracle ([`crate::invariants`]) reads.
+    /// a crash's wipe empties of the node's rows and
+    /// [`World::owns_nothing`] reads.
     pub fn tables(&self) -> [(&'static str, &dyn NodeRows); TABLES] {
         node_tables!(self)
+    }
+
+    /// True iff no world table ([`World::tables`]) holds a row of node
+    /// `a`: the node is idle if up and cold if down, and costs its
+    /// [`Node`] alone, or only its slot if never materialized. Every
+    /// write of a row materializes its node first, so a walk over
+    /// [`NodeTable::materialized`] finds every node owning something.
+    pub fn owns_nothing(&self, a: NodeAddr) -> bool {
+        self.tables().iter().all(|(_, t)| !t.holds(a))
     }
 
     /// Crash node `a`'s kernel: a [`Node::reborn`] takes its slot, and its

@@ -24,12 +24,16 @@ pub const HANDSHAKE_KEEP: usize = 16;
 /// No row: the end of a node's list.
 const NIL: u32 = u32::MAX;
 
-/// What a crash's wipe and the crashed-owns-nothing oracle
-/// ([`crate::invariants`]) ask of every world table, whatever its key and
-/// row.
+/// What a crash's wipe, [`crate::World::owns_nothing`] and the quiescence
+/// oracles ([`crate::invariants`]) ask of every world table, whatever its
+/// key and row.
 pub trait NodeRows {
     /// True iff the table holds a row of node `a`.
     fn holds(&self, a: NodeAddr) -> bool;
+    /// Rows node `a` holds.
+    fn count(&self, a: NodeAddr) -> usize;
+    /// Rows of every node.
+    fn rows(&self) -> usize;
     /// Drop every row of node `a`, in key order.
     fn drop_rows(&mut self, a: NodeAddr);
 }
@@ -365,6 +369,14 @@ impl<K: Ord + Hash + Clone, V> NodeRows for Table<K, V> {
         Table::holds(self, a)
     }
 
+    fn count(&self, a: NodeAddr) -> usize {
+        Table::count(self, a)
+    }
+
+    fn rows(&self) -> usize {
+        self.len
+    }
+
     fn drop_rows(&mut self, a: NodeAddr) {
         drop(self.wipe(a));
     }
@@ -375,7 +387,8 @@ impl<K: Ord + Hash + Clone, V> NodeRows for Table<K, V> {
 /// first and a push appends at once.
 #[derive(Debug)]
 pub struct Queue<V> {
-    rows: Table<u64, V>,
+    /// The rows, which [`crate::World::tables`] lists.
+    pub(super) rows: Table<u64, V>,
     pushed: u64,
 }
 
@@ -418,16 +431,6 @@ impl<V> Queue<V> {
     /// True iff node `a`'s queue holds a row.
     pub fn holds(&self, a: NodeAddr) -> bool {
         self.rows.holds(a)
-    }
-}
-
-impl<V> NodeRows for Queue<V> {
-    fn holds(&self, a: NodeAddr) -> bool {
-        Queue::holds(self, a)
-    }
-
-    fn drop_rows(&mut self, a: NodeAddr) {
-        self.rows.drop_rows(a);
     }
 }
 
@@ -503,7 +506,7 @@ mod tests {
         q.push(NodeAddr(1), 13);
         assert_eq!(q.of(NodeAddr(1)).copied().collect::<Vec<_>>(), [11, 13]);
         assert_eq!(q.pop(NodeAddr(2)), Some(20));
-        q.drop_rows(NodeAddr(2));
+        q.rows.drop_rows(NodeAddr(2));
         assert!(!q.holds(NodeAddr(2)) && q.holds(NodeAddr(1)));
     }
 }

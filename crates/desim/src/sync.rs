@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn a_waitset_is_no_bigger_than_its_ring_buffer() {
-        // Kernel tables hold many; `vorx`'s memory accountant sizes them.
+        // Kernel tables hold many: a `vorx` node keeps three.
         assert_eq!(
             std::mem::size_of::<WaitSet>(),
             std::mem::size_of::<VecDeque<ProcId>>()

@@ -9,9 +9,7 @@ use std::sync::{Arc, Mutex};
 use hpc_vorx::desim::{lock, FaultAction, FaultSchedule, LinkFaults, SimDuration, SimTime};
 use hpc_vorx::hpcnet::{Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::{self, ObjMgrMode};
-use hpc_vorx::vorx::{
-    accounting, channel, fault, invariants, proto, VorxBuilder, VorxError, World,
-};
+use hpc_vorx::vorx::{channel, fault, invariants, proto, VorxBuilder, VorxError, World};
 
 use proptest::prelude::*;
 
@@ -148,17 +146,15 @@ fn name_managed(w: &World, prefix: &str, pick: impl Fn(NodeAddr) -> bool) -> Str
         .expect("some name hashes there")
 }
 
-/// `node` holds no kernel state and no world table has a row for it.
+/// `node` is down and owns nothing: no world table has a row for it.
 fn assert_cold(w: &World, node: NodeAddr) {
-    let n = w.node(node);
-    assert!(!n.up);
-    assert_eq!(
-        accounting::node_mem_bytes(w, n),
-        accounting::idle_node_bytes()
+    assert!(!w.node(node).up);
+    let tables = w.tables().into_iter().filter(|(_, t)| t.holds(node));
+    let held: Vec<&str> = tables.map(|(name, _)| name).collect();
+    assert!(
+        w.owns_nothing(node),
+        "the crashed node holds rows in {held:?}"
     );
-    for (table, rows) in w.tables() {
-        assert!(!rows.holds(node), "{table} holds a row of the crashed node");
-    }
     let violated = invariants::check(w, 0);
     assert!(!violated.contains(&invariants::CRASHED_OWNS_NOTHING));
 }
@@ -169,8 +165,8 @@ fn assert_cold(w: &World, node: NodeAddr) {
 /// pending syscall, a UDCO, a multicast end and collective state; just
 /// after it, and still at the restart instant after processes on the down
 /// node called `try_open`, `listen`, `syscall`, `udco::register`,
-/// `multicast::join` and `mwrite`, the victim reads as a cold node and
-/// nothing it armed is left ticking.
+/// `multicast::join`, `mwrite` and every in-network collective, the victim
+/// reads as a cold node and nothing it armed is left ticking.
 #[test]
 fn crash_leaves_nothing_behind() {
     use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
@@ -313,6 +309,20 @@ fn crash_leaves_nothing_behind() {
         multicast::join(&ctx, V, 3);
         multicast::mwrite(&ctx, V, 3, vec![A], Payload::Synthetic(8));
     });
+    let late = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&late);
+    v.spawn("n3:late-coll", move |ctx| {
+        use hpc_vorx::hpcnet::combine::CombOp;
+        let c = collective::attach(&ctx, V, 1);
+        c.barrier(&ctx);
+        let got = [
+            c.reduce(&ctx, CombOp::Max, 5),
+            c.allreduce(&ctx, CombOp::Sum, 6),
+            c.fetch_add(&ctx, 7),
+        ];
+        lock(&sink).extend(got);
+        lock(&sink).extend(c.all_to_all(&ctx, 8));
+    });
 
     let restart = SimTime::from_ns(CRASH_NS + 10_000_000);
     v.sim.run_until(restart);
@@ -324,6 +334,9 @@ fn crash_leaves_nothing_behind() {
     );
     assert_cold(&v.world(), V);
     assert_eq!(v.world().faults.stats.retransmits, retransmits);
+    // Each collective returned its own operand; the all-to-all, V's value
+    // at V's index (0 in the group [V, A]).
+    assert_eq!(*lock(&late), [5, 6, 7, 8, 0]);
     let mut errs = lock(&errs).clone();
     errs.sort_by_key(|(tag, _)| *tag);
     assert_eq!(

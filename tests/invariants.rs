@@ -9,7 +9,7 @@
 
 use hpc_vorx::desim::{FaultSchedule, RunOutcome, SimTime};
 use hpc_vorx::hpcnet::{ClusterId, NetConfig, NodeAddr, Payload, Topology};
-use hpc_vorx::vorx::objmgr::name_hash;
+use hpc_vorx::vorx::objmgr::{self, name_hash};
 use hpc_vorx::vorx::{channel, fault, invariants, Name, VorxBuilder, VorxSim};
 
 const NONE: [&str; 0] = [];
@@ -80,6 +80,9 @@ fn a_healed_world_passes_every_oracle() {
 #[test]
 fn a_left_over_partition_mark_or_a_down_node_is_a_membership_violation() {
     let v = clean_world();
+    // A kernel write materializes its node first: the oracles walk the
+    // materialized nodes.
+    v.world().node_mut(NodeAddr(0));
     v.world().mbr.partitioned.insert(NodeAddr(0), 3, ());
     assert_eq!(invariants::check(&v.world(), 0), [invariants::MEMBERSHIP]);
     v.world().mbr.partitioned.remove(NodeAddr(0), &3);
@@ -219,9 +222,32 @@ fn buffering_past_the_configured_budget_is_a_byte_budget_violation() {
 #[test]
 fn fewer_idle_nodes_than_promised_is_an_idle_memory_violation() {
     let v = clean_world();
-    assert_eq!(invariants::check(&v.world(), 2), [invariants::IDLE_MEMORY]);
-    // The promise is about the accountant's baseline, not about the world's
-    // size: a bigger machine with the same traffic keeps it.
+    assert_eq!(
+        invariants::check(&v.world(), 2),
+        [invariants::IDLE_OWNS_NOTHING]
+    );
+    // A node whose only state is a collective row or a heartbeat RTT
+    // estimate is not idle.
+    let idle = NodeAddr(0);
+    v.world().node_mut(idle);
+    assert!(v.world().owns_nothing(idle));
+    v.world().coll.insert(idle, 9, Default::default());
+    assert_eq!(
+        invariants::check(&v.world(), 1),
+        [invariants::IDLE_OWNS_NOTHING]
+    );
+    v.world().coll.remove(idle, &9);
+    assert_eq!(invariants::check(&v.world(), 1), NONE);
+    v.world().mbr.peer_rtt.insert(idle, 3, Default::default());
+    assert!(!v.world().owns_nothing(idle));
+    assert_eq!(
+        invariants::check(&v.world(), 1),
+        [invariants::IDLE_OWNS_NOTHING]
+    );
+    v.world().mbr.peer_rtt.remove(idle, &3);
+    assert_eq!(invariants::check(&v.world(), 1), NONE);
+    // The promise is about the nodes the traffic leaves alone, not about
+    // the world's size: a bigger machine with the same traffic keeps it.
     let topo = Topology::incomplete_hypercube(2, 4).expect("valid");
     let mut big = VorxBuilder::with_topology(topo).build();
     spawn_rendezvous(
@@ -232,4 +258,31 @@ fn fewer_idle_nodes_than_promised_is_an_idle_memory_violation() {
     );
     big.run_all();
     assert_eq!(invariants::check(&big.world(), 4), NONE);
+    // Of eight nodes only 1 and 2 open a channel: they own rows, and every
+    // other node but the name's manager owns nothing.
+    let mut v = VorxBuilder::single_cluster(8).build();
+    v.spawn("n1:w", |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(1), "acct");
+        ch.write(&ctx, Payload::copy_from(b"hello")).unwrap();
+    });
+    v.spawn("n2:r", |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(2), "acct");
+        ch.read(&ctx).unwrap();
+    });
+    v.run_all();
+    let w = v.world();
+    let mgr = objmgr::manager_for(&w, "acct");
+    let busy: Vec<u32> = (0..8).filter(|&a| !w.owns_nothing(NodeAddr(a))).collect();
+    assert!(busy.contains(&1) && busy.contains(&2), "{busy:?}");
+    assert!(
+        busy.iter().all(|&a| a == 1 || a == 2 || a == mgr.0),
+        "{busy:?}"
+    );
+    let idle = 8 - busy.len();
+    assert!(idle >= 5);
+    assert_eq!(invariants::check(&w, idle), NONE);
+    assert_eq!(
+        invariants::check(&w, idle + 1),
+        [invariants::IDLE_OWNS_NOTHING]
+    );
 }

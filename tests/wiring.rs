@@ -13,15 +13,16 @@ mod alloc_meter;
 /// The 100k-endpoint world of the scale campaign, on its eight shards. Each
 /// shard once held a whole-machine fabric and topology (about 450 MB of RSS for
 /// the eight); now the heap the build leaves behind, topology included, is
-/// bounded by what every shard must index per endpoint. Measured: 47.2 MB
+/// bounded by what every shard must index per endpoint. Measured: 44.1 MB
 /// (72.2 MB while each shard's processor pool kept a slot per endpoint,
 /// 84.7 MB while each fabric also kept two per-endpoint frame tallies).
+/// Run idle, the world faults in no node and every endpoint owns nothing.
 #[test]
 fn sharded_100k_build_holds_at_most_52_mb() {
     let before = alloc_meter::live_bytes();
     let topo = Topology::hierarchical_hypercube(&[64, 20, 20], 4).unwrap();
     assert_eq!(topo.n_endpoints(), 102_400);
-    let v = VorxBuilder::with_topology(topo).shards(8).build_sharded(1);
+    let mut v = VorxBuilder::with_topology(topo).shards(8).build_sharded(1);
     let live = alloc_meter::live_bytes() - before;
     assert_eq!(v.n_shards(), 8);
     let built: usize = (0..8).map(|k| v.world(k).net.materialized_links()).sum();
@@ -29,6 +30,12 @@ fn sharded_100k_build_holds_at_most_52_mb() {
     let mb = live as f64 / f64::from(1 << 20);
     println!("the 8-shard 100k build holds {mb:.1} MB live");
     assert!(mb <= 52.0, "the 8-shard 100k build holds {mb:.1} MB live");
+
+    v.run();
+    let materialized = v.sum_over_shards(|w| w.nodes.materialized().count() as u64);
+    assert_eq!(materialized, 0, "an idle world faults in no kernel");
+    let idle: usize = invariants::inspect_shards(&v).iter().map(|p| p.idle).sum();
+    assert_eq!(idle, 102_400, "every endpoint owns nothing");
 }
 
 /// Every endpoint of the 1024-endpoint `[8, 16] x 8` world writes to the
