@@ -10,7 +10,7 @@ cargo build --release --workspace
 echo "==> cargo test (every sharded test names its own worker counts)"
 cargo test --workspace -q
 
-echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (no cancel flag allocated per timer), 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, <= 79 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.082 per try_open, <= 1.1 x 12.13 per node (unoptimised) for a 512-endpoint world opening one stream per node, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
+echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (no cancel flag allocated per timer), 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, <= 73 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.082 per try_open, <= 1.1 x 6.53 per node (unoptimised) for a 512-endpoint world opening one stream per node, 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
 cargo test -q --test event_storage --test retry_chain --test datapath_alloc --test spsc_reuse --test topology_alloc --test trace_merge_alloc
 
 echo "==> shard build memory, optimised build (an 8-shard build of the 100k-endpoint world holds <= 52 MB live: one wiring shared by every shard, link state built on first touch; run idle, it materializes no node and every endpoint owns nothing; a dense 1024-endpoint run builds <= 1/4 of the links on any shard; untouched links read idle)"

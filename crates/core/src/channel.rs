@@ -40,11 +40,17 @@
 //! | shared by both modes | where |
 //! |---|---|
 //! | in-flight set (fragments kept until acked) | [`WinTx::inflight`] |
+//! | received messages awaiting `read`, each with the credit it holds | [`ChanEnd::rx`] |
 //! | the retry chain and busy grants | [`WinTx`] |
 //! | the one retransmit timer: a [`crate::retry`] chain | `TxRetry` |
 //! | the one retransmission loop | `retransmit_inflight` |
 //! | give-up → `peer_down` or heartbeat probe | `TxRetry::give_up` |
 //! | pause / resume / wipe | `pause_tx`, `resume_tx`, `clear_tx` |
+//!
+//! Both queues of every end of a world share one slab each, in the world's
+//! [`ChanSlab`]: an end's first message or fragment takes a free slot
+//! rather than a buffer of its own, and a crash wipe hands the slots of the
+//! ends it removes back.
 //!
 //! | per mode (Table 1 has a row for each) | stop-and-wait | windowed |
 //! |---|---|---|
@@ -56,7 +62,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
-use desim::{sync::WaitSet, Wakeup};
+use desim::{sync::WaitSet, Fifo, Slots, Wakeup};
 use hpcnet::{Frame, NodeAddr, Payload, MAX_PAYLOAD};
 
 use crate::api;
@@ -83,10 +89,10 @@ pub type ChanResult<T> = Result<T, ChanError>;
 /// budget again.
 const MAX_BUSY_GRANTS: u32 = 64;
 
-/// Drop all outstanding transmit state and disarm its timer (ack received,
-/// peer closed/down, failed write, or crash cleanup).
-pub(crate) fn clear_tx(end: &mut ChanEnd) {
-    end.win.inflight.clear();
+/// Drop all outstanding transmit state, returning its fragments' slots to
+/// `q`, and disarm its timer (ack received, peer closed/down, failed write).
+pub(crate) fn clear_tx(end: &mut ChanEnd, q: &mut Queues) {
+    q.inflight.clear(&mut end.win.inflight);
     end.win.busy_grants = 0;
     end.win.chain.restart();
 }
@@ -141,11 +147,11 @@ pub(crate) fn mark_peer_down(w: &mut World, s: &mut VSched, node: NodeAddr, peer
 /// its transmit state and wake its blocked callers, which observe
 /// [`ChanError::PeerDown`]. Once per end; a gone end is a no-op.
 pub(crate) fn set_peer_down(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
-    let Some(end) = w.chan_mut(node, chan).filter(|e| !e.peer_down) else {
+    let Some((end, q)) = w.chan_queues(node, chan).filter(|(e, _)| !e.peer_down) else {
         return;
     };
     end.peer_down = true;
-    clear_tx(end);
+    clear_tx(end, q);
     end.wake_all(s);
     w.faults.stats.peer_down_events += 1;
 }
@@ -247,11 +253,13 @@ impl PayloadAsm {
 /// `ChannelConfig::window` fragments here; a stop-and-wait end at most one.
 #[derive(Debug, Default)]
 pub struct WinTx {
-    /// Unacked fragments, oldest first, kept for retransmission. Fragment
-    /// numbers are handed out consecutively and leave only from the front
-    /// (cumulative ack) or all at once (`clear_tx`), so this is always a
-    /// contiguous run: fragment `n` sits at index `n − front`.
-    pub inflight: VecDeque<WinFrag>,
+    /// Unacked fragments, oldest first, kept for retransmission: a queue
+    /// in the world's [`ChanSlab`] ([`ChanSlab::inflight`] reads it).
+    /// Fragment numbers are handed out
+    /// consecutively and leave only from the front (cumulative ack) or all
+    /// at once (`clear_tx`), so this is always a contiguous run: fragment
+    /// `n` sits at index `n − front`.
+    pub inflight: Fifo,
     /// Highest fragment number the receiver has granted credit for
     /// (cumulative ack + advertised credit, monotonic; windowed only). A
     /// writer whose window is otherwise empty may send one fragment past
@@ -268,26 +276,27 @@ pub struct WinTx {
 
 impl WinTx {
     /// Accept a freshly numbered fragment into the in-flight set.
-    fn push(&mut self, frame: Frame, now_ns: u64) {
+    fn push(&mut self, slots: &mut Slots<WinFrag>, frame: Frame, now_ns: u64) {
         debug_assert!(
-            self.inflight
-                .back()
+            slots
+                .back(&self.inflight)
                 .is_none_or(|b| b.frag() + 1 == proto::seq_frag(frame.seq)),
             "in-flight fragment numbers must stay a contiguous run"
         );
-        self.inflight.push_back(WinFrag {
+        let frag = WinFrag {
             frame,
             sacked: false,
             sent_ns: now_ns,
             rexmit: false,
-        });
+        };
+        slots.push_back(&mut self.inflight, frag);
     }
 
     /// The in-flight fragment numbered `frag`; `None` below the front or
-    /// past the tail.
-    fn get_mut(&mut self, frag: u32) -> Option<&mut WinFrag> {
-        let front = self.inflight.front()?.frag();
-        self.inflight.get_mut(frag.checked_sub(front)? as usize)
+    /// past the tail. Walks at most the window's W slots.
+    fn get_mut<'q>(&self, slots: &'q mut Slots<WinFrag>, frag: u32) -> Option<&'q mut WinFrag> {
+        let front = slots.front(&self.inflight)?.frag();
+        slots.get_mut(&self.inflight, frag.checked_sub(front)? as usize)
     }
 
     /// The receiver said "full", not the network "lost": restart the chain
@@ -337,9 +346,6 @@ pub struct WinRx {
     /// Fragments whose side-buffer copy charge is in flight; duplicates
     /// arriving mid-copy are dropped.
     pub copying: BTreeSet<u32>,
-    /// Fragment count of each queued `rx` message, popped in lockstep by
-    /// `ChanEnd::pop_rx` to release the credit those fragments held.
-    pub rx_frag_counts: VecDeque<u32>,
     /// Fragments committed but not yet consumed by a reader (in `asm` or in
     /// queued `rx` messages); they hold credit.
     pub held: u32,
@@ -357,8 +363,9 @@ pub struct ChanEnd {
     pub name: Name,
     /// The other end's node.
     pub peer: NodeAddr,
-    /// Complete received messages awaiting `read` (kernel side buffers).
-    pub rx: VecDeque<Payload>,
+    /// Complete received messages awaiting `read` (kernel side buffers): a
+    /// queue in the world's [`ChanSlab`].
+    pub rx: Fifo,
     /// Partial message being reassembled.
     pub asm: PayloadAsm,
     /// Fragments received while the side buffers were full; their acks are
@@ -417,8 +424,9 @@ pub struct ChanEnd {
     pub rto_backoff: u32,
 }
 
-// One channel end, one slot of its world's `ChanSlab`: 432 bytes.
-const _: () = assert!(size_of::<ChanEnd>() <= 432);
+// One channel end, one slot of its world's `ChanSlab`: 360 bytes (432 while
+// `rx`, `inflight` and the credit counts were `VecDeque`s of their own).
+const _: () = assert!(size_of::<ChanEnd>() <= 360);
 
 impl ChanEnd {
     fn new(id: u32, name: Name, peer: NodeAddr, cfg: ChannelConfig) -> Self {
@@ -432,7 +440,7 @@ impl ChanEnd {
             id,
             name,
             peer,
-            rx: VecDeque::new(),
+            rx: Fifo::default(),
             asm: PayloadAsm::default(),
             deferred: VecDeque::new(),
             rx_waiters: WaitSet::new(),
@@ -486,14 +494,10 @@ impl ChanEnd {
 
     /// Pop the next complete message, releasing the credit its fragments
     /// held (windowed mode; a no-op beyond the pop for stop-and-wait).
-    pub(crate) fn pop_rx(&mut self) -> Option<Payload> {
-        let p = self.rx.pop_front();
-        if p.is_some() {
-            if let Some(n) = self.winrx.rx_frag_counts.pop_front() {
-                self.winrx.held = self.winrx.held.saturating_sub(n);
-            }
-        }
-        p
+    pub(crate) fn pop_rx(&mut self, q: &mut Queues) -> Option<Payload> {
+        let m = q.rx.pop_front(&mut self.rx)?;
+        self.winrx.held = self.winrx.held.saturating_sub(m.frags);
+        Some(m.payload)
     }
 
     /// Receiver fragment-buffer slots currently free (the credit grant).
@@ -504,14 +508,35 @@ impl ChanEnd {
     }
 }
 
-/// Channel ends per chunk of a [`ChanSlab`]: 64 × 432 B, 27 KiB.
+/// Channel ends per chunk of a [`ChanSlab`]: 64 × 360 B, 22.5 KiB.
 const SLAB_CHUNK: usize = 64;
+
+/// A complete received message queued at its end, with the fragments it
+/// holds credit for until a reader takes it (windowed; 0 for stop-and-wait).
+#[derive(Debug)]
+struct RxMsg {
+    payload: Payload,
+    frags: u32,
+}
+
+/// The queued items of every channel end of one [`World`]: one slab per
+/// queue kind, each end's queue a [`Fifo`] into it. An end's first message
+/// or fragment takes a free slot, so a first-used end allocates nothing
+/// once the world's slabs have grown to its traffic's high-water mark.
+#[derive(Debug, Default)]
+pub(crate) struct Queues {
+    /// Every end's received messages ([`ChanEnd::rx`]).
+    rx: Slots<RxMsg>,
+    /// Every end's unacked fragments ([`WinTx::inflight`]).
+    inflight: Slots<WinFrag>,
+}
 
 /// Every channel end of one [`World`], in one table, and the world table
 /// that names each node's: `(node, channel id)` → slot. The slots grow a
 /// chunk of `SLAB_CHUNK` at a time, so growing them never moves an end or
 /// leaves a freed copy behind. A slot freed by a crash wipe is reused by
-/// the next end created.
+/// the next end created. The ends' queued messages and fragments live here
+/// too, one slab per kind of queue.
 #[derive(Debug, Default)]
 pub struct ChanSlab {
     chunks: Vec<Box<[Option<ChanEnd>]>>,
@@ -520,6 +545,8 @@ pub struct ChanSlab {
     free: Vec<u32>,
     /// Each node's ends: their slots, by node and channel id.
     pub(crate) index: Table<u32, u32>,
+    /// The ends' queued messages and fragments.
+    queues: Queues,
 }
 
 impl ChanSlab {
@@ -541,9 +568,14 @@ impl ChanSlab {
         &mut self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK]
     }
 
+    /// Take the end in `slot` off the slab, its queued items dropped and
+    /// their slots returned.
     fn remove(&mut self, slot: u32) -> ChanEnd {
         self.free.push(slot);
-        self.entry(slot).take().expect("a live slot")
+        let mut end = self.entry(slot).take().expect("a live slot");
+        self.queues.rx.clear(&mut end.rx);
+        self.queues.inflight.clear(&mut end.win.inflight);
+        end
     }
 
     fn get(&self, slot: u32) -> &ChanEnd {
@@ -552,8 +584,26 @@ impl ChanSlab {
         end.as_ref().expect("a live slot")
     }
 
-    fn get_mut(&mut self, slot: u32) -> &mut ChanEnd {
-        self.entry(slot).as_mut().expect("a live slot")
+    fn get_mut(&mut self, slot: u32) -> (&mut ChanEnd, &mut Queues) {
+        let slot = slot as usize;
+        let end = &mut self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK];
+        (end.as_mut().expect("a live slot"), &mut self.queues)
+    }
+
+    /// The in-flight fragments of `end`, one of this slab's ends, oldest
+    /// first.
+    pub fn inflight<'a>(&'a self, end: &ChanEnd) -> impl Iterator<Item = &'a WinFrag> + 'a {
+        self.queues.inflight.iter(&end.win.inflight)
+    }
+
+    /// True iff the live ends' queues own every occupied queue slot: no
+    /// slot outlived its end ([`crate::invariants::QUEUE_SLOTS`]).
+    pub fn slots_owned(&self) -> bool {
+        let ends = self.chunks.iter().flat_map(|c| c.iter().flatten());
+        let (rx, inflight) = ends.fold((0, 0), |(rx, fl), e| {
+            (rx + e.rx.len(), fl + e.win.inflight.len())
+        });
+        rx == self.queues.rx.occupied() && inflight == self.queues.inflight.occupied()
     }
 
     /// Node `a`'s channel ends, by channel id.
@@ -588,6 +638,16 @@ impl World {
     /// Mutable [`World::chan`]; materializes node `a`, as
     /// [`World::node_mut`] does.
     pub fn chan_mut(&mut self, a: NodeAddr, id: u32) -> Option<&mut ChanEnd> {
+        self.chan_queues(a, id).map(|(end, _)| end)
+    }
+
+    /// [`World::chan_mut`] with the queues its `rx` and `inflight` handles
+    /// point into.
+    pub(crate) fn chan_queues(
+        &mut self,
+        a: NodeAddr,
+        id: u32,
+    ) -> Option<(&mut ChanEnd, &mut Queues)> {
         self.node_mut(a);
         let slot = *self.chan_ends.index.get(a, &id)?;
         Some(self.chan_ends.get_mut(slot))
@@ -677,7 +737,7 @@ pub(crate) fn fragment(payload: Payload) -> impl Iterator<Item = (Payload, bool)
 /// guards the set. The single entry into the transmit state for both modes.
 fn transmit_frag(w: &mut World, s: &mut VSched, h: ChannelHandle, payload: Payload, last: bool) {
     let now_ns = s.now().as_ns();
-    let end = w.chan_mut(h.node, h.id).expect("caller holds the end");
+    let (end, q) = w.chan_queues(h.node, h.id).expect("caller holds the end");
     end.msgs_tx += 1;
     let kind = if last {
         proto::KIND_CHAN_DATA_LAST
@@ -686,11 +746,7 @@ fn transmit_frag(w: &mut World, s: &mut VSched, h: ChannelHandle, payload: Paylo
     };
     let seq = proto::chan_seq(h.id, end.msgs_tx as u32);
     let f = Frame::unicast(h.node, h.peer, kind, seq, payload);
-    if end.win.inflight.capacity() == 0 {
-        // One buffer per writing end for its lifetime, sized to the window.
-        end.win.inflight.reserve_exact(end.cfg.window as usize);
-    }
-    end.win.push(f.clone(), now_ns);
+    end.win.push(&mut q.inflight, f.clone(), now_ns);
     let arm = end.win.chain.timer.is_none();
     kernel::send_frame(w, s, f);
     if arm {
@@ -738,20 +794,20 @@ impl ChannelHandle {
             });
             pre?;
             let acked = ctx.wait_until(move |w, s| {
-                let outcome = match w.chan_mut(h.node, h.id) {
+                let outcome = match w.chan_queues(h.node, h.id) {
                     None => Some(Err(ChanError::NodeDown)),
-                    Some(end) => {
+                    Some((end, q)) => {
                         if end.ack_ready {
                             end.ack_ready = false;
                             end.writer_blocked = false;
                             Some(Ok(()))
                         } else if end.closed_remote {
                             end.writer_blocked = false;
-                            clear_tx(end);
+                            clear_tx(end, q);
                             Some(Err(ChanError::PeerClosed))
                         } else if end.peer_down {
                             end.writer_blocked = false;
-                            clear_tx(end);
+                            clear_tx(end, q);
                             Some(Err(ChanError::PeerDown))
                         } else if end.partitioned {
                             // The write failed; its fragment must not linger
@@ -761,7 +817,7 @@ impl ChannelHandle {
                             // it (or, if the data crossed before the cut,
                             // acks the retry as a duplicate).
                             end.writer_blocked = false;
-                            clear_tx(end);
+                            clear_tx(end, q);
                             end.msgs_tx -= 1;
                             Some(Err(ChanError::Partitioned))
                         } else {
@@ -878,7 +934,7 @@ impl ChannelHandle {
         let mut blocked = false;
         let outcome = ctx.wait_until(move |w, s| {
             let now = s.now();
-            let Some(end) = w.chan_mut(h.node, h.id) else {
+            let Some((end, q)) = w.chan_queues(h.node, h.id) else {
                 // The node crashed out from under us; the wake that
                 // delivered us here came from the crash cleanup.
                 if blocked {
@@ -887,7 +943,7 @@ impl ChannelHandle {
                 return Some((Err(ChanError::NodeDown), blocked));
             };
             // Buffered messages outlive a close or a lost peer.
-            let outcome = match end.pop_rx() {
+            let outcome = match end.pop_rx(q) {
                 Some(p) => Ok(p),
                 None => match end.broken() {
                     Some(e) => Err(e),
@@ -988,7 +1044,7 @@ impl ChannelHandle {
 pub fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let chan = proto::seq_chan(f.seq);
-    let Some(end) = w.chan_mut(node, chan) else {
+    let Some((end, q)) = w.chan_queues(node, chan) else {
         // Close may race the open reply; stash like data frames. (A
         // retransmitted close after a crash wiped the end lands here too
         // and is dropped with the orphan list if the end never reappears.)
@@ -999,7 +1055,7 @@ pub fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         return; // duplicate close (our ack was lost)
     }
     end.closed_remote = true;
-    clear_tx(end);
+    clear_tx(end, q);
     // Wake everyone so blocked reads/writes observe the close.
     end.wake_all(s);
 }
@@ -1037,14 +1093,14 @@ pub fn read_any(
         let now = s.now();
         let mut all_closed = true;
         for (i, h) in hs.iter().enumerate() {
-            let Some(end) = w.chan_mut(h.node, h.id) else {
+            let Some((end, q)) = w.chan_queues(h.node, h.id) else {
                 // Our node crashed and wiped the channels.
                 if blocked {
                     w.unblock(now, node, BlockReason::Input);
                 }
                 return Some((Err(ChanError::NodeDown), blocked));
             };
-            if let Some(p) = end.pop_rx() {
+            if let Some(p) = end.pop_rx(q) {
                 if blocked {
                     end.reader_blocked = false;
                     w.unblock(now, node, BlockReason::Input);
@@ -1239,14 +1295,14 @@ fn commit_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last
     let src = f.src;
     let seq = f.seq;
     {
-        let Some(end) = w.chan_mut(node, chan) else {
+        let Some((end, q)) = w.chan_queues(node, chan) else {
             return; // the node crashed while the copy charge was in flight
         };
         end.accepting = None;
         end.rx_next_frag = proto::seq_frag(seq) + 1;
         if last {
-            let msg = end.asm.finish(f.payload);
-            end.rx.push_back(msg);
+            let payload = end.asm.finish(f.payload);
+            q.rx.push_back(&mut end.rx, RxMsg { payload, frags: 0 });
             end.msgs_rx += 1;
             end.rx_waiters.wake_all(s, Wakeup::START);
         } else {
@@ -1264,13 +1320,13 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
     let now_ns = s.now().as_ns();
     let gray = w.faults.gray_armed;
-    let Some(end) = w.chan_mut(node, chan) else {
+    let Some((end, q)) = w.chan_queues(node, chan) else {
         return; // crash or close raced the ack
     };
     if end.cfg.window > 1 {
         return; // defensive: windowed ends never use this kind
     }
-    let Some(fr) = end.win.inflight.front() else {
+    let Some(fr) = q.inflight.front(&end.win.inflight) else {
         return; // duplicate ack for an already-acknowledged fragment
     };
     if fr.frag() != proto::seq_frag(f.seq) {
@@ -1283,7 +1339,7 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         end.rtt.sample(rtt);
         end.rto_backoff = 0;
     }
-    clear_tx(end);
+    clear_tx(end, q);
     end.ack_ready = true;
     end.tx_wait.wake_all(s, Wakeup::START);
 }
@@ -1294,12 +1350,11 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// stop-and-wait spelling of [`on_wack`]'s zero-credit branch.
 pub fn on_busy(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
-    let Some(end) = w.chan_mut(node, chan) else {
+    let Some((end, q)) = w.chan_queues(node, chan) else {
         return;
     };
-    if end.cfg.window > 1
-        || end.win.inflight.front().map(WinFrag::frag) != Some(proto::seq_frag(f.seq))
-    {
+    let front = q.inflight.front(&end.win.inflight).map(WinFrag::frag);
+    if end.cfg.window > 1 || front != Some(proto::seq_frag(f.seq)) {
         return; // stale: already acked
     }
     if end.win.grant_busy() {
@@ -1388,7 +1443,7 @@ fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
     let chan = proto::seq_chan(f.seq);
     let frag = proto::seq_frag(f.seq);
     {
-        let Some(end) = w.chan_mut(node, chan) else {
+        let Some((end, q)) = w.chan_queues(node, chan) else {
             return; // the node crashed while the copy charge was in flight
         };
         if !end.winrx.copying.remove(&frag) {
@@ -1403,9 +1458,8 @@ fn commit_win_fragment(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, 
             end.winrx.held += 1;
             if l {
                 let frags = end.asm.frags() as u32 + 1;
-                let msg = end.asm.finish(p);
-                end.rx.push_back(msg);
-                end.winrx.rx_frag_counts.push_back(frags);
+                let payload = end.asm.finish(p);
+                q.rx.push_back(&mut end.rx, RxMsg { payload, frags });
                 end.msgs_rx += 1;
                 end.rx_waiters.wake_all(s, Wakeup::START);
             } else {
@@ -1471,7 +1525,7 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let now_ns = s.now().as_ns();
     let gray = w.faults.gray_armed;
     let rearm = {
-        let Some(end) = w.chan_mut(node, chan) else {
+        let Some((end, q)) = w.chan_queues(node, chan) else {
             return; // crash or close raced the ack
         };
         if end.cfg.window <= 1 {
@@ -1484,7 +1538,10 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         // ack, so their elapsed time overestimates the path).
         let before = end.win.inflight.len();
         let mut rtt_sample = None;
-        while let Some(fr) = end.win.inflight.pop_front_if(|fr| fr.frag() <= cum) {
+        while let Some(fr) = q
+            .inflight
+            .pop_front_if(&mut end.win.inflight, |fr| fr.frag() <= cum)
+        {
             if gray && !fr.rexmit {
                 rtt_sample = Some(now_ns.saturating_sub(fr.sent_ns));
             }
@@ -1500,7 +1557,7 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         let mut sacked_new = false;
         for i in 0..32u32 {
             if sack & (1 << i) != 0 {
-                if let Some(fr) = end.win.get_mut(cum.saturating_add(1 + i)) {
+                if let Some(fr) = end.win.get_mut(&mut q.inflight, cum.saturating_add(1 + i)) {
                     if !fr.sacked {
                         fr.sacked = true;
                         sacked_new = true;
@@ -1547,8 +1604,8 @@ pub fn on_wack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// the end around each `send_frame`, so no frame list is built.
 fn retransmit_inflight(w: &mut World, s: &mut VSched, node: NodeAddr, chan: u32) {
     for i in 0.. {
-        let end = w.chan_mut(node, chan);
-        let Some(fr) = end.and_then(|end| end.win.inflight.get_mut(i)) else {
+        let end = w.chan_queues(node, chan);
+        let Some(fr) = end.and_then(|(end, q)| q.inflight.get_mut(&end.win.inflight, i)) else {
             return;
         };
         if fr.sacked {

@@ -259,6 +259,22 @@ enum Engine {
     },
 }
 
+/// The longest tree-edge channel name: `coll`, a `u32` group, `.e` and a
+/// `usize` member index.
+const EDGE_NAME_MAX: usize = 4 + 10 + 2 + 20;
+
+/// The channel name of the tree edge into member `child` of `group`,
+/// formatted into `buf` rather than onto the heap. A name of up to
+/// [`crate::objmgr::Name::INLINE`] bytes — every group and member index
+/// below 10⁸ — then costs the open no allocation at all.
+fn edge_name(buf: &mut [u8; EDGE_NAME_MAX], group: u32, child: usize) -> &str {
+    use std::io::Write;
+    let mut rest = &mut buf[..];
+    write!(rest, "coll{group}.e{child}").expect("an edge name fits EDGE_NAME_MAX");
+    let len = EDGE_NAME_MAX - rest.len();
+    std::str::from_utf8(&buf[..len]).expect("formatted as UTF-8")
+}
+
 /// Attach to a registered group from a member process running on `node`.
 /// For a software-tree group this opens the tree channels (blocking until
 /// the tree peers attach too); in-network groups attach instantly.
@@ -280,12 +296,13 @@ pub fn attach(ctx: &VCtx, node: NodeAddr, group: u32) -> Collective {
             // parent's matching open always finds it), then child edges in
             // ascending order.
             let r = radix as usize;
-            let parent =
-                (idx > 0).then(|| channel::open(ctx, node, &format!("coll{group}.e{idx}")));
+            let mut buf = [0; EDGE_NAME_MAX];
+            let mut open_edge = |c| channel::open(ctx, node, edge_name(&mut buf, group, c));
+            let parent = (idx > 0).then(|| open_edge(idx));
             let children = (1..=r)
                 .map(|k| idx * r + k)
                 .filter(|&c| c < cfg.members.len())
-                .map(|c| channel::open(ctx, node, &format!("coll{group}.e{c}")))
+                .map(open_edge)
                 .collect();
             Engine::Software { parent, children }
         }
@@ -1010,6 +1027,21 @@ mod tests {
     use super::*;
     use crate::world::VorxBuilder;
     use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn edge_names_format_on_the_stack_as_format_would() {
+        let mut buf = [0; EDGE_NAME_MAX];
+        for (g, c) in [
+            (0, 0),
+            (7, 511),
+            (99_999_999, 99_999_999),
+            (u32::MAX, usize::MAX),
+        ] {
+            assert_eq!(edge_name(&mut buf, g, c), format!("coll{g}.e{c}"));
+        }
+        let name = edge_name(&mut buf, 99_999_999, 99_999_999);
+        assert_eq!(name.len(), crate::objmgr::Name::INLINE);
+    }
 
     fn group(members: &[u32], mode: CollMode) -> GroupCfg {
         GroupCfg {

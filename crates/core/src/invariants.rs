@@ -33,10 +33,16 @@
 //! * [`PENDING_SERVED`] — no manager keeps an opener waiting on a name it
 //!   has a server registered for (registering connects the waiting opener);
 //! * [`IDLE_OWNS_NOTHING`] — at least the expected number of owned nodes
-//!   own nothing.
+//!   own nothing;
+//! * [`QUEUE_SLOTS`] — the live channel ends' `rx` and `inflight` queues
+//!   own every occupied slot of their world's slabs
+//!   ([`crate::channel::ChanSlab::slots_owned`]): a crash wipe returned
+//!   every slot of the ends it removed, and an ack or a wipe of the
+//!   transmit state every slot of the fragments it let go.
 //!
 //! A node owning something is materialized, so each oracle walks the
-//! materialized nodes alone: O(active nodes), not O(endpoints).
+//! materialized nodes alone: O(active nodes), not O(endpoints). The slot
+//! count walks the world's live channel ends, which only such nodes hold.
 
 use desim::FixedSet;
 use hpcnet::{ClusterId, LinkId, NodeAddr};
@@ -62,6 +68,8 @@ pub const PENDING_SERVED: &str = "pending-beside-server";
 pub const IDLE_OWNS_NOTHING: &str = "idle-owns-nothing";
 /// A down node holds a row in some world table.
 pub const CRASHED_OWNS_NOTHING: &str = "crashed-owns-nothing";
+/// A channel queue slot is occupied that no live end's queue holds.
+pub const QUEUE_SLOTS: &str = "queue-slots-owned";
 
 /// What one world — a whole sequential world, or one shard of a sharded
 /// one — shows at quiescence for the nodes it owns. Built under one short
@@ -97,6 +105,9 @@ fn inspect(w: &World, owned: impl Fn(NodeAddr) -> bool) -> Part {
     }
     if (0..net.topology().n_clusters() as u32).any(|c| net.cluster_data_bytes(ClusterId(c)) != 0) {
         local.push(UNDRAINED_SWITCH);
+    }
+    if !w.chan_ends.slots_owned() {
+        local.push(QUEUE_SLOTS);
     }
     let rows_of = |a| w.tables().iter().map(|(_, t)| t.count(a)).sum::<usize>();
     debug_assert_eq!(

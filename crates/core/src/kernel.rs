@@ -87,22 +87,31 @@ fn bridge(w: &mut World, s: &mut VSched, frame: Frame) -> Option<Frame> {
             bridge_one(w, now, ser, d, frame);
         }
         Dest::Multicast(ts) => {
-            let (local, remote): (Vec<NodeAddr>, Vec<NodeAddr>) =
-                ts.iter().partition(|t| !w.shard.is_remote(**t));
-            if remote.is_empty() {
-                return Some(frame);
-            }
-            for t in remote {
+            // One pass bridges the remote copies in target order and counts
+            // the local targets; no list is built unless both kinds occur.
+            let mut local = 0;
+            for &t in ts.iter() {
+                if !w.shard.is_remote(t) {
+                    local += 1;
+                    continue;
+                }
                 let mut copy = frame.clone();
                 copy.dst = Dest::Unicast(t);
                 bridge_one(w, now, ser, t, copy);
             }
-            if !local.is_empty() {
+            if local == ts.len() {
+                return Some(frame);
+            }
+            if local > 0 {
                 // Mixed multicast: the local copies serialize through the
                 // fabric (which owns the register for the duration); the
                 // remote copies ride the bridge at no extra register cost.
+                // The local list is collected at its exact size (`Map<Range>`
+                // is `TrustedLen`: one allocation).
+                let mut it = ts.iter().copied().filter(|t| !w.shard.is_remote(*t));
+                let list = (0..local).map(|_| it.next().expect("counted")).collect();
                 let mut f = frame;
-                f.dst = Dest::Multicast(local.into());
+                f.dst = Dest::Multicast(list);
                 return Some(f);
             }
         }

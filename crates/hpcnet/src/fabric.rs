@@ -43,12 +43,11 @@
 //! untouched link costs one 4-byte slot, so a fabric pays for the part of
 //! the machine its traffic reaches, not for the machine.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-use desim::FixedMap;
+use desim::{Fifo, FixedMap, Slots};
 
 use crate::config::{
     NetConfig, CLUSTER_PORT_SLOTS, COMB_ALU_NS, ENDPOINT_RX_SLOTS, HOP_LATENCY_NS,
@@ -127,8 +126,9 @@ struct Link {
     rr: u8,
     /// Slot in `Fabric::mcast` while `head == HEAD_MCAST`.
     mc: u32,
-    /// Frames fully arrived at the `to` side, awaiting forwarding/drain.
-    buf: VecDeque<Frame>,
+    /// Frames fully arrived at the `to` side, awaiting forwarding/drain:
+    /// a queue in `Fabric::frames`.
+    buf: Fifo,
     /// Slots claimed by in-flight frames (reserved at transmission start —
     /// this reservation *is* the hardware flow control).
     reserved: u32,
@@ -157,7 +157,7 @@ impl Link {
             head: HEAD_NONE,
             rr: 0,
             mc: 0,
-            buf: VecDeque::new(),
+            buf: Fifo::default(),
             reserved: 0,
             cap,
             depth_hwm: 0,
@@ -429,6 +429,9 @@ pub struct Fabric {
     cfg: NetConfig,
     topo: Topology,
     links: Links,
+    /// The buffered frames of every link, each link's `buf` a queue here:
+    /// a touched link costs its entry, a buffered frame a slot.
+    frames: Slots<Frame>,
     /// Per-cluster incoming link at each port; port order is the
     /// (deterministic) arbitration order. Shared with the siblings.
     port_in: Arc<PortLinks>,
@@ -619,6 +622,7 @@ impl Fabric {
             cfg,
             topo,
             links,
+            frames: Slots::default(),
             port_in,
             port_out,
             want: vec![[0; PORTS_PER_CLUSTER]; n_clusters],
@@ -955,7 +959,7 @@ impl Fabric {
 
     /// Peek at the head of an endpoint's receive FIFO.
     pub fn rx_peek(&self, node: NodeAddr) -> Option<&Frame> {
-        self.links[down_link(node)].buf.front()
+        self.frames.front(&self.links[down_link(node)].buf)
     }
 
     /// Software drains one frame from the endpoint's receive FIFO, freeing

@@ -13,7 +13,8 @@
 //! keys the change may have unblocked. [`Fabric::progress`] drains the
 //! worklist in the order a full scan would have visited the same keys; in
 //! debug builds a read-only full scan checks after every drain that nothing
-//! was missed.
+//! was missed, and that the touched links' queues own every occupied slot
+//! of `Fabric::frames`.
 
 use super::*;
 
@@ -88,7 +89,7 @@ impl Fabric {
             PORT_NONE => stranded = true,
             _ => ports |= 1 << port,
         };
-        match &link.buf.front().expect("a head to route").dst {
+        match &self.frames.front(&link.buf).expect("a head to route").dst {
             Dest::Unicast(t) => {
                 link.head = self.topo.route(c, *t);
                 self.work.routes += 1;
@@ -147,7 +148,7 @@ impl Fabric {
     /// so head routes, want-masks and worklist cannot drift from the queues.
     pub(super) fn enqueue(&mut self, l: LinkId, frame: Frame) {
         let link = &mut self.links[l];
-        link.buf.push_back(frame);
+        self.frames.push_back(&mut link.buf, frame);
         link.note_depth();
         if link.buf.len() == 1 {
             self.route_head(l);
@@ -162,7 +163,10 @@ impl Fabric {
     fn take_head(&mut self, l: LinkId) -> Frame {
         let to = self.wire(l).to;
         let link = &mut self.links[l];
-        let frame = link.buf.pop_front().expect("a head to take");
+        let frame = self
+            .frames
+            .pop_front(&mut link.buf)
+            .expect("a head to take");
         if let Element::Port(at) = to {
             let c = at.cluster.0 as usize;
             self.want[c].iter_mut().for_each(|w| *w &= !(1 << at.port));
@@ -254,8 +258,9 @@ impl Fabric {
     /// Missed-wakeup oracle, debug builds only: with the worklist drained,
     /// the full scan it replaced must find no transmission that can start,
     /// no stranded head, and every cached head route and want-mask equal to
-    /// a fresh [`Topology::route`]. An untouched link is idle — no register,
-    /// no head — so it passes trivially. Worlds too large to scan per call
+    /// a fresh [`Topology::route`], and the touched links' queue lengths
+    /// summing to the occupied frame slots. An untouched link is idle — no
+    /// register, no head — so it passes trivially. Worlds too large to scan per call
     /// are scanned every `links / 2048`-th call.
     #[cfg(debug_assertions)]
     fn assert_quiescent(&mut self) {
@@ -264,16 +269,20 @@ impl Fabric {
         if !self.oracle_calls.is_multiple_of(stride) {
             return;
         }
+        let mut buffered = 0;
         for link in self.links.touched() {
             let stuck = link.out_reg.is_some() && self.grantable(link.id);
             assert!(!stuck, "missed wakeup: {:?} can inject", link.id);
+            buffered += link.buf.len();
         }
+        let slots = self.frames.occupied();
+        assert_eq!(buffered, slots, "frame slots no link's queue owns");
         for (c, inputs) in self.port_in.iter().enumerate() {
             let mut want = [0u16; PORTS_PER_CLUSTER];
             for (k, input) in inputs.iter().enumerate() {
                 let Some(input) = *input else { continue };
                 let link = &self.links[input];
-                let Some(head) = link.buf.front() else {
+                let Some(head) = self.frames.front(&link.buf) else {
                     assert_eq!(link.head, HEAD_NONE, "{input:?}: a route and no head");
                     continue;
                 };
@@ -341,7 +350,10 @@ impl Fabric {
         *rr = ((k + 1) % PORTS_PER_CLUSTER as u32) as u8;
         let input = self.port_in[ci][k as usize].expect("a want bit has an input");
         let link = &self.links[input];
-        let head = link.buf.front().expect("a wanted port has a head");
+        let head = self
+            .frames
+            .front(&link.buf)
+            .expect("a wanted port has a head");
         let targets = head.dst.targets();
         let ports = Self::head_ports(link, &self.mcast);
         // The head's targets leaving through `port`, in target order.

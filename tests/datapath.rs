@@ -96,7 +96,7 @@ fn stream_with(
 /// never longer than the window.
 fn assert_inflight_contiguous(w: &World) {
     for end in w.nodes.iter().flat_map(|n| w.chan_ends.of(n.addr)) {
-        let frags: Vec<u32> = end.win.inflight.iter().map(|fr| fr.frag()).collect();
+        let frags: Vec<u32> = w.chan_ends.inflight(end).map(|fr| fr.frag()).collect();
         assert!(
             frags.windows(2).all(|p| p[0] + 1 == p[1]),
             "in-flight fragments not contiguous: {frags:?}"
@@ -245,10 +245,9 @@ fn sack_bits_outside_the_inflight_run_are_ignored() {
         ctx.with(|w, s| {
             let snapshot = |w: &World| {
                 let end = w.chan(NodeAddr(0), ch.id).unwrap();
-                let marks: Vec<(u32, bool)> = end
-                    .win
-                    .inflight
-                    .iter()
+                let marks: Vec<(u32, bool)> = w
+                    .chan_ends
+                    .inflight(end)
                     .map(|fr| (fr.frag(), fr.sacked))
                     .collect();
                 (marks, end.win.chain.epoch, end.win.tx_limit)

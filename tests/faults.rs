@@ -157,10 +157,11 @@ fn assert_cold(w: &World, node: NodeAddr) {
     );
     let violated = invariants::check(w, 0);
     assert!(!violated.contains(&invariants::CRASHED_OWNS_NOTHING));
+    assert!(!violated.contains(&invariants::QUEUE_SLOTS));
 }
 
 /// A crash leaves nothing of the victim behind: before it the victim holds
-/// a channel end, an open in flight, an unacknowledged control frame, a
+/// a channel end with an unread message queued, an open in flight, an unacknowledged control frame, a
 /// listener, a manager registration and a queued open, a resolve entry, a
 /// pending syscall, a UDCO, a multicast end and collective state; just
 /// after it, and still at the restart instant after processes on the down
@@ -226,6 +227,14 @@ fn crash_leaves_nothing_behind() {
         let ch = channel::open(&ctx, A, "pair");
         done(ch.read(&ctx).map(|_| ()));
     });
+    // A message the victim never reads: its end holds a queue slot.
+    v.spawn("n3:held", move |ctx| {
+        channel::open(&ctx, V, "held");
+    });
+    v.spawn("n4:held", move |ctx| {
+        let ch = channel::open(&ctx, A, "held");
+        ch.write(&ctx, Payload::Synthetic(8)).unwrap();
+    });
     let done = log("v:open");
     v.spawn("n3:open", move |ctx| {
         done(channel::try_open(&ctx, V, &elsewhere).map(|_| ()));
@@ -269,6 +278,7 @@ fn crash_leaves_nothing_behind() {
         let w = v.world();
         assert!(w.listeners.of(V).any(|(_, l)| !l.acked));
         assert!(w.chan_ends.count(V) > 0 && w.syscall_waits.holds(V));
+        assert!(w.chan_ends.of(V).any(|e| !e.rx.is_empty()));
         let mgr = &w.managers;
         assert!(mgr.servers.holds(V) && mgr.pending.holds(V) && w.resolve.holds(V));
         assert!(w.udcos.holds(V) && w.mcast.holds(V) && w.coll.holds(V));

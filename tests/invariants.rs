@@ -286,3 +286,33 @@ fn fewer_idle_nodes_than_promised_is_an_idle_memory_violation() {
         [invariants::IDLE_OWNS_NOTHING]
     );
 }
+
+/// Every queued message and in-flight fragment sits in a slot of its
+/// world's slab, owned by one live end's queue: a queue dropped without
+/// returning its slots is a queue-slots violation, and a crash wipe returns
+/// the slots of every end it removes.
+#[test]
+fn a_slot_no_end_owns_is_a_queue_slots_violation() {
+    let mut v = VorxBuilder::single_cluster(3).build();
+    v.spawn("n1:w", |ctx| {
+        let ch = channel::open(&ctx, NodeAddr(1), "unread");
+        ch.write(&ctx, Payload::copy_from(b"one")).unwrap();
+        ch.write(&ctx, Payload::copy_from(b"two")).unwrap();
+    });
+    v.spawn("n2:r", |ctx| {
+        channel::open(&ctx, NodeAddr(2), "unread");
+    });
+    v.run_all();
+    assert_eq!(invariants::check(&v.world(), 0), NONE);
+    let id = v.world().chan_ends.of(NodeAddr(2)).next().unwrap().id;
+    let dropped = std::mem::take(&mut v.world().chan_mut(NodeAddr(2), id).unwrap().rx);
+    assert_eq!(dropped.len(), 2, "the reader's end holds both messages");
+    assert_eq!(invariants::check(&v.world(), 0), [invariants::QUEUE_SLOTS]);
+    v.world().chan_mut(NodeAddr(2), id).unwrap().rx = dropped;
+    assert_eq!(invariants::check(&v.world(), 0), NONE);
+    // The crash takes the end and its two messages.
+    v.sim.setup(|w, s| fault::on_crash(w, s, NodeAddr(2)));
+    v.sim.setup(|w, s| fault::on_restart(w, s, NodeAddr(2)));
+    v.run();
+    assert_eq!(invariants::check(&v.world(), 0), NONE);
+}
