@@ -10,7 +10,7 @@ cargo build --release --workspace
 echo "==> cargo test (every sharded test names its own worker counts)"
 cargo test --workspace -q
 
-echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (no cancel flag allocated per timer), 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, <= 73 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.082 per try_open, <= 1.1 x 6.53 per node (unoptimised) for a 512-endpoint world opening one stream per node, 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
+echo "==> alloc budgets (counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 20 per warmed-up 63-target multicast over 16 clusters, <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.047 per try_open, <= 1.1 x 6.47 per node (unoptimised) for a 512-endpoint world opening one stream per node, 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
 cargo test -q --test event_storage --test retry_chain --test datapath_alloc --test spsc_reuse --test topology_alloc --test trace_merge_alloc
 
 echo "==> shard build memory, optimised build (an 8-shard build of the 100k-endpoint world holds <= 52 MB live: one wiring shared by every shard, link state built on first touch; run idle, it materializes no node and every endpoint owns nothing; a dense 1024-endpoint run builds <= 1/4 of the links on any shard; untouched links read idle)"
@@ -21,15 +21,6 @@ cargo test --release -q --test proc_switch --test footprint
 
 echo "==> fabric grant order, optimised build (the release arbiter is the one the benchmark times: six seeded scenarios equal the pass-based scan's hashes, one route per frame per cluster, <= 4 worklist visits per grant)"
 cargo test --release -q --test fabric_order
-
-echo "==> one process engine (one run stack per simulation; clippy.toml refuses thread::spawn, Builder::spawn and park)"
-# `Simulation::new` maps the run stack; a second `Stack::new` would be a
-# mapping per process creeping back into `start_proc`.
-if [ "$(grep -c 'Stack::new' crates/desim/src/sim.rs)" -ne 1 ]; then
-    echo "desim/src/sim.rs must name Stack::new exactly once (in Simulation::new):" >&2
-    grep -n 'Stack::new' crates/desim/src/sim.rs >&2
-    exit 1
-fi
 
 echo "==> one event queue (no batch, buffer pool or second queue struct beside Scheduler in desim/src/sim.rs, and two mutexes: core, the queue and the world together, which a run segment holds from resume to resume, and panic_msg)"
 # Above `mod tests`, where the executor lives.
@@ -98,7 +89,7 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings (clippy.toml: no BinaryHeap outside desim::queue, no OS thread for a process, no environment read, no vorx timeout armed outside vorx::retry)"
+echo "==> cargo clippy -D warnings (clippy.toml: no BinaryHeap outside desim::queue, no OS thread for a process and one run stack per simulation, no environment read, no vorx timeout armed outside vorx::retry)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 
 echo "==> cargo doc -D warnings (no broken or private intra-doc link, no stray HTML tag in a doc comment)"

@@ -47,10 +47,10 @@
 //! | give-up → `peer_down` or heartbeat probe | `TxRetry::give_up` |
 //! | pause / resume / wipe | `pause_tx`, `resume_tx`, `clear_tx` |
 //!
-//! Both queues of every end of a world share one slab each, in the world's
-//! [`ChanSlab`]: an end's first message or fragment takes a free slot
-//! rather than a buffer of its own, and a crash wipe hands the slots of the
-//! ends it removes back.
+//! Every end of a world is a row of one world table, in [`ChanSlab`], and
+//! both its queues are FIFOs over one slab each beside it: an end's first
+//! message or fragment takes a free slot, and a crash wipe hands back the
+//! slots of the ends it removes.
 //!
 //! | per mode (Table 1 has a row for each) | stop-and-wait | windowed |
 //! |---|---|---|
@@ -424,7 +424,7 @@ pub struct ChanEnd {
     pub rto_backoff: u32,
 }
 
-// One channel end, one slot of its world's `ChanSlab`: 360 bytes (432 while
+// One channel end, one row of its world's `ChanSlab`: 360 bytes (432 while
 // `rx`, `inflight` and the credit counts were `VecDeque`s of their own).
 const _: () = assert!(size_of::<ChanEnd>() <= 360);
 
@@ -508,9 +508,6 @@ impl ChanEnd {
     }
 }
 
-/// Channel ends per chunk of a [`ChanSlab`]: 64 × 360 B, 22.5 KiB.
-const SLAB_CHUNK: usize = 64;
-
 /// A complete received message queued at its end, with the fragments it
 /// holds credit for until a reader takes it (windowed; 0 for stop-and-wait).
 #[derive(Debug)]
@@ -531,65 +528,19 @@ pub(crate) struct Queues {
     inflight: Slots<WinFrag>,
 }
 
-/// Every channel end of one [`World`], in one table, and the world table
-/// that names each node's: `(node, channel id)` → slot. The slots grow a
-/// chunk of `SLAB_CHUNK` at a time, so growing them never moves an end or
-/// leaves a freed copy behind. A slot freed by a crash wipe is reused by
-/// the next end created. The ends' queued messages and fragments live here
-/// too, one slab per kind of queue.
+/// Every channel end of one [`World`], the rows of one world table by node
+/// and channel id; the table's rows never move, and a row freed by a crash
+/// wipe is reused by the next end created. The ends' queued messages and
+/// fragments live here too, one slab per kind of queue.
 #[derive(Debug, Default)]
 pub struct ChanSlab {
-    chunks: Vec<Box<[Option<ChanEnd>]>>,
-    /// Slots handed out so far, freed ones included.
-    used: u32,
-    free: Vec<u32>,
-    /// Each node's ends: their slots, by node and channel id.
-    pub(crate) index: Table<u32, u32>,
+    /// Each node's ends, by node and channel id.
+    pub(crate) ends: Table<u32, ChanEnd>,
     /// The ends' queued messages and fragments.
     queues: Queues,
 }
 
 impl ChanSlab {
-    fn insert(&mut self, a: NodeAddr, end: ChanEnd) {
-        let id = end.id;
-        let slot = self.free.pop().unwrap_or_else(|| {
-            if (self.used as usize).is_multiple_of(SLAB_CHUNK) {
-                self.chunks.push((0..SLAB_CHUNK).map(|_| None).collect());
-            }
-            self.used += 1;
-            self.used - 1
-        });
-        *self.entry(slot) = Some(end);
-        self.index.insert(a, id, slot);
-    }
-
-    fn entry(&mut self, slot: u32) -> &mut Option<ChanEnd> {
-        let slot = slot as usize;
-        &mut self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK]
-    }
-
-    /// Take the end in `slot` off the slab, its queued items dropped and
-    /// their slots returned.
-    fn remove(&mut self, slot: u32) -> ChanEnd {
-        self.free.push(slot);
-        let mut end = self.entry(slot).take().expect("a live slot");
-        self.queues.rx.clear(&mut end.rx);
-        self.queues.inflight.clear(&mut end.win.inflight);
-        end
-    }
-
-    fn get(&self, slot: u32) -> &ChanEnd {
-        let slot = slot as usize;
-        let end = &self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK];
-        end.as_ref().expect("a live slot")
-    }
-
-    fn get_mut(&mut self, slot: u32) -> (&mut ChanEnd, &mut Queues) {
-        let slot = slot as usize;
-        let end = &mut self.chunks[slot / SLAB_CHUNK][slot % SLAB_CHUNK];
-        (end.as_mut().expect("a live slot"), &mut self.queues)
-    }
-
     /// The in-flight fragments of `end`, one of this slab's ends, oldest
     /// first.
     pub fn inflight<'a>(&'a self, end: &ChanEnd) -> impl Iterator<Item = &'a WinFrag> + 'a {
@@ -599,8 +550,7 @@ impl ChanSlab {
     /// True iff the live ends' queues own every occupied queue slot: no
     /// slot outlived its end ([`crate::invariants::QUEUE_SLOTS`]).
     pub fn slots_owned(&self) -> bool {
-        let ends = self.chunks.iter().flat_map(|c| c.iter().flatten());
-        let (rx, inflight) = ends.fold((0, 0), |(rx, fl), e| {
+        let (rx, inflight) = (self.ends.values()).fold((0, 0), |(rx, fl), e| {
             (rx + e.rx.len(), fl + e.win.inflight.len())
         });
         rx == self.queues.rx.occupied() && inflight == self.queues.inflight.occupied()
@@ -608,31 +558,36 @@ impl ChanSlab {
 
     /// Node `a`'s channel ends, by channel id.
     pub fn of(&self, a: NodeAddr) -> impl Iterator<Item = &ChanEnd> + '_ {
-        self.index.of(a).map(|(_, &slot)| self.get(slot))
+        self.ends.of(a).map(|(_, end)| end)
     }
 
     /// True iff node `a` holds an end of channel `id`.
     pub fn contains(&self, a: NodeAddr, id: u32) -> bool {
-        self.index.contains(a, &id)
+        self.ends.contains(a, &id)
     }
 
     /// Channel ends node `a` holds.
     pub fn count(&self, a: NodeAddr) -> usize {
-        self.index.count(a)
+        self.ends.count(a)
     }
 
-    /// Take node `a`'s ends off the slab, in id order.
+    /// Take node `a`'s ends off the slab, in id order, their queued items
+    /// dropped and their slots returned.
     pub(crate) fn remove_all(&mut self, a: NodeAddr) -> Vec<ChanEnd> {
-        let slots = self.index.wipe(a).into_iter().map(|(_, slot)| slot);
-        slots.map(|slot| self.remove(slot)).collect()
+        let ends = self.ends.wipe(a).into_iter().map(|(_, end)| end);
+        ends.map(|mut end| {
+            self.queues.rx.clear(&mut end.rx);
+            self.queues.inflight.clear(&mut end.win.inflight);
+            end
+        })
+        .collect()
     }
 }
 
 impl World {
     /// Node `a`'s end of channel `id`, if it holds one.
     pub fn chan(&self, a: NodeAddr, id: u32) -> Option<&ChanEnd> {
-        let slot = *self.chan_ends.index.get(a, &id)?;
-        Some(self.chan_ends.get(slot))
+        self.chan_ends.ends.get(a, &id)
     }
 
     /// Mutable [`World::chan`]; materializes node `a`, as
@@ -649,8 +604,8 @@ impl World {
         id: u32,
     ) -> Option<(&mut ChanEnd, &mut Queues)> {
         self.node_mut(a);
-        let slot = *self.chan_ends.index.get(a, &id)?;
-        Some(self.chan_ends.get_mut(slot))
+        let ChanSlab { ends, queues } = &mut self.chan_ends;
+        Some((ends.get_mut(a, &id)?, queues))
     }
 
     /// Ids of node `a`'s channel ends peered with `peer` that pass `keep`,
@@ -682,7 +637,9 @@ pub fn create_end(
     w.node_mut(node);
     let exists = w.chan_ends.contains(node, id);
     assert!(!exists, "channel id {id} already exists on {node}");
-    w.chan_ends.insert(node, ChanEnd::new(id, name, peer, cfg));
+    w.chan_ends
+        .ends
+        .insert(node, id, ChanEnd::new(id, name, peer, cfg));
     kernel::drain_orphans(w, s, node, id);
 }
 

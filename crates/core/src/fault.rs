@@ -378,7 +378,7 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     let mut stale_servers: Vec<(NodeAddr, MgrKey)> = Vec::new();
     let mut stale_pending: Vec<(NodeAddr, MgrKey, u64)> = Vec::new();
     let mgr = &w.managers;
-    for a in w.nodes.materialized().map(|n| n.addr) {
+    for a in w.nodes.touched().map(|n| n.addr) {
         let peered = w.chan_ends.of(a).filter(|e| e.peer == node);
         hits.extend(peered.map(|e| (a, e.id)));
         let servers = mgr.servers.of(a).filter(|(_, srv)| **srv == node);
@@ -434,7 +434,7 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
     // the KIND_OPEN_QUEUED ack). The manager's queue died with it, so those
     // requests restart from scratch.
     let queued = |o: &crate::world::OpenWait| matches!(o.state, crate::world::OpenResult::Pending { mgr, .. } if mgr == node);
-    let opens: Vec<(NodeAddr, u64)> = (w.nodes.materialized())
+    let opens: Vec<(NodeAddr, u64)> = (w.nodes.touched())
         .flat_map(|n| w.open_waits.of(n.addr).map(move |(t, o)| (n.addr, *t, o)))
         .filter(|(_, _, o)| queued(o))
         .map(|(a, t, _)| (a, t))

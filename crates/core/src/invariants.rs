@@ -111,10 +111,7 @@ fn inspect(w: &World, owned: impl Fn(NodeAddr) -> bool) -> Part {
     }
     let rows_of = |a| w.tables().iter().map(|(_, t)| t.count(a)).sum::<usize>();
     debug_assert_eq!(
-        w.nodes
-            .materialized()
-            .map(|n| rows_of(n.addr))
-            .sum::<usize>(),
+        w.nodes.touched().map(|n| rows_of(n.addr)).sum::<usize>(),
         w.tables().iter().map(|(_, t)| t.rows()).sum::<usize>(),
         "a row of a node never materialized: a write must call `node_mut` first"
     );
@@ -122,7 +119,7 @@ fn inspect(w: &World, owned: impl Fn(NodeAddr) -> bool) -> Part {
     let (mut converged, mut one_opener, mut unserved) = (true, true, true);
     let mut cold = true;
     let mgr = &w.managers;
-    for n in w.nodes.materialized().filter(|n| owned(n.addr)) {
+    for n in w.nodes.touched().filter(|n| owned(n.addr)) {
         let a = n.addr;
         converged &= n.up && !w.mbr.partitioned.holds(a) && !w.mbr.probing.holds(a);
         if w.owns_nothing(a) {

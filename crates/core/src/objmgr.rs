@@ -208,7 +208,7 @@ pub fn note_seen(w: &mut World, mgr: NodeAddr, key: (u32, u64)) -> bool {
         return false;
     }
     seen.push_back(mgr, key, ());
-    let held = &mut w.nodes.get_mut(mgr.0 as usize).mgr.seen;
+    let held = &mut crate::world::node_in(&mut w.nodes, mgr).mgr.seen;
     *held += 1;
     while *held as usize > SEEN_CAP {
         seen.pop_front(mgr).expect("nonempty");
@@ -257,7 +257,7 @@ impl World {
     /// current `epoch` exactly, and a mismatched entry is evicted (never
     /// returned).
     pub fn resolve_lookup(&mut self, a: NodeAddr, epoch: u64, name: &Name) -> Option<NodeAddr> {
-        let stats = &mut self.nodes.get_mut(a.0 as usize).resolve;
+        let stats = &mut crate::world::node_in(&mut self.nodes, a).resolve;
         match self.resolve.get(a, name) {
             Some(&(e, mgr)) if e == epoch => {
                 stats.hits += 1;

@@ -252,7 +252,7 @@ impl SubprocHandle {
     }
 
     /// Block this subprocess (scheduler dispatches the next one); the caller
-    /// must have arranged for something to call [`sp_ready_in`] later.
+    /// must have arranged for something to call [`sem_v_in`] later.
     pub fn block(&self, ctx: &VCtx, reason: BlockReason) {
         let h = *self;
         ctx.with(move |w, s| {
@@ -345,19 +345,6 @@ pub fn sem_v_in(
         reschedule(w, s, node);
     }
     preempt
-}
-
-/// Mark a blocked subprocess ready (e.g. from a communications interrupt)
-/// and dispatch if the node is idle.
-pub fn sp_ready_in(w: &mut World, s: &mut VSched, node: NodeAddr, idx: u32) {
-    let st = &mut w.node_mut(node).sched_mut();
-    if st.subprocs[idx as usize].state == SpState::Blocked {
-        st.subprocs[idx as usize].state = SpState::Ready;
-        let sp = &mut st.subprocs[idx as usize];
-        sp.seq = st.next_seq;
-        st.next_seq += 1;
-    }
-    reschedule(w, s, node);
 }
 
 /// A coroutine switch: "coroutine switches occur only at well defined places

@@ -2,8 +2,8 @@
 //! the resource managers, and the measurement trace.
 
 use desim::{
-    sync::WaitSet, Ctx, FixedMap, ProcId, Scheduler, SimDuration, SimTime, Simulation, Trace,
-    Wakeup,
+    sync::WaitSet, Ctx, FirstTouch, FixedMap, ProcId, Scheduler, SimDuration, SimTime, Simulation,
+    Trace, Wakeup,
 };
 use hpcnet::{ClusterId, Fabric, Frame, NetConfig, NodeAddr, Topology};
 
@@ -141,99 +141,23 @@ impl Node {
     }
 }
 
-/// An endpoint's slot in a [`NodeTable`] before its node materializes.
-const IDLE_SLOT: u32 = u32::MAX;
-
 /// Kernel-state table with O(1) idle-node cost (DESIGN.md §14).
 ///
 /// A million-endpoint world cannot afford a full [`Node`] per endpoint that
-/// never does anything. The table therefore holds one `u32` slot per
-/// endpoint and materializes the `Node` only on first *write* (the first
-/// time the kernel charges CPU, opens a channel, or delivers a frame
-/// there), appending it to one dense `Vec<Node>` the slot then indexes.
-/// Reads of an untouched node resolve to the shared `idle` template: a node
-/// that is up, with an idle CPU — exactly the state a fresh `Node::new`
-/// would observe — so every existing read path works unchanged on
-/// never-touched endpoints.
-///
-/// Indexing is positional over the full address space: `table[i]` and
-/// `table.iter()` cover all `len()` addresses (idle stand-ins included),
-/// while [`NodeTable::materialized`] walks only the faulted-in nodes.
-pub struct NodeTable {
-    slots: Vec<u32>,
-    nodes: Vec<Node>,
-    idle: Node,
-}
+/// never does anything: one zeroed `u32` per endpoint, and a `Node`
+/// materialized only on first *write* ([`World::node_mut`]: the kernel
+/// charges CPU, opens a channel, or delivers a frame there). Reads of an
+/// untouched node resolve to the idle template: a node that is up, with an
+/// idle CPU — exactly the state a fresh `Node::new` would observe — so every
+/// read path works unchanged on never-touched endpoints. `table[i]` and
+/// `table.iter()` cover all `len()` addresses, idle stand-ins included;
+/// `table.touched()` walks only the materialized nodes, in address order.
+pub type NodeTable = FirstTouch<Node>;
 
-impl NodeTable {
-    /// A table for `n` endpoints, none materialized.
-    pub fn new(n: usize) -> Self {
-        NodeTable {
-            slots: vec![IDLE_SLOT; n],
-            nodes: Vec::new(),
-            idle: Node::new(NodeAddr(u32::MAX)),
-        }
-    }
-
-    /// Number of endpoint addresses (materialized or not).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True iff the address space is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Shared access; untouched nodes read as the idle template.
-    pub fn get(&self, i: usize) -> &Node {
-        match self.slots[i] {
-            IDLE_SLOT => &self.idle,
-            k => &self.nodes[k as usize],
-        }
-    }
-
-    /// Mutable access; materializes the node on first touch.
-    pub fn get_mut(&mut self, i: usize) -> &mut Node {
-        if self.slots[i] == IDLE_SLOT {
-            self.slots[i] = u32::try_from(self.nodes.len()).expect("under u32::MAX nodes");
-            self.nodes.push(Node::new(NodeAddr(i as u32)));
-        }
-        &mut self.nodes[self.slots[i] as usize]
-    }
-
-    /// All `len()` nodes in address order, idle stand-ins included.
-    pub fn iter(&self) -> impl Iterator<Item = &Node> {
-        (0..self.slots.len()).map(move |i| self.get(i))
-    }
-
-    /// Only the materialized nodes, in address order. Each carries its
-    /// real `addr`, so callers needing the index read it from there.
-    pub fn materialized(&self) -> impl Iterator<Item = &Node> {
-        let slots = self.slots.iter().filter(|&&k| k != IDLE_SLOT);
-        slots.map(move |&k| &self.nodes[k as usize])
-    }
-}
-
-impl std::ops::Index<usize> for NodeTable {
-    type Output = Node;
-    fn index(&self, i: usize) -> &Node {
-        self.get(i)
-    }
-}
-
-impl std::ops::IndexMut<usize> for NodeTable {
-    fn index_mut(&mut self, i: usize) -> &mut Node {
-        self.get_mut(i)
-    }
-}
-
-impl<'a> IntoIterator for &'a NodeTable {
-    type Item = &'a Node;
-    type IntoIter = Box<dyn Iterator<Item = &'a Node> + 'a>;
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
-    }
+/// Node `a` of `nodes`, materialized on first touch: [`World::node_mut`]
+/// for a caller that holds another of the world's tables.
+pub(crate) fn node_in(nodes: &mut NodeTable, a: NodeAddr) -> &mut Node {
+    nodes.get_or_insert_with(a.0 as usize, || Node::new(a))
 }
 
 /// Cross-shard bridge state for the sharded engine (DESIGN.md §12).
@@ -309,7 +233,7 @@ const TABLES: usize = 18;
 macro_rules! node_tables {
     ($w:ident $(, $m:tt)?) => {
         [
-            ("chan_ends", &$($m)? $w.chan_ends.index as &$($m)? dyn NodeRows),
+            ("chan_ends", &$($m)? $w.chan_ends.ends as &$($m)? dyn NodeRows),
             ("open_waits", &$($m)? $w.open_waits),
             ("ctl_unacked", &$($m)? $w.ctl_unacked),
             ("tx_q", &$($m)? $w.tx_q.rows),
@@ -412,13 +336,13 @@ pub struct World {
 impl World {
     /// Mutable access to a node's kernel state (materializes it).
     pub fn node_mut(&mut self, a: NodeAddr) -> &mut Node {
-        self.nodes.get_mut(a.0 as usize)
+        node_in(&mut self.nodes, a)
     }
 
     /// Shared access to a node's kernel state; untouched nodes read as
     /// the idle template (up, empty tables) without materializing.
     pub fn node(&self, a: NodeAddr) -> &Node {
-        self.nodes.get(a.0 as usize)
+        &self.nodes[a.0 as usize]
     }
 
     /// Node `a`'s in-flight open `token`.
@@ -479,7 +403,7 @@ impl World {
     /// `a`: the node is idle if up and cold if down, and costs its
     /// [`Node`] alone, or only its slot if never materialized. Every
     /// write of a row materializes its node first, so a walk over
-    /// [`NodeTable::materialized`] finds every node owning something.
+    /// `nodes.touched()` finds every node owning something.
     pub fn owns_nothing(&self, a: NodeAddr) -> bool {
         self.tables().iter().all(|(_, t)| !t.holds(a))
     }
@@ -545,7 +469,7 @@ impl World {
             CpuCat::System,
             "user compute must go through api::compute"
         );
-        let (start, end) = self.nodes.get_mut(a.0 as usize).cpu.reserve_system(now, d);
+        let (start, end) = self.node_mut(a).cpu.reserve_system(now, d);
         if self.trace.is_enabled() && !d.is_zero() {
             self.trace.record(
                 now,
@@ -636,7 +560,7 @@ impl WorldCfg {
         World {
             calib: self.calib,
             net,
-            nodes: NodeTable::new(n),
+            nodes: NodeTable::new(n, Node::new(NodeAddr(u32::MAX))),
             objmgr_mode: self.objmgr_mode,
             alloc: Allocator::new(self.n_hosts, n),
             hosts: (0..self.n_hosts)

@@ -2,12 +2,12 @@
 //! `(node, key)` (DESIGN.md §14).
 //!
 //! A node pays for kernel state only while it holds some. A [`Table`] keeps
-//! every node's rows of one kind in one slab, with a hash index by
+//! every node's rows of one kind in one [`Slab`], with a hash index by
 //! `(node, key)` for point operations and each node's rows linked through
 //! the slab in key order, so [`Table::of`] reads them and [`Table::wipe`]
-//! takes them in key order. The slab and the index grow by doubling with
-//! the rows the whole world holds: no node and no row costs an allocation
-//! of its own.
+//! takes them in key order. The slab and the index grow with the rows the
+//! whole world holds, and a row never moves: no node and no row costs an
+//! allocation of its own.
 //!
 //! A table that a burst grew and then drained is freed as it empties,
 //! unless it has room for at most [`HANDSHAKE_KEEP`] rows: that is cheaper
@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
+use desim::Slab;
 use hpcnet::NodeAddr;
 
 /// Rows an emptied table may keep room for.
@@ -45,14 +46,6 @@ struct Row<K, V> {
     val: V,
     prev: u32,
     next: u32,
-}
-
-/// A slot of a [`Table`]'s slab: a row, or free and linked to the next
-/// free slot.
-#[derive(Debug)]
-enum Slot<K, V> {
-    Row(Row<K, V>),
-    Free(u32),
 }
 
 /// What a [`Table`]'s index is keyed by: a row, or the ends of a node's
@@ -123,39 +116,20 @@ impl Hasher for RowHasher {
 pub struct Table<K, V> {
     /// The slot of each row, and the ends of each node's list.
     index: HashMap<At<K>, u64, BuildHasherDefault<RowHasher>>,
-    /// The rows, and the free slots linked from `free`.
-    slots: Vec<Slot<K, V>>,
-    free: u32,
-    /// Rows held.
-    len: usize,
+    /// The rows.
+    rows: Slab<Row<K, V>>,
 }
 
 impl<K, V> Default for Table<K, V> {
     fn default() -> Self {
         Table {
             index: HashMap::default(),
-            slots: Vec::new(),
-            free: NIL,
-            len: 0,
+            rows: Slab::default(),
         }
     }
 }
 
 impl<K: Ord + Hash + Clone, V> Table<K, V> {
-    fn row(&self, slot: u32) -> &Row<K, V> {
-        match &self.slots[slot as usize] {
-            Slot::Row(row) => row,
-            Slot::Free(_) => unreachable!("a live row"),
-        }
-    }
-
-    fn row_mut(&mut self, slot: u32) -> &mut Row<K, V> {
-        match &mut self.slots[slot as usize] {
-            Slot::Row(row) => row,
-            Slot::Free(_) => unreachable!("a live row"),
-        }
-    }
-
     fn slot(&self, a: NodeAddr, k: &K) -> Option<u32> {
         let slot = self.index.get(&At::Row(a, k.clone()))?;
         Some(*slot as u32)
@@ -178,13 +152,13 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
 
     /// Node `a`'s row `k`.
     pub fn get(&self, a: NodeAddr, k: &K) -> Option<&V> {
-        Some(&self.row(self.slot(a, k)?).val)
+        Some(&self.rows[self.slot(a, k)?].val)
     }
 
     /// Mutable [`Table::get`].
     pub fn get_mut(&mut self, a: NodeAddr, k: &K) -> Option<&mut V> {
         let slot = self.slot(a, k)?;
-        Some(&mut self.row_mut(slot).val)
+        Some(&mut self.rows[slot].val)
     }
 
     /// True iff node `a` has a row `k`.
@@ -195,7 +169,7 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
     /// Set node `a`'s row `k` to `v`, returning the row it replaces.
     pub fn insert(&mut self, a: NodeAddr, k: K, v: V) -> Option<V> {
         if let Some(slot) = self.slot(a, &k) {
-            return Some(std::mem::replace(&mut self.row_mut(slot).val, v));
+            return Some(std::mem::replace(&mut self.rows[slot].val, v));
         }
         self.add(a, k, v, true);
         None
@@ -222,70 +196,57 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
             Some(slot) => slot,
             None => self.add(a, k, make(), true),
         };
-        &mut self.row_mut(slot).val
+        &mut self.rows[slot].val
     }
 
     /// Link a new row `k` into node `a`'s list: at its end, or, if
     /// `sorted`, after the last row whose key is smaller, searched from the
     /// end, so rising keys append at once.
     fn add(&mut self, a: NodeAddr, k: K, v: V, sorted: bool) -> u32 {
-        let slot = match self.free {
-            NIL => {
-                self.slots.push(Slot::Free(NIL));
-                u32::try_from(self.slots.len() - 1).expect("under u32::MAX rows")
-            }
-            slot => slot,
-        };
-        if let Slot::Free(next_free) = self.slots[slot as usize] {
-            self.free = next_free;
-        }
         let (first, last) = self.ends(a).unwrap_or((NIL, NIL));
         let mut prev = last;
-        while sorted && prev != NIL && self.row(prev).key > k {
-            prev = self.row(prev).prev;
+        while sorted && prev != NIL && self.rows[prev].key > k {
+            prev = self.rows[prev].prev;
         }
         let next = match prev {
             NIL => first,
-            p => std::mem::replace(&mut self.row_mut(p).next, slot),
+            p => self.rows[p].next,
         };
-        if next != NIL {
-            self.row_mut(next).prev = slot;
-        }
-        let first = if prev == NIL { slot } else { first };
-        let last = if next == NIL { slot } else { last };
-        self.set_ends(a, first, last);
-        self.index.insert(At::Row(a, k.clone()), u64::from(slot));
-        self.slots[slot as usize] = Slot::Row(Row {
+        let at = At::Row(a, k.clone());
+        let slot = self.rows.insert(Row {
             key: k,
             val: v,
             prev,
             next,
         });
-        self.len += 1;
+        if prev != NIL {
+            self.rows[prev].next = slot;
+        }
+        if next != NIL {
+            self.rows[next].prev = slot;
+        }
+        let first = if prev == NIL { slot } else { first };
+        let last = if next == NIL { slot } else { last };
+        self.set_ends(a, first, last);
+        self.index.insert(at, u64::from(slot));
         slot
     }
 
     /// Take node `a`'s row `k` off the table.
     pub fn remove(&mut self, a: NodeAddr, k: &K) -> Option<V> {
         let slot = self.index.remove(&At::Row(a, k.clone()))? as u32;
-        let Slot::Row(row) =
-            std::mem::replace(&mut self.slots[slot as usize], Slot::Free(self.free))
-        else {
-            unreachable!("a live row");
-        };
-        self.free = slot;
-        self.len -= 1;
+        let row = self.rows.remove(slot);
         let (mut first, mut last) = self.ends(a).expect("a node with a row");
         match row.prev {
             NIL => first = row.next,
-            p => self.row_mut(p).next = row.next,
+            p => self.rows[p].next = row.next,
         }
         match row.next {
             NIL => last = row.prev,
-            n => self.row_mut(n).prev = row.prev,
+            n => self.rows[n].prev = row.prev,
         }
         self.set_ends(a, first, last);
-        if self.len == 0 && self.slots.capacity() > HANDSHAKE_KEEP {
+        if self.rows.is_empty() && self.rows.capacity() > HANDSHAKE_KEEP {
             *self = Table::default();
         }
         Some(row.val)
@@ -298,7 +259,7 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
             if at == NIL {
                 return None;
             }
-            let row = self.row(at);
+            let row = &self.rows[at];
             at = row.next;
             Some((&row.key, &row.val))
         })
@@ -307,13 +268,13 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
     /// Node `a`'s first row in key order that passes `pick`, mutably.
     pub fn find_mut(&mut self, a: NodeAddr, pick: impl Fn(&K, &V) -> bool) -> Option<(&K, &mut V)> {
         let mut at = self.ends(a).map_or(NIL, |e| e.0);
-        while at != NIL && !pick(&self.row(at).key, &self.row(at).val) {
-            at = self.row(at).next;
+        while at != NIL && !pick(&self.rows[at].key, &self.rows[at].val) {
+            at = self.rows[at].next;
         }
         if at == NIL {
             return None;
         }
-        let row = self.row_mut(at);
+        let row = &mut self.rows[at];
         Some((&row.key, &mut row.val))
     }
 
@@ -321,7 +282,7 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
     pub fn for_each_mut(&mut self, a: NodeAddr, mut f: impl FnMut(&K, &mut V)) {
         let mut at = self.ends(a).map_or(NIL, |e| e.0);
         while at != NIL {
-            let row = self.row_mut(at);
+            let row = &mut self.rows[at];
             f(&row.key, &mut row.val);
             at = row.next;
         }
@@ -355,12 +316,18 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
 
     /// Rows of every node.
     pub fn len(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     /// True iff no node holds a row.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rows.is_empty()
+    }
+
+    /// Every node's rows, in no order an event may depend on: for a tally
+    /// over the whole table.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> + '_ {
+        self.rows.iter().map(|(_, row)| &row.val)
     }
 }
 
@@ -374,7 +341,7 @@ impl<K: Ord + Hash + Clone, V> NodeRows for Table<K, V> {
     }
 
     fn rows(&self) -> usize {
-        self.len
+        self.rows.len()
     }
 
     fn drop_rows(&mut self, a: NodeAddr) {
@@ -486,14 +453,14 @@ mod tests {
             t.insert(NodeAddr(0), k, 'k');
         }
         t.drop_rows(NodeAddr(0));
-        assert!(t.slots.capacity() >= HANDSHAKE_KEEP, "a small table stays");
+        assert!(t.rows.capacity() >= HANDSHAKE_KEEP, "a small table stays");
         for k in 0..100 {
             t.insert(NodeAddr(k % 3), k, 'k');
         }
         for a in 0..3 {
             t.drop_rows(NodeAddr(a));
         }
-        assert_eq!(t.slots.capacity(), 0, "a large one is freed");
+        assert_eq!(t.rows.capacity(), 0, "a large one is freed");
     }
 
     #[test]

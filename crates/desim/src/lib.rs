@@ -23,6 +23,8 @@
 //! * [`rng`] — the one seeded PRNG every simulated stream draws from.
 //! * [`lock`] — the one way the workspace takes a `std::sync::Mutex`.
 //! * [`hash`] — the one hasher every hash map in the workspace uses.
+//! * [`slab`] — the one pool: `u32` keys over chunks that never move, and
+//!   the first-touch table over it.
 //! * [`slots`] — many FIFOs over one slab: a queue per link or channel end
 //!   costs a 12-byte handle, and its items a slot each.
 //!
@@ -74,6 +76,7 @@ pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod shard;
+pub mod slab;
 pub mod slots;
 pub mod spsc;
 pub mod sync;
@@ -85,6 +88,7 @@ pub use shard::{host_cpus, OutMsg, PdesMonitor, PdesStats, ShardWorld, ShardedSi
 pub use sim::{
     Ctx, IdleReport, ProcId, RunOutcome, Scheduler, Simulation, TimerHandle, Wakeup, WorldGuard,
 };
+pub use slab::{FirstTouch, Slab};
 pub use slots::{Fifo, Slots};
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;

@@ -59,12 +59,12 @@
 //! Scheduling and dispatching an event allocates nothing in steady state. A
 //! closure capturing at most 72 bytes, at most 8-aligned, is stored in place
 //! (`event_fn`); a larger or over-aligned one costs one box. Queued closures
-//! sit in a slab of recycled slots, and the heap carries 32-byte entries (the
-//! lane 16-byte ones) that name a slot, so a sift never moves a capture. A
-//! [`TimerHandle`] names a recycled cell of the one `TimerCells` table, so
-//! arming and cancelling a timer allocates nothing either, nor does a sweep.
-//! What allocates: each buffer named here, as it grows to the most it ever
-//! holds at once — at most twice the most ever live.
+//! sit in one [`Slab`], and the heap carries 32-byte entries (the lane
+//! 16-byte ones) that name a slot, so a sift never moves a capture. A
+//! [`TimerHandle`] names its event's slot's cell in the one `TimerCells`
+//! table, so arming and cancelling a timer allocates nothing either, nor
+//! does a sweep. What allocates: each buffer named here, as it grows to the
+//! most it ever holds at once — at most twice the most ever live.
 
 use std::any::Any;
 use std::fmt;
@@ -79,6 +79,7 @@ use crate::coro::{self, Image, Stack};
 use crate::event_fn::EventFn;
 use crate::lock;
 use crate::queue::EventQueue;
+use crate::slab::{self, Slab};
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a simulated process for the lifetime of a [`Simulation`].
@@ -139,9 +140,11 @@ impl fmt::Debug for TimerHandle {
 }
 
 /// The cancel flags of a simulation's armed timers, which is all of a timer
-/// that a [`TimerHandle`] reaches: one cell per cancellable event from the
-/// call that arms it until the queue retires it (fired, or found disarmed).
-/// The [`Scheduler`] hands retired cells out again before it makes new ones.
+/// that a [`TimerHandle`] reaches: a cancellable event's cell is its
+/// closure's slot in the [`Scheduler`]'s slab, from the call that arms it
+/// until the queue retires it (fired, or found disarmed). The queue retires
+/// the cell before it frees the slot, so whoever claims the slot next —
+/// the fired event's own callback, re-arming — finds the next generation.
 ///
 /// A cell is a *generation* and, in its low bit, the *cancelled* flag of the
 /// event that holds it now. Retiring the event moves the cell on to the next
@@ -151,10 +154,9 @@ impl fmt::Debug for TimerHandle {
 /// cancel a stranger's.
 ///
 /// Cells never move (a `cancel` takes no lock, and a handle may be anywhere),
-/// so the table is a fixed row of lazily made chunks, chunk `k` holding
-/// `CHUNK0 << k` cells.
+/// so the table is a fixed row of lazily made chunks, laid out as the slab's.
 struct TimerCells {
-    chunks: [OnceLock<Box<[AtomicU64]>>; TIMER_CHUNKS],
+    chunks: [OnceLock<Box<[AtomicU64]>>; slab::CHUNKS],
     /// Cells whose cancelled flag is set: timers that are disarmed and still
     /// queued, which is what a sweep of the queue would take out. `Relaxed`:
     /// a tally, read by the queue to decide *when* to sweep, never *what*. A
@@ -164,30 +166,22 @@ struct TimerCells {
     dead: AtomicUsize,
 }
 
-/// Cells in the first chunk of [`TimerCells`]; a power of two.
-const CHUNK0: u32 = 64;
-/// Enough doubling chunks for every `u32` index.
-const TIMER_CHUNKS: usize = (u32::BITS - CHUNK0.ilog2() + 1) as usize;
-
 impl TimerCells {
     fn new() -> Self {
         TimerCells {
-            chunks: [const { OnceLock::new() }; TIMER_CHUNKS],
+            chunks: [const { OnceLock::new() }; slab::CHUNKS],
             dead: AtomicUsize::new(0),
         }
     }
 
     fn cell(&self, idx: u32) -> &AtomicU64 {
-        // Chunk `k` starts at index `CHUNK0 * (2^k - 1)`.
-        let i = u64::from(idx) + u64::from(CHUNK0);
-        let k = i.ilog2() - CHUNK0.ilog2();
-        let len = (CHUNK0 as usize) << k;
-        let chunk = self.chunks[k as usize].get_or_init(|| {
+        let (k, at) = slab::chunk_of(idx);
+        let chunk = self.chunks[k].get_or_init(|| {
             std::iter::repeat_with(AtomicU64::default)
-                .take(len)
+                .take(slab::chunk_len(k))
                 .collect()
         });
-        &chunk[i as usize - len]
+        &chunk[at]
     }
 
     /// The generation `idx` is at: what a handle to the event that claims it
@@ -239,38 +233,11 @@ impl TimerCells {
 enum Queued {
     Run(u32),
     Wake(ProcId, Wakeup),
-    /// Timer cell, closure slot: skipped (without advancing time) if the cell
-    /// is cancelled by the time it reaches the head of the queue. The entry
-    /// holds the cell until it is dequeued, whoever dequeues it retires it.
-    Cancellable(u32, u32),
-}
-
-/// The closures of queued events, in recycled slots: a slot is claimed when
-/// its event is queued and freed when the event is dequeued, so the slab
-/// grows to the largest number of events ever outstanding and then stops
-/// allocating.
-struct EventSlab<W> {
-    slots: Vec<Option<EventFn<W>>>,
-    free: Vec<u32>,
-}
-
-impl<W> EventSlab<W> {
-    fn insert(&mut self, f: EventFn<W>) -> u32 {
-        if let Some(i) = self.free.pop() {
-            self.slots[i as usize] = Some(f);
-            return i;
-        }
-        let i = u32::try_from(self.slots.len()).expect("over u32::MAX events outstanding");
-        self.slots.push(Some(f));
-        i
-    }
-
-    fn take(&mut self, slot: u32) -> EventFn<W> {
-        self.free.push(slot);
-        self.slots[slot as usize]
-            .take()
-            .expect("a queued event owns its slot")
-    }
+    /// Closure slot, which is also the timer cell: skipped (without
+    /// advancing time) if the cell is cancelled by the time it reaches the
+    /// head of the queue. Whoever dequeues the entry retires the cell, then
+    /// frees the slot.
+    Cancellable(u32),
 }
 
 /// Disarmed timers a [`Scheduler`] leaves queued however few entries are
@@ -502,18 +469,13 @@ pub struct Scheduler<W> {
     /// load accounting in the sharded engine and campaign reports.
     dispatched: u64,
     /// The closures the `Run`/`Cancellable` entries of the queue refer to.
-    events: EventSlab<W>,
+    events: Slab<EventFn<W>>,
     /// Every process ever spawned; a [`ProcId`] is an index here.
     procs: Vec<ProcSlot>,
     timers: Arc<TimerCells>,
-    /// Retired timer cells, to be claimed again before the table grows.
-    spare_cells: Vec<u32>,
-    /// Timer cells handed out so far: the next index when `spare_cells` is
-    /// empty.
-    cells_made: u32,
-    /// The (cell, slot) pairs a sweep has taken out of the queues and not
-    /// yet retired; empty between sweeps.
-    swept: Vec<(u32, u32)>,
+    /// The slots a sweep has taken out of the queues and not yet retired;
+    /// empty between sweeps.
+    swept: Vec<u32>,
     /// The simulation this is the queue of, for a spawned process's `Ctx`.
     sim: Weak<SimInner<W>>,
 }
@@ -542,17 +504,11 @@ impl<W: Send + 'static> Scheduler<W> {
     where
         F: FnOnce(&mut W, &mut Scheduler<W>) + Send + 'static,
     {
-        let cell = self.spare_cells.pop().unwrap_or_else(|| {
-            let idx = self.cells_made;
-            self.cells_made = idx.checked_add(1).expect("over u32::MAX timers armed");
-            idx
-        });
-        // `&mut self` orders this load after the `retire` that freed the
-        // cell; until we return, nobody else names it.
+        let cell = self.events.insert(EventFn::new(f));
+        // `&mut self` orders this load after the `retire` that came before
+        // the slot was freed; until we return, nobody else names the cell.
         let gen = self.timers.generation(cell);
-        let slot = self.events.insert(EventFn::new(f));
-        self.queue
-            .push_in(d.as_ns(), Queued::Cancellable(cell, slot));
+        self.queue.push_in(d.as_ns(), Queued::Cancellable(cell));
         TimerHandle {
             timers: Arc::clone(&self.timers),
             cell,
@@ -588,19 +544,22 @@ impl<W: Send + 'static> Scheduler<W> {
         self.spawn_in(SimDuration::ZERO, name, f)
     }
 
-    /// The queue is done with the event holding timer cell `cell`: from here
-    /// on its handles are stale, and the cell can be claimed again. Returns
-    /// whether the event had been cancelled.
-    fn retire(&mut self, cell: u32) -> bool {
-        self.spare_cells.push(cell);
-        self.timers.retire(cell)
+    /// Let go of a disarmed timer that has left the queue: its cell, then
+    /// its closure, which is dropped unrun, and with it the slot.
+    fn discard(&mut self, slot: u32) {
+        self.timers.retire(slot);
+        drop(self.events.remove(slot));
     }
 
-    /// Let go of a disarmed timer that has left the queue: its cell, then
-    /// its closure, which is dropped unrun.
-    fn discard(&mut self, cell: u32, slot: u32) {
-        self.retire(cell);
-        drop(self.events.take(slot));
+    /// At an empty queue, nothing of an event is left: no closure in the
+    /// slab, and no cancelled cell in the tally a sweep would go by.
+    fn assert_quiescent(&self) {
+        debug_assert_eq!(self.events.len(), 0, "closure slots outlived their events");
+        let dead = self.timers.dead.load(AtomicOrdering::Relaxed);
+        debug_assert_eq!(
+            dead, 0,
+            "cancelled timers counted after they left the queue"
+        );
     }
 
     /// Take every disarmed timer out of the heap and the lane in one pass,
@@ -624,14 +583,14 @@ impl<W: Send + 'static> Scheduler<W> {
         // The closures are dropped below, outside `retain`: a capture's
         // destructor is foreign code, and may not run over a half-kept heap.
         self.queue.retain(|act| match *act {
-            Queued::Cancellable(cell, slot) if self.timers.is_cancelled(cell) => {
-                self.swept.push((cell, slot));
+            Queued::Cancellable(slot) if self.timers.is_cancelled(slot) => {
+                self.swept.push(slot);
                 false
             }
             _ => true,
         });
-        while let Some((cell, slot)) = self.swept.pop() {
-            self.discard(cell, slot);
+        while let Some(slot) = self.swept.pop() {
+            self.discard(slot);
         }
     }
 
@@ -640,12 +599,12 @@ impl<W: Send + 'static> Scheduler<W> {
     /// the clock nor keep the simulation from going idle.
     fn pop_cancelled_heads(&mut self) {
         self.sweep_cancelled();
-        while let Some(&Queued::Cancellable(cell, slot)) = self.queue.heap_head() {
-            if !self.timers.is_cancelled(cell) {
+        while let Some(&Queued::Cancellable(slot)) = self.queue.heap_head() {
+            if !self.timers.is_cancelled(slot) {
                 break;
             }
             self.queue.take_heap_head();
-            self.discard(cell, slot);
+            self.discard(slot);
         }
     }
 
@@ -824,20 +783,19 @@ pub struct Simulation<W: Send + 'static> {
 
 impl<W: Send + 'static> Simulation<W> {
     /// Create a simulation owning `world`, at time zero.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the one run stack: every process of the simulation runs on it"
+    )]
     pub fn new(world: W) -> Self {
         let inner = Arc::new_cyclic(|me: &Weak<SimInner<W>>| SimInner {
             core: Mutex::new((
                 Scheduler {
                     queue: EventQueue::default(),
                     dispatched: 0,
-                    events: EventSlab {
-                        slots: Vec::new(),
-                        free: Vec::new(),
-                    },
+                    events: Slab::default(),
                     procs: Vec::new(),
                     timers: Arc::new(TimerCells::new()),
-                    spare_cells: Vec::new(),
-                    cells_made: 0,
                     swept: Vec::new(),
                     sim: Weak::clone(me),
                 },
@@ -918,15 +876,21 @@ impl<W: Send + 'static> Simulation<W> {
                 .now_ns
                 .store(sched.queue.now(), AtomicOrdering::Release);
             let Some(act) = popped else {
-                return sched.queue.is_empty();
+                let idle = sched.queue.is_empty();
+                if idle {
+                    sched.assert_quiescent();
+                }
+                return idle;
             };
             let f = match act {
-                Queued::Run(slot) => sched.events.take(slot),
-                Queued::Cancellable(cell, slot) => {
-                    let f = sched.events.take(slot);
-                    // Cancelling a timer that is running, or has run, is a
-                    // no-op.
-                    if sched.retire(cell) {
+                Queued::Run(slot) => sched.events.remove(slot),
+                Queued::Cancellable(slot) => {
+                    // Retired first: cancelling a timer that is running, or
+                    // has run, is a no-op, and a timer its callback arms in
+                    // the freed slot is a generation on.
+                    let cancelled = sched.timers.retire(slot);
+                    let f = sched.events.remove(slot);
+                    if cancelled {
                         // Cancelled same-instant (lane) entry: time is
                         // already `now`, just skip it.
                         continue;
@@ -1352,7 +1316,7 @@ mod tests {
         cells.cancel(0, 1);
         assert!(cells.is_cancelled(0));
         // Every index has a cell of its own, across chunk boundaries.
-        let n = 3 * CHUNK0 + 5;
+        let n = 197;
         for idx in 1..n {
             assert_eq!(cells.generation(idx), 0);
             cells.cancel(idx, 0);
@@ -1380,13 +1344,13 @@ mod tests {
         });
         sim.run_to_idle();
         // Timers outstanding together get a cell each, spare ones first.
-        let n = 3 * CHUNK0 + 5;
+        let n = 197;
         sim.setup(|_, s| {
             assert_eq!(at(arm(s)), (0, 2));
             for idx in 1..n {
                 assert_eq!(at(arm(s)), (idx, 0));
             }
-            assert_eq!(s.cells_made, n);
+            assert_eq!((s.events.len(), s.events.capacity()), (n as usize, 256));
         });
         sim.run_to_idle();
         sim.setup(|_, s| {
@@ -1394,7 +1358,7 @@ mod tests {
             cells.sort_unstable();
             let again = (0..n).map(|idx| (idx, if idx == 0 { 3 } else { 1 }));
             assert!(cells.into_iter().eq(again));
-            assert_eq!(s.cells_made, n);
+            assert_eq!(s.events.capacity(), 256, "the slab did not grow");
         });
     }
 
@@ -1434,8 +1398,9 @@ mod tests {
         sim.run_to_idle();
         sim.setup(|_, sched| {
             assert_eq!(queued(sched), (0, 0));
-            assert_eq!((sched.spare_cells.len(), sched.cells_made), (300, 300));
-            assert_eq!(sched.events.free.len(), sched.events.slots.len());
+            // Nothing is left in the slab, which grew for the 304 events
+            // outstanding at the start and not since.
+            assert_eq!((sched.events.len(), sched.events.capacity()), (0, 512));
         });
         let w = sim.world();
         // At the floor: left alone. 150 dead of 302: left alone. 152 dead of

@@ -2,16 +2,18 @@
 //!
 //! A model with one queue per link or per channel end pays, in a
 //! `VecDeque` each, for every owner a run touches; the hardware and the
-//! kernel it models pay for the messages they hold. [`Slots`] is one `Vec`
-//! of slots with a free list, and a [`Fifo`] is a 12-byte handle into it —
-//! head, tail and length — that owns no memory of its own. The slab grows
-//! (by doubling) only when more items are held at once than ever before,
-//! so a queue's first push allocates nothing once the slab has warmed up.
+//! kernel it models pay for the messages they hold. [`Slots`] is one
+//! [`Slab`] of item-and-next slots, and a [`Fifo`] is a 12-byte handle into
+//! it — head, tail and length — that owns no memory of its own. The slab
+//! grows only when more items are held at once than ever before, so a
+//! queue's first push allocates nothing once the slab has warmed up.
 //!
 //! A handle belongs to one slab: every call names both, and the owner of
 //! the slab returns a handle's slots ([`Slots::clear`]) before dropping the
 //! handle. [`Slots::occupied`] against the owners' lengths is the oracle
 //! that none leaked.
+
+use crate::slab::Slab;
 
 /// No slot: the end of a chain.
 const NIL: u32 = u32::MAX;
@@ -38,30 +40,23 @@ impl Fifo {
     }
 }
 
-/// One slot: an item and the next slot of its chain (a queue's, or the
-/// free list's).
+/// One slot: an item and the next slot of its queue.
 #[derive(Debug)]
 struct Slot<T> {
-    item: Option<T>,
+    item: T,
     next: u32,
 }
 
 /// A slab of slots that many [`Fifo`]s share. See the module docs.
 #[derive(Debug)]
 pub struct Slots<T> {
-    slots: Vec<Slot<T>>,
-    /// First free slot, [`NIL`] when every slot holds an item.
-    free: u32,
-    /// Slots holding an item.
-    occupied: u32,
+    slots: Slab<Slot<T>>,
 }
 
 impl<T> Default for Slots<T> {
     fn default() -> Self {
         Slots {
-            slots: Vec::new(),
-            free: NIL,
-            occupied: 0,
+            slots: Slab::default(),
         }
     }
 }
@@ -69,28 +64,18 @@ impl<T> Default for Slots<T> {
 impl<T> Slots<T> {
     /// Slots holding an item: the sum of every live handle's length.
     pub fn occupied(&self) -> usize {
-        self.occupied as usize
+        self.slots.len()
     }
 
     /// Append `item` to `q`, in a free slot, or a new one when none is free.
     pub fn push_back(&mut self, q: &mut Fifo, item: T) {
-        let at = match self.free {
-            NIL => self.grow(item),
-            at => {
-                let slot = &mut self.slots[at as usize];
-                self.free = slot.next;
-                slot.next = NIL;
-                slot.item = Some(item);
-                at
-            }
-        };
+        let at = self.slots.insert(Slot { item, next: NIL });
         match q.len {
             0 => q.head = at,
-            _ => self.slots[q.tail as usize].next = at,
+            _ => self.slots[q.tail].next = at,
         }
         q.tail = at;
         q.len += 1;
-        self.occupied += 1;
     }
 
     /// Remove and return the oldest item of `q`.
@@ -98,14 +83,10 @@ impl<T> Slots<T> {
         if q.len == 0 {
             return None;
         }
-        let at = q.head;
-        let slot = &mut self.slots[at as usize];
-        let item = slot.item.take();
-        q.head = std::mem::replace(&mut slot.next, self.free);
-        self.free = at;
+        let Slot { item, next } = self.slots.remove(q.head);
+        q.head = next;
         q.len -= 1;
-        self.occupied -= 1;
-        item
+        Some(item)
     }
 
     /// Remove and return the oldest item of `q` if `pop` says so.
@@ -118,12 +99,12 @@ impl<T> Slots<T> {
 
     /// The oldest item of `q`.
     pub fn front(&self, q: &Fifo) -> Option<&T> {
-        (q.len > 0).then(|| self.item(q.head))
+        (q.len > 0).then(|| &self.slots[q.head].item)
     }
 
     /// The newest item of `q`.
     pub fn back(&self, q: &Fifo) -> Option<&T> {
-        (q.len > 0).then(|| self.item(q.tail))
+        (q.len > 0).then(|| &self.slots[q.tail].item)
     }
 
     /// The `i`-th oldest item of `q`, reached by walking `i` slots.
@@ -133,44 +114,24 @@ impl<T> Slots<T> {
         }
         let mut at = q.head;
         for _ in 0..i {
-            at = self.slots[at as usize].next;
+            at = self.slots[at].next;
         }
-        self.slots[at as usize].item.as_mut()
+        Some(&mut self.slots[at].item)
     }
 
     /// The items of `q`, oldest first.
     pub fn iter<'a>(&'a self, q: &Fifo) -> impl Iterator<Item = &'a T> + 'a {
         let mut at = q.head;
         (0..q.len).map(move |_| {
-            let slot = &self.slots[at as usize];
+            let slot = &self.slots[at];
             at = slot.next;
-            slot.item.as_ref().expect("a queued slot holds its item")
+            &slot.item
         })
     }
 
     /// Drop every item of `q` and return its slots to the free list.
     pub fn clear(&mut self, q: &mut Fifo) {
         while self.pop_front(q).is_some() {}
-    }
-
-    /// A new slot holding `item`, at the end of the slab. Out of line: the
-    /// slab grows only past its high-water mark, and `push_back`'s common
-    /// path, a free slot, stays small.
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self, item: T) -> u32 {
-        let at = u32::try_from(self.slots.len()).expect("slots fit in u32");
-        assert_ne!(at, NIL, "slab full");
-        self.slots.push(Slot {
-            item: Some(item),
-            next: NIL,
-        });
-        at
-    }
-
-    fn item(&self, at: u32) -> &T {
-        let slot = &self.slots[at as usize];
-        slot.item.as_ref().expect("a queued slot holds its item")
     }
 }
 
@@ -186,7 +147,7 @@ mod tests {
 
     /// Random pushes, pops, peeks, walks and clears over a few queues
     /// answer as one `VecDeque` per queue does, and the slab never holds
-    /// more slots than the most items ever queued at once.
+    /// more slots than a `Vec` of the most items ever queued at once.
     #[test]
     fn queues_match_a_vecdeque_each() {
         let mut rng = crate::rng::SmallRng::seed_from_u64(7);
@@ -227,6 +188,10 @@ mod tests {
             assert_eq!(slab.occupied(), live);
             peak = peak.max(live);
         }
-        assert_eq!(slab.slots.len(), peak);
+        let pushed = (0..peak).fold(Vec::new(), |mut v, i| {
+            v.push(i);
+            v
+        });
+        assert_eq!(slab.slots.capacity(), pushed.capacity());
     }
 }

@@ -38,16 +38,16 @@
 //! per shard of a sharded world) refers to it instead of copying it. Each
 //! link's state — busy, down, buffered frames, reservations, head route,
 //! round-robin pointer, statistics, a copy of its cap — and each
-//! endpoint's output register live in one table that builds an entry on the
-//! first write to it; a read of an untouched link sees the idle template. An
-//! untouched link costs one 4-byte slot, so a fabric pays for the part of
-//! the machine its traffic reaches, not for the machine.
+//! endpoint's output register live in a [`FirstTouch`] table that builds an
+//! entry on the first write to it; a read of an untouched link sees the idle
+//! template. An untouched link costs one zeroed 4-byte key, so a fabric pays
+//! for the part of the machine its traffic reaches, not for the machine.
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
-use desim::{Fifo, FixedMap, Slots};
+use desim::{Fifo, FirstTouch, FixedMap, Slots};
 
 use crate::config::{
     NetConfig, CLUSTER_PORT_SLOTS, COMB_ALU_NS, ENDPOINT_RX_SLOTS, HOP_LATENCY_NS,
@@ -183,53 +183,37 @@ impl Link {
 }
 
 /// Every link: its wire, shared with the fabric's siblings, and its state,
-/// built on first touch — the `NodeTable` pattern of DESIGN.md §14:
-/// indexing reads the idle template for a link nobody has written, and
-/// mutable indexing creates the link's entry. Entries share one `Vec`, so a
-/// first touch costs an allocation only when that `Vec` grows.
+/// built on first touch — the `NodeTable` pattern of DESIGN.md §14, a
+/// [`FirstTouch`] table: indexing reads the idle template for a link nobody
+/// has written, and mutable indexing creates the link's entry. The
+/// template's cap is `u32::MAX`: an untouched link holds nothing, so it
+/// accepts a frame, as every wire's cap of at least one says it should.
 struct Links {
     wires: Arc<[Wire]>,
-    /// Per link: its entry's index, 0 (the idle template) while untouched —
-    /// so a new table is zeroed memory and a read never branches.
-    slot: Vec<u32>,
-    /// The idle template, which is never written, then one entry per
-    /// touched link. The template's cap is `u32::MAX`: an untouched link
-    /// holds nothing, so it accepts a frame, as every wire's cap of at least
-    /// one says it should.
-    entries: Vec<Link>,
+    state: FirstTouch<Link>,
 }
 
 impl Links {
     fn new(wires: Arc<[Wire]>) -> Self {
         Links {
-            slot: vec![0; wires.len()],
-            entries: vec![Link::idle(LinkId(u32::MAX), u32::MAX)],
+            state: FirstTouch::new(wires.len(), Link::idle(LinkId(u32::MAX), u32::MAX)),
             wires,
         }
-    }
-
-    /// The touched links' entries.
-    fn touched(&self) -> &[Link] {
-        &self.entries[1..]
     }
 }
 
 impl Index<LinkId> for Links {
     type Output = Link;
     fn index(&self, l: LinkId) -> &Link {
-        &self.entries[self.slot[l.0 as usize] as usize]
+        &self.state[l.0 as usize]
     }
 }
 
 impl IndexMut<LinkId> for Links {
     fn index_mut(&mut self, l: LinkId) -> &mut Link {
-        let slot = &mut self.slot[l.0 as usize];
-        if *slot == 0 {
-            *slot = u32::try_from(self.entries.len()).expect("link ids fit in u32");
-            self.entries
-                .push(Link::idle(l, self.wires[l.0 as usize].cap));
-        }
-        &mut self.entries[*slot as usize]
+        let cap = self.wires[l.0 as usize].cap;
+        self.state
+            .get_or_insert_with(l.0 as usize, || Link::idle(l, cap))
     }
 }
 
@@ -441,7 +425,9 @@ pub struct Fabric {
     /// `port_in[c][k]` has a target leaving through that port.
     want: Vec<[u16; PORTS_PER_CLUSTER]>,
     /// Routed multicast heads (`Link::mc` indexes this slab) and its free
-    /// slots; a slot keeps its `ports` capacity from head to head.
+    /// slots. Not a [`desim::Slab`]: a freed head keeps its `ports`
+    /// capacity for the next multicast, where a slab's removal would drop
+    /// it and every multicast would allocate again.
     mcast: Vec<McHead>,
     mcast_free: Vec<u32>,
     /// The dirty worklist, sorted: `cur[pos..]` are this pass's keys not yet
@@ -1014,7 +1000,7 @@ impl Fabric {
     /// a fault or an output register has touched. Every other link reads as
     /// idle and costs one 4-byte slot.
     pub fn materialized_links(&self) -> usize {
-        self.links.touched().len()
+        self.links.state.touched_len()
     }
 
     /// The endpoint→cluster link of `node` (its transmit side).
@@ -1089,7 +1075,7 @@ impl Fabric {
     /// cluster port (the links whose caps the hardware flow control
     /// enforces unconditionally). Untouched links never held a frame.
     pub fn max_port_link_depth_hwm(&self) -> usize {
-        let entries = self.links.touched().iter();
+        let entries = self.links.state.touched();
         let port_side = entries.filter(|l| !self.link_ends_at_endpoint(l.id));
         port_side.map(|l| l.depth_hwm as usize).max().unwrap_or(0)
     }

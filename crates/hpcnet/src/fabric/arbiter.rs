@@ -270,7 +270,7 @@ impl Fabric {
             return;
         }
         let mut buffered = 0;
-        for link in self.links.touched() {
+        for link in self.links.state.touched() {
             let stuck = link.out_reg.is_some() && self.grantable(link.id);
             assert!(!stuck, "missed wakeup: {:?} can inject", link.id);
             buffered += link.buf.len();

@@ -112,7 +112,7 @@ impl CdbFilter {
 /// Take a snapshot of every channel in the installation.
 pub fn snapshot(w: &World) -> Vec<ChanReport> {
     let mut by_id: BTreeMap<u32, ChanReport> = BTreeMap::new();
-    for node in &w.nodes {
+    for node in w.nodes.iter() {
         for end in w.chan_ends.of(node.addr) {
             let state = match (end.reader_blocked, end.writer_blocked) {
                 (false, false) => EndState::Idle,

@@ -155,7 +155,9 @@ fn standalone_unicast_allocates_nothing_after_warm_up() {
 /// A link's buffered frames sit in its fabric's one frame slab, so the
 /// first frame a link ever buffers takes a free slot: once one frame has
 /// sized the slab, frames over links nothing touched before allocate only
-/// for the table of touched links' entries, which grows by doubling. Each
+/// for the table of touched links' entries, a slab that adds a chunk where
+/// a `Vec` would double (6 chunks here, as there were 6 doublings; a
+/// first-touch table sizes its row of chunks when it is built). Each
 /// of 63 frames, one at a time, leaves a different endpoint for the one
 /// opposite it in a 16 × 4 machine; with a queue of its own per link, each
 /// newly touched link allocated its first buffer (one per link, over 100).
@@ -175,8 +177,8 @@ fn frames_over_untouched_links_allocate_only_the_link_table_growth() {
     let touched = net.fabric.materialized_links();
     let (_, calls) = alloc_meter::measure(|| (1..64).for_each(|a| send_one(&mut net, a)));
     let new_links = net.fabric.materialized_links() - touched;
-    // Doublings of the entry table from `touched + 1` entries (its idle
-    // template included) to `touched + 1 + new_links`.
+    // Chunks the entry slab adds from `touched + 1` entries (its idle
+    // template included) to `touched + 1 + new_links`: a `Vec`'s doublings.
     let growths = (touched + 1 + new_links).next_power_of_two().ilog2()
         - (touched + 1).next_power_of_two().ilog2();
     assert!(new_links > 100, "only {new_links} links were new");
@@ -224,17 +226,18 @@ fn standalone_multicast_allocates_one_list_per_tree_edge() {
 /// window around the whole run: events and both simulated processes execute
 /// on the calling thread, and the opening rendezvous is inside it.
 ///
-/// Measured: 71 for 1,000 messages (73 unoptimised) — the open handshake
-/// and the one-off growth of queues, slabs, free lists and the two images
-/// to their working size, and nothing per message (the ack timer's cancel
-/// flag is a recycled cell, a lone waiter is held inline); the budget is
-/// exactly that. With a `VecDeque` per link and per channel-end queue it
-/// took 78 (79); with an `Arc` flag per timer 1,089, with boxed event
-/// closures and a fresh fabric `Output` per step over 22,000.
+/// Measured: 62 for 1,000 messages (64 unoptimised) — the open handshake
+/// and the one-off growth of queues, slabs and the two images to their
+/// working size, and nothing per message (the ack timer's cancel flag is
+/// its closure's recycled slot, a lone waiter is held inline); the budget
+/// is exactly that. With a free list of its own beside each slab it took
+/// 71 (73); with a `VecDeque` per link and per channel-end queue 78 (79);
+/// with an `Arc` flag per timer 1,089, with boxed event closures and a
+/// fresh fabric `Output` per step over 22,000.
 #[test]
 fn stop_and_wait_message_stays_within_alloc_budget() {
     const MSGS: u64 = 1_000;
-    const BUDGET: u64 = 73;
+    const BUDGET: u64 = 64;
     let _guard = lock(&COPYMETER_LOCK);
     let mut v = VorxBuilder::single_cluster(2).build();
     let payload = Payload::copy_from(&[0x5Au8; 64]);
@@ -464,9 +467,10 @@ fn allocs_for_opens(opens: usize) -> u64 {
 }
 
 /// The open handshake — request, manager match, reply, channel end — costs
-/// 0.074 allocations per `try_open` (19 for 256), the channel end's own
-/// buffers and its share of a 64-end slab chunk included; the bound is that
-/// plus 10 %. Names travel as `&str` borrowed from the frames, every table
+/// 0.043 allocations per `try_open` (11 for 256), the channel end's own
+/// buffers and its share of the growth of the table its row is in
+/// included; the bound is that plus 10 %. (0.074, 19, while the ends sat in
+/// 64-end chunks beside a table of their slots.) Names travel as `&str` borrowed from the frames, every table
 /// that keeps one keeps an inline `Name`, a paired name leaves nothing at
 /// its manager, and the request and reply payloads are packed on the stack.
 /// (It was twelve; 4.58 while a name was copied into a fresh `String` four
@@ -480,7 +484,7 @@ fn an_open_handshake_allocates_under_a_tenth_per_end() {
     let extra = allocs_for_opens(192) - allocs_for_opens(64);
     let per_open = extra as f64 / (2.0 * 128.0);
     assert!(
-        per_open <= 0.082,
+        per_open <= 0.047,
         "{per_open:.2} allocations per try_open ({extra} for 256 more)"
     );
 }
@@ -635,18 +639,20 @@ fn allocs_per_node_opening_one_stream() -> f64 {
 
 /// A node's kernel state is rows of world tables, and its queued frames
 /// and messages slots of slabs, not containers of its own: a 512-endpoint
-/// world in which every node opens one stream makes 4.53 allocations per
-/// node optimised (2,317), 6.53 unoptimised (3,341) — the processes'
+/// world in which every node opens one stream makes 4.47 allocations per
+/// node optimised (2,291), 6.47 unoptimised (3,315) — the processes'
 /// images, the links the traffic touched and the world tables' and slabs'
-/// growth — and the bound is that plus 10 %. It made 11.13 optimised
-/// (5,700), 12.13 unoptimised (6,212), while every touched link and every
-/// first-used channel end allocated a queue of its own, and 17.95 optimised
+/// growth — and the bound is that plus 10 %. It made 4.53 (2,317) and 6.53
+/// (3,341) while each slab kept a free list or a chunk index of its own
+/// beside its entries, 11.13 optimised (5,700), 12.13 unoptimised (6,212),
+/// while every touched link and every first-used channel end allocated a
+/// queue of its own, and 17.95 optimised
 /// (9,190), 18.95 unoptimised (9,702), while every node kept its channel
 /// index, resolve cache, manager tables, transmit queue and open waiters in
 /// containers of its own and its `Node` in a `Box`.
 #[test]
 fn a_world_opening_one_stream_per_node_allocates_under_its_budget() {
-    let measured = if cfg!(debug_assertions) { 6.53 } else { 4.53 };
+    let measured = if cfg!(debug_assertions) { 6.47 } else { 4.47 };
     let per_node = allocs_per_node_opening_one_stream();
     assert!(
         per_node <= measured * 1.1,

@@ -21,10 +21,9 @@ mod alloc_meter;
 const N: u64 = 100_000;
 
 /// Allocations that queue growth may cost while `N` events are outstanding:
-/// six doubling buffers (heap, closure slab, slab free list, timer cells,
-/// timer-cell free list, sweep scratch) of at most `log2(N) + 1` steps each,
-/// and two more for slack.
-const GROWTH: u64 = 8 * (N.ilog2() as u64 + 1);
+/// four buffers (heap, closure slab, timer cells, sweep scratch) of at most
+/// `log2(N) + 1` doublings or chunks each, and two more for slack.
+const GROWTH: u64 = 6 * (N.ilog2() as u64 + 1);
 
 /// Counts how many times it has been dropped.
 struct DropCount(Arc<AtomicUsize>);
@@ -128,9 +127,9 @@ fn dead_timers_do_not_size_the_queue() {
     /// Messages whose ack is outstanding: 1.5 ms of them.
     const UNACKED: usize = 200;
     /// Bytes a queued entry may hold in all buffers together: 32 in the
-    /// heap, a closure slot of under 100, a free-list word, and for a timer
-    /// its cell, a spare-cell word and a sweep word.
-    const ENTRY_BYTES: i64 = 160;
+    /// heap, a closure slot of under 100, and for a timer its cell and a
+    /// sweep word.
+    const ENTRY_BYTES: i64 = 144;
 
     struct Acks {
         armed: bool,
@@ -196,6 +195,92 @@ fn dead_timers_do_not_size_the_queue() {
     assert!(
         held <= bound,
         "{held} bytes held for {live} live entries; twice-live sizing explains {bound}"
+    );
+}
+
+/// A run that finds its queue empty has nothing of an event left: the
+/// closure slab holds no entry and no cancelled timer is counted. The
+/// executor asserts both there in a debug build, so this drives the
+/// sweep's 300-timer scenario — cancellations below the floor, among as
+/// many live timers, then past both — to idle, twice over.
+#[test]
+fn an_idle_queue_leaves_no_closure_and_counts_no_cancelled_timer() {
+    use desim::TimerHandle;
+
+    #[derive(Default)]
+    struct World {
+        timers: Vec<TimerHandle>,
+        fired: usize,
+    }
+    let mut sim = Simulation::new(World::default());
+    for round in 1..=2 {
+        sim.setup(|w, s| {
+            w.timers = (0..300)
+                .map(|_| {
+                    s.schedule_cancellable_in(SimDuration::from_us(50), |w: &mut World, _| {
+                        w.fired += 1
+                    })
+                })
+                .collect();
+            for (step, upto) in [64, 150, 152, 152].into_iter().enumerate() {
+                let at = SimDuration::from_us(1 + step as u64);
+                s.schedule_in(at, move |w: &mut World, _| {
+                    w.timers[..upto].iter().for_each(TimerHandle::cancel);
+                });
+            }
+        });
+        let report = sim.run_to_idle();
+        assert_eq!(sim.world().fired, 148 * round);
+        assert_eq!(sim.next_event_time(), None, "idle at {:?}", report.now);
+    }
+}
+
+/// ABA through the retry pattern: a timer's callback arms the next timer,
+/// which takes the slot the firing one just left, and the fired timer's
+/// handle — still held, as a retry chain holds its last — cancels nothing,
+/// whether it is used in the callback itself or later.
+#[test]
+fn a_fired_timers_handle_leaves_the_timer_its_callback_armed_in_its_slot() {
+    use desim::{Scheduler, TimerHandle};
+
+    #[derive(Default)]
+    struct Chain {
+        armed: Vec<TimerHandle>,
+        fired: Vec<usize>,
+    }
+    /// The cell a handle names, from its `Debug` form.
+    fn cell(h: &TimerHandle) -> String {
+        let d = format!("{h:?}");
+        d[d.find("cell").expect("a cell")..d.find(", gen").expect("a gen")].to_string()
+    }
+    fn arm(w: &mut Chain, s: &mut Scheduler<Chain>) {
+        let n = w.armed.len();
+        let h = s.schedule_cancellable_in(SimDuration::from_us(1), move |w: &mut Chain, s| {
+            w.fired.push(n);
+            if n < 3 {
+                arm(w, s);
+                w.armed[n].cancel();
+            }
+        });
+        w.armed.push(h);
+    }
+    let mut sim = Simulation::new(Chain::default());
+    sim.setup(arm);
+    // Halfway to the second timer, the first one's handle again.
+    sim.schedule_in(SimDuration::from_ns(1_500), |w: &mut Chain, _| {
+        w.armed[0].cancel()
+    });
+    sim.run_to_idle();
+    let w = sim.world();
+    assert_eq!(
+        w.fired,
+        [0, 1, 2, 3],
+        "a stale handle disarmed its successor"
+    );
+    let cells: Vec<String> = w.armed.iter().map(cell).collect();
+    assert!(
+        cells.iter().all(|c| *c == cells[0]),
+        "each timer took the slot its predecessor left: {cells:?}"
     );
 }
 

@@ -314,10 +314,15 @@ fn live_per_idle_stream() -> i64 {
 }
 
 /// A connected idle stream costs at most its measured heap plus 10 %:
-/// 4,540 bytes, optimised or not — a node (at most 256 B), two ends in their
-/// world's slab (432 B each), their rows in the world tables, the links its
-/// traffic touched. It was 5,122 while every node kept its channel index,
-/// its resolve cache and its manager's tables of its own (a 776-byte node),
+/// 3,853 bytes, optimised or not — a node (at most 256 B), two ends as rows
+/// of their world's table (360 B each), their rows in the other world
+/// tables, the links its traffic touched. It was 3,691 while every table
+/// was a `Vec` that doubled: 64 nodes fill a `Vec` of 64 exactly, where the
+/// slab that also holds the idle template takes 128 (+184 B a stream), and
+/// a slab past four rows keeps a row of its chunks; 4,540 while each end's
+/// queues were containers of its own; 5,122 while every node kept its
+/// channel index, its resolve cache and its manager's tables of its own (a
+/// 776-byte node),
 /// 7,038 while its ends, open waits and unacknowledged control frames were
 /// in hash tables of its own, rounded up to four buckets, left allocated
 /// once the handshake had emptied them, and keyed by a `RandomState` each;
@@ -325,7 +330,7 @@ fn live_per_idle_stream() -> i64 {
 /// and a paired name kept its key and an emptied queue at its manager.
 #[test]
 fn a_connected_idle_stream_costs_at_most_its_budget() {
-    const MEASURED: i64 = 4_540;
+    const MEASURED: i64 = 3_853;
     let bytes = live_per_idle_stream();
     println!("connected idle stream: {bytes} B");
     assert!(

@@ -32,7 +32,7 @@ fn sharded_100k_build_holds_at_most_52_mb() {
     assert!(mb <= 52.0, "the 8-shard 100k build holds {mb:.1} MB live");
 
     v.run();
-    let materialized = v.sum_over_shards(|w| w.nodes.materialized().count() as u64);
+    let materialized = v.sum_over_shards(|w| w.nodes.touched().count() as u64);
     assert_eq!(materialized, 0, "an idle world faults in no kernel");
     let idle: usize = invariants::inspect_shards(&v).iter().map(|p| p.idle).sum();
     assert_eq!(idle, 102_400, "every endpoint owns nothing");
@@ -80,6 +80,18 @@ fn dense_sharded_run_builds_at_most_a_quarter_of_the_links_per_shard() {
         assert!(built > 0, "shard {k} carried traffic");
         assert!(4 * built <= all, "shard {k} built {built} of {all} links");
     }
+}
+
+/// A first-touch table reads every untouched id as its template, and the
+/// reads allocate nothing and build nothing.
+#[test]
+fn first_touch_reads_of_untouched_ids_allocate_nothing() {
+    const N: usize = 1 << 16;
+    let mut t = hpc_vorx::desim::FirstTouch::new(N, 7u64);
+    *t.get_or_insert_with(5, || 1) = 2;
+    let (sum, calls) = alloc_meter::measure(|| (0..N).map(|i| t[i]).sum::<u64>());
+    assert_eq!(sum, 7 * (N as u64 - 1) + 2);
+    assert_eq!((calls, t.touched_len()), (0, 1));
 }
 
 /// Reads never build state, and what they read of an untouched link is the
