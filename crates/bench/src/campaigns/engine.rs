@@ -20,7 +20,7 @@
 
 use desim::{spsc, Ctx, IdleReport, ProcId, Scheduler, SimDuration, Simulation, Wakeup};
 use hpcnet::driver::StandaloneNet;
-use hpcnet::{Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
+use hpcnet::{Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Targets, Topology};
 use snet::{SnetSim, Strategy};
 
 use super::paper::{table1_cell, table2_cell};
@@ -430,7 +430,7 @@ fn multicast(samples: Option<usize>) -> Run {
     let setup = || {
         let topo = Topology::incomplete_hypercube(8, 4).unwrap();
         let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
-        let everyone: std::sync::Arc<[NodeAddr]> = (1..32).map(NodeAddr).collect::<Vec<_>>().into();
+        let everyone: Targets = (1..32).map(NodeAddr).collect();
         for i in 0..100u64 {
             net.send_at(
                 i * 100_000,

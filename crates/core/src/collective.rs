@@ -26,11 +26,9 @@
 //! [`crate::proto::KIND_COLL_NUDGE`]. Channels carry their own reliability,
 //! so the software tree needs none of this.
 
-use std::sync::Arc;
-
 use desim::{sync::WaitSet, FixedMap, SimDuration, Wakeup};
 use hpcnet::combine::{self, CombOp};
-use hpcnet::{Dest, Frame, NodeAddr, Payload};
+use hpcnet::{Dest, Frame, NodeAddr, Payload, Targets};
 
 use crate::api;
 use crate::calib::CTL_TIMEOUT_NS;
@@ -71,10 +69,10 @@ pub struct GroupCfg {
 #[derive(Debug, Clone)]
 pub struct Group {
     /// The member nodes, ascending; the first is the root.
-    pub(crate) members: Arc<[NodeAddr]>,
-    /// Every member but the root (`members[1..]`): the root's multicast
-    /// targets.
-    pub(crate) others: Arc<[NodeAddr]>,
+    pub(crate) members: Targets,
+    /// Every member but the root (`members.sub(1..)`, the same list): the
+    /// root's multicast targets.
+    pub(crate) others: Targets,
     /// Execution engine.
     pub(crate) mode: CollMode,
 }
@@ -84,6 +82,7 @@ impl Group {
         let mut members = cfg.members.clone();
         members.sort();
         members.dedup();
+        let members = Targets::from(members);
         assert!(!members.is_empty(), "collective group needs members");
         assert!(
             cfg.group <= combine::MAX_GROUP,
@@ -93,8 +92,8 @@ impl Group {
             assert!(radix >= 1, "software tree radix must be >= 1");
         }
         Group {
-            others: members[1..].into(),
-            members: members.into(),
+            others: members.sub(1..),
+            members,
             mode: cfg.mode,
         }
     }
@@ -168,7 +167,7 @@ pub struct RootPending {
     pub total: u32,
     /// Every member except the root (retry/result multicast targets): the
     /// group's own list.
-    pub others: Arc<[NodeAddr]>,
+    pub others: Targets,
     /// The retry chain.
     pub chain: Chain,
 }
@@ -245,9 +244,9 @@ pub struct Collective {
     group: u32,
     node: NodeAddr,
     idx: usize,
-    members: Arc<[NodeAddr]>,
+    members: Targets,
     /// The root's multicast targets (used by the root only).
-    others: Arc<[NodeAddr]>,
+    others: Targets,
     engine: Engine,
 }
 
@@ -399,7 +398,7 @@ impl Collective {
         }
         api::compute_ns(ctx, node, CpuCat::User, send_ns);
         let cseq = if self.idx == 0 {
-            let others = Arc::clone(&self.others);
+            let others = self.others.clone();
             ctx.with(move |w, s| root_begin(w, s, node, group, op, operand, others))
         } else {
             let root = self.members[0];
@@ -647,7 +646,7 @@ fn root_begin(
     group: u32,
     op: CombOp,
     own: u64,
-    others: Arc<[NodeAddr]>,
+    others: Targets,
 ) -> u32 {
     let total = others.len() as u32 + 1;
     let st = coll_state(w, node, group);
@@ -769,7 +768,7 @@ fn retry_root(w: &mut World, s: &mut VSched, node: NodeAddr, group: u32, cseq: u
         return;
     };
     rp.attempt = rp.attempt.saturating_add(1);
-    let (a, op, own, others) = (rp.attempt, rp.op, rp.own, Arc::clone(&rp.others));
+    let (a, op, own, others) = (rp.attempt, rp.op, rp.own, rp.others.clone());
     let e = st.accs.entry((cseq, a)).or_insert((op.identity(), 0));
     e.0 = op.apply(e.0, own);
     e.1 += 1;
@@ -947,7 +946,7 @@ fn replay_a2a(w: &mut World, s: &mut VSched, node: NodeAddr, group: u32, cseq: u
     let Some(g) = w.coll_groups.get(&group) else {
         return;
     };
-    let members = Arc::clone(&g.members);
+    let members = g.members.clone();
     let my_idx = members.binary_search(&node).unwrap_or(usize::MAX) as u32;
     let Some(p) = coll_state(w, node, group).a2a.as_ref() else {
         return;

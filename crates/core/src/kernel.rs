@@ -87,12 +87,12 @@ fn bridge(w: &mut World, s: &mut VSched, frame: Frame) -> Option<Frame> {
             bridge_one(w, now, ser, d, frame);
         }
         Dest::Multicast(ts) => {
-            // One pass bridges the remote copies in target order and counts
+            // One pass bridges the remote copies in target order and finds
             // the local targets; no list is built unless both kinds occur.
-            let mut local = 0;
-            for &t in ts.iter() {
+            let (mut local, mut first, mut last) = (0, usize::MAX, 0);
+            for (i, &t) in ts.iter().enumerate() {
                 if !w.shard.is_remote(t) {
-                    local += 1;
+                    (local, first, last) = (local + 1, first.min(i), i);
                     continue;
                 }
                 let mut copy = frame.clone();
@@ -106,10 +106,18 @@ fn bridge(w: &mut World, s: &mut VSched, frame: Frame) -> Option<Frame> {
                 // Mixed multicast: the local copies serialize through the
                 // fabric (which owns the register for the duration); the
                 // remote copies ride the bridge at no extra register cost.
-                // The local list is collected at its exact size (`Map<Range>`
-                // is `TrustedLen`: one allocation).
-                let mut it = ts.iter().copied().filter(|t| !w.shard.is_remote(*t));
-                let list = (0..local).map(|_| it.next().expect("counted")).collect();
+                // A shard owns a block of clusters, so the local targets of
+                // an ascending list are one run of it, forwarded as a
+                // sub-run; only local targets scattered over the list are
+                // collected.
+                let list = if last + 1 - first == local {
+                    ts.sub(first..=last)
+                } else {
+                    ts.iter()
+                        .copied()
+                        .filter(|&t| !w.shard.is_remote(t))
+                        .collect()
+                };
                 let mut f = frame;
                 f.dst = Dest::Multicast(list);
                 return Some(f);

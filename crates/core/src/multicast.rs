@@ -19,10 +19,9 @@
 //! alternative over ordinary channels.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use desim::{sync::WaitSet, SimDuration, Wakeup};
-use hpcnet::{Dest, Frame, NodeAddr, Payload};
+use hpcnet::{Dest, Frame, NodeAddr, Payload, Targets};
 
 use crate::api;
 use crate::channel::ChannelHandle;
@@ -97,10 +96,10 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
     let pid = ctx.pid();
     // One refcounted target list shared by every fragment: a multi-frame
     // mwrite allocates no per-fragment destination copies.
-    let dsts: Arc<[NodeAddr]> = dsts.into();
+    let dsts: Targets = dsts.into();
     for (frag, last) in crate::channel::fragment(payload) {
         api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
-        let dsts = Arc::clone(&dsts);
+        let dsts = dsts.clone();
         let seq = ctx.with(move |w, s| {
             let now = s.now();
             let seq = w.token();

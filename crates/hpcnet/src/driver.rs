@@ -7,10 +7,8 @@
 //! campaigns, and tests; its loop is `desim`'s event queue. VORX puts simulated
 //! kernel software here, which charges CPU time per action.
 
-use std::collections::VecDeque;
-
 use desim::queue::EventQueue;
-use desim::FixedMap;
+use desim::{Fifo, FixedMap, Slots};
 
 use crate::fabric::{Fabric, FaultHook, NetEvent, Notify, Output};
 use crate::frame::{Frame, NodeAddr};
@@ -35,7 +33,10 @@ pub struct StandaloneNet {
     pub delivered: Vec<(u64, NodeAddr, Frame)>,
     /// The clock, and the actions still to fire.
     queue: EventQueue<Action>,
-    waiting_tx: FixedMap<NodeAddr, VecDeque<Frame>>,
+    /// Each endpoint's busy-transmitter retry queue: a FIFO in `waiting`.
+    waiting_tx: FixedMap<NodeAddr, Fifo>,
+    /// The frames of every `waiting_tx` queue.
+    waiting: Slots<Frame>,
     /// Frames discarded from `waiting_tx`: newest-first overflow past
     /// [`WAITING_TX_CAP`], plus everything purged when the queue's endpoint
     /// crashed.
@@ -56,6 +57,7 @@ impl StandaloneNet {
             delivered: Vec::new(),
             queue: EventQueue::default(),
             waiting_tx: FixedMap::default(),
+            waiting: Slots::default(),
             waiting_dropped: 0,
             faults: None,
             work: Vec::new(),
@@ -105,10 +107,7 @@ impl StandaloneNet {
             0,
             "frames stuck inside the fabric at quiescence"
         );
-        assert!(
-            self.waiting_tx.values().all(VecDeque::is_empty),
-            "frames never injected"
-        );
+        assert_eq!(self.waiting.occupied(), 0, "frames never injected");
     }
 
     /// Run until quiescent without asserting delivery (for tests that
@@ -145,7 +144,7 @@ impl StandaloneNet {
                         // shedding the newest frame once the queue is full.
                         let q = self.waiting_tx.entry(src).or_default();
                         if q.len() < WAITING_TX_CAP {
-                            q.push_back(frame);
+                            self.waiting.push_back(q, frame);
                         } else {
                             self.waiting_dropped += 1;
                         }
@@ -154,7 +153,7 @@ impl StandaloneNet {
                 Action::Crash(node) => {
                     if let Some(q) = self.waiting_tx.get_mut(&node) {
                         self.waiting_dropped += q.len() as u64;
-                        q.clear();
+                        self.waiting.clear(q);
                     }
                     self.fabric.set_endpoint_down(now, node, true, &mut out);
                 }
@@ -179,9 +178,8 @@ impl StandaloneNet {
                 let mut o = self.spare.pop().unwrap_or_default();
                 match n {
                     Notify::TxReady(a) => {
-                        if let Some(frame) =
-                            self.waiting_tx.get_mut(&a).and_then(VecDeque::pop_front)
-                        {
+                        let q = self.waiting_tx.get_mut(&a);
+                        if let Some(frame) = q.and_then(|q| self.waiting.pop_front(q)) {
                             if let Err(e) = self.fabric.try_send(now, frame, &mut o) {
                                 panic!("retry injection failed: {e}");
                             }

@@ -57,7 +57,7 @@ use crate::frame::{Dest, Frame, FrameError, NodeAddr};
 use crate::topology::{Attachment, ClusterId, PortRef, Topology};
 
 mod arbiter;
-use arbiter::McHead;
+use arbiter::{McHead, TreeOrder};
 
 /// Identifies one directed link in the fabric.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -406,6 +406,10 @@ pub struct Work {
     pub port_visits: u64,
     /// Transmissions started.
     pub grants: u64,
+    /// Multicast heads re-listed in their tree's order: where a source's
+    /// list does not form one run per output port, and where a re-route
+    /// breaks the runs.
+    pub relists: u64,
 }
 
 /// The HPC interconnect model. See module docs.
@@ -430,6 +434,8 @@ pub struct Fabric {
     /// it and every multicast would allocate again.
     mcast: Vec<McHead>,
     mcast_free: Vec<u32>,
+    /// Scratch for re-listing a multicast head in tree order.
+    tree: TreeOrder,
     /// The dirty worklist, sorted: `cur[pos..]` are this pass's keys not yet
     /// visited, `cursor` the key being visited (0 outside `progress`), `next`
     /// the next pass's keys.
@@ -614,6 +620,7 @@ impl Fabric {
             want: vec![[0; PORTS_PER_CLUSTER]; n_clusters],
             mcast: Vec::new(),
             mcast_free: Vec::new(),
+            tree: TreeOrder::new(),
             cur: Vec::new(),
             next: Vec::new(),
             pos: 0,

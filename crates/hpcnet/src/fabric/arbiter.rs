@@ -5,8 +5,12 @@
 //! One invariant carries it: *a queue head knows its ports*. A frame is
 //! routed once, when it becomes the head of a cluster input; the result is
 //! kept beside the link (`Link::head`; per-target ports in a reused
-//! [`McHead`] for a multicast head, which is thereby partitioned once) and
-//! raised as bits in its cluster's per-port want-masks. Every push to and
+//! [`McHead`] for a multicast head) and raised as bits in its cluster's
+//! per-port want-masks. A routed multicast head's unsent targets form one
+//! run of its list per output port: where they do not, the head is re-listed
+//! once in its multicast tree's depth-first order, after which every branch
+//! below is a run too, so each branch forwards a sub-run of its parent's
+//! list ([`Targets::sub`]) and replication builds no list. Every push to and
 //! pop from a `Link::buf` goes through [`Fabric::enqueue`] or
 //! [`Fabric::take_head`] + [`Fabric::head_changed`], which maintain that
 //! state and mark, on an ordered worklist, the (cluster, port) and endpoint
@@ -16,16 +20,80 @@
 //! was missed, and that the touched links' queues own every occupied slot
 //! of `Fabric::frames`.
 
+use std::ops::Range;
+
 use super::*;
+use crate::frame::Targets;
 
 /// A routed multicast head: `ports[i]` is the output port of the head's
 /// `i`-th target, [`PORT_NONE`], or [`PORT_SENT`] once that target's branch
-/// left; `remaining` counts the targets still to go. The head's own list is
-/// never rebuilt.
+/// left; `remaining` counts the targets still to go. Each value but
+/// [`PORT_SENT`] fills one run of `ports` ([`one_run_per_port`]).
 #[derive(Default)]
 pub(super) struct McHead {
     ports: Vec<u8>,
     remaining: usize,
+}
+
+/// The reused buffer of [`Fabric::relist`]: per unsent target, its
+/// [`tree_key`], its index in the head's list and its port.
+pub(super) type TreeOrder = Vec<(u128, u32, u8)>;
+
+/// Ports of a route that a [`tree_key`] holds, four bits each.
+const KEY_PORTS: u32 = 32;
+const _: () = assert!(
+    PORTS_PER_CLUSTER <= 14,
+    "four bits hold port + 1, 0 (the route ended) and 15 (no route)"
+);
+
+/// The port sequence the route to `t` takes from cluster `c`, leaving it
+/// through `port`, as a number that orders as the sequence does: the
+/// first port in the highest four bits, each as `port + 1` (15: no
+/// route), then zeros, so a route sorts before every longer one it
+/// prefixes. Routes that agree on their first [`KEY_PORTS`] ports tie; if
+/// that leaves a branch that far on without one run per port, the
+/// cluster there re-lists it.
+fn tree_key(topo: &Topology, mut c: ClusterId, mut port: u8, t: NodeAddr) -> u128 {
+    let mut key = 0;
+    for k in (0..KEY_PORTS).rev() {
+        key |= u128::from(port.saturating_add(1).min(15)) << (4 * k);
+        if port == PORT_NONE {
+            break;
+        }
+        let Attachment::Cluster(peer) = topo.attachment(PortRef { cluster: c, port }) else {
+            break; // `port` leads to the target's endpoint.
+        };
+        (c, port) = (peer.cluster, topo.route(peer.cluster, t));
+    }
+    key
+}
+
+/// True iff every value of `ports` but [`PORT_SENT`] occupies one run: a
+/// multicast head whose ports pass forwards each branch as a sub-run of its
+/// list.
+fn one_run_per_port(ports: &[u8]) -> bool {
+    let (mut seen, mut prev) = (0u32, PORT_SENT);
+    for &q in ports {
+        if q != prev && q != PORT_SENT {
+            // Output ports are 0..12; `PORT_NONE` takes bit 31.
+            let bit = 1 << q.min(31);
+            if seen & bit != 0 {
+                return false;
+            }
+            seen |= bit;
+        }
+        prev = q;
+    }
+    true
+}
+
+/// The destination of the branch of `dst` that carries its targets `run`:
+/// a sub-run of its list, a `Unicast` for one target.
+fn run_dest(dst: &Dest, run: Range<usize>) -> Dest {
+    match dst {
+        Dest::Multicast(ts) if run.len() > 1 => Dest::Multicast(ts.sub(run)),
+        _ => Dest::Unicast(dst.targets()[run.start]),
+    }
 }
 
 // Worklist keys, in the order a pass visits them: purge visits, endpoints
@@ -72,7 +140,8 @@ impl Fabric {
     /// Route the head of `l` — once, when it becomes the head; again only
     /// when the topology's generation moved. Raises its want bits, wakes the
     /// ports that can serve it now, and leaves a purge key if it (or one of
-    /// its multicast targets) has no surviving route.
+    /// its multicast targets) has no surviving route. A multicast head whose
+    /// unsent targets do not form one run per port is re-listed.
     fn route_head(&mut self, l: LinkId) {
         let Element::Port(at) = self.wire(l).to else {
             return; // An endpoint FIFO: drained by software.
@@ -84,7 +153,7 @@ impl Fabric {
             // A re-route: lower what the stale route raised.
             self.want[ci].iter_mut().for_each(|w| *w &= !bit);
         }
-        let (mut ports, mut stranded) = (0u16, false);
+        let (mut ports, mut stranded, mut relist) = (0u16, false, false);
         let mut note = |port: u8| match port {
             PORT_NONE => stranded = true,
             _ => ports |= 1 << port,
@@ -107,13 +176,18 @@ impl Fabric {
                     m.ports.resize(ts.len(), PORT_NONE);
                     m.remaining = ts.len();
                 }
-                let unsent = self.mcast[link.mc as usize].ports.iter_mut().zip(ts.iter());
+                let m = &mut self.mcast[link.mc as usize];
+                let unsent = m.ports.iter_mut().zip(ts.iter());
                 for (q, t) in unsent.filter(|(q, _)| **q != PORT_SENT) {
                     *q = self.topo.route(c, *t);
                     self.work.routes += 1;
                     note(*q);
                 }
+                relist = !one_run_per_port(&m.ports);
             }
+        }
+        if relist {
+            self.relist(l, c);
         }
         while ports != 0 {
             let port = ports.trailing_zeros() as usize;
@@ -126,6 +200,39 @@ impl Fabric {
         if stranded {
             self.mark(KEY_PURGE | u64::from(l.0));
         }
+    }
+
+    /// Re-list the unsent targets of the routed multicast head of `l` at
+    /// cluster `c` in its multicast tree's depth-first order: by the port
+    /// sequence each target's route takes from `c` ([`tree_key`]), then by
+    /// index. Targets that share a port share a prefix, so each port's
+    /// targets form one run, and so do the targets of every branch below
+    /// while the routes walked here stand. The new list holds the unsent
+    /// targets only.
+    fn relist(&mut self, l: LinkId, c: ClusterId) {
+        self.work.relists += 1;
+        let link = &self.links[l];
+        let m = &mut self.mcast[link.mc as usize];
+        let head = self.frames.front(&link.buf).expect("a head to re-list");
+        let Dest::Multicast(ts) = &head.dst else {
+            unreachable!("only a multicast head is re-listed")
+        };
+        let order = &mut self.tree;
+        order.clear();
+        let unsent = m.ports.iter().zip(ts.iter()).enumerate();
+        for (i, (&q, &t)) in unsent.filter(|(_, (&q, _))| q != PORT_SENT) {
+            order.push((tree_key(&self.topo, c, q, t), i as u32, q));
+        }
+        order.sort_unstable_by_key(|&(key, i, _)| (key, i));
+        let list: Targets = order.iter().map(|&(_, i, _)| ts[i as usize]).collect();
+        m.ports.clear();
+        m.ports.extend(order.iter().map(|&(.., q)| q));
+        debug_assert_eq!(m.ports.len(), m.remaining);
+        let head = self
+            .frames
+            .get_mut(&link.buf, 0)
+            .expect("a head to re-list");
+        head.dst = Dest::Multicast(list);
     }
 
     /// Route every head again, after the topology's generation moved. Between
@@ -288,6 +395,8 @@ impl Fabric {
                 };
                 let cached = Self::head_ports(link, &self.mcast);
                 assert_eq!(cached.len(), head.dst.fanout(), "{input:?}");
+                let runs = one_run_per_port(cached);
+                assert!(runs, "{input:?}: not one run per port: {cached:?}");
                 let unsent = cached.iter().zip(head.dst.targets());
                 for (&q, &t) in unsent.filter(|(&q, _)| q != PORT_SENT) {
                     let fresh = self.topo.route(ClusterId(c as u32), t);
@@ -354,14 +463,12 @@ impl Fabric {
             .frames
             .front(&link.buf)
             .expect("a wanted port has a head");
-        let targets = head.dst.targets();
         let ports = Self::head_ports(link, &self.mcast);
-        // The head's targets leaving through `port`, in target order.
-        let via = || {
-            let pairs = targets.iter().zip(ports).filter(|(_, &q)| q == port);
-            pairs.map(|(t, _)| *t)
-        };
-        let n_via = via().count();
+        // The head's targets leaving through `port`: one run (`route_head`).
+        let first = ports.iter().position(|&q| q == port);
+        let first = first.expect("a wanted port has a target");
+        let n_via = ports[first..].iter().take_while(|&&q| q == port).count();
+        let run = first..first + n_via;
         let remaining = match link.head {
             HEAD_MCAST => self.mcast[link.mc as usize].remaining,
             _ => 1,
@@ -370,36 +477,26 @@ impl Fabric {
         // not have chosen (adaptive reroute). The generation guard keeps
         // this off the fault-free hot path.
         if self.topo.generation() > 0
-            && via().any(|t| self.topo.base_route(ClusterId(cluster), t) != port)
+            && head.dst.targets()[run.clone()]
+                .iter()
+                .any(|&t| self.topo.base_route(ClusterId(cluster), t) != port)
         {
             self.stats.frames_rerouted += 1;
         }
-        // A branch's destination: the one place a multicast builds a list,
-        // at its exact size (`Map<Range>` is `TrustedLen`: one allocation).
-        let branch = || match n_via {
-            1 => Dest::Unicast(via().next().expect("counted")),
-            _ => {
-                let mut it = via();
-                Dest::Multicast((0..n_via).map(|_| it.next().expect("counted")).collect())
-            }
-        };
         if n_via == remaining {
             // Every remaining target leaves through this port: forward the
-            // buffered frame itself. Its list is kept only if it is whole
-            // and a real multicast (one target travels as a `Unicast`).
-            let keep_list = n_via == targets.len() && n_via > 1;
-            let dst = (!keep_list).then(branch);
+            // buffered frame itself, addressed to its run.
             let mut done = self.take_head(input);
-            done.dst = dst.unwrap_or(done.dst);
+            done.dst = run_dest(&done.dst, run);
             self.start_tx(out_link, done, out);
             self.head_changed(input);
         } else {
             // Replicate the branch by hand, not by `head.clone()`: the
-            // payload is a refcounted slice every branch shares, and the
-            // branch's list is built once rather than copied from the head's.
+            // payload is a refcounted slice every branch shares, and so is
+            // the target list.
             let copy = Frame {
                 src: head.src,
-                dst: branch(),
+                dst: run_dest(&head.dst, run.clone()),
                 kind: head.kind,
                 seq: head.seq,
                 payload: head.payload.clone(),
@@ -407,8 +504,7 @@ impl Fabric {
             };
             self.want[ci][pi] &= !(1 << k);
             let m = &mut self.mcast[link.mc as usize];
-            let sent = m.ports.iter_mut().filter(|q| **q == port);
-            sent.for_each(|q| *q = PORT_SENT);
+            m.ports[run].fill(PORT_SENT);
             m.remaining -= n_via;
             // The split branch is a new frame inside the fabric.
             self.in_flight += 1;

@@ -6,6 +6,7 @@
 
 use bytes::Bytes;
 use std::fmt;
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// Accounting for real payload-byte copies made by the simulator's own data
@@ -131,17 +132,97 @@ impl fmt::Debug for Payload {
     }
 }
 
+/// A multicast target list: the run `off..off + len` of one refcounted list.
+///
+/// Every fragment of a multi-frame message, every sender-side
+/// retransmission and every fabric branch of a copy shares the one list: a
+/// branch is a sub-run of its parent's ([`Targets::sub`]), so replicating a
+/// frame at a branch cluster builds no list. The fabric re-lists a copy's
+/// targets in its multicast tree's order once, where they do not form one
+/// run per output port (`fabric/arbiter.rs`). Sixteen bytes, so [`Dest`]
+/// is sixteen and [`Frame`] sixty-four.
+#[derive(Clone)]
+pub struct Targets {
+    /// `Arc<Vec<_>>`, not `Arc<[_]>`: a thin pointer, so the run fits in 16.
+    list: Arc<Vec<NodeAddr>>,
+    off: u32,
+    len: u32,
+}
+
+impl Targets {
+    /// The sub-run `range` of this run (indices relative to it), sharing its
+    /// list.
+    ///
+    /// # Panics
+    /// Panics if `range` exceeds this run.
+    pub fn sub(&self, range: impl RangeBounds<usize>) -> Targets {
+        let start = match range.start_bound() {
+            Bound::Included(&s) => s,
+            Bound::Excluded(&s) => s + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&e) => e + 1,
+            Bound::Excluded(&e) => e,
+            Bound::Unbounded => self.len(),
+        };
+        assert!(start <= end && end <= self.len(), "sub-run out of bounds");
+        Targets {
+            list: Arc::clone(&self.list),
+            off: self.off + start as u32,
+            len: (end - start) as u32,
+        }
+    }
+}
+
+impl Deref for Targets {
+    type Target = [NodeAddr];
+    fn deref(&self) -> &[NodeAddr] {
+        let off = self.off as usize;
+        &self.list[off..off + self.len as usize]
+    }
+}
+
+impl From<Vec<NodeAddr>> for Targets {
+    fn from(list: Vec<NodeAddr>) -> Self {
+        let len = u32::try_from(list.len()).expect("a target list fits in u32");
+        Targets {
+            list: Arc::new(list),
+            off: 0,
+            len,
+        }
+    }
+}
+
+impl FromIterator<NodeAddr> for Targets {
+    fn from_iter<I: IntoIterator<Item = NodeAddr>>(iter: I) -> Self {
+        Vec::from_iter(iter).into()
+    }
+}
+
+impl PartialEq for Targets {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Targets {}
+
+impl fmt::Debug for Targets {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// Destination of a frame: one endpoint, or a hardware-multicast set.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Dest {
     /// Deliver to a single endpoint.
     Unicast(NodeAddr),
     /// Hardware multicast: the fabric replicates the frame at branch
-    /// clusters, so the source transmits it once (§4.2 of the paper).
-    /// The target list is refcounted so every fragment of a multi-frame
-    /// message (and every sender-side retransmission) shares one
-    /// allocation; only a fabric branch split builds a new list.
-    Multicast(Arc<[NodeAddr]>),
+    /// clusters, so the source transmits it once (§4.2 of the paper). Each
+    /// branch carries a sub-run of the list the source sent.
+    Multicast(Targets),
 }
 
 impl Dest {
@@ -182,11 +263,12 @@ pub struct Frame {
 // Growing `Bytes` by 8 bytes makes `Frame` 72 bytes, pushes every net-event
 // closure past `EventFn`'s 72-byte inline limit and boxes it: `paper70_sw`
 // went 4.90 → 22.57 allocations/op in the prototype. So the next field added
-// to `Frame` fails the build here instead of quadrupling the heap traffic
-// silently.
+// to `Frame`, or a wider `Dest`, fails the build here instead of quadrupling
+// the heap traffic silently.
 const _: () = {
     assert!(std::mem::size_of::<Bytes>() == 32);
     assert!(std::mem::size_of::<Payload>() == 32);
+    assert!(std::mem::size_of::<Dest>() == 16);
     assert!(std::mem::size_of::<Frame>() == 64);
 };
 
@@ -311,5 +393,26 @@ mod tests {
         assert_eq!(u.fanout(), 1);
         let m = Dest::Multicast(vec![NodeAddr(1), NodeAddr(2)].into());
         assert_eq!(m.fanout(), 2);
+    }
+
+    #[test]
+    fn a_sub_run_shares_its_parents_list() {
+        let all: Targets = (0..6).map(NodeAddr).collect();
+        let mid = all.sub(1..5);
+        assert_eq!(*mid, [NodeAddr(1), NodeAddr(2), NodeAddr(3), NodeAddr(4)]);
+        let inner = mid.sub(2..);
+        assert_eq!(*inner, [NodeAddr(3), NodeAddr(4)]);
+        assert_eq!(*mid.sub(..=0), [NodeAddr(1)]);
+        assert!(mid.sub(4..).is_empty());
+        assert!(Arc::ptr_eq(&inner.list, &all.list));
+        // Equality is by targets, not by list or offset.
+        assert_eq!(inner, vec![NodeAddr(3), NodeAddr(4)].into());
+    }
+
+    #[test]
+    #[should_panic(expected = "sub-run out of bounds")]
+    fn a_sub_run_stays_inside_its_parent() {
+        let all: Targets = (0..6).map(NodeAddr).collect();
+        let _ = all.sub(2..4).sub(1..3);
     }
 }

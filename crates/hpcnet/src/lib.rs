@@ -40,6 +40,7 @@ pub use fabric::{
     Fabric, FaultHook, LinkId, NetEvent, NoFaults, Notify, Output, SendError, Stats, Transit, Work,
 };
 pub use frame::{
-    copymeter, Dest, Frame, FrameError, NodeAddr, Payload, HEADER_BYTES, MAX_FRAME, MAX_PAYLOAD,
+    copymeter, Dest, Frame, FrameError, NodeAddr, Payload, Targets, HEADER_BYTES, MAX_FRAME,
+    MAX_PAYLOAD,
 };
 pub use topology::{Attachment, ClusterId, PortRef, Topology, TopologyBuilder, TopologyError};

@@ -12,6 +12,12 @@
 //! literals were recomputed with the new digest on the fabric just before
 //! the tallies went.
 //!
+//! The two multicast scenarios run again with every target list descending,
+//! then shuffled: the fabric re-lists a multicast in its tree's order, so a
+//! list's order is unobservable and the hashes must not move. One more
+//! scenario cuts a cable under buffered multicasts and checks every delivery
+//! instead of a hash.
+//!
 //! The work counters ([`Fabric::work`]) are asserted on the unicast scenario:
 //! a frame is routed once per cluster it crosses, and a grant costs a bounded
 //! number of worklist visits.
@@ -23,8 +29,13 @@
 use hpc_vorx::desim::rng::SplitMix64;
 use hpc_vorx::hpcnet::combine::{self, CombOp};
 use hpc_vorx::hpcnet::driver::StandaloneNet;
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use hpc_vorx::hpcnet::config::serialize_ns;
 use hpc_vorx::hpcnet::{
-    ClusterId, Dest, Fabric, Frame, LinkId, NetConfig, NodeAddr, Payload, Stats, Topology,
+    ClusterId, Dest, Fabric, FaultHook, Frame, LinkId, NetConfig, NodeAddr, Payload, Stats,
+    Topology, Transit,
 };
 use snet::{SnetReport, SnetSim, Strategy};
 
@@ -46,23 +57,63 @@ fn hypercube(cfg: NetConfig) -> Fabric {
     )
 }
 
+/// How a multicast's source lists its targets. The fabric re-lists a head
+/// in its multicast tree's order where the targets do not form one run per
+/// output port, so the order is unobservable: every order must give the
+/// digest of the ascending one.
+#[derive(Clone, Copy, Debug)]
+enum ListOrder {
+    Ascending,
+    Descending,
+    /// Shuffled by a generator of this seed, apart from the scenario's own.
+    Shuffled(u64),
+}
+
+const LIST_ORDERS: [ListOrder; 3] = [
+    ListOrder::Ascending,
+    ListOrder::Descending,
+    ListOrder::Shuffled(0x5EED),
+];
+
+/// Every endpoint but `src`, listed in `order` (`shuffle` draws for
+/// [`ListOrder::Shuffled`]).
+fn others(src: u32, order: ListOrder, shuffle: &mut SplitMix64) -> Dest {
+    let mut list: Vec<_> = (0..ENDPOINTS).filter(|&a| a != src).map(NodeAddr).collect();
+    match order {
+        ListOrder::Ascending => {}
+        ListOrder::Descending => list.reverse(),
+        ListOrder::Shuffled(_) => {
+            for i in (1..list.len()).rev() {
+                list.swap(i, (shuffle.next_u64() % (i as u64 + 1)) as usize);
+            }
+        }
+    }
+    Dest::Multicast(list.into())
+}
+
 /// `frames` injections one every [`GAP_NS`], sources round-robin,
 /// destinations and sizes drawn from `seed` (a SplitMix64 word modulo the
 /// range: the scenarios' only randomness); every `mcast_every`-th (0:
-/// never) is a 512-byte multicast to every other endpoint. `hot` draws one
-/// destination in four from that endpoint's cluster, so its ports back up.
-fn load(net: &mut StandaloneNet, seed: u64, frames: u32, mcast_every: u32, hot: Option<u32>) {
+/// never) is a 512-byte multicast to every other endpoint, its targets
+/// listed in `order`. `hot` draws one destination in four from that
+/// endpoint's cluster, so its ports back up.
+fn load(
+    net: &mut StandaloneNet,
+    seed: u64,
+    frames: u32,
+    mcast_every: u32,
+    order: ListOrder,
+    hot: Option<u32>,
+) {
     let mut rng = SplitMix64::new(seed);
+    let mut shuffle = SplitMix64::new(match order {
+        ListOrder::Shuffled(s) => s,
+        _ => 0,
+    });
     for i in 0..frames {
         let src = i % ENDPOINTS;
         let dst = if mcast_every != 0 && i % mcast_every == mcast_every - 1 {
-            Dest::Multicast(
-                (0..ENDPOINTS)
-                    .filter(|&a| a != src)
-                    .map(NodeAddr)
-                    .collect::<Vec<_>>()
-                    .into(),
-            )
+            others(src, order, &mut shuffle)
         } else {
             let mut d = match hot {
                 Some(h) if rng.next_u64().is_multiple_of(4) => {
@@ -169,7 +220,7 @@ fn cable(f: &Fabric, a: u32, b: u32) -> [LinkId; 2] {
 
 fn sat_unicast() -> StandaloneNet {
     let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
-    load(&mut net, 1, 2_000, 0, None);
+    load(&mut net, 1, 2_000, 0, ListOrder::Ascending, None);
     net.run();
     net
 }
@@ -181,23 +232,41 @@ fn saturated_unicast() {
     assert_golden("saturated_unicast", &net, 0x1cf2_8b32_fe45_2bc4);
 }
 
+/// Every 65th frame a 63-target multicast, its targets listed in each
+/// [`ListOrder`] in turn.
 #[test]
 fn saturated_with_multicast() {
-    let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
-    load(&mut net, 2, 2_000, ENDPOINTS + 1, None);
-    net.run();
-    assert!(net.fabric.stats.frames_delivered > 2_000 + 29 * 62);
-    assert_golden("saturated_with_multicast", &net, 0xfdd9_8f30_8888_cfd5);
+    for order in LIST_ORDERS {
+        let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
+        load(&mut net, 2, 2_000, ENDPOINTS + 1, order, None);
+        net.run();
+        assert!(net.fabric.stats.frames_delivered > 2_000 + 29 * 62);
+        let name = format!("saturated_with_multicast, {order:?} lists");
+        assert_golden(&name, &net, 0xfdd9_8f30_8888_cfd5);
+    }
 }
 
 /// Cluster 5 loses all four of its cables while every buffer is loaded:
 /// heads bound for it (and the targets of multicast heads inside it) must be
 /// purged, heads it was a waypoint for must reroute. Then one cable of
-/// cluster 10 is cut on top, the first cut heals, and the rest heals.
+/// cluster 10 is cut on top, the first cut heals, and the rest heals. Run
+/// with the multicasts' targets listed in each [`ListOrder`] in turn.
 #[test]
 fn cable_cut_and_heal_mid_run() {
+    for order in LIST_ORDERS {
+        let net = cut_and_heal(order);
+        let st = &net.fabric.stats;
+        assert!(st.frames_dropped > 0, "unroutable heads were purged");
+        assert!(st.frames_rerouted > 0, "buffered heads rerouted");
+        assert_eq!(net.fabric.topology().overlay_len(), 0, "fully healed");
+        let name = format!("cable_cut_and_heal_mid_run, {order:?} lists");
+        assert_golden(&name, &net, 0x1f2f_9bcb_9d23_1e2e);
+    }
+}
+
+fn cut_and_heal(order: ListOrder) -> StandaloneNet {
     let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
-    load(&mut net, 3, 2_400, 31, Some(21));
+    load(&mut net, 3, 2_400, 31, order, Some(21));
     let island: Vec<_> = [4, 7, 1, 13]
         .into_iter()
         .flat_map(|peer| cable(&net.fabric, 5, peer))
@@ -224,11 +293,106 @@ fn cable_cut_and_heal_mid_run() {
         net.apply(|f, out| f.set_link_down(3_400_000, l, false, out));
     }
     net.run();
+    net
+}
+
+/// Records, for every frame that arrives on one of `watch`, the span from
+/// the start of its transmission to its arrival.
+struct InFlight {
+    watch: [LinkId; 2],
+    spans: Rc<RefCell<Vec<(u64, u64)>>>,
+}
+
+impl FaultHook for InFlight {
+    fn on_transit(&mut self, link: LinkId, frame: &Frame, now_ns: u64, hop_ns: u64) -> Transit {
+        if self.watch.contains(&link) {
+            let start = now_ns - hop_ns - serialize_ns(frame.wire_bytes());
+            self.spans.borrow_mut().push((start, now_ns));
+        }
+        Transit::Deliver
+    }
+}
+
+/// One cable cut while multicast heads wait mid-tree, never healed: every
+/// buffered head reroutes, and the multicast heads whose targets no longer
+/// form one run per port are re-listed. No cluster is cut off, and the cut
+/// falls where neither direction of the cable carries a frame (found by an
+/// uncut run of the same load), so nothing is lost: every target of every
+/// frame must be delivered exactly once. (Under this saturation many
+/// single-cable cuts leave frames wedged for good; this cable under this
+/// load does not.)
+#[test]
+fn cable_cut_under_buffered_multicast_delivers_every_target_once() {
+    const FRAMES: u32 = 1_600;
+    const MCAST_EVERY: u32 = 13;
+    let fresh = |spans: &Rc<RefCell<_>>| {
+        let fab = hypercube(NetConfig::paper_1988());
+        let watch = cable(&fab, 2, 6);
+        let hook = InFlight {
+            watch,
+            spans: Rc::clone(spans),
+        };
+        let mut net = StandaloneNet::new(fab).with_faults(Box::new(hook));
+        load(&mut net, 7, FRAMES, MCAST_EVERY, ListOrder::Ascending, None);
+        (net, watch)
+    };
+    let spans = Rc::new(RefCell::new(Vec::new()));
+    let (mut probe, _) = fresh(&spans);
+    probe.run();
+    // The first arrival from 600 µs on after which no frame is on the cable.
+    let spans = spans.take();
+    let idle = |t: u64| !spans.iter().any(|&(s, a)| s <= t && t < a);
+    let cut = spans
+        .iter()
+        .map(|&(_, a)| a)
+        .filter(|&a| a >= 600_000 && idle(a))
+        .min();
+    let cut = cut.expect("the cable idles between transmissions");
+
+    let (mut net, watch) = fresh(&Rc::new(RefCell::new(Vec::new())));
+    net.run_until(cut);
+    assert!(
+        net.fabric.in_flight() > 64,
+        "the cut must find loaded buffers"
+    );
+    let before = net.fabric.work().relists;
+    for l in watch {
+        net.apply(|f, out| f.set_link_down(cut, l, true, out));
+    }
+    let relisted = net.fabric.work().relists - before;
+    assert!(
+        relisted > 0,
+        "no buffered multicast head was re-listed by the re-route"
+    );
+    net.run();
     let st = &net.fabric.stats;
-    assert!(st.frames_dropped > 0, "unroutable heads were purged");
+    assert_eq!(st.frames_dropped, 0, "a frame was lost at the cut");
     assert!(st.frames_rerouted > 0, "buffered heads rerouted");
-    assert_eq!(net.fabric.topology().overlay_len(), 0, "fully healed");
-    assert_golden("cable_cut_and_heal_mid_run", &net, 0x1f2f_9bcb_9d23_1e2e);
+    // Each (frame, endpoint) once: a unicast's one target, a multicast's 63.
+    let mut got: Vec<(u64, u32)> = net
+        .delivered
+        .iter()
+        .map(|(_, at, f)| (f.seq, at.0))
+        .collect();
+    got.sort_unstable();
+    let frames = got.chunk_by(|a, b| a.0 == b.0);
+    assert_eq!(
+        frames.clone().count(),
+        FRAMES as usize,
+        "a frame was never delivered"
+    );
+    for (i, copies) in (0..FRAMES).zip(frames) {
+        let at: Vec<u32> = copies.iter().map(|&(_, at)| at).collect();
+        if i % MCAST_EVERY == MCAST_EVERY - 1 {
+            let others: Vec<u32> = (0..ENDPOINTS).filter(|&a| a != i % ENDPOINTS).collect();
+            assert_eq!(
+                at, others,
+                "multicast {i}: a target missed or delivered twice"
+            );
+        } else {
+            assert_eq!(at.len(), 1, "unicast {i} delivered {} times", at.len());
+        }
+    }
 }
 
 /// A quarter of the traffic converges on cluster 9, so the senders' output
@@ -237,7 +401,7 @@ fn cable_cut_and_heal_mid_run() {
 #[test]
 fn endpoint_crash_with_loaded_output_register() {
     let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
-    load(&mut net, 4, 2_400, 0, Some(37));
+    load(&mut net, 4, 2_400, 0, ListOrder::Ascending, Some(37));
     net.crash_at(700_000, NodeAddr(3));
     net.crash_at(700_000, NodeAddr(38));
     net.crash_at(1_100_000, NodeAddr(50));
@@ -268,7 +432,7 @@ fn registered_combining_group() {
     let root = NodeAddr(22);
     fab.comb_register_group(5, COMB, &members, root, ENDPOINTS);
     let mut net = StandaloneNet::new(fab);
-    load(&mut net, 5, 1_200, 0, None);
+    load(&mut net, 5, 1_200, 0, ListOrder::Ascending, None);
     let mut rng = SplitMix64::new(55);
     for round in 0..4u32 {
         let seq = combine::enc_seq(5, round, 0);
@@ -308,7 +472,7 @@ fn finite_byte_budget_sheds() {
     let mut fab = hypercube(cfg);
     fab.set_sheddable(|f| f.kind == DATA && f.seq % 5 != 0);
     let mut net = StandaloneNet::new(fab);
-    load(&mut net, 6, 2_400, 0, Some(12));
+    load(&mut net, 6, 2_400, 0, ListOrder::Ascending, Some(12));
     net.run_until(1_500_000);
     net.fabric.set_cluster_byte_budget(ClusterId(3), 600);
     net.run();
