@@ -89,7 +89,7 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy -D warnings (clippy.toml: no BinaryHeap outside desim::queue, no OS thread for a process and one run stack per simulation, no environment read, no vorx timeout armed outside vorx::retry)"
+echo "==> cargo clippy -D warnings (clippy.toml: no BinaryHeap outside desim::queue, no OS thread for a process and one run stack per simulation, no environment read, no vorx timeout armed outside vorx::retry, no kernel wait marked outside vorx::api::block_until)"
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 
 echo "==> cargo doc -D warnings (no broken or private intra-doc link, no stray HTML tag in a doc comment)"

@@ -1,10 +1,79 @@
-//! Process-side helpers: charging CPU time from blocking process code.
+//! Process-side helpers: charging CPU time from blocking process code, and
+//! the one way a VORX call blocks.
+//!
+//! A call that cannot complete parks its process in [`block_until`], and the
+//! rule is the paper's: *mark while parked, switch back in*. The first park
+//! records [`TraceEvent::Block`] on the node's trace — the software
+//! oscilloscope's idle-input or idle-output time (§6.2) — the answer records
+//! the matching [`TraceEvent::Unblock`], and a process that parked pays the
+//! measured context switch (`ctx_switch_ns`, §5) of system time to resume. A
+//! call whose first poll answers neither marks nor pays. [`park_until`] is
+//! the same loop without the switch: a user-level send spins on the output
+//! register and is never descheduled, and a multicast write that a crash
+//! ends returns as it would on a down node.
+//!
+//! [`TraceEvent::Block`]: crate::cpu::TraceEvent::Block
+//! [`TraceEvent::Unblock`]: crate::cpu::TraceEvent::Unblock
 
-use desim::SimDuration;
+use desim::{ProcId, SimDuration};
 use hpcnet::NodeAddr;
 
-use crate::cpu::CpuCat;
-use crate::world::VCtx;
+use crate::cpu::{BlockReason, CpuCat};
+use crate::world::{VCtx, VSched, World};
+
+/// Block in a kernel call until `poll` answers: re-poll `poll(w, s, pid)` at
+/// every wake (it registers `pid` with whatever will wake it before
+/// answering `None`), mark the wait on `node`'s trace for `reason` while
+/// parked, and charge the context switch back in if the call parked.
+///
+/// Always inline, as is [`park_until`], so that a process parked in either
+/// keeps no frame of its own for it, optimised or not: an unoptimised
+/// build's park that went two frames deeper than the call's earlier ones
+/// would regrow every process's image once more.
+#[inline(always)]
+pub fn block_until<T>(
+    ctx: &VCtx,
+    node: NodeAddr,
+    reason: BlockReason,
+    poll: impl FnMut(&mut World, &mut VSched, ProcId) -> Option<T>,
+) -> T {
+    let (answer, switch_ns) = park_until(ctx, node, reason, poll);
+    compute_ns(ctx, node, CpuCat::System, switch_ns);
+    answer
+}
+
+/// [`block_until`]'s loop without the switch: returns `poll`'s answer and
+/// the context switch (ns) that resuming the call costs — 0 if it never
+/// parked.
+#[inline(always)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the one place a kernel wait is marked on the trace"
+)]
+pub fn park_until<T>(
+    ctx: &VCtx,
+    node: NodeAddr,
+    reason: BlockReason,
+    mut poll: impl FnMut(&mut World, &mut VSched, ProcId) -> Option<T>,
+) -> (T, u64) {
+    let pid = ctx.pid();
+    let mut parked = false;
+    ctx.wait_until(move |w, s| {
+        let now = s.now();
+        let Some(answer) = poll(w, s, pid) else {
+            if !parked {
+                parked = true;
+                w.block(now, node, reason);
+            }
+            return None;
+        };
+        if !parked {
+            return Some((answer, 0));
+        }
+        w.unblock(now, node, reason);
+        Some((answer, w.calib.ctx_switch_ns))
+    })
+}
 
 /// Occupy `node`'s CPU for `d` and return when the work completes. This is
 /// how application processes model computation and how syscall overheads

@@ -56,7 +56,7 @@
 //! |---|---|---|
 //! | ack wire format | 0-byte `KIND_CHAN_ACK` per fragment | 8-byte `KIND_CHAN_WACK`: cumulative + sack + credit |
 //! | receive charges | side-buffer copy + ack generation, then a user copy in `read` | ack generation only (payload handed over by reference) |
-//! | where `write` blocks | until the fragment is acked | only while the window or the credit is exhausted |
+//! | where `write` blocks ([`api::block_until`]: marked `Output`, one switch back in) | until the fragment is acked | only while the window or the credit is exhausted |
 //! | flow control | withheld ack + `KIND_CHAN_BUSY`, deferred frame | credit grants, reorder bound |
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -718,19 +718,15 @@ impl ChannelHandle {
     /// on a real machine).
     pub fn write(&self, ctx: &VCtx, payload: Payload) -> ChanResult<()> {
         let h = *self;
-        let (window, syscall_ns, switch_ns) = ctx.with(|w, _| {
-            let c = &w.calib;
-            (c.chan_window, c.chan_write_syscall_ns, c.ctx_switch_ns)
-        });
+        let (window, syscall_ns) =
+            ctx.with(|w, _| (w.calib.chan_window, w.calib.chan_write_syscall_ns));
         if window > 1 {
-            return self.write_windowed(ctx, payload, syscall_ns, switch_ns);
+            return self.write_windowed(ctx, payload, syscall_ns);
         }
-        let pid = ctx.pid();
         for (frag, last) in fragment(payload) {
             // Syscall entry + protocol work, then transmit and block.
             api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
             let pre = ctx.with(move |w, s| {
-                let now = s.now();
                 if !w.node(h.node).up {
                     return Err(ChanError::NodeDown);
                 }
@@ -744,56 +740,43 @@ impl ChannelHandle {
                     end.win.inflight.is_empty(),
                     "stop-and-wait write with a fragment still outstanding"
                 );
-                end.writer_blocked = true;
-                w.block(now, h.node, BlockReason::Output);
                 transmit_frag(w, s, h, frag, last);
                 Ok(())
             });
             pre?;
-            let acked = ctx.wait_until(move |w, s| {
-                let outcome = match w.chan_queues(h.node, h.id) {
-                    None => Some(Err(ChanError::NodeDown)),
-                    Some((end, q)) => {
-                        if end.ack_ready {
-                            end.ack_ready = false;
-                            end.writer_blocked = false;
-                            Some(Ok(()))
-                        } else if end.closed_remote {
-                            end.writer_blocked = false;
-                            clear_tx(end, q);
-                            Some(Err(ChanError::PeerClosed))
-                        } else if end.peer_down {
-                            end.writer_blocked = false;
-                            clear_tx(end, q);
-                            Some(Err(ChanError::PeerDown))
-                        } else if end.partitioned {
-                            // The write failed; its fragment must not linger
-                            // to be retransmitted by the heal resume, and its
-                            // fragment number is handed back so an app-level
-                            // retry reuses it — the receiver still expects
-                            // it (or, if the data crossed before the cut,
-                            // acks the retry as a duplicate).
-                            end.writer_blocked = false;
-                            clear_tx(end, q);
-                            end.msgs_tx -= 1;
-                            Some(Err(ChanError::Partitioned))
-                        } else {
-                            end.tx_wait.register(pid);
-                            None
-                        }
-                    }
+            // No ack arrives in the instant of the transmit, so the first
+            // poll always parks.
+            let acked = api::block_until(ctx, h.node, BlockReason::Output, move |w, _, pid| {
+                let Some((end, q)) = w.chan_queues(h.node, h.id) else {
+                    return Some(Err(ChanError::NodeDown));
                 };
-                if outcome.is_some() {
-                    // Unblock inside the wait closure (as `read` does): one
-                    // lock acquisition instead of a trailing `with`.
-                    let now = s.now();
-                    w.unblock(now, h.node, BlockReason::Output);
-                }
-                outcome
+                let outcome = if end.ack_ready {
+                    end.ack_ready = false;
+                    Ok(())
+                } else if end.closed_remote {
+                    clear_tx(end, q);
+                    Err(ChanError::PeerClosed)
+                } else if end.peer_down {
+                    clear_tx(end, q);
+                    Err(ChanError::PeerDown)
+                } else if end.partitioned {
+                    // The write failed; its fragment must not linger to be
+                    // retransmitted by the heal resume, and its fragment
+                    // number is handed back so an app-level retry reuses it
+                    // — the receiver still expects it (or, if the data
+                    // crossed before the cut, acks the retry as a
+                    // duplicate).
+                    clear_tx(end, q);
+                    end.msgs_tx -= 1;
+                    Err(ChanError::Partitioned)
+                } else {
+                    end.tx_wait.register(pid);
+                    end.writer_blocked = true;
+                    return None;
+                };
+                end.writer_blocked = false;
+                Some(outcome)
             });
-            // The writer was blocked; switching back in costs a context
-            // switch.
-            api::compute_ns(ctx, h.node, CpuCat::System, switch_ns);
             acked?;
         }
         Ok(())
@@ -805,37 +788,22 @@ impl ChannelHandle {
     /// acknowledgements. The window-base timer retransmits and the
     /// cumulative/selective acks ([`on_wack`]) drain the window behind us;
     /// [`ChannelHandle::close`] flushes it.
-    fn write_windowed(
-        &self,
-        ctx: &VCtx,
-        payload: Payload,
-        syscall_ns: u64,
-        switch_ns: u64,
-    ) -> ChanResult<()> {
+    fn write_windowed(&self, ctx: &VCtx, payload: Payload, syscall_ns: u64) -> ChanResult<()> {
         let h = *self;
-        let pid = ctx.pid();
         for (frag, last) in fragment(payload) {
             // Syscall entry + protocol work for this fragment.
             api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
             let mut frag_slot = Some(frag);
-            let mut blocked = false;
-            let (res, was_blocked) = ctx.wait_until(move |w, s| {
-                let now = s.now();
+            let res = api::block_until(ctx, h.node, BlockReason::Output, move |w, s, pid| {
                 let Some(end) = w.chan_mut(h.node, h.id) else {
-                    if blocked {
-                        w.unblock(now, h.node, BlockReason::Output);
-                    }
-                    return Some((Err(ChanError::NodeDown), blocked));
+                    return Some(Err(ChanError::NodeDown));
                 };
                 // On `Partitioned`, fragments already accepted into the
                 // window stay there (the heal resume retransmits them); this
                 // one was never accepted, so the write fails cleanly.
                 if let Some(e) = end.broken() {
-                    if blocked {
-                        end.writer_blocked = false;
-                        w.unblock(now, h.node, BlockReason::Output);
-                    }
-                    return Some((Err(e), blocked));
+                    end.writer_blocked = false;
+                    return Some(Err(e));
                 }
                 let next = end.msgs_tx as u32 + 1;
                 // Window space plus receiver credit; a writer whose window
@@ -846,26 +814,14 @@ impl ChannelHandle {
                     && (next <= end.win.tx_limit || end.win.inflight.is_empty());
                 if !can_send {
                     end.tx_wait.register(pid);
-                    if !blocked {
-                        blocked = true;
-                        end.writer_blocked = true;
-                        w.block(now, h.node, BlockReason::Output);
-                    }
+                    end.writer_blocked = true;
                     return None;
                 }
+                end.writer_blocked = false;
                 let p = frag_slot.take().expect("fragment transmitted twice");
-                if blocked {
-                    end.writer_blocked = false;
-                    w.unblock(now, h.node, BlockReason::Output);
-                }
                 transmit_frag(w, s, h, p, last);
-                Some((Ok(()), blocked))
+                Some(Ok(()))
             });
-            if was_blocked {
-                // The writer was parked awaiting window space; switching
-                // back in costs a context switch.
-                api::compute_ns(ctx, h.node, CpuCat::System, switch_ns);
-            }
             res?;
         }
         Ok(())
@@ -875,7 +831,7 @@ impl ChannelHandle {
     /// remain readable after a close; once drained, reads fail.
     pub fn read(&self, ctx: &VCtx) -> ChanResult<Payload> {
         let h = *self;
-        let (syscall_ns, switch_ns, copy_ns_per_byte) = ctx.with(|w, _| {
+        let (syscall_ns, copy_ns_per_byte) = ctx.with(|w, _| {
             let c = &w.calib;
             // The user copy is a stop-and-wait cost only: the windowed path
             // hands the user the refcounted payload directly.
@@ -884,20 +840,14 @@ impl ChannelHandle {
             } else {
                 0
             };
-            (c.chan_read_syscall_ns, c.ctx_switch_ns, copy)
+            (c.chan_read_syscall_ns, copy)
         });
         api::compute_ns(ctx, h.node, CpuCat::System, syscall_ns);
-        let pid = ctx.pid();
-        let mut blocked = false;
-        let outcome = ctx.wait_until(move |w, s| {
-            let now = s.now();
+        let outcome = api::block_until(ctx, h.node, BlockReason::Input, move |w, _, pid| {
+            // No end: the node crashed out from under us, and the wake that
+            // delivered us here came from the crash cleanup.
             let Some((end, q)) = w.chan_queues(h.node, h.id) else {
-                // The node crashed out from under us; the wake that
-                // delivered us here came from the crash cleanup.
-                if blocked {
-                    w.unblock(now, h.node, BlockReason::Input);
-                }
-                return Some((Err(ChanError::NodeDown), blocked));
+                return Some(Err(ChanError::NodeDown));
             };
             // Buffered messages outlive a close or a lost peer.
             let outcome = match end.pop_rx(q) {
@@ -906,25 +856,14 @@ impl ChannelHandle {
                     Some(e) => Err(e),
                     None => {
                         end.rx_waiters.register(pid);
-                        if !blocked {
-                            blocked = true;
-                            end.reader_blocked = true;
-                            w.block(now, h.node, BlockReason::Input);
-                        }
+                        end.reader_blocked = true;
                         return None;
                     }
                 },
             };
-            if blocked {
-                end.reader_blocked = false;
-                w.unblock(now, h.node, BlockReason::Input);
-            }
-            Some((outcome, blocked))
+            end.reader_blocked = false;
+            Some(outcome)
         });
-        let (outcome, was_blocked) = outcome;
-        if was_blocked {
-            api::compute_ns(ctx, h.node, CpuCat::System, switch_ns);
-        }
         let payload = outcome?;
         // Stop-and-wait copies from the side buffer into the user's buffer
         // (a charge of nothing when windowed).
@@ -1030,7 +969,7 @@ pub fn read_any(
         handles.iter().all(|h| h.node == node),
         "read_any channels must share a node"
     );
-    let (syscall_ns, switch_ns, copy_ns_per_byte) = ctx.with(|w, _| {
+    let (syscall_ns, copy_ns_per_byte) = ctx.with(|w, _| {
         let c = &w.calib;
         // As in `read`: the user copy is a stop-and-wait cost only.
         let copy = if c.chan_window <= 1 {
@@ -1038,66 +977,42 @@ pub fn read_any(
         } else {
             0
         };
-        (c.chan_read_syscall_ns, c.ctx_switch_ns, copy)
+        (c.chan_read_syscall_ns, copy)
     });
     api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
-    let pid = ctx.pid();
-    // `wait_until` runs its closure inline on this thread, so the handle
+    // `block_until` runs its poll inline on this thread, so the handle
     // slice can be borrowed directly — no per-poll `to_vec`.
     let hs = handles;
-    let mut blocked = false;
-    let (outcome, was_blocked) = ctx.wait_until(move |w, s| {
-        let now = s.now();
-        let mut all_closed = true;
-        for (i, h) in hs.iter().enumerate() {
-            let Some((end, q)) = w.chan_queues(h.node, h.id) else {
-                // Our node crashed and wiped the channels.
-                if blocked {
-                    w.unblock(now, node, BlockReason::Input);
+    let outcome = api::block_until(ctx, node, BlockReason::Input, move |w, _, pid| {
+        let outcome = 'poll: {
+            let mut all_closed = true;
+            for (i, h) in hs.iter().enumerate() {
+                let Some((end, q)) = w.chan_queues(h.node, h.id) else {
+                    // Our node crashed and wiped the channels.
+                    break 'poll Err(ChanError::NodeDown);
+                };
+                if let Some(p) = end.pop_rx(q) {
+                    break 'poll Ok((i, p));
                 }
-                return Some((Err(ChanError::NodeDown), blocked));
-            };
-            if let Some(p) = end.pop_rx(q) {
-                if blocked {
-                    end.reader_blocked = false;
-                    w.unblock(now, node, BlockReason::Input);
-                }
-                return Some((Ok((i, p)), blocked));
+                all_closed &= end.closed_local || end.closed_remote || end.peer_down;
             }
-            if !(end.closed_local || end.closed_remote || end.peer_down) {
-                all_closed = false;
+            if all_closed {
+                break 'poll Err(ChanError::PeerClosed);
             }
-        }
-        if all_closed {
-            if blocked {
-                w.unblock(now, node, BlockReason::Input);
-            }
-            return Some((Err(ChanError::PeerClosed), blocked));
-        }
-        for h in hs {
-            let end = w.chan_mut(h.node, h.id).expect("checked");
-            end.rx_waiters.register(pid);
-            if !blocked {
+            for h in hs {
+                let end = w.chan_mut(h.node, h.id).expect("checked");
+                end.rx_waiters.register(pid);
                 end.reader_blocked = true;
             }
-        }
-        if !blocked {
-            blocked = true;
-            w.block(now, node, BlockReason::Input);
-        }
-        None
-    });
-    if was_blocked {
-        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
-        // Clear the blocked marker on the channels that did not fire.
-        ctx.with(|w, _| {
-            for h in handles {
-                if let Some(end) = w.chan_mut(h.node, h.id) {
-                    end.reader_blocked = false;
-                }
+            return None;
+        };
+        for h in hs {
+            if let Some(end) = w.chan_mut(h.node, h.id) {
+                end.reader_blocked = false;
             }
-        });
-    }
+        }
+        Some(outcome)
+    });
     let (idx, payload) = outcome?;
     api::compute(
         ctx,

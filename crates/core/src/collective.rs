@@ -1,7 +1,7 @@
 //! Collective operations: barrier, reduce, allreduce, and all-to-all.
 //!
-//! Two interchangeable engines implement the same blocking API (ROADMAP
-//! item 3, DESIGN.md §16):
+//! Two interchangeable engines implement the same blocking API (DESIGN.md
+//! §16):
 //!
 //! * **In-network** — members send one combinable [`crate::proto::KIND_COLL_UP`]
 //!   frame toward the group root; the fabric's combining tables
@@ -213,26 +213,19 @@ pub fn register_group_sharded(sim: &VorxShardedSim, cfg: &GroupCfg) {
 
 fn install(w: &mut World, group: u32, g: Group) {
     let root = g.members[0];
-    if g.mode == CollMode::InNetwork {
+    // Only members co-located with the root route through this fabric (in a
+    // sequential or one-shard build, all of them); everyone else's frames
+    // arrive over the bridge and merge at the root's own cluster.
+    if g.mode == CollMode::InNetwork && !w.shard.is_remote(root) {
         let total = g.members.len() as u32;
-        if w.shard.enabled {
-            if !w.shard.is_remote(root) {
-                // Only members co-located with the root route through this
-                // fabric; everyone else's frames arrive over the bridge and
-                // merge at the root's own cluster.
-                let local: Vec<NodeAddr> = g
-                    .members
-                    .iter()
-                    .copied()
-                    .filter(|m| !w.shard.is_remote(*m))
-                    .collect();
-                w.net
-                    .comb_register_group(group, proto::KIND_COLL_UP, &local, root, total);
-            }
-        } else {
-            w.net
-                .comb_register_group(group, proto::KIND_COLL_UP, &g.members, root, total);
-        }
+        let local: Vec<NodeAddr> = g
+            .members
+            .iter()
+            .copied()
+            .filter(|m| !w.shard.is_remote(*m))
+            .collect();
+        w.net
+            .comb_register_group(group, proto::KIND_COLL_UP, &local, root, total);
     }
     w.coll_groups.insert(group, g);
 }
@@ -412,9 +405,9 @@ impl Collective {
         let group = self.group;
         let idx = self.idx as u32;
         let n = self.members.len();
-        let (up, send_ns, switch_ns) = ctx.with(|w, _| {
+        let (up, send_ns) = ctx.with(|w, _| {
             let send_ns = w.calib.raw_send_ns + w.calib.udco_copy_ns_per_byte * 12;
-            (w.node(node).up, send_ns, w.calib.ctx_switch_ns)
+            (w.node(node).up, send_ns)
         });
         if !up {
             let mut vals = vec![0; n];
@@ -459,36 +452,16 @@ impl Collective {
             retry::arm(w, s, node, CollRetry(CollChain::A2a, group, cseq));
             cseq
         });
-        let pid = ctx.pid();
-        let mut blocked = false;
-        let (vals, was_blocked) = ctx.wait_until(move |w, s| {
-            let now = s.now();
+        api::block_until(ctx, node, BlockReason::Input, move |w, _, pid| {
             let st = coll_state(w, node, group);
-            let done = st
-                .a2a
-                .as_ref()
-                .is_some_and(|p| p.cseq == cseq && p.missing() == 0);
-            if done {
-                let p = st.a2a.take().expect("checked above");
-                let vals: Vec<u64> = p.vals.into_iter().map(|v| v.expect("complete")).collect();
-                if blocked {
-                    w.unblock(now, node, BlockReason::Input);
+            match st.a2a.take_if(|p| p.cseq == cseq && p.missing() == 0) {
+                Some(p) => Some(p.vals.into_iter().map(|v| v.expect("complete")).collect()),
+                None => {
+                    st.waiters.register(pid);
+                    None
                 }
-                Some((vals, blocked))
-            } else {
-                let st = coll_state(w, node, group);
-                st.waiters.register(pid);
-                if !blocked {
-                    blocked = true;
-                    w.block(now, node, BlockReason::Input);
-                }
-                None
             }
-        });
-        if was_blocked {
-            api::compute_ns(ctx, node, CpuCat::System, switch_ns);
-        }
-        vals
+        })
     }
 
     // ----- software-tree engine -----
@@ -671,33 +644,16 @@ fn root_begin(
 
 /// Block until `cseq` completes on this node and return its result.
 fn wait_completed(ctx: &VCtx, node: NodeAddr, group: u32, cseq: u32) -> u64 {
-    let pid = ctx.pid();
-    let mut blocked = false;
-    let (val, was_blocked) = ctx.wait_until(move |w, s| {
-        let now = s.now();
+    api::block_until(ctx, node, BlockReason::Input, move |w, _, pid| {
         let st = coll_state(w, node, group);
         match st.completed {
-            Some((c, v)) if c == cseq => {
-                if blocked {
-                    w.unblock(now, node, BlockReason::Input);
-                }
-                Some((v, blocked))
-            }
+            Some((c, v)) if c == cseq => Some(v),
             _ => {
                 st.waiters.register(pid);
-                if !blocked {
-                    blocked = true;
-                    w.block(now, node, BlockReason::Input);
-                }
                 None
             }
         }
-    });
-    if was_blocked {
-        let switch_ns = ctx.with(|w, _| w.calib.ctx_switch_ns);
-        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
-    }
-    val
+    })
 }
 
 /// The three collective retry chains. None has a budget: the loss and

@@ -46,7 +46,7 @@ pub fn can_inject(w: &World, a: NodeAddr) -> bool {
 /// caller must have checked the register free ([`can_inject`] or a
 /// transmit-complete interrupt).
 fn inject(w: &mut World, s: &mut VSched, frame: Frame) {
-    let frame = if w.shard.enabled {
+    let frame = if w.shard.bridged() {
         match bridge(w, s, frame) {
             Some(local) => local,
             None => return, // consumed entirely by the bridge

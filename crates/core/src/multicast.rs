@@ -85,15 +85,11 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
 /// writer waits returns the same way, with no more fragments sent.
 pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload: Payload) {
     assert!(!dsts.is_empty(), "multicast with no destinations");
-    let (up, syscall_ns, switch_ns) = ctx.with(|w, _| {
-        let c = &w.calib;
-        (w.node(node).up, c.chan_write_syscall_ns, c.ctx_switch_ns)
-    });
+    let (up, syscall_ns) = ctx.with(|w, _| (w.node(node).up, w.calib.chan_write_syscall_ns));
     if !up {
         return;
     }
     let n_dst = dsts.len();
-    let pid = ctx.pid();
     // One refcounted target list shared by every fragment: a multi-frame
     // mwrite allocates no per-fragment destination copies.
     let dsts: Targets = dsts.into();
@@ -101,7 +97,6 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
         api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
         let dsts = dsts.clone();
         let seq = ctx.with(move |w, s| {
-            let now = s.now();
             let seq = w.token();
             w.node_mut(node);
             w.mcast_pending.insert(
@@ -124,28 +119,25 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
                 payload: frag,
                 corrupted: false,
             };
-            w.block(now, node, BlockReason::Output);
             kernel::send_frame(w, s, f);
             seq
         });
-        let acked = ctx.wait_until(move |w, _| {
-            // A crash took the write off the table and woke us.
-            let Some(p) = w.mcast_pending.get_mut(node, &seq) else {
-                return Some(false);
-            };
-            if p.remaining == 0 {
+        // As in a stop-and-wait `write`, the first poll always parks.
+        let (acked, switch_ns) =
+            api::park_until(ctx, node, BlockReason::Output, move |w, _, pid| {
+                // A crash took the write off the table and woke us.
+                let Some(p) = w.mcast_pending.get_mut(node, &seq) else {
+                    return Some(false);
+                };
+                if p.remaining > 0 {
+                    p.waiters.register(pid);
+                    return None;
+                }
+                w.mcast_pending.remove(node, &seq);
                 Some(true)
-            } else {
-                p.waiters.register(pid);
-                None
-            }
-        });
-        ctx.with(move |w, s| {
-            let now = s.now();
-            w.mcast_pending.remove(node, &seq);
-            w.unblock(now, node, BlockReason::Output);
-        });
+            });
         if !acked {
+            // As on a down node: no switch back in, no more fragments.
             return;
         }
         api::compute_ns(ctx, node, CpuCat::System, switch_ns);

@@ -253,6 +253,10 @@ impl SubprocHandle {
 
     /// Block this subprocess (scheduler dispatches the next one); the caller
     /// must have arranged for something to call [`sem_v_in`] later.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a subprocess switch is charged at dispatch, not on resume"
+    )]
     pub fn block(&self, ctx: &VCtx, reason: BlockReason) {
         let h = *self;
         ctx.with(move |w, s| {

@@ -115,35 +115,30 @@ pub fn send(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, paylo
     let len = u64::from(payload.len());
     let cost = ctx.with(move |w, _| w.calib.udco_send_ns + w.calib.udco_copy_ns_per_byte * len);
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
-    let pid = ctx.pid();
-    let mut frame = Some(Frame::unicast(
+    inject(
+        ctx,
         node,
-        dst,
-        KIND_UDCO_BASE + tag,
-        seq,
-        payload,
-    ));
-    let mut blocked = false;
-    ctx.wait_until(move |w, s| {
-        let now = s.now();
-        if kernel::can_inject(w, node) {
-            let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.udcos.get_mut(node, &tag) {
-                u.frames_tx += 1;
-            }
-            kernel::send_frame(w, s, f);
-            if blocked {
-                w.unblock(now, node, BlockReason::Output);
-            }
-            Some(())
-        } else {
+        Frame::unicast(node, dst, KIND_UDCO_BASE + tag, seq, payload),
+    );
+}
+
+/// Inject `frame`, a UDCO frame, from user level as soon as the output
+/// register (and the kernel's queue ahead of it) is free. The process spins
+/// on the register, so the wait is marked `Output` on the trace but costs
+/// no context switch.
+fn inject(ctx: &VCtx, node: NodeAddr, frame: Frame) {
+    let tag = frame.kind - KIND_UDCO_BASE;
+    let mut frame = Some(frame);
+    api::park_until(ctx, node, BlockReason::Output, move |w, s, pid| {
+        if !kernel::can_inject(w, node) {
             w.node_mut(node).tx_waiters.register(pid);
-            if !blocked {
-                blocked = true;
-                w.block(now, node, BlockReason::Output);
-            }
-            None
+            return None;
         }
+        if let Some(u) = w.udcos.get_mut(node, &tag) {
+            u.frames_tx += 1;
+        }
+        kernel::send_frame(w, s, frame.take().expect("frame sent twice"));
+        Some(())
     });
 }
 
@@ -159,28 +154,15 @@ pub fn send_multi(
     let len = u64::from(payload.len());
     let cost = ctx.with(move |w, _| w.calib.udco_send_ns + w.calib.udco_copy_ns_per_byte * len);
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
-    let pid = ctx.pid();
-    let mut frame = Some(Frame {
+    let frame = Frame {
         src: node,
         dst: hpcnet::Dest::Multicast(dsts.into()),
         kind: KIND_UDCO_BASE + tag,
         seq,
         payload,
         corrupted: false,
-    });
-    ctx.wait_until(move |w, s| {
-        if kernel::can_inject(w, node) {
-            let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.udcos.get_mut(node, &tag) {
-                u.frames_tx += 1;
-            }
-            kernel::send_frame(w, s, f);
-            Some(())
-        } else {
-            w.node_mut(node).tx_waiters.register(pid);
-            None
-        }
-    });
+    };
+    inject(ctx, node, frame);
 }
 
 /// Blocking receive on an interrupt-mode UDCO. If the process actually
@@ -188,36 +170,17 @@ pub fn send_multi(
 /// is why deep sliding windows (which keep the sender from ever blocking)
 /// beat shallow ones by more than pure pipelining would suggest.
 pub fn recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
-    let pid = ctx.pid();
-    let mut blocked = false;
-    let (msg, was_blocked) = ctx.wait_until(move |w, s| {
-        let now = s.now();
+    api::block_until(ctx, node, BlockReason::Input, move |w, _, pid| {
         let u = w
             .udcos
             .get_mut(node, &tag)
             .unwrap_or_else(|| panic!("recv on unregistered UDCO {tag} at {node}"));
-        match u.rx.pop_front() {
-            Some(m) => {
-                if blocked {
-                    w.unblock(now, node, BlockReason::Input);
-                }
-                Some((m, blocked))
-            }
-            None => {
-                u.rx_waiters.register(pid);
-                if !blocked {
-                    blocked = true;
-                    w.block(now, node, BlockReason::Input);
-                }
-                None
-            }
+        let msg = u.rx.pop_front();
+        if msg.is_none() {
+            u.rx_waiters.register(pid);
         }
-    });
-    if was_blocked {
-        let switch_ns = ctx.with(|w, _| w.calib.ctx_switch_ns);
-        api::compute_ns(ctx, node, CpuCat::System, switch_ns);
-    }
-    msg
+        msg
+    })
 }
 
 /// Non-blocking poll of a (typically polled-mode) UDCO. Charges the poll
@@ -280,27 +243,11 @@ pub fn send_raw(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, seq: u64, p
     let len = u64::from(payload.len());
     let cost = ctx.with(move |w, _| w.calib.raw_send_ns + w.calib.udco_copy_ns_per_byte * len);
     api::compute(ctx, node, CpuCat::User, SimDuration::from_ns(cost));
-    let pid = ctx.pid();
-    let mut frame = Some(Frame::unicast(
+    inject(
+        ctx,
         node,
-        dst,
-        KIND_UDCO_BASE + tag,
-        seq,
-        payload,
-    ));
-    ctx.wait_until(move |w, s| {
-        if kernel::can_inject(w, node) {
-            let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.udcos.get_mut(node, &tag) {
-                u.frames_tx += 1;
-            }
-            kernel::send_frame(w, s, f);
-            Some(())
-        } else {
-            w.node_mut(node).tx_waiters.register(pid);
-            None
-        }
-    });
+        Frame::unicast(node, dst, KIND_UDCO_BASE + tag, seq, payload),
+    );
 }
 
 /// Raw-mode poll: test the input register; if a message is present, read it
@@ -621,27 +568,11 @@ pub fn send_gather(
     } else {
         Payload::Synthetic(total)
     };
-    let pid = ctx.pid();
-    let mut frame = Some(Frame::unicast(
+    inject(
+        ctx,
         node,
-        dst,
-        KIND_UDCO_BASE + tag,
-        seq,
-        payload,
-    ));
-    ctx.wait_until(move |w, s| {
-        if kernel::can_inject(w, node) {
-            let f = frame.take().expect("frame sent twice");
-            if let Some(u) = w.udcos.get_mut(node, &tag) {
-                u.frames_tx += 1;
-            }
-            kernel::send_frame(w, s, f);
-            Some(())
-        } else {
-            w.node_mut(node).tx_waiters.register(pid);
-            None
-        }
-    });
+        Frame::unicast(node, dst, KIND_UDCO_BASE + tag, seq, payload),
+    );
 }
 
 /// Receive one message and scatter it into buffers of the given lengths

@@ -169,13 +169,14 @@ pub(crate) fn node_in(nodes: &mut NodeTable, a: NodeAddr) -> &mut Node {
 /// with a delivery time computed from the fabric's per-link physics, and the
 /// engine drains the outbox after every shard step and routes each frame
 /// through the destination shard's mailbox. Sequential builds carry the
-/// all-defaults value, where every check short-circuits.
+/// all-defaults value — one shard — where every check short-circuits, and
+/// so does a one-shard sharded build, whose every frame is local.
 pub struct ShardCtx {
-    /// True when this world is one shard of a [`VorxShardedSim`].
-    pub enabled: bool,
     /// This shard's index (== its cluster id under the cluster partition).
     pub shard_id: usize,
-    /// Total number of shards.
+    /// Total number of shards: the stride of channel-id and token
+    /// allocation, so that managers on different shards assign ids without
+    /// coordinating.
     pub n_shards: usize,
     /// Owning shard per node address, shared (not cloned) across shards —
     /// at a million endpoints this table is the dominant per-shard cost.
@@ -185,29 +186,27 @@ pub struct ShardCtx {
     pub tx_busy: Vec<bool>,
     /// Cross-shard frames produced since the engine last drained us.
     pub outbox: Vec<desim::OutMsg<Frame>>,
-    /// Stride for channel-id allocation (`n_shards`), so managers on
-    /// different shards can assign ids without coordinating.
-    pub chan_stride: u32,
-    /// Stride for token allocation, for the same reason.
-    pub token_stride: u64,
 }
 
 impl Default for ShardCtx {
     fn default() -> Self {
         ShardCtx {
-            enabled: false,
             shard_id: 0,
             n_shards: 1,
             shard_of_node: std::sync::Arc::new(Vec::new()),
             tx_busy: Vec::new(),
             outbox: Vec::new(),
-            chan_stride: 1,
-            token_stride: 1,
         }
     }
 }
 
 impl ShardCtx {
+    /// True when frames may cross to another shard: this world is one of
+    /// several shards of a [`VorxShardedSim`].
+    pub fn bridged(&self) -> bool {
+        self.n_shards > 1
+    }
+
     /// Owning shard of node `a`.
     pub fn owner(&self, a: NodeAddr) -> usize {
         self.shard_of_node[a.0 as usize] as usize
@@ -215,12 +214,12 @@ impl ShardCtx {
 
     /// True iff `a` lives on a different shard than this world.
     pub fn is_remote(&self, a: NodeAddr) -> bool {
-        self.enabled && self.shard_of_node[a.0 as usize] as usize != self.shard_id
+        self.bridged() && self.shard_of_node[a.0 as usize] as usize != self.shard_id
     }
 
     /// True iff `a`'s output register is busy with a bridged serialization.
     pub fn tx_busy(&self, a: NodeAddr) -> bool {
-        self.enabled && self.tx_busy[a.0 as usize]
+        self.bridged() && self.tx_busy[a.0 as usize]
     }
 }
 
@@ -447,14 +446,14 @@ impl World {
     /// shard count from a per-shard offset, so tokens are globally unique
     /// without coordination; sequential builds stride by 1.
     pub fn token(&mut self) -> u64 {
-        self.next_token += self.shard.token_stride;
+        self.next_token += self.shard.n_shards as u64;
         self.next_token
     }
 
     /// Allocate a fresh channel id (same striping rule as [`World::token`]).
     pub fn alloc_chan(&mut self) -> u32 {
         let id = self.next_chan;
-        self.next_chan += self.shard.chan_stride;
+        self.next_chan += self.shard.n_shards as u32;
         id
     }
 
@@ -786,14 +785,11 @@ impl VorxBuilder {
         let mut shards = Vec::with_capacity(n_shards);
         for k in 0..n_shards {
             let shard = ShardCtx {
-                enabled: true,
                 shard_id: k,
                 n_shards,
                 shard_of_node: std::sync::Arc::clone(&shard_of_node),
                 tx_busy: vec![false; n],
                 outbox: Vec::new(),
-                chan_stride: n_shards as u32,
-                token_stride: n_shards as u64,
             };
             let world = cfg.world(net.sibling(), schedule.clone(), shard);
             let mine: Vec<desim::FaultEvent> =
