@@ -25,7 +25,7 @@ use crate::kernel;
 use crate::objmgr::MgrKey;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
-use crate::world::{VCtx, VSched, World};
+use crate::world::{Call, CallState, OpenResult, VCtx, VSched, World};
 
 /// Recovery-protocol counters, kept alongside the schedule in
 /// [`World::faults`].
@@ -320,10 +320,13 @@ pub fn on_ctl_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// die), its kernel state is wiped cold, and every process parked in a
 /// recovery-aware wait (channel read/write, open, syscall) is woken so its
 /// wait closure observes the loss and returns [`crate::VorxError::NodeDown`]
-/// instead of leaking in a wait set.
+/// instead of leaking in a wait set; a multicast writer returns as it would
+/// on a down node.
 ///
 /// Peers learn of the death from the failure-detection sweep
-/// (`crash_detect_ns` later) or from retry exhaustion, whichever is first.
+/// (`crash_detect_ns` later) or from retry exhaustion, whichever is first;
+/// the sweep also fails the syscalls the node was serving as a host with
+/// [`crate::VorxError::HostDown`].
 pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     if !w.node(node).up {
         return;
@@ -342,8 +345,8 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     });
 
     // A cold node takes the slot and the node's rows leave every world
-    // table. Wakes go in channel-id, then token, then sequence order (wake
-    // order feeds the event order determinism rests on); UDCO, multicast
+    // table. Wakes go in channel-id, then call-token order (wake order
+    // feeds the event order determinism rests on); UDCO, multicast
     // reader and listener waiters stay parked, as DESIGN.md §9 documents.
     // Dropping the rows disarms every retry chain the node held: a dead
     // node's timeouts must not drag the simulated clock forward.
@@ -351,36 +354,38 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     for mut end in wiped.ends {
         end.wake_all(s);
     }
-    for pid in wiped.opens.iter().filter_map(|o| o.waiter) {
+    for pid in wiped.callers {
         s.wake(pid, Wakeup::START);
     }
-    wiped.node.syscall_waiters.wake_all(s, Wakeup::START);
     wiped.node.tx_waiters.wake_all(s, Wakeup::START);
-    for mut p in wiped.mcasts {
-        p.waiters.wake_all(s, Wakeup::START);
-    }
 
     // The application manager's failure detector is part of the manager
     // abstraction: mark the node's processes failed so `wait_app` completes.
     crate::appmgr::on_node_failed(w, node);
 
     // Failure-detection sweep: after `crash_detect_ns`, peers with channel
-    // ends to this node learn it is down, and manager entries backed by it
-    // are evicted. Both are snapshotted now: what the node builds after a
-    // restart inside the window (a new generation) must survive the sweep.
-    // Tokens are world-unique, so `(manager, name, token)` identifies a
-    // queued request exactly. Idle templates hold neither ends nor entries.
+    // ends to this node learn it is down, syscalls it was serving as a host
+    // fail, and manager entries backed by it are evicted. All are
+    // snapshotted now: what the node builds after a restart inside the
+    // window (a new generation) must survive the sweep. Tokens are
+    // world-unique, so `(manager, name, token)` identifies a queued request
+    // exactly. Idle templates hold neither ends, calls nor entries.
     let detect = w.calib.crash_detect_ns;
     if detect == u64::MAX {
         return;
     }
     let mut hits: Vec<(NodeAddr, u32)> = Vec::new();
+    let mut served: Vec<(NodeAddr, u64)> = Vec::new();
     let mut stale_servers: Vec<(NodeAddr, MgrKey)> = Vec::new();
     let mut stale_pending: Vec<(NodeAddr, MgrKey, u64)> = Vec::new();
     let mgr = &w.managers;
     for a in w.nodes.touched().map(|n| n.addr) {
         let peered = w.chan_ends.of(a).filter(|e| e.peer == node);
         hits.extend(peered.map(|e| (a, e.id)));
+        let calls = w.calls.of(a).filter(
+            |(_, c)| matches!(c.state, CallState::Syscall { host, ret: None } if host == node),
+        );
+        served.extend(calls.map(|(token, _)| (a, *token)));
         let servers = mgr.servers.of(a).filter(|(_, srv)| **srv == node);
         stale_servers.extend(servers.map(|(key, _)| (a, key.clone())));
         let pending = mgr.pending.of(a).filter(|(_, (req, _))| *req == node);
@@ -389,6 +394,9 @@ pub fn on_crash(w: &mut World, s: &mut VSched, node: NodeAddr) {
     s.schedule_in(SimDuration::from_ns(detect), move |w: &mut World, s| {
         for &(a, id) in &hits {
             crate::channel::set_peer_down(w, s, a, id);
+        }
+        for &(a, token) in &served {
+            crate::host::answer_syscall(w, s, a, token, Err(crate::VorxError::HostDown));
         }
         // Evict the manager entries snapshotted at crash time — and only
         // those, so registrations made after a restart are untouched.
@@ -433,10 +441,10 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
     // before the crash are still parked (their retransmit chains stopped at
     // the KIND_OPEN_QUEUED ack). The manager's queue died with it, so those
     // requests restart from scratch.
-    let queued = |o: &crate::world::OpenWait| matches!(o.state, crate::world::OpenResult::Pending { mgr, .. } if mgr == node);
+    let queued = |c: &Call| matches!(c.state, CallState::Open(OpenResult::Pending { mgr, .. }) if mgr == node);
     let opens: Vec<(NodeAddr, u64)> = (w.nodes.touched())
-        .flat_map(|n| w.open_waits.of(n.addr).map(move |(t, o)| (n.addr, *t, o)))
-        .filter(|(_, _, o)| queued(o))
+        .flat_map(|n| w.calls.of(n.addr).map(move |(t, c)| (n.addr, *t, c)))
+        .filter(|(_, _, c)| queued(c))
         .map(|(a, t, _)| (a, t))
         .collect();
     for (a, t) in opens {

@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 use bytes::{BufMut, Bytes, BytesMut};
-use desim::{SimDuration, Wakeup};
+use desim::SimDuration;
 use hpcnet::{Frame, NodeAddr, Payload};
 
 use crate::api;
@@ -28,7 +28,7 @@ use crate::channel::{self, ChannelHandle};
 use crate::cpu::CpuCat;
 use crate::kernel;
 use crate::proto;
-use crate::world::{VCtx, VSched, World};
+use crate::world::{CallState, VCtx, VSched, World};
 
 /// A forwarded UNIX system call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,8 +207,10 @@ pub fn host_of(w: &World, node: NodeAddr) -> Option<usize> {
 ///
 /// Fails with [`crate::VorxError::NoStub`] when no host serves `node`,
 /// [`crate::VorxError::HostDown`] when the serving host's interface is down
-/// at issue time, and [`crate::VorxError::NodeDown`] when the caller's own
-/// node is down at issue time or crashes while the call is outstanding.
+/// at issue time or crashes while the call is outstanding (at the crash's
+/// detection sweep, `crash_detect_ns` later), and
+/// [`crate::VorxError::NodeDown`] when the caller's own node is down at
+/// issue time or crashes while the call is outstanding.
 pub fn syscall(ctx: &VCtx, node: NodeAddr, op: SyscallOp) -> crate::VorxResult<SyscallRet> {
     forward(ctx, node, None, op)
 }
@@ -221,6 +223,7 @@ fn forward(
     directed: Option<usize>,
     op: SyscallOp,
 ) -> crate::VorxResult<SyscallRet> {
+    let pid = ctx.pid();
     let token = ctx.with(move |w, s| {
         if !w.node(node).up {
             return Err(crate::VorxError::NodeDown);
@@ -236,27 +239,21 @@ fn forward(
             ensure_service_stub(w, host_id, node);
         }
         let token = w.token();
-        w.node_mut(node);
-        w.syscall_waits.insert(node, token, None);
+        let state = CallState::Syscall {
+            host: host_node,
+            ret: None,
+        };
+        w.issue(node, token, pid, state);
         let f = Frame::unicast(node, host_node, proto::KIND_SYSCALL_REQ, token, pack_op(op));
         kernel::send_frame(w, s, f);
         Ok(token)
     })?;
-    let pid = ctx.pid();
-    let ret = ctx.wait_until(move |w, _| match w.syscall_waits.get(node, &token) {
-        Some(Some(r)) => Some(Ok(*r)),
-        Some(None) => {
-            w.node_mut(node).syscall_waiters.register(pid);
-            None
-        }
-        // Our node crashed while the call was outstanding: the waits table
-        // was wiped and the crash cleanup woke us.
-        None => Some(Err(crate::VorxError::NodeDown)),
-    });
-    ctx.with(move |w, _| {
-        w.syscall_waits.remove(node, &token);
-    });
-    ret
+    ctx.wait_until(move |w, _| match w.poll_call(node, token)? {
+        Some(CallState::Syscall { ret: Some(r), .. }) => Some(r),
+        // Our node crashed while the call was outstanding: the call was
+        // wiped and the crash cleanup woke us.
+        _ => Some(Err(crate::VorxError::NodeDown)),
+    })
 }
 
 /// Kernel handler: a syscall request arrived at a host.
@@ -353,25 +350,40 @@ fn finish_syscall(
         SyscallOp::WriteFile { .. } | SyscallOp::Blocking { .. } => SyscallRet::Ok,
     };
     stub.in_service = false;
-    let rep = Frame::unicast(
-        host_node,
-        from,
-        proto::KIND_SYSCALL_REP,
-        token,
-        pack_ret(ret),
-    );
-    kernel::send_frame(w, s, rep);
+    // A crashed host answers nothing: its callers fail at the crash's
+    // detection sweep.
+    if w.node(host_node).up {
+        let rep = Frame::unicast(
+            host_node,
+            from,
+            proto::KIND_SYSCALL_REP,
+            token,
+            pack_ret(ret),
+        );
+        kernel::send_frame(w, s, rep);
+    }
     kick_stub(w, s, host_id, stub_id);
 }
 
 /// Kernel handler: a syscall reply arrived back at the node.
 pub fn on_syscall_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
-    let ret = parse_ret(&f.payload);
-    // A reply to a call a crash wiped finds no slot and leaves none.
-    if let Some(slot) = w.syscall_waits.get_mut(node, &f.seq) {
-        *slot = Some(ret);
-    }
-    w.node_mut(node).syscall_waiters.wake_all(s, Wakeup::START);
+    answer_syscall(w, s, node, f.seq, Ok(parse_ret(&f.payload)));
+}
+
+/// Answer `node`'s syscall `token` with `ret` unless it has its answer. A
+/// call a crash wiped has no row and gets none.
+pub(crate) fn answer_syscall(
+    w: &mut World,
+    s: &mut VSched,
+    node: NodeAddr,
+    token: u64,
+    ret: crate::VorxResult<SyscallRet>,
+) {
+    w.answer(s, node, token, |c| {
+        if let CallState::Syscall { ret: r @ None, .. } = c {
+            *r = Some(ret);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------------

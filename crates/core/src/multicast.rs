@@ -28,7 +28,7 @@ use crate::channel::ChannelHandle;
 use crate::cpu::{BlockReason, CpuCat};
 use crate::kernel;
 use crate::proto::{KIND_MCAST_ACK, KIND_MCAST_DATA, KIND_MCAST_DATA_LAST};
-use crate::world::{VCtx, VSched, World};
+use crate::world::{CallState, VCtx, VSched, World};
 
 /// Receiver-side state of a multicast group on one node.
 #[derive(Debug, Default)]
@@ -44,15 +44,6 @@ pub struct McastEnd {
     /// Payload bytes received (statistics — the §4.2 "data that it is not
     /// concerned with" accounting).
     pub bytes_rx: u64,
-}
-
-/// Sender-side state of one outstanding multicast write.
-#[derive(Debug)]
-pub struct McastPending {
-    /// Acks still missing.
-    pub remaining: usize,
-    /// The blocked writer.
-    pub waiters: WaitSet,
 }
 
 /// Join multicast group `gid` on `node` (receiver side). Frames that
@@ -93,20 +84,13 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
     // One refcounted target list shared by every fragment: a multi-frame
     // mwrite allocates no per-fragment destination copies.
     let dsts: Targets = dsts.into();
+    let pid = ctx.pid();
     for (frag, last) in crate::channel::fragment(payload) {
         api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
         let dsts = dsts.clone();
         let seq = ctx.with(move |w, s| {
             let seq = w.token();
-            w.node_mut(node);
-            w.mcast_pending.insert(
-                node,
-                seq,
-                McastPending {
-                    remaining: n_dst,
-                    waiters: WaitSet::new(),
-                },
-            );
+            w.issue(node, seq, pid, CallState::Mcast { missing: n_dst });
             let f = Frame {
                 src: node,
                 dst: Dest::Multicast(dsts),
@@ -123,19 +107,10 @@ pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload
             seq
         });
         // As in a stop-and-wait `write`, the first poll always parks.
-        let (acked, switch_ns) =
-            api::park_until(ctx, node, BlockReason::Output, move |w, _, pid| {
-                // A crash took the write off the table and woke us.
-                let Some(p) = w.mcast_pending.get_mut(node, &seq) else {
-                    return Some(false);
-                };
-                if p.remaining > 0 {
-                    p.waiters.register(pid);
-                    return None;
-                }
-                w.mcast_pending.remove(node, &seq);
-                Some(true)
-            });
+        // A crash took the write off the table and woke us: not acked.
+        let (acked, switch_ns) = api::park_until(ctx, node, BlockReason::Output, move |w, _, _| {
+            w.poll_call(node, seq).map(|c| c.is_some())
+        });
         if !acked {
             // As on a down node: no switch back in, no more fragments.
             return;
@@ -227,13 +202,12 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// Kernel handler: a multicast ack arrived back at the writer.
 pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let seq = f.seq & 0x0000_FFFF_FFFF_FFFF;
-    let Some(p) = w.mcast_pending.get_mut(node, &seq) else {
-        return; // a crash wiped the pending write; stale (or delayed) ack
-    };
-    p.remaining -= 1;
-    if p.remaining == 0 {
-        p.waiters.wake_all(s, Wakeup::START);
-    }
+    // A crash may have wiped the write: a stale (or delayed) ack.
+    w.answer(s, node, seq, |c| {
+        if let CallState::Mcast { missing } = c {
+            *missing -= 1;
+        }
+    });
 }
 
 #[cfg(test)]

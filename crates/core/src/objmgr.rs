@@ -37,7 +37,7 @@ use crate::cpu::CpuCat;
 use crate::kernel;
 use crate::proto;
 use crate::retry::{self, Chain, Retry};
-use crate::world::{OpenResult, Table, VCtx, VSched, World};
+use crate::world::{CallState, OpenResult, Table, VCtx, VSched, World};
 
 /// Where channel-open requests are served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -378,7 +378,7 @@ fn try_failover(
     if old_mgr != manager_for(w, name) || succ == old_mgr {
         return false;
     }
-    match w.open_wait_mut(node, token) {
+    match w.open_mut(node, token) {
         Some(OpenResult::Pending {
             mgr, queued, chain, ..
         }) => {
@@ -401,20 +401,18 @@ fn try_failover(
 /// [`crate::VorxError::Unreachable`].
 pub(crate) fn failover_opens(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
     let toks: Vec<(u64, proto::ObjKind, Name)> = w
-        .open_waits
+        .calls
         .of(node)
-        .filter_map(|(t, o)| match &o.state {
-            OpenResult::Pending {
+        .filter_map(|(t, c)| match &c.state {
+            CallState::Open(OpenResult::Pending {
                 mgr, kind, name, ..
-            } if *mgr == peer => Some((*t, *kind, name.clone())),
+            }) if *mgr == peer => Some((*t, *kind, name.clone())),
             _ => None,
         })
         .collect();
     for (token, kind, name) in toks {
         if !try_failover(w, s, node, token, peer, kind, &name) {
-            let failed = OpenResult::Failed(crate::VorxError::Unreachable);
-            w.set_open_wait(node, token, failed);
-            w.wake_openers(node, s);
+            fail_open(w, s, node, token);
         }
     }
 }
@@ -625,7 +623,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
 pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let token = f.seq;
-    match w.open_wait_mut(node, token) {
+    match w.open_mut(node, token) {
         Some(OpenResult::Pending { chain, .. }) => {
             // A reply can beat the OPEN_QUEUED ack; disarm the request's
             // retransmit chain either way.
@@ -656,15 +654,23 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // assigned tag is known (receive discipline is a local choice).
         }
     }
-    w.set_open_wait(node, token, OpenResult::Done(id, peer));
-    w.wake_openers(node, s);
+    w.answer(s, node, token, |c| {
+        *c = CallState::Open(OpenResult::Done(id, peer));
+    });
+}
+
+/// Node `node`'s open `token` fails unreachable: no manager answered it.
+fn fail_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: u64) {
+    w.answer(s, node, token, |c| {
+        *c = CallState::Open(OpenResult::Failed(crate::VorxError::Unreachable));
+    });
 }
 
 /// Kernel handler: the manager acknowledged queueing our open request —
 /// stop the request's retransmit chain. (Loss of this frame is healed by
 /// the next retransmission; the manager re-acks duplicates.)
 pub fn on_open_queued(w: &mut World, _s: &mut VSched, node: NodeAddr, f: Frame) {
-    if let Some(OpenResult::Pending { queued, chain, .. }) = w.open_wait_mut(node, f.seq) {
+    if let Some(OpenResult::Pending { queued, chain, .. }) = w.open_mut(node, f.seq) {
         *queued = true;
         chain.disarm();
     }
@@ -689,8 +695,8 @@ struct OpenRetry(u64);
 
 impl OpenRetry {
     /// Where the pending request goes and what it asks for.
-    fn request(&self, w: &World, node: NodeAddr) -> Option<(NodeAddr, proto::ObjKind, Name)> {
-        match w.open_wait(node, self.0) {
+    fn request(&self, w: &mut World, node: NodeAddr) -> Option<(NodeAddr, proto::ObjKind, Name)> {
+        match w.open_mut(node, self.0) {
             Some(OpenResult::Pending {
                 mgr, name, kind, ..
             }) => Some((*mgr, *kind, name.clone())),
@@ -701,7 +707,7 @@ impl OpenRetry {
 
 impl Retry for OpenRetry {
     fn chain<'w>(&self, w: &'w mut World, node: NodeAddr) -> Option<&'w mut Chain> {
-        match w.open_wait_mut(node, self.0) {
+        match w.open_mut(node, self.0) {
             Some(OpenResult::Pending {
                 queued: false,
                 chain,
@@ -733,9 +739,7 @@ impl Retry for OpenRetry {
             return;
         };
         if !try_failover(w, s, node, self.0, mgr, kind, &name) {
-            let failed = OpenResult::Failed(crate::VorxError::Unreachable);
-            w.set_open_wait(node, self.0, failed);
-            w.wake_openers(node, s);
+            fail_open(w, s, node, self.0);
         }
     }
 }
@@ -744,7 +748,7 @@ impl Retry for OpenRetry {
 /// queued it crashed, taking the queue with it). Called from
 /// [`crate::fault::on_restart`].
 pub(crate) fn resend_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: u64) {
-    let info = match w.open_wait_mut(node, token) {
+    let info = match w.open_mut(node, token) {
         Some(OpenResult::Pending {
             mgr,
             name,
@@ -783,6 +787,7 @@ pub fn rendezvous(
     name: &str,
     kind: proto::ObjKind,
 ) -> crate::VorxResult<(u32, NodeAddr)> {
+    let pid = ctx.pid();
     let token = ctx.with(|w, s| {
         // A crashed node's kernel takes no request: the restart must find
         // its tables cold.
@@ -810,30 +815,16 @@ pub fn rendezvous(
             queued: false,
             chain: Chain::default(),
         };
-        w.set_open_wait(node, token, pending);
+        w.issue(node, token, pid, CallState::Open(pending));
         kernel::send_frame(w, s, req);
         retry::arm(w, s, node, OpenRetry(token));
         Ok(token)
     })?;
-    let pid = ctx.pid();
-    ctx.wait_until(move |w, _| match w.open_wait(node, token) {
-        Some(OpenResult::Done(id, peer)) => {
-            let (id, peer) = (*id, *peer);
-            w.take_open_wait(node, token);
-            Some(Ok((id, peer)))
-        }
-        Some(OpenResult::Failed(e)) => {
-            let e = *e;
-            w.take_open_wait(node, token);
-            Some(Err(e))
-        }
-        Some(OpenResult::Pending { .. }) => {
-            let wait = w.open_waits.get_mut(node, &token).expect("just read");
-            wait.waiter = Some(pid);
-            None
-        }
-        // Our own node crashed and the pending-open table died with it.
-        None => Some(Err(crate::VorxError::NodeDown)),
+    ctx.wait_until(move |w, _| match w.poll_call(node, token)? {
+        Some(CallState::Open(OpenResult::Done(id, peer))) => Some(Ok((id, peer))),
+        Some(CallState::Open(OpenResult::Failed(e))) => Some(Err(e)),
+        // Our own node crashed and the call died with it.
+        _ => Some(Err(crate::VorxError::NodeDown)),
     })
 }
 

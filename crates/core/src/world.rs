@@ -51,18 +51,51 @@ mod table;
 
 pub use table::{NodeRows, Queue, Table};
 
-/// One in-flight open: its state, and the opener parked on it.
+/// Where a blocking kernel call stands: what the kernel updates as replies
+/// come in and its caller reads at every wake.
 #[derive(Debug)]
-pub struct OpenWait {
-    /// Where the open stands.
-    pub state: OpenResult,
-    /// The process parked in `open` until the state moves, if it parked.
-    pub waiter: Option<ProcId>,
+pub enum CallState {
+    /// A channel or UDCO open through the object manager (§3.2).
+    Open(OpenResult),
+    /// A UNIX system call forwarded to the stub on host node `host` (§3.3),
+    /// and its answer once one came.
+    Syscall {
+        /// The host node serving the call.
+        host: NodeAddr,
+        /// The reply, or the host's death.
+        ret: Option<crate::VorxResult<crate::host::SyscallRet>>,
+    },
+    /// A multicast write (§4.2), and the acks it still misses.
+    Mcast {
+        /// Acks still missing.
+        missing: usize,
+    },
+}
+
+impl CallState {
+    /// True once the call has its answer.
+    fn answered(&self) -> bool {
+        match self {
+            CallState::Open(r) => !matches!(r, OpenResult::Pending { .. }),
+            CallState::Syscall { ret, .. } => ret.is_some(),
+            CallState::Mcast { missing } => *missing == 0,
+        }
+    }
+}
+
+/// One blocking kernel call: its state, and the process that issued it and
+/// parks on it until the state answers.
+#[derive(Debug)]
+pub struct Call {
+    /// Where the call stands.
+    pub state: CallState,
+    /// The calling process.
+    pub caller: ProcId,
 }
 
 /// What a node keeps outside the world tables: its address and liveness,
 /// the processor (CPU model, receive-service flag, the processes waiting
-/// for the restart, for the output register or for a syscall reply), the
+/// for the restart or for the output register), the
 /// counters statistics read across a crash, and the subprocess scheduler,
 /// boxed because few nodes run one.
 pub struct Node {
@@ -79,8 +112,6 @@ pub struct Node {
     pub cpu: Cpu,
     /// Processes blocked waiting to inject a frame (user-level senders).
     pub tx_waiters: WaitSet,
-    /// Processes blocked in `syscall`.
-    pub syscall_waiters: WaitSet,
     /// Object-manager counters (every node can serve opens); the manager's
     /// tables are [`World::managers`].
     pub mgr: MgrState,
@@ -90,9 +121,9 @@ pub struct Node {
     pub sched: Option<Box<crate::sched::SchedState>>,
 }
 
-// What a materialized node costs before it holds anything: 184 bytes. It
-// was 776 while the node kept its channel index, its queues and a dozen maps
-// of its own, and 1,056 with a `RandomState` in each map.
+// What a materialized node costs before it holds anything: 152 bytes on
+// x86-64. It was 776 while the node kept its channel index, its queues and
+// a dozen maps of its own, and 1,056 with a `RandomState` in each map.
 const _: () = assert!(size_of::<Node>() <= 256);
 
 impl Node {
@@ -109,7 +140,6 @@ impl Node {
             up_waiters: WaitSet::new(),
             cpu: Cpu::new(),
             tx_waiters: WaitSet::new(),
-            syscall_waiters: WaitSet::new(),
             mgr: MgrState::default(),
             resolve: crate::objmgr::ResolveStats::default(),
             sched: None,
@@ -224,7 +254,7 @@ impl ShardCtx {
 }
 
 /// World tables keyed by node: the length of [`World::tables`].
-const TABLES: usize = 18;
+const TABLES: usize = 16;
 
 /// Every world table keyed by node, named, as `&dyn NodeRows` — or, given
 /// `mut`, as `&mut dyn NodeRows`. Listed once, here: [`World::tables`] and
@@ -233,15 +263,13 @@ macro_rules! node_tables {
     ($w:ident $(, $m:tt)?) => {
         [
             ("chan_ends", &$($m)? $w.chan_ends.ends as &$($m)? dyn NodeRows),
-            ("open_waits", &$($m)? $w.open_waits),
+            ("calls", &$($m)? $w.calls),
             ("ctl_unacked", &$($m)? $w.ctl_unacked),
             ("tx_q", &$($m)? $w.tx_q.rows),
             ("orphans", &$($m)? $w.orphans.rows),
             ("udcos", &$($m)? $w.udcos),
-            ("syscall_waits", &$($m)? $w.syscall_waits),
             ("listeners", &$($m)? $w.listeners),
             ("mcast", &$($m)? $w.mcast),
-            ("mcast_pending", &$($m)? $w.mcast_pending),
             ("coll", &$($m)? $w.coll),
             ("managers.pending", &$($m)? $w.managers.pending),
             ("managers.servers", &$($m)? $w.managers.servers),
@@ -260,10 +288,8 @@ pub(crate) struct Wiped {
     pub node: Node,
     /// Its channel ends, in id order.
     pub ends: Vec<ChanEnd>,
-    /// Its in-flight opens, in token order.
-    pub opens: Vec<OpenWait>,
-    /// Its outstanding multicast writes, in sequence order.
-    pub mcasts: Vec<crate::multicast::McastPending>,
+    /// The callers of its blocking calls, in token order.
+    pub callers: Vec<ProcId>,
 }
 
 /// The complete state of a simulated HPC/VORX installation.
@@ -276,8 +302,9 @@ pub struct World {
     pub nodes: NodeTable,
     /// Every node's channel ends, by node and channel id.
     pub chan_ends: ChanSlab,
-    /// In-flight opens, by issuing node and token.
-    pub open_waits: Table<u64, OpenWait>,
+    /// Blocking calls — opens, forwarded syscalls and multicast writes —
+    /// by calling node and token, each with its one caller.
+    pub calls: Table<u64, Call>,
     /// Reliably-delivered control frames awaiting their `KIND_CTL_ACK`, by
     /// sending node and the frame's `seq`.
     pub ctl_unacked: Table<u64, CtlPending>,
@@ -288,14 +315,10 @@ pub struct World {
     pub orphans: Queue<Frame>,
     /// User-defined communications objects, by node and tag.
     pub udcos: Table<u16, Udco>,
-    /// In-flight forwarded syscalls, by calling node and token.
-    pub syscall_waits: Table<u64, Option<crate::host::SyscallRet>>,
     /// Listening server names (§4 name reuse), by node and name.
     pub listeners: Table<Name, crate::channel::ListenState>,
     /// Multicast group receiver ends (§4.2), by node and group.
     pub mcast: Table<u16, crate::multicast::McastEnd>,
-    /// Outstanding multicast writes, by writing node and sequence token.
-    pub mcast_pending: Table<u64, crate::multicast::McastPending>,
     /// Collective protocol state (DESIGN.md §16), by node and group.
     pub coll: Table<u32, crate::collective::CollNodeState>,
     /// Object-manager tables of every node's manager role.
@@ -344,45 +367,48 @@ impl World {
         &self.nodes[a.0 as usize]
     }
 
-    /// Node `a`'s in-flight open `token`.
-    pub(crate) fn open_wait(&self, a: NodeAddr, token: u64) -> Option<&OpenResult> {
-        Some(&self.open_waits.get(a, &token)?.state)
-    }
-
-    /// Mutable [`World::open_wait`].
-    pub(crate) fn open_wait_mut(&mut self, a: NodeAddr, token: u64) -> Option<&mut OpenResult> {
-        Some(&mut self.open_waits.get_mut(a, &token)?.state)
-    }
-
-    /// Record `r` as the state of node `a`'s open `token` (materializes
-    /// `a`); a parked opener stays parked on it.
-    pub(crate) fn set_open_wait(&mut self, a: NodeAddr, token: u64, r: OpenResult) {
+    /// Issue node `a`'s blocking call `token` for `caller`, in `state`
+    /// (materializes `a`).
+    pub(crate) fn issue(&mut self, a: NodeAddr, token: u64, caller: ProcId, state: CallState) {
         self.node_mut(a);
-        match self.open_waits.get_mut(a, &token) {
-            Some(w) => w.state = r,
-            None => {
-                let w = OpenWait {
-                    state: r,
-                    waiter: None,
-                };
-                self.open_waits.insert(a, token, w);
-            }
+        self.calls.insert(a, token, Call { state, caller });
+    }
+
+    /// Node `a`'s open `token`, while it is on the table.
+    pub(crate) fn open_mut(&mut self, a: NodeAddr, token: u64) -> Option<&mut OpenResult> {
+        match &mut self.calls.get_mut(a, &token)?.state {
+            CallState::Open(r) => Some(r),
+            _ => None,
         }
     }
 
-    /// Take node `a`'s open `token` off the table.
-    pub(crate) fn take_open_wait(&mut self, a: NodeAddr, token: u64) -> Option<OpenResult> {
-        Some(self.open_waits.remove(a, &token)?.state)
+    /// Update node `a`'s call `token` with `update`; if that answers it,
+    /// wake its caller — and no one else.
+    pub(crate) fn answer(
+        &mut self,
+        s: &mut VSched,
+        a: NodeAddr,
+        token: u64,
+        update: impl FnOnce(&mut CallState),
+    ) {
+        let Some(call) = self.calls.get_mut(a, &token) else {
+            return;
+        };
+        let was = call.state.answered();
+        update(&mut call.state);
+        if !was && call.state.answered() {
+            s.wake(call.caller, Wakeup::START);
+        }
     }
 
-    /// Wake every process parked on one of node `a`'s opens, in token
-    /// order: the state of one of them moved.
-    pub(crate) fn wake_openers(&mut self, a: NodeAddr, s: &mut VSched) {
-        self.open_waits.for_each_mut(a, |_, w| {
-            if let Some(pid) = w.waiter.take() {
-                s.wake(pid, Wakeup::START);
-            }
-        });
+    /// The one poll of a blocking call: `None` while node `a`'s call
+    /// `token` waits; once answered, its state, taken off the table, or
+    /// `Some(None)` if a crash of `a` wiped it.
+    pub(crate) fn poll_call(&mut self, a: NodeAddr, token: u64) -> Option<Option<CallState>> {
+        match self.calls.get(a, &token) {
+            Some(c) if !c.state.answered() => None,
+            _ => Some(self.calls.remove(a, &token).map(|c| c.state)),
+        }
     }
 
     /// Node `a`'s control frame `seq` is answered or abandoned: take it off
@@ -410,26 +436,15 @@ impl World {
     /// Crash node `a`'s kernel: a [`Node::reborn`] takes its slot, and its
     /// rows leave every world table, each table's in key order. Returns
     /// what the caller wakes: the crashed node's wait sets, its channel
-    /// ends in id order, its opens in token order and its outstanding
-    /// multicast writes in sequence order. Dropping the rows disarms every
-    /// retry chain the node owned.
+    /// ends in id order and the callers of its blocking calls in token
+    /// order. Dropping the rows disarms every retry chain the node owned.
     pub(crate) fn wipe_node(&mut self, a: NodeAddr) -> Wiped {
         let slot = self.node_mut(a);
         let reborn = Node::reborn(slot);
         let node = std::mem::replace(slot, reborn);
         let ends = self.chan_ends.remove_all(a);
-        let opens = self
-            .open_waits
-            .wipe(a)
-            .into_iter()
-            .map(|(_, w)| w)
-            .collect();
-        let mcasts = self
-            .mcast_pending
-            .wipe(a)
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect();
+        let callers = self.calls.wipe(a).into_iter();
+        let callers = callers.map(|(_, c)| c.caller).collect();
         let tables: [(&'static str, &mut dyn NodeRows); TABLES] = node_tables!(self, mut);
         for (_, t) in tables {
             t.drop_rows(a);
@@ -437,8 +452,7 @@ impl World {
         Wiped {
             node,
             ends,
-            opens,
-            mcasts,
+            callers,
         }
     }
 
@@ -577,15 +591,13 @@ impl WorldCfg {
             next_token: k,
             coll_groups: FixedMap::default(),
             chan_ends: ChanSlab::default(),
-            open_waits: Table::default(),
+            calls: Table::default(),
             ctl_unacked: Table::default(),
             tx_q: Queue::default(),
             orphans: Queue::default(),
             udcos: Table::default(),
-            syscall_waits: Table::default(),
             listeners: Table::default(),
             mcast: Table::default(),
-            mcast_pending: Table::default(),
             coll: Table::default(),
             managers: Managers::default(),
             resolve: Table::default(),

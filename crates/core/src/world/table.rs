@@ -278,16 +278,6 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
         Some((&row.key, &mut row.val))
     }
 
-    /// Run `f` on each of node `a`'s rows, in key order.
-    pub fn for_each_mut(&mut self, a: NodeAddr, mut f: impl FnMut(&K, &mut V)) {
-        let mut at = self.ends(a).map_or(NIL, |e| e.0);
-        while at != NIL {
-            let row = &mut self.rows[at];
-            f(&row.key, &mut row.val);
-            at = row.next;
-        }
-    }
-
     /// Node `a`'s first row in key order.
     pub fn first(&self, a: NodeAddr) -> Option<(&K, &V)> {
         self.of(a).next()

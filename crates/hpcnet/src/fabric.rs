@@ -1174,12 +1174,6 @@ impl Fabric {
         comb.groups.insert(group, CombGroup { kind, expected });
     }
 
-    /// True iff at least one collective group is registered (combining
-    /// armed).
-    pub fn comb_armed(&self) -> bool {
-        self.comb.is_some()
-    }
-
     /// Held partial combines currently live in the fabric's switches
     /// (quiescence oracles: 0 once all collective traffic drained).
     pub fn comb_entries_live(&self) -> usize {
@@ -1623,7 +1617,6 @@ mod tests {
         let members: Vec<NodeAddr> = (0..12).map(NodeAddr).collect();
         let root = NodeAddr(0);
         fab.comb_register_group(5, 30, &members, root, 12);
-        assert!(fab.comb_armed());
         let mut net = StandaloneNet::new(fab);
         let seq = combine::enc_seq(5, 1, 0);
         for m in 1..12u32 {

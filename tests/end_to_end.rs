@@ -4,7 +4,7 @@
 
 use desim::{SimDuration, SimTime};
 use hpc_vorx::vorx::alloc::UserId;
-use hpc_vorx::vorx::host::{create_stub, syscall, SyscallOp, SyscallRet};
+use hpc_vorx::vorx::host::{create_stub, syscall, syscall_on, SyscallOp, SyscallRet};
 use hpc_vorx::vorx::hpcnet::{NodeAddr, Payload};
 use hpc_vorx::vorx::objmgr::ObjMgrMode;
 use hpc_vorx::vorx::{channel, VCtx, VorxBuilder};
@@ -385,4 +385,40 @@ fn hypercube_channel_and_multicast_stress() {
     v.run_all();
     let w = v.world();
     assert_eq!(w.net.in_flight(), 0, "fabric must be quiescent");
+}
+
+/// Events of a run with `k` concurrent opens on node 2, each paired by its
+/// own opener on node 3, and `k / 8` concurrent syscalls from node 2 to
+/// host 0's one stub, which serves them in turn.
+fn concurrent_calls_events(k: u32) -> u64 {
+    let mut v = VorxBuilder::single_cluster(4).hosts(1).trace(false).build();
+    for i in 0..k {
+        for node in [2, 3] {
+            v.spawn(format!("n{node}:open{i}"), move |ctx| {
+                channel::open(&ctx, NodeAddr(node), &format!("c{i}"));
+            });
+        }
+    }
+    for i in 0..k / 8 {
+        v.spawn(format!("n2:sys{i}"), move |ctx| {
+            let op = SyscallOp::WriteFile { bytes: 64 };
+            syscall_on(&ctx, NodeAddr(2), 0, op).expect("the host is up");
+        });
+    }
+    v.run_all();
+    v.sim.events_dispatched()
+}
+
+/// A kernel answer wakes only the caller it answers: each of k concurrent
+/// calls on one node resumes once, so a run's events grow linearly in k
+/// (a wake of every caller parked on the node would cost about k²/2
+/// resumes).
+#[test]
+fn concurrent_calls_on_one_node_each_resume_once() {
+    let (e32, e64) = (concurrent_calls_events(32), concurrent_calls_events(64));
+    eprintln!("events: 32 callers {e32}, 64 callers {e64}");
+    assert!(
+        e64 <= 2 * e32,
+        "events grew faster than the callers: {e32} -> {e64}"
+    );
 }

@@ -9,6 +9,7 @@ use std::sync::{Arc, Mutex};
 use hpc_vorx::desim::{lock, FaultAction, FaultSchedule, LinkFaults, SimDuration, SimTime};
 use hpc_vorx::hpcnet::{Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::{self, ObjMgrMode};
+use hpc_vorx::vorx::world::CallState;
 use hpc_vorx::vorx::{channel, fault, invariants, proto, VorxBuilder, VorxError, World};
 
 use proptest::prelude::*;
@@ -146,6 +147,11 @@ fn name_managed(w: &World, prefix: &str, pick: impl Fn(NodeAddr) -> bool) -> Str
         .expect("some name hashes there")
 }
 
+/// True iff `node` has a blocking call whose state passes `pick`.
+fn holds_call(w: &World, node: NodeAddr, pick: impl Fn(&CallState) -> bool) -> bool {
+    w.calls.of(node).any(|(_, c)| pick(&c.state))
+}
+
 /// `node` is down and owns nothing: no world table has a row for it.
 fn assert_cold(w: &World, node: NodeAddr) {
     assert!(!w.node(node).up);
@@ -277,12 +283,14 @@ fn crash_leaves_nothing_behind() {
     {
         let w = v.world();
         assert!(w.listeners.of(V).any(|(_, l)| !l.acked));
-        assert!(w.chan_ends.count(V) > 0 && w.syscall_waits.holds(V));
+        let syscall = |c: &CallState| matches!(c, CallState::Syscall { .. });
+        assert!(w.chan_ends.count(V) > 0 && holds_call(&w, V, syscall));
         assert!(w.chan_ends.of(V).any(|e| !e.rx.is_empty()));
         let mgr = &w.managers;
         assert!(mgr.servers.holds(V) && mgr.pending.holds(V) && w.resolve.holds(V));
         assert!(w.udcos.holds(V) && w.mcast.holds(V) && w.coll.holds(V));
-        assert!(w.open_waits.holds(V) && w.ctl_unacked.holds(V));
+        let open = |c: &CallState| matches!(c, CallState::Open(_));
+        assert!(holds_call(&w, V, open) && w.ctl_unacked.holds(V));
     }
     let retransmits = v.world().faults.stats.retransmits;
     let survivors = |w: &World| {
@@ -389,7 +397,8 @@ fn a_crash_while_mwrite_waits_wakes_the_writer() {
         *lock(&flag) = true;
     });
     v.sim.run_until(SimTime::from_ns(CRASH_NS));
-    assert!(v.world().mcast_pending.holds(V), "the writer waits");
+    let mcast = |c: &CallState| matches!(c, CallState::Mcast { .. });
+    assert!(holds_call(&v.world(), V, mcast), "the writer waits");
     let sent = v.world().net.stats.frames_sent;
     v.sim.setup(|w, s| fault::on_crash(w, s, V));
     let report = v.run();
@@ -398,6 +407,43 @@ fn a_crash_while_mwrite_waits_wakes_the_writer() {
     let w = v.world();
     assert_eq!(w.net.stats.frames_sent, sent, "no fragment after the crash");
     assert_cold(&w, V);
+}
+
+/// A syscall outstanding when its host crashes, which never restarts, fails
+/// with `HostDown` at the crash's detection sweep, and the dead host's stub
+/// sends no reply when the call's service time runs out: the host owns
+/// nothing.
+#[test]
+fn a_syscall_whose_host_crashes_fails_host_down() {
+    use hpc_vorx::vorx::host::{self, SyscallOp};
+
+    const HOST: NodeAddr = NodeAddr(0);
+    const CRASH_NS: u64 = 1_000_000;
+    let faults = FaultSchedule::new(1).down_at(HOST.0, SimTime::from_ns(CRASH_NS));
+    let mut v = VorxBuilder::single_cluster(2)
+        .hosts(1)
+        .faults(faults)
+        .trace(false)
+        .build();
+    let got = Arc::new(Mutex::new(None));
+    let sink = Arc::clone(&got);
+    v.spawn("n1:syscall", move |ctx| {
+        let op = SyscallOp::Blocking { dur_ns: 5_000_000 };
+        let ret = host::syscall_on(&ctx, NodeAddr(1), 0, op);
+        *lock(&sink) = Some((ret, ctx.now().as_ns()));
+    });
+    let report = v.run();
+    assert_eq!(report.parked, vec![], "the caller must not stay parked");
+    let (ret, at) = lock(&got).take().expect("the call returned");
+    assert_eq!(ret, Err(VorxError::HostDown));
+    let w = v.world();
+    assert_eq!(
+        at,
+        CRASH_NS + w.calib.crash_detect_ns,
+        "failed at the sweep"
+    );
+    assert!(w.owns_nothing(HOST), "the dead host queued its reply");
+    assert!(w.calls.is_empty(), "the call was left behind");
 }
 
 /// How many messages the failover workload streams.
@@ -707,7 +753,7 @@ fn channel_table_refuses_the_open_past_its_cap() {
     for node in 0..2 {
         assert_eq!(w.chan_ends.count(NodeAddr(node)), MAX_CHANS_PER_NODE);
     }
-    assert!(w.open_waits.is_empty(), "an open wait was left behind");
+    assert!(w.calls.is_empty(), "an open wait was left behind");
     assert!(w.ctl_unacked.is_empty(), "a control frame is still unacked");
     let mgr = &w.node(NodeAddr(0)).mgr;
     assert_eq!(
