@@ -24,7 +24,8 @@ pub enum VorxError {
     NodeDown,
     /// The referenced channel does not exist on this node.
     UnknownChannel,
-    /// The node has no host stub; `create_stub` was never called.
+    /// No host runs a stub for the node: `create_stub` was never called
+    /// for it, or its host crashed since and took the stub with it.
     NoStub,
     /// The host serving this node is unreachable.
     HostDown,

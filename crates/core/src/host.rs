@@ -15,6 +15,13 @@
 //!   out two-ways by the nodes themselves ("it takes only two seconds to
 //!   download and start 70 processes") — at the cost of serialized blocking
 //!   system calls and a shared 32-descriptor table.
+//!
+//! A stub is a UNIX process on its host, so it dies with it: every stub is
+//! a row of [`World::stubs`] keyed by its host's node, and which stub serves
+//! a node a row of [`World::stub_of`], so a host crash wipes both. A
+//! [`syscall`] from a node whose home host crashed then fails
+//! [`crate::VorxError::NoStub`] until a stub is made for it again, and a
+//! [`syscall_on`] to a down host fails [`crate::VorxError::HostDown`].
 
 use std::collections::VecDeque;
 
@@ -59,9 +66,9 @@ pub enum SyscallRet {
     Fd(u32),
     /// The stub hit the SunOS 32-descriptor limit (`EMFILE`).
     TooManyFiles,
-    /// The host had no stub able to serve the request (`EIO`) — e.g. the
-    /// requester's node restarted and its stub mapping was never created on
-    /// this host.
+    /// The host had no stub able to serve the request (`EIO`) — e.g. it
+    /// crashed and restarted, losing its stubs, while the request was on
+    /// its way.
     Eio,
 }
 
@@ -122,95 +129,78 @@ fn parse_ret(p: &Payload) -> SyscallRet {
     }
 }
 
-/// One stub process on a host.
+/// The key of a host's shared service stub in [`World::stubs`], which
+/// serves the calls [`syscall_on`] directs there; stubs [`create_stub`]
+/// makes count up from 0.
+pub const SERVICE_STUB: u32 = u32::MAX;
+
+/// One stub process on a host: a row of [`World::stubs`], keyed by its
+/// host's node and its id, so it dies with the host.
 #[derive(Debug)]
 pub struct Stub {
-    /// Stub index within its host.
-    pub id: usize,
-    /// Node processes this stub serves.
-    pub serves: Vec<NodeAddr>,
     /// Open descriptors (bounded by the SunOS limit).
     pub fds_open: usize,
     /// Total descriptors ever handed out (fd numbering).
     pub next_fd: u32,
     /// Queued syscall requests `(from, token, op)`.
     pub queue: VecDeque<(NodeAddr, u64, SyscallOp)>,
-    /// A request is being serviced (possibly blocked).
-    pub in_service: bool,
+    /// The token of the request being serviced (possibly blocked).
+    pub serving: Option<u64>,
     /// Syscalls served (statistics).
     pub served: u64,
 }
 
-/// A host workstation.
-#[derive(Debug)]
-pub struct Host {
-    /// Host id.
-    pub id: usize,
-    /// The endpoint its HPC interface occupies.
-    pub node: NodeAddr,
-    /// Stubs running on this host.
-    pub stubs: Vec<Stub>,
-    /// Which stub serves each node process.
-    pub stub_by_node: desim::FixedMap<u32, usize>,
-    /// Lazily created shared stub used by the decentralized syscall scheme
-    /// (§3.3 future work), serving calls directed here by any node.
-    pub service_stub: Option<usize>,
-}
-
-impl Host {
-    /// Create a host on `node`.
-    pub fn new(id: usize, node: NodeAddr) -> Self {
-        Host {
-            id,
-            node,
-            stubs: Vec::new(),
-            stub_by_node: Default::default(),
-            service_stub: None,
+impl Stub {
+    fn new() -> Self {
+        Stub {
+            fds_open: 0,
+            next_fd: 3, // 0..2 are stdio
+            queue: VecDeque::new(),
+            serving: None,
+            served: 0,
         }
     }
 }
 
+/// Host `host_id`'s node: host `h` is node `h` ([`crate::VorxBuilder::hosts`]).
+fn host_node(w: &World, host_id: usize) -> NodeAddr {
+    assert!(host_id < w.n_hosts, "no host {host_id}");
+    NodeAddr(host_id as u32)
+}
+
 /// Create a stub on `host_id` serving `serves`, charging the host CPU for
 /// the fork/exec. Returns the stub id. Process-context API.
-pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> usize {
-    let (host_node, cost) = ctx.with(move |w, _| (w.hosts[host_id].node, w.calib.stub_create_ns));
-    api::compute_ns(ctx, host_node, CpuCat::System, cost);
+pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> u32 {
+    let (host, cost) = ctx.with(move |w, _| (host_node(w, host_id), w.calib.stub_create_ns));
+    api::compute_ns(ctx, host, CpuCat::System, cost);
     ctx.with(move |w, _| {
-        let host = &mut w.hosts[host_id];
-        let id = host.stubs.len();
-        for n in &serves {
-            host.stub_by_node.insert(n.0, id);
+        w.node_mut(host);
+        // Rows of a host leave only all together, with a crash: the count
+        // is a fresh id.
+        let id = w.stubs.count(host) as u32;
+        for n in serves {
+            w.stub_of.insert(host, n.0, id);
         }
-        host.stubs.push(Stub {
-            id,
-            serves,
-            fds_open: 0,
-            next_fd: 3, // 0..2 are stdio
-            queue: VecDeque::new(),
-            in_service: false,
-            served: 0,
-        });
+        w.stubs.insert(host, id, Stub::new());
         id
     })
 }
 
-/// Which host serves `node`'s syscalls (set when its stub was created).
+/// Which host serves `node`'s syscalls (set when its stub was created, and
+/// gone when that host crashed).
 pub fn host_of(w: &World, node: NodeAddr) -> Option<usize> {
-    w.hosts
-        .iter()
-        .find(|h| h.stub_by_node.contains_key(&node.0))
-        .map(|h| h.id)
+    (0..w.n_hosts).find(|&h| w.stub_of.contains(NodeAddr(h as u32), &node.0))
 }
 
 /// Issue a forwarded system call from a node process and block for the
 /// result (§3.3's execution environment).
 ///
-/// Fails with [`crate::VorxError::NoStub`] when no host serves `node`,
-/// [`crate::VorxError::HostDown`] when the serving host's interface is down
-/// at issue time or crashes while the call is outstanding (at the crash's
-/// detection sweep, `crash_detect_ns` later), and
-/// [`crate::VorxError::NodeDown`] when the caller's own node is down at
-/// issue time or crashes while the call is outstanding.
+/// Fails with [`crate::VorxError::NoStub`] when no host serves `node` —
+/// also once its home host crashed, since its stub died with the host —,
+/// [`crate::VorxError::HostDown`] when the serving host crashes while the
+/// call is outstanding (at the crash's detection sweep, `crash_detect_ns`
+/// later), and [`crate::VorxError::NodeDown`] when the caller's own node
+/// is down at issue time or crashes while the call is outstanding.
 pub fn syscall(ctx: &VCtx, node: NodeAddr, op: SyscallOp) -> crate::VorxResult<SyscallRet> {
     forward(ctx, node, None, op)
 }
@@ -231,20 +221,17 @@ fn forward(
         let host_id = directed
             .or_else(|| host_of(w, node))
             .ok_or(crate::VorxError::NoStub)?;
-        let host_node = w.hosts[host_id].node;
-        if !w.node(host_node).up {
+        let host = host_node(w, host_id);
+        if !w.node(host).up {
             return Err(crate::VorxError::HostDown);
         }
         if directed.is_some() {
-            ensure_service_stub(w, host_id, node);
+            ensure_service_stub(w, host, node);
         }
         let token = w.token();
-        let state = CallState::Syscall {
-            host: host_node,
-            ret: None,
-        };
+        let state = CallState::Syscall { host, ret: None };
         w.issue(node, token, pid, state);
-        let f = Frame::unicast(node, host_node, proto::KIND_SYSCALL_REQ, token, pack_op(op));
+        let f = Frame::unicast(node, host, proto::KIND_SYSCALL_REQ, token, pack_op(op));
         kernel::send_frame(w, s, f);
         Ok(token)
     })?;
@@ -257,18 +244,13 @@ fn forward(
 }
 
 /// Kernel handler: a syscall request arrived at a host.
-pub fn on_syscall_req(w: &mut World, s: &mut VSched, host_node: NodeAddr, f: Frame) {
-    let host_id = w
-        .hosts
-        .iter()
-        .position(|h| h.node == host_node)
-        .unwrap_or_else(|| panic!("syscall request at non-host node {host_node}"));
-    let Some(stub_id) = w.hosts[host_id].stub_by_node.get(&f.src.0).copied() else {
+pub fn on_syscall_req(w: &mut World, s: &mut VSched, host: NodeAddr, f: Frame) {
+    let Some(&stub_id) = w.stub_of.get(host, &f.src.0) else {
         // No stub serves this node here (its mapping may have died with a
         // restart): answer EIO rather than dropping the request or
         // panicking — the UNIX environment's way of saying "I/O error".
         let rep = Frame::unicast(
-            host_node,
+            host,
             f.src,
             proto::KIND_SYSCALL_REP,
             f.seq,
@@ -278,25 +260,23 @@ pub fn on_syscall_req(w: &mut World, s: &mut VSched, host_node: NodeAddr, f: Fra
         return;
     };
     let op = parse_op(&f.payload);
-    w.hosts[host_id].stubs[stub_id]
-        .queue
-        .push_back((f.src, f.seq, op));
-    kick_stub(w, s, host_id, stub_id);
+    let stub = w.stubs.get_mut(host, &stub_id).expect("a mapped stub");
+    stub.queue.push_back((f.src, f.seq, op));
+    kick_stub(w, s, host, stub_id);
 }
 
 /// Start servicing the stub's queue if it is idle. Each stub serves one
 /// request at a time: a blocking call from one process stalls every other
 /// process sharing that stub (the §3.3 pathology).
-fn kick_stub(w: &mut World, s: &mut VSched, host_id: usize, stub_id: usize) {
-    let stub = &mut w.hosts[host_id].stubs[stub_id];
-    if stub.in_service {
+fn kick_stub(w: &mut World, s: &mut VSched, host: NodeAddr, stub_id: u32) {
+    let stub = w.stubs.get_mut(host, &stub_id).expect("a live stub");
+    if stub.serving.is_some() {
         return;
     }
     let Some((from, token, op)) = stub.queue.pop_front() else {
         return;
     };
-    stub.in_service = true;
-    let host_node = w.hosts[host_id].node;
+    stub.serving = Some(token);
     let c = w.calib;
     let cpu_cost = c.host_syscall_ns
         + match op {
@@ -304,33 +284,33 @@ fn kick_stub(w: &mut World, s: &mut VSched, host_id: usize, stub_id: usize) {
             _ => 0,
         };
     let now = s.now();
-    let cpu_done = w.charge(
-        now,
-        host_node,
-        CpuCat::System,
-        SimDuration::from_ns(cpu_cost),
-    );
+    let cpu_done = w.charge(now, host, CpuCat::System, SimDuration::from_ns(cpu_cost));
     let extra = match op {
         SyscallOp::Blocking { dur_ns } => SimDuration::from_ns(dur_ns),
         _ => SimDuration::ZERO,
     };
     let finish_at = cpu_done + extra;
     s.schedule_in(finish_at - now, move |w: &mut World, s| {
-        finish_syscall(w, s, host_id, stub_id, from, token, op);
+        finish_syscall(w, s, host, stub_id, from, token, op);
     });
 }
 
 fn finish_syscall(
     w: &mut World,
     s: &mut VSched,
-    host_id: usize,
-    stub_id: usize,
+    host: NodeAddr,
+    stub_id: u32,
     from: NodeAddr,
     token: u64,
     op: SyscallOp,
 ) {
-    let host_node = w.hosts[host_id].node;
-    let stub = &mut w.hosts[host_id].stubs[stub_id];
+    // A stub a crash wiped, or one made again under its id since, is not
+    // serving this call: a dead host answers nothing, and its callers fail
+    // at the crash's detection sweep.
+    let serving = |stub: &&mut Stub| stub.serving == Some(token);
+    let Some(stub) = w.stubs.get_mut(host, &stub_id).filter(serving) else {
+        return;
+    };
     stub.served += 1;
     let ret = match op {
         SyscallOp::OpenFile => {
@@ -349,20 +329,10 @@ fn finish_syscall(
         }
         SyscallOp::WriteFile { .. } | SyscallOp::Blocking { .. } => SyscallRet::Ok,
     };
-    stub.in_service = false;
-    // A crashed host answers nothing: its callers fail at the crash's
-    // detection sweep.
-    if w.node(host_node).up {
-        let rep = Frame::unicast(
-            host_node,
-            from,
-            proto::KIND_SYSCALL_REP,
-            token,
-            pack_ret(ret),
-        );
-        kernel::send_frame(w, s, rep);
-    }
-    kick_stub(w, s, host_id, stub_id);
+    stub.serving = None;
+    let rep = Frame::unicast(host, from, proto::KIND_SYSCALL_REP, token, pack_ret(ret));
+    kernel::send_frame(w, s, rep);
+    kick_stub(w, s, host, stub_id);
 }
 
 /// Kernel handler: a syscall reply arrived back at the node.
@@ -431,18 +401,18 @@ pub fn boot_loader(
 /// The caller must spawn a [`boot_loader`] on each target with channel name
 /// `dl-<node>` and no children.
 pub fn download_per_process(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], text_bytes: u32) {
-    let (host_node, copy_ns_per_byte) =
-        ctx.with(move |w, _| (w.hosts[host_id].node, w.calib.host_copy_ns_per_byte));
+    let (host, copy_ns_per_byte) =
+        ctx.with(move |w, _| (host_node(w, host_id), w.calib.host_copy_ns_per_byte));
     for &t in targets {
         // One stub per process: fork/exec plus its own copy of the text.
         create_stub(ctx, host_id, vec![t]);
         api::compute(
             ctx,
-            host_node,
+            host,
             CpuCat::System,
             Calibration::per_byte(copy_ns_per_byte, text_bytes),
         );
-        let chan = channel::open(ctx, host_node, &format!("dl-{}", t.0));
+        let chan = channel::open(ctx, host, &format!("dl-{}", t.0));
         for _ in 0..n_chunks(text_bytes) {
             chan.write(
                 ctx,
@@ -469,17 +439,17 @@ pub fn tree_children(targets: &[NodeAddr], idx: usize) -> Vec<String> {
 /// [`tree_children`]-derived wiring.
 pub fn download_tree(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], text_bytes: u32) {
     assert!(!targets.is_empty());
-    let (host_node, copy_ns_per_byte) =
-        ctx.with(move |w, _| (w.hosts[host_id].node, w.calib.host_copy_ns_per_byte));
+    let (host, copy_ns_per_byte) =
+        ctx.with(move |w, _| (host_node(w, host_id), w.calib.host_copy_ns_per_byte));
     // One stub serves every process of the application.
     create_stub(ctx, host_id, targets.to_vec());
     api::compute(
         ctx,
-        host_node,
+        host,
         CpuCat::System,
         Calibration::per_byte(copy_ns_per_byte, text_bytes),
     );
-    let chan = channel::open(ctx, host_node, &format!("dl-{}", targets[0].0));
+    let chan = channel::open(ctx, host, &format!("dl-{}", targets[0].0));
     for _ in 0..n_chunks(text_bytes) {
         chan.write(
             ctx,
@@ -655,42 +625,24 @@ mod tests {
 // workstations."
 // ---------------------------------------------------------------------------
 
-/// Ensure `host_id` has a service stub and that it serves `node`; returns
-/// the stub id. The stub is created once per host (fork cost charged then).
-fn ensure_service_stub(w: &mut World, host_id: usize, node: NodeAddr) -> usize {
-    let stub_id = match w.hosts[host_id].service_stub {
-        Some(id) => id,
-        None => {
-            let host = &mut w.hosts[host_id];
-            let id = host.stubs.len();
-            host.stubs.push(Stub {
-                id,
-                serves: Vec::new(),
-                fds_open: 0,
-                next_fd: 3,
-                queue: VecDeque::new(),
-                in_service: false,
-                served: 0,
-            });
-            host.service_stub = Some(id);
-            id
-        }
-    };
-    let host = &mut w.hosts[host_id];
-    if !host.stubs[stub_id].serves.contains(&node) {
-        host.stubs[stub_id].serves.push(node);
-        // Routing note: `stub_by_node` keeps the node's *home* stub for the
-        // classic scheme; directed calls name the host explicitly, so the
-        // reply path needs no table change. We only map the node on this
-        // host if it has no home stub here.
-        host.stub_by_node.entry(node.0).or_insert(stub_id);
-    }
-    stub_id
+/// Ensure `host` runs its service stub, made once per host life (no fork
+/// cost charged), and maps `node` to a stub. The service stub fills in
+/// only a node with no home stub here: `stub_of` keeps the node's *home*
+/// stub for the classic scheme, and directed calls name the host
+/// explicitly, so the reply path needs no table change.
+fn ensure_service_stub(w: &mut World, host: NodeAddr, node: NodeAddr) {
+    w.node_mut(host);
+    w.stubs.get_or_insert_with(host, SERVICE_STUB, Stub::new);
+    w.stub_of.get_or_insert_with(host, node.0, || SERVICE_STUB);
 }
 
 /// Issue a system call *directed at a specific host* (the decentralized
 /// scheme). The host's shared service stub handles it; no per-process stub
-/// is required on that host. Fails like [`syscall`].
+/// is required on that host, and a restarted host makes its service stub
+/// again. Fails with [`crate::VorxError::HostDown`] when the host is down
+/// at issue time or crashes while the call is outstanding (at the crash's
+/// detection sweep), and with [`crate::VorxError::NodeDown`] like
+/// [`syscall`].
 pub fn syscall_on(
     ctx: &VCtx,
     node: NodeAddr,
@@ -709,7 +661,7 @@ pub fn syscall_any(
     call_no: u64,
     op: SyscallOp,
 ) -> crate::VorxResult<SyscallRet> {
-    let n_hosts = ctx.with(|w, _| w.hosts.len());
+    let n_hosts = ctx.with(|w, _| w.n_hosts);
     assert!(n_hosts > 0, "no host workstations");
     let host_id = (u64::from(node.0) + call_no) as usize % n_hosts;
     syscall_on(ctx, node, host_id, op)
@@ -738,9 +690,8 @@ mod decentral_tests {
         let end = v.run_all();
         let served: Vec<u64> = {
             let w = v.world();
-            w.hosts
-                .iter()
-                .map(|h| h.stubs.iter().map(|s| s.served).sum())
+            (0..n_hosts as u32)
+                .map(|h| w.stubs.of(NodeAddr(h)).map(|(_, s)| s.served).sum())
                 .collect()
         };
         (end, served)
@@ -785,9 +736,8 @@ mod decentral_tests {
         let end = v.run_all();
         let served: Vec<u64> = {
             let w = v.world();
-            w.hosts
-                .iter()
-                .map(|h| h.stubs.iter().map(|s| s.served).sum())
+            (0..n_hosts as u32)
+                .map(|h| w.stubs.of(NodeAddr(h)).map(|(_, s)| s.served).sum())
                 .collect()
         };
         (end, served)

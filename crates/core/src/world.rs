@@ -1,9 +1,9 @@
-//! The simulated world: the fabric, every node's kernel state, the hosts,
-//! the resource managers, and the measurement trace.
+//! The simulated world: the fabric, every node's kernel state, the host
+//! stubs, the resource managers, and the measurement trace.
 
 use desim::{
-    sync::WaitSet, Ctx, FirstTouch, FixedMap, ProcId, Scheduler, SimDuration, SimTime, Simulation,
-    Trace, Wakeup,
+    sync::WaitSet, Ctx, FaultEvent, FaultSchedule, FirstTouch, FixedMap, ProcId, Scheduler,
+    SimDuration, SimTime, Simulation, Trace, Wakeup,
 };
 use hpcnet::{ClusterId, Fabric, Frame, NetConfig, NodeAddr, Topology};
 
@@ -12,7 +12,6 @@ use crate::calib::Calibration;
 use crate::channel::{ChanEnd, ChanSlab};
 use crate::cpu::{BlockReason, Cpu, CpuCat, TraceEvent};
 use crate::fault::CtlPending;
-use crate::host::Host;
 use crate::objmgr::{Managers, MgrState, Name, ObjMgrMode};
 use crate::udco::Udco;
 
@@ -254,7 +253,7 @@ impl ShardCtx {
 }
 
 /// World tables keyed by node: the length of [`World::tables`].
-const TABLES: usize = 16;
+const TABLES: usize = 18;
 
 /// Every world table keyed by node, named, as `&dyn NodeRows` — or, given
 /// `mut`, as `&mut dyn NodeRows`. Listed once, here: [`World::tables`] and
@@ -278,6 +277,8 @@ macro_rules! node_tables {
             ("mbr.partitioned", &$($m)? $w.mbr.partitioned),
             ("mbr.probing", &$($m)? $w.mbr.probing),
             ("mbr.peer_rtt", &$($m)? $w.mbr.peer_rtt),
+            ("stubs", &$($m)? $w.stubs),
+            ("stub_of", &$($m)? $w.stub_of),
         ]
     };
 }
@@ -332,8 +333,13 @@ pub struct World {
     pub objmgr_mode: ObjMgrMode,
     /// Processor allocator (§3.1).
     pub alloc: Allocator,
-    /// Host workstations (§3.3), by host id.
-    pub hosts: Vec<Host>,
+    /// Host workstations (§3.3): host `h` is node `h`, for `h < n_hosts`.
+    pub n_hosts: usize,
+    /// Stub processes (§3.3), by host node and stub id
+    /// ([`crate::host::SERVICE_STUB`] for the shared service stub).
+    pub stubs: Table<u32, crate::host::Stub>,
+    /// The stub serving each client node, by host node and client node.
+    pub stub_of: Table<u32, u32>,
     /// Per-host application resource managers' registry (§3.2).
     pub appmgr: crate::appmgr::AppRegistry,
     /// Debugger registry (`vdb`, §6).
@@ -576,9 +582,7 @@ impl WorldCfg {
             nodes: NodeTable::new(n, Node::new(NodeAddr(u32::MAX))),
             objmgr_mode: self.objmgr_mode,
             alloc: Allocator::new(self.n_hosts, n),
-            hosts: (0..self.n_hosts)
-                .map(|i| Host::new(i, NodeAddr(i as u32)))
-                .collect(),
+            n_hosts: self.n_hosts,
             appmgr: crate::appmgr::AppRegistry::default(),
             dbg: crate::debug::DbgState::default(),
             trace: if self.trace_enabled {
@@ -602,6 +606,8 @@ impl WorldCfg {
             managers: Managers::default(),
             resolve: Table::default(),
             mbr: crate::membership::Membership::default(),
+            stubs: Table::default(),
+            stub_of: Table::default(),
             shard,
             net_outputs: Vec::new(),
         }
@@ -703,19 +709,28 @@ impl VorxBuilder {
         self
     }
 
-    /// Construct the simulation.
-    pub fn build(self) -> VorxSim {
+    /// What both builds start from: the topology, checked against the
+    /// host count, the settings, and the fault schedule — the installed
+    /// one, or an empty one seeded from [`VorxBuilder::seed`] — with its
+    /// events in time order.
+    fn parts(self) -> (Topology, WorldCfg, FaultSchedule, Vec<FaultEvent>) {
         assert!(
             self.cfg.n_hosts <= self.topo.n_endpoints(),
             "more hosts than endpoints"
         );
         let schedule = self
             .faults
-            .unwrap_or_else(|| desim::FaultSchedule::new(self.cfg.seed));
-        let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
+            .unwrap_or_else(|| FaultSchedule::new(self.cfg.seed));
+        let mut events = schedule.events().to_vec();
         events.sort_by_key(|e| e.at);
-        let net = Fabric::new(self.topo, self.cfg.netcfg);
-        let world = self.cfg.world(net, schedule, ShardCtx::default());
+        (self.topo, self.cfg, schedule, events)
+    }
+
+    /// Construct the simulation.
+    pub fn build(self) -> VorxSim {
+        let (topo, cfg, schedule, events) = self.parts();
+        let net = Fabric::new(topo, cfg.netcfg);
+        let world = cfg.world(net, schedule, ShardCtx::default());
         let vs = VorxSim {
             sim: Simulation::new(world),
         };
@@ -735,11 +750,10 @@ impl VorxBuilder {
     /// a single-cluster topology the one shard executes byte-for-byte like
     /// [`VorxBuilder::build`].
     pub fn build_sharded(self, workers: usize) -> VorxShardedSim {
-        let (topo, cfg) = (self.topo, self.cfg);
-        let n = topo.n_endpoints();
-        assert!(cfg.n_hosts <= n, "more hosts than endpoints");
-        let n_clusters = topo.n_clusters();
+        let n_clusters = self.topo.n_clusters();
         let n_shards = self.shards.unwrap_or(n_clusters).min(n_clusters);
+        let (topo, cfg, schedule, events) = self.parts();
+        let n = topo.n_endpoints();
 
         // Clusters map to shards in contiguous balanced blocks; with the
         // default one-shard-per-cluster partition this is the identity.
@@ -769,11 +783,6 @@ impl VorxBuilder {
             })
             .collect();
 
-        let schedule = self
-            .faults
-            .unwrap_or_else(|| desim::FaultSchedule::new(cfg.seed));
-        let mut events: Vec<desim::FaultEvent> = schedule.events().to_vec();
-        events.sort_by_key(|e| e.at);
         // One wiring for the machine: every shard's fabric is a sibling of
         // this one, sharing its link table and the topology's tables, and
         // builds state only for the links its own traffic touches.

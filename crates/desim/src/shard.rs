@@ -397,6 +397,7 @@ impl<W: ShardWorld> ShardedSim<W> {
             });
         }
 
+        self.assert_quiescent();
         self.stats.rounds = self.slots.iter().map(|s| s.rounds).sum();
         self.stats.msgs_bridged = self.slots.iter().map(|s| s.sent).sum();
         self.stats.frontier_bumps = self.slots.iter().map(|s| s.bumps).sum();
@@ -424,6 +425,26 @@ impl<W: ShardWorld> ShardedSim<W> {
             s.sim.rest_until(end);
         }
         reports
+    }
+
+    /// At termination, nothing is in flight: `busy` reads 0, so does every
+    /// mailbox's `depth`, and every shard's outbox is drained with nothing
+    /// buffered for delivery.
+    fn assert_quiescent(&mut self) {
+        let busy = self.shared.busy.0.load(Ordering::SeqCst);
+        debug_assert_eq!(busy, 0, "busy counts work after termination");
+        let n = self.slots.len();
+        for (i, depth) in self.shared.depth.iter().enumerate() {
+            let d = depth.load(Ordering::SeqCst);
+            debug_assert_eq!(d, 0, "mailbox {}->{} counts messages", i / n, i % n);
+        }
+        for s in &mut self.slots {
+            if cfg!(debug_assertions) {
+                s.sim.world().drain_outbox(&mut s.scratch);
+            }
+            let drained = s.scratch.is_empty() && s.pending.peek().is_none();
+            debug_assert!(drained, "shard {} holds undelivered messages", s.id);
+        }
     }
 }
 

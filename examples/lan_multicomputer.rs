@@ -62,10 +62,10 @@ fn main() {
     println!("all rounds complete at {end}");
 
     let world = system.world();
-    let served: u64 = world.hosts[0].stubs.iter().map(|s| s.served).sum();
+    let served: u64 = world.stubs.of(NodeAddr(0)).map(|(_, s)| s.served).sum();
     println!(
         "host ws0 ran {} stubs and served {} forwarded system calls",
-        world.hosts[0].stubs.len(),
+        world.stubs.count(NodeAddr(0)),
         served
     );
     println!(

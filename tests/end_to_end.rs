@@ -70,7 +70,7 @@ fn spanning_application_with_hosts_and_tools() {
     let prof = ProfReport::from_trace(&w.trace);
     assert_eq!(prof.regions.len(), 4);
     // Stubs served 4 write syscalls each.
-    assert!(w.hosts[0].stubs.iter().all(|s| s.served == 4));
+    assert!(w.stubs.of(NodeAddr(0)).all(|(_, s)| s.served == 4));
 }
 
 /// The entire stack is deterministic: two identical runs produce identical

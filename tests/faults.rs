@@ -10,7 +10,7 @@ use hpc_vorx::desim::{lock, FaultAction, FaultSchedule, LinkFaults, SimDuration,
 use hpc_vorx::hpcnet::{Fabric, Frame, NetConfig, NodeAddr, Payload, Topology};
 use hpc_vorx::vorx::objmgr::{self, ObjMgrMode};
 use hpc_vorx::vorx::world::CallState;
-use hpc_vorx::vorx::{channel, fault, invariants, proto, VorxBuilder, VorxError, World};
+use hpc_vorx::vorx::{channel, fault, invariants, proto, VCtx, VorxBuilder, VorxError, World};
 
 use proptest::prelude::*;
 
@@ -444,6 +444,145 @@ fn a_syscall_whose_host_crashes_fails_host_down() {
     );
     assert!(w.owns_nothing(HOST), "the dead host queued its reply");
     assert!(w.calls.is_empty(), "the call was left behind");
+}
+
+/// A host's stubs die with it. Host 0's one shared stub serves nodes 1–3,
+/// each with a blocking call queued or in service, when the host crashes;
+/// it restarts before the detection sweep, and the call in service would
+/// finish after the restart, once a new stub for node 1 runs under the old
+/// stub's id. Every pre-crash call fails `HostDown` at the sweep, the host
+/// owns nothing while down, and the new stub serves only node 1's next
+/// call, from a fresh descriptor table.
+#[test]
+fn a_host_crash_wipes_its_stubs() {
+    use hpc_vorx::vorx::host::{self, SyscallOp, SyscallRet};
+
+    const HOST: NodeAddr = NodeAddr(0);
+    // The shared stub exists at 60 ms (`stub_create_ns`) and serves node
+    // 1's call from then until about 212 ms; the new stub exists at about
+    // 161 ms, the sweep fires at 270 ms.
+    const CRASH_NS: u64 = 70_000_000;
+    const RESTART_NS: u64 = 100_000_000;
+    let faults = FaultSchedule::new(1)
+        .down_at(HOST.0, SimTime::from_ns(CRASH_NS))
+        .up_at(HOST.0, SimTime::from_ns(RESTART_NS));
+    let mut v = VorxBuilder::single_cluster(4)
+        .hosts(1)
+        .faults(faults)
+        .trace(false)
+        .build();
+    let detect = v.world().calib.crash_detect_ns;
+    assert!(RESTART_NS < CRASH_NS + detect, "restarts before the sweep");
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&got);
+    v.spawn("h0:setup", move |ctx| {
+        host::create_stub(&ctx, 0, (1..4).map(NodeAddr).collect());
+        for node in (1..4).map(NodeAddr) {
+            let sink = Arc::clone(&sink);
+            ctx.with(move |_, s| {
+                s.spawn(format!("n{}:syscall", node.0), move |ctx: VCtx| {
+                    let op = SyscallOp::Blocking {
+                        dur_ns: 150_000_000,
+                    };
+                    let ret = host::syscall(&ctx, node, op);
+                    lock(&sink).push((node, ret, ctx.now().as_ns()));
+                    if node == NodeAddr(1) {
+                        let ret = host::syscall(&ctx, node, SyscallOp::OpenFile);
+                        lock(&sink).push((node, ret, ctx.now().as_ns()));
+                    }
+                });
+            });
+        }
+    });
+    v.spawn("h0:restub", |ctx| {
+        ctx.sleep(SimDuration::from_ns(RESTART_NS + 1_000_000));
+        host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
+    });
+    v.sim.run_until(SimTime::from_ns(CRASH_NS + 1));
+    assert_cold(&v.world(), HOST);
+    v.sim.run_until(SimTime::from_ns(RESTART_NS - 1));
+    assert_cold(&v.world(), HOST);
+    let report = v.run();
+    assert_eq!(report.parked, vec![], "every caller returned");
+
+    let got = lock(&got).clone();
+    let (pre, post) = got.split_at(3);
+    for &(node, ret, at) in pre {
+        assert_eq!(
+            ret,
+            Err(VorxError::HostDown),
+            "node {node}'s pre-crash call"
+        );
+        assert_eq!(at, CRASH_NS + detect, "node {node} failed at the sweep");
+    }
+    let post: Vec<_> = post.iter().map(|&(node, ret, _)| (node, ret)).collect();
+    assert_eq!(
+        post,
+        [(NodeAddr(1), Ok(SyscallRet::Fd(3)))],
+        "a fresh table"
+    );
+    let w = v.world();
+    let stubs: Vec<u64> = w.stubs.of(HOST).map(|(_, s)| s.served).collect();
+    assert_eq!(stubs, [1], "the new stub served node 1's next call alone");
+}
+
+/// A `syscall` from a node whose home host crashed fails `NoStub`, while
+/// the host is down and after it restarts: its stub died with the host.
+#[test]
+fn a_syscall_after_its_host_crashed_fails_no_stub() {
+    use hpc_vorx::vorx::host::{self, SyscallOp};
+
+    const CRASH_NS: u64 = 70_000_000;
+    const RESTART_NS: u64 = 100_000_000;
+    let faults = FaultSchedule::new(1)
+        .down_at(0, SimTime::from_ns(CRASH_NS))
+        .up_at(0, SimTime::from_ns(RESTART_NS));
+    let mut v = VorxBuilder::single_cluster(2)
+        .hosts(1)
+        .faults(faults)
+        .trace(false)
+        .build();
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&got);
+    v.spawn("h0:setup", move |ctx| {
+        host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
+        ctx.with(move |_, s| {
+            s.spawn("n1:syscall", move |ctx: VCtx| {
+                for at in [CRASH_NS, RESTART_NS] {
+                    ctx.sleep(SimDuration::from_ns(at + 1_000_000 - ctx.now().as_ns()));
+                    lock(&sink).push(host::syscall(&ctx, NodeAddr(1), SyscallOp::OpenFile));
+                }
+            });
+        });
+    });
+    v.run_all();
+    assert_eq!(
+        *lock(&got),
+        [Err(VorxError::NoStub), Err(VorxError::NoStub)]
+    );
+}
+
+/// A `syscall_on` directed at a down host fails `HostDown` and makes no
+/// service stub there.
+#[test]
+fn a_syscall_on_a_down_host_fails_host_down() {
+    use hpc_vorx::vorx::host::{self, SyscallOp};
+
+    let faults = FaultSchedule::new(1).down_at(0, SimTime::from_ns(1_000_000));
+    let mut v = VorxBuilder::single_cluster(2)
+        .hosts(1)
+        .faults(faults)
+        .trace(false)
+        .build();
+    let got = Arc::new(Mutex::new(None));
+    let sink = Arc::clone(&got);
+    v.spawn("n1:syscall", move |ctx| {
+        ctx.sleep(SimDuration::from_ms(2));
+        *lock(&sink) = Some(host::syscall_on(&ctx, NodeAddr(1), 0, SyscallOp::OpenFile));
+    });
+    v.run_all();
+    assert_eq!(lock(&got).take(), Some(Err(VorxError::HostDown)));
+    assert_cold(&v.world(), NodeAddr(0));
 }
 
 /// How many messages the failover workload streams.
