@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (every sharded test names its own worker counts; alloc budgets, counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 2 per warmed-up 63-target multicast over 16 clusters (its one tree-order list), <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.047 per try_open, <= 1.1 x 6.47 per node (unoptimised) for a 512-endpoint world opening one stream per node, 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
+echo "==> cargo test (every sharded test names its own worker counts; alloc budgets, counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 2 per warmed-up 63-target multicast over 16 clusters (its one tree-order list), <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.047 per try_open, <= 1.1 x 0.65 per node (unoptimised) for a 512-endpoint world opening one stream per node, <= 1.1 x 196 (unoptimised) for a 70-node stop-and-wait stream world, parked images in chunks of 32 per exact depth (4,096 processes at two depths: <= 2 x 64 + 8 allocations; ten spawn/finish waves grow nothing after the first; 0 image bytes once every process has finished), 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
 cargo test --workspace -q
 
 echo "==> every example runs (each of examples/*.rs exits 0, in the debug build cargo test made of it)"
@@ -20,7 +20,7 @@ done
 echo "==> shard build memory, optimised build (an 8-shard build of the 100k-endpoint world holds <= 52 MB live: one wiring shared by every shard, link state built on first touch; run idle, it materializes no node and every endpoint owns nothing; a dense 1024-endpoint run builds <= 1/4 of the links on any shard; untouched links read idle)"
 cargo test --release -q --test wiring
 
-echo "==> process switch and footprint, optimised build (one run stack: no OS threads, 250k parked, <= 650 B each in wait_until, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume; live heap per process parked in each blocking VORX call within 10 % of its measured figure; a group member's handle costs the same at 1,024 members as at 64)"
+echo "==> process switch and footprint, optimised build (one run stack: no OS threads, 250k parked, <= 650 B each in wait_until, images packed 32 to a chunk per exact depth, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume; live heap per process parked in each blocking VORX call within 10 % of its measured figure; a group member's handle costs the same at 1,024 members as at 64)"
 cargo test --release -q --test proc_switch --test footprint
 
 echo "==> fabric grant order, optimised build (the release arbiter is the one the benchmark times: six seeded scenarios equal the pass-based scan's hashes, the multicast ones with every target list ascending, descending and shuffled, a cable cut under buffered multicasts delivers every target once, one route per frame per cluster, <= 4 worklist visits per grant)"

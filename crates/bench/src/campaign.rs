@@ -11,8 +11,9 @@
 //! * [`drive`] — the sweep / `--smoke` driver: every cell under a wall-clock
 //!   watchdog, re-run at each of its worker counts with trace and `sim`
 //!   equality, gates evaluated, and under `--smoke` the fresh `sim` of each
-//!   cell compared field for field with the committed report, whose every
-//!   cell must in turn still be a row of the table;
+//!   cell compared field for field with the committed report (the engine's
+//!   event counts in `host` may fall there, not rise), whose every cell must
+//!   in turn still be a row of the table;
 //! * host time: [`sample`] (a warm-up call, then one timed call per sample,
 //!   any setup outside the timed region) and [`summary`] (min, upper
 //!   median, mean), which every `wall-clock` cell reports through;
@@ -466,13 +467,21 @@ pub fn find<'a>(cells: &'a [Record], want: &[(&str, Value)]) -> Option<&'a Recor
         .find(|c| want.iter().all(|(k, v)| c.rec("key").get(k) == Some(v)))
 }
 
+/// Fields of a cell's `host` runs that the engine counts, not the machine:
+/// the same on every host, but no simulated result either, so a change that
+/// only spares the engine work (a spurious wake dropped) lowers them. The
+/// smoke comparison lets them fall, and reports it, but not rise.
+const ENGINE_COUNTS: [&str; 2] = ["events", "events_per_shard"];
+
 /// The smoke comparison, in both directions: every freshly run cell must
 /// exist in the committed report under the same key, with every field of its
-/// `sim` equal there; and every committed cell must still be a row of the
-/// campaign's cell table (`table`: the key of every row, heavy ones too), so
-/// that deleting or re-keying a row cannot drop a recorded number silently.
-/// `host` objects are not looked at. Returns one message per difference,
-/// each naming the campaign, the cell key and the field.
+/// `sim` equal there and no engine count (`ENGINE_COUNTS`) of a `host` run
+/// above it; and every committed cell must still be a row of the campaign's
+/// cell table (`table`: the key of every row, heavy ones too), so that
+/// deleting or re-keying a row cannot drop a recorded number silently. Other
+/// `host` fields are not looked at. Returns one message per difference, each
+/// naming the campaign, the cell key and the field; an engine count that
+/// fell is printed, not returned.
 pub fn compare_sim(
     campaign: &str,
     table: &[Record],
@@ -493,6 +502,22 @@ pub fn compare_sim(
                 diffs.push(format!("{at} field {k}: ran {}, committed {was}", v.text()));
             }
         }
+        for (run, host) in cell.rec("host").fields() {
+            let Value::Rec(host) = host else { continue };
+            for (k, v) in host.fields() {
+                if !ENGINE_COUNTS.contains(&k.as_str()) {
+                    continue;
+                }
+                let was = old.rec("host").rec(run).get(k);
+                let field = format!("{at} field host.{run}.{k}: ran {}", v.text());
+                let was_text = was.map_or("nothing".into(), Value::text);
+                match was.and_then(|was| fell(v, was)) {
+                    Some(true) => println!("{field}, committed {was_text}: fell"),
+                    Some(false) => {}
+                    None => diffs.push(format!("{field}, committed {was_text}")),
+                }
+            }
+        }
     }
     for old in committed.iter().filter(|c| !table.contains(c.rec("key"))) {
         let key = old.rec("key").line();
@@ -501,6 +526,20 @@ pub fn compare_sim(
         ));
     }
     diffs
+}
+
+/// Whether count `now` fell from `was` (`Some(false)`: equal), or `None`
+/// when it rose or the two do not compare: a list compares entry by entry,
+/// and falls when one entry falls and none rises.
+fn fell(now: &Value, was: &Value) -> Option<bool> {
+    match (now, was) {
+        (Value::U64(now), Value::U64(was)) => (now <= was).then_some(now < was),
+        (Value::List(now), Value::List(was)) if now.len() == was.len() => now
+            .iter()
+            .zip(was)
+            .try_fold(false, |any, (n, w)| Some(any | fell(n, w)?)),
+        _ => None,
+    }
 }
 
 // ----------------------------------------------------------------- driver

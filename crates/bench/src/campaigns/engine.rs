@@ -182,7 +182,8 @@ struct ChainWorld {
 /// successor with a zero-delay wake. Every link is one park/resume handoff
 /// plus one same-instant event — the dominant pattern of simulated kernels
 /// acknowledging each other. Each call runs 256 fresh processes, so each
-/// one's first park, which allocates its image, is part of the figure.
+/// one's first park, which claims its image slot (and every 32nd a chunk),
+/// is part of the figure.
 fn wake_chain(samples: Option<usize>) -> Run {
     const LINKS: usize = 256;
     let setup = || {

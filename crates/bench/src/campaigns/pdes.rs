@@ -222,7 +222,7 @@ fn dump_on_expiry() {
 
 /// One pass over the workload — `workers == 0` is the sequential engine —
 /// and its wall clock, ns. The run's host record holds what the sharded
-/// engine counted: rounds and frontier bumps.
+/// engine counted: events per shard, rounds and frontier bumps.
 fn pass(topo: &Topology, workers: usize, traced: bool) -> (u64, Run) {
     let b = VorxBuilder::with_topology(topo.clone())
         .seed(SEED)
@@ -260,9 +260,9 @@ fn pass(topo: &Topology, workers: usize, traced: bool) -> (u64, Run) {
     let sim = Record::new()
         .with("end_ns", end.as_ns())
         .with("msgs_bridged", st.msgs_bridged)
-        .with("events_per_shard", st.events_per_shard.clone())
         .and(Totals::over_shards(&v).record());
     let host = Record::new()
+        .with("events_per_shard", st.events_per_shard.clone())
         .with("rounds", st.rounds)
         .with("frontier_bumps", st.frontier_bumps);
     let run = Run::new(sim, violations).host(host);

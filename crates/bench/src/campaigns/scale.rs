@@ -370,7 +370,6 @@ fn run(cfg: &Scale, workers: usize) -> Run {
         .with("clusters", clusters)
         .with("end_ns", end.as_ns())
         .with("delivered", delivered)
-        .with("events", events)
         .and(rows_record(&parts))
         .with("overlay_mid_flap", overlay_mid)
         .with("overlay_final", overlay_final)
@@ -382,6 +381,7 @@ fn run(cfg: &Scale, workers: usize) -> Run {
     let host = Record::new()
         .with("build_s", build_s)
         .with("wall_s", wall_s)
+        .with("events", events)
         .with("events_per_sec", events as f64 / wall_s.max(1e-9));
     Run::new(sim, violations).host(host).trace(trace)
 }
@@ -463,11 +463,11 @@ fn dense(cfg: &Scale, workers: usize) -> Run {
         .with("endpoints", n)
         .with("processes", processes)
         .with("delivered", delivered)
-        .with("events", events)
         .with("end_ns", end.as_ns());
     let host = Record::new()
         .with("build_s", build_s)
         .with("wall_s", wall_s)
+        .with("events", events)
         .with("rss_growth_per_process_b", rss_growth / processes);
     Run::new(sim, violations).host(host)
 }

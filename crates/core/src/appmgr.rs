@@ -96,9 +96,11 @@ where
     let name = name.to_string();
     // Allocate processors up front (§3.1's VORX discipline).
     let nodes = ctx.with(move |w, _| w.alloc.allocate(user, n_nodes))?;
-    // One stub per process: the faithful execution environment (§3.3).
+    // One stub per process: the faithful execution environment (§3.3). A
+    // host that is down makes none, and its nodes' syscalls fail `NoStub`,
+    // as they do once a host crashes after making them.
     for &n in &nodes {
-        create_stub(ctx, host, vec![n]);
+        let _ = create_stub(ctx, host, vec![n]);
     }
     let app_id = ctx.with({
         let nodes = nodes.clone();

@@ -170,10 +170,22 @@ fn host_node(w: &World, host_id: usize) -> NodeAddr {
 
 /// Create a stub on `host_id` serving `serves`, charging the host CPU for
 /// the fork/exec. Returns the stub id. Process-context API.
-pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> u32 {
-    let (host, cost) = ctx.with(move |w, _| (host_node(w, host_id), w.calib.stub_create_ns));
+///
+/// Fails with [`crate::VorxError::HostDown`] when the host is down at issue
+/// time or once the fork/exec is charged: a down host holds no rows.
+pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> crate::VorxResult<u32> {
+    let (host, cost) = ctx.with(move |w, _| {
+        let host = host_node(w, host_id);
+        if !w.node(host).up {
+            return Err(crate::VorxError::HostDown);
+        }
+        Ok((host, w.calib.stub_create_ns))
+    })?;
     api::compute_ns(ctx, host, CpuCat::System, cost);
     ctx.with(move |w, _| {
+        if !w.node(host).up {
+            return Err(crate::VorxError::HostDown);
+        }
         w.node_mut(host);
         // Rows of a host leave only all together, with a crash: the count
         // is a fresh id.
@@ -182,7 +194,7 @@ pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> u32 {
             w.stub_of.insert(host, n.0, id);
         }
         w.stubs.insert(host, id, Stub::new());
-        id
+        Ok(id)
     })
 }
 
@@ -405,7 +417,7 @@ pub fn download_per_process(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], te
         ctx.with(move |w, _| (host_node(w, host_id), w.calib.host_copy_ns_per_byte));
     for &t in targets {
         // One stub per process: fork/exec plus its own copy of the text.
-        create_stub(ctx, host_id, vec![t]);
+        create_stub(ctx, host_id, vec![t]).expect("the downloading host is up");
         api::compute(
             ctx,
             host,
@@ -442,7 +454,7 @@ pub fn download_tree(ctx: &VCtx, host_id: usize, targets: &[NodeAddr], text_byte
     let (host, copy_ns_per_byte) =
         ctx.with(move |w, _| (host_node(w, host_id), w.calib.host_copy_ns_per_byte));
     // One stub serves every process of the application.
-    create_stub(ctx, host_id, targets.to_vec());
+    create_stub(ctx, host_id, targets.to_vec()).expect("the downloading host is up");
     api::compute(
         ctx,
         host,
@@ -468,7 +480,7 @@ mod tests {
     fn syscall_round_trip_and_fd_limit() {
         let mut v = VorxBuilder::single_cluster(3).hosts(1).build();
         v.spawn("setup", |ctx| {
-            create_stub(&ctx, 0, vec![NodeAddr(1)]);
+            create_stub(&ctx, 0, vec![NodeAddr(1)]).unwrap();
             ctx.with(|_, s| {
                 s.spawn("n1:app", |ctx: VCtx| {
                     let mut fds = Vec::new();
@@ -502,7 +514,7 @@ mod tests {
         // read, so B's instant syscall must wait behind it.
         let mut v = VorxBuilder::single_cluster(4).hosts(1).build();
         v.spawn("setup", |ctx| {
-            create_stub(&ctx, 0, vec![NodeAddr(1), NodeAddr(2)]);
+            create_stub(&ctx, 0, vec![NodeAddr(1), NodeAddr(2)]).unwrap();
             ctx.with(|_, s| {
                 s.spawn("n1:blocker", |ctx: VCtx| {
                     syscall(
@@ -533,8 +545,8 @@ mod tests {
     fn per_process_stubs_isolate_blocking_syscalls() {
         let mut v = VorxBuilder::single_cluster(4).hosts(1).build();
         v.spawn("setup", |ctx| {
-            create_stub(&ctx, 0, vec![NodeAddr(1)]);
-            create_stub(&ctx, 0, vec![NodeAddr(2)]);
+            create_stub(&ctx, 0, vec![NodeAddr(1)]).unwrap();
+            create_stub(&ctx, 0, vec![NodeAddr(2)]).unwrap();
             ctx.with(|_, s| {
                 s.spawn("n1:blocker", |ctx: VCtx| {
                     syscall(
@@ -565,8 +577,8 @@ mod tests {
     fn per_process_fd_tables_are_independent() {
         let mut v = VorxBuilder::single_cluster(4).hosts(1).build();
         v.spawn("setup", |ctx| {
-            create_stub(&ctx, 0, vec![NodeAddr(1)]);
-            create_stub(&ctx, 0, vec![NodeAddr(2)]);
+            create_stub(&ctx, 0, vec![NodeAddr(1)]).unwrap();
+            create_stub(&ctx, 0, vec![NodeAddr(2)]).unwrap();
             for node in [1u32, 2] {
                 ctx.with(move |_, s| {
                     s.spawn(format!("n{node}:opener"), move |ctx: VCtx| {
@@ -719,7 +731,7 @@ mod decentral_tests {
         let mut v = VorxBuilder::hypercube(3, 4).hosts(n_hosts).build();
         v.spawn("setup", move |ctx| {
             for nd in (n_hosts as u32)..(n_hosts as u32 + 6) {
-                create_stub(&ctx, 0, vec![NodeAddr(nd)]);
+                create_stub(&ctx, 0, vec![NodeAddr(nd)]).unwrap();
             }
             for nd in (n_hosts as u32)..(n_hosts as u32 + 6) {
                 ctx.with(move |_, s| {

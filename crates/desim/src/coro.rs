@@ -26,10 +26,13 @@
 //!   `MAP_NORESERVE` so only touched pages cost memory. Overflow hits the
 //!   guard page and is a plain `SIGSEGV`: Rust's "stack overflow" message
 //!   covers only stacks `std` created.
-//! * A process parked *D* bytes deep costs *D* bytes of heap and no mapping
-//!   ([`Stack::save`] sizes a buffer to the depth exactly and keeps it while
-//!   later parks go no deeper), and each resume copies 2 × *D* bytes: the
-//!   image in, and the frames back out at the next park.
+//! * A process parked *D* bytes deep costs a *D*-byte slot and no mapping:
+//!   [`Images`] keeps the slot while later parks go no deeper, and packs
+//!   slots of one depth up to 32 to a chunk, so a process holds no heap
+//!   block of its own; what is unused is the empty slots of part-filled
+//!   chunks (31 × *D* when 33 processes share one depth). Each resume
+//!   copies 2 × *D* bytes: the image in, and the frames back out at the next
+//!   park.
 //! * Only the integer callee-saved registers are switched. The MXCSR and x87
 //!   control words are callee-saved too, but nothing in this program changes
 //!   them from their defaults, so both sides always agree.
@@ -78,23 +81,21 @@ extern "C" {
 /// leave through (the one the executor's pending [`switch`] saved).
 pub(crate) type Body = Box<dyn FnOnce() -> usize + Send>;
 
-/// A process's frames while it is suspended: the bytes from its saved stack
-/// pointer up to the top of the run stack, lowest address first.
+/// Where a process's frames are while it is suspended: a parked image names
+/// its slot in the simulation's [`Images`], which holds the bytes.
+#[derive(Clone, Copy, Default)]
 pub(crate) enum Image {
+    /// No frames and no slot: a process on its first run, or one that has
+    /// finished.
+    #[default]
+    Empty,
     /// Not started yet: the address of the boxed [`Body`], from which
-    /// [`Stack::restore`] lays out the frame [`boot_frame`] describes.
+    /// [`Images::restore`] lays out the frame [`boot_frame`] describes.
     Fresh(usize),
     /// What the last park left on the run stack, padding and dead slots
-    /// included. The buffer's capacity is the deepest park so far.
-    Parked(Vec<MaybeUninit<u8>>),
-}
-
-/// No frames and no allocation: what stands in for a process's image while
-/// it runs, or once it has finished.
-impl Default for Image {
-    fn default() -> Self {
-        Image::Parked(Vec::new())
-    }
+    /// included: the first `len` bytes of slot `slot` of chunk `chunk`,
+    /// whose slots are as deep as the process's deepest park so far.
+    Parked { chunk: u32, slot: u32, len: u32 },
 }
 
 /// The image whose first [`switch`] runs `body` (through [`boot`] and
@@ -129,9 +130,9 @@ pub(crate) struct Stack {
 // handle moves no data. What the bytes hold — the frames of the one process
 // that is running — changes threads only under the module contract above.
 unsafe impl Send for Stack {}
-// SAFETY: as above; through `&Stack` safe code can only call `is_current`,
-// which reads `base`, and `restore`/`save` are `unsafe fn`s whose callers
-// vouch nothing else touches the bytes.
+// SAFETY: as above; through `&Stack` safe code can only call `is_current`
+// and `depth`, which read `base`, and `Images::restore`/`save` are
+// `unsafe fn`s whose callers vouch nothing else touches the bytes.
 unsafe impl Sync for Stack {}
 
 impl Stack {
@@ -175,64 +176,207 @@ impl Stack {
         (self.base as usize..self.top()).contains(&here)
     }
 
-    /// Put a suspended process's frames back at the top of the stack, where
+    /// How deep the process that parked at `sp` is: the bytes from `sp` to
+    /// the top.
+    fn depth(&self, sp: usize) -> usize {
+        self.top()
+            .checked_sub(sp)
+            .filter(|&d| d <= STACK_BYTES)
+            .expect("a parked process's stack pointer lies on the run stack")
+    }
+}
+
+/// A chunk's slots: at most this many, and at most as many as fit in
+/// [`CHUNK_BYTES`] (at least one). So images up to 4 KiB deep — every
+/// blocking VORX call's, optimised or not — pack 32 to a chunk, and one
+/// over 64 KiB deep is a chunk of its own.
+const CHUNK_SLOTS: usize = 32;
+const CHUNK_BYTES: usize = 128 << 10;
+
+/// Chunk entries a simulation's [`Images`] is made with room for, so that
+/// a run with no more chunks than this at once allocates only the chunks.
+const CHUNKS_RESERVED: usize = 8;
+
+/// The frames of every parked process of one simulation, packed by depth.
+/// The images of one exact depth — a *class* — share chunks of up to
+/// [`CHUNK_SLOTS`] slots of that depth, each with a bit per slot for whether
+/// a process holds it. A chunk never moves, and is freed when its last slot
+/// is let go, so a simulation whose processes have all finished holds no
+/// image bytes. A process keeps its slot from its first park to its end,
+/// running included: a park no deeper than the slot reuses it in place, and
+/// a deeper one moves the process to a slot of its new depth. So an image
+/// never holds more than the deepest park so far, and a park allocates only
+/// when it claims a slot in a chunk not yet made.
+pub(crate) struct Images {
+    /// Chunks of every class by index; `None` where one was freed, for the
+    /// next chunk made, of any class, to reuse.
+    chunks: Vec<Option<Chunk>>,
+    /// Every entry of `chunks` below this index is a full chunk.
+    open: usize,
+}
+
+struct Chunk {
+    /// Bytes per slot: the depth of the class.
+    depth: usize,
+    /// Bit `i` set: a process holds slot `i`.
+    used: u32,
+    bytes: Box<[MaybeUninit<u8>]>,
+}
+
+impl Chunk {
+    fn is_full(&self) -> bool {
+        let slots = self.bytes.len() / self.depth;
+        self.used == u32::MAX >> (CHUNK_SLOTS - slots)
+    }
+
+    /// The first `len` bytes of slot `slot`.
+    fn range(&self, slot: u32, len: u32) -> std::ops::Range<usize> {
+        let at = slot as usize * self.depth;
+        at..at + len as usize
+    }
+}
+
+impl Images {
+    pub(crate) fn new() -> Images {
+        Images {
+            chunks: Vec::with_capacity(CHUNKS_RESERVED),
+            open: 0,
+        }
+    }
+
+    fn chunk(&self, chunk: u32) -> &Chunk {
+        self.chunks[chunk as usize]
+            .as_ref()
+            .expect("a held slot's chunk is live")
+    }
+
+    /// Put a suspended process's frames back at the top of `stack`, where
     /// they were saved from, and return the stack pointer to [`switch`] to.
+    /// A fresh image becomes [`Image::Empty`]: its body is the switch's to
+    /// consume.
     ///
     /// # Safety
     ///
-    /// Nothing may be running on this stack, the caller included, and nothing
+    /// Nothing may be running on `stack`, the caller included, and nothing
     /// else may touch its bytes during the call.
-    pub(crate) unsafe fn restore(&self, image: &Image) -> usize {
+    pub(crate) unsafe fn restore(&self, stack: &Stack, image: &mut Image) -> usize {
         let frame;
-        let (bytes, len) = match image {
+        let (bytes, len) = match *image {
             Image::Fresh(body) => {
-                frame = boot_frame(*body);
+                frame = boot_frame(body);
+                *image = Image::Empty;
                 (frame.as_ptr().cast::<u8>(), size_of_val(&frame))
             }
-            Image::Parked(buf) => (buf.as_ptr().cast::<u8>(), buf.len()),
+            Image::Parked { chunk, slot, len } => {
+                let chunk = self.chunk(chunk);
+                let bytes = &chunk.bytes[chunk.range(slot, len)];
+                (bytes.as_ptr().cast::<u8>(), bytes.len())
+            }
+            Image::Empty => panic!("restored a process with no frames"),
         };
         assert!(len <= STACK_BYTES, "image deeper than the run stack");
-        let sp = self.top() - len;
-        // SAFETY: `bytes` is valid for `len` bytes (a whole array, a whole
-        // `Vec`), `[sp, top)` lies in the mapping's read-write part (checked
-        // above), which the caller vouches is idle and ours alone, and a heap
-        // buffer or a local of the caller's (who is not on this stack) cannot
-        // overlap it.
+        let sp = stack.top() - len;
+        // SAFETY: `bytes` is valid for `len` bytes (a whole array, a slot's
+        // part of a chunk), `[sp, top)` lies in the mapping's read-write part
+        // (checked above), which the caller vouches is idle and ours alone,
+        // and a chunk or a local of the caller's (who is not on this stack)
+        // cannot overlap it.
         unsafe { std::ptr::copy_nonoverlapping(bytes, sp as *mut u8, len) };
         sp
     }
 
     /// Copy the frames of the process that just parked at `sp` — `[sp, top)`
-    /// — out into `image`. Nothing below `sp` is live: the process got there
-    /// through a real call to [`switch`], so it left no red zone.
+    /// of `stack` — into its slot, or into a slot of their depth if they do
+    /// not fit there, and make `image` name them. Nothing below `sp` is live:
+    /// the process got there through a real call to [`switch`], so it left
+    /// no red zone.
     ///
     /// # Safety
     ///
-    /// `sp` must be the stack pointer a [`switch`] running on this stack just
-    /// stored, and nothing may be running on this stack, the caller included.
-    pub(crate) unsafe fn save(&self, sp: usize, image: &mut Image) {
-        let depth = self
-            .top()
-            .checked_sub(sp)
-            .filter(|&d| d <= STACK_BYTES)
-            .expect("a parked process's stack pointer lies on the run stack");
-        // Reuse the buffer when it is big enough; otherwise replace it with
-        // one of exactly this depth, so an image never holds more than the
-        // deepest park so far.
-        let mut buf = match std::mem::replace(image, Image::Parked(Vec::new())) {
-            Image::Parked(buf) if buf.capacity() >= depth => buf,
-            _ => Vec::with_capacity(depth),
+    /// `sp` must be the stack pointer a [`switch`] running on `stack` just
+    /// stored, and nothing may be running on `stack`, the caller included.
+    pub(crate) unsafe fn save(&mut self, stack: &Stack, sp: usize, image: &mut Image) {
+        let depth = stack.depth(sp);
+        let (chunk, slot) = match *image {
+            Image::Parked { chunk, slot, .. } if self.chunk(chunk).depth >= depth => (chunk, slot),
+            _ => {
+                self.free(image);
+                self.claim(depth)
+            }
         };
+        let len = u32::try_from(depth).expect("a run stack is under 4 GiB");
+        let live = self.chunks[chunk as usize]
+            .as_mut()
+            .expect("a claimed slot's chunk is live");
+        let range = live.range(slot, len);
+        let bytes = &mut live.bytes[range];
         // SAFETY: `[sp, top)` is `depth` bytes of the mapping's read-write
-        // part that nothing is writing (the caller's contract), `buf` has
-        // room for them, and a heap buffer cannot overlap the mapping.
-        // `MaybeUninit` elements need no initialising, so any length within
-        // the capacity is sound.
+        // part that nothing is writing (the caller's contract), `bytes` is
+        // as long, and a chunk cannot overlap the mapping.
         unsafe {
-            std::ptr::copy_nonoverlapping(sp as *const u8, buf.as_mut_ptr().cast(), depth);
-            buf.set_len(depth);
+            std::ptr::copy_nonoverlapping(sp as *const MaybeUninit<u8>, bytes.as_mut_ptr(), depth)
+        };
+        *image = Image::Parked { chunk, slot, len };
+    }
+
+    /// Let go of `image`'s slot, if it holds one, and of its chunk if that
+    /// was the chunk's last; `image` is left empty.
+    pub(crate) fn free(&mut self, image: &mut Image) {
+        if let Image::Parked { chunk, slot, .. } = std::mem::take(image) {
+            let entry = &mut self.chunks[chunk as usize];
+            let live = entry.as_mut().expect("a held slot's chunk is live");
+            debug_assert!(live.used & 1 << slot != 0, "slot freed twice");
+            live.used &= !(1 << slot);
+            if live.used == 0 {
+                *entry = None;
+            }
+            self.open = self.open.min(chunk as usize);
         }
-        *image = Image::Parked(buf);
+    }
+
+    /// A free slot of exactly `depth` bytes: in the lowest chunk of that
+    /// depth with room, else in a chunk made in the lowest freed entry or
+    /// at the end. Returns (chunk, slot).
+    fn claim(&mut self, depth: usize) -> (u32, u32) {
+        // The first entry past the full ones that is free or has room, of
+        // any depth; the first free one; the first of `depth` with room.
+        let (mut gap, mut hole, mut room) = (None, None, None);
+        for (i, entry) in self.chunks.iter().enumerate().skip(self.open) {
+            match entry {
+                Some(chunk) if chunk.is_full() => continue,
+                Some(chunk) if chunk.depth == depth => {
+                    gap = gap.or(Some(i));
+                    room = Some(i);
+                    break;
+                }
+                Some(_) => {}
+                None => hole = hole.or(Some(i)),
+            }
+            gap = gap.or(Some(i));
+        }
+        let at = room.or(hole).unwrap_or_else(|| {
+            self.chunks.push(None);
+            self.chunks.len() - 1
+        });
+        let chunk = self.chunks[at].get_or_insert_with(|| Chunk {
+            depth,
+            used: 0,
+            bytes: Box::new_uninit_slice((CHUNK_BYTES / depth).clamp(1, CHUNK_SLOTS) * depth),
+        });
+        let slot = chunk.used.trailing_ones();
+        chunk.used |= 1 << slot;
+        self.open = match gap {
+            Some(g) if g < at => g,
+            _ if chunk.is_full() => at + 1,
+            _ => at,
+        };
+        let at = u32::try_from(at).expect("under 2^32 chunks");
+        (at, slot)
+    }
+
+    /// The bytes every live chunk holds: 0 once no process holds a slot.
+    pub(crate) fn bytes(&self) -> usize {
+        self.chunks.iter().flatten().map(|c| c.bytes.len()).sum()
     }
 }
 
@@ -253,7 +397,7 @@ impl Drop for Stack {
 ///
 /// # Safety
 ///
-/// `load` must be a stack pointer that [`Stack::restore`] returned or that a
+/// `load` must be a stack pointer that [`Images::restore`] returned or that a
 /// `switch` stored, on a stack that is still mapped and whose bytes from
 /// `load` up are unchanged since, and it must be used at most once: the frame
 /// it names is consumed. Nothing else may be running on

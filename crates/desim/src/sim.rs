@@ -41,17 +41,20 @@
 //!
 //! The executor⇄process handoff is one [`Baton`] per process — a payload
 //! word each way and the two stack pointers of a user-space register swap
-//! (`coro::switch`) — and the image of the process's frames, kept in its
-//! process-table slot while it is suspended. So a switch is a function call
-//! and two copies of however deep the process parked (0.78–0.83 KiB on
-//! average in the benchmark's `vorx` workloads): no system call, no lock, no
-//! allocation unless the park goes deeper than any before, and no mapping at
-//! spawn (a fresh image is one word, the boxed body, and the first frame is
-//! laid out on the run stack at the first resume). What a blocking call does
-//! before it parks — a `wait_until` condition under the lock, arming a
-//! `sleep`'s timer — runs in out-of-line frames (`Ctx::poll`,
-//! `Ctx::wake_me_in`), as does the body's panic report (`Baton::unwound`), so
-//! none of it is copied with every park.
+//! (`coro::switch`) — and the image of the process's frames: a slot in the
+//! scheduler's `coro::Images`, which packs every image of one exact depth
+//! into chunks of up to 32 slots. A resume puts the frames on the run stack
+//! before it lets go of the lock and saves them after it takes the lock back,
+//! so a switch is a function call, one lock and two copies of however deep
+//! the process parked (0.78–0.83 KiB on average in the benchmark's `vorx`
+//! workloads): no system call, no allocation unless the park claims a slot
+//! in a chunk not yet made (a first park at some depth, or a deeper park),
+//! and no mapping at spawn (a fresh image is one word, the boxed body, and
+//! the first frame is laid out on the run stack at the first resume). What a
+//! blocking call does before it parks — a `wait_until` condition under the
+//! lock, arming a `sleep`'s timer — runs in out-of-line frames (`Ctx::poll`,
+//! `Ctx::wake_me_in`), as does the body's panic report (`Baton::unwound`),
+//! so none of it is copied with every park.
 //! Same-instant wakes (`wake` + `park` chains, the common case in protocol
 //! code) bypass the heap through a FIFO *lane*, O(1); [`Ctx::now`] reads an
 //! atomic mirror of the clock.
@@ -75,7 +78,7 @@ use std::sync::atomic::{
 };
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, TryLockError, Weak};
 
-use crate::coro::{self, Image, Stack};
+use crate::coro::{self, Image, Images, Stack};
 use crate::event_fn::EventFn;
 use crate::lock;
 use crate::queue::EventQueue;
@@ -253,9 +256,9 @@ const REPORT_PANICKED: u32 = 2;
 
 /// The executor⇄process handoff cell. A handoff is: write your payload
 /// (`token` or `report`), then `coro::switch` to the other side's saved
-/// stack pointer, leaving your own behind; around it the executor moves the
-/// process's frames between its slot's image and the run stack. No lock is
-/// held across it, and there is no system call and, after the first park, no
+/// stack pointer, leaving your own behind; around it, under the lock, the
+/// executor moves the process's frames between its image slot and the run
+/// stack. No lock is held across it, and there is no system call and no
 /// allocation.
 ///
 /// Every field is `Sync` by itself, so a baton is shared and sent between
@@ -293,36 +296,26 @@ struct Baton {
 }
 
 impl Baton {
-    /// Executor side: put the process's frames back on `stack` from `image`,
-    /// run it until it parks or finishes, save the frames of a parked one
-    /// into `image`, and return its report.
+    /// Executor side: switch to the process at `sp`, run it until it parks
+    /// or finishes, and return its report. A parked one leaves its stack
+    /// pointer in `proc_sp`, for its frames to be saved from.
     ///
     /// # Safety
     ///
     /// The process must be suspended — parked, or not yet started — and not
-    /// finished, `image` its frames, `stack` the run stack of the simulation
-    /// it belongs to, and the caller the executor of that simulation: not on
-    /// `stack` itself, and the only one entering any of its processes. The
-    /// caller's own `Arc` must keep the baton alive across the call.
-    unsafe fn enter(&self, stack: &Stack, image: &mut Image) -> u32 {
-        // SAFETY: no process is on `stack`: they run only inside this
-        // function's `switch`, the caller is the only one here, and it is not
-        // on `stack`.
-        let sp = unsafe { stack.restore(image) };
+    /// finished, and `sp` what [`Images::restore`] just returned for it, on
+    /// the run stack of the simulation it belongs to. The caller must be the
+    /// executor of that simulation: not on that stack itself, and the only
+    /// one entering any of its processes. The caller's own `Arc` must keep
+    /// the baton alive across the call.
+    unsafe fn enter(&self, sp: usize) -> u32 {
         self.entered.store(true, AtomicOrdering::Relaxed);
         // SAFETY: `sp` names the frame `restore` laid out for a fresh image
         // or the one the process's last `park` saved, just put back where it
         // was and unused since. `exec_sp` lives as long as `self`.
         unsafe { coro::switch(self.exec_sp.as_ptr(), sp) };
         self.entered.store(false, AtomicOrdering::Relaxed);
-        let report = self.report.load(AtomicOrdering::Relaxed);
-        if report == REPORT_PARKED {
-            // SAFETY: the process handed back through `park`, whose `switch`
-            // ran on `stack` (asserted there) and stored `proc_sp`; we are
-            // back on the executor's stack.
-            unsafe { stack.save(self.proc_sp.load(AtomicOrdering::Relaxed), image) };
-        }
-        report
+        self.report.load(AtomicOrdering::Relaxed)
     }
 
     /// Process side: what a body that unwound reports — finished, when the
@@ -388,17 +381,10 @@ struct ProcSlot {
     state: ProcState,
     /// `None` once the process has finished.
     baton: Option<Arc<Baton>>,
-    /// The process's frames while it is suspended. The executor takes them
-    /// out, under the lock, to run it, and puts them back when it parks; while
-    /// it runs and once it has finished, the slot holds an empty image.
+    /// Where the process's frames are while it is suspended: its slot in
+    /// [`Scheduler::images`], which it keeps while it runs and lets go of
+    /// when it finishes.
     image: Image,
-}
-
-impl ProcSlot {
-    fn finish(&mut self) {
-        self.state = ProcState::Finished;
-        self.baton = None;
-    }
 }
 
 struct SimInner<W> {
@@ -472,6 +458,10 @@ pub struct Scheduler<W> {
     events: Slab<EventFn<W>>,
     /// Every process ever spawned; a [`ProcId`] is an index here.
     procs: Vec<ProcSlot>,
+    /// Processes spawned and not yet finished.
+    unfinished: usize,
+    /// The frames of every process that has parked and not finished.
+    images: Images,
     timers: Arc<TimerCells>,
     /// The slots a sweep has taken out of the queues and not yet retired;
     /// empty between sweeps.
@@ -552,7 +542,9 @@ impl<W: Send + 'static> Scheduler<W> {
     }
 
     /// At an empty queue, nothing of an event is left: no closure in the
-    /// slab, and no cancelled cell in the tally a sweep would go by.
+    /// slab, and no cancelled cell in the tally a sweep would go by. Once
+    /// every process has finished, nothing of a process is left either: no
+    /// image slot, hence no chunk.
     fn assert_quiescent(&self) {
         debug_assert_eq!(self.events.len(), 0, "closure slots outlived their events");
         let dead = self.timers.dead.load(AtomicOrdering::Relaxed);
@@ -560,6 +552,13 @@ impl<W: Send + 'static> Scheduler<W> {
             dead, 0,
             "cancelled timers counted after they left the queue"
         );
+        if self.unfinished == 0 {
+            debug_assert_eq!(
+                self.images.bytes(),
+                0,
+                "image chunks outlived every process"
+            );
+        }
     }
 
     /// Take every disarmed timer out of the heap and the lane in one pass,
@@ -608,8 +607,13 @@ impl<W: Send + 'static> Scheduler<W> {
         }
     }
 
-    fn slot_mut(&mut self, pid: ProcId) -> &mut ProcSlot {
-        self.procs.get_mut(pid.0 as usize).expect("unknown ProcId")
+    /// `pid` is done: its baton and its image slot go.
+    fn finish(&mut self, pid: ProcId) {
+        let slot = &mut self.procs[pid.0 as usize];
+        slot.state = ProcState::Finished;
+        slot.baton = None;
+        self.images.free(&mut slot.image);
+        self.unfinished -= 1;
     }
 
     /// Make a process's baton, register it under the next id and queue its
@@ -650,6 +654,7 @@ impl<W: Send + 'static> Scheduler<W> {
             baton: Some(baton),
             image,
         });
+        self.unfinished += 1;
         self.queue
             .push(at.as_ns(), Queued::Wake(pid, Wakeup::START));
         pid
@@ -795,6 +800,8 @@ impl<W: Send + 'static> Simulation<W> {
                     dispatched: 0,
                     events: Slab::default(),
                     procs: Vec::new(),
+                    unfinished: 0,
+                    images: Images::new(),
                     timers: Arc::new(TimerCells::new()),
                     swept: Vec::new(),
                     sim: Weak::clone(me),
@@ -919,7 +926,7 @@ impl<W: Send + 'static> Simulation<W> {
         token: Wakeup,
     ) -> MutexGuard<'a, (Scheduler<W>, W)> {
         let sched = &mut core.0;
-        let slot = sched.slot_mut(pid);
+        let slot = sched.procs.get_mut(pid.0 as usize).expect("unknown ProcId");
         if slot.state == ProcState::Finished {
             return core; // stale wakeup for a completed process
         }
@@ -928,31 +935,39 @@ impl<W: Send + 'static> Simulation<W> {
         assert_eq!(slot.state, ProcState::Parked, "woke a running process");
         slot.state = ProcState::Running;
         let baton = Arc::clone(slot.baton.as_ref().expect("a parked process has a baton"));
-        let mut image = std::mem::take(&mut slot.image);
         sched.dispatched += 1;
-        drop(core);
-        baton.token.store(token.0, AtomicOrdering::Relaxed);
+        let stack = &self.inner.stack;
         // SAFETY: we found the process `Parked` and marked it `Running`
         // under the lock, so it is suspended, unfinished, and entered by no
-        // one else until we mark it otherwise below; `image` is the frames we
-        // took out of its slot then, and `baton` is ours for the whole call.
-        // We are this simulation's executor, and not on its run stack:
-        // running takes `&mut Simulation`, which nothing a process can reach
-        // holds while the run that resumed it does.
-        let report = unsafe { baton.enter(&self.inner.stack, &mut image) };
+        // one else until we mark it otherwise below. We are this simulation's
+        // executor, and not on its run stack: running takes `&mut
+        // Simulation`, which nothing a process can reach holds while the run
+        // that resumed it does.
+        let sp = unsafe { sched.images.restore(stack, &mut slot.image) };
+        drop(core);
+        baton.token.store(token.0, AtomicOrdering::Relaxed);
+        // SAFETY: as above, and `sp` is what `restore` just returned for it;
+        // `baton` is ours for the whole call.
+        let report = unsafe { baton.enter(sp) };
         let mut core = self.inner.core();
-        let slot = core.0.slot_mut(pid);
+        let sched = &mut core.0;
         match report {
             REPORT_PARKED => {
+                let slot = &mut sched.procs[pid.0 as usize];
                 slot.state = ProcState::Parked;
-                slot.image = image;
+                let sp = baton.proc_sp.load(AtomicOrdering::Relaxed);
+                // SAFETY: the process handed back through `park`, whose
+                // `switch` ran on `stack` (asserted there) and stored `sp`;
+                // we are back on the executor's stack.
+                unsafe { sched.images.save(stack, sp, &mut slot.image) };
             }
-            REPORT_FINISHED => slot.finish(),
+            REPORT_FINISHED => sched.finish(pid),
             _ => {
-                slot.finish();
+                sched.finish(pid);
                 let msg = lock(&baton.panic_msg).take();
                 let msg = msg.as_deref().unwrap_or("<missing panic message>");
-                panic!("simulated process '{}' panicked: {msg}", slot.name);
+                let name = &sched.procs[pid.0 as usize].name;
+                panic!("simulated process '{name}' panicked: {msg}");
             }
         }
         core
@@ -1003,6 +1018,12 @@ impl<W: Send + 'static> Simulation<W> {
             .store(queue.now(), AtomicOrdering::Release);
     }
 
+    /// Bytes of heap the simulation holds for parked processes' frames: its
+    /// image chunks, 0 once every process has finished.
+    pub fn image_bytes(&self) -> usize {
+        self.inner.core().0.images.bytes()
+    }
+
     /// Total activities executed so far (event callbacks run plus process
     /// resumes). Monotone across `run_until` calls; the sharded engine
     /// reports it per shard as a load-balance signal.
@@ -1027,33 +1048,42 @@ impl<W: Send + 'static> Simulation<W> {
 impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
         // A parked process owns live values; it gets to unwind its own frames
-        // so their destructors run. The batons and images are collected first
-        // and the lock released, because a destructor may use its `Ctx`. A
-        // process that parked inside `Ctx::with` still holds the lock, and the
-        // run that found it so has panicked: leave every process be, and do
-        // not panic again.
+        // so their destructors run. The batons are collected first, and each
+        // process's frames put back and its slot let go with the lock held,
+        // but the lock is released around entering it, because a destructor
+        // may use its `Ctx`. A process that parked inside `Ctx::with` still
+        // holds the lock, and the run that found it so has panicked: leave
+        // every process be, and do not panic again.
         let Some(mut core) = self.inner.try_core() else {
             return;
         };
-        let parked: Vec<(Arc<Baton>, Image)> = core
+        let parked: Vec<(ProcId, Arc<Baton>)> = core
             .0
             .procs
             .iter_mut()
-            .filter(|slot| slot.state == ProcState::Parked)
-            .filter_map(|slot| {
-                slot.state = ProcState::Finished;
-                Some((slot.baton.take()?, std::mem::take(&mut slot.image)))
-            })
+            .enumerate()
+            .filter(|(_, slot)| slot.state == ProcState::Parked)
+            .filter_map(|(pid, slot)| Some((ProcId(pid as u32), slot.baton.clone()?)))
             .collect();
         drop(core);
-        for (baton, mut image) in parked {
+        let stack = &self.inner.stack;
+        for (pid, baton) in parked {
+            let Some(mut core) = self.inner.try_core() else {
+                return;
+            };
+            let sched = &mut core.0;
+            let image = &mut sched.procs[pid.0 as usize].image;
+            // SAFETY: the process is `Parked`, so it is suspended and
+            // unfinished; `&mut self` means no run loop is entering anything
+            // — nor, for the same reason, are we on the run stack.
+            let sp = unsafe { sched.images.restore(stack, image) };
+            sched.finish(pid);
+            drop(core);
             baton.kill.store(true, AtomicOrdering::Relaxed);
-            // SAFETY: the process was `Parked`, so it is suspended and
-            // unfinished, and `image` holds its frames; `&mut self` means no
-            // run loop is entering anything, and the slot no longer names it
-            // — nor, for the same reason, are we on the run stack. `baton` is
-            // ours for the call. Its report does not matter any more.
-            unsafe { baton.enter(&self.inner.stack, &mut image) };
+            // SAFETY: as above, `sp` is what `restore` just returned for it,
+            // and the slot no longer names it. `baton` is ours for the call.
+            // Its report does not matter any more.
+            unsafe { baton.enter(sp) };
         }
     }
 }

@@ -27,7 +27,7 @@ fn main() {
     system.spawn("ws0:launcher", move |ctx| {
         // One stub per worker process: the faithful-environment mode.
         for &w in &workers {
-            create_stub(&ctx, 0, vec![w]);
+            create_stub(&ctx, 0, vec![w]).expect("workstation 0 is up");
         }
         // Start the workers and hand each a work channel.
         for (i, &w) in workers.iter().enumerate() {

@@ -103,6 +103,55 @@ fn smoke_comparison_reads_sim_only_and_names_what_moved() {
     assert!(compare_sim("faults", &table, &committed[..1], &committed).is_empty());
 }
 
+/// A cell whose `w1` host run counted `events` and `events_per_shard`.
+fn counted(events: u64, per_shard: [u64; 2]) -> Record {
+    let host = Record::new()
+        .with("wall_s", 0.5)
+        .with("events", events)
+        .with("events_per_shard", per_shard.to_vec());
+    cell_report(
+        Record::new().with("seed", 1u64),
+        Record::new().with("end_ns", 100u64),
+        Record::new().with("w1", host),
+        None,
+        &[],
+    )
+}
+
+#[test]
+fn smoke_comparison_lets_engine_counts_fall_but_not_rise() {
+    let committed = [counted(100, [60, 40])];
+    let table = [committed[0].rec("key").clone()];
+    let diffs = |fresh: Record| compare_sim("pdes", &table, &[fresh], &committed);
+    // Equal, or fewer events (every shard's count no higher): passes.
+    assert_eq!(diffs(counted(100, [60, 40])), Vec::<String>::new());
+    assert_eq!(diffs(counted(90, [55, 40])), Vec::<String>::new());
+    // One more event anywhere fails, naming the run and the field.
+    let rose = diffs(counted(101, [60, 40]));
+    assert!(
+        rose.len() == 1 && rose[0].contains("host.w1.events: ran 101"),
+        "{rose:?}"
+    );
+    let rose = diffs(counted(100, [59, 41]));
+    assert!(
+        rose.len() == 1 && rose[0].contains("events_per_shard"),
+        "{rose:?}"
+    );
+    // A count the committed run lacks fails too.
+    let committed = [cell_report(
+        Record::new().with("seed", 1u64),
+        Record::new().with("end_ns", 100u64),
+        Record::new().with("w1", Record::new().with("events", 100u64)),
+        None,
+        &[],
+    )];
+    let missing = compare_sim("pdes", &table, &[counted(100, [60, 40])], &committed);
+    assert!(
+        missing.len() == 1 && missing[0].contains("committed nothing"),
+        "{missing:?}"
+    );
+}
+
 #[test]
 fn smoke_comparison_fails_for_a_committed_cell_the_table_dropped() {
     // Row 2 was deleted from the cell table (or re-keyed): nothing run

@@ -21,7 +21,7 @@ fn spanning_application_with_hosts_and_tools() {
 
     v.spawn("host0:app", move |ctx| {
         for &w in &workers {
-            create_stub(&ctx, 0, vec![w]);
+            create_stub(&ctx, 0, vec![w]).unwrap();
         }
         for (i, &w) in workers.iter().enumerate() {
             ctx.with(move |_, s| {

@@ -476,7 +476,7 @@ fn a_host_crash_wipes_its_stubs() {
     let got = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
     v.spawn("h0:setup", move |ctx| {
-        host::create_stub(&ctx, 0, (1..4).map(NodeAddr).collect());
+        host::create_stub(&ctx, 0, (1..4).map(NodeAddr).collect()).unwrap();
         for node in (1..4).map(NodeAddr) {
             let sink = Arc::clone(&sink);
             ctx.with(move |_, s| {
@@ -496,7 +496,7 @@ fn a_host_crash_wipes_its_stubs() {
     });
     v.spawn("h0:restub", |ctx| {
         ctx.sleep(SimDuration::from_ns(RESTART_NS + 1_000_000));
-        host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
+        host::create_stub(&ctx, 0, vec![NodeAddr(1)]).unwrap();
     });
     v.sim.run_until(SimTime::from_ns(CRASH_NS + 1));
     assert_cold(&v.world(), HOST);
@@ -545,7 +545,7 @@ fn a_syscall_after_its_host_crashed_fails_no_stub() {
     let got = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&got);
     v.spawn("h0:setup", move |ctx| {
-        host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
+        host::create_stub(&ctx, 0, vec![NodeAddr(1)]).unwrap();
         ctx.with(move |_, s| {
             s.spawn("n1:syscall", move |ctx: VCtx| {
                 for at in [CRASH_NS, RESTART_NS] {
@@ -583,6 +583,41 @@ fn a_syscall_on_a_down_host_fails_host_down() {
     v.run_all();
     assert_eq!(lock(&got).take(), Some(Err(VorxError::HostDown)));
     assert_cold(&v.world(), NodeAddr(0));
+}
+
+/// `create_stub` on a down host fails `HostDown` and leaves the host
+/// owning nothing: host 0 crashes at 1 µs (and restarts at 100 ms, so the
+/// world heals), and a stub asked for at 1 ms — or asked for at 0, whose
+/// 60 ms fork/exec charge ends with the host still down — is never made.
+#[test]
+fn a_stub_on_a_down_host_fails_host_down() {
+    use hpc_vorx::vorx::host;
+
+    let faults = FaultSchedule::new(1)
+        .down_at(0, SimTime::from_ns(1_000))
+        .up_at(0, SimTime::from_ns(100_000_000));
+    let mut v = VorxBuilder::single_cluster(2)
+        .hosts(1)
+        .faults(faults)
+        .trace(false)
+        .build();
+    let got = Arc::new(Mutex::new(Vec::new()));
+    for start in [SimDuration::ZERO, SimDuration::from_ms(1)] {
+        let sink = Arc::clone(&got);
+        v.spawn("h0:stub", move |ctx| {
+            ctx.sleep(start);
+            let made = host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
+            lock(&sink).push(made);
+        });
+    }
+    v.run_all();
+    assert_eq!(
+        *lock(&got),
+        [Err(VorxError::HostDown), Err(VorxError::HostDown)]
+    );
+    let w = v.world();
+    assert!(w.owns_nothing(NodeAddr(0)), "the down host holds a stub");
+    assert_eq!(invariants::check(&w, 0), Vec::<&str>::new());
 }
 
 /// How many messages the failover workload streams.

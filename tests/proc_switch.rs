@@ -434,6 +434,111 @@ fn ten_thousand_parked_processes_cost_their_frames_and_no_mapping() {
     assert_eq!(sim.world().passed, N);
 }
 
+/// Wait for the gate beneath one more frame, of 256 bytes: a second depth
+/// to park at.
+#[inline(never)]
+fn wait_deeper(ctx: &Ctx<Gate>) {
+    let pad = std::hint::black_box([0u8; 256]);
+    ctx.wait_until(|w, _| w.open.then_some(()));
+    std::hint::black_box(&pad);
+}
+
+/// Spawn `n` gate waiters, those `deeper` picks parked beneath
+/// [`wait_deeper`]'s frame, run them until every one has parked, and
+/// return their ids and the allocations that run made. A timer a
+/// millisecond on keeps the run short of idle, so it builds no report.
+fn park_waiters(
+    sim: &mut Simulation<Gate>,
+    n: u32,
+    deeper: impl Fn(u32) -> bool,
+) -> (Vec<desim::ProcId>, u64) {
+    sim.world().open = false;
+    let pids = (0..n)
+        .map(|i| {
+            let deep = deeper(i);
+            sim.spawn(format!("w{i}"), move |ctx: Ctx<Gate>| {
+                if deep {
+                    wait_deeper(&ctx);
+                } else {
+                    ctx.wait_until(|w, _| w.open.then_some(()));
+                }
+                ctx.with(|w, _| w.passed += 1);
+            })
+        })
+        .collect();
+    let now = sim.now();
+    sim.schedule_in(SimDuration::from_ms(1), |_, _| {});
+    let until = now + SimDuration::from_us(500);
+    let (outcome, allocs) = alloc_meter::measure(|| sim.run_until(until));
+    assert_eq!(outcome, desim::RunOutcome::DeadlineReached);
+    assert_eq!(sim.parked_processes().len(), n as usize);
+    (pids, allocs)
+}
+
+/// (j) Parked images are packed by exact depth, 32 to a chunk: 4,096
+/// processes parked at two depths make ⌈2,048 / 32⌉ = 64 chunk allocations
+/// per depth and a few more for the chunk table's growth (it was one heap
+/// block per process), their image bytes are what each depth alone holds,
+/// exactly, and once they have all finished the simulation holds none.
+#[test]
+fn parked_images_take_a_chunk_per_32_processes_of_a_depth() {
+    const N: u32 = 4_096;
+    const PER_DEPTH: u64 = (N as u64 / 2).div_ceil(32);
+    let _x = exclusive();
+    let mut bytes = Vec::new();
+    for deeper in [|_| false, |_| true, |i: u32| i % 2 == 1] {
+        let mut sim = Simulation::new(Gate::default());
+        let (pids, allocs) = park_waiters(&mut sim, N, deeper);
+        assert!(
+            allocs <= 2 * PER_DEPTH + 8,
+            "{allocs} allocations to park {N} processes"
+        );
+        bytes.push(sim.image_bytes());
+        open_gate(&sim, pids);
+        assert!(sim.run_to_idle().all_finished());
+        assert_eq!(sim.world().passed, N);
+        assert_eq!(
+            sim.image_bytes(),
+            0,
+            "image bytes left after every process finished"
+        );
+    }
+    let [shallow, deep, mixed] = bytes[..] else {
+        unreachable!()
+    };
+    assert!(
+        shallow < deep,
+        "{shallow} B, then {deep} B beneath one more frame"
+    );
+    assert_eq!(mixed, (shallow + deep) / 2);
+}
+
+/// (k) Ten waves of 1,024 processes, each spawned, parked at two depths and
+/// run to the end, grow nothing after the first: every wave holds the same
+/// image bytes while parked and none once finished, and a later wave
+/// allocates no more than the first (only the chunks it fills again).
+#[test]
+fn spawn_and_finish_waves_grow_nothing_after_the_first() {
+    const N: u32 = 1_024;
+    let _x = exclusive();
+    let mut sim = Simulation::new(Gate::default());
+    let mut first = None;
+    for wave in 0..10 {
+        let (pids, allocs) = park_waiters(&mut sim, N, |i| i % 2 == 1);
+        let bytes = sim.image_bytes();
+        open_gate(&sim, pids);
+        assert!(sim.run_to_idle().all_finished());
+        assert_eq!(sim.image_bytes(), 0, "wave {wave} left image bytes");
+        let (allocs0, bytes0) = *first.get_or_insert((allocs, bytes));
+        assert_eq!(bytes, bytes0, "wave {wave}");
+        assert!(
+            allocs <= allocs0,
+            "wave {wave}: {allocs} allocations, the first {allocs0}"
+        );
+    }
+    assert_eq!(sim.world().passed, 10 * N);
+}
+
 /// What byte `i` of the deep frame holds in `round`.
 fn pattern(i: usize, round: u8) -> u8 {
     (i as u8).wrapping_mul(31).wrapping_add(round)
