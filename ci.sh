@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (every sharded test names its own worker counts; alloc budgets, counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 2 per warmed-up 63-target multicast over 16 clusters (its one tree-order list), <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.047 per try_open, <= 1.1 x 0.65 per node (unoptimised) for a 512-endpoint world opening one stream per node, <= 1.1 x 196 (unoptimised) for a 70-node stop-and-wait stream world, parked images in chunks of 32 per exact depth (4,096 processes at two depths: <= 2 x 64 + 8 allocations; ten spawn/finish waves grow nothing after the first; 0 image bytes once every process has finished), 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
+echo "==> cargo test (every sharded test names its own worker counts; alloc budgets, counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 2 per warmed-up 63-target multicast over 16 clusters (its one tree-order list), <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.034 per try_open, <= 1.1 x 0.60 per node (unoptimised) for a 512-endpoint world opening one stream per node, <= 1.1 x 196 (unoptimised) for a 70-node stop-and-wait stream world, parked images in chunks of 32 per exact depth (4,096 processes at two depths: <= 2 x 64 + 8 allocations; ten spawn/finish waves grow nothing after the first; 0 image bytes once every process has finished), 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
 cargo test --workspace -q
 
 echo "==> every example runs (each of examples/*.rs exits 0, in the debug build cargo test made of it)"

@@ -419,8 +419,8 @@ pub struct ChanEnd {
     /// fresh fragments after a timeout fired, until the next unambiguous
     /// sample resets it. Without this the estimator cannot bootstrap when
     /// the true RTT exceeds the fixed timeout — every fragment would be
-    /// retransmitted once (ambiguous ack, no sample) forever. Only bumped
-    /// and consulted while `gray_armed`.
+    /// retransmitted once (ambiguous ack, no sample) forever. Consulted
+    /// only while `gray_armed`.
     pub rto_backoff: u32,
 }
 
@@ -1512,8 +1512,7 @@ impl Retry for TxRetry {
     }
 
     fn resend(&self, w: &mut World, s: &mut VSched, node: NodeAddr) {
-        let gray = w.faults.gray_armed;
-        if let Some(end) = w.chan_mut(node, self.0).filter(|_| gray) {
+        if let Some(end) = w.chan_mut(node, self.0) {
             end.rto_backoff = (end.rto_backoff + 1).min(retry::MAX_SHIFT);
         }
         retransmit_inflight(w, s, node, self.0);

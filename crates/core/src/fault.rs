@@ -120,9 +120,15 @@ pub struct FaultState {
     /// Recovery counters.
     pub stats: FaultStats,
     /// True iff the schedule contains a gray (pure-delay) degradation
-    /// window. Cached at construction: the transport RTT estimators sample
-    /// and adapt only when set, so fault-free and loss-only runs keep the
-    /// fixed calibration timers and replay byte-identically.
+    /// window. Cached at construction. Only the paths it changes read it,
+    /// so fault-free and loss-only runs keep the fixed calibration timers
+    /// and replay byte-identically: the adaptive timeouts
+    /// (`channel::rto_base_ns`, `membership::probe_timeout_ns`), the
+    /// heartbeat RTT sample in [`crate::membership::on_probe_ack`] (it
+    /// inserts a `peer_rtt` row), the ride-out in `TxRetry::give_up`, the
+    /// bridged-frame delay in `kernel::bridge_one`, and the data-ack RTT
+    /// samples in [`crate::channel::on_ack`] and [`crate::channel::on_wack`]
+    /// (the `gray` campaign records their count, 0 on its churn cells).
     pub gray_armed: bool,
     /// Cached [`desim::FaultSchedule::track_latency`]: whether delivered
     /// per-link latency statistics are recorded (off on clean scale runs).
@@ -170,11 +176,7 @@ impl hpcnet::FaultHook for FaultState {
         let disp = self.schedule.disposition(link.0);
         // Gray degradation stacks on top of the probabilistic disposition:
         // a frame that survives loss still crosses the slow link.
-        let gray = if self.gray_armed {
-            self.schedule.gray_delay_ns(link.0, now_ns, hop_ns)
-        } else {
-            0
-        };
+        let gray = self.schedule.gray_delay_ns(link.0, now_ns, hop_ns);
         let t = match disp {
             desim::Disposition::Deliver if gray > 0 => Transit::Delay(gray),
             desim::Disposition::Deliver => Transit::Deliver,

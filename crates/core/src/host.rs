@@ -172,18 +172,22 @@ fn host_node(w: &World, host_id: usize) -> NodeAddr {
 /// the fork/exec. Returns the stub id. Process-context API.
 ///
 /// Fails with [`crate::VorxError::HostDown`] when the host is down at issue
-/// time or once the fork/exec is charged: a down host holds no rows.
+/// time, or down once the fork/exec is charged or crashed and restarted
+/// while it was: a down host holds no rows, and a restarted one none its
+/// previous boot asked for.
 pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> crate::VorxResult<u32> {
-    let (host, cost) = ctx.with(move |w, _| {
+    let (host, boot, cost) = ctx.with(move |w, _| {
         let host = host_node(w, host_id);
-        if !w.node(host).up {
+        let n = w.node(host);
+        if !n.up {
             return Err(crate::VorxError::HostDown);
         }
-        Ok((host, w.calib.stub_create_ns))
+        Ok((host, n.incarnation, w.calib.stub_create_ns))
     })?;
     api::compute_ns(ctx, host, CpuCat::System, cost);
     ctx.with(move |w, _| {
-        if !w.node(host).up {
+        let n = w.node(host);
+        if !n.up || n.incarnation != boot {
             return Err(crate::VorxError::HostDown);
         }
         w.node_mut(host);

@@ -16,9 +16,9 @@
 //! what the E-OPEN experiment measures.
 //!
 //! Every name an open or a listen keeps — the opener's pending request, the
-//! manager's tables, the resolve cache, the channel end, the listener — is
-//! a [`Name`]: up to [`Name::INLINE`] bytes held in place, a longer one in
-//! one shared `Arc<str>`. A name costs its bytes once, on the wire; a
+//! manager's tables, the channel end, the listener — is a [`Name`]: up to
+//! [`Name::INLINE`] bytes held in place, a longer one in one shared
+//! `Arc<str>`. A name costs its bytes once, on the wire; a
 //! manager keys its tables by `(ObjKind, Name)`, and a paired name leaves
 //! nothing there.
 
@@ -233,73 +233,6 @@ pub fn manager_for(w: &World, name: &str) -> NodeAddr {
         ObjMgrMode::Centralized(a) => a,
         ObjMgrMode::Distributed => NodeAddr((name_hash(name) % w.nodes.len() as u64) as u32),
     }
-}
-
-/// Counters of a node's cache of name → serving-manager resolutions
-/// ([`World::resolve`]).
-///
-/// Normally the hash picks the manager and the cache is a transparent
-/// confirmation of it; the win comes after a manager failover, when the node
-/// that already learned the successor skips the dead-primary timeout on its
-/// next open of the same name. Entries are stamped with the failover/heal
-/// epoch at insert time and never served across an epoch change — a stale
-/// manager address is evicted on lookup instead.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ResolveStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Entries dropped because the failover/heal epoch moved past them.
-    pub stale_evictions: u64,
-}
-
-impl World {
-    /// Look `name` up in node `a`'s resolve cache; a hit must match the
-    /// current `epoch` exactly, and a mismatched entry is evicted (never
-    /// returned).
-    pub fn resolve_lookup(&mut self, a: NodeAddr, epoch: u64, name: &Name) -> Option<NodeAddr> {
-        let stats = &mut crate::world::node_in(&mut self.nodes, a).resolve;
-        match self.resolve.get(a, name) {
-            Some(&(e, mgr)) if e == epoch => {
-                stats.hits += 1;
-                Some(mgr)
-            }
-            Some(_) => {
-                self.resolve.remove(a, name);
-                stats.stale_evictions += 1;
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Record in node `a`'s resolve cache that `name` was served by `mgr`
-    /// under `epoch` (materializes `a`).
-    pub fn resolve_put(&mut self, a: NodeAddr, epoch: u64, name: &Name, mgr: NodeAddr) {
-        self.node_mut(a);
-        match self.resolve.get_mut(a, name) {
-            Some(entry) => *entry = (epoch, mgr),
-            None => {
-                self.resolve.insert(a, name.clone(), (epoch, mgr));
-            }
-        }
-    }
-}
-
-/// The failover/heal epoch guarding cached resolutions: any manager failover
-/// or partition heal may move a name's serving manager, so either event
-/// invalidates every cached entry in the installation.
-pub fn resolve_epoch(w: &World) -> u64 {
-    w.faults.stats.mgr_failovers + w.faults.stats.heals
-}
-
-/// Resolve the manager to target for an open of `name` from `node`: the
-/// node's epoch-checked cache first, the hash otherwise.
-pub fn resolve_mgr(w: &mut World, node: NodeAddr, name: &Name) -> NodeAddr {
-    let epoch = resolve_epoch(w);
-    if let Some(mgr) = w.resolve_lookup(node, epoch, name) {
-        return mgr;
-    }
-    manager_for(w, name)
 }
 
 /// The successor replica for `name`'s manager state: the node after the
@@ -633,12 +566,6 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
         _ => return,
     }
     let (kind, id, peer, name) = proto::parse_open_rep_kind(&f.payload);
-    // Remember which manager actually served this name (the successor,
-    // after a failover), stamped with the current epoch.
-    let epoch = resolve_epoch(w);
-    let mgr = f.src;
-    let name = Name::new(name);
-    w.resolve_put(node, epoch, &name, mgr);
     match kind {
         proto::ObjKind::Channel => {
             // Create the channel end if this node does not have it yet
@@ -646,7 +573,7 @@ pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
             // second reply is a no-op at the kernel level but still
             // resolves its own token).
             if !w.chan_ends.contains(node, id) {
-                channel::create_end(w, s, node, id, name, peer);
+                channel::create_end(w, s, node, id, Name::new(name), peer);
             }
         }
         proto::ObjKind::Udco => {
@@ -805,7 +732,7 @@ pub fn rendezvous(
         // The name is built here rather than before `with`, so the frame a
         // parked opener keeps does not hold it.
         let name = Name::new(name);
-        let mgr = resolve_mgr(w, node, &name);
+        let mgr = manager_for(w, &name);
         let token = w.token();
         let req = open_req(node, mgr, kind, &name, token);
         let pending = OpenResult::Pending {
@@ -865,52 +792,6 @@ mod tests {
             "evicted entries are forgotten"
         );
         assert!(!w.managers.seen.holds(NodeAddr(0)), "one manager's window");
-    }
-
-    #[test]
-    fn resolve_cache_never_serves_across_epochs() {
-        let v = VorxBuilder::single_cluster(2).build();
-        let mut w = v.world();
-        let (n, a) = (NodeAddr(1), Name::new("a"));
-        w.resolve_put(n, 0, &a, NodeAddr(3));
-        assert_eq!(w.resolve_lookup(n, 0, &a), Some(NodeAddr(3)));
-        assert_eq!(w.node(n).resolve.hits, 1);
-        // Epoch moved: the entry must be evicted, never returned.
-        assert_eq!(w.resolve_lookup(n, 1, &a), None);
-        assert_eq!(w.node(n).resolve.stale_evictions, 1);
-        assert!(!w.resolve.holds(n), "stale entry evicted on lookup");
-        // Re-learned under the new epoch, it is served again.
-        w.resolve_put(n, 1, &a, NodeAddr(4));
-        assert_eq!(w.resolve_lookup(n, 1, &a), Some(NodeAddr(4)));
-        assert_eq!(w.node(n).resolve.hits, 2);
-        assert_eq!(w.node(n).resolve.stale_evictions, 1);
-    }
-
-    #[test]
-    fn repeat_opens_hit_the_resolve_cache() {
-        let mut v = VorxBuilder::single_cluster(4).build();
-        v.spawn("n1:w", |ctx| {
-            for _ in 0..2 {
-                let ch = open(&ctx, NodeAddr(1), "hot");
-                ch.write(&ctx, Payload::Synthetic(4)).unwrap();
-                ch.close(&ctx);
-            }
-        });
-        v.spawn("n2:r", |ctx| {
-            for _ in 0..2 {
-                let ch = open(&ctx, NodeAddr(2), "hot");
-                let _ = ch.read(&ctx).unwrap();
-                ch.close(&ctx);
-            }
-        });
-        v.run_all();
-        let w = v.world();
-        assert!(
-            w.node(NodeAddr(1)).resolve.hits >= 1,
-            "the second open of a cached name must hit"
-        );
-        assert!(w.node(NodeAddr(2)).resolve.hits >= 1);
-        assert_eq!(w.node(NodeAddr(1)).resolve.stale_evictions, 0);
     }
 
     #[test]

@@ -92,11 +92,11 @@ pub struct Call {
     pub caller: ProcId,
 }
 
-/// What a node keeps outside the world tables: its address and liveness,
-/// the processor (CPU model, receive-service flag, the processes waiting
-/// for the restart or for the output register), the
-/// counters statistics read across a crash, and the subprocess scheduler,
-/// boxed because few nodes run one.
+/// What a node keeps outside the world tables: its address, liveness and
+/// boot count, the processor (CPU model, receive-service flag, the
+/// processes waiting for the restart or for the output register), the
+/// manager's counters, and the subprocess scheduler, boxed because few
+/// nodes run one.
 pub struct Node {
     /// This node's fabric address.
     pub addr: NodeAddr,
@@ -105,6 +105,9 @@ pub struct Node {
     pub up: bool,
     /// The kernel receive-service loop is active.
     pub rx_in_service: bool,
+    /// Crashes this node has taken: a call that spans a wait reads it on
+    /// both sides to tell that its node went down and came back between.
+    pub incarnation: u32,
     /// Processes parked in [`crate::fault::wait_until_up`] for this node.
     pub up_waiters: WaitSet,
     /// The node's CPU.
@@ -114,47 +117,47 @@ pub struct Node {
     /// Object-manager counters (every node can serve opens); the manager's
     /// tables are [`World::managers`].
     pub mgr: MgrState,
-    /// Resolve-cache counters; the cache is [`World::resolve`].
-    pub resolve: crate::objmgr::ResolveStats,
     /// Subprocess scheduler state (§5), from the first subprocess on.
     pub sched: Option<Box<crate::sched::SchedState>>,
 }
 
-// What a materialized node costs before it holds anything: 152 bytes on
-// x86-64. It was 776 while the node kept its channel index, its queues and
-// a dozen maps of its own, and 1,056 with a `RandomState` in each map.
+// What a materialized node costs before it holds anything: 144 bytes on
+// x86-64, its boot count included. It was 152 while it kept the counters
+// of a per-node resolve cache, 776 while it kept its channel index, its
+// queues and a dozen maps of its own, and 1,056 with a `RandomState` in
+// each map.
 const _: () = assert!(size_of::<Node>() <= 256);
 
 impl Node {
     /// Everything a node owns, empty: a booted node, the idle template, and
     /// (through [`Node::reborn`]) what a crash leaves in the node's slot.
     /// What a node holds a row of — channel ends, opens, queued frames,
-    /// objects, manager and cache entries — lives in the world tables,
+    /// objects, manager entries — lives in the world tables,
     /// which [`World::wipe_node`] empties of a crashed node's rows.
     fn new(addr: NodeAddr) -> Self {
         Node {
             addr,
             up: true,
             rx_in_service: false,
+            incarnation: 0,
             up_waiters: WaitSet::new(),
             cpu: Cpu::new(),
             tx_waiters: WaitSet::new(),
             mgr: MgrState::default(),
-            resolve: crate::objmgr::ResolveStats::default(),
             sched: None,
         }
     }
 
     /// The cold node that takes a crashed node's slot: [`Node::new`],
-    /// marked down. Only what is the processor's rather than its kernel's
-    /// moves over from `crashed`: the CPU model, the processes waiting for
-    /// the restart, and the resolve cache's measurement counters.
+    /// marked down, one incarnation on. Only what is the processor's rather
+    /// than its kernel's moves over from `crashed`: the CPU model and the
+    /// processes waiting for the restart.
     fn reborn(crashed: &mut Node) -> Self {
         let mut n = Node::new(crashed.addr);
         n.up = false;
+        n.incarnation = crashed.incarnation + 1;
         std::mem::swap(&mut n.cpu, &mut crashed.cpu);
         std::mem::swap(&mut n.up_waiters, &mut crashed.up_waiters);
-        n.resolve = crashed.resolve;
         n
     }
 
@@ -253,7 +256,7 @@ impl ShardCtx {
 }
 
 /// World tables keyed by node: the length of [`World::tables`].
-const TABLES: usize = 18;
+const TABLES: usize = 17;
 
 /// Every world table keyed by node, named, as `&dyn NodeRows` — or, given
 /// `mut`, as `&mut dyn NodeRows`. Listed once, here: [`World::tables`] and
@@ -273,7 +276,6 @@ macro_rules! node_tables {
             ("managers.pending", &$($m)? $w.managers.pending),
             ("managers.servers", &$($m)? $w.managers.servers),
             ("managers.seen", &$($m)? $w.managers.seen),
-            ("resolve", &$($m)? $w.resolve),
             ("mbr.partitioned", &$($m)? $w.mbr.partitioned),
             ("mbr.probing", &$($m)? $w.mbr.probing),
             ("mbr.peer_rtt", &$($m)? $w.mbr.peer_rtt),
@@ -324,8 +326,6 @@ pub struct World {
     pub coll: Table<u32, crate::collective::CollNodeState>,
     /// Object-manager tables of every node's manager role.
     pub managers: Managers,
-    /// Epoch-stamped name → serving-manager resolutions, by node and name.
-    pub resolve: Table<Name, (u64, NodeAddr)>,
     /// Membership state: which peers each node believes are partitioned
     /// away, and which it is probing with heartbeats.
     pub mbr: crate::membership::Membership,
@@ -604,7 +604,6 @@ impl WorldCfg {
             mcast: Table::default(),
             coll: Table::default(),
             managers: Managers::default(),
-            resolve: Table::default(),
             mbr: crate::membership::Membership::default(),
             stubs: Table::default(),
             stub_of: Table::default(),

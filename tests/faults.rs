@@ -167,11 +167,11 @@ fn assert_cold(w: &World, node: NodeAddr) {
 }
 
 /// A crash leaves nothing of the victim behind: before it the victim holds
-/// a channel end with an unread message queued, an open in flight, an unacknowledged control frame, a
-/// listener, a manager registration and a queued open, a resolve entry, a
-/// pending syscall, a UDCO, a multicast end and collective state; just
-/// after it, and still at the restart instant after processes on the down
-/// node called `try_open`, `listen`, `syscall`, `udco::register`,
+/// a channel end with an unread message queued, an open in flight, an
+/// unacknowledged control frame, a listener, a manager registration and a
+/// queued open, a pending syscall, a UDCO, a multicast end and collective
+/// state; just after it, and still at the restart instant after processes
+/// on the down node called `try_open`, `listen`, `syscall`, `udco::register`,
 /// `multicast::join`, `mwrite` and every in-network collective, the victim
 /// reads as a cold node and nothing it armed is left ticking.
 #[test]
@@ -287,7 +287,7 @@ fn crash_leaves_nothing_behind() {
         assert!(w.chan_ends.count(V) > 0 && holds_call(&w, V, syscall));
         assert!(w.chan_ends.of(V).any(|e| !e.rx.is_empty()));
         let mgr = &w.managers;
-        assert!(mgr.servers.holds(V) && mgr.pending.holds(V) && w.resolve.holds(V));
+        assert!(mgr.servers.holds(V) && mgr.pending.holds(V));
         assert!(w.udcos.holds(V) && w.mcast.holds(V) && w.coll.holds(V));
         let open = |c: &CallState| matches!(c, CallState::Open(_));
         assert!(holds_call(&w, V, open) && w.ctl_unacked.holds(V));
@@ -295,19 +295,15 @@ fn crash_leaves_nothing_behind() {
     let retransmits = v.world().faults.stats.retransmits;
     let survivors = |w: &World| {
         let n = w.node(V);
-        (
-            n.cpu.sys_cum_ns(),
-            n.resolve.hits,
-            n.resolve.stale_evictions,
-        )
+        (n.cpu.sys_cum_ns(), n.incarnation)
     };
-    let before = survivors(&v.world());
+    let (cpu, boot) = survivors(&v.world());
     v.sim.setup(|w, s| fault::on_crash(w, s, V));
     assert_cold(&v.world(), V);
     assert_eq!(
         survivors(&v.world()),
-        before,
-        "the processor's state survives"
+        (cpu, boot + 1),
+        "the processor's state survives, one incarnation on"
     );
 
     // Processes on the down node call into its kernel.
@@ -586,38 +582,44 @@ fn a_syscall_on_a_down_host_fails_host_down() {
 }
 
 /// `create_stub` on a down host fails `HostDown` and leaves the host
-/// owning nothing: host 0 crashes at 1 µs (and restarts at 100 ms, so the
+/// owning nothing: host 0 crashes at 1 µs and restarts at 100 ms (so the
 /// world heals), and a stub asked for at 1 ms — or asked for at 0, whose
-/// 60 ms fork/exec charge ends with the host still down — is never made.
+/// 60 ms fork/exec charge ends with the host still down — is never made;
+/// nor is one asked for at 0 when the host restarts at 5 ms, before the
+/// charge ends: the host it was asked of is gone.
 #[test]
 fn a_stub_on_a_down_host_fails_host_down() {
     use hpc_vorx::vorx::host;
 
-    let faults = FaultSchedule::new(1)
-        .down_at(0, SimTime::from_ns(1_000))
-        .up_at(0, SimTime::from_ns(100_000_000));
-    let mut v = VorxBuilder::single_cluster(2)
-        .hosts(1)
-        .faults(faults)
-        .trace(false)
-        .build();
-    let got = Arc::new(Mutex::new(Vec::new()));
-    for start in [SimDuration::ZERO, SimDuration::from_ms(1)] {
-        let sink = Arc::clone(&got);
-        v.spawn("h0:stub", move |ctx| {
-            ctx.sleep(start);
-            let made = host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
-            lock(&sink).push(made);
-        });
+    let cases: [(u64, &[SimDuration]); 2] = [
+        (100_000_000, &[SimDuration::ZERO, SimDuration::from_ms(1)]),
+        (5_000_000, &[SimDuration::ZERO]),
+    ];
+    for (up_ns, starts) in cases {
+        let faults = FaultSchedule::new(1)
+            .down_at(0, SimTime::from_ns(1_000))
+            .up_at(0, SimTime::from_ns(up_ns));
+        let mut v = VorxBuilder::single_cluster(2)
+            .hosts(1)
+            .faults(faults)
+            .trace(false)
+            .build();
+        let got = Arc::new(Mutex::new(Vec::new()));
+        for &start in starts {
+            let sink = Arc::clone(&got);
+            v.spawn("h0:stub", move |ctx| {
+                ctx.sleep(start);
+                let made = host::create_stub(&ctx, 0, vec![NodeAddr(1)]);
+                lock(&sink).push(made);
+            });
+        }
+        v.run_all();
+        let want = vec![Err(VorxError::HostDown); starts.len()];
+        assert_eq!(*lock(&got), want, "restart at {up_ns} ns");
+        let w = v.world();
+        assert!(w.owns_nothing(NodeAddr(0)), "the host holds a stub");
+        assert_eq!(invariants::check(&w, 0), Vec::<&str>::new());
     }
-    v.run_all();
-    assert_eq!(
-        *lock(&got),
-        [Err(VorxError::HostDown), Err(VorxError::HostDown)]
-    );
-    let w = v.world();
-    assert!(w.owns_nothing(NodeAddr(0)), "the down host holds a stub");
-    assert_eq!(invariants::check(&w, 0), Vec::<&str>::new());
 }
 
 /// How many messages the failover workload streams.

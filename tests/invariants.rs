@@ -103,14 +103,12 @@ fn a_row_a_down_node_holds_is_a_crashed_owns_nothing_violation() {
     let node = NodeAddr(3);
     v.sim.setup(|w, s| fault::on_crash(w, s, node));
     assert_eq!(invariants::check(&v.world(), 0), [invariants::MEMBERSHIP]);
-    v.world()
-        .resolve
-        .insert(node, Name::new("leak"), (0, NodeAddr(1)));
+    v.world().coll.insert(node, 9, Default::default());
     assert_eq!(
         invariants::check(&v.world(), 0),
         [invariants::MEMBERSHIP, invariants::CRASHED_OWNS_NOTHING]
     );
-    v.world().resolve.remove(node, &Name::new("leak"));
+    v.world().coll.remove(node, &9);
     v.sim.setup(|w, s| fault::on_restart(w, s, node));
     assert_eq!(invariants::check(&v.world(), 0), NONE);
 }
@@ -278,6 +276,13 @@ fn fewer_idle_nodes_than_promised_is_an_idle_memory_violation() {
         busy.iter().all(|&a| a == 1 || a == 2 || a == mgr.0),
         "{busy:?}"
     );
+    // An opener that manages no name holds one kind of row once its open
+    // is done: its channel end.
+    for a in [NodeAddr(1), NodeAddr(2)].into_iter().filter(|&a| a != mgr) {
+        let rows = w.tables().into_iter().filter(|(_, t)| t.holds(a));
+        let held: Vec<&str> = rows.map(|(table, _)| table).collect();
+        assert_eq!(held, ["chan_ends"], "node {}", a.0);
+    }
     let idle = 8 - busy.len();
     assert!(idle >= 5);
     assert_eq!(invariants::check(&w, idle), NONE);

@@ -274,18 +274,17 @@ fn open_fails_over_to_replica_when_home_is_partitioned() {
     assert_eq!(invariants::check(&w, 0), [invariants::MEMBERSHIP]);
 }
 
-/// The node-local resolve cache must never serve a manager address across a
-/// failover/heal epoch change. A client learns the successor replica during
-/// a partition (cache stamped with the failover epoch); after the fabric
-/// heals, the next open of the same name must evict that entry and resolve
-/// back to the hash-home — not silently reuse the successor. Run under a
-/// short name and under names of 22 bytes (the longest `Name` held in
-/// place), 23 bytes (the shortest shared), 200 bytes and the longest an
+/// An open finds its manager by the name's hash alone, so a failover leaves
+/// nothing behind to steer a later open. A client's open fails over to the
+/// successor replica during a partition; after the fabric heals, the next
+/// open of the same name is served by the hash-home, not the successor. Run
+/// under a short name and under names of 22 bytes (the longest `Name` held
+/// in place), 23 bytes (the shortest shared), 200 bytes and the longest an
 /// open reply carries, each `svc` and a zero-padded counter: the listen,
 /// the failover, the anti-entropy push on the heal and the accepts all
 /// carry the whole name.
 #[test]
-fn resolve_cache_is_invalidated_across_failover_and_heal() {
+fn an_open_after_failover_and_heal_is_served_by_the_hash_home() {
     failover_and_heal_round_trip(|i| format!("svc{i}"));
     let longest = MAX_PAYLOAD as usize - 9;
     for len in [Name::INLINE, Name::INLINE + 1, 200, longest] {
@@ -295,12 +294,10 @@ fn resolve_cache_is_invalidated_across_failover_and_heal() {
     }
 }
 
-/// Run [`resolve_cache_is_invalidated_across_failover_and_heal`]'s scenario
-/// under the first of `name_at(0)`, `name_at(1)`, … whose hash homes it on
-/// the last endpoint of cluster 0, and return that name.
+/// Run [`an_open_after_failover_and_heal_is_served_by_the_hash_home`]'s
+/// scenario under the first of `name_at(0)`, `name_at(1)`, … whose hash
+/// homes it on the last endpoint of cluster 0, and return that name.
 fn failover_and_heal_round_trip(name_at: impl Fn(u32) -> String) -> String {
-    use hpc_vorx::vorx::objmgr::resolve_epoch;
-
     let t = topo();
     let n = t.n_endpoints() as u64;
     // A name homed on the last endpoint of cluster 0, so the successor
@@ -336,19 +333,25 @@ fn failover_and_heal_round_trip(name_at: impl Fn(u32) -> String) -> String {
             ch.write(&ctx, m).unwrap(); // echo
         }
     });
+    let successor = NodeAddr((home.0 + 1) % n as u32);
+    // Requests each of the home and the successor served across open #2.
+    let across = Arc::new(Mutex::new(None));
     let cname = name.clone();
+    let sink = Arc::clone(&across);
     v.spawn("client", move |ctx| {
-        // Open #1, mid-partition: fails over to the successor replica and
-        // caches it under the failover epoch.
+        // Open #1, mid-partition: fails over to the successor replica.
         ctx.sleep(SimDuration::from_ns(50_000_000));
         let ch = channel::try_open(&ctx, client, &cname).unwrap();
         ch.write(&ctx, Payload::copy_from(b"one")).unwrap();
         let _ = ch.read(&ctx).unwrap();
         ch.close(&ctx);
-        // Open #2, well after the heal: the cached successor is one or more
-        // epochs old and must be evicted, not served.
+        // Open #2, well after the heal: the hash-home serves it.
         ctx.sleep(SimDuration::from_ns(5_000_000_000));
+        let served = || ctx.with(|w, _| [home, successor].map(|m| w.node(m).mgr.served));
+        let before = served();
         let ch = channel::try_open(&ctx, client, &cname).unwrap();
+        let after = served();
+        *lock(&sink) = Some([after[0] - before[0], after[1] - before[1]]);
         ch.write(&ctx, Payload::copy_from(b"two")).unwrap();
         let _ = ch.read(&ctx).unwrap();
         ch.close(&ctx);
@@ -356,25 +359,17 @@ fn failover_and_heal_round_trip(name_at: impl Fn(u32) -> String) -> String {
     let report = v.run();
     assert_eq!(report.parked, vec![], "no process may stay parked");
 
-    let mut w = v.world();
+    let w = v.world();
     assert!(w.faults.stats.mgr_failovers >= 1, "open #1 must fail over");
     assert!(w.faults.stats.heals >= 1, "the fabric must heal");
-    let stale = w.node(client).resolve.stale_evictions;
-    assert!(
-        stale >= 1,
-        "open #2 must evict the stale successor entry, not serve it"
-    );
-    // What the client believes now was learned under the current epoch and
-    // points back at the hash-home that served open #2.
-    let epoch = resolve_epoch(&w);
     assert_eq!(
-        w.resolve_lookup(client, epoch, &Name::new(&name)),
-        Some(home),
-        "post-heal resolution must come from the hash-home again"
+        lock(&across).take(),
+        Some([1, 0]),
+        "open #2 must be served by the hash-home, not the successor"
     );
     // The home and its successor hold the registration under the name.
     let key = (ObjKind::Channel, Name::new(&name));
-    for mgr in [home, NodeAddr((home.0 + 1) % n as u32)] {
+    for mgr in [home, successor] {
         assert_eq!(w.managers.servers.get(mgr, &key), Some(&server));
     }
     assert_eq!(invariants::check(&w, 0), [] as [&str; 0]);
