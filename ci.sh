@@ -20,7 +20,7 @@ done
 echo "==> shard build memory, optimised build (an 8-shard build of the 100k-endpoint world holds <= 52 MB live: one wiring shared by every shard, link state built on first touch; run idle, it materializes no node and every endpoint owns nothing; a dense 1024-endpoint run builds <= 1/4 of the links on any shard; untouched links read idle)"
 cargo test --release -q --test wiring
 
-echo "==> process switch and footprint, optimised build (one run stack: no OS threads, 250k parked, <= 650 B each in wait_until, images packed 32 to a chunk per exact depth, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume; live heap per process parked in each blocking VORX call within 10 % of its measured figure; a group member's handle costs the same at 1,024 members as at 64)"
+echo "==> process switch and footprint, optimised build (one run stack and one baton: no OS threads, 250k parked, <= 473 B each in wait_until, 3 allocations per spawn (name, boxed body, its thin box), images packed 32 to a chunk per exact depth, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume; live heap per process parked in each blocking VORX call within 10 % of its measured figure, 792-1,280 B; a group member's handle costs the same at 1,024 members as at 64)"
 cargo test --release -q --test proc_switch --test footprint
 
 echo "==> fabric grant order, optimised build (the release arbiter is the one the benchmark times: six seeded scenarios equal the pass-based scan's hashes, the multicast ones with every target list ascending, descending and shuffled, a cable cut under buffered multicasts delivers every target once, one route per frame per cluster, <= 4 worklist visits per grant)"

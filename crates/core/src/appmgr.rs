@@ -45,8 +45,6 @@ pub struct AppRecord {
     pub started_ns: u64,
     /// Lifecycle state.
     pub state: AppState,
-    /// Worker processes accounted for (clean exits plus failed nodes).
-    pub finished_procs: usize,
     /// Nodes whose process exited cleanly.
     pub done_nodes: Vec<u32>,
     /// Nodes the failure detector declared dead while this app ran there.
@@ -115,7 +113,6 @@ where
                 nodes,
                 started_ns: s.now().as_ns(),
                 state: AppState::Running,
-                finished_procs: 0,
                 done_nodes: Vec::new(),
                 failed_nodes: Vec::new(),
             });
@@ -150,7 +147,6 @@ fn on_proc_exit(w: &mut World, app_id: u32, node: NodeAddr) {
             return;
         }
         a.done_nodes.push(node.0);
-        a.finished_procs += 1;
         (
             a.done_nodes.len() + a.failed_nodes.len() == a.nodes.len(),
             a.user,
@@ -181,7 +177,6 @@ pub(crate) fn on_node_failed(w: &mut World, node: NodeAddr) {
                 continue;
             }
             a.failed_nodes.push(node.0);
-            a.finished_procs += 1;
             (
                 a.done_nodes.len() + a.failed_nodes.len() == a.nodes.len(),
                 a.user,

@@ -203,7 +203,8 @@ pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> crate::
 }
 
 /// Which host serves `node`'s syscalls (set when its stub was created, and
-/// gone when that host crashed).
+/// gone when that host crashed), as the world at hand knows it: in a sharded
+/// build only a host on `node`'s own shard is found.
 pub fn host_of(w: &World, node: NodeAddr) -> Option<usize> {
     (0..w.n_hosts).find(|&h| w.stub_of.contains(NodeAddr(h as u32), &node.0))
 }
@@ -241,13 +242,11 @@ fn forward(
         if !w.node(host).up {
             return Err(crate::VorxError::HostDown);
         }
-        if directed.is_some() {
-            ensure_service_stub(w, host, node);
-        }
         let token = w.token();
         let state = CallState::Syscall { host, ret: None };
         w.issue(node, token, pid, state);
-        let f = Frame::unicast(node, host, proto::KIND_SYSCALL_REQ, token, pack_op(op));
+        let kind = directed.map_or(proto::KIND_SYSCALL_REQ, |_| proto::KIND_SYSCALL_ON_REQ);
+        let f = Frame::unicast(node, host, kind, token, pack_op(op));
         kernel::send_frame(w, s, f);
         Ok(token)
     })?;
@@ -259,8 +258,16 @@ fn forward(
     })
 }
 
-/// Kernel handler: a syscall request arrived at a host.
+/// Kernel handler: a syscall request arrived at a host. A directed one
+/// ([`syscall_on`]) makes the host's service stub, once per host life (no
+/// fork cost charged), here in the host's own world, and maps a caller with
+/// no home stub here to it; the reply path needs no table change.
 pub fn on_syscall_req(w: &mut World, s: &mut VSched, host: NodeAddr, f: Frame) {
+    if f.kind == proto::KIND_SYSCALL_ON_REQ {
+        w.node_mut(host);
+        w.stubs.get_or_insert_with(host, SERVICE_STUB, Stub::new);
+        w.stub_of.get_or_insert_with(host, f.src.0, || SERVICE_STUB);
+    }
     let Some(&stub_id) = w.stub_of.get(host, &f.src.0) else {
         // No stub serves this node here (its mapping may have died with a
         // restart): answer EIO rather than dropping the request or
@@ -641,17 +648,6 @@ mod tests {
 // workstations."
 // ---------------------------------------------------------------------------
 
-/// Ensure `host` runs its service stub, made once per host life (no fork
-/// cost charged), and maps `node` to a stub. The service stub fills in
-/// only a node with no home stub here: `stub_of` keeps the node's *home*
-/// stub for the classic scheme, and directed calls name the host
-/// explicitly, so the reply path needs no table change.
-fn ensure_service_stub(w: &mut World, host: NodeAddr, node: NodeAddr) {
-    w.node_mut(host);
-    w.stubs.get_or_insert_with(host, SERVICE_STUB, Stub::new);
-    w.stub_of.get_or_insert_with(host, node.0, || SERVICE_STUB);
-}
-
 /// Issue a system call *directed at a specific host* (the decentralized
 /// scheme). The host's shared service stub handles it; no per-process stub
 /// is required on that host, and a restarted host makes its service stub
@@ -729,6 +725,27 @@ mod decentral_tests {
             decent < central,
             "3-host decentralized {decent} should beat 1-host {central}"
         );
+    }
+
+    /// A directed call from a node on another shard than its host reaches
+    /// the host's service stub, which is made in the host's own world: the
+    /// caller's shard holds no row of a node it does not own.
+    #[test]
+    fn a_directed_call_across_shards_is_served_by_the_hosts_service_stub() {
+        let mut v = VorxBuilder::hypercube(2, 4).hosts(1).build_sharded(1);
+        let (host, caller) = (NodeAddr(0), NodeAddr(5));
+        assert_eq!((v.shard_of(host), v.shard_of(caller)), (0, 1));
+        let got = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let sink = std::sync::Arc::clone(&got);
+        v.spawn_at(caller, "n5:syscall_on", move |ctx| {
+            *desim::lock(&sink) = Some(syscall_on(&ctx, caller, 0, SyscallOp::OpenFile));
+        });
+        v.run_all();
+        assert_eq!(desim::lock(&got).take(), Some(Ok(SyscallRet::Fd(3))));
+        assert!(v.world(1).owns_nothing(host));
+        let w = v.world(0);
+        assert_eq!(w.stub_of.get(host, &caller.0), Some(&SERVICE_STUB));
+        assert_eq!(w.stubs.get(host, &SERVICE_STUB).map(|s| s.served), Some(1));
     }
 
     fn storm_with_home(n_hosts: usize) -> (SimTime, Vec<u64>) {

@@ -314,7 +314,7 @@ fn dispatch(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
         proto::KIND_CHAN_ACK => channel::on_ack(w, s, a, f),
         proto::KIND_OPEN_REQ => objmgr::on_open_req(w, s, a, f),
         proto::KIND_OPEN_REP => objmgr::on_open_rep(w, s, a, f),
-        proto::KIND_SYSCALL_REQ => host::on_syscall_req(w, s, a, f),
+        proto::KIND_SYSCALL_REQ | proto::KIND_SYSCALL_ON_REQ => host::on_syscall_req(w, s, a, f),
         proto::KIND_SYSCALL_REP => host::on_syscall_rep(w, s, a, f),
         proto::KIND_CHAN_CLOSE => channel::on_close(w, s, a, f),
         proto::KIND_SERVE_REQ => objmgr::on_serve_req(w, s, a, f),

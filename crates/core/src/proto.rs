@@ -56,6 +56,8 @@ pub const KIND_OPEN_REP: u16 = 5;
 pub const KIND_SYSCALL_REQ: u16 = 6;
 /// System-call result from the stub back to the node.
 pub const KIND_SYSCALL_REP: u16 = 7;
+/// A `KIND_SYSCALL_REQ` directed at a host's service stub (`host::syscall_on`).
+pub const KIND_SYSCALL_ON_REQ: u16 = 8;
 /// First user-defined communications object tag. Frame kind for UDCO tag
 /// `t` is `KIND_UDCO_BASE + t`.
 pub const KIND_UDCO_BASE: u16 = 0x100;

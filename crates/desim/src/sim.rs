@@ -39,11 +39,13 @@
 //! and cancels it early pays a constant per timer, and `(time, seq)` order is
 //! untouched: keys are unique, whatever shape the heap has.
 //!
-//! The executor⇄process handoff is one [`Baton`] per process — a payload
-//! word each way and the two stack pointers of a user-space register swap
-//! (`coro::switch`) — and the image of the process's frames: a slot in the
-//! scheduler's `coro::Images`, which packs every image of one exact depth
-//! into chunks of up to 32 slots. A resume puts the frames on the run stack
+//! The executor⇄process handoff is the simulation's one [`Baton`] — a payload
+//! word each way, the entered process, and the two stack pointers of a
+//! user-space register swap (`coro::switch`) — and the image of the
+//! process's frames: a slot in the scheduler's `coro::Images`, which packs
+//! every image of one exact depth into chunks of up to 32 slots. Only one
+//! process of a simulation is entered at a time, so a process is its
+//! `ProcSlot` and its image, and nothing more. A resume puts the frames on the run stack
 //! before it lets go of the lock and saves them after it takes the lock back,
 //! so a switch is a function call, one lock and two copies of however deep
 //! the process parked (0.78–0.83 KiB on average in the benchmark's `vorx`
@@ -254,67 +256,69 @@ const REPORT_FINISHED: u32 = 1;
 /// `Baton::report`: the process body panicked; `panic_msg` is set.
 const REPORT_PANICKED: u32 = 2;
 
-/// The executor⇄process handoff cell. A handoff is: write your payload
-/// (`token` or `report`), then `coro::switch` to the other side's saved
-/// stack pointer, leaving your own behind; around it, under the lock, the
-/// executor moves the process's frames between its image slot and the run
-/// stack. No lock is held across it, and there is no system call and no
-/// allocation.
+/// The executor⇄process handoff cell, one per simulation beside the run stack
+/// it hands over. A handoff is: write your payload (`token` or `report`),
+/// then `coro::switch` to the other side's saved stack pointer, leaving your
+/// own behind; around it, under the lock, the executor moves the process's
+/// frames between its image slot and the run stack. No lock is held across
+/// it, and there is no system call and no allocation.
 ///
-/// Every field is `Sync` by itself, so a baton is shared and sent between
-/// threads with no argument of ours. Exactly one side of a baton runs at a
-/// time (the `coro` contract), so every field but `panic_msg` has one
-/// accessor at any moment and the atomics are plain cells — `Relaxed`
-/// throughout, the stack pointers written by `switch` through `as_ptr`.
+/// Every field is `Sync` by itself, so the baton is shared and sent between
+/// threads with no argument of ours. Exactly one side of it runs at a time
+/// (the `coro` contract: the executor, or the one process it entered), so
+/// every field but `panic_msg` has one accessor at any moment and the atomics
+/// are plain cells — `Relaxed` throughout, the stack pointers written by
+/// `switch` through `as_ptr`.
 /// Within one run both sides are the same OS thread, and a `switch` is a jump
 /// on it, so program order is all the ordering there is to keep. A process
 /// resumed by a *different* thread than last time (sharded workers) is
 /// resumed by whoever holds `&mut Simulation` now, and whatever moved that
 /// borrow between the threads — the scoped spawn and join of a
 /// `ShardedSim::run`, a channel, a mutex — already orders these cells along
-/// with it. `Default` is a fresh baton: `report` reads `REPORT_PARKED`, 0.
+/// with it. `Default` is a fresh baton: no process entered, no teardown.
 #[derive(Default)]
 struct Baton {
     /// Wakeup token payload; written by the executor before switching in.
     token: AtomicU64,
     /// What the process reported when handing back: `REPORT_*`.
     report: AtomicU32,
-    /// Set before switching in to make the process unwind instead of
-    /// resuming; used when the simulation is dropped with parked processes.
+    /// Set once when the simulation is dropped with parked processes: every
+    /// process entered from then on unwinds instead of resuming.
     kill: AtomicBool,
-    /// True exactly while the process runs: between `enter`'s switch in and
-    /// the process's switch back.
-    entered: AtomicBool,
+    /// The entered process's id + 1, 0 for none: set exactly while a
+    /// process runs, between `enter`'s switch in and its switch back.
+    entered: AtomicU64,
     /// Where the executor left off when it switched in; live exactly while
-    /// the process runs.
+    /// a process runs.
     exec_sp: AtomicUsize,
-    /// Where the process left off at its last park, for `enter` to save its
-    /// frames from.
+    /// Where the last process to park left off, for the executor to save
+    /// its frames from.
     proc_sp: AtomicUsize,
     /// Panic message, set before reporting `REPORT_PANICKED`.
     panic_msg: Mutex<Option<String>>,
 }
 
 impl Baton {
-    /// Executor side: switch to the process at `sp`, run it until it parks
-    /// or finishes, and return its report. A parked one leaves its stack
-    /// pointer in `proc_sp`, for its frames to be saved from.
+    /// Executor side: switch to process `pid` at `sp`, run it until it
+    /// parks or finishes, and return its report. A parked one leaves its
+    /// stack pointer in `proc_sp`, for its frames to be saved from.
     ///
     /// # Safety
     ///
     /// The process must be suspended — parked, or not yet started — and not
     /// finished, and `sp` what [`Images::restore`] just returned for it, on
-    /// the run stack of the simulation it belongs to. The caller must be the
-    /// executor of that simulation: not on that stack itself, and the only
-    /// one entering any of its processes. The caller's own `Arc` must keep
-    /// the baton alive across the call.
-    unsafe fn enter(&self, sp: usize) -> u32 {
-        self.entered.store(true, AtomicOrdering::Relaxed);
+    /// the run stack of the simulation this baton belongs to. The caller
+    /// must be the executor of that simulation: not on that stack itself,
+    /// and the only one entering any of its processes.
+    unsafe fn enter(&self, pid: ProcId, sp: usize) -> u32 {
+        self.entered
+            .store(u64::from(pid.0) + 1, AtomicOrdering::Relaxed);
         // SAFETY: `sp` names the frame `restore` laid out for a fresh image
         // or the one the process's last `park` saved, just put back where it
-        // was and unused since. `exec_sp` lives as long as `self`.
+        // was and unused since. `exec_sp` lives as long as `self`, which the
+        // caller's borrow of its simulation keeps alive.
         unsafe { coro::switch(self.exec_sp.as_ptr(), sp) };
-        self.entered.store(false, AtomicOrdering::Relaxed);
+        self.entered.store(0, AtomicOrdering::Relaxed);
         self.report.load(AtomicOrdering::Relaxed)
     }
 
@@ -338,24 +342,25 @@ impl Baton {
         REPORT_PANICKED
     }
 
-    /// Process side: hand back to the executor until it enters again. Returns
-    /// the wakeup token; unwinds with [`Killed`] if the simulation is tearing
-    /// down.
-    fn park(&self, stack: &Stack) -> Wakeup {
+    /// Process side: hand `pid` back to the executor until it enters it
+    /// again. Returns the wakeup token; unwinds with [`Killed`] if the
+    /// simulation is tearing down.
+    fn park(&self, stack: &Stack, pid: ProcId) -> Wakeup {
         // A `Ctx` can be cloned and carried anywhere; only its own process,
         // while it runs, has an executor waiting behind `exec_sp` — and the
         // run stack is every process's, so being on it is not enough to tell.
         assert!(
-            stack.is_current() && self.entered.load(AtomicOrdering::Relaxed),
+            stack.is_current()
+                && self.entered.load(AtomicOrdering::Relaxed) == u64::from(pid.0) + 1,
             "Ctx::park called outside the simulated process the Ctx belongs to"
         );
         self.report.store(REPORT_PARKED, AtomicOrdering::Relaxed);
-        // SAFETY: this process is the one entered and we run on its
+        // SAFETY: `pid` is the process entered and we run on its
         // simulation's run stack, so the frames below us are its own, and
         // `enter` stored the executor's stack pointer in `exec_sp` and stays
         // suspended on a live stack until this switch returns into it.
-        // `proc_sp` lives as long as `self`, which the suspended `enter`
-        // keeps alive.
+        // `proc_sp` lives as long as `self`, which the suspended `enter`'s
+        // borrow of the simulation keeps alive.
         unsafe {
             coro::switch(
                 self.proc_sp.as_ptr(),
@@ -376,11 +381,11 @@ enum ProcState {
     Finished,
 }
 
+/// A process, from its spawn on: its name, its state and where its frames
+/// are. What it hands over when it runs is the simulation's one [`Baton`].
 struct ProcSlot {
     name: String,
     state: ProcState,
-    /// `None` once the process has finished.
-    baton: Option<Arc<Baton>>,
     /// Where the process's frames are while it is suspended: its slot in
     /// [`Scheduler::images`], which it keeps while it runs and lets go of
     /// when it finishes.
@@ -397,6 +402,8 @@ struct SimInner<W> {
     /// The run stack: every process of this simulation runs on it, one at a
     /// time, whichever OS thread drives the run.
     stack: Stack,
+    /// The handoff onto `stack` and back, for whichever process is entered.
+    baton: Baton,
 }
 
 impl<W> SimInner<W> {
@@ -607,18 +614,17 @@ impl<W: Send + 'static> Scheduler<W> {
         }
     }
 
-    /// `pid` is done: its baton and its image slot go.
+    /// `pid` is done: its image slot goes.
     fn finish(&mut self, pid: ProcId) {
         let slot = &mut self.procs[pid.0 as usize];
         slot.state = ProcState::Finished;
-        slot.baton = None;
         self.images.free(&mut slot.image);
         self.unfinished -= 1;
     }
 
-    /// Make a process's baton, register it under the next id and queue its
-    /// start wake. Out of line: `spawn` is called from inside `Ctx::with`
-    /// blocks in a process's own frames, which every park copies.
+    /// Make a process's first frame, register it under the next id and
+    /// queue its start wake. Out of line: `spawn` is called from inside
+    /// `Ctx::with` blocks in a process's own frames, which every park copies.
     #[inline(never)]
     fn start_proc(&mut self, at: SimTime, name: String, f: ProcFn<W>) -> ProcId {
         let pid = ProcId(u32::try_from(self.procs.len()).expect("over u32::MAX processes"));
@@ -626,32 +632,29 @@ impl<W: Send + 'static> Scheduler<W> {
             .sim
             .upgrade()
             .expect("a scheduler is reached through its simulation");
-        let baton = Arc::new(Baton::default());
-        let own = Arc::clone(&baton);
         // Runs on the run stack at the process's first resume, and drops all
         // it captured or made before it returns (the `coro::Body` contract).
         let image = coro::first_frame(Box::new(move || {
-            let ctx = Ctx {
-                inner,
-                pid,
-                baton: Arc::clone(&own),
-            };
-            let report = if own.kill.load(AtomicOrdering::Relaxed) {
+            let baton = &inner.baton;
+            let report = if baton.kill.load(AtomicOrdering::Relaxed) {
                 // Torn down before it ever ran: only drop what it captured.
                 REPORT_FINISHED
             } else {
+                let ctx = Ctx {
+                    inner: Arc::clone(&inner),
+                    pid,
+                };
                 match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
                     Ok(()) => REPORT_FINISHED,
-                    Err(payload) => own.unwound(payload),
+                    Err(payload) => baton.unwound(payload),
                 }
             };
-            own.report.store(report, AtomicOrdering::Relaxed);
-            own.exec_sp.load(AtomicOrdering::Relaxed)
+            baton.report.store(report, AtomicOrdering::Relaxed);
+            baton.exec_sp.load(AtomicOrdering::Relaxed)
         }));
         self.procs.push(ProcSlot {
             name,
             state: ProcState::Parked,
-            baton: Some(baton),
             image,
         });
         self.unfinished += 1;
@@ -666,7 +669,6 @@ impl<W: Send + 'static> Scheduler<W> {
 pub struct Ctx<W> {
     inner: Arc<SimInner<W>>,
     pid: ProcId,
-    baton: Arc<Baton>,
 }
 
 impl<W> Clone for Ctx<W> {
@@ -674,7 +676,6 @@ impl<W> Clone for Ctx<W> {
         Ctx {
             inner: Arc::clone(&self.inner),
             pid: self.pid,
-            baton: Arc::clone(&self.baton),
         }
     }
 }
@@ -702,7 +703,7 @@ impl<W: Send + 'static> Ctx<W> {
 
     /// Park until woken. Returns the (advisory) wakeup token.
     pub fn park(&self) -> Wakeup {
-        self.baton.park(&self.inner.stack)
+        self.inner.baton.park(&self.inner.stack, self.pid)
     }
 
     /// Advance this process's local time by `d` (modelling computation or a
@@ -810,6 +811,7 @@ impl<W: Send + 'static> Simulation<W> {
             )),
             now_ns: AtomicU64::new(0),
             stack: Stack::new(),
+            baton: Baton::default(),
         });
         Simulation { inner }
     }
@@ -934,9 +936,8 @@ impl<W: Send + 'static> Simulation<W> {
         // it is suspended.
         assert_eq!(slot.state, ProcState::Parked, "woke a running process");
         slot.state = ProcState::Running;
-        let baton = Arc::clone(slot.baton.as_ref().expect("a parked process has a baton"));
         sched.dispatched += 1;
-        let stack = &self.inner.stack;
+        let SimInner { stack, baton, .. } = &*self.inner;
         // SAFETY: we found the process `Parked` and marked it `Running`
         // under the lock, so it is suspended, unfinished, and entered by no
         // one else until we mark it otherwise below. We are this simulation's
@@ -946,9 +947,8 @@ impl<W: Send + 'static> Simulation<W> {
         let sp = unsafe { sched.images.restore(stack, &mut slot.image) };
         drop(core);
         baton.token.store(token.0, AtomicOrdering::Relaxed);
-        // SAFETY: as above, and `sp` is what `restore` just returned for it;
-        // `baton` is ours for the whole call.
-        let report = unsafe { baton.enter(sp) };
+        // SAFETY: as above, and `sp` is what `restore` just returned for it.
+        let report = unsafe { baton.enter(pid, sp) };
         let mut core = self.inner.core();
         let sched = &mut core.0;
         match report {
@@ -1048,26 +1048,28 @@ impl<W: Send + 'static> Simulation<W> {
 impl<W: Send + 'static> Drop for Simulation<W> {
     fn drop(&mut self) {
         // A parked process owns live values; it gets to unwind its own frames
-        // so their destructors run. The batons are collected first, and each
-        // process's frames put back and its slot let go with the lock held,
-        // but the lock is released around entering it, because a destructor
-        // may use its `Ctx`. A process that parked inside `Ctx::with` still
-        // holds the lock, and the run that found it so has panicked: leave
-        // every process be, and do not panic again.
-        let Some(mut core) = self.inner.try_core() else {
+        // so their destructors run. The parked ids are collected first, the
+        // baton told to unwind whoever it enters, and each process's frames
+        // put back and its slot let go with the lock held, but the lock is
+        // released around entering it, because a destructor may use its
+        // `Ctx`. A process that parked inside `Ctx::with` still holds the
+        // lock, and the run that found it so has panicked: leave every
+        // process be, and do not panic again.
+        let Some(core) = self.inner.try_core() else {
             return;
         };
-        let parked: Vec<(ProcId, Arc<Baton>)> = core
+        let parked: Vec<ProcId> = core
             .0
             .procs
-            .iter_mut()
+            .iter()
             .enumerate()
             .filter(|(_, slot)| slot.state == ProcState::Parked)
-            .filter_map(|(pid, slot)| Some((ProcId(pid as u32), slot.baton.clone()?)))
+            .map(|(pid, _)| ProcId(pid as u32))
             .collect();
         drop(core);
-        let stack = &self.inner.stack;
-        for (pid, baton) in parked {
+        let SimInner { stack, baton, .. } = &*self.inner;
+        baton.kill.store(true, AtomicOrdering::Relaxed);
+        for pid in parked {
             let Some(mut core) = self.inner.try_core() else {
                 return;
             };
@@ -1079,11 +1081,10 @@ impl<W: Send + 'static> Drop for Simulation<W> {
             let sp = unsafe { sched.images.restore(stack, image) };
             sched.finish(pid);
             drop(core);
-            baton.kill.store(true, AtomicOrdering::Relaxed);
             // SAFETY: as above, `sp` is what `restore` just returned for it,
-            // and the slot no longer names it. `baton` is ours for the call.
-            // Its report does not matter any more.
-            unsafe { baton.enter(sp) };
+            // and the slot no longer names it. Its report does not matter any
+            // more.
+            unsafe { baton.enter(pid, sp) };
         }
     }
 }

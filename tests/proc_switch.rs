@@ -402,12 +402,13 @@ fn foreign_ctx_park_panics_instead_of_switching() {
 }
 
 /// (h) What a parked process costs: its frames' bytes on the heap and no
-/// mapping. 10,000 processes parked in `wait_until` hold 591 B each, baton,
-/// name and slot included; the budget is that plus 10 %. Unoptimised frames
-/// are nearly three times as deep: 1,679 B, budget 1,847 B. (With a copy of
+/// mapping. 10,000 processes parked in `wait_until` hold 430 B each, name
+/// and slot included; the budget is that plus 10 %. Unoptimised frames are
+/// more than three times as deep: 1,440 B, budget 1,584 B. (With a copy of
 /// the condition's locals on every image and 50 % slack on every buffer it
 /// was 984 B and 2,712 B; with the baton holding a 72-byte image inline, 623 B
-/// and 1,727 B.)
+/// and 1,727 B; with a reference-counted baton per process, 580 B and
+/// 1,669 B.)
 #[cfg(target_os = "linux")]
 #[test]
 fn ten_thousand_parked_processes_cost_their_frames_and_no_mapping() {
@@ -419,8 +420,9 @@ fn ten_thousand_parked_processes_cost_their_frames_and_no_mapping() {
     let pids = spawn_gate_waiters(&sim, N);
     assert_eq!(sim.run_to_idle().parked.len(), N as usize);
     let per_proc = (alloc_meter::live_bytes() - live_before) / i64::from(N);
+    eprintln!("{per_proc} B of live heap per process parked in wait_until");
     let maps_parked = mappings();
-    let budget = if cfg!(debug_assertions) { 1_847 } else { 650 };
+    let budget = if cfg!(debug_assertions) { 1_584 } else { 473 };
     assert!(
         (64..=budget).contains(&per_proc),
         "{per_proc} B of live heap per parked process"
@@ -537,6 +539,33 @@ fn spawn_and_finish_waves_grow_nothing_after_the_first() {
         );
     }
     assert_eq!(sim.world().passed, 10 * N);
+}
+
+/// (l) What a spawn allocates: its name, its boxed body and the thin box
+/// the first frame names it by — nothing for the handoff, which is the
+/// simulation's one baton (a reference-counted baton per process made it 4).
+/// Bodies that capture nothing, spawned into a simulation whose process
+/// table and queue have room for them: 2,049 earlier spawns grew both to
+/// 4,096.
+#[test]
+fn a_spawn_allocates_its_name_and_its_body_and_nothing_else() {
+    const N: u64 = 1_024;
+    let _x = exclusive();
+    let mut sim = Simulation::new(Gate::default());
+    for _ in 0..=2 * N {
+        sim.spawn("warm", |_: Ctx<Gate>| {});
+    }
+    assert!(sim.run_to_idle().all_finished());
+    let ((), allocs) = alloc_meter::measure(|| {
+        for _ in 0..N {
+            sim.spawn("spawned", |_: Ctx<Gate>| {});
+        }
+    });
+    assert!(
+        allocs <= 3 * N,
+        "{allocs} allocations to spawn {N} processes"
+    );
+    assert!(sim.run_to_idle().all_finished());
 }
 
 /// What byte `i` of the deep frame holds in `round`.
