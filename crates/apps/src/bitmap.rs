@@ -22,11 +22,11 @@ use vorx::VorxBuilder;
 #[derive(Debug, Clone, Copy)]
 pub struct BitmapParams {
     /// Display width in pixels.
-    pub width: u32,
+    pub(crate) width: u32,
     /// Display height in pixels.
-    pub height: u32,
+    pub(crate) height: u32,
     /// Bits per pixel (1 = the paper's bi-level display).
-    pub bits_per_pixel: u32,
+    pub(crate) bits_per_pixel: u32,
     /// Frames to stream.
     pub frames: u32,
 }
@@ -43,7 +43,7 @@ impl BitmapParams {
     }
 
     /// Bytes per frame.
-    pub fn frame_bytes(&self) -> u32 {
+    pub(crate) fn frame_bytes(&self) -> u32 {
         self.width * self.height * self.bits_per_pixel / 8
     }
 }

@@ -45,17 +45,17 @@ pub enum GateKind {
 #[derive(Debug, Clone)]
 pub struct Gate {
     /// Gate function.
-    pub kind: GateKind,
+    pub(crate) kind: GateKind,
     /// Input signal ids.
-    pub inputs: Vec<usize>,
+    pub(crate) inputs: Vec<usize>,
     /// Output signal id (one driver per signal).
-    pub out: usize,
+    pub(crate) out: usize,
     /// Propagation delay in ticks (1..=MAX_DELAY).
-    pub delay: usize,
+    pub(crate) delay: usize,
 }
 
 /// Maximum gate delay supported.
-pub const MAX_DELAY: usize = 4;
+pub(crate) const MAX_DELAY: usize = 4;
 
 /// A netlist: `n_signals` signals, the first `n_inputs` of which are primary
 /// inputs driven by the stimulus.
@@ -113,7 +113,7 @@ fn eval(kind: GateKind, inputs: &[bool]) -> bool {
 }
 
 /// Stimulus: primary-input values per tick (deterministic from a seed).
-pub fn random_stimulus(n_inputs: usize, ticks: usize, seed: u64) -> Vec<Vec<bool>> {
+pub(crate) fn random_stimulus(n_inputs: usize, ticks: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xC1BC);
     (0..ticks)
         .map(|_| (0..n_inputs).map(|_| rng.bool()).collect())
@@ -122,7 +122,7 @@ pub fn random_stimulus(n_inputs: usize, ticks: usize, seed: u64) -> Vec<Vec<bool
 
 /// Serial reference simulation: returns the full waveform
 /// `values[tick][signal]` for `ticks` ticks (everything starts at false).
-pub fn simulate_serial(c: &Circuit, stim: &[Vec<bool>]) -> Vec<Vec<bool>> {
+pub(crate) fn simulate_serial(c: &Circuit, stim: &[Vec<bool>]) -> Vec<Vec<bool>> {
     let ticks = stim.len();
     // History ring: values at ticks t-MAX_DELAY..=t.
     let mut hist = vec![vec![false; c.n_signals]; MAX_DELAY + 1];

@@ -38,13 +38,13 @@ pub struct ConferenceParams {
     /// Conference duration.
     pub duration_ms: u64,
     /// Audio frame interval (8 ms = 64 kbit/s at 64-byte frames).
-    pub audio_period_ms: u64,
+    pub(crate) audio_period_ms: u64,
     /// Audio playout deadline (end-to-end).
-    pub audio_deadline_ms: u64,
+    pub(crate) audio_deadline_ms: u64,
     /// Video frame bytes (8 KB default).
-    pub video_frame_bytes: u32,
+    pub(crate) video_frame_bytes: u32,
     /// Video frame interval (66 ms ≈ 15 fps).
-    pub video_period_ms: u64,
+    pub(crate) video_period_ms: u64,
     /// Send video at all (audio-only conferences disable it).
     pub with_video: bool,
 }
@@ -67,8 +67,6 @@ impl ConferenceParams {
 /// Per-stream reception statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamStats {
-    /// Frames received.
-    pub frames: u64,
     /// Mean end-to-end latency, µs.
     pub mean_latency_us: f64,
     /// Worst end-to-end latency, µs.
@@ -86,7 +84,6 @@ fn finish(lat_us: &[f64], deadline_us: f64) -> StreamStats {
     let n = lat_us.len() as f64;
     let mean = lat_us.iter().sum::<f64>() / n;
     StreamStats {
-        frames: lat_us.len() as u64,
         mean_latency_us: mean,
         max_latency_us: lat_us.iter().copied().fold(0.0, f64::max),
         jitter_us: lat_us.iter().map(|l| (l - mean).abs()).sum::<f64>() / n,
@@ -225,7 +222,6 @@ mod tests {
         p.with_video = false;
         p.duration_ms = 400;
         let r = run_conference(p);
-        assert_eq!(r.audio.frames, 2 * 3 * (400 / 8));
         assert_eq!(
             r.audio.deadline_misses, 0,
             "audio missed deadlines: mean {:.0}us max {:.0}us",
@@ -239,7 +235,7 @@ mod tests {
         let mut p = ConferenceParams::default_3way();
         p.duration_ms = 400;
         let r = run_conference(p);
-        assert!(r.video.frames > 0);
+        assert!(r.video.max_latency_us > 0.0, "video frames flowed");
         // Audio still under deadline even with ~3 Mbit/s of video flowing.
         assert_eq!(
             r.audio.deadline_misses, 0,
@@ -255,7 +251,6 @@ mod tests {
         p.duration_ms = 250;
         p.with_video = false;
         let r = run_conference(p);
-        assert_eq!(r.audio.frames, 4 * 5 * (250 / 8));
         assert_eq!(r.audio.deadline_misses, 0);
     }
 }

@@ -11,9 +11,9 @@ use std::ops::{Add, Mul, Sub};
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
-    pub re: f64,
+    pub(crate) re: f64,
     /// Imaginary part.
-    pub im: f64,
+    pub(crate) im: f64,
 }
 
 impl Complex {
@@ -23,10 +23,10 @@ impl Complex {
     }
 
     /// Zero.
-    pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
+    pub(crate) const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
 
     /// e^(i theta).
-    pub fn cis(theta: f64) -> Self {
+    pub(crate) fn cis(theta: f64) -> Self {
         Complex {
             re: theta.cos(),
             im: theta.sin(),
@@ -39,7 +39,7 @@ impl Complex {
     }
 
     /// Serialize to 16 bytes (big-endian re, im).
-    pub fn to_bytes(self) -> [u8; 16] {
+    pub(crate) fn to_bytes(self) -> [u8; 16] {
         let mut b = [0u8; 16];
         b[..8].copy_from_slice(&self.re.to_be_bytes());
         b[8..].copy_from_slice(&self.im.to_be_bytes());
@@ -47,7 +47,7 @@ impl Complex {
     }
 
     /// Deserialize from 16 bytes.
-    pub fn from_bytes(b: &[u8]) -> Self {
+    pub(crate) fn from_bytes(b: &[u8]) -> Self {
         Complex {
             re: f64::from_be_bytes(b[..8].try_into().expect("8 bytes")),
             im: f64::from_be_bytes(b[8..16].try_into().expect("8 bytes")),
@@ -118,23 +118,23 @@ pub fn fft1d(data: &mut [Complex]) {
 
 /// Number of butterfly operations in an n-point FFT: (n/2) log2 n. Used for
 /// the 68020+68882 compute-cost model.
-pub fn butterflies(n: usize) -> u64 {
+pub(crate) fn butterflies(n: usize) -> u64 {
     (n as u64 / 2) * u64::from(n.trailing_zeros())
 }
 
 /// Modeled time of one complex butterfly on the 25 MHz 68020 + 68882
 /// (1 complex multiply = 4 fp multiplies + 2 adds, plus 4 adds and loop
 /// overhead; the 68882 takes ~5-9 µs per fp multiply at this clock).
-pub const FFT_BUTTERFLY_NS: u64 = 30_000;
+pub(crate) const FFT_BUTTERFLY_NS: u64 = 30_000;
 
 /// Modeled duration of an n-point 1D FFT.
-pub fn fft_cost_ns(n: usize) -> u64 {
+pub(crate) fn fft_cost_ns(n: usize) -> u64 {
     butterflies(n) * FFT_BUTTERFLY_NS
 }
 
 /// Serial 2D FFT of an `n x n` image (row-major), exactly the §4.2 recipe:
 /// 1D FFT of every row, then 1D FFT of every column.
-pub fn fft2d_serial(img: &mut [Complex], n: usize) {
+pub(crate) fn fft2d_serial(img: &mut [Complex], n: usize) {
     assert_eq!(img.len(), n * n);
     for r in 0..n {
         fft1d(&mut img[r * n..(r + 1) * n]);
@@ -151,17 +151,17 @@ pub fn fft2d_serial(img: &mut [Complex], n: usize) {
     }
 }
 
-/// Max absolute element difference between two complex slices.
-pub fn max_err(a: &[Complex], b: &[Complex]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (*x - *y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Max absolute element difference between two complex slices.
+    fn max_err(a: &[Complex], b: &[Complex]) -> f64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (*x - *y).abs())
+            .fold(0.0, f64::max)
+    }
 
     fn naive_dft(x: &[Complex]) -> Vec<Complex> {
         let n = x.len();

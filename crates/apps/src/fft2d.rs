@@ -24,11 +24,10 @@ use bytes::{BufMut, BytesMut};
 use desim::rng::SmallRng;
 use desim::{lock, FixedMap, SimDuration, SimTime};
 use vorx::api::user_compute;
-use vorx::collective::{self, CollMode, GroupCfg};
 use vorx::hpcnet::{NodeAddr, Payload, Topology};
 use vorx::{channel, multicast, VorxBuilder};
 
-use crate::fft::{fft1d, fft2d_serial, fft_cost_ns, max_err, Complex};
+use crate::fft::{fft1d, fft2d_serial, fft_cost_ns, Complex};
 
 /// How phase-1 results are redistributed for phase 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,22 +36,6 @@ pub enum Distribution {
     Multicast,
     /// Send each processor only the elements it needs.
     PointToPoint,
-}
-
-/// How the stage barriers around redistribution are synchronized. The
-/// barriers bracket the exchange (one before, one after) so no node starts
-/// pumping data at a receiver still busy in its row FFTs, and no node
-/// starts its column FFTs while a peer still owes it data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageSync {
-    /// No barrier — the original free-running program.
-    None,
-    /// The point-to-point original: every node writes a token to node 0,
-    /// which reads all of them and writes a release token back to each
-    /// node in turn. Linear fan-in, linear fan-out.
-    PointToPoint,
-    /// A VORX collective barrier (DESIGN.md §16).
-    Collective(CollMode),
 }
 
 /// Parameters of one distributed 2D-FFT run.
@@ -75,21 +58,14 @@ pub struct Fft2dResult {
     pub distribute_max: SimDuration,
     /// Payload bytes received per node during redistribution.
     pub bytes_rx: Vec<u64>,
-    /// Per-node redistribution times.
-    pub dist_times: Vec<SimDuration>,
     /// Max |err| of the parallel spectrum vs the serial transform.
     pub max_err: f64,
-    /// The longest any node spent waiting in the stage barriers
-    /// ([`SimDuration::ZERO`] under [`StageSync::None`]).
-    pub barrier_max: SimDuration,
 }
 
 /// Complex values per multicast chunk (8-byte header + 62 x 16 = 1000 B).
 const CHUNK: usize = 62;
 /// Multicast group used by the workload.
 const GID: u16 = 1;
-/// Collective group id used by [`StageSync::Collective`].
-const BARRIER_GROUP: u32 = 9;
 
 fn pack_chunk(row: usize, off: usize, data: &[Complex]) -> Payload {
     let mut b = BytesMut::with_capacity(8 + data.len() * 16);
@@ -133,39 +109,6 @@ struct Collected {
     cols: FixedMap<usize, Vec<Complex>>,
     bytes_rx: Vec<u64>,
     dist_time: Vec<SimDuration>,
-    bar_time: Vec<SimDuration>,
-}
-
-/// One node's runtime handle on the stage-barrier engine.
-enum Bar {
-    None,
-    /// Node 0's channel to every other node.
-    Root(Vec<channel::ChannelHandle>),
-    /// A non-root node's channel to node 0.
-    Leaf(channel::ChannelHandle),
-    Coll(collective::Collective),
-}
-
-/// Block until every node has entered the barrier; see [`StageSync`].
-fn stage_barrier(ctx: &vorx::VCtx, bar: &Bar) {
-    match bar {
-        Bar::None => {}
-        Bar::Root(chans) => {
-            for ch in chans {
-                ch.read(ctx).expect("barrier peer closed");
-            }
-            for ch in chans {
-                ch.write(ctx, Payload::copy_from(b"go"))
-                    .expect("barrier peer closed");
-            }
-        }
-        Bar::Leaf(ch) => {
-            ch.write(ctx, Payload::copy_from(b"in"))
-                .expect("barrier root closed");
-            ch.read(ctx).expect("barrier root closed");
-        }
-        Bar::Coll(c) => c.barrier(ctx),
-    }
 }
 
 /// Build a topology that fits `p` endpoints.
@@ -180,14 +123,6 @@ pub fn topology_for(p: usize) -> Topology {
 
 /// Run the distributed 2D FFT; see module docs.
 pub fn run_fft2d(params: Fft2dParams, seed: u64) -> Fft2dResult {
-    run_fft2d_sync(params, seed, StageSync::None)
-}
-
-/// Run the distributed 2D FFT with stage barriers bracketing the
-/// redistribution, synchronized per `sync`. The spectrum is identical
-/// across sync modes — the barriers only change *when* nodes move between
-/// phases — so the modes race on synchronization cost alone.
-pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dResult {
     let Fft2dParams { n, p, strategy } = params;
     assert!(n.is_power_of_two() && p >= 2 && n % p == 0, "n={n} p={p}");
     let rows_per = n / p;
@@ -202,20 +137,9 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
     let mut v = VorxBuilder::with_topology(topology_for(p))
         .trace(false)
         .build();
-    if let StageSync::Collective(mode) = sync {
-        collective::register_group(
-            &mut v.world(),
-            &GroupCfg {
-                group: BARRIER_GROUP,
-                members: (0..p).map(|q| NodeAddr(q as u32)).collect(),
-                mode,
-            },
-        );
-    }
     let collected = Arc::new(Mutex::new(Collected {
         bytes_rx: vec![0; p],
         dist_time: vec![SimDuration::ZERO; p],
-        bar_time: vec![SimDuration::ZERO; p],
         ..Default::default()
     }));
 
@@ -256,26 +180,6 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
                     }
                 }
             }
-            // Barrier rendezvous is part of application startup too.
-            let bar = match sync {
-                StageSync::None => Bar::None,
-                StageSync::PointToPoint => {
-                    if me == 0 {
-                        Bar::Root(
-                            (1..p)
-                                .map(|q| channel::open(&ctx, node, &format!("fftbar.e{q}")))
-                                .collect(),
-                        )
-                    } else {
-                        Bar::Leaf(channel::open(&ctx, node, &format!("fftbar.e{me}")))
-                    }
-                }
-                StageSync::Collective(_) => {
-                    Bar::Coll(collective::attach(&ctx, node, BARRIER_GROUP))
-                }
-            };
-            let mut bar_time = SimDuration::ZERO;
-
             // --- Phase 1: 1D FFT of every owned row ---
             user_compute(
                 &ctx,
@@ -285,12 +189,6 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
             for r in &mut rows {
                 fft1d(r);
             }
-
-            // No node starts pumping data at a receiver still busy in its
-            // row FFTs.
-            let tb = ctx.now();
-            stage_barrier(&ctx, &bar);
-            bar_time += ctx.now() - tb;
 
             // --- Redistribution ---
             let t0 = ctx.now();
@@ -369,11 +267,6 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
             }
             let dist = ctx.now() - t0;
 
-            // No node starts its column FFTs while a peer still owes data.
-            let tb = ctx.now();
-            stage_barrier(&ctx, &bar);
-            bar_time += ctx.now() - tb;
-
             // --- Phase 2: 1D FFT of every owned column ---
             user_compute(
                 &ctx,
@@ -387,7 +280,6 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
             let mut g = lock(&coll);
             g.bytes_rx[me] = bytes_rx;
             g.dist_time[me] = dist;
-            g.bar_time[me] = bar_time;
             for (ci, data) in cols.into_iter().enumerate() {
                 g.cols.insert(my_cols.start + ci, data);
             }
@@ -404,14 +296,11 @@ pub fn run_fft2d_sync(params: Fft2dParams, seed: u64, sync: StageSync) -> Fft2dR
         }
     }
     assert_eq!(g.cols.len(), n, "missing columns in result");
-    let _ = max_err; // (see fft::max_err for slice-level comparison)
     Fft2dResult {
         elapsed: end - SimTime::ZERO,
         distribute_max: g.dist_time.iter().copied().max().unwrap_or_default(),
         bytes_rx: g.bytes_rx.clone(),
-        dist_times: g.dist_time.clone(),
         max_err: err,
-        barrier_max: g.bar_time.iter().copied().max().unwrap_or_default(),
     }
 }
 
@@ -482,52 +371,5 @@ mod tests {
             mc.distribute_max,
             pp.distribute_max
         );
-    }
-
-    #[test]
-    fn collective_stage_barrier_beats_point_to_point() {
-        let run = |sync| {
-            run_fft2d_sync(
-                Fft2dParams {
-                    n: 32,
-                    p: 8,
-                    strategy: Distribution::PointToPoint,
-                },
-                7,
-                sync,
-            )
-        };
-        let pp = run(StageSync::PointToPoint);
-        let innet = run(StageSync::Collective(CollMode::InNetwork));
-        let tree = run(StageSync::Collective(CollMode::SoftwareTree { radix: 2 }));
-        for r in [&pp, &innet, &tree] {
-            assert!(r.max_err < 1e-9, "numeric mismatch: {}", r.max_err);
-            assert!(r.barrier_max > SimDuration::ZERO);
-        }
-        assert!(
-            innet.barrier_max < pp.barrier_max,
-            "in-network barrier {:?} should beat the linear barrier {:?}",
-            innet.barrier_max,
-            pp.barrier_max
-        );
-        assert!(
-            innet.barrier_max < tree.barrier_max,
-            "in-network barrier {:?} should beat the software tree {:?}",
-            innet.barrier_max,
-            tree.barrier_max
-        );
-    }
-
-    #[test]
-    fn unsynchronized_run_is_unchanged_by_the_barrier_machinery() {
-        let params = Fft2dParams {
-            n: 16,
-            p: 4,
-            strategy: Distribution::PointToPoint,
-        };
-        let plain = run_fft2d(params, 7);
-        let none = run_fft2d_sync(params, 7, StageSync::None);
-        assert_eq!(plain.elapsed, none.elapsed);
-        assert_eq!(none.barrier_max, SimDuration::ZERO);
     }
 }

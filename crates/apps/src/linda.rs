@@ -6,8 +6,7 @@
 //! stand-in implements the classic distributed tuple space:
 //!
 //! * `out(t)` deposits tuple `t`;
-//! * `in(p)` blocks until a tuple matches pattern `p`, removing it;
-//! * `rd(p)` blocks until a match, without removing it.
+//! * `in(p)` blocks until a tuple matches pattern `p`, removing it.
 //!
 //! Tuples are partitioned across the participating nodes by a hash of
 //! their first field (the classic kernel strategy), so every operation is
@@ -41,12 +40,12 @@ pub enum Pat {
 }
 
 /// A tuple.
-pub type Tuple = Vec<Val>;
+pub(crate) type Tuple = Vec<Val>;
 /// A pattern.
-pub type Pattern = Vec<Pat>;
+pub(crate) type Pattern = Vec<Pat>;
 
 /// Does `p` match `t`?
-pub fn matches(p: &Pattern, t: &Tuple) -> bool {
+pub(crate) fn matches(p: &Pattern, t: &Tuple) -> bool {
     p.len() == t.len()
         && p.iter().zip(t).all(|(pf, tf)| match pf {
             Pat::Any => true,
@@ -126,7 +125,6 @@ fn decode_tuple(p: &Payload) -> Tuple {
 enum Op {
     Out(Tuple),
     In(Pattern, NodeAddr),
-    Rd(Pattern, NodeAddr),
 }
 
 fn encode_op(op: &Op) -> Payload {
@@ -134,7 +132,6 @@ fn encode_op(op: &Op) -> Payload {
     let (tag, reply) = match op {
         Op::Out(_) => (0u8, 0u32),
         Op::In(_, r) => (1, r.0),
-        Op::Rd(_, r) => (2, r.0),
     };
     b.put_u8(tag);
     b.put_u32(reply);
@@ -145,7 +142,7 @@ fn encode_op(op: &Op) -> Payload {
                 put_val(&mut b, v);
             }
         }
-        Op::In(p, _) | Op::Rd(p, _) => {
+        Op::In(p, _) => {
             b.put_u8(p.len() as u8);
             for f in p {
                 match f {
@@ -169,7 +166,7 @@ fn decode_op(p: &Payload) -> Op {
     let mut off = 6;
     match tag {
         0 => Op::Out((0..n).map(|_| get_val(b, &mut off)).collect()),
-        1 | 2 => {
+        1 => {
             let pat: Pattern = (0..n)
                 .map(|_| {
                     let ft = b[off];
@@ -181,11 +178,7 @@ fn decode_op(p: &Payload) -> Op {
                     }
                 })
                 .collect();
-            if tag == 1 {
-                Op::In(pat, reply)
-            } else {
-                Op::Rd(pat, reply)
-            }
+            Op::In(pat, reply)
         }
         x => panic!("bad op tag {x}"),
     }
@@ -202,7 +195,7 @@ const MATCH_NS: u64 = 25_000;
 #[derive(Debug, Clone)]
 pub struct TupleSpace {
     /// Nodes running tuple-space kernels.
-    pub participants: Vec<NodeAddr>,
+    pub(crate) participants: Vec<NodeAddr>,
 }
 
 impl TupleSpace {
@@ -243,7 +236,7 @@ impl TupleSpace {
 
     fn request(&self, ctx: &VCtx, me: NodeAddr, op: Op, token: u64) -> Tuple {
         let owner = match &op {
-            Op::In(p, _) | Op::Rd(p, _) => self.pattern_owner(p),
+            Op::In(p, _) => self.pattern_owner(p),
             Op::Out(_) => unreachable!(),
         };
         udco::send(ctx, me, owner, REQ_TAG, token, encode_op(&op));
@@ -271,12 +264,6 @@ impl TupleSpace {
         let token = ctx.with(|w, _| w.token());
         self.request(ctx, me, Op::In(p, me), token)
     }
-
-    /// Blocking `rd`: wait for a match without removing it.
-    pub fn rd(&self, ctx: &VCtx, me: NodeAddr, p: Pattern) -> Tuple {
-        let token = ctx.with(|w, _| w.token());
-        self.request(ctx, me, Op::Rd(p, me), token)
-    }
 }
 
 /// The per-node tuple-space kernel: stores the partition, satisfies
@@ -284,30 +271,21 @@ impl TupleSpace {
 fn kernel(ctx: &VCtx, node: NodeAddr) {
     udco::register(ctx, node, REQ_TAG, UdcoMode::Interrupt);
     let mut store: Vec<Tuple> = Vec::new();
-    // Pending (pattern, requester, token, is_in) in arrival order.
-    let mut pending: Vec<(Pattern, NodeAddr, u64, bool)> = Vec::new();
+    // Pending `in`s (pattern, requester, token) in arrival order.
+    let mut pending: Vec<(Pattern, NodeAddr, u64)> = Vec::new();
     loop {
         let m = udco::recv(ctx, node, REQ_TAG);
         compute_ns(ctx, node, CpuCat::User, MATCH_NS);
         match decode_op(&m.payload) {
             Op::Out(t) => {
-                // Satisfy pending readers first (non-consuming), then the
-                // first pending `in` (consuming); otherwise store.
-                let mut consumed = false;
-                let mut still_pending = Vec::new();
-                for (p, who, token, is_in) in pending.drain(..) {
-                    if !consumed && matches(&p, &t) {
+                // The first pending `in` that matches takes the tuple;
+                // otherwise it is stored.
+                match pending.iter().position(|(p, _, _)| matches(p, &t)) {
+                    Some(i) => {
+                        let (_, who, token) = pending.remove(i);
                         udco::send(ctx, node, who, REP_TAG, token, encode_tuple(&t));
-                        if is_in {
-                            consumed = true;
-                        }
-                    } else {
-                        still_pending.push((p, who, token, is_in));
                     }
-                }
-                pending = still_pending;
-                if !consumed {
-                    store.push(t);
+                    None => store.push(t),
                 }
             }
             Op::In(p, who) => {
@@ -315,15 +293,7 @@ fn kernel(ctx: &VCtx, node: NodeAddr) {
                     let t = store.remove(i);
                     udco::send(ctx, node, who, REP_TAG, m.seq, encode_tuple(&t));
                 } else {
-                    pending.push((p, who, m.seq, true));
-                }
-            }
-            Op::Rd(p, who) => {
-                if let Some(t) = store.iter().find(|t| matches(&p, t)) {
-                    let t = t.clone();
-                    udco::send(ctx, node, who, REP_TAG, m.seq, encode_tuple(&t));
-                } else {
-                    pending.push((p, who, m.seq, false));
+                    pending.push((p, who, m.seq));
                 }
             }
         }
@@ -402,28 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn rd_does_not_consume() {
-        let mut v = VorxBuilder::single_cluster(3).build();
-        let ts = TupleSpace::spawn(&v, vec![NodeAddr(0)]);
-        let ts2 = ts;
-        v.spawn("n1:app", move |ctx| {
-            ts2.join(&ctx, NodeAddr(1));
-            ts2.out(&ctx, NodeAddr(1), vec![s("cfg"), i(99)]);
-            let r1 = ts2.rd(&ctx, NodeAddr(1), vec![Pat::Eq(s("cfg")), Pat::Any]);
-            let r2 = ts2.rd(&ctx, NodeAddr(1), vec![Pat::Eq(s("cfg")), Pat::Any]);
-            assert_eq!(r1, r2);
-            // `in` then consumes it.
-            let t = ts2.in_(&ctx, NodeAddr(1), vec![Pat::Eq(s("cfg")), Pat::Any]);
-            assert_eq!(t[1], i(99));
-        });
-        let report = v.run();
-        assert!(report
-            .parked
-            .iter()
-            .all(|(_, n)| n.contains("linda-kernel")));
-    }
-
-    #[test]
     fn blocking_in_waits_for_future_out() {
         let mut v = VorxBuilder::single_cluster(4).build();
         let ts = TupleSpace::spawn(&v, vec![NodeAddr(0)]);
@@ -446,42 +394,6 @@ mod tests {
             .parked
             .iter()
             .all(|(_, n)| n.contains("linda-kernel")));
-    }
-
-    #[test]
-    fn pending_rds_and_in_satisfied_by_one_out() {
-        let mut v = VorxBuilder::single_cluster(5).build();
-        let ts = TupleSpace::spawn(&v, vec![NodeAddr(0)]);
-        for n in [1u32, 2] {
-            let ts = ts.clone();
-            v.spawn(format!("n{n}:rd"), move |ctx| {
-                ts.join(&ctx, NodeAddr(n));
-                let t = ts.rd(&ctx, NodeAddr(n), vec![Pat::Eq(s("go"))]);
-                assert_eq!(t, vec![s("go")]);
-            });
-        }
-        let ts_in = ts.clone();
-        v.spawn("n3:in", move |ctx| {
-            ts_in.join(&ctx, NodeAddr(3));
-            let t = ts_in.in_(&ctx, NodeAddr(3), vec![Pat::Eq(s("go"))]);
-            assert_eq!(t, vec![s("go")]);
-        });
-        let ts_out = ts;
-        v.spawn("n4:out", move |ctx| {
-            ts_out.join(&ctx, NodeAddr(4));
-            ctx.sleep(SimDuration::from_ms(10)); // let everyone block
-            ts_out.out(&ctx, NodeAddr(4), vec![s("go")]);
-        });
-        let report = v.run();
-        let stuck: Vec<_> = report
-            .parked
-            .iter()
-            .filter(|(_, n)| !n.contains("linda-kernel"))
-            .collect();
-        assert!(
-            stuck.is_empty(),
-            "one out should satisfy 2 rds + 1 in: {stuck:?}"
-        );
     }
 
     #[test]

@@ -10,27 +10,6 @@ use vorx::VorxBuilder;
 
 use crate::fft2d::topology_for;
 
-/// Channel ping-pong between two nodes; returns the mean round-trip time.
-pub fn pingpong(rounds: u64, msg_len: u32) -> SimDuration {
-    let mut v = VorxBuilder::single_cluster(2).trace(false).build();
-    v.spawn("n0:ping", move |ctx| {
-        let ch = channel::open(&ctx, NodeAddr(0), "pp");
-        for _ in 0..rounds {
-            ch.write(&ctx, Payload::Synthetic(msg_len)).unwrap();
-            let _ = ch.read(&ctx).unwrap();
-        }
-    });
-    v.spawn("n1:pong", move |ctx| {
-        let ch = channel::open(&ctx, NodeAddr(1), "pp");
-        for _ in 0..rounds {
-            let _ = ch.read(&ctx).unwrap();
-            ch.write(&ctx, Payload::Synthetic(msg_len)).unwrap();
-        }
-    });
-    let end = v.run_all();
-    (end - SimTime::ZERO) / rounds
-}
-
 /// Result of a many-to-one burst.
 #[derive(Debug, Clone, Copy)]
 pub struct ManyToOneResult {
@@ -80,16 +59,6 @@ pub fn many_to_one(senders: usize, msgs: u64, msg_len: u32) -> ManyToOneResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pingpong_round_trip_is_two_one_way_latencies() {
-        let rt = pingpong(50, 4);
-        // The 303us "latency" of Table 2 already includes the kernel ack
-        // round trip; in a ping-pong the reverse data message overlaps part
-        // of that, so the round trip lands below 2 x 303.
-        let us = rt.as_us_f64();
-        assert!((450.0..800.0).contains(&us), "round trip {us:.0}us");
-    }
 
     #[test]
     fn many_to_one_delivers_everything() {

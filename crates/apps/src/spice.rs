@@ -18,8 +18,6 @@ use bytes::{BufMut, BytesMut};
 use desim::rng::SmallRng;
 use desim::{lock, SimDuration, SimTime};
 use vorx::api::user_compute;
-use vorx::collective::{self, CollMode, GroupCfg};
-use vorx::hpcnet::combine::CombOp;
 use vorx::hpcnet::{NodeAddr, Payload};
 use vorx::udco::{self, UdcoMode};
 use vorx::VorxBuilder;
@@ -30,12 +28,6 @@ use crate::fft2d::topology_for;
 const TAG_TO_LEFT: u16 = 40;
 /// Boundary value sent toward the right neighbour.
 const TAG_TO_RIGHT: u16 = 41;
-/// A node's local residual contribution, gathered to node 0.
-const TAG_RESID: u16 = 42;
-/// The folded global residual, scattered back from node 0.
-const TAG_RESID_ANS: u16 = 43;
-/// Collective group id used by [`ResidCheck::Collective`].
-const RESID_GROUP: u32 = 31;
 /// The paper's quoted message size.
 const MSG_BYTES: u32 = 64;
 
@@ -54,21 +46,6 @@ pub struct SpiceParams {
     pub iters: usize,
 }
 
-/// How the periodic global residual check is synchronized (§4.1 meets
-/// DESIGN.md §16: the convergence test is a global max-reduction, and it can
-/// ride the combining fabric instead of convoying through node 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResidCheck {
-    /// No in-run residual check — the original solver.
-    None,
-    /// The point-to-point original: every node raw-sends its local residual
-    /// to node 0, which folds the max and raw-sends the answer back to each
-    /// node in turn. Linear fan-in, linear fan-out.
-    PointToPoint,
-    /// A VORX collective max-allreduce over the residual bits.
-    Collective(CollMode),
-}
-
 /// Results of one solver run.
 #[derive(Debug, Clone)]
 pub struct SpiceResult {
@@ -80,11 +57,6 @@ pub struct SpiceResult {
     pub max_err: f64,
     /// Final residual infinity-norm (solver sanity).
     pub residual: f64,
-    /// Global residual checks performed inside the run.
-    pub checks: usize,
-    /// Global residual reported by the last in-run check (NaN when none
-    /// ran). Identical across check modes — the iterate is deterministic.
-    pub checked_residual: f64,
 }
 
 fn pack_boundary(iter: usize, v: f64) -> Payload {
@@ -115,7 +87,7 @@ fn jacobi_sweep(x: &[f64], b: &[f64], left: f64, right: f64, out: &mut [f64]) {
 }
 
 /// Serial reference: the same Jacobi iterate on one processor.
-pub fn serial_jacobi(b: &[f64], iters: usize) -> Vec<f64> {
+pub(crate) fn serial_jacobi(b: &[f64], iters: usize) -> Vec<f64> {
     let m = b.len();
     let mut x = vec![0.0; m];
     let mut nx = vec![0.0; m];
@@ -127,7 +99,7 @@ pub fn serial_jacobi(b: &[f64], iters: usize) -> Vec<f64> {
 }
 
 /// Residual infinity-norm of `tridiag(-1,2,-1) x = b`.
-pub fn residual(x: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn residual(x: &[f64], b: &[f64]) -> f64 {
     let m = x.len();
     (0..m)
         .map(|i| {
@@ -140,19 +112,6 @@ pub fn residual(x: &[f64], b: &[f64]) -> f64 {
 
 /// Run the distributed solver; see module docs.
 pub fn run_spice(params: SpiceParams, seed: u64) -> SpiceResult {
-    run_spice_checked(params, seed, 0, ResidCheck::None)
-}
-
-/// Run the distributed solver with a global residual check every
-/// `check_every` iterations (0 disables it), synchronized per `check`.
-/// The iterate is bit-identical across check modes — the check only reads
-/// the current `x` — so the modes race on synchronization cost alone.
-pub fn run_spice_checked(
-    params: SpiceParams,
-    seed: u64,
-    check_every: usize,
-    check: ResidCheck,
-) -> SpiceResult {
     let SpiceParams { m, p, iters } = params;
     assert!(p >= 2 && m % p == 0);
     let k = m / p;
@@ -163,33 +122,15 @@ pub fn run_spice_checked(
     let mut v = VorxBuilder::with_topology(topology_for(p))
         .trace(false)
         .build();
-    if let ResidCheck::Collective(mode) = check {
-        collective::register_group(
-            &mut v.world(),
-            &GroupCfg {
-                group: RESID_GROUP,
-                members: (0..p).map(|q| NodeAddr(q as u32)).collect(),
-                mode,
-            },
-        );
-    }
     let solution = Arc::new(Mutex::new(vec![0.0f64; m]));
-    let checked = Arc::new(Mutex::new((0usize, f64::NAN)));
 
     for me in 0..p {
         let my_b = b[me * k..(me + 1) * k].to_vec();
         let sol = Arc::clone(&solution);
-        let chk = Arc::clone(&checked);
         v.spawn(format!("n{me}:spice"), move |ctx| {
             let node = NodeAddr(me as u32);
             udco::register(&ctx, node, TAG_TO_LEFT, UdcoMode::Raw);
             udco::register(&ctx, node, TAG_TO_RIGHT, UdcoMode::Raw);
-            if check == ResidCheck::PointToPoint {
-                udco::register(&ctx, node, TAG_RESID, UdcoMode::Raw);
-                udco::register(&ctx, node, TAG_RESID_ANS, UdcoMode::Raw);
-            }
-            let coll = matches!(check, ResidCheck::Collective(_))
-                .then(|| collective::attach(&ctx, node, RESID_GROUP));
             let left = (me > 0).then(|| NodeAddr((me - 1) as u32));
             let right = (me + 1 < p).then(|| NodeAddr((me + 1) as u32));
             let mut x = vec![0.0f64; k];
@@ -233,69 +174,6 @@ pub fn run_spice_checked(
                 } else {
                     0.0
                 };
-                if check != ResidCheck::None && check_every > 0 && (it + 1) % check_every == 0 {
-                    // Local residual of the *current* iterate: the halos
-                    // just received are exactly its boundary neighbours.
-                    user_compute(
-                        &ctx,
-                        node,
-                        SimDuration::from_ns(JACOBI_NS_PER_ELEM * k as u64),
-                    );
-                    let mut lr = 0.0f64;
-                    for i in 0..k {
-                        let xl = if i == 0 { lv } else { x[i - 1] };
-                        let xr = if i == k - 1 { rv } else { x[i + 1] };
-                        lr = lr.max((2.0 * x[i] - xl - xr - my_b[i]).abs());
-                    }
-                    let global = match &coll {
-                        Some(c) => {
-                            // Non-negative f64 bit patterns order like the
-                            // values, so a u64 max *is* an f64 max.
-                            f64::from_bits(c.reduce(&ctx, CombOp::Max, lr.to_bits()))
-                        }
-                        None => {
-                            // Linear gather to node 0, linear scatter back.
-                            if me == 0 {
-                                let mut g = lr;
-                                for _ in 1..p {
-                                    let msg = udco::recv_raw_spin(&ctx, node, TAG_RESID);
-                                    let (mit, v) = parse_boundary(&msg.payload);
-                                    assert_eq!(mit, it, "residual iteration skew");
-                                    g = g.max(v);
-                                }
-                                for q in 1..p {
-                                    udco::send_raw(
-                                        &ctx,
-                                        node,
-                                        NodeAddr(q as u32),
-                                        TAG_RESID_ANS,
-                                        it as u64,
-                                        pack_boundary(it, g),
-                                    );
-                                }
-                                g
-                            } else {
-                                udco::send_raw(
-                                    &ctx,
-                                    node,
-                                    NodeAddr(0),
-                                    TAG_RESID,
-                                    it as u64,
-                                    pack_boundary(it, lr),
-                                );
-                                let msg = udco::recv_raw_spin(&ctx, node, TAG_RESID_ANS);
-                                let (mit, v) = parse_boundary(&msg.payload);
-                                assert_eq!(mit, it, "residual iteration skew");
-                                v
-                            }
-                        }
-                    };
-                    if me == 0 {
-                        let mut g = lock(&chk);
-                        g.0 += 1;
-                        g.1 = global;
-                    }
-                }
                 user_compute(
                     &ctx,
                     node,
@@ -315,14 +193,11 @@ pub fn run_spice_checked(
         .zip(&serial)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
-    let (checks, checked_residual) = *lock(&checked);
     SpiceResult {
         elapsed,
         per_iter: elapsed / iters.max(1) as u64,
         max_err,
         residual: residual(&x, &b),
-        checks,
-        checked_residual,
     }
 }
 
@@ -388,57 +263,6 @@ mod tests {
             per_iter_ns < 2 * compute_ns,
             "per-iter {per_iter_ns}ns should be < 2x compute {compute_ns}ns"
         );
-    }
-
-    #[test]
-    fn collective_residual_check_beats_point_to_point() {
-        let params = SpiceParams {
-            m: 64,
-            p: 8,
-            iters: 12,
-        };
-        let pp = run_spice_checked(params, 11, 3, ResidCheck::PointToPoint);
-        let innet = run_spice_checked(params, 11, 3, ResidCheck::Collective(CollMode::InNetwork));
-        let tree = run_spice_checked(
-            params,
-            11,
-            3,
-            ResidCheck::Collective(CollMode::SoftwareTree { radix: 2 }),
-        );
-        for r in [&pp, &innet, &tree] {
-            assert_eq!(r.max_err, 0.0, "check must not perturb the iterate");
-            assert_eq!(r.checks, 4);
-        }
-        // Same iterate, same check points → bit-identical global residual.
-        assert_eq!(
-            pp.checked_residual.to_bits(),
-            innet.checked_residual.to_bits()
-        );
-        assert_eq!(
-            pp.checked_residual.to_bits(),
-            tree.checked_residual.to_bits()
-        );
-        // The combining fabric beats convoying through node 0.
-        assert!(
-            innet.elapsed < pp.elapsed,
-            "in-network {:?} should beat p2p {:?}",
-            innet.elapsed,
-            pp.elapsed
-        );
-    }
-
-    #[test]
-    fn unchecked_run_is_unchanged_by_the_check_machinery() {
-        let params = SpiceParams {
-            m: 32,
-            p: 2,
-            iters: 10,
-        };
-        let plain = run_spice(params, 3);
-        let none = run_spice_checked(params, 3, 5, ResidCheck::None);
-        assert_eq!(plain.elapsed, none.elapsed);
-        assert_eq!(none.checks, 0);
-        assert!(none.checked_residual.is_nan());
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl Record {
     }
 
     /// Append every field of `other`.
-    pub fn and(self, other: Record) -> Self {
+    pub(crate) fn and(self, other: Record) -> Self {
         other.0.into_iter().fold(self, |r, (k, v)| r.with(&k, v))
     }
 
@@ -362,7 +362,7 @@ impl Parser<'_> {
 /// The nearest ancestor of the current directory holding a `Cargo.lock`
 /// (binaries may be run from the package directory), or the current
 /// directory when there is none. Reports land here.
-pub fn workspace_root() -> PathBuf {
+pub(crate) fn workspace_root() -> PathBuf {
     let cwd = std::env::current_dir().expect("cwd");
     let mut dir = cwd.as_path();
     loop {
@@ -377,7 +377,7 @@ pub fn workspace_root() -> PathBuf {
 }
 
 /// Where campaign `name`'s report lives.
-pub fn report_path(name: &str) -> PathBuf {
+pub(crate) fn report_path(name: &str) -> PathBuf {
     workspace_root().join(format!("BENCH_{name}.json"))
 }
 
@@ -396,7 +396,7 @@ fn tool_line(cmd: &str, args: &[&str]) -> String {
 
 /// An empty report for `campaign`: the schema's head, stamped with the host
 /// it was taken on. Cells and gates are appended by [`drive`].
-pub fn new_report(campaign: &str, note: &str, workload: Record) -> Record {
+pub(crate) fn new_report(campaign: &str, note: &str, workload: Record) -> Record {
     let host = Record::new()
         .with("host_cpus", desim::host_cpus())
         .with("rustc", tool_line("rustc", &["--version"]))
@@ -437,7 +437,7 @@ pub fn report_text(report: &Record) -> String {
 
 /// Finish `head` with its cells and gates and write it as
 /// `BENCH_<campaign>.json`.
-pub fn write_report(head: Record, cells: Vec<Record>, gates: Vec<Record>) -> PathBuf {
+pub(crate) fn write_report(head: Record, cells: Vec<Record>, gates: Vec<Record>) -> PathBuf {
     let report = head.with("cells", cells).with("gates", gates);
     let path = report_path(report.str("campaign"));
     std::fs::write(&path, report_text(&report))
@@ -549,19 +549,19 @@ fn fell(now: &Value, was: &Value) -> Option<bool> {
 pub struct Run {
     /// Simulated observations: identical on every host, at every worker
     /// count, on every run.
-    pub sim: Record,
+    pub(crate) sim: Record,
     /// Host measurements (wall clock, engine scheduling counters).
-    pub host: Record,
+    pub(crate) host: Record,
     /// The merged trace as JSON, where the cell records one.
-    pub trace: Option<String>,
+    pub(crate) trace: Option<String>,
     /// Named oracles this run violated.
-    pub violations: Vec<&'static str>,
+    pub(crate) violations: Vec<&'static str>,
 }
 
 impl Run {
     /// A run that observed `sim` and violated `violations`; no host
     /// measurements, no trace.
-    pub fn new(sim: Record, violations: Vec<&'static str>) -> Run {
+    pub(crate) fn new(sim: Record, violations: Vec<&'static str>) -> Run {
         Run {
             sim,
             violations,
@@ -570,12 +570,12 @@ impl Run {
     }
 
     /// With host measurements.
-    pub fn host(self, host: Record) -> Run {
+    pub(crate) fn host(self, host: Record) -> Run {
         Run { host, ..self }
     }
 
     /// With the merged trace.
-    pub fn trace(mut self, trace: String) -> Run {
+    pub(crate) fn trace(mut self, trace: String) -> Run {
         self.trace = Some(trace);
         self
     }
@@ -587,18 +587,18 @@ pub struct Cell {
     pub key: Record,
     /// Too slow for CI, or a wall clock it would only add noise to: `--smoke`
     /// skips it.
-    pub heavy: bool,
+    pub(crate) heavy: bool,
     /// Worker counts to run at, in order; 0 is the sequential engine. The
     /// first run is the cell's record; the rest must match its `sim` and
     /// trace.
-    pub workers: &'static [usize],
+    pub(crate) workers: &'static [usize],
     /// Build the world, run it, report (argument: the worker count).
-    pub run: Box<dyn Fn(usize) -> Run>,
+    pub(crate) run: Box<dyn Fn(usize) -> Run>,
 }
 
 impl Cell {
     /// A table row.
-    pub fn new(
+    pub(crate) fn new(
         key: Record,
         heavy: bool,
         workers: &'static [usize],
@@ -629,13 +629,13 @@ pub struct Campaign {
     /// Name: the CLI argument and the `BENCH_<name>.json` stem.
     pub name: &'static str,
     /// One-line description, written into the report.
-    pub note: &'static str,
+    pub(crate) note: &'static str,
     /// Wall-clock bound per cell, seconds: under `--smoke`, in a full sweep.
-    pub watchdog_s: (u64, u64),
+    pub(crate) watchdog_s: (u64, u64),
     /// State dump for a hung cell, run by the watchdog before it aborts.
-    pub on_expiry: Option<fn()>,
+    pub(crate) on_expiry: Option<fn()>,
     /// The workload constants, written into the report.
-    pub workload: &'static [(&'static str, u64)],
+    pub(crate) workload: &'static [(&'static str, u64)],
     /// The cell table.
     pub cells: fn() -> Vec<Cell>,
     /// The cross-cell gates.
@@ -782,7 +782,7 @@ pub fn summary(samples_ns: &[u64]) -> Record {
 /// gate in executable form.
 // The watchdog is a host timer beside the run, not a simulated process.
 #[allow(clippy::disallowed_methods)]
-pub fn with_watchdog<T>(
+pub(crate) fn with_watchdog<T>(
     campaign: &'static str,
     secs: u64,
     on_expiry: Option<fn()>,
@@ -830,20 +830,20 @@ fn link_record(mut r: Record, s: &LinkStats) -> Record {
 #[derive(Default)]
 pub struct Totals {
     /// Recovery counters.
-    pub faults: FaultStats,
+    pub(crate) faults: FaultStats,
     /// Fabric scalar counters.
-    pub net: hpcnet::Stats,
+    pub(crate) net: hpcnet::Stats,
     /// Per-link fault counters, links that recorded anything only.
-    pub links: BTreeMap<u32, LinkStats>,
+    pub(crate) links: BTreeMap<u32, LinkStats>,
     /// Largest port-link occupancy high-water mark, slots.
-    pub depth_hwm: usize,
+    pub(crate) depth_hwm: usize,
     /// Largest per-switch sheddable-byte high-water mark.
-    pub bytes_hwm: u64,
+    pub(crate) bytes_hwm: u64,
 }
 
 impl Totals {
     /// Fold one world in.
-    pub fn add(&mut self, w: &World) {
+    pub(crate) fn add(&mut self, w: &World) {
         self.faults += &w.faults.stats;
         self.net.merge_counters(&w.net.stats);
         for (l, s) in w.link_fault_stats() {
@@ -854,14 +854,14 @@ impl Totals {
     }
 
     /// The totals of one sequential world.
-    pub fn of(w: &World) -> Totals {
+    pub(crate) fn of(w: &World) -> Totals {
         let mut t = Totals::default();
         t.add(w);
         t
     }
 
     /// The totals of a sharded machine, one shard lock at a time.
-    pub fn over_shards(v: &VorxShardedSim) -> Totals {
+    pub(crate) fn over_shards(v: &VorxShardedSim) -> Totals {
         let mut t = Totals::default();
         for k in 0..v.n_shards() {
             t.add(&v.world(k));
@@ -871,14 +871,14 @@ impl Totals {
 
     /// All links merged into one: counts summed, latency min/mean/max over
     /// every delivered frame.
-    pub fn all_links(&self) -> LinkStats {
+    pub(crate) fn all_links(&self) -> LinkStats {
         let mut all = LinkStats::default();
         self.links.values().for_each(|s| all.merge(s));
         all
     }
 
     /// Every counter as record fields.
-    pub fn record(&self) -> Record {
+    pub(crate) fn record(&self) -> Record {
         let mut r = Record::new();
         counters!(r, "", &self.faults, FaultStats: retransmits dups_suppressed corrupted_rx busy_sent
                   peer_down_events crashes restarts probes_sent partitions heals mgr_failovers
@@ -892,7 +892,7 @@ impl Totals {
     }
 
     /// One record per link that recorded anything, in link-id order.
-    pub fn link_rows(&self) -> Vec<Record> {
+    pub(crate) fn link_rows(&self) -> Vec<Record> {
         let active = self
             .links
             .iter()
@@ -906,7 +906,7 @@ impl Totals {
 /// What a machine's nodes own at quiescence, from its inspected parts
 /// ([`invariants::inspect_shards`]): the most rows one node holds over every
 /// world table, the rows all nodes hold, and the nodes owning nothing.
-pub fn rows_record(parts: &[invariants::Part]) -> Record {
+pub(crate) fn rows_record(parts: &[invariants::Part]) -> Record {
     let rows = || parts.iter().flat_map(|p| &p.busy).map(|&(_, r)| r);
     Record::new()
         .with("rows_max_node", rows().max().unwrap_or(0))
@@ -929,21 +929,21 @@ pub fn cable(f: &Fabric, (a, b): (u32, u32)) -> [u32; 2] {
 }
 
 /// A `len`-byte payload carrying its stream index in the first four bytes.
-pub fn msg_payload(idx: u32, len: usize) -> Payload {
+pub(crate) fn msg_payload(idx: u32, len: usize) -> Payload {
     let mut buf = vec![0u8; len];
     buf[..4].copy_from_slice(&idx.to_le_bytes());
     Payload::copy_from(&buf)
 }
 
 /// Recover the stream index from a [`msg_payload`].
-pub fn index_of(p: &Payload) -> u32 {
+pub(crate) fn index_of(p: &Payload) -> u32 {
     let b = p.bytes().expect("data payload");
     u32::from_le_bytes([b[0], b[1], b[2], b[3]])
 }
 
 /// A schedule seeded with `seed` that drops `loss` of the frames on every
 /// link.
-pub fn lossy(seed: u64, loss: f64) -> FaultSchedule {
+pub(crate) fn lossy(seed: u64, loss: f64) -> FaultSchedule {
     let s = FaultSchedule::new(seed);
     if loss > 0.0 {
         s.all_links(LinkFaults::loss(loss))
@@ -957,7 +957,7 @@ pub fn lossy(seed: u64, loss: f64) -> FaultSchedule {
 /// parked (`idle`), and the world must pass the quiescence oracles. Returns
 /// the verdict with every counter of the world as the start of the cell's
 /// `sim` record, and the violations by name.
-pub fn stream_verdict(
+pub(crate) fn stream_verdict(
     w: &World,
     idle: &desim::IdleReport,
     got: &[u32],
@@ -990,11 +990,11 @@ pub fn stream_verdict(
 /// count as they go.
 pub struct Streams {
     /// Messages delivered, all streams.
-    pub delivered: Arc<AtomicU32>,
+    pub(crate) delivered: Arc<AtomicU32>,
     /// Processes that ran to completion.
-    pub done: Arc<AtomicU32>,
+    pub(crate) done: Arc<AtomicU32>,
     /// Processes that must; callers add their own to it.
-    pub expected_done: u32,
+    pub(crate) expected_done: u32,
     fifo_ok: Arc<AtomicBool>,
 }
 
@@ -1048,14 +1048,14 @@ pub fn streams(
 
 impl Streams {
     /// Messages delivered so far.
-    pub fn delivered(&self) -> u32 {
+    pub(crate) fn delivered(&self) -> u32 {
         self.delivered.load(Ordering::Relaxed)
     }
 
     /// `fifo` (a stream delivered a message out of order, twice or not at
     /// all) and `stuck-process` (one never ran to completion), as far as
     /// they are violated.
-    pub fn violations(&self) -> Vec<&'static str> {
+    pub(crate) fn violations(&self) -> Vec<&'static str> {
         let mut v = Vec::new();
         if !self.fifo_ok.load(Ordering::Relaxed) {
             v.push("fifo");

@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod campaign;

@@ -27,15 +27,15 @@ use hpcnet::NodeAddr;
 pub struct UserId(pub u32);
 
 /// Meglos's per-processor process limit ("up to 15 independent processes").
-pub const MAX_PROCS_PER_NODE: usize = 15;
+pub(crate) const MAX_PROCS_PER_NODE: usize = 15;
 
 /// Allocation failure: the §3.1 diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProcessorsNotAvailable {
     /// How many were requested.
-    pub requested: usize,
+    pub(crate) requested: usize,
     /// How many were free.
-    pub free: usize,
+    pub(crate) free: usize,
 }
 
 impl fmt::Display for ProcessorsNotAvailable {
@@ -84,7 +84,7 @@ pub struct Allocator {
 
 impl Allocator {
     /// Pool over nodes `first_node..n_nodes`.
-    pub fn new(first_node: usize, n_nodes: usize) -> Self {
+    pub(crate) fn new(first_node: usize, n_nodes: usize) -> Self {
         Allocator {
             first: first_node,
             size: n_nodes.saturating_sub(first_node),
@@ -131,11 +131,11 @@ impl Allocator {
     }
 
     /// The current exclusive owner of a node.
-    pub fn owner_of(&self, a: NodeAddr) -> Option<UserId> {
+    pub(crate) fn owner_of(&self, a: NodeAddr) -> Option<UserId> {
         self.owned.get(&self.idx(a)).and_then(|s| s.exclusive)
     }
 
-    /// Shared-mode processes on a node.
+    /// Shared-mode (§3.1) processes on a node.
     pub fn shared_on(&self, a: NodeAddr) -> &[UserId] {
         self.owned.get(&self.idx(a)).map_or(&[], |s| &s.shared)
     }
@@ -171,7 +171,7 @@ impl Allocator {
         Ok(taken.into_iter().map(|i| self.addr(i)).collect())
     }
 
-    /// Shared-mode placement of `count` processes (the original Meglos
+    /// Shared-mode placement of `count` processes (§3.1: the original Meglos
     /// design): least-loaded non-exclusive nodes first, at most 15
     /// processes per node. Returns one node per process.
     pub fn allocate_shared(
@@ -208,7 +208,7 @@ impl Allocator {
         Ok(placed)
     }
 
-    /// Release one shared-mode process of `user` from each listed node.
+    /// Release one shared-mode (§3.1) process of `user` from each listed node.
     pub fn release_shared(&mut self, user: UserId, nodes: &[NodeAddr]) {
         for &a in nodes {
             let i = self.idx(a);
@@ -248,7 +248,7 @@ impl Allocator {
         n
     }
 
-    /// The VORX escape hatch: "a command that allows a user to free
+    /// The VORX escape hatch (§3.1): "a command that allows a user to free
     /// processors allocated to other users, and request that it be used
     /// carefully." Frees the nodes regardless of owner.
     pub fn force_free(&mut self, nodes: &[NodeAddr]) {

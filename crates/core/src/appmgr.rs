@@ -31,46 +31,24 @@ pub enum AppState {
 /// One launched application, as tracked by its host's resource manager.
 #[derive(Debug, Clone)]
 pub struct AppRecord {
-    /// Application id (unique per installation).
-    pub id: u32,
-    /// The host it was launched from.
-    pub host: usize,
     /// The owning user.
-    pub user: UserId,
-    /// Human-readable name.
-    pub name: String,
+    pub(crate) user: UserId,
     /// The processors it occupies (the application→processor mapping).
-    pub nodes: Vec<NodeAddr>,
-    /// Launch time, ns.
-    pub started_ns: u64,
+    pub(crate) nodes: Vec<NodeAddr>,
     /// Lifecycle state.
     pub state: AppState,
     /// Nodes whose process exited cleanly.
-    pub done_nodes: Vec<u32>,
+    pub(crate) done_nodes: Vec<u32>,
     /// Nodes the failure detector declared dead while this app ran there.
-    pub failed_nodes: Vec<u32>,
+    pub(crate) failed_nodes: Vec<u32>,
 }
 
 /// Per-installation application registry (all hosts' managers share the
-/// table; each row remembers which host owns it).
+/// table).
 #[derive(Debug, Default)]
 pub struct AppRegistry {
     /// All applications ever launched.
     pub apps: Vec<AppRecord>,
-}
-
-impl AppRegistry {
-    /// Applications launched from `host` (the per-host manager's view).
-    pub fn on_host(&self, host: usize) -> Vec<&AppRecord> {
-        self.apps.iter().filter(|a| a.host == host).collect()
-    }
-
-    /// The application currently occupying `node`, if any.
-    pub fn app_on_node(&self, node: NodeAddr) -> Option<&AppRecord> {
-        self.apps
-            .iter()
-            .find(|a| a.state == AppState::Running && a.nodes.contains(&node))
-    }
 }
 
 /// Launch an application from `host`: allocate `n_nodes` processors
@@ -102,16 +80,11 @@ where
     }
     let app_id = ctx.with({
         let nodes = nodes.clone();
-        let name = name.clone();
-        move |w, s| {
+        move |w, _| {
             let id = w.appmgr.apps.len() as u32;
             w.appmgr.apps.push(AppRecord {
-                id,
-                host,
                 user,
-                name: name.clone(),
                 nodes,
-                started_ns: s.now().as_ns(),
                 state: AppState::Running,
                 done_nodes: Vec::new(),
                 failed_nodes: Vec::new(),
@@ -203,28 +176,6 @@ pub fn wait_app(ctx: &VCtx, app_id: u32) {
     }
 }
 
-/// Render the manager's `ps`-style listing for one host.
-pub fn render(w: &World, host: usize) -> String {
-    let mut out = format!("appmgr@host{host}: applications\n");
-    out.push_str(&format!(
-        "{:<5} {:<16} {:<6} {:<9} {:<10} nodes\n",
-        "app", "name", "user", "state", "started"
-    ));
-    for a in w.appmgr.on_host(host) {
-        let nodes: Vec<String> = a.nodes.iter().map(|n| n.to_string()).collect();
-        out.push_str(&format!(
-            "{:<5} {:<16} u{:<5} {:<9} {:<10} {}\n",
-            a.id,
-            a.name,
-            a.user.0,
-            format!("{:?}", a.state),
-            format!("{:.1}ms", a.started_ns as f64 / 1e6),
-            nodes.join(",")
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,13 +197,11 @@ mod tests {
                 })
                 .expect("pool is free");
             // While running, the mapping is visible.
-            let mapped = ctx.with(move |w, _| {
+            ctx.with(move |w, _| {
                 let a = &w.appmgr.apps[app as usize];
                 assert_eq!(a.state, AppState::Running);
                 assert_eq!(a.nodes.len(), 3);
-                w.appmgr.app_on_node(a.nodes[0]).map(|x| x.id)
             });
-            assert_eq!(mapped, Some(app));
             wait_app(&ctx, app);
             // Exited: processors released.
             ctx.with(|w, _| {
@@ -261,34 +210,6 @@ mod tests {
             });
         });
         v.run_all();
-    }
-
-    #[test]
-    fn hosts_track_their_own_applications() {
-        let mut v = VorxBuilder::single_cluster(10).hosts(2).build();
-        for host in 0..2usize {
-            v.spawn(format!("host{host}:shell"), move |ctx| {
-                let app = start_application(
-                    &ctx,
-                    host,
-                    UserId(host as u32),
-                    &format!("app-h{host}"),
-                    2,
-                    |ctx: VCtx, node, _| {
-                        crate::api::user_compute(&ctx, node, SimDuration::from_ms(1));
-                    },
-                )
-                .expect("pool large enough for both");
-                wait_app(&ctx, app);
-            });
-        }
-        v.run_all();
-        let w = v.world();
-        assert_eq!(w.appmgr.on_host(0).len(), 1);
-        assert_eq!(w.appmgr.on_host(1).len(), 1);
-        assert_eq!(w.appmgr.on_host(0)[0].name, "app-h0");
-        let listing = render(&w, 1);
-        assert!(listing.contains("app-h1"), "{listing}");
     }
 
     #[test]

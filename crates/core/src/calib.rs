@@ -20,8 +20,7 @@
 //! the kernel table bounds ([`MAX_CHANS_PER_NODE`],
 //! [`LISTENER_BACKLOG_CAP`]).
 //!
-//! Everything is expressed in nanoseconds (`u64`), convertible with
-//! [`Calibration::d`] into `SimDuration`.
+//! Everything is expressed in nanoseconds (`u64`).
 
 use desim::SimDuration;
 
@@ -278,13 +277,8 @@ impl Calibration {
         }
     }
 
-    /// Convert a nanosecond constant into a `SimDuration`.
-    pub fn d(ns: u64) -> SimDuration {
-        SimDuration::from_ns(ns)
-    }
-
     /// Cost of moving `bytes` at `rate` ns/byte.
-    pub fn per_byte(rate: u64, bytes: u32) -> SimDuration {
+    pub(crate) fn per_byte(rate: u64, bytes: u32) -> SimDuration {
         SimDuration::from_ns(rate * u64::from(bytes))
     }
 }

@@ -82,7 +82,7 @@ use crate::world::{Table, VCtx, VSched, World};
 pub type ChanError = crate::VorxError;
 
 /// Result of a channel operation.
-pub type ChanResult<T> = Result<T, ChanError>;
+pub(crate) type ChanResult<T> = Result<T, ChanError>;
 
 /// Consecutive `KIND_CHAN_BUSY` grants a writer honors before concluding
 /// the reader is never coming back and counting silence against the retry
@@ -163,15 +163,15 @@ pub struct ChannelConfig {
     /// Fragments the writer may keep unacked; 1 = stop-and-wait.
     pub window: u32,
     /// Receiver fragment-buffer capacity advertised as credit (windowed).
-    pub rx_frag_buffers: u32,
+    pub(crate) rx_frag_buffers: u32,
     /// Reorder-buffer bound in fragments (windowed), ≤ 32 so the
     /// selective-ack bitmap can describe every held fragment.
-    pub reorder_frags: u32,
+    pub(crate) reorder_frags: u32,
 }
 
 impl ChannelConfig {
     /// Derive the per-channel configuration from the world calibration.
-    pub fn from_calib(c: &Calibration) -> Self {
+    pub(crate) fn from_calib(c: &Calibration) -> Self {
         let window = c.chan_window.max(1);
         ChannelConfig {
             window,
@@ -194,7 +194,7 @@ pub struct PayloadAsm {
 
 impl PayloadAsm {
     /// Append one fragment (no copy; the fragment's bytes are shared).
-    pub fn push(&mut self, p: Payload) {
+    pub(crate) fn push(&mut self, p: Payload) {
         self.frags += 1;
         match p {
             Payload::Data(b) => {
@@ -209,7 +209,7 @@ impl PayloadAsm {
     }
 
     /// Number of fragments buffered.
-    pub fn frags(&self) -> usize {
+    pub(crate) fn frags(&self) -> usize {
         self.frags
     }
 
@@ -217,7 +217,7 @@ impl PayloadAsm {
     /// fragment — nothing buffered before it — is `p` itself and never
     /// touches `parts`, so a reader end of one-frame messages holds no
     /// reassembly buffer.
-    pub fn finish(&mut self, p: Payload) -> Payload {
+    pub(crate) fn finish(&mut self, p: Payload) -> Payload {
         if self.frags == 0 {
             return p;
         }
@@ -228,7 +228,7 @@ impl PayloadAsm {
     /// Take the assembled message, resetting the assembler. One fragment
     /// passes straight through (zero-copy); several are gathered into one
     /// new buffer.
-    pub fn take(&mut self) -> Payload {
+    pub(crate) fn take(&mut self) -> Payload {
         self.frags = 0;
         if self.parts.is_empty() {
             let n = self.synth;
@@ -316,14 +316,14 @@ impl WinTx {
 #[derive(Debug, Clone)]
 pub struct WinFrag {
     /// The frame, kept for retransmission.
-    pub frame: Frame,
+    pub(crate) frame: Frame,
     /// Selectively acknowledged: held by the receiver, skip on timeout.
     pub sacked: bool,
     /// Sim time of the *first* transmission (never reset on retransmit).
-    pub sent_ns: u64,
+    pub(crate) sent_ns: u64,
     /// Retransmitted at least once — its ack is ambiguous, so it never
     /// contributes an RTT sample (Karn's rule).
-    pub rexmit: bool,
+    pub(crate) rexmit: bool,
 }
 
 impl WinFrag {
@@ -351,7 +351,7 @@ pub struct WinRx {
     pub held: u32,
     /// The last advertised credit was zero; the next reader-side release
     /// must push a credit update or the writer stays stalled.
-    pub starved: bool,
+    pub(crate) starved: bool,
 }
 
 /// One end of a channel, owned by a node's kernel.
@@ -367,31 +367,31 @@ pub struct ChanEnd {
     /// queue in the world's [`ChanSlab`].
     pub rx: Fifo,
     /// Partial message being reassembled.
-    pub asm: PayloadAsm,
+    pub(crate) asm: PayloadAsm,
     /// Fragments received while the side buffers were full; their acks are
     /// withheld until the reader frees space.
     pub deferred: VecDeque<Frame>,
     /// Processes blocked in `read`.
-    pub rx_waiters: WaitSet,
+    pub(crate) rx_waiters: WaitSet,
     /// Process blocked in `write` awaiting the kernel ack.
-    pub tx_wait: WaitSet,
+    pub(crate) tx_wait: WaitSet,
     /// The ack for the outstanding stop-and-wait fragment has arrived.
-    pub ack_ready: bool,
+    pub(crate) ack_ready: bool,
     /// Next fragment number expected from the peer; anything below it is a
     /// duplicate (its ack was lost) and is re-acked, not re-delivered.
-    pub rx_next_frag: u32,
+    pub(crate) rx_next_frag: u32,
     /// Fragment currently being copied into a side buffer (its charge is in
     /// flight); a duplicate arriving in that window is dropped.
-    pub accepting: Option<u32>,
+    pub(crate) accepting: Option<u32>,
     /// The peer's node is known to be down (retry exhaustion or the
     /// failure-detection sweep).
-    pub peer_down: bool,
+    pub(crate) peer_down: bool,
     /// The peer is alive but unreachable (network partition). Unlike
     /// `peer_down`, nothing is wiped: timers are paused, the transmit
     /// window is preserved, and the heal sweep clears this flag and resumes
     /// the transfer. Blocked callers observe
     /// [`crate::VorxError::Partitioned`].
-    pub partitioned: bool,
+    pub(crate) partitioned: bool,
     /// Fragments sent from this end (for `cdb`).
     pub msgs_tx: u64,
     /// Messages delivered to readers at this end (for `cdb`).
@@ -421,7 +421,7 @@ pub struct ChanEnd {
     /// the true RTT exceeds the fixed timeout — every fragment would be
     /// retransmitted once (ambiguous ack, no sample) forever. Consulted
     /// only while `gray_armed`.
-    pub rto_backoff: u32,
+    pub(crate) rto_backoff: u32,
 }
 
 // One channel end, one row of its world's `ChanSlab`: 360 bytes (432 while
@@ -562,7 +562,7 @@ impl ChanSlab {
     }
 
     /// True iff node `a` holds an end of channel `id`.
-    pub fn contains(&self, a: NodeAddr, id: u32) -> bool {
+    pub(crate) fn contains(&self, a: NodeAddr, id: u32) -> bool {
         self.ends.contains(a, &id)
     }
 
@@ -625,7 +625,7 @@ impl World {
 
 /// Create a channel end on `node` (called by the object manager's reply
 /// handler, and directly by tests).
-pub fn create_end(
+pub(crate) fn create_end(
     w: &mut World,
     s: &mut VSched,
     node: NodeAddr,
@@ -649,7 +649,7 @@ pub struct ChannelHandle {
     /// Channel id.
     pub id: u32,
     /// The local node.
-    pub node: NodeAddr,
+    pub(crate) node: NodeAddr,
     /// The peer node.
     pub peer: NodeAddr,
 }
@@ -937,7 +937,7 @@ impl ChannelHandle {
 }
 
 /// Kernel handler: the peer closed its end.
-pub fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_close(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let chan = proto::seq_chan(f.seq);
     let Some((end, q)) = w.chan_queues(node, chan) else {
@@ -1065,7 +1065,7 @@ pub(crate) fn peer_rto_hint(w: &World, node: NodeAddr, peer: NodeAddr) -> Option
 /// point: `rx_next_frag` says which fragment is next in the stream, so
 /// anything earlier is re-acked without re-delivery and anything currently
 /// being copied (`accepting`) or deferred is dropped as a duplicate.
-pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bool) {
+pub(crate) fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame, last: bool) {
     let chan = proto::seq_chan(f.seq);
     let windowed = match w.chan(node, chan) {
         Some(end) => end.cfg.window > 1,
@@ -1220,7 +1220,7 @@ pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// The outstanding fragment was *received*, not lost: stop counting silence
 /// against the retry budget and restart the timer chain from zero — the
 /// stop-and-wait spelling of [`on_wack`]'s zero-credit branch.
-pub fn on_busy(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_busy(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let chan = proto::seq_chan(f.seq);
     let Some((end, q)) = w.chan_queues(node, chan) else {
         return;
@@ -1798,13 +1798,13 @@ pub struct ListenState {
     /// Registration acknowledged by the object manager.
     pub acked: bool,
     /// The registration request's token, kept for retransmission.
-    pub token: u64,
+    pub(crate) token: u64,
     /// The registration's retransmit chain, disarmed on `SERVE_ACK`.
-    pub chain: Chain,
+    pub(crate) chain: Chain,
     /// Accepted-but-unclaimed connections: `(channel id, client node)`.
-    pub pending: std::collections::VecDeque<(u32, NodeAddr)>,
+    pub(crate) pending: std::collections::VecDeque<(u32, NodeAddr)>,
     /// Processes blocked in `accept` (or awaiting the registration ack).
-    pub waiters: WaitSet,
+    pub(crate) waiters: WaitSet,
 }
 
 /// A server-side listening name. Every client `open` of the name yields a
@@ -1813,9 +1813,9 @@ pub struct ListenState {
 #[derive(Debug, Clone)]
 pub struct Listener {
     /// The server's node.
-    pub node: NodeAddr,
+    pub(crate) node: NodeAddr,
     /// The listening name.
-    pub name: Name,
+    pub(crate) name: Name,
 }
 
 /// Register `name` as a server name on `node` and wait until the object
@@ -1933,18 +1933,6 @@ impl Listener {
         api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
         ChannelHandle { id, node, peer }
     }
-
-    /// Connections waiting to be accepted (0 once the node has crashed).
-    pub fn backlog(&self, ctx: &VCtx) -> usize {
-        let node = self.node;
-        let name = self.name.clone();
-        ctx.with(move |w, _| {
-            w.listeners
-                .get(node, &name)
-                .map(|l| l.pending.len())
-                .unwrap_or(0)
-        })
-    }
 }
 
 impl World {
@@ -1956,7 +1944,7 @@ impl World {
 
 /// Kernel handler: the object manager acknowledged a listen registration.
 /// Duplicates (a retransmitted registration re-acked) are idempotent.
-pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let name = proto::parse_open_req(&f.payload);
     let Some((_, ls)) = w.listener_mut(node, name) else {
         return; // crash wiped the listener; stale ack
@@ -1969,7 +1957,7 @@ pub fn on_serve_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 /// Kernel handler: a client connected to a listening name — create the
 /// server-side end of the new channel and queue it for `accept`. Delivered
 /// reliably by the manager, so ack first, then deduplicate.
-pub fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_serve_conn(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (id, client, name) = proto::parse_open_rep(&f.payload);
     if w.chan_ends.contains(node, id) {
@@ -2168,24 +2156,6 @@ mod listen_tests {
             v.spawn(format!("n{n}:client"), move |ctx| {
                 let ch = open(&ctx, NodeAddr(n), "s");
                 ch.write(&ctx, Payload::copy_from(&[n as u8])).unwrap();
-            });
-        }
-        v.run_all();
-    }
-
-    #[test]
-    fn backlog_counts_unaccepted_connections() {
-        let mut v = VorxBuilder::single_cluster(4).build();
-        v.spawn("n1:server", |ctx| {
-            let l = listen(&ctx, NodeAddr(1), "b");
-            ctx.sleep(desim::SimDuration::from_ms(50));
-            assert_eq!(l.backlog(&ctx), 2);
-            let _ = l.accept(&ctx);
-            assert_eq!(l.backlog(&ctx), 1);
-        });
-        for n in 2..4u32 {
-            v.spawn(format!("n{n}:client"), move |ctx| {
-                let _ = open(&ctx, NodeAddr(n), "b");
             });
         }
         v.run_all();

@@ -106,80 +106,80 @@ pub struct CollNodeState {
     /// Next operation sequence number on this node. Members of a group call
     /// the same operations in the same program order, so sequence numbers
     /// align across the group without coordination.
-    pub next_cseq: u32,
+    pub(crate) next_cseq: u32,
     /// Processes blocked in a collective op on this node/group.
-    pub waiters: WaitSet,
+    pub(crate) waiters: WaitSet,
     /// The member-side in-flight operation, if any (ops block, so at most
     /// one per group per node).
-    pub pending: Option<PendingUp>,
+    pub(crate) pending: Option<PendingUp>,
     /// Latest completed `(sequence, result)` seen on this node.
-    pub completed: Option<(u32, u64)>,
+    pub(crate) completed: Option<(u32, u64)>,
     /// A `KIND_COLL_RETRY` that arrived before this member reached the
     /// operation it names: `(sequence, attempt)` to start from.
-    pub retry_hint: Option<(u32, u8)>,
+    pub(crate) retry_hint: Option<(u32, u8)>,
     /// Root side: per-`(sequence, attempt)` accumulated `(value, count)`.
-    pub accs: FixedMap<(u32, u8), (u64, u32)>,
+    pub(crate) accs: FixedMap<(u32, u8), (u64, u32)>,
     /// Root side: the in-flight operation this root is collecting.
-    pub root_pending: Option<RootPending>,
+    pub(crate) root_pending: Option<RootPending>,
     /// Root side: recently completed results, kept for `KIND_COLL_NUDGE`
     /// replay. A straggler can lag at most one full operation behind the
     /// root (every op is a full synchronization), so only the last two
     /// sequences are retained.
-    pub done: FixedMap<u32, (u64, CombOp, u32)>,
+    pub(crate) done: FixedMap<u32, (u64, CombOp, u32)>,
     /// All-to-all: the in-flight gather on this node.
-    pub a2a: Option<A2aPending>,
+    pub(crate) a2a: Option<A2aPending>,
     /// All-to-all: own `(sequence → value)` contributions, kept for
     /// `KIND_COLL_A2A_REQ` replay (last two sequences, same bound as
     /// `done`).
-    pub a2a_sent: FixedMap<u32, u64>,
+    pub(crate) a2a_sent: FixedMap<u32, u64>,
     /// All-to-all values that arrived before this node entered the
     /// operation, keyed by sequence.
-    pub a2a_early: FixedMap<u32, Vec<(u32, u64)>>,
+    pub(crate) a2a_early: FixedMap<u32, Vec<(u32, u64)>>,
 }
 
 /// A member's in-flight contribution awaiting its result.
 pub struct PendingUp {
     /// Operation sequence.
-    pub cseq: u32,
+    pub(crate) cseq: u32,
     /// Combining operation.
-    pub op: CombOp,
+    pub(crate) op: CombOp,
     /// This member's operand.
-    pub value: u64,
+    pub(crate) value: u64,
     /// Current attempt epoch (high-water: retries only move it up).
-    pub attempt: u8,
+    pub(crate) attempt: u8,
     /// The group root (result source, nudge target).
-    pub root: NodeAddr,
+    pub(crate) root: NodeAddr,
     /// The nudge chain.
-    pub chain: Chain,
+    pub(crate) chain: Chain,
 }
 
 /// The root's in-flight collection.
 pub struct RootPending {
     /// Operation sequence.
-    pub cseq: u32,
+    pub(crate) cseq: u32,
     /// Combining operation.
-    pub op: CombOp,
+    pub(crate) op: CombOp,
     /// The root's own operand (re-folded into every fresh attempt).
-    pub own: u64,
+    pub(crate) own: u64,
     /// Current attempt epoch.
-    pub attempt: u8,
+    pub(crate) attempt: u8,
     /// Full group size (completion threshold).
-    pub total: u32,
+    pub(crate) total: u32,
     /// Every member except the root (retry/result multicast targets): the
     /// group's own list.
-    pub others: Targets,
+    pub(crate) others: Targets,
     /// The retry chain.
-    pub chain: Chain,
+    pub(crate) chain: Chain,
 }
 
 /// One node's in-flight all-to-all gather.
 pub struct A2aPending {
     /// Operation sequence.
-    pub cseq: u32,
+    pub(crate) cseq: u32,
     /// Received values by member index (own slot filled at start).
-    pub vals: Vec<Option<u64>>,
+    pub(crate) vals: Vec<Option<u64>>,
     /// The recovery chain.
-    pub chain: Chain,
+    pub(crate) chain: Chain,
 }
 
 impl A2aPending {
@@ -310,16 +310,6 @@ pub fn attach(ctx: &VCtx, node: NodeAddr, group: u32) -> Collective {
 }
 
 impl Collective {
-    /// This member's index within the group (0 = root).
-    pub fn index(&self) -> usize {
-        self.idx
-    }
-
-    /// Number of members.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
     /// Block until every member has entered the barrier. In an in-network
     /// group a down node returns at once, entering nothing.
     pub fn barrier(&self, ctx: &VCtx) {
@@ -795,7 +785,7 @@ fn try_complete_root(
 
 /// Kernel handler: a (possibly fabric-merged) contribution reached the
 /// root. Fold it into its `(sequence, attempt)` accumulator.
-pub fn on_up(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
+pub(crate) fn on_up(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     let group = combine::seq_group(f.seq);
     let cseq = combine::seq_cseq(f.seq);
     let attempt = combine::seq_attempt(f.seq);
@@ -813,7 +803,7 @@ pub fn on_up(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
 }
 
 /// Kernel handler: the result came down from the root.
-pub fn on_result(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
+pub(crate) fn on_result(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     let group = combine::seq_group(f.seq);
     let cseq = combine::seq_cseq(f.seq);
     let Some((_, v, _)) = combine::unpack(&f.payload) else {
@@ -833,7 +823,7 @@ pub fn on_result(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
 /// Kernel handler: the root opened a fresh attempt epoch — re-send our
 /// contribution under it (members that haven't reached the operation yet
 /// stash the epoch and start from it directly).
-pub fn on_retry(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
+pub(crate) fn on_retry(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     let group = combine::seq_group(f.seq);
     let cseq = combine::seq_cseq(f.seq);
     let attempt = combine::seq_attempt(f.seq);
@@ -871,7 +861,7 @@ pub fn on_retry(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
 }
 
 /// Kernel handler (root side): a member wants the result replayed.
-pub fn on_nudge(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
+pub(crate) fn on_nudge(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     let group = combine::seq_group(f.seq);
     let cseq = combine::seq_cseq(f.seq);
     let from = f.src;
@@ -927,7 +917,7 @@ fn replay_a2a(w: &mut World, s: &mut VSched, node: NodeAddr, group: u32, cseq: u
 }
 
 /// Kernel handler: an all-to-all value arrived (broadcast or replay).
-pub fn on_a2a_val(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
+pub(crate) fn on_a2a_val(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     let group = combine::seq_group(f.seq);
     let cseq = combine::seq_cseq(f.seq);
     let (idx, v) = proto::parse_a2a(&f.payload);
@@ -949,7 +939,7 @@ pub fn on_a2a_val(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
 
 /// Kernel handler: replay our own all-to-all value to a requester that
 /// missed the broadcast.
-pub fn on_a2a_req(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
+pub(crate) fn on_a2a_req(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
     let group = combine::seq_group(f.seq);
     let cseq = combine::seq_cseq(f.seq);
     let req_idx = proto::parse_a2a_req(&f.payload) as usize;

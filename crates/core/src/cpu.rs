@@ -147,21 +147,21 @@ pub struct Cpu {
     /// this to learn how much they were preempted.
     sys_cum_ns: u64,
     /// Total user time charged, ns.
-    pub user_ns: u64,
+    pub(crate) user_ns: u64,
     /// Total system time charged, ns.
     pub system_ns: u64,
 }
 
 impl Cpu {
     /// A CPU idle since time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Reserve interrupt-priority work: starts no earlier than `now` nor
     /// before earlier *system* work completes (user compute is preempted,
     /// not waited for). Returns `(start, end)`.
-    pub fn reserve_system(&mut self, now: SimTime, d: SimDuration) -> (SimTime, SimTime) {
+    pub(crate) fn reserve_system(&mut self, now: SimTime, d: SimDuration) -> (SimTime, SimTime) {
         let start = self.sys_free_at.max(now);
         let end = start + d;
         self.sys_free_at = end;
@@ -173,7 +173,7 @@ impl Cpu {
     /// Begin a user burst of `d`: queues behind earlier user work and
     /// returns the tentative `(start, end)` — the caller extends `end` by
     /// whatever system work intrudes (see [`crate::api::compute`]).
-    pub fn begin_user(&mut self, now: SimTime, d: SimDuration) -> (SimTime, SimTime) {
+    pub(crate) fn begin_user(&mut self, now: SimTime, d: SimDuration) -> (SimTime, SimTime) {
         let start = self.user_free_at.max(now);
         let end = start + d;
         self.user_free_at = end;
@@ -183,18 +183,13 @@ impl Cpu {
 
     /// Push the user queue tail out to at least `end` (burst extension
     /// after preemption).
-    pub fn extend_user(&mut self, end: SimTime) {
+    pub(crate) fn extend_user(&mut self, end: SimTime) {
         self.user_free_at = self.user_free_at.max(end);
     }
 
     /// Cumulative system ns ever reserved (preemption bookkeeping).
     pub fn sys_cum_ns(&self) -> u64 {
         self.sys_cum_ns
-    }
-
-    /// When queued system work completes.
-    pub fn sys_free_at(&self) -> SimTime {
-        self.sys_free_at
     }
 
     /// Total busy time charged so far.

@@ -35,7 +35,7 @@ pub struct DbgProc {
     /// Currently stopped at a breakpoint: `(label, wait set)`.
     pub stopped_at: Option<String>,
     /// Processes (the stopped one) waiting for `continue`.
-    pub cont_waiters: WaitSet,
+    pub(crate) cont_waiters: WaitSet,
     /// Breakpoints hit so far.
     pub hits: u64,
 }

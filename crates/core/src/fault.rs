@@ -144,7 +144,7 @@ pub struct FaultState {
 
 impl FaultState {
     /// Wrap a schedule with zeroed statistics.
-    pub fn new(schedule: desim::FaultSchedule) -> Self {
+    pub(crate) fn new(schedule: desim::FaultSchedule) -> Self {
         let gray_armed = schedule.gray_possible();
         let track_latency = schedule.track_latency();
         FaultState {
@@ -229,7 +229,7 @@ pub fn reliable_send(w: &mut World, s: &mut VSched, frame: Frame) {
 /// [`reliable_send`] with an explicit base timeout — the membership layer's
 /// heartbeat probes derive theirs from the peer's RTT estimate instead of
 /// the fixed control-plane constant.
-pub fn reliable_send_with_timeout(
+pub(crate) fn reliable_send_with_timeout(
     w: &mut World,
     s: &mut VSched,
     frame: Frame,
@@ -294,7 +294,7 @@ impl Retry for CtlRetry {
 /// Receiver side of [`reliable_send`]: acknowledge receipt of control frame
 /// `f` at `node`. Handlers call this before deduplicating, so a dup (the
 /// first ack was lost) is re-acked.
-pub fn ack_ctl(w: &mut World, s: &mut VSched, node: NodeAddr, f: &Frame) {
+pub(crate) fn ack_ctl(w: &mut World, s: &mut VSched, node: NodeAddr, f: &Frame) {
     let ack = Frame::unicast(
         node,
         f.src,
@@ -307,7 +307,7 @@ pub fn ack_ctl(w: &mut World, s: &mut VSched, node: NodeAddr, f: &Frame) {
 
 /// Kernel handler: a control-frame ack arrived; stop retransmitting. An
 /// acked heartbeat beacon is the membership layer's reachability evidence.
-pub fn on_ctl_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_ctl_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     // Dropping the entry disarms its chain.
     if let Some(p) = w.take_ctl_unacked(node, f.seq) {
         if p.frame.kind == proto::KIND_HEARTBEAT {
@@ -459,7 +459,7 @@ pub fn on_restart(w: &mut World, s: &mut VSched, node: NodeAddr) {
 /// around the dead edge, and the partition-detection sweep is scheduled for
 /// any node pairs the failure disconnected. A physical cable cut is two
 /// directed links — inject both ids to model it.
-pub fn on_link_down(w: &mut World, s: &mut VSched, l: LinkId) {
+pub(crate) fn on_link_down(w: &mut World, s: &mut VSched, l: LinkId) {
     let now = kernel::now_ns(s);
     if w.net.is_link_down(l) {
         // Another down while the damper holds the link: not a state change,
@@ -496,7 +496,7 @@ pub fn on_link_down(w: &mut World, s: &mut VSched, l: LinkId) {
 /// *damped*: the up is suppressed and the link held down until it has been
 /// stable for [`FLAP_HOLD_NS`] (each further transition extends the hold), so
 /// the detour overlay and channel pause/resume stop thrashing.
-pub fn on_link_up(w: &mut World, s: &mut VSched, l: LinkId) {
+pub(crate) fn on_link_up(w: &mut World, s: &mut VSched, l: LinkId) {
     if !w.net.is_link_down(l) {
         return;
     }

@@ -139,13 +139,13 @@ pub const SERVICE_STUB: u32 = u32::MAX;
 #[derive(Debug)]
 pub struct Stub {
     /// Open descriptors (bounded by the SunOS limit).
-    pub fds_open: usize,
+    pub(crate) fds_open: usize,
     /// Total descriptors ever handed out (fd numbering).
-    pub next_fd: u32,
+    pub(crate) next_fd: u32,
     /// Queued syscall requests `(from, token, op)`.
-    pub queue: VecDeque<(NodeAddr, u64, SyscallOp)>,
+    pub(crate) queue: VecDeque<(NodeAddr, u64, SyscallOp)>,
     /// The token of the request being serviced (possibly blocked).
-    pub serving: Option<u64>,
+    pub(crate) serving: Option<u64>,
     /// Syscalls served (statistics).
     pub served: u64,
 }
@@ -205,7 +205,7 @@ pub fn create_stub(ctx: &VCtx, host_id: usize, serves: Vec<NodeAddr>) -> crate::
 /// Which host serves `node`'s syscalls (set when its stub was created, and
 /// gone when that host crashed), as the world at hand knows it: in a sharded
 /// build only a host on `node`'s own shard is found.
-pub fn host_of(w: &World, node: NodeAddr) -> Option<usize> {
+pub(crate) fn host_of(w: &World, node: NodeAddr) -> Option<usize> {
     (0..w.n_hosts).find(|&h| w.stub_of.contains(NodeAddr(h as u32), &node.0))
 }
 
@@ -262,7 +262,7 @@ fn forward(
 /// ([`syscall_on`]) makes the host's service stub, once per host life (no
 /// fork cost charged), here in the host's own world, and maps a caller with
 /// no home stub here to it; the reply path needs no table change.
-pub fn on_syscall_req(w: &mut World, s: &mut VSched, host: NodeAddr, f: Frame) {
+pub(crate) fn on_syscall_req(w: &mut World, s: &mut VSched, host: NodeAddr, f: Frame) {
     if f.kind == proto::KIND_SYSCALL_ON_REQ {
         w.node_mut(host);
         w.stubs.get_or_insert_with(host, SERVICE_STUB, Stub::new);
@@ -359,7 +359,7 @@ fn finish_syscall(
 }
 
 /// Kernel handler: a syscall reply arrived back at the node.
-pub fn on_syscall_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_syscall_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     answer_syscall(w, s, node, f.seq, Ok(parse_ret(&f.payload)));
 }
 
@@ -384,7 +384,7 @@ pub(crate) fn answer_syscall(
 // ---------------------------------------------------------------------------
 
 /// Chunk size for program-text transfer: one hardware frame.
-pub const DL_CHUNK: u32 = 1024;
+pub(crate) const DL_CHUNK: u32 = 1024;
 
 fn n_chunks(text_bytes: u32) -> u32 {
     text_bytes.div_ceil(DL_CHUNK)
@@ -664,8 +664,8 @@ pub fn syscall_on(
     forward(ctx, node, Some(host_id), op)
 }
 
-/// Issue a system call load-balanced across every host workstation:
-/// deterministic spread by node address and a per-call counter. Fails like
+/// Issue a system call load-balanced across every host workstation (the
+/// decentralized scheme §3.3 names as future work): deterministic spread by node address and a per-call counter. Fails like
 /// [`syscall`].
 pub fn syscall_any(
     ctx: &VCtx,

@@ -16,7 +16,7 @@ use crate::world::{VSched, World};
 use crate::{channel, host, objmgr, proto, udco};
 
 /// Current time as raw ns (the fabric's clock unit).
-pub fn now_ns(s: &VSched) -> u64 {
+pub(crate) fn now_ns(s: &VSched) -> u64 {
     s.now().as_ns()
 }
 
@@ -24,7 +24,7 @@ pub fn now_ns(s: &VSched) -> u64 {
 /// register is free (and nothing is queued ahead), injection happens
 /// immediately; otherwise the kernel holds the frame and refills the
 /// register from the transmit-complete interrupt.
-pub fn send_frame(w: &mut World, s: &mut VSched, frame: Frame) {
+pub(crate) fn send_frame(w: &mut World, s: &mut VSched, frame: Frame) {
     let src = frame.src;
     if can_inject(w, src) {
         inject(w, s, frame);
@@ -37,7 +37,7 @@ pub fn send_frame(w: &mut World, s: &mut VSched, frame: Frame) {
 /// True iff a user-level sender could inject a frame right now (hardware
 /// register free — fabric or shard bridge — and no kernel frames queued
 /// ahead).
-pub fn can_inject(w: &World, a: NodeAddr) -> bool {
+pub(crate) fn can_inject(w: &World, a: NodeAddr) -> bool {
     w.net.can_send(a) && !w.shard.tx_busy(a) && !w.tx_q.holds(a)
 }
 
@@ -344,7 +344,7 @@ fn dispatch(w: &mut World, s: &mut VSched, a: NodeAddr, f: Frame) {
 }
 
 /// Re-dispatch frames that arrived for a channel before its end existed.
-pub fn drain_orphans(w: &mut World, s: &mut VSched, a: NodeAddr, chan: u32) {
+pub(crate) fn drain_orphans(w: &mut World, s: &mut VSched, a: NodeAddr, chan: u32) {
     let mine = w.orphans.take_if(a, |f| proto::seq_chan(f.seq) == chan);
     for f in mine {
         dispatch(w, s, a, f);

@@ -40,6 +40,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 // Recovery-aware kernel code must degrade, not die: every `unwrap` on a
 // public API path is a latent panic under fault injection. Tests may still

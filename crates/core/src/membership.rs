@@ -115,7 +115,7 @@ fn probe_timeout_ns(w: &World, node: NodeAddr, peer: NodeAddr) -> u64 {
 
 /// Kernel handler: a heartbeat beacon arrived. Liveness evidence is the
 /// control-plane ack itself; nothing else to do.
-pub fn on_heartbeat(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_heartbeat(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
 }
 
@@ -141,7 +141,7 @@ pub fn on_probe_ack(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAdd
 /// Our beacon's retry budget exhausted: the peer is unreachable. Partitioned
 /// if it is still up; ordinary PR 2 peer-down semantics if it crashed while
 /// the probe was out.
-pub fn on_probe_failed(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
+pub(crate) fn on_probe_failed(w: &mut World, s: &mut VSched, node: NodeAddr, peer: NodeAddr) {
     if w.mbr.probing.remove(node, &peer.0).is_none() {
         return;
     }
@@ -225,7 +225,7 @@ pub fn schedule_partition_sweep(w: &mut World, s: &mut VSched) {
 /// can connect again, resume their paused transfers over the restored
 /// route, and run the object manager's anti-entropy reconciliation so
 /// registrations accepted on either side of the partition converge.
-pub fn on_heal(w: &mut World, s: &mut VSched) {
+pub(crate) fn on_heal(w: &mut World, s: &mut VSched) {
     let mut healed = false;
     for a in 0..w.nodes.len() {
         let na = NodeAddr(a as u32);

@@ -34,16 +34,16 @@ use crate::world::{CallState, VCtx, VSched, World};
 #[derive(Debug, Default)]
 pub struct McastEnd {
     /// Per-sender reassembly of fragmented multicast writes.
-    pub asm: desim::FixedMap<u32, crate::channel::PayloadAsm>,
+    pub(crate) asm: desim::FixedMap<u32, crate::channel::PayloadAsm>,
     /// Delivered messages awaiting [`mread`].
-    pub rx: VecDeque<(NodeAddr, Payload)>,
+    pub(crate) rx: VecDeque<(NodeAddr, Payload)>,
     /// Processes blocked in [`mread`].
-    pub rx_waiters: WaitSet,
+    pub(crate) rx_waiters: WaitSet,
     /// Messages received (statistics).
-    pub msgs_rx: u64,
+    pub(crate) msgs_rx: u64,
     /// Payload bytes received (statistics — the §4.2 "data that it is not
     /// concerned with" accounting).
-    pub bytes_rx: u64,
+    pub(crate) bytes_rx: u64,
 }
 
 /// Join multicast group `gid` on `node` (receiver side). Frames that
@@ -149,8 +149,8 @@ pub fn mread(ctx: &VCtx, node: NodeAddr, gid: u16) -> (NodeAddr, Payload) {
     (src, payload)
 }
 
-/// The recommended alternative for small fan-outs: issue ordinary channel
-/// writes to each receiver in turn.
+/// The recommended alternative for small fan-outs (§4.2): issue ordinary
+/// channel writes to each receiver in turn.
 pub fn multi_write(
     ctx: &VCtx,
     chans: &[ChannelHandle],
@@ -163,7 +163,7 @@ pub fn multi_write(
 }
 
 /// Kernel handler: multicast data arrived at a receiver.
-pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let gid = (f.seq >> 48) as u16;
     if !w.mcast.contains(node, &gid) {
         w.orphans.push(node, f);
@@ -200,7 +200,7 @@ pub fn on_data(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 }
 
 /// Kernel handler: a multicast ack arrived back at the writer.
-pub fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_ack(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let seq = f.seq & 0x0000_FFFF_FFFF_FFFF;
     // A crash may have wiped the write: a stale (or delayed) ack.
     w.answer(s, node, seq, |c| {

@@ -161,7 +161,7 @@ impl fmt::Debug for Name {
 
 /// The key of a name in [`Managers::pending`] and [`Managers::servers`]:
 /// a channel and a UDCO of one name are different objects.
-pub type MgrKey = (proto::ObjKind, Name);
+pub(crate) type MgrKey = (proto::ObjKind, Name);
 
 /// A node's object-manager counters.
 #[derive(Debug, Default)]
@@ -169,7 +169,7 @@ pub struct MgrState {
     /// Requests this manager has served (load statistics for E-OPEN).
     pub served: u64,
     /// Rows the manager holds in [`Managers::seen`].
-    pub seen: u32,
+    pub(crate) seen: u32,
 }
 
 /// Every node's object-manager tables (every node can serve opens).
@@ -192,17 +192,17 @@ pub struct Managers {
     /// few timeouts of the original, so the window only needs to cover
     /// requests still in flight — a manager that served millions of opens
     /// must not hold memory for all of them.
-    pub seen: Table<(u32, u64), ()>,
+    pub(crate) seen: Table<(u32, u64), ()>,
 }
 
 /// Bound on the per-manager duplicate-suppression window (`Managers::seen`).
 /// Large enough that every request with a live retransmit chain stays
 /// remembered, small enough that dedup state cannot grow with workload age.
-pub const SEEN_CAP: usize = 4096;
+pub(crate) const SEEN_CAP: usize = 4096;
 
 /// Record `key` in manager `mgr`'s duplicate-suppression window, evicting
 /// the oldest entry beyond [`SEEN_CAP`]. Returns `true` when the key is new.
-pub fn note_seen(w: &mut World, mgr: NodeAddr, key: (u32, u64)) -> bool {
+pub(crate) fn note_seen(w: &mut World, mgr: NodeAddr, key: (u32, u64)) -> bool {
     let seen = &mut w.managers.seen;
     if seen.contains(mgr, &key) {
         return false;
@@ -284,7 +284,7 @@ fn push_replica(
 /// successor. Idempotent — the home serializes registrations and both the
 /// original push and anti-entropy re-pushes carry the same server, so the
 /// first write wins and repeats are no-ops.
-pub fn on_repl_reg(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_repl_reg(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let (kind, server, name) = proto::parse_repl_reg(&f.payload);
     let servers = &mut w.managers.servers;
@@ -402,7 +402,7 @@ pub(crate) fn anti_entropy(w: &mut World, s: &mut VSched) {
 }
 
 /// Kernel handler: an open request reached its manager node.
-pub fn on_open_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
+pub(crate) fn on_open_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
     // Acknowledge receipt immediately with `OPEN_QUEUED` so the requester's
     // retransmit chain stops; the eventual `OPEN_REP` is delivered reliably
     // on its own. Plain send: if the `OPEN_QUEUED` is lost, the requester's
@@ -484,7 +484,7 @@ fn serve_open(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
 
 /// Kernel handler: a server registration reached its manager node. Matches
 /// any clients already queued for the name, then acknowledges.
-pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
+pub(crate) fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
     let cost = SimDuration::from_ns(w.calib.objmgr_service_ns);
     let now = s.now();
     let end = w.charge(now, mgr, CpuCat::System, cost);
@@ -553,7 +553,7 @@ pub fn on_serve_req(w: &mut World, s: &mut VSched, mgr: NodeAddr, f: Frame) {
 /// Kernel handler: an open reply reached the requesting node. Delivered
 /// reliably by the manager, so ack first, then deduplicate against the
 /// pending-open table.
-pub fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_open_rep(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     crate::fault::ack_ctl(w, s, node, &f);
     let token = f.seq;
     match w.open_mut(node, token) {
@@ -596,7 +596,7 @@ fn fail_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: u64) {
 /// Kernel handler: the manager acknowledged queueing our open request —
 /// stop the request's retransmit chain. (Loss of this frame is healed by
 /// the next retransmission; the manager re-acks duplicates.)
-pub fn on_open_queued(w: &mut World, _s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_open_queued(w: &mut World, _s: &mut VSched, node: NodeAddr, f: Frame) {
     if let Some(OpenResult::Pending { queued, chain, .. }) = w.open_mut(node, f.seq) {
         *queued = true;
         chain.disarm();
@@ -708,7 +708,7 @@ pub(crate) fn resend_open(w: &mut World, s: &mut VSched, node: NodeAddr, token: 
 /// second image allocation to a process that parks deeper here than at its
 /// first park.
 #[inline]
-pub fn rendezvous(
+pub(crate) fn rendezvous(
     ctx: &VCtx,
     node: NodeAddr,
     name: &str,

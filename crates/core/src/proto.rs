@@ -43,24 +43,24 @@ impl<const N: usize> BufMut for StackBuf<N> {
 }
 
 /// Channel data fragment; more fragments of the same write follow.
-pub const KIND_CHAN_DATA: u16 = 1;
+pub(crate) const KIND_CHAN_DATA: u16 = 1;
 /// Final (or only) fragment of a channel write.
-pub const KIND_CHAN_DATA_LAST: u16 = 2;
+pub(crate) const KIND_CHAN_DATA_LAST: u16 = 2;
 /// Kernel-level channel acknowledgement (stop-and-wait).
-pub const KIND_CHAN_ACK: u16 = 3;
+pub(crate) const KIND_CHAN_ACK: u16 = 3;
 /// Channel-open request to an object manager.
-pub const KIND_OPEN_REQ: u16 = 4;
+pub(crate) const KIND_OPEN_REQ: u16 = 4;
 /// Channel-open reply from an object manager.
-pub const KIND_OPEN_REP: u16 = 5;
+pub(crate) const KIND_OPEN_REP: u16 = 5;
 /// Forwarded UNIX system call from a node process to its host stub.
-pub const KIND_SYSCALL_REQ: u16 = 6;
+pub(crate) const KIND_SYSCALL_REQ: u16 = 6;
 /// System-call result from the stub back to the node.
-pub const KIND_SYSCALL_REP: u16 = 7;
+pub(crate) const KIND_SYSCALL_REP: u16 = 7;
 /// A `KIND_SYSCALL_REQ` directed at a host's service stub (`host::syscall_on`).
-pub const KIND_SYSCALL_ON_REQ: u16 = 8;
+pub(crate) const KIND_SYSCALL_ON_REQ: u16 = 8;
 /// First user-defined communications object tag. Frame kind for UDCO tag
 /// `t` is `KIND_UDCO_BASE + t`.
-pub const KIND_UDCO_BASE: u16 = 0x100;
+pub(crate) const KIND_UDCO_BASE: u16 = 0x100;
 
 /// Pack a channel id and fragment number into a frame `seq`.
 pub fn chan_seq(chan: u32, frag: u32) -> u64 {
@@ -68,12 +68,12 @@ pub fn chan_seq(chan: u32, frag: u32) -> u64 {
 }
 
 /// Extract the channel id from a frame `seq`.
-pub fn seq_chan(seq: u64) -> u32 {
+pub(crate) fn seq_chan(seq: u64) -> u32 {
     (seq >> 32) as u32
 }
 
 /// Extract the fragment number from a frame `seq`.
-pub fn seq_frag(seq: u64) -> u32 {
+pub(crate) fn seq_frag(seq: u64) -> u32 {
     seq as u32
 }
 
@@ -106,7 +106,7 @@ impl ObjKind {
 }
 
 /// Encode an open-request payload (object kind + name).
-pub fn pack_open_req_kind(kind: ObjKind, name: &str) -> Payload {
+pub(crate) fn pack_open_req_kind(kind: ObjKind, name: &str) -> Payload {
     let mut b = NamedBuf::new();
     b.put_u8(kind.to_byte());
     b.put_slice(name.as_bytes());
@@ -114,7 +114,7 @@ pub fn pack_open_req_kind(kind: ObjKind, name: &str) -> Payload {
 }
 
 /// Encode a channel open-request payload.
-pub fn pack_open_req(name: &str) -> Payload {
+pub(crate) fn pack_open_req(name: &str) -> Payload {
     pack_open_req_kind(ObjKind::Channel, name)
 }
 
@@ -124,13 +124,13 @@ fn name_in(bytes: &[u8]) -> &str {
 }
 
 /// Decode an open-request payload into `(kind, name)`.
-pub fn parse_open_req_kind(p: &Payload) -> (ObjKind, &str) {
+pub(crate) fn parse_open_req_kind(p: &Payload) -> (ObjKind, &str) {
     let b = p.bytes().expect("open request must carry the name");
     (ObjKind::from_byte(b[0]), name_in(&b[1..]))
 }
 
 /// Decode an open-request payload, ignoring the object kind.
-pub fn parse_open_req(p: &Payload) -> &str {
+pub(crate) fn parse_open_req(p: &Payload) -> &str {
     parse_open_req_kind(p).1
 }
 
@@ -138,7 +138,7 @@ pub fn parse_open_req(p: &Payload) -> &str {
 /// the name (kept so the receiving kernel can label the end for `cdb`).
 /// Peer addresses are 32-bit on the wire (million-endpoint worlds outgrew
 /// u16 node ids).
-pub fn pack_open_rep_kind(kind: ObjKind, id: u32, peer: NodeAddr, name: &str) -> Payload {
+pub(crate) fn pack_open_rep_kind(kind: ObjKind, id: u32, peer: NodeAddr, name: &str) -> Payload {
     let mut b = NamedBuf::new();
     b.put_u8(kind.to_byte());
     b.put_u32(id);
@@ -147,13 +147,8 @@ pub fn pack_open_rep_kind(kind: ObjKind, id: u32, peer: NodeAddr, name: &str) ->
     b.finish()
 }
 
-/// Encode a channel open-reply payload.
-pub fn pack_open_rep(chan: u32, peer: NodeAddr, name: &str) -> Payload {
-    pack_open_rep_kind(ObjKind::Channel, chan, peer, name)
-}
-
 /// Decode an open-reply payload into `(kind, id, peer, name)`.
-pub fn parse_open_rep_kind(p: &Payload) -> (ObjKind, u32, NodeAddr, &str) {
+pub(crate) fn parse_open_rep_kind(p: &Payload) -> (ObjKind, u32, NodeAddr, &str) {
     let b = p.bytes().expect("open reply carries data");
     assert!(b.len() >= 9, "short open reply");
     let kind = ObjKind::from_byte(b[0]);
@@ -163,40 +158,40 @@ pub fn parse_open_rep_kind(p: &Payload) -> (ObjKind, u32, NodeAddr, &str) {
 }
 
 /// Decode a channel open-reply payload.
-pub fn parse_open_rep(p: &Payload) -> (u32, NodeAddr, &str) {
+pub(crate) fn parse_open_rep(p: &Payload) -> (u32, NodeAddr, &str) {
     let (kind, id, peer, name) = parse_open_rep_kind(p);
     assert_eq!(kind, ObjKind::Channel, "expected a channel reply");
     (id, peer, name)
 }
 
 /// Flow-controlled multicast data (§4.2).
-pub const KIND_MCAST_DATA: u16 = 9;
+pub(crate) const KIND_MCAST_DATA: u16 = 9;
 /// Multicast per-destination acknowledgement.
-pub const KIND_MCAST_ACK: u16 = 10;
+pub(crate) const KIND_MCAST_ACK: u16 = 10;
 
 /// Channel close notification (§4: channels are dynamically destroyed).
-pub const KIND_CHAN_CLOSE: u16 = 11;
+pub(crate) const KIND_CHAN_CLOSE: u16 = 11;
 /// Server listen registration at the object manager (§4 name reuse).
-pub const KIND_SERVE_REQ: u16 = 12;
+pub(crate) const KIND_SERVE_REQ: u16 = 12;
 /// Manager acknowledgement of a listen registration.
-pub const KIND_SERVE_ACK: u16 = 13;
+pub(crate) const KIND_SERVE_ACK: u16 = 13;
 /// Manager notification to a server: a client connected (new channel).
-pub const KIND_SERVE_CONN: u16 = 14;
+pub(crate) const KIND_SERVE_CONN: u16 = 14;
 
 /// Final fragment of a multicast write (non-final fragments use
 /// `KIND_MCAST_DATA`).
-pub const KIND_MCAST_DATA_LAST: u16 = 15;
+pub(crate) const KIND_MCAST_DATA_LAST: u16 = 15;
 
 /// Manager acknowledgement that an open request has been queued; the
 /// requester stops retransmitting the request and parks until the reply.
-pub const KIND_OPEN_QUEUED: u16 = 16;
+pub(crate) const KIND_OPEN_QUEUED: u16 = 16;
 /// Receiver-side "side buffers full" notification: the fragment was
 /// deferred, not lost, so the sender must not count ack silence against its
 /// retry budget.
-pub const KIND_CHAN_BUSY: u16 = 17;
+pub(crate) const KIND_CHAN_BUSY: u16 = 17;
 /// Acknowledgement for a reliably-delivered control frame (open replies,
 /// connect notifications, closes). `seq` echoes the control frame's key.
-pub const KIND_CTL_ACK: u16 = 18;
+pub(crate) const KIND_CTL_ACK: u16 = 18;
 
 /// Windowed-mode channel acknowledgement (`chan_window > 1` only): the
 /// `seq`'s fragment field carries the cumulative ack (highest fragment
@@ -217,7 +212,7 @@ pub fn pack_wack(sack: u32, credit: u32) -> Payload {
 }
 
 /// Decode a windowed ack payload into `(sack bitmap, credit)`.
-pub fn parse_wack(p: &Payload) -> (u32, u32) {
+pub(crate) fn parse_wack(p: &Payload) -> (u32, u32) {
     let b = p.bytes().expect("windowed ack carries data");
     assert!(b.len() >= 8, "short windowed ack");
     (
@@ -234,7 +229,7 @@ pub const KIND_HEARTBEAT: u16 = 20;
 /// Replicated server registration: the hash-home object manager mirrors each
 /// registered name to its successor replica (and anti-entropy pushes mirror
 /// in both directions after a partition heals).
-pub const KIND_REPL_REG: u16 = 21;
+pub(crate) const KIND_REPL_REG: u16 = 21;
 
 /// In-network collective contribution, combinable inside the fabric: a
 /// member's operand headed up to the group root. The payload is the
@@ -246,7 +241,7 @@ pub const KIND_COLL_UP: u16 = 23;
 /// Collective result from the root back to the members, down the hardware
 /// multicast path. Doubles as the completion acknowledgement: a member that
 /// holds the result knows its contribution was counted.
-pub const KIND_COLL_RESULT: u16 = 24;
+pub(crate) const KIND_COLL_RESULT: u16 = 24;
 /// Root-driven retry: the combining window closed without the full group
 /// arriving, so the root opens a fresh *attempt* epoch. Members re-send
 /// their operand under the new attempt; stale partials from the previous
@@ -258,26 +253,26 @@ pub const KIND_COLL_RETRY: u16 = 25;
 pub const KIND_COLL_NUDGE: u16 = 26;
 /// All-to-all value broadcast: one member's `(index, value)` pair,
 /// hardware-multicast to every other member.
-pub const KIND_COLL_A2A: u16 = 27;
+pub(crate) const KIND_COLL_A2A: u16 = 27;
 /// All-to-all recovery request: the requester is missing the addressee's
 /// value for the current operation and asks for a unicast replay.
-pub const KIND_COLL_A2A_REQ: u16 = 28;
+pub(crate) const KIND_COLL_A2A_REQ: u16 = 28;
 /// All-to-all recovery replay: a unicast `(index, value)` pair answering a
 /// `KIND_COLL_A2A_REQ`.
-pub const KIND_COLL_A2A_VAL: u16 = 29;
+pub(crate) const KIND_COLL_A2A_VAL: u16 = 29;
 
 /// True iff `kind` is lowest-priority, fully-retransmittable channel data —
 /// the only traffic class the fabric may shed under an overload byte budget.
 /// Everything else (acks, opens, control, heartbeats, UDCO) is never shed:
 /// shedding is safe exactly where the stop-and-wait/window retry protocols
 /// already recover from loss.
-pub fn is_sheddable_kind(kind: u16) -> bool {
+pub(crate) fn is_sheddable_kind(kind: u16) -> bool {
     kind == KIND_CHAN_DATA || kind == KIND_CHAN_DATA_LAST
 }
 
 /// Encode a replica registration (`KIND_REPL_REG`): object kind + the
 /// registered server's address + the name.
-pub fn pack_repl_reg(kind: ObjKind, server: NodeAddr, name: &str) -> Payload {
+pub(crate) fn pack_repl_reg(kind: ObjKind, server: NodeAddr, name: &str) -> Payload {
     let mut b = NamedBuf::new();
     b.put_u8(kind.to_byte());
     b.put_u32(server.0);
@@ -286,7 +281,7 @@ pub fn pack_repl_reg(kind: ObjKind, server: NodeAddr, name: &str) -> Payload {
 }
 
 /// Decode a replica registration into `(kind, server, name)`.
-pub fn parse_repl_reg(p: &Payload) -> (ObjKind, NodeAddr, &str) {
+pub(crate) fn parse_repl_reg(p: &Payload) -> (ObjKind, NodeAddr, &str) {
     let b = p.bytes().expect("replica registration carries data");
     assert!(b.len() >= 5, "short replica registration");
     (
@@ -297,7 +292,7 @@ pub fn parse_repl_reg(p: &Payload) -> (ObjKind, NodeAddr, &str) {
 }
 
 /// Encode an all-to-all value payload: member index + 64-bit value.
-pub fn pack_a2a(idx: u32, value: u64) -> Payload {
+pub(crate) fn pack_a2a(idx: u32, value: u64) -> Payload {
     let mut b = StackBuf::<12>::new();
     b.put_u32(idx);
     b.put_u64(value);
@@ -305,7 +300,7 @@ pub fn pack_a2a(idx: u32, value: u64) -> Payload {
 }
 
 /// Decode an all-to-all value payload into `(index, value)`.
-pub fn parse_a2a(p: &Payload) -> (u32, u64) {
+pub(crate) fn parse_a2a(p: &Payload) -> (u32, u64) {
     let b = p.bytes().expect("a2a value carries data");
     let mut i = [0u8; 4];
     i.copy_from_slice(&b[..4]);
@@ -315,14 +310,14 @@ pub fn parse_a2a(p: &Payload) -> (u32, u64) {
 }
 
 /// Encode an all-to-all recovery request: the requester's member index.
-pub fn pack_a2a_req(idx: u32) -> Payload {
+pub(crate) fn pack_a2a_req(idx: u32) -> Payload {
     let mut b = StackBuf::<4>::new();
     b.put_u32(idx);
     b.finish()
 }
 
 /// Decode an all-to-all recovery request into the requester's index.
-pub fn parse_a2a_req(p: &Payload) -> u32 {
+pub(crate) fn parse_a2a_req(p: &Payload) -> u32 {
     let b = p.bytes().expect("a2a request carries the requester index");
     let mut i = [0u8; 4];
     i.copy_from_slice(&b[..4]);
@@ -348,7 +343,7 @@ mod tests {
 
     #[test]
     fn open_rep_round_trip() {
-        let p = pack_open_rep(7, NodeAddr(300), "pipe");
+        let p = pack_open_rep_kind(ObjKind::Channel, 7, NodeAddr(300), "pipe");
         assert_eq!(parse_open_rep(&p), (7, NodeAddr(300), "pipe"));
     }
 

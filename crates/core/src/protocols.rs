@@ -7,9 +7,9 @@
 //! [`sliding_window`] is the exact benchmark protocol of Table 1
 //! ("reader-active"): the receiver pre-issues `k` buffer-available messages
 //! and sends one more for every message it consumes; the sender keeps a
-//! credit count and transmits whenever it is positive. [`no_flow`] is the
-//! §4.1 raw-stream technique (bitmap transmission, parallel SPICE): the
-//! only flow control is the HPC hardware's.
+//! credit count and transmits whenever it is positive. The other technique,
+//! no flow control at all, is what the bitmap and parallel-SPICE apps do
+//! over raw-mode UDCOs (`vorx_apps::{bitmap, spice}`).
 
 use hpcnet::{NodeAddr, Payload};
 
@@ -87,35 +87,10 @@ pub mod sliding_window {
     }
 }
 
-/// No-flow-control streaming (§4.1): blast frames; only the hardware's own
-/// flow control paces the sender.
-pub mod no_flow {
-    use super::*;
-
-    /// Send `n_msgs` messages of `msg_len` bytes to `dst` as fast as the
-    /// hardware accepts them.
-    pub fn stream(ctx: &VCtx, node: NodeAddr, dst: NodeAddr, tag: u16, n_msgs: u64, msg_len: u32) {
-        for i in 0..n_msgs {
-            udco::send(ctx, node, dst, tag, i, Payload::Synthetic(msg_len));
-        }
-    }
-
-    /// Receive `n_msgs` messages on `tag`, returning the total payload bytes.
-    pub fn sink(ctx: &VCtx, node: NodeAddr, tag: u16, n_msgs: u64) -> u64 {
-        let mut total = 0u64;
-        for _ in 0..n_msgs {
-            let m = udco::recv(ctx, node, tag);
-            total += u64::from(m.payload.len());
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::sliding_window::{receiver, sender, SwParams};
     use super::*;
-    use crate::udco::UdcoMode;
     use crate::world::VorxBuilder;
     use desim::SimDuration;
 
@@ -155,20 +130,5 @@ mod tests {
         let t8 = run_sw(8, 4, 200);
         assert!(t2 < t1, "2 buffers ({t2}) should beat 1 ({t1})");
         assert!(t8 < t2, "8 buffers ({t8}) should beat 2 ({t2})");
-    }
-
-    #[test]
-    fn no_flow_stream_delivers_everything() {
-        let mut v = VorxBuilder::single_cluster(2).trace(false).build();
-        v.spawn("n0:src", |ctx| {
-            udco::register(&ctx, NodeAddr(0), 7, UdcoMode::Interrupt);
-            no_flow::stream(&ctx, NodeAddr(0), NodeAddr(1), 7, 100, 1024);
-        });
-        v.spawn("n1:sink", |ctx| {
-            udco::register(&ctx, NodeAddr(1), 7, UdcoMode::Interrupt);
-            let total = no_flow::sink(&ctx, NodeAddr(1), 7, 100);
-            assert_eq!(total, 100 * 1024);
-        });
-        v.run_all();
     }
 }

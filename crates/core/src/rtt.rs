@@ -54,11 +54,6 @@ impl RttEstimator {
         self.srtt_ns
     }
 
-    /// Round-trip variance estimate, ns.
-    pub fn rttvar_ns(&self) -> u64 {
-        self.rttvar_ns
-    }
-
     /// Samples folded in so far.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -86,7 +81,6 @@ mod tests {
         assert_eq!(e.rto_ns(0, u64::MAX), None);
         e.sample(8_000);
         assert_eq!(e.srtt_ns(), 8_000);
-        assert_eq!(e.rttvar_ns(), 4_000);
         assert_eq!(e.rto_ns(0, u64::MAX), Some(24_000));
     }
 
@@ -97,7 +91,6 @@ mod tests {
             e.sample(10_000);
         }
         assert_eq!(e.srtt_ns(), 10_000);
-        assert_eq!(e.rttvar_ns(), 0, "constant RTT drives variance to zero");
         // Which is exactly why the floor clamp exists.
         assert_eq!(e.rto_ns(5_000, u64::MAX), Some(10_000));
         assert_eq!(e.rto_ns(20_000, u64::MAX), Some(20_000));

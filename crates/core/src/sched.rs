@@ -30,7 +30,7 @@ use crate::world::{VCtx, VSched, World};
 
 /// State of one subprocess.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpState {
+pub(crate) enum SpState {
     /// Waiting to be scheduled.
     Ready,
     /// The scheduled subprocess of its node.
@@ -75,7 +75,7 @@ pub struct SchedState {
     current: Option<u32>,
     next_seq: u64,
     /// Semaphores on this node.
-    pub sems: Vec<SpSem>,
+    pub(crate) sems: Vec<SpSem>,
     /// Context switches performed (statistics for E-CTX).
     pub switches: u64,
 }
@@ -90,30 +90,15 @@ impl SchedState {
             .max_by_key(|(_, sp)| (sp.prio, std::cmp::Reverse(sp.seq)))
             .map(|(i, _)| i as u32)
     }
-
-    /// Number of registered subprocesses.
-    pub fn len(&self) -> usize {
-        self.subprocs.len()
-    }
-
-    /// True iff no subprocess is registered.
-    pub fn is_empty(&self) -> bool {
-        self.subprocs.is_empty()
-    }
-
-    /// Current scheduled subprocess, if any.
-    pub fn current(&self) -> Option<u32> {
-        self.current
-    }
 }
 
 /// Handle to a subprocess, passed to its body.
 #[derive(Debug, Clone, Copy)]
 pub struct SubprocHandle {
     /// The node this subprocess runs on.
-    pub node: NodeAddr,
+    pub(crate) node: NodeAddr,
     /// Index within the node's scheduler.
-    pub idx: u32,
+    pub(crate) idx: u32,
 }
 
 /// If nothing is scheduled, dispatch the best ready subprocess, charging the
@@ -196,7 +181,7 @@ where
 
 impl SubprocHandle {
     /// Compute for `d` of user time while scheduled (not preemptible).
-    pub fn compute(&self, ctx: &VCtx, d: SimDuration) {
+    pub(crate) fn compute(&self, ctx: &VCtx, d: SimDuration) {
         let h = *self;
         debug_assert!(ctx.with(move |w, _| w.node(h.node).sched().current == Some(h.idx)));
         api::compute(ctx, self.node, CpuCat::User, d);
@@ -204,7 +189,7 @@ impl SubprocHandle {
 
     /// Compute for `total`, yielding the CPU every `quantum` so that
     /// higher-priority subprocesses can preempt (the timer-tick model of
-    /// the preemptive scheduler).
+    /// §5's preemptive scheduler).
     pub fn compute_sliced(&self, ctx: &VCtx, total: SimDuration, quantum: SimDuration) {
         assert!(!quantum.is_zero(), "quantum must be positive");
         let mut left = total;
@@ -218,7 +203,7 @@ impl SubprocHandle {
 
     /// Voluntarily yield: if an equal-or-higher-priority subprocess is
     /// ready, switch to it (charging the switch); otherwise continue.
-    pub fn yield_now(&self, ctx: &VCtx) {
+    pub(crate) fn yield_now(&self, ctx: &VCtx) {
         let h = *self;
         let switched = ctx.with(move |w, s| {
             let st = &mut w.node_mut(h.node).sched_mut();
@@ -257,7 +242,7 @@ impl SubprocHandle {
         clippy::disallowed_methods,
         reason = "a subprocess switch is charged at dispatch, not on resume"
     )]
-    pub fn block(&self, ctx: &VCtx, reason: BlockReason) {
+    pub(crate) fn block(&self, ctx: &VCtx, reason: BlockReason) {
         let h = *self;
         ctx.with(move |w, s| {
             let now = s.now();
@@ -319,7 +304,7 @@ pub fn create_sem(ctx: &VCtx, node: NodeAddr, initial: i64) -> usize {
 
 /// Event-context V operation (e.g. from an interrupt handler). Returns true
 /// iff the caller subprocess (`from`) was preempted.
-pub fn sem_v_in(
+pub(crate) fn sem_v_in(
     w: &mut World,
     s: &mut VSched,
     node: NodeAddr,

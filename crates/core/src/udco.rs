@@ -56,18 +56,16 @@ pub struct UdcoMsg {
 /// Kernel-side state of one user-defined communications object.
 #[derive(Debug)]
 pub struct Udco {
-    /// The object's tag.
-    pub tag: u16,
     /// Receive discipline.
-    pub mode: UdcoMode,
+    pub(crate) mode: UdcoMode,
     /// Received messages not yet consumed.
     pub rx: VecDeque<UdcoMsg>,
     /// Processes blocked in `recv`.
     pub rx_waiters: WaitSet,
     /// Frames received.
-    pub frames_rx: u64,
+    pub(crate) frames_rx: u64,
     /// Frames sent.
-    pub frames_tx: u64,
+    pub(crate) frames_tx: u64,
 }
 
 /// Register a UDCO with `tag` on `node`. Frames that arrived early (the
@@ -78,7 +76,7 @@ pub fn register(ctx: &VCtx, node: NodeAddr, tag: u16, mode: UdcoMode) {
 }
 
 /// Event-context variant of [`register`].
-pub fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode: UdcoMode) {
+pub(crate) fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode: UdcoMode) {
     if !w.node(node).up {
         return;
     }
@@ -87,7 +85,6 @@ pub fn register_in(w: &mut World, s: &mut VSched, node: NodeAddr, tag: u16, mode
         node,
         tag,
         Udco {
-            tag,
             mode,
             rx: VecDeque::new(),
             rx_waiters: WaitSet::new(),
@@ -142,7 +139,8 @@ fn inject(ctx: &VCtx, node: NodeAddr, frame: Frame) {
     });
 }
 
-/// Multicast variant of [`send`]: one injection, hardware replication.
+/// Multicast variant of [`send`] (§4.1 over the §4.2 hardware multicast):
+/// one injection, hardware replication.
 pub fn send_multi(
     ctx: &VCtx,
     node: NodeAddr,
@@ -183,8 +181,8 @@ pub fn recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> UdcoMsg {
     })
 }
 
-/// Non-blocking poll of a (typically polled-mode) UDCO. Charges the poll
-/// cost and returns a queued message if any.
+/// Non-blocking poll of a (typically polled-mode, §4.1/§5) UDCO. Charges
+/// the poll cost and returns a queued message if any.
 pub fn try_recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
     let poll_ns = ctx.with(|w, _| w.calib.udco_poll_ns);
     api::compute_ns(ctx, node, CpuCat::User, poll_ns);
@@ -197,13 +195,8 @@ pub fn try_recv(ctx: &VCtx, node: NodeAddr, tag: u16) -> Option<UdcoMsg> {
     })
 }
 
-/// Messages queued on a UDCO (diagnostics).
-pub fn rx_depth(ctx: &VCtx, node: NodeAddr, tag: u16) -> usize {
-    ctx.with(move |w, _| w.udcos.get(node, &tag).map_or(0, |u| u.rx.len()))
-}
-
 /// Kernel handler: a UDCO frame arrived.
-pub fn on_frame(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
+pub(crate) fn on_frame(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
     let tag = f.kind - KIND_UDCO_BASE;
     let Some(u) = w.udcos.get(node, &tag) else {
         // Registration race: stash until `register` runs.
@@ -229,7 +222,7 @@ pub fn on_frame(w: &mut World, s: &mut VSched, node: NodeAddr, f: Frame) {
 
 /// True iff frames of this kind bypass the kernel receive path entirely on
 /// `node` (raw-mode UDCOs). Consulted by the kernel's receive service.
-pub fn is_raw(w: &World, node: NodeAddr, kind: u16) -> bool {
+pub(crate) fn is_raw(w: &World, node: NodeAddr, kind: u16) -> bool {
     if kind < KIND_UDCO_BASE {
         return false;
     }
@@ -499,15 +492,13 @@ mod raw_tests {
 pub struct UdcoBinding {
     /// The assigned tag (shared by both parties).
     pub tag: u16,
-    /// The local node.
-    pub node: NodeAddr,
     /// The peer node.
     pub peer: NodeAddr,
 }
 
-/// Open a UDCO by name: rendezvous through the object manager exactly like
-/// a channel open, then register the assigned tag locally with `mode` (the
-/// receive discipline is each side's own choice).
+/// Open a UDCO by name (§4.1): rendezvous through the object manager
+/// exactly like a channel open, then register the assigned tag locally
+/// with `mode` (the receive discipline is each side's own choice).
 pub fn open(ctx: &VCtx, node: NodeAddr, name: &str, mode: UdcoMode) -> UdcoBinding {
     let syscall_ns = ctx.with(|w, _| w.calib.chan_read_syscall_ns);
     api::compute_ns(ctx, node, CpuCat::System, syscall_ns);
@@ -522,7 +513,7 @@ pub fn open(ctx: &VCtx, node: NodeAddr, name: &str, mode: UdcoMode) -> UdcoBindi
             register_in(w, s, node, tag, mode);
         }
     });
-    UdcoBinding { tag, node, peer }
+    UdcoBinding { tag, peer }
 }
 
 // ---------------------------------------------------------------------------
@@ -575,9 +566,9 @@ pub fn send_gather(
     );
 }
 
-/// Receive one message and scatter it into buffers of the given lengths
-/// (which must sum to the message length). Models the inverse descriptor
-/// walk; returns the scattered parts.
+/// Receive one message and scatter it (§4.1) into buffers of the given
+/// lengths (which must sum to the message length). Models the inverse
+/// descriptor walk; returns the scattered parts.
 pub fn recv_scatter(ctx: &VCtx, node: NodeAddr, tag: u16, part_lens: &[u32]) -> Vec<Payload> {
     let m = recv(ctx, node, tag);
     let total: u32 = part_lens.iter().sum();

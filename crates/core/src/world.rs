@@ -89,7 +89,7 @@ pub struct Call {
     /// Where the call stands.
     pub state: CallState,
     /// The calling process.
-    pub caller: ProcId,
+    pub(crate) caller: ProcId,
 }
 
 /// What a node keeps outside the world tables: its address, liveness and
@@ -104,21 +104,21 @@ pub struct Node {
     /// cold one and frames die at its interface.
     pub up: bool,
     /// The kernel receive-service loop is active.
-    pub rx_in_service: bool,
+    pub(crate) rx_in_service: bool,
     /// Crashes this node has taken: a call that spans a wait reads it on
     /// both sides to tell that its node went down and came back between.
     pub incarnation: u32,
     /// Processes parked in [`crate::fault::wait_until_up`] for this node.
-    pub up_waiters: WaitSet,
+    pub(crate) up_waiters: WaitSet,
     /// The node's CPU.
     pub cpu: Cpu,
     /// Processes blocked waiting to inject a frame (user-level senders).
-    pub tx_waiters: WaitSet,
+    pub(crate) tx_waiters: WaitSet,
     /// Object-manager counters (every node can serve opens); the manager's
     /// tables are [`World::managers`].
     pub mgr: MgrState,
     /// Subprocess scheduler state (§5), from the first subprocess on.
-    pub sched: Option<Box<crate::sched::SchedState>>,
+    pub(crate) sched: Option<Box<crate::sched::SchedState>>,
 }
 
 // What a materialized node costs before it holds anything: 144 bytes on
@@ -168,7 +168,7 @@ impl Node {
     }
 
     /// Mutable [`Node::sched`], built on first use.
-    pub fn sched_mut(&mut self) -> &mut crate::sched::SchedState {
+    pub(crate) fn sched_mut(&mut self) -> &mut crate::sched::SchedState {
         self.sched.get_or_insert_default()
     }
 }
@@ -184,7 +184,7 @@ impl Node {
 /// read path works unchanged on never-touched endpoints. `table[i]` and
 /// `table.iter()` cover all `len()` addresses, idle stand-ins included;
 /// `table.touched()` walks only the materialized nodes, in address order.
-pub type NodeTable = FirstTouch<Node>;
+pub(crate) type NodeTable = FirstTouch<Node>;
 
 /// Node `a` of `nodes`, materialized on first touch: [`World::node_mut`]
 /// for a caller that holds another of the world's tables.
@@ -209,15 +209,15 @@ pub struct ShardCtx {
     /// Total number of shards: the stride of channel-id and token
     /// allocation, so that managers on different shards assign ids without
     /// coordinating.
-    pub n_shards: usize,
+    pub(crate) n_shards: usize,
     /// Owning shard per node address, shared (not cloned) across shards —
     /// at a million endpoints this table is the dominant per-shard cost.
-    pub shard_of_node: std::sync::Arc<Vec<u32>>,
+    pub(crate) shard_of_node: std::sync::Arc<Vec<u32>>,
     /// Output registers currently serializing a bridged frame, per node.
     /// Only this shard's own nodes are ever set.
-    pub tx_busy: Vec<bool>,
+    pub(crate) tx_busy: Vec<bool>,
     /// Cross-shard frames produced since the engine last drained us.
-    pub outbox: Vec<desim::OutMsg<Frame>>,
+    pub(crate) outbox: Vec<desim::OutMsg<Frame>>,
 }
 
 impl Default for ShardCtx {
@@ -235,7 +235,7 @@ impl Default for ShardCtx {
 impl ShardCtx {
     /// True when frames may cross to another shard: this world is one of
     /// several shards of a [`VorxShardedSim`].
-    pub fn bridged(&self) -> bool {
+    pub(crate) fn bridged(&self) -> bool {
         self.n_shards > 1
     }
 
@@ -245,12 +245,12 @@ impl ShardCtx {
     }
 
     /// True iff `a` lives on a different shard than this world.
-    pub fn is_remote(&self, a: NodeAddr) -> bool {
+    pub(crate) fn is_remote(&self, a: NodeAddr) -> bool {
         self.bridged() && self.shard_of_node[a.0 as usize] as usize != self.shard_id
     }
 
     /// True iff `a`'s output register is busy with a bridged serialization.
-    pub fn tx_busy(&self, a: NodeAddr) -> bool {
+    pub(crate) fn tx_busy(&self, a: NodeAddr) -> bool {
         self.bridged() && self.tx_busy[a.0 as usize]
     }
 }
@@ -288,11 +288,11 @@ macro_rules! node_tables {
 /// What a crash takes off a node, for [`crate::fault::on_crash`] to wake.
 pub(crate) struct Wiped {
     /// The crashed node: its wait sets.
-    pub node: Node,
+    pub(crate) node: Node,
     /// Its channel ends, in id order.
-    pub ends: Vec<ChanEnd>,
+    pub(crate) ends: Vec<ChanEnd>,
     /// The callers of its blocking calls, in token order.
-    pub callers: Vec<ProcId>,
+    pub(crate) callers: Vec<ProcId>,
 }
 
 /// The complete state of a simulated HPC/VORX installation.
@@ -312,10 +312,10 @@ pub struct World {
     /// sending node and the frame's `seq`.
     pub ctl_unacked: Table<u64, CtlPending>,
     /// Kernel frames waiting for a node's hardware output register.
-    pub tx_q: Queue<Frame>,
+    pub(crate) tx_q: Queue<Frame>,
     /// Data frames that arrived before their channel end, UDCO or group
     /// existed (the open-reply race); re-dispatched when it is created.
-    pub orphans: Queue<Frame>,
+    pub(crate) orphans: Queue<Frame>,
     /// User-defined communications objects, by node and tag.
     pub udcos: Table<u16, Udco>,
     /// Listening server names (§4 name reuse), by node and name.
@@ -330,11 +330,11 @@ pub struct World {
     /// away, and which it is probing with heartbeats.
     pub mbr: crate::membership::Membership,
     /// Object-manager configuration.
-    pub objmgr_mode: ObjMgrMode,
+    pub(crate) objmgr_mode: ObjMgrMode,
     /// Processor allocator (§3.1).
     pub alloc: Allocator,
     /// Host workstations (§3.3): host `h` is node `h`, for `h < n_hosts`.
-    pub n_hosts: usize,
+    pub(crate) n_hosts: usize,
     /// Stub processes (§3.3), by host node and stub id
     /// ([`crate::host::SERVICE_STUB`] for the shared service stub).
     pub stubs: Table<u32, crate::host::Stub>,
@@ -349,11 +349,11 @@ pub struct World {
     /// Fault-injection plane: the seeded schedule plus recovery statistics.
     pub faults: crate::fault::FaultState,
     /// Next channel id.
-    pub next_chan: u32,
+    pub(crate) next_chan: u32,
     /// Next open token / generic correlation id.
-    pub next_token: u64,
+    pub(crate) next_token: u64,
     /// Registered collective groups, by group id (DESIGN.md §16).
-    pub coll_groups: FixedMap<u32, crate::collective::Group>,
+    pub(crate) coll_groups: FixedMap<u32, crate::collective::Group>,
     /// Sharded-engine bridge state; inert defaults in sequential builds.
     pub shard: ShardCtx,
     /// Emptied fabric outputs awaiting reuse (see
@@ -471,7 +471,7 @@ impl World {
     }
 
     /// Allocate a fresh channel id (same striping rule as [`World::token`]).
-    pub fn alloc_chan(&mut self) -> u32 {
+    pub(crate) fn alloc_chan(&mut self) -> u32 {
         let id = self.next_chan;
         self.next_chan += self.shard.n_shards as u32;
         id
@@ -482,7 +482,13 @@ impl World {
     /// interval in the trace and returns its end time. System work preempts
     /// user compute (see [`crate::cpu`]); user time is charged through
     /// [`crate::api::compute`], which handles the preemption extension.
-    pub fn charge(&mut self, now: SimTime, a: NodeAddr, cat: CpuCat, d: SimDuration) -> SimTime {
+    pub(crate) fn charge(
+        &mut self,
+        now: SimTime,
+        a: NodeAddr,
+        cat: CpuCat,
+        d: SimDuration,
+    ) -> SimTime {
         debug_assert_eq!(
             cat,
             CpuCat::System,
@@ -504,13 +510,13 @@ impl World {
     }
 
     /// Record that a process on `a` blocked for `reason`.
-    pub fn block(&mut self, now: SimTime, a: NodeAddr, reason: BlockReason) {
+    pub(crate) fn block(&mut self, now: SimTime, a: NodeAddr, reason: BlockReason) {
         self.trace
             .record(now, TraceEvent::Block { node: a.0, reason });
     }
 
     /// Record that a process on `a` unblocked.
-    pub fn unblock(&mut self, now: SimTime, a: NodeAddr, reason: BlockReason) {
+    pub(crate) fn unblock(&mut self, now: SimTime, a: NodeAddr, reason: BlockReason) {
         self.trace
             .record(now, TraceEvent::Unblock { node: a.0, reason });
     }
@@ -906,11 +912,6 @@ impl VorxSim {
     /// Inspect or mutate the world between runs.
     pub fn world(&self) -> desim::WorldGuard<'_, World> {
         self.sim.world()
-    }
-
-    /// Number of endpoints.
-    pub fn n_nodes(&self) -> usize {
-        self.world().nodes.len()
     }
 }
 

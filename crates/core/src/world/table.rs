@@ -20,7 +20,7 @@ use desim::Slab;
 use hpcnet::NodeAddr;
 
 /// Rows an emptied table may keep room for.
-pub const HANDSHAKE_KEEP: usize = 16;
+pub(crate) const HANDSHAKE_KEEP: usize = 16;
 
 /// No row: the end of a node's list.
 const NIL: u32 = u32::MAX;
@@ -162,7 +162,7 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
     }
 
     /// True iff node `a` has a row `k`.
-    pub fn contains(&self, a: NodeAddr, k: &K) -> bool {
+    pub(crate) fn contains(&self, a: NodeAddr, k: &K) -> bool {
         self.slot(a, k).is_some()
     }
 
@@ -178,20 +178,25 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
     /// Add row `k`, which node `a` does not hold, at the end of its list:
     /// a table whose rows all come this way lists each node's oldest
     /// first, and [`Table::pop_front`] takes them in that order.
-    pub fn push_back(&mut self, a: NodeAddr, k: K, v: V) {
+    pub(crate) fn push_back(&mut self, a: NodeAddr, k: K, v: V) {
         debug_assert!(!self.contains(a, &k), "a row pushed twice");
         self.add(a, k, v, false);
     }
 
     /// Take node `a`'s first row off the table.
-    pub fn pop_front(&mut self, a: NodeAddr) -> Option<(K, V)> {
+    pub(crate) fn pop_front(&mut self, a: NodeAddr) -> Option<(K, V)> {
         let k = self.first(a)?.0.clone();
         let v = self.remove(a, &k)?;
         Some((k, v))
     }
 
     /// Node `a`'s row `k`, built by `make` if it has none.
-    pub fn get_or_insert_with(&mut self, a: NodeAddr, k: K, make: impl FnOnce() -> V) -> &mut V {
+    pub(crate) fn get_or_insert_with(
+        &mut self,
+        a: NodeAddr,
+        k: K,
+        make: impl FnOnce() -> V,
+    ) -> &mut V {
         let slot = match self.slot(a, &k) {
             Some(slot) => slot,
             None => self.add(a, k, make(), true),
@@ -266,7 +271,11 @@ impl<K: Ord + Hash + Clone, V> Table<K, V> {
     }
 
     /// Node `a`'s first row in key order that passes `pick`, mutably.
-    pub fn find_mut(&mut self, a: NodeAddr, pick: impl Fn(&K, &V) -> bool) -> Option<(&K, &mut V)> {
+    pub(crate) fn find_mut(
+        &mut self,
+        a: NodeAddr,
+        pick: impl Fn(&K, &V) -> bool,
+    ) -> Option<(&K, &mut V)> {
         let mut at = self.ends(a).map_or(NIL, |e| e.0);
         while at != NIL && !pick(&self.rows[at].key, &self.rows[at].val) {
             at = self.rows[at].next;
@@ -360,19 +369,19 @@ impl<V> Default for Queue<V> {
 
 impl<V> Queue<V> {
     /// Append `v` to node `a`'s queue.
-    pub fn push(&mut self, a: NodeAddr, v: V) {
+    pub(crate) fn push(&mut self, a: NodeAddr, v: V) {
         self.rows.push_back(a, self.pushed, v);
         self.pushed += 1;
     }
 
     /// Take the oldest row off node `a`'s queue.
-    pub fn pop(&mut self, a: NodeAddr) -> Option<V> {
+    pub(crate) fn pop(&mut self, a: NodeAddr) -> Option<V> {
         Some(self.rows.pop_front(a)?.1)
     }
 
     /// Take the rows of node `a`'s queue that pass `pick` off it, oldest
     /// first; the others keep their places.
-    pub fn take_if(&mut self, a: NodeAddr, pick: impl Fn(&V) -> bool) -> Vec<V> {
+    pub(crate) fn take_if(&mut self, a: NodeAddr, pick: impl Fn(&V) -> bool) -> Vec<V> {
         let keys: Vec<u64> = (self.rows.of(a))
             .filter(|(_, v)| pick(v))
             .map(|(k, _)| *k)
@@ -380,13 +389,8 @@ impl<V> Queue<V> {
         keys.iter().filter_map(|k| self.rows.remove(a, k)).collect()
     }
 
-    /// Node `a`'s queue, oldest first.
-    pub fn of(&self, a: NodeAddr) -> impl Iterator<Item = &V> + '_ {
-        self.rows.of(a).map(|(_, v)| v)
-    }
-
     /// True iff node `a`'s queue holds a row.
-    pub fn holds(&self, a: NodeAddr) -> bool {
+    pub(crate) fn holds(&self, a: NodeAddr) -> bool {
         self.rows.holds(a)
     }
 }
@@ -461,7 +465,7 @@ mod tests {
         }
         assert_eq!(q.take_if(NodeAddr(1), |v| *v != 11), [10, 12]);
         q.push(NodeAddr(1), 13);
-        assert_eq!(q.of(NodeAddr(1)).copied().collect::<Vec<_>>(), [11, 13]);
+        assert_eq!(q.pop(NodeAddr(1)), Some(11), "13 stays queued behind it");
         assert_eq!(q.pop(NodeAddr(2)), Some(20));
         q.rows.drop_rows(NodeAddr(2));
         assert!(!q.holds(NodeAddr(2)) && q.holds(NodeAddr(1)));

@@ -62,7 +62,7 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// A fault-free link.
-    pub const NONE: LinkFaults = LinkFaults {
+    pub(crate) const NONE: LinkFaults = LinkFaults {
         drop: 0.0,
         corrupt: 0.0,
         delay: 0.0,
@@ -360,12 +360,6 @@ impl FaultSchedule {
         self
     }
 
-    /// Override the fault profile of one link.
-    pub fn link(mut self, link: u32, faults: LinkFaults) -> Self {
-        self.per_link.insert(link, faults);
-        self
-    }
-
     /// Deterministically drop the `nth` (1-based) message to arrive on
     /// `link`, regardless of probabilities.
     pub fn drop_nth(mut self, link: u32, nth: u64) -> Self {
@@ -380,7 +374,7 @@ impl FaultSchedule {
 
     /// True iff no message faults can ever fire (dispositions are then
     /// always [`Disposition::Deliver`] and consume no randomness).
-    pub fn message_faults_possible(&self) -> bool {
+    pub(crate) fn message_faults_possible(&self) -> bool {
         !self.scripted_drops.is_empty()
             || !self.default_link.is_none()
             || self.per_link.values().any(|f| !f.is_none())
@@ -552,6 +546,13 @@ mod tests {
         f.link_stats().values().map(|s| s.dropped).sum()
     }
 
+    /// `f` with `link` losing every message: a degrade in force from time 0.
+    fn lossy_link(f: FaultSchedule, link: u32) -> FaultSchedule {
+        let mut f = f.degrade_at(link, SimTime::ZERO, LinkFaults::loss(1.0));
+        f.apply_degrade(link);
+        f
+    }
+
     #[test]
     fn same_seed_same_dispositions() {
         let mk = || FaultSchedule::new(42).all_links(LinkFaults::loss(0.3));
@@ -579,15 +580,11 @@ mod tests {
 
     #[test]
     fn fault_free_links_consume_no_randomness() {
-        let mut f = FaultSchedule::new(7)
-            .link(1, LinkFaults::loss(1.0))
-            .link(2, LinkFaults::NONE);
+        let mut f = lossy_link(FaultSchedule::new(7), 1);
         // Draws on a fault-free link never perturb the stream of a faulty
         // one: interleaving order on link 2 is irrelevant.
         let seq_a: Vec<_> = (0..8).map(|_| f.disposition(1)).collect();
-        let mut g = FaultSchedule::new(7)
-            .link(1, LinkFaults::loss(1.0))
-            .link(2, LinkFaults::NONE);
+        let mut g = lossy_link(FaultSchedule::new(7), 1);
         let seq_b: Vec<_> = (0..8)
             .map(|_| {
                 g.disposition(2);
@@ -632,9 +629,7 @@ mod tests {
 
     #[test]
     fn per_link_stats_track_each_counter() {
-        let mut f = FaultSchedule::new(9)
-            .link(4, LinkFaults::loss(1.0))
-            .drop_nth(5, 1);
+        let mut f = lossy_link(FaultSchedule::new(9).drop_nth(5, 1), 4);
         f.disposition(4);
         f.disposition(5);
         f.note_down_drop(4);

@@ -61,6 +61,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 #[allow(unsafe_code)]

@@ -162,12 +162,12 @@ impl<A> EventQueue<A> {
     }
 
     /// The heap's earliest action, the lane aside.
-    pub fn heap_head(&self) -> Option<&A> {
+    pub(crate) fn heap_head(&self) -> Option<&A> {
         self.heap.peek().map(|(_, a)| a)
     }
 
     /// Take out [`EventQueue::heap_head`] unfired; the clock stays.
-    pub fn take_heap_head(&mut self) -> Option<A> {
+    pub(crate) fn take_heap_head(&mut self) -> Option<A> {
         self.heap.pop().map(|(_, a)| a)
     }
 

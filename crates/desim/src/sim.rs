@@ -109,7 +109,7 @@ impl Wakeup {
     /// Wakeup used for process start and generic notifications.
     pub const START: Wakeup = Wakeup(0);
     /// Wakeup used by [`Ctx::sleep`] timers.
-    pub const TIMER: Wakeup = Wakeup(u64::MAX);
+    pub(crate) const TIMER: Wakeup = Wakeup(u64::MAX);
 }
 
 type ProcFn<W> = Box<dyn FnOnce(Ctx<W>) + Send + 'static>;
@@ -742,16 +742,6 @@ impl<W: Send + 'static> Ctx<W> {
     #[inline(never)]
     fn poll<R>(&self, cond: &mut impl FnMut(&mut W, &mut Scheduler<W>) -> Option<R>) -> Option<R> {
         self.with(cond)
-    }
-
-    /// Spawn a sibling process from process context (sugar over
-    /// [`Ctx::with`] + [`Scheduler::spawn`]).
-    pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ProcId
-    where
-        F: FnOnce(Ctx<W>) + Send + 'static,
-    {
-        let name = name.into();
-        self.with(move |_, s| s.spawn(name, f))
     }
 }
 
@@ -1494,25 +1484,5 @@ mod tests {
             s.wake(pid, Wakeup(7)); // fires long after 'quick' finished
         });
         assert!(sim.run_to_idle().all_finished());
-    }
-
-    #[test]
-    fn ctx_spawn_runs_the_child() {
-        let mut sim = Simulation::new(0u32);
-        sim.spawn("parent", |ctx: Ctx<u32>| {
-            ctx.sleep(SimDuration::from_us(2));
-            let parent = ctx.pid();
-            let child = ctx.spawn("child", move |ctx: Ctx<u32>| {
-                ctx.with(move |w, s| {
-                    *w += 1;
-                    s.wake(parent, Wakeup::START);
-                });
-            });
-            // The child starts after we yield; wait for its effect.
-            ctx.wait_until(|w, _| (*w == 1).then_some(()));
-            let _ = child;
-        });
-        assert!(sim.run_to_idle().all_finished());
-        assert_eq!(*sim.world(), 1);
     }
 }

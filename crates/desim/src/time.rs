@@ -50,7 +50,7 @@ impl SimTime {
     /// # Panics
     /// Panics if `earlier` is later than `self`; simulated time never runs
     /// backwards, so such a call is a logic error in the caller.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
@@ -76,11 +76,6 @@ impl SimDuration {
     /// Construct from milliseconds.
     pub const fn from_ms(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// Raw nanoseconds.
@@ -246,7 +241,6 @@ mod tests {
     fn construction_round_trips() {
         assert_eq!(SimDuration::from_us(3).as_ns(), 3_000);
         assert_eq!(SimDuration::from_ms(2).as_ns(), 2_000_000);
-        assert_eq!(SimDuration::from_secs(1).as_ns(), 1_000_000_000);
         assert_eq!(SimTime::from_ns(42).as_ns(), 42);
     }
 
@@ -286,14 +280,14 @@ mod tests {
         assert_eq!(SimDuration::from_ns(12).to_string(), "12ns");
         assert_eq!(SimDuration::from_us(303).to_string(), "303.000us");
         assert_eq!(SimDuration::from_ms(12).to_string(), "12.000ms");
-        assert_eq!(SimDuration::from_secs(2).to_string(), "2.000s");
+        assert_eq!(SimDuration::from_ms(2_000).to_string(), "2.000s");
     }
 
     #[test]
     fn float_views() {
         assert!((SimDuration::from_us(303).as_us_f64() - 303.0).abs() < 1e-9);
         assert!((SimDuration::from_ms(12).as_ms_f64() - 12.0).abs() < 1e-9);
-        assert!((SimDuration::from_secs(3).as_secs_f64() - 3.0).abs() < 1e-12);
+        assert!((SimDuration::from_ms(3_000).as_secs_f64() - 3.0).abs() < 1e-12);
         assert!((SimTime::from_ns(1_500).as_us_f64() - 1.5).abs() < 1e-9);
     }
 

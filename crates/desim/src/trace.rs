@@ -88,11 +88,6 @@ impl<E> Trace<E> {
         self.events[lo..hi].iter().map(|(t, e)| (*t, e))
     }
 
-    /// Drop all recorded events, keeping the enabled flag.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Take the log so far, leaving an empty trace with the same enabled
     /// flag: recording carries on where it was.
     pub fn take(&mut self) -> Trace<E> {
@@ -288,15 +283,5 @@ mod tests {
             got,
             vec![(1, "a1"), (1, "b1"), (3, "b3"), (5, "a5"), (5, "a5b")]
         );
-    }
-
-    #[test]
-    fn clear_empties_the_log_and_recording_goes_on() {
-        let mut t = Trace::new();
-        t.record(SimTime::ZERO, 1u8);
-        t.clear();
-        assert!(t.is_empty());
-        t.record(SimTime::from_ns(9), 2u8);
-        assert!(t.iter().eq([(SimTime::from_ns(9), &2u8)]));
     }
 }

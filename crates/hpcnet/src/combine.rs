@@ -80,7 +80,7 @@ impl CombOp {
     }
 
     /// Decode a wire code.
-    pub fn from_code(c: u8) -> Option<CombOp> {
+    pub(crate) fn from_code(c: u8) -> Option<CombOp> {
         match c {
             0 => Some(CombOp::Sum),
             1 => Some(CombOp::Min),

@@ -25,16 +25,16 @@ pub const HOP_LATENCY_NS: u64 = 500;
 /// Whole-message buffer slots at each cluster input port. A link "refuses to
 /// accept a message unless the hardware has room to buffer an entire
 /// message" (§2) — this is the hardware flow control.
-pub const CLUSTER_PORT_SLOTS: usize = 2;
+pub(crate) const CLUSTER_PORT_SLOTS: usize = 2;
 
 /// Whole-message buffer slots in an endpoint's receive FIFO.
-pub const ENDPOINT_RX_SLOTS: usize = 4;
+pub(crate) const ENDPOINT_RX_SLOTS: usize = 4;
 
 /// Combining-ALU latency per merge at a star coupler, in ns (a register-file
 /// ALU pass): each contribution folded into a held partial extends the
 /// partial's readiness by this much. Only consulted once a collective group
 /// is registered ([`crate::Fabric::comb_register_group`]).
-pub const COMB_ALU_NS: u64 = 100;
+pub(crate) const COMB_ALU_NS: u64 = 100;
 
 /// Serialization time for `bytes` on a port, in ns.
 pub fn serialize_ns(bytes: u32) -> u64 {
@@ -45,7 +45,7 @@ pub fn serialize_ns(bytes: u32) -> u64 {
 /// serialization onto the link plus the fixed switch/propagation latency.
 /// Every link a frame crosses pays at least this much, which is what gives
 /// the sharded engine its lookahead.
-pub fn link_latency_ns(wire_bytes: u32) -> u64 {
+pub(crate) fn link_latency_ns(wire_bytes: u32) -> u64 {
     serialize_ns(wire_bytes) + HOP_LATENCY_NS
 }
 

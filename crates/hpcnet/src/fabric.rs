@@ -674,11 +674,6 @@ impl Fabric {
         self.links[l].grantable()
     }
 
-    /// True iff `node`'s interface is currently marked down.
-    pub fn is_down(&self, node: NodeAddr) -> bool {
-        self.down[node.0 as usize]
-    }
-
     /// Mark `node`'s interface down (crash) or back up (restart).
     ///
     /// Going down models pulling the board: the unsent output register and
@@ -1047,11 +1042,6 @@ impl Fabric {
     /// Bytes of sheddable frames currently buffered at cluster `c`.
     pub fn cluster_data_bytes(&self, c: ClusterId) -> u64 {
         self.data_buf_bytes[c.0 as usize]
-    }
-
-    /// High-water mark of sheddable bytes buffered at cluster `c`.
-    pub fn cluster_data_bytes_hwm(&self, c: ClusterId) -> u64 {
-        self.data_bytes_hwm[c.0 as usize]
     }
 
     /// The largest per-cluster sheddable-byte high-water mark (0 when the
@@ -1747,7 +1737,7 @@ mod tests {
         assert_eq!(got, vec![10, 20], "third arrival is the victim");
         assert_eq!(net.fabric.stats.frames_shed, 1);
         let c = ClusterId(0);
-        assert_eq!(net.fabric.cluster_data_bytes_hwm(c), 136);
+        assert_eq!(net.fabric.max_cluster_data_bytes_hwm(), 136);
         assert_eq!(net.fabric.cluster_data_bytes(c), 0, "budget fully released");
     }
 
@@ -1764,7 +1754,7 @@ mod tests {
         );
         net.run();
         assert_eq!(net.delivered.len(), 1);
-        assert_eq!(net.fabric.cluster_data_bytes_hwm(ClusterId(0)), 136);
+        assert_eq!(net.fabric.max_cluster_data_bytes_hwm(), 136);
         net.fabric.set_cluster_byte_budget(ClusterId(0), 0);
         assert!(net.fabric.overload_active());
         let t = net.now() + 1;
@@ -1926,7 +1916,6 @@ mod fault_tests {
         let topo = Topology::single_cluster(3).unwrap();
         let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
         net.apply(|f, out| f.set_endpoint_down(0, NodeAddr(2), true, out));
-        assert!(net.fabric.is_down(NodeAddr(2)));
         assert!(!net.fabric.can_send(NodeAddr(2)));
         for seq in 0..3 {
             net.send_at(

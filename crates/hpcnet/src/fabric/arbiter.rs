@@ -394,7 +394,7 @@ impl Fabric {
                     continue;
                 };
                 let cached = Self::head_ports(link, &self.mcast);
-                assert_eq!(cached.len(), head.dst.fanout(), "{input:?}");
+                assert_eq!(cached.len(), head.dst.targets().len(), "{input:?}");
                 let runs = one_run_per_port(cached);
                 assert!(runs, "{input:?}: not one run per port: {cached:?}");
                 let unsent = cached.iter().zip(head.dst.targets());

@@ -227,16 +227,11 @@ pub enum Dest {
 
 impl Dest {
     /// The destination endpoints.
-    pub fn targets(&self) -> &[NodeAddr] {
+    pub(crate) fn targets(&self) -> &[NodeAddr] {
         match self {
             Dest::Unicast(a) => std::slice::from_ref(a),
             Dest::Multicast(v) => v,
         }
-    }
-
-    /// Number of destination endpoints.
-    pub fn fanout(&self) -> usize {
-        self.targets().len()
     }
 }
 
@@ -291,7 +286,7 @@ impl Frame {
     }
 
     /// Check the hardware length limit.
-    pub fn validate(&self) -> Result<(), FrameError> {
+    pub(crate) fn validate(&self) -> Result<(), FrameError> {
         if self.payload.len() > MAX_PAYLOAD {
             return Err(FrameError::TooLong {
                 payload: self.payload.len(),
@@ -390,9 +385,9 @@ mod tests {
     fn dest_targets() {
         let u = Dest::Unicast(NodeAddr(3));
         assert_eq!(u.targets(), &[NodeAddr(3)]);
-        assert_eq!(u.fanout(), 1);
+        assert_eq!(u.targets().len(), 1);
         let m = Dest::Multicast(vec![NodeAddr(1), NodeAddr(2)].into());
-        assert_eq!(m.fanout(), 2);
+        assert_eq!(m.targets().len(), 2);
     }
 
     #[test]

@@ -790,15 +790,6 @@ impl Topology {
         (0..self.endpoints.len()).map(|i| NodeAddr(i as u32))
     }
 
-    /// Level sizes (innermost first) of a hypercube topology; `None` for
-    /// builder graphs. Flat paper topologies report one level.
-    pub fn hier_levels(&self) -> Option<&[u32]> {
-        match &self.base {
-            Base::Implicit(h) => Some(&h.levels),
-            Base::Dense(_) => None,
-        }
-    }
-
     /// Number of detour entries currently overlaid on the routing baseline.
     /// 0 for every fault-free topology.
     pub fn overlay_len(&self) -> usize {
@@ -806,7 +797,7 @@ impl Topology {
     }
 
     /// The port an endpoint is attached to.
-    pub fn endpoint_port(&self, addr: NodeAddr) -> PortRef {
+    pub(crate) fn endpoint_port(&self, addr: NodeAddr) -> PortRef {
         self.endpoints[addr.0 as usize]
     }
 
@@ -856,7 +847,7 @@ impl Topology {
     /// The fault-free baseline output port on `cluster` toward `dst` (what
     /// [`Topology::route`] answered before any recompute). The fabric
     /// compares against this to count rerouted frames.
-    pub fn base_route(&self, cluster: ClusterId, dst: NodeAddr) -> u8 {
+    pub(crate) fn base_route(&self, cluster: ClusterId, dst: NodeAddr) -> u8 {
         let dp = self.endpoints[dst.0 as usize];
         if dp.cluster == cluster {
             dp.port
@@ -1624,7 +1615,6 @@ mod tests {
         let t = Topology::hierarchical_hypercube(&[4, 2], 1).unwrap();
         assert_eq!(t.n_clusters(), 8);
         assert_eq!(t.n_endpoints(), 8);
-        assert_eq!(t.hier_levels(), Some(&[4u32, 2][..]));
         // 3 -> 5: walk the group to gateway 0 (3->1->0), cross to 4, then
         // one in-group hop to 5.
         assert_eq!(

@@ -11,35 +11,35 @@
 pub const FIFO_BYTES: u32 = 2048;
 /// Bus serialization time per byte. The S/NET was "a high speed
 /// interconnect" for its day; we model 10 MB/s.
-pub const BUS_NS_PER_BYTE: u64 = 100;
+pub(crate) const BUS_NS_PER_BYTE: u64 = 100;
 /// Fixed per-transfer bus overhead (arbitration, addressing).
-pub const BUS_OVERHEAD_NS: u64 = 2_000;
+pub(crate) const BUS_OVERHEAD_NS: u64 = 2_000;
 /// Hardware envelope per message on the bus.
 pub const HEADER_BYTES: u32 = 12;
 /// Receiver software FIFO read rate (kernel word-copy loop on a Motorola
 /// 68000-class CPU), per byte.
-pub const SW_READ_NS_PER_BYTE: u64 = 300;
+pub(crate) const SW_READ_NS_PER_BYTE: u64 = 300;
 /// Receiver software per-message overhead (interrupt entry + dispatch).
-pub const SW_PER_MSG_NS: u64 = 50_000;
+pub(crate) const SW_PER_MSG_NS: u64 = 50_000;
 /// Granularity at which the receiver's FIFO read loop frees space. The
 /// lockout of §2 depends on space being freed gradually ("the receiver could
 /// not remove words from its fifo fast enough").
-pub const DRAIN_CHUNK_BYTES: u32 = 64;
+pub(crate) const DRAIN_CHUNK_BYTES: u32 = 64;
 /// Busy-retry loop interval: how quickly a rejected sender re-offers its
 /// message ("continuously resend their message until it was successfully
 /// received").
-pub const RETRY_NS: u64 = 10_000;
+pub(crate) const RETRY_NS: u64 = 10_000;
 /// Initial random-backoff window; doubles per consecutive rejection.
-pub const BACKOFF_INITIAL_NS: u64 = 100_000;
+pub(crate) const BACKOFF_INITIAL_NS: u64 = 100_000;
 /// Random-backoff window cap.
-pub const BACKOFF_MAX_NS: u64 = 10_000_000;
+pub(crate) const BACKOFF_MAX_NS: u64 = 10_000_000;
 /// Length of a reservation-protocol control message (request / grant).
-pub const CONTROL_BYTES: u32 = 16;
+pub(crate) const CONTROL_BYTES: u32 = 16;
 /// Software cost to generate or act on a reservation control message.
-pub const RESERVATION_SW_NS: u64 = 30_000;
+pub(crate) const RESERVATION_SW_NS: u64 = 30_000;
 
 /// Bus occupancy of a message with `payload` bytes.
-pub const fn transfer_ns(payload: u32) -> u64 {
+pub(crate) const fn transfer_ns(payload: u32) -> u64 {
     BUS_OVERHEAD_NS + BUS_NS_PER_BYTE * (payload + HEADER_BYTES) as u64
 }
 

@@ -140,8 +140,6 @@ pub struct SnetReport {
     pub rejects: u64,
     /// Garbage bytes the receivers had to read and discard.
     pub garbage_bytes: u64,
-    /// Bus busy time, ns.
-    pub bus_busy_ns: u64,
     /// Time of the last delivery (ns), or the deadline if none.
     pub last_delivery_ns: u64,
     /// True iff every enqueued data message was delivered before the
@@ -168,7 +166,6 @@ pub struct SnetSim {
     delivered: Vec<Vec<Delivery>>,
     rejects: u64,
     garbage_bytes: u64,
-    bus_busy_ns: u64,
     enqueued_data: u64,
     delivered_data: u64,
     /// Injected fault probabilities for data messages in transit.
@@ -191,7 +188,6 @@ impl SnetSim {
             delivered: vec![Vec::new(); n],
             rejects: 0,
             garbage_bytes: 0,
-            bus_busy_ns: 0,
             enqueued_data: 0,
             delivered_data: 0,
             fault_drop: 0.0,
@@ -215,11 +211,6 @@ impl SnetSim {
     /// `true` with probability `p`, drawing nothing when `p == 0`.
     fn chance(&mut self, p: f64) -> bool {
         p > 0.0 && (self.rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
-    }
-
-    /// Number of processors.
-    pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Queue `count` data messages of `len` bytes from `src` to `dst`,
@@ -278,7 +269,6 @@ impl SnetSim {
             delivered_total: self.delivered_data,
             rejects: self.rejects,
             garbage_bytes: self.garbage_bytes,
-            bus_busy_ns: self.bus_busy_ns,
             last_delivery_ns,
             completed: self.delivered_data == self.enqueued_data,
             undelivered: self.enqueued_data - self.delivered_data,
@@ -329,7 +319,6 @@ impl SnetSim {
         let msg = self.nodes[n].pop_head();
         let dur = transfer_ns(msg.len);
         self.bus_busy = true;
-        self.bus_busy_ns += dur;
         self.queue.push_in(dur, Event::TransferEnd { src: n, msg });
     }
 

@@ -49,26 +49,26 @@ pub struct EndReport {
     /// The node holding this end.
     pub node: NodeAddr,
     /// The peer node.
-    pub peer: NodeAddr,
+    pub(crate) peer: NodeAddr,
     /// Fragments sent from this end.
     pub msgs_tx: u64,
     /// Messages delivered to readers at this end.
-    pub msgs_rx: u64,
+    pub(crate) msgs_rx: u64,
     /// Complete messages waiting in side buffers.
-    pub queued: usize,
+    pub(crate) queued: usize,
     /// Blocking state.
-    pub state: EndState,
+    pub(crate) state: EndState,
     /// Close state: `(closed locally, peer closed)`.
-    pub closed: (bool, bool),
+    pub(crate) closed: (bool, bool),
 }
 
 /// Snapshot of one channel (one or two ends, across the machine).
 #[derive(Debug, Clone)]
 pub struct ChanReport {
     /// Channel id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Channel name.
-    pub name: String,
+    pub(crate) name: String,
     /// The ends, ordered by node.
     pub ends: Vec<EndReport>,
 }
@@ -86,11 +86,6 @@ pub struct CdbFilter {
 }
 
 impl CdbFilter {
-    /// No filtering.
-    pub fn all() -> Self {
-        Self::default()
-    }
-
     fn keep(&self, c: &ChanReport) -> bool {
         if let Some(p) = &self.name_prefix {
             if !c.name.starts_with(p.as_str()) {

@@ -18,6 +18,7 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![warn(unreachable_pub)]
 #![forbid(unsafe_code)]
 
 pub mod cdb;

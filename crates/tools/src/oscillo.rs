@@ -18,7 +18,7 @@
 //! time axis ("the software oscilloscope synchronizes all the graphs with
 //! each other"); rendering any `[from, to)` window gives freeze/zoom/seek.
 
-use desim::{SimDuration, SimTime, Trace};
+use desim::{SimTime, Trace};
 use vorx::{BlockReason, CpuCat, TraceEvent};
 
 /// Time categories displayed by the oscilloscope.
@@ -40,7 +40,7 @@ pub enum Cat {
 
 impl Cat {
     /// One-character glyph for the timeline rendering.
-    pub fn glyph(self) -> char {
+    pub(crate) fn glyph(self) -> char {
         match self {
             Cat::User => 'U',
             Cat::System => 'S',
@@ -58,15 +58,15 @@ pub struct Utilization {
     /// User ns.
     pub user: u64,
     /// System ns.
-    pub system: u64,
+    pub(crate) system: u64,
     /// Idle-waiting-for-input ns.
-    pub idle_input: u64,
+    pub(crate) idle_input: u64,
     /// Idle-waiting-for-output ns.
-    pub idle_output: u64,
+    pub(crate) idle_output: u64,
     /// Mixed-wait ns.
-    pub idle_mixed: u64,
+    pub(crate) idle_mixed: u64,
     /// Other idle ns.
-    pub idle_other: u64,
+    pub(crate) idle_other: u64,
 }
 
 impl Utilization {
@@ -81,12 +81,12 @@ impl Utilization {
     }
 
     /// Fraction of the window doing useful (user) work.
-    pub fn user_frac(&self) -> f64 {
+    pub(crate) fn user_frac(&self) -> f64 {
         self.user as f64 / self.total().max(1) as f64
     }
 
     /// Fraction busy (user + system).
-    pub fn busy_frac(&self) -> f64 {
+    pub(crate) fn busy_frac(&self) -> f64 {
         (self.user + self.system) as f64 / self.total().max(1) as f64
     }
 
@@ -188,7 +188,7 @@ impl Oscilloscope {
 
     /// The category timeline of `node` over `[from, to)`, as contiguous
     /// segments covering the whole window.
-    pub fn segments(&self, node: usize, from: SimTime, to: SimTime) -> Vec<(u64, u64, Cat)> {
+    pub(crate) fn segments(&self, node: usize, from: SimTime, to: SimTime) -> Vec<(u64, u64, Cat)> {
         let (from, to) = (from.as_ns(), to.as_ns());
         assert!(from <= to);
         let mut out = Vec::new();
@@ -411,14 +411,10 @@ fn delta(t: u64, reason: BlockReason, sign: i32) -> BlockDelta {
     BlockDelta { t, din, dout }
 }
 
-/// Convenience: duration as `SimDuration` from a `(start, end)` pair.
-pub fn span(a: u64, b: u64) -> SimDuration {
-    SimDuration::from_ns(b - a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::SimDuration;
     use vorx::hpcnet::{NodeAddr, Payload};
     use vorx::{channel, VorxBuilder};
 
@@ -530,91 +526,5 @@ mod tests {
         assert!(s.lines().count() >= 4);
         let (min, max, _mean) = o.balance();
         assert!(min <= max);
-    }
-}
-
-impl Oscilloscope {
-    /// Export the full per-node category timeline as CSV
-    /// (`node,start_ns,end_ns,category`) for offline plotting.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("node,start_ns,end_ns,category\n");
-        for node in 0..self.n_nodes {
-            for (a, b, cat) in self.segments(node, SimTime::ZERO, self.t_end()) {
-                out.push_str(&format!("{node},{a},{b},{}\n", cat.glyph()));
-            }
-        }
-        out
-    }
-
-    /// "run faster or slower than real-time": render the run as a sequence
-    /// of `frames` consecutive windows (an animation script); each frame is
-    /// a full synchronized display of its window.
-    pub fn playback(&self, frames: usize, width: usize) -> Vec<String> {
-        assert!(frames > 0);
-        let total = self.t_end.max(1);
-        (0..frames)
-            .map(|f| {
-                let a = SimTime::from_ns(total * f as u64 / frames as u64);
-                let b = SimTime::from_ns(total * (f as u64 + 1) / frames as u64);
-                self.render(a, b, width)
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod export_tests {
-    use super::*;
-    use desim::Trace;
-    use vorx::TraceEvent;
-
-    #[test]
-    fn csv_lines_cover_the_run() {
-        let mut trace = Trace::new();
-        trace.record(
-            SimTime::ZERO,
-            TraceEvent::Cpu {
-                node: 0,
-                cat: CpuCat::User,
-                start_ns: 0,
-                end_ns: 50,
-            },
-        );
-        trace.record(
-            SimTime::from_ns(60),
-            TraceEvent::Cpu {
-                node: 0,
-                cat: CpuCat::System,
-                start_ns: 60,
-                end_ns: 100,
-            },
-        );
-        let o = Oscilloscope::from_trace(&trace, 1);
-        let csv = o.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "node,start_ns,end_ns,category");
-        assert_eq!(lines[1], "0,0,50,U");
-        assert_eq!(lines[2], "0,50,60,."); // idle gap
-        assert_eq!(lines[3], "0,60,100,S");
-    }
-
-    #[test]
-    fn playback_frames_tile_the_run() {
-        let mut trace = Trace::new();
-        trace.record(
-            SimTime::ZERO,
-            TraceEvent::Cpu {
-                node: 0,
-                cat: CpuCat::User,
-                start_ns: 0,
-                end_ns: 1000,
-            },
-        );
-        let o = Oscilloscope::from_trace(&trace, 1);
-        let frames = o.playback(4, 20);
-        assert_eq!(frames.len(), 4);
-        for f in &frames {
-            assert!(f.contains("n0"));
-        }
     }
 }

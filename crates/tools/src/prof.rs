@@ -57,9 +57,9 @@ pub fn region<R>(ctx: &VCtx, node: NodeAddr, name: &str, f: impl FnOnce() -> R) 
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionStat {
     /// Total (inclusive) time spent in the region.
-    pub total: SimDuration,
+    pub(crate) total: SimDuration,
     /// Number of entries.
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 /// Profiling report: per `(node, region)` aggregates.
@@ -112,7 +112,7 @@ impl ProfReport {
     /// Regions sorted by total time, descending — "typically one finds that
     /// a large portion of the execution time is spent in a small section of
     /// the code."
-    pub fn hottest(&self) -> Vec<(&(u32, String), &RegionStat)> {
+    pub(crate) fn hottest(&self) -> Vec<(&(u32, String), &RegionStat)> {
         let mut v: Vec<_> = self.regions.iter().collect();
         v.sort_by_key(|(k, s)| (std::cmp::Reverse(s.total), k.0, k.1.clone()));
         v

@@ -20,17 +20,7 @@ use vorx::{VorxSim, World};
 /// A vdb session attached to one process (by registry index). Obtain with
 /// [`attach`]; "switching between processes" is simply holding several.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Attachment(pub usize);
-
-/// List registered processes: `(index, name, node, stopped-at)`.
-pub fn ps(w: &World) -> Vec<(usize, String, u32, Option<String>)> {
-    w.dbg
-        .procs
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (i, p.name.clone(), p.node.0, p.stopped_at.clone()))
-        .collect()
-}
+pub struct Attachment(pub(crate) usize);
 
 /// Attach to a process by name: the process will stop at its next
 /// breakpoint, wherever that is ("attach vdb to any process that is
@@ -72,7 +62,7 @@ pub fn clear_break(sim: &VorxSim, at: Attachment, label: &str) {
 }
 
 /// Where the process is stopped, if it is.
-pub fn stopped_at(sim: &VorxSim, at: Attachment) -> Option<String> {
+pub(crate) fn stopped_at(sim: &VorxSim, at: Attachment) -> Option<String> {
     sim.world().dbg.procs[at.0].stopped_at.clone()
 }
 
@@ -199,17 +189,5 @@ mod tests {
         assert!(cont(&v, a));
         assert!(cont(&v, b));
         v.run_all();
-    }
-
-    #[test]
-    fn ps_lists_everything() {
-        let mut v = VorxBuilder::single_cluster(2).build();
-        counting_app(&v, 0, 1);
-        counting_app(&v, 1, 1);
-        v.run_all();
-        let listing = ps(&v.world());
-        assert_eq!(listing.len(), 2);
-        assert_eq!(listing[0].1, "n0:counter");
-        assert_eq!(listing[1].2, 1);
     }
 }

@@ -1,14 +1,15 @@
 //! The Figure-1 machine in miniature: host workstations and a pool of
 //! processing nodes on one HPC, running a single application that spans
 //! hosts and nodes — with stubs forwarding UNIX system calls back to the
-//! workstation (§3.3).
+//! workstation (§3.3) — and then the §3.1 story of a user who forgets to
+//! free their processors.
 //!
 //! Run with: `cargo run --example lan_multicomputer`
 
 use desim::SimDuration;
 use hpc_vorx::vorx::alloc::UserId;
 use hpc_vorx::vorx::channel;
-use hpc_vorx::vorx::host::{create_stub, syscall, SyscallOp, SyscallRet};
+use hpc_vorx::vorx::host::{create_stub, syscall, syscall_any, SyscallOp, SyscallRet};
 use hpc_vorx::vorx::hpcnet::{NodeAddr, Payload};
 use hpc_vorx::vorx::{VCtx, VorxBuilder};
 
@@ -23,6 +24,7 @@ fn main() {
         .allocate(UserId(1), 4)
         .expect("pool is free");
     println!("allocated processing nodes: {workers:?}");
+    let allocated = workers.clone();
 
     system.spawn("ws0:launcher", move |ctx| {
         // One stub per worker process: the faithful-environment mode.
@@ -44,6 +46,11 @@ fn main() {
                             r => panic!("log write failed: {r:?}"),
                         }
                     }
+                    // A closing write through any workstation's shared
+                    // service stub: the decentralized scheme §3.3 names
+                    // as future work.
+                    let r = syscall_any(&ctx, w, 0, SyscallOp::WriteFile { bytes: 64 });
+                    assert_eq!(r, Ok(SyscallRet::Ok), "decentralized write");
                 });
             });
         }
@@ -61,15 +68,37 @@ fn main() {
     let end = system.run_all();
     println!("all rounds complete at {end}");
 
-    let world = system.world();
+    let mut world = system.world();
     let served: u64 = world.stubs.of(NodeAddr(0)).map(|(_, s)| s.served).sum();
     println!(
         "host ws0 ran {} stubs and served {} forwarded system calls",
         world.stubs.count(NodeAddr(0)),
         served
     );
+
+    // §3.1: user 1 last touched the machine at launch and forgot to free
+    // the four nodes. Meglos-style shared placement still packs a second
+    // user's processes onto the two nodes left, least loaded first.
+    let pool = &mut world.alloc;
+    pool.touch(UserId(1), 0);
+    let shared = pool
+        .allocate_shared(UserId(2), 4)
+        .expect("15 processes a node");
+    assert_eq!(pool.shared_on(shared[0]), [UserId(2), UserId(2)]);
+    pool.release_shared(UserId(2), &shared);
+    // The remedies VORX considered: idle reclamation frees user 1's nodes,
+    pool.touch(UserId(2), end.as_ns());
+    let reclaimed = pool.reclaim_idle(end.as_ns(), end.as_ns() / 2);
+    assert_eq!(reclaimed, allocated, "the idle user's nodes come back");
+    // logging off frees a user's nodes, and the use-carefully command frees
+    // anyone's.
+    pool.allocate(UserId(2), 3).expect("pool is free again");
+    assert_eq!(pool.logout(UserId(2)), 3);
+    let stuck = pool.allocate(UserId(3), 2).expect("pool is free again");
+    pool.force_free(&stuck);
+    assert_eq!(pool.free_count(), pool.pool_size());
     println!(
-        "freeing the allocation: {} nodes returned to the pool",
-        world.alloc.owned_by(UserId(1)).len()
+        "idle reclamation recovered {reclaimed:?}; the pool of {} is free",
+        pool.pool_size()
     );
 }
