@@ -7,7 +7,7 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test (every sharded test names its own worker counts; alloc budgets, counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, <= 2 per warmed-up 63-target multicast over 16 clusters (its one tree-order list), <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.034 per try_open, <= 1.1 x 0.60 per node (unoptimised) for a 512-endpoint world opening one stream per node, <= 1.1 x 196 (unoptimised) for a 70-node stop-and-wait stream world, parked images in chunks of 32 per exact depth (4,096 processes at two depths: <= 2 x 64 + 8 allocations; ten spawn/finish waves grow nothing after the first; 0 image bytes once every process has finished), 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
+echo "==> cargo test (every sharded test names its own worker counts; alloc budgets, counting allocator, read on the test's own thread: event storage, 0 per cancelled timer and per arm/cancel cycle (a timer's cancel flag is its closure's slot), an idle queue holds no closure and counts no cancel, 0 per armed vorx retry chain, queue memory <= 2 x live under a dead-timer backlog with 0 allocations per sweep, stale-handle ABA, 0 per warmed-up fabric unicast frame, 0 per warmed-up 63-target multicast over 16 clusters whether the fabric re-lists it in place or into its last re-listed list, 0 per warmed-up in-network allreduce of a 64-member group, <= 64 for a 1,000-message stop-and-wait run, <= 3 more for 1,000 more across two shards, 2 per gathered message (buffer + refcount block), <= 0.034 per try_open, <= 1.1 x 0.60 per node (unoptimised) for a 512-endpoint world opening one stream per node, <= 1.1 x 196 (unoptimised) for a 70-node stop-and-wait stream world, parked images in chunks of 32 per exact depth (4,096 processes at two depths: <= 2 x 64 + 8 allocations; ten spawn/finish waves grow nothing after the first; 0 image bytes once every process has finished), 0 frame buffers for 141 links first touched after warm-up, shard mailbox allocations <= 1 + ceil(log2 max depth), recompute, trace merge)"
 cargo test --workspace -q
 
 echo "==> every example runs (each of examples/*.rs exits 0, in the debug build cargo test made of it)"
@@ -23,7 +23,7 @@ cargo test --release -q --test wiring
 echo "==> process switch and footprint, optimised build (one run stack and one baton: no OS threads, 250k parked, <= 473 B each in wait_until, 3 allocations per spawn (name, boxed body, its thin box), images packed 32 to a chunk per exact depth, no mapping per process, foreign-Ctx park, 1 MiB deep, image shrink/regrow, teardown, panic, cross-thread resume; live heap per process parked in each blocking VORX call within 10 % of its measured figure, 792-1,280 B; a group member's handle costs the same at 1,024 members as at 64)"
 cargo test --release -q --test proc_switch --test footprint
 
-echo "==> fabric grant order, optimised build (the release arbiter is the one the benchmark times: six seeded scenarios equal the pass-based scan's hashes, the multicast ones with every target list ascending, descending and shuffled, a cable cut under buffered multicasts delivers every target once, one route per frame per cluster, <= 4 worklist visits per grant)"
+echo "==> fabric grant order, optimised build (the release arbiter is the one the benchmark times: six seeded scenarios equal the pass-based scan's hashes, the multicast ones with every target list ascending, descending and shuffled, a cable cut under buffered multicasts delivers every target once, a re-list never rewrites a list its sender holds and delivers alike in place, into the last re-listed list or into a new one, one route per frame per cluster, <= 4 worklist visits per grant)"
 cargo test --release -q --test fabric_order
 
 echo "==> one event queue (no batch, buffer pool or second queue struct beside Scheduler in desim/src/sim.rs, and two mutexes: core, the queue and the world together, which a run segment holds from resume to resume, and panic_msg)"
@@ -58,6 +58,23 @@ if [ "$vendored" != "README.md bytes proptest " ]; then
     echo "vendor/ must hold exactly README.md, bytes and proptest, not: $vendored" >&2
     exit 1
 fi
+
+echo "==> pub fn ratchet (per library crate, src/bin/ excluded, no more public functions than: desim 149, hpcnet 96, snet 5, vorx 164, vorx-tools 24, vorx-apps 18, vorx-bench 28)"
+# A ratchet, not proof: it stops the count from growing back, but a new
+# `pub fn` that something outside its crate needs can take the place of one
+# that lost its last outside user and stayed `pub` (rustc's dead_code cannot
+# see either). Lower a figure when a change narrows or deletes one; the
+# verify skill's "Narrowing pub to its users" loop finds them.
+for entry in desim:desim:149 hpcnet:hpcnet:96 snet:snet:5 core:vorx:164 \
+    tools:vorx-tools:24 apps:vorx-apps:18 bench:vorx-bench:28; do
+    IFS=: read -r dir crate max <<<"$entry"
+    count=$(find "crates/$dir/src" -path "crates/$dir/src/bin" -prune -o -name '*.rs' -print0 |
+        xargs -0 grep -hE '^\s*pub (const |async |unsafe )?fn ' | wc -l)
+    if [ "$count" -gt "$max" ]; then
+        echo "$crate has $count pub fns, more than its ratchet of $max: make the new ones pub(crate) unless another crate calls them" >&2
+        exit 1
+    fi
+done
 
 echo "==> one router (one BFS queue in hpcnet/src/topology.rs builds routes, repairs and the lookahead table; no second live route store under crates/)"
 # Above `mod tests`: the line of the `fn` enclosing each `pop_front()`.

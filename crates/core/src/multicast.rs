@@ -73,9 +73,21 @@ pub fn join(ctx: &VCtx, node: NodeAddr, gid: u16) {
 /// per-sender at each receiver. On a down node nothing is sent and the call
 /// returns at once with no error, which the caller cannot tell from a
 /// delivery every destination acknowledged; a crash of the node while the
-/// writer waits returns the same way, with no more fragments sent.
-pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, dsts: Vec<NodeAddr>, payload: Payload) {
+/// writer waits returns the same way, with no more fragments sent. A
+/// destination listed twice is one destination: it receives and
+/// acknowledges each fragment once.
+pub fn mwrite(ctx: &VCtx, node: NodeAddr, gid: u16, mut dsts: Vec<NodeAddr>, payload: Payload) {
     assert!(!dsts.is_empty(), "multicast with no destinations");
+    // The fabric delivers once per distinct target, so the writer waits for
+    // one ack per distinct target: keep each first occurrence, in order.
+    let mut kept = 0;
+    for i in 0..dsts.len() {
+        if !dsts[..kept].contains(&dsts[i]) {
+            dsts[kept] = dsts[i];
+            kept += 1;
+        }
+    }
+    dsts.truncate(kept);
     let (up, syscall_ns) = ctx.with(|w, _| (w.node(node).up, w.calib.chan_write_syscall_ns));
     if !up {
         return;

@@ -53,7 +53,7 @@ use crate::config::{
     NetConfig, CLUSTER_PORT_SLOTS, COMB_ALU_NS, ENDPOINT_RX_SLOTS, HOP_LATENCY_NS,
     PORTS_PER_CLUSTER,
 };
-use crate::frame::{Dest, Frame, FrameError, NodeAddr};
+use crate::frame::{Dest, Frame, FrameError, NodeAddr, Targets};
 use crate::topology::{Attachment, ClusterId, PortRef, Topology};
 
 mod arbiter;
@@ -436,6 +436,9 @@ pub struct Fabric {
     mcast_free: Vec<u32>,
     /// Scratch for re-listing a multicast head in tree order.
     tree: TreeOrder,
+    /// The last list a re-list built: a shared list re-listed again into
+    /// the same order (every copy of one message) takes it, not a new one.
+    relisted: Option<Targets>,
     /// The dirty worklist, sorted: `cur[pos..]` are this pass's keys not yet
     /// visited, `cursor` the key being visited (0 outside `progress`), `next`
     /// the next pass's keys.
@@ -621,6 +624,7 @@ impl Fabric {
             mcast: Vec::new(),
             mcast_free: Vec::new(),
             tree: TreeOrder::new(),
+            relisted: None,
             cur: Vec::new(),
             next: Vec::new(),
             pos: 0,

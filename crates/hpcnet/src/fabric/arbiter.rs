@@ -10,7 +10,8 @@
 //! run of its list per output port: where they do not, the head is re-listed
 //! once in its multicast tree's depth-first order, after which every branch
 //! below is a run too, so each branch forwards a sub-run of its parent's
-//! list ([`Targets::sub`]) and replication builds no list. Every push to and
+//! list ([`Targets::sub`]) and replication builds no list. Nor, after
+//! warm-up, does re-listing ([`Fabric::relist`]). Every push to and
 //! pop from a `Link::buf` goes through [`Fabric::enqueue`] or
 //! [`Fabric::take_head`] + [`Fabric::head_changed`], which maintain that
 //! state and mark, on an ordered worklist, the (cluster, port) and endpoint
@@ -23,7 +24,6 @@
 use std::ops::Range;
 
 use super::*;
-use crate::frame::Targets;
 
 /// A routed multicast head: `ports[i]` is the output port of the head's
 /// `i`-th target, [`PORT_NONE`], or [`PORT_SENT`] once that target's branch
@@ -36,8 +36,8 @@ pub(super) struct McHead {
 }
 
 /// The reused buffer of [`Fabric::relist`]: per unsent target, its
-/// [`tree_key`], its index in the head's list and its port.
-pub(super) type TreeOrder = Vec<(u128, u32, u8)>;
+/// [`tree_key`], its index in the head's list, its port and the target.
+pub(super) type TreeOrder = Vec<(u128, u32, u8, NodeAddr)>;
 
 /// Ports of a route that a [`tree_key`] holds, four bits each.
 const KEY_PORTS: u32 = 32;
@@ -208,31 +208,43 @@ impl Fabric {
     /// index. Targets that share a port share a prefix, so each port's
     /// targets form one run, and so do the targets of every branch below
     /// while the routes walked here stand. The new list holds the unsent
-    /// targets only.
+    /// targets only. It is the head's own list, rewritten in place, when
+    /// nothing else holds that; else the last list re-listed here, when it
+    /// holds the same targets in the same order; else a new list, which
+    /// becomes that last list. Only the first time a shared list is
+    /// re-listed allocates.
     fn relist(&mut self, l: LinkId, c: ClusterId) {
         self.work.relists += 1;
         let link = &self.links[l];
         let m = &mut self.mcast[link.mc as usize];
-        let head = self.frames.front(&link.buf).expect("a head to re-list");
-        let Dest::Multicast(ts) = &head.dst else {
+        let head = self
+            .frames
+            .get_mut(&link.buf, 0)
+            .expect("a head to re-list");
+        let Dest::Multicast(ts) = &mut head.dst else {
             unreachable!("only a multicast head is re-listed")
         };
         let order = &mut self.tree;
         order.clear();
         let unsent = m.ports.iter().zip(ts.iter()).enumerate();
         for (i, (&q, &t)) in unsent.filter(|(_, (&q, _))| q != PORT_SENT) {
-            order.push((tree_key(&self.topo, c, q, t), i as u32, q));
+            order.push((tree_key(&self.topo, c, q, t), i as u32, q, t));
         }
-        order.sort_unstable_by_key(|&(key, i, _)| (key, i));
-        let list: Targets = order.iter().map(|&(_, i, _)| ts[i as usize]).collect();
+        order.sort_unstable_by_key(|&(key, i, ..)| (key, i));
         m.ports.clear();
-        m.ports.extend(order.iter().map(|&(.., q)| q));
+        m.ports.extend(order.iter().map(|&(_, _, q, _)| q));
         debug_assert_eq!(m.ports.len(), m.remaining);
-        let head = self
-            .frames
-            .get_mut(&link.buf, 0)
-            .expect("a head to re-list");
-        head.dst = Dest::Multicast(list);
+        let targets = order.iter().map(|&(.., t)| t);
+        if ts.rewrite(targets.clone()) {
+            return;
+        }
+        match &self.relisted {
+            Some(last) if last.iter().copied().eq(targets.clone()) => *ts = last.clone(),
+            _ => {
+                *ts = targets.collect();
+                self.relisted = Some(ts.clone());
+            }
+        }
     }
 
     /// Route every head again, after the topology's generation moved. Between

@@ -139,7 +139,9 @@ impl fmt::Debug for Payload {
 /// branch is a sub-run of its parent's ([`Targets::sub`]), so replicating a
 /// frame at a branch cluster builds no list. The fabric re-lists a copy's
 /// targets in its multicast tree's order once, where they do not form one
-/// run per output port (`fabric/arbiter.rs`). Sixteen bytes, so [`Dest`]
+/// run per output port (`fabric/arbiter.rs`): into the copy's own list,
+/// rewritten in place, when no other run, frame or sender holds it, so a
+/// list a sender keeps never changes under it. Sixteen bytes, so [`Dest`]
 /// is sixteen and [`Frame`] sixty-four.
 #[derive(Clone)]
 pub struct Targets {
@@ -172,6 +174,21 @@ impl Targets {
             off: self.off + start as u32,
             len: (end - start) as u32,
         }
+    }
+
+    /// Make this run the whole of its list and fill that with `targets`,
+    /// if no other run, frame or sender holds the list: true if it did,
+    /// false (and nothing changed) if another holds it. Allocates nothing
+    /// when `targets` is no longer than the list's capacity.
+    pub(crate) fn rewrite(&mut self, targets: impl Iterator<Item = NodeAddr>) -> bool {
+        let Some(list) = Arc::get_mut(&mut self.list) else {
+            return false;
+        };
+        list.clear();
+        list.extend(targets);
+        self.off = 0;
+        self.len = u32::try_from(list.len()).expect("a target list fits in u32");
+        true
     }
 }
 
@@ -221,7 +238,8 @@ pub enum Dest {
     Unicast(NodeAddr),
     /// Hardware multicast: the fabric replicates the frame at branch
     /// clusters, so the source transmits it once (§4.2 of the paper). Each
-    /// branch carries a sub-run of the list the source sent.
+    /// branch carries a sub-run of the list the source sent. A target the
+    /// list repeats receives one copy.
     Multicast(Targets),
 }
 
@@ -402,6 +420,22 @@ mod tests {
         assert!(Arc::ptr_eq(&inner.list, &all.list));
         // Equality is by targets, not by list or offset.
         assert_eq!(inner, vec![NodeAddr(3), NodeAddr(4)].into());
+    }
+
+    #[test]
+    fn a_list_is_rewritten_only_while_no_other_run_holds_it() {
+        let all: Targets = (0..6).map(NodeAddr).collect();
+        let mut tail = all.sub(3..);
+        assert!(!tail.rewrite([NodeAddr(9)].into_iter()), "`all` holds it");
+        assert_eq!(*tail, [NodeAddr(3), NodeAddr(4), NodeAddr(5)]);
+        drop(all);
+        let list = Arc::as_ptr(&tail.list);
+        assert!(tail.rewrite([NodeAddr(5), NodeAddr(3)].into_iter()));
+        assert_eq!(*tail, [NodeAddr(5), NodeAddr(3)]);
+        assert_eq!(Arc::as_ptr(&tail.list), list, "rewritten in place");
+        let held = tail.clone();
+        assert!(!tail.rewrite(std::iter::empty()), "`held` holds it");
+        assert_eq!(*held, [NodeAddr(5), NodeAddr(3)]);
     }
 
     #[test]

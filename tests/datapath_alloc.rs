@@ -6,10 +6,12 @@
 use std::sync::Mutex;
 
 use hpc_vorx::desim::lock;
+use hpc_vorx::hpcnet::combine::CombOp;
 use hpc_vorx::hpcnet::driver::StandaloneNet;
 use hpc_vorx::hpcnet::{
     copymeter, Dest, Fabric, Frame, NetConfig, NodeAddr, Payload, Targets, Topology,
 };
+use hpc_vorx::vorx::collective::{self, CollMode, GroupCfg};
 use hpc_vorx::vorx::multicast::{join, mread, mwrite};
 use hpc_vorx::vorx::udco::{self, UdcoMode};
 use hpc_vorx::vorx::{channel, Calibration, VorxBuilder, VorxSim};
@@ -190,38 +192,112 @@ fn frames_over_untouched_links_allocate_only_the_link_table_growth() {
     );
 }
 
+/// Multicast `everyone` (every node but node 0 of a 16 × 4 machine) from
+/// node 0 and run it to the end: the allocations that made (the list was
+/// built before) and the multicast heads the fabric re-listed.
+fn multicast_to_everyone(net: &mut StandaloneNet, everyone: Targets, seq: u64) -> (u64, u64) {
+    let relists = net.fabric.work().relists;
+    let frame = Frame {
+        src: NodeAddr(0),
+        dst: Dest::Multicast(everyone),
+        kind: 0,
+        seq,
+        payload: Payload::Synthetic(512),
+        corrupted: false,
+    };
+    let (_, calls) = alloc_meter::measure(|| {
+        net.send_at(net.now(), frame);
+        net.run();
+    });
+    assert_eq!(net.delivered.len(), 63);
+    net.delivered.clear();
+    (calls, net.fabric.work().relists - relists)
+}
+
+/// A 16 × 4 machine with no traffic yet.
+fn sixteen_clusters() -> StandaloneNet {
+    let topo = Topology::incomplete_hypercube(16, 4).unwrap();
+    StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()))
+}
+
 /// A multicast head whose targets do not form one run per output port is
 /// re-listed once, in its multicast tree's depth-first order; every branch
 /// below then forwards a sub-run of its parent's list, and a one-target
-/// branch is a `Unicast`. A warmed-up 63-target multicast over 16 clusters
-/// of 4 therefore allocates at most twice — the re-listed vector and its
-/// refcount block, at the source's cluster — where a list per multi-target
-/// branch cost one per inter-cluster edge of its tree (15..=20 measured),
-/// and the per-port rescan ≈ 3 at each of its 62 splits (≈ 188).
+/// branch is a `Unicast`. Where the sender still holds the list (it keeps a
+/// clone here, as a retransmitting sender or a collective's root does),
+/// the fabric stores the order in the last list it re-listed when that
+/// holds the same order: a warmed-up 63-target multicast over 16 clusters
+/// of 4 re-lists and allocates nothing. A new tree-order list per re-list
+/// cost 2 (the vector and its refcount block), a list per multi-target
+/// branch one per inter-cluster edge of its tree (15..=20 measured), and
+/// the per-port rescan ≈ 3 at each of its 62 splits (≈ 188).
 #[test]
-fn standalone_multicast_allocates_one_tree_order_list() {
-    let topo = Topology::incomplete_hypercube(16, 4).unwrap();
-    let mut net = StandaloneNet::new(Fabric::new(topo, NetConfig::paper_1988()));
+fn standalone_multicast_of_a_held_list_relists_without_allocating() {
+    let mut net = sixteen_clusters();
     let everyone: Targets = (1..64).map(NodeAddr).collect();
-    let send_one = |net: &mut StandaloneNet, seq: u64| {
-        let frame = Frame {
-            src: NodeAddr(0),
-            dst: Dest::Multicast(everyone.clone()),
-            kind: 0,
-            seq,
-            payload: Payload::Synthetic(512),
-            corrupted: false,
-        };
-        net.send_at(net.now(), frame);
-        net.run();
-        assert_eq!(net.delivered.len(), 63);
-        net.delivered.clear();
+    multicast_to_everyone(&mut net, everyone.clone(), 0);
+    let (calls, relists) = multicast_to_everyone(&mut net, everyone.clone(), 1);
+    assert_eq!(relists, 1, "the ascending list is not in tree order");
+    assert_eq!(
+        calls, 0,
+        "a warmed-up 63-target multicast of a held list allocated {calls} times"
+    );
+    assert!(everyone.iter().is_sorted(), "the held list was re-listed");
+}
+
+/// The same multicast with a list of its own per frame, which nothing but
+/// the frame holds: the fabric rewrites that list in place, so once the
+/// list is built a warmed-up frame re-lists and allocates nothing.
+#[test]
+fn standalone_multicast_of_an_unshared_list_relists_in_place() {
+    let mut net = sixteen_clusters();
+    let everyone = || (1..64).map(NodeAddr).collect::<Targets>();
+    multicast_to_everyone(&mut net, everyone(), 0);
+    let (calls, relists) = multicast_to_everyone(&mut net, everyone(), 1);
+    assert_eq!(relists, 1, "the ascending list is not in tree order");
+    assert_eq!(
+        calls, 0,
+        "a warmed-up 63-target multicast of its own list allocated {calls} times"
+    );
+}
+
+/// Allocations while the 64 nodes of a 16 × 4 machine, one in-network
+/// group, run `ops` allreduces each.
+fn allreduce_allocs(ops: u64) -> u64 {
+    let topo = Topology::incomplete_hypercube(16, 4).unwrap();
+    let mut v = VorxBuilder::with_topology(topo).trace(false).build();
+    let members: Vec<NodeAddr> = (0..64).map(NodeAddr).collect();
+    let cfg = GroupCfg {
+        group: 3,
+        members: members.clone(),
+        mode: CollMode::InNetwork,
     };
-    send_one(&mut net, 0);
-    let (_, calls) = alloc_meter::measure(|| send_one(&mut net, 1));
-    assert!(
-        calls <= 2,
-        "a warmed-up 63-target multicast allocated {calls} times"
+    collective::register_group(&mut v.world(), &cfg);
+    for m in members {
+        v.spawn(format!("n{}:coll", m.0), move |ctx| {
+            let c = collective::attach(&ctx, m, 3);
+            for k in 0..ops {
+                assert_eq!(c.allreduce(&ctx, CombOp::Sum, k), 64 * k);
+            }
+        });
+    }
+    let (report, total) = alloc_meter::measure(|| v.run());
+    assert!(report.all_finished());
+    total
+}
+
+/// Each in-network allreduce ends with the root multicasting the result to
+/// the group's own list of the other members, which the root holds and
+/// which is not in tree order: the fabric re-lists it every operation, into
+/// the list it re-listed the operation before. Measured: a warmed-up
+/// allreduce of a 64-member group over 16 clusters allocates nothing, where
+/// a new tree-order list per operation cost 2.
+#[test]
+fn an_in_network_allreduce_relists_its_result_without_allocating() {
+    let per_op = per_msg(allreduce_allocs);
+    assert_eq!(
+        per_op, 0.0,
+        "{per_op} allocations per allreduce of a 64-member group"
     );
 }
 

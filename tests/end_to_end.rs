@@ -387,6 +387,28 @@ fn hypercube_channel_and_multicast_stress() {
     assert_eq!(w.net.in_flight(), 0, "fabric must be quiescent");
 }
 
+/// A multicast write that lists a destination twice delivers one copy to
+/// it and returns once that copy is acknowledged: the writer waits for one
+/// ack per distinct destination, as the fabric delivers one frame to each.
+#[test]
+fn mwrite_with_a_repeated_destination_returns() {
+    use hpc_vorx::vorx::multicast;
+    let mut v = VorxBuilder::single_cluster(4).trace(false).build();
+    v.spawn("n2:mread", |ctx| {
+        multicast::join(&ctx, NodeAddr(2), 5);
+        let (src, p) = multicast::mread(&ctx, NodeAddr(2), 5);
+        assert_eq!((src, p.len()), (NodeAddr(1), 100));
+    });
+    v.spawn("n1:mwrite", |ctx| {
+        let dsts = vec![NodeAddr(2), NodeAddr(2)];
+        multicast::mwrite(&ctx, NodeAddr(1), 5, dsts, Payload::Synthetic(100));
+    });
+    v.run_all();
+    let w = v.world();
+    assert_eq!(w.net.in_flight(), 0, "fabric must be quiescent");
+    assert_eq!(w.net.stats.frames_delivered, 2, "one data frame, one ack");
+}
+
 /// Events of a run with `k` concurrent opens on node 2, each paired by its
 /// own opener on node 3, and `k / 8` concurrent syscalls from node 2 to
 /// host 0's one stub, which serves them in turn.

@@ -16,7 +16,9 @@
 //! then shuffled: the fabric re-lists a multicast in its tree's order, so a
 //! list's order is unobservable and the hashes must not move. One more
 //! scenario cuts a cable under buffered multicasts and checks every delivery
-//! instead of a hash.
+//! instead of a hash, and one more checks that where the fabric keeps a
+//! re-listed order (the frame's own list, its last re-listed list or a new
+//! one) changes no delivery and no list a sender holds.
 //!
 //! The work counters ([`Fabric::work`]) are asserted on the unicast scenario:
 //! a frame is routed once per cluster it crosses, and a grant costs a bounded
@@ -35,7 +37,7 @@ use std::rc::Rc;
 use hpc_vorx::hpcnet::config::serialize_ns;
 use hpc_vorx::hpcnet::{
     ClusterId, Dest, Fabric, FaultHook, Frame, LinkId, NetConfig, NodeAddr, Payload, Stats,
-    Topology, Transit,
+    Targets, Topology, Transit,
 };
 use snet::{SnetReport, SnetSim, Strategy};
 
@@ -393,6 +395,72 @@ fn cable_cut_under_buffered_multicast_delivers_every_target_once() {
             assert_eq!(at.len(), 1, "unicast {i} delivered {} times", at.len());
         }
     }
+}
+
+/// Where the fabric stores a re-listed order is unobservable. It rewrites a
+/// multicast's own list only where nothing else holds it, so a sender that
+/// keeps a clone of its list reads it unchanged after the fabric re-listed
+/// the frame. And a new tree-order list, the last list re-listed again and
+/// a list rewritten in place deliver the same `(time, endpoint)` sequence;
+/// a list of other targets re-lists into a list of its own.
+#[test]
+fn a_relisted_list_stays_the_senders_and_delivers_alike() {
+    let ascending: Vec<NodeAddr> = (1..ENDPOINTS).map(NodeAddr).collect();
+    // Multicast `list` from node 0 into an idle `net`: each delivery's
+    // endpoint and time since the send.
+    let send = |net: &mut StandaloneNet, list: Targets| {
+        let (t0, relists) = (net.now(), net.fabric.work().relists);
+        let frame = Frame {
+            src: NodeAddr(0),
+            dst: Dest::Multicast(list),
+            kind: DATA,
+            seq: 0,
+            payload: Payload::Synthetic(512),
+            corrupted: false,
+        };
+        net.send_at(t0, frame);
+        net.run();
+        assert_eq!(net.fabric.work().relists, relists + 1, "one re-list");
+        let got: Vec<(u64, NodeAddr)> = net
+            .delivered
+            .iter()
+            .map(|&(t, at, _)| (t - t0, at))
+            .collect();
+        net.delivered.clear();
+        got
+    };
+    let held: Targets = ascending.clone().into();
+    let mut net = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
+    let new_list = send(&mut net, held.clone());
+    let last_list = send(&mut net, held.clone());
+    assert_eq!(
+        *held, *ascending,
+        "the fabric rewrote a list its sender holds"
+    );
+    // A held list of other targets is not the last list re-listed.
+    let half: Vec<NodeAddr> = (1..ENDPOINTS / 2).map(NodeAddr).collect();
+    let half_held: Targets = half.clone().into();
+    let mut at: Vec<NodeAddr> = send(&mut net, half_held.clone())
+        .iter()
+        .map(|d| d.1)
+        .collect();
+    at.sort_unstable();
+    assert_eq!(at, half, "a multicast went to the last re-listed targets");
+    assert_eq!(
+        *half_held, *half,
+        "the fabric rewrote a list its sender holds"
+    );
+    let mut fresh = StandaloneNet::new(hypercube(NetConfig::paper_1988()));
+    let in_place = send(&mut fresh, ascending.clone().into());
+    assert_eq!(new_list.len(), ascending.len());
+    assert_eq!(
+        last_list, new_list,
+        "the last list re-listed delivers differently"
+    );
+    assert_eq!(
+        in_place, new_list,
+        "a list rewritten in place delivers differently"
+    );
 }
 
 /// A quarter of the traffic converges on cluster 9, so the senders' output
